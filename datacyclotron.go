@@ -189,8 +189,7 @@ func DefaultLiveConfig() LiveConfig { return live.DefaultConfig() }
 
 // NewRouter builds a routed multi-ring runtime over the given columns:
 // data starts on the cold ring and migrates to the hot ring as query
-// heat concentrates on it. RouterConfig.Tiers < 2 degenerates to a
-// single plain ring behind the same API.
+// heat concentrates on it. (A single ring is NewLiveRing.)
 func NewRouter(columns map[string]*BAT, schema Schema, cfg RouterConfig) (*Router, error) {
 	return live.NewRouter(columns, schema, cfg)
 }

@@ -216,7 +216,7 @@ type Stats struct {
 	CacheInterest     uint64 // pins served node-locally, folded into LOI
 	BATsParked        uint64 // idle BATs held at their owner (LOI pacing)
 	BATsUnparked      uint64 // parked BATs re-admitted by an interest signal
-	BATsPromoted      uint64 // replicas adopted as owned after a node death
+	BATsPromoted      uint64 // BATs that entered S1 through PromoteOwned (failover, moves)
 	OrbitsSuspected   uint64 // circulating BATs marked lost after a node death
 }
 
@@ -328,15 +328,25 @@ func (rt *Runtime) AdoptOwned(b BATID, size int, loaded bool) {
 	rt.s1[b] = &ownedBAT{id: b, size: size, loaded: loaded}
 }
 
-// PromoteOwned registers b as owned by way of replica promotion after
-// its previous owner died (§6.3). The BAT enters S1 cold (not loaded),
-// so the next interest signal re-admits it through the normal tryLoad
-// path; loi carries the level of interest the fragment had accumulated
-// while circulating from its dead owner, so a hot fragment resumes as
-// hot instead of re-earning its place from zero.
+// PromoteOwned makes this node the owner of b at the given size: replica
+// promotion after the previous owner died (§6.3), an ownership move, or
+// a new version installed in place (§6.4). A BAT new to S1 enters cold
+// (not loaded), so the next interest signal re-admits it through the
+// normal tryLoad path; loi carries the level of interest the fragment
+// had accumulated while circulating from its previous owner, so a hot
+// fragment resumes as hot instead of re-earning its place from zero. A
+// BAT this node already owns keeps its hot-set state — loaded, pending,
+// parked and the frozen header — and only takes the new size: its
+// envelope is still in orbit (or held here), so forgetting that would
+// leave the books saying "circulating" for an envelope nobody will
+// ever send again.
 func (rt *Runtime) PromoteOwned(b BATID, size int, loi float64) {
-	rt.s1[b] = &ownedBAT{id: b, size: size, initLOI: loi}
-	rt.stats.BATsPromoted++
+	if o := rt.s1[b]; o != nil {
+		o.size = size
+	} else {
+		rt.s1[b] = &ownedBAT{id: b, size: size, initLOI: loi}
+		rt.stats.BATsPromoted++
+	}
 	// Queries that pinned b while its old owner was (silently) dead are
 	// still blocked in S3, waiting on a delivery that died with it. The
 	// promotion makes this node the owner, so those pins are served the

@@ -15,8 +15,9 @@ package experiments
 //     cold-homed;
 //   - the tiers themselves: measured revolution time per ring, the
 //     migration counters, and residency;
-//   - the flash-crowd path: after the stream, a still-cold column is
-//     hit with a burst and the wall-clock from the burst's first
+//   - the flash-crowd path: after the stream, a column reserved outside
+//     the Zipf key space (so still cold) is hit with a burst and the
+//     wall-clock from the burst's first
 //     access to the observed home flip is compared against one cold
 //     revolution (the promotion must land before the cold ring could
 //     even bring the fragment around).
@@ -42,7 +43,7 @@ type TierOpts struct {
 	Accesses int     // fetches in the measured stream
 	Theta    float64 // Zipf skew
 	Seed     int64
-	Router   live.RouterConfig // tiered topology; Tiers forced to 2
+	Router   live.RouterConfig // tiered topology
 }
 
 // DefaultTierOpts is the full sweep; Short shrinks it to CI size.
@@ -137,20 +138,20 @@ func TierSweep(o TierOpts) (*TierResult, error) {
 		Accesses: o.Accesses,
 	}
 
-	// Baseline: one standalone ring built through the Tiers=1 gate, in
-	// the cold ring's configuration and at the cold ring's node count —
-	// the wide capacity ring every fragment shares when there is no hot
-	// tier. (A cache big enough to swallow the whole dataset would hide
-	// exactly the constraint the tiering addresses.)
-	base := o.Router
-	base.Tiers = 1
-	columns, sums := tierColumns(o.Columns, o.Rows, o.Seed)
-	rtr, err := live.NewRouter(columns, nil, base)
+	// Baseline: one standalone ring in the cold ring's configuration and
+	// at the cold ring's node count — the wide capacity ring every
+	// fragment shares when there is no hot tier. (A cache big enough to
+	// swallow the whole dataset would hide exactly the constraint the
+	// tiering addresses.) Both sides carry one column beyond the Zipf
+	// key space, which the stream never touches: the flash probe's
+	// victim, cold by construction.
+	columns, sums := tierColumns(o.Columns+1, o.Rows, o.Seed)
+	ring, err := live.NewRing(o.Router.ColdNodes, columns, nil, o.Router.Cold)
 	if err != nil {
 		return nil, err
 	}
-	run, _, err := tierStream("single-ring", rtr, o, sums)
-	rtr.Close()
+	run, _, err := tierStream("single-ring", ring.Node(0).Fetch, nil, o, sums)
+	ring.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -158,15 +159,13 @@ func TierSweep(o TierOpts) (*TierResult, error) {
 
 	// Tiered: the same dataset and the same seeded access stream
 	// against the two-tier runtime.
-	tiered := o.Router
-	tiered.Tiers = 2
-	columns, sums = tierColumns(o.Columns, o.Rows, o.Seed)
-	rtr, err = live.NewRouter(columns, nil, tiered)
+	columns, sums = tierColumns(o.Columns+1, o.Rows, o.Seed)
+	rtr, err := live.NewRouter(columns, nil, o.Router)
 	if err != nil {
 		return nil, err
 	}
 	defer rtr.Close()
-	run, coldP99, err := tierStream("tiered", rtr, o, sums)
+	run, coldP99, err := tierStream("tiered", rtr.Fetch, rtr, o, sums)
 	if err != nil {
 		return nil, err
 	}
@@ -186,11 +185,12 @@ func TierSweep(o TierOpts) (*TierResult, error) {
 	return res, nil
 }
 
-// tierStream fires the seeded Zipf access stream at the runtime,
+// tierStream fires the seeded Zipf access stream through fetch,
 // checksumming every answer. It returns the run and the p99 of the
 // accesses that found their column cold-homed (the revolution proxy
-// the flash bound falls back to).
-func tierStream(label string, rtr *live.Router, o TierOpts, sums []int64) (TierRun, int64, error) {
+// the flash bound falls back to); rtr is nil for the single-ring
+// baseline, where every access is cold-homed.
+func tierStream(label string, fetch func(string) (*bat.BAT, error), rtr *live.Router, o TierOpts, sums []int64) (TierRun, int64, error) {
 	z := workload.NewZipf(o.Columns, o.Theta)
 	rng := rand.New(rand.NewSource(o.Seed + 1))
 	run := TierRun{Label: label, Accesses: o.Accesses}
@@ -198,13 +198,13 @@ func tierStream(label string, rtr *live.Router, o TierOpts, sums []int64) (TierR
 	for i := 0; i < o.Accesses; i++ {
 		k := z.Draw(rng)
 		hot := false
-		if rtr.Tiers() > 1 {
+		if rtr != nil {
 			if homes, ok := rtr.Homes(tierColName(k)); ok && homes[0] == live.HotRing {
 				hot = true
 			}
 		}
 		start := time.Now()
-		b, err := rtr.Fetch(tierColName(k))
+		b, err := fetch(tierColName(k))
 		lat := time.Since(start)
 		if err != nil {
 			return run, 0, fmt.Errorf("%s: fetch %s: %w", label, tierColName(k), err)
@@ -225,7 +225,7 @@ func tierStream(label string, rtr *live.Router, o TierOpts, sums []int64) (TierR
 	}
 	run.P50Micros = quantileMicros(all, 0.50)
 	run.P99Micros = quantileMicros(all, 0.99)
-	if rtr.Tiers() > 1 {
+	if rtr != nil {
 		run.HotServed = len(hotLat)
 		run.HotP50Micros = quantileMicros(hotLat, 0.50)
 		run.ColdP50Micros = quantileMicros(coldLat, 0.50)
@@ -233,19 +233,11 @@ func tierStream(label string, rtr *live.Router, o TierOpts, sums []int64) (TierR
 	return run, quantileMicros(coldLat, 0.99), nil
 }
 
-// tierFlashProbe picks a still-cold column, hits it with a
-// FlashCrowdHits burst, and clocks the cold→hot home flip.
+// tierFlashProbe hits the reserved column (index o.Columns, which the
+// Zipf stream never draws, so it is still cold) with a FlashCrowdHits
+// burst, and clocks the cold→hot home flip.
 func tierFlashProbe(rtr *live.Router, o TierOpts, sums []int64, res *TierResult, coldP99 int64) error {
-	victim := -1
-	for k := o.Columns - 1; k >= 0; k-- {
-		if homes, ok := rtr.Homes(tierColName(k)); ok && homes[0] == live.ColdRing {
-			victim = k
-			break
-		}
-	}
-	if victim < 0 {
-		return nil // everything already promoted; the probe has nothing to show
-	}
+	victim := o.Columns
 	name := tierColName(victim)
 	burst := o.Router.FlashCrowdHits
 	if burst <= 0 {

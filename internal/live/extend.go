@@ -2,8 +2,6 @@ package live
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bat"
@@ -47,70 +45,42 @@ func (n *Node) Publish(name string, b *bat.BAT) (core.BATID, error) {
 		return 0, fmt.Errorf("live: intermediate %q (%d wire bytes) exceeds ring message limit %d",
 			name, wire, n.ring.MaxMessage())
 	}
+	// The catalog maps are shared by every ring of a routed runtime, so
+	// the extension happens once, under all rings' catalog locks; the
+	// new fragment is homed on the publishing ring.
 	r := n.ring
-	if rtr := r.router; rtr != nil {
-		// Routed runtime: the catalog maps are shared by every tier
-		// ring, so the extension happens once under all rings' catalog
-		// locks, and the new fragment is homed on the publishing ring.
-		id, err := rtr.publish(r, name)
-		if err != nil {
-			return 0, err
-		}
-		n.installPublished(id, b)
-		return id, nil
+	tiers := r.tiers()
+	for _, rg := range tiers {
+		rg.idsMu.Lock()
 	}
-	r.idsMu.Lock()
-	if _, exists := r.cols[name]; exists {
-		r.idsMu.Unlock()
+	_, exists := r.cols[name]
+	var id core.BATID
+	if !exists {
+		id = core.BATID(atomic.AddInt64(&nextDynamicID, 1))
+		r.cols[name] = &colFrags{ids: []core.BATID{id}}
+		r.fragVer[id] = &atomic.Int64{}
+		r.fragCol[id] = name
+		for _, rg := range tiers {
+			rg.names = append(rg.names, name)
+		}
+	}
+	for i := len(tiers) - 1; i >= 0; i-- {
+		tiers[i].idsMu.Unlock()
+	}
+	if exists {
 		return 0, fmt.Errorf("live: fragment %q already published", name)
 	}
-	id := core.BATID(atomic.AddInt64(&nextDynamicID, 1))
-	r.cols[name] = &colFrags{ids: []core.BATID{id}}
-	r.names = append(r.names, name)
-	r.fragVer[id] = &atomic.Int64{}
-	r.fragCol[id] = name
-	r.idsMu.Unlock()
-	n.installPublished(id, b)
-	return id, nil
-}
-
-// installPublished stores a freshly published fragment at its owner and
-// installs its replica chain — the half of Publish shared by the
-// standalone and routed paths, run after the catalog already names id.
-func (n *Node) installPublished(id core.BATID, b *bat.BAT) {
-	r := n.ring
-
-	n.mu.Lock()
-	n.store[id] = b
-	n.rt.AddOwned(id, b.Bytes())
-	n.mu.Unlock()
-
-	// Replica placement follows the same rule as base fragments: the
-	// next Replicas live ring successors of the owner each get a copy,
-	// so a published intermediate survives its owner's death too.
-	if r.cfg.Replicas > 0 {
-		nodes := r.nodeList()
-		total := len(nodes)
-		chain := make([]core.NodeID, 0, r.cfg.Replicas)
-		for k := 1; k <= total && len(chain) < r.cfg.Replicas; k++ {
-			rep := nodes[(int(n.id)+k)%total]
-			if rep.id == n.id || r.isDead(rep.id) {
-				continue
-			}
-			rep.mu.Lock()
-			rep.replicas[id] = &replicaFrag{b: b}
-			rep.mu.Unlock()
-			chain = append(chain, rep.id)
-		}
-		r.memMu.Lock()
-		r.fragOwner[id] = n.id
-		r.fragReplicas[id] = chain
-		r.memMu.Unlock()
-	} else {
-		r.memMu.Lock()
-		r.fragOwner[id] = n.id
-		r.memMu.Unlock()
+	if r.router != nil {
+		r.router.setHome(id, r.id)
 	}
+	// Same placement rule as base fragments, so a published intermediate
+	// survives its owner's death too.
+	chain := replicaChain(r, n.id)
+	unlock := lockNodes(append(chain, n)...)
+	installOwner(n, id, b, 0, 0, chain)
+	unlock()
+	r.setPlacement(id, n, chain)
+	return id, nil
 }
 
 // Fetch retrieves a column by name through the normal Data Cyclotron
@@ -137,7 +107,7 @@ func (n *Node) Fetch(name string) (*bat.BAT, error) {
 		// Remote-homed fragments are dispatched through the router at
 		// pin time; local interest would dangle (same rule as
 		// queryDC.Request).
-		if rtr := n.ring.router; rtr != nil && rtr.homeOf(id) != n.ring.id {
+		if n.ring.homeRing(id) != n.ring {
 			continue
 		}
 		n.rt.Request(q, id)
@@ -166,15 +136,9 @@ func (n *Node) Fetch(name string) (*bat.BAT, error) {
 // fragments are merged for fn, and the new version is re-divided over
 // the same fragment count — fragment identity is stable, so in-flight
 // requests keep their meaning — with each new fragment installed at
-// its own owner. It returns the new version number (base data is
-// version 0).
+// its own owner, on whichever ring of a routed runtime it is homed. It
+// returns the new version number (base data is version 0).
 func (r *Ring) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error) {
-	if r.router != nil {
-		// Routed runtime: a column's fragments may be homed on several
-		// rings, so the update runs at the router, which owns the
-		// cross-ring critical section.
-		return r.router.UpdateColumn(name, fn)
-	}
 	ids, ok := r.Fragments(name)
 	if !ok {
 		return 0, fmt.Errorf("live: unknown column %q", name)
@@ -183,10 +147,11 @@ func (r *Ring) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error
 	lock.Lock()
 	defer lock.Unlock()
 
-	frags := make([]*bat.BAT, len(ids))
+	// Gather: under the column lock no move can flip an owner or a home.
 	owners := make([]*Node, len(ids))
+	frags := make([]*bat.BAT, len(ids))
 	for i, id := range ids {
-		owner := r.ownerOf(id)
+		owner := r.homeRing(id).ownerOf(id)
 		if owner == nil {
 			return 0, fmt.Errorf("live: no owner for fragment %d of %q", i, name)
 		}
@@ -199,123 +164,59 @@ func (r *Ring) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error
 	if len(frags) > 1 {
 		cur = bat.Concat(frags)
 	}
-
 	next := fn(cur)
 	if next == nil {
 		return 0, fmt.Errorf("live: update produced nil version")
 	}
-	spans := splitEven(next.Len(), len(ids))
-	newFrags := make([]*bat.BAT, len(ids))
-	for i, sp := range spans {
-		nf := next
+	// Split; each fragment must fit the regions of the ring it lives on.
+	for i, sp := range splitEven(next.Len(), len(ids)) {
+		frags[i] = next
 		if len(ids) > 1 {
-			nf = next.Slice(sp[0], sp[1])
+			frags[i] = next.Slice(sp[0], sp[1])
 		}
-		if wire := dataHdrSize + bat.MarshalSize(nf); wire > r.MaxMessage() {
-			return 0, fmt.Errorf("live: new version of %q fragment %d (%d wire bytes) exceeds ring message limit %d",
-				name, i, wire, r.MaxMessage())
+		if rg, wire := owners[i].ring, dataHdrSize+bat.MarshalSize(frags[i]); wire > rg.MaxMessage() {
+			return 0, fmt.Errorf("live: new version of %q fragment %d (%d wire bytes) exceeds %v ring message limit %d",
+				name, i, wire, rg.id, rg.MaxMessage())
 		}
-		newFrags[i] = nf
 	}
 
-	// Install every new fragment with all owner locks held at once
-	// (acquired in node order — every other code path takes at most one
-	// node lock, so the ordered multi-lock cannot deadlock): the owners'
-	// stores never expose a mix of old and new fragments. A query whose
-	// pins *straddle* the update may still combine adjacent versions of
-	// different fragments it picked up before and after the install —
-	// versioning is per fragment, the granularity at which data lives in
-	// the ring (each fragment individually is always a consistent
-	// version, and readers holding old payloads continue on them).
-	// Surviving replica holders join the critical section too: replicas
-	// are installed at the new version *before* the catalog advances, so
-	// a failover that promotes a replica (serialized against this very
-	// column lock) always finds catalog-current bytes — the PR 5
-	// staleness contract extended to promoted replicas.
-	var repNodes map[core.BATID][]*Node
-	if r.cfg.Replicas > 0 {
-		repNodes = make(map[core.BATID][]*Node, len(ids))
-		r.memMu.RLock()
-		for _, id := range ids {
-			for _, nid := range r.fragReplicas[id] {
-				if !r.deadNodes[nid] {
-					repNodes[id] = append(repNodes[id], r.node(int(nid)))
+	// Install every fragment with all owners and live replica holders
+	// locked at once: the stores never expose a mix of old and new
+	// fragments. A query whose pins straddle the update may still pick
+	// up adjacent versions of different fragments — versioning is per
+	// fragment — which the multi-fragment pin reconciles (frag.go).
+	reps := make([][]*Node, len(ids))
+	locked := append([]*Node(nil), owners...)
+	for i, id := range ids {
+		reps[i] = owners[i].ring.replicaNodes(id)
+		locked = append(locked, reps[i]...)
+	}
+	unlock := lockNodes(locked...)
+	defer unlock()
+	tiers := r.tiers()
+	version := 0
+	for i, id := range ids {
+		ver := owners[i].versions[id] + 1
+		installOwner(owners[i], id, frags[i], ver, heldLOI(id, reps[i]), reps[i])
+		// Advance the catalog while the owner's store is still locked:
+		// a pin that reads the catalog from here on can no longer
+		// validate an entry labelled with an older version (the catalog
+		// read is the pin's linearization point; a pin that read just
+		// before completes against the old version, ordinary MVCC).
+		// Dropping the superseded cache entries is then memory hygiene.
+		r.idsMu.RLock()
+		r.fragVer[id].Store(int64(ver))
+		r.idsMu.RUnlock()
+		for _, rg := range tiers {
+			for _, node := range rg.nodeList() {
+				if node.hot != nil {
+					node.hot.invalidateBelow(id, ver)
 				}
 			}
 		}
-		r.memMu.RUnlock()
-	}
-
-	lockOrder := make([]*Node, 0, len(owners))
-	addLocked := func(node *Node) {
-		for _, seen := range lockOrder {
-			if seen == node {
-				return
-			}
+		if ver > version {
+			version = ver
 		}
-		lockOrder = append(lockOrder, node)
-	}
-	for _, owner := range owners {
-		addLocked(owner)
-	}
-	for _, reps := range repNodes {
-		for _, rep := range reps {
-			addLocked(rep)
-		}
-	}
-	sort.Slice(lockOrder, func(i, j int) bool { return lockOrder[i].id < lockOrder[j].id })
-	for _, owner := range lockOrder {
-		owner.mu.Lock()
-	}
-	version := 0
-	for i, id := range ids {
-		owner := owners[i]
-		owner.store[id] = newFrags[i]
-		// The serialized form of the old version must not be re-sent; its
-		// pooled buffer is recycled once in-flight sends drain.
-		owner.dropWireEntry(id)
-		if owner.versions == nil {
-			owner.versions = map[core.BATID]int{}
-		}
-		owner.versions[id]++
-		newVer := owner.versions[id]
-		if newVer > version {
-			version = newVer
-		}
-		// Keep the catalog size honest for admission decisions.
-		owner.rt.AdoptOwned(id, newFrags[i].Bytes(), owner.rt.Loaded(id))
-		// Replicas first, then the catalog: a promotion serialized
-		// behind this critical section must find its replica already at
-		// the version the catalog reports.
-		for _, rep := range repNodes[id] {
-			loi := 0.0
-			if old := rep.replicas[id]; old != nil {
-				loi = old.loi
-			}
-			rep.replicas[id] = &replicaFrag{b: newFrags[i], ver: newVer, loi: loi}
-		}
-		// Advance the catalog version while the owner's store and the
-		// column lock are still held: any pin that reads the catalog
-		// from here on can no longer validate an entry labelled with an
-		// older version (the catalog read is the pin's linearization
-		// point; a pin that read just before this store completes
-		// against the old version, which is ordinary MVCC). Dropping
-		// the superseded entries on every node is then pure memory
-		// hygiene.
-		r.idsMu.RLock()
-		vp := r.fragVer[id]
-		r.idsMu.RUnlock()
-		if vp != nil {
-			vp.Store(int64(newVer))
-		}
-		for _, node := range r.nodeList() {
-			if node.hot != nil {
-				node.hot.invalidateBelow(id, newVer)
-			}
-		}
-	}
-	for _, owner := range lockOrder {
-		owner.mu.Unlock()
 	}
 	return version, nil
 }
@@ -336,50 +237,6 @@ func (r *Ring) Version(name string) (int, error) {
 		}
 	}
 	return version, nil
-}
-
-// ownerOf finds the node whose data loader owns id, preferring a live
-// owner. In the window between a node's death and its fragments'
-// promotion the only owner on record may be the dead node; updating
-// through it is still correct — the surviving replicas are written at
-// the new version inside the column-locked critical section, and the
-// promotion (serialized on the same lock) installs exactly the catalog
-// version.
-func (r *Ring) ownerOf(id core.BATID) *Node {
-	var deadOwner *Node
-	for _, n := range r.nodeList() {
-		n.mu.Lock()
-		owns := n.rt.Owns(id)
-		n.mu.Unlock()
-		if owns {
-			if !r.isDead(n.id) {
-				return n
-			}
-			if deadOwner == nil {
-				deadOwner = n
-			}
-		}
-	}
-	return deadOwner
-}
-
-// columnLock returns the per-column update mutex, creating it lazily.
-// In a routed runtime the lock lives at the router — one mutex per
-// column across all tier rings, so updates, failover promotion, join
-// rebalancing, and tier migration all serialize on the same lock
-// whichever ring they run on.
-func (r *Ring) columnLock(name string) *sync.Mutex {
-	if r.router != nil {
-		return r.router.columnLock(name)
-	}
-	r.updMuMu.Lock()
-	defer r.updMuMu.Unlock()
-	l := r.updMu[name]
-	if l == nil {
-		l = &sync.Mutex{}
-		r.updMu[name] = l
-	}
-	return l
 }
 
 // Submit executes sql after a nomadic phase (§6.1): every node bids its

@@ -169,9 +169,11 @@ const maxSnapshotRetries = 64
 //     and any outstanding ring interest of this query is withdrawn.
 //  2. an in-flight wait for the same (id, version) by another local pin:
 //     join it instead of registering a second waiter (singleflight).
-//  3. the ring: register a waiter, announce the pin to the runtime, and
-//     block until the fragment flows past (the pre-cache path; the only
-//     path when the cache is disabled).
+//  3. the ring the fragment is homed on (fetchCurrent; the only path
+//     when the cache is disabled).
+//
+// One rule holds on every path, cached or not, routed or not: a pin
+// never returns a version below the catalog's at acquisition.
 //
 // viaRing reports whether the acquisition holds runtime refs (a pin and
 // a refcounted payload) the caller must release after use; node-local
@@ -179,7 +181,7 @@ const maxSnapshotRetries = 64
 // abort (nil for single pins) abandons the wait with errPinAborted.
 func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (b *bat.BAT, ver int, viaRing bool, err error) {
 	n := d.n
-	remote := false
+	local := true
 	if rtr := n.ring.router; rtr != nil {
 		// Routed runtime: resolve the fragment's home ring at pin time,
 		// holding the access counter for the duration of the
@@ -188,70 +190,26 @@ func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (b *bat.BAT,
 		// always finds a serving owner on the ring it resolved to.
 		home, release := rtr.beginAccess(id)
 		defer release()
-		remote = home != n.ring.id
+		local = home == n.ring.id
 	}
-	if n.hot != nil && !remote {
+	if n.hot == nil {
+		return d.fetchCurrent(id, n.ring.fragVersion(id), abort)
+	}
+	if local {
 		// Fragments this node owns are served synchronously from the
 		// store: no cache entry exists for them (dataLoop skips own
 		// fragments), so consulting the cache would only count a miss
 		// that never involved the ring, and a flight would dedupe waits
-		// that do not wait.
+		// that do not wait. The owner's version is the catalog's
+		// (move.go invariant 1), read here without a second lock.
 		n.mu.Lock()
-		owned := n.rt.Owns(id)
+		owned, cur := n.rt.Owns(id), n.versions[id]
 		n.mu.Unlock()
 		if owned {
-			b, ver, err = d.ringPin(id, abort, 0)
-			return b, ver, true, err
+			return d.fetchCurrent(id, cur, abort)
 		}
 	}
 	for {
-		if n.hot == nil {
-			if n.ring.router == nil {
-				b, ver, err = d.ringPin(id, abort, 0)
-				return b, ver, true, err
-			}
-			// Cache-less node on a routed ring: the circulation path can
-			// hand back a stale orbit copy (Deliver serves transit and
-			// cached payloads without a version guard), so validate
-			// against the catalog and retry until the owner's refresh
-			// pass catches the orbit up — the same stale-version chase
-			// as the cached leader paths below.
-			cur := n.ring.fragVersion(id)
-			if remote || n.ring.router.homeOf(id) != n.ring.id {
-				// Either the access resolved to another ring, or the
-				// fragment migrated away while an earlier round of this
-				// loop was waiting — re-resolving every round keeps the
-				// acquisition chasing the fragment's current home
-				// instead of a ring it has left.
-				b, ver, err = d.remotePin(id, abort)
-				if err == nil && ver < cur {
-					continue
-				}
-				return b, ver, false, err
-			}
-			b, ver, err = d.ringPin(id, abort, routedRingWait)
-			if err == nil && ver >= cur {
-				return b, ver, true, nil
-			}
-			if err == nil {
-				// Stale orbit copy: drop the pin before falling back.
-				n.mu.Lock()
-				n.rt.Unpin(d.q, id)
-				n.mu.Unlock()
-			} else if err != errRingWaitTimeout {
-				return nil, 0, false, err
-			}
-			// A parked orbit copy refreshes only when a pass takes it
-			// through the owner, so chasing the ring again may never
-			// terminate — and a migration race can wedge the request
-			// entirely. Take the bytes from the owner's store instead:
-			// versions advance under the owner lock, so the store is
-			// catalog-current by construction.
-			if ob, over, ok := ownerStoreRead(n.ring, id); ok && over >= cur {
-				return ob, over, false, nil
-			}
-			continue
-		}
 		cur := n.ring.fragVersion(id)
 		if b := n.hot.get(id, cur); b != nil {
 			n.mu.Lock()
@@ -266,49 +224,15 @@ func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (b *bat.BAT,
 		}
 		fl, leader := n.hot.joinFlight(id, cur)
 		if leader {
-			if remote {
-				// Cross-ring acquisition through the same singleflight:
-				// concurrent pins of one cold fragment share a single
-				// delegate dispatch, and the result seeds the local
-				// cache so repeat pins stay node-local until the
-				// version moves.
-				b, ver, err = d.remotePin(id, abort)
-				if err != nil {
-					n.hot.finishFlight(id, cur, fl, nil, 0)
-					return nil, 0, false, err
-				}
-				if ver < cur {
-					// Stale orbit copy on the home ring: the catalog
-					// advanced before the pin, so this payload predates
-					// what the caller is entitled to. Retry — the home
-					// owner's next pass refreshes the orbit from its
-					// store (see SendData), bounding the chase to one
-					// revolution.
-					n.hot.finishFlight(id, cur, fl, nil, 0)
-					continue
-				}
-				n.hot.finishFlight(id, cur, fl, b, ver)
-				n.hot.put(id, ver, b)
-				return b, ver, false, nil
-			}
-			b, ver, err = d.ringPin(id, abort, 0)
-			if err != nil {
-				n.hot.finishFlight(id, cur, fl, nil, 0)
-				return nil, 0, false, err
-			}
-			if n.ring.router != nil && ver < cur {
-				// Same stale-version retry as the remote path. Gated on
-				// routed mode so a standalone ring keeps its original
-				// behavior unchanged (a stale orbit copy may serve one
-				// last pin while the owner pass refreshes it).
-				n.mu.Lock()
-				n.rt.Unpin(d.q, id)
-				n.mu.Unlock()
-				n.hot.finishFlight(id, cur, fl, nil, 0)
-				continue
-			}
+			b, ver, viaRing, err = d.fetchCurrent(id, cur, abort)
 			n.hot.finishFlight(id, cur, fl, b, ver)
-			return b, ver, true, nil
+			if err == nil && !viaRing {
+				// Fetched off-ring (another tier, or the owner's store):
+				// seed the cache so repeat pins stay node-local until
+				// the version moves.
+				n.hot.put(id, ver, b)
+			}
+			return b, ver, viaRing, err
 		}
 		select {
 		case <-fl.done:
@@ -331,10 +255,47 @@ func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (b *bat.BAT,
 	}
 }
 
+// fetchCurrent obtains fragment id at version cur or newer from the ring
+// it is homed on — re-resolved every round, so the acquisition chases
+// the fragment's current home instead of a ring it has left: a delegate
+// on another ring (remotePin), or this ring's circulation (ringPin).
+// The ring can hand back a copy older than cur — Deliver serves transit
+// and query-pinned payloads as they are, and an orbit copy refreshes
+// only when a pass takes it through its owner — so a stale delivery is
+// dropped and the bytes taken from the owner's store instead, which is
+// catalog-current by construction (move.go invariant 1).
+func (d *queryDC) fetchCurrent(id core.BATID, cur int, abort <-chan struct{}) (b *bat.BAT, ver int, viaRing bool, err error) {
+	n := d.n
+	for {
+		home := n.ring.homeRing(id)
+		if home != n.ring {
+			b, ver, err = d.remotePin(id, abort)
+			if err != nil || ver >= cur {
+				return b, ver, false, err
+			}
+			continue
+		}
+		b, ver, err = d.ringPin(id, abort, n.ring.pinWait)
+		if err == nil && ver >= cur {
+			return b, ver, true, nil
+		}
+		if err == nil {
+			n.mu.Lock()
+			n.rt.Unpin(d.q, id)
+			n.unrefCached(id)
+			n.mu.Unlock()
+		} else if err != errRingWaitTimeout {
+			return nil, 0, false, err
+		}
+		if ob, over, ok := ownerStoreRead(home, id); ok && over >= cur {
+			return ob, over, false, nil
+		}
+	}
+}
+
 // ownerStoreRead reads a fragment straight from its owner's store on
-// ring r — the stale-orbit fallback for cache-less routed rings. The
-// returned BAT is immutable and GC-owned; the caller holds no runtime
-// refs on it.
+// ring r — fetchCurrent's stale-orbit fallback. The returned BAT is
+// immutable and GC-owned; the caller holds no runtime refs on it.
 func ownerStoreRead(r *Ring, id core.BATID) (*bat.BAT, int, bool) {
 	owner := r.ownerOf(id)
 	if owner == nil {
@@ -350,11 +311,11 @@ func ownerStoreRead(r *Ring, id core.BATID) (*bat.BAT, int, bool) {
 	return b, ver, true
 }
 
-// routedRingWait bounds a circulation wait on a routed cache-less
-// ring: long enough to cover several cold revolutions, short enough
-// that a pin wedged by a migration race (the fragment left the ring,
-// or its orbit copy died without reaching us) falls back to the owner
-// store promptly.
+// routedRingWait bounds a circulation wait on a routed cache-less ring
+// (Ring.pinWait): long enough to cover several cold revolutions, short
+// enough that a pin wedged by a migration race (the fragment left the
+// ring, or its orbit copy died without reaching us) falls back to the
+// owner store promptly.
 const routedRingWait = 250 * time.Millisecond
 
 // errRingWaitTimeout marks a bounded ring wait that expired; it never
@@ -365,8 +326,8 @@ var errRingWaitTimeout = errors.New("live: ring wait timed out")
 // and block until delivery. Only time actually spent blocked counts as
 // ring wait — a synchronous delivery (owner store, or a payload another
 // local pin already holds) involves no circulation and no wait. A
-// non-zero timeout bounds the blocked wait (routed rings only): on
-// expiry the pin is abandoned and errRingWaitTimeout returned.
+// non-zero timeout bounds the blocked wait: on expiry the pin is
+// abandoned and errRingWaitTimeout returned.
 func (d *queryDC) ringPin(id core.BATID, abort <-chan struct{}, timeout time.Duration) (*bat.BAT, int, error) {
 	n := d.n
 	ch := make(chan delivered, 1)
@@ -469,22 +430,17 @@ func (d *queryDC) PinMap(handle mal.Value, fn func(mal.Value) (mal.Value, error)
 
 // pinParts acquires every fragment (cache, coalesced, or ring — in
 // whatever order they become available), applies fn to each on a
-// bounded worker pool, and returns the results in fragment order.
-// With the hot-set cache enabled the collected set is additionally
-// reconciled to a single column version: a concurrent UpdateColumn can
-// land mid-collection, and a merged result must never mix old and new
-// fragment versions.
+// bounded worker pool, and returns the results in fragment order. The
+// collected set is reconciled to a single column version: a concurrent
+// UpdateColumn can land mid-collection, and a merged result must never
+// mix old and new fragment versions, whichever tier each part came
+// from.
 func (d *queryDC) pinParts(ids []core.BATID, fn func(mal.Value) (mal.Value, error)) ([]mal.Value, error) {
 	results, vers, err := d.collectFrags(ids, fn)
 	if err != nil {
 		return nil, err
 	}
-	// A routed runtime can straddle a version even without the cache:
-	// one fragment of a column may be acquired through its old home
-	// while a sibling is already served post-update elsewhere, so the
-	// snapshot reconciliation guards multi-ring merges too — a merged
-	// result never mixes versions, whichever tier each part came from.
-	if (d.n.hot != nil || d.n.ring.router != nil) && len(ids) > 1 {
+	if len(ids) > 1 {
 		if err := d.reconcileVersions(ids, fn, results, vers); err != nil {
 			return nil, err
 		}
@@ -620,7 +576,7 @@ func (d *queryDC) reconcileVersions(ids []core.BATID, fn func(mal.Value) (mal.Va
 
 // pinMerged pins every fragment of h (out of order) and concatenates
 // the payloads in fragment order — a single-version snapshot of the
-// column when the hot-set cache is enabled. The fragments are unpinned
+// column. The fragments are unpinned
 // during the merge; the caller's later unpin of the merged value is a
 // no-op, tracked through d.merged.
 func (d *queryDC) pinMerged(h *fragHandle) (*bat.BAT, error) {

@@ -20,12 +20,8 @@ package live
 //  fails over; per-column locks serialize against UpdateColumn and
 //  promote): the newcomer is streamed its fair share of fragments
 //  through the wire codec, most-loaded donors first. Each migration
-//  installs the joiner's store copy and a fresh replica chain at the
-//  catalog version *before* flipping the ownership catalog — the
-//  replica-before-catalog ordering PR 7 established — so a migrated
-//  fragment is provably never stale: under the column lock no update
-//  can advance the version, and a failover of either side after the
-//  flip finds replicas at exactly the version the catalog reports.
+//  is the transfer → install → release → flip sequence of move.go,
+//  which is also where the never-stale argument lives.
 //
 // Fault model: killing the joiner mid-transfer strands at most the
 // fragments already migrated, every one of which has a live replica
@@ -41,9 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bat"
 	"repro/internal/core"
-	"repro/internal/membership"
 	"repro/internal/rdma"
 )
 
@@ -208,36 +202,8 @@ func (r *Ring) admit() (*Node, JoinReport, error) {
 	sponsorNode.memb.Grow(oldN + 1)
 	seed := sponsorNode.memb.View()
 
-	hbCfg := r.cfg.Heartbeat.WithDefaults()
-	if r.cfg.router != nil {
-		hbCfg.Ring = r.id.String()
-	}
-	node := &Node{
-		ring:       r,
-		id:         core.NodeID(newID),
-		cfg:        r.cfg,
-		store:      map[core.BATID]*bat.BAT{},
-		transit:    map[core.BATID]*bat.BAT{},
-		transitVer: map[core.BATID]int{},
-		cached:     map[core.BATID]*cachedBAT{},
-		waiters:    map[waitKey]chan delivered{},
-		errs:       map[core.QueryID]chan error{},
-		wireCache:  map[core.BATID]*wireEntry{},
-		versions:   map[core.BATID]int{},
-		schema:     sponsorNode.schema,
-		start:      time.Now(),
-		closed:     make(chan struct{}),
-	}
-	if r.cfg.CacheBytes > 0 {
-		node.hot = newHotCache(r.cfg.CacheBytes, r.cfg.CacheMode, r.cfg.CacheDecay)
-	}
-	if r.cfg.HopBatchBytes > 0 {
-		node.hop = newHopScheduler(r.cfg.HopBatchBytes, r.cfg.HopBatchLinger)
-	}
-	node.replicas = map[core.BATID]*replicaFrag{}
-	node.memb = membership.NewDetector(newID, oldN+1, pred, hbCfg)
+	node := r.newNode(newID, oldN+1, pred, sponsorNode.schema)
 	node.memb.Adopt(seed)
-	node.rt = core.New(node.id, (*liveEnv)(node), r.cfg.Core)
 	rep.ViewVersion = node.memb.View().Version
 
 	// Authoritative view growth on every live node, mirroring failover's
@@ -402,160 +368,45 @@ func (r *Ring) rebalance(j *Node, rep *JoinReport) error {
 	return nil
 }
 
-// migrateFrag moves one fragment from donor to the joiner. Called with
-// the fragment's column lock held (no UpdateColumn, no promote) and no
-// node mu held. Ordering inside: the joiner's store and the fresh
-// replica chain are installed at the catalog version inside the
-// node-locked critical section *before* the ownership catalog flips —
-// so at every instant the catalog's owner has catalog-current bytes,
-// and a failover on either side of the flip promotes correct data.
+// migrateFrag moves one fragment from donor to the joiner: transfer →
+// lock → recheck → installOwner + releaseOwner → flip (move.go). Called
+// with the fragment's column lock held (no UpdateColumn, no promote) and
+// no node mu held; false leaves the fragment where the catalog says.
 func (r *Ring) migrateFrag(j *Node, donorID core.NodeID, id core.BATID) bool {
-	r.memMu.RLock()
-	ok := !r.deadNodes[donorID] && !r.deadNodes[j.id] && r.fragOwner[id] == donorID
-	oldChain := append([]core.NodeID(nil), r.fragReplicas[id]...)
-	r.memMu.RUnlock()
-	if !ok {
+	donor := r.node(int(donorID))
+	if r.isDead(donor.id) || r.isDead(j.id) || r.ownerOf(id) != donor {
 		return false
 	}
-	donor := r.node(int(donorID))
-
 	donor.mu.Lock()
-	b := donor.store[id]
-	ver := donor.versions[id]
+	b, ver := donor.store[id], donor.versions[id]
 	donor.mu.Unlock()
 	if b == nil {
 		return false
 	}
-
-	// Stream the fragment through the wire codec — the same bytes a ring
-	// hop would carry — and consult the fault injector with their size:
-	// a drop loses this donation (the fragment stays at the donor), a
-	// delay stretches the transfer window, exactly the failure surface a
-	// network join would have.
-	raw := bat.AppendMarshal(nil, b)
-	if f := r.cfg.JoinFaults; f != nil {
-		delay, drop := f.Apply(dataHdrSize + len(raw))
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		if drop {
-			return false
-		}
-		// The delay window is where mid-transfer kills land; re-check
-		// both ends before installing anything.
-		r.memMu.RLock()
-		ok = !r.deadNodes[donorID] && !r.deadNodes[j.id] && r.fragOwner[id] == donorID
-		r.memMu.RUnlock()
-		if !ok {
-			return false
-		}
-	}
-	nb, err := bat.UnmarshalView(raw)
-	if err != nil {
+	nb, ok := transfer(b, r.cfg.JoinFaults, r.maxMsgBytes)
+	if !ok {
 		return false
 	}
-
-	// Fresh replica chain: the next Replicas live ring successors of the
-	// joiner (the donor may legitimately be one of them).
-	size := r.Size()
-	newChain := make([]core.NodeID, 0, r.cfg.Replicas)
-	for k := 1; k < size && len(newChain) < r.cfg.Replicas; k++ {
-		cand := core.NodeID((int(j.id) + k) % size)
-		if cand == j.id || r.isDead(cand) {
-			continue
-		}
-		newChain = append(newChain, cand)
-	}
-
-	// Ordered multi-node critical section, the UpdateColumn discipline:
-	// donor, joiner, and every old or new replica holder, locked in id
-	// order (no other code path holds two node locks unordered).
-	lockSet := map[core.NodeID]*Node{donorID: donor, j.id: j}
-	for _, nid := range newChain {
-		lockSet[nid] = r.node(int(nid))
-	}
-	for _, nid := range oldChain {
-		if !r.isDead(nid) {
-			lockSet[nid] = r.node(int(nid))
-		}
-	}
-	order := make([]*Node, 0, len(lockSet))
-	for _, n := range lockSet {
-		order = append(order, n)
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a].id < order[b].id })
-	for _, n := range order {
-		n.mu.Lock()
-	}
-	if !donor.rt.Owns(id) || donor.versions[id] != ver {
-		// The fragment moved or re-versioned since the unlocked read —
-		// only possible through a path that held this column's lock
-		// before us. Whatever owns it now is current; leave it be.
-		for _, n := range order {
-			n.mu.Unlock()
-		}
+	// The donor may legitimately be one of the joiner's successors.
+	oldReps, chain := r.replicaNodes(id), replicaChain(r, j.id)
+	unlock := lockNodes(append(append([]*Node{donor, j}, oldReps...), chain...)...)
+	if r.isDead(donor.id) || r.isDead(j.id) || !donor.rt.Owns(id) || donor.versions[id] != ver {
+		// A kill landed in the transfer window, or the fragment moved or
+		// re-versioned since the unlocked read (only possible through a
+		// path that held this column's lock before us).
+		unlock()
 		return false
 	}
-	// Interest travels with the fragment: the donor's replica holders
-	// recorded the circulating LOI, and the joiner re-admits at that
-	// heat instead of stone cold.
-	loi := 0.0
-	for _, n := range order {
-		if rp := n.replicas[id]; rp != nil && rp.loi > loi {
-			loi = rp.loi
-		}
-	}
-	// Joiner's store copy first. PromoteOwned rather than AdoptOwned:
-	// the joiner may already have queries blocked on this fragment (it
-	// serves clients from the instant its loops start), and PromoteOwned
-	// delivers those pins from the fresh store copy immediately — while
-	// entering S1 cold, so circulation restarts on actual interest.
-	j.store[id] = nb
-	j.versions[id] = ver
-	j.dropWireEntry(id)
-	if j.hot != nil {
-		j.hot.drop(id) // the owner serves its store, never a cached copy
-	}
-	j.rt.PromoteOwned(id, nb.Bytes(), loi)
-	// ...then the replica chain at the same (catalog-current) version...
-	for _, nid := range newChain {
-		lockSet[nid].replicas[id] = &replicaFrag{b: nb, ver: ver, loi: loi}
-	}
-	// ...then the donor forgets the fragment. Readers that pinned the
-	// old payload continue on it — fragments are immutable per version.
-	donor.rt.RemoveOwned(id)
-	delete(donor.store, id)
-	delete(donor.versions, id)
-	donor.dropWireEntry(id)
-	for _, nid := range oldChain {
-		if n, held := lockSet[nid]; held {
-			if !contains(newChain, nid) {
-				delete(n.replicas, id)
-			}
-		}
-	}
-	for _, n := range order {
-		n.mu.Unlock()
-	}
-
-	// The catalog flip is last: from here on requests are absorbed by
-	// the joiner, and a failover of the donor skips this fragment
-	// (promoteFrag re-checks ownership under the column lock).
-	r.memMu.Lock()
-	r.fragOwner[id] = j.id
-	r.fragReplicas[id] = newChain
-	r.memMu.Unlock()
+	// Interest travels with the fragment: the joiner re-admits it at the
+	// heat the donor's replica holders recorded, not stone cold.
+	installOwner(j, id, nb, ver, heldLOI(id, oldReps), chain)
+	releaseOwner(donor, id, without(oldReps, chain))
+	unlock()
+	// From here on requests are absorbed by the joiner, and a failover
+	// of the donor skips this fragment.
+	r.setPlacement(id, j, chain)
 	atomic.AddInt64(&r.migrations, 1)
 	return true
-}
-
-func contains(ids []core.NodeID, id core.NodeID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }
 
 // Joins reports how many nodes have been admitted at runtime.

@@ -120,8 +120,7 @@ type Config struct {
 	// of a multi-ring runtime: the id makes the ring addressable, the
 	// back-pointer routes pins whose fragments are homed on another
 	// ring. Both stay zero for a standalone ring — every routed code
-	// path gates on router being nil, so Tiers=0 keeps the single ring
-	// byte-identical.
+	// path gates on router being nil.
 	ringID RingID
 	router *Router
 	// minMsgBytes floors the computed ring message limit: a tier ring
@@ -164,7 +163,7 @@ type Ring struct {
 	cfg   Config
 	// id names this ring within a multi-ring runtime (always 0 for a
 	// standalone ring); router is the routing layer in front, nil when
-	// the ring stands alone (the Tiers=0 compatibility gate).
+	// the ring stands alone.
 	id     RingID
 	router *Router
 	// name -> ordered fragment ids, global catalog agreed by all nodes.
@@ -178,16 +177,21 @@ type Ring struct {
 	// touching any owner lock. UpdateColumn advances them inside its
 	// ordered column/owner critical section.
 	fragVer map[core.BATID]*atomic.Int64
-	// updMu serializes whole-column updates (a column's fragments may
-	// live at several owners, so the §6.4 update lock is column-level).
-	updMuMu sync.Mutex
-	updMu   map[string]*sync.Mutex
-	wg      sync.WaitGroup
+	// colLocks holds the per-column mutexes (name → *sync.Mutex) that
+	// serialize every install and move of a column's fragments — see
+	// move.go. Shared by the rings of a routed runtime.
+	colLocks *sync.Map
+	wg       sync.WaitGroup
 
 	// Exact ring message limit and data-link depth, kept so failover
 	// can build replacement messengers identical to the originals.
 	maxMsgBytes int
 	dataDepth   int
+	// pinWait bounds a pin's circulation wait before it falls back to
+	// the owner's store (0 = wait for the ring): set on the cache-less
+	// ring of a routed runtime, where a fragment can migrate away
+	// mid-wait.
+	pinWait time.Duration
 
 	// backend is the resolved wire engine for TCP data links (tcp unless
 	// the uring backend was selected and probed healthy). backendNote
@@ -205,9 +209,8 @@ type Ring struct {
 	// through the same per-column lock.
 	fragCol map[core.BATID]string
 
-	// Membership state (zero-valued and untouched when Replicas is 0).
-	// memMu guards deadNodes, fragOwner, and fragReplicas; it is never
-	// acquired while holding a node's mu (lock order: memMu first).
+	// Membership state and the placement catalog (move.go). memMu guards
+	// deadNodes, fragOwner, and fragReplicas; it is a leaf lock.
 	memMu        sync.RWMutex
 	deadNodes    map[core.NodeID]bool
 	fragOwner    map[core.BATID]core.NodeID
@@ -488,7 +491,7 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 		id:           cfg.ringID,
 		router:       cfg.router,
 		cols:         map[string]*colFrags{},
-		updMu:        map[string]*sync.Mutex{},
+		colLocks:     &sync.Map{},
 		fragVer:      map[core.BATID]*atomic.Int64{},
 		fragCol:      map[core.BATID]string{},
 		deadNodes:    map[core.NodeID]bool{},
@@ -565,6 +568,9 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 	}
 	r.maxMsgBytes = maxBytes
 	r.dataDepth = dataDepth
+	if cfg.router != nil && cfg.CacheBytes == 0 {
+		r.pinWait = routedRingWait
+	}
 	// Resolve the wire backend once per ring: "auto" consults the kernel
 	// probe here (fallback reason recorded for stats), explicit "uring"
 	// on an unsupported kernel — or without the TCP transport — fails
@@ -586,44 +592,11 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 		r.backend = backend
 		r.backendNote = reason
 	}
-	hbCfg := cfg.Heartbeat.WithDefaults()
-	if cfg.router != nil {
-		// Per-ring detectors: each tier runs its own failure-detection
-		// domain, labelled so verdicts stay attributable.
-		hbCfg.Ring = cfg.ringID.String()
-	}
-
-	// Nodes and transports. Built into a local slice and published once
-	// at the end; Join later publishes grown copies the same way.
+	// Nodes and transports. Built into a local slice and published
+	// before placement; Join later publishes grown copies the same way.
 	nodes := make([]*Node, 0, n)
 	for i := 0; i < n; i++ {
-		node := &Node{
-			ring:       r,
-			id:         core.NodeID(i),
-			cfg:        cfg,
-			store:      map[core.BATID]*bat.BAT{},
-			transit:    map[core.BATID]*bat.BAT{},
-			transitVer: map[core.BATID]int{},
-			cached:     map[core.BATID]*cachedBAT{},
-			waiters:    map[waitKey]chan delivered{},
-			errs:       map[core.QueryID]chan error{},
-			wireCache:  map[core.BATID]*wireEntry{},
-			schema:     schema,
-			start:      time.Now(),
-			closed:     make(chan struct{}),
-		}
-		if cfg.CacheBytes > 0 {
-			node.hot = newHotCache(cfg.CacheBytes, cfg.CacheMode, cfg.CacheDecay)
-		}
-		if cfg.HopBatchBytes > 0 {
-			node.hop = newHopScheduler(cfg.HopBatchBytes, cfg.HopBatchLinger)
-		}
-		if cfg.Replicas > 0 {
-			node.replicas = map[core.BATID]*replicaFrag{}
-			node.memb = membership.NewDetector(i, n, (i-1+n)%n, hbCfg)
-		}
-		node.rt = core.New(node.id, (*liveEnv)(node), cfg.Core)
-		nodes = append(nodes, node)
+		nodes = append(nodes, r.newNode(i, n, (i-1+n)%n, schema))
 	}
 	for i := 0; i < n; i++ {
 		succ := (i + 1) % n
@@ -663,6 +636,8 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 		nodes[pred].reqIn = rB
 	}
 
+	r.nodes.Store(&nodes)
+
 	// Partition ownership round-robin over fragments, so one column's
 	// fragments spread across the ring and a multi-fragment pin drains
 	// several owners in parallel.
@@ -671,26 +646,11 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 		place = func(frag, nodes int) int { return frag % nodes }
 	}
 	for i, fe := range frags {
-		pos := place(i, n) % n
-		owner := nodes[pos]
-		owner.store[fe.id] = fe.b
-		owner.rt.AddOwned(fe.id, fe.b.Bytes())
-		r.fragOwner[fe.id] = owner.id
-		if cfg.Replicas > 0 {
-			// Replica placement rule: the next Replicas ring successors
-			// of the owner each hold a copy — the chain any survivor
-			// can recompute from the fragment id alone.
-			chain := make([]core.NodeID, 0, cfg.Replicas)
-			for k := 1; k <= cfg.Replicas; k++ {
-				rep := nodes[(pos+k)%n]
-				rep.replicas[fe.id] = &replicaFrag{b: fe.b}
-				chain = append(chain, rep.id)
-			}
-			r.fragReplicas[fe.id] = chain
-		}
+		owner := nodes[place(i, n)%n]
+		chain := replicaChain(r, owner.id)
+		installOwner(owner, fe.id, fe.b, 0, 0, chain) // loops not started: no locks needed
+		r.setPlacement(fe.id, owner, chain)
 	}
-
-	r.nodes.Store(&nodes)
 
 	// Start receive loops, the hop scheduler, heartbeats, and runtime
 	// tickers.
@@ -698,6 +658,47 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 		node.startLoops()
 	}
 	return r, nil
+}
+
+// newNode builds ring position id of a ring of size nodes, monitoring
+// predecessor pred — the node state shared by NewRing and the runtime
+// join path. Links are wired and loops started by the caller.
+func (r *Ring) newNode(id, nodes, pred int, schema minisql.Schema) *Node {
+	cfg := r.cfg
+	node := &Node{
+		ring:       r,
+		id:         core.NodeID(id),
+		cfg:        cfg,
+		store:      map[core.BATID]*bat.BAT{},
+		transit:    map[core.BATID]*bat.BAT{},
+		transitVer: map[core.BATID]int{},
+		cached:     map[core.BATID]*cachedBAT{},
+		waiters:    map[waitKey]chan delivered{},
+		errs:       map[core.QueryID]chan error{},
+		wireCache:  map[core.BATID]*wireEntry{},
+		versions:   map[core.BATID]int{},
+		schema:     schema,
+		start:      time.Now(),
+		closed:     make(chan struct{}),
+	}
+	if cfg.CacheBytes > 0 {
+		node.hot = newHotCache(cfg.CacheBytes, cfg.CacheMode, cfg.CacheDecay)
+	}
+	if cfg.HopBatchBytes > 0 {
+		node.hop = newHopScheduler(cfg.HopBatchBytes, cfg.HopBatchLinger)
+	}
+	if cfg.Replicas > 0 {
+		hbCfg := cfg.Heartbeat.WithDefaults()
+		if r.router != nil {
+			// Per-ring detectors: each tier runs its own failure-detection
+			// domain, labelled so verdicts stay attributable.
+			hbCfg.Ring = r.id.String()
+		}
+		node.replicas = map[core.BATID]*replicaFrag{}
+		node.memb = membership.NewDetector(id, nodes, pred, hbCfg)
+	}
+	node.rt = core.New(node.id, (*liveEnv)(node), cfg.Core)
+	return node
 }
 
 // startLoops starts the node's runtime ticker, receive loops, and the
@@ -906,12 +907,11 @@ func (n *Node) handleData(hdr core.BATMsg, ver int, rawPayload []byte) {
 		// Seed the wire cache with the bytes just received: if OnBAT
 		// forwards this fragment, SendData reuses them verbatim
 		// instead of re-marshalling the payload it just decoded.
-		// Not pooled: the decoded BAT aliases these bytes. In cache
-		// mode the owner forwards its *store* payload instead of the
-		// circulating copy, so seeding its own fragment would evict
-		// the store-keyed entry and force a re-marshal every pass —
-		// keep that entry instead.
-		if n.hot == nil || hdr.Owner != n.id {
+		// Not pooled: the decoded BAT aliases these bytes. The owner
+		// forwards its *store* payload instead of the circulating
+		// copy, so seeding its own fragment would evict the store-keyed
+		// entry and force a re-marshal every pass — keep that entry.
+		if hdr.Owner != n.id {
 			n.setWireEntry(hdr.BAT, newWireEntry(payload, rawPayload, false))
 		}
 	}
@@ -995,17 +995,12 @@ func (e *liveEnv) SendData(m core.BATMsg) {
 	n := e.node()
 	var payload *bat.BAT
 	var ver int
-	if (n.hot != nil || n.ring.router != nil) && m.Owner == n.id {
-		// Cache mode, forwarding our own fragment: send the store's
-		// current version rather than the circulating copy, so an
-		// UpdateColumn reaches the ring within one owner pass and the
-		// superseded bytes die here instead of rotating until the LOI
-		// decays (the invalidation half of the version-validation
-		// contract). Without the cache the circulating copy is
-		// forwarded as before — except on a routed ring, where remote
-		// delegates rely on the owner pass refreshing the orbit (their
-		// stale-version retry would otherwise chase a copy that never
-		// catches up).
+	if m.Owner == n.id {
+		// Forwarding our own fragment: send the store's current version
+		// rather than the circulating copy, so an UpdateColumn reaches
+		// the ring within one owner pass and the superseded bytes die
+		// here instead of rotating until the LOI decays — what bounds a
+		// pin's stale-version retry (acquireFrag) to one revolution.
 		if b, ok := n.store[m.BAT]; ok {
 			payload, ver = b, n.versions[m.BAT]
 			m.Size = b.Bytes()
@@ -1231,7 +1226,7 @@ func (d *queryDC) Request(schema, table, column string) (mal.Value, error) {
 		// ring, so announcing local interest would only leave an S2
 		// entry nobody delivers. (If the fragment migrates here before
 		// the pin, core.Runtime.Pin re-announces on its own.)
-		if rtr := d.n.ring.router; rtr != nil && rtr.homeOf(id) != d.n.ring.id {
+		if d.n.ring.homeRing(id) != d.n.ring {
 			continue
 		}
 		// A fragment resident in the hot-set cache at the catalog's

@@ -10,10 +10,8 @@ package live
 // from their replicas with the version catalog intact. All of it is
 // nil-gated on Config.Replicas, exactly like the hot cache and the hop
 // scheduler: Replicas=0 leaves the single-owner ring byte-identical.
-//
-// Lock order: r.failMu > column locks > node mu; r.memMu is leaf-like —
-// it is never acquired while holding a node's mu, and no node mu is
-// acquired while holding it.
+// Promotion is one caller of the install steps in move.go, where the
+// lock order and the staleness argument live.
 
 import (
 	"sync"
@@ -345,35 +343,23 @@ func (r *Ring) splice(dead core.NodeID) {
 }
 
 // promote re-owns every fragment the dead node owned from its surviving
-// replicas, column by column. Each column's promotions run under the
-// same column lock UpdateColumn uses, which is the whole staleness
-// argument for promoted replicas: UpdateColumn installs replica copies
-// at the new version *before* advancing the catalog inside its critical
-// section, so by the time promote holds the lock, the surviving replica
-// it installs is at the catalog version — a promotion can never resurrect
-// a superseded payload. Fragments whose replicas all died with the
-// owner are counted lost (k deaths within one detection window exceed
-// a k-replica budget by construction).
+// replicas, column by column under the column lock (move.go). Fragments
+// whose replicas all died with the owner are counted lost (k deaths
+// within one detection window exceed a k-replica budget by
+// construction).
 func (r *Ring) promote(dead core.NodeID) {
-	dn := r.node(int(dead))
-	dn.mu.Lock()
-	owned := dn.rt.OwnedBATs()
-	dn.mu.Unlock()
-
-	// Group the dead node's fragments by column for lock batching.
-	byCol := map[string][]core.BATID{}
+	var owned []core.BATID
 	r.memMu.RLock()
-	deadOwned := make([]core.BATID, 0, len(owned))
-	for _, id := range owned {
-		if r.fragOwner[id] == dead {
-			deadOwned = append(deadOwned, id)
+	for id, owner := range r.fragOwner {
+		if owner == dead {
+			owned = append(owned, id)
 		}
 	}
 	r.memMu.RUnlock()
+	byCol := map[string][]core.BATID{}
 	r.idsMu.RLock()
-	for _, id := range deadOwned {
-		name := r.fragCol[id]
-		byCol[name] = append(byCol[name], id)
+	for _, id := range owned {
+		byCol[r.fragCol[id]] = append(byCol[r.fragCol[id]], id)
 	}
 	r.idsMu.RUnlock()
 
@@ -387,71 +373,33 @@ func (r *Ring) promote(dead core.NodeID) {
 	}
 }
 
-// promoteFrag re-owns one fragment from its first live replica holder.
-// Called with the fragment's column lock held (serialized against
-// UpdateColumn) and no node mu held.
+// promoteFrag re-owns one fragment at its first live replica holder:
+// installOwner from the heir's replica, then the placement flip. Called
+// with the fragment's column lock held and no node mu held.
 func (r *Ring) promoteFrag(dead core.NodeID, id core.BATID) {
-	r.memMu.RLock()
-	if r.fragOwner[id] != dead {
+	if owner := r.ownerOf(id); owner == nil || owner.id != dead {
 		// Ownership moved while promote waited on the column lock — a
-		// join migration re-owned the fragment toward a live node. The
-		// catalog is already repaired; promoting on top of it would
-		// install a second owner.
-		r.memMu.RUnlock()
+		// join migration re-owned the fragment toward a live node.
 		return
 	}
-	chain := r.fragReplicas[id]
-	var heir *Node
-	for _, nid := range chain {
-		if !r.deadNodes[nid] {
-			heir = r.node(int(nid))
-			break
-		}
-	}
-	r.memMu.RUnlock()
-	if heir == nil {
+	reps := r.replicaNodes(id)
+	if len(reps) == 0 {
 		atomic.AddInt64(&r.lostFrags, 1)
 		return
 	}
-
-	catVer := r.fragVersion(id)
+	heir := reps[0]
 	heir.mu.Lock()
 	rp := heir.replicas[id]
-	if rp == nil || rp.ver != catVer {
-		// Can't happen while the column lock is honored (see promote's
-		// comment); refuse to serve a stale payload regardless.
+	if rp == nil || rp.ver != r.fragVersion(id) {
+		// Can't happen while the column lock is honored (invariant 2);
+		// refuse to serve a stale payload regardless.
 		heir.mu.Unlock()
 		atomic.AddInt64(&r.lostFrags, 1)
 		return
 	}
-	delete(heir.replicas, id)
-	heir.store[id] = rp.b
-	if heir.versions == nil {
-		heir.versions = map[core.BATID]int{}
-	}
-	heir.versions[id] = rp.ver
-	// The heir's cached/transit copies of the fragment are superseded
-	// by its new store entry; drop them so every serve path agrees.
-	heir.dropWireEntry(id)
-	if heir.hot != nil {
-		heir.hot.drop(id)
-	}
-	// Enter S1 cold with the interest the fragment had accumulated:
-	// the next request re-admits it into circulation through tryLoad.
-	heir.rt.PromoteOwned(id, rp.b.Bytes(), rp.loi)
+	installOwner(heir, id, rp.b, rp.ver, rp.loi, nil)
 	heir.mu.Unlock()
-
-	r.memMu.Lock()
-	r.fragOwner[id] = heir.id
-	// Shrink the chain to the surviving holders beyond the heir.
-	rest := make([]core.NodeID, 0, len(chain))
-	for _, nid := range chain {
-		if nid != heir.id && !r.deadNodes[nid] {
-			rest = append(rest, nid)
-		}
-	}
-	r.fragReplicas[id] = rest
-	r.memMu.Unlock()
+	r.setPlacement(id, heir, reps[1:])
 	atomic.AddInt64(&r.promotions, 1)
 }
 

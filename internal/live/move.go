@@ -1,0 +1,247 @@
+package live
+
+// Fragment install and move — the one implementation of the paper's
+// §6.3 ownership handover and §6.4 version install. Every operation
+// that changes where a fragment lives or which bytes its owner holds
+// (UpdateColumn, failover promotion, join rebalancing, tier migration,
+// Publish, ring construction) is a sequence of the steps in this file:
+//
+//	transfer      codec round trip of the payload (join and tier moves)
+//	lockNodes     ordered critical section over every node touched
+//	installOwner  bytes, version and replica copies at the new owner;
+//	              pins already blocked there are delivered from them
+//	(flip)        the caller's catalog write: version, placement or home
+//	releaseOwner  the previous owner and its replica holders forget
+//
+// Lock order: failMu > column lock > node mu in (ring, node) order;
+// memMu, idsMu, catMu and a hot cache's mutex are leaves — they may be
+// taken under a node mu, and nothing is acquired while holding one.
+// Every caller holds the fragment's column lock from its first read of
+// the fragment to its last write, so no two of them interleave on one
+// column, and only lockNodes ever holds two node locks at once.
+//
+// Invariants (TestInstallMoveInvariants checks them under load):
+//
+//  1. The node the placement catalog names as owner holds the bytes of
+//     the catalog's version: installOwner runs before the flip, and the
+//     version catalog advances inside the critical section that wrote
+//     the store. A pin therefore never sees a version below the
+//     catalog's at acquisition.
+//  2. Replica copies are written in the owner's critical section,
+//     before the catalog moves: a promotion always finds its replica at
+//     the catalog version.
+//  3. A fragment has at most one live owner per ring, and exactly one
+//     on its home ring.
+//  4. A source copy is released only after the flip, and — when readers
+//     may still resolve to it (tier migration) — only after they drain.
+
+import (
+	"sort"
+	"sync"
+	"time"
+
+	"repro/internal/bat"
+	"repro/internal/core"
+	"repro/internal/netsim"
+)
+
+// lockNodes locks every distinct non-nil node of set in (ring, node)
+// order — the only way two node locks are ever held together — and
+// returns the function that unlocks them.
+func lockNodes(set ...*Node) (unlock func()) {
+	nodes := without(set, nil)
+	sort.Slice(nodes, func(a, b int) bool {
+		if nodes[a].ring.id != nodes[b].ring.id {
+			return nodes[a].ring.id < nodes[b].ring.id
+		}
+		return nodes[a].id < nodes[b].id
+	})
+	for _, n := range nodes {
+		n.mu.Lock()
+	}
+	return func() {
+		for _, n := range nodes {
+			n.mu.Unlock()
+		}
+	}
+}
+
+// without returns the distinct non-nil nodes of set that are not in
+// drop, in order.
+func without(set, drop []*Node) []*Node {
+	out := make([]*Node, 0, len(set))
+next:
+	for _, n := range set {
+		if n == nil {
+			continue
+		}
+		for _, seen := range out {
+			if seen == n {
+				continue next
+			}
+		}
+		for _, d := range drop {
+			if d == n {
+				continue next
+			}
+		}
+		out = append(out, n)
+	}
+	return out
+}
+
+// replicaChain is the placement rule (chained declustering): a
+// fragment's replicas sit on the first Replicas live ring successors of
+// its owner, the chain any survivor can recompute from the owner alone.
+func replicaChain(r *Ring, owner core.NodeID) []*Node {
+	nodes := r.nodeList()
+	var chain []*Node
+	for k := 1; k < len(nodes) && len(chain) < r.cfg.Replicas; k++ {
+		if cand := nodes[(int(owner)+k)%len(nodes)]; !r.isDead(cand.id) {
+			chain = append(chain, cand)
+		}
+	}
+	return chain
+}
+
+// transfer streams a payload through the wire codec — the bytes a hop
+// would carry — and consults the fault injector with their size: a drop
+// (or a payload over limit) abandons the move, a delay stretches the
+// window in which kills land. The caller re-checks both ends under
+// lockNodes before installing the copy.
+func transfer(b *bat.BAT, faults *netsim.Faults, limit int) (*bat.BAT, bool) {
+	raw := bat.AppendMarshal(nil, b)
+	if dataHdrSize+len(raw) > limit {
+		return nil, false
+	}
+	if faults != nil {
+		delay, drop := faults.Apply(dataHdrSize + len(raw))
+		if delay > 0 {
+			time.Sleep(delay)
+		}
+		if drop {
+			return nil, false
+		}
+	}
+	nb, err := bat.UnmarshalView(raw)
+	return nb, err == nil
+}
+
+// installOwner makes n the holder of fragment id at version ver and
+// writes the same bytes to the replica holders in chain. Superseded
+// serialized and cached forms are dropped so every serve path agrees
+// with the store; pins already blocked at n are delivered from it here,
+// before the caller flips any catalog. A fragment new to n enters its
+// hot set cold at interest loi; one n already owns keeps its place in
+// it. Called with n and chain locked (lockNodes).
+func installOwner(n *Node, id core.BATID, b *bat.BAT, ver int, loi float64, chain []*Node) {
+	n.store[id] = b
+	n.versions[id] = ver
+	n.dropWireEntry(id)
+	if n.hot != nil {
+		n.hot.drop(id) // the owner serves its store, never a cached copy
+	}
+	delete(n.replicas, id)
+	n.rt.PromoteOwned(id, b.Bytes(), loi)
+	for _, rep := range chain {
+		rep.replicas[id] = &replicaFrag{b: b, ver: ver, loi: loi}
+	}
+}
+
+// releaseOwner makes owner and the replica holders in reps forget
+// fragment id. Readers that pinned the payload continue on it —
+// fragments are immutable per version. Called with all of them locked.
+func releaseOwner(owner *Node, id core.BATID, reps []*Node) {
+	owner.rt.RemoveOwned(id)
+	delete(owner.store, id)
+	delete(owner.versions, id)
+	owner.dropWireEntry(id)
+	for _, rep := range reps {
+		delete(rep.replicas, id)
+	}
+}
+
+// heldLOI is the interest a fragment last showed while circulating, as
+// its replica holders recorded it: what it is re-admitted with. Called
+// with reps locked.
+func heldLOI(id core.BATID, reps []*Node) float64 {
+	loi := 0.0
+	for _, n := range reps {
+		if rp := n.replicas[id]; rp != nil && rp.loi > loi {
+			loi = rp.loi
+		}
+	}
+	return loi
+}
+
+// ---------------------------------------------------------------------
+// the placement catalog: fragment → (owner, replica chain) per ring
+// ---------------------------------------------------------------------
+
+// ownerOf returns the node the placement catalog names as id's owner on
+// this ring (nil when the ring holds no copy). Between a node's death
+// and its fragments' promotion that is the dead node; updating through
+// it is still correct — the surviving replicas are written in the same
+// critical section, and the promotion (serialized on the column lock)
+// installs exactly the catalog version.
+func (r *Ring) ownerOf(id core.BATID) *Node {
+	r.memMu.RLock()
+	defer r.memMu.RUnlock()
+	if owner, ok := r.fragOwner[id]; ok {
+		return r.node(int(owner))
+	}
+	return nil
+}
+
+// replicaNodes lists the live holders of id's replica chain, in chain
+// order.
+func (r *Ring) replicaNodes(id core.BATID) []*Node {
+	r.memMu.RLock()
+	defer r.memMu.RUnlock()
+	var reps []*Node
+	for _, nid := range r.fragReplicas[id] {
+		if !r.deadNodes[nid] {
+			reps = append(reps, r.node(int(nid)))
+		}
+	}
+	return reps
+}
+
+// setPlacement is the ownership flip: from here on requests for id are
+// absorbed by owner, and a failover promotes from chain.
+func (r *Ring) setPlacement(id core.BATID, owner *Node, chain []*Node) {
+	ids := make([]core.NodeID, len(chain))
+	for i, n := range chain {
+		ids[i] = n.id
+	}
+	r.memMu.Lock()
+	r.fragOwner[id] = owner.id
+	r.fragReplicas[id] = ids
+	r.memMu.Unlock()
+}
+
+// homeRing resolves the ring a fragment lives on: the routing catalog's
+// answer in a routed runtime, this ring otherwise.
+func (r *Ring) homeRing(id core.BATID) *Ring {
+	if r.router == nil {
+		return r
+	}
+	return r.router.rings[r.router.homeOf(id)]
+}
+
+// tiers lists every ring sharing this ring's catalog.
+func (r *Ring) tiers() []*Ring {
+	if r.router == nil {
+		return []*Ring{r}
+	}
+	return r.router.rings
+}
+
+// columnLock returns the per-column mutex every install and move of the
+// column's fragments holds, creating it lazily. The rings of a routed
+// runtime share one table (like the catalog maps), so the lock is one
+// per column whichever ring an operation runs on.
+func (r *Ring) columnLock(name string) *sync.Mutex {
+	l, _ := r.colLocks.LoadOrStore(name, &sync.Mutex{})
+	return l.(*sync.Mutex)
+}

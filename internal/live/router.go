@@ -23,43 +23,21 @@ package live
 // owns the canonical maps and the hot ring (born empty) aliases them,
 // so every existing per-ring read path (Fragments, fragVersion,
 // fragKnown, failover's fragCol grouping) works unchanged on both
-// rings. Only catalog *writes* (Publish) are router-mediated: one
-// extension under all rings' catalog locks.
+// rings. A catalog *write* (Publish) is one extension under all rings'
+// catalog locks; the per-column locks are one shared table too.
 //
-// Migration ordering (the PR 8 rebalance contract, cross-ring): under
-// the fragment's column lock — the same lock UpdateColumn, failover
-// promotion, and join rebalancing serialize on —
-//
-//  1. install the payload at the destination owner (store, version,
-//     replica chain) with PromoteOwned, so pins already blocked there
-//     are delivered BEFORE anything flips;
-//  2. flip the fragment's home in the routing catalog: every access
-//     from here on resolves to the destination;
-//  3. drain the source: wait until no in-flight access that resolved
-//     to the source remains (the per-(fragment, ring) access counters)
-//     and no source node still has an outstanding ring request for the
-//     fragment;
-//  4. release the source copy (owner store, replicas, membership
-//     bookkeeping).
-//
-// Between 2 and 4 both rings hold a serving copy — the drained
-// stragglers are served by the source exactly as MVCC serves readers
-// of a superseded version. A drain that outlives its timeout parks the
-// release on a pending list retried by the tier scanner; the fragment
-// is simply resident twice until the source quiesces. The column lock
-// is held across the whole sequence, so no update can interleave with
-// a half-moved fragment and no two migrations of one column overlap.
+// Migration is the transfer → install → flip → drain → release sequence
+// of move.go, under the fragment's column lock: between the home flip
+// and the release both rings hold a serving copy — pre-flip stragglers
+// are served by the source exactly as MVCC serves readers of a
+// superseded version — and a drain that outlives its timeout parks the
+// release on a pending list retried by the tier scanner.
 //
 // The flash-crowd path: a cold fragment whose interest spikes
 // (FlashCrowdHits accesses inside one scan window) is promoted
 // immediately from the access path itself — a store-to-store transfer
 // that does not wait for the cold ring to come around, so the cure
 // lands within one cold revolution of the first spike.
-//
-// Tiers=0/1 is the compatibility gate: NewRouter builds one standalone
-// ring with a nil router back-pointer, and every routed branch in the
-// pin/publish/update paths gates on that nil — the single ring stays
-// byte-identical to the pre-router runtime.
 
 import (
 	"fmt"
@@ -99,10 +77,6 @@ func (t RingID) String() string {
 
 // RouterConfig tunes the routed runtime.
 type RouterConfig struct {
-	// Tiers selects the topology: 0 or 1 builds a single standalone
-	// ring from Cold/ColdNodes (byte-identical to NewRing — the
-	// compatibility gate); 2 builds the hot/cold pair.
-	Tiers int
 	// HotNodes / ColdNodes size the two rings (each needs >= 2).
 	HotNodes  int
 	ColdNodes int
@@ -153,7 +127,6 @@ func DefaultRouterConfig() RouterConfig {
 	cold.CacheBytes = 0
 	cold.HopBatchLinger = 2 * time.Millisecond
 	return RouterConfig{
-		Tiers:          2,
 		HotNodes:       2,
 		ColdNodes:      4,
 		Hot:            hot,
@@ -179,10 +152,9 @@ type accKey struct {
 
 // Router is the routing layer of a multi-ring runtime.
 type Router struct {
-	cfg    RouterConfig
-	rings  []*Ring // indexed by RingID: [hot, cold] (or the single ring)
-	query  *Ring   // where Submit settles queries (the hot ring)
-	single bool    // Tiers < 2: one standalone ring, no routed paths
+	cfg   RouterConfig
+	rings []*Ring // indexed by RingID: [hot, cold]
+	query *Ring   // where Submit settles queries (the hot ring)
 
 	// catMu guards fragHome, the routing catalog: fragment id → home
 	// ring. Reads are the pin path's routing decision; the only writes
@@ -208,13 +180,6 @@ type Router struct {
 	promoting      map[core.BATID]time.Time
 	pendingRelease map[core.BATID]RingID
 
-	// Column update locks live here in a routed runtime: one mutex per
-	// column across all rings (Ring.columnLock delegates), so updates,
-	// failover promotion, join rebalancing, and tier migration all
-	// serialize on the same lock whichever ring they run on.
-	updMuMu sync.Mutex
-	updMu   map[string]*sync.Mutex
-
 	// goMu guards closing and wg.Add: a flash promotion spawned from
 	// the access path must not race Close's wg.Wait.
 	goMu    sync.Mutex
@@ -232,15 +197,10 @@ type Router struct {
 	lastFlashNanos  int64 // atomic: latest flash promotion latency
 }
 
-// NewRouter builds the routed runtime over the given database columns.
-// With rc.Tiers < 2 it builds exactly one standalone ring (the
-// Tiers=0 compatibility gate: no router back-pointer, no routed code
-// paths, byte-identical behavior); with rc.Tiers == 2 it builds the
-// hot/cold pair sharing one catalog and starts the tier scanner.
+// NewRouter builds the routed runtime over the given database columns:
+// the hot/cold ring pair sharing one catalog, and the tier scanner. (A
+// single ring is NewRing.)
 func NewRouter(columns map[string]*bat.BAT, schema minisql.Schema, rc RouterConfig) (*Router, error) {
-	if rc.Tiers > 2 {
-		return nil, fmt.Errorf("live: %d tiers unsupported (max 2)", rc.Tiers)
-	}
 	if rc.Cold.QueueCap == 0 && rc.Cold.Workers == 0 {
 		rc.Cold = DefaultConfig()
 	}
@@ -277,19 +237,7 @@ func NewRouter(columns map[string]*bat.BAT, schema minisql.Schema, rc RouterConf
 		heat:           map[core.BATID]*core.Heat{},
 		promoting:      map[core.BATID]time.Time{},
 		pendingRelease: map[core.BATID]RingID{},
-		updMu:          map[string]*sync.Mutex{},
 		closed:         make(chan struct{}),
-	}
-
-	if rc.Tiers < 2 {
-		ring, err := NewRing(rc.ColdNodes, columns, schema, rc.Cold)
-		if err != nil {
-			return nil, err
-		}
-		rtr.single = true
-		rtr.rings = []*Ring{ring}
-		rtr.query = ring
-		return rtr, nil
 	}
 
 	coldCfg := rc.Cold
@@ -321,6 +269,7 @@ func NewRouter(columns map[string]*bat.BAT, schema minisql.Schema, rc RouterConf
 	hot.cols = cold.cols
 	hot.fragVer = cold.fragVer
 	hot.fragCol = cold.fragCol
+	hot.colLocks = cold.colLocks
 	hot.names = append([]string(nil), cold.names...)
 	hot.idsMu.Unlock()
 
@@ -349,8 +298,7 @@ func (rtr *Router) Tiers() int { return len(rtr.rings) }
 // Tier returns ring t.
 func (rtr *Router) Tier(t RingID) *Ring { return rtr.rings[t] }
 
-// QueryRing returns the ring queries settle on (the hot ring of a
-// two-tier runtime, the only ring otherwise).
+// QueryRing returns the ring queries settle on (the hot ring).
 func (rtr *Router) QueryRing() *Ring { return rtr.query }
 
 // HomeOf reports the home ring of one fragment.
@@ -430,7 +378,7 @@ func (rtr *Router) homeOf(id core.BATID) RingID {
 	rtr.catMu.RLock()
 	home, ok := rtr.fragHome[id]
 	rtr.catMu.RUnlock()
-	if !ok && !rtr.single {
+	if !ok {
 		return ColdRing
 	}
 	return home
@@ -525,10 +473,13 @@ func (rtr *Router) heatLevel(id core.BATID) float64 {
 // acquisition re-resolves the home and recurses here — bounded by the
 // migration rate, and correct on either path because a migration
 // drains before it releases (there is always a serving owner on
-// whichever ring an access resolved to).
+// whichever ring an access resolved to). The delegate goes to the ring
+// directly (fetchCurrent), never through its node's cache flights: the
+// flight it would wait behind may be led by the very pin it serves.
 func (rtr *Router) fetchRemote(id core.BATID, cancel, abort <-chan struct{}) (*bat.BAT, int, error) {
 	atomic.AddInt64(&rtr.remoteFetches, 1)
-	home := rtr.homeOf(id)
+	home, release := rtr.beginAccess(id)
+	defer release()
 	ring := rtr.rings[home]
 	dn := rtr.delegateFor(ring, id)
 	if dn == nil {
@@ -539,7 +490,7 @@ func (rtr *Router) fetchRemote(id core.BATID, cancel, abort <-chan struct{}) (*b
 	dn.mu.Lock()
 	dn.rt.Request(q, id)
 	dn.mu.Unlock()
-	b, ver, viaRing, err := dc.acquireFrag(id, abort)
+	b, ver, viaRing, err := dc.fetchCurrent(id, ring.fragVersion(id), abort)
 	dn.mu.Lock()
 	if err == nil && viaRing {
 		dn.rt.Unpin(q, id)
@@ -579,59 +530,12 @@ func (rtr *Router) delegateFor(rg *Ring, id core.BATID) *Node {
 	return fallback
 }
 
-// ---------------------------------------------------------------------
-// shared catalog writes
-// ---------------------------------------------------------------------
-
-// lockCatalogs takes every ring's catalog lock in ring order (the
-// rings slice is fixed at construction, so the order is total).
-func (rtr *Router) lockCatalogs() {
-	for _, rg := range rtr.rings {
-		rg.idsMu.Lock()
-	}
-}
-
-func (rtr *Router) unlockCatalogs() {
-	for i := len(rtr.rings) - 1; i >= 0; i-- {
-		rtr.rings[i].idsMu.Unlock()
-	}
-}
-
-// publish extends the shared catalog with one new fragment homed on
-// the publishing ring — the router half of Node.Publish. The maps are
-// shared objects, so one mutation names the fragment on every ring;
-// only the per-ring name indexes are appended individually.
-func (rtr *Router) publish(home *Ring, name string) (core.BATID, error) {
-	rtr.lockCatalogs()
-	if _, exists := home.cols[name]; exists {
-		rtr.unlockCatalogs()
-		return 0, fmt.Errorf("live: fragment %q already published", name)
-	}
-	id := core.BATID(atomic.AddInt64(&nextDynamicID, 1))
-	home.cols[name] = &colFrags{ids: []core.BATID{id}}
-	home.fragVer[id] = &atomic.Int64{}
-	home.fragCol[id] = name
-	for _, rg := range rtr.rings {
-		rg.names = append(rg.names, name)
-	}
-	rtr.unlockCatalogs()
+// setHome records a fragment's home ring: Publish naming a new
+// fragment, and the flip of a tier migration.
+func (rtr *Router) setHome(id core.BATID, home RingID) {
 	rtr.catMu.Lock()
-	rtr.fragHome[id] = home.id
+	rtr.fragHome[id] = home
 	rtr.catMu.Unlock()
-	return id, nil
-}
-
-// columnLock returns the runtime-wide per-column update mutex (see
-// Ring.columnLock, which delegates here in a routed runtime).
-func (rtr *Router) columnLock(name string) *sync.Mutex {
-	rtr.updMuMu.Lock()
-	defer rtr.updMuMu.Unlock()
-	l := rtr.updMu[name]
-	if l == nil {
-		l = &sync.Mutex{}
-		rtr.updMu[name] = l
-	}
-	return l
 }
 
 // colOf maps a fragment back to its column name through the shared
@@ -643,175 +547,10 @@ func (rtr *Router) colOf(id core.BATID) string {
 	return rg.fragCol[id]
 }
 
-// ringNode orders (ring, node) pairs for cross-ring multi-node
-// critical sections: ring id first, node id second — the global lock
-// order of the routed runtime (within one ring it degenerates to the
-// node-id order every single-ring path already uses).
-type ringNode struct {
-	ring RingID
-	n    *Node
-}
-
-func sortRingNodes(set []ringNode) {
-	sort.Slice(set, func(a, b int) bool {
-		if set[a].ring != set[b].ring {
-			return set[a].ring < set[b].ring
-		}
-		return set[a].n.id < set[b].n.id
-	})
-}
-
-// UpdateColumn is the cross-ring §6.4 update: a column's fragments may
-// be homed on different rings, so the gather/apply/install cycle runs
-// at the router under the runtime-wide column lock, with the ordered
-// multi-node critical section spanning both rings. Ring.UpdateColumn
-// delegates here in a routed runtime.
+// UpdateColumn is the §6.4 update on a routed runtime: Ring.UpdateColumn
+// resolves every fragment's ring itself.
 func (rtr *Router) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error) {
-	if rtr.single {
-		return rtr.rings[0].UpdateColumn(name, fn)
-	}
-	ids, ok := rtr.rings[0].Fragments(name)
-	if !ok {
-		return 0, fmt.Errorf("live: unknown column %q", name)
-	}
-	lock := rtr.columnLock(name)
-	lock.Lock()
-	defer lock.Unlock()
-
-	// Resolve each fragment's (ring, owner) under the column lock: no
-	// migration can flip a home while we hold it. A home ring that
-	// lost the fragment entirely (owner dead, no surviving replica) is
-	// re-scanned across all rings before giving up — a pending source
-	// copy is never found this way because the home ring's owner scan
-	// runs first.
-	rings := make([]*Ring, len(ids))
-	owners := make([]*Node, len(ids))
-	frags := make([]*bat.BAT, len(ids))
-	for i, id := range ids {
-		rg := rtr.rings[rtr.homeOf(id)]
-		owner := rg.ownerOf(id)
-		if owner == nil {
-			for _, alt := range rtr.rings {
-				if o := alt.ownerOf(id); o != nil {
-					rg, owner = alt, o
-					break
-				}
-			}
-		}
-		if owner == nil {
-			return 0, fmt.Errorf("live: no owner for fragment %d of %q", i, name)
-		}
-		rings[i], owners[i] = rg, owner
-		owner.mu.Lock()
-		frags[i] = owner.store[id]
-		owner.mu.Unlock()
-	}
-	cur := frags[0]
-	if len(frags) > 1 {
-		cur = bat.Concat(frags)
-	}
-	next := fn(cur)
-	if next == nil {
-		return 0, fmt.Errorf("live: update produced nil version")
-	}
-	spans := splitEven(next.Len(), len(ids))
-	newFrags := make([]*bat.BAT, len(ids))
-	for i, sp := range spans {
-		nf := next
-		if len(ids) > 1 {
-			nf = next.Slice(sp[0], sp[1])
-		}
-		// Admission is per ring: each fragment must fit the regions of
-		// the ring it is homed on.
-		if wire := dataHdrSize + bat.MarshalSize(nf); wire > rings[i].MaxMessage() {
-			return 0, fmt.Errorf("live: new version of %q fragment %d (%d wire bytes) exceeds %v ring message limit %d",
-				name, i, wire, rings[i].id, rings[i].MaxMessage())
-		}
-		newFrags[i] = nf
-	}
-
-	// Surviving replica holders per fragment, each on its own ring.
-	repNodes := map[core.BATID][]*Node{}
-	for i, id := range ids {
-		rg := rings[i]
-		if rg.cfg.Replicas <= 0 {
-			continue
-		}
-		rg.memMu.RLock()
-		for _, nid := range rg.fragReplicas[id] {
-			if !rg.deadNodes[nid] {
-				repNodes[id] = append(repNodes[id], rg.node(int(nid)))
-			}
-		}
-		rg.memMu.RUnlock()
-	}
-
-	// Ordered cross-ring critical section over every owner and replica
-	// holder: see ringNode for the lock order.
-	var lockSet []ringNode
-	add := func(rg *Ring, node *Node) {
-		for _, l := range lockSet {
-			if l.n == node {
-				return
-			}
-		}
-		lockSet = append(lockSet, ringNode{rg.id, node})
-	}
-	for i := range ids {
-		add(rings[i], owners[i])
-	}
-	for i, id := range ids {
-		for _, rep := range repNodes[id] {
-			add(rings[i], rep)
-		}
-	}
-	sortRingNodes(lockSet)
-	for _, l := range lockSet {
-		l.n.mu.Lock()
-	}
-	version := 0
-	for i, id := range ids {
-		owner := owners[i]
-		owner.store[id] = newFrags[i]
-		owner.dropWireEntry(id)
-		if owner.versions == nil {
-			owner.versions = map[core.BATID]int{}
-		}
-		owner.versions[id]++
-		newVer := owner.versions[id]
-		if newVer > version {
-			version = newVer
-		}
-		owner.rt.AdoptOwned(id, newFrags[i].Bytes(), owner.rt.Loaded(id))
-		for _, rep := range repNodes[id] {
-			loi := 0.0
-			if old := rep.replicas[id]; old != nil {
-				loi = old.loi
-			}
-			rep.replicas[id] = &replicaFrag{b: newFrags[i], ver: newVer, loi: loi}
-		}
-		// The shared catalog version advances once; the hygiene sweep
-		// walks every ring's nodes — a superseded cache entry may be
-		// resident on either tier.
-		rg := rings[i]
-		rg.idsMu.RLock()
-		vp := rg.fragVer[id]
-		rg.idsMu.RUnlock()
-		if vp != nil {
-			vp.Store(int64(newVer))
-		}
-		for _, tier := range rtr.rings {
-			for _, node := range tier.nodeList() {
-				if node.hot != nil {
-					node.hot.invalidateBelow(id, newVer)
-				}
-			}
-		}
-	}
-	for _, l := range lockSet {
-		l.n.mu.Unlock()
-	}
-	return version, nil
+	return rtr.query.UpdateColumn(name, fn)
 }
 
 // ---------------------------------------------------------------------
@@ -837,169 +576,69 @@ func (rtr *Router) unmarkMigrating(id core.BATID) {
 	rtr.promMu.Unlock()
 }
 
-// migrateTier moves one fragment between rings with the
-// install → flip → drain → release ordering described at the top of
-// the file, entirely under the fragment's column lock. It returns
-// false when the migration cannot proceed (fragment moved, source
-// dead and promoted away, fault-dropped, oversized for the
-// destination, or a previous source copy still pending release) — the
-// fragment simply stays where the routing catalog says it is.
+// migrateTier moves one fragment between rings: transfer → lock →
+// recheck → installOwner → flip fragHome → drain → releaseOwner
+// (move.go), entirely under the fragment's column lock. It returns
+// false when the migration cannot proceed (fragment moved, source dead
+// and promoted away, fault-dropped, oversized for the destination, or a
+// previous source copy still pending release) — the fragment simply
+// stays where the routing catalog says it is.
 func (rtr *Router) migrateTier(id core.BATID, from, to RingID) bool {
-	if from == to || rtr.single {
-		return false
-	}
 	name := rtr.colOf(id)
-	if name == "" {
-		return false
-	}
-	lock := rtr.columnLock(name)
-	lock.Lock()
-	defer lock.Unlock()
-
-	if rtr.homeOf(id) != from {
-		return false
-	}
-	rtr.promMu.Lock()
-	_, pending := rtr.pendingRelease[id]
-	rtr.promMu.Unlock()
-	if pending {
-		// A previous migration's source copy has not drained yet; a
-		// third copy would make release tracking ambiguous.
+	if from == to || name == "" {
 		return false
 	}
 	src, dst := rtr.rings[from], rtr.rings[to]
+	lock := src.columnLock(name)
+	lock.Lock()
+	defer lock.Unlock()
+
+	rtr.promMu.Lock()
+	_, pending := rtr.pendingRelease[id]
+	rtr.promMu.Unlock()
 	srcOwner := src.ownerOf(id)
-	if srcOwner == nil {
+	if rtr.homeOf(id) != from || pending || srcOwner == nil {
+		// (Pending: a previous migration's source copy has not drained
+		// yet; a third copy would make release tracking ambiguous.)
 		return false
 	}
 	srcOwner.mu.Lock()
-	b := srcOwner.store[id]
-	ver := srcOwner.versions[id]
+	b, ver := srcOwner.store[id], srcOwner.versions[id]
 	srcOwner.mu.Unlock()
-	if b == nil {
-		return false
-	}
-
-	// Stream through the wire codec — the bytes a cross-ring transfer
-	// would carry — and consult the fault injector with their size,
-	// exactly the join-transfer failure surface.
-	raw := bat.AppendMarshal(nil, b)
-	if dataHdrSize+len(raw) > dst.MaxMessage() {
-		return false // does not fit the destination ring's regions
-	}
-	if f := rtr.cfg.TierFaults; f != nil {
-		delay, drop := f.Apply(dataHdrSize + len(raw))
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		if drop {
-			return false
-		}
-		// The delay window is where kills land; re-check the source
-		// before installing anything (the ownership re-check under the
-		// node locks below catches promotion races the same way).
-		if src.isDead(srcOwner.id) {
-			return false
-		}
-	}
-	nb, err := bat.UnmarshalView(raw)
-	if err != nil {
-		return false
-	}
-
 	dstOwner := rtr.pickOwner(dst)
-	if dstOwner == nil {
+	if b == nil || dstOwner == nil {
 		return false
 	}
-	// Destination replica chain under the destination ring's own
-	// discipline: its next Replicas live successors.
-	var chain []core.NodeID
-	if dst.cfg.Replicas > 0 {
-		size := dst.Size()
-		for k := 1; k < size && len(chain) < dst.cfg.Replicas; k++ {
-			cand := core.NodeID((int(dstOwner.id) + k) % size)
-			if cand == dstOwner.id || dst.isDead(cand) {
-				continue
-			}
-			chain = append(chain, cand)
-		}
+	nb, ok := transfer(b, rtr.cfg.TierFaults, dst.MaxMessage())
+	if !ok {
+		return false
 	}
-
 	// Interest travels with the fragment: the promotion heat the router
 	// observed is the admission LOI on the destination ring — high for
 	// a promotion (the fragment re-enters circulation hot), low for a
 	// demotion (it parks almost immediately, which is the intent).
 	loi := rtr.heatLevel(id)
-
-	// Step 1 — install at the destination, under the ordered cross-ring
-	// critical section (source owner, destination owner, destination
-	// replica holders).
-	set := []ringNode{{from, srcOwner}}
-	addSet := func(ring RingID, node *Node) {
-		for _, l := range set {
-			if l.n == node {
-				return
-			}
-		}
-		set = append(set, ringNode{ring, node})
-	}
-	addSet(to, dstOwner)
-	for _, nid := range chain {
-		addSet(to, dst.node(int(nid)))
-	}
-	sortRingNodes(set)
-	for _, l := range set {
-		l.n.mu.Lock()
-	}
-	if !srcOwner.rt.Owns(id) || srcOwner.versions[id] != ver || dst.isDead(dstOwner.id) {
-		// The fragment moved or re-versioned since the unlocked read —
-		// only possible through a path that held this column's lock
-		// before us — or the chosen destination died in the window.
-		for _, l := range set {
-			l.n.mu.Unlock()
-		}
+	chain := replicaChain(dst, dstOwner.id)
+	unlock := lockNodes(append([]*Node{srcOwner, dstOwner}, chain...)...)
+	if src.isDead(srcOwner.id) || dst.isDead(dstOwner.id) || !srcOwner.rt.Owns(id) || srcOwner.versions[id] != ver {
+		// A kill landed in the transfer window, or the fragment moved or
+		// re-versioned since the unlocked read (only possible through a
+		// path that held this column's lock before us).
+		unlock()
 		return false
 	}
-	dstOwner.store[id] = nb
-	if dstOwner.versions == nil {
-		dstOwner.versions = map[core.BATID]int{}
-	}
-	dstOwner.versions[id] = ver
-	dstOwner.dropWireEntry(id)
-	if dstOwner.hot != nil {
-		dstOwner.hot.drop(id) // the owner serves its store, never a cached copy
-	}
-	// PromoteOwned, not AdoptOwned: pins already blocked at the
-	// destination (queries raced the flip) are delivered from the
-	// fresh copy immediately — BEFORE the catalog flips.
-	dstOwner.rt.PromoteOwned(id, nb.Bytes(), loi)
-	for _, nid := range chain {
-		dst.node(int(nid)).replicas[id] = &replicaFrag{b: nb, ver: ver, loi: loi}
-	}
-	for _, l := range set {
-		l.n.mu.Unlock()
-	}
-	// Destination membership bookkeeping before the flip: from the
-	// instant the flip lands, a failover on the destination must know
-	// this fragment's owner and chain.
-	dst.memMu.Lock()
-	dst.fragOwner[id] = dstOwner.id
-	if len(chain) > 0 {
-		dst.fragReplicas[id] = chain
-	}
-	dst.memMu.Unlock()
+	installOwner(dstOwner, id, nb, ver, loi, chain)
+	unlock()
+	// Destination placement before the flip: from the instant the flip
+	// lands, a failover on the destination must know this fragment.
+	dst.setPlacement(id, dstOwner, chain)
+	rtr.setHome(id, to)
 
-	// Step 2 — the flip: every access from here on resolves to the
-	// destination ring.
-	rtr.catMu.Lock()
-	rtr.fragHome[id] = to
-	rtr.catMu.Unlock()
-
-	// Steps 3 and 4 — drain the source and release its copy, still
-	// under the column lock (no update can land between flip and
-	// release, so pre-flip stragglers drain against bytes that are
-	// catalog-current for the version they pinned). A drain that
-	// outlives the timeout parks the release for the scanner.
+	// Drain the source and release its copy, still under the column
+	// lock (no update can land between flip and release, so pre-flip
+	// stragglers drain against bytes that are catalog-current for the
+	// version they pinned). A drain that outlives the timeout parks the
+	// release for the scanner.
 	if !rtr.releaseSource(src, id, rtr.cfg.ReleaseTimeout) {
 		rtr.promMu.Lock()
 		rtr.pendingRelease[id] = from
@@ -1041,10 +680,9 @@ func ringHasInterest(r *Ring, id core.BATID) bool {
 
 // releaseSource waits for the source ring to drain (no in-flight
 // access counted against it, no outstanding ring request on it) and
-// then removes the residual copy: owner store and runtime ownership,
-// replica copies, membership bookkeeping. Returns false if the drain
-// outlived the timeout (nothing is removed; the scanner retries).
-// Called with the fragment's column lock held.
+// then releases the residual copy and its placement. Returns false if
+// the drain outlived the timeout (nothing is removed; the scanner
+// retries). Called with the fragment's column lock held.
 func (rtr *Router) releaseSource(src *Ring, id core.BATID, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for !rtr.accessesIdle(id, src.id) || ringHasInterest(src, id) {
@@ -1054,26 +692,15 @@ func (rtr *Router) releaseSource(src *Ring, id core.BATID, timeout time.Duration
 		time.Sleep(200 * time.Microsecond)
 	}
 	if owner := src.ownerOf(id); owner != nil {
-		owner.mu.Lock()
-		if owner.rt.Owns(id) {
-			owner.rt.RemoveOwned(id)
-			delete(owner.store, id)
-			delete(owner.versions, id)
-			owner.dropWireEntry(id)
-		}
-		owner.mu.Unlock()
+		reps := src.replicaNodes(id)
+		unlock := lockNodes(append(reps, owner)...)
+		releaseOwner(owner, id, reps)
+		unlock()
+		src.memMu.Lock()
+		delete(src.fragOwner, id)
+		delete(src.fragReplicas, id)
+		src.memMu.Unlock()
 	}
-	for _, n := range src.nodeList() {
-		n.mu.Lock()
-		if n.replicas != nil {
-			delete(n.replicas, id)
-		}
-		n.mu.Unlock()
-	}
-	src.memMu.Lock()
-	delete(src.fragOwner, id)
-	delete(src.fragReplicas, id)
-	src.memMu.Unlock()
 	return true
 }
 
@@ -1192,7 +819,7 @@ func (rtr *Router) retryPending() {
 	rtr.promMu.Unlock()
 	for id, from := range pend {
 		src := rtr.rings[from]
-		lock := rtr.columnLock(rtr.colOf(id))
+		lock := src.columnLock(rtr.colOf(id))
 		lock.Lock()
 		ok := rtr.releaseSource(src, id, time.Millisecond)
 		lock.Unlock()
@@ -1243,14 +870,6 @@ func (rtr *Router) TierStats() TierStats {
 	rtr.promMu.Lock()
 	s.PendingReleases = int64(len(rtr.pendingRelease))
 	rtr.promMu.Unlock()
-	if rtr.single {
-		s.ColdNodes = rtr.rings[0].Size()
-		rtr.catMu.RLock()
-		s.ColdResident = len(rtr.fragHome)
-		rtr.catMu.RUnlock()
-		s.ColdRevolutionMicros = rtr.rings[0].RevolutionTime().Microseconds()
-		return s
-	}
 	s.HotNodes = rtr.rings[HotRing].Size()
 	s.ColdNodes = rtr.rings[ColdRing].Size()
 	rtr.catMu.RLock()

@@ -27,12 +27,15 @@ type Messenger struct {
 
 	// sendWindow bounds in-flight posted sends; sendPend carries one
 	// ticket per posted send, in post order, for the dispatcher to pair
-	// with wire completions. The window is what lets a burst of hop
-	// envelopes queue at the transport — the uring backend folds queued
-	// messages into one linked submission chain, so one io_uring_enter
-	// covers the whole burst instead of one enter per message.
+	// with wire completions (pendMu guards it: post pushes under sendMu
+	// before the wire can complete the send, the dispatcher pops). The
+	// window is what lets a burst of hop envelopes queue at the
+	// transport — the uring backend folds queued messages into one
+	// linked submission chain, so one io_uring_enter covers the whole
+	// burst instead of one enter per message.
 	sendWindow chan struct{}
-	sendPend   chan sendTicket
+	pendMu     sync.Mutex
+	sendPend   []sendTicket
 
 	poolAcquires int64 // atomic: send-region acquisitions
 	poolWaits    int64 // atomic: acquisitions that had to block
@@ -125,38 +128,52 @@ func NewMessengerDepth(qp QueuePair, maxMsg, depth int) (*Messenger, error) {
 		}
 	}
 	m.sendWindow = make(chan struct{}, MessengerSendWindow)
-	m.sendPend = make(chan sendTicket, MessengerSendWindow)
+	m.sendPend = make([]sendTicket, 0, MessengerSendWindow)
 	go m.sendDispatch()
 	return m, nil
 }
 
-// post acquires a window slot, posts the send under the order lock, and
-// enqueues its ticket. On success the ticket owns cleanup/done — they
-// run from the dispatcher when the completion lands. On error nothing
-// was posted and the caller keeps ownership of its buffers.
+// post acquires a window slot and posts the send (postSlot).
 func (m *Messenger) post(send func() error, cleanup func(), done func(error)) error {
 	select {
 	case m.sendWindow <- struct{}{}:
 	case <-m.qp.Done():
 		return ErrClosed
 	}
+	return m.postSlot(send, cleanup, done)
+}
+
+// postSlot posts a send whose window slot the caller already holds,
+// under the order lock. The ticket is enqueued before the send is
+// posted — the wire may complete a send the instant it is accepted, and
+// a completion that found no ticket would be dropped, leaving the sender
+// waiting forever — and retired here if the post fails. On success the
+// ticket owns cleanup/done: they run from the dispatcher when the
+// completion lands. On error nothing was posted, the slot is released,
+// and the caller keeps ownership of its buffers.
+func (m *Messenger) postSlot(send func() error, cleanup func(), done func(error)) error {
 	m.sendMu.Lock()
+	defer m.sendMu.Unlock()
 	select {
 	case <-m.qp.Done():
 		// Checked under sendMu: the dispatcher's post-close drain also
 		// takes sendMu, so a ticket enqueued here could be orphaned.
-		m.sendMu.Unlock()
 		<-m.sendWindow
 		return ErrClosed
 	default:
 	}
+	m.pendMu.Lock()
+	m.sendPend = append(m.sendPend, sendTicket{cleanup: cleanup, done: done})
+	m.pendMu.Unlock()
 	if err := send(); err != nil {
-		m.sendMu.Unlock()
+		// Posts are serialized by sendMu and a rejected send produces no
+		// completion, so the ticket is still there, and still the newest.
+		m.pendMu.Lock()
+		m.sendPend = m.sendPend[:len(m.sendPend)-1]
+		m.pendMu.Unlock()
 		<-m.sendWindow
 		return err
 	}
-	m.sendPend <- sendTicket{cleanup: cleanup, done: done}
-	m.sendMu.Unlock()
 	return nil
 }
 
@@ -190,43 +207,35 @@ func (m *Messenger) sendDispatch() {
 	}
 }
 
-// finish retires the oldest in-flight send with the given wire error.
-func (m *Messenger) finish(err error) {
-	select {
-	case t := <-m.sendPend:
-		<-m.sendWindow
-		if t.cleanup != nil {
-			t.cleanup()
-		}
-		if t.done != nil {
-			t.done(err)
-		}
-	default:
-		// A completion with no pending ticket: the backend emitted an
-		// abort notification for a send it never accepted. Drop it.
+// finish retires the oldest in-flight send with the given wire error;
+// false means no send was in flight.
+func (m *Messenger) finish(err error) bool {
+	m.pendMu.Lock()
+	if len(m.sendPend) == 0 {
+		m.pendMu.Unlock()
+		return false
 	}
+	t := m.sendPend[0]
+	m.sendPend = append(m.sendPend[:0], m.sendPend[1:]...)
+	m.pendMu.Unlock()
+	<-m.sendWindow
+	if t.cleanup != nil {
+		t.cleanup()
+	}
+	if t.done != nil {
+		t.done(err)
+	}
+	return true
 }
 
 // failPending retires every remaining ticket with ErrClosed. Runs after
-// Done is closed; taking sendMu orders it against post(), which rejects
-// new sends once Done is observable, so nothing is enqueued after the
-// drain.
+// Done is closed; taking sendMu orders it against postSlot, which
+// rejects new sends once Done is observable, so nothing is enqueued
+// after the drain.
 func (m *Messenger) failPending() {
 	m.sendMu.Lock()
 	defer m.sendMu.Unlock()
-	for {
-		select {
-		case t := <-m.sendPend:
-			<-m.sendWindow
-			if t.cleanup != nil {
-				t.cleanup()
-			}
-			if t.done != nil {
-				t.done(ErrClosed)
-			}
-		default:
-			return
-		}
+	for m.finish(ErrClosed) {
 	}
 }
 
@@ -376,26 +385,15 @@ func (m *Messenger) TrySendEncoded(size int, encode func(dst []byte) int) error 
 		return ErrQueueFull
 	}
 	ch := make(chan error, 1)
-	m.sendMu.Lock()
-	select {
-	case <-m.qp.Done():
-		m.sendMu.Unlock()
-		<-m.sendWindow
-		m.sendFree <- mr
-		return ErrClosed
-	default:
-	}
-	if err := m.qp.PostSend(mr, n); err != nil {
-		m.sendMu.Unlock()
-		<-m.sendWindow
+	err := m.postSlot(
+		func() error { return m.qp.PostSend(mr, n) },
+		func() { m.sendFree <- mr },
+		func(err error) { ch <- err },
+	)
+	if err != nil {
 		m.sendFree <- mr
 		return err
 	}
-	m.sendPend <- sendTicket{
-		cleanup: func() { m.sendFree <- mr },
-		done:    func(err error) { ch <- err },
-	}
-	m.sendMu.Unlock()
 	select {
 	case err := <-ch:
 		return err

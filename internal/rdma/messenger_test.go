@@ -363,3 +363,52 @@ func TestMessengerPoolBounded(t *testing.T) {
 		t.Fatalf("pool size = %d regions, want %d for small messages", got, MessengerSendRegions)
 	}
 }
+
+// TestMessengerNoLostCompletion is the regression test for the lost send
+// completion: post used to enqueue a send's ticket after posting it, so
+// a wire that completed the send in between had its completion dropped
+// and the sender waited forever. Short sends over fresh pairs hit that
+// window within a few hundred rounds. The pairs are in-memory pipes
+// under the TCP provider's framing: the race is between the provider's
+// send loop and the messenger, and 2,000 real connections would litter
+// the ephemeral port range other packages' tests bind in.
+func TestMessengerNoLostCompletion(t *testing.T) {
+	for round := 1; round <= 2000; round++ {
+		near, far := net.Pipe()
+		a, err := NewMessenger(NewTCP(near), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewMessenger(NewTCP(far), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			for {
+				if _, err := b.Recv(); err != nil {
+					return
+				}
+			}
+		}()
+		sent := make(chan error, 1)
+		go func() {
+			for i := 0; i < 200; i++ {
+				if err := a.Send([]byte{1}); err != nil {
+					sent <- err
+					return
+				}
+			}
+			sent <- nil
+		}()
+		select {
+		case err = <-sent:
+		case <-time.After(10 * time.Second):
+			err = fmt.Errorf("a Send never completed")
+		}
+		a.Close()
+		b.Close()
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+}

@@ -239,13 +239,8 @@ func Serve(ring *live.Ring, cfg Config) (*Server, error) {
 // hot (query) ring's nodes first, then the cold ring's — so address i
 // in the handshake's Addrs list serves global node i, exactly as on a
 // single ring. The handshake additionally labels every address with
-// its ring, letting clients fail over to a same-ring peer first. A
-// runtime built with Tiers < 2 degenerates to the plain single-ring
-// server.
+// its ring, letting clients fail over to a same-ring peer first.
 func ServeRouter(rtr *live.Router, cfg Config) (*Server, error) {
-	if rtr.Tiers() < 2 {
-		return Serve(rtr.QueryRing(), cfg)
-	}
 	s := &Server{cfg: normalizeConfig(cfg), ring: rtr.QueryRing(), router: rtr, drain: make(chan struct{})}
 	global := 0
 	for t := 0; t < rtr.Tiers(); t++ {

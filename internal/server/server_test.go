@@ -406,33 +406,77 @@ func TestServeRouterTieredHandshake(t *testing.T) {
 	if _, err := s.ServeNode(4); err == nil {
 		t.Fatal("ServeNode on a routed server succeeded")
 	}
+}
 
-	// Tiers < 2 degenerates to the plain single-ring server: no ring
-	// labels in the handshake.
-	src := live.DefaultRouterConfig()
-	src.Tiers = 0
-	srtr, err := live.NewRouter(cols, schema, src)
+// TestServedUpdateOnHotColumnThenClose is the served half of the update
+// wedge regression (live.TestUpdateHotFragmentedColumnThenQuery): a
+// client's query after UpdateColumn on a hot, parked multi-fragment
+// column answers with the new version, and Server.Close returns.
+func TestServedUpdateOnHotColumnThenClose(t *testing.T) {
+	cols, schema := testColumns()
+	cfg := live.DefaultConfig()
+	cfg.Transport = live.TCP
+	cfg.FragmentRows = 1 // 4 fragments per column
+	r, err := live.NewRing(3, cols, schema, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := server.ServeRouter(srtr, server.DefaultConfig())
-	if err != nil {
-		srtr.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ss.Close()
-		srtr.Close()
-	})
-	scl, err := dcclient.Dial(ss.Addr(0))
+	defer r.Close()
+	s, err := server.Serve(r, server.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer scl.Close()
-	if rings := scl.Rings(); len(rings) != 0 {
-		t.Fatalf("single-ring server advertised ring labels: %v", rings)
-	}
-	if _, err := scl.Query(context.Background(), sql); err != nil {
+	cl, err := dcclient.Dial(s.Addr(0))
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer cl.Close()
+	const sql = "select sum(val) from c"
+	sum := func() int64 {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		rs, err := cl.Query(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs.Row(0)[0].(int64)
+	}
+	if a, b := sum(), sum(); a != 1000 || b != 1000 {
+		t.Fatalf("sums before the update: %d, %d, want 1000", a, b)
+	}
+	// Quiet ring: every fragment still in the hot set is parked.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		var hot, parked uint64
+		for i := 0; i < r.Size(); i++ {
+			st := r.Node(i).Stats()
+			hot += st.BATsLoaded - st.BATsUnloaded
+			parked += st.BATsParked - st.BATsUnparked
+		}
+		if hot == parked {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("ring never went quiet: %d fragments hot, %d parked", hot, parked)
+		}
+	}
+	if _, err := r.UpdateColumn("c.val", func(old *bat.BAT) *bat.BAT {
+		vals := make([]int64, old.Len())
+		for i := range vals {
+			vals[i] = old.Tail().Int(i) * 2
+		}
+		return bat.MakeInts("c.val", vals)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := sum(); got != 2000 {
+		t.Fatalf("sum after the update: %d, want 2000", got)
+	}
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close did not return within 5s of the update")
 	}
 }
