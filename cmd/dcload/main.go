@@ -19,19 +19,15 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	dc "repro"
 	"repro/internal/dcclient"
+	"repro/internal/experiments"
 	"repro/internal/live"
 	"repro/internal/tpch"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -65,14 +61,13 @@ func main() {
 	)
 	switch {
 	case *selfserve:
-		var err error
-		ring, srv, err = startRing(*nodes, *sf, *seed, *transport, *inflight, *queue, *replicas, *hb)
+		served, err := startRing(*nodes, *sf, *seed, *transport, *inflight, *queue, *replicas, *hb)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dcload:", err)
 			os.Exit(1)
 		}
-		defer ring.Close()
-		defer srv.Close()
+		defer served.Close()
+		ring, srv = served.Ring, served.Srv
 		targets = srv.Addrs()
 		fmt.Printf("selfserve: %d-node ring over TPC-H sf=%g, inflight=%d queue=%d replicas=%d\n",
 			*nodes, *sf, *inflight, *queue, *replicas)
@@ -109,32 +104,29 @@ func main() {
 		mix = []string{*sql}
 	}
 
-	res := drive(targets, mix, *clients, *queries, *timeout, *zipf, *seed)
+	// Sessions spread round-robin over the targets and the mix — or,
+	// with -zipf, draw each query from a seeded Zipf(θ) so the load skews
+	// onto a hot head. The first answer to each statement is its
+	// reference; every later one must match it (zero-incorrect guarantee).
+	res := experiments.StartLoad(experiments.LoadSpec{Targets: targets, Clients: *clients, Queries: *queries,
+		Mix: mix, Zipf: *zipf, Seed: *seed, Timeout: *timeout}).Wait()
 
-	fmt.Printf("\n%d clients x %d queries against %d node(s) in %.2fs\n",
-		*clients, *queries, len(targets), res.wall.Seconds())
-	fmt.Printf("throughput: %.0f q/s (completed %d)\n",
-		float64(res.ok)/res.wall.Seconds(), res.ok)
-	fmt.Printf("outcomes: ok=%d rejected=%d failed=%d incorrect=%d\n",
-		res.ok, res.rejected, res.failed, res.incorrect)
-	if res.ok > 0 {
-		fmt.Printf("latency: p50=%s p95=%s p99=%s max=%s\n",
-			res.quantile(0.50), res.quantile(0.95), res.quantile(0.99), res.lats[len(res.lats)-1])
-	}
+	fmt.Printf("\n%d clients x %d queries against %d node(s) in %.2fs\n%s",
+		*clients, *queries, len(targets), res.Wall.Seconds(), res)
 	if srv != nil {
 		fmt.Println("\nper-node server stats:")
 		for i := 0; i < ring.Size(); i++ {
 			fmt.Printf("node %d: %s\n", i, srv.Stats(i))
 		}
 	}
-	reportCache(targets, ring, res.ok)
+	reportCache(targets, ring, res.OK)
 	if *hopstats {
 		reportHop(targets, ring)
 	}
 	if *memstats {
 		reportMemb(targets, ring)
 	}
-	for _, e := range res.errors {
+	for _, e := range res.Errors {
 		fmt.Fprintln(os.Stderr, "dcload:", e)
 	}
 	if *kill > 0 {
@@ -142,12 +134,12 @@ func main() {
 		// fails the run), but a bounded number of hard failures is the
 		// cost of killing a node under load — every client session may
 		// lose at most the query it had in flight on the dead node.
-		if res.incorrect > 0 || res.ok == 0 || res.failed > int64(*clients) {
+		if res.Incorrect > 0 || res.OK == 0 || res.Failed > int64(*clients) {
 			os.Exit(1)
 		}
 		return
 	}
-	if res.failed > 0 || res.incorrect > 0 || res.ok == 0 {
+	if res.Failed > 0 || res.Incorrect > 0 || res.OK == 0 {
 		os.Exit(1)
 	}
 }
@@ -161,20 +153,7 @@ func reportMemb(targets []string, ring *dc.LiveRing) {
 	if ring != nil {
 		ms = ring.MembershipStats()
 	} else {
-		for _, addr := range targets {
-			cl, err := dcclient.Dial(addr)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dcload: membership stats: skipping %s: %v\n", addr, err)
-				continue
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			st, err := cl.Stats(ctx)
-			cancel()
-			cl.Close()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dcload: membership stats: skipping %s: %v\n", addr, err)
-				continue
-			}
+		eachStats(targets, "membership", func(st dc.ServerNodeStats) {
 			ms.Enabled = ms.Enabled || st.MembEnabled
 			if st.MembViewVersion > ms.ViewVersion {
 				ms.ViewVersion = st.MembViewVersion
@@ -189,7 +168,7 @@ func reportMemb(targets []string, ring *dc.LiveRing) {
 			ms.LostFrags += st.MembLostFrags
 			ms.BeatsSent += st.MembBeatsSent
 			ms.BeatsRecv += st.MembBeatsRecv
-		}
+		})
 	}
 	if !ms.Enabled {
 		fmt.Println("\nmembership: disabled (replicas=0)")
@@ -215,26 +194,13 @@ func reportCache(targets []string, ring *dc.LiveRing, completed int64) {
 		hits, misses, coalesced = cs.Hits, cs.Misses, cs.Coalesced
 		ringWaits, ringWait = cs.RingWaits, time.Duration(cs.RingWaitNanos)
 	} else {
-		for _, addr := range targets {
-			cl, err := dcclient.Dial(addr)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dcload: cache stats: skipping %s: %v\n", addr, err)
-				continue
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			st, err := cl.Stats(ctx)
-			cancel()
-			cl.Close()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dcload: cache stats: skipping %s: %v\n", addr, err)
-				continue
-			}
+		eachStats(targets, "cache", func(st dc.ServerNodeStats) {
 			hits += st.CacheHits
 			misses += st.CacheMisses
 			coalesced += st.CacheCoalesced
 			ringWaits += st.RingWaits
 			ringWait += st.RingWait
-		}
+		})
 	}
 	total := hits + misses
 	if total == 0 && ringWaits == 0 {
@@ -264,20 +230,7 @@ func reportHop(targets []string, ring *dc.LiveRing) {
 	if ring != nil {
 		hs = ring.HopStats()
 	} else {
-		for _, addr := range targets {
-			cl, err := dcclient.Dial(addr)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dcload: hop stats: skipping %s: %v\n", addr, err)
-				continue
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			st, err := cl.Stats(ctx)
-			cancel()
-			cl.Close()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dcload: hop stats: skipping %s: %v\n", addr, err)
-				continue
-			}
+		eachStats(targets, "hop", func(st dc.ServerNodeStats) {
 			hs.Msgs += st.HopMsgs
 			hs.Singles += st.HopSingles
 			hs.Batches += st.HopBatches
@@ -294,7 +247,7 @@ func reportHop(targets []string, ring *dc.LiveRing) {
 			hs.Unparked += st.HopUnparked
 			hs.PoolAcquires += st.PoolAcquires
 			hs.PoolWaits += st.PoolWaits
-		}
+		})
 	}
 	if hs.Msgs == 0 {
 		fmt.Println("\nhop transport: no data messages sent")
@@ -321,7 +274,27 @@ func reportHop(targets []string, ring *dc.LiveRing) {
 	}
 }
 
-func startRing(nodes int, sf float64, seed int64, transport string, inflight, queue, replicas int, hb time.Duration) (*dc.LiveRing, *dc.QueryServer, error) {
+// eachStats asks every target for its stats frame over the wire,
+// skipping (with a note) the ones that do not answer.
+func eachStats(targets []string, what string, fn func(dc.ServerNodeStats)) {
+	for _, addr := range targets {
+		var st dc.ServerNodeStats
+		cl, err := dcclient.Dial(addr)
+		if err == nil {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			st, err = cl.Stats(ctx)
+			cancel()
+			cl.Close()
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dcload: %s stats: skipping %s: %v\n", what, addr, err)
+			continue
+		}
+		fn(st)
+	}
+}
+
+func startRing(nodes int, sf float64, seed int64, transport string, inflight, queue, replicas int, hb time.Duration) (*experiments.Served, error) {
 	ringCfg := dc.DefaultLiveConfig()
 	switch transport {
 	case "inproc":
@@ -329,144 +302,14 @@ func startRing(nodes int, sf float64, seed int64, transport string, inflight, qu
 	case "tcp":
 		ringCfg.Transport = live.TCP
 	default:
-		return nil, nil, fmt.Errorf("unknown transport %q", transport)
+		return nil, fmt.Errorf("unknown transport %q", transport)
 	}
 	ringCfg.Replicas = replicas
 	if hb > 0 {
 		ringCfg.Heartbeat.HeartbeatInterval = hb
 	}
-	db := tpch.GenDB(sf, seed)
-	columns := db.ColumnMap()
-	ring, err := dc.NewLiveRing(nodes, columns, db.Schema(), ringCfg)
-	if err != nil {
-		return nil, nil, err
-	}
 	srvCfg := dc.DefaultServerConfig()
 	srvCfg.MaxInFlight = inflight
 	srvCfg.MaxQueue = queue
-	srv, err := dc.Serve(ring, srvCfg)
-	if err != nil {
-		ring.Close()
-		return nil, nil, err
-	}
-	return ring, srv, nil
-}
-
-// result aggregates the run.
-type result struct {
-	ok, rejected, failed, incorrect int64
-	lats                            []time.Duration // successful queries, sorted
-	wall                            time.Duration
-	errors                          []string
-}
-
-func (r *result) quantile(q float64) time.Duration {
-	if len(r.lats) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(r.lats)))
-	if i >= len(r.lats) {
-		i = len(r.lats) - 1
-	}
-	return r.lats[i]
-}
-
-// drive fires total queries from `clients` concurrent sessions spread
-// round-robin over the target addresses and the query mix — or, with
-// zipfTheta > 0, drawing each query from a seeded Zipf(θ) over the mix
-// so the load skews onto a hot head. The first successful answer for
-// each distinct SQL text becomes the reference; every later answer
-// must match it exactly (zero-incorrect guarantee).
-func drive(targets, mix []string, clients, total int, timeout time.Duration, zipfTheta float64, seed int64) *result {
-	var (
-		res     result
-		mu      sync.Mutex // guards lats, errors, references
-		refs    = map[string]string{}
-		next    int64
-		wg      sync.WaitGroup
-		maxErrs = 10
-		started = time.Now()
-	)
-	fingerprint := func(rows [][]any) string {
-		keys := make([]string, len(rows))
-		for i, row := range rows {
-			keys[i] = fmt.Sprint(row)
-		}
-		sort.Strings(keys)
-		return strings.Join(keys, "\n")
-	}
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl, err := dcclient.Dial(targets[w%len(targets)])
-			if err != nil {
-				mu.Lock()
-				res.errors = append(res.errors, fmt.Sprintf("client %d: %v", w, err))
-				mu.Unlock()
-				atomic.AddInt64(&res.failed, 1)
-				return
-			}
-			defer cl.Close()
-			var pick func(*rand.Rand) int
-			var rng *rand.Rand
-			if zipfTheta > 0 {
-				pick = workload.ZipfPick(len(mix), zipfTheta)
-				rng = rand.New(rand.NewSource(seed + int64(w)))
-			}
-			var local []time.Duration
-			for {
-				n := atomic.AddInt64(&next, 1)
-				if n > int64(total) {
-					break
-				}
-				sql := mix[int(n)%len(mix)]
-				if pick != nil {
-					sql = mix[pick(rng)]
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), timeout)
-				start := time.Now()
-				rs, err := cl.Query(ctx, sql)
-				lat := time.Since(start)
-				cancel()
-				switch {
-				case err == nil:
-					fp := fingerprint(rs.Rows())
-					mu.Lock()
-					ref, seen := refs[sql]
-					if !seen {
-						refs[sql] = fp
-					}
-					mu.Unlock()
-					if seen && fp != ref {
-						atomic.AddInt64(&res.incorrect, 1)
-						mu.Lock()
-						if len(res.errors) < maxErrs {
-							res.errors = append(res.errors, fmt.Sprintf("client %d: result mismatch for %.40q", w, sql))
-						}
-						mu.Unlock()
-						continue
-					}
-					atomic.AddInt64(&res.ok, 1)
-					local = append(local, lat)
-				case dcclient.IsTemporary(err):
-					atomic.AddInt64(&res.rejected, 1)
-				default:
-					atomic.AddInt64(&res.failed, 1)
-					mu.Lock()
-					if len(res.errors) < maxErrs {
-						res.errors = append(res.errors, fmt.Sprintf("client %d: %v", w, err))
-					}
-					mu.Unlock()
-				}
-			}
-			mu.Lock()
-			res.lats = append(res.lats, local...)
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	res.wall = time.Since(started)
-	sort.Slice(res.lats, func(i, j int) bool { return res.lats[i] < res.lats[j] })
-	return &res
+	return experiments.ServeRing(nodes, tpch.GenDB(sf, seed), ringCfg, srvCfg)
 }

@@ -23,8 +23,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/bat"
@@ -62,20 +60,38 @@ type CacheResult struct {
 // small enough to stay far under any ring message limit.
 const probeRows = 32 << 10
 
+// CacheOpts sizes the sweep.
+type CacheOpts struct {
+	Rows, Nodes, Repeats int           // lineitem rows, ring size, repeat pins/queries per setting
+	Think                time.Duration // pause between repeats (the intermittent re-read pattern)
+	Budgets              []int         // CacheBytes settings; 0 = off, the baseline, goes first
+}
+
+// DefaultCacheOpts is the full sweep.
+func DefaultCacheOpts() CacheOpts {
+	return CacheOpts{Rows: 1 << 20, Nodes: 3, Repeats: 160, Think: 8 * time.Millisecond, Budgets: []int{0, 64 << 20}}
+}
+
+// Short is the CI-sized sweep.
+func (o CacheOpts) Short() CacheOpts {
+	o.Rows, o.Repeats, o.Think = 1<<17, 25, 2*time.Millisecond
+	return o
+}
+
 // CacheSweep runs the repeat-query sweep: a TPC-H database with the
 // given lineitem row count partitioned over a live ring of nodes, the
-// repeat workload fired at each CacheBytes setting under the given
-// eviction mode, one ring per setting so every run starts cold.
-func CacheSweep(rows, nodes, repeats int, think time.Duration, budgets []int, mode live.CacheMode, seed int64) (*CacheResult, error) {
-	db := tpch.GenDB(tpch.SFForLineitemRows(rows), seed)
+// repeat workload fired at each CacheBytes setting under the default
+// (LOI) eviction, one ring per setting so every run starts cold.
+func CacheSweep(o CacheOpts, seed int64) (*CacheResult, error) {
+	db := tpch.GenDB(tpch.SFForLineitemRows(o.Rows), seed)
 	res := &CacheResult{
 		LineitemRows: db.Rows("lineitem"),
-		Nodes:        nodes,
-		Repeats:      repeats,
-		ThinkMicros:  think.Microseconds(),
+		Nodes:        o.Nodes,
+		Repeats:      o.Repeats,
+		ThinkMicros:  o.Think.Microseconds(),
 	}
-	for _, budget := range budgets {
-		run, err := cacheRun(db, nodes, repeats, think, budget, mode)
+	for _, budget := range o.Budgets {
+		run, err := cacheRun(db, o.Nodes, o.Repeats, o.Think, budget)
 		if err != nil {
 			return nil, fmt.Errorf("cache sweep (bytes=%d): %w", budget, err)
 		}
@@ -84,10 +100,9 @@ func CacheSweep(rows, nodes, repeats int, think time.Duration, budgets []int, mo
 	return res, nil
 }
 
-func cacheRun(db *tpch.DB, nodes, repeats int, think time.Duration, budget int, mode live.CacheMode) (CacheRun, error) {
+func cacheRun(db *tpch.DB, nodes, repeats int, think time.Duration, budget int) (CacheRun, error) {
 	cfg := live.DefaultConfig()
 	cfg.CacheBytes = budget
-	cfg.CacheMode = mode
 	ring, err := live.NewRing(nodes, db.ColumnMap(), db.Schema(), cfg)
 	if err != nil {
 		return CacheRun{}, err
@@ -150,15 +165,15 @@ func cacheRun(db *tpch.DB, nodes, repeats int, think time.Duration, budget int, 
 	cs := ring.CacheStats()
 	modeName := "off"
 	if budget > 0 {
-		modeName = mode.String()
+		modeName = cfg.CacheMode.String()
 	}
 	return CacheRun{
 		CacheBytes:     budget,
 		Mode:           modeName,
-		PinP50Micros:   quantileMicros(pinLat, 0.50),
-		PinP99Micros:   quantileMicros(pinLat, 0.99),
-		QueryP50Micros: quantileMicros(queryLat, 0.50),
-		QueryP99Micros: quantileMicros(queryLat, 0.99),
+		PinP50Micros:   quantile(pinLat, 0.50).Microseconds(),
+		PinP99Micros:   quantile(pinLat, 0.99).Microseconds(),
+		QueryP50Micros: quantile(queryLat, 0.50).Microseconds(),
+		QueryP99Micros: quantile(queryLat, 0.99).Microseconds(),
 		Hits:           cs.Hits,
 		Misses:         cs.Misses,
 		Coalesced:      cs.Coalesced,
@@ -168,48 +183,51 @@ func cacheRun(db *tpch.DB, nodes, repeats int, think time.Duration, budget int, 
 	}, nil
 }
 
-// settleHopBytes reads the ring's cumulative data traffic once
-// in-flight sends stop changing it (bounded settle, as the fragment
-// sweep does).
-func settleHopBytes(r *live.Ring) int64 {
-	settle := time.Now().Add(100 * time.Millisecond)
-	last := r.HopBytes()
-	for time.Now().Before(settle) {
-		time.Sleep(10 * time.Millisecond)
-		cur := r.HopBytes()
-		if cur == last {
-			break
+// Gate enforces the cache invariants, so a cache regression can never
+// produce a quiet green run: the cache-off baseline hits nothing and
+// blocks on circulation; with the cache on, the repeat workload hits it
+// (hit rate > 0), a fully-hot repeated pin is at least 5× faster at the
+// 99th percentile than pure circulation, and the repeat phase moves
+// fewer bytes over the ring than with the cache off — node-local reads,
+// not faster ring waits.
+func (r *CacheResult) Gate() Gates {
+	var g Gates
+	var off *CacheRun
+	for i := range r.Runs {
+		run := &r.Runs[i]
+		scope := "CacheBytes=" + offOr(run.CacheBytes)
+		g.latencies(scope, r.Repeats, run.QueryP50Micros, run.QueryP99Micros)
+		g.check(run.PinP50Micros >= 0 && run.PinP99Micros >= run.PinP50Micros, scope+": pin quantiles", "0 ≤ p50 ≤ p99",
+			"p50 %dµs, p99 %dµs", run.PinP50Micros, run.PinP99Micros)
+		if run.CacheBytes == 0 {
+			off = run
+			g.check(run.Hits == 0 && run.HitRate == 0, scope+": cache hits", "0", "%d", run.Hits)
+			g.check(run.RingWaitMicros > 0, scope+": ring wait", "> 0", "%dµs", run.RingWaitMicros)
+			continue
 		}
-		last = cur
+		g.check(run.Hits > 0, scope+": cache hits", "> 0", "%d", run.Hits)
+		if off == nil {
+			continue
+		}
+		g.check(run.PinP99Micros*5 <= off.PinP99Micros, scope+": pin p99", "≥5× reduction",
+			"%dµs vs cache-off %dµs", run.PinP99Micros, off.PinP99Micros)
+		if off.RepeatHopBytes > 0 {
+			g.check(run.RepeatHopBytes < off.RepeatHopBytes, scope+": repeat-phase ring traffic", "below cache-off",
+				"%dB vs cache-off %dB", run.RepeatHopBytes, off.RepeatHopBytes)
+		}
 	}
-	return last
-}
-
-func quantileMicros(lat []time.Duration, p float64) int64 {
-	if len(lat) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), lat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[int(p*float64(len(sorted)-1))].Microseconds()
+	return g
 }
 
 func (r *CacheResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Hot-set cache repeat sweep — lineitem %d rows over %d nodes, %d repeats, %dµs think\n",
-		r.LineitemRows, r.Nodes, r.Repeats, r.ThinkMicros)
-	fmt.Fprintf(&b, "%12s %6s %10s %10s %11s %11s %8s %10s %12s %12s\n",
-		"cache_bytes", "mode", "pin_p50us", "pin_p99us", "query_p50us", "query_p99us",
-		"hit_rate", "coalesced", "ringwait_us", "repeat_hop_B")
+	var rows [][]any
 	for _, run := range r.Runs {
-		name := fmt.Sprint(run.CacheBytes)
-		if run.CacheBytes == 0 {
-			name = "off"
-		}
-		fmt.Fprintf(&b, "%12s %6s %10d %10d %11d %11d %7.1f%% %10d %12d %12d\n",
-			name, run.Mode, run.PinP50Micros, run.PinP99Micros,
-			run.QueryP50Micros, run.QueryP99Micros,
-			100*run.HitRate, run.Coalesced, run.RingWaitMicros, run.RepeatHopBytes)
+		rows = append(rows, []any{offOr(run.CacheBytes), run.Mode, run.PinP50Micros, run.PinP99Micros,
+			run.QueryP50Micros, run.QueryP99Micros, fmt.Sprintf("%.1f%%", 100*run.HitRate),
+			run.Coalesced, run.RingWaitMicros, run.RepeatHopBytes})
 	}
-	return b.String()
+	return table(fmt.Sprintf("Hot-set cache repeat sweep — lineitem %d rows over %d nodes, %d repeats, %dµs think",
+		r.LineitemRows, r.Nodes, r.Repeats, r.ThinkMicros),
+		[]string{"cache_bytes", "mode", "pin_p50us", "pin_p99us", "query_p50us", "query_p99us",
+			"hit_rate", "coalesced", "ringwait_us", "repeat_hop_B"}, rows)
 }

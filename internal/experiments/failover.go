@@ -13,18 +13,10 @@ package experiments
 // application would actually observe.
 
 import (
-	"context"
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/dcclient"
-	"repro/internal/live"
 	"repro/internal/membership"
-	"repro/internal/server"
 	"repro/internal/tpch"
 )
 
@@ -36,9 +28,9 @@ type FailoverRun struct {
 	HeartbeatMs   int64 `json:"heartbeat_ms"`
 	DeadTimeoutMs int64 `json:"dead_timeout_ms"`
 	OK            int64 `json:"ok"`
-	Rejected      int64 `json:"rejected"`  // admission rejections (IsTemporary)
-	Failed        int64 `json:"failed"`    // hard query failures
-	Incorrect     int64 `json:"incorrect"` // fingerprint mismatches vs reference
+	Rejected      int64 `json:"rejected"`    // admission rejections (IsTemporary)
+	Failed        int64 `json:"failed"`      // hard query failures
+	Incorrect     int64 `json:"incorrect"`   // fingerprint mismatches vs reference
 	DetectMs      int64 `json:"detect_ms"`   // kill → death declared on a survivor
 	ReownMs       int64 `json:"reown_ms"`    // kill → every fragment re-owned
 	FirstOKMs     int64 `json:"first_ok_ms"` // kill → first fully post-kill correct answer
@@ -60,7 +52,7 @@ type FailoverResult struct {
 
 // failoverHeartbeat is the detector tuning the sweep runs with: a
 // 300 ms death verdict, roomy enough that the recovery gate (2× the
-// death timeout, enforced by cmd/dcfail) holds on a loaded CI box.
+// death timeout) holds on a loaded CI box.
 func failoverHeartbeat() membership.Config {
 	return membership.Config{
 		HeartbeatInterval: 50 * time.Millisecond,
@@ -69,21 +61,37 @@ func failoverHeartbeat() membership.Config {
 	}
 }
 
+// FailoverOpts sizes the sweep.
+type FailoverOpts struct {
+	Rows, Clients, Queries int   // lineitem rows, concurrent network clients, queries per ring size
+	Sizes                  []int // ring sizes; one node is killed in each
+}
+
+// DefaultFailoverOpts is the full sweep.
+func DefaultFailoverOpts() FailoverOpts {
+	return FailoverOpts{Rows: 1 << 17, Clients: 8, Queries: 300, Sizes: []int{3, 4, 5}}
+}
+
+// Short is the CI-sized sweep.
+func (o FailoverOpts) Short() FailoverOpts {
+	o.Rows, o.Queries, o.Sizes = 1<<15, 150, []int{3, 5}
+	return o
+}
+
 // FailoverSweep runs the kill-and-recover sweep: for each ring size, a
 // TPC-H database with the given lineitem row count is served with one
-// replica per fragment, `clients` concurrent network clients fire
-// `queries` queries total, and one node is killed a third of the way
-// through. Every answer is fingerprinted against the pre-kill
-// reference.
-func FailoverSweep(rows, clients, queries int, sizes []int, seed int64) (*FailoverResult, error) {
-	db := tpch.GenDB(tpch.SFForLineitemRows(rows), seed)
+// replica per fragment, Clients concurrent network clients fire Queries
+// queries total, and one node is killed a third of the way through.
+// Every answer is fingerprinted against the pre-kill reference.
+func FailoverSweep(o FailoverOpts, seed int64) (*FailoverResult, error) {
+	db := tpch.GenDB(tpch.SFForLineitemRows(o.Rows), seed)
 	res := &FailoverResult{
 		LineitemRows: db.Rows("lineitem"),
-		Clients:      clients,
-		Queries:      queries,
+		Clients:      o.Clients,
+		Queries:      o.Queries,
 	}
-	for _, nodes := range sizes {
-		run, err := failoverRun(db, nodes, clients, queries)
+	for _, nodes := range o.Sizes {
+		run, err := failoverRun(db, nodes, o.Clients, o.Queries)
 		if err != nil {
 			return nil, fmt.Errorf("failover sweep (%d nodes): %w", nodes, err)
 		}
@@ -94,179 +102,99 @@ func FailoverSweep(rows, clients, queries int, sizes []int, seed int64) (*Failov
 
 func failoverRun(db *tpch.DB, nodes, clients, queries int) (FailoverRun, error) {
 	hb := failoverHeartbeat()
-	cfg := live.DefaultConfig()
-	cfg.Replicas = 1
-	cfg.Heartbeat = hb
-	cfg.Core.ResendTimeout = 100 * time.Millisecond
-	ring, err := live.NewRing(nodes, db.ColumnMap(), db.Schema(), cfg)
+	s, refs, err := serveReplicated(nodes, db, hb)
 	if err != nil {
 		return FailoverRun{}, err
 	}
-	defer ring.Close()
-	srv, err := server.Serve(ring, server.DefaultConfig())
-	if err != nil {
-		return FailoverRun{}, err
-	}
-	defer srv.Close()
-	targets := srv.Addrs()
-	victim := nodes / 2
-
-	// The pre-kill reference every later answer must reproduce.
-	ref, err := referenceAnswer(targets[0])
-	if err != nil {
-		return FailoverRun{}, err
-	}
-
+	defer s.Close()
+	ring := s.Ring
 	run := FailoverRun{
 		Nodes:         nodes,
-		Victim:        victim,
-		Replicas:      cfg.Replicas,
+		Victim:        nodes / 2,
+		Replicas:      1,
 		HeartbeatMs:   hb.HeartbeatInterval.Milliseconds(),
 		DeadTimeoutMs: hb.DeadTimeout().Milliseconds(),
+		FirstOKMs:     -1,
 	}
-	var (
-		next      int64
-		completed int64
-		killNanos int64 // kill instant (UnixNano); 0 while the victim lives
-		firstOK   int64 = -1
-		latMu     sync.Mutex
-		lats      []time.Duration
-		wg        sync.WaitGroup
-	)
+	load := StartLoad(LoadSpec{Targets: s.Srv.Addrs(), Clients: clients, Queries: queries,
+		Mix: []string{tpch.Q6ishSQL}, Timeout: 10 * time.Second, Refs: refs})
 
-	// The assassin: wait until a third of the budget has completed, so
-	// the kill lands mid-stream with clients bound to every node, then
-	// take the victim down and watch the ring recover.
-	detectCh := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for atomic.LoadInt64(&completed) < int64(queries/3) {
-			time.Sleep(time.Millisecond)
+	// The assassin: once a third of the budget has completed, so the
+	// kill lands mid-stream with clients bound to every node, take the
+	// victim down and watch the ring recover.
+	<-load.Third()
+	killT := time.Now()
+	s.Srv.KillNode(run.Victim)
+	deadline := killT.Add(15 * time.Second)
+	for time.Now().Before(deadline) {
+		if run.DetectMs == 0 && ring.MembershipStats().Dead > 0 {
+			run.DetectMs = time.Since(killT).Milliseconds()
 		}
-		killT := time.Now()
-		atomic.StoreInt64(&killNanos, killT.UnixNano())
-		srv.KillNode(victim)
-		deadline := time.Now().Add(15 * time.Second)
-		for time.Now().Before(deadline) {
-			if ring.MembershipStats().Dead > 0 {
-				run.DetectMs = time.Since(killT).Milliseconds()
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
+		if run.DetectMs > 0 && ring.UnownedFragments() == 0 {
+			run.ReownMs = time.Since(killT).Milliseconds()
+			run.Reowned = true
+			break
 		}
-		for time.Now().Before(deadline) {
-			if ring.UnownedFragments() == 0 && ring.MembershipStats().Dead > 0 {
-				run.ReownMs = time.Since(killT).Milliseconds()
-				run.Reowned = true
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		close(detectCh)
-	}()
-
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl, err := dcclient.Dial(targets[w%len(targets)])
-			if err != nil {
-				atomic.AddInt64(&run.Failed, 1)
-				return
-			}
-			defer cl.Close()
-			for {
-				if atomic.AddInt64(&next, 1) > int64(queries) {
-					return
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				start := time.Now()
-				rs, err := cl.Query(ctx, tpch.Q6ishSQL)
-				lat := time.Since(start)
-				cancel()
-				atomic.AddInt64(&completed, 1)
-				switch {
-				case err == nil:
-					if fingerprintRows(rs.Rows()) != ref {
-						atomic.AddInt64(&run.Incorrect, 1)
-						continue
-					}
-					atomic.AddInt64(&run.OK, 1)
-					latMu.Lock()
-					lats = append(lats, lat)
-					latMu.Unlock()
-					// First correct answer whose whole lifetime is
-					// post-kill: the client-visible recovery point.
-					if kn := atomic.LoadInt64(&killNanos); kn != 0 && start.UnixNano() >= kn {
-						ms := (time.Now().UnixNano() - kn) / int64(time.Millisecond)
-						for {
-							cur := atomic.LoadInt64(&firstOK)
-							if (cur >= 0 && cur <= ms) || atomic.CompareAndSwapInt64(&firstOK, cur, ms) {
-								break
-							}
-						}
-					}
-				case dcclient.IsTemporary(err):
-					atomic.AddInt64(&run.Rejected, 1)
-				default:
-					atomic.AddInt64(&run.Failed, 1)
-				}
-			}
-		}(w)
+		time.Sleep(2 * time.Millisecond)
 	}
-	wg.Wait()
-	<-detectCh
+	lr := load.Wait()
 
-	run.FirstOKMs = firstOK
-	s := ring.MembershipStats()
-	run.Failovers = s.Failovers
-	run.Promotions = s.Promotions
-	run.LostFrags = s.LostFrags
-	run.P50Micros = quantileMicros(lats, 0.50)
-	run.P99Micros = quantileMicros(lats, 0.99)
+	run.OK, run.Rejected, run.Failed, run.Incorrect = lr.OK, lr.Rejected, lr.Failed, lr.Incorrect
+	// The first correct answer whose whole lifetime is post-kill is the
+	// client-visible recovery point.
+	for _, a := range lr.Samples {
+		if a.Start.Before(killT) {
+			continue
+		}
+		if ms := a.Start.Add(a.Lat).Sub(killT).Milliseconds(); run.FirstOKMs < 0 || ms < run.FirstOKMs {
+			run.FirstOKMs = ms
+		}
+	}
+	ms := ring.MembershipStats()
+	run.Failovers, run.Promotions, run.LostFrags = ms.Failovers, ms.Promotions, ms.LostFrags
+	lats := lr.lats()
+	run.P50Micros = quantile(lats, 0.50).Microseconds()
+	run.P99Micros = quantile(lats, 0.99).Microseconds()
 	return run, nil
 }
 
-// referenceAnswer runs the workload query once against a healthy ring
-// and fingerprints the result.
-func referenceAnswer(addr string) (string, error) {
-	cl, err := dcclient.Dial(addr)
-	if err != nil {
-		return "", err
-	}
-	defer cl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	rs, err := cl.Query(ctx, tpch.Q6ishSQL)
-	if err != nil {
-		return "", fmt.Errorf("reference query: %w", err)
-	}
-	return fingerprintRows(rs.Rows()), nil
-}
+// failoverGateFactor bounds recovery as a multiple of the failure
+// detector's death timeout: detection itself costs one timeout, so
+// promotion, splice, and client failover together get at most one more.
+const failoverGateFactor = 2
 
-// fingerprintRows reduces a result to an order-insensitive key (row
-// order is not part of the result contract).
-func fingerprintRows(rows [][]any) string {
-	keys := make([]string, len(rows))
-	for i, row := range rows {
-		keys[i] = fmt.Sprint(row)
+// Gate enforces the membership layer's promises on every ring size, so
+// a failover regression can never produce a quiet green run: zero
+// incorrect answers (correctness is absolute), zero hard query
+// failures, every fragment re-owned from its replica with nothing lost,
+// a kill that actually promoted replicas, and recovery — both
+// re-ownership and the first fully post-kill answer — inside 2× the
+// death timeout.
+func (r *FailoverResult) Gate() Gates {
+	var g Gates
+	for i := range r.Runs {
+		run := &r.Runs[i]
+		scope := fmt.Sprintf("%d nodes", run.Nodes)
+		budget := failoverGateFactor * run.DeadTimeoutMs
+		within := fmt.Sprintf("≤ %dms (%d× death timeout)", budget, failoverGateFactor)
+		g.check(run.Incorrect == 0, scope+": incorrect answers", "0", "%d", run.Incorrect)
+		g.check(run.Failed == 0, scope+": hard query failures", "0", "%d", run.Failed)
+		g.check(run.Reowned && run.LostFrags == 0, scope+": fragments recovered", "re-owned, 0 lost",
+			"reowned=%v, lost=%d", run.Reowned, run.LostFrags)
+		g.check(run.Promotions > 0, scope+": promotions", "> 0", "%d", run.Promotions)
+		g.check(run.ReownMs <= budget, scope+": re-ownership", within, "%dms", run.ReownMs)
+		g.check(run.FirstOKMs >= 0 && run.FirstOKMs <= budget, scope+": first post-kill answer", within, "%dms", run.FirstOKMs)
 	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
+	return g
 }
 
 func (r *FailoverResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Failover sweep — lineitem %d rows, %d clients, %d queries per ring, kill node mid-run\n",
-		r.LineitemRows, r.Clients, r.Queries)
-	fmt.Fprintf(&b, "%6s %7s %8s %10s %9s %11s %10s %10s %6s %5s %10s %10s\n",
-		"nodes", "victim", "ok", "incorrect", "failed", "detect_ms", "reown_ms", "firstok_ms", "promo", "lost", "p50_us", "p99_us")
+	var rows [][]any
 	for _, run := range r.Runs {
-		fmt.Fprintf(&b, "%6d %7d %8d %10d %9d %11d %10d %10d %6d %5d %10d %10d\n",
-			run.Nodes, run.Victim, run.OK, run.Incorrect, run.Failed,
-			run.DetectMs, run.ReownMs, run.FirstOKMs,
-			run.Promotions, run.LostFrags, run.P50Micros, run.P99Micros)
+		rows = append(rows, []any{run.Nodes, run.Victim, run.OK, run.Incorrect, run.Failed, run.DetectMs, run.ReownMs,
+			run.FirstOKMs, run.Promotions, run.LostFrags, run.P50Micros, run.P99Micros})
 	}
-	return b.String()
+	return table(fmt.Sprintf("Failover sweep — lineitem %d rows, %d clients, %d queries per ring, kill node mid-run",
+		r.LineitemRows, r.Clients, r.Queries),
+		[]string{"nodes", "victim", "ok", "incorrect", "failed", "detect_ms", "reown_ms", "firstok_ms", "promo", "lost", "p50_us", "p99_us"}, rows)
 }

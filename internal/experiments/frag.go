@@ -11,8 +11,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"repro/internal/live"
 	"repro/internal/tpch"
@@ -37,87 +35,100 @@ type FragResult struct {
 	Runs         []FragRun `json:"runs"`
 }
 
+// FragOpts sizes the sweep.
+type FragOpts struct {
+	Rows, Nodes, Queries int   // lineitem rows, ring size, queries per setting
+	FragRows             []int // FragmentRows settings; 0 = off, the baseline, goes first
+}
+
+// DefaultFragOpts is the full sweep.
+func DefaultFragOpts() FragOpts {
+	return FragOpts{Rows: 1 << 20, Nodes: 3, Queries: 24, FragRows: []int{0, 262144, 65536, 16384}}
+}
+
+// Short is the CI-sized sweep: 16- and 32-way splits, well past the 8×
+// gate.
+func (o FragOpts) Short() FragOpts {
+	o.Rows, o.Queries, o.FragRows = 1<<17, 6, []int{0, 8192, 4096}
+	return o
+}
+
 // FragmentSweep runs the granularity sweep: a TPC-H database with the
 // given lineitem row count partitioned over a live ring of nodes, the
-// Q6-style selective aggregate fired queries times per setting, one
-// ring per FragmentRows setting.
-func FragmentSweep(rows, nodes, queries int, fragRows []int, seed int64) (*FragResult, error) {
-	db := tpch.GenDB(tpch.SFForLineitemRows(rows), seed)
-	res := &FragResult{LineitemRows: db.Rows("lineitem"), Nodes: nodes}
-	for _, fr := range fragRows {
-		run, err := fragRun(db, nodes, queries, fr)
+// Q6-style selective aggregate fired Queries times per setting, one
+// ring per FragmentRows setting. The hot-set cache is off (circulate)
+// and so is hop batching, which would coalesce the fragments back into
+// large messages — that trade-off is the hop suite's; this sweep is its
+// unbatched baseline.
+func FragmentSweep(o FragOpts, seed int64) (*FragResult, error) {
+	db := tpch.GenDB(tpch.SFForLineitemRows(o.Rows), seed)
+	res := &FragResult{LineitemRows: db.Rows("lineitem"), Nodes: o.Nodes}
+	for _, fr := range o.FragRows {
+		cfg := live.DefaultConfig()
+		cfg.FragmentRows = fr
+		cfg.HopBatchBytes = 0
+		c, err := circulate(db, o.Nodes, o.Queries, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fragment sweep (rows=%d): %w", fr, err)
 		}
-		res.Runs = append(res.Runs, run)
+		// MaxHopBytes is structural: answering the queries required
+		// every requested fragment to complete at least one hop, so the
+		// largest message size has been observed.
+		res.Runs = append(res.Runs, FragRun{
+			FragmentRows: fr,
+			Fragments:    c.fragments,
+			RegionBytes:  c.region,
+			MaxHopBytes:  c.hops.MaxMsg,
+			HopBytes:     c.hops.Bytes,
+			Queries:      len(c.lat),
+			P50Micros:    quantile(c.lat, 0.50).Microseconds(),
+			P99Micros:    quantile(c.lat, 0.99).Microseconds(),
+		})
 	}
 	return res, nil
 }
 
-func fragRun(db *tpch.DB, nodes, queries, fragRows int) (FragRun, error) {
-	cfg := live.DefaultConfig()
-	cfg.FragmentRows = fragRows
-	// The sweep measures circulation granularity: disable the hot-set
-	// cache so every query's pins actually ride the ring (with it on,
-	// repeat queries skip circulation and the latency column would
-	// measure the cache instead — that trade-off has its own sweep,
-	// cmd/dccache), and disable hop batching, which would coalesce the
-	// fragments back into large messages (that trade-off is cmd/dchop's
-	// sweep — this one is its unbatched baseline).
-	cfg.CacheBytes = 0
-	cfg.HopBatchBytes = 0
-	ring, err := live.NewRing(nodes, db.ColumnMap(), db.Schema(), cfg)
-	if err != nil {
-		return FragRun{}, err
-	}
-	defer ring.Close()
-
-	lat := make([]time.Duration, 0, queries)
-	for i := 0; i < queries; i++ {
-		start := time.Now()
-		rs, err := ring.Node(i % nodes).ExecSQL(tpch.Q6ishSQL)
-		if err != nil {
-			return FragRun{}, err
+// Gate enforces the fragmentation invariants, so a fragmentation
+// regression can never produce a quiet green run: the unfragmented
+// baseline (FragmentRows 0) is one fragment; every fragmented setting
+// splits the column into exactly ⌈rows/FragmentRows⌉ fragments under a
+// smaller ring message limit, and shrinks the largest ring message
+// against the unfragmented rotation — at least 8× on a ≥8-way split.
+func (r *FragResult) Gate() Gates {
+	var g Gates
+	var base *FragRun
+	for i := range r.Runs {
+		run := &r.Runs[i]
+		scope := "FragmentRows=" + offOr(run.FragmentRows)
+		g.latencies(scope, run.Queries, run.P50Micros, run.P99Micros)
+		if run.FragmentRows == 0 {
+			base = run
+			g.check(run.Fragments == 1, scope+": fragments", "1", "%d", run.Fragments)
+			continue
 		}
-		if rs.NumRows() != 1 {
-			return FragRun{}, fmt.Errorf("bad result: %d rows", rs.NumRows())
+		want := (r.LineitemRows + run.FragmentRows - 1) / run.FragmentRows
+		g.check(run.Fragments == want, scope+": fragments", fmt.Sprint(want), "%d", run.Fragments)
+		if base == nil {
+			continue
 		}
-		lat = append(lat, time.Since(start))
+		g.check(run.RegionBytes < base.RegionBytes, scope+": region bytes", "below unfragmented",
+			"%d vs unfragmented %d", run.RegionBytes, base.RegionBytes)
+		need, threshold := int64(1), "below unfragmented"
+		if want >= 8 {
+			need, threshold = 8, "≥8× reduction"
+		}
+		g.check(run.MaxHopBytes*need <= base.MaxHopBytes && run.MaxHopBytes < base.MaxHopBytes, scope+": max hop", threshold,
+			"%d vs unfragmented %d", run.MaxHopBytes, base.MaxHopBytes)
 	}
-	// MaxHopBytes is structural by now: answering the queries required
-	// every requested fragment to complete at least one hop, so the
-	// largest message size has been observed; later sends only repeat
-	// known sizes. HopBytes is a snapshot of a still-rotating ring —
-	// give in-flight send goroutines a short settle so the total
-	// reflects the work the queries caused (settleHopBytes, shared with
-	// the cache sweep), then read both.
-	hopBytes := settleHopBytes(ring)
-	frags, _ := ring.Fragments("lineitem.l_shipdate")
-	return FragRun{
-		FragmentRows: fragRows,
-		Fragments:    len(frags),
-		RegionBytes:  ring.MaxMessage(),
-		MaxHopBytes:  ring.MaxHopBytes(),
-		HopBytes:     hopBytes,
-		Queries:      queries,
-		P50Micros:    quantileMicros(lat, 0.50),
-		P99Micros:    quantileMicros(lat, 0.99),
-	}, nil
+	return g
 }
 
 func (r *FragResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fragment granularity sweep — lineitem %d rows over %d nodes\n", r.LineitemRows, r.Nodes)
-	fmt.Fprintf(&b, "%12s %10s %12s %13s %12s %10s %10s\n",
-		"frag_rows", "fragments", "region_B", "max_hop_B", "hop_B", "p50_us", "p99_us")
+	var rows [][]any
 	for _, run := range r.Runs {
-		name := fmt.Sprint(run.FragmentRows)
-		if run.FragmentRows == 0 {
-			name = "off"
-		}
-		fmt.Fprintf(&b, "%12s %10d %12d %13d %12d %10d %10d\n",
-			name, run.Fragments, run.RegionBytes, run.MaxHopBytes, run.HopBytes,
-			run.P50Micros, run.P99Micros)
+		rows = append(rows, []any{offOr(run.FragmentRows), run.Fragments, run.RegionBytes,
+			run.MaxHopBytes, run.HopBytes, run.P50Micros, run.P99Micros})
 	}
-	return b.String()
+	return table(fmt.Sprintf("Fragment granularity sweep — lineitem %d rows over %d nodes", r.LineitemRows, r.Nodes),
+		[]string{"frag_rows", "fragments", "region_B", "max_hop_B", "hop_B", "p50_us", "p99_us"}, rows)
 }

@@ -16,8 +16,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"repro/internal/live"
 	"repro/internal/tpch"
@@ -51,97 +49,117 @@ type HopResult struct {
 	Runs         []HopRun `json:"runs"`
 }
 
+// HopOpts sizes the sweep.
+type HopOpts struct {
+	Rows, Nodes, Queries int   // lineitem rows, ring size, queries per setting
+	FragRows             int   // FragmentRows of the fragmented column
+	Budgets              []int // HopBatchBytes settings; 0 = off, the baseline, goes first
+}
+
+// DefaultHopOpts is the full sweep: 1M rows / 16384 = 64 fragments.
+func DefaultHopOpts() HopOpts {
+	return HopOpts{Rows: 1 << 20, Nodes: 3, Queries: 24, FragRows: 16384, Budgets: []int{0, 1 << 20}}
+}
+
+// Short is the CI-sized sweep: a 64-way split at 128K rows, the same
+// fill regime as the full run.
+func (o HopOpts) Short() HopOpts {
+	o.Rows, o.Queries, o.FragRows = 1<<17, 6, 2048
+	return o
+}
+
 // HopSweep runs the hop-batching sweep: a TPC-H database with the given
 // lineitem row count partitioned over a live ring of nodes at a fixed
-// fragment granularity, the Q6-style selective aggregate fired queries
-// times per HopBatchBytes setting, one ring per setting so every run's
-// counters start at zero.
-func HopSweep(rows, nodes, queries, fragRows int, budgets []int, seed int64) (*HopResult, error) {
-	db := tpch.GenDB(tpch.SFForLineitemRows(rows), seed)
-	res := &HopResult{
-		LineitemRows: db.Rows("lineitem"),
-		Nodes:        nodes,
-		FragmentRows: fragRows,
-	}
-	for _, budget := range budgets {
-		run, err := hopRun(db, nodes, queries, fragRows, budget)
+// fragment granularity, the Q6-style selective aggregate fired Queries
+// times per HopBatchBytes setting, one cache-less ring per setting so
+// every run's counters start at zero (budget 0 reproduces the
+// granularity sweep's circulation byte for byte).
+func HopSweep(o HopOpts, seed int64) (*HopResult, error) {
+	db := tpch.GenDB(tpch.SFForLineitemRows(o.Rows), seed)
+	res := &HopResult{LineitemRows: db.Rows("lineitem"), Nodes: o.Nodes, FragmentRows: o.FragRows}
+	for _, budget := range o.Budgets {
+		cfg := live.DefaultConfig()
+		cfg.FragmentRows = o.FragRows
+		cfg.HopBatchBytes = budget
+		c, err := circulate(db, o.Nodes, o.Queries, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("hop sweep (batch=%d): %w", budget, err)
 		}
-		res.Runs = append(res.Runs, run)
+		hs := c.hops
+		fill := 0.0
+		if hs.Msgs > 0 {
+			fill = float64(hs.Frags) / float64(hs.Msgs)
+		}
+		res.Runs = append(res.Runs, HopRun{
+			HopBatchBytes: budget,
+			Fragments:     c.fragments,
+			Msgs:          hs.Msgs,
+			Singles:       hs.Singles,
+			Batches:       hs.Batches,
+			Frags:         hs.Frags,
+			MeanFill:      fill,
+			Fill:          hs.Fill,
+			HopBytes:      hs.Bytes,
+			MaxMsg:        hs.MaxMsg,
+			ParkedTotal:   hs.ParkedTotal,
+			Unparked:      hs.Unparked,
+			PoolWaits:     hs.PoolWaits,
+			Queries:       len(c.lat),
+			P50Micros:     quantile(c.lat, 0.50).Microseconds(),
+			P99Micros:     quantile(c.lat, 0.99).Microseconds(),
+		})
 	}
 	return res, nil
 }
 
-func hopRun(db *tpch.DB, nodes, queries, fragRows, budget int) (HopRun, error) {
-	cfg := live.DefaultConfig()
-	cfg.FragmentRows = fragRows
-	cfg.HopBatchBytes = budget
-	// The sweep measures hop transport: disable the hot-set cache so
-	// every query's pins ride the ring (as the granularity sweep does —
-	// budget 0 here reproduces its circulation byte for byte).
-	cfg.CacheBytes = 0
-	ring, err := live.NewRing(nodes, db.ColumnMap(), db.Schema(), cfg)
-	if err != nil {
-		return HopRun{}, err
-	}
-	defer ring.Close()
+// hopGateRatio is the hop-message reduction floor a batched run must
+// clear against the unbatched baseline.
+const hopGateRatio = 4
 
-	lat := make([]time.Duration, 0, queries)
-	for i := 0; i < queries; i++ {
-		start := time.Now()
-		rs, err := ring.Node(i % nodes).ExecSQL(tpch.Q6ishSQL)
-		if err != nil {
-			return HopRun{}, err
+// Gate enforces the batching invariants, so a batching regression can
+// never produce a quiet green run: the unbatched baseline
+// (HopBatchBytes 0) sends all singles, one fragment per message; every
+// batched setting fills multi-fragment envelopes (a populated fill
+// histogram that accounts for every batch, mean fill above 1) and cuts
+// hop wire messages at least 4× against the baseline on the same
+// workload.
+func (r *HopResult) Gate() Gates {
+	var g Gates
+	var base *HopRun
+	for i := range r.Runs {
+		run := &r.Runs[i]
+		scope := "HopBatchBytes=" + offOr(run.HopBatchBytes)
+		g.latencies(scope, run.Queries, run.P50Micros, run.P99Micros)
+		g.check(run.Fragments > 1, scope+": fragments", "> 1", "%d", run.Fragments)
+		if run.HopBatchBytes == 0 {
+			base = run
+			g.check(run.Batches == 0 && run.Singles == run.Msgs && run.Msgs == run.Frags, scope+": all singles",
+				"0 batches, singles = msgs = frags", "%d batches, %d singles, %d msgs, %d frags",
+				run.Batches, run.Singles, run.Msgs, run.Frags)
+			continue
 		}
-		if rs.NumRows() != 1 {
-			return HopRun{}, fmt.Errorf("bad result: %d rows", rs.NumRows())
+		var multi int64
+		for _, n := range run.Fill[1:] {
+			multi += n
 		}
-		lat = append(lat, time.Since(start))
+		g.check(run.Batches > 0 && multi == run.Batches && run.Frags > run.Msgs, scope+": multi-fragment fill",
+			"batches > 0, all in the fill histogram, frags > msgs", "%d batches, histogram %v, %d frags over %d msgs",
+			run.Batches, run.Fill, run.Frags, run.Msgs)
+		if base != nil {
+			g.check(run.Msgs*hopGateRatio <= base.Msgs, scope+": hop messages", fmt.Sprintf("≥%d× reduction", hopGateRatio),
+				"%d vs unbatched %d", run.Msgs, base.Msgs)
+		}
 	}
-	// Let in-flight sends settle (shared helper) so the message counters
-	// reflect the work the queries caused, then snapshot the transport.
-	settleHopBytes(ring)
-	hs := ring.HopStats()
-	frags, _ := ring.Fragments("lineitem.l_shipdate")
-	fill := 0.0
-	if hs.Msgs > 0 {
-		fill = float64(hs.Frags) / float64(hs.Msgs)
-	}
-	return HopRun{
-		HopBatchBytes: budget,
-		Fragments:     len(frags),
-		Msgs:          hs.Msgs,
-		Singles:       hs.Singles,
-		Batches:       hs.Batches,
-		Frags:         hs.Frags,
-		MeanFill:      fill,
-		Fill:          hs.Fill,
-		HopBytes:      hs.Bytes,
-		MaxMsg:        hs.MaxMsg,
-		ParkedTotal:   hs.ParkedTotal,
-		Unparked:      hs.Unparked,
-		PoolWaits:     hs.PoolWaits,
-		Queries:       queries,
-		P50Micros:     quantileMicros(lat, 0.50),
-		P99Micros:     quantileMicros(lat, 0.99),
-	}, nil
+	return g
 }
 
 func (r *HopResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Hop batching sweep — lineitem %d rows over %d nodes, %d-row fragments\n",
-		r.LineitemRows, r.Nodes, r.FragmentRows)
-	fmt.Fprintf(&b, "%12s %10s %10s %10s %8s %12s %11s %10s %10s\n",
-		"batch_bytes", "hop_msgs", "hop_frags", "fill", "parked", "hop_B", "max_msg_B", "p50_us", "p99_us")
+	var rows [][]any
 	for _, run := range r.Runs {
-		name := fmt.Sprint(run.HopBatchBytes)
-		if run.HopBatchBytes == 0 {
-			name = "off"
-		}
-		fmt.Fprintf(&b, "%12s %10d %10d %10.2f %8d %12d %11d %10d %10d\n",
-			name, run.Msgs, run.Frags, run.MeanFill, run.ParkedTotal,
-			run.HopBytes, run.MaxMsg, run.P50Micros, run.P99Micros)
+		rows = append(rows, []any{offOr(run.HopBatchBytes), run.Msgs, run.Frags, fmt.Sprintf("%.2f", run.MeanFill),
+			run.ParkedTotal, run.HopBytes, run.MaxMsg, run.P50Micros, run.P99Micros})
 	}
-	return b.String()
+	return table(fmt.Sprintf("Hop batching sweep — lineitem %d rows over %d nodes, %d-row fragments",
+		r.LineitemRows, r.Nodes, r.FragmentRows),
+		[]string{"batch_bytes", "hop_msgs", "hop_frags", "fill", "parked", "hop_B", "max_msg_B", "p50_us", "p99_us"}, rows)
 }

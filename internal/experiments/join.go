@@ -14,17 +14,10 @@ package experiments
 // next run before *its* join.
 
 import (
-	"context"
 	"fmt"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/dcclient"
-	"repro/internal/live"
 	"repro/internal/membership"
-	"repro/internal/server"
 	"repro/internal/tpch"
 )
 
@@ -65,21 +58,37 @@ type JoinResult struct {
 	Runs         []JoinRun `json:"runs"`
 }
 
+// JoinOpts sizes the sweep.
+type JoinOpts struct {
+	Rows, Clients, Queries int   // lineitem rows, concurrent network clients, queries per ring size
+	Sizes                  []int // consecutive pre-join ring sizes; one node joins each
+}
+
+// DefaultJoinOpts is the full sweep.
+func DefaultJoinOpts() JoinOpts {
+	return JoinOpts{Rows: 1 << 17, Clients: 8, Queries: 300, Sizes: []int{3, 4}}
+}
+
+// Short is the CI-sized sweep.
+func (o JoinOpts) Short() JoinOpts {
+	o.Rows, o.Queries = 1<<15, 150
+	return o
+}
+
 // JoinSweep runs the grow-the-ring sweep: for each pre-join ring size,
 // a TPC-H database with the given lineitem row count is served with one
-// replica per fragment, `clients` concurrent network clients fire
-// `queries` queries total, and a new node joins a third of the way
-// through. Every answer is fingerprinted against the pre-join
-// reference.
-func JoinSweep(rows, clients, queries int, sizes []int, seed int64) (*JoinResult, error) {
-	db := tpch.GenDB(tpch.SFForLineitemRows(rows), seed)
+// replica per fragment, Clients concurrent network clients fire Queries
+// queries total, and a new node joins a third of the way through. Every
+// answer is fingerprinted against the pre-join reference.
+func JoinSweep(o JoinOpts, seed int64) (*JoinResult, error) {
+	db := tpch.GenDB(tpch.SFForLineitemRows(o.Rows), seed)
 	res := &JoinResult{
 		LineitemRows: db.Rows("lineitem"),
-		Clients:      clients,
-		Queries:      queries,
+		Clients:      o.Clients,
+		Queries:      o.Queries,
 	}
-	for _, nodes := range sizes {
-		run, err := joinRun(db, nodes, clients, queries)
+	for _, nodes := range o.Sizes {
+		run, err := joinRun(db, nodes, o.Clients, o.Queries)
 		if err != nil {
 			return nil, fmt.Errorf("join sweep (%d nodes): %w", nodes, err)
 		}
@@ -105,164 +114,134 @@ func joinHeartbeat() membership.Config {
 }
 
 func joinRun(db *tpch.DB, nodes, clients, queries int) (JoinRun, error) {
-	cfg := live.DefaultConfig()
-	cfg.Replicas = 1
-	cfg.Heartbeat = joinHeartbeat()
-	cfg.Core.ResendTimeout = 100 * time.Millisecond
-	ring, err := live.NewRing(nodes, db.ColumnMap(), db.Schema(), cfg)
+	s, refs, err := serveReplicated(nodes, db, joinHeartbeat())
 	if err != nil {
 		return JoinRun{}, err
 	}
-	defer ring.Close()
-	srv, err := server.Serve(ring, server.DefaultConfig())
-	if err != nil {
-		return JoinRun{}, err
-	}
-	defer srv.Close()
-	targets := srv.Addrs()
+	defer s.Close()
+	run := JoinRun{Nodes: nodes, Replicas: 1, NewcomerOKMs: -1}
+	load := StartLoad(LoadSpec{Targets: s.Srv.Addrs(), Clients: clients, Queries: queries,
+		Mix: []string{tpch.Q6ishSQL}, Timeout: 10 * time.Second, Refs: refs})
 
-	// The pre-join reference every later answer must reproduce.
-	ref, err := referenceAnswer(targets[0])
-	if err != nil {
-		return JoinRun{}, err
-	}
-
-	run := JoinRun{Nodes: nodes, Replicas: cfg.Replicas, NewcomerOKMs: -1}
-	var (
-		next        int64
-		completed   int64
-		joinedNanos int64 // join-completion instant (UnixNano); 0 while joining
-		joinErr     error
-		latMu       sync.Mutex
-		preLats     []time.Duration
-		postLats    []time.Duration
-		wg          sync.WaitGroup
-	)
-
-	// The sponsor: wait until a third of the budget has completed, so
-	// the join lands mid-stream with clients bound to every original
-	// node, then grow the ring and bring the newcomer's listener up.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for atomic.LoadInt64(&completed) < int64(queries/3) {
-			time.Sleep(time.Millisecond)
-		}
-		rep, err := ring.Join()
-		if err != nil {
-			joinErr = fmt.Errorf("join: %w", err)
-			return
-		}
-		run.Joined = rep.Node
-		run.Share = rep.Share
-		run.Migrated = rep.Migrated
-		run.Skipped = rep.Skipped
-		run.SpliceMs = rep.SpliceMs
-		run.TransferMs = rep.TransferMs
-		run.TotalMs = rep.TotalMs
-		joinEnd := time.Now()
-		atomic.StoreInt64(&joinedNanos, joinEnd.UnixNano())
-		run.Converged = ring.UnownedFragments() == 0
-
-		addr, err := srv.ServeNode(rep.Node)
-		if err != nil {
-			joinErr = fmt.Errorf("serve joined node: %w", err)
-			return
-		}
-		// The newcomer must answer for itself, over the wire, with the
-		// data it just received.
-		cl, err := dcclient.Dial(addr)
-		if err != nil {
-			joinErr = fmt.Errorf("dial joined node: %w", err)
-			return
-		}
-		defer cl.Close()
-		deadline := time.Now().Add(15 * time.Second)
-		for time.Now().Before(deadline) {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			rs, err := cl.Query(ctx, tpch.Q6ishSQL)
-			cancel()
-			if err == nil && fingerprintRows(rs.Rows()) == ref {
-				run.NewcomerOKMs = time.Since(joinEnd).Milliseconds()
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		joinErr = fmt.Errorf("joined node never answered correctly")
-	}()
-
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl, err := dcclient.Dial(targets[w%len(targets)])
-			if err != nil {
-				atomic.AddInt64(&run.Failed, 1)
-				return
-			}
-			defer cl.Close()
-			for {
-				if atomic.AddInt64(&next, 1) > int64(queries) {
-					return
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				start := time.Now()
-				rs, err := cl.Query(ctx, tpch.Q6ishSQL)
-				lat := time.Since(start)
-				cancel()
-				atomic.AddInt64(&completed, 1)
-				switch {
-				case err == nil:
-					if fingerprintRows(rs.Rows()) != ref {
-						atomic.AddInt64(&run.Incorrect, 1)
-						continue
-					}
-					atomic.AddInt64(&run.OK, 1)
-					jn := atomic.LoadInt64(&joinedNanos)
-					latMu.Lock()
-					if jn != 0 && start.UnixNano() >= jn {
-						postLats = append(postLats, lat)
-					} else {
-						preLats = append(preLats, lat)
-					}
-					latMu.Unlock()
-				case dcclient.IsTemporary(err):
-					atomic.AddInt64(&run.Rejected, 1)
-				default:
-					atomic.AddInt64(&run.Failed, 1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	// The sponsor: once a third of the budget has completed, so the
+	// join lands mid-stream with clients bound to every original node,
+	// grow the ring and bring the newcomer's listener up.
+	<-load.Third()
+	joinEnd, joinErr := sponsorJoin(s, refs[tpch.Q6ishSQL], &run)
+	lr := load.Wait()
 	if joinErr != nil {
 		return run, joinErr
 	}
+	run.OK, run.Rejected, run.Failed, run.Incorrect = lr.OK, lr.Rejected, lr.Failed, lr.Incorrect
 
 	// A join sweep with deaths in it measured the failover path, not the
 	// join path: any verdict here was false (nobody is killed), and the
 	// ring silently fell back on replicas for correctness. Surface it so
-	// the driver can gate on zero.
-	run.Failovers = ring.MembershipStats().Failovers
+	// the gate can hold it to zero.
+	run.Failovers = s.Ring.MembershipStats().Failovers
 
-	run.PreP50Micros = quantileMicros(preLats, 0.50)
-	run.PreP99Micros = quantileMicros(preLats, 0.99)
-	run.PostP50Micros = quantileMicros(postLats, 0.50)
-	run.PostP99Micros = quantileMicros(postLats, 0.99)
+	// Split the latencies at the join-completion instant: a query that
+	// started on the grown ring is post-join.
+	var pre, post []time.Duration
+	for _, a := range lr.Samples {
+		if a.Start.Before(joinEnd) {
+			pre = append(pre, a.Lat)
+		} else {
+			post = append(post, a.Lat)
+		}
+	}
+	run.PreP50Micros = quantile(pre, 0.50).Microseconds()
+	run.PreP99Micros = quantile(pre, 0.99).Microseconds()
+	run.PostP50Micros = quantile(post, 0.50).Microseconds()
+	run.PostP99Micros = quantile(post, 0.99).Microseconds()
 	return run, nil
 }
 
-func (r *JoinResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Join sweep — lineitem %d rows, %d clients, %d queries per ring, join node mid-run\n",
-		r.LineitemRows, r.Clients, r.Queries)
-	fmt.Fprintf(&b, "%6s %8s %10s %7s %6s %9s %9s %11s %8s %11s %10s %11s %11s %9s\n",
-		"nodes", "ok", "incorrect", "failed", "share", "migrated", "splice_ms", "transfer_ms", "total_ms", "newok_ms", "pre_p99", "post_p99", "converged", "failovers")
-	for _, run := range r.Runs {
-		fmt.Fprintf(&b, "%6d %8d %10d %7d %6d %9d %9d %11d %8d %11d %10d %11d %11v %9d\n",
-			run.Nodes, run.OK, run.Incorrect, run.Failed, run.Share, run.Migrated,
-			run.SpliceMs, run.TransferMs, run.TotalMs, run.NewcomerOKMs,
-			run.PreP99Micros, run.PostP99Micros, run.Converged, run.Failovers)
+// sponsorJoin grows the served ring by one node, records the join
+// report in run, serves the newcomer and waits until it answers the
+// workload query for itself, over the wire, with the data it just
+// received. It returns the instant the join completed.
+func sponsorJoin(s *Served, ref string, run *JoinRun) (time.Time, error) {
+	rep, err := s.Ring.Join()
+	joinEnd := time.Now()
+	if err != nil {
+		return joinEnd, fmt.Errorf("join: %w", err)
 	}
-	return b.String()
+	run.Joined, run.Share, run.Migrated, run.Skipped = rep.Node, rep.Share, rep.Migrated, rep.Skipped
+	run.SpliceMs, run.TransferMs, run.TotalMs = rep.SpliceMs, rep.TransferMs, rep.TotalMs
+	run.Converged = s.Ring.UnownedFragments() == 0
+
+	addr, err := s.Srv.ServeNode(rep.Node)
+	if err != nil {
+		return joinEnd, fmt.Errorf("serve joined node: %w", err)
+	}
+	for deadline := joinEnd.Add(15 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if fp, err := queryFingerprint(addr, tpch.Q6ishSQL, 5*time.Second); err == nil && fp == ref {
+			run.NewcomerOKMs = time.Since(joinEnd).Milliseconds()
+			return joinEnd, nil
+		}
+	}
+	return joinEnd, fmt.Errorf("joined node never answered correctly")
+}
+
+// joinGateFactor bounds the whole join as a multiple of its transfer
+// phase: admission and splice-in must stay cheap next to moving data.
+// joinTotalFloorMs absorbs fixed costs on runs whose transfer rounds to
+// nearly nothing. joinP99Factor bounds a grown ring's post-join tail
+// against the same-size ring of the next run before its join (run N's
+// post state and run N+1's pre state are both an (N+1)-node ring under
+// identical load).
+const (
+	joinGateFactor   = 2
+	joinTotalFloorMs = 250
+	joinP99Factor    = 2
+)
+
+// Gate enforces the join protocol's promises on every ring size, so an
+// admission or rebalancing regression can never produce a quiet green
+// run: zero incorrect answers, zero hard failures, the newcomer owning
+// its full planned share with nothing skipped, a converged catalog,
+// zero failovers (nobody is killed in this sweep: any death verdict was
+// a false positive the ring quietly papered over with replica
+// promotion, and the other numbers would still look green), the
+// newcomer answering for itself, join completion dominated by the
+// transfer (total ≤ 2× transfer + 250 ms), and a grown ring's tail no
+// worse than 2× that of a ring born at that size.
+func (r *JoinResult) Gate() Gates {
+	var g Gates
+	for i := range r.Runs {
+		run := &r.Runs[i]
+		scope := fmt.Sprintf("%d nodes", run.Nodes)
+		g.check(run.Incorrect == 0, scope+": incorrect answers", "0", "%d", run.Incorrect)
+		g.check(run.Failed == 0, scope+": hard query failures", "0", "%d", run.Failed)
+		g.check(run.Migrated > 0 && run.Skipped == 0 && run.Migrated == run.Share, scope+": newcomer share",
+			"owns its full share, 0 skipped", "owns %d of %d (%d skipped)", run.Migrated, run.Share, run.Skipped)
+		g.check(run.Converged, scope+": catalog", "converged", "converged=%v", run.Converged)
+		g.check(run.Failovers == 0, scope+": false failovers", "0", "%d", run.Failovers)
+		g.check(run.NewcomerOKMs >= 0, scope+": newcomer answered", "a correct answer", "%dms after the join", run.NewcomerOKMs)
+		budget := joinGateFactor*run.TransferMs + joinTotalFloorMs
+		g.check(run.TotalMs <= budget, scope+": join total",
+			fmt.Sprintf("≤ %dms (%d× the %dms transfer + %dms floor)", budget, joinGateFactor, run.TransferMs, joinTotalFloorMs),
+			"%dms", run.TotalMs)
+		for j := range r.Runs {
+			peer := &r.Runs[j]
+			if peer.Nodes == run.Nodes+1 && run.PostP99Micros != 0 && peer.PreP99Micros != 0 {
+				g.check(run.PostP99Micros <= joinP99Factor*peer.PreP99Micros, fmt.Sprintf("%d->%d join: post-join p99", run.Nodes, peer.Nodes),
+					fmt.Sprintf("≤ %d× a born-%d-node ring", joinP99Factor, peer.Nodes), "%dus vs %dus", run.PostP99Micros, peer.PreP99Micros)
+			}
+		}
+	}
+	return g
+}
+
+func (r *JoinResult) String() string {
+	var rows [][]any
+	for _, run := range r.Runs {
+		rows = append(rows, []any{run.Nodes, run.OK, run.Incorrect, run.Failed, run.Share, run.Migrated, run.SpliceMs,
+			run.TransferMs, run.TotalMs, run.NewcomerOKMs, run.PreP99Micros, run.PostP99Micros, run.Converged, run.Failovers})
+	}
+	return table(fmt.Sprintf("Join sweep — lineitem %d rows, %d clients, %d queries per ring, join node mid-run",
+		r.LineitemRows, r.Clients, r.Queries),
+		[]string{"nodes", "ok", "incorrect", "failed", "share", "migrated", "splice_ms", "transfer_ms", "total_ms",
+			"newok_ms", "pre_p99", "post_p99", "converged", "failovers"}, rows)
 }

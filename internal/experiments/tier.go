@@ -22,12 +22,11 @@ package experiments
 //     revolution (the promotion must land before the cold ring could
 //     even bring the fragment around).
 //
-// Gate() turns the three contracts into a CI check.
+// Gate() turns the three contracts into checks.
 
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"time"
 
@@ -38,11 +37,10 @@ import (
 
 // TierOpts sizes the sweep.
 type TierOpts struct {
-	Columns  int     // distinct columns (the Zipf key space)
-	Rows     int     // rows per column (single-fragment sized)
-	Accesses int     // fetches in the measured stream
-	Theta    float64 // Zipf skew
-	Seed     int64
+	Columns  int               // distinct columns (the Zipf key space)
+	Rows     int               // rows per column (single-fragment sized)
+	Accesses int               // fetches in the measured stream
+	Theta    float64           // Zipf skew
 	Router   live.RouterConfig // tiered topology
 }
 
@@ -53,7 +51,6 @@ func DefaultTierOpts() TierOpts {
 		Rows:     8 << 10,
 		Accesses: 600,
 		Theta:    1.1,
-		Seed:     1,
 		Router:   live.DefaultRouterConfig(),
 	}
 }
@@ -126,8 +123,8 @@ func tierColumns(cols, rows int, seed int64) (map[string]*bat.BAT, []int64) {
 }
 
 // TierSweep runs the baseline-versus-tiered comparison and the
-// flash-crowd probe.
-func TierSweep(o TierOpts) (*TierResult, error) {
+// flash-crowd probe; seed fixes both the dataset and the access stream.
+func TierSweep(o TierOpts, seed int64) (*TierResult, error) {
 	if o.Columns < 2 || o.Rows < 1 || o.Accesses < 1 {
 		return nil, fmt.Errorf("tier sweep: bad sizes %+v", o)
 	}
@@ -145,12 +142,12 @@ func TierSweep(o TierOpts) (*TierResult, error) {
 	// tiering addresses.) Both sides carry one column beyond the Zipf
 	// key space, which the stream never touches: the flash probe's
 	// victim, cold by construction.
-	columns, sums := tierColumns(o.Columns+1, o.Rows, o.Seed)
+	columns, sums := tierColumns(o.Columns+1, o.Rows, seed)
 	ring, err := live.NewRing(o.Router.ColdNodes, columns, nil, o.Router.Cold)
 	if err != nil {
 		return nil, err
 	}
-	run, _, err := tierStream("single-ring", ring.Node(0).Fetch, nil, o, sums)
+	run, _, err := tierStream("single-ring", ring.Node(0).Fetch, nil, o, seed, sums)
 	ring.Close()
 	if err != nil {
 		return nil, err
@@ -159,20 +156,20 @@ func TierSweep(o TierOpts) (*TierResult, error) {
 
 	// Tiered: the same dataset and the same seeded access stream
 	// against the two-tier runtime.
-	columns, sums = tierColumns(o.Columns+1, o.Rows, o.Seed)
+	columns, sums = tierColumns(o.Columns+1, o.Rows, seed)
 	rtr, err := live.NewRouter(columns, nil, o.Router)
 	if err != nil {
 		return nil, err
 	}
 	defer rtr.Close()
-	run, coldP99, err := tierStream("tiered", rtr.Fetch, rtr, o, sums)
+	run, coldP99, err := tierStream("tiered", rtr.Fetch, rtr, o, seed, sums)
 	if err != nil {
 		return nil, err
 	}
 	res.Tiered = run
 
 	// The flash-crowd probe, before reading the final stats.
-	if err := tierFlashProbe(rtr, o, sums, res, coldP99); err != nil {
+	if err := tierFlashProbe(rtr, o, sums, res); err != nil {
 		return nil, err
 	}
 	res.Stats = rtr.TierStats()
@@ -190,9 +187,9 @@ func TierSweep(o TierOpts) (*TierResult, error) {
 // accesses that found their column cold-homed (the revolution proxy
 // the flash bound falls back to); rtr is nil for the single-ring
 // baseline, where every access is cold-homed.
-func tierStream(label string, fetch func(string) (*bat.BAT, error), rtr *live.Router, o TierOpts, sums []int64) (TierRun, int64, error) {
+func tierStream(label string, fetch func(string) (*bat.BAT, error), rtr *live.Router, o TierOpts, seed int64, sums []int64) (TierRun, int64, error) {
 	z := workload.NewZipf(o.Columns, o.Theta)
-	rng := rand.New(rand.NewSource(o.Seed + 1))
+	rng := rand.New(rand.NewSource(seed + 1))
 	run := TierRun{Label: label, Accesses: o.Accesses}
 	var all, hotLat, coldLat []time.Duration
 	for i := 0; i < o.Accesses; i++ {
@@ -223,26 +220,27 @@ func tierStream(label string, fetch func(string) (*bat.BAT, error), rtr *live.Ro
 			coldLat = append(coldLat, lat)
 		}
 	}
-	run.P50Micros = quantileMicros(all, 0.50)
-	run.P99Micros = quantileMicros(all, 0.99)
+	run.P50Micros = quantile(all, 0.50).Microseconds()
+	run.P99Micros = quantile(all, 0.99).Microseconds()
 	if rtr != nil {
 		run.HotServed = len(hotLat)
-		run.HotP50Micros = quantileMicros(hotLat, 0.50)
-		run.ColdP50Micros = quantileMicros(coldLat, 0.50)
+		run.HotP50Micros = quantile(hotLat, 0.50).Microseconds()
+		run.ColdP50Micros = quantile(coldLat, 0.50).Microseconds()
 	}
-	return run, quantileMicros(coldLat, 0.99), nil
+	return run, quantile(coldLat, 0.99).Microseconds(), nil
 }
 
 // tierFlashProbe hits the reserved column (index o.Columns, which the
-// Zipf stream never draws, so it is still cold) with a FlashCrowdHits
-// burst, and clocks the cold→hot home flip.
-func tierFlashProbe(rtr *live.Router, o TierOpts, sums []int64, res *TierResult, coldP99 int64) error {
+// Zipf stream never draws, so it is still cold) with a burst past
+// FlashCrowdHits, and clocks the cold→hot home flip.
+func tierFlashProbe(rtr *live.Router, o TierOpts, sums []int64, res *TierResult) error {
 	victim := o.Columns
 	name := tierColName(victim)
-	burst := o.Router.FlashCrowdHits
-	if burst <= 0 {
-		burst = 3
-	}
+	// The trigger counts accesses inside one tier-scan window, and a
+	// scan may tick mid-burst: 2·hits−1 accesses leave a full crowd on
+	// one side of any single tick (a burst of exactly hits that
+	// straddled one never promoted — 1 run in 5 under `go test ./...`).
+	burst := 2*o.Router.FlashCrowdHits - 1
 	start := time.Now()
 	var wg sync.WaitGroup
 	errs := make([]error, burst)
@@ -284,66 +282,51 @@ func tierFlashProbe(rtr *live.Router, o TierOpts, sums []int64, res *TierResult,
 	if !res.FlashProbed {
 		return fmt.Errorf("flash probe: %s never promoted (burst %d)", name, burst)
 	}
-	_ = coldP99
 	return nil
 }
 
-// Gate enforces the tier-bench smoke contracts:
+// Gate enforces the tier contracts:
 //
 //	(a) zero incorrect answers on both sides;
 //	(b) the hot ring revolves measurably faster than the cold one
 //	    (falling back to the hot/cold latency split when a revolution
 //	    went unmeasured);
 //	(c) the flash-crowd promotion landed within one cold revolution.
-func (r *TierResult) Gate() error {
-	if n := r.Baseline.Incorrect + r.Tiered.Incorrect; n > 0 {
-		return fmt.Errorf("tier gate: %d incorrect answers", n)
-	}
+func (r *TierResult) Gate() Gates {
+	var g Gates
+	g.check(r.Baseline.Incorrect+r.Tiered.Incorrect == 0, "incorrect answers", "0",
+		"%d single-ring, %d tiered", r.Baseline.Incorrect, r.Tiered.Incorrect)
 	hot, cold := r.Stats.HotRevolutionMicros, r.Stats.ColdRevolutionMicros
 	switch {
 	case hot > 0 && cold > 0:
-		if hot >= cold {
-			return fmt.Errorf("tier gate: hot revolution %dus not below cold %dus", hot, cold)
-		}
+		g.check(hot < cold, "hot revolution", "below cold", "hot %dus vs cold %dus", hot, cold)
 	case r.Tiered.HotServed > 0 && r.Tiered.ColdP50Micros > 0:
-		if r.Tiered.HotP50Micros >= r.Tiered.ColdP50Micros {
-			return fmt.Errorf("tier gate: hot-homed p50 %dus not below cold-homed p50 %dus (revolutions unmeasured)",
-				r.Tiered.HotP50Micros, r.Tiered.ColdP50Micros)
-		}
+		g.check(r.Tiered.HotP50Micros < r.Tiered.ColdP50Micros, "hot-homed p50 (revolutions unmeasured)", "below cold-homed p50",
+			"hot %dus vs cold %dus", r.Tiered.HotP50Micros, r.Tiered.ColdP50Micros)
 	default:
-		return fmt.Errorf("tier gate: no hot-versus-cold evidence (hot rev %dus, cold rev %dus, hot served %d)",
-			hot, cold, r.Tiered.HotServed)
+		g.check(false, "hot-versus-cold evidence", "measured revolutions or a hot/cold latency split",
+			"hot rev %dus, cold rev %dus, hot served %d", hot, cold, r.Tiered.HotServed)
 	}
-	if !r.FlashProbed {
-		return fmt.Errorf("tier gate: flash-crowd probe did not run")
-	}
-	if r.FlashBoundMicros > 0 && r.FlashPromoteMicros > r.FlashBoundMicros {
-		return fmt.Errorf("tier gate: flash promotion %dus exceeded one cold revolution (%dus)",
-			r.FlashPromoteMicros, r.FlashBoundMicros)
-	}
-	return nil
+	g.check(r.FlashProbed && (r.FlashBoundMicros <= 0 || r.FlashPromoteMicros <= r.FlashBoundMicros), "flash promotion",
+		"probed, within one cold revolution", "probed=%v, %dus vs bound %dus", r.FlashProbed, r.FlashPromoteMicros, r.FlashBoundMicros)
+	return g
 }
 
 func (r *TierResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Hot/cold tier sweep — %d columns x %d rows, Zipf θ=%.2f, %d accesses\n",
-		r.Columns, r.Rows, r.Theta, r.Accesses)
-	fmt.Fprintf(&b, "%12s %9s %9s %10s %11s %11s %10s\n",
-		"run", "p50_us", "p99_us", "incorrect", "hot_served", "hot_p50us", "cold_p50us")
+	var rows [][]any
 	for _, run := range []TierRun{r.Baseline, r.Tiered} {
-		fmt.Fprintf(&b, "%12s %9d %9d %10d %11d %11d %10d\n",
-			run.Label, run.P50Micros, run.P99Micros, run.Incorrect,
-			run.HotServed, run.HotP50Micros, run.ColdP50Micros)
+		rows = append(rows, []any{run.Label, run.P50Micros, run.P99Micros, run.Incorrect,
+			run.HotServed, run.HotP50Micros, run.ColdP50Micros})
 	}
-	s := r.Stats
-	fmt.Fprintf(&b, "tiers: %d hot / %d cold resident; %d promotions (%d flash), %d demotions, %d remote fetches\n",
-		s.HotResident, s.ColdResident, s.Promotions, s.FlashPromotions, s.Demotions, s.RemoteFetches)
-	fmt.Fprintf(&b, "revolutions: hot %dus, cold %dus\n", s.HotRevolutionMicros, s.ColdRevolutionMicros)
-	bound := "cold p99 proxy"
+	s, bound := r.Stats, "cold p99 proxy"
 	if r.ColdRevMeasured {
 		bound = "measured cold revolution"
 	}
-	fmt.Fprintf(&b, "flash crowd: promoted in %dus (bound %dus, %s)\n",
-		r.FlashPromoteMicros, r.FlashBoundMicros, bound)
-	return b.String()
+	return table(fmt.Sprintf("Hot/cold tier sweep — %d columns x %d rows, Zipf θ=%.2f, %d accesses",
+		r.Columns, r.Rows, r.Theta, r.Accesses),
+		[]string{"run", "p50_us", "p99_us", "incorrect", "hot_served", "hot_p50us", "cold_p50us"}, rows) +
+		fmt.Sprintf("tiers: %d hot / %d cold resident; %d promotions (%d flash), %d demotions, %d remote fetches\n",
+			s.HotResident, s.ColdResident, s.Promotions, s.FlashPromotions, s.Demotions, s.RemoteFetches) +
+		fmt.Sprintf("revolutions: hot %dus, cold %dus\n", s.HotRevolutionMicros, s.ColdRevolutionMicros) +
+		fmt.Sprintf("flash crowd: promoted in %dus (bound %dus, %s)\n", r.FlashPromoteMicros, r.FlashBoundMicros, bound)
 }

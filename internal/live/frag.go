@@ -39,24 +39,6 @@ type fragHandle struct {
 	ids  []core.BATID
 }
 
-// fragmentRowsFor resolves the effective per-fragment row bound for one
-// column: FragmentRows, tightened by FragmentBytes through the column's
-// average encoded bytes per row. 0 means "do not split".
-func fragmentRowsFor(b *bat.BAT, cfg Config) int {
-	rows := cfg.FragmentRows
-	if n := b.Len(); cfg.FragmentBytes > 0 && n > 0 {
-		perRow := (bat.MarshalSize(b) + n - 1) / n
-		byBytes := cfg.FragmentBytes / perRow
-		if byBytes < 1 {
-			byBytes = 1
-		}
-		if rows == 0 || byBytes < rows {
-			rows = byBytes
-		}
-	}
-	return rows
-}
-
 // fragmentSpans cuts [0, n) into row ranges of at most rows each
 // (one span covering everything when rows <= 0).
 func fragmentSpans(n, rows int) [][2]int {

@@ -69,12 +69,6 @@ func TestFragmentSpansMath(t *testing.T) {
 	if got := splitEven(10, 3); !reflect.DeepEqual(got, [][2]int{{0, 3}, {3, 6}, {6, 10}}) {
 		t.Fatalf("splitEven: %v", got)
 	}
-	// FragmentBytes tightens FragmentRows through avg row width.
-	b := bat.MakeInts("x", make([]int64, 1000))
-	cfg := Config{FragmentRows: 1000, FragmentBytes: 800}
-	if rows := fragmentRowsFor(b, cfg); rows >= 1000 || rows < 1 {
-		t.Fatalf("byte-bound rows = %d", rows)
-	}
 }
 
 // TestFragmentedColumnSplits checks the catalog: a long column becomes

@@ -124,7 +124,6 @@ type hotCache struct {
 	mu      sync.Mutex
 	mode    CacheMode
 	budget  int64
-	decay   float64 // eviction-scan LOI divisor (Config.CacheDecay)
 	bytes   int64
 	seq     int64
 	entries map[core.BATID]*hotEntry
@@ -138,14 +137,14 @@ type hotCache struct {
 	coalesced metrics.Counter
 }
 
-func newHotCache(budget int, mode CacheMode, decay float64) *hotCache {
-	if decay <= 1 {
-		decay = 2 // the pre-knob default: halve every eviction scan
-	}
+// cacheDecay is the divisor applied to every resident entry's interest
+// score on each eviction scan (CacheLOI mode): halve per scan.
+const cacheDecay = 2
+
+func newHotCache(budget int, mode CacheMode) *hotCache {
 	return &hotCache{
 		mode:    mode,
 		budget:  int64(budget),
-		decay:   decay,
 		entries: map[core.BATID]*hotEntry{},
 		flights: map[flightKey]*flight{},
 	}
@@ -237,7 +236,7 @@ func (h *hotCache) evictLocked(keep core.BATID) {
 	h.evictions.Inc()
 	if h.mode == CacheLOI {
 		for _, e := range h.entries {
-			e.loi /= h.decay
+			e.loi /= cacheDecay
 		}
 	}
 }

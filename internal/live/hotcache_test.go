@@ -385,7 +385,7 @@ func intsOfBytes(n int) *bat.BAT { return bat.MakeInts("x", make([]int64, n/8)) 
 // out.
 func TestHotCacheLOIEviction(t *testing.T) {
 	one := intsOfBytes(1024).Bytes()
-	h := newHotCache(2*one+one/2, CacheLOI, 0)
+	h := newHotCache(2*one+one/2, CacheLOI)
 	h.put(1, 0, intsOfBytes(1024))
 	h.put(2, 0, intsOfBytes(1024))
 	for i := 0; i < 8; i++ {
@@ -410,7 +410,7 @@ func TestHotCacheLOIEviction(t *testing.T) {
 // least recently touched entry.
 func TestHotCacheLRUEviction(t *testing.T) {
 	one := intsOfBytes(1024).Bytes()
-	h := newHotCache(2*one+one/2, CacheLRU, 0)
+	h := newHotCache(2*one+one/2, CacheLRU)
 	h.put(1, 0, intsOfBytes(1024))
 	h.put(2, 0, intsOfBytes(1024))
 	for i := 0; i < 8; i++ {
@@ -430,7 +430,7 @@ func TestHotCacheLRUEviction(t *testing.T) {
 // deliveries replace older ones, and an older delivery never replaces
 // a newer resident version (late ring arrivals after an update).
 func TestHotCacheVersioning(t *testing.T) {
-	h := newHotCache(1<<20, CacheLOI, 0)
+	h := newHotCache(1<<20, CacheLOI)
 	h.put(1, 0, intsOfBytes(256))
 	if h.get(1, 1) != nil {
 		t.Fatal("served a version that was never stored")
@@ -452,7 +452,7 @@ func TestHotCacheVersioning(t *testing.T) {
 // TestHotCacheBudgetGate: a payload larger than the whole budget is
 // not admitted, and cannot evict the entire cache to make room.
 func TestHotCacheBudgetGate(t *testing.T) {
-	h := newHotCache(1024, CacheLOI, 0)
+	h := newHotCache(1024, CacheLOI)
 	h.put(1, 0, intsOfBytes(512))
 	h.put(2, 0, intsOfBytes(64<<10))
 	if h.get(2, 0) != nil {
@@ -467,7 +467,7 @@ func TestHotCacheBudgetGate(t *testing.T) {
 // and finishing wakes the followers with the leader's outcome; a new
 // join after the finish starts a fresh flight.
 func TestFlightLifecycle(t *testing.T) {
-	h := newHotCache(1<<20, CacheLOI, 0)
+	h := newHotCache(1<<20, CacheLOI)
 	fl, leader := h.joinFlight(9, 0)
 	if !leader {
 		t.Fatal("first joiner did not lead")

@@ -63,10 +63,6 @@ type Config struct {
 	// §5). 0 disables row-based splitting (one column = one fragment,
 	// the pre-fragmentation behavior).
 	FragmentRows int
-	// FragmentBytes additionally bounds the approximate encoded size of
-	// a fragment; it tightens FragmentRows through the column's average
-	// bytes per row. 0 disables the byte bound.
-	FragmentBytes int
 	// FragWorkers bounds how many fragments of one pin a query
 	// processes concurrently as they arrive (defaults to Workers).
 	FragWorkers int
@@ -78,11 +74,6 @@ type Config struct {
 	CacheBytes int
 	// CacheMode selects the cache eviction policy (default CacheLOI).
 	CacheMode CacheMode
-	// CacheDecay is the divisor applied to every resident entry's
-	// interest score on each eviction scan (CacheLOI mode). Larger
-	// values forget faster. 0 takes the default (2 — halve per scan),
-	// keeping the pre-knob behavior byte-identical.
-	CacheDecay float64
 	// HopBatchBytes budgets the batched hop transport: co-resident
 	// outbound fragments coalesce into one multi-payload batch envelope
 	// of at most this many wire bytes (see hop.go). 0 disables batching
@@ -137,7 +128,6 @@ func DefaultConfig() Config {
 		Workers:        4,
 		FragmentRows:   64 << 10,
 		CacheBytes:     64 << 20,
-		CacheDecay:     2,
 		HopBatchBytes:  1 << 20,
 		HopBatchLinger: 200 * time.Microsecond,
 	}
@@ -454,7 +444,7 @@ type waitKey struct {
 
 // NewRing builds an in-process live ring of n nodes over the given
 // database columns. Each column is split into bounded-size fragments
-// (Config.FragmentRows / FragmentBytes) and the fragments are assigned
+// (Config.FragmentRows) and the fragments are assigned
 // to nodes round-robin in (name, fragment) order — the random upfront
 // partitioning of §4 made deterministic, at fragment granularity.
 func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Config) (*Ring, error) {
@@ -520,7 +510,7 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 	next := core.BATID(0)
 	for _, name := range names {
 		b := columns[name]
-		spans := fragmentSpans(b.Len(), fragmentRowsFor(b, cfg))
+		spans := fragmentSpans(b.Len(), cfg.FragmentRows)
 		cf := &colFrags{}
 		for _, sp := range spans {
 			fb := b
@@ -682,7 +672,7 @@ func (r *Ring) newNode(id, nodes, pred int, schema minisql.Schema) *Node {
 		closed:     make(chan struct{}),
 	}
 	if cfg.CacheBytes > 0 {
-		node.hot = newHotCache(cfg.CacheBytes, cfg.CacheMode, cfg.CacheDecay)
+		node.hot = newHotCache(cfg.CacheBytes, cfg.CacheMode)
 	}
 	if cfg.HopBatchBytes > 0 {
 		node.hop = newHopScheduler(cfg.HopBatchBytes, cfg.HopBatchLinger)

@@ -1,131 +1,17 @@
 #!/usr/bin/env bash
-# bench.sh — run the wire-codec benchmark suite, the fragment
-# granularity sweep, the hot-set cache repeat sweep, the hop batching
-# sweep, the failover kill-and-recover sweep, the grow-the-ring
-# join sweep, and the hot/cold tier Zipf sweep, recording the results.
-#
-# Usage:
-#   scripts/bench.sh          full run: 1s per benchmark, writes
-#                             BENCH_wire.json, BENCH_frag.json,
-#                             BENCH_cache.json, BENCH_hop.json,
-#                             BENCH_failover.json, BENCH_join.json,
-#                             and BENCH_tier.json
-#   scripts/bench.sh -short   CI smoke: one iteration per benchmark and
-#                             small sweeps, still gating on codec/gob
-#                             equivalence, the fragmentation invariants,
-#                             the cache hit-rate / ≥5× pin-p99 gates,
-#                             the ≥4× hop-message reduction gate, and
-#                             the zero-incorrect / bounded-recovery
-#                             failover gates, and the zero-incorrect /
-#                             full-share / transfer-dominated join gates
-#
-# The script fails if the codec-vs-gob equivalence tests fail (a wire
-# format regression can never produce a "fast but wrong" green run) or
-# if the fragment sweep misses its hop-shrink gate. The JSON files are
-# snapshots of the latest run (overwritten each time); committing them
-# alongside perf-relevant changes makes git history the repo's perf
-# trajectory.
+# bench.sh [-short] — run every gated sweep and overwrite the
+# BENCH_<suite>.json snapshots (committing them alongside perf-relevant
+# changes makes git history the repo's perf trajectory). Fails if the
+# codec-vs-gob equivalence tests fail — a wire format regression can
+# never produce a "fast but wrong" green run — or if any suite misses
+# one of its gates (see `go run ./cmd/dcsweep -h` and each suite's
+# Gate() in internal/experiments).
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-SHORT=0
-if [ "${1:-}" = "-short" ]; then
-  SHORT=1
-fi
 
 echo "== codec/gob equivalence gate =="
 go test ./internal/bat -count=1 \
   -run 'TestWireRoundtrip|TestWireGobEquivalence|TestMarshalSizeExact|TestWireVersionRejected|TestWireCorruptInputs|TestSerial'
 go test ./internal/server -count=1 -run 'TestHelloRoundtrip|TestResultRoundtrip'
 
-if [ "$SHORT" -eq 1 ]; then
-  BENCHTIME=1x
-else
-  BENCHTIME=1s
-fi
-
-echo "== wire benchmarks (benchtime=$BENCHTIME) =="
-TMP=$(mktemp)
-trap 'rm -f "$TMP"' EXIT
-go test ./internal/bat -run NONE -bench 'BenchmarkMarshal|BenchmarkUnmarshal' \
-  -benchmem -benchtime="$BENCHTIME" | tee -a "$TMP"
-go test ./internal/live -run NONE -bench 'BenchmarkRingHop' \
-  -benchmem -benchtime="$BENCHTIME" | tee -a "$TMP"
-
-OUT=BENCH_wire.json
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v short="$SHORT" '
-BEGIN { n = 0 }
-/^Benchmark/ {
-  name = $1; sub(/-[0-9]+$/, "", name)
-  iters = $2
-  ns = ""; mbs = ""; bop = ""; aop = ""
-  for (i = 3; i < NF; i++) {
-    if ($(i+1) == "ns/op") ns = $i
-    else if ($(i+1) == "MB/s") mbs = $i
-    else if ($(i+1) == "B/op") bop = $i
-    else if ($(i+1) == "allocs/op") aop = $i
-  }
-  line = sprintf("    {\"name\":\"%s\",\"iters\":%s", name, iters)
-  if (ns != "")  line = line sprintf(",\"ns_per_op\":%s", ns)
-  if (mbs != "") line = line sprintf(",\"mb_per_s\":%s", mbs)
-  if (bop != "") line = line sprintf(",\"bytes_per_op\":%s", bop)
-  if (aop != "") line = line sprintf(",\"allocs_per_op\":%s", aop)
-  line = line "}"
-  results[n++] = line
-}
-END {
-  printf "{\n  \"date\": \"%s\",\n  \"short\": %s,\n  \"suite\": \"wire-codec-vs-gob\",\n  \"benchmarks\": [\n", date, (short == 1 ? "true" : "false")
-  for (i = 0; i < n; i++) printf "%s%s\n", results[i], (i < n-1 ? "," : "")
-  print "  ]\n}"
-}' "$TMP" > "$OUT"
-
-echo "== wrote $OUT =="
-
-echo "== fragment granularity sweep =="
-if [ "$SHORT" -eq 1 ]; then
-  go run ./cmd/dcfrag -short -out BENCH_frag.json
-else
-  go run ./cmd/dcfrag -out BENCH_frag.json
-fi
-
-echo "== hot-set cache repeat sweep =="
-if [ "$SHORT" -eq 1 ]; then
-  go run ./cmd/dccache -short -out BENCH_cache.json
-else
-  go run ./cmd/dccache -out BENCH_cache.json
-fi
-
-echo "== hop batching sweep =="
-if [ "$SHORT" -eq 1 ]; then
-  go run ./cmd/dchop -short -out BENCH_hop.json
-else
-  go run ./cmd/dchop -out BENCH_hop.json
-fi
-
-echo "== failover kill-and-recover sweep =="
-if [ "$SHORT" -eq 1 ]; then
-  go run ./cmd/dcfail -short -out BENCH_failover.json
-else
-  go run ./cmd/dcfail -out BENCH_failover.json
-fi
-
-echo "== grow-the-ring join sweep =="
-if [ "$SHORT" -eq 1 ]; then
-  go run ./cmd/dcjoin -short -out BENCH_join.json
-else
-  go run ./cmd/dcjoin -out BENCH_join.json
-fi
-
-echo "== hot/cold tier Zipf sweep =="
-if [ "$SHORT" -eq 1 ]; then
-  go run ./cmd/dctier -short -out BENCH_tier.json
-else
-  go run ./cmd/dctier -out BENCH_tier.json
-fi
-
-echo "== wire backend sweep (tcp vs io_uring) =="
-if [ "$SHORT" -eq 1 ]; then
-  go run ./cmd/dcuring -short -out BENCH_uring.json
-else
-  go run ./cmd/dcuring -out BENCH_uring.json
-fi
+go run ./cmd/dcsweep "$@" all
