@@ -162,3 +162,86 @@ func BenchmarkBATSlice(b *testing.B) {
 		bb.Slice(1000, benchRows-1000)
 	}
 }
+
+// benchCandidates returns the candidate list of a ~sel-selective range
+// select over a dense-headed 1M-row column: an ascending OID list.
+func benchCandidates(seed int64, rows int, sel float64) *BAT {
+	rng := rand.New(rand.NewSource(seed))
+	vals := make([]int64, rows)
+	for i := range vals {
+		vals[i] = int64(rng.Intn(1000))
+	}
+	return MakeInts("c", vals).USelect(nil, &Bound{Value: int64(1000 * sel)})
+}
+
+// unsortedCopy shares b's payload but drops the head's sorted flag, so
+// Semijoin takes the hash path on the very same values.
+func unsortedCopy(b *BAT) *BAT {
+	h := *b.Head()
+	h.SetSorted(false)
+	return New(b.Name, &h, &h)
+}
+
+// BenchmarkBATSemijoinSorted1M intersects two ~30 %/~50 % candidate
+// lists over 1M rows: linear merge against the typed hash set forced on
+// the same inputs. Acceptance target: merge >= 10x hash.
+func BenchmarkBATSemijoinSorted1M(b *testing.B) {
+	l, r := benchCandidates(1, benchRows, 0.3), benchCandidates(2, benchRows, 0.5)
+	want := l.Semijoin(r).Len()
+	for _, c := range []struct {
+		name string
+		l, r *BAT
+	}{{"merge", l, r}, {"hash", unsortedCopy(l), unsortedCopy(r)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := c.l.Semijoin(c.r).Len(); got != want {
+					b.Fatalf("%d rows, want %d", got, want)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBATSemijoinSkewed intersects a ~500 K-row list with a 4 K-row
+// one, in both argument orders: the short side gallops through the long
+// one instead of walking it.
+func BenchmarkBATSemijoinSkewed(b *testing.B) {
+	long, short := benchCandidates(1, benchRows, 0.5), benchCandidates(2, benchRows, 0.004)
+	for _, c := range []struct {
+		name string
+		l, r *BAT
+	}{{"long-short", long, short}, {"short-long", short, long}, {"long-short-hash", unsortedCopy(long), unsortedCopy(short)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.l.Semijoin(c.r)
+			}
+		})
+	}
+}
+
+// BenchmarkBATQ6Candidates1M is Q6ish's kernel work on whole 1M-row
+// columns: three range selects to candidate lists, two intersections,
+// one positional fetch and the sum.
+func BenchmarkBATQ6Candidates1M(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	date, disc, qty, price := make([]int64, benchRows), make([]float64, benchRows), make([]int64, benchRows), make([]float64, benchRows)
+	for i := range date {
+		date[i] = 19920101 + int64(rng.Intn(7))*10000
+		disc[i] = float64(rng.Intn(11)) / 100
+		qty[i] = 1 + int64(rng.Intn(50))
+		price[i] = float64(rng.Intn(100000)) / 100
+	}
+	shipdate, discount, quantity, extprice := MakeInts("d", date), MakeFloats("f", disc), MakeInts("q", qty), MakeFloats("p", price)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := shipdate.USelect(&Bound{Value: int64(19940101), Inclusive: true}, &Bound{Value: int64(19950101)})
+		c = c.Semijoin(discount.USelect(&Bound{Value: 0.05, Inclusive: true}, &Bound{Value: 0.07, Inclusive: true}))
+		c = c.Semijoin(quantity.USelect(nil, &Bound{Value: int64(24)}))
+		if c.Join(extprice).Sum() == nil {
+			b.Fatal("no sum")
+		}
+	}
+}

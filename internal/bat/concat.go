@@ -18,7 +18,9 @@ package bat
 //
 // A single fragment returns a full-length zero-copy view; multiple
 // materialized fragments are gathered with one exact-size allocation
-// per column. Empty fragments are legal anywhere in the list.
+// per column — one in all when every fragment is mirrored (head and
+// tail the same column, as in the candidate lists USelect returns).
+// Empty fragments are legal anywhere in the list.
 
 import "fmt"
 
@@ -42,11 +44,19 @@ func Concat(frags []*BAT) *BAT {
 	}
 	heads := make([]*Column, len(frags))
 	tails := make([]*Column, len(frags))
+	mirrored := true
 	for i, f := range frags {
 		heads[i] = f.h
 		tails[i] = f.t
+		mirrored = mirrored && f.h == f.t
 	}
-	return &BAT{Name: first.Name, h: concatCols(heads), t: concatCols(tails)}
+	h := concatCols(heads)
+	if mirrored {
+		// Candidate-list fragments: one gather, and the result stays
+		// mirrored.
+		return &BAT{Name: first.Name, h: h, t: h}
+	}
+	return &BAT{Name: first.Name, h: h, t: concatCols(tails)}
 }
 
 // concatCols is the n-ary generalization of concatCol: one exact-size

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // The operators in this file are devirtualized: each call dispatches on
@@ -32,52 +33,106 @@ func (b *BAT) viewAll() *BAT {
 	return &BAT{Name: b.Name, h: b.h, t: b.t}
 }
 
-// inRange is the typed range predicate; it inlines into the scan loops.
-func inRange[T cmp.Ordered](v T, lo *T, loIncl bool, hi *T, hiIncl bool) bool {
-	if lo != nil && (v < *lo || (v == *lo && !loIncl)) {
+// bounds is a range predicate whose limits are normalized to the
+// payload type and hoisted out of the scan loop. Numeric kinds always
+// arrive closed — both sides present and inclusive: an open side takes
+// the type's extreme, an exclusive one steps one value inward — which
+// is the form the branch-light scan loop handles; strings have no
+// largest value and keep the flags.
+type bounds[T cmp.Ordered] struct {
+	lo, hi         T
+	hasLo, hasHi   bool
+	loIncl, hiIncl bool
+}
+
+func closedBounds[T cmp.Ordered](lo, hi T) bounds[T] {
+	return bounds[T]{lo: lo, hi: hi, hasLo: true, hasHi: true, loIncl: true, hiIncl: true}
+}
+
+// noBounds is an unsatisfiable range: what a literal beyond the column
+// type's domain normalizes to.
+func noBounds[T int64 | Oid | float64]() bounds[T] { return closedBounds[T](1, 0) }
+
+func (r bounds[T]) closed() bool { return r.hasLo && r.hasHi && r.loIncl && r.hiIncl }
+
+// empty reports a contradictory range: no value can lie inside it.
+func (r bounds[T]) empty() bool {
+	return r.hasLo && r.hasHi && (r.lo > r.hi || (r.lo == r.hi && !(r.loIncl && r.hiIncl)))
+}
+
+// holds is the general predicate, for bounds that are not closed.
+func (r bounds[T]) holds(v T) bool {
+	if r.hasLo && (v < r.lo || (v == r.lo && !r.loIncl)) {
 		return false
 	}
-	if hi != nil && (v > *hi || (v == *hi && !hiIncl)) {
+	if r.hasHi && (v > r.hi || (v == r.hi && !r.hiIncl)) {
 		return false
 	}
 	return true
 }
 
-// rangeIdx scans an unsorted payload and returns the qualifying row
-// positions. It counts first and fills second: the exact-size
-// allocation replaces append-growth, and the counting pass is a cheap,
-// branch-predictable read-only sweep.
-func rangeIdx[T cmp.Ordered](vals []T, lo *T, loIncl bool, hi *T, hiIncl bool) []int32 {
+// b2i compiles to a flag move, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// idxPool recycles the position buffers of the single-pass kernels
+// (rangeIdx, mergeMemberIdx, gallopProbeIdx): they are sized for the
+// worst case — every row qualifies — and dead as soon as the caller has
+// gathered the rows, so Select, USelect, Semijoin and Diff hand them
+// back instead of leaving megabytes of garbage per scan.
+var idxPool sync.Pool // of *[]int32
+
+func getIdx(n int) []int32 {
+	if p, _ := idxPool.Get().(*[]int32); p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]int32, n)
+}
+
+func putIdx(idx []int32) { idxPool.Put(&idx) }
+
+// rangeIdx scans an unsorted payload once and returns the qualifying
+// row positions in ascending order. Every position is stored and the
+// cursor advances by the predicate's outcome, so the loop body has no
+// data-dependent branch to mispredict. The buffer is sized for the
+// worst case and goes back to idxPool after the caller's gather.
+func rangeIdx[T cmp.Ordered](vals []T, r bounds[T]) []int32 {
+	idx := getIdx(len(vals))
 	n := 0
-	for _, v := range vals {
-		if inRange(v, lo, loIncl, hi, hiIncl) {
-			n++
+	if r.closed() {
+		lo, hi := r.lo, r.hi
+		for i, v := range vals {
+			idx[n] = int32(i)
+			n += b2i(!(v < lo)) & b2i(!(v > hi))
+		}
+	} else {
+		for i, v := range vals {
+			idx[n] = int32(i)
+			n += b2i(r.holds(v))
 		}
 	}
-	idx := make([]int32, 0, n)
-	for i, v := range vals {
-		if inRange(v, lo, loIncl, hi, hiIncl) {
-			idx = append(idx, int32(i))
-		}
-	}
-	return idx
+	return idx[:n]
 }
 
 // rangeSpan binary-searches a sorted payload for the qualifying
 // half-open row range [from, to): O(log n).
-func rangeSpan[T cmp.Ordered](vals []T, lo *T, loIncl bool, hi *T, hiIncl bool) (from, to int) {
+func rangeSpan[T cmp.Ordered](vals []T, r bounds[T]) (from, to int) {
 	from, to = 0, len(vals)
-	if lo != nil {
-		l := *lo
-		if loIncl {
+	if r.hasLo {
+		l := r.lo
+		if r.loIncl {
 			from = sort.Search(len(vals), func(i int) bool { return vals[i] >= l })
 		} else {
 			from = sort.Search(len(vals), func(i int) bool { return vals[i] > l })
 		}
 	}
-	if hi != nil {
-		h := *hi
-		if hiIncl {
+	if r.hasHi {
+		h := r.hi
+		if r.hiIncl {
 			to = sort.Search(len(vals), func(i int) bool { return vals[i] > h })
 		} else {
 			to = sort.Search(len(vals), func(i int) bool { return vals[i] >= h })
@@ -89,23 +144,28 @@ func rangeSpan[T cmp.Ordered](vals []T, lo *T, loIncl bool, hi *T, hiIncl bool) 
 	return from, to
 }
 
+// hits names the rows a select kept, in row order: a contiguous span
+// (sorted and dense tails, trivial predicates — answered without a
+// scan and materialized as a zero-copy view) or the ascending position
+// list of a scan.
+type hits struct {
+	from, to int     // the span, when !scanned
+	idx      []int32 // the positions, when scanned
+	scanned  bool
+	constant bool // every kept tail value is the same, hence sorted
+}
+
 // selectTyped runs the monomorphic select kernel over one typed payload:
-// sorted tails get the O(log n + k) span path and come back as zero-copy
-// views, unsorted tails get the count-then-fill scan.
-func selectTyped[T cmp.Ordered](b *BAT, vals []T, lo *T, loIncl bool, hi *T, hiIncl bool) *BAT {
-	if b.t.Sorted() {
-		from, to := rangeSpan(vals, lo, loIncl, hi, hiIncl)
-		return b.Slice(from, to)
+// sorted tails get the O(log n) span, unsorted ones the single-pass scan.
+func selectTyped[T cmp.Ordered](t *Column, vals []T, r bounds[T]) hits {
+	if r.empty() {
+		return hits{}
 	}
-	idx := rangeIdx(vals, lo, loIncl, hi, hiIncl)
-	nb := &BAT{Name: b.Name, h: b.h.take32(idx), t: b.t.take32(idx)}
-	// Row order is preserved, so a sorted head stays sorted.
-	nb.h.sorted = b.h.Sorted()
-	// A point predicate yields a constant — hence sorted — tail.
-	if lo != nil && hi != nil && *lo == *hi && loIncl && hiIncl {
-		nb.t.sorted = true
+	if t.Sorted() {
+		from, to := rangeSpan(vals, r)
+		return hits{from: from, to: to}
 	}
-	return nb
+	return hits{idx: rangeIdx(vals, r), scanned: true, constant: r.closed() && r.lo == r.hi}
 }
 
 const (
@@ -267,68 +327,66 @@ func normFloatBound(bd *Bound) (v float64, has, ok bool) {
 	return 0, false, false
 }
 
-func ptrIf[T any](v T, has bool) *T {
-	if !has {
-		return nil
+// intBounds normalizes a Bound pair over an int column to closed form.
+// ok=false: fall back to the generic path.
+func intBounds(lo, hi *Bound) (r bounds[int64], ok bool) {
+	loV, hasLo, emptyLo, ok1 := normIntBound(lo, true)
+	hiV, hasHi, emptyHi, ok2 := normIntBound(hi, false)
+	if emptyLo || emptyHi {
+		return noBounds[int64](), ok1 && ok2
 	}
-	return &v
+	if !hasLo {
+		loV = math.MinInt64
+	}
+	if !hasHi {
+		hiV = math.MaxInt64
+	}
+	return closedBounds(loV, hiV), ok1 && ok2
 }
 
-// Select returns the BUNs whose tail value lies within [lo, hi]
-// (respecting inclusiveness; nil bounds are open). The result preserves
-// head values and tail values of the qualifying rows, like MAL's
-// algebra.select. Sorted (and dense) tails are answered with a binary
-// search and an O(1) slice view instead of a scan.
-func (b *BAT) Select(lo, hi *Bound) *BAT {
-	if lo == nil && hi == nil {
-		return b.viewAll()
+// oidBounds is intBounds for OID columns.
+func oidBounds(lo, hi *Bound) (r bounds[Oid], ok bool) {
+	loV, _, emptyLo, ok1 := normOidBound(lo, true) // an open lower side is OID 0, loV's zero value
+	hiV, hasHi, emptyHi, ok2 := normOidBound(hi, false)
+	if emptyLo || emptyHi {
+		return noBounds[Oid](), ok1 && ok2
 	}
-	switch b.t.kind {
-	case KInt:
-		loV, hasLo, emptyLo, ok1 := normIntBound(lo, true)
-		hiV, hasHi, emptyHi, ok2 := normIntBound(hi, false)
-		if !ok1 || !ok2 {
-			return b.selectGeneric(lo, hi)
-		}
-		if emptyLo || emptyHi {
-			return b.emptyLike()
-		}
-		return selectTyped(b, b.t.ints, ptrIf(loV, hasLo), true, ptrIf(hiV, hasHi), true)
-	case KFloat:
-		loV, hasLo, ok1 := normFloatBound(lo)
-		hiV, hasHi, ok2 := normFloatBound(hi)
-		if !ok1 || !ok2 {
-			return b.selectGeneric(lo, hi)
-		}
-		loIncl := lo == nil || lo.Inclusive
-		hiIncl := hi == nil || hi.Inclusive
-		return selectTyped(b, b.t.floats, ptrIf(loV, hasLo), loIncl, ptrIf(hiV, hasHi), hiIncl)
-	case KOid:
-		loV, hasLo, emptyLo, ok1 := normOidBound(lo, true)
-		hiV, hasHi, emptyHi, ok2 := normOidBound(hi, false)
-		if !ok1 || !ok2 {
-			return b.selectGeneric(lo, hi)
-		}
-		if emptyLo || emptyHi {
-			return b.emptyLike()
-		}
-		if b.t.dense {
-			return b.selectDenseTail(loV, hasLo, hiV, hasHi)
-		}
-		return selectTyped(b, b.t.oids, ptrIf(loV, hasLo), true, ptrIf(hiV, hasHi), true)
-	case KStr:
-		loV, hasLo, ok1 := normStrBound(lo)
-		hiV, hasHi, ok2 := normStrBound(hi)
-		if !ok1 || !ok2 {
-			return b.selectGeneric(lo, hi)
-		}
-		loIncl := lo == nil || lo.Inclusive
-		hiIncl := hi == nil || hi.Inclusive
-		return selectTyped(b, b.t.strs, ptrIf(loV, hasLo), loIncl, ptrIf(hiV, hasHi), hiIncl)
-	case KBool:
-		return b.selectBool(lo, hi)
+	if !hasHi {
+		hiV = ^Oid(0)
 	}
-	return b.selectGeneric(lo, hi)
+	return closedBounds(loV, hiV), ok1 && ok2
+}
+
+// floatBounds is intBounds for float columns: an exclusive limit steps
+// to the adjacent float64, an open side is the infinity.
+func floatBounds(lo, hi *Bound) (r bounds[float64], ok bool) {
+	loV, hasLo, ok1 := normFloatBound(lo)
+	hiV, hasHi, ok2 := normFloatBound(hi)
+	switch {
+	case !hasLo:
+		loV = math.Inf(-1)
+	case !lo.Inclusive:
+		loV = math.Nextafter(loV, math.Inf(1))
+	}
+	switch {
+	case !hasHi:
+		hiV = math.Inf(1)
+	case !hi.Inclusive:
+		hiV = math.Nextafter(hiV, math.Inf(-1))
+	}
+	if (hasLo && !lo.Inclusive && math.IsInf(loV, 1)) || (hasHi && !hi.Inclusive && math.IsInf(hiV, -1)) {
+		return noBounds[float64](), ok1 && ok2 // nothing beyond an infinity
+	}
+	return closedBounds(loV, hiV), ok1 && ok2
+}
+
+func strBounds(lo, hi *Bound) (r bounds[string], ok bool) {
+	var ok1, ok2 bool
+	r.lo, r.hasLo, ok1 = normStrBound(lo)
+	r.hi, r.hasHi, ok2 = normStrBound(hi)
+	r.loIncl = lo == nil || lo.Inclusive
+	r.hiIncl = hi == nil || hi.Inclusive
+	return r, ok1 && ok2
 }
 
 func normStrBound(bd *Bound) (v string, has, ok bool) {
@@ -341,74 +399,136 @@ func normStrBound(bd *Bound) (v string, has, ok bool) {
 	return "", false, false
 }
 
-// selectDenseTail answers a range select over a dense OID tail with
-// pure arithmetic: O(1), returning a view.
-func (b *BAT) selectDenseTail(lo Oid, hasLo bool, hi Oid, hasHi bool) *BAT {
-	n := b.t.n
-	base := b.t.base
-	from, to := 0, n
-	if hasLo {
-		if n == 0 || lo > base+Oid(n-1) {
-			return b.emptyLike()
+// selectRows evaluates a range predicate over the tail and names the
+// qualifying rows; Select and USelect differ only in what they gather.
+// ok=false: the literals cannot be normalized to the column kind and the
+// caller takes the boxed path.
+func (b *BAT) selectRows(lo, hi *Bound) (h hits, ok bool) {
+	switch b.t.kind {
+	case KInt:
+		if r, ok := intBounds(lo, hi); ok {
+			return selectTyped(b.t, b.t.ints, r), true
 		}
-		if lo > base {
-			from = int(lo - base)
+	case KFloat:
+		if r, ok := floatBounds(lo, hi); ok {
+			return selectTyped(b.t, b.t.floats, r), true
 		}
+	case KOid:
+		r, ok := oidBounds(lo, hi)
+		switch {
+		case !ok:
+		case b.t.dense:
+			return b.t.denseSpan(r.lo, r.hi), true
+		default:
+			return selectTyped(b.t, b.t.oids, r), true
+		}
+	case KStr:
+		if r, ok := strBounds(lo, hi); ok {
+			return selectTyped(b.t, b.t.strs, r), true
+		}
+	case KBool:
+		return b.t.selectBool(lo, hi)
 	}
-	if hasHi {
-		if hi < base {
-			return b.emptyLike()
-		}
-		if n > 0 && hi < base+Oid(n-1) {
-			to = int(hi-base) + 1
-		}
+	return hits{}, false
+}
+
+// Select returns the BUNs whose tail value lies within [lo, hi]
+// (respecting inclusiveness; nil bounds are open). The result preserves
+// head values and tail values of the qualifying rows, like MAL's
+// algebra.select. Sorted (and dense) tails are answered with a binary
+// search and an O(1) slice view instead of a scan.
+func (b *BAT) Select(lo, hi *Bound) *BAT {
+	if lo == nil && hi == nil {
+		return b.viewAll()
+	}
+	h, ok := b.selectRows(lo, hi)
+	switch {
+	case !ok:
+		return b.selectGeneric(lo, hi)
+	case !h.scanned:
+		return b.Slice(h.from, h.to)
+	}
+	nb := b.takeRows(h.idx)
+	putIdx(h.idx)
+	nb.t.sorted = nb.t.sorted || h.constant
+	return nb
+}
+
+// USelect is the head-only Select, MAL's algebra.uselect: it returns
+// the candidate list [head|head] of the rows whose tail lies within the
+// bounds — Select(lo, hi).Mirror() without ever gathering the tail, and
+// with both sides sharing one column. Row order is preserved, so the
+// list is sorted whenever b's head is: over a dense-headed column it is
+// an ascending OID list, the form Semijoin intersects by merge.
+func (b *BAT) USelect(lo, hi *Bound) *BAT {
+	if lo == nil && hi == nil {
+		return b.Mirror()
+	}
+	var c *Column
+	h, ok := b.selectRows(lo, hi)
+	switch {
+	case !ok:
+		c = b.selectGeneric(lo, hi).h
+	case !h.scanned:
+		c = b.h.view(h.from, h.to)
+	default:
+		c = b.h.take32(h.idx)
+		putIdx(h.idx)
+		c.sorted = b.h.Sorted()
+	}
+	return &BAT{Name: b.Name, h: c, t: c}
+}
+
+// denseSpan answers the closed range [lo, hi] over a dense OID column
+// with pure arithmetic.
+func (c *Column) denseSpan(lo, hi Oid) hits {
+	base, n := c.base, c.n
+	if n == 0 || lo > hi || hi < base || lo > base+Oid(n-1) {
+		return hits{}
+	}
+	from, to := 0, n
+	if lo > base {
+		from = int(lo - base)
+	}
+	if hi < base+Oid(n-1) {
+		to = int(hi-base) + 1
 	}
 	if to < from {
 		to = from
 	}
-	return b.Slice(from, to)
+	return hits{from: from, to: to}
 }
 
 // selectBool evaluates the bounds against the two possible values once,
-// then runs a monomorphic equality scan (or returns a view when both or
-// neither value qualifies).
-func (b *BAT) selectBool(lo, hi *Bound) *BAT {
+// then runs a monomorphic equality scan (or answers with a span when
+// both or neither value qualifies).
+func (c *Column) selectBool(lo, hi *Bound) (h hits, ok bool) {
+	if (lo != nil && !isBoolVal(lo.Value)) || (hi != nil && !isBoolVal(hi.Value)) {
+		return hits{}, false // non-bool literal: boxed path panics as before
+	}
 	qualifies := func(v bool) bool {
 		if lo != nil {
-			lv, isBool := lo.Value.(bool)
-			if !isBool {
-				return false
-			}
+			lv := lo.Value.(bool)
 			if boolLess(v, lv) || (v == lv && !lo.Inclusive) {
 				return false
 			}
 		}
 		if hi != nil {
-			hv, isBool := hi.Value.(bool)
-			if !isBool {
-				return false
-			}
+			hv := hi.Value.(bool)
 			if boolLess(hv, v) || (v == hv && !hi.Inclusive) {
 				return false
 			}
 		}
 		return true
 	}
-	if (lo != nil && !isBoolVal(lo.Value)) || (hi != nil && !isBoolVal(hi.Value)) {
-		return b.selectGeneric(lo, hi) // non-bool literal: boxed path panics as before
-	}
 	allowF, allowT := qualifies(false), qualifies(true)
 	switch {
 	case allowF && allowT:
-		return b.viewAll()
+		return hits{to: len(c.bools)}, true
 	case !allowF && !allowT:
-		return b.emptyLike()
+		return hits{}, true
 	}
-	idx := eqScan(b.t.bools, allowT, true)
-	nb := &BAT{Name: b.Name, h: b.h.take32(idx), t: b.t.take32(idx)}
-	nb.h.sorted = b.h.Sorted()
-	nb.t.sorted = true // constant tail
-	return nb
+	return hits{idx: eqScan(c.bools, allowT, true), scanned: true, constant: true}, true
 }
 
 func isBoolVal(v any) bool { _, ok := v.(bool); return ok }
@@ -445,58 +565,51 @@ func (b *BAT) SelectNe(v any) *BAT {
 	case KInt:
 		switch x := v.(type) {
 		case int64:
-			return b.selectNeTyped(eqScan(b.t.ints, x, false))
+			return b.takeRows(eqScan(b.t.ints, x, false))
 		case int:
-			return b.selectNeTyped(eqScan(b.t.ints, int64(x), false))
+			return b.takeRows(eqScan(b.t.ints, int64(x), false))
 		case Oid:
-			return b.selectNeTyped(eqScan(b.t.ints, int64(x), false))
+			return b.takeRows(eqScan(b.t.ints, int64(x), false))
 		case float64:
 			if x != math.Trunc(x) || x >= maxI64f || x < minI64f {
 				return b.viewAll() // no int equals a fractional/out-of-range float
 			}
-			return b.selectNeTyped(eqScan(b.t.ints, int64(x), false))
+			return b.takeRows(eqScan(b.t.ints, int64(x), false))
 		}
 	case KFloat:
 		switch x := v.(type) {
 		case float64:
-			return b.selectNeTyped(eqScan(b.t.floats, x, false))
+			return b.takeRows(eqScan(b.t.floats, x, false))
 		case int64:
-			return b.selectNeTyped(eqScan(b.t.floats, float64(x), false))
+			return b.takeRows(eqScan(b.t.floats, float64(x), false))
 		case int:
-			return b.selectNeTyped(eqScan(b.t.floats, float64(x), false))
+			return b.takeRows(eqScan(b.t.floats, float64(x), false))
 		}
 	case KOid:
 		switch x := v.(type) {
 		case Oid:
-			return b.selectNeTyped(eqScan(b.t.oidValues(), x, false))
+			return b.takeRows(eqScan(b.t.oidValues(), x, false))
 		case int64:
 			if x < 0 {
 				return b.viewAll()
 			}
-			return b.selectNeTyped(eqScan(b.t.oidValues(), Oid(x), false))
+			return b.takeRows(eqScan(b.t.oidValues(), Oid(x), false))
 		case int:
 			if x < 0 {
 				return b.viewAll()
 			}
-			return b.selectNeTyped(eqScan(b.t.oidValues(), Oid(x), false))
+			return b.takeRows(eqScan(b.t.oidValues(), Oid(x), false))
 		}
 	case KStr:
 		if x, isStr := v.(string); isStr {
-			return b.selectNeTyped(eqScan(b.t.strs, x, false))
+			return b.takeRows(eqScan(b.t.strs, x, false))
 		}
 	case KBool:
 		if x, isBool := v.(bool); isBool {
-			return b.selectNeTyped(eqScan(b.t.bools, x, false))
+			return b.takeRows(eqScan(b.t.bools, x, false))
 		}
 	}
 	return b.selectNeGeneric(v)
-}
-
-func (b *BAT) selectNeTyped(idx []int32) *BAT {
-	nb := &BAT{Name: b.Name, h: b.h.take32(idx), t: b.t.take32(idx)}
-	nb.h.sorted = b.h.Sorted()
-	nb.t.sorted = b.t.Sorted()
-	return nb
 }
 
 // SelectFunc filters rows by an arbitrary tail predicate (used for LIKE
@@ -726,13 +839,130 @@ func rangeMemberIdx(vals []Oid, base, end Oid, keep bool) []int32 {
 	return idx
 }
 
+// gallopRatio is the length ratio past which intersecting two sorted
+// lists searches the longer one exponentially instead of walking it.
+const gallopRatio = 8
+
+// mergeMemberIdx is memberIdx for two non-decreasing lists: one linear
+// two-cursor walk, no hash table. Duplicates behave exactly as they do
+// against a set: every copy in a that has (keep) or lacks (!keep) a
+// match in r is reported, and copies in r change nothing, because the
+// r cursor only moves past values smaller than a's current one. The
+// cursors advance by comparison outcomes, so the loop carries no
+// data-dependent branch.
+func mergeMemberIdx(a, r []Oid, keep bool) []int32 {
+	idx := getIdx(len(a))
+	i, j, n := 0, 0, 0
+	for i < len(a) && j < len(r) {
+		x, y := a[i], r[j]
+		idx[n] = int32(i)
+		step := b2i(x <= y) // a's value is settled: matched, or passed over
+		n += step & b2i((x == y) == keep)
+		i += step
+		j += 1 - step
+	}
+	if !keep {
+		for ; i < len(a); i++ { // r is exhausted: the rest of a has no match
+			idx[n] = int32(i)
+			n++
+		}
+	}
+	return idx[:n]
+}
+
+// gallopTo returns the first position at or after j whose value is >= v
+// in the non-decreasing list r, probing at doubling distances before
+// binary-searching the bracketed stretch: O(log distance).
+func gallopTo(r []Oid, j int, v Oid) int {
+	if j >= len(r) || r[j] >= v {
+		return j
+	}
+	step := 1
+	for j+step < len(r) && r[j+step] < v {
+		step <<= 1
+	}
+	lo, hi := j+step>>1+1, j+step // r[lo-1] < v; r[hi] >= v or hi is past the end
+	if hi > len(r) {
+		hi = len(r)
+	}
+	return lo + sort.Search(hi-lo, func(k int) bool { return r[lo+k] >= v })
+}
+
+// gallopProbeIdx is mergeMemberIdx for a short a against a long r: each
+// value of a gallops r's cursor forward, O(len(a) · log(len(r)/len(a))).
+func gallopProbeIdx(a, r []Oid, keep bool) []int32 {
+	idx := getIdx(len(a))
+	j, n := 0, 0
+	for i, v := range a {
+		j = gallopTo(r, j, v)
+		idx[n] = int32(i)
+		n += b2i((j < len(r) && r[j] == v) == keep)
+	}
+	return idx[:n]
+}
+
+// gallopRunsIdx is mergeMemberIdx(a, r, true) for a long a against a
+// short r: each distinct value of r gallops a's cursor to its run of
+// copies.
+func gallopRunsIdx(a, r []Oid) []int32 {
+	idx := make([]int32, 0, len(r))
+	i := 0
+	for k, v := range r {
+		if k > 0 && v == r[k-1] {
+			continue
+		}
+		for i = gallopTo(a, i, v); i < len(a) && a[i] == v; i++ {
+			idx = append(idx, int32(i))
+		}
+	}
+	return idx
+}
+
+// sortedMemberIdx filters the positions of the non-decreasing OID list
+// a by membership in the non-decreasing list r, picking the walk by the
+// length ratio. A long a is only worth galloping for keep: the
+// complement is about as long as a itself.
+func sortedMemberIdx(a, r []Oid, keep bool) []int32 {
+	switch {
+	case len(r) > gallopRatio*len(a):
+		return gallopProbeIdx(a, r, keep)
+	case keep && len(a) > gallopRatio*len(r):
+		return gallopRunsIdx(a, r)
+	}
+	return mergeMemberIdx(a, r, keep)
+}
+
+// denseMemberIdx returns the positions of a dense head [base, base+n)
+// whose OID occurs in the non-decreasing list r: each distinct value of
+// r inside the range is its own position.
+func denseMemberIdx(base Oid, n int, r []Oid) []int32 {
+	from := gallopTo(r, 0, base)
+	to := gallopTo(r, from, base+Oid(n))
+	idx := make([]int32, 0, to-from)
+	for k := from; k < to; k++ {
+		if k == from || r[k] != r[k-1] {
+			idx = append(idx, int32(r[k]-base))
+		}
+	}
+	return idx
+}
+
 // headFilterIdx computes the row positions of b whose head value
-// does (keep) or does not (!keep) appear among r's head values, using
-// typed sets — or plain range arithmetic when r's head is dense.
+// does (keep) or does not (!keep) appear among r's head values. Heads
+// that are sorted OID lists — every candidate list a select over a
+// dense-headed column yields — are intersected by merge; a dense r is
+// plain range arithmetic; only unsorted or non-OID heads build a typed
+// hash set.
 func headFilterIdx(b, r *BAT, keep bool) []int32 {
 	if r.h.dense {
 		base, end := r.h.base, r.h.base+Oid(r.h.Len())
 		return rangeMemberIdx(b.h.oidValues(), base, end, keep)
+	}
+	if b.h.kind == KOid && b.h.Sorted() && r.h.Sorted() {
+		if b.h.dense && keep {
+			return denseMemberIdx(b.h.base, b.h.n, r.h.oids)
+		}
+		return sortedMemberIdx(b.h.oidValues(), r.h.oids, keep)
 	}
 	switch b.h.kind {
 	case KOid:
@@ -751,11 +981,17 @@ func headFilterIdx(b, r *BAT, keep bool) []int32 {
 
 // takeRows gathers the given rows of both columns, propagating head and
 // tail sortedness (row order is preserved by all int32 index kernels).
+// A mirrored BAT — every candidate list — is gathered once and stays
+// mirrored.
 func (b *BAT) takeRows(idx []int32) *BAT {
-	nb := &BAT{Name: b.Name, h: b.h.take32(idx), t: b.t.take32(idx)}
-	nb.h.sorted = b.h.Sorted()
-	nb.t.sorted = b.t.Sorted()
-	return nb
+	h := b.h.take32(idx)
+	h.sorted = b.h.Sorted()
+	if b.t == b.h {
+		return &BAT{Name: b.Name, h: h, t: h}
+	}
+	t := b.t.take32(idx)
+	t.sorted = b.t.Sorted()
+	return &BAT{Name: b.Name, h: h, t: t}
 }
 
 // Semijoin returns the rows of b whose head value appears among r's head
@@ -764,10 +1000,15 @@ func (b *BAT) Semijoin(r *BAT) *BAT {
 	if b.h.kind != r.h.kind {
 		panic(fmt.Sprintf("bat: semijoin type mismatch %s != %s", b.h.kind, r.h.kind))
 	}
-	if r.h.dense && b.h.dense {
-		// Dense ∩ dense range: contiguous O(1) view.
-		lo, hi := b.h.base, b.h.base+Oid(b.h.n)
+	if r.h.dense && b.h.Sorted() {
+		// Sorted ∩ dense range: the survivors are one contiguous run,
+		// found by arithmetic (dense b) or binary search: an O(1) view.
 		rbase, rend := r.h.base, r.h.base+Oid(r.h.Len())
+		if !b.h.dense {
+			from := gallopTo(b.h.oids, 0, rbase)
+			return b.Slice(from, gallopTo(b.h.oids, from, rend))
+		}
+		lo, hi := b.h.base, b.h.base+Oid(b.h.n)
 		if rbase > lo {
 			lo = rbase
 		}
@@ -780,7 +1021,16 @@ func (b *BAT) Semijoin(r *BAT) *BAT {
 		i0 := int(lo - b.h.base)
 		return b.Slice(i0, i0+int(hi-lo))
 	}
-	return b.takeRows(headFilterIdx(b, r, true))
+	return b.takeFiltered(r, true)
+}
+
+// takeFiltered gathers the rows headFilterIdx keeps and recycles the
+// position buffer.
+func (b *BAT) takeFiltered(r *BAT, keep bool) *BAT {
+	idx := headFilterIdx(b, r, keep)
+	nb := b.takeRows(idx)
+	putIdx(idx)
+	return nb
 }
 
 // Diff returns the rows of b whose head value does NOT appear among r's
@@ -790,7 +1040,7 @@ func (b *BAT) Diff(r *BAT) *BAT {
 		// Different key kinds can never match; kdiff keeps everything.
 		return b.viewAll()
 	}
-	return b.takeRows(headFilterIdx(b, r, false))
+	return b.takeFiltered(r, false)
 }
 
 // concatCol concatenates two columns of the same kind: the binary case

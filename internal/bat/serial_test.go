@@ -1,10 +1,84 @@
 package bat
 
 import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
+
+// The legacy gob serialization, kept in a test file: every wire path
+// (ring hops, result frames) uses the native codec in wire.go
+// (AppendMarshal/UnmarshalView), and gob Marshal/Unmarshal survive under
+// their old names only as the baseline the equivalence tests and the
+// codec-vs-gob benchmarks compare against.
+
+// Snapshot is the gob-friendly wire form of a BAT, used when fragments
+// travel the live storage ring.
+type Snapshot struct {
+	Name string
+	H, T ColumnSnapshot
+}
+
+// ColumnSnapshot is the wire form of one column.
+type ColumnSnapshot struct {
+	Kind   Kind
+	Dense  bool
+	Base   Oid
+	N      int
+	Oids   []Oid
+	Ints   []int64
+	Floats []float64
+	Strs   []string
+	Bools  []bool
+	Sorted bool
+}
+
+func snapCol(c *Column) ColumnSnapshot {
+	return ColumnSnapshot{
+		Kind: c.kind, Dense: c.dense, Base: c.base, N: c.n,
+		Oids: c.oids, Ints: c.ints, Floats: c.floats, Strs: c.strs, Bools: c.bools,
+		Sorted: c.sorted,
+	}
+}
+
+func (s ColumnSnapshot) column() *Column {
+	return &Column{
+		kind: s.Kind, dense: s.Dense, base: s.Base, n: s.N,
+		oids: s.Oids, ints: s.Ints, floats: s.Floats, strs: s.Strs, bools: s.Bools,
+		sorted: s.Sorted,
+	}
+}
+
+// Snapshot captures the BAT for serialization.
+func (b *BAT) Snapshot() Snapshot {
+	return Snapshot{Name: b.Name, H: snapCol(b.h), T: snapCol(b.t)}
+}
+
+// FromSnapshot reconstructs a BAT.
+func FromSnapshot(s Snapshot) *BAT {
+	return &BAT{Name: s.Name, h: s.H.column(), t: s.T.column()}
+}
+
+// Marshal gob-encodes the BAT.
+func Marshal(b *BAT) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(b.Snapshot()); err != nil {
+		return nil, fmt.Errorf("bat: marshal: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// Unmarshal decodes a BAT produced by Marshal.
+func Unmarshal(data []byte) (*BAT, error) {
+	var s Snapshot
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
+		return nil, fmt.Errorf("bat: unmarshal: %w", err)
+	}
+	return FromSnapshot(s), nil
+}
 
 func roundtrip(t *testing.T, b *BAT) *BAT {
 	t.Helper()

@@ -38,7 +38,7 @@ package bat
 // buffer as frozen once decoded. Appending to a decoded column is still
 // safe: views are handed out at full capacity, so append reallocates.
 //
-// The gob-based Marshal/Unmarshal in serial.go remain as the test-only
+// The gob-based Marshal/Unmarshal live in serial_test.go as the
 // baseline the equivalence and speedup tests compare against.
 
 import (

@@ -33,6 +33,7 @@ type Stats struct {
 // column to be merged first.
 var fusedScanOp = map[string]string{
 	"algebra.select":   "pinselect",
+	"algebra.uselect":  "pinuselect",
 	"algebra.selectEq": "pinselecteq",
 	"algebra.selectNe": "pinselectne",
 }

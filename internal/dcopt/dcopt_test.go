@@ -213,7 +213,7 @@ func TestRequestedColumns(t *testing.T) {
 }
 
 // TestFusedScanRewrite: a select that is both first and last use of a
-// bound column collapses into datacyclotron.pinselect, with no
+// bound column collapses into datacyclotron.pinuselect, with no
 // stand-alone pin/unpin left for that column.
 func TestFusedScanRewrite(t *testing.T) {
 	p := compile(t, "select name from t where id >= 2")
@@ -225,7 +225,7 @@ func TestFusedScanRewrite(t *testing.T) {
 		t.Fatalf("fused = %d, want 1 (stats %+v)", st.Fused, st)
 	}
 	text := dc.String()
-	if !strings.Contains(text, "datacyclotron.pinselect") {
+	if !strings.Contains(text, "datacyclotron.pinuselect") {
 		t.Fatalf("plan missing fused scan:\n%s", text)
 	}
 	// t.id is consumed entirely by the fused scan; t.name still needs a

@@ -107,14 +107,12 @@ func registerStandard(r *Registry) {
 	// global OIDs (a Slice view shifts the dense base), so the merged
 	// scan output is identical to scanning the whole column.
 	r.Register("datacyclotron", "pinselect", func(ctx *Context, args []Value) ([]Value, error) {
-		var lo, hi *bat.Bound
-		if args[1] != nil {
-			lo = &bat.Bound{Value: args[1], Inclusive: args[3].(bool)}
-		}
-		if args[2] != nil {
-			hi = &bat.Bound{Value: args[2], Inclusive: args[4].(bool)}
-		}
+		lo, hi := rangeArgs(args[1:])
 		return pinScan(ctx, args[0], func(b *bat.BAT) *bat.BAT { return b.Select(lo, hi) })
+	})
+	r.Register("datacyclotron", "pinuselect", func(ctx *Context, args []Value) ([]Value, error) {
+		lo, hi := rangeArgs(args[1:])
+		return pinScan(ctx, args[0], func(b *bat.BAT) *bat.BAT { return b.USelect(lo, hi) })
 	})
 	r.Register("datacyclotron", "pinselecteq", func(ctx *Context, args []Value) ([]Value, error) {
 		v := args[1]
@@ -184,14 +182,18 @@ func registerStandard(r *Registry) {
 		if err != nil {
 			return nil, err
 		}
-		var lo, hi *bat.Bound
-		if args[1] != nil {
-			lo = &bat.Bound{Value: args[1], Inclusive: args[3].(bool)}
-		}
-		if args[2] != nil {
-			hi = &bat.Bound{Value: args[2], Inclusive: args[4].(bool)}
-		}
+		lo, hi := rangeArgs(args[1:])
 		return one(b.Select(lo, hi)), nil
+	})
+	// algebra.uselect takes select's arguments and returns the
+	// candidate list [head|head] of the qualifying rows.
+	r.Register("algebra", "uselect", func(ctx *Context, args []Value) ([]Value, error) {
+		b, err := argBAT(args, 0)
+		if err != nil {
+			return nil, err
+		}
+		lo, hi := rangeArgs(args[1:])
+		return one(b.USelect(lo, hi)), nil
 	})
 	r.Register("algebra", "selectEq", func(ctx *Context, args []Value) ([]Value, error) {
 		b, err := argBAT(args, 0)
@@ -359,6 +361,18 @@ func registerStandard(r *Registry) {
 		}
 		return one(&ResultSet{Names: []string{name}, Cols: []*bat.BAT{col}}), nil
 	})
+}
+
+// rangeArgs decodes the (lo, hi, loIncl, hiIncl) tail of a range
+// select's argument list; a nil limit leaves that side open.
+func rangeArgs(args []Value) (lo, hi *bat.Bound) {
+	if args[0] != nil {
+		lo = &bat.Bound{Value: args[0], Inclusive: args[2].(bool)}
+	}
+	if args[1] != nil {
+		hi = &bat.Bound{Value: args[1], Inclusive: args[3].(bool)}
+	}
+	return lo, hi
 }
 
 // pinScan runs one fused pin+scan: per fragment (out of order, bounded

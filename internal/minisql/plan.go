@@ -1,6 +1,7 @@
 package minisql
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/bat"
@@ -46,6 +47,14 @@ type planner struct {
 	bindOrder  []ColRef             // deterministic bind emission order
 	bindings   map[string]mal.VarID // alias -> [pos|oid] BAT var
 	bound      []string             // aliases joined so far, in order
+	projected  map[projKey]mal.VarID
+}
+
+// projKey names one projection: a column fetched through one [pos|oid]
+// binding of its table.
+type projKey struct {
+	pos mal.VarID
+	col ColRef
 }
 
 // PlanQuery lowers a parsed query to a MAL plan.
@@ -61,6 +70,7 @@ func PlanQuery(q *Query, schema Schema, schemaName string) (*mal.Plan, error) {
 		aliasTable: map[string]string{},
 		binds:      map[ColRef]mal.VarID{},
 		bindings:   map[string]mal.VarID{},
+		projected:  map[projKey]mal.VarID{},
 	}
 	for _, t := range q.From {
 		if _, ok := schema.Columns(t.Name); !ok {
@@ -174,33 +184,144 @@ func (p *planner) anyColumn(alias string) ColRef {
 	return ColRef{Table: alias, Column: cols[0]}
 }
 
+// litRange is the conjunction of range predicates on one column: the
+// tightest [lo, hi] they leave, a nil limit being an open side.
+type litRange struct {
+	lo, hi         any
+	loIncl, hiIncl bool
+}
+
+// cmpLit orders two SQL literals. ok=false when they have no exact
+// order: a string against a number, or an int64 too large to compare
+// with a float64 without rounding.
+func cmpLit(a, b any) (c int, ok bool) {
+	switch x := a.(type) {
+	case int64:
+		switch y := b.(type) {
+		case int64:
+			return cmp.Compare(x, y), true
+		case float64:
+			if x > -1<<53 && x < 1<<53 {
+				return cmp.Compare(float64(x), y), true
+			}
+		}
+	case float64:
+		switch y := b.(type) {
+		case float64:
+			return cmp.Compare(x, y), true
+		case int64:
+			c, ok = cmpLit(y, x)
+			return -c, ok
+		}
+	case string:
+		if y, isStr := b.(string); isStr {
+			return cmp.Compare(x, y), true
+		}
+	}
+	return 0, false
+}
+
+// narrow intersects r with one more limit (isLo: a lower one). Of two
+// limits on the same side the tighter survives, an exclusive one
+// beating an inclusive one at the same value. It reports false, r
+// unchanged, when the new limit cannot be ordered against the old.
+func (r *litRange) narrow(v any, incl, isLo bool) bool {
+	cur, curIncl := &r.hi, &r.hiIncl
+	if isLo {
+		cur, curIncl = &r.lo, &r.loIncl
+	}
+	if *cur == nil {
+		*cur, *curIncl = v, incl
+		return true
+	}
+	c, ok := cmpLit(v, *cur)
+	if !ok {
+		return false
+	}
+	if isLo {
+		c = -c
+	}
+	switch {
+	case c < 0: // tighter
+		*cur, *curIncl = v, incl
+	case c == 0:
+		*curIncl = *curIncl && incl
+	}
+	return true
+}
+
+// and folds a range predicate into r; false (r unchanged) when it
+// cannot be, and the predicate then becomes a range of its own.
+func (r *litRange) and(w Predicate) bool {
+	next := *r
+	var ok bool
+	switch {
+	case w.Between:
+		ok = next.narrow(w.Lo, true, true) && next.narrow(w.Hi, true, false)
+	case w.Op == OpLt, w.Op == OpLe:
+		ok = next.narrow(w.Rhs, w.Op == OpLe, false)
+	default: // OpGt, OpGe
+		ok = next.narrow(w.Rhs, w.Op == OpGe, true)
+	}
+	if ok {
+		*r = next
+	}
+	return ok
+}
+
+// selection is one scan of candidates(): an equality test, or every
+// range predicate on its column coalesced into one range.
+type selection struct {
+	col ColRef
+	eq  *Predicate // the = or <> test; nil: rng
+	rng litRange
+}
+
 // candidates builds the per-table candidate [oid|oid] BAT by applying
-// all single-table predicates (selection push-down, §3.2).
+// all single-table predicates (selection push-down, §3.2). The range
+// predicates on one column coalesce into a single algebra.uselect —
+// `a >= x and a < y` scans a once, for [x, y) — and the per-predicate
+// candidate lists are intersected with algebra.semijoin. Contradictory
+// limits need no special case: the kernel answers an empty range with
+// an empty list.
 func (p *planner) candidates(alias string) mal.VarID {
-	var cand mal.VarID = mal.NoVar
-	for _, w := range p.q.Where {
+	var sels []*selection
+	for i := range p.q.Where {
+		w := &p.q.Where[i]
 		if w.RhsIsCol || w.Lhs.Table != alias {
 			continue
 		}
-		col := p.bind(w.Lhs)
-		var sel mal.VarID
-		switch {
-		case w.Between:
-			sel = p.b.Emit("algebra", "select", mal.V(col), mal.L(w.Lo), mal.L(w.Hi), mal.L(true), mal.L(true))
-		case w.Op == OpEq:
-			sel = p.b.Emit("algebra", "selectEq", mal.V(col), mal.L(w.Rhs))
-		case w.Op == OpNe:
-			sel = p.b.Emit("algebra", "selectNe", mal.V(col), mal.L(w.Rhs))
-		case w.Op == OpLt:
-			sel = p.b.Emit("algebra", "select", mal.V(col), mal.L(nil), mal.L(w.Rhs), mal.L(false), mal.L(false))
-		case w.Op == OpLe:
-			sel = p.b.Emit("algebra", "select", mal.V(col), mal.L(nil), mal.L(w.Rhs), mal.L(false), mal.L(true))
-		case w.Op == OpGt:
-			sel = p.b.Emit("algebra", "select", mal.V(col), mal.L(w.Rhs), mal.L(nil), mal.L(false), mal.L(false))
-		case w.Op == OpGe:
-			sel = p.b.Emit("algebra", "select", mal.V(col), mal.L(w.Rhs), mal.L(nil), mal.L(true), mal.L(false))
+		if !w.Between && (w.Op == OpEq || w.Op == OpNe) {
+			sels = append(sels, &selection{col: w.Lhs, eq: w})
+			continue
 		}
-		piece := p.b.Emit("bat", "mirror", mal.V(sel))
+		folded := false
+		for _, s := range sels {
+			if s.col == w.Lhs && s.eq == nil && s.rng.and(*w) {
+				folded = true
+				break
+			}
+		}
+		if !folded {
+			s := &selection{col: w.Lhs}
+			s.rng.and(*w)
+			sels = append(sels, s)
+		}
+	}
+	var cand mal.VarID = mal.NoVar
+	for _, s := range sels {
+		col := p.bind(s.col)
+		var piece mal.VarID
+		if s.eq == nil {
+			piece = p.b.Emit("algebra", "uselect", mal.V(col),
+				mal.L(s.rng.lo), mal.L(s.rng.hi), mal.L(s.rng.loIncl), mal.L(s.rng.hiIncl))
+		} else {
+			op := "selectEq"
+			if s.eq.Op == OpNe {
+				op = "selectNe"
+			}
+			piece = p.b.Emit("bat", "mirror", mal.V(p.b.Emit("algebra", op, mal.V(col), mal.L(s.eq.Rhs))))
+		}
 		if cand == mal.NoVar {
 			cand = piece
 		} else {
@@ -217,6 +338,19 @@ func (p *planner) candidates(alias string) mal.VarID {
 func (p *planner) isBound(alias string) bool {
 	_, ok := p.bindings[alias]
 	return ok
+}
+
+// project returns the [pos|value] BAT of c over its table's current
+// binding, emitting the positional join once per (binding, column):
+// `sum(x), avg(x)` fetches x once.
+func (p *planner) project(c ColRef) mal.VarID {
+	k := projKey{pos: p.bindings[c.Table], col: c}
+	v, ok := p.projected[k]
+	if !ok {
+		v = p.b.Emit("algebra", "join", mal.V(k.pos), mal.V(p.bind(c)))
+		p.projected[k] = v
+	}
+	return v
 }
 
 // realign maps every existing binding through K ([pos|newPos] reversed),
@@ -311,11 +445,6 @@ func (p *planner) plan() error {
 		}
 	}
 
-	// Output columns: [pos|value] per referenced select/group column.
-	outCol := func(c ColRef) mal.VarID {
-		return p.b.Emit("algebra", "join", mal.V(p.bindings[c.Table]), mal.V(p.bind(c)))
-	}
-
 	hasAgg := false
 	for _, it := range p.q.Select {
 		if it.Agg != AggNone {
@@ -323,7 +452,7 @@ func (p *planner) plan() error {
 		}
 	}
 	if len(p.q.GroupBy) > 0 || hasAgg {
-		return p.planAggregation(outCol)
+		return p.planAggregation()
 	}
 
 	// Plain projection.
@@ -331,7 +460,7 @@ func (p *planner) plan() error {
 	var outs []mal.VarID
 	for _, it := range p.q.Select {
 		names = append(names, it.Name())
-		outs = append(outs, outCol(it.Col))
+		outs = append(outs, p.project(it.Col))
 	}
 	outs = p.applyOrderLimit(names, outs, func(ref ColRef) (mal.VarID, bool) {
 		for i, it := range p.q.Select {
@@ -359,7 +488,7 @@ func matchOrderRef(ref ColRef, it SelectItem) bool {
 
 // applyJoin joins the bound side (boundCol's table) with a new table.
 func (p *planner) applyJoin(boundCol, newCol ColRef, newCand mal.VarID) {
-	lhsVals := p.b.Emit("algebra", "join", mal.V(p.bindings[boundCol.Table]), mal.V(p.bind(boundCol)))
+	lhsVals := p.project(boundCol)
 	rhsVals := p.b.Emit("algebra", "join", mal.V(newCand), mal.V(p.bind(newCol)))
 	rhsRev := p.b.Emit("bat", "reverse", mal.V(rhsVals))
 	j := p.b.Emit("algebra", "join", mal.V(lhsVals), mal.V(rhsRev)) // [pos|newOid]
@@ -373,8 +502,7 @@ func (p *planner) applyJoin(boundCol, newCol ColRef, newCand mal.VarID) {
 // applyFilterJoin handles a join predicate between two already-bound
 // tables (a cycle in the join graph) as a positional equality filter.
 func (p *planner) applyFilterJoin(l, r ColRef) {
-	lv := p.b.Emit("algebra", "join", mal.V(p.bindings[l.Table]), mal.V(p.bind(l)))
-	rv := p.b.Emit("algebra", "join", mal.V(p.bindings[r.Table]), mal.V(p.bind(r)))
+	lv, rv := p.project(l), p.project(r)
 	f := p.b.Emit("calc", "eqselect", mal.V(lv), mal.V(rv)) // [pos|val] subset
 	c := p.b.Emit("bat", "mirror", mal.V(f))                // [pos|pos]
 	k := p.b.Emit("algebra", "markT", mal.V(c), mal.L(bat.Oid(0)))
@@ -383,7 +511,7 @@ func (p *planner) applyFilterJoin(l, r ColRef) {
 }
 
 // planAggregation lowers GROUP BY / scalar aggregate queries.
-func (p *planner) planAggregation(outCol func(ColRef) mal.VarID) error {
+func (p *planner) planAggregation() error {
 	for _, it := range p.q.Select {
 		if it.Agg == AggNone && !inGroupBy(p.q.GroupBy, it.Col) {
 			return fmt.Errorf("minisql: column %s must appear in GROUP BY", it.Col)
@@ -398,11 +526,11 @@ func (p *planner) planAggregation(outCol func(ColRef) mal.VarID) error {
 			var scalar mal.VarID
 			switch {
 			case it.Star:
-				any := p.anyColumn(p.q.From[0].Alias)
-				scalar = p.b.Emit("aggr", "count", mal.V(outCol(any)))
+				// Every binding has one row per result row: count(*)
+				// counts the candidate list itself, fetching no column.
+				scalar = p.b.Emit("aggr", "count", mal.V(p.bindings[p.q.From[0].Alias]))
 			default:
-				v := outCol(it.Col)
-				scalar = p.b.Emit("aggr", it.Agg.String(), mal.V(v))
+				scalar = p.b.Emit("aggr", it.Agg.String(), mal.V(p.project(it.Col)))
 			}
 			outs = append(outs, p.b.Emit("bat", "fromScalar", mal.L(names[len(names)-1]), mal.V(scalar)))
 		}
@@ -413,7 +541,7 @@ func (p *planner) planAggregation(outCol func(ColRef) mal.VarID) error {
 	// Grouped aggregation.
 	keys := make([]mal.VarID, len(p.q.GroupBy))
 	for i, g := range p.q.GroupBy {
-		keys[i] = outCol(g)
+		keys[i] = p.project(g)
 	}
 	groups, reps := p.b.Emit2("group", "newpos", mal.V(keys[0]))
 	for _, k := range keys[1:] {
@@ -434,13 +562,13 @@ func (p *planner) planAggregation(outCol func(ColRef) mal.VarID) error {
 		case it.Agg == AggCount:
 			outs = append(outs, p.b.Emit("aggr", "groupedCount", mal.V(groups)))
 		case it.Agg == AggSum:
-			outs = append(outs, p.b.Emit("aggr", "groupedSum", mal.V(groups), mal.V(outCol(it.Col))))
+			outs = append(outs, p.b.Emit("aggr", "groupedSum", mal.V(groups), mal.V(p.project(it.Col))))
 		case it.Agg == AggAvg:
-			outs = append(outs, p.b.Emit("aggr", "groupedAvg", mal.V(groups), mal.V(outCol(it.Col))))
+			outs = append(outs, p.b.Emit("aggr", "groupedAvg", mal.V(groups), mal.V(p.project(it.Col))))
 		case it.Agg == AggMin:
-			outs = append(outs, p.b.Emit("aggr", "groupedMin", mal.V(groups), mal.V(outCol(it.Col))))
+			outs = append(outs, p.b.Emit("aggr", "groupedMin", mal.V(groups), mal.V(p.project(it.Col))))
 		case it.Agg == AggMax:
-			outs = append(outs, p.b.Emit("aggr", "groupedMax", mal.V(groups), mal.V(outCol(it.Col))))
+			outs = append(outs, p.b.Emit("aggr", "groupedMax", mal.V(groups), mal.V(p.project(it.Col))))
 		}
 	}
 	outs = p.applyOrderLimit(names, outs, func(ref ColRef) (mal.VarID, bool) {
