@@ -374,3 +374,56 @@ func TestPanicsOnBadSpecs(t *testing.T) {
 		}()
 	}
 }
+
+// TestPinJustAfterPassNeedsNoResend replays, on the simulated clock, the
+// schedule behind the live ring's 2 s stalls: node 2 pins a BAT right
+// after its envelope went by, on a revolution nobody else uses. The
+// request reaches the owner while the envelope is still on its way
+// home, and that homecoming's LOI is below the threshold. With pacing
+// on, the owner forwards it once more and node 2 is served within two
+// revolutions; with pacing off (the paper's protocol, and what the
+// figures reproduce) the BAT unloads and only the resend timer brings
+// it back.
+func TestPinJustAfterPassNeedsNoResend(t *testing.T) {
+	const size = 1 << 20
+	for _, tc := range []struct {
+		park    int
+		resends uint64
+	}{{2, 0}, {0, 1}} {
+		cfg := DefaultConfig()
+		cfg.Nodes = 3
+		cfg.Core.LOITLevels = []float64{0.3}
+		cfg.Core.AdaptiveLOIT = false
+		cfg.Core.ParkIdleCycles = tc.park
+		c := New(cfg)
+		c.AddBAT(BATSpec{ID: 0, Size: size, Owner: 0})
+
+		reqHop := cfg.Ring.Request.Delay
+		hop := c.ring.DataLink(0).SerializationTime(size+core.BATHeaderSize) + cfg.Ring.Data.Delay
+		rev := 3 * hop
+		// Node 1's query loads the BAT: it comes home at reqHop+rev with
+		// LOI 0.5, passes node 2 again at reqHop+rev+2*hop, and comes
+		// home idle at reqHop+2*rev with LOI 0.25 < 0.3.
+		c.Submit(QuerySpec{ID: 1, Node: 1, Steps: []Step{{BAT: 0, Proc: time.Microsecond}}})
+		pinAt := reqHop + rev + 2*hop + hop/10
+		if arrives := pinAt + 2*reqHop; arrives >= reqHop+2*rev {
+			t.Fatalf("schedule broken: the request reaches the owner at %v, after the homecoming", arrives)
+		}
+		c.Submit(QuerySpec{ID: 2, Node: 2, Arrival: pinAt, Steps: []Step{{BAT: 0, Proc: time.Microsecond}}})
+
+		end := c.Run(time.Minute)
+		if c.QueriesDone() != 2 {
+			t.Fatalf("park=%d: done = %d, want 2", tc.park, c.QueriesDone())
+		}
+		if got := c.Node(2).Stats().Resends; got != tc.resends {
+			t.Fatalf("park=%d: node 2 resends = %d, want %d", tc.park, got, tc.resends)
+		}
+		waited := end - pinAt
+		if tc.resends == 0 && waited > 2*rev {
+			t.Fatalf("park=%d: node 2 waited %v, more than two revolutions (%v)", tc.park, waited, 2*rev)
+		}
+		if tc.resends > 0 && waited < cfg.Core.ResendTimeout {
+			t.Fatalf("park=%d: node 2 waited %v, less than the resend timeout it was supposed to sit out", tc.park, waited)
+		}
+	}
+}

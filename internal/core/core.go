@@ -131,11 +131,17 @@ type Config struct {
 	// downstream used it, per the envelope's own interest accounting) is
 	// parked at its owner instead of burning hop slots — it stays in the
 	// hot set, its LOI frozen, and re-enters circulation the moment the
-	// next interest signal (a ring request) reaches the owner. Any
-	// request arriving at the owner also resets the idle count, so
-	// interest announced just before a would-be park keeps the BAT
-	// flowing. 0 disables pacing (every hot BAT circulates continuously,
-	// the paper's behavior and the pre-pacing wire behavior).
+	// next interest signal (a ring request) reaches the owner. An owner
+	// that stops idle BATs must not mistake unserved interest for
+	// idleness, so pacing also closes the two windows in which it could:
+	// a request that reaches the owner while the BAT circulates guards
+	// its next homecoming (that pass neither parks nor unloads, so the
+	// envelope makes one more full revolution and passes the requester
+	// even if it had already gone by), and an envelope passing a node
+	// that has asked for the BAT but not yet blocked in pin() counts a
+	// copy. 0 disables all three (every hot BAT circulates continuously
+	// and a request can lose its BAT to an unload until the resend timer
+	// fires — the paper's behavior, and what the simulator reproduces).
 	ParkIdleCycles int
 }
 
@@ -162,9 +168,11 @@ type ownedBAT struct {
 	pendingSince time.Duration
 
 	// LOI-gated pacing state (Config.ParkIdleCycles): consecutive
-	// zero-copy revolutions observed, and — while parked — the frozen
-	// circulation header the BAT re-enters the ring with.
+	// zero-copy revolutions observed, whether a request reached this
+	// owner since the BAT last came home, and — while parked — the
+	// frozen circulation header the BAT re-enters the ring with.
 	idleCycles int
+	wanted     bool
 	parked     bool
 	parkedMsg  BATMsg
 
@@ -213,7 +221,6 @@ type Stats struct {
 	Deliveries        uint64
 	PendingPostponed  uint64 // load postponed because the ring was full
 	LOITSteps         uint64
-	CacheInterest     uint64 // pins served node-locally, folded into LOI
 	BATsParked        uint64 // idle BATs held at their owner (LOI pacing)
 	BATsUnparked      uint64 // parked BATs re-admitted by an interest signal
 	BATsPromoted      uint64 // BATs that entered S1 through PromoteOwned (failover, moves)
@@ -232,13 +239,6 @@ type Runtime struct {
 
 	cache       map[BATID]*cacheEntry
 	pendingFIFO []BATID // owned BATs awaiting ring admission, oldest first
-
-	// localHits accumulates pins served from a node-local hot-set cache
-	// since the BAT last flowed past this node. The LOI accounting of
-	// §4.4 counts copies per hop; a cache hit is the same interest
-	// without the delivery, so the pending count is folded into Copies
-	// the next time the BAT passes (or into the owner's LOI directly).
-	localHits map[BATID]int
 
 	loitLevel int
 	loadTimer func() // cancels the loadAll ticker (set by Start)
@@ -263,7 +263,6 @@ func New(id NodeID, env Env, cfg Config) *Runtime {
 		s2:        make(map[BATID]*request),
 		s3:        make(map[BATID]map[QueryID]bool),
 		cache:     make(map[BATID]*cacheEntry),
-		localHits: make(map[BATID]int),
 		loitLevel: cfg.StartLevel,
 	}
 }
@@ -526,25 +525,6 @@ func (rt *Runtime) Unpin(q QueryID, b BATID) {
 	}
 }
 
-// NoteLocalHit records that a pin of b was served from a node-local
-// hot-set cache, bypassing ring delivery. The interest still counts:
-// it is folded into the BAT's copy count the next time b flows past,
-// so the owner's LOI reflects cached readers too and a hot fragment is
-// not evicted merely because every node already holds it locally.
-func (rt *Runtime) NoteLocalHit(b BATID) {
-	rt.localHits[b]++
-	rt.stats.CacheInterest++
-}
-
-// takeLocalHits drains the pending local-hit count for b.
-func (rt *Runtime) takeLocalHits(b BATID) int {
-	n := rt.localHits[b]
-	if n > 0 {
-		delete(rt.localHits, b)
-	}
-	return n
-}
-
 // CancelQuery removes all of q's bookkeeping (used when a query is
 // aborted or migrates away during the nomadic phase).
 func (rt *Runtime) CancelQuery(q QueryID, bats []BATID) {
@@ -593,13 +573,14 @@ func (rt *Runtime) OnRequest(m RequestMsg) {
 	if o, owned := rt.s1[m.BAT]; owned {
 		if o.loaded {
 			// An interest signal reached the owner: a parked BAT
-			// re-enters circulation, and a circulating one gets its idle
-			// count cleared so the fresh interest keeps it from parking
-			// before the requester's pin is counted downstream.
+			// re-enters circulation; a circulating one may already have
+			// passed the requester, so its next homecoming is guarded
+			// (hotSetManagement) and the pin is counted downstream on
+			// the revolution after.
 			if o.parked {
 				rt.unpark(o)
 			} else {
-				o.idleCycles = 0
+				o.wanted = true
 			}
 			return
 		}
@@ -638,8 +619,8 @@ func (rt *Runtime) OnBAT(m BATMsg) {
 // batPropagation implements Fig. 4.
 func (rt *Runtime) batPropagation(m BATMsg) {
 	m.Hops++
-	m.Copies += rt.takeLocalHits(m.BAT)
-	if rq := rt.s2[m.BAT]; rq != nil {
+	rq := rt.s2[m.BAT]
+	if rq != nil {
 		rq.sent = true // the BAT's presence proves the request got through
 	}
 	if pins := rt.s3[m.BAT]; len(pins) > 0 {
@@ -651,6 +632,13 @@ func (rt *Runtime) batPropagation(m BATMsg) {
 			rt.deliver(m.BAT, q)
 		}
 		delete(rt.s3, m.BAT)
+	} else if rq != nil && rt.cfg.ParkIdleCycles > 0 {
+		// A local query asked for the BAT and has not blocked in pin()
+		// yet. Uncounted, this pass looks idle to an owner that parks or
+		// unloads on idle passes, and the pin that follows would wait on
+		// a request already marked sent — so it counts as the copy it is
+		// about to become.
+		m.Copies++
 	}
 	rt.finishRequestIfDone(m.BAT)
 	rt.stats.BATsForwarded++
@@ -667,7 +655,6 @@ func (rt *Runtime) hotSetManagement(m BATMsg) {
 		return
 	}
 	m.Cycles++
-	m.Copies += rt.takeLocalHits(m.BAT)
 	copiesThisRev := m.Copies
 	cavg := 0.0
 	if m.Hops > 0 {
@@ -686,8 +673,15 @@ func (rt *Runtime) hotSetManagement(m BATMsg) {
 	// LoadAll round-trip to come back). The park check precedes the
 	// threshold check deliberately: an idle revolution is exactly when
 	// the LOI divides by the cycle count, so a threshold-first order
-	// would unload almost every idle BAT before it could ever park.
-	if rt.cfg.ParkIdleCycles > 0 {
+	// would unload almost every idle BAT before it could ever park. A
+	// request that reached this owner since the last pass overrides both:
+	// its sender may sit behind the envelope, so this homecoming forwards
+	// with the new LOI and the next one judges the BAT as usual.
+	guarded := o.wanted && rt.cfg.ParkIdleCycles > 0
+	o.wanted = false
+	if guarded {
+		o.idleCycles = 0
+	} else if rt.cfg.ParkIdleCycles > 0 {
 		if copiesThisRev == 0 {
 			o.idleCycles++
 			if o.idleCycles >= rt.cfg.ParkIdleCycles {
@@ -702,7 +696,7 @@ func (rt *Runtime) hotSetManagement(m BATMsg) {
 			o.idleCycles = 0
 		}
 	}
-	if newLOI < rt.LOIT() {
+	if newLOI < rt.LOIT() && !guarded {
 		// Below threshold: pull the BAT out of the hot set.
 		o.loaded = false
 		o.idleCycles = 0

@@ -434,3 +434,87 @@ func TestParkedBATStillPinsLocally(t *testing.T) {
 		t.Fatalf("owner's local pin of a parked BAT: delivered = %v, want [7]", got)
 	}
 }
+
+// TestRequestAtOwnerGuardsOneHomecoming: a request that reaches the
+// owner of a circulating BAT may come from a node the envelope has
+// already passed this revolution. With pacing on, the next homecoming
+// therefore neither unloads nor parks — and only that one: the
+// homecoming after it is judged as before. With pacing off the window
+// stays open, as in the paper (§4.2.3's resend covers it).
+func TestRequestAtOwnerGuardsOneHomecoming(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		loit          float64
+		park          int
+		keptAfterReq  bool // the homecoming that follows the request forwards
+		wantUnloaded  uint64
+		wantParked    uint64
+		wantForwarded int // data sends by the owner: load + forwards
+	}{
+		{"unload guarded once", 0.5, 2, true, 1, 0, 2},
+		{"park guarded once", 0, 1, true, 0, 1, 2},
+		{"pacing off keeps the paper's window", 0.5, 0, false, 1, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := staticCfg(tc.loit)
+			cfg.ParkIdleCycles = tc.park
+			env := &mockEnv{}
+			rt := newTestRT(env, cfg)
+			rt.AddOwned(7, 100)
+			rt.OnRequest(RequestMsg{Origin: 1, BAT: 7}) // loads and sends
+			rt.OnRequest(RequestMsg{Origin: 2, BAT: 7}) // reaches a circulating BAT
+
+			idle := BATMsg{Owner: 3, BAT: 7, Size: 100, Hops: 2}
+			rt.OnBAT(idle)
+			if kept := rt.Loaded(7) && !rt.Parked(7); kept != tc.keptAfterReq {
+				t.Fatalf("after the requested homecoming: circulating = %v, want %v", kept, tc.keptAfterReq)
+			}
+			if tc.keptAfterReq {
+				fwd := env.sentData[len(env.sentData)-1]
+				if fwd.Cycles != 1 || fwd.Copies != 0 || fwd.Hops != 0 {
+					t.Fatalf("guarded forward carries %+v, want the normal next-revolution header", fwd)
+				}
+				idle.Cycles, idle.LOI = fwd.Cycles, fwd.LOI
+				rt.OnBAT(idle) // no request in between: judged as before
+			}
+			st := rt.Stats()
+			if st.BATsUnloaded != tc.wantUnloaded || st.BATsParked != tc.wantParked {
+				t.Fatalf("unloaded=%d parked=%d, want %d/%d", st.BATsUnloaded, st.BATsParked, tc.wantUnloaded, tc.wantParked)
+			}
+			if len(env.sentData) != tc.wantForwarded {
+				t.Fatalf("owner sent %d envelopes, want %d", len(env.sentData), tc.wantForwarded)
+			}
+		})
+	}
+}
+
+// TestOutstandingRequestCountsAsCopy: under pacing an envelope that
+// passes a node whose query has asked for the BAT but not yet blocked
+// in pin() carries that interest home as a copy — once, whether or not
+// a pin is already waiting — so the owner does not take the pass for an
+// idle one. Without pacing only blocked pins count, as in Fig. 4.
+func TestOutstandingRequestCountsAsCopy(t *testing.T) {
+	for _, tc := range []struct {
+		park   int
+		pinned bool
+		want   int
+	}{{2, false, 1}, {2, true, 1}, {0, false, 0}, {0, true, 1}} {
+		cfg := staticCfg(0.5)
+		cfg.ParkIdleCycles = tc.park
+		env := &mockEnv{}
+		rt := newTestRT(env, cfg)
+		rt.Request(1, 7)
+		if tc.pinned {
+			rt.Pin(1, 7)
+		}
+		rt.OnBAT(BATMsg{Owner: 0, BAT: 7, Size: 100})
+		if got := env.sentData[0].Copies; got != tc.want {
+			t.Errorf("park=%d pinned=%v: forwarded Copies = %d, want %d", tc.park, tc.pinned, got, tc.want)
+		}
+		rt.CancelQuery(1, []BATID{7})
+		rt.OnBAT(BATMsg{Owner: 0, BAT: 7, Size: 100})
+		if got := env.sentData[1].Copies; got != 0 {
+			t.Errorf("park=%d pinned=%v: a pass with no interest left counted %d copies", tc.park, tc.pinned, got)
+		}
+	}
+}

@@ -44,6 +44,7 @@ type CacheRun struct {
 	HitRate        float64 `json:"hit_rate"`
 	RingWaitMicros int64   `json:"ring_wait_us"`     // total time pins blocked on circulation
 	RepeatHopBytes int64   `json:"repeat_hop_bytes"` // ring data traffic during the repeat phases
+	Resends        uint64  `json:"resends"`          // requests re-sent after ResendTimeout
 }
 
 // CacheResult is the whole sweep.
@@ -180,16 +181,24 @@ func cacheRun(db *tpch.DB, nodes, repeats int, think time.Duration, budget int) 
 		HitRate:        cs.HitRate(),
 		RingWaitMicros: cs.RingWaitNanos / 1e3,
 		RepeatHopBytes: hopsAfter - hopsBefore,
+		Resends:        ringResends(ring),
 	}, nil
 }
 
+// quietRingBytes bounds the ring traffic of a repeat phase served from
+// the cache: under two default-size fragments, over hundreds of reads.
+// Cache hits are not ring interest, so the fragments park and the true
+// figure is zero; the slack covers a parking tail the settle missed.
+const quietRingBytes = 1 << 20
+
 // Gate enforces the cache invariants, so a cache regression can never
-// produce a quiet green run: the cache-off baseline hits nothing and
-// blocks on circulation; with the cache on, the repeat workload hits it
-// (hit rate > 0), a fully-hot repeated pin is at least 5× faster at the
-// 99th percentile than pure circulation, and the repeat phase moves
-// fewer bytes over the ring than with the cache off — node-local reads,
-// not faster ring waits.
+// produce a quiet green run: no setting resends on the lossless ring;
+// the cache-off baseline hits nothing and blocks on circulation; with
+// the cache on, the repeat workload hits it (hit rate > 0), a fully-hot
+// repeated pin is at least 5× faster at the 99th percentile than a
+// healthy ring wait (the baseline's p99 is a few revolutions, no longer
+// the resend timer), and the ring goes quiet under the repeat phase —
+// node-local reads, not faster ring waits.
 func (r *CacheResult) Gate() Gates {
 	var g Gates
 	var off *CacheRun
@@ -199,6 +208,7 @@ func (r *CacheResult) Gate() Gates {
 		g.latencies(scope, r.Repeats, run.QueryP50Micros, run.QueryP99Micros)
 		g.check(run.PinP50Micros >= 0 && run.PinP99Micros >= run.PinP50Micros, scope+": pin quantiles", "0 ≤ p50 ≤ p99",
 			"p50 %dµs, p99 %dµs", run.PinP50Micros, run.PinP99Micros)
+		g.lossFree(scope, run.Resends, max(run.PinP99Micros, run.QueryP99Micros))
 		if run.CacheBytes == 0 {
 			off = run
 			g.check(run.Hits == 0 && run.HitRate == 0, scope+": cache hits", "0", "%d", run.Hits)
@@ -211,10 +221,8 @@ func (r *CacheResult) Gate() Gates {
 		}
 		g.check(run.PinP99Micros*5 <= off.PinP99Micros, scope+": pin p99", "≥5× reduction",
 			"%dµs vs cache-off %dµs", run.PinP99Micros, off.PinP99Micros)
-		if off.RepeatHopBytes > 0 {
-			g.check(run.RepeatHopBytes < off.RepeatHopBytes, scope+": repeat-phase ring traffic", "below cache-off",
-				"%dB vs cache-off %dB", run.RepeatHopBytes, off.RepeatHopBytes)
-		}
+		g.check(run.RepeatHopBytes <= quietRingBytes, scope+": repeat-phase ring traffic", fmt.Sprintf("≤ %dB", quietRingBytes),
+			"%dB (cache-off %dB)", run.RepeatHopBytes, off.RepeatHopBytes)
 	}
 	return g
 }
@@ -224,10 +232,10 @@ func (r *CacheResult) String() string {
 	for _, run := range r.Runs {
 		rows = append(rows, []any{offOr(run.CacheBytes), run.Mode, run.PinP50Micros, run.PinP99Micros,
 			run.QueryP50Micros, run.QueryP99Micros, fmt.Sprintf("%.1f%%", 100*run.HitRate),
-			run.Coalesced, run.RingWaitMicros, run.RepeatHopBytes})
+			run.Coalesced, run.RingWaitMicros, run.RepeatHopBytes, run.Resends})
 	}
 	return table(fmt.Sprintf("Hot-set cache repeat sweep — lineitem %d rows over %d nodes, %d repeats, %dµs think",
 		r.LineitemRows, r.Nodes, r.Repeats, r.ThinkMicros),
 		[]string{"cache_bytes", "mode", "pin_p50us", "pin_p99us", "query_p50us", "query_p99us",
-			"hit_rate", "coalesced", "ringwait_us", "repeat_hop_B"}, rows)
+			"hit_rate", "coalesced", "ringwait_us", "repeat_hop_B", "resends"}, rows)
 }

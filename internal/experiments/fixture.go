@@ -36,19 +36,20 @@ func quantile(lat []time.Duration, p float64) time.Duration {
 	return sorted[int(p*float64(len(sorted)-1))]
 }
 
-// settleHopBytes reads the ring's cumulative data traffic once
-// in-flight sends stop changing it (bounded at 100 ms: the ring keeps
-// rotating, the total only has to reflect the work the queries caused).
+// settleHopBytes reads the ring's cumulative data traffic once it has
+// held still for three reads in a row — on a paced ring that is every
+// idle fragment parked — or after 300 ms: a ring with work left keeps
+// rotating, and the total only has to reflect what the queries caused.
 func settleHopBytes(r *live.Ring) int64 {
-	settle := time.Now().Add(100 * time.Millisecond)
-	last := r.HopBytes()
-	for time.Now().Before(settle) {
+	settle := time.Now().Add(300 * time.Millisecond)
+	last, still := r.HopBytes(), 0
+	for still < 3 && time.Now().Before(settle) {
 		time.Sleep(10 * time.Millisecond)
-		cur := r.HopBytes()
-		if cur == last {
-			break
+		if cur := r.HopBytes(); cur == last {
+			still++
+		} else {
+			last, still = cur, 0
 		}
-		last = cur
 	}
 	return last
 }
@@ -70,6 +71,15 @@ func table(title string, cols []string, rows [][]any) string {
 	return b.String()
 }
 
+// ringResends sums the nodes' resend counters: requests the ring lost,
+// or — on a ring that loses nothing — a BAT that left a requester behind.
+func ringResends(r *live.Ring) (n uint64) {
+	for i := 0; i < r.Size(); i++ {
+		n += r.Node(i).Stats().Resends
+	}
+	return n
+}
+
 // offOr names a swept setting whose zero value switches the feature off.
 func offOr(v int) string {
 	if v == 0 {
@@ -84,6 +94,7 @@ type circulation struct {
 	lat       []time.Duration
 	digest    string        // FNV over every query's rows, in firing order
 	hops      live.HopStats // after the sends settled
+	resends   uint64        // core.Stats.Resends over all nodes
 	fragments int           // fragments of lineitem.l_shipdate
 	region    int           // ring message limit
 }
@@ -92,9 +103,15 @@ type circulation struct {
 // every pin rides the ring and the sweep measures circulation, not the
 // cache (that trade-off is the cache suite's) — fires the Q6-style
 // selective aggregate queries times round-robin over the nodes, and
-// snapshots the hop transport once in-flight sends have settled.
+// snapshots the hop transport once in-flight sends have settled. LOI
+// pacing is on whatever the batching budget, so every row of a
+// transport sweep runs the one protocol whose owner keeps a requested
+// BAT: un-paced, the unbatched rows measured the resend timer.
 func circulate(db *tpch.DB, nodes, queries int, cfg live.Config) (circulation, error) {
 	cfg.CacheBytes = 0
+	if cfg.Core.ParkIdleCycles == 0 {
+		cfg.Core.ParkIdleCycles = 2 // what live picks when batching is on
+	}
 	ring, err := live.NewRing(nodes, db.ColumnMap(), db.Schema(), cfg)
 	if err != nil {
 		return circulation{}, err
@@ -118,6 +135,7 @@ func circulate(db *tpch.DB, nodes, queries int, cfg live.Config) (circulation, e
 	}
 	settleHopBytes(ring)
 	c.hops = ring.HopStats()
+	c.resends = ringResends(ring)
 	c.digest = fmt.Sprintf("%016x", digest.Sum64())
 	frags, _ := ring.Fragments("lineitem.l_shipdate")
 	c.fragments = len(frags)

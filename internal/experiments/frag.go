@@ -18,14 +18,15 @@ import (
 
 // FragRun is one fragment-size setting of the sweep.
 type FragRun struct {
-	FragmentRows int   `json:"fragment_rows"` // 0 = off
-	Fragments    int   `json:"fragments"`     // fragments of lineitem.l_shipdate
-	RegionBytes  int   `json:"region_bytes"`  // ring message limit == RDMA region sizing
-	MaxHopBytes  int64 `json:"max_hop_bytes"` // largest data message observed
-	HopBytes     int64 `json:"hop_bytes"`     // total ring data traffic during the run
-	Queries      int   `json:"queries"`
-	P50Micros    int64 `json:"p50_us"`
-	P99Micros    int64 `json:"p99_us"`
+	FragmentRows int    `json:"fragment_rows"` // 0 = off
+	Fragments    int    `json:"fragments"`     // fragments of lineitem.l_shipdate
+	RegionBytes  int    `json:"region_bytes"`  // ring message limit == RDMA region sizing
+	MaxHopBytes  int64  `json:"max_hop_bytes"` // largest data message observed
+	HopBytes     int64  `json:"hop_bytes"`     // total ring data traffic during the run
+	Queries      int    `json:"queries"`
+	P50Micros    int64  `json:"p50_us"`
+	P99Micros    int64  `json:"p99_us"`
+	Resends      uint64 `json:"resends"` // requests re-sent after ResendTimeout
 }
 
 // FragResult is the whole sweep.
@@ -83,6 +84,7 @@ func FragmentSweep(o FragOpts, seed int64) (*FragResult, error) {
 			Queries:      len(c.lat),
 			P50Micros:    quantile(c.lat, 0.50).Microseconds(),
 			P99Micros:    quantile(c.lat, 0.99).Microseconds(),
+			Resends:      c.resends,
 		})
 	}
 	return res, nil
@@ -92,8 +94,9 @@ func FragmentSweep(o FragOpts, seed int64) (*FragResult, error) {
 // regression can never produce a quiet green run: the unfragmented
 // baseline (FragmentRows 0) is one fragment; every fragmented setting
 // splits the column into exactly ⌈rows/FragmentRows⌉ fragments under a
-// smaller ring message limit, and shrinks the largest ring message
-// against the unfragmented rotation — at least 8× on a ≥8-way split.
+// smaller ring message limit, shrinks the largest ring message against
+// the unfragmented rotation — at least 8× on a ≥8-way split — and never
+// resends or stalls a query for the resend timeout.
 func (r *FragResult) Gate() Gates {
 	var g Gates
 	var base *FragRun
@@ -102,10 +105,13 @@ func (r *FragResult) Gate() Gates {
 		scope := "FragmentRows=" + offOr(run.FragmentRows)
 		g.latencies(scope, run.Queries, run.P50Micros, run.P99Micros)
 		if run.FragmentRows == 0 {
+			// Not held to lossFree: a revolution of whole 8 MB columns
+			// can outlast the resend timer with the BAT still in flight.
 			base = run
 			g.check(run.Fragments == 1, scope+": fragments", "1", "%d", run.Fragments)
 			continue
 		}
+		g.lossFree(scope, run.Resends, run.P99Micros)
 		want := (r.LineitemRows + run.FragmentRows - 1) / run.FragmentRows
 		g.check(run.Fragments == want, scope+": fragments", fmt.Sprint(want), "%d", run.Fragments)
 		if base == nil {
@@ -127,8 +133,8 @@ func (r *FragResult) String() string {
 	var rows [][]any
 	for _, run := range r.Runs {
 		rows = append(rows, []any{offOr(run.FragmentRows), run.Fragments, run.RegionBytes,
-			run.MaxHopBytes, run.HopBytes, run.P50Micros, run.P99Micros})
+			run.MaxHopBytes, run.HopBytes, run.P50Micros, run.P99Micros, run.Resends})
 	}
 	return table(fmt.Sprintf("Fragment granularity sweep — lineitem %d rows over %d nodes", r.LineitemRows, r.Nodes),
-		[]string{"frag_rows", "fragments", "region_B", "max_hop_B", "hop_B", "p50_us", "p99_us"}, rows)
+		[]string{"frag_rows", "fragments", "region_B", "max_hop_B", "hop_B", "p50_us", "p99_us", "resends"}, rows)
 }

@@ -39,6 +39,7 @@ type HopRun struct {
 	Queries       int      `json:"queries"`
 	P50Micros     int64    `json:"p50_us"`
 	P99Micros     int64    `json:"p99_us"`
+	Resends       uint64   `json:"resends"` // requests re-sent after ResendTimeout
 }
 
 // HopResult is the whole sweep.
@@ -107,6 +108,7 @@ func HopSweep(o HopOpts, seed int64) (*HopResult, error) {
 			Queries:       len(c.lat),
 			P50Micros:     quantile(c.lat, 0.50).Microseconds(),
 			P99Micros:     quantile(c.lat, 0.99).Microseconds(),
+			Resends:       c.resends,
 		})
 	}
 	return res, nil
@@ -130,6 +132,7 @@ func (r *HopResult) Gate() Gates {
 		run := &r.Runs[i]
 		scope := "HopBatchBytes=" + offOr(run.HopBatchBytes)
 		g.latencies(scope, run.Queries, run.P50Micros, run.P99Micros)
+		g.lossFree(scope, run.Resends, run.P99Micros)
 		g.check(run.Fragments > 1, scope+": fragments", "> 1", "%d", run.Fragments)
 		if run.HopBatchBytes == 0 {
 			base = run
@@ -157,9 +160,9 @@ func (r *HopResult) String() string {
 	var rows [][]any
 	for _, run := range r.Runs {
 		rows = append(rows, []any{offOr(run.HopBatchBytes), run.Msgs, run.Frags, fmt.Sprintf("%.2f", run.MeanFill),
-			run.ParkedTotal, run.HopBytes, run.MaxMsg, run.P50Micros, run.P99Micros})
+			run.ParkedTotal, run.HopBytes, run.MaxMsg, run.P50Micros, run.P99Micros, run.Resends})
 	}
 	return table(fmt.Sprintf("Hop batching sweep — lineitem %d rows over %d nodes, %d-row fragments",
 		r.LineitemRows, r.Nodes, r.FragmentRows),
-		[]string{"batch_bytes", "hop_msgs", "hop_frags", "fill", "parked", "hop_B", "max_msg_B", "p50_us", "p99_us"}, rows)
+		[]string{"batch_bytes", "hop_msgs", "hop_frags", "fill", "parked", "hop_B", "max_msg_B", "p50_us", "p99_us", "resends"}, rows)
 }

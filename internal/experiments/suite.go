@@ -13,6 +13,8 @@ import (
 	"runtime"
 	"strings"
 	"time"
+
+	"repro/internal/live"
 )
 
 // Result is what a suite's sweep returns: the numbers, printable, and
@@ -75,6 +77,16 @@ func (g *Gates) check(pass bool, name, threshold, observed string, args ...any) 
 func (g *Gates) latencies(scope string, queries int, p50, p99 int64) {
 	g.check(queries > 0 && p50 > 0 && p99 >= p50, scope+": answered", "queries > 0, 0 < p50 ≤ p99",
 		"%d queries, p50 %dµs, p99 %dµs", queries, p50, p99)
+}
+
+// lossFree records the check every run of a suite that kills no node
+// shares: loopback links lose nothing and a paced owner keeps a
+// requested BAT for one more revolution (core.Config.ParkIdleCycles), so
+// no request is ever resent and no query sits out the resend timer.
+func (g *Gates) lossFree(scope string, resends uint64, p99 int64) {
+	timeout := live.DefaultConfig().Core.ResendTimeout
+	g.check(resends == 0 && p99 < timeout.Microseconds(), scope+": loss-free", fmt.Sprintf("0 resends, p99 < %v", timeout),
+		"%d resends, p99 %dµs", resends, p99)
 }
 
 // Err is the first failed check, nil when every check passed.

@@ -83,8 +83,8 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	if _, err := time.Parse(time.RFC3339, got.Date); err != nil {
 		t.Fatalf("date %q: %v", got.Date, err)
 	}
-	if len(got.Gates) != len(res.Gate()) || len(got.Gates) != 6 {
-		t.Fatalf("gates[] has %d entries, Gate() made %d, want 6", len(got.Gates), len(res.Gate()))
+	if len(got.Gates) != len(res.Gate()) || len(got.Gates) != 7 {
+		t.Fatalf("gates[] has %d entries, Gate() made %d, want 7", len(got.Gates), len(res.Gate()))
 	}
 	failed := 0
 	for _, c := range got.Gates {

@@ -12,6 +12,27 @@ import (
 	"repro/internal/tpch"
 )
 
+// q6ishReference is what mal.Run answers to Q6ish on db's unfragmented
+// columns with l_quantity replaced by qty: the whole-version answer a
+// ring serving that version must reproduce.
+func q6ishReference(t *testing.T, db *tpch.DB, qty *bat.BAT) string {
+	t.Helper()
+	plan, err := minisql.Compile(tpch.Q6ishSQL, db.Schema(), "sys")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := catalogOf{}
+	for k, v := range db.ColumnMap() {
+		c[k] = v
+	}
+	c["lineitem.l_quantity"] = qty
+	v, err := mal.Run(&mal.Context{Registry: mal.NewRegistry(), Catalog: c}, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprint(v.(*mal.ResultSet).Rows())
+}
+
 // TestQ6ishCandidateListsAcrossFragments serves Q6ish from every node
 // of a 3-node ring whose columns are cut into 257-row fragments, so the
 // three per-fragment candidate lists are merged out of ~24 pieces each
@@ -45,23 +66,7 @@ func TestQ6ishCandidateListsAcrossFragments(t *testing.T) {
 	}
 	qtyB := bat.MakeInts("lineitem.l_quantity", shifted)
 
-	plan, err := minisql.Compile(tpch.Q6ishSQL, db.Schema(), "sys")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reference := func(qty *bat.BAT) string {
-		c := catalogOf{}
-		for k, v := range cols {
-			c[k] = v
-		}
-		c["lineitem.l_quantity"] = qty
-		v, err := mal.Run(&mal.Context{Registry: mal.NewRegistry(), Catalog: c}, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprint(v.(*mal.ResultSet).Rows())
-	}
-	refA, refB := reference(qtyA), reference(qtyB)
+	refA, refB := q6ishReference(t, db, qtyA), q6ishReference(t, db, qtyB)
 	if refA == refB {
 		t.Fatal("the two versions answer alike; the test cannot tell them apart")
 	}

@@ -102,17 +102,7 @@ func (n *Node) Fetch(name string) (*bat.BAT, error) {
 		n.rt.CancelQuery(q, ids)
 		n.mu.Unlock()
 	}()
-	n.mu.Lock()
-	for _, id := range ids {
-		// Remote-homed fragments are dispatched through the router at
-		// pin time; local interest would dangle (same rule as
-		// queryDC.Request).
-		if n.ring.homeRing(id) != n.ring {
-			continue
-		}
-		n.rt.Request(q, id)
-	}
-	n.mu.Unlock()
+	dc.announce(ids)
 	if len(ids) > 1 {
 		return dc.pinMerged(&fragHandle{name: name, ids: ids})
 	}

@@ -146,9 +146,11 @@ const maxSnapshotRetries = 64
 // preference:
 //
 //  1. hot-set cache hit, version-validated against the ring catalog at
-//     this instant: a node-local read — no waiter, no ring wait. The
-//     pin's interest is fed back into the LOI accounting (NoteLocalHit)
-//     and any outstanding ring interest of this query is withdrawn.
+//     this instant: a node-local read — no waiter, no ring wait, and
+//     no ring interest: a fragment every reader holds needs no ring
+//     slot, so it idles and parks at its owner until a miss or an
+//     invalidation requests it again. Any outstanding ring interest of
+//     this query is withdrawn.
 //  2. an in-flight wait for the same (id, version) by another local pin:
 //     join it instead of registering a second waiter (singleflight).
 //  3. the ring the fragment is homed on (fetchCurrent; the only path
@@ -195,7 +197,6 @@ func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (b *bat.BAT,
 		cur := n.ring.fragVersion(id)
 		if b := n.hot.get(id, cur); b != nil {
 			n.mu.Lock()
-			n.rt.NoteLocalHit(id)
 			// Withdraw any ring interest this query still has in id: the
 			// pin is served locally, so nothing will ever mark the
 			// runtime's request delivered and its resend timer would

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"repro/internal/bat"
-	"repro/internal/core"
 	"repro/internal/minisql"
+	"repro/internal/tpch"
 )
 
 // TestCacheHitServesRepeatPin: the tentpole behavior — a fragment that
@@ -497,41 +497,124 @@ func TestFlightLifecycle(t *testing.T) {
 	}
 }
 
-// TestLocalHitsFeedLOI: pins served node-locally still count as
-// interest — the pending hits fold into the copy count the next time
-// the fragment flows past, so the owner's LOI sees cached readers.
-func TestLocalHitsFeedLOI(t *testing.T) {
-	env := &countEnv{}
-	rt := core.New(1, env, core.DefaultConfig())
-	rt.NoteLocalHit(7)
-	rt.NoteLocalHit(7)
-	rt.OnBAT(core.BATMsg{Owner: 0, BAT: 7, Size: 10})
-	if env.lastSent.Copies != 2 {
-		t.Fatalf("forwarded Copies = %d, want 2 (local hits folded in)", env.lastSent.Copies)
+// TestCachedRingGoesQuiet: cache hits are not ring interest. Once every
+// reader holds the working set the fragments idle, park at their owners
+// and the ring stops moving bytes, while queries keep being answered;
+// an update or a lost cache pulls the fragments back with one request
+// each — no resend timer involved — and every answer stays exactly what
+// mal.Run computes on one whole version.
+func TestCachedRingGoesQuiet(t *testing.T) {
+	db := tpch.GenDB(0.001, 18)
+	cols := db.ColumnMap()
+	cfg := DefaultConfig()
+	cfg.Transport = TCP
+	cfg.FragmentRows = 1024 // ~6 fragments per column over 3 nodes
+	r, err := NewRing(3, cols, db.Schema(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rt.Stats().CacheInterest != 2 {
-		t.Fatalf("CacheInterest = %d, want 2", rt.Stats().CacheInterest)
+	defer r.Close()
+
+	// round asks both readers once and reports the ring's cache misses.
+	round := func(want string) int64 {
+		t.Helper()
+		for n := 0; n < 2; n++ {
+			rs, err := r.Node(n).ExecSQL(tpch.Q6ishSQL)
+			if err != nil {
+				t.Fatalf("node %d: %v", n, err)
+			}
+			if got := fmt.Sprint(rs.Rows()); got != want {
+				t.Fatalf("node %d answered %s, want %s", n, got, want)
+			}
+		}
+		return r.CacheStats().Misses
 	}
-	// Drained: the next pass carries only its own copies.
-	rt.OnBAT(core.BATMsg{Owner: 0, BAT: 7, Size: 10})
-	if env.lastSent.Copies != 0 {
-		t.Fatalf("second pass Copies = %d, want 0", env.lastSent.Copies)
+	// circulating counts fragments that are in the hot set and not held
+	// at their owner: the envelopes the ring is still moving.
+	circulating := func() (n int) {
+		for _, ids := range r.cols {
+			for _, id := range ids.ids {
+				o := r.ownerOf(id)
+				o.mu.Lock()
+				if o.rt.Loaded(id) && !o.rt.Parked(id) {
+					n++
+				}
+				o.mu.Unlock()
+			}
+		}
+		return n
+	}
+	// quiet keeps querying until a round misses nothing and no fragment
+	// circulates (the queries are the clock; the deadline only bounds a
+	// broken ring), then checks that further all-hit rounds move no
+	// bytes at all.
+	quiet := func(what, want string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		misses := round(want)
+		for {
+			next := round(want)
+			if next == misses && circulating() == 0 {
+				break
+			}
+			misses = next
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d fragments still circulate after 10 s of cache hits: %+v", what, circulating(), r.HopStats())
+			}
+		}
+		hopBytes := r.HopStats().Bytes
+		for i := 0; i < 5; i++ {
+			round(want)
+		}
+		if got := r.HopStats().Bytes; got != hopBytes {
+			t.Fatalf("%s: %d hop bytes moved under a hit rate of 1", what, got-hopBytes)
+		}
+	}
+	resends := func() (n uint64) {
+		for i := 0; i < r.Size(); i++ {
+			n += r.Node(i).Stats().Resends
+		}
+		return n
+	}
+
+	qtyA := cols["lineitem.l_quantity"]
+	refA := q6ishReference(t, db, qtyA)
+	quiet("warm", refA)
+
+	// An update invalidates every cached l_quantity fragment: the next
+	// queries miss, request, and unpark them at the new version.
+	shifted := make([]int64, qtyA.Len())
+	for i := range shifted {
+		shifted[i] = qtyA.Tail().Int(i) + 1
+	}
+	qtyB := bat.MakeInts("lineitem.l_quantity", shifted)
+	refB := q6ishReference(t, db, qtyB)
+	if refA == refB {
+		t.Fatal("the two versions answer alike; the test cannot tell them apart")
+	}
+	before := r.HopStats()
+	if _, err := r.UpdateColumn("lineitem.l_quantity", func(*bat.BAT) *bat.BAT { return qtyB.Copy() }); err != nil {
+		t.Fatal(err)
+	}
+	quiet("after update", refB)
+	afterUpdate := r.HopStats()
+	if afterUpdate.Unparked == before.Unparked || afterUpdate.Bytes == before.Bytes {
+		t.Fatalf("update pulled nothing back through the ring: %+v -> %+v", before, afterUpdate)
+	}
+
+	// A reader that loses its cache gets it back the same way.
+	for _, name := range []string{"lineitem.l_quantity", "lineitem.l_shipdate", "lineitem.l_discount", "lineitem.l_extendedprice"} {
+		ids, _ := r.Fragments(name)
+		for _, id := range ids {
+			r.Node(0).hot.drop(id)
+			r.Node(1).hot.drop(id)
+		}
+	}
+	quiet("after cache drop", refB)
+	if hs := r.HopStats(); hs.Unparked == afterUpdate.Unparked {
+		t.Fatalf("cache drop pulled nothing back through the ring: %+v -> %+v", afterUpdate, hs)
+	}
+	if n := resends(); n != 0 {
+		t.Fatalf("resends = %d on a lossless ring, want 0", n)
 	}
 }
-
-// countEnv is a minimal core.Env recording the last data send.
-type countEnv struct{ lastSent core.BATMsg }
-
-func (e *countEnv) Now() time.Duration                              { return 0 }
-func (e *countEnv) SendData(m core.BATMsg)                          { e.lastSent = m }
-func (e *countEnv) SendRequest(core.RequestMsg) bool                { return true }
-func (e *countEnv) QueueLoad() (int, int)                           { return 0, 1 << 30 }
-func (e *countEnv) After(time.Duration, func()) core.TimerHandle    { return nopTimer{} }
-func (e *countEnv) Deliver(core.QueryID, core.BATID)                {}
-func (e *countEnv) QueryError(core.QueryID, core.BATID, string)     {}
-func (e *countEnv) OnLoad(core.BATID, int)                          {}
-func (e *countEnv) OnUnload(core.BATID, int)                        {}
-
-type nopTimer struct{}
-
-func (nopTimer) Cancel() {}

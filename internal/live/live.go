@@ -1209,14 +1209,26 @@ func (d *queryDC) Request(schema, table, column string) (mal.Value, error) {
 	d.mu.Lock()
 	d.bats = append(d.bats, ids...)
 	d.mu.Unlock()
-	d.n.mu.Lock()
+	d.announce(ids)
+	if len(ids) == 1 {
+		return ids[0], nil
+	}
+	return &fragHandle{name: name, ids: ids}, nil
+}
+
+// announce registers this query's ring interest in the fragments it
+// will have to wait for.
+func (d *queryDC) announce(ids []core.BATID) {
+	n := d.n
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	for _, id := range ids {
 		// A fragment homed on another ring never circulates here: its
 		// pin dispatches through the router to a delegate on the home
 		// ring, so announcing local interest would only leave an S2
 		// entry nobody delivers. (If the fragment migrates here before
 		// the pin, core.Runtime.Pin re-announces on its own.)
-		if d.n.ring.homeRing(id) != d.n.ring {
+		if n.ring.homeRing(id) != n.ring {
 			continue
 		}
 		// A fragment resident in the hot-set cache at the catalog's
@@ -1225,16 +1237,11 @@ func (d *queryDC) Request(schema, table, column string) (mal.Value, error) {
 		// cause zero circulation. If the entry is evicted or updated
 		// before the pin, the pin's ring path re-announces interest
 		// (core.Runtime.Pin creates and sends the request itself).
-		if d.n.hot != nil && d.n.hot.peek(id, d.n.ring.fragVersion(id)) {
+		if n.hot != nil && n.hot.peek(id, n.ring.fragVersion(id)) {
 			continue
 		}
-		d.n.rt.Request(d.q, id)
+		n.rt.Request(d.q, id)
 	}
-	d.n.mu.Unlock()
-	if len(ids) == 1 {
-		return ids[0], nil
-	}
-	return &fragHandle{name: name, ids: ids}, nil
 }
 
 // Pin implements mal.DCRuntime: a hot-set cache hit (validated against

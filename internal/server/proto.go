@@ -298,13 +298,33 @@ func DecodeHello(payload []byte) (Hello, error) {
 
 func pad8(n int) int { return (n + 7) &^ 7 }
 
+// resultSize reports the exact number of bytes AppendResult appends
+// for rs.
+func resultSize(rs *mal.ResultSet) int {
+	n := 4
+	for _, name := range rs.Names {
+		n += 4 + len(name)
+	}
+	n = pad8(n)
+	for _, c := range rs.Cols {
+		n += 8 + pad8(bat.MarshalSize(c))
+	}
+	return n
+}
+
 // AppendResult appends the wire form of rs to dst (typically a pooled
-// buffer, see wirebuf) and returns the extended slice.
+// buffer, see wirebuf) and returns the extended slice. A dst too small
+// for the frame is replaced once, by a buffer of exactly the final
+// size: growing a multi-megabyte frame by append copies it several
+// times over.
 func AppendResult(dst []byte, rs *mal.ResultSet) ([]byte, error) {
 	if len(rs.Names) != len(rs.Cols) {
 		return nil, fmt.Errorf("server: result has %d names for %d columns", len(rs.Names), len(rs.Cols))
 	}
 	start := len(dst)
+	if need := start + resultSize(rs); need > cap(dst) {
+		dst = append(make([]byte, 0, need), dst...)
+	}
 	var b4 [4]byte
 	binary.BigEndian.PutUint32(b4[:], uint32(len(rs.Cols)))
 	dst = append(dst, b4[:]...)
@@ -317,8 +337,7 @@ func AppendResult(dst []byte, rs *mal.ResultSet) ([]byte, error) {
 	dst = append(dst, zeros[:pad8(len(dst)-start)-(len(dst)-start)]...)
 	for _, c := range rs.Cols {
 		// Reserve the length word and backfill it after the append: the
-		// encode itself yields the byte count, so the column (and its
-		// string heap in particular) is walked exactly once.
+		// encode itself yields the byte count.
 		lenOff := len(dst)
 		dst = append(dst, zeros[:8]...)
 		dst = bat.AppendMarshal(dst, c)

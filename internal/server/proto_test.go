@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/bat"
@@ -148,6 +151,66 @@ func TestResultRoundtrip(t *testing.T) {
 				t.Fatalf("column %q row %d: %v != %v", name, r, g.Tail().Value(r), want.Tail().Value(r))
 			}
 		}
+	}
+}
+
+// TestAppendResultGrowsOnce: the frame size is computed, not grown
+// into — one allocation of exactly the final size for a wide result —
+// and the bytes are the documented layout, unchanged.
+func TestAppendResultGrowsOnce(t *testing.T) {
+	const rows = 500_000
+	ints, floats := make([]int64, rows), make([]float64, rows)
+	for i := range ints {
+		ints[i], floats[i] = int64(i), float64(i)/4
+	}
+	wide := &mal.ResultSet{
+		Names: []string{"l_orderkey", "l_quantity", "l_extendedprice"},
+		Cols:  []*bat.BAT{bat.MakeInts("k", ints), bat.MakeInts("q", ints), bat.MakeFloats("p", floats)},
+	}
+	mixed := &mal.ResultSet{
+		Names: []string{"id", "name", "flag"},
+		Cols: []*bat.BAT{
+			bat.MakeInts("id", []int64{1, 2, 3}),
+			bat.MakeStrs("name", []string{"a", "", "ccc"}),
+			bat.New("flag", bat.DenseColumn(0, 3), bat.BoolColumn([]bool{true, false, true})),
+		},
+	}
+	for _, rs := range []*mal.ResultSet{wide, mixed, {}} {
+		// The layout, written out the slow way.
+		want := binary.BigEndian.AppendUint32(nil, uint32(len(rs.Cols)))
+		for _, name := range rs.Names {
+			want = append(binary.BigEndian.AppendUint32(want, uint32(len(name))), name...)
+		}
+		want = append(want, make([]byte, pad8(len(want))-len(want))...)
+		for _, c := range rs.Cols {
+			blob := bat.AppendMarshal(nil, c)
+			want = append(binary.LittleEndian.AppendUint64(want, uint64(len(blob))), blob...)
+			want = append(want, make([]byte, pad8(len(want))-len(want))...)
+		}
+		got, err := EncodeResult(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%v: frame bytes changed (%d bytes, want %d)", rs.Names, len(got), len(want))
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("%v: cap %d != len %d: the size is an estimate, not exact", rs.Names, cap(got), len(got))
+		}
+		// Appending behind a prefix keeps the prefix and the alignment.
+		behind, err := AppendResult([]byte("12345678"), rs)
+		if err != nil || !bytes.Equal(behind[8:], want) || string(behind[:8]) != "12345678" {
+			t.Fatalf("%v: append behind a prefix: err %v", rs.Names, err)
+		}
+	}
+	if frame, _ := EncodeResult(wide); !bytes.HasPrefix(frame, []byte("\x00\x00\x00\x03\x00\x00\x00\x0al_orderkey")) {
+		t.Fatal("frame no longer starts with the big-endian column count and first name")
+	}
+	// AllocsPerRun counts the whole process: keep the collector, which
+	// 12 MB frames would start and which allocates on its own, out of it.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if allocs := testing.AllocsPerRun(5, func() { EncodeResult(wide) }); allocs > 1 {
+		t.Fatalf("encoding a %d x 3 result took %.0f allocations, want 1", rows, allocs)
 	}
 }
 
