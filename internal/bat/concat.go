@@ -18,45 +18,70 @@ package bat
 //
 // A single fragment returns a full-length zero-copy view; multiple
 // materialized fragments are gathered with one exact-size allocation
-// per column — one in all when every fragment is mirrored (head and
-// tail the same column, as in the candidate lists USelect returns).
-// Empty fragments are legal anywhere in the list.
+// per distinct column — a column that several sides share in every
+// fragment (head and tail of the candidate lists USelect returns; the
+// candidate head a positional fetch passes through to each of its
+// outputs) is gathered once and stays shared. Empty fragments are legal
+// anywhere in the list.
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Concat concatenates fragments in order into one BAT. All fragments
 // must share head and tail kinds. It panics on an empty fragment list
 // (there is no column to describe) and on kind mismatches, like the
 // other kernel operators do on shape errors.
 func Concat(frags []*BAT) *BAT {
-	if len(frags) == 0 {
-		panic("bat: Concat of zero fragments")
-	}
 	if len(frags) == 1 {
-		return frags[0].viewAll()
+		return frags[0].viewAll() // the one view struct, nothing else
 	}
-	first := frags[0]
-	for _, f := range frags[1:] {
-		if f.h.kind != first.h.kind || f.t.kind != first.t.kind {
-			panic(fmt.Sprintf("bat: Concat kind mismatch [%s|%s] vs [%s|%s]",
-				first.h.kind, first.t.kind, f.h.kind, f.t.kind))
+	return ConcatAll([][]*BAT{frags})[0]
+}
+
+// ConcatAll is Concat over several fragment lists cut at the same
+// boundaries — the outputs of one per-fragment pipeline. Lists whose
+// fragments hold the same column, pointer for pointer, share its
+// concatenation.
+func ConcatAll(lists [][]*BAT) []*BAT {
+	type gathered struct {
+		from []*Column
+		out  *Column
+	}
+	var memo []gathered // a handful of columns: searched linearly
+	concat := func(cols []*Column) *Column {
+		for _, g := range memo {
+			if slices.Equal(g.from, cols) {
+				return g.out
+			}
 		}
+		out := concatCols(cols)
+		memo = append(memo, gathered{cols, out})
+		return out
 	}
-	heads := make([]*Column, len(frags))
-	tails := make([]*Column, len(frags))
-	mirrored := true
-	for i, f := range frags {
-		heads[i] = f.h
-		tails[i] = f.t
-		mirrored = mirrored && f.h == f.t
+	out := make([]*BAT, len(lists))
+	for l, frags := range lists {
+		if len(frags) == 0 {
+			panic("bat: Concat of zero fragments")
+		}
+		if len(frags) == 1 {
+			out[l] = frags[0].viewAll()
+			continue
+		}
+		first := frags[0]
+		heads := make([]*Column, len(frags))
+		tails := make([]*Column, len(frags))
+		for i, f := range frags {
+			if f.h.kind != first.h.kind || f.t.kind != first.t.kind {
+				panic(fmt.Sprintf("bat: Concat kind mismatch [%s|%s] vs [%s|%s]",
+					first.h.kind, first.t.kind, f.h.kind, f.t.kind))
+			}
+			heads[i], tails[i] = f.h, f.t
+		}
+		out[l] = &BAT{Name: first.Name, h: concat(heads), t: concat(tails)}
 	}
-	h := concatCols(heads)
-	if mirrored {
-		// Candidate-list fragments: one gather, and the result stays
-		// mirrored.
-		return &BAT{Name: first.Name, h: h, t: h}
-	}
-	return &BAT{Name: first.Name, h: h, t: concatCols(tails)}
+	return out
 }
 
 // concatCols is the n-ary generalization of concatCol: one exact-size

@@ -8,6 +8,12 @@
 // in the paper: request() registers interest and never blocks, pin()
 // blocks the consuming dataflow thread until the BAT is locally
 // available, and unpin() releases the memory-mapped region.
+//
+// Columns circulate as fragments, so the rewrite also finds the part of
+// the plan that can run on one fragment at a time and outlines it
+// (region.go): there the pin/op/unpin chain of Table 2 is emitted into a
+// sub-plan that the runtime executes per fragment as fragments flow
+// past, and only what leaves the region is merged.
 package dcopt
 
 import (
@@ -19,106 +25,92 @@ import (
 // Stats reports what the rewrite did.
 type Stats struct {
 	Requests int // sql.bind calls rewritten
-	Pins     int
+	Pins     int // whole-column pins in the outer plan
 	Unpins   int
-	// Fused counts pin+scan+unpin chains collapsed into one
-	// datacyclotron.pinselect* instruction (each also implies a pin and
-	// an unpin executed inside the fused operator).
-	Fused int
-}
-
-// fusedScanOp maps a scan instruction onto its fused pin-form. A scan
-// whose column argument is a pinned fragment stream can run per
-// fragment as fragments arrive, instead of waiting for the whole
-// column to be merged first.
-var fusedScanOp = map[string]string{
-	"algebra.select":   "pinselect",
-	"algebra.uselect":  "pinuselect",
-	"algebra.selectEq": "pinselecteq",
-	"algebra.selectNe": "pinselectne",
+	Regions  int // aligned regions outlined, one datacyclotron.aligned each
+	Local    int // instructions that moved into a region's sub-plan
 }
 
 // Rewrite returns the Data Cyclotron form of p, leaving p untouched.
 func Rewrite(p *mal.Plan) (*mal.Plan, Stats, error) {
 	var st Stats
 
-	// lastUse[v] = index of the last instruction consuming bind result v.
-	lastUse := map[mal.VarID]int{}
-	isBind := map[mal.VarID]bool{}
-	for _, in := range p.Instrs {
-		if in.Name() == "sql.bind" && len(in.Ret) == 1 {
-			isBind[in.Ret[0]] = true
-		}
+	// Per variable of p: the sql.bind that assigns it (-1: not a bound
+	// column), the last instruction consuming it, its request handle in
+	// the rewritten plan, and whether the outer plan has pinned it.
+	bindAt := make([]int, p.NVars)
+	lastUse := make([]int, p.NVars)
+	handle := make([]mal.VarID, p.NVars)
+	pinned := make([]bool, p.NVars)
+	for v := range bindAt {
+		bindAt[v], lastUse[v], handle[v] = -1, -1, mal.NoVar
 	}
 	for i, in := range p.Instrs {
+		if in.Name() == "sql.bind" && len(in.Ret) == 1 {
+			bindAt[in.Ret[0]] = i
+		}
+	}
+	isBind := func(a mal.Arg) bool { return !a.IsLit() && bindAt[a.Var] >= 0 }
+	for i, in := range p.Instrs {
 		for _, a := range in.Args {
-			if !a.IsLit() && isBind[a.Var] {
+			if isBind(a) {
 				lastUse[a.Var] = i
 			}
 		}
 	}
+	regionOf := outline(p, bindAt)
 
 	out := mal.Plan{Name: p.Name + "_dc", NVars: p.NVars, Result: p.Result}
-	handle := map[mal.VarID]mal.VarID{} // bind var -> request handle var
-	pinned := map[mal.VarID]bool{}
-	newVar := func() mal.VarID {
-		v := mal.VarID(out.NVars)
-		out.NVars++
-		return v
+	// X := sql.bind(s,t,c)  =>  H := datacyclotron.request(s,t,c)
+	request := func(x mal.VarID) mal.VarID {
+		if handle[x] == mal.NoVar {
+			handle[x] = mal.VarID(out.NVars)
+			out.NVars++
+			out.Instrs = append(out.Instrs, mal.Instr{
+				Module: "datacyclotron", Op: "request",
+				Ret:  []mal.VarID{handle[x]},
+				Args: p.Instrs[bindAt[x]].Args,
+			})
+			st.Requests++
+		}
+		return handle[x]
 	}
 
 	for i, in := range p.Instrs {
 		if in.Name() == "sql.bind" && len(in.Ret) == 1 {
-			// X := sql.bind(s,t,c)  =>  H := datacyclotron.request(s,t,c)
-			h := newVar()
-			handle[in.Ret[0]] = h
-			out.Instrs = append(out.Instrs, mal.Instr{
-				Module: "datacyclotron", Op: "request",
-				Ret:  []mal.VarID{h},
-				Args: in.Args,
-			})
-			st.Requests++
+			request(in.Ret[0])
 			continue
 		}
-		// Fusion: a scan that is both the first and the last use of a
-		// bound column collapses into one datacyclotron.pinselect*
-		// instruction. The fused operator pins the column's fragments as
-		// they arrive (any order), scans each on a bounded pool, unpins
-		// it, and merges the per-fragment results in fragment order —
-		// Table 2's pin/op/unpin chain, minus the wait for the whole
-		// column.
-		if fused, ok := fusedScanOp[in.Name()]; ok && len(in.Ret) == 1 && len(in.Args) > 0 &&
-			!in.Args[0].IsLit() && isBind[in.Args[0].Var] && !pinned[in.Args[0].Var] &&
-			lastUse[in.Args[0].Var] == i && fusibleArgs(in.Args[1:], isBind) {
-			x := in.Args[0].Var
-			h, ok := handle[x]
-			if !ok {
-				return nil, st, fmt.Errorf("dcopt: X%d used before its bind", x)
+		if r := regionOf[i]; r != nil {
+			// The whole region stands where its first instruction stood:
+			// it needs nothing but request handles, and everything that
+			// consumes an exit came after the instruction that made it.
+			if i == r.members[0] {
+				args := []mal.Arg{mal.L(r.build(p))}
+				for _, x := range r.slots {
+					args = append(args, mal.V(request(x)))
+				}
+				out.Instrs = append(out.Instrs, mal.Instr{
+					Module: "datacyclotron", Op: "aligned",
+					Ret: r.exitVars(), Args: args,
+				})
+				st.Regions++
+				st.Local += len(r.members)
 			}
-			args := append([]mal.Arg{mal.V(h)}, in.Args[1:]...)
-			out.Instrs = append(out.Instrs, mal.Instr{
-				Module: "datacyclotron", Op: fused,
-				Ret:  in.Ret,
-				Args: args,
-			})
-			pinned[x] = true
-			delete(lastUse, x)
-			st.Fused++
 			continue
 		}
 		// Inject pins for first uses among this instruction's arguments.
 		for _, a := range in.Args {
-			if a.IsLit() || !isBind[a.Var] || pinned[a.Var] {
+			if !isBind(a) || pinned[a.Var] {
 				continue
 			}
-			h, ok := handle[a.Var]
-			if !ok {
+			if handle[a.Var] == mal.NoVar {
 				return nil, st, fmt.Errorf("dcopt: X%d used before its bind", a.Var)
 			}
 			out.Instrs = append(out.Instrs, mal.Instr{
 				Module: "datacyclotron", Op: "pin",
 				Ret:  []mal.VarID{a.Var}, // pin assigns the original variable
-				Args: []mal.Arg{mal.V(h)},
+				Args: []mal.Arg{mal.V(handle[a.Var])},
 			})
 			pinned[a.Var] = true
 			st.Pins++
@@ -126,33 +118,17 @@ func Rewrite(p *mal.Plan) (*mal.Plan, Stats, error) {
 		out.Instrs = append(out.Instrs, in)
 		// Inject unpins for variables whose last use was this instruction.
 		for _, a := range in.Args {
-			if a.IsLit() || !isBind[a.Var] {
-				continue
-			}
-			if last, ok := lastUse[a.Var]; ok && last == i {
+			if isBind(a) && lastUse[a.Var] == i {
 				out.Instrs = append(out.Instrs, mal.Instr{
 					Module: "datacyclotron", Op: "unpin",
 					Args: []mal.Arg{mal.V(a.Var)},
 				})
 				st.Unpins++
-				delete(lastUse, a.Var)
+				lastUse[a.Var] = -1 // once, even if the instruction reads it twice
 			}
 		}
 	}
 	return &out, st, nil
-}
-
-// fusibleArgs reports whether a scan's non-column arguments keep the
-// fusion valid: literals and non-bind variables pass through; another
-// bound column as a scan parameter would need its own pin and defeats
-// the per-fragment form.
-func fusibleArgs(args []mal.Arg, isBind map[mal.VarID]bool) bool {
-	for _, a := range args {
-		if !a.IsLit() && isBind[a.Var] {
-			return false
-		}
-	}
-	return true
 }
 
 // RequestedColumns lists the (schema, table, column) triples the

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bat"
 	"repro/internal/mal"
+	"repro/internal/mal/maltest"
 	"repro/internal/minisql"
 )
 
@@ -31,8 +32,10 @@ func TestRewriteShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests != 2 || st.Pins != 2 || st.Unpins != 2 {
-		t.Fatalf("stats = %+v, want 2/2/2", st)
+	// t.id is read only by fragment-local instructions (its region pins
+	// it per fragment); c.t_id also feeds the final projection whole.
+	if want := (Stats{Requests: 2, Pins: 1, Unpins: 1, Regions: 1, Local: 2}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
 	text := dc.String()
 	if strings.Contains(text, "sql.bind") {
@@ -212,75 +215,58 @@ func TestRequestedColumns(t *testing.T) {
 	}
 }
 
-// TestFusedScanRewrite: a select that is both first and last use of a
-// bound column collapses into datacyclotron.pinuselect, with no
-// stand-alone pin/unpin left for that column.
-func TestFusedScanRewrite(t *testing.T) {
+// TestRegionRewrite: a scan and the fetch it feeds collapse into one
+// datacyclotron.aligned instruction whose sub-plan holds the pins; no
+// whole-column pin is left in the outer plan.
+func TestRegionRewrite(t *testing.T) {
 	p := compile(t, "select name from t where id >= 2")
 	dc, st, err := Rewrite(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Fused != 1 {
-		t.Fatalf("fused = %d, want 1 (stats %+v)", st.Fused, st)
+	if want := (Stats{Requests: 2, Regions: 1, Local: 2}); st != want {
+		t.Fatalf("stats = %+v, want %+v:\n%s", st, want, dc)
 	}
-	text := dc.String()
-	if !strings.Contains(text, "datacyclotron.pinuselect") {
-		t.Fatalf("plan missing fused scan:\n%s", text)
+	r := regions(dc)[0]
+	if got := opNames(r.Plan()); !reflect.DeepEqual(got, []string{
+		"datacyclotron.pin", "algebra.uselect", "datacyclotron.unpin",
+		"datacyclotron.pin", "algebra.join", "datacyclotron.unpin",
+	}) {
+		t.Fatalf("sub-plan = %v:\n%s", got, dc)
 	}
-	// t.id is consumed entirely by the fused scan; t.name still needs a
-	// plain pin (it feeds a join), so exactly one pin/unpin pair remains.
-	if st.Pins != 1 || st.Unpins != 1 {
-		t.Fatalf("pins/unpins = %d/%d, want 1/1:\n%s", st.Pins, st.Unpins, text)
+	if ex := r.Exits(); len(ex) != 1 || ex[0].Merge != mal.MergeConcat {
+		t.Fatalf("exits = %+v, want the fetched column by concat", ex)
 	}
-	if st.Requests != 2 {
-		t.Fatalf("requests = %d, want 2", st.Requests)
-	}
-}
-
-// fragDC is a FragmentedDC fake that splits every column into fragments
-// and reports them to PinMap callbacks in REVERSE order, proving the
-// merge is order-preserving regardless of arrival order.
-type fragDC struct {
-	memDC
-	fragRows int
-	pinMaps  int
-}
-
-func (d *fragDC) PinMap(h mal.Value, fn func(mal.Value) (mal.Value, error)) ([]mal.Value, error) {
-	d.mu.Lock()
-	d.pinMaps++
-	b, ok := d.cat[h.(string)]
-	d.mu.Unlock()
-	if !ok {
-		return nil, errors.New("BAT does not exist")
-	}
-	var frags []*bat.BAT
-	for from := 0; from < b.Len(); from += d.fragRows {
-		to := from + d.fragRows
-		if to > b.Len() {
-			to = b.Len()
+	for _, in := range dc.Instrs {
+		if in.Name() == "datacyclotron.pin" || in.Name() == "datacyclotron.unpin" {
+			t.Fatalf("outer plan still pins a whole column:\n%s", dc)
 		}
-		frags = append(frags, b.Slice(from, to))
 	}
-	if len(frags) == 0 {
-		frags = []*bat.BAT{b}
-	}
-	out := make([]mal.Value, len(frags))
-	for i := len(frags) - 1; i >= 0; i-- { // adverse arrival order
-		v, err := fn(frags[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
-// TestFusedScanPerFragment runs a fused plan against the fragmented
-// fake: results must equal the unfragmented bind-form execution even
-// though fragments were scanned last-to-first.
-func TestFusedScanPerFragment(t *testing.T) {
+// regions lists the sub-plans of p's datacyclotron.aligned instructions.
+func regions(p *mal.Plan) []*mal.Region {
+	var out []*mal.Region
+	for _, in := range p.Instrs {
+		if in.Name() == "datacyclotron.aligned" {
+			out = append(out, in.Args[0].Lit.(*mal.Region))
+		}
+	}
+	return out
+}
+
+func opNames(p *mal.Plan) []string {
+	var out []string
+	for _, in := range p.Instrs {
+		out = append(out, in.Name())
+	}
+	return out
+}
+
+// TestRegionPerFragment runs rewritten plans against a fragmented
+// runtime (maltest.FragDC): results must equal the unfragmented bind-form execution even
+// though the parts ran last-to-first.
+func TestRegionPerFragment(t *testing.T) {
 	catalog := map[string]*bat.BAT{
 		"t.id":   bat.MakeInts("t.id", []int64{1, 2, 3, 4, 5, 6, 7}),
 		"t.name": bat.MakeStrs("t.name", []string{"a", "b", "c", "d", "e", "f", "g"}),
@@ -290,6 +276,10 @@ func TestFusedScanPerFragment(t *testing.T) {
 	for _, src := range []string{
 		"select name from t where id >= 3",
 		"select val from c where t_id = 2",
+		"select id from t where id >= 2",
+		"select sum(val), count(*), min(val), max(val) from c where t_id <> 3 and val > 10",
+		"select avg(val) from c where t_id = 2", // avg stays outside; its input exits by concat
+		"select t.name from t, c where c.t_id = t.id and c.val > 15",
 	} {
 		p := compile(t, src)
 		want, err := mal.Run(&mal.Context{Registry: mal.NewRegistry(), Catalog: bindCatalog(catalog)}, p)
@@ -300,51 +290,58 @@ func TestFusedScanPerFragment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Fused == 0 {
-			t.Fatalf("%s: nothing fused", src)
+		if st.Regions == 0 {
+			t.Fatalf("%s: nothing outlined:\n%s", src, dc)
 		}
-		rt := &fragDC{memDC: memDC{cat: catalog}, fragRows: 3}
+		rt := &maltest.FragDC{Cols: catalog, Cuts: maltest.EveryRows(3)} // parts run last to first
 		got, err := mal.Run(&mal.Context{Registry: mal.NewRegistry(), DC: rt}, dc)
 		if err != nil {
-			t.Fatalf("%s (fragmented): %v", src, err)
+			t.Fatalf("%s (fragmented): %v\n%s", src, err, dc)
 		}
 		if !reflect.DeepEqual(want.(*mal.ResultSet).Rows(), got.(*mal.ResultSet).Rows()) {
 			t.Fatalf("%s: per-fragment result differs:\nwant %v\ngot  %v",
 				src, want.(*mal.ResultSet).Rows(), got.(*mal.ResultSet).Rows())
 		}
-		if rt.pinMaps != st.Fused {
-			t.Fatalf("%s: %d PinMap calls for %d fused scans", src, rt.pinMaps, st.Fused)
+		if rt.PinMaps != st.Regions || rt.Parts < 2*st.Regions {
+			t.Fatalf("%s: %d PinMap calls, %d parts for %d regions", src, rt.PinMaps, rt.Parts, st.Regions)
+		}
+		if rt.Pins != rt.Unpins {
+			t.Fatalf("%s: %d pins, %d unpins", src, rt.Pins, rt.Unpins)
 		}
 	}
 }
 
-// TestNoFusionWhenColumnReused: a column consumed by the select AND a
-// later instruction keeps the plain pin/unpin form — fusing it would
-// leave the later use without a pinned value.
-func TestNoFusionWhenColumnReused(t *testing.T) {
-	p := compile(t, "select id from t where id >= 2")
+// TestColumnReadWholeStaysOutside: a bound column is pinned in one place
+// only. Here t.id feeds the equi-join whole, so the mirror that seeds
+// t's candidates cannot run per fragment either; c's selection can.
+func TestColumnReadWholeStaysOutside(t *testing.T) {
+	p := compile(t, "select t.name from t, c where c.t_id = t.id and c.val > 15")
 	dc, st, err := Rewrite(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// id appears in both the predicate and the projection, so its select
-	// is not the last use: the rewrite must keep the plain pin.
-	if st.Fused != 0 {
-		t.Fatalf("fused a reused column (stats %+v):\n%s", st, dc)
+	for _, r := range regions(dc) {
+		for _, in := range r.Plan().Instrs {
+			if in.Name() == "bat.mirror" {
+				t.Fatalf("the mirror of a column pinned outside moved into a region:\n%s", dc)
+			}
+		}
 	}
-	if !strings.Contains(dc.String(), "datacyclotron.pin") {
-		t.Fatalf("reused column lost its pin:\n%s", dc)
+	byRegion := map[mal.VarID]bool{} // handles some region pins per fragment
+	for _, in := range dc.Instrs {
+		if in.Name() == "datacyclotron.aligned" {
+			for _, a := range in.Args[1:] {
+				byRegion[a.Var] = true
+			}
+		}
 	}
-	rt := &fragDC{memDC: memDC{cat: map[string]*bat.BAT{
-		"t.id":   bat.MakeInts("t.id", []int64{1, 2, 3, 4}),
-		"t.name": bat.MakeStrs("t.name", []string{"a", "b", "c", "d"}),
-	}}, fragRows: 2}
-	got, err := mal.Run(&mal.Context{Registry: mal.NewRegistry(), DC: rt}, dc)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, dc)
+	for _, in := range dc.Instrs {
+		if in.Name() == "datacyclotron.pin" && byRegion[in.Args[0].Var] {
+			t.Fatalf("handle X%d is pinned whole and by a region:\n%s", in.Args[0].Var, dc)
+		}
 	}
-	if got.(*mal.ResultSet).NumRows() != 3 {
-		t.Fatalf("rows = %d, want 3", got.(*mal.ResultSet).NumRows())
+	if st.Pins == 0 || st.Regions == 0 {
+		t.Fatalf("stats = %+v, want whole pins and a region side by side:\n%s", st, dc)
 	}
 }
 

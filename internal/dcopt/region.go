@@ -1,0 +1,258 @@
+package dcopt
+
+import (
+	"slices"
+
+	"repro/internal/mal"
+)
+
+// Fragments of one table's columns cover the same row ranges, and a
+// fragment's head holds its rows' global OIDs. An instruction is
+// fragment-local when running it on fragment i of its inputs, for every
+// i, and concatenating the results in fragment order gives what it
+// returns on the whole columns. That holds for every operator below
+// because each keeps its output's head inside the head of its first
+// input: rows of fragment i only ever meet rows of fragment i.
+
+// class is what a fragment-local value is, as far as the next operator
+// needs to know.
+type class uint8
+
+const (
+	none   class = iota
+	column       // a bound column: [dense OIDs | values]
+	cand         // a candidate list [OIDs | the same OIDs], a subset of the fragment's
+	vals         // [a subset of the fragment's OIDs | values]
+	scalar       // an aggregate: leaves the region, merged across fragments
+)
+
+// aggregates are the region exits that merge instead of concatenating.
+var aggregates = map[string]mal.MergeKind{
+	"aggr.sum":   mal.MergeAdd,
+	"aggr.count": mal.MergeAdd,
+	"aggr.min":   mal.MergeMin,
+	"aggr.max":   mal.MergeMax,
+}
+
+// local reports the class of in's result when in is fragment-local
+// given the classes of its arguments, none otherwise.
+func local(in mal.Instr, of func(mal.Arg) class) class {
+	if len(in.Ret) != 1 || len(in.Args) == 0 {
+		return none
+	}
+	a0 := of(in.Args[0])
+	switch in.Name() {
+	case "algebra.select", "algebra.selectEq", "algebra.selectNe", "algebra.uselect":
+		// A scan of a column; the limits are constants.
+		for _, a := range in.Args[1:] {
+			if !a.IsLit() {
+				return none
+			}
+		}
+		if a0 != column {
+			return none
+		}
+		if in.Op == "uselect" {
+			return cand
+		}
+		return vals
+	case "bat.mirror":
+		if len(in.Args) == 1 && a0 != none {
+			return cand
+		}
+	case "algebra.semijoin", "algebra.kdiff":
+		// Rows of the left whose head is (not) among the right's heads:
+		// both sides hold OIDs of this fragment only, so rows the other
+		// fragments contributed could neither match nor be matched.
+		if len(in.Args) == 2 && a0 != none && of(in.Args[1]) != none {
+			if a0 == cand {
+				return cand
+			}
+			return vals
+		}
+	case "algebra.join":
+		// The positional fetch: a candidate's tail is an OID of this
+		// fragment, the column's head covers exactly those.
+		if len(in.Args) == 2 && a0 == cand && of(in.Args[1]) == column {
+			return vals
+		}
+	default:
+		if _, ok := aggregates[in.Name()]; ok && len(in.Args) == 1 && a0 != none {
+			return scalar
+		}
+	}
+	return none
+}
+
+// region is one table's fragment-local instructions.
+type region struct {
+	table   string
+	members []int       // instruction indexes, in plan order
+	slots   []mal.VarID // the bound columns it pins, in first-use order
+	exits   []mal.Exit  // results the outer plan consumes
+}
+
+// outline finds the maximal fragment-local region of every table in p
+// and returns, per instruction, the region that takes it (nil: the
+// instruction stays in the outer plan). bindAt locates each bound
+// column's sql.bind. A bound column is pinned in one place only, so a
+// column some outer instruction reads whole keeps its readers out of
+// the region, and so, in turn, what depends on them.
+func outline(p *mal.Plan, bindAt []int) []*region {
+	type value struct {
+		class class
+		table string // columns of different tables never share a region
+		by    int    // producing instruction; -1 for a bound column
+	}
+	vars := make([]value, p.NVars)
+	for x, at := range bindAt {
+		if at < 0 {
+			continue
+		}
+		// The table behind a bound column, when its bind names it in
+		// literals; any other bind stays a whole-column pin.
+		if args := p.Instrs[at].Args; len(args) == 3 && args[0].IsLit() && args[1].IsLit() {
+			schema, ok1 := args[0].Lit.(string)
+			table, ok2 := args[1].Lit.(string)
+			if ok1 && ok2 {
+				vars[x] = value{column, schema + "." + table, -1}
+			}
+		}
+	}
+	classOf := func(a mal.Arg) class {
+		if a.IsLit() {
+			return none
+		}
+		return vars[a.Var].class
+	}
+	member := make([]bool, len(p.Instrs))
+	for i, in := range p.Instrs {
+		c := local(in, classOf)
+		if c == none {
+			continue
+		}
+		table, mixed := "", false
+		for _, a := range in.Args {
+			if classOf(a) != none {
+				mixed = mixed || (table != "" && vars[a.Var].table != table)
+				table = vars[a.Var].table
+			}
+		}
+		if !mixed {
+			member[i] = true
+			vars[in.Ret[0]] = value{c, table, i}
+		}
+	}
+
+	// Drop members until every column a member pins is read by members
+	// only and every member's inputs are still produced by members.
+	outside := make([]bool, p.NVars) // read by the outer plan
+	for changed := true; changed; {
+		changed = false
+		clear(outside)
+		for i, in := range p.Instrs {
+			for _, a := range in.Args {
+				if !member[i] && !a.IsLit() {
+					outside[a.Var] = true
+				}
+			}
+		}
+		for i, in := range p.Instrs {
+			for _, a := range in.Args {
+				if !member[i] || a.IsLit() {
+					continue
+				}
+				v := vars[a.Var]
+				if (v.class == column && outside[a.Var]) || (v.by >= 0 && !member[v.by]) {
+					member[i], changed = false, true
+				}
+			}
+		}
+	}
+	if p.Result != mal.NoVar {
+		outside[p.Result] = true
+	}
+
+	regionOf := make([]*region, len(p.Instrs))
+	byTable := map[string]*region{}
+	for i, in := range p.Instrs {
+		if !member[i] {
+			continue
+		}
+		table := vars[in.Ret[0]].table
+		r := byTable[table]
+		if r == nil {
+			r = &region{table: table}
+			byTable[table] = r
+		}
+		regionOf[i] = r
+		r.members = append(r.members, i)
+		for _, a := range in.Args {
+			if !a.IsLit() && vars[a.Var].class == column && !slices.Contains(r.slots, a.Var) {
+				r.slots = append(r.slots, a.Var)
+			}
+		}
+		if merge, ok := aggregates[in.Name()]; ok {
+			r.exits = append(r.exits, mal.Exit{Var: in.Ret[0], Merge: merge})
+		} else if outside[in.Ret[0]] {
+			r.exits = append(r.exits, mal.Exit{Var: in.Ret[0], Merge: mal.MergeConcat})
+		}
+	}
+	return regionOf
+}
+
+func (r *region) exitVars() []mal.VarID {
+	out := make([]mal.VarID, len(r.exits))
+	for i, e := range r.exits {
+		out[i] = e.Var
+	}
+	return out
+}
+
+// build emits the region's sub-plan: its members in plan order under
+// their own variable numbers, each column pinned by slot right before
+// its first use and unpinned right after its last (Table 2's shape,
+// per fragment).
+func (r *region) build(p *mal.Plan) *mal.Region {
+	sub := &mal.Plan{Name: r.table, NVars: p.NVars, Result: mal.NoVar,
+		Instrs: make([]mal.Instr, 0, len(r.members)+2*len(r.slots))}
+	slotOf := func(a mal.Arg) int { // -1: not one of the region's columns
+		if a.IsLit() {
+			return -1
+		}
+		return slices.Index(r.slots, a.Var)
+	}
+	lastUse := make([]int, len(r.slots))
+	for _, i := range r.members {
+		for _, a := range p.Instrs[i].Args {
+			if slot := slotOf(a); slot >= 0 {
+				lastUse[slot] = i
+			}
+		}
+	}
+	pinned := make([]bool, len(r.slots))
+	for _, i := range r.members {
+		in := p.Instrs[i]
+		for _, a := range in.Args {
+			if slot := slotOf(a); slot >= 0 && !pinned[slot] {
+				sub.Instrs = append(sub.Instrs, mal.Instr{
+					Module: "datacyclotron", Op: "pin",
+					Ret:  []mal.VarID{a.Var},
+					Args: []mal.Arg{mal.L(mal.Slot(slot))},
+				})
+				pinned[slot] = true
+			}
+		}
+		sub.Instrs = append(sub.Instrs, in)
+		for _, a := range in.Args {
+			if slot := slotOf(a); slot >= 0 && lastUse[slot] == i {
+				sub.Instrs = append(sub.Instrs, mal.Instr{
+					Module: "datacyclotron", Op: "unpin",
+					Args: []mal.Arg{mal.V(a.Var)},
+				})
+				lastUse[slot] = -1 // once, even if the instruction reads it twice
+			}
+		}
+	}
+	return mal.NewRegion(sub, r.exits)
+}

@@ -1,13 +1,13 @@
 package live
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bat"
 	"repro/internal/mal"
+	"repro/internal/mal/maltest"
 	"repro/internal/minisql"
 	"repro/internal/tpch"
 )
@@ -15,7 +15,7 @@ import (
 // q6ishReference is what mal.Run answers to Q6ish on db's unfragmented
 // columns with l_quantity replaced by qty: the whole-version answer a
 // ring serving that version must reproduce.
-func q6ishReference(t *testing.T, db *tpch.DB, qty *bat.BAT) string {
+func q6ishReference(t *testing.T, db *tpch.DB, qty *bat.BAT) [][]any {
 	t.Helper()
 	plan, err := minisql.Compile(tpch.Q6ishSQL, db.Schema(), "sys")
 	if err != nil {
@@ -30,7 +30,7 @@ func q6ishReference(t *testing.T, db *tpch.DB, qty *bat.BAT) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprint(v.(*mal.ResultSet).Rows())
+	return v.(*mal.ResultSet).Rows()
 }
 
 // TestQ6ishCandidateListsAcrossFragments serves Q6ish from every node
@@ -67,7 +67,7 @@ func TestQ6ishCandidateListsAcrossFragments(t *testing.T) {
 	qtyB := bat.MakeInts("lineitem.l_quantity", shifted)
 
 	refA, refB := q6ishReference(t, db, qtyA), q6ishReference(t, db, qtyB)
-	if refA == refB {
+	if maltest.SameRows(refA, refB) {
 		t.Fatal("the two versions answer alike; the test cannot tell them apart")
 	}
 
@@ -110,8 +110,8 @@ func TestQ6ishCandidateListsAcrossFragments(t *testing.T) {
 					t.Errorf("node %d: %v", n, err)
 					return
 				}
-				if got := fmt.Sprint(rs.Rows()); got != refA && got != refB {
-					t.Errorf("node %d query %d: %s is neither version's answer (%s, %s)", n, i, got, refA, refB)
+				if got := rs.Rows(); !maltest.SameRows(refA, got) && !maltest.SameRows(refB, got) {
+					t.Errorf("node %d query %d: %v is neither version's answer (%v, %v)", n, i, got, refA, refB)
 					return
 				}
 				select {

@@ -123,11 +123,12 @@ func (n *Node) Fetch(name string) (*bat.BAT, error) {
 // atomically installing the result as the new version (§6.4).
 // Concurrent updates of the same column serialize; readers holding the
 // previous version continue on it. For a fragmented column the current
-// fragments are merged for fn, and the new version is re-divided over
-// the same fragment count — fragment identity is stable, so in-flight
-// requests keep their meaning — with each new fragment installed at
-// its own owner, on whichever ring of a routed runtime it is homed. It
-// returns the new version number (base data is version 0).
+// fragments are merged for fn, and the new version is divided over the
+// same fragment count — fragment identity is stable, so in-flight
+// requests keep their meaning — at the same rows when its length allows,
+// with each new fragment installed at its own owner, on whichever ring
+// of a routed runtime it is homed. It returns the new version number
+// (base data is version 0).
 func (r *Ring) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error) {
 	ids, ok := r.Fragments(name)
 	if !ok {
@@ -158,8 +159,21 @@ func (r *Ring) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error
 	if next == nil {
 		return 0, fmt.Errorf("live: update produced nil version")
 	}
-	// Split; each fragment must fit the regions of the ring it lives on.
-	for i, sp := range splitEven(next.Len(), len(ids)) {
+	// Split: at the current boundaries when the length is unchanged, so
+	// the column stays aligned with its table's other columns and
+	// fragment-local regions keep running per fragment; a new length
+	// re-divides evenly. Each fragment must fit the regions of the ring
+	// it lives on.
+	spans := make([][2]int, len(ids))
+	rows := 0
+	for i, f := range frags {
+		spans[i] = [2]int{rows, rows + f.Len()}
+		rows += f.Len()
+	}
+	if next.Len() != rows {
+		spans = splitEven(next.Len(), len(ids))
+	}
+	for i, sp := range spans {
 		frags[i] = next
 		if len(ids) > 1 {
 			frags[i] = next.Slice(sp[0], sp[1])

@@ -10,13 +10,17 @@ package live
 //
 // The catalog maps a column name to its ordered fragment ids. Fragment
 // heads are Slice views of the logical column, so their dense OID bases
-// carry the global row offsets: per-fragment scan results concatenate
-// (bat.Concat) back into exactly the whole-column result, whatever
-// order the fragments arrived in.
+// carry the global row offsets, and the columns of one table are cut at
+// the same rows: a plan's fragment-local region (dcopt) runs on fragment
+// i of every column it reads as those arrive, in whatever order, and
+// what leaves it — concatenated (bat.Concat) or, for aggregates, merged
+// in fragment order — is what the region returns on the whole columns,
+// float sums up to the order of addition.
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,7 +37,7 @@ type colFrags struct {
 }
 
 // fragHandle is the request handle for a multi-fragment column: what
-// datacyclotron.request returns and pin/pinselect consume.
+// datacyclotron.request returns and pin / aligned consume.
 type fragHandle struct {
 	name string
 	ids  []core.BATID
@@ -263,10 +267,7 @@ func (d *queryDC) fetchCurrent(id core.BATID, cur int, abort <-chan struct{}) (b
 			return b, ver, true, nil
 		}
 		if err == nil {
-			n.mu.Lock()
-			n.rt.Unpin(d.q, id)
-			n.unrefCached(id)
-			n.mu.Unlock()
+			d.releaseRing(id)
 		} else if err != errRingWaitTimeout {
 			return nil, 0, false, err
 		}
@@ -381,65 +382,165 @@ func (d *queryDC) remotePin(id core.BATID, abort <-chan struct{}) (*bat.BAT, int
 }
 
 // ---------------------------------------------------------------------
-// out-of-order fragment pinning
+// aligned fragment maps
 // ---------------------------------------------------------------------
 
-// PinMap implements mal.FragmentedDC: it pins the fragments behind
-// handle as they arrive — in whatever order the ring delivers them —
-// applies fn to each pinned fragment on a bounded worker pool, unpins
-// the fragment as soon as its work is done, and returns the results in
-// fragment order (the order-preserving merge point).
-func (d *queryDC) PinMap(handle mal.Value, fn func(mal.Value) (mal.Value, error)) ([]mal.Value, error) {
-	switch h := handle.(type) {
-	case core.BATID:
-		v, err := d.Pin(h)
-		if err != nil {
-			return nil, err
+// PinMap implements mal.FragmentedDC over the fragments of k columns of
+// one table: part runs once per fragment index against that index's k
+// fragments. Single-fragment handles, and columns that do not have the
+// same number of fragments, are refused with mal.ErrUnaligned.
+func (d *queryDC) PinMap(handles []mal.Value, part func(mal.DCRuntime) (mal.Value, error)) ([]mal.Value, error) {
+	cols := make([][]core.BATID, len(handles))
+	for j, h := range handles {
+		fh, ok := h.(*fragHandle)
+		if !ok || len(fh.ids) != len(handles[0].(*fragHandle).ids) {
+			return nil, mal.ErrUnaligned
 		}
-		out, err := fn(v)
-		if err != nil {
-			d.Unpin(v)
-			return nil, err
-		}
-		if err := d.Unpin(v); err != nil {
-			return nil, err
-		}
-		return []mal.Value{out}, nil
-	case *fragHandle:
-		return d.pinParts(h.ids, fn)
+		cols[j] = fh.ids
 	}
-	return nil, fmt.Errorf("live: bad pin handle %T", handle)
+	if len(cols) == 0 {
+		return nil, mal.ErrUnaligned
+	}
+	return d.pinAligned(cols, part)
 }
 
-// pinParts acquires every fragment (cache, coalesced, or ring — in
-// whatever order they become available), applies fn to each on a
-// bounded worker pool, and returns the results in fragment order. The
-// collected set is reconciled to a single column version: a concurrent
-// UpdateColumn can land mid-collection, and a merged result must never
-// mix old and new fragment versions, whichever tier each part came
-// from.
-func (d *queryDC) pinParts(ids []core.BATID, fn func(mal.Value) (mal.Value, error)) ([]mal.Value, error) {
-	results, vers, err := d.collectFrags(ids, fn)
-	if err != nil {
-		return nil, err
+// pinAligned maps part over the fragment indexes of cols (each column's
+// fragment ids, all of one length) and returns the per-index results in
+// fragment order. The fragments a result was computed from are one
+// version per column: a concurrent UpdateColumn bumps every fragment of
+// its column together, so when the versions seen across the indexes of
+// a column differ, the indexes on the older side run again until the
+// set agrees. Readers that collected entirely before the update keep
+// their old version (MVCC: the update does not invalidate a snapshot
+// already taken, it only forbids mixing).
+func (d *queryDC) pinAligned(cols [][]core.BATID, part func(mal.DCRuntime) (mal.Value, error)) ([]mal.Value, error) {
+	n := len(cols[0])
+	results := make([]mal.Value, n)
+	vers := make([][]int, n) // per index, the version of each column's fragment
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
-	if len(ids) > 1 {
-		if err := d.reconcileVersions(ids, fn, results, vers); err != nil {
+	for attempt := 0; len(idx) > 0; attempt++ {
+		if attempt > maxSnapshotRetries {
+			return nil, fmt.Errorf("live: no consistent snapshot after %d retries (sustained concurrent updates)", maxSnapshotRetries)
+		}
+		if err := d.mapParts(cols, idx, part, results, vers); err != nil {
 			return nil, err
 		}
+		idx = staleParts(vers)
 	}
 	return results, nil
 }
 
-// collectFrags runs the parallel acquire/apply/release pass of
-// pinParts. One lightweight goroutine per fragment blocks on its
-// acquisition (arrival order is the ring's business, not ours); the
-// per-fragment work is throttled by a semaphore of FragWorkers tokens,
-// and ring-held fragments are unpinned right after their work completes
-// — the merged result owns its own memory (or immutable views), so no
-// pin needs to outlive the merge. The first failure aborts the
-// remaining waits and unwinds their pins.
-func (d *queryDC) collectFrags(ids []core.BATID, fn func(mal.Value) (mal.Value, error)) ([]mal.Value, []int, error) {
+// staleParts lists the indexes holding, for some column, a version
+// older than the newest one collected for that column.
+func staleParts(vers [][]int) []int {
+	newest := append([]int(nil), vers[0]...)
+	for _, v := range vers[1:] {
+		for j := range v {
+			newest[j] = max(newest[j], v[j])
+		}
+	}
+	var stale []int
+	for i, v := range vers {
+		if !slices.Equal(v, newest) {
+			stale = append(stale, i)
+		}
+	}
+	return stale
+}
+
+// fragAcq is one fragment acquisition of an aligned map. Its goroutine
+// fills b, ver, viaRing and err, then closes done; out belongs to the
+// part alone.
+type fragAcq struct {
+	id      core.BATID
+	done    chan struct{}
+	b       *bat.BAT
+	ver     int
+	err     error
+	viaRing bool // the acquisition holds runtime refs until released
+	out     bool // handed to the part by Pin, not unpinned yet
+}
+
+// partDC is the DC runtime one part of an aligned map sees: Pin(slot)
+// hands out this index's fragment of that column once it is in.
+type partDC struct {
+	d    *queryDC
+	acqs []fragAcq     // one per column
+	sem  chan struct{} // the map's kernel tokens; the running part holds one
+	// head is the head of the first fragment pinned; every other one
+	// must cover the same rows, or a candidate of one column would name
+	// rows another column's fragment does not hold.
+	head *bat.Column
+}
+
+func (p *partDC) Request(schema, table, column string) (mal.Value, error) {
+	return nil, errors.New("live: request inside a fragment part")
+}
+
+func (p *partDC) Pin(handle mal.Value) (mal.Value, error) {
+	slot, ok := handle.(mal.Slot)
+	if !ok || int(slot) >= len(p.acqs) {
+		return nil, fmt.Errorf("live: bad part pin handle %#v", handle)
+	}
+	a := &p.acqs[slot]
+	select {
+	case <-a.done:
+	default:
+		// Not in yet: another part may compute while this one waits.
+		<-p.sem
+		<-a.done
+		p.sem <- struct{}{}
+	}
+	if a.err != nil {
+		return nil, a.err
+	}
+	h := a.b.Head()
+	if f := p.head; f == nil {
+		p.head = h
+	} else if !(h.Dense() && f.Dense() && h.Base() == f.Base() && h.Len() == f.Len()) {
+		return nil, mal.ErrUnaligned
+	}
+	a.out = true
+	return a.b, nil
+}
+
+func (p *partDC) Unpin(v mal.Value) error {
+	for j := range p.acqs {
+		if a := &p.acqs[j]; a.out && a.b == v {
+			a.out = false
+			if a.viaRing {
+				a.viaRing = false
+				p.d.releaseRing(a.id)
+			}
+			return nil
+		}
+	}
+	return fmt.Errorf("live: unpin of a BAT that was never pinned")
+}
+
+// releaseRing drops the runtime pin and the refcounted payload a ring
+// acquisition (acquireFrag's viaRing) holds.
+func (d *queryDC) releaseRing(id core.BATID) {
+	n := d.n
+	n.mu.Lock()
+	n.rt.Unpin(d.q, id)
+	n.unrefCached(id)
+	n.mu.Unlock()
+}
+
+// mapParts runs part over the fragment indexes idx. Every acquisition —
+// each index of each column — starts at once on a lightweight goroutine
+// of its own (cache hit, coalesced wait or ring circulation; arrival
+// order is the ring's business): a fragment whose pin is registered only
+// after its envelope went by costs a whole extra revolution. Parts run
+// concurrently too, but only FragWorkers of them compute at a time: a
+// part holds a kernel token except while it waits in Pin. The first
+// failure aborts the remaining waits; whatever a part did not unpin
+// itself is released before mapParts returns.
+func (d *queryDC) mapParts(cols [][]core.BATID, idx []int, part func(mal.DCRuntime) (mal.Value, error), results []mal.Value, vers [][]int) error {
 	n := d.n
 	workers := n.cfg.FragWorkers
 	if workers <= 0 {
@@ -448,9 +549,6 @@ func (d *queryDC) collectFrags(ids []core.BATID, fn func(mal.Value) (mal.Value, 
 	if workers <= 0 {
 		workers = 1
 	}
-
-	results := make([]mal.Value, len(ids))
-	vers := make([]int, len(ids))
 	sem := make(chan struct{}, workers)
 	abort := make(chan struct{})
 	var abortOnce sync.Once
@@ -465,105 +563,67 @@ func (d *queryDC) collectFrags(ids []core.BATID, fn func(mal.Value) (mal.Value, 
 		abortOnce.Do(func() { close(abort) })
 	}
 
+	parts := make([]partDC, len(idx))
 	var wg sync.WaitGroup
-	for i := range ids {
+	for pi, i := range idx {
+		p := &parts[pi]
+		*p = partDC{d: d, sem: sem, acqs: make([]fragAcq, len(cols))}
+		for j := range cols {
+			a := &p.acqs[j]
+			a.id, a.done = cols[j][i], make(chan struct{})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				a.b, a.ver, a.viaRing, a.err = d.acquireFrag(a.id, abort)
+				close(a.done)
+			}()
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			id := ids[i]
-			b, ver, viaRing, err := d.acquireFrag(id, abort)
+			sem <- struct{}{}
+			v, err := part(p)
+			<-sem
 			if err != nil {
 				if !errors.Is(err, errPinAborted) {
 					fail(err)
 				}
 				return
 			}
-			sem <- struct{}{}
-			v, err := fn(b)
-			<-sem
-			if viaRing {
-				n.mu.Lock()
-				n.rt.Unpin(d.q, id)
-				n.unrefCached(id)
-				n.mu.Unlock()
-			}
-			if err != nil {
-				fail(err)
-				return
-			}
 			results[i] = v
-			vers[i] = ver
+			vers[i] = make([]int, len(p.acqs))
+			for j := range p.acqs {
+				vers[i][j] = p.acqs[j].ver
+			}
 		}(i)
 	}
 	wg.Wait()
-	errMu.Lock()
-	err := firstErr
-	errMu.Unlock()
-	if err != nil {
-		return nil, nil, err
-	}
-	return results, vers, nil
-}
-
-// reconcileVersions enforces the single-version snapshot contract of a
-// multi-fragment pin: if the collected fragments straddle a concurrent
-// UpdateColumn (updates bump every fragment of a column together, so a
-// consistent collection has one version throughout), the fragments on
-// the older side are re-acquired and fn re-applied until the set
-// agrees. Readers that collected entirely before the update keep their
-// old version (MVCC: the update does not invalidate a snapshot already
-// taken, it only forbids mixing).
-func (d *queryDC) reconcileVersions(ids []core.BATID, fn func(mal.Value) (mal.Value, error), results []mal.Value, vers []int) error {
-	for attempt := 0; ; attempt++ {
-		target := vers[0]
-		for _, v := range vers[1:] {
-			if v > target {
-				target = v
+	for pi := range parts {
+		for j := range parts[pi].acqs {
+			if a := &parts[pi].acqs[j]; a.viaRing {
+				d.releaseRing(a.id)
 			}
-		}
-		consistent := true
-		for _, v := range vers {
-			if v != target {
-				consistent = false
-				break
-			}
-		}
-		if consistent {
-			return nil
-		}
-		if attempt >= maxSnapshotRetries {
-			return fmt.Errorf("live: no consistent snapshot after %d retries (sustained concurrent updates)", attempt)
-		}
-		// Re-acquire the stale side in parallel through the same
-		// machinery as the first pass: each re-acquire can block a ring
-		// circulation, so serializing them would multiply tail latency
-		// by the number of straddled fragments.
-		var staleIdx []int
-		staleIds := make([]core.BATID, 0, len(ids))
-		for i, v := range vers {
-			if v != target {
-				staleIdx = append(staleIdx, i)
-				staleIds = append(staleIds, ids[i])
-			}
-		}
-		subResults, subVers, err := d.collectFrags(staleIds, fn)
-		if err != nil {
-			return err
-		}
-		for j, i := range staleIdx {
-			results[i] = subResults[j]
-			vers[i] = subVers[j]
 		}
 	}
+	return firstErr
 }
 
 // pinMerged pins every fragment of h (out of order) and concatenates
 // the payloads in fragment order — a single-version snapshot of the
-// column. The fragments are unpinned
-// during the merge; the caller's later unpin of the merged value is a
-// no-op, tracked through d.merged.
+// column, for the readers that need it whole (Node.Fetch, a pin outside
+// any aligned region, a region whose fragments turned out unaligned).
+// The fragments are unpinned as they are collected: payloads are
+// immutable and the merge owns its memory, so no pin needs to outlive
+// it, and the caller's later unpin of the merged value is a no-op,
+// tracked through d.merged.
 func (d *queryDC) pinMerged(h *fragHandle) (*bat.BAT, error) {
-	parts, err := d.pinParts(h.ids, func(v mal.Value) (mal.Value, error) { return v, nil })
+	parts, err := d.pinAligned([][]core.BATID{h.ids}, func(dc mal.DCRuntime) (mal.Value, error) {
+		v, err := dc.Pin(mal.Slot(0))
+		if err != nil {
+			return nil, err
+		}
+		return v, dc.Unpin(v)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -347,7 +347,7 @@ func TestUpdateFragmentedColumn(t *testing.T) {
 // TestDeliverWithoutWaiterCountsNoRef is the regression test for the
 // abandoned-pin leak: a delivery that finds no waiter (the pin was
 // abandoned between abandonPin and CancelQuery) must not count a
-// cached-payload reference nobody will release — pinParts aborts every
+// cached-payload reference nobody will release — an aligned map aborts every
 // remaining fragment on first failure, so this race is routine with
 // fragmentation on.
 func TestDeliverWithoutWaiterCountsNoRef(t *testing.T) {

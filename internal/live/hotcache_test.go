@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/bat"
+	"repro/internal/mal/maltest"
 	"repro/internal/minisql"
 	"repro/internal/tpch"
 )
@@ -516,15 +517,15 @@ func TestCachedRingGoesQuiet(t *testing.T) {
 	defer r.Close()
 
 	// round asks both readers once and reports the ring's cache misses.
-	round := func(want string) int64 {
+	round := func(want [][]any) int64 {
 		t.Helper()
 		for n := 0; n < 2; n++ {
 			rs, err := r.Node(n).ExecSQL(tpch.Q6ishSQL)
 			if err != nil {
 				t.Fatalf("node %d: %v", n, err)
 			}
-			if got := fmt.Sprint(rs.Rows()); got != want {
-				t.Fatalf("node %d answered %s, want %s", n, got, want)
+			if got := rs.Rows(); !maltest.SameRows(want, got) {
+				t.Fatalf("node %d answered %v, want %v", n, got, want)
 			}
 		}
 		return r.CacheStats().Misses
@@ -548,7 +549,7 @@ func TestCachedRingGoesQuiet(t *testing.T) {
 	// circulates (the queries are the clock; the deadline only bounds a
 	// broken ring), then checks that further all-hit rounds move no
 	// bytes at all.
-	quiet := func(what, want string) {
+	quiet := func(what string, want [][]any) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
 		misses := round(want)
@@ -589,7 +590,7 @@ func TestCachedRingGoesQuiet(t *testing.T) {
 	}
 	qtyB := bat.MakeInts("lineitem.l_quantity", shifted)
 	refB := q6ishReference(t, db, qtyB)
-	if refA == refB {
+	if maltest.SameRows(refA, refB) {
 		t.Fatal("the two versions answer alike; the test cannot tell them apart")
 	}
 	before := r.HopStats()

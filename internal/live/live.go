@@ -1339,11 +1339,7 @@ func (d *queryDC) Unpin(handle mal.Value) error {
 	default:
 		return fmt.Errorf("live: bad unpin handle %T", handle)
 	}
-	n := d.n
-	n.mu.Lock()
-	n.rt.Unpin(d.q, id)
-	n.unrefCached(id)
-	n.mu.Unlock()
+	d.releaseRing(id)
 	return nil
 }
 
@@ -1383,7 +1379,7 @@ func (n *Node) ExecPlan(plan *mal.Plan) (*mal.ResultSet, error) {
 		n.mu.Unlock()
 	}()
 
-	ctx := &mal.Context{Registry: mal.NewRegistry(), DC: dc, Workers: n.cfg.Workers, Cancel: cancel}
+	ctx := &mal.Context{Registry: mal.Standard(), DC: dc, Workers: n.cfg.Workers, Cancel: cancel}
 	done := make(chan struct{})
 	var (
 		res    mal.Value

@@ -3,6 +3,7 @@ package mal
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -18,11 +19,15 @@ type OpFunc func(ctx *Context, args []Value) ([]Value, error)
 // Registry maps "module.op" to implementations. The zero value is empty;
 // NewRegistry returns one preloaded with the standard operator set.
 type Registry struct {
-	ops map[string]OpFunc
+	ops    map[string]OpFunc
+	shared bool // Standard(): concurrent readers, so no writer
 }
 
 // Register installs fn for module.op, replacing any previous binding.
 func (r *Registry) Register(module, op string, fn OpFunc) {
+	if r.shared {
+		panic("mal: Register on the shared standard registry; extend a NewRegistry instead")
+	}
 	if r.ops == nil {
 		r.ops = make(map[string]OpFunc)
 	}
@@ -53,15 +58,23 @@ type DCRuntime interface {
 // FragmentedDC is the optional extension of DCRuntime implemented by
 // layers that deliver one request as several independently circulating
 // fragments (horizontal fragmentation, §5's granularity axis). PinMap
-// pins the fragments behind handle as they arrive — in any order —
-// applies fn to each pinned fragment on a bounded worker pool, unpins
-// the fragment once fn returns, and hands back the per-fragment results
-// in fragment order (the order-preserving merge point). For a
-// single-fragment handle it degenerates to pin/fn/unpin.
+// takes the handles of k columns of one table and calls part once per
+// fragment index, with a DCRuntime whose Pin(Slot(j)) pins that
+// index's fragment of handles[j] and whose Unpin releases it; every
+// fragment of every column is acquired from the start, in whatever
+// order the ring delivers them. Each part is driven from one goroutine,
+// several parts at a time, and the per-index results come back in
+// fragment order. ErrUnaligned means the handles cannot be mapped —
+// they are single fragments, or their fragments do not share row
+// ranges — and the caller pins whole columns instead.
 type FragmentedDC interface {
 	DCRuntime
-	PinMap(handle Value, fn func(frag Value) (Value, error)) ([]Value, error)
+	PinMap(handles []Value, part func(DCRuntime) (Value, error)) ([]Value, error)
 }
+
+// ErrUnaligned is PinMap's refusal: nothing is left pinned, and the
+// region runs once over whole columns.
+var ErrUnaligned = errors.New("mal: fragments are not aligned")
 
 // Context carries the execution environment for one plan run.
 type Context struct {
@@ -108,14 +121,21 @@ func Run(ctx *Context, p *Plan) (Value, error) {
 // ctx.Workers > 1 instructions execute concurrently following dataflow
 // dependencies, mirroring MonetDB's interpreter threads; pin() calls may
 // block without stalling independent instruction threads.
-func RunAll(ctx *Context, p *Plan) ([]Value, error) {
+func RunAll(ctx *Context, p *Plan) ([]Value, error) { return runPlan(ctx, p, nil) }
+
+// runPlan is RunAll for a caller that may already hold the plan's
+// dataflow graph; nil computes it when the run needs one.
+func runPlan(ctx *Context, p *Plan, g *dataflow) ([]Value, error) {
 	if ctx.Registry == nil {
 		return nil, fmt.Errorf("mal: nil registry")
 	}
 	if ctx.Workers <= 1 {
 		return runSequential(ctx, p)
 	}
-	return runParallel(ctx, p)
+	if g == nil {
+		g = newDataflow(p)
+	}
+	return runParallel(ctx, p, g)
 }
 
 func execInstr(ctx *Context, in Instr, vals []Value) (err error) {
@@ -164,14 +184,16 @@ func runSequential(ctx *Context, p *Plan) ([]Value, error) {
 	return vals, nil
 }
 
-// runParallel executes instructions as a dataflow graph with a bounded
-// worker pool. An instruction becomes ready when every producing
-// instruction of its arguments has completed; instructions with no
-// variable arguments are ready immediately. Side-effecting instructions
-// with no results (e.g. unpin) additionally order after the previous
-// instruction that consumed the same variable, which the SSA structure
-// already guarantees via argument dependencies.
-func runParallel(ctx *Context, p *Plan) ([]Value, error) {
+// dataflow is a plan's dependency graph: an instruction becomes ready
+// when every producing instruction of its arguments has completed. It
+// depends on the plan alone, so a plan that runs many times (a region's
+// sub-plan) computes it once.
+type dataflow struct {
+	pending    []int   // producers each instruction waits for
+	dependents [][]int // instructions waiting for each instruction
+}
+
+func newDataflow(p *Plan) *dataflow {
 	n := len(p.Instrs)
 	producer := make([]int, p.NVars) // instr index producing each var
 	for i := range producer {
@@ -182,24 +204,35 @@ func runParallel(ctx *Context, p *Plan) ([]Value, error) {
 			producer[r] = i
 		}
 	}
-	deps := make([][]int, n) // deps[i]: instrs that must finish first
-	dependents := make([][]int, n)
-	pending := make([]int, n)
+	g := &dataflow{pending: make([]int, n), dependents: make([][]int, n)}
+	var deps []int
 	for i, in := range p.Instrs {
-		seen := map[int]bool{}
+		deps = deps[:0]
 		for _, a := range in.Args {
 			if a.lit {
 				continue
 			}
 			pr := producer[a.Var]
-			if pr >= 0 && pr != i && !seen[pr] {
-				seen[pr] = true
-				deps[i] = append(deps[i], pr)
-				dependents[pr] = append(dependents[pr], i)
+			if pr >= 0 && pr != i && !slices.Contains(deps, pr) {
+				deps = append(deps, pr)
+				g.dependents[pr] = append(g.dependents[pr], i)
 			}
 		}
-		pending[i] = len(deps[i])
+		g.pending[i] = len(deps)
 	}
+	return g
+}
+
+// runParallel executes instructions as a dataflow graph with a bounded
+// worker pool; instructions with no variable arguments are ready
+// immediately. Side-effecting instructions with no results (e.g. unpin)
+// additionally order after the previous instruction that consumed the
+// same variable, which the SSA structure already guarantees via
+// argument dependencies.
+func runParallel(ctx *Context, p *Plan, g *dataflow) ([]Value, error) {
+	n := len(p.Instrs)
+	pending := slices.Clone(g.pending)
+	dependents := g.dependents
 
 	vals := make([]Value, p.NVars)
 	var (
@@ -230,44 +263,51 @@ func runParallel(ctx *Context, p *Plan) ([]Value, error) {
 	if n == 0 {
 		close(ready)
 	}
-	for w := 0; w < workers; w++ {
+	work := func() {
+		for i := range ready {
+			mu.Lock()
+			failed := firstErr != nil
+			mu.Unlock()
+			if !failed && ctx.cancelled() {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = ErrCancelled
+				}
+				mu.Unlock()
+				failed = true
+			}
+			if !failed {
+				if err := execInstr(ctx, p.Instrs[i], vals); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+				}
+			}
+			// Release dependents even on failure so the pool drains.
+			mu.Lock()
+			for _, d := range dependents[i] {
+				pending[d]--
+				if pending[d] == 0 {
+					ready <- d
+				}
+			}
+			mu.Unlock()
+			closeIfDone(1)
+		}
+	}
+	// The caller is the first worker: a plan costs workers-1 goroutines
+	// and no hand-off back, which matters when it is a region's sub-plan
+	// run from inside another plan's worker.
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range ready {
-				mu.Lock()
-				failed := firstErr != nil
-				mu.Unlock()
-				if !failed && ctx.cancelled() {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = ErrCancelled
-					}
-					mu.Unlock()
-					failed = true
-				}
-				if !failed {
-					if err := execInstr(ctx, p.Instrs[i], vals); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-					}
-				}
-				// Release dependents even on failure so the pool drains.
-				mu.Lock()
-				for _, d := range dependents[i] {
-					pending[d]--
-					if pending[d] == 0 {
-						ready <- d
-					}
-				}
-				mu.Unlock()
-				closeIfDone(1)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr

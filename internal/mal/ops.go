@@ -9,12 +9,24 @@ import (
 // NewRegistry returns a registry preloaded with the standard operator
 // set: the binary relational algebra over BATs, grouping/aggregation,
 // scalar arithmetic, result construction, and the datacyclotron.*
-// instructions of §4.1.
+// instructions of §4.1. The caller owns it and may Register more.
 func NewRegistry() *Registry {
 	r := &Registry{}
 	registerStandard(r)
 	return r
 }
+
+var standard = func() *Registry {
+	r := NewRegistry()
+	r.shared = true
+	return r
+}()
+
+// Standard returns the standard operator set as one registry built at
+// start-up and shared by every caller: what a query path uses instead
+// of paying NewRegistry per query. It is read-only; Register on it
+// panics.
+func Standard() *Registry { return standard }
 
 func argBAT(args []Value, i int) (*bat.BAT, error) {
 	b, ok := args[i].(*bat.BAT)
@@ -99,29 +111,9 @@ func registerStandard(r *Registry) {
 		return nil, ctx.DC.Unpin(args[0])
 	})
 
-	// --- fused per-fragment scans (pin ∘ select ∘ unpin) ---
-	// The DcOptimizer fuses a pin whose only consumer is a scan into one
-	// instruction, so a fragmented runtime can run the scan on each
-	// fragment as it arrives (any order, bounded pool) and merge the
-	// per-fragment results in fragment order. Fragment heads carry
-	// global OIDs (a Slice view shifts the dense base), so the merged
-	// scan output is identical to scanning the whole column.
-	r.Register("datacyclotron", "pinselect", func(ctx *Context, args []Value) ([]Value, error) {
-		lo, hi := rangeArgs(args[1:])
-		return pinScan(ctx, args[0], func(b *bat.BAT) *bat.BAT { return b.Select(lo, hi) })
-	})
-	r.Register("datacyclotron", "pinuselect", func(ctx *Context, args []Value) ([]Value, error) {
-		lo, hi := rangeArgs(args[1:])
-		return pinScan(ctx, args[0], func(b *bat.BAT) *bat.BAT { return b.USelect(lo, hi) })
-	})
-	r.Register("datacyclotron", "pinselecteq", func(ctx *Context, args []Value) ([]Value, error) {
-		v := args[1]
-		return pinScan(ctx, args[0], func(b *bat.BAT) *bat.BAT { return b.SelectEq(v) })
-	})
-	r.Register("datacyclotron", "pinselectne", func(ctx *Context, args []Value) ([]Value, error) {
-		v := args[1]
-		return pinScan(ctx, args[0], func(b *bat.BAT) *bat.BAT { return b.SelectNe(v) })
-	})
+	// datacyclotron.aligned(region, handles...) runs an outlined
+	// fragment-local sub-plan per fragment index (region.go).
+	r.Register("datacyclotron", "aligned", aligned)
 
 	// --- bat module ---
 	r.Register("bat", "reverse", unary(func(b *bat.BAT) Value { return b.Reverse() }))
@@ -373,44 +365,6 @@ func rangeArgs(args []Value) (lo, hi *bat.Bound) {
 		hi = &bat.Bound{Value: args[1], Inclusive: args[3].(bool)}
 	}
 	return lo, hi
-}
-
-// pinScan runs one fused pin+scan: per fragment (out of order, bounded
-// pool) on a FragmentedDC, or pin/scan/unpin on a plain DCRuntime.
-func pinScan(ctx *Context, handle Value, scan func(*bat.BAT) *bat.BAT) ([]Value, error) {
-	if ctx.DC == nil {
-		return nil, fmt.Errorf("no DC runtime attached")
-	}
-	if fdc, ok := ctx.DC.(FragmentedDC); ok {
-		parts, err := fdc.PinMap(handle, func(frag Value) (Value, error) {
-			b, ok := frag.(*bat.BAT)
-			if !ok {
-				return nil, fmt.Errorf("pinned fragment is %T, want *bat.BAT", frag)
-			}
-			return scan(b), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		frags := make([]*bat.BAT, len(parts))
-		for i, p := range parts {
-			frags[i] = p.(*bat.BAT)
-		}
-		return one(bat.Concat(frags)), nil
-	}
-	v, err := ctx.DC.Pin(handle)
-	if err != nil {
-		return nil, err
-	}
-	b, ok := v.(*bat.BAT)
-	if !ok {
-		return nil, fmt.Errorf("pinned value is %T, want *bat.BAT", v)
-	}
-	out := scan(b)
-	if err := ctx.DC.Unpin(v); err != nil {
-		return nil, err
-	}
-	return one(out), nil
 }
 
 func unary(f func(*bat.BAT) Value) OpFunc {

@@ -1,0 +1,229 @@
+package mal
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+
+	"repro/internal/bat"
+)
+
+// An aligned region is the part of a query that is local to a fragment:
+// instructions over columns of one table whose whole-column result is
+// the fragment-order concatenation — or, for an aggregate, an
+// associative merge — of their results over each fragment. The
+// DcOptimizer outlines such a region into a sub-plan carried by one
+// datacyclotron.aligned instruction; on a FragmentedDC the sub-plan runs
+// once per fragment index as the fragments arrive and only the exits
+// are merged, on any other runtime it runs once over whole columns.
+
+// Slot names the i-th column handle of a datacyclotron.aligned
+// instruction inside its sub-plan: datacyclotron.pin(Slot(i)) pins
+// whatever the executing part stands for — one fragment of that column,
+// or all of it.
+type Slot int
+
+func (s Slot) GoString() string { return fmt.Sprintf("slot(%d)", int(s)) }
+
+// MergeKind says how the per-part values of a region exit combine into
+// the value the outer plan sees.
+type MergeKind uint8
+
+const (
+	MergeConcat MergeKind = iota // BATs, concatenated in fragment order
+	MergeAdd                     // aggr.sum and aggr.count partials
+	MergeMin                     // aggr.min partials; nil is an empty part
+	MergeMax                     // aggr.max partials; nil is an empty part
+)
+
+func (k MergeKind) String() string {
+	return [...]string{"concat", "add", "min", "max"}[k]
+}
+
+// Exit is a sub-plan variable the outer plan consumes.
+type Exit struct {
+	Var   VarID
+	Merge MergeKind
+}
+
+// Region is an outlined sub-plan with its exits. It is shared by every
+// run of the cached outer plan and never written after NewRegion.
+type Region struct {
+	plan  *Plan
+	exits []Exit
+	flow  *dataflow
+}
+
+// NewRegion wraps sub, whose datacyclotron.pin instructions take Slot
+// literals, and the variables that leave it, in the order the
+// datacyclotron.aligned instruction returns them.
+func NewRegion(sub *Plan, exits []Exit) *Region {
+	return &Region{plan: sub, exits: exits, flow: newDataflow(sub)}
+}
+
+// Plan returns the sub-plan; callers must not modify it.
+func (r *Region) Plan() *Plan { return r.plan }
+
+// Exits returns the exits; callers must not modify them.
+func (r *Region) Exits() []Exit { return r.exits }
+
+// GoString prints the region the way Instr.String prints any literal.
+func (r *Region) GoString() string {
+	var b strings.Builder
+	b.WriteString("region{\n")
+	for _, in := range r.plan.Instrs {
+		fmt.Fprintf(&b, "        %s;\n", in)
+	}
+	b.WriteString("    } exits")
+	for _, e := range r.exits {
+		fmt.Fprintf(&b, " X%d:%s", e.Var, e.Merge)
+	}
+	return b.String()
+}
+
+// slotDC resolves a sub-plan's Slot pins to the whole columns behind
+// the instruction's handles.
+type slotDC struct {
+	DCRuntime
+	handles []Value
+}
+
+func (d slotDC) Pin(h Value) (Value, error) {
+	s, ok := h.(Slot)
+	if !ok || int(s) >= len(d.handles) {
+		return nil, fmt.Errorf("pin of %#v inside a region with %d columns", h, len(d.handles))
+	}
+	return d.DCRuntime.Pin(d.handles[s])
+}
+
+// aligned implements datacyclotron.aligned(region, handles...).
+func aligned(ctx *Context, args []Value) ([]Value, error) {
+	if ctx.DC == nil {
+		return nil, fmt.Errorf("no DC runtime attached")
+	}
+	r, ok := args[0].(*Region)
+	if !ok {
+		return nil, fmt.Errorf("arg 0: want *mal.Region, got %T", args[0])
+	}
+	handles := args[1:]
+	if fdc, ok := ctx.DC.(FragmentedDC); ok {
+		// Parts are the parallel axis: each runs its instructions in
+		// plan order, and a pin that has to wait blocks only its part.
+		parts, err := fdc.PinMap(handles, func(dc DCRuntime) (Value, error) { return r.run(ctx, dc, 1) })
+		if err == nil {
+			return r.merge(parts)
+		}
+		if !errors.Is(err, ErrUnaligned) {
+			return nil, err
+		}
+	}
+	// Whole columns, inline: the un-outlined plan's instructions under
+	// the same dataflow rules. One worker per column is all the width a
+	// region has — each pin may block, and every scan hangs off a pin —
+	// and each worker spared is a goroutine (and its stack growth) less
+	// per query, which is what a 0.2 ms point query notices.
+	return r.run(ctx, slotDC{ctx.DC, handles}, min(ctx.Workers, len(handles)))
+}
+
+// run executes the sub-plan once against dc and returns its exit values
+// in exit order (as a Value, so it can travel through PinMap).
+func (r *Region) run(ctx *Context, dc DCRuntime, workers int) ([]Value, error) {
+	part := *ctx
+	part.DC, part.Workers = dc, workers
+	vals, err := runPlan(&part, r.plan, r.flow)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Value, len(r.exits))
+	for i, e := range r.exits {
+		out[i] = vals[e.Var]
+	}
+	return out, nil
+}
+
+// merge combines the per-part exit values, parts in fragment order, so
+// the outcome does not depend on the order the fragments arrived in.
+func (r *Region) merge(parts []Value) ([]Value, error) {
+	rows := make([][]Value, len(parts)) // per part, its exits
+	for i, p := range parts {
+		rows[i] = p.([]Value)
+	}
+	out := make([]Value, len(r.exits))
+	var lists [][]*bat.BAT // the concat exits, gathered together so
+	var at []int           // that shared head columns are copied once
+	for e, ex := range r.exits {
+		if ex.Merge == MergeConcat {
+			frags := make([]*bat.BAT, len(rows))
+			for i, row := range rows {
+				b, ok := row[e].(*bat.BAT)
+				if !ok {
+					return nil, fmt.Errorf("region exit X%d is %T, want *bat.BAT", ex.Var, row[e])
+				}
+				frags[i] = b
+			}
+			lists, at = append(lists, frags), append(at, e)
+			continue
+		}
+		acc := rows[0][e]
+		for _, row := range rows[1:] {
+			var err error
+			if acc, err = mergeScalar(ex.Merge, acc, row[e]); err != nil {
+				return nil, fmt.Errorf("region exit X%d: %w", ex.Var, err)
+			}
+		}
+		out[e] = acc
+	}
+	for i, b := range bat.ConcatAll(lists) {
+		out[at[i]] = b
+	}
+	return out, nil
+}
+
+// mergeScalar folds one more partial aggregate into acc. A nil partial
+// is an aggregate over no rows and leaves the other side unchanged.
+func mergeScalar(kind MergeKind, acc, v Value) (Value, error) {
+	if acc == nil {
+		return v, nil
+	}
+	if v == nil {
+		return acc, nil
+	}
+	switch a := acc.(type) {
+	case int64:
+		if b, ok := v.(int64); ok {
+			return mergeOrdered(kind, a, b), nil
+		}
+	case float64:
+		if b, ok := v.(float64); ok {
+			return mergeOrdered(kind, a, b), nil
+		}
+	case bat.Oid:
+		if b, ok := v.(bat.Oid); ok {
+			return mergeOrdered(kind, a, b), nil
+		}
+	case string:
+		if b, ok := v.(string); ok && kind != MergeAdd {
+			return mergeOrdered(kind, a, b), nil
+		}
+	case bool:
+		if b, ok := v.(bool); ok && kind != MergeAdd {
+			if kind == MergeMin {
+				return a && b, nil
+			}
+			return a || b, nil
+		}
+	}
+	return nil, fmt.Errorf("cannot %s-merge %T with %T", kind, acc, v)
+}
+
+func mergeOrdered[T int64 | float64 | bat.Oid | string](kind MergeKind, a, b T) T {
+	// Comparisons as the whole-column kernel makes them (bat.extremeOf):
+	// the later value replaces the earlier only when strictly beyond it.
+	switch {
+	case kind == MergeAdd:
+		return a + b
+	case kind == MergeMin && b < a, kind == MergeMax && b > a:
+		return b
+	}
+	return a
+}

@@ -1,0 +1,205 @@
+package mal_test
+
+import (
+	"errors"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/bat"
+	"repro/internal/mal"
+	"repro/internal/mal/maltest"
+)
+
+// q6Region hand-builds the plan dcopt makes of a two-predicate
+// selective aggregate over t(k, v): requests, then one
+// datacyclotron.aligned whose sub-plan selects on k and on v, intersects,
+// fetches v and reduces it four ways, plus the candidate list itself as
+// a concatenated exit.
+func q6Region() *mal.Plan {
+	sub := mal.NewBuilder("sys.t")
+	k := sub.Emit("datacyclotron", "pin", mal.L(mal.Slot(0)))
+	ck := sub.Emit("algebra", "uselect", mal.V(k), mal.L(int64(2)), mal.L(int64(6)), mal.L(true), mal.L(false))
+	sub.Emit0("datacyclotron", "unpin", mal.V(k))
+	v := sub.Emit("datacyclotron", "pin", mal.L(mal.Slot(1)))
+	cv := sub.Emit("algebra", "uselect", mal.V(v), mal.L(nil), mal.L(5000.0), mal.L(false), mal.L(false))
+	cand := sub.Emit("algebra", "semijoin", mal.V(ck), mal.V(cv))
+	vals := sub.Emit("algebra", "join", mal.V(cand), mal.V(v))
+	sub.Emit0("datacyclotron", "unpin", mal.V(v))
+	exits := []mal.Exit{
+		{Var: sub.Emit("aggr", "sum", mal.V(vals)), Merge: mal.MergeAdd},
+		{Var: sub.Emit("aggr", "count", mal.V(cand)), Merge: mal.MergeAdd},
+		{Var: sub.Emit("aggr", "min", mal.V(vals)), Merge: mal.MergeMin},
+		{Var: sub.Emit("aggr", "max", mal.V(vals)), Merge: mal.MergeMax},
+		{Var: cand, Merge: mal.MergeConcat},
+		{Var: vals, Merge: mal.MergeConcat},
+	}
+	region := mal.NewRegion(sub.MustBuild(), exits)
+
+	b := mal.NewBuilder("q")
+	hk := b.Emit("datacyclotron", "request", mal.L("sys"), mal.L("t"), mal.L("k"))
+	hv := b.Emit("datacyclotron", "request", mal.L("sys"), mal.L("t"), mal.L("v"))
+	p := b.MustBuild()
+	rets := make([]mal.VarID, len(exits))
+	for i := range rets {
+		rets[i] = mal.VarID(p.NVars)
+		p.NVars++
+	}
+	p.Instrs = append(p.Instrs, mal.Instr{Module: "datacyclotron", Op: "aligned", Ret: rets,
+		Args: []mal.Arg{mal.L(region), mal.V(hk), mal.V(hv)}})
+	return p
+}
+
+func regionTable(rows int, seed int64) map[string]*bat.BAT {
+	rng := rand.New(rand.NewSource(seed))
+	k, v := make([]int64, rows), make([]float64, rows)
+	for i := range k {
+		k[i] = int64(rng.Intn(8))
+		v[i] = float64(rng.Intn(1000000)) / 100
+	}
+	return map[string]*bat.BAT{"t.k": bat.MakeInts("t.k", k), "t.v": bat.MakeFloats("t.v", v)}
+}
+
+// exitRows renders the six exits of q6Region comparably: the scalars
+// as one row, each concatenated BAT as its (head, tail) rows.
+func exitRows(t *testing.T, vals []mal.Value, p *mal.Plan) [][]any {
+	t.Helper()
+	rets := p.Instrs[len(p.Instrs)-1].Ret
+	rows := [][]any{{vals[rets[0]], vals[rets[1]], vals[rets[2]], vals[rets[3]]}}
+	for _, r := range rets[4:] {
+		b := vals[r].(*bat.BAT)
+		for i := 0; i < b.Len(); i++ {
+			rows = append(rows, []any{b.Head().Value(i), b.Tail().Value(i)})
+		}
+	}
+	return rows
+}
+
+// TestAlignedRegionMatchesWholeColumns: the same instruction answers
+// alike on a plain runtime (one whole-column run) and on a fragmented
+// one, whatever the cuts and the arrival order — including fragments
+// with no rows and parts with no qualifying row, whose min and max
+// partials are nil.
+func TestAlignedRegionMatchesWholeColumns(t *testing.T) {
+	p := q6Region()
+	cols := regionTable(1000, 1)
+	whole := &maltest.FragDC{Cols: cols} // used as a plain DCRuntime below
+	want, err := mal.RunAll(&mal.Context{Registry: mal.Standard(), DC: plainDC{whole}, Workers: 4}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole.PinMaps != 0 || whole.Pins != 2 || whole.Unpins != 2 {
+		t.Fatalf("plain runtime: %d PinMap calls, %d pins, %d unpins; want one inline run", whole.PinMaps, whole.Pins, whole.Unpins)
+	}
+	for _, cuts := range [][]int{
+		{0, 1000},                         // one fragment
+		{0, 64, 128, 999, 1000},           // a one-row tail
+		{0, 0, 300, 300, 300, 1000, 1000}, // empty fragments at both ends and inside
+		{0, 1, 2, 3, 1000},                // parts too small to qualify a row
+	} {
+		for _, order := range []func(int) []int{nil, func(n int) []int { return rand.New(rand.NewSource(9)).Perm(n) }} {
+			rt := &maltest.FragDC{Cols: cols, Cuts: func(int) []int { return cuts }, Order: order}
+			got, err := mal.RunAll(&mal.Context{Registry: mal.Standard(), DC: rt, Workers: 4}, p)
+			if err != nil {
+				t.Fatalf("cuts %v: %v", cuts, err)
+			}
+			if w, g := exitRows(t, want, p), exitRows(t, got, p); !maltest.SameRows(w, g) {
+				t.Fatalf("cuts %v: exits differ\nwant %v\ngot  %v", cuts, w[0], g[0])
+			}
+			if rt.Parts != len(cuts)-1 || rt.Pins != rt.Unpins {
+				t.Fatalf("cuts %v: %d parts, %d pins, %d unpins", cuts, rt.Parts, rt.Pins, rt.Unpins)
+			}
+		}
+	}
+}
+
+// plainDC hides a FragDC's PinMap, leaving a mal.DCRuntime.
+type plainDC struct{ mal.DCRuntime }
+
+// TestAlignedRegionSharesHeads: the fetch passes its candidates' head
+// through, so the concatenated candidate list and fetched column come
+// back over one head column, copied once.
+func TestAlignedRegionSharesHeads(t *testing.T) {
+	p := q6Region()
+	rt := &maltest.FragDC{Cols: regionTable(1000, 2), Cuts: maltest.EveryRows(128)}
+	vals, err := mal.RunAll(&mal.Context{Registry: mal.Standard(), DC: rt}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rets := p.Instrs[len(p.Instrs)-1].Ret
+	cand, fetched := vals[rets[4]].(*bat.BAT), vals[rets[5]].(*bat.BAT)
+	if cand.Len() == 0 || cand.Head() != cand.Tail() || cand.Head() != fetched.Head() {
+		t.Fatalf("heads not shared: cand [%p|%p], fetched head %p (%d rows)", cand.Head(), cand.Tail(), fetched.Head(), cand.Len())
+	}
+}
+
+// TestAlignedRegionUnalignedFallsBack: a runtime that cannot line the
+// columns' fragments up says ErrUnaligned, and the region pins whole
+// columns instead; any other PinMap error is the query's.
+func TestAlignedRegionUnalignedFallsBack(t *testing.T) {
+	p := q6Region()
+	cols := regionTable(500, 3)
+	want, err := mal.RunAll(&mal.Context{Registry: mal.Standard(), DC: plainDC{&maltest.FragDC{Cols: cols}}}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One column a row longer: FragDC refuses the pair. The extra row's
+	// key is outside the selection, so the answer does not change.
+	longer := map[string]*bat.BAT{"t.v": cols["t.v"]}
+	k := make([]int64, 501)
+	for i := 0; i < 500; i++ {
+		k[i] = cols["t.k"].Tail().Int(i)
+	}
+	k[500] = 7
+	longer["t.k"] = bat.MakeInts("t.k", k)
+	rt := &maltest.FragDC{Cols: longer, Cuts: maltest.EveryRows(64)}
+	got, err := mal.RunAll(&mal.Context{Registry: mal.Standard(), DC: rt}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.PinMaps != 1 || rt.Parts != 0 || rt.Pins != 2 || rt.Unpins != 2 {
+		t.Fatalf("%d PinMap calls, %d parts, %d pins, %d unpins; want a refusal and one whole-column run", rt.PinMaps, rt.Parts, rt.Pins, rt.Unpins)
+	}
+	if w, g := exitRows(t, want, p), exitRows(t, got, p); !reflect.DeepEqual(w, g) {
+		t.Fatalf("fallback differs from the whole-column run:\nwant %v\ngot  %v", w[0], g[0])
+	}
+
+	_, err = mal.RunAll(&mal.Context{Registry: mal.Standard(), DC: &maltest.FragDC{Cols: map[string]*bat.BAT{}}}, p)
+	if err == nil || errors.Is(err, mal.ErrUnaligned) || !strings.Contains(err.Error(), "does not exist") {
+		t.Fatalf("missing column: err = %v, want the runtime's own error", err)
+	}
+}
+
+// TestStandardRegistryIsShared: one registry for every query, so
+// nobody may write to it.
+func TestStandardRegistryIsShared(t *testing.T) {
+	if mal.Standard() != mal.Standard() {
+		t.Fatal("Standard builds a registry per call")
+	}
+	if _, ok := mal.Standard().Lookup("datacyclotron.aligned"); !ok {
+		t.Fatal("standard registry lacks datacyclotron.aligned")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Register on the shared registry did not panic")
+		}
+	}()
+	mal.Standard().Register("x", "y", nil)
+}
+
+// BenchmarkAlignedRegion is the per-part path at hot_repeat's shape:
+// 1M rows in 64K-row fragments, the sub-plan run once per fragment and
+// the exits merged. CI runs it once so the path cannot panic unnoticed.
+func BenchmarkAlignedRegion(b *testing.B) {
+	p := q6Region()
+	rt := &maltest.FragDC{Cols: regionTable(1<<20, 4), Cuts: maltest.EveryRows(1 << 16)}
+	ctx := &mal.Context{Registry: mal.Standard(), DC: rt}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mal.RunAll(ctx, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,7 +1,10 @@
 package tpch
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -13,9 +16,10 @@ import (
 // TestQ6ishPlanShape is the golden shape of the candidate-list
 // pipeline: one head-only range select per predicate column (the two
 // l_shipdate limits coalesced), two intersections, one positional
-// fetch shared by sum and count(*) — and, because every predicate
-// column is then used exactly once, three fused per-fragment scans and
-// a single plain pin after the DcOptimizer.
+// fetch shared by sum and count(*) — all of it local to a fragment, so
+// the DcOptimizer moves the eight instructions into one aligned region
+// and leaves no whole-column pin (TestRewrittenPlansGolden has the
+// text).
 func TestQ6ishPlanShape(t *testing.T) {
 	db := GenDB(0.0005, 1)
 	plan, err := minisql.Compile(Q6ishSQL, db.Schema(), "sys")
@@ -46,11 +50,57 @@ func TestQ6ishPlanShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (dcopt.Stats{Requests: 4, Pins: 1, Unpins: 1, Fused: 3}); st != want {
+	if want := (dcopt.Stats{Requests: 4, Regions: 1, Local: 8}); st != want {
 		t.Errorf("dcopt stats = %+v, want %+v\n%s", st, want, dc)
 	}
-	if n := strings.Count(dc.String(), "datacyclotron.pinuselect"); n != 3 {
-		t.Errorf("%d fused uselects, want 3:\n%s", n, dc)
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current DcOptimizer output")
+
+// TestRewrittenPlansGolden pins what the DcOptimizer makes of the four
+// served queries, sub-plans included: which instructions each table's
+// aligned region takes, where it pins and unpins each column, what
+// leaves it and by which merge, and what stays in the outer plan on
+// whole columns (Q1's group-by; Q3's joins, and its lineitem columns,
+// which the outer plan reads whole).
+func TestRewrittenPlansGolden(t *testing.T) {
+	db := GenDB(0.0005, 1)
+	for _, c := range []struct {
+		name, sql string
+		st        dcopt.Stats
+	}{
+		{"q6ish", Q6ishSQL, dcopt.Stats{Requests: 4, Regions: 1, Local: 8}},
+		// bench/workload.go's wideSQL: three fetches over one candidate list.
+		{"wide", "select l_orderkey, l_suppkey, l_extendedprice from lineitem where l_quantity < 25",
+			dcopt.Stats{Requests: 4, Regions: 1, Local: 4}},
+		{"q1", Q1SQL, dcopt.Stats{Requests: 6, Regions: 1, Local: 6}},
+		{"q3ish", Q3ishSQL, dcopt.Stats{Requests: 7, Pins: 3, Unpins: 3, Regions: 2, Local: 5}},
+	} {
+		plan, err := minisql.Compile(c.sql, db.Schema(), "sys")
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		dc, st, err := dcopt.Rewrite(plan)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if st != c.st {
+			t.Errorf("%s: stats = %+v, want %+v", c.name, st, c.st)
+		}
+		path := filepath.Join("testdata", c.name+"_dc.golden")
+		if *update {
+			if err := os.WriteFile(path, []byte(dc.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dc.String(); got != string(want) {
+			t.Errorf("%s: rewritten plan differs from %s (go test ./internal/tpch -update rewrites it):\n%s", c.name, path, got)
+		}
 	}
 }
 
