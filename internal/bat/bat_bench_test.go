@@ -221,10 +221,9 @@ func BenchmarkBATSemijoinSkewed(b *testing.B) {
 	}
 }
 
-// BenchmarkBATQ6Candidates1M is Q6ish's kernel work on whole 1M-row
-// columns: three range selects to candidate lists, two intersections,
-// one positional fetch and the sum.
-func BenchmarkBATQ6Candidates1M(b *testing.B) {
+// q6Columns are Q6ish's four columns at 1M rows: shipdate keeps ~14 %
+// of them, discount ~27 %, quantity ~46 %, all three ~1.8 %.
+func q6Columns() (shipdate, discount, quantity, extprice *BAT) {
 	rng := rand.New(rand.NewSource(6))
 	date, disc, qty, price := make([]int64, benchRows), make([]float64, benchRows), make([]int64, benchRows), make([]float64, benchRows)
 	for i := range date {
@@ -233,13 +232,44 @@ func BenchmarkBATQ6Candidates1M(b *testing.B) {
 		qty[i] = 1 + int64(rng.Intn(50))
 		price[i] = float64(rng.Intn(100000)) / 100
 	}
-	shipdate, discount, quantity, extprice := MakeInts("d", date), MakeFloats("f", disc), MakeInts("q", qty), MakeFloats("p", price)
+	return MakeInts("d", date), MakeFloats("f", disc), MakeInts("q", qty), MakeFloats("p", price)
+}
+
+var (
+	q6DateLo, q6DateHi = &Bound{Value: int64(19940101), Inclusive: true}, &Bound{Value: int64(19950101)}
+	q6DiscLo, q6DiscHi = &Bound{Value: 0.05, Inclusive: true}, &Bound{Value: 0.07, Inclusive: true}
+	q6QtyHi            = &Bound{Value: int64(24)}
+)
+
+// BenchmarkBATQ6Candidates1M is Q6ish's kernel work on whole 1M-row
+// columns as minisql compiles it: one full range select, two
+// candidate-restricted ones chained behind it, one positional fetch and
+// the sum.
+func BenchmarkBATQ6Candidates1M(b *testing.B) {
+	shipdate, discount, quantity, extprice := q6Columns()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := shipdate.USelect(&Bound{Value: int64(19940101), Inclusive: true}, &Bound{Value: int64(19950101)})
-		c = c.Semijoin(discount.USelect(&Bound{Value: 0.05, Inclusive: true}, &Bound{Value: 0.07, Inclusive: true}))
-		c = c.Semijoin(quantity.USelect(nil, &Bound{Value: int64(24)}))
+		c := shipdate.USelect(q6DateLo, q6DateHi)
+		c = discount.USelectCand(c, q6DiscLo, q6DiscHi)
+		c = quantity.USelectCand(c, nil, q6QtyHi)
+		if c.Join(extprice).Sum() == nil {
+			b.Fatal("no sum")
+		}
+	}
+}
+
+// BenchmarkBATQ6Intersect1M is the same query the way it ran before the
+// chain: three full range selects, two merge intersections. Kept beside
+// BenchmarkBATQ6Candidates1M so one command compares the two shapes.
+func BenchmarkBATQ6Intersect1M(b *testing.B) {
+	shipdate, discount, quantity, extprice := q6Columns()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := shipdate.USelect(q6DateLo, q6DateHi)
+		c = c.Semijoin(discount.USelect(q6DiscLo, q6DiscHi))
+		c = c.Semijoin(quantity.USelect(nil, q6QtyHi))
 		if c.Join(extprice).Sum() == nil {
 			b.Fatal("no sum")
 		}

@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -86,9 +87,10 @@ func checkSemijoinPaths(t *testing.T, a, r []Oid) {
 			t.Fatalf("keep=%v: sorted inputs lost the sorted head", keep)
 		}
 		sameBAT(t, "sorted-mirrored", op(fb.Mirror(), frb.Mirror()), wantRows(b, want).Mirror())
-		sameIdx("merge", mergeMemberIdx(a, r, keep), want)
-		sameIdx("gallop-probe", gallopProbeIdx(a, r, keep), want)
-		sameIdx("picked", sortedMemberIdx(a, r, keep), want)
+		sameIdx("merge", *mergeMemberIdx(a, r, keep), want)
+		sameIdx("gallop-probe", *gallopProbeIdx(a, r, keep), want)
+		picked, _ := sortedMemberIdx(a, r, keep)
+		sameIdx("picked", picked, want)
 		if keep {
 			sameIdx("gallop-runs", gallopRunsIdx(a, r), want)
 		}
@@ -444,4 +446,236 @@ func TestUSelectDenseHeadIsSortedCandidateList(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { b.USelect(&Bound{Value: int64(10), Inclusive: true}, nil) }); allocs > 5 {
 		t.Errorf("USelect allocated %v objects; want scan buffer + one payload + descriptors", allocs)
 	}
+}
+
+// --- USelectCand ≡ Semijoin(cand).USelect(...) ----------------------------
+
+// uselectCandShapes is the size of uselectCandCase's shape space: tail
+// kind × column head × candidate form × bounds form × tail sortedness.
+const uselectCandShapes = 6 * 3 * 6 * 5 * 2
+
+// uselectCandCase derives one (column, candidates, bounds) triple from a
+// seed; shape picks one cell of the grid the kernel's paths split on.
+func uselectCandCase(seed int64, shape uint16) (b, cand *BAT, lo, hi *Bound) {
+	rng := rand.New(rand.NewSource(seed))
+	s := int(shape) % uselectCandShapes
+	tailKind, s := s%6, s/6
+	headForm, s := s%3, s/3
+	candForm, s := s%6, s/6
+	boundForm, sortedTail := s%5, s/5 == 1
+
+	n := rng.Intn(60)
+	base := Oid(5 + rng.Intn(20))
+
+	// The tail: int, float, oid, dense oid, str, bool.
+	words := []string{"a", "b", "c", "d", "e"}
+	var tail *Column
+	var lit func() any // a literal of the tail's kind, inside and just outside the data
+	switch tailKind {
+	case 0:
+		v := make([]int64, n)
+		for i := range v {
+			v[i] = int64(rng.Intn(40))
+		}
+		if sortedTail {
+			sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
+		}
+		tail = IntColumn(v)
+		lit = func() any {
+			if rng.Intn(2) == 0 {
+				return int64(rng.Intn(50) - 5)
+			}
+			return float64(rng.Intn(100)-10) / 2 // integral or fractional float over ints
+		}
+	case 1:
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(rng.Intn(40)) / 4
+		}
+		if sortedTail {
+			sort.Float64s(v)
+		}
+		tail = FloatColumn(v)
+		lit = func() any {
+			if rng.Intn(2) == 0 {
+				return float64(rng.Intn(24)) / 2
+			}
+			return int64(rng.Intn(12))
+		}
+	case 2:
+		v := genOids(rng, n, 0, 40, sortedTail)
+		tail = OidColumn(v)
+		lit = func() any { return Oid(rng.Intn(45)) }
+	case 3:
+		tail, sortedTail = DenseColumn(Oid(rng.Intn(30)), n), false // dense is sorted by itself
+		lit = func() any { return Oid(rng.Intn(70)) }
+	case 4:
+		v := make([]string, n)
+		for i := range v {
+			v[i] = words[rng.Intn(len(words))]
+		}
+		if sortedTail {
+			sort.Strings(v)
+		}
+		tail = StrColumn(v)
+		lit = func() any { return words[rng.Intn(len(words))] }
+	default:
+		v := make([]bool, n)
+		for i := range v {
+			v[i] = rng.Intn(2) == 0
+		}
+		if sortedTail {
+			sort.Slice(v, func(i, j int) bool { return !v[i] && v[j] })
+		}
+		tail = BoolColumn(v)
+		lit = func() any { return rng.Intn(2) == 0 }
+	}
+	tail.SetSorted(sortedTail)
+
+	// The head: dense, ascending OIDs with gaps, or the same shuffled.
+	asc := make([]Oid, n)
+	for i := range asc {
+		asc[i] = base + Oid(2*i)
+	}
+	var head *Column
+	end := base + Oid(2*n) // past the last head value of either form
+	switch headForm {
+	case 0:
+		head, end = DenseColumn(base, n), base+Oid(n)
+	case 1:
+		head = OidColumn(asc)
+		head.SetSorted(true)
+	default:
+		rng.Shuffle(n, func(i, j int) { asc[i], asc[j] = asc[j], asc[i] })
+		head = OidColumn(asc)
+	}
+	b = New("x", head, tail)
+
+	// The candidates, drawn from a domain that overhangs the head range
+	// on both sides.
+	span := int(end) + 12
+	var cc *Column
+	switch candForm {
+	case 0: // ascending, mostly unique
+		cc = OidColumn(genOids(rng, rng.Intn(n+2), 0, Oid(span), true))
+		cc.SetSorted(true)
+	case 1:
+		cc = DenseColumn(Oid(rng.Intn(span)), rng.Intn(n+4))
+	case 2: // empty: a nil payload and a flagged zero-length one
+		if rng.Intn(2) == 0 {
+			cc = OidColumn(nil)
+		} else {
+			cc = OidColumn([]Oid{})
+			cc.SetSorted(true)
+		}
+	case 3: // ascending, nothing inside the head range
+		v := append(genOids(rng, rng.Intn(6), 0, base, true), genOids(rng, rng.Intn(6), end, 12, true)...)
+		cc = OidColumn(v)
+		cc.SetSorted(true)
+	case 4: // ascending with many copies
+		cc = OidColumn(genOids(rng, 2*n+rng.Intn(4), 0, Oid(span/3+1), true))
+		for i := range cc.oids {
+			cc.oids[i] *= 3
+		}
+		cc.SetSorted(true)
+	default: // unsorted, copies included
+		cc = OidColumn(genOids(rng, rng.Intn(n+2), 0, Oid(span), false))
+	}
+	cand = New("cand", cc, cc)
+
+	// The bounds.
+	x, y := lit(), lit()
+	if cmpValues(tail.kind, x, y) > 0 {
+		x, y = y, x
+	}
+	switch boundForm {
+	case 0: // closed
+		lo, hi = &Bound{Value: x, Inclusive: true}, &Bound{Value: y, Inclusive: true}
+	case 1: // half-open, either side
+		open := rng.Intn(2) == 0
+		lo, hi = &Bound{Value: x, Inclusive: open}, &Bound{Value: y, Inclusive: !open}
+	case 2: // one-sided, or none at all
+		switch rng.Intn(5) {
+		case 0:
+		case 1, 2:
+			lo = &Bound{Value: x, Inclusive: rng.Intn(2) == 0}
+		default:
+			hi = &Bound{Value: y, Inclusive: rng.Intn(2) == 0}
+		}
+	case 3: // contradictory: reversed, or a point with an open end
+		lo, hi = &Bound{Value: y, Inclusive: true}, &Bound{Value: x, Inclusive: rng.Intn(2) == 0}
+		if cmpValues(tail.kind, x, y) == 0 {
+			hi.Inclusive = false
+		}
+	default: // a literal the typed bounds refuse: NaN goes the boxed way
+		lo, hi = &Bound{Value: x, Inclusive: true}, &Bound{Value: y, Inclusive: true}
+		if tail.kind == KInt || tail.kind == KFloat {
+			if rng.Intn(2) == 0 {
+				lo.Value = math.NaN()
+			} else {
+				hi.Value = math.NaN()
+			}
+		}
+	}
+	return b, cand, lo, hi
+}
+
+// checkUSelectCand holds USelectCand to its definition — rows, order,
+// one shared column, the head's sorted property — and the definition to
+// a row-by-row reading of it when the bounds are ones selectGeneric
+// reads.
+func checkUSelectCand(t *testing.T, seed int64, shape uint16) {
+	t.Helper()
+	b, cand, lo, hi := uselectCandCase(seed, shape)
+	what := fmt.Sprintf("seed %d shape %d: %s, %s", seed, shape, b, cand)
+	want := b.Semijoin(cand).USelect(lo, hi)
+	got := b.USelectCand(cand, lo, hi)
+	sameBAT(t, what+": uselect(cand) vs semijoin.uselect", got, want)
+	if got.Head() != got.Tail() {
+		t.Fatalf("%s: USelectCand returned two columns", what)
+	}
+	if got.Head().Sorted() != want.Head().Sorted() {
+		t.Fatalf("%s: head sorted = %v, the definition says %v", what, got.Head().Sorted(), want.Head().Sorted())
+	}
+	in := make(map[Oid]bool, cand.Len())
+	for i := 0; i < cand.Len(); i++ {
+		in[cand.Head().Oid(i)] = true
+	}
+	kept := b.selectGeneric(lo, hi)
+	var rows []Oid
+	for i := 0; i < kept.Len(); i++ {
+		if o := kept.Head().Oid(i); in[o] {
+			rows = append(rows, o)
+		}
+	}
+	sameBAT(t, what+": uselect(cand) vs row by row", got, New("rows", OidColumn(rows), OidColumn(rows)))
+}
+
+func TestUSelectCandMatchesSemijoinUSelect(t *testing.T) {
+	for seed := int64(0); seed < 3; seed++ {
+		for shape := uint16(0); shape < uselectCandShapes; shape++ {
+			checkUSelectCand(t, seed*7919+int64(shape), shape)
+		}
+	}
+	// A served fragment: dense head off zero, candidates straddling both
+	// ends, every bound inclusive at a value that occurs.
+	frag := New("f", DenseColumn(65536, 8), IntColumn([]int64{4, 9, 4, 1, 7, 4, 9, 0}))
+	c := OidColumn([]Oid{3, 65535, 65536, 65538, 65538, 65540, 65543, 65544, 70000})
+	c.SetSorted(true)
+	got := frag.USelectCand(New("c", c, c), &Bound{Value: int64(4), Inclusive: true}, &Bound{Value: int64(7), Inclusive: true})
+	sameBAT(t, "fragment", got, candList("want", []Oid{65536, 65538, 65540}))
+	if allocs := testing.AllocsPerRun(50, func() {
+		frag.USelectCand(New("c", c, c), &Bound{Value: int64(4), Inclusive: true}, nil)
+	}); allocs > 5 {
+		t.Errorf("USelectCand allocated %v objects; want one payload, descriptors and bounds", allocs)
+	}
+}
+
+func FuzzUSelectCand(f *testing.F) {
+	for shape := uint16(0); shape < uselectCandShapes; shape += 97 {
+		f.Add(int64(shape), shape)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint16) {
+		checkUSelectCand(t, seed, shape)
+	})
 }

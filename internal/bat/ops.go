@@ -79,29 +79,47 @@ func b2i(b bool) int {
 	return 0
 }
 
-// idxPool recycles the position buffers of the single-pass kernels
-// (rangeIdx, mergeMemberIdx, gallopProbeIdx): they are sized for the
-// worst case — every row qualifies — and dead as soon as the caller has
-// gathered the rows, so Select, USelect, Semijoin and Diff hand them
-// back instead of leaving megabytes of garbage per scan.
-var idxPool sync.Pool // of *[]int32
+// slicePool recycles the worst-case-sized scratch of the single-pass
+// kernels: a buffer sized for "every row qualifies" is dead as soon as
+// the caller has gathered (or copied out) the qualifying prefix, so it
+// goes back instead of leaving megabytes of garbage per scan. The
+// pooled object is the *[]T itself — get hands it out, put takes the
+// same pointer back — so a round trip allocates nothing.
+type slicePool[T any] struct{ pool sync.Pool } // of *[]T
 
-func getIdx(n int) []int32 {
-	if p, _ := idxPool.Get().(*[]int32); p != nil && cap(*p) >= n {
-		return (*p)[:n]
+func (sp *slicePool[T]) get(n int) *[]T {
+	p, _ := sp.pool.Get().(*[]T)
+	if p == nil {
+		p = new([]T)
 	}
-	return make([]int32, n)
+	if cap(*p) < n {
+		*p = make([]T, n)
+	}
+	*p = (*p)[:n]
+	return p
 }
 
-func putIdx(idx []int32) { idxPool.Put(&idx) }
+// put takes back what get returned; nil (a list that was never pooled)
+// is a no-op.
+func (sp *slicePool[T]) put(p *[]T) {
+	if p != nil {
+		sp.pool.Put(p)
+	}
+}
+
+var (
+	idxPool slicePool[int32] // row positions: rangeIdx, mergeMemberIdx, gallopProbeIdx
+	oidPool slicePool[Oid]   // candidate OIDs: rangeOids, candOids
+)
 
 // rangeIdx scans an unsorted payload once and returns the qualifying
 // row positions in ascending order. Every position is stored and the
 // cursor advances by the predicate's outcome, so the loop body has no
 // data-dependent branch to mispredict. The buffer is sized for the
 // worst case and goes back to idxPool after the caller's gather.
-func rangeIdx[T cmp.Ordered](vals []T, r bounds[T]) []int32 {
-	idx := getIdx(len(vals))
+func rangeIdx[T cmp.Ordered](vals []T, r bounds[T]) *[]int32 {
+	p := idxPool.get(len(vals))
+	idx := *p
 	n := 0
 	if r.closed() {
 		lo, hi := r.lo, r.hi
@@ -115,7 +133,69 @@ func rangeIdx[T cmp.Ordered](vals []T, r bounds[T]) []int32 {
 			n += b2i(r.holds(v))
 		}
 	}
-	return idx[:n]
+	*p = idx[:n]
+	return p
+}
+
+// rangeOids is rangeIdx for a dense head: the one pass writes the
+// qualifying rows' OIDs themselves, base + position, so a candidate
+// list needs no gather afterwards.
+func rangeOids[T cmp.Ordered](vals []T, base Oid, r bounds[T]) []Oid {
+	p := oidPool.get(len(vals))
+	out := *p
+	n := 0
+	if r.closed() {
+		lo, hi := r.lo, r.hi
+		for i, v := range vals {
+			out[n] = base + Oid(i)
+			n += b2i(!(v < lo)) & b2i(!(v > hi))
+		}
+	} else {
+		for i, v := range vals {
+			out[n] = base + Oid(i)
+			n += b2i(r.holds(v))
+		}
+	}
+	return exactOids(p, n)
+}
+
+// candOids is rangeOids restricted to the rows the ascending OID list c
+// names: vals[o-base] is tested for each candidate o and nothing else is
+// read. c must lie inside [base, base+len(vals)) — the caller clips it —
+// and may repeat an OID, which is reported once: copies are adjacent.
+func candOids[T cmp.Ordered](vals []T, base Oid, c []Oid, r bounds[T]) []Oid {
+	if len(c) == 0 {
+		return nil
+	}
+	p := oidPool.get(len(c))
+	out := *p
+	n := 0
+	prev := ^c[0] // differs from the first candidate
+	if r.closed() {
+		lo, hi := r.lo, r.hi
+		for _, o := range c {
+			v := vals[o-base]
+			out[n] = o
+			n += b2i(!(v < lo)) & b2i(!(v > hi)) & b2i(o != prev)
+			prev = o
+		}
+	} else {
+		for _, o := range c {
+			out[n] = o
+			n += b2i(r.holds(vals[o-base])) & b2i(o != prev)
+			prev = o
+		}
+	}
+	return exactOids(p, n)
+}
+
+// exactOids copies the first n OIDs of a pooled scratch into a slice of
+// exactly that size and hands the scratch back: a candidate list lives
+// as long as its query, a worst-case-sized buffer must not.
+func exactOids(p *[]Oid, n int) []Oid {
+	out := append([]Oid(nil), (*p)[:n]...) // unlike make, nothing is zeroed first
+	oidPool.put(p)
+	return out
 }
 
 // rangeSpan binary-searches a sorted payload for the qualifying
@@ -149,8 +229,9 @@ func rangeSpan[T cmp.Ordered](vals []T, r bounds[T]) (from, to int) {
 // scan and materialized as a zero-copy view) or the ascending position
 // list of a scan.
 type hits struct {
-	from, to int     // the span, when !scanned
-	idx      []int32 // the positions, when scanned
+	from, to int      // the span, when !scanned
+	idx      []int32  // the positions, when scanned
+	pooled   *[]int32 // idx's idxPool buffer, handed back after the gather; nil: not pooled
 	scanned  bool
 	constant bool // every kept tail value is the same, hence sorted
 }
@@ -165,7 +246,8 @@ func selectTyped[T cmp.Ordered](t *Column, vals []T, r bounds[T]) hits {
 		from, to := rangeSpan(vals, r)
 		return hits{from: from, to: to}
 	}
-	return hits{idx: rangeIdx(vals, r), scanned: true, constant: r.closed() && r.lo == r.hi}
+	p := rangeIdx(vals, r)
+	return hits{idx: *p, pooled: p, scanned: true, constant: r.closed() && r.lo == r.hi}
 }
 
 const (
@@ -449,7 +531,7 @@ func (b *BAT) Select(lo, hi *Bound) *BAT {
 		return b.Slice(h.from, h.to)
 	}
 	nb := b.takeRows(h.idx)
-	putIdx(h.idx)
+	idxPool.put(h.pooled)
 	nb.t.sorted = nb.t.sorted || h.constant
 	return nb
 }
@@ -459,10 +541,15 @@ func (b *BAT) Select(lo, hi *Bound) *BAT {
 // bounds — Select(lo, hi).Mirror() without ever gathering the tail, and
 // with both sides sharing one column. Row order is preserved, so the
 // list is sorted whenever b's head is: over a dense-headed column it is
-// an ascending OID list, the form Semijoin intersects by merge.
+// an ascending OID list, written by the scan itself.
 func (b *BAT) USelect(lo, hi *Bound) *BAT {
 	if lo == nil && hi == nil {
 		return b.Mirror()
+	}
+	if b.h.dense && !b.t.Sorted() {
+		if oids, ok := b.scanDense(nil, false, lo, hi); ok {
+			return candList(b.Name, oids)
+		}
 	}
 	var c *Column
 	h, ok := b.selectRows(lo, hi)
@@ -473,10 +560,92 @@ func (b *BAT) USelect(lo, hi *Bound) *BAT {
 		c = b.h.view(h.from, h.to)
 	default:
 		c = b.h.take32(h.idx)
-		putIdx(h.idx)
+		idxPool.put(h.pooled)
 		c.sorted = b.h.Sorted()
 	}
 	return &BAT{Name: b.Name, h: c, t: c}
+}
+
+// USelectCand is USelect with MonetDB's candidate argument: of the rows
+// of b whose head is among cand's heads, the candidate list of those
+// whose tail lies within the bounds. It is defined as
+//
+//	b.Semijoin(cand).USelect(lo, hi)
+//
+// and computed without the intersection: a conjunction chains its
+// predicates through it, each testing only the rows the previous one
+// kept. Copies of an OID in cand change nothing, as in Semijoin.
+//
+//   - b's head dense, cand an ascending OID list (every served fragment
+//     and every list a select over one yields): one branch-light pass
+//     over the candidates, clipped to b's head range by gallopTo.
+//   - b's tail sorted: the binary-searched span, then the span's heads
+//     intersected with cand — the rows were never scanned.
+//   - cand dense: the composed form is already a sub-slice scan,
+//     Semijoin against a dense range being an O(1) view.
+//   - anything else (unsorted or non-OID heads, bool tails, literals the
+//     column kind cannot normalize): the composed form.
+func (b *BAT) USelectCand(cand *BAT, lo, hi *Bound) *BAT {
+	switch {
+	case b.t.Sorted():
+		if h, ok := b.selectRows(lo, hi); ok && !h.scanned {
+			// Mirror before the semijoin so one column is gathered, and
+			// after it because a sliced result is two views.
+			return b.Slice(h.from, h.to).Mirror().Semijoin(cand).Mirror()
+		}
+	case b.h.dense && cand.h.kind == KOid && cand.h.Sorted() && !cand.h.dense:
+		c := cand.h.oids
+		from := gallopTo(c, 0, b.h.base)
+		to := gallopTo(c, from, b.h.base+Oid(b.h.n))
+		if oids, ok := b.scanDense(c[from:to], true, lo, hi); ok {
+			return candList(b.Name, oids)
+		}
+	}
+	return b.Semijoin(cand).USelect(lo, hi)
+}
+
+// candList wraps ascending OIDs as the candidate list [oids|oids].
+func candList(name string, oids []Oid) *BAT {
+	c := &Column{kind: KOid, oids: oids, sorted: true}
+	return &BAT{Name: name, h: c, t: c}
+}
+
+// scanDense evaluates a range predicate over the unsorted tail of a
+// dense-headed BAT and returns the qualifying rows' OIDs, ascending: of
+// all rows, or — restricted — of the rows the ascending list c names,
+// which the caller has clipped to b's head range. ok=false: a bool tail,
+// or literals that do not normalize to the column kind; the caller takes
+// the general path.
+func (b *BAT) scanDense(c []Oid, restricted bool, lo, hi *Bound) (oids []Oid, ok bool) {
+	switch b.t.kind {
+	case KInt:
+		if r, ok := intBounds(lo, hi); ok {
+			return scanOids(b.t.ints, b.h.base, c, restricted, r), true
+		}
+	case KFloat:
+		if r, ok := floatBounds(lo, hi); ok {
+			return scanOids(b.t.floats, b.h.base, c, restricted, r), true
+		}
+	case KOid:
+		if r, ok := oidBounds(lo, hi); ok {
+			return scanOids(b.t.oids, b.h.base, c, restricted, r), true
+		}
+	case KStr:
+		if r, ok := strBounds(lo, hi); ok {
+			return scanOids(b.t.strs, b.h.base, c, restricted, r), true
+		}
+	}
+	return nil, false
+}
+
+func scanOids[T cmp.Ordered](vals []T, base Oid, c []Oid, restricted bool, r bounds[T]) []Oid {
+	switch {
+	case r.empty():
+		return nil
+	case restricted:
+		return candOids(vals, base, c, r)
+	}
+	return rangeOids(vals, base, r)
 }
 
 // denseSpan answers the closed range [lo, hi] over a dense OID column
@@ -850,8 +1019,9 @@ const gallopRatio = 8
 // r cursor only moves past values smaller than a's current one. The
 // cursors advance by comparison outcomes, so the loop carries no
 // data-dependent branch.
-func mergeMemberIdx(a, r []Oid, keep bool) []int32 {
-	idx := getIdx(len(a))
+func mergeMemberIdx(a, r []Oid, keep bool) *[]int32 {
+	p := idxPool.get(len(a))
+	idx := *p
 	i, j, n := 0, 0, 0
 	for i < len(a) && j < len(r) {
 		x, y := a[i], r[j]
@@ -867,7 +1037,8 @@ func mergeMemberIdx(a, r []Oid, keep bool) []int32 {
 			n++
 		}
 	}
-	return idx[:n]
+	*p = idx[:n]
+	return p
 }
 
 // gallopTo returns the first position at or after j whose value is >= v
@@ -890,15 +1061,17 @@ func gallopTo(r []Oid, j int, v Oid) int {
 
 // gallopProbeIdx is mergeMemberIdx for a short a against a long r: each
 // value of a gallops r's cursor forward, O(len(a) · log(len(r)/len(a))).
-func gallopProbeIdx(a, r []Oid, keep bool) []int32 {
-	idx := getIdx(len(a))
+func gallopProbeIdx(a, r []Oid, keep bool) *[]int32 {
+	p := idxPool.get(len(a))
+	idx := *p
 	j, n := 0, 0
 	for i, v := range a {
 		j = gallopTo(r, j, v)
 		idx[n] = int32(i)
 		n += b2i((j < len(r) && r[j] == v) == keep)
 	}
-	return idx[:n]
+	*p = idx[:n]
+	return p
 }
 
 // gallopRunsIdx is mergeMemberIdx(a, r, true) for a long a against a
@@ -921,15 +1094,18 @@ func gallopRunsIdx(a, r []Oid) []int32 {
 // sortedMemberIdx filters the positions of the non-decreasing OID list
 // a by membership in the non-decreasing list r, picking the walk by the
 // length ratio. A long a is only worth galloping for keep: the
-// complement is about as long as a itself.
-func sortedMemberIdx(a, r []Oid, keep bool) []int32 {
+// complement is about as long as a itself. pooled is idx's idxPool
+// buffer, nil when the walk sized its own.
+func sortedMemberIdx(a, r []Oid, keep bool) (idx []int32, pooled *[]int32) {
 	switch {
 	case len(r) > gallopRatio*len(a):
-		return gallopProbeIdx(a, r, keep)
+		pooled = gallopProbeIdx(a, r, keep)
 	case keep && len(a) > gallopRatio*len(r):
-		return gallopRunsIdx(a, r)
+		return gallopRunsIdx(a, r), nil
+	default:
+		pooled = mergeMemberIdx(a, r, keep)
 	}
-	return mergeMemberIdx(a, r, keep)
+	return *pooled, pooled
 }
 
 // denseMemberIdx returns the positions of a dense head [base, base+n)
@@ -952,31 +1128,31 @@ func denseMemberIdx(base Oid, n int, r []Oid) []int32 {
 // that are sorted OID lists — every candidate list a select over a
 // dense-headed column yields — are intersected by merge; a dense r is
 // plain range arithmetic; only unsorted or non-OID heads build a typed
-// hash set.
-func headFilterIdx(b, r *BAT, keep bool) []int32 {
+// hash set. pooled is idx's idxPool buffer, if it has one.
+func headFilterIdx(b, r *BAT, keep bool) (idx []int32, pooled *[]int32) {
 	if r.h.dense {
 		base, end := r.h.base, r.h.base+Oid(r.h.Len())
-		return rangeMemberIdx(b.h.oidValues(), base, end, keep)
+		return rangeMemberIdx(b.h.oidValues(), base, end, keep), nil
 	}
 	if b.h.kind == KOid && b.h.Sorted() && r.h.Sorted() {
 		if b.h.dense && keep {
-			return denseMemberIdx(b.h.base, b.h.n, r.h.oids)
+			return denseMemberIdx(b.h.base, b.h.n, r.h.oids), nil
 		}
 		return sortedMemberIdx(b.h.oidValues(), r.h.oids, keep)
 	}
 	switch b.h.kind {
 	case KOid:
-		return memberIdx(b.h.oidValues(), makeSet(r.h.oidValues()), keep)
+		return memberIdx(b.h.oidValues(), makeSet(r.h.oidValues()), keep), nil
 	case KInt:
-		return memberIdx(b.h.ints, makeSet(r.h.ints), keep)
+		return memberIdx(b.h.ints, makeSet(r.h.ints), keep), nil
 	case KFloat:
-		return memberIdx(b.h.floats, makeSet(r.h.floats), keep)
+		return memberIdx(b.h.floats, makeSet(r.h.floats), keep), nil
 	case KStr:
-		return memberIdx(b.h.strs, makeSet(r.h.strs), keep)
+		return memberIdx(b.h.strs, makeSet(r.h.strs), keep), nil
 	case KBool:
-		return memberIdx(b.h.bools, makeSet(r.h.bools), keep)
+		return memberIdx(b.h.bools, makeSet(r.h.bools), keep), nil
 	}
-	return nil
+	return nil, nil
 }
 
 // takeRows gathers the given rows of both columns, propagating head and
@@ -1027,9 +1203,9 @@ func (b *BAT) Semijoin(r *BAT) *BAT {
 // takeFiltered gathers the rows headFilterIdx keeps and recycles the
 // position buffer.
 func (b *BAT) takeFiltered(r *BAT, keep bool) *BAT {
-	idx := headFilterIdx(b, r, keep)
+	idx, pooled := headFilterIdx(b, r, keep)
 	nb := b.takeRows(idx)
-	putIdx(idx)
+	idxPool.put(pooled)
 	return nb
 }
 

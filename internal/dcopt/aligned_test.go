@@ -15,15 +15,17 @@ import (
 // alignedCase is one randomly drawn instance of the claim the aligned
 // region rests on: a conjunctive query over a table cut into fragments
 // at arbitrary rows, its parts run in an arbitrary order, answers what
-// mal.Run answers on the whole columns.
+// the WHERE clause says row by row.
 type alignedCase struct {
 	cols  map[string]*bat.BAT
 	sql   string
+	want  [][]any // the answer, computed in plain Go over the raw slices
+	fails bool    // min/max over no rows: no scalar to put in a result row
 	cuts  []int
 	order []int
 }
 
-var alignedSchema = minisql.MapSchema{"f": {"a", "b", "c"}}
+var alignedSchema = minisql.MapSchema{"f": {"a", "b", "c", "d", "e"}}
 
 // drawAligned derives a case from seed. rows and frag steer the sizes
 // so a fuzzer can reach the edges — no rows, one fragment, a last
@@ -31,36 +33,122 @@ var alignedSchema = minisql.MapSchema{"f": {"a", "b", "c"}}
 func drawAligned(seed int64, rows, frag int) alignedCase {
 	rng := rand.New(rand.NewSource(seed))
 	a, b, c := make([]int64, rows), make([]float64, rows), make([]int64, rows)
+	d, e := make([]int64, rows), make([]float64, rows)
 	for i := range a {
 		a[i] = int64(rng.Intn(100))
 		b[i] = float64(rng.Intn(10000)) / 7
 		c[i] = int64(rng.Intn(4))
+		d[i] = int64(rng.Intn(1000))
+		e[i] = float64(rng.Intn(64)) / 64
 	}
 	tc := alignedCase{cols: map[string]*bat.BAT{
 		"f.a": bat.MakeInts("f.a", a), "f.b": bat.MakeFloats("f.b", b), "f.c": bat.MakeInts("f.c", c),
+		"f.d": bat.MakeInts("f.d", d), "f.e": bat.MakeFloats("f.e", e),
 	}}
 
-	// Limits are drawn past the data (minisql has no negative literals,
-	// so only upwards): some predicates keep every row, some none.
-	var where []string
+	// Each predicate is drawn as SQL text and as the Go test the oracle
+	// applies to row i. Limits are drawn past the data (minisql has no
+	// negative literals, so only upwards): some predicates keep every
+	// row, some none, so a chain meets empty candidate lists midway.
+	type pred struct {
+		sql  string
+		test func(i int) bool
+	}
+	var where []pred
 	if rng.Intn(4) > 0 {
-		lo := rng.Intn(140)
-		where = append(where, fmt.Sprintf("a >= %d and a < %d", lo, lo+rng.Intn(80)))
+		lo := int64(rng.Intn(140))
+		hi := lo + int64(rng.Intn(80))
+		where = append(where, pred{fmt.Sprintf("a >= %d and a < %d", lo, hi),
+			func(i int) bool { return a[i] >= lo && a[i] < hi }})
 	}
 	if rng.Intn(3) > 0 {
 		lo := float64(rng.Intn(1500))
-		where = append(where, fmt.Sprintf("b between %.2f and %.2f", lo, lo+float64(rng.Intn(900))))
+		hi := lo + float64(rng.Intn(900))
+		where = append(where, pred{fmt.Sprintf("b between %.2f and %.2f", lo, hi),
+			func(i int) bool { return b[i] >= lo && b[i] <= hi }})
 	}
 	if rng.Intn(3) == 0 {
-		where = append(where, fmt.Sprintf("c %s %d", []string{"=", "<>"}[rng.Intn(2)], rng.Intn(5)))
+		k := int64(rng.Intn(5))
+		if rng.Intn(2) == 0 {
+			where = append(where, pred{fmt.Sprintf("c = %d", k), func(i int) bool { return c[i] == k }})
+		} else {
+			where = append(where, pred{fmt.Sprintf("c <> %d", k), func(i int) bool { return c[i] != k }})
+		}
 	}
 	if rng.Intn(4) == 0 {
-		where = append(where, fmt.Sprintf("a <= %d", rng.Intn(120)))
+		k := int64(rng.Intn(120))
+		where = append(where, pred{fmt.Sprintf("a <= %d", k), func(i int) bool { return a[i] <= k }})
 	}
-	sel := []string{"sum(b), count(*)", "sum(a), min(b), max(c), count(*)", "a, b", "c"}[rng.Intn(4)]
+	if rng.Intn(2) == 0 {
+		k := int64(rng.Intn(1300))
+		if rng.Intn(2) == 0 {
+			where = append(where, pred{fmt.Sprintf("d > %d", k), func(i int) bool { return d[i] > k }})
+		} else {
+			where = append(where, pred{fmt.Sprintf("d <= %d", k), func(i int) bool { return d[i] <= k }})
+		}
+	}
+	if rng.Intn(2) == 0 {
+		// Sixty-fourths are exact in binary and in two decimals' worth
+		// of text only at the quarters; the limit is a quarter.
+		k := float64(rng.Intn(6)) / 4
+		where = append(where, pred{fmt.Sprintf("e < %.2f", k), func(i int) bool { return e[i] < k }})
+	}
+	// SQL order is chain order: any column may come first, an equality
+	// may sit before, between or behind the ranges.
+	rng.Shuffle(len(where), func(i, j int) { where[i], where[j] = where[j], where[i] })
+
+	var kept []int
+	for i := 0; i < rows; i++ {
+		ok := true
+		for _, w := range where {
+			ok = ok && w.test(i)
+		}
+		if ok {
+			kept = append(kept, i)
+		}
+	}
+	var sel string
+	switch rng.Intn(5) {
+	case 0:
+		sel = "sum(b), count(*)"
+		sum := 0.0
+		for _, i := range kept {
+			sum += b[i]
+		}
+		tc.want = [][]any{{sum, int64(len(kept))}}
+	case 1:
+		sel = "sum(a), min(b), max(c), count(*)"
+		tc.fails = len(kept) == 0
+		if !tc.fails {
+			sum, lo, hi := int64(0), b[kept[0]], c[kept[0]]
+			for _, i := range kept {
+				sum, lo, hi = sum+a[i], min(lo, b[i]), max(hi, c[i])
+			}
+			tc.want = [][]any{{sum, lo, hi, int64(len(kept))}}
+		}
+	case 2:
+		sel = "a, b"
+		for _, i := range kept {
+			tc.want = append(tc.want, []any{a[i], b[i]})
+		}
+	case 3:
+		sel = "c"
+		for _, i := range kept {
+			tc.want = append(tc.want, []any{c[i]})
+		}
+	default:
+		sel = "d, e"
+		for _, i := range kept {
+			tc.want = append(tc.want, []any{d[i], e[i]})
+		}
+	}
 	tc.sql = "select " + sel + " from f"
 	if len(where) > 0 {
-		tc.sql += " where " + strings.Join(where, " and ")
+		texts := make([]string, len(where))
+		for i, w := range where {
+			texts[i] = w.sql
+		}
+		tc.sql += " where " + strings.Join(texts, " and ")
 	}
 
 	// Cuts: every frag rows, then some boundaries pulled onto their
@@ -79,14 +167,16 @@ func drawAligned(seed int64, rows, frag int) alignedCase {
 }
 
 // check runs the case's query as compiled on whole columns and as
-// rewritten on the fragmented runtime, and compares.
+// rewritten on the fragmented runtime, and holds both to the oracle:
+// the two runs share every kernel, so agreeing with each other proves
+// nothing about an inclusive bound.
 func (tc alignedCase) check(t *testing.T) {
 	t.Helper()
 	plan, err := minisql.Compile(tc.sql, alignedSchema, "sys")
 	if err != nil {
 		t.Fatalf("%s: %v", tc.sql, err)
 	}
-	want, wantErr := mal.Run(&mal.Context{Registry: mal.Standard(), Catalog: bindCatalog(tc.cols)}, plan)
+	whole, wholeErr := mal.Run(&mal.Context{Registry: mal.Standard(), Catalog: bindCatalog(tc.cols)}, plan)
 	dc, st, err := Rewrite(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -99,20 +189,24 @@ func (tc alignedCase) check(t *testing.T) {
 		Cuts:  func(int) []int { return tc.cuts },
 		Order: func(int) []int { return tc.order },
 	}
-	got, err := mal.Run(&mal.Context{Registry: mal.Standard(), DC: rt}, dc)
-	if wantErr != nil {
-		// An aggregate over no rows has no scalar to put in a result row;
-		// whatever the whole-column plan makes of that, so must the parts.
-		if err == nil {
-			t.Fatalf("%s: whole columns fail (%v), fragments answer %v", tc.sql, wantErr, got.(*mal.ResultSet).Rows())
+	parts, partsErr := mal.Run(&mal.Context{Registry: mal.Standard(), DC: rt}, dc)
+	if tc.fails {
+		if wholeErr == nil || partsErr == nil {
+			t.Fatalf("%s: min/max over no rows must fail; whole columns: %v, fragments: %v", tc.sql, wholeErr, partsErr)
 		}
 		return
 	}
-	if err != nil {
-		t.Fatalf("%s cut at %v in order %v: %v\n%s", tc.sql, tc.cuts, tc.order, err, dc)
+	if wholeErr != nil {
+		t.Fatalf("%s on whole columns: %v\n%s", tc.sql, wholeErr, plan)
 	}
-	if w, g := want.(*mal.ResultSet).Rows(), got.(*mal.ResultSet).Rows(); !maltest.SameRows(w, g) {
-		t.Fatalf("%s cut at %v in order %v:\nwant %v\ngot  %v", tc.sql, tc.cuts, tc.order, w, g)
+	if partsErr != nil {
+		t.Fatalf("%s cut at %v in order %v: %v\n%s", tc.sql, tc.cuts, tc.order, partsErr, dc)
+	}
+	if g := whole.(*mal.ResultSet).Rows(); !maltest.SameRows(tc.want, g) {
+		t.Fatalf("%s on whole columns:\nwant %v\ngot  %v\n%s", tc.sql, tc.want, g, plan)
+	}
+	if g := parts.(*mal.ResultSet).Rows(); !maltest.SameRows(tc.want, g) {
+		t.Fatalf("%s cut at %v in order %v:\nwant %v\ngot  %v", tc.sql, tc.cuts, tc.order, tc.want, g)
 	}
 	if rt.Parts != len(tc.order) || rt.Pins != rt.Unpins {
 		t.Fatalf("%s: %d parts for %d fragments, %d pins, %d unpins", tc.sql, rt.Parts, len(tc.order), rt.Pins, rt.Unpins)

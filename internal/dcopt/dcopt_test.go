@@ -242,6 +242,52 @@ func TestRegionRewrite(t *testing.T) {
 			t.Fatalf("outer plan still pins a whole column:\n%s", dc)
 		}
 	}
+
+	// A chained conjunction: the second uselect reads the first one's
+	// candidate list, and both are fragment-local.
+	p = compile(t, "select t_id from c where t_id >= 2 and val > 150")
+	dc, st, err = Rewrite(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Stats{Requests: 2, Regions: 1, Local: 3}); st != want {
+		t.Fatalf("chained: stats = %+v, want %+v:\n%s", st, want, dc)
+	}
+	sub := regions(dc)[0].Plan()
+	if got := opNames(sub); !reflect.DeepEqual(got, []string{
+		"datacyclotron.pin", "algebra.uselect",
+		"datacyclotron.pin", "algebra.uselect", "datacyclotron.unpin",
+		"algebra.join", "datacyclotron.unpin",
+	}) {
+		t.Fatalf("chained sub-plan = %v:\n%s", got, dc)
+	}
+	first, second := sub.Instrs[1], sub.Instrs[3]
+	if len(first.Args) != 5 || len(second.Args) != 6 || second.Args[1].IsLit() || second.Args[1].Var != first.Ret[0] {
+		t.Fatalf("the second uselect does not take the first one's list as candidates:\n%s", dc)
+	}
+}
+
+// TestCandidateArgumentMustBeLocal: a uselect whose candidate list is
+// not a fragment-local value of the same table stays outside, and so
+// does everything it feeds.
+func TestCandidateArgumentMustBeLocal(t *testing.T) {
+	b := mal.NewBuilder("q")
+	x := b.Emit("sql", "bind", mal.L("sys"), mal.L("t"), mal.L("id"))
+	y := b.Emit("sql", "bind", mal.L("sys"), mal.L("c"), mal.L("val"))
+	other := b.Emit("algebra", "uselect", mal.V(y), mal.L(int64(1)), mal.L(nil), mal.L(true), mal.L(false))
+	cross := b.Emit("algebra", "uselect", mal.V(x), mal.V(other), mal.L(int64(1)), mal.L(nil), mal.L(true), mal.L(false))
+	b.SetResult(cross)
+	dc, _, err := Rewrite(b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range regions(dc) {
+		for _, in := range r.Plan().Instrs {
+			if in.Name() == "algebra.uselect" && len(in.Args) == 6 {
+				t.Fatalf("a uselect over another table's candidates moved into a region:\n%s", dc)
+			}
+		}
+	}
 }
 
 // regions lists the sub-plans of p's datacyclotron.aligned instructions.

@@ -43,8 +43,17 @@ func local(in mal.Instr, of func(mal.Arg) class) class {
 	a0 := of(in.Args[0])
 	switch in.Name() {
 	case "algebra.select", "algebra.selectEq", "algebra.selectNe", "algebra.uselect":
-		// A scan of a column; the limits are constants.
-		for _, a := range in.Args[1:] {
+		// A scan of a column; the limits are constants. uselect's
+		// candidate form tests the column at a candidate list, whose
+		// OIDs are this fragment's own.
+		rest := in.Args[1:]
+		if in.Op == "uselect" && len(rest) == 5 {
+			if of(rest[0]) != cand {
+				return none
+			}
+			rest = rest[1:]
+		}
+		for _, a := range rest {
 			if !a.IsLit() {
 				return none
 			}

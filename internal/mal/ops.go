@@ -178,14 +178,27 @@ func registerStandard(r *Registry) {
 		return one(b.Select(lo, hi)), nil
 	})
 	// algebra.uselect takes select's arguments and returns the
-	// candidate list [head|head] of the qualifying rows.
+	// candidate list [head|head] of the qualifying rows. With MonetDB's
+	// optional candidate argument — uselect(b, cand, lo, hi, loIncl,
+	// hiIncl) — only the rows of b whose head is in cand are tested.
 	r.Register("algebra", "uselect", func(ctx *Context, args []Value) ([]Value, error) {
 		b, err := argBAT(args, 0)
 		if err != nil {
 			return nil, err
 		}
-		lo, hi := rangeArgs(args[1:])
-		return one(b.USelect(lo, hi)), nil
+		switch len(args) {
+		case 5:
+			lo, hi := rangeArgs(args[1:])
+			return one(b.USelect(lo, hi)), nil
+		case 6:
+			cand, err := argBAT(args, 1)
+			if err != nil {
+				return nil, err
+			}
+			lo, hi := rangeArgs(args[2:])
+			return one(b.USelectCand(cand, lo, hi)), nil
+		}
+		return nil, fmt.Errorf("uselect: want 5 or 6 arguments, got %d", len(args))
 	})
 	r.Register("algebra", "selectEq", func(ctx *Context, args []Value) ([]Value, error) {
 		b, err := argBAT(args, 0)

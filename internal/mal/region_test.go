@@ -14,17 +14,16 @@ import (
 
 // q6Region hand-builds the plan dcopt makes of a two-predicate
 // selective aggregate over t(k, v): requests, then one
-// datacyclotron.aligned whose sub-plan selects on k and on v, intersects,
-// fetches v and reduces it four ways, plus the candidate list itself as
-// a concatenated exit.
+// datacyclotron.aligned whose sub-plan selects on k, tests v at those
+// candidates, fetches v and reduces it four ways, plus the candidate
+// list itself as a concatenated exit.
 func q6Region() *mal.Plan {
 	sub := mal.NewBuilder("sys.t")
 	k := sub.Emit("datacyclotron", "pin", mal.L(mal.Slot(0)))
 	ck := sub.Emit("algebra", "uselect", mal.V(k), mal.L(int64(2)), mal.L(int64(6)), mal.L(true), mal.L(false))
 	sub.Emit0("datacyclotron", "unpin", mal.V(k))
 	v := sub.Emit("datacyclotron", "pin", mal.L(mal.Slot(1)))
-	cv := sub.Emit("algebra", "uselect", mal.V(v), mal.L(nil), mal.L(5000.0), mal.L(false), mal.L(false))
-	cand := sub.Emit("algebra", "semijoin", mal.V(ck), mal.V(cv))
+	cand := sub.Emit("algebra", "uselect", mal.V(v), mal.V(ck), mal.L(nil), mal.L(5000.0), mal.L(false), mal.L(false))
 	vals := sub.Emit("algebra", "join", mal.V(cand), mal.V(v))
 	sub.Emit0("datacyclotron", "unpin", mal.V(v))
 	exits := []mal.Exit{

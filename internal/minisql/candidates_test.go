@@ -2,9 +2,14 @@ package minisql
 
 import (
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
+
+// chained matches uselect's candidate form: a column, then the list so
+// far, then the limits.
+var chained = regexp.MustCompile(`algebra\.uselect\(X\d+, X\d+, `)
 
 // qtys runs `select qty from lineitem where <where>` (qty = 10 20 5 7 8 9,
 // disc = .1 0 .2 0 .05 0, flag = A A N N A N) and returns the plan with
@@ -26,7 +31,9 @@ func qtys(t *testing.T, where string) (plan string, got []int64) {
 
 // TestCoalescedRanges: every range predicate on one column folds into a
 // single algebra.uselect with the tightest limits, whatever the order
-// and mix of operators; distinct columns still intersect by semijoin.
+// and mix of operators; distinct columns chain — every uselect after the
+// first takes its predecessor's list as candidates — and nothing is
+// intersected.
 func TestCoalescedRanges(t *testing.T) {
 	for _, c := range []struct {
 		where   string
@@ -59,8 +66,11 @@ func TestCoalescedRanges(t *testing.T) {
 		{"qty > 7.5 and qty >= 7 and qty < 10", "7.5, 10, false, false", 1, []int64{8, 9}},
 		// A point range.
 		{"qty >= 8 and qty <= 8", "8, 8, true, true", 1, []int64{8}},
-		// Other columns are other selects.
+		// Other columns are other selects, chained in SQL order; a list
+		// that is already empty still chains.
 		{"qty >= 7 and disc < 0.1 and qty < 20 and disc >= 0", "7, 20, true, false", 2, []int64{7, 8, 9}},
+		{"disc >= 0.05 and qty < 10 and price > 60", "60, <nil>, false, false", 3, []int64{8}},
+		{"qty > 100 and disc < 0.1 and price > 60", "60, <nil>, false, false", 3, []int64{}},
 	} {
 		plan, got := qtys(t, c.where)
 		if !reflect.DeepEqual(got, c.want) {
@@ -69,8 +79,11 @@ func TestCoalescedRanges(t *testing.T) {
 		if n := strings.Count(plan, "algebra.uselect"); n != c.selects {
 			t.Errorf("%s: %d uselects, want %d\n%s", c.where, n, c.selects, plan)
 		}
-		if n := strings.Count(plan, "algebra.semijoin"); n != c.selects-1 {
-			t.Errorf("%s: %d semijoins, want %d\n%s", c.where, n, c.selects-1, plan)
+		if n := len(chained.FindAllString(plan, -1)); n != c.selects-1 {
+			t.Errorf("%s: %d candidate-form uselects, want %d\n%s", c.where, n, c.selects-1, plan)
+		}
+		if strings.Contains(plan, "algebra.semijoin") {
+			t.Errorf("%s: range predicates intersected by semijoin\n%s", c.where, plan)
 		}
 		if !strings.Contains(plan, ", "+c.limits+");") {
 			t.Errorf("%s: limits not coalesced to (%s)\n%s", c.where, c.limits, plan)
@@ -81,9 +94,10 @@ func TestCoalescedRanges(t *testing.T) {
 	}
 }
 
-// Equality tests keep their own scan and mirror, beside a coalesced
-// range on the same column; limits that cannot be ordered against each
-// other stay separate selects.
+// Equality tests keep their own scan and mirror and intersect by
+// semijoin, beside a coalesced range on the same column; a range after
+// an equality chains from the mirrored list; limits that cannot be
+// ordered against each other stay separate selects.
 func TestCoalescingLeavesEqualityAndMixedLiteralsAlone(t *testing.T) {
 	plan, got := qtys(t, "qty >= 7 and qty <> 8 and qty <= 10 and flag = 'N'")
 	if want := []int64{7, 9}; !reflect.DeepEqual(got, want) {
@@ -96,6 +110,20 @@ func TestCoalescingLeavesEqualityAndMixedLiteralsAlone(t *testing.T) {
 	}
 	if !strings.Contains(plan, ", 7, 10, true, true);") {
 		t.Errorf("range around the <> not coalesced\n%s", plan)
+	}
+
+	// flag = 'N' first: the range that follows takes the mirror as its
+	// candidates, and the <> after it intersects again.
+	plan, got = qtys(t, "flag = 'N' and qty >= 7 and qty <> 9")
+	if want := []int64{7}; !reflect.DeepEqual(got, want) {
+		t.Errorf("rows %v, want %v", got, want)
+	}
+	eq := regexp.MustCompile(`(X\d+) := bat\.mirror\(X\d+\);`).FindStringSubmatch(plan)
+	if eq == nil || !strings.Contains(plan, ", "+eq[1]+", 7, <nil>, true, false);") {
+		t.Errorf("the range after an equality does not chain from its mirrored list\n%s", plan)
+	}
+	if n := strings.Count(plan, "algebra.semijoin"); n != 1 {
+		t.Errorf("%d semijoins, want 1 (the <> only)\n%s", n, plan)
 	}
 
 	plan, got = qtys(t, "flag >= 'A' and flag < 'B' and qty > 8")

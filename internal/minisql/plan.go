@@ -280,8 +280,10 @@ type selection struct {
 // candidates builds the per-table candidate [oid|oid] BAT by applying
 // all single-table predicates (selection push-down, §3.2). The range
 // predicates on one column coalesce into a single algebra.uselect —
-// `a >= x and a < y` scans a once, for [x, y) — and the per-predicate
-// candidate lists are intersected with algebra.semijoin. Contradictory
+// `a >= x and a < y` scans a once, for [x, y) — and the ranges chain in
+// SQL order: the second and later ones take the list so far as their
+// candidate argument and test only those rows. An = or <> keeps its own
+// scan, intersected with the list by algebra.semijoin. Contradictory
 // limits need no special case: the kernel answers an empty range with
 // an empty list.
 func (p *planner) candidates(alias string) mal.VarID {
@@ -311,17 +313,20 @@ func (p *planner) candidates(alias string) mal.VarID {
 	var cand mal.VarID = mal.NoVar
 	for _, s := range sels {
 		col := p.bind(s.col)
-		var piece mal.VarID
 		if s.eq == nil {
-			piece = p.b.Emit("algebra", "uselect", mal.V(col),
-				mal.L(s.rng.lo), mal.L(s.rng.hi), mal.L(s.rng.loIncl), mal.L(s.rng.hiIncl))
-		} else {
-			op := "selectEq"
-			if s.eq.Op == OpNe {
-				op = "selectNe"
+			args := []mal.Arg{mal.V(col)}
+			if cand != mal.NoVar {
+				args = append(args, mal.V(cand))
 			}
-			piece = p.b.Emit("bat", "mirror", mal.V(p.b.Emit("algebra", op, mal.V(col), mal.L(s.eq.Rhs))))
+			cand = p.b.Emit("algebra", "uselect", append(args,
+				mal.L(s.rng.lo), mal.L(s.rng.hi), mal.L(s.rng.loIncl), mal.L(s.rng.hiIncl))...)
+			continue
 		}
+		op := "selectEq"
+		if s.eq.Op == OpNe {
+			op = "selectNe"
+		}
+		piece := p.b.Emit("bat", "mirror", mal.V(p.b.Emit("algebra", op, mal.V(col), mal.L(s.eq.Rhs))))
 		if cand == mal.NoVar {
 			cand = piece
 		} else {
