@@ -1,11 +1,11 @@
 package live
 
 // The hop scheduler batches outbound ring traffic. Without it, every
-// fragment the runtime forwards costs one messenger send — one
-// registered-region copy, one wire message, one receiver wakeup — and
-// PR 4's fragmentation multiplied that count 16-64×. The scheduler
-// instead parks outbound fragments in a per-node queue for a very short
-// window and flushes them as one v3 batch envelope per neighbour hop:
+// fragment the runtime forwards costs one messenger send — one wire
+// message, one receiver wakeup — and fragmentation multiplied that
+// count 16-64×. The scheduler instead parks outbound fragments in
+// a per-node queue for a very short window and flushes them as one v3
+// batch envelope per neighbour hop:
 // the interconnect sees few, large transfers (the regime the Data
 // Cyclotron paper says the ring needs) while per-fragment latency pays
 // at most the linger.
@@ -231,13 +231,16 @@ func (n *Node) drainHopQueue() {
 // actually coalesced something, which is what makes HopBatchBytes=0
 // byte-identical to the pre-batching ring.
 //
-// The sends are asynchronous (SendVectoredAsync / SendEncodedAsync):
-// the flush loop keeps posting while earlier envelopes are still on
-// the wire, so a revolution's worth of traffic pipelines through the
-// messenger's bounded send window and the io_uring backend can fold
-// the queued run into one submission chain per enter. The release of
-// the wire-cache references moves into the completion callback — the
-// payload slices stay pinned until the transport reports them written.
+// Either way the message is a vectored send of freshly encoded headers
+// and the cached wire bytes themselves: no user-space copy, the kernel
+// reads the payload where the wire cache holds it. The sends are
+// asynchronous: the flush loop keeps posting while earlier envelopes
+// are still on the wire, so a revolution's worth of traffic pipelines
+// through the messenger's bounded send window and the io_uring backend
+// can fold the queued run into one submission chain per enter. The
+// release of the wire-cache references moves into the completion
+// callback — the payload slices stay pinned until the transport reports
+// them written.
 func (n *Node) flushHopBatch(batch []hopEntry) {
 	release := func(error) {
 		for _, e := range batch {
@@ -251,37 +254,33 @@ func (n *Node) flushHopBatch(batch []hopEntry) {
 		return
 	default:
 	}
-	var wire int64
+	// The header block is per message (not a reused scratch buffer):
+	// with pipelined sends several envelopes are in flight at once, and
+	// each owns its headers until its completion callback runs.
+	var parts [][]byte
 	if len(batch) == 1 {
 		e := batch[0]
-		wire = int64(dataHdrSize + len(e.ent.raw))
-		n.countHopMsg(wire, 1)
-		err := n.linkDataOut().SendEncodedAsync(int(wire), func(dst []byte) int {
-			encodeDataHdr(dst, e.m, e.ver, len(e.ent.raw))
-			return dataHdrSize + copy(dst[dataHdrSize:], e.ent.raw)
-		}, release)
-		if err != nil {
-			release(err)
+		hdr := make([]byte, dataHdrSize)
+		encodeDataHdr(hdr, e.m, e.ver, len(e.ent.raw))
+		parts = [][]byte{hdr, e.ent.raw}
+	} else {
+		hdr := make([]byte, batchHdrSize+len(batch)*dataHdrSize)
+		hdr[0], hdr[1], hdr[2], hdr[3] = envMagic0, envMagic1, envVersionBatch, envKindBatch
+		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(batch)))
+		var zeros [8]byte
+		parts = make([][]byte, 0, 1+2*len(batch))
+		parts = append(parts, hdr)
+		for i, e := range batch {
+			encodeDataHdr(hdr[batchHdrSize+i*dataHdrSize:], e.m, e.ver, len(e.ent.raw))
+			parts = append(parts, e.ent.raw)
+			if pad := pad8(len(e.ent.raw)) - len(e.ent.raw); pad > 0 {
+				parts = append(parts, zeros[:pad])
+			}
 		}
-		return
 	}
-	// The header block is per-batch (not a reused scratch buffer): with
-	// pipelined sends several envelopes are in flight at once, and each
-	// owns its headers until its completion callback runs.
-	hdr := make([]byte, batchHdrSize+len(batch)*dataHdrSize)
-	hdr[0], hdr[1], hdr[2], hdr[3] = envMagic0, envMagic1, envVersionBatch, envKindBatch
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(batch)))
-	var zeros [8]byte
-	parts := make([][]byte, 0, 1+2*len(batch))
-	parts = append(parts, hdr)
-	wire = int64(len(hdr))
-	for i, e := range batch {
-		encodeDataHdr(hdr[batchHdrSize+i*dataHdrSize:], e.m, e.ver, len(e.ent.raw))
-		parts = append(parts, e.ent.raw)
-		if pad := pad8(len(e.ent.raw)) - len(e.ent.raw); pad > 0 {
-			parts = append(parts, zeros[:pad])
-		}
-		wire += int64(pad8(len(e.ent.raw)))
+	var wire int64
+	for _, p := range parts {
+		wire += int64(len(p))
 	}
 	n.countHopMsg(wire, len(batch))
 	if err := n.linkDataOut().SendVectoredAsync(parts, release); err != nil {
@@ -290,9 +289,7 @@ func (n *Node) flushHopBatch(batch []hopEntry) {
 }
 
 // countHopMsg records one outbound data message of the given wire size
-// carrying frags fragments. Shared by the scheduler and the legacy
-// per-fragment path, so batched and unbatched runs expose comparable
-// counters.
+// carrying frags fragments.
 func (n *Node) countHopMsg(wire int64, frags int) {
 	atomic.AddInt64(&n.hopMsgs, 1)
 	atomic.AddInt64(&n.hopFrags, int64(frags))

@@ -325,21 +325,39 @@ func TestHopPacingParksIdleFragments(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With the query done there is no interest left: every circulating
-	// fragment should park at its owner within a few revolutions.
+	// fragment leaves the orbit within a few revolutions, parked at its
+	// owner or unloaded. Wait for the whole ring to go quiet, not for the
+	// first park — which fragments a later query must unpark is only
+	// known once nothing is still moving.
+	var parked []int // per node
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if s := r.HopStats(); s.Parked > 0 {
+	for {
+		var circulating int
+		circulating, parked = orbitState(r)
+		if circulating == 0 {
 			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d fragments still circulating on an idle ring", circulating)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	s := r.HopStats()
-	if s.Parked == 0 || s.ParkedTotal == 0 {
+	// Query from the node owning the fewest parked fragments: at least
+	// one fragment it needs is parked elsewhere, so its interest signal
+	// must unpark something.
+	q, total := 0, 0
+	for i, p := range parked {
+		total += p
+		if p < parked[q] {
+			q = i
+		}
+	}
+	if s := r.HopStats(); total == 0 || s.ParkedTotal == 0 {
 		t.Fatalf("no fragments parked on an idle ring: %+v", s)
 	}
-	// New interest must unpark: the query has to see every fragment
-	// again and still answer correctly.
-	rs, err := r.Node(1).ExecSQL("select sum(t.val) from t")
+	before := r.HopStats().Unparked
+	resends := ringResends(r)
+	rs, err := r.Node(q).ExecSQL("select sum(t.val) from t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,9 +368,44 @@ func TestHopPacingParksIdleFragments(t *testing.T) {
 	if got := rs.Rows()[0][0].(int64); got != want {
 		t.Fatalf("post-park sum = %d, want %d", got, want)
 	}
-	if s := r.HopStats(); s.Unparked == 0 {
-		t.Fatalf("interest did not unpark any fragment: %+v", s)
+	if s := r.HopStats(); s.Unparked == before {
+		t.Fatalf("interest did not unpark any of the %d fragments parked away from node %d: %+v",
+			total-parked[q], q, s)
 	}
+	if d := ringResends(r) - resends; d != 0 {
+		t.Fatalf("%d resends re-admitting parked fragments on a lossless ring", d)
+	}
+}
+
+// orbitState reports how many owned fragments are in orbit (loaded and
+// not parked) or waiting to enter it ring-wide, and how many each node
+// holds parked.
+func orbitState(r *Ring) (circulating int, parked []int) {
+	parked = make([]int, r.Size())
+	for i := range parked {
+		n := r.Node(i)
+		n.mu.Lock()
+		circulating += n.rt.PendingLoads()
+		for _, b := range n.rt.OwnedBATs() {
+			switch {
+			case n.rt.Parked(b):
+				parked[i]++
+			case n.rt.Loaded(b):
+				circulating++
+			}
+		}
+		n.mu.Unlock()
+	}
+	return circulating, parked
+}
+
+// ringResends sums the resend counter over every node.
+func ringResends(r *Ring) uint64 {
+	var total uint64
+	for i := 0; i < r.Size(); i++ {
+		total += r.Node(i).Stats().Resends
+	}
+	return total
 }
 
 // TestHopSchedulerTake exercises the flush policy directly: budget
@@ -405,4 +458,3 @@ func TestFillBucket(t *testing.T) {
 		}
 	}
 }
-

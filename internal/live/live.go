@@ -371,8 +371,8 @@ type Node struct {
 // refcounted: the cache map holds one reference and every in-flight
 // send holds another, so a pooled encode buffer is recycled exactly
 // when the last user lets go — an update can invalidate an entry while
-// its bytes are still being copied into the NIC region without the
-// buffer being reused underneath the send.
+// the kernel is still reading its bytes for a send (sends post them as
+// they are) without the buffer being reused underneath the send.
 type wireEntry struct {
 	src    *bat.BAT // payload the bytes were marshalled from
 	raw    []byte
@@ -799,8 +799,8 @@ func (n *Node) dataLoop(wg *sync.WaitGroup) {
 		if isBatchMsg(data) {
 			// A batch envelope is several v2 messages that shared one
 			// hop: handle each entry exactly as if it had arrived alone.
-			// Entry payloads are zero-copy views over the (per-Recv
-			// fresh) message buffer, same aliasing rules as a single.
+			// Entry payloads are zero-copy views over the message
+			// buffer, same aliasing rules as a single.
 			entries, err := decodeBatchMsg(data)
 			if err != nil {
 				continue
@@ -849,8 +849,10 @@ func (n *Node) handleData(hdr core.BATMsg, ver int, rawPayload []byte) {
 	var payload *bat.BAT
 	if len(rawPayload) > 0 {
 		// Zero-copy decode: the BAT's fixed-width columns alias
-		// rawPayload (and thus the receive buffer), which is fresh
-		// per message and immutable from here on.
+		// rawPayload, and thus the buffer the transport received the
+		// message into. That buffer is the receiver's alone (the
+		// transport never touches it again) and nothing here writes
+		// it, so the views stay valid for as long as they are held.
 		var err error
 		payload, err = bat.UnmarshalView(rawPayload)
 		if err != nil {
@@ -1024,32 +1026,17 @@ func (e *liveEnv) SendData(m core.BATMsg) {
 	}
 	ent.acquire()
 	atomic.AddInt64(&n.outBytes, int64(m.Size))
+	// The entry reference keeps the cached bytes stable until the
+	// vectored send that carries them completes.
+	he := hopEntry{m: m, ver: ver, ent: ent}
 	if n.hop != nil {
 		// Batched transport: queue the fragment for the hop scheduler,
 		// which coalesces co-resident outbound fragments into one batch
-		// envelope per neighbour hop. The entry reference keeps the
-		// cached bytes stable until the (possibly vectored) send is done.
-		n.hop.enqueue(hopEntry{m: m, ver: ver, ent: ent})
+		// envelope per neighbour hop.
+		n.hop.enqueue(he)
 		return
 	}
-	go func() {
-		defer ent.release()
-		defer atomic.AddInt64(&n.outBytes, -int64(m.Size))
-		select {
-		case <-n.closed:
-			return
-		default:
-		}
-		wire := int64(dataHdrSize + len(ent.raw))
-		n.countHopMsg(wire, 1)
-		// Assemble the envelope directly in the registered send region:
-		// fixed header, then the cached codec bytes — one copy, zero
-		// allocations.
-		n.linkDataOut().SendEncoded(dataHdrSize+len(ent.raw), func(dst []byte) int {
-			encodeDataHdr(dst, m, ver, len(ent.raw))
-			return dataHdrSize + copy(dst[dataHdrSize:], ent.raw)
-		})
-	}()
+	go n.flushHopBatch([]hopEntry{he})
 }
 
 func (e *liveEnv) SendRequest(m core.RequestMsg) bool {

@@ -399,8 +399,10 @@ func (r *Ring) promoteFrag(dead core.NodeID, id core.BATID) {
 	}
 	installOwner(heir, id, rp.b, rp.ver, rp.loi, nil)
 	heir.mu.Unlock()
-	r.setPlacement(id, heir, reps[1:])
+	// Counted before the flip, so whoever sees the fragment owned again
+	// (UnownedFragments) also sees its promotion.
 	atomic.AddInt64(&r.promotions, 1)
+	r.setPlacement(id, heir, reps[1:])
 }
 
 // ---------------------------------------------------------------------

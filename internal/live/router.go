@@ -715,9 +715,11 @@ func (rtr *Router) flashPromote(id core.BATID) {
 	start := rtr.promoting[id]
 	rtr.promMu.Unlock()
 	if rtr.migrateTier(id, ColdRing, HotRing) {
+		// Latency first: whoever sees the promotion counted (TierStats)
+		// also sees what it cost.
+		atomic.StoreInt64(&rtr.lastFlashNanos, time.Since(start).Nanoseconds())
 		atomic.AddInt64(&rtr.promotions, 1)
 		atomic.AddInt64(&rtr.flashPromotions, 1)
-		atomic.StoreInt64(&rtr.lastFlashNanos, time.Since(start).Nanoseconds())
 	}
 	rtr.unmarkMigrating(id)
 }

@@ -8,10 +8,11 @@ import (
 )
 
 // Messenger turns a QueuePair into a reliable message stream: it owns a
-// pool of registered buffers, keeps the receive queue replenished, and
-// exposes blocking Send/Recv over whole messages. This is the layer the
-// live Data Cyclotron ring uses to move BATs and requests between
-// neighbours, mirroring how the prototype would sit on RDMA verbs.
+// pool of registered send buffers, keeps the receive credits
+// replenished, and exposes blocking Send/Recv over whole messages. This
+// is the layer the live Data Cyclotron ring uses to move BATs and
+// requests between neighbours, mirroring how the prototype would sit on
+// RDMA verbs.
 type Messenger struct {
 	qp  QueuePair
 	dev *Device
@@ -40,14 +41,10 @@ type Messenger struct {
 	poolAcquires int64 // atomic: send-region acquisitions
 	poolWaits    int64 // atomic: acquisitions that had to block
 
-	recvMu   sync.Mutex
-	recvBufs []*MemoryRegion
-	recvIdx  int
-
 	closeOnce sync.Once
 }
 
-// MessengerDepth is the default number of receive buffers kept posted.
+// MessengerDepth is the default number of receive credits kept posted.
 // With hop batching, one receive credit admits a whole multi-fragment
 // batch, so a batching link can run a shallower queue (NewMessengerDepth)
 // at the same fragment-level concurrency.
@@ -81,13 +78,13 @@ type sendTicket struct {
 const maxSendPoolBytes = 8 << 20
 
 // NewMessenger wraps qp with the default receive depth. maxMsg bounds
-// the size of a single message; buffers are registered once up front
-// (the expensive operation §2.3 advises amortizing).
+// the size of a single message; send buffers are registered once up
+// front (the expensive operation §2.3 advises amortizing).
 func NewMessenger(qp QueuePair, maxMsg int) (*Messenger, error) {
 	return NewMessengerDepth(qp, maxMsg, MessengerDepth)
 }
 
-// NewMessengerDepth wraps qp keeping depth receive buffers posted.
+// NewMessengerDepth wraps qp keeping depth receive credits posted.
 func NewMessengerDepth(qp QueuePair, maxMsg, depth int) (*Messenger, error) {
 	if maxMsg <= 0 {
 		return nil, fmt.Errorf("rdma: non-positive max message size")
@@ -121,9 +118,7 @@ func NewMessengerDepth(qp QueuePair, maxMsg, depth int) (*Messenger, error) {
 		m.sendFree <- mr
 	}
 	for i := 0; i < depth; i++ {
-		mr := m.dev.RegisterMemory(maxMsg)
-		m.recvBufs = append(m.recvBufs, mr)
-		if err := qp.PostRecv(mr); err != nil {
+		if err := qp.PostRecv(maxMsg); err != nil {
 			return nil, err
 		}
 	}
@@ -403,14 +398,12 @@ func (m *Messenger) TrySendEncoded(size int, encode func(dst []byte) int) error 
 }
 
 // SendVectored transmits one message gathered from several byte slices
-// — the batched-hop path. On a transport that supports vectored sends
-// (the TCP provider's writev-shaped PostSendVec), the parts go to the
-// wire directly, one gather write, no assembly copy: the parts must
+// — the ring-hop path. The parts go to the transport as they are (one
+// gather write on the socket providers, no assembly copy), so they must
 // stay valid and unmodified until SendVectored returns (the live ring's
 // refcounted wire cache provides exactly that, playing the role of
-// pre-registered buffers). Other transports fall back to gathering the
-// parts into one registered send region. Either way the receiver sees a
-// single contiguous message equal to the concatenation of the parts.
+// pre-registered buffers). The receiver sees a single contiguous message
+// equal to the concatenation of the parts.
 func (m *Messenger) SendVectored(parts [][]byte) error {
 	ch := make(chan error, 1)
 	if err := m.SendVectoredAsync(parts, func(err error) { ch <- err }); err != nil {
@@ -433,51 +426,34 @@ func (m *Messenger) SendVectored(parts [][]byte) error {
 // post-complete round trip per envelope.
 func (m *Messenger) SendVectoredAsync(parts [][]byte, done func(error)) error {
 	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total > m.maxMsg {
-		return ErrTooLarge
-	}
-	vs, ok := m.qp.(VectoredSender)
-	if !ok {
-		return m.SendEncodedAsync(total, func(dst []byte) int {
-			off := 0
-			for _, p := range parts {
-				off += copy(dst[off:], p)
-			}
-			return off
-		}, done)
-	}
 	bufs := make(net.Buffers, 0, len(parts))
 	for _, p := range parts {
+		total += len(p)
 		if len(p) > 0 {
 			bufs = append(bufs, p)
 		}
 	}
-	return m.post(func() error { return vs.PostSendVec(bufs) }, nil, done)
+	if total > m.maxMsg {
+		return ErrTooLarge
+	}
+	return m.post(func() error { return m.qp.PostSendVec(bufs) }, nil, done)
 }
 
-// Recv blocks for the next message and returns a copy of its payload.
+// Recv blocks for the next message and returns it in the buffer the
+// transport received it into, without a copy: the caller owns it.
 func (m *Messenger) Recv() ([]byte, error) {
 	c, ok := <-m.qp.RecvCompletions()
 	if !ok {
 		return nil, ErrClosed
 	}
+	err := m.qp.PostRecv(m.maxMsg) // replenish the credit c spent
 	if c.Err != nil {
 		return nil, c.Err
 	}
-	m.recvMu.Lock()
-	mr := m.recvBufs[m.recvIdx]
-	m.recvIdx = (m.recvIdx + 1) % len(m.recvBufs)
-	out := make([]byte, c.Bytes)
-	copy(out, mr.Bytes()[:c.Bytes])
-	err := m.qp.PostRecv(mr) // replenish
-	m.recvMu.Unlock()
 	if err != nil && err != ErrClosed {
-		return out, err
+		return c.Data, err
 	}
-	return out, nil
+	return c.Data, nil
 }
 
 // Close tears down the underlying queue pair.

@@ -2,8 +2,11 @@ package rdma
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -182,26 +185,10 @@ func TestMessengerSendEncoded(t *testing.T) {
 }
 
 // tcpMessengerPair dials a loopback connection and wraps both ends in
-// messengers, for tests that exercise the vectored TCP path.
-func tcpMessengerPair(t *testing.T, maxMsg int) (*Messenger, *Messenger) {
+// messengers, for tests that exercise the TCP provider.
+func tcpMessengerPair(t testing.TB, maxMsg int) (*Messenger, *Messenger) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err == nil {
-			accepted <- conn
-		}
-	}()
-	cliConn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvConn := <-accepted
+	cliConn, srvConn := tcpConnPair(t)
 	a, err := NewMessenger(NewTCP(cliConn), maxMsg)
 	if err != nil {
 		t.Fatal(err)
@@ -214,14 +201,13 @@ func tcpMessengerPair(t *testing.T, maxMsg int) (*Messenger, *Messenger) {
 	return a, b
 }
 
-// TestMessengerSendVectoredTCP checks that a vectored send over the TCP
-// provider arrives as the exact concatenation of its parts — the
-// receiver cannot tell a gathered batch from a contiguous message.
-func TestMessengerSendVectoredTCP(t *testing.T) {
-	a, b := tcpMessengerPair(t, 1024)
-	if _, ok := a.qp.(VectoredSender); !ok {
-		t.Fatal("TCP queue pair should support vectored sends")
-	}
+// checkSendVectored sends a vectored message from a to b: it must
+// arrive as the exact concatenation of its parts — the receiver cannot
+// tell a gathered batch from a contiguous message — in a buffer of the
+// receiver's own, which the sender's later writes to its parts do not
+// reach. An oversize vectored send is refused.
+func checkSendVectored(t *testing.T, a, b *Messenger) {
+	t.Helper()
 	parts := [][]byte{
 		[]byte("hdr|"),
 		{}, // empty parts must be tolerated
@@ -239,58 +225,49 @@ func TestMessengerSendVectoredTCP(t *testing.T) {
 	}
 	select {
 	case data := <-done:
+		copy(parts[2], "XXXXXXXXX") // completed: the parts are the sender's again
 		if !bytes.Equal(data, want) {
 			t.Fatalf("recv = %q, want %q", data, want)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("recv timeout")
 	}
-	if err := a.SendVectored([][]byte{make([]byte, 1000), make([]byte, 25)}); err != ErrTooLarge {
+	big := a.MaxMessage() - 24
+	if err := a.SendVectored([][]byte{make([]byte, big), make([]byte, 25)}); err != ErrTooLarge {
 		t.Fatalf("oversize vectored send: err = %v, want ErrTooLarge", err)
 	}
 }
 
-// TestMessengerSendVectoredFallback checks the gather-into-region
-// fallback on a transport without PostSendVec (the inproc provider).
-func TestMessengerSendVectoredFallback(t *testing.T) {
-	qa, qb := NewPair(MessengerDepth)
-	a, _ := NewMessenger(qa, 256)
-	b, _ := NewMessenger(qb, 256)
-	defer a.Close()
-	defer b.Close()
-	if _, ok := a.qp.(VectoredSender); ok {
-		t.Fatal("inproc pair unexpectedly vectored; fallback untested")
-	}
-	done := make(chan []byte, 1)
-	go func() {
-		data, _ := b.Recv()
-		done <- data
-	}()
-	if err := a.SendVectored([][]byte{[]byte("spin "), []byte("the "), []byte("ring")}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case data := <-done:
-		if !bytes.Equal(data, []byte("spin the ring")) {
-			t.Fatalf("recv = %q", data)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("recv timeout")
-	}
+// TestMessengerSendVectoredTCP: the TCP provider writes the parts with
+// one gather write, straight from the caller's buffers.
+func TestMessengerSendVectoredTCP(t *testing.T) {
+	a, b := tcpMessengerPair(t, 1024)
+	checkSendVectored(t, a, b)
 }
 
-// TestMessengerSendPool checks that concurrent SendEncoded calls share
-// the region pool correctly (every message arrives intact) and that
-// pool pressure is visible in PoolStats.
-func TestMessengerSendPool(t *testing.T) {
+// TestMessengerSendVectoredInproc: the in-process provider gathers the
+// parts into the one buffer the receiver is handed.
+func TestMessengerSendVectoredInproc(t *testing.T) {
 	qa, qb := NewPair(MessengerDepth)
 	a, _ := NewMessenger(qa, 256)
 	b, _ := NewMessenger(qb, 256)
 	defer a.Close()
 	defer b.Close()
+	checkSendVectored(t, a, b)
+}
 
+// checkSendPool runs concurrent SendEncoded calls from a to b: they
+// share the region pool, and since a region goes to the transport
+// without a copy, one recycled before its send completed would garble a
+// payload in flight. Every message must arrive intact and exactly once,
+// and pool pressure is visible in PoolStats.
+func checkSendPool(t *testing.T, a, b *Messenger, size int) {
+	t.Helper()
 	const n = 64
 	const senders = 8
+	payload := func(s, i int) []byte {
+		return bytes.Repeat([]byte(fmt.Sprintf("s%02d-m%04d|", s, i)), size/10)
+	}
 	got := make(chan string, n*senders)
 	go func() {
 		for i := 0; i < n*senders; i++ {
@@ -309,7 +286,7 @@ func TestMessengerSendPool(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				msg := fmt.Sprintf("s%02d-m%04d", s, i)
+				msg := payload(s, i)
 				if err := a.SendEncoded(len(msg), func(dst []byte) int {
 					return copy(dst, msg)
 				}); err != nil {
@@ -320,10 +297,19 @@ func TestMessengerSendPool(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
+	want := make(map[string]bool, n*senders)
+	for s := 0; s < senders; s++ {
+		for i := 0; i < n; i++ {
+			want[string(payload(s, i))] = true
+		}
+	}
 	seen := make(map[string]bool, n*senders)
 	for msg := range got {
+		if !want[msg] {
+			t.Fatalf("garbled message of %d bytes (pool region reused before completion)", len(msg))
+		}
 		if seen[msg] {
-			t.Fatalf("duplicate message %q (pool region reused before completion)", msg)
+			t.Fatalf("duplicate message of %d bytes (pool region reused before completion)", len(msg))
 		}
 		seen[msg] = true
 	}
@@ -336,6 +322,141 @@ func TestMessengerSendPool(t *testing.T) {
 	}
 	if waits < 0 || waits > acquires {
 		t.Fatalf("waits = %d out of range [0, %d]", waits, acquires)
+	}
+}
+
+// TestMessengerSendPool: concurrent senders over the in-process provider.
+func TestMessengerSendPool(t *testing.T) {
+	qa, qb := NewPair(MessengerDepth)
+	a, _ := NewMessenger(qa, 256)
+	b, _ := NewMessenger(qb, 256)
+	defer a.Close()
+	defer b.Close()
+	checkSendPool(t, a, b, 200)
+}
+
+// TestMessengerSendPoolTCP: the same over TCP, where the kernel reads
+// each payload straight out of its pool region.
+func TestMessengerSendPoolTCP(t *testing.T) {
+	a, b := tcpMessengerPair(t, 64<<10)
+	checkSendPool(t, a, b, 32<<10)
+}
+
+// TestTCPHopCopiesOnce pins the copy count of a TCP hop: a 512 KB
+// message, sent either vectored from the caller's buffers or encoded
+// into a send region, costs the process one allocation of its size —
+// the buffer the receiver is handed. A user-space copy on either side (a
+// send copy of the region, a receive copy out of a posted buffer) would
+// be a second message-sized allocation.
+func TestTCPHopCopiesOnce(t *testing.T) {
+	const size = 64 + 512<<10
+	const rounds = 8
+	a, b := tcpMessengerPair(t, size)
+	msg := bytes.Repeat([]byte{0x5a}, size)
+	for _, send := range []struct {
+		name string
+		fn   func() error
+	}{
+		{"vectored", func() error { return a.SendVectored([][]byte{msg[:64], msg[64:]}) }},
+		{"encoded", func() error {
+			return a.SendEncoded(size, func(dst []byte) int { return copy(dst, msg) })
+		}},
+	} {
+		hop := func() {
+			sent := make(chan error, 1)
+			go func() { sent <- send.fn() }()
+			got, err := b.Recv()
+			if err != nil {
+				t.Fatalf("%s: recv: %v", send.name, err)
+			}
+			if err := <-sent; err != nil {
+				t.Fatalf("%s: send: %v", send.name, err)
+			}
+			if !bytes.Equal(got, msg) {
+				t.Fatalf("%s: payload corrupted", send.name)
+			}
+		}
+		hop() // warm: goroutines, pooled scratch
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			hop()
+		}
+		runtime.ReadMemStats(&after)
+		per := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+		t.Logf("%s: %.2f× the message allocated per hop", send.name, per/size)
+		if per > 1.1*size {
+			t.Errorf("%s: %.0f bytes allocated per %d-byte hop (%.2f×), want ≤ 1.1×",
+				send.name, per, size, per/size)
+		}
+	}
+}
+
+// TestTCPOversizeFrameAllocatesNothing: a frame whose length prefix
+// exceeds the receive limit is refused on the prefix, before any
+// buffer is allocated for it — a corrupt or hostile prefix cannot make
+// the receiver allocate 2 GiB.
+func TestTCPOversizeFrameAllocatesNothing(t *testing.T) {
+	cli, srv := tcpConnPair(t)
+	defer cli.Close()
+	m, err := NewMessenger(NewTCP(srv), 64<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], 1<<31)
+	if _, err := cli.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() {
+		_, err := m.Recv()
+		got <- err
+	}()
+	select {
+	case err = <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no receive completion for an oversize frame")
+	}
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Recv err = %v, want ErrTooLarge", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("%d bytes allocated refusing an oversize frame, want < 1 MB", d)
+	}
+}
+
+// BenchmarkMessengerHop512K streams ring-hop-shaped messages — a 64-byte
+// header and a 512 KB payload, sent vectored and pipelined through the
+// send window — over a loopback TCP Messenger pair.
+func BenchmarkMessengerHop512K(b *testing.B) {
+	const payload = 512 << 10
+	a, r := tcpMessengerPair(b, 64+payload)
+	parts := [][]byte{make([]byte, 64), make([]byte, payload)}
+	b.SetBytes(64 + payload)
+	b.ReportAllocs()
+	b.ResetTimer()
+	recvd := make(chan error, 1)
+	go func() {
+		for i := 0; i < b.N; i++ {
+			if _, err := r.Recv(); err != nil {
+				recvd <- err
+				return
+			}
+		}
+		recvd <- nil
+	}()
+	for i := 0; i < b.N; i++ {
+		if err := a.SendVectoredAsync(parts, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := <-recvd; err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -16,6 +16,7 @@
 package rdma
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -33,8 +34,10 @@ var (
 	ErrQueueFull     = errors.New("rdma: receive queue full")
 )
 
-// MemoryRegion is a registered buffer. Registration pins the memory
-// with the (emulated) NIC and yields a steering key, mirroring §2.1.
+// MemoryRegion is a registered send buffer. Registration pins the
+// memory with the (emulated) NIC and yields a steering key, mirroring
+// §2.1. Receives need no region: a receive completion hands over a
+// buffer the receiver owns (Completion.Data).
 type MemoryRegion struct {
 	buf        []byte
 	key        uint32
@@ -71,33 +74,37 @@ func (d *Device) Deregister(mr *MemoryRegion) { mr.registered = false }
 type Completion struct {
 	// Bytes transferred.
 	Bytes int
+	// Data is a receive completion's message, in a buffer that now
+	// belongs to the receiver: the transport never reads or writes it
+	// again. Nil on send completions and on failed receives.
+	Data []byte
 	// Err is non-nil when the work request failed.
 	Err error
-}
-
-// VectoredSender is the optional gather-send extension of a QueuePair:
-// one message assembled from several buffers, written to the wire as a
-// single vectored operation (writev on the TCP provider). The buffers
-// must remain valid and unmodified until the send completion arrives —
-// the contract of pre-registered RDMA buffers, which callers provide by
-// holding references (see Messenger.SendVectored). Transports without
-// it get the gather done in a registered region instead.
-type VectoredSender interface {
-	PostSendVec(bufs net.Buffers) error
 }
 
 // QueuePair is a point-to-point asynchronous channel between two ring
 // neighbours: sends and receives are posted, completions are polled —
 // the RDMA execution model that lets computation overlap communication
-// (§2.3). Implementations: inproc (pipe) and TCP.
+// (§2.3). Implementations: inproc (pipe), TCP and io_uring.
 type QueuePair interface {
 	// PostSend queues the first n bytes of mr for transmission and
 	// returns immediately; the completion arrives on SendCompletions.
+	// The transport may read those bytes straight from mr at any point
+	// until then, so the caller leaves them untouched from post to
+	// completion (verbs semantics) — which is what lets the socket
+	// providers hand them to the kernel without a copy.
 	PostSend(mr *MemoryRegion, n int) error
-	// PostRecv queues mr to receive one message; the completion
-	// arrives on RecvCompletions with the byte count. Like real verbs
-	// the receive queue has finite depth: ErrQueueFull when exceeded.
-	PostRecv(mr *MemoryRegion) error
+	// PostSendVec queues one message gathered from bufs — one vectored
+	// write on the socket providers — and returns immediately, under
+	// PostSend's rule: the buffers stay untouched until the completion.
+	// The receiver sees the concatenation of the buffers.
+	PostSendVec(bufs net.Buffers) error
+	// PostRecv grants one receive credit: the next message of at most
+	// limit bytes completes on RecvCompletions with its bytes in
+	// Completion.Data; a longer one completes with ErrTooLarge, refused
+	// before anything is allocated for it. Like real verbs the receive
+	// queue has finite depth: ErrQueueFull when exceeded.
+	PostRecv(limit int) error
 	// SendCompletions returns the send completion queue.
 	SendCompletions() <-chan Completion
 	// RecvCompletions returns the receive completion queue. The channel
@@ -126,7 +133,7 @@ type inprocQP struct {
 	closed   bool
 	sendCQ   chan Completion
 	recvCQ   chan Completion
-	recvPend chan *MemoryRegion
+	recvPend chan int // receive credits: the size limit of each
 	done     chan struct{}
 	loopDone chan struct{}
 }
@@ -150,7 +157,7 @@ func newInprocQP(out chan<- inprocMsg, in <-chan inprocMsg, depth int) *inprocQP
 		in:       in,
 		sendCQ:   make(chan Completion, depth*2),
 		recvCQ:   make(chan Completion, depth*2),
-		recvPend: make(chan *MemoryRegion, depth*2),
+		recvPend: make(chan int, depth*2),
 		done:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
@@ -169,9 +176,12 @@ func (qp *inprocQP) receiveLoop() {
 				return
 			}
 			select {
-			case mr := <-qp.recvPend:
-				n := copy(mr.buf, msg.data)
-				qp.recvCQ <- Completion{Bytes: n}
+			case limit := <-qp.recvPend:
+				if len(msg.data) > limit {
+					qp.recvCQ <- Completion{Err: ErrTooLarge}
+				} else {
+					qp.recvCQ <- Completion{Bytes: len(msg.data), Data: msg.data}
+				}
 			case <-qp.done:
 				return
 			}
@@ -179,6 +189,9 @@ func (qp *inprocQP) receiveLoop() {
 	}
 }
 
+// PostSend copies the region once, into the buffer the receiver will
+// own: the emulation's stand-in for a NIC placing the bytes in the
+// peer's memory. Nothing is copied again on the way.
 func (qp *inprocQP) PostSend(mr *MemoryRegion, n int) error {
 	if !mr.registered {
 		return ErrNotRegistered
@@ -186,22 +199,28 @@ func (qp *inprocQP) PostSend(mr *MemoryRegion, n int) error {
 	if n > len(mr.buf) {
 		return ErrTooLarge
 	}
+	return qp.post(append([]byte(nil), mr.buf[:n]...))
+}
+
+// PostSendVec gathers the parts into the one buffer the receiver will
+// own — the provider's single copy, as for PostSend.
+func (qp *inprocQP) PostSendVec(bufs net.Buffers) error {
+	return qp.post(bytes.Join(bufs, nil))
+}
+
+// post hands data to the peer asynchronously; the send completion
+// follows delivery into the peer's inbound channel.
+func (qp *inprocQP) post(data []byte) error {
 	qp.mu.Lock()
 	if qp.closed {
 		qp.mu.Unlock()
 		return ErrClosed
 	}
 	qp.mu.Unlock()
-	// Zero-copy semantics of real RDMA cannot be faked safely across
-	// goroutines; copy once (this is the "data copying" cost the CPU
-	// model charges the legacy stack with — the emulation is honest
-	// about being an emulation).
-	data := make([]byte, n)
-	copy(data, mr.buf[:n])
 	go func() {
 		select {
 		case qp.out <- inprocMsg{data: data}:
-			qp.sendCQ <- Completion{Bytes: n}
+			qp.sendCQ <- Completion{Bytes: len(data)}
 		case <-qp.done:
 			select {
 			case qp.sendCQ <- Completion{Err: ErrClosed}:
@@ -212,10 +231,7 @@ func (qp *inprocQP) PostSend(mr *MemoryRegion, n int) error {
 	return nil
 }
 
-func (qp *inprocQP) PostRecv(mr *MemoryRegion) error {
-	if !mr.registered {
-		return ErrNotRegistered
-	}
+func (qp *inprocQP) PostRecv(limit int) error {
 	qp.mu.Lock()
 	if qp.closed {
 		qp.mu.Unlock()
@@ -223,7 +239,7 @@ func (qp *inprocQP) PostRecv(mr *MemoryRegion) error {
 	}
 	qp.mu.Unlock()
 	select {
-	case qp.recvPend <- mr:
+	case qp.recvPend <- limit:
 		return nil
 	default:
 		return ErrQueueFull
@@ -257,6 +273,8 @@ func (qp *inprocQP) Close() error {
 // the frame header and every payload part go to the kernel as one
 // vectored write (net.Buffers → writev), so a message is one syscall
 // whether it was posted from a region or from a batch of buffers.
+// Neither direction copies in user space: the kernel reads a send from
+// the caller's buffers and writes a receive into the receiver's.
 type tcpQP struct {
 	conn net.Conn
 
@@ -266,7 +284,7 @@ type tcpQP struct {
 	recvCQ chan Completion
 
 	sendQ    chan net.Buffers
-	recvPend chan *MemoryRegion
+	recvPend chan int // receive credits: the size limit of each
 	done     chan struct{}
 	wg       sync.WaitGroup
 
@@ -284,7 +302,7 @@ func NewTCP(conn net.Conn) QueuePair {
 		sendCQ:   make(chan Completion, 64),
 		recvCQ:   make(chan Completion, 64),
 		sendQ:    make(chan net.Buffers, 64),
-		recvPend: make(chan *MemoryRegion, 64),
+		recvPend: make(chan int, 64),
 		done:     make(chan struct{}),
 	}
 	qp.wg.Add(2)
@@ -350,23 +368,28 @@ func (qp *tcpQP) recvLoop() {
 			return
 		}
 		n := int(binary.BigEndian.Uint32(hdr[:]))
-		var mr *MemoryRegion
+		var limit int
 		select {
-		case mr = <-qp.recvPend:
+		case limit = <-qp.recvPend:
 		case <-qp.done:
 			return
 		}
-		if n > len(mr.buf) {
-			// Drain and report.
-			io.CopyN(io.Discard, cr, int64(n))
+		if n > limit {
+			// Refused on the prefix alone, so a corrupt length can never
+			// buy a 4 GiB buffer: report, then discard the body as it
+			// streams in.
 			qp.recvCQ <- Completion{Err: ErrTooLarge}
+			io.CopyN(io.Discard, cr, int64(n))
 			continue
 		}
-		if _, err := io.ReadFull(cr, mr.buf[:n]); err != nil {
+		// The body is read straight into the buffer the receiver will
+		// own: the kernel's copy out of the socket is the only one.
+		data := make([]byte, n)
+		if _, err := io.ReadFull(cr, data); err != nil {
 			qp.recvCQ <- Completion{Err: err}
 			return
 		}
-		qp.recvCQ <- Completion{Bytes: n}
+		qp.recvCQ <- Completion{Bytes: n, Data: data}
 	}
 }
 
@@ -394,20 +417,16 @@ func (qp *tcpQP) PostSend(mr *MemoryRegion, n int) error {
 		return ErrClosed
 	}
 	qp.mu.Unlock()
-	data := make([]byte, n)
-	copy(data, mr.buf[:n])
 	select {
-	case qp.sendQ <- net.Buffers{data}:
+	case qp.sendQ <- net.Buffers{mr.buf[:n]}:
 		return nil
 	case <-qp.done:
 		return ErrClosed
 	}
 }
 
-// PostSendVec implements VectoredSender: the parts are handed to the
-// send loop as-is (no copy) and written with the frame header in one
-// gather write. The caller must keep the parts stable until the send
-// completion arrives.
+// PostSendVec hands the parts to the send loop as they are, to be
+// written with the frame header in one gather write.
 func (qp *tcpQP) PostSendVec(bufs net.Buffers) error {
 	qp.mu.Lock()
 	if qp.closed {
@@ -423,10 +442,7 @@ func (qp *tcpQP) PostSendVec(bufs net.Buffers) error {
 	}
 }
 
-func (qp *tcpQP) PostRecv(mr *MemoryRegion) error {
-	if !mr.registered {
-		return ErrNotRegistered
-	}
+func (qp *tcpQP) PostRecv(limit int) error {
 	qp.mu.Lock()
 	if qp.closed {
 		qp.mu.Unlock()
@@ -434,7 +450,7 @@ func (qp *tcpQP) PostRecv(mr *MemoryRegion) error {
 	}
 	qp.mu.Unlock()
 	select {
-	case qp.recvPend <- mr:
+	case qp.recvPend <- limit:
 		return nil
 	default:
 		return ErrQueueFull

@@ -19,7 +19,8 @@ package rdma
 //     write-syscall-per-message netpoller path comes from;
 //   - receives land in one registered staging buffer via READ_FIXED and
 //     are framed in user space, so back-to-back hop envelopes arrive
-//     several frames per syscall;
+//     several frames per syscall; each frame is then copied once, into
+//     the buffer its receive completion hands over;
 //   - both loops run on runtime.LockOSThread-pinned OS threads: the
 //     completion path never migrates cores, and a blocking
 //     submit-and-wait parks the thread in the kernel instead of
@@ -389,7 +390,7 @@ type uringQP struct {
 	sendCQ   chan Completion
 	recvCQ   chan Completion
 	sendQ    chan uringSend
-	recvPend chan *MemoryRegion
+	recvPend chan int // receive credits: the size limit of each
 	done     chan struct{}
 	wg       sync.WaitGroup
 
@@ -457,7 +458,7 @@ func NewUring(conn net.Conn, maxMsg int) (QueuePair, error) {
 		sendCQ:   make(chan Completion, 64),
 		recvCQ:   make(chan Completion, 64),
 		sendQ:    make(chan uringSend, 64),
-		recvPend: make(chan *MemoryRegion, 64),
+		recvPend: make(chan int, 64),
 		done:     make(chan struct{}),
 		maxMsg:   maxMsg,
 	}
@@ -577,18 +578,11 @@ func (qp *uringQP) PostSend(mr *MemoryRegion, n int) error {
 	s := uringSend{total: n}
 	binary.BigEndian.PutUint32(s.hdr[:], uint32(n))
 	if n > 0 {
-		if idx := qp.regIndex(mr.buf); idx >= 0 {
-			// Registered region: the caller holds it until the send
-			// completion (the Messenger contract), so the kernel reads
-			// straight from the pinned buffer — no copy.
-			s.parts = [][]byte{mr.buf[:n]}
-			s.bufIdx = []int{idx}
-		} else {
-			data := make([]byte, n)
-			copy(data, mr.buf[:n])
-			s.parts = [][]byte{data}
-			s.bufIdx = []int{-1}
-		}
+		// The caller holds the region until the send completion, so the
+		// kernel reads straight from it: a fixed-buffer write when the
+		// region is registered, a plain send otherwise — no copy either way.
+		s.parts = [][]byte{mr.buf[:n]}
+		s.bufIdx = []int{qp.regIndex(mr.buf)}
 	}
 	select {
 	case qp.sendQ <- s:
@@ -598,12 +592,10 @@ func (qp *uringQP) PostSend(mr *MemoryRegion, n int) error {
 	}
 }
 
-// PostSendVec implements VectoredSender: header and parts become one
-// linked SQE chain, submitted (with anything else queued) in a single
-// io_uring_enter — the uring analogue of tcpQP's gather write, same
-// zero-assembly-copy contract (parts stay untouched until completion).
-// A chain longer than the SQ splits into sequential submissions, still
-// copy-free.
+// PostSendVec turns header and parts into one linked SQE chain,
+// submitted (with anything else queued) in a single io_uring_enter —
+// the uring analogue of tcpQP's gather write, copy-free like it. A
+// chain longer than the SQ splits into sequential submissions.
 func (qp *uringQP) PostSendVec(bufs net.Buffers) error {
 	qp.mu.Lock()
 	if qp.aborted {
@@ -630,10 +622,7 @@ func (qp *uringQP) PostSendVec(bufs net.Buffers) error {
 	}
 }
 
-func (qp *uringQP) PostRecv(mr *MemoryRegion) error {
-	if !mr.registered {
-		return ErrNotRegistered
-	}
+func (qp *uringQP) PostRecv(limit int) error {
 	qp.mu.Lock()
 	if qp.aborted {
 		qp.mu.Unlock()
@@ -641,7 +630,7 @@ func (qp *uringQP) PostRecv(mr *MemoryRegion) error {
 	}
 	qp.mu.Unlock()
 	select {
-	case qp.recvPend <- mr:
+	case qp.recvPend <- limit:
 		return nil
 	default:
 		return ErrQueueFull
@@ -941,8 +930,7 @@ func (qp *uringQP) recvLoop() {
 	)
 	fail := func(err error) {
 		select {
-		case mr := <-qp.recvPend:
-			_ = mr
+		case <-qp.recvPend:
 			select {
 			case qp.recvCQ <- Completion{Err: err}:
 			default:
@@ -970,33 +958,29 @@ func (qp *uringQP) recvLoop() {
 				break
 			}
 			n := int(binary.BigEndian.Uint32(qp.staging[rpos : rpos+4]))
-			if 4+n > len(qp.staging) {
-				// Frame can never fit the staging buffer: report and
-				// discard its payload as it streams in.
-				select {
-				case qp.recvCQ <- Completion{Err: ErrTooLarge}:
-				default:
-				}
+			fits := 4+n <= len(qp.staging)
+			if fits && wpos-rpos < 4+n {
+				break
+			}
+			limit := 0
+			select {
+			case limit = <-qp.recvPend:
+			case <-qp.done:
+				return
+			}
+			if !fits || n > limit {
+				// Refused before anything is allocated; the payload is
+				// discarded as it streams in (or from staging).
+				qp.recvCQ <- Completion{Err: ErrTooLarge}
 				rpos += 4
 				skip = n
 				continue
 			}
-			if wpos-rpos < 4+n {
-				break
-			}
-			var mr *MemoryRegion
-			select {
-			case mr = <-qp.recvPend:
-			case <-qp.done:
-				return
-			}
-			if n > len(mr.buf) {
-				qp.recvCQ <- Completion{Err: ErrTooLarge}
-				rpos += 4 + n
-				continue
-			}
-			copy(mr.buf[:n], qp.staging[rpos+4:rpos+4+n])
-			qp.recvCQ <- Completion{Bytes: n}
+			// The one user-space copy: out of the registered staging
+			// into the buffer the receiver will own.
+			data := make([]byte, n)
+			copy(data, qp.staging[rpos+4:rpos+4+n])
+			qp.recvCQ <- Completion{Bytes: n, Data: data}
 			rpos += 4 + n
 		}
 		// Compact the partial tail to the front and read more.
@@ -1094,16 +1078,14 @@ func probeUring() (bool, string) {
 
 	var dev Device
 	sendMR := dev.RegisterMemory(maxMsg)
-	recvMR := dev.RegisterMemory(maxMsg)
 	peerSend := dev.RegisterMemory(maxMsg)
-	peerRecv := dev.RegisterMemory(maxMsg)
 	if err := qp.(*uringQP).RegisterBuffers([]*MemoryRegion{sendMR}); err != nil {
 		return false, fmt.Sprintf("register buffers: %v", err)
 	}
-	if err := qp.PostRecv(recvMR); err != nil {
+	if err := qp.PostRecv(maxMsg); err != nil {
 		return false, fmt.Sprintf("post recv: %v", err)
 	}
-	if err := peer.PostRecv(peerRecv); err != nil {
+	if err := peer.PostRecv(maxMsg); err != nil {
 		return false, fmt.Sprintf("peer post recv: %v", err)
 	}
 
@@ -1116,8 +1098,7 @@ func probeUring() (bool, string) {
 	if c := <-qp.SendCompletions(); c.Err != nil {
 		return false, fmt.Sprintf("send completion: %v", c.Err)
 	}
-	if c := <-peer.RecvCompletions(); c.Err != nil || c.Bytes != len(msg) ||
-		string(peerRecv.Bytes()[:c.Bytes]) != string(msg) {
+	if c := <-peer.RecvCompletions(); c.Err != nil || string(c.Data) != string(msg) {
 		return false, "fixed-buffer send did not round-trip"
 	}
 
@@ -1129,8 +1110,7 @@ func probeUring() (bool, string) {
 	if c := <-peer.SendCompletions(); c.Err != nil {
 		return false, fmt.Sprintf("peer send completion: %v", c.Err)
 	}
-	if c := <-qp.RecvCompletions(); c.Err != nil || c.Bytes != len(msg) ||
-		string(recvMR.Bytes()[:c.Bytes]) != string(msg) {
+	if c := <-qp.RecvCompletions(); c.Err != nil || string(c.Data) != string(msg) {
 		return false, "fixed-buffer recv did not round-trip"
 	}
 	return true, ""
