@@ -75,7 +75,7 @@ func sweep(s experiments.Suite, short bool, seed int64, out string) error {
 		return err
 	}
 	fmt.Printf("== wrote %s ==\n", out)
-	if err := env.Gates.Err(); err != nil {
+	if err := env.Gates.Err(short); err != nil {
 		return fmt.Errorf("gate: %w", err)
 	}
 	return nil

@@ -205,8 +205,9 @@ const (
 // a false positive the ring quietly papered over with replica
 // promotion, and the other numbers would still look green), the
 // newcomer answering for itself, join completion dominated by the
-// transfer (total ≤ 2× transfer + 250 ms), and a grown ring's tail no
-// worse than 2× that of a ring born at that size.
+// transfer (total ≤ 2× transfer + 250 ms), and — at full size, a timing
+// ratio — a grown ring's tail no worse than 2× that of a ring born at
+// that size.
 func (r *JoinResult) Gate() Gates {
 	var g Gates
 	for i := range r.Runs {
@@ -226,7 +227,7 @@ func (r *JoinResult) Gate() Gates {
 		for j := range r.Runs {
 			peer := &r.Runs[j]
 			if peer.Nodes == run.Nodes+1 && run.PostP99Micros != 0 && peer.PreP99Micros != 0 {
-				g.check(run.PostP99Micros <= joinP99Factor*peer.PreP99Micros, fmt.Sprintf("%d->%d join: post-join p99", run.Nodes, peer.Nodes),
+				g.timing(run.PostP99Micros <= joinP99Factor*peer.PreP99Micros, fmt.Sprintf("%d->%d join: post-join p99", run.Nodes, peer.Nodes),
 					fmt.Sprintf("≤ %d× a born-%d-node ring", joinP99Factor, peer.Nodes), "%dus vs %dus", run.PostP99Micros, peer.PreP99Micros)
 			}
 		}

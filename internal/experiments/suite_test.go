@@ -11,9 +11,8 @@ import (
 
 // TestSuitesGate runs every registered suite at its Short size and
 // holds it to its own Gate() — the same checks, thresholds and messages
-// `dcsweep -short <suite>` enforces. uring's two timing ratios are the
-// exception (see uringSyscallsCheck): under `go test` its remaining,
-// size-independent checks are asserted.
+// `dcsweep -short <suite>` enforces: every check but the timing ratios
+// (Gates.timing), which only a full-size run judges.
 func TestSuitesGate(t *testing.T) {
 	for _, s := range Suites {
 		s := s
@@ -36,11 +35,8 @@ func TestSuitesGate(t *testing.T) {
 				t.Error("suite judged nothing")
 			}
 			for _, c := range gates {
-				if s.Name == "uring" && (c.Name == uringSyscallsCheck || c.Name == uringP99Check) {
-					continue
-				}
-				if !c.Pass {
-					t.Error(Gates{c}.Err())
+				if err := (Gates{c}).Err(true); err != nil {
+					t.Error(err)
 				}
 			}
 		})
@@ -56,7 +52,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		{FragmentRows: 1024, Fragments: 8, RegionBytes: 10000, MaxHopBytes: 9000, Queries: 2, P50Micros: 5, P99Micros: 9},
 	}}
 	env := NewEnvelope("frag", true, res)
-	if err := env.Gates.Err(); err == nil || err.Error() != "FragmentRows=1024: max hop: 9000 vs unfragmented 70000 — want ≥8× reduction" {
+	if err := env.Gates.Err(true); err == nil || err.Error() != "FragmentRows=1024: max hop: 9000 vs unfragmented 70000 — want ≥8× reduction" {
 		t.Fatalf("gate error = %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_frag.json")
@@ -100,6 +96,23 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 	if len(got.Result.Runs) != 2 || got.Result.Runs[1].MaxHopBytes != 9000 {
 		t.Fatalf("result lost: %+v", got.Result)
+	}
+}
+
+// TestTimingChecksJudgedAtFullSize: a failed timing ratio fails a
+// full-size run and not a short one; any other failed check fails both.
+func TestTimingChecksJudgedAtFullSize(t *testing.T) {
+	var g Gates
+	g.timing(false, "p99 ratio", "≤ 2×", "3×")
+	if err := g.Err(true); err != nil {
+		t.Fatalf("short run judged a timing ratio: %v", err)
+	}
+	if err := g.Err(false); err == nil {
+		t.Fatal("full-size run passed a failed timing ratio")
+	}
+	g.check(false, "answers", "0 incorrect", "1")
+	if err := g.Err(true); err == nil || err.Error() != "answers: 1 — want 0 incorrect" {
+		t.Fatalf("short run error = %v, want the failed non-timing check", err)
 	}
 }
 

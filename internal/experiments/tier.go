@@ -290,7 +290,7 @@ func tierFlashProbe(rtr *live.Router, o TierOpts, sums []int64, res *TierResult)
 //	(a) zero incorrect answers on both sides;
 //	(b) the hot ring revolves measurably faster than the cold one
 //	    (falling back to the hot/cold latency split when a revolution
-//	    went unmeasured);
+//	    went unmeasured) — a timing ratio, judged at full size;
 //	(c) the flash-crowd promotion landed within one cold revolution.
 func (r *TierResult) Gate() Gates {
 	var g Gates
@@ -299,9 +299,9 @@ func (r *TierResult) Gate() Gates {
 	hot, cold := r.Stats.HotRevolutionMicros, r.Stats.ColdRevolutionMicros
 	switch {
 	case hot > 0 && cold > 0:
-		g.check(hot < cold, "hot revolution", "below cold", "hot %dus vs cold %dus", hot, cold)
+		g.timing(hot < cold, "hot revolution", "below cold", "hot %dus vs cold %dus", hot, cold)
 	case r.Tiered.HotServed > 0 && r.Tiered.ColdP50Micros > 0:
-		g.check(r.Tiered.HotP50Micros < r.Tiered.ColdP50Micros, "hot-homed p50 (revolutions unmeasured)", "below cold-homed p50",
+		g.timing(r.Tiered.HotP50Micros < r.Tiered.ColdP50Micros, "hot-homed p50 (revolutions unmeasured)", "below cold-homed p50",
 			"hot %dus vs cold %dus", r.Tiered.HotP50Micros, r.Tiered.ColdP50Micros)
 	default:
 		g.check(false, "hot-versus-cold evidence", "measured revolutions or a hot/cold latency split",

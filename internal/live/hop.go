@@ -56,30 +56,11 @@ type HopStats struct {
 	// counters: waits > 0 means concurrent sends outran the pool.
 	PoolAcquires int64
 	PoolWaits    int64
-	// Backend names the wire engine carrying the data links ("tcp",
-	// "uring", or "inproc"); BackendFallback is non-empty when a uring
-	// selection degraded to tcp and says why (kernel probe or per-link
-	// setup failure).
-	Backend         string
-	BackendFallback string
-	// WireSyscalls/WireSubmits count syscall-layer work on the node's
-	// data-link endpoints (out + in): write/read calls for the tcp
-	// engine (a lower bound — netpoller wakeups come on top), or
-	// io_uring_enter calls (and how many of them submitted SQEs) for
-	// uring. WireSyscalls/Msgs is the syscalls-per-hop figure the
-	// io_uring backend is gated on. Zero on the in-process transport.
+	// WireSyscalls counts the write/read calls on the node's data-link
+	// endpoints (out + in) — a lower bound, netpoller wakeups come on
+	// top; WireSyscalls/Msgs is the syscalls-per-hop figure. Zero on the
+	// in-process transport.
 	WireSyscalls int64
-	WireSubmits  int64
-	// CqeBatch histograms completions reaped per io_uring_enter (1, 2,
-	// 3-4, 5-8, ..., >64 — same buckets as Fill): the right-heavier the
-	// histogram, the more queued hops each syscall covered.
-	CqeBatch [8]int64
-	// WireSQPoll reports that at least one data-link endpoint ran an
-	// SQPOLL send ring (kernel-thread submission, no enter per chain).
-	// The syscalls-per-hop gate is tiered on this: without SQPOLL the
-	// structural floor is ~1 enter to send + ~1 enter to receive each
-	// message, which caps the achievable reduction against tcp.
-	WireSQPoll bool
 }
 
 // fillBucket maps a batch entry count onto a Fill histogram index.
@@ -236,11 +217,10 @@ func (n *Node) drainHopQueue() {
 // reads the payload where the wire cache holds it. The sends are
 // asynchronous: the flush loop keeps posting while earlier envelopes
 // are still on the wire, so a revolution's worth of traffic pipelines
-// through the messenger's bounded send window and the io_uring backend
-// can fold the queued run into one submission chain per enter. The
-// release of the wire-cache references moves into the completion
-// callback — the payload slices stay pinned until the transport reports
-// them written.
+// through the messenger's bounded send window instead of waiting out a
+// post-complete round trip per envelope. The release of the wire-cache
+// references moves into the completion callback — the payload slices
+// stay pinned until the transport reports them written.
 func (n *Node) flushHopBatch(batch []hopEntry) {
 	release := func(error) {
 		for _, e := range batch {
@@ -327,17 +307,11 @@ func (n *Node) HopStats() HopStats {
 	s.ParkedTotal = int64(st.BATsParked)
 	s.Unparked = int64(st.BATsUnparked)
 	s.PoolAcquires, s.PoolWaits = n.linkDataOut().PoolStats()
-	s.Backend, s.BackendFallback = n.ring.backendInfo()
 	// Each endpoint is counted at exactly one node (out at the sender,
 	// in at the receiver), so the ring-wide sum has no double counting.
 	for _, m := range []*rdma.Messenger{n.linkDataOut(), n.linkDataIn()} {
 		if wc, ok := m.WireCounters(); ok {
 			s.WireSyscalls += wc.Syscalls
-			s.WireSubmits += wc.Submits
-			for i := range s.CqeBatch {
-				s.CqeBatch[i] += wc.CqeBatch[i]
-			}
-			s.WireSQPoll = s.WireSQPoll || wc.SQPoll
 		}
 	}
 	return s
@@ -365,12 +339,6 @@ func (r *Ring) HopStats() HopStats {
 		total.PoolAcquires += s.PoolAcquires
 		total.PoolWaits += s.PoolWaits
 		total.WireSyscalls += s.WireSyscalls
-		total.WireSubmits += s.WireSubmits
-		for i := range total.CqeBatch {
-			total.CqeBatch[i] += s.CqeBatch[i]
-		}
-		total.WireSQPoll = total.WireSQPoll || s.WireSQPoll
 	}
-	total.Backend, total.BackendFallback = r.backendInfo()
 	return total
 }

@@ -135,11 +135,10 @@ func (r *Ring) admit() (*Node, JoinReport, error) {
 	// Nothing ring-visible mutates until they all exist.
 	type pair struct{ a, b *rdma.Messenger }
 	mkData := func() (pair, error) {
-		qa, qb, reason, err := newQueuePair(r.cfg.Transport, r.backend, r.maxMsgBytes)
+		qa, qb, err := newQueuePair(r.cfg.Transport)
 		if err != nil {
 			return pair{}, err
 		}
-		r.noteBackendFallback(reason)
 		a, err := rdma.NewMessengerDepth(qa, r.maxMsgBytes, r.dataDepth)
 		if err != nil {
 			return pair{}, err
@@ -152,7 +151,7 @@ func (r *Ring) admit() (*Node, JoinReport, error) {
 		return pair{a, b}, nil
 	}
 	mkReq := func() (pair, error) {
-		qa, qb, _, err := newQueuePair(r.cfg.Transport, rdma.BackendTCP, 1<<12)
+		qa, qb, err := newQueuePair(r.cfg.Transport)
 		if err != nil {
 			return pair{}, err
 		}

@@ -46,17 +46,6 @@ type Config struct {
 	Workers int
 	// Transport picks the neighbour interconnect.
 	Transport Transport
-	// Backend selects the wire engine under the TCP transport's data
-	// links: "tcp" (or empty — the portable netpoller provider,
-	// byte-identical to the pre-selector transport), "uring" (the Linux
-	// io_uring registered-buffer provider; a configuration error when
-	// the kernel lacks support), or "auto" (uring when a one-time kernel
-	// probe passes, tcp otherwise, with the fallback reason recorded in
-	// HopStats). Request links always use tcp: their messages are tiny
-	// and keeping them off uring bounds the pinned data-loop threads at
-	// four per node. Ignored by the in-process transport, except that an
-	// explicit "uring" without TCP is rejected.
-	Backend string
 	// FragmentRows bounds the rows per circulated fragment: a longer
 	// column is split into independently circulating fragments, each
 	// with its own BATID and level of interest (the granularity axis of
@@ -183,16 +172,6 @@ type Ring struct {
 	// mid-wait.
 	pinWait time.Duration
 
-	// backend is the resolved wire engine for TCP data links (tcp unless
-	// the uring backend was selected and probed healthy). backendNote
-	// records why a requested/auto uring selection is not carrying
-	// traffic — the ring-level probe fallback or the first per-link
-	// setup fallback; guarded by backendMu because splice/join build
-	// links at runtime.
-	backend     rdma.Backend
-	backendMu   sync.Mutex
-	backendNote string
-
 	// fragCol maps every fragment id back to its column name (guarded
 	// by idsMu, extended by Publish): failover groups a dead node's
 	// fragments by column so promotion serializes against UpdateColumn
@@ -219,31 +198,6 @@ type Ring struct {
 // Join publishes growth by storing a longer copy — so callers may
 // iterate it without holding any lock.
 func (r *Ring) nodeList() []*Node { return *r.nodes.Load() }
-
-// noteBackendFallback records the first per-link uring→tcp degradation
-// (later links usually fail for the same reason; the first is the one
-// worth surfacing).
-func (r *Ring) noteBackendFallback(reason string) {
-	if reason == "" {
-		return
-	}
-	r.backendMu.Lock()
-	if r.backendNote == "" {
-		r.backendNote = reason
-	}
-	r.backendMu.Unlock()
-}
-
-// backendInfo reports the data links' wire engine and, when a uring
-// selection degraded to tcp (kernel probe or per-link setup), why.
-func (r *Ring) backendInfo() (name, fallback string) {
-	if r.cfg.Transport != TCP {
-		return "inproc", ""
-	}
-	r.backendMu.Lock()
-	defer r.backendMu.Unlock()
-	return r.backend.String(), r.backendNote
-}
 
 // node returns ring position i from the current snapshot.
 func (r *Ring) node(i int) *Node { return (*r.nodes.Load())[i] }
@@ -561,27 +515,6 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 	if cfg.router != nil && cfg.CacheBytes == 0 {
 		r.pinWait = routedRingWait
 	}
-	// Resolve the wire backend once per ring: "auto" consults the kernel
-	// probe here (fallback reason recorded for stats), explicit "uring"
-	// on an unsupported kernel — or without the TCP transport — fails
-	// construction loudly.
-	parsedBackend, err := rdma.ParseBackend(cfg.Backend)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Transport != TCP {
-		if parsedBackend == rdma.BackendUring {
-			return nil, fmt.Errorf("live: backend uring requires the TCP transport")
-		}
-		r.backend = rdma.BackendTCP
-	} else {
-		backend, reason, err := rdma.ResolveBackend(cfg.Backend)
-		if err != nil {
-			return nil, err
-		}
-		r.backend = backend
-		r.backendNote = reason
-	}
 	// Nodes and transports. Built into a local slice and published
 	// before placement; Join later publishes grown copies the same way.
 	nodes := make([]*Node, 0, n)
@@ -590,11 +523,10 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 	}
 	for i := 0; i < n; i++ {
 		succ := (i + 1) % n
-		dataA, dataB, reason, err := newQueuePair(cfg.Transport, r.backend, maxBytes)
+		dataA, dataB, err := newQueuePair(cfg.Transport)
 		if err != nil {
 			return nil, err
 		}
-		r.noteBackendFallback(reason)
 		mA, err := rdma.NewMessengerDepth(dataA, maxBytes, dataDepth)
 		if err != nil {
 			return nil, err
@@ -606,10 +538,7 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 		nodes[i].dataOut = mA
 		nodes[succ].dataIn = mB
 
-		// Request links stay on the tcp engine regardless of backend:
-		// 24-byte messages gain nothing from registered buffers, and it
-		// caps the uring loops' pinned OS threads at the data links.
-		reqA, reqB, _, err := newQueuePair(cfg.Transport, rdma.BackendTCP, 1<<12)
+		reqA, reqB, err := newQueuePair(cfg.Transport)
 		if err != nil {
 			return nil, err
 		}

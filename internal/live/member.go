@@ -318,8 +318,7 @@ func (r *Ring) splice(dead core.NodeID) {
 	p := r.node(int(r.prevAlive(dead)))
 	s := r.node(int(r.nextAlive(dead)))
 
-	if dataA, dataB, reason, err := newQueuePair(r.cfg.Transport, r.backend, r.maxMsgBytes); err == nil {
-		r.noteBackendFallback(reason)
+	if dataA, dataB, err := newQueuePair(r.cfg.Transport); err == nil {
 		mA, errA := rdma.NewMessengerDepth(dataA, r.maxMsgBytes, r.dataDepth)
 		mB, errB := rdma.NewMessengerDepth(dataB, r.maxMsgBytes, r.dataDepth)
 		if errA == nil && errB == nil {
@@ -327,7 +326,7 @@ func (r *Ring) splice(dead core.NodeID) {
 			s.swapDataIn(mB).Close()
 		}
 	}
-	if reqA, reqB, _, err := newQueuePair(r.cfg.Transport, rdma.BackendTCP, 1<<12); err == nil {
+	if reqA, reqB, err := newQueuePair(r.cfg.Transport); err == nil {
 		rA, errA := rdma.NewMessenger(reqA, 1<<12)
 		rB, errB := rdma.NewMessenger(reqB, 1<<12)
 		if errA == nil && errB == nil {

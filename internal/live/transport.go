@@ -8,29 +8,25 @@ import (
 )
 
 // newQueuePair creates one connected neighbour link of the chosen
-// transport kind. backend selects the wire engine for TCP links (the
-// in-process transport has no wire and ignores it); maxMsg sizes the
-// uring backend's registered receive staging. The returned reason is
-// non-empty when a uring link degraded to tcp on this connection —
-// ring-level auto/tcp resolution happens earlier, in NewRing.
-func newQueuePair(t Transport, backend rdma.Backend, maxMsg int) (rdma.QueuePair, rdma.QueuePair, string, error) {
+// transport kind.
+func newQueuePair(t Transport) (rdma.QueuePair, rdma.QueuePair, error) {
 	switch t {
 	case InProc:
 		a, b := rdma.NewPair(rdma.MessengerDepth)
-		return a, b, "", nil
+		return a, b, nil
 	case TCP:
-		return newTCPPair(backend, maxMsg)
+		return newTCPPair()
 	}
-	return nil, nil, "", fmt.Errorf("live: unknown transport %d", t)
+	return nil, nil, fmt.Errorf("live: unknown transport %d", t)
 }
 
 // newTCPPair dials a loopback connection to itself and wraps both ends
-// in the selected rdma socket provider, so every ring message really
-// crosses the kernel socket layer.
-func newTCPPair(backend rdma.Backend, maxMsg int) (rdma.QueuePair, rdma.QueuePair, string, error) {
+// in the rdma tcp provider, so every ring message really crosses the
+// kernel socket layer.
+func newTCPPair() (rdma.QueuePair, rdma.QueuePair, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, nil, "", fmt.Errorf("live: listen: %w", err)
+		return nil, nil, fmt.Errorf("live: listen: %w", err)
 	}
 	defer ln.Close()
 
@@ -45,34 +41,16 @@ func newTCPPair(backend rdma.Backend, maxMsg int) (rdma.QueuePair, rdma.QueuePai
 	}()
 	dial, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
-		return nil, nil, "", fmt.Errorf("live: dial: %w", err)
+		return nil, nil, fmt.Errorf("live: dial: %w", err)
 	}
 	acc := <-ch
 	if acc.err != nil {
 		dial.Close()
-		return nil, nil, "", fmt.Errorf("live: accept: %w", acc.err)
+		return nil, nil, fmt.Errorf("live: accept: %w", acc.err)
 	}
 	setNoDelay(dial)
 	setNoDelay(acc.conn)
-	qa, reasonA, err := rdma.NewConnQP(dial, backend, maxMsg)
-	if err != nil {
-		dial.Close()
-		acc.conn.Close()
-		return nil, nil, "", err
-	}
-	qb, reasonB, err := rdma.NewConnQP(acc.conn, backend, maxMsg)
-	if err != nil {
-		qa.Close()
-		acc.conn.Close()
-		return nil, nil, "", err
-	}
-	// Both frame identically, so a one-sided uring fallback still
-	// interoperates; surface whichever reason fired first.
-	reason := reasonA
-	if reason == "" {
-		reason = reasonB
-	}
-	return qa, qb, reason, nil
+	return rdma.NewTCP(dial), rdma.NewTCP(acc.conn), nil
 }
 
 // setNoDelay disables Nagle's algorithm explicitly on a ring data/req

@@ -3,10 +3,7 @@ package live
 import (
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
-
-	"repro/internal/rdma"
 )
 
 func TestTCPRingExecutesSQL(t *testing.T) {
@@ -63,114 +60,5 @@ func TestUnknownTransport(t *testing.T) {
 	cfg.Transport = Transport(99)
 	if _, err := NewRing(2, cols, schema, cfg); err == nil {
 		t.Fatal("expected error")
-	}
-}
-
-// The uring backend must return bit-identical query results to tcp.
-func TestUringRingExecutesSQL(t *testing.T) {
-	if ok, reason := rdma.UringSupported(); !ok {
-		t.Skipf("io_uring unavailable: %s", reason)
-	}
-	query := "select t.name, c.val from t, c where c.t_id = t.id and c.val > 150 order by c.val"
-	results := map[string][][]any{}
-	for _, backend := range []string{"tcp", "uring"} {
-		cols, schema := testColumns()
-		cfg := DefaultConfig()
-		cfg.Transport = TCP
-		cfg.Backend = backend
-		r, err := NewRing(3, cols, schema, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := r.Node(0).ExecSQL(query)
-		if err != nil {
-			r.Close()
-			t.Fatalf("backend %s: %v", backend, err)
-		}
-		results[backend] = rs.Rows()
-		hs := r.HopStats()
-		if hs.Backend != backend {
-			r.Close()
-			t.Fatalf("HopStats.Backend = %q, want %q", hs.Backend, backend)
-		}
-		if backend == "uring" {
-			if hs.BackendFallback != "" {
-				r.Close()
-				t.Fatalf("unexpected fallback on a supported kernel: %q", hs.BackendFallback)
-			}
-			if hs.WireSyscalls == 0 {
-				r.Close()
-				t.Fatal("uring ring reported zero wire syscalls")
-			}
-		}
-		r.Close()
-	}
-	if !reflect.DeepEqual(results["tcp"], results["uring"]) {
-		t.Fatalf("backends disagree:\ntcp:   %v\nuring: %v", results["tcp"], results["uring"])
-	}
-}
-
-// auto on a kernel without io_uring support must come up on tcp and
-// record why in the hop stats.
-func TestBackendAutoFallsBackWithReason(t *testing.T) {
-	restore := rdma.ForceUringUnsupported("kernel said no (test)")
-	defer restore()
-	cols, schema := testColumns()
-	cfg := DefaultConfig()
-	cfg.Transport = TCP
-	cfg.Backend = "auto"
-	r, err := NewRing(2, cols, schema, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	hs := r.HopStats()
-	if hs.Backend != "tcp" {
-		t.Fatalf("Backend = %q, want tcp fallback", hs.Backend)
-	}
-	if hs.BackendFallback != "kernel said no (test)" {
-		t.Fatalf("BackendFallback = %q", hs.BackendFallback)
-	}
-	if _, err := r.Node(0).ExecSQL("select c.t_id from t, c where c.t_id = t.id"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Explicit uring on an unsupported kernel is a construction error with
-// the probe's reason attached — never a panic, never a silent downgrade.
-func TestBackendExplicitUringUnsupportedErrors(t *testing.T) {
-	restore := rdma.ForceUringUnsupported("kernel said no (test)")
-	defer restore()
-	cols, schema := testColumns()
-	cfg := DefaultConfig()
-	cfg.Transport = TCP
-	cfg.Backend = "uring"
-	_, err := NewRing(2, cols, schema, cfg)
-	if err == nil {
-		t.Fatal("want error for explicit uring on unsupported kernel")
-	}
-	if !strings.Contains(err.Error(), "kernel said no (test)") {
-		t.Fatalf("error %q does not carry the probe reason", err)
-	}
-}
-
-// Explicit uring without a real socket transport is a config error.
-func TestBackendUringRequiresTCPTransport(t *testing.T) {
-	cols, schema := testColumns()
-	cfg := DefaultConfig()
-	cfg.Transport = InProc
-	cfg.Backend = "uring"
-	if _, err := NewRing(2, cols, schema, cfg); err == nil {
-		t.Fatal("want error for uring over the in-process transport")
-	}
-}
-
-func TestBackendUnknownRejected(t *testing.T) {
-	cols, schema := testColumns()
-	cfg := DefaultConfig()
-	cfg.Transport = TCP
-	cfg.Backend = "verbs"
-	if _, err := NewRing(2, cols, schema, cfg); err == nil {
-		t.Fatal("want error for unknown backend name")
 	}
 }

@@ -30,10 +30,9 @@ type Messenger struct {
 	// ticket per posted send, in post order, for the dispatcher to pair
 	// with wire completions (pendMu guards it: post pushes under sendMu
 	// before the wire can complete the send, the dispatcher pops). The
-	// window is what lets a burst of hop envelopes queue at the
-	// transport — the uring backend folds queued messages into one
-	// linked submission chain, so one io_uring_enter covers the whole
-	// burst instead of one enter per message.
+	// window lets a sender post its next message while the transport is
+	// still writing the previous ones, instead of waiting out a
+	// post-complete round trip per message.
 	sendWindow chan struct{}
 	pendMu     sync.Mutex
 	sendPend   []sendTicket
@@ -56,16 +55,15 @@ const MessengerDepth = 8
 const MessengerSendRegions = 4
 
 // MessengerSendWindow is how many posted sends may be in flight on the
-// wire at once. Deeper than one so back-to-back hop envelopes pipeline
-// (and batch at the submission layer); bounded so a slow link applies
-// backpressure before unbounded memory queues behind it. Must not
-// exceed any backend's internal send queue capacity, or a post could
-// block while holding the order lock.
+// wire at once. Deeper than one so back-to-back hop envelopes pipeline;
+// bounded so a slow link applies backpressure before unbounded memory
+// queues behind it. Must not exceed a provider's internal send queue
+// capacity, or a post could block while holding the order lock.
 const MessengerSendWindow = 8
 
 // sendTicket is one in-flight posted send: the dispatcher runs cleanup
 // (send-region recycling) and then done when the send's wire completion
-// arrives. Every backend delivers send completions in post order, so a
+// arrives. Every provider delivers send completions in post order, so a
 // FIFO of tickets pairs them correctly.
 type sendTicket struct {
 	cleanup func()
@@ -103,15 +101,6 @@ func NewMessengerDepth(qp QueuePair, maxMsg, depth int) (*Messenger, error) {
 	pool := make([]*MemoryRegion, regions)
 	for i := range pool {
 		pool[i] = m.dev.RegisterMemory(maxMsg)
-	}
-	// A backend that can pin caller buffers with the kernel (the uring
-	// provider's IORING_REGISTER_BUFFERS) gets the whole pool up front,
-	// before any traffic: every SendEncoded then goes out as a
-	// fixed-buffer write straight from the region. If registration fails
-	// (memlock limits), the backend's plain-send path still works — the
-	// pool is just not kernel-pinned.
-	if br, ok := qp.(BufferRegistrar); ok {
-		_ = br.RegisterBuffers(pool)
 	}
 	m.sendFree = make(chan *MemoryRegion, regions)
 	for _, mr := range pool {
@@ -244,8 +233,8 @@ func (m *Messenger) PoolStats() (acquires, waits int64) {
 }
 
 // WireCounters reports the underlying queue pair's syscall-layer
-// counters when the backend keeps them (tcp and uring do; the
-// in-process provider reports ok=false — it makes no syscalls).
+// counters when the provider keeps them (tcp does; the in-process
+// provider reports ok=false — it makes no syscalls).
 func (m *Messenger) WireCounters() (c WireCounters, ok bool) {
 	ws, ok := m.qp.(WireStatter)
 	if !ok {
@@ -302,10 +291,10 @@ func (m *Messenger) SendEncoded(size int, encode func(dst []byte) int) error {
 // SendEncodedAsync is SendEncoded that returns once the message is
 // posted to the wire instead of waiting for its completion: done(err)
 // runs later, from the completion dispatcher, in send order. Up to
-// MessengerSendWindow posts may be in flight, which is what lets a
-// burst of hop envelopes reach the transport as one submission batch;
-// when the window is full the call blocks (backpressure), preserving
-// the bounded-memory property of the blocking path.
+// MessengerSendWindow posts may be in flight, so a burst of messages
+// pipelines onto the wire; when the window is full the call blocks
+// (backpressure), preserving the bounded-memory property of the
+// blocking path.
 func (m *Messenger) SendEncodedAsync(size int, encode func(dst []byte) int, done func(error)) error {
 	if size > m.maxMsg {
 		return ErrTooLarge
@@ -421,9 +410,8 @@ func (m *Messenger) SendVectored(parts [][]byte) error {
 // posted: the parts must stay valid and unmodified until done(err)
 // runs, from the completion dispatcher, in send order. The hop flush
 // loop uses this so a revolution's worth of envelopes pipelines onto
-// the wire — the uring backend turns the queued run into one linked
-// submission chain per io_uring_enter — instead of paying a full
-// post-complete round trip per envelope.
+// the wire instead of paying a full post-complete round trip per
+// envelope.
 func (m *Messenger) SendVectoredAsync(parts [][]byte, done func(error)) error {
 	total := 0
 	bufs := make(net.Buffers, 0, len(parts))

@@ -85,7 +85,7 @@ type Completion struct {
 // QueuePair is a point-to-point asynchronous channel between two ring
 // neighbours: sends and receives are posted, completions are polled —
 // the RDMA execution model that lets computation overlap communication
-// (§2.3). Implementations: inproc (pipe), TCP and io_uring.
+// (§2.3). Implementations: inproc (pipe) and TCP.
 type QueuePair interface {
 	// PostSend queues the first n bytes of mr for transmission and
 	// returns immediately; the completion arrives on SendCompletions.
@@ -292,7 +292,6 @@ type tcpQP struct {
 	closeErr  error
 
 	syscalls int64 // atomic: write/read calls issued (lower bound, see WireCounters)
-	submits  int64 // atomic: gather writes issued
 }
 
 // NewTCP wraps an established connection in a queue pair.
@@ -331,7 +330,6 @@ func (qp *tcpQP) sendLoop() {
 			bufs = append(bufs, hdr[:])
 			bufs = append(bufs, parts...)
 			atomic.AddInt64(&qp.syscalls, 1) // ≥1 writev; WriteTo loops on short writes
-			atomic.AddInt64(&qp.submits, 1)
 			if _, err := bufs.WriteTo(qp.conn); err != nil {
 				// A short or failed gather write leaves the peer mid-frame
 				// with no way to resynchronize the length-prefixed stream:
@@ -466,10 +464,7 @@ func (qp *tcpQP) Done() <-chan struct{}              { return qp.done }
 // netpoller's epoll_pwait and futex wakeups under each blocking read
 // come on top and are not visible from here.
 func (qp *tcpQP) WireCounters() WireCounters {
-	return WireCounters{
-		Syscalls: atomic.LoadInt64(&qp.syscalls),
-		Submits:  atomic.LoadInt64(&qp.submits),
-	}
+	return WireCounters{Syscalls: atomic.LoadInt64(&qp.syscalls)}
 }
 
 // abort tears the wire down without waiting for the loops, so the send

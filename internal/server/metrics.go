@@ -1,7 +1,7 @@
 // Prometheus-style text exposition of the query service's counters.
 // The server already aggregates everything a scraper wants into
 // NodeStats (admission, plan cache, fragment cache, hop transport, wire
-// backend, membership, latency quantiles); this file renders those
+// syscalls, membership, latency quantiles); this file renders those
 // snapshots in the text format any Prometheus-compatible collector can
 // ingest, on a separate listener so scrapes never compete with query
 // traffic for protocol framing or admission slots.
@@ -14,11 +14,6 @@ import (
 	"net"
 	"net/http"
 )
-
-// cqeBucketLabels names the WireCounters.CqeBatch histogram buckets
-// (completions reaped per io_uring_enter; see rdma.WireCounters). The
-// hop fill histogram HopFill uses the same bucket boundaries.
-var cqeBucketLabels = [8]string{"1", "2", "3-4", "5-8", "9-16", "17-32", "33-64", ">64"}
 
 // metricsServer is the optional /metrics HTTP listener.
 type metricsServer struct {
@@ -139,23 +134,9 @@ func (s *Server) renderMetrics(b *bytes.Buffer) {
 	for i, st := range stats {
 		line("dc_hop_bytes_total", i, "", st.HopBytes)
 	}
-	head("dc_backend_info", "gauge", "Wire backend of the node's data links (constant 1; fallback is why auto degraded, empty when it did not).")
-	for i, st := range stats {
-		line("dc_backend_info", i, fmt.Sprintf(",backend=%q,fallback=%q", st.Backend, st.BackendFallback), 1)
-	}
-	head("dc_wire_syscalls_total", "counter", "Syscalls issued by the wire backend (enters on uring; a lower bound of reads+writes on tcp).")
+	head("dc_wire_syscalls_total", "counter", "Reads and writes issued on the data links (a lower bound of syscalls).")
 	for i, st := range stats {
 		line("dc_wire_syscalls_total", i, "", st.WireSyscalls)
-	}
-	head("dc_wire_submits_total", "counter", "Wire submissions (uring enters that pushed SQEs; gather writes on tcp).")
-	for i, st := range stats {
-		line("dc_wire_submits_total", i, "", st.WireSubmits)
-	}
-	head("dc_wire_cqe_batch_total", "counter", "io_uring completions reaped per enter, by batch-size bucket.")
-	for i, st := range stats {
-		for bi, v := range st.CqeBatch {
-			line("dc_wire_cqe_batch_total", i, fmt.Sprintf(",batch=%q", cqeBucketLabels[bi]), v)
-		}
 	}
 	head("dc_query_latency_seconds", "gauge", "Completed-query latency quantiles.")
 	for i, st := range stats {

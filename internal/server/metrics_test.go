@@ -55,8 +55,6 @@ func TestMetricsScrape(t *testing.T) {
 		"# TYPE dc_queries_total counter",
 		`dc_queries_total{node="0",ring="",outcome="ok"} 1`,
 		`dc_queries_total{node="1",ring="",outcome="ok"} 0`,
-		"# TYPE dc_backend_info gauge",
-		`dc_backend_info{node="0",ring="",backend="tcp",fallback=""} 1`,
 		"# TYPE dc_wire_syscalls_total counter",
 		"# TYPE dc_query_latency_seconds gauge",
 		`dc_query_latency_count{node="0",ring=""} 1`,
@@ -82,24 +80,5 @@ func TestMetricsDisabledByDefault(t *testing.T) {
 	_, s := servedRing(t, 2, live.DefaultConfig(), server.DefaultConfig())
 	if addr := s.MetricsAddr(); addr != "" {
 		t.Fatalf("MetricsAddr = %q on a server without metrics", addr)
-	}
-}
-
-// The stats frame must carry the backend fields to network clients.
-func TestStatsFrameCarriesBackend(t *testing.T) {
-	ringCfg := live.DefaultConfig()
-	ringCfg.Transport = live.TCP
-	_, s := servedRing(t, 2, ringCfg, server.DefaultConfig())
-	cl, err := dcclient.Dial(s.Addr(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	st, err := cl.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Backend != "tcp" {
-		t.Fatalf("stats frame Backend = %q, want tcp", st.Backend)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -11,13 +12,38 @@ import (
 	"repro/internal/mal"
 )
 
-func TestHelloRoundtrip(t *testing.T) {
-	h := Hello{
+// The handshakes and result set the round-trip tests pin down; the fuzz
+// targets start from their encodings.
+var (
+	membershipHello = Hello{
 		Node: 2, Ring: 5, MaxInFlight: 8,
 		ViewVersion: 7,
 		Addrs:       []string{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"},
 		Alive:       []bool{true, false, true},
 	}
+	tieredHello = Hello{
+		Node: 1, Ring: 4, MaxInFlight: 8,
+		ViewVersion: 3,
+		Addrs:       []string{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003", "127.0.0.1:9004"},
+		Alive:       []bool{true, true, true, false},
+		Rings:       []string{"hot", "hot", "cold", "cold"},
+	}
+)
+
+func mixedResult() *mal.ResultSet {
+	return &mal.ResultSet{
+		Names: []string{"id", "name", "score", "flag"},
+		Cols: []*bat.BAT{
+			bat.MakeInts("id", []int64{1, 2, 3}),
+			bat.MakeStrs("name", []string{"a", "", "ccc"}),
+			bat.MakeFloats("score", []float64{0.5, -1, 2.25}),
+			bat.New("flag", bat.DenseColumn(0, 3), bat.BoolColumn([]bool{true, false, true})),
+		},
+	}
+}
+
+func TestHelloRoundtrip(t *testing.T) {
+	h := membershipHello
 	payload, err := EncodeHello(h)
 	if err != nil {
 		t.Fatal(err)
@@ -63,13 +89,7 @@ func TestHelloLegacyDecode(t *testing.T) {
 }
 
 func TestHelloRingsRoundtrip(t *testing.T) {
-	h := Hello{
-		Node: 1, Ring: 4, MaxInFlight: 8,
-		ViewVersion: 3,
-		Addrs:       []string{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003", "127.0.0.1:9004"},
-		Alive:       []bool{true, true, true, false},
-		Rings:       []string{"hot", "hot", "cold", "cold"},
-	}
+	h := tieredHello
 	payload, err := EncodeHello(h)
 	if err != nil {
 		t.Fatal(err)
@@ -118,15 +138,7 @@ func TestHelloRingsRoundtrip(t *testing.T) {
 }
 
 func TestResultRoundtrip(t *testing.T) {
-	rs := &mal.ResultSet{
-		Names: []string{"id", "name", "score", "flag"},
-		Cols: []*bat.BAT{
-			bat.MakeInts("id", []int64{1, 2, 3}),
-			bat.MakeStrs("name", []string{"a", "", "ccc"}),
-			bat.MakeFloats("score", []float64{0.5, -1, 2.25}),
-			bat.New("flag", bat.DenseColumn(0, 3), bat.BoolColumn([]bool{true, false, true})),
-		},
-	}
+	rs := mixedResult()
 	payload, err := EncodeResult(rs)
 	if err != nil {
 		t.Fatal(err)
@@ -246,4 +258,152 @@ func TestDecodeResultCorrupt(t *testing.T) {
 	if _, err := DecodeResult([]byte("\xff\xff\xff\xff nonsense")); err == nil {
 		t.Fatal("garbage accepted")
 	}
+}
+
+// FuzzReadFrame feeds arbitrary bytes to ReadFrame under a limit: it
+// must not panic, must never allocate for a payload past the limit, and
+// a frame it accepts must re-encode to the bytes it was read from.
+func FuzzReadFrame(f *testing.F) {
+	hello, _ := EncodeHello(membershipHello)
+	result, _ := EncodeResult(mixedResult())
+	for _, fr := range []struct {
+		typ     byte
+		payload []byte
+	}{
+		{FrameHello, []byte(Magic)}, {FrameHelloOK, hello}, {FrameQuery, []byte("select 1")},
+		{FrameResult, result}, {FrameError, EncodeError(CodeRejected, "busy")}, {FrameStats, nil},
+	} {
+		var b bytes.Buffer
+		WriteFrame(&b, fr.typ, fr.payload)
+		f.Add(b.Bytes(), uint16(len(fr.payload)))
+		f.Add(b.Bytes(), uint16(len(fr.payload)/2))
+	}
+	f.Add([]byte("\xff\xff\xff\xff\x04"), uint16(1024))
+	f.Fuzz(func(t *testing.T, data []byte, max uint16) {
+		limit := int(max)
+		var (
+			typ     byte
+			payload []byte
+			err     error
+		)
+		// Slack covers the reader, the error value and the runtime's own
+		// small allocations; a length prefix obeyed past the limit shows
+		// up as up to 4 GiB. An overrun is measured a second time, so
+		// another goroutine's allocation cannot pass for ReadFrame's.
+		bound := uint64(limit) + 64<<10
+		for try := 0; try < 2; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			typ, payload, err = ReadFrame(bytes.NewReader(data), limit)
+			runtime.ReadMemStats(&after)
+			got := after.TotalAlloc - before.TotalAlloc
+			if got <= bound {
+				break
+			}
+			if try == 1 {
+				t.Fatalf("ReadFrame allocated %d bytes under a %d-byte limit", got, limit)
+			}
+		}
+		if err != nil {
+			return
+		}
+		if len(payload) > limit {
+			t.Fatalf("payload of %d bytes under a %d-byte limit", len(payload), limit)
+		}
+		var b bytes.Buffer
+		if err := WriteFrame(&b, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, b.Bytes()) {
+			t.Fatalf("frame re-encodes to %x, read from %x", b.Bytes(), data)
+		}
+	})
+}
+
+// FuzzDecodeHello: DecodeHello must reject or decode any payload without
+// panicking, and what it decodes must re-encode to the bytes it came
+// from, up to the decoder's documented leniencies — the 24-byte legacy
+// form, any nonzero alive byte, and trailing bytes it ignores.
+func FuzzDecodeHello(f *testing.F) {
+	for _, h := range []Hello{membershipHello, tieredHello, {Node: 1, Ring: 3, MaxInFlight: 4}} {
+		payload, err := EncodeHello(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+		f.Add(payload[:helloSize])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := DecodeHello(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeHello(h)
+		if err != nil {
+			t.Fatalf("decoded hello %+v does not re-encode: %v", h, err)
+		}
+		if len(data) == helloSize {
+			if !bytes.Equal(enc[:helloSize], data) {
+				t.Fatalf("legacy hello re-encodes to %x, read from %x", enc[:helloSize], data)
+			}
+			return
+		}
+		// The canonical alive byte is 0 or 1; normalise data's before
+		// comparing.
+		norm := append([]byte(nil), data...)
+		off := helloSize + 12
+		for i, a := range h.Addrs {
+			if h.Alive[i] {
+				norm[off] = 1
+			}
+			off += 5 + len(a)
+		}
+		if !bytes.HasPrefix(norm, enc) {
+			t.Fatalf("hello re-encodes to %x, read from %x", enc, data)
+		}
+	})
+}
+
+// FuzzDecodeResult: DecodeResult must reject or decode any payload
+// without panicking, every decoded column must be walkable, and a
+// decoded result re-encodes to a frame that decodes to the same names
+// and column bytes — the encoder's output is its canonical form.
+func FuzzDecodeResult(f *testing.F) {
+	for _, rs := range []*mal.ResultSet{
+		mixedResult(), {},
+		{Names: []string{"none"}, Cols: []*bat.BAT{bat.MakeInts("none", nil)}},
+	} {
+		payload, err := EncodeResult(rs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	f.Add([]byte("\xff\xff\xff\xff nonsense"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rs, err := DecodeResult(data)
+		if err != nil {
+			return
+		}
+		for _, c := range rs.Cols {
+			for i := 0; i < c.Len(); i++ {
+				_ = c.Head().Value(i)
+				_ = c.Tail().Value(i)
+			}
+		}
+		enc, err := EncodeResult(rs)
+		if err != nil {
+			t.Fatalf("decoded result does not re-encode: %v", err)
+		}
+		again, err := DecodeResult(enc)
+		if err != nil {
+			t.Fatalf("re-encoded result does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again.Names, rs.Names) {
+			t.Fatalf("names %q came back as %q", rs.Names, again.Names)
+		}
+		if enc2, _ := EncodeResult(again); !bytes.Equal(enc2, enc) {
+			t.Fatalf("re-encoding is not a fixed point: %x then %x", enc, enc2)
+		}
+	})
 }

@@ -108,18 +108,10 @@ type NodeStats struct {
 	PoolAcquires   int64
 	PoolWaits      int64
 
-	// Wire backend of the served ring's data links (see live.HopStats):
-	// which transport backend carries hops, why auto fell back to tcp
-	// (empty when it didn't), and syscall-layer accounting —
-	// WireSyscalls/HopMsgs is the syscalls-per-hop figure the uring
-	// benchmark gates on. CqeBatch histograms completions reaped per
-	// io_uring_enter (buckets 1, 2, 3-4, 5-8, ..., >64); all-zero on
-	// the tcp backend.
-	Backend         string
-	BackendFallback string
-	WireSyscalls    int64
-	WireSubmits     int64
-	CqeBatch        [8]int64
+	// Reads and writes on the served ring's data links (see
+	// live.HopStats); WireSyscalls/HopMsgs is the syscalls-per-hop
+	// figure.
+	WireSyscalls int64
 
 	// Membership/failover counters of the served ring node (see
 	// live.MembershipStats): the failure detector's view, replica
@@ -437,11 +429,7 @@ func (s *Server) Stats(i int) NodeStats {
 	st.HopUnparked = hs.Unparked
 	st.PoolAcquires = hs.PoolAcquires
 	st.PoolWaits = hs.PoolWaits
-	st.Backend = hs.Backend
-	st.BackendFallback = hs.BackendFallback
 	st.WireSyscalls = hs.WireSyscalls
-	st.WireSubmits = hs.WireSubmits
-	st.CqeBatch = hs.CqeBatch
 	ms := ns.node.MembershipStats()
 	st.MembEnabled = ms.Enabled
 	st.MembViewVersion = ms.ViewVersion
