@@ -107,26 +107,6 @@ type (
 	// the admitted node, its splice-in neighbours, and how much of its
 	// fragment share the rebalancing transfer actually moved.
 	JoinReport = live.JoinReport
-	// Router is a routed multi-ring runtime: a small fast hot ring for
-	// the working set and a wide cold ring for everything else, with
-	// LOI-driven fragment migration between them.
-	Router = live.Router
-	// RouterConfig configures a routed runtime (tier count, ring sizes,
-	// promotion/demotion heat thresholds, flash-crowd trigger).
-	RouterConfig = live.RouterConfig
-	// RingID names one ring of a routed runtime.
-	RingID = live.RingID
-	// TierStats snapshots a routed runtime's tiering counters
-	// (residency, promotions, demotions, flash promotions).
-	TierStats = live.TierStats
-)
-
-// Ring identities of a two-tier routed runtime.
-const (
-	// HotRing is the small fast ring (short revolution, caches on).
-	HotRing = live.HotRing
-	// ColdRing is the wide slow ring (batched hops, parked-by-default).
-	ColdRing = live.ColdRing
 )
 
 // Hot-set cache eviction policies (LiveConfig.CacheMode). The cache
@@ -186,24 +166,6 @@ func NewLiveRing(n int, columns map[string]*BAT, schema Schema, cfg LiveConfig) 
 
 // DefaultLiveConfig suits in-process live rings.
 func DefaultLiveConfig() LiveConfig { return live.DefaultConfig() }
-
-// NewRouter builds a routed multi-ring runtime over the given columns:
-// data starts on the cold ring and migrates to the hot ring as query
-// heat concentrates on it. (A single ring is NewLiveRing.)
-func NewRouter(columns map[string]*BAT, schema Schema, cfg RouterConfig) (*Router, error) {
-	return live.NewRouter(columns, schema, cfg)
-}
-
-// DefaultRouterConfig suits in-process two-tier runtimes.
-func DefaultRouterConfig() RouterConfig { return live.DefaultRouterConfig() }
-
-// ServeRouter starts the network query service in front of a routed
-// runtime: one TCP listener per node of every ring, hot ring first,
-// with the handshake labelling each address's ring so clients can
-// prefer same-ring failover targets.
-func ServeRouter(rtr *Router, cfg ServerConfig) (*QueryServer, error) {
-	return server.ServeRouter(rtr, cfg)
-}
 
 // CompileSQL compiles a SELECT statement against schema into a MAL plan
 // (sql.bind form, as MonetDB's front-end would emit it).

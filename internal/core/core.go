@@ -299,8 +299,6 @@ func (rt *Runtime) OutstandingRequests() int { return len(rt.s2) }
 
 // HasRequest reports whether b has an outstanding S2 request on this
 // node — live interest that has not yet been delivered or cancelled.
-// Cross-ring migration drains on this: a fragment leaves a ring only
-// once no node of that ring still awaits it.
 func (rt *Runtime) HasRequest(b BATID) bool {
 	_, ok := rt.s2[b]
 	return ok

@@ -543,3 +543,26 @@ func TestStatsAndString(t *testing.T) {
 		t.Fatalf("ID = %d", rt.ID())
 	}
 }
+
+func TestHasRequestAndParked(t *testing.T) {
+	env := &mockEnv{queueCap: 1000}
+	rt := New(0, env, DefaultConfig())
+	rt.AddOwned(1, 100)
+	if rt.HasRequest(2) {
+		t.Fatal("no request registered yet")
+	}
+	rt.Request(7, 2)
+	if !rt.HasRequest(2) {
+		t.Fatal("Request must create an S2 entry")
+	}
+	rt.CancelQuery(7, []BATID{2})
+	if rt.HasRequest(2) {
+		t.Fatal("CancelQuery must drop the S2 entry")
+	}
+	if rt.Parked(1) {
+		t.Fatal("freshly owned BAT is not parked")
+	}
+	if rt.Parked(99) {
+		t.Fatal("unowned BAT is not parked")
+	}
+}

@@ -158,15 +158,6 @@ func (cl *Client) Peers() (addrs []string, alive []bool) {
 	return append([]string(nil), cl.hello.Addrs...), append([]bool(nil), cl.hello.Alive...)
 }
 
-// Rings reports the per-node ring labels from the last good handshake.
-// Empty on a single-ring server — only a tiered runtime labels its
-// address list (see server.ServeRouter).
-func (cl *Client) Rings() []string {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return append([]string(nil), cl.hello.Rings...)
-}
-
 // Query executes sql on the connected node, honouring ctx's deadline
 // and cancellation for the whole round trip (including dialing a fresh
 // connection when the pool is empty).
@@ -237,7 +228,6 @@ func (cl *Client) queryFailover(ctx context.Context, sql string, orig error) (*m
 		homeIdx := cl.hello.Node
 		addrs := append([]string(nil), cl.hello.Addrs...)
 		alive := append([]bool(nil), cl.hello.Alive...)
-		rings := append([]string(nil), cl.hello.Rings...)
 		cl.mu.Unlock()
 		if len(addrs) == 0 {
 			return nil, orig // no routing cache: nothing to fail over to
@@ -245,7 +235,7 @@ func (cl *Client) queryFailover(ctx context.Context, sql string, orig error) (*m
 		if homeIdx < 0 || homeIdx >= len(addrs) {
 			homeIdx = 0
 		}
-		for _, i := range failoverOrder(homeIdx, len(addrs), rings) {
+		for _, i := range failoverOrder(homeIdx, len(addrs)) {
 			if ctx.Err() != nil {
 				return nil, orig
 			}
@@ -270,28 +260,13 @@ func (cl *Client) queryFailover(ctx context.Context, sql string, orig error) (*m
 }
 
 // failoverOrder lists the candidate indexes of one failover pass: ring
-// order starting after the home position. On a tiered server (the
-// handshake labelled each address with its ring) the home ring's peers
-// come first — they serve the same query ring, so a same-tier survivor
-// answers directly instead of forcing a cross-ring detour — and the
-// other rings' nodes follow as a last resort, still in order. Without
-// labels this is plain ring order, exactly as before.
-func failoverOrder(homeIdx, n int, rings []string) []int {
-	homeRing := ""
-	if homeIdx >= 0 && homeIdx < len(rings) {
-		homeRing = rings[homeIdx]
+// order starting after the home position, the home last.
+func failoverOrder(homeIdx, n int) []int {
+	order := make([]int, n)
+	for k := range order {
+		order[k] = (homeIdx + k + 1) % n
 	}
-	order := make([]int, 0, n)
-	var rest []int
-	for k := 1; k <= n; k++ {
-		i := (homeIdx + k) % n
-		if len(rings) == n && rings[i] != homeRing {
-			rest = append(rest, i)
-			continue
-		}
-		order = append(order, i)
-	}
-	return append(order, rest...)
+	return order
 }
 
 // backoff sleeps the exponential delay preceding failover pass `round`

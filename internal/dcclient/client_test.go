@@ -433,29 +433,21 @@ func TestFailoverRoundsBounded(t *testing.T) {
 	}
 }
 
-func TestFailoverOrderPrefersSameRing(t *testing.T) {
-	check := func(got, want []int) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("order = %v, want %v", got, want)
-			}
+// TestFailoverOrderRingOrder: a failover pass tries the peers in ring
+// order after the home, and the home itself last (later rounds
+// reconsider a restarted home).
+func TestFailoverOrderRingOrder(t *testing.T) {
+	for _, tc := range []struct {
+		home, n int
+		want    []int
+	}{
+		{1, 3, []int{2, 0, 1}},
+		{0, 4, []int{1, 2, 3, 0}},
+		{3, 4, []int{0, 1, 2, 3}},
+		{0, 1, []int{0}},
+	} {
+		if got := failoverOrder(tc.home, tc.n); !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("failoverOrder(%d, %d) = %v, want %v", tc.home, tc.n, got, tc.want)
 		}
 	}
-	// Tiered server: home is hot node 1 of [hot hot cold cold]. The
-	// remaining hot peer comes before any cold node; the home itself
-	// stays in the list (later rounds reconsider a restarted home).
-	rings := []string{"hot", "hot", "cold", "cold"}
-	check(failoverOrder(1, 4, rings), []int{0, 1, 2, 3})
-	// Cold home: cold peers first, hot last.
-	check(failoverOrder(2, 4, rings), []int{3, 2, 0, 1})
-	// No labels (single-ring server): plain ring order after home,
-	// exactly the pre-tiering behavior.
-	check(failoverOrder(1, 3, nil), []int{2, 0, 1})
-	// A stale label list (count mismatch after a join) is ignored
-	// rather than trusted.
-	check(failoverOrder(0, 3, []string{"hot", "cold"}), []int{1, 2, 0})
 }

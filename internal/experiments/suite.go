@@ -39,7 +39,6 @@ var Suites = []Suite{
 	{"hop", 42, sweep(DefaultHopOpts, HopSweep)},
 	{"failover", 42, sweep(DefaultFailoverOpts, FailoverSweep)},
 	{"join", 42, sweep(DefaultJoinOpts, JoinSweep)},
-	{"tier", 1, sweep(DefaultTierOpts, TierSweep)},
 }
 
 // sweep adapts a suite's (default opts, Short preset, sweep function)

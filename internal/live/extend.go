@@ -45,34 +45,18 @@ func (n *Node) Publish(name string, b *bat.BAT) (core.BATID, error) {
 		return 0, fmt.Errorf("live: intermediate %q (%d wire bytes) exceeds ring message limit %d",
 			name, wire, n.ring.MaxMessage())
 	}
-	// The catalog maps are shared by every ring of a routed runtime, so
-	// the extension happens once, under all rings' catalog locks; the
-	// new fragment is homed on the publishing ring.
 	r := n.ring
-	tiers := r.tiers()
-	for _, rg := range tiers {
-		rg.idsMu.Lock()
-	}
-	_, exists := r.cols[name]
-	var id core.BATID
-	if !exists {
-		id = core.BATID(atomic.AddInt64(&nextDynamicID, 1))
-		r.cols[name] = &colFrags{ids: []core.BATID{id}}
-		r.fragVer[id] = &atomic.Int64{}
-		r.fragCol[id] = name
-		for _, rg := range tiers {
-			rg.names = append(rg.names, name)
-		}
-	}
-	for i := len(tiers) - 1; i >= 0; i-- {
-		tiers[i].idsMu.Unlock()
-	}
-	if exists {
+	r.idsMu.Lock()
+	if _, exists := r.cols[name]; exists {
+		r.idsMu.Unlock()
 		return 0, fmt.Errorf("live: fragment %q already published", name)
 	}
-	if r.router != nil {
-		r.router.setHome(id, r.id)
-	}
+	id := core.BATID(atomic.AddInt64(&nextDynamicID, 1))
+	r.cols[name] = &colFrags{ids: []core.BATID{id}}
+	r.fragVer[id] = &atomic.Int64{}
+	r.fragCol[id] = name
+	r.names = append(r.names, name)
+	r.idsMu.Unlock()
 	// Same placement rule as base fragments, so a published intermediate
 	// survives its owner's death too.
 	chain := replicaChain(r, n.id)
@@ -126,9 +110,8 @@ func (n *Node) Fetch(name string) (*bat.BAT, error) {
 // fragments are merged for fn, and the new version is divided over the
 // same fragment count — fragment identity is stable, so in-flight
 // requests keep their meaning — at the same rows when its length allows,
-// with each new fragment installed at its own owner, on whichever ring
-// of a routed runtime it is homed. It returns the new version number
-// (base data is version 0).
+// with each new fragment installed at its own owner. It returns the new
+// version number (base data is version 0).
 func (r *Ring) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error) {
 	ids, ok := r.Fragments(name)
 	if !ok {
@@ -138,11 +121,11 @@ func (r *Ring) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error
 	lock.Lock()
 	defer lock.Unlock()
 
-	// Gather: under the column lock no move can flip an owner or a home.
+	// Gather: under the column lock no move can flip an owner.
 	owners := make([]*Node, len(ids))
 	frags := make([]*bat.BAT, len(ids))
 	for i, id := range ids {
-		owner := r.homeRing(id).ownerOf(id)
+		owner := r.ownerOf(id)
 		if owner == nil {
 			return 0, fmt.Errorf("live: no owner for fragment %d of %q", i, name)
 		}
@@ -162,8 +145,7 @@ func (r *Ring) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error
 	// Split: at the current boundaries when the length is unchanged, so
 	// the column stays aligned with its table's other columns and
 	// fragment-local regions keep running per fragment; a new length
-	// re-divides evenly. Each fragment must fit the regions of the ring
-	// it lives on.
+	// re-divides evenly. Each fragment must fit the ring's regions.
 	spans := make([][2]int, len(ids))
 	rows := 0
 	for i, f := range frags {
@@ -178,9 +160,9 @@ func (r *Ring) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error
 		if len(ids) > 1 {
 			frags[i] = next.Slice(sp[0], sp[1])
 		}
-		if rg, wire := owners[i].ring, dataHdrSize+bat.MarshalSize(frags[i]); wire > rg.MaxMessage() {
-			return 0, fmt.Errorf("live: new version of %q fragment %d (%d wire bytes) exceeds %v ring message limit %d",
-				name, i, wire, rg.id, rg.MaxMessage())
+		if wire := dataHdrSize + bat.MarshalSize(frags[i]); wire > r.MaxMessage() {
+			return 0, fmt.Errorf("live: new version of %q fragment %d (%d wire bytes) exceeds ring message limit %d",
+				name, i, wire, r.MaxMessage())
 		}
 	}
 
@@ -192,12 +174,11 @@ func (r *Ring) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error
 	reps := make([][]*Node, len(ids))
 	locked := append([]*Node(nil), owners...)
 	for i, id := range ids {
-		reps[i] = owners[i].ring.replicaNodes(id)
+		reps[i] = r.replicaNodes(id)
 		locked = append(locked, reps[i]...)
 	}
 	unlock := lockNodes(locked...)
 	defer unlock()
-	tiers := r.tiers()
 	version := 0
 	for i, id := range ids {
 		ver := owners[i].versions[id] + 1
@@ -211,11 +192,9 @@ func (r *Ring) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error
 		r.idsMu.RLock()
 		r.fragVer[id].Store(int64(ver))
 		r.idsMu.RUnlock()
-		for _, rg := range tiers {
-			for _, node := range rg.nodeList() {
-				if node.hot != nil {
-					node.hot.invalidateBelow(id, ver)
-				}
+		for _, node := range r.nodeList() {
+			if node.hot != nil {
+				node.hot.invalidateBelow(id, ver)
 			}
 		}
 		if ver > version {

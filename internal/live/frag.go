@@ -157,11 +157,11 @@ const maxSnapshotRetries = 64
 //     this query is withdrawn.
 //  2. an in-flight wait for the same (id, version) by another local pin:
 //     join it instead of registering a second waiter (singleflight).
-//  3. the ring the fragment is homed on (fetchCurrent; the only path
-//     when the cache is disabled).
+//  3. the ring's circulation (fetchCurrent; the only path when the
+//     cache is disabled).
 //
-// One rule holds on every path, cached or not, routed or not: a pin
-// never returns a version below the catalog's at acquisition.
+// One rule holds on every path, cached or not: a pin never returns a
+// version below the catalog's at acquisition.
 //
 // viaRing reports whether the acquisition holds runtime refs (a pin and
 // a refcounted payload) the caller must release after use; node-local
@@ -169,33 +169,20 @@ const maxSnapshotRetries = 64
 // abort (nil for single pins) abandons the wait with errPinAborted.
 func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (b *bat.BAT, ver int, viaRing bool, err error) {
 	n := d.n
-	local := true
-	if rtr := n.ring.router; rtr != nil {
-		// Routed runtime: resolve the fragment's home ring at pin time,
-		// holding the access counter for the duration of the
-		// acquisition — a cross-ring migration drains on that counter
-		// before the source copy is released, so a pin dispatched here
-		// always finds a serving owner on the ring it resolved to.
-		home, release := rtr.beginAccess(id)
-		defer release()
-		local = home == n.ring.id
-	}
 	if n.hot == nil {
 		return d.fetchCurrent(id, n.ring.fragVersion(id), abort)
 	}
-	if local {
-		// Fragments this node owns are served synchronously from the
-		// store: no cache entry exists for them (dataLoop skips own
-		// fragments), so consulting the cache would only count a miss
-		// that never involved the ring, and a flight would dedupe waits
-		// that do not wait. The owner's version is the catalog's
-		// (move.go invariant 1), read here without a second lock.
-		n.mu.Lock()
-		owned, cur := n.rt.Owns(id), n.versions[id]
-		n.mu.Unlock()
-		if owned {
-			return d.fetchCurrent(id, cur, abort)
-		}
+	// Fragments this node owns are served synchronously from the store:
+	// no cache entry exists for them (dataLoop skips own fragments), so
+	// consulting the cache would only count a miss that never involved
+	// the ring, and a flight would dedupe waits that do not wait. The
+	// owner's version is the catalog's (move.go invariant 1), read here
+	// without a second lock.
+	n.mu.Lock()
+	owned, cur := n.rt.Owns(id), n.versions[id]
+	n.mu.Unlock()
+	if owned {
+		return d.fetchCurrent(id, cur, abort)
 	}
 	for {
 		cur := n.ring.fragVersion(id)
@@ -214,9 +201,9 @@ func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (b *bat.BAT,
 			b, ver, viaRing, err = d.fetchCurrent(id, cur, abort)
 			n.hot.finishFlight(id, cur, fl, b, ver)
 			if err == nil && !viaRing {
-				// Fetched off-ring (another tier, or the owner's store):
-				// seed the cache so repeat pins stay node-local until
-				// the version moves.
+				// Read from the owner's store, off the ring: seed the
+				// cache so repeat pins stay node-local until the version
+				// moves.
 				n.hot.put(id, ver, b)
 			}
 			return b, ver, viaRing, err
@@ -242,44 +229,32 @@ func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (b *bat.BAT,
 	}
 }
 
-// fetchCurrent obtains fragment id at version cur or newer from the ring
-// it is homed on — re-resolved every round, so the acquisition chases
-// the fragment's current home instead of a ring it has left: a delegate
-// on another ring (remotePin), or this ring's circulation (ringPin).
-// The ring can hand back a copy older than cur — Deliver serves transit
-// and query-pinned payloads as they are, and an orbit copy refreshes
-// only when a pass takes it through its owner — so a stale delivery is
-// dropped and the bytes taken from the owner's store instead, which is
-// catalog-current by construction (move.go invariant 1).
+// fetchCurrent obtains fragment id at version cur or newer through the
+// ring's circulation (ringPin). The ring can hand back a copy older
+// than cur — Deliver serves transit and query-pinned payloads as they
+// are, and an orbit copy refreshes only when a pass takes it through
+// its owner — so a stale delivery is dropped and the bytes taken from
+// the owner's store instead, which is catalog-current by construction
+// (move.go invariant 1).
 func (d *queryDC) fetchCurrent(id core.BATID, cur int, abort <-chan struct{}) (b *bat.BAT, ver int, viaRing bool, err error) {
-	n := d.n
 	for {
-		home := n.ring.homeRing(id)
-		if home != n.ring {
-			b, ver, err = d.remotePin(id, abort)
-			if err != nil || ver >= cur {
-				return b, ver, false, err
-			}
-			continue
-		}
-		b, ver, err = d.ringPin(id, abort, n.ring.pinWait)
-		if err == nil && ver >= cur {
-			return b, ver, true, nil
-		}
-		if err == nil {
-			d.releaseRing(id)
-		} else if err != errRingWaitTimeout {
+		b, ver, err = d.ringPin(id, abort)
+		if err != nil {
 			return nil, 0, false, err
 		}
-		if ob, over, ok := ownerStoreRead(home, id); ok && over >= cur {
+		if ver >= cur {
+			return b, ver, true, nil
+		}
+		d.releaseRing(id)
+		if ob, over, ok := ownerStoreRead(d.n.ring, id); ok && over >= cur {
 			return ob, over, false, nil
 		}
 	}
 }
 
-// ownerStoreRead reads a fragment straight from its owner's store on
-// ring r — fetchCurrent's stale-orbit fallback. The returned BAT is
-// immutable and GC-owned; the caller holds no runtime refs on it.
+// ownerStoreRead reads a fragment straight from its owner's store —
+// fetchCurrent's stale-orbit fallback. The returned BAT is immutable
+// and GC-owned; the caller holds no runtime refs on it.
 func ownerStoreRead(r *Ring, id core.BATID) (*bat.BAT, int, bool) {
 	owner := r.ownerOf(id)
 	if owner == nil {
@@ -295,24 +270,11 @@ func ownerStoreRead(r *Ring, id core.BATID) (*bat.BAT, int, bool) {
 	return b, ver, true
 }
 
-// routedRingWait bounds a circulation wait on a routed cache-less ring
-// (Ring.pinWait): long enough to cover several cold revolutions, short
-// enough that a pin wedged by a migration race (the fragment left the
-// ring, or its orbit copy died without reaching us) falls back to the
-// owner store promptly.
-const routedRingWait = 250 * time.Millisecond
-
-// errRingWaitTimeout marks a bounded ring wait that expired; it never
-// surfaces to callers — acquireFrag falls back or retries.
-var errRingWaitTimeout = errors.New("live: ring wait timed out")
-
 // ringPin is the circulation path: register a waiter, announce the pin,
 // and block until delivery. Only time actually spent blocked counts as
 // ring wait — a synchronous delivery (owner store, or a payload another
-// local pin already holds) involves no circulation and no wait. A
-// non-zero timeout bounds the blocked wait: on expiry the pin is
-// abandoned and errRingWaitTimeout returned.
-func (d *queryDC) ringPin(id core.BATID, abort <-chan struct{}, timeout time.Duration) (*bat.BAT, int, error) {
+// local pin already holds) involves no circulation and no wait.
+func (d *queryDC) ringPin(id core.BATID, abort <-chan struct{}) (*bat.BAT, int, error) {
 	n := d.n
 	ch := make(chan delivered, 1)
 	n.mu.Lock()
@@ -327,12 +289,6 @@ func (d *queryDC) ringPin(id core.BATID, abort <-chan struct{}, timeout time.Dur
 		return dv.b, dv.ver, nil
 	default:
 	}
-	var expired <-chan time.Time
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		expired = timer.C
-	}
 	start := time.Now()
 	select {
 	case dv := <-ch:
@@ -342,9 +298,6 @@ func (d *queryDC) ringPin(id core.BATID, abort <-chan struct{}, timeout time.Dur
 			return nil, 0, fmt.Errorf("live: BAT %d does not exist", id)
 		}
 		return dv.b, dv.ver, nil
-	case <-expired: // nil without a timeout: blocks forever
-		d.abandonPin(id, ch)
-		return nil, 0, errRingWaitTimeout
 	case <-d.cancel: // nil for uncancellable callers: blocks forever
 		d.abandonPin(id, ch)
 		return nil, 0, mal.ErrCancelled
@@ -355,30 +308,6 @@ func (d *queryDC) ringPin(id core.BATID, abort <-chan struct{}, timeout time.Dur
 		d.abandonPin(id, ch)
 		return nil, 0, errPinAborted
 	}
-}
-
-// remotePin acquires a fragment homed on another ring: the router
-// dispatches the pin to a delegate node on the home ring, which runs
-// the real circulation machinery there (request, waiter, ring wait) and
-// hands back the payload with its version label. The origin node holds
-// no runtime refs on the result — like a cache hit, the payload is an
-// immutable GC-owned view — and any ring interest this query announced
-// locally (before the fragment migrated away) is withdrawn so its
-// resend timer dies.
-func (d *queryDC) remotePin(id core.BATID, abort <-chan struct{}) (*bat.BAT, int, error) {
-	n := d.n
-	rtr := n.ring.router
-	if rtr == nil {
-		return nil, 0, fmt.Errorf("live: remote pin of %d without a router", id)
-	}
-	b, ver, err := rtr.fetchRemote(id, d.cancel, abort)
-	if err != nil {
-		return nil, 0, err
-	}
-	n.mu.Lock()
-	n.rt.CancelQuery(d.q, []core.BATID{id})
-	n.mu.Unlock()
-	return b, ver, nil
 }
 
 // ---------------------------------------------------------------------

@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/mal/maltest"
 	"repro/internal/minisql"
 	"repro/internal/tpch"
+	"repro/internal/workload"
 )
 
 // TestCacheHitServesRepeatPin: the tentpole behavior — a fragment that
@@ -617,5 +619,63 @@ func TestCachedRingGoesQuiet(t *testing.T) {
 	}
 	if n := resends(); n != 0 {
 		t.Fatalf("resends = %d on a lossless ring, want 0", n)
+	}
+}
+
+// TestZipfFetchUnderEvictingCache: a seeded Zipf stream of fetches on a
+// 2-node TCP ring whose 256 KB cache holds about 4 of its 24 columns.
+// The cache must evict, every answer must checksum to what the
+// generator wrote, and no access may sit out the resend timer.
+func TestZipfFetchUnderEvictingCache(t *testing.T) {
+	const cols, rows, accesses = 24, 8 << 10, 600
+	rng := rand.New(rand.NewSource(1))
+	columns := make(map[string]*bat.BAT, cols)
+	sums := make([]int64, cols)
+	for k := range sums {
+		vals := make([]int64, rows)
+		for i := range vals {
+			vals[i] = rng.Int63n(1 << 20)
+			sums[k] += vals[i]
+		}
+		columns[fmt.Sprintf("t.c%02d", k)] = bat.MakeInts("c", vals)
+	}
+	cfg := DefaultConfig()
+	cfg.Transport = TCP
+	cfg.CacheBytes = 256 << 10
+	r, err := NewRing(2, columns, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	z := workload.NewZipf(cols, 1.1)
+	for i := 0; i < accesses; i++ {
+		k := z.Draw(rng)
+		b, err := r.Node(i % 2).Fetch(fmt.Sprintf("t.c%02d", k))
+		if err != nil {
+			t.Fatalf("access %d (column %d): %v", i, k, err)
+		}
+		var sum int64
+		for j := 0; j < b.Len(); j++ {
+			sum += b.Tail().Int(j)
+		}
+		if b.Len() != rows || sum != sums[k] {
+			t.Fatalf("access %d (column %d): %d rows summing to %d, want %d rows summing to %d", i, k, b.Len(), sum, rows, sums[k])
+		}
+	}
+	if cs := r.CacheStats(); cs.Evictions == 0 {
+		t.Fatalf("the cache never evicted: %+v", cs)
+	}
+	for i := 0; i < r.Size(); i++ {
+		n := r.Node(i)
+		if resends := n.Stats().Resends; resends != 0 {
+			t.Fatalf("node %d resent %d requests on a lossless ring, want 0", i, resends)
+		}
+		n.mu.Lock()
+		open := n.rt.OutstandingRequests()
+		n.mu.Unlock()
+		if open != 0 {
+			t.Fatalf("node %d still holds %d requests after every fetch returned", i, open)
+		}
 	}
 }

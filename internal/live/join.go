@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/rdma"
 )
 
 // JoinReport describes one completed admission.
@@ -131,68 +130,14 @@ func (r *Ring) admit() (*Node, JoinReport, error) {
 	rep.Pred, rep.Succ = pred, succ
 	predNode, succNode := nodes[pred], nodes[succ]
 
-	// All fallible work first: four fresh link pairs, eight messengers.
-	// Nothing ring-visible mutates until they all exist.
-	type pair struct{ a, b *rdma.Messenger }
-	mkData := func() (pair, error) {
-		qa, qb, err := newQueuePair(r.cfg.Transport)
-		if err != nil {
-			return pair{}, err
-		}
-		a, err := rdma.NewMessengerDepth(qa, r.maxMsgBytes, r.dataDepth)
-		if err != nil {
-			return pair{}, err
-		}
-		b, err := rdma.NewMessengerDepth(qb, r.maxMsgBytes, r.dataDepth)
-		if err != nil {
-			a.Close()
-			return pair{}, err
-		}
-		return pair{a, b}, nil
-	}
-	mkReq := func() (pair, error) {
-		qa, qb, err := newQueuePair(r.cfg.Transport)
-		if err != nil {
-			return pair{}, err
-		}
-		a, err := rdma.NewMessenger(qa, 1<<12)
-		if err != nil {
-			return pair{}, err
-		}
-		b, err := rdma.NewMessenger(qb, 1<<12)
-		if err != nil {
-			a.Close()
-			return pair{}, err
-		}
-		return pair{a, b}, nil
-	}
-	var built []pair
-	fail := func(err error) (*Node, JoinReport, error) {
-		for _, p := range built {
-			p.a.Close()
-			p.b.Close()
-		}
+	// All fallible work first: four fresh links. Nothing ring-visible
+	// mutates until they all exist.
+	links, err := r.newLinks(2, 2)
+	if err != nil {
 		return nil, rep, err
 	}
-	dataIn, err := mkData() // pred -> newcomer
-	if err != nil {
-		return fail(err)
-	}
-	built = append(built, dataIn)
-	dataOut, err := mkData() // newcomer -> succ
-	if err != nil {
-		return fail(err)
-	}
-	built = append(built, dataOut)
-	reqIn, err := mkReq() // succ -> newcomer
-	if err != nil {
-		return fail(err)
-	}
-	built = append(built, reqIn)
-	reqOut, err := mkReq() // newcomer -> pred
-	if err != nil {
-		return fail(err)
-	}
+	dataIn, dataOut := links[0], links[1] // pred -> newcomer, newcomer -> succ
+	reqIn, reqOut := links[2], links[3]   // succ -> newcomer, newcomer -> pred
 
 	// Handshake: grow the sponsor's view first, then seed the newcomer
 	// from it — the seed already contains the newcomer's own position,

@@ -96,17 +96,6 @@ type Config struct {
 	// placeFragment overrides the round-robin fragment placement
 	// (test hook: shuffled placements exercise adverse arrival orders).
 	placeFragment func(frag, nodes int) int
-	// ringID and router are set by NewRouter when this ring is one tier
-	// of a multi-ring runtime: the id makes the ring addressable, the
-	// back-pointer routes pins whose fragments are homed on another
-	// ring. Both stay zero for a standalone ring — every routed code
-	// path gates on router being nil.
-	ringID RingID
-	router *Router
-	// minMsgBytes floors the computed ring message limit: a tier ring
-	// built empty must still size its RDMA regions for the largest
-	// fragment that can migrate onto it from another tier.
-	minMsgBytes int
 }
 
 // DefaultConfig suits in-process rings.
@@ -140,11 +129,6 @@ type Ring struct {
 	// serialized by failMu.
 	nodes atomic.Pointer[[]*Node]
 	cfg   Config
-	// id names this ring within a multi-ring runtime (always 0 for a
-	// standalone ring); router is the routing layer in front, nil when
-	// the ring stands alone.
-	id     RingID
-	router *Router
 	// name -> ordered fragment ids, global catalog agreed by all nodes.
 	// Guarded by idsMu because Publish extends it at runtime (§6.2).
 	idsMu sync.RWMutex
@@ -158,19 +142,14 @@ type Ring struct {
 	fragVer map[core.BATID]*atomic.Int64
 	// colLocks holds the per-column mutexes (name → *sync.Mutex) that
 	// serialize every install and move of a column's fragments — see
-	// move.go. Shared by the rings of a routed runtime.
-	colLocks *sync.Map
+	// move.go.
+	colLocks sync.Map
 	wg       sync.WaitGroup
 
 	// Exact ring message limit and data-link depth, kept so failover
-	// can build replacement messengers identical to the originals.
+	// and join can build links identical to the originals (newLinks).
 	maxMsgBytes int
 	dataDepth   int
-	// pinWait bounds a pin's circulation wait before it falls back to
-	// the owner's store (0 = wait for the ring): set on the cache-less
-	// ring of a routed runtime, where a fragment can migrate away
-	// mid-wait.
-	pinWait time.Duration
 
 	// fragCol maps every fragment id back to its column name (guarded
 	// by idsMu, extended by Publish): failover groups a dead node's
@@ -277,8 +256,7 @@ type Node struct {
 	// Revolution-time accounting: when one of this node's own fragments
 	// returns full circle, the gap since its previous return is folded
 	// into an EWMA (atomic revNanos) — the measured revolution time of
-	// the ring this node sits on, the quantity the hot/cold tier split
-	// trades against. lastSelfSeen is guarded by mu.
+	// the ring this node sits on. lastSelfSeen is guarded by mu.
 	lastSelfSeen map[core.BATID]int64
 	revNanos     int64
 
@@ -432,10 +410,7 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 	}
 	r := &Ring{
 		cfg:          cfg,
-		id:           cfg.ringID,
-		router:       cfg.router,
 		cols:         map[string]*colFrags{},
-		colLocks:     &sync.Map{},
 		fragVer:      map[core.BATID]*atomic.Int64{},
 		fragCol:      map[core.BATID]string{},
 		deadNodes:    map[core.NodeID]bool{},
@@ -504,55 +479,24 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 			maxBytes = bs
 		}
 	}
-	if cfg.minMsgBytes > maxBytes {
-		// Tier rings admit fragments migrated from sibling rings: the
-		// regions must fit the largest fragment of the whole runtime,
-		// not just of the columns this ring was born with.
-		maxBytes = cfg.minMsgBytes
-	}
 	r.maxMsgBytes = maxBytes
 	r.dataDepth = dataDepth
-	if cfg.router != nil && cfg.CacheBytes == 0 {
-		r.pinWait = routedRingWait
-	}
 	// Nodes and transports. Built into a local slice and published
 	// before placement; Join later publishes grown copies the same way.
+	// Link i of each kind leaves node i: data clockwise, requests the
+	// other way.
+	links, err := r.newLinks(n, n)
+	if err != nil {
+		return nil, err
+	}
 	nodes := make([]*Node, 0, n)
 	for i := 0; i < n; i++ {
 		nodes = append(nodes, r.newNode(i, n, (i-1+n)%n, schema))
 	}
 	for i := 0; i < n; i++ {
-		succ := (i + 1) % n
-		dataA, dataB, err := newQueuePair(cfg.Transport)
-		if err != nil {
-			return nil, err
-		}
-		mA, err := rdma.NewMessengerDepth(dataA, maxBytes, dataDepth)
-		if err != nil {
-			return nil, err
-		}
-		mB, err := rdma.NewMessengerDepth(dataB, maxBytes, dataDepth)
-		if err != nil {
-			return nil, err
-		}
-		nodes[i].dataOut = mA
-		nodes[succ].dataIn = mB
-
-		reqA, reqB, err := newQueuePair(cfg.Transport)
-		if err != nil {
-			return nil, err
-		}
-		rA, err := rdma.NewMessenger(reqA, 1<<12)
-		if err != nil {
-			return nil, err
-		}
-		rB, err := rdma.NewMessenger(reqB, 1<<12)
-		if err != nil {
-			return nil, err
-		}
-		pred := (i - 1 + n) % n
-		nodes[i].reqOut = rA
-		nodes[pred].reqIn = rB
+		data, req := links[i], links[n+i]
+		nodes[i].dataOut, nodes[(i+1)%n].dataIn = data.a, data.b
+		nodes[i].reqOut, nodes[(i-1+n)%n].reqIn = req.a, req.b
 	}
 
 	r.nodes.Store(&nodes)
@@ -607,14 +551,8 @@ func (r *Ring) newNode(id, nodes, pred int, schema minisql.Schema) *Node {
 		node.hop = newHopScheduler(cfg.HopBatchBytes, cfg.HopBatchLinger)
 	}
 	if cfg.Replicas > 0 {
-		hbCfg := cfg.Heartbeat.WithDefaults()
-		if r.router != nil {
-			// Per-ring detectors: each tier runs its own failure-detection
-			// domain, labelled so verdicts stay attributable.
-			hbCfg.Ring = r.id.String()
-		}
 		node.replicas = map[core.BATID]*replicaFrag{}
-		node.memb = membership.NewDetector(id, nodes, pred, hbCfg)
+		node.memb = membership.NewDetector(id, nodes, pred, cfg.Heartbeat)
 	}
 	node.rt = core.New(node.id, (*liveEnv)(node), cfg.Core)
 	return node
@@ -641,10 +579,6 @@ func (n *Node) startLoops() {
 
 // Node returns node i.
 func (r *Ring) Node(i int) *Node { return r.node(i) }
-
-// ID reports this ring's identity within a multi-ring runtime (0 for a
-// standalone ring).
-func (r *Ring) ID() RingID { return r.id }
 
 // RevolutionTime reports the measured ring revolution time: the mean of
 // every node's owner-side EWMA of the gap between successive returns of
@@ -880,7 +814,7 @@ func (n *Node) reqLoop(wg *sync.WaitGroup) {
 			// request here stops it orbiting the repaired ring.
 			continue
 		}
-		if (n.memb != nil || n.ring.router != nil) && req.Origin == n.id && n.ring.fragKnown(req.BAT) {
+		if n.memb != nil && req.Origin == n.id && n.ring.fragKnown(req.BAT) {
 			// Full circle, but the catalog still lists the fragment: no
 			// live owner absorbed the request because ownership is mid-
 			// promotion (or the re-owned fragment has not re-entered
@@ -888,9 +822,6 @@ func (n *Node) reqLoop(wg *sync.WaitGroup) {
 			// means the BAT does not exist — would error every blocked
 			// pin with a false negative. Swallow it instead: the resend
 			// timer keeps the interest alive until the new owner answers.
-			// The same window exists in a routed runtime while a fragment
-			// is mid-migration between rings, so the router gate joins
-			// the membership one.
 			continue
 		}
 		n.mu.Lock()
@@ -1139,14 +1070,6 @@ func (d *queryDC) announce(ids []core.BATID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, id := range ids {
-		// A fragment homed on another ring never circulates here: its
-		// pin dispatches through the router to a delegate on the home
-		// ring, so announcing local interest would only leave an S2
-		// entry nobody delivers. (If the fragment migrates here before
-		// the pin, core.Runtime.Pin re-announces on its own.)
-		if n.ring.homeRing(id) != n.ring {
-			continue
-		}
 		// A fragment resident in the hot-set cache at the catalog's
 		// current version will be served node-locally at pin time:
 		// skip the ring request entirely, so fully-hot repeat queries

@@ -318,21 +318,12 @@ func (r *Ring) splice(dead core.NodeID) {
 	p := r.node(int(r.prevAlive(dead)))
 	s := r.node(int(r.nextAlive(dead)))
 
-	if dataA, dataB, err := newQueuePair(r.cfg.Transport); err == nil {
-		mA, errA := rdma.NewMessengerDepth(dataA, r.maxMsgBytes, r.dataDepth)
-		mB, errB := rdma.NewMessengerDepth(dataB, r.maxMsgBytes, r.dataDepth)
-		if errA == nil && errB == nil {
-			p.swapDataOut(mA).Close()
-			s.swapDataIn(mB).Close()
-		}
-	}
-	if reqA, reqB, err := newQueuePair(r.cfg.Transport); err == nil {
-		rA, errA := rdma.NewMessenger(reqA, 1<<12)
-		rB, errB := rdma.NewMessenger(reqB, 1<<12)
-		if errA == nil && errB == nil {
-			s.swapReqOut(rA).Close()
-			p.swapReqIn(rB).Close()
-		}
+	if links, err := r.newLinks(1, 1); err == nil {
+		data, req := links[0], links[1]
+		p.swapDataOut(data.a).Close()
+		s.swapDataIn(data.b).Close()
+		s.swapReqOut(req.a).Close()
+		p.swapReqIn(req.b).Close()
 	}
 	if s.memb != nil {
 		// The successor now times out its new predecessor, with a full
@@ -411,19 +402,18 @@ func (r *Ring) promoteFrag(dead core.NodeID, id core.BATID) {
 // MembershipStats is the membership/failover snapshot, shaped like
 // HopStats/CacheStats: per node, or ring-wide via Ring.MembershipStats.
 type MembershipStats struct {
-	Enabled     bool   // Replicas > 0
-	Ring        string // ring label in a multi-ring runtime ("hot", "cold")
-	ViewVersion int64  // membership view version (max over live nodes)
-	Alive       int    // nodes alive in that view
-	Suspect     int    // nodes under suspicion
-	Dead        int    // nodes declared dead
-	Replicas    int64  // replica copies held
-	ReplicaLag  int64  // replicas behind the catalog version
-	Failovers   int64  // deaths failed over
-	Promotions  int64  // fragments re-owned from replicas
-	LostFrags   int64  // fragments lost (all replicas dead)
-	BeatsSent   int64  // heartbeat pulses sent
-	BeatsRecv   int64  // heartbeat pulses received
+	Enabled     bool  // Replicas > 0
+	ViewVersion int64 // membership view version (max over live nodes)
+	Alive       int   // nodes alive in that view
+	Suspect     int   // nodes under suspicion
+	Dead        int   // nodes declared dead
+	Replicas    int64 // replica copies held
+	ReplicaLag  int64 // replicas behind the catalog version
+	Failovers   int64 // deaths failed over
+	Promotions  int64 // fragments re-owned from replicas
+	LostFrags   int64 // fragments lost (all replicas dead)
+	BeatsSent   int64 // heartbeat pulses sent
+	BeatsRecv   int64 // heartbeat pulses received
 }
 
 // MembershipStats snapshots this node's membership state.
@@ -433,7 +423,6 @@ func (n *Node) MembershipStats() MembershipStats {
 		return s
 	}
 	s.Enabled = true
-	s.Ring = n.memb.Ring()
 	v := n.memb.View()
 	s.ViewVersion = v.Version
 	s.Alive, s.Suspect, s.Dead = v.Counts()
@@ -473,7 +462,6 @@ func (r *Ring) MembershipStats() MembershipStats {
 			continue
 		}
 		total.Enabled = true
-		total.Ring = s.Ring
 		if first || s.ViewVersion > total.ViewVersion {
 			total.ViewVersion = s.ViewVersion
 			total.Alive, total.Suspect, total.Dead = s.Alive, s.Suspect, s.Dead

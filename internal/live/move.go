@@ -3,19 +3,19 @@ package live
 // Fragment install and move — the one implementation of the paper's
 // §6.3 ownership handover and §6.4 version install. Every operation
 // that changes where a fragment lives or which bytes its owner holds
-// (UpdateColumn, failover promotion, join rebalancing, tier migration,
-// Publish, ring construction) is a sequence of the steps in this file:
+// (UpdateColumn, failover promotion, join rebalancing, Publish, ring
+// construction) is a sequence of the steps in this file:
 //
-//	transfer      codec round trip of the payload (join and tier moves)
+//	transfer      codec round trip of the payload (join moves)
 //	lockNodes     ordered critical section over every node touched
 //	installOwner  bytes, version and replica copies at the new owner;
 //	              pins already blocked there are delivered from them
-//	(flip)        the caller's catalog write: version, placement or home
+//	(flip)        the caller's catalog write: version or placement
 //	releaseOwner  the previous owner and its replica holders forget
 //
-// Lock order: failMu > column lock > node mu in (ring, node) order;
-// memMu, idsMu, catMu and a hot cache's mutex are leaves — they may be
-// taken under a node mu, and nothing is acquired while holding one.
+// Lock order: failMu > column lock > node mu in node order; memMu,
+// idsMu and a hot cache's mutex are leaves — they may be taken under a
+// node mu, and nothing is acquired while holding one.
 // Every caller holds the fragment's column lock from its first read of
 // the fragment to its last write, so no two of them interleave on one
 // column, and only lockNodes ever holds two node locks at once.
@@ -30,10 +30,9 @@ package live
 //  2. Replica copies are written in the owner's critical section,
 //     before the catalog moves: a promotion always finds its replica at
 //     the catalog version.
-//  3. A fragment has at most one live owner per ring, and exactly one
-//     on its home ring.
-//  4. A source copy is released only after the flip, and — when readers
-//     may still resolve to it (tier migration) — only after they drain.
+//  3. A fragment has at most one live owner, and exactly one once any
+//     failover of its owner has promoted a replica.
+//  4. A source copy is released only after the flip.
 
 import (
 	"sort"
@@ -45,17 +44,12 @@ import (
 	"repro/internal/netsim"
 )
 
-// lockNodes locks every distinct non-nil node of set in (ring, node)
-// order — the only way two node locks are ever held together — and
-// returns the function that unlocks them.
+// lockNodes locks every distinct non-nil node of set in node order —
+// the only way two node locks are ever held together — and returns the
+// function that unlocks them.
 func lockNodes(set ...*Node) (unlock func()) {
 	nodes := without(set, nil)
-	sort.Slice(nodes, func(a, b int) bool {
-		if nodes[a].ring.id != nodes[b].ring.id {
-			return nodes[a].ring.id < nodes[b].ring.id
-		}
-		return nodes[a].id < nodes[b].id
-	})
+	sort.Slice(nodes, func(a, b int) bool { return nodes[a].id < nodes[b].id })
 	for _, n := range nodes {
 		n.mu.Lock()
 	}
@@ -175,11 +169,11 @@ func heldLOI(id core.BATID, reps []*Node) float64 {
 }
 
 // ---------------------------------------------------------------------
-// the placement catalog: fragment → (owner, replica chain) per ring
+// the placement catalog: fragment → (owner, replica chain)
 // ---------------------------------------------------------------------
 
-// ownerOf returns the node the placement catalog names as id's owner on
-// this ring (nil when the ring holds no copy). Between a node's death
+// ownerOf returns the node the placement catalog names as id's owner
+// (nil for an id the catalog does not place). Between a node's death
 // and its fragments' promotion that is the dead node; updating through
 // it is still correct — the surviving replicas are written in the same
 // critical section, and the promotion (serialized on the column lock)
@@ -220,27 +214,8 @@ func (r *Ring) setPlacement(id core.BATID, owner *Node, chain []*Node) {
 	r.memMu.Unlock()
 }
 
-// homeRing resolves the ring a fragment lives on: the routing catalog's
-// answer in a routed runtime, this ring otherwise.
-func (r *Ring) homeRing(id core.BATID) *Ring {
-	if r.router == nil {
-		return r
-	}
-	return r.router.rings[r.router.homeOf(id)]
-}
-
-// tiers lists every ring sharing this ring's catalog.
-func (r *Ring) tiers() []*Ring {
-	if r.router == nil {
-		return []*Ring{r}
-	}
-	return r.router.rings
-}
-
 // columnLock returns the per-column mutex every install and move of the
-// column's fragments holds, creating it lazily. The rings of a routed
-// runtime share one table (like the catalog maps), so the lock is one
-// per column whichever ring an operation runs on.
+// column's fragments holds, creating it lazily.
 func (r *Ring) columnLock(name string) *sync.Mutex {
 	l, _ := r.colLocks.LoadOrStore(name, &sync.Mutex{})
 	return l.(*sync.Mutex)

@@ -92,150 +92,85 @@ func TestUpdateHotFragmentedColumnThenQuery(t *testing.T) {
 	}
 }
 
-// moveRig is what TestInstallMoveInvariants needs of a runtime, a
-// single ring or a routed pair alike: one fragmented column whose every
-// row holds the column's version number.
-type moveRig struct {
-	rings  []*Ring
-	fetch  func(reader int) (*bat.BAT, error)
-	update func(fn func(*bat.BAT) *bat.BAT) (int, error)
-	close  func()
-}
-
 const (
 	moveCol   = "p.val"
 	moveRows  = 2048
 	moveFrags = 8
 )
 
-func moveColumn() map[string]*bat.BAT {
-	return map[string]*bat.BAT{moveCol: bat.MakeInts(moveCol, make([]int64, moveRows))}
-}
-
-// moveTune shapes a ring config for the test: the column splits into
-// moveFrags fragments, one replica each, fast detection and resends.
-func moveTune(cfg *Config) {
+// newMoveRing builds the ring TestInstallMoveInvariants runs on: one
+// column split into moveFrags fragments whose every row holds the
+// column's version number, one replica each, fast detection and
+// resends.
+func newMoveRing(t *testing.T, nodes int) *Ring {
+	t.Helper()
+	cfg := DefaultConfig()
 	cfg.FragmentRows = moveRows / moveFrags
 	cfg.Replicas = 1
 	cfg.Heartbeat = fastHeartbeat()
 	cfg.Core.ResendTimeout = 100 * time.Millisecond
-}
-
-func newMoveRing(t *testing.T, nodes int) *moveRig {
-	t.Helper()
-	cfg := DefaultConfig()
-	moveTune(&cfg)
-	r, err := NewRing(nodes, moveColumn(), fragSchema(), cfg)
+	cols := map[string]*bat.BAT{moveCol: bat.MakeInts(moveCol, make([]int64, moveRows))}
+	r, err := NewRing(nodes, cols, fragSchema(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &moveRig{
-		rings:  []*Ring{r},
-		fetch:  func(reader int) (*bat.BAT, error) { return r.Node(reader % 2).Fetch(moveCol) },
-		update: func(fn func(*bat.BAT) *bat.BAT) (int, error) { return r.UpdateColumn(moveCol, fn) },
-		close:  r.Close,
-	}
+	return r
 }
 
-// newMoveRouter builds a two-tier runtime whose scanner and flash path
-// never fire: every migration in the test is a forced one.
-func newMoveRouter(t *testing.T) (*moveRig, *Router) {
-	t.Helper()
-	rc := DefaultRouterConfig()
-	rc.HotNodes, rc.ColdNodes = 2, 3
-	rc.TierScan = time.Hour
-	rc.FlashCrowdHits = -1
-	moveTune(&rc.Hot)
-	moveTune(&rc.Cold)
-	rtr, err := NewRouter(moveColumn(), fragSchema(), rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &moveRig{
-		rings:  []*Ring{rtr.Tier(HotRing), rtr.Tier(ColdRing)},
-		fetch:  func(int) (*bat.BAT, error) { return rtr.Fetch(moveCol) },
-		update: func(fn func(*bat.BAT) *bat.BAT) (int, error) { return rtr.UpdateColumn(moveCol, fn) },
-		close:  rtr.Close,
-	}, rtr
-}
-
-// migrateAll forces every fragment of the column from one tier to the
-// other and returns how many moved.
-func migrateAll(rtr *Router, from, to RingID) int {
-	ids, _ := rtr.Tier(from).Fragments(moveCol)
-	moved := 0
-	for _, id := range ids {
-		if rtr.markMigrating(id) {
-			if rtr.migrateTier(id, from, to) {
-				moved++
-			}
-			rtr.unmarkMigrating(id)
-		}
-	}
-	return moved
-}
-
-// check asserts the install/move invariants of move.go on the column,
-// under its column lock (so it sees the state between two steps of
-// whatever operation is running, never the inside of one). While an
-// operation is in flight a fragment may be between owners — dead owner,
-// promotion pending — so "exactly one live owner" is asserted only when
-// final.
-func (m *moveRig) check(final bool) error {
-	r0 := m.rings[0]
-	lock := r0.columnLock(moveCol)
+// checkMoveInvariants asserts the install/move invariants of move.go
+// on the column, under its column lock (so it sees the state between
+// two steps of whatever operation is running, never the inside of
+// one). While an operation is in flight a fragment may be between
+// owners — dead owner, promotion pending — so "exactly one live owner"
+// is asserted only when final.
+func checkMoveInvariants(r *Ring, final bool) error {
+	lock := r.columnLock(moveCol)
 	lock.Lock()
 	defer lock.Unlock()
-	ids, _ := r0.Fragments(moveCol)
+	ids, _ := r.Fragments(moveCol)
 	if len(ids) != moveFrags {
 		return fmt.Errorf("%d fragments in the catalog, want %d", len(ids), moveFrags)
 	}
 	for _, id := range ids {
-		home := r0.homeRing(id)
-		for _, rg := range m.rings {
-			var owner *Node
-			ownerVer := 0
-			for _, n := range rg.nodeList() {
-				if rg.isDead(n.id) {
-					continue
-				}
-				n.mu.Lock()
-				owns, ver, stored := n.rt.Owns(id), n.versions[id], n.store[id] != nil
-				n.mu.Unlock()
-				if !owns {
-					continue
-				}
-				if owner != nil {
-					return fmt.Errorf("fragment %d: live owners %d and %d on the %v ring", id, owner.id, n.id, rg.id)
-				}
-				if !stored {
-					return fmt.Errorf("fragment %d: owner %d on the %v ring holds no bytes", id, n.id, rg.id)
-				}
-				owner, ownerVer = n, ver
+		var owner *Node
+		ownerVer := 0
+		for _, n := range r.nodeList() {
+			if r.isDead(n.id) {
+				continue
 			}
-			if rg != home {
-				continue // at most one residual copy, checked above
+			n.mu.Lock()
+			owns, ver, stored := n.rt.Owns(id), n.versions[id], n.store[id] != nil
+			n.mu.Unlock()
+			if !owns {
+				continue
 			}
-			cat := rg.fragVersion(id)
-			if owner == nil {
-				if final {
-					return fmt.Errorf("fragment %d: no live owner on its home ring (%v)", id, rg.id)
-				}
-			} else {
-				if ownerVer != cat {
-					return fmt.Errorf("fragment %d: owner %d at version %d, catalog at %d", id, owner.id, ownerVer, cat)
-				}
-				if named := rg.ownerOf(id); named != owner {
-					return fmt.Errorf("fragment %d: node %d owns it, the placement catalog names %v", id, owner.id, named)
-				}
+			if owner != nil {
+				return fmt.Errorf("fragment %d: live owners %d and %d", id, owner.id, n.id)
 			}
-			for _, rep := range rg.replicaNodes(id) {
-				rep.mu.Lock()
-				rp := rep.replicas[id]
-				rep.mu.Unlock()
-				if rp == nil || rp.ver != cat {
-					return fmt.Errorf("fragment %d: replica at node %d is %+v, catalog at version %d", id, rep.id, rp, cat)
-				}
+			if !stored {
+				return fmt.Errorf("fragment %d: owner %d holds no bytes", id, n.id)
+			}
+			owner, ownerVer = n, ver
+		}
+		cat := r.fragVersion(id)
+		if owner == nil {
+			if final {
+				return fmt.Errorf("fragment %d: no live owner", id)
+			}
+		} else {
+			if ownerVer != cat {
+				return fmt.Errorf("fragment %d: owner %d at version %d, catalog at %d", id, owner.id, ownerVer, cat)
+			}
+			if named := r.ownerOf(id); named != owner {
+				return fmt.Errorf("fragment %d: node %d owns it, the placement catalog names %v", id, owner.id, named)
+			}
+		}
+		for _, rep := range r.replicaNodes(id) {
+			rep.mu.Lock()
+			rp := rep.replicas[id]
+			rep.mu.Unlock()
+			if rp == nil || rp.ver != cat {
+				return fmt.Errorf("fragment %d: replica at node %d is %+v, catalog at version %d", id, rep.id, rp, cat)
 			}
 		}
 	}
@@ -243,81 +178,51 @@ func (m *moveRig) check(final bool) error {
 }
 
 // TestInstallMoveInvariants drives every caller of the install/move
-// steps — update, failover promotion, join rebalancing, tier promotion
-// and demotion — with concurrent readers and a concurrent updater, and
-// checks the invariants move.go documents: during the operation
-// (sampled between its steps) and after it, at most (finally: exactly)
-// one live owner per fragment per ring, the owner's bytes at the
-// catalog version, every live replica at the catalog version, the
-// fragment count conserved; and no reader ever saw a version below the
-// catalog's at its pin time, nor a mix of versions.
+// steps — update, failover promotion, join rebalancing — with
+// concurrent readers and a concurrent updater, and checks the
+// invariants move.go documents: during the operation (sampled between
+// its steps) and after it, at most (finally: exactly) one live owner
+// per fragment, the owner's bytes at the catalog version, every live
+// replica at the catalog version, the fragment count conserved; and no
+// reader ever saw a version below the catalog's at its pin time, nor a
+// mix of versions.
 func TestInstallMoveInvariants(t *testing.T) {
 	cases := []struct {
-		name string
-		run  func(t *testing.T) (rig *moveRig, op func() error)
+		name  string
+		nodes int
+		op    func(r *Ring) error
 	}{
-		{"update", func(t *testing.T) (*moveRig, func() error) {
-			rig := newMoveRing(t, 3)
-			// The updater every case runs is the operation here.
-			return rig, func() error { time.Sleep(300 * time.Millisecond); return nil }
+		// The updater every case runs is the operation here.
+		{"update", 3, func(*Ring) error { time.Sleep(300 * time.Millisecond); return nil }},
+		{"kill+failover", 4, func(r *Ring) error {
+			time.Sleep(100 * time.Millisecond) // detectors need evidence first
+			const victim = 3                   // readers sit on nodes 0 and 1
+			r.KillNode(victim)
+			deadline := time.Now().Add(10 * time.Second)
+			for r.Alive(victim) || r.UnownedFragments() > 0 {
+				if time.Now().After(deadline) {
+					return fmt.Errorf("failover incomplete: alive=%v unowned=%d", r.Alive(victim), r.UnownedFragments())
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			if s := r.MembershipStats(); s.LostFrags != 0 || s.Promotions == 0 {
+				return fmt.Errorf("failover stats %+v", s)
+			}
+			return nil
 		}},
-		{"kill+failover", func(t *testing.T) (*moveRig, func() error) {
-			rig := newMoveRing(t, 4)
-			r := rig.rings[0]
-			return rig, func() error {
-				time.Sleep(100 * time.Millisecond) // detectors need evidence first
-				const victim = 3                   // readers sit on nodes 0 and 1
-				r.KillNode(victim)
-				deadline := time.Now().Add(10 * time.Second)
-				for r.Alive(victim) || r.UnownedFragments() > 0 {
-					if time.Now().After(deadline) {
-						return fmt.Errorf("failover incomplete: alive=%v unowned=%d", r.Alive(victim), r.UnownedFragments())
-					}
-					time.Sleep(2 * time.Millisecond)
-				}
-				if s := r.MembershipStats(); s.LostFrags != 0 || s.Promotions == 0 {
-					return fmt.Errorf("failover stats %+v", s)
-				}
-				return nil
+		{"join rebalance", 3, func(r *Ring) error {
+			rep, err := r.Join()
+			if err == nil && rep.Migrated == 0 {
+				err = fmt.Errorf("join migrated nothing: %+v", rep)
 			}
-		}},
-		{"join rebalance", func(t *testing.T) (*moveRig, func() error) {
-			rig := newMoveRing(t, 3)
-			return rig, func() error {
-				rep, err := rig.rings[0].Join()
-				if err == nil && rep.Migrated == 0 {
-					err = fmt.Errorf("join migrated nothing: %+v", rep)
-				}
-				return err
-			}
-		}},
-		{"tier promote", func(t *testing.T) (*moveRig, func() error) {
-			rig, rtr := newMoveRouter(t)
-			return rig, func() error {
-				if moved := migrateAll(rtr, ColdRing, HotRing); moved == 0 {
-					return fmt.Errorf("no fragment promoted")
-				}
-				return nil
-			}
-		}},
-		{"tier demote", func(t *testing.T) (*moveRig, func() error) {
-			rig, rtr := newMoveRouter(t)
-			if moved := migrateAll(rtr, ColdRing, HotRing); moved != moveFrags {
-				t.Fatalf("setup promoted %d of %d fragments", moved, moveFrags)
-			}
-			return rig, func() error {
-				if moved := migrateAll(rtr, HotRing, ColdRing); moved == 0 {
-					return fmt.Errorf("no fragment demoted")
-				}
-				return nil
-			}
+			return err
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rig, op := tc.run(t)
-			defer rig.close()
-			if err := rig.check(true); err != nil {
+			r := newMoveRing(t, tc.nodes)
+			defer r.Close()
+			if err := checkMoveInvariants(r, true); err != nil {
 				t.Fatalf("before: %v", err)
 			}
 
@@ -344,7 +249,7 @@ func TestInstallMoveInvariants(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for !stopped() {
-					ver, err := rig.update(func(cur *bat.BAT) *bat.BAT {
+					ver, err := r.UpdateColumn(moveCol, func(cur *bat.BAT) *bat.BAT {
 						vals := make([]int64, moveRows)
 						for i := range vals {
 							vals[i] = cur.Tail().Int(0) + 1
@@ -367,7 +272,7 @@ func TestInstallMoveInvariants(t *testing.T) {
 					defer wg.Done()
 					for !stopped() {
 						pre := atomic.LoadInt64(&committed)
-						b, err := rig.fetch(w)
+						b, err := r.Node(w % 2).Fetch(moveCol)
 						if err != nil {
 							fail("reader %d: %v", w, err)
 							return
@@ -392,7 +297,7 @@ func TestInstallMoveInvariants(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for !stopped() {
-					if err := rig.check(false); err != nil {
+					if err := checkMoveInvariants(r, false); err != nil {
 						fail("during: %v", err)
 						return
 					}
@@ -401,7 +306,7 @@ func TestInstallMoveInvariants(t *testing.T) {
 			}()
 
 			opErr := make(chan error, 1)
-			go func() { opErr <- op() }()
+			go func() { opErr <- tc.op(r) }()
 			select {
 			case err := <-opErr:
 				if err != nil {
@@ -417,7 +322,7 @@ func TestInstallMoveInvariants(t *testing.T) {
 			if msg := failed.Load(); msg != nil {
 				t.Fatal(msg)
 			}
-			if err := rig.check(true); err != nil {
+			if err := checkMoveInvariants(r, true); err != nil {
 				t.Fatalf("after: %v", err)
 			}
 			if atomic.LoadInt64(&reads) == 0 || atomic.LoadInt64(&committed) == 0 {

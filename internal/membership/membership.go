@@ -92,12 +92,6 @@ type Config struct {
 	// DeadAfter is how many silent intervals make a node Dead. It must
 	// exceed SuspectAfter; WithDefaults enforces it.
 	DeadAfter int
-	// Ring labels which ring this detector serves in a multi-ring
-	// runtime ("hot", "cold"). Detectors are strictly per-ring — a hot
-	// node's silence never implicates its cold siblings — and the label
-	// keeps their verdicts distinguishable in stats and logs. Empty for
-	// a standalone ring.
-	Ring string
 }
 
 // DefaultConfig suits in-process rings: verdicts inside half a second.
@@ -165,10 +159,6 @@ func NewDetector(self, n, pred int, cfg Config) *Detector {
 
 // Interval reports the heartbeat period.
 func (d *Detector) Interval() time.Duration { return d.cfg.HeartbeatInterval }
-
-// Ring reports the ring label this detector serves (empty for a
-// standalone ring).
-func (d *Detector) Ring() string { return d.cfg.Ring }
 
 // View snapshots the membership view.
 func (d *Detector) View() View {

@@ -28,7 +28,7 @@ func (m *metricsServer) close() {
 }
 
 // startMetrics binds the /metrics endpoint when Config.MetricsAddr is
-// set. Called once from Serve/ServeRouter before the server is handed
+// set. Called once from Serve before the server is handed
 // to the caller; the handler snapshots node state per scrape, so nodes
 // added later by ServeNode appear automatically.
 func (s *Server) startMetrics() error {
@@ -67,8 +67,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // renderMetrics writes the text-format exposition of every served
-// node's counters. Labels: node is the global listener index, ring the
-// tier label on a routed server ("" on a single ring).
+// node's counters, labelled by ring position.
 func (s *Server) renderMetrics(b *bytes.Buffer) {
 	nodes := s.nodeServers()
 	stats := make([]NodeStats, len(nodes))
@@ -80,7 +79,7 @@ func (s *Server) renderMetrics(b *bytes.Buffer) {
 	}
 	// line emits one sample; extra is appended inside the label braces.
 	line := func(name string, i int, extra string, v any) {
-		fmt.Fprintf(b, "%s{node=\"%d\",ring=%q%s} %v\n", name, i, nodes[i].ringLabel, extra, v)
+		fmt.Fprintf(b, "%s{node=\"%d\"%s} %v\n", name, i, extra, v)
 	}
 
 	head("dc_queries_total", "counter", "Queries by admission/execution outcome.")

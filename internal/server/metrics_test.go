@@ -53,11 +53,11 @@ func TestMetricsScrape(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		"# TYPE dc_queries_total counter",
-		`dc_queries_total{node="0",ring="",outcome="ok"} 1`,
-		`dc_queries_total{node="1",ring="",outcome="ok"} 0`,
+		`dc_queries_total{node="0",outcome="ok"} 1`,
+		`dc_queries_total{node="1",outcome="ok"} 0`,
 		"# TYPE dc_wire_syscalls_total counter",
 		"# TYPE dc_query_latency_seconds gauge",
-		`dc_query_latency_count{node="0",ring=""} 1`,
+		`dc_query_latency_count{node="0"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("scrape missing %q in:\n%s", want, text)

@@ -80,12 +80,6 @@ type Hello struct {
 	Addrs []string
 	// Alive flags each entry of Addrs live or declared dead.
 	Alive []bool
-	// Rings labels each entry of Addrs with the ring it serves ("hot",
-	// "cold"). Empty on a single-ring server: the section is only
-	// emitted by a tiered runtime, so the plain handshake stays
-	// byte-identical and legacy decoders (which stop after the
-	// membership entries) remain compatible.
-	Rings []string
 }
 
 // RemoteError is a protocol-level failure reported by the server. The
@@ -158,15 +152,10 @@ func DecodeError(payload []byte) *RemoteError {
 //	u64 view version | u32 node count
 //	per node: 1 byte alive | u32 addrLen | addr bytes
 //
-// A tiered server appends one more section after the membership
-// entries:
-//
-//	u32 node count | per node: 1 byte labelLen | ring label bytes
-//
 // A payload of exactly helloSize bytes is the legacy handshake (no
-// membership section); DecodeHello accepts all three forms — older
-// decoders ignored trailing bytes, which is what makes the ring
-// section a compatible extension.
+// membership section). Bytes after the membership entries are ignored:
+// older servers in front of a two-ring runtime appended a ring-label
+// section there.
 const helloSize = 24
 
 // maxHelloAddr bounds a single address in the membership section, so a
@@ -179,9 +168,6 @@ const maxHelloAddr = 1 << 10
 func EncodeHello(h Hello) ([]byte, error) {
 	if len(h.Addrs) != len(h.Alive) {
 		return nil, fmt.Errorf("server: hello has %d addrs for %d alive flags", len(h.Addrs), len(h.Alive))
-	}
-	if len(h.Rings) != 0 && len(h.Rings) != len(h.Addrs) {
-		return nil, fmt.Errorf("server: hello has %d addrs for %d ring labels", len(h.Addrs), len(h.Rings))
 	}
 	size := helloSize + 8 + 4
 	for _, a := range h.Addrs {
@@ -209,17 +195,6 @@ func EncodeHello(h Hello) ([]byte, error) {
 		le.PutUint32(b8[:4], uint32(len(a)))
 		buf = append(buf, b8[:4]...)
 		buf = append(buf, a...)
-	}
-	if len(h.Rings) > 0 {
-		le.PutUint32(b8[:4], uint32(len(h.Rings)))
-		buf = append(buf, b8[:4]...)
-		for _, r := range h.Rings {
-			if len(r) > 255 {
-				return nil, fmt.Errorf("server: hello ring label %q exceeds 255 bytes", r)
-			}
-			buf = append(buf, byte(len(r)))
-			buf = append(buf, r...)
-		}
 	}
 	return buf, nil
 }
@@ -264,28 +239,7 @@ func DecodeHello(payload []byte) (Hello, error) {
 		h.Addrs[i] = string(rest[off : off+addrLen])
 		off += addrLen
 	}
-	if off+4 > len(rest) {
-		return h, nil // no ring section: single-ring server
-	}
-	rcount := int(le.Uint32(rest[off:]))
-	off += 4
-	if rcount != count {
-		return Hello{}, fmt.Errorf("server: hello ring section has %d labels for %d nodes", rcount, count)
-	}
-	h.Rings = make([]string, rcount)
-	for i := 0; i < rcount; i++ {
-		if off >= len(rest) {
-			return Hello{}, fmt.Errorf("server: truncated hello ring label %d", i)
-		}
-		n := int(rest[off])
-		off++
-		if n > len(rest)-off {
-			return Hello{}, fmt.Errorf("server: hello ring label %d out of bounds", i)
-		}
-		h.Rings[i] = string(rest[off : off+n])
-		off += n
-	}
-	return h, nil
+	return h, nil // trailing bytes are ignored (see helloSize)
 }
 
 // A FrameResult payload is the native codec applied column-at-a-time:

@@ -12,23 +12,42 @@ import (
 	"repro/internal/mal"
 )
 
-// The handshakes and result set the round-trip tests pin down; the fuzz
+// The handshake and result set the round-trip tests pin down; the fuzz
 // targets start from their encodings.
-var (
-	membershipHello = Hello{
-		Node: 2, Ring: 5, MaxInFlight: 8,
-		ViewVersion: 7,
-		Addrs:       []string{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"},
-		Alive:       []bool{true, false, true},
+var membershipHello = Hello{
+	Node: 2, Ring: 5, MaxInFlight: 8,
+	ViewVersion: 7,
+	Addrs:       []string{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"},
+	Alive:       []bool{true, false, true},
+}
+
+// helloLayout writes h's handshake bytes the slow way, field by field.
+func helloLayout(h Hello) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint64(nil, uint64(h.Node))
+	b = le.AppendUint64(b, uint64(h.Ring))
+	b = le.AppendUint64(b, uint64(h.MaxInFlight))
+	b = le.AppendUint64(b, uint64(h.ViewVersion))
+	b = le.AppendUint32(b, uint32(len(h.Addrs)))
+	for i, a := range h.Addrs {
+		alive := byte(0)
+		if h.Alive[i] {
+			alive = 1
+		}
+		b = append(le.AppendUint32(append(b, alive), uint32(len(a))), a...)
 	}
-	tieredHello = Hello{
-		Node: 1, Ring: 4, MaxInFlight: 8,
-		ViewVersion: 3,
-		Addrs:       []string{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003", "127.0.0.1:9004"},
-		Alive:       []bool{true, true, true, false},
-		Rings:       []string{"hot", "hot", "cold", "cold"},
+	return b
+}
+
+// withRingSection appends the per-node ring-label section a server in
+// front of a two-ring runtime used to send after the membership entries.
+func withRingSection(payload []byte, labels ...string) []byte {
+	b := binary.LittleEndian.AppendUint32(append([]byte(nil), payload...), uint32(len(labels)))
+	for _, l := range labels {
+		b = append(append(b, byte(len(l))), l...)
 	}
-)
+	return b
+}
 
 func mixedResult() *mal.ResultSet {
 	return &mal.ResultSet{
@@ -54,6 +73,9 @@ func TestHelloRoundtrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, h) {
 		t.Fatalf("got %+v want %+v", got, h)
+	}
+	if want := helloLayout(h); !bytes.Equal(payload, want) {
+		t.Fatalf("hello bytes changed:\n got %x\nwant %x", payload, want)
 	}
 	if _, err := DecodeHello(payload[:10]); err == nil {
 		t.Fatal("truncated hello accepted")
@@ -88,52 +110,24 @@ func TestHelloLegacyDecode(t *testing.T) {
 	}
 }
 
-func TestHelloRingsRoundtrip(t *testing.T) {
-	h := tieredHello
-	payload, err := EncodeHello(h)
+// TestHelloIgnoresRingSection: a handshake that still carries the
+// ring-label section after its membership entries — whole or cut
+// anywhere — decodes to the membership it carries, the labels ignored.
+func TestHelloIgnoresRingSection(t *testing.T) {
+	h := membershipHello
+	plain, err := EncodeHello(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeHello(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, h) {
-		t.Fatalf("got %+v want %+v", got, h)
-	}
-	// A single-ring payload (no ring section) must decode with nil
-	// labels — and be byte-identical to what the pre-tiering encoder
-	// produced, which the existing round-trip tests pin down.
-	plain := h
-	plain.Rings = nil
-	payloadPlain, err := EncodeHello(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(payloadPlain) >= len(payload) {
-		t.Fatal("ring section added no bytes")
-	}
-	gotPlain, err := DecodeHello(payloadPlain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotPlain.Rings != nil {
-		t.Fatalf("plain hello grew ring labels: %+v", gotPlain)
-	}
-	// Every truncation of the ring entries must error, not panic. (Cuts
-	// inside the leading count word leave fewer than 4 trailing bytes,
-	// which decode as a plain hello — the same lenience that keeps old
-	// decoders compatible.)
-	for n := len(payloadPlain) + 4; n < len(payload); n++ {
-		if _, err := DecodeHello(payload[:n]); err == nil {
-			t.Fatalf("truncated ring section of %d bytes accepted", n)
+	labelled := withRingSection(plain, "hot", "cold", "cold")
+	for n := len(plain); n <= len(labelled); n++ {
+		got, err := DecodeHello(labelled[:n])
+		if err != nil {
+			t.Fatalf("hello with %d trailing bytes: %v", n-len(plain), err)
 		}
-	}
-	// Label count must match the node count on both sides.
-	if _, err := EncodeHello(Hello{
-		Addrs: []string{"a", "b"}, Alive: []bool{true, true}, Rings: []string{"hot"},
-	}); err == nil {
-		t.Fatal("mismatched ring label count accepted")
+		if !reflect.DeepEqual(got, h) {
+			t.Fatalf("hello with %d trailing bytes: got %+v want %+v", n-len(plain), got, h)
+		}
 	}
 }
 
@@ -325,7 +319,7 @@ func FuzzReadFrame(f *testing.F) {
 // from, up to the decoder's documented leniencies — the 24-byte legacy
 // form, any nonzero alive byte, and trailing bytes it ignores.
 func FuzzDecodeHello(f *testing.F) {
-	for _, h := range []Hello{membershipHello, tieredHello, {Node: 1, Ring: 3, MaxInFlight: 4}} {
+	for _, h := range []Hello{membershipHello, {Node: 1, Ring: 3, MaxInFlight: 4}} {
 		payload, err := EncodeHello(h)
 		if err != nil {
 			f.Fatal(err)
@@ -333,6 +327,11 @@ func FuzzDecodeHello(f *testing.F) {
 		f.Add(payload)
 		f.Add(payload[:helloSize])
 	}
+	// A trailing ring-label section, whole and cut mid-label.
+	plain, _ := EncodeHello(membershipHello)
+	labelled := withRingSection(plain, "hot", "hot", "cold")
+	f.Add(labelled)
+	f.Add(labelled[:len(labelled)-2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := DecodeHello(data)
 		if err != nil {

@@ -153,17 +153,11 @@ func (s NodeStats) String() string {
 		s.P50, s.P95, s.P99)
 }
 
-// Server serves every node of a live ring — or, via ServeRouter, every
-// node of every ring of a tiered runtime.
+// Server serves every node of a live ring.
 type Server struct {
-	cfg  Config
-	ring *live.Ring
-	// router is set only by ServeRouter: the listener list then spans
-	// all tiers (hot ring first) and the handshake advertises each
-	// node's ring label. nil for a plain single-ring server, whose
-	// handshake stays byte-identical to earlier releases.
-	router *live.Router
-	drain  chan struct{}
+	cfg   Config
+	ring  *live.Ring
+	drain chan struct{}
 
 	// nodesMu guards nodes: the slice grows at runtime when ServeNode
 	// brings a joined ring node online (live.Ring.Join).
@@ -181,20 +175,13 @@ type Server struct {
 
 // nodeServer is the per-node listener and its serving state.
 type nodeServer struct {
-	srv  *Server
-	node *live.Node
-	// ring is the ring this node circulates on (srv.ring for a plain
-	// server, the owning tier for ServeRouter); liveness checks go
-	// through it, never through srv.ring, so a cold-ring node answers
-	// for its own ring's failure detector.
-	ring      *live.Ring
-	ringLabel string // "" on a single-ring server, else "hot"/"cold"
-	nodeID    int    // position on ring
-	globalID  int    // position in the server's listener list
-	schema    minisql.Schema
-	ln        net.Listener
-	adm       *admission
-	cache     *planCache
+	srv    *Server
+	node   *live.Node
+	nodeID int // position on ring
+	schema minisql.Schema
+	ln     net.Listener
+	adm    *admission
+	cache  *planCache
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -214,36 +201,9 @@ type nodeServer struct {
 func Serve(ring *live.Ring, cfg Config) (*Server, error) {
 	s := &Server{cfg: normalizeConfig(cfg), ring: ring, drain: make(chan struct{})}
 	for i := 0; i < ring.Size(); i++ {
-		if err := s.addNode(ring, "", i, i); err != nil {
+		if err := s.addNode(i); err != nil {
 			s.Close()
 			return nil, err
-		}
-	}
-	if err := s.startMetrics(); err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// ServeRouter starts one TCP listener per node of every ring of a
-// tiered runtime. Listener addresses are allocated in tier order — the
-// hot (query) ring's nodes first, then the cold ring's — so address i
-// in the handshake's Addrs list serves global node i, exactly as on a
-// single ring. The handshake additionally labels every address with
-// its ring, letting clients fail over to a same-ring peer first.
-func ServeRouter(rtr *live.Router, cfg Config) (*Server, error) {
-	s := &Server{cfg: normalizeConfig(cfg), ring: rtr.QueryRing(), router: rtr, drain: make(chan struct{})}
-	global := 0
-	for t := 0; t < rtr.Tiers(); t++ {
-		ring := rtr.Tier(live.RingID(t))
-		label := live.RingID(t).String()
-		for i := 0; i < ring.Size(); i++ {
-			if err := s.addNode(ring, label, i, global); err != nil {
-				s.Close()
-				return nil, err
-			}
-			global++
 		}
 	}
 	if err := s.startMetrics(); err != nil {
@@ -276,32 +236,28 @@ func normalizeConfig(cfg Config) Config {
 	return cfg
 }
 
-// addNode binds a listener for node nodeID of ring and starts its
-// accept loop. global is the node's position in the server-wide
-// listener list (== nodeID on a single ring).
-func (s *Server) addNode(ring *live.Ring, label string, nodeID, global int) error {
-	addr, err := nodeAddr(s.cfg.Addr, global)
+// addNode binds a listener for ring node nodeID and starts its accept
+// loop.
+func (s *Server) addNode(nodeID int) error {
+	addr, err := nodeAddr(s.cfg.Addr, nodeID)
 	if err != nil {
 		return err
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return fmt.Errorf("server: node %d: %w", global, err)
+		return fmt.Errorf("server: node %d: %w", nodeID, err)
 	}
-	node := ring.Node(nodeID)
+	node := s.ring.Node(nodeID)
 	ns := &nodeServer{
-		srv:       s,
-		node:      node,
-		ring:      ring,
-		ringLabel: label,
-		nodeID:    nodeID,
-		globalID:  global,
-		schema:    node.Schema(),
-		ln:        ln,
-		adm:       newAdmission(s.cfg.MaxInFlight, s.cfg.MaxQueue),
-		cache:     newPlanCache(s.cfg.PlanCacheSize),
-		conns:     map[net.Conn]struct{}{},
-		latency:   metrics.NewSyncHistogram(fmt.Sprintf("node%d.latency", global), 0.0001),
+		srv:     s,
+		node:    node,
+		nodeID:  nodeID,
+		schema:  node.Schema(),
+		ln:      ln,
+		adm:     newAdmission(s.cfg.MaxInFlight, s.cfg.MaxQueue),
+		cache:   newPlanCache(s.cfg.PlanCacheSize),
+		conns:   map[net.Conn]struct{}{},
+		latency: metrics.NewSyncHistogram(fmt.Sprintf("node%d.latency", nodeID), 0.0001),
 	}
 	s.nodes = append(s.nodes, ns)
 	s.wg.Add(1)
@@ -368,11 +324,6 @@ func (s *Server) ServeNode(i int) (string, error) {
 		return "", fmt.Errorf("server: draining")
 	default:
 	}
-	if s.router != nil {
-		// Joins target a specific ring; the global listener ordering
-		// (hot block then cold block) cannot absorb a mid-list insert.
-		return "", fmt.Errorf("server: ServeNode is not supported on a routed server")
-	}
 	if i < 0 || i >= s.ring.Size() {
 		return "", fmt.Errorf("server: no ring node %d", i)
 	}
@@ -382,7 +333,7 @@ func (s *Server) ServeNode(i int) (string, error) {
 	if i != len(s.nodes) {
 		return "", fmt.Errorf("server: node %d out of order (next is %d)", i, len(s.nodes))
 	}
-	if err := s.addNode(s.ring, "", i, i); err != nil {
+	if err := s.addNode(i); err != nil {
 		return "", err
 	}
 	return s.nodes[len(s.nodes)-1].ln.Addr().String(), nil
@@ -460,7 +411,7 @@ func (s *Server) KillNode(i int) {
 	s.nodesMu.RLock()
 	ns := s.nodes[i]
 	s.nodesMu.RUnlock()
-	ns.ring.KillNode(ns.nodeID)
+	s.ring.KillNode(ns.nodeID)
 	ns.ln.Close()
 	ns.connMu.Lock()
 	for c := range ns.conns {
@@ -591,36 +542,23 @@ func (ns *nodeServer) handle(conn net.Conn) {
 	}
 }
 
-// buildHello assembles the handshake response. A plain server
-// advertises its single ring exactly as it always has; a routed server
-// reports the global listener list with per-node ring labels and
-// liveness read from each node's own ring.
+// buildHello assembles the handshake response: the ring's size, every
+// node's address and liveness, and this node's membership view version.
 func (ns *nodeServer) buildHello() Hello {
-	h := Hello{
-		Node:        ns.globalID,
+	ring := ns.srv.ring
+	return Hello{
+		Node:        ns.nodeID,
+		Ring:        ring.Size(),
 		MaxInFlight: ns.srv.cfg.MaxInFlight,
 		ViewVersion: ns.node.MembershipStats().ViewVersion,
 		Addrs:       ns.srv.Addrs(),
+		Alive:       ring.AliveNodes(),
 	}
-	if ns.srv.router == nil {
-		h.Ring = ns.srv.ring.Size()
-		h.Alive = ns.srv.ring.AliveNodes()
-		return h
-	}
-	peers := ns.srv.nodeServers()
-	h.Ring = len(peers)
-	h.Alive = make([]bool, len(peers))
-	h.Rings = make([]string, len(peers))
-	for i, p := range peers {
-		h.Alive[i] = p.ring.Alive(p.nodeID)
-		h.Rings[i] = p.ringLabel
-	}
-	return h
 }
 
 // serveQuery admits, executes, and answers one query.
 func (ns *nodeServer) serveQuery(bw *bufio.Writer, sql string) {
-	if !ns.ring.Alive(ns.nodeID) {
+	if !ns.srv.ring.Alive(ns.nodeID) {
 		// The ring declared this node dead (a failover it did not
 		// initiate): its fragments have been re-owned elsewhere and its
 		// ring links are cut, so any execution here would only produce
@@ -680,7 +618,7 @@ func (ns *nodeServer) serveQuery(bw *bufio.Writer, sql string) {
 // counters. Stats reads bypass admission: they are cheap, read-only,
 // and most useful exactly when the admission queue is saturated.
 func (ns *nodeServer) serveStats(bw *bufio.Writer) {
-	payload, err := json.Marshal(ns.srv.Stats(ns.globalID))
+	payload, err := json.Marshal(ns.srv.Stats(ns.nodeID))
 	if err != nil {
 		WriteFrame(bw, FrameError, EncodeError(CodeExec, err.Error()))
 		return

@@ -323,91 +323,6 @@ func TestServeJoinedNode(t *testing.T) {
 	}
 }
 
-func TestServeRouterTieredHandshake(t *testing.T) {
-	cols, schema := testColumns()
-	rc := live.DefaultRouterConfig()
-	rc.HotNodes, rc.ColdNodes = 2, 2
-	rtr, err := live.NewRouter(cols, schema, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := server.ServeRouter(rtr, server.DefaultConfig())
-	if err != nil {
-		rtr.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		s.Close()
-		rtr.Close()
-	})
-
-	// Queries settle on the hot ring: hot listeners come first in the
-	// global address list.
-	cl, err := dcclient.Dial(s.Addr(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	h := cl.Node()
-	if h.Node != 0 || h.Ring != 4 {
-		t.Fatalf("tiered handshake = %+v, want global node 0 of 4", h)
-	}
-	wantRings := []string{"hot", "hot", "cold", "cold"}
-	if rings := cl.Rings(); !reflect.DeepEqual(rings, wantRings) {
-		t.Fatalf("ring labels = %v, want %v", rings, wantRings)
-	}
-	addrs, alive := cl.Peers()
-	if len(addrs) != 4 {
-		t.Fatalf("tiered routing cache: %v", addrs)
-	}
-	for i, a := range alive {
-		if !a {
-			t.Fatalf("node %d dead at startup: %v", i, alive)
-		}
-	}
-
-	// A query through a hot listener pulls its fragments off the cold
-	// ring (all data starts cold) and answers correctly.
-	const sql = "select val from c where t_id >= 2 order by val"
-	want, err := rtr.QueryRing().Node(0).ExecSQL(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.Query(context.Background(), sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Rows(), want.Rows()) {
-		t.Fatalf("tiered result differs:\nwant %v\ngot  %v", want.Rows(), got.Rows())
-	}
-
-	// Cold listeners serve too — their liveness checks go through the
-	// cold ring's own detector, and their stats identify the right node.
-	ccl, err := dcclient.Dial(s.Addr(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ccl.Close()
-	if ch := ccl.Node(); ch.Node != 2 {
-		t.Fatalf("cold handshake = %+v, want global node 2", ch)
-	}
-	cgot, err := ccl.Query(context.Background(), sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cgot.Rows(), want.Rows()) {
-		t.Fatalf("cold-node result differs:\nwant %v\ngot  %v", want.Rows(), cgot.Rows())
-	}
-	if st, err := ccl.Stats(context.Background()); err != nil || st.OK == 0 {
-		t.Fatalf("cold node stats = %+v, %v", st, err)
-	}
-
-	// Joins are a single-ring feature; a routed server refuses them.
-	if _, err := s.ServeNode(4); err == nil {
-		t.Fatal("ServeNode on a routed server succeeded")
-	}
-}
-
 // TestServedUpdateOnHotColumnThenClose is the served half of the update
 // wedge regression (live.TestUpdateHotFragmentedColumnThenQuery): a
 // client's query after UpdateColumn on a hot, parked multi-fragment

@@ -1,9 +1,10 @@
 package workload
 
-// Zipf access patterns: the skew axis of the hot/cold tiering
-// experiments. A Zipf(θ) draw over n keys picks key k with probability
-// proportional to 1/(k+1)^θ — θ=0 is uniform, θ≈1 concentrates most of
-// the mass on a small head, the regime where a fast hot ring pays off.
+// Zipf access patterns: the skew axis of the client load generator
+// (dcload -zipf) and of the live ring's evicting-cache test. A Zipf(θ)
+// draw over n keys picks key k with probability proportional to
+// 1/(k+1)^θ — θ=0 is uniform, θ≈1 concentrates most of the mass on a
+// small head, the regime the paper's LOI hot-set economy serves.
 // The generator is a precomputed CDF walked by binary search: exact
 // for every θ >= 0 (math/rand's built-in Zipf requires s > 1 and a
 // different parameterization), deterministic under a seeded rand.Rand,
@@ -51,8 +52,7 @@ func (z *Zipf) Draw(rng *rand.Rand) int {
 }
 
 // Mass reports the total probability mass of the top m keys (the head
-// of the distribution) — what the shape tests and the tier experiments
-// assert skew against.
+// of the distribution) — what the shape tests assert skew against.
 func (z *Zipf) Mass(m int) float64 {
 	if m <= 0 {
 		return 0
