@@ -13,6 +13,7 @@ package bat
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 )
 
 // Oid is an object identifier, the glue between decomposed columns.
@@ -307,6 +308,28 @@ func (c *Column) oidValues() []Oid {
 		v[i] = c.base + Oid(i)
 	}
 	return v
+}
+
+// Span reports the address range [lo, hi) of a materialized fixed-width
+// column's values (oid, int, float) and 0, 0 for any other column: how a
+// caller that lends out memory tells whether a column is a view of it.
+func (c *Column) Span() (lo, hi uintptr) {
+	var p unsafe.Pointer
+	var n int
+	switch {
+	case c.dense:
+		return 0, 0
+	case c.kind == KOid:
+		p, n = unsafe.Pointer(unsafe.SliceData(c.oids)), len(c.oids)
+	case c.kind == KInt:
+		p, n = unsafe.Pointer(unsafe.SliceData(c.ints)), len(c.ints)
+	case c.kind == KFloat:
+		p, n = unsafe.Pointer(unsafe.SliceData(c.floats)), len(c.floats)
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	return uintptr(p), uintptr(p) + uintptr(8*n)
 }
 
 // Bytes reports the memory footprint of the column payload.

@@ -69,16 +69,18 @@ func (n *Node) Publish(name string, b *bat.BAT) (core.BATID, error) {
 
 // Fetch retrieves a column by name through the normal Data Cyclotron
 // path: request every fragment, wait for them to flow past (any
-// order), pin, merge, and unpin. A single-fragment column shares the
-// pinned payload zero-copy: fragments are immutable (updates install a
-// fresh version, see UpdateColumn), so no defensive deep copy is
-// needed and the GC keeps the payload alive past eviction. A
-// multi-fragment column returns the bat.Concat merge.
+// order), pin, merge, and unpin. A multi-fragment column returns the
+// bat.Concat merge. A single-fragment column shares the pinned payload
+// zero-copy when it is in GC memory (fragments are immutable: updates
+// install a fresh version, see UpdateColumn) and is copied when it is
+// a view of a receive slab, which the ring recycles once the fetch
+// returns.
 func (n *Node) Fetch(name string) (*bat.BAT, error) {
 	ids, ok := n.ring.Fragments(name)
 	if !ok {
 		return nil, fmt.Errorf("live: unknown fragment %q", name)
 	}
+	defer n.exitQuery(n.enterQuery())
 	q := core.QueryID(atomic.AddInt64(&n.nextQ, 1))<<16 | core.QueryID(n.id)
 	dc := &queryDC{n: n, q: q}
 	defer func() {
@@ -88,7 +90,11 @@ func (n *Node) Fetch(name string) (*bat.BAT, error) {
 	}()
 	dc.announce(ids)
 	if len(ids) > 1 {
-		return dc.pinMerged(&fragHandle{name: name, ids: ids})
+		merged, err := dc.pinMerged(&fragHandle{name: name, ids: ids})
+		if err != nil {
+			return nil, err
+		}
+		return n.ownResult(merged), nil
 	}
 	v, err := dc.Pin(ids[0])
 	if err != nil {
@@ -100,7 +106,7 @@ func (n *Node) Fetch(name string) (*bat.BAT, error) {
 	}
 	// Full-length view rather than the stored BAT itself: the capped
 	// slices keep a caller's Append from growing into the owner's copy.
-	return b.Slice(0, b.Len()), nil
+	return n.ownResult(b.Slice(0, b.Len())), nil
 }
 
 // UpdateColumn applies fn to the latest version of the named column,

@@ -165,7 +165,9 @@ const maxSnapshotRetries = 64
 //
 // viaRing reports whether the acquisition holds runtime refs (a pin and
 // a refcounted payload) the caller must release after use; node-local
-// acquisitions hold none — the payloads are immutable and GC-owned.
+// acquisitions hold none — the payloads are immutable, and one that is
+// a view of a receive slab stays readable until the query returns (the
+// grace period, slab.go).
 // abort (nil for single pins) abandons the wait with errPinAborted.
 func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (b *bat.BAT, ver int, viaRing bool, err error) {
 	n := d.n
@@ -204,7 +206,7 @@ func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (b *bat.BAT,
 				// Read from the owner's store, off the ring: seed the
 				// cache so repeat pins stay node-local until the version
 				// moves.
-				n.hot.put(id, ver, b)
+				n.hot.put(id, ver, b, nil) // the owner's store: GC memory
 			}
 			return b, ver, viaRing, err
 		}
@@ -254,7 +256,8 @@ func (d *queryDC) fetchCurrent(id core.BATID, cur int, abort <-chan struct{}) (b
 
 // ownerStoreRead reads a fragment straight from its owner's store —
 // fetchCurrent's stale-orbit fallback. The returned BAT is immutable
-// and GC-owned; the caller holds no runtime refs on it.
+// and in GC memory (stores never hold slab views); the caller holds no
+// runtime refs on it.
 func ownerStoreRead(r *Ring, id core.BATID) (*bat.BAT, int, bool) {
 	owner := r.ownerOf(id)
 	if owner == nil {

@@ -412,7 +412,7 @@ func ringResends(r *Ring) uint64 {
 // bounds, the always-take-first rule, and the entry cap.
 func TestHopSchedulerTake(t *testing.T) {
 	ent := func(raw int) *wireEntry {
-		e := newWireEntry(nil, make([]byte, raw), false)
+		e := newWireEntry(nil, make([]byte, raw), false, nil)
 		return e
 	}
 	// Budget fits the batch header plus two 100-byte entries, not three.

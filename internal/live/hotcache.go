@@ -97,6 +97,7 @@ func (s CacheStats) HitRate() float64 {
 // hotEntry is one resident fragment version.
 type hotEntry struct {
 	b     *bat.BAT
+	slab  *slab // b is a view of this receive slab (nil: GC memory)
 	ver   int
 	bytes int64
 	loi   float64 // interest score (CacheLOI); hits raise, scans decay
@@ -171,6 +172,7 @@ func (h *hotCache) get(id core.BATID, wantVer int) *bat.BAT {
 	h.seq++
 	e.seq = h.seq
 	h.hits.Inc()
+	e.slab.lend()
 	return e.b
 }
 
@@ -184,11 +186,13 @@ func (h *hotCache) peek(id core.BATID, wantVer int) bool {
 	return ok && e.ver == wantVer
 }
 
-// put admits a delivered payload at the given version. The payload is
-// capped to its own length so a later Append by some caller can never
-// grow into it, and the budget is enforced by LOI-weighted eviction.
-// A payload bigger than the whole budget is not admitted.
-func (h *hotCache) put(id core.BATID, ver int, b *bat.BAT) {
+// put admits a delivered payload at the given version; an admitted
+// entry holds s, the slab b is a view of (nil for GC memory), until it
+// is evicted, dropped or replaced. The payload is capped to its own
+// length so a later Append by some caller can never grow into it, and
+// the budget is enforced by LOI-weighted eviction. A payload bigger
+// than the whole budget is not admitted.
+func (h *hotCache) put(id core.BATID, ver int, b *bat.BAT, s *slab) {
 	size := int64(b.Bytes())
 	if size > h.budget {
 		return
@@ -207,7 +211,8 @@ func (h *hotCache) put(id core.BATID, ver int, b *bat.BAT) {
 		h.dropLocked(id, old)
 	}
 	h.seq++
-	h.entries[id] = &hotEntry{b: view, ver: ver, bytes: size, loi: 1, seq: h.seq}
+	s.retain()
+	h.entries[id] = &hotEntry{b: view, slab: s, ver: ver, bytes: size, loi: 1, seq: h.seq}
 	h.bytes += size
 	h.inserts.Inc()
 	for h.bytes > h.budget {
@@ -253,6 +258,7 @@ func (h *hotCache) lessLocked(a, b *hotEntry) bool {
 func (h *hotCache) dropLocked(id core.BATID, e *hotEntry) {
 	delete(h.entries, id)
 	h.bytes -= e.bytes
+	e.slab.release()
 }
 
 // drop removes id outright (owner unload: the fragment left the ring's

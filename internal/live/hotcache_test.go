@@ -125,7 +125,8 @@ func TestCacheStaleNeverServed(t *testing.T) {
 	}
 	// And the new version becomes pinnable (the owner re-sends its
 	// store on the next pass), after which repeat pins are cache hits
-	// of the NEW version.
+	// of the NEW version. Each round blocks on a fetch, which is the
+	// clock; the deadline only bounds a broken ring.
 	deadline := time.Now().Add(5 * time.Second)
 	var got *bat.BAT
 	for time.Now().Before(deadline) {
@@ -136,7 +137,6 @@ func TestCacheStaleNeverServed(t *testing.T) {
 		if got.Tail().Int(0) == 7 {
 			break
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	if got.Tail().Int(0) != 7 {
 		t.Fatalf("new version never visible (still %d)", got.Tail().Int(0))
@@ -180,18 +180,21 @@ func TestSnapshotConsistencyUnderUpdates(t *testing.T) {
 		t.Fatalf("fragments = %d, want 8", len(ids))
 	}
 
+	// The run is counted, not timed: the updater waits for one read to
+	// finish after each update before the next, and stops the run once
+	// both sides did enough — so every update races against readers
+	// whatever the box's speed.
+	const minUpdates, minReads = 20, 50
 	stop := make(chan struct{})
-	var updates int64
+	readDone := make(chan struct{}, 1)
+	readErr := make(chan error, 4)
+	var reads int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		defer close(stop)
+		for updates := 1; ; updates++ {
 			_, err := r.UpdateColumn("p.val", func(cur *bat.BAT) *bat.BAT {
 				next := cur.Tail().Int(0) + 1
 				nv := make([]int64, rows)
@@ -204,12 +207,22 @@ func TestSnapshotConsistencyUnderUpdates(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			atomic.AddInt64(&updates, 1)
-			time.Sleep(3 * time.Millisecond)
+			select {
+			case <-readDone: // a read that finished before this update
+			default:
+			}
+			select {
+			case <-readDone:
+			case <-time.After(10 * time.Second):
+				t.Error("no read finished for 10 s")
+				return
+			}
+			if len(readErr) > 0 || updates >= minUpdates && atomic.LoadInt64(&reads) >= minReads {
+				return
+			}
 		}
 	}()
 
-	readErr := make(chan error, 8)
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -261,20 +274,20 @@ func TestSnapshotConsistencyUnderUpdates(t *testing.T) {
 					readErr <- fmt.Errorf("negative version %d", versionSeen)
 					return
 				}
+				atomic.AddInt64(&reads, 1)
+				select {
+				case readDone <- struct{}{}:
+				default:
+				}
 			}
 		}(w)
 	}
 
-	time.Sleep(1200 * time.Millisecond)
-	close(stop)
 	wg.Wait()
 	select {
 	case err := <-readErr:
 		t.Fatal(err)
 	default:
-	}
-	if atomic.LoadInt64(&updates) < 2 {
-		t.Fatalf("only %d updates landed; the race was never exercised", updates)
 	}
 }
 
@@ -389,14 +402,14 @@ func intsOfBytes(n int) *bat.BAT { return bat.MakeInts("x", make([]int64, n/8)) 
 func TestHotCacheLOIEviction(t *testing.T) {
 	one := intsOfBytes(1024).Bytes()
 	h := newHotCache(2*one+one/2, CacheLOI)
-	h.put(1, 0, intsOfBytes(1024))
-	h.put(2, 0, intsOfBytes(1024))
+	h.put(1, 0, intsOfBytes(1024), nil)
+	h.put(2, 0, intsOfBytes(1024), nil)
 	for i := 0; i < 8; i++ {
 		if h.get(1, 0) == nil {
 			t.Fatal("resident entry missed")
 		}
 	}
-	h.put(3, 0, intsOfBytes(1024)) // over budget: entry 2 (loi 1) must go, not entry 1 (loi 9)
+	h.put(3, 0, intsOfBytes(1024), nil) // over budget: entry 2 (loi 1) must go, not entry 1 (loi 9)
 	if h.get(1, 0) == nil {
 		t.Fatal("high-interest entry was evicted")
 	}
@@ -414,13 +427,13 @@ func TestHotCacheLOIEviction(t *testing.T) {
 func TestHotCacheLRUEviction(t *testing.T) {
 	one := intsOfBytes(1024).Bytes()
 	h := newHotCache(2*one+one/2, CacheLRU)
-	h.put(1, 0, intsOfBytes(1024))
-	h.put(2, 0, intsOfBytes(1024))
+	h.put(1, 0, intsOfBytes(1024), nil)
+	h.put(2, 0, intsOfBytes(1024), nil)
 	for i := 0; i < 8; i++ {
 		h.get(1, 0) // interest, but older recency after the next touch
 	}
 	h.get(2, 0)
-	h.put(3, 0, intsOfBytes(1024))
+	h.put(3, 0, intsOfBytes(1024), nil)
 	if h.get(2, 0) == nil {
 		t.Fatal("most recently used entry was evicted")
 	}
@@ -434,15 +447,15 @@ func TestHotCacheLRUEviction(t *testing.T) {
 // a newer resident version (late ring arrivals after an update).
 func TestHotCacheVersioning(t *testing.T) {
 	h := newHotCache(1<<20, CacheLOI)
-	h.put(1, 0, intsOfBytes(256))
+	h.put(1, 0, intsOfBytes(256), nil)
 	if h.get(1, 1) != nil {
 		t.Fatal("served a version that was never stored")
 	}
 	if st := h.stats(); st.Stale != 1 {
 		t.Fatalf("stale = %d, want 1", st.Stale)
 	}
-	h.put(1, 2, intsOfBytes(256))
-	h.put(1, 1, intsOfBytes(256)) // late old delivery must not downgrade
+	h.put(1, 2, intsOfBytes(256), nil)
+	h.put(1, 1, intsOfBytes(256), nil) // late old delivery must not downgrade
 	if h.get(1, 2) == nil {
 		t.Fatal("newer version displaced by an older delivery")
 	}
@@ -456,8 +469,8 @@ func TestHotCacheVersioning(t *testing.T) {
 // not admitted, and cannot evict the entire cache to make room.
 func TestHotCacheBudgetGate(t *testing.T) {
 	h := newHotCache(1024, CacheLOI)
-	h.put(1, 0, intsOfBytes(512))
-	h.put(2, 0, intsOfBytes(64<<10))
+	h.put(1, 0, intsOfBytes(512), nil)
+	h.put(2, 0, intsOfBytes(64<<10), nil)
 	if h.get(2, 0) != nil {
 		t.Fatal("over-budget payload admitted")
 	}

@@ -192,12 +192,15 @@ type Node struct {
 
 	// store holds the payloads of owned BATs ("local disk").
 	store map[core.BATID]*bat.BAT
-	// transit holds payloads of BATs currently flowing through, and
-	// transitVer the fragment version each arrived labelled with.
-	transit    map[core.BATID]*bat.BAT
-	transitVer map[core.BATID]int
+	// transit holds the BATs currently flowing through, each with the
+	// fragment version it arrived labelled with and the slab it was
+	// decoded from.
+	transit map[core.BATID]arrival
 	// cached holds payloads pinned by local queries (refcounted).
 	cached map[core.BATID]*cachedBAT
+	// slabs tracks the receive slabs this node's payloads are views of
+	// (slab.go).
+	slabs slabSet
 
 	// hot is the node's hot-set fragment cache (nil when
 	// Config.CacheBytes is 0: every new code path gates on it, so a
@@ -301,29 +304,39 @@ type Node struct {
 
 // wireEntry caches one fragment's serialized form. Entries are
 // refcounted: the cache map holds one reference and every in-flight
-// send holds another, so a pooled encode buffer is recycled exactly
-// when the last user lets go — an update can invalidate an entry while
+// send holds another, so a pooled encode buffer is recycled — and the
+// receive slab of an entry seeded from arrived bytes released — exactly
+// when the last user lets go: an update can invalidate an entry while
 // the kernel is still reading its bytes for a send (sends post them as
 // they are) without the buffer being reused underneath the send.
 type wireEntry struct {
 	src    *bat.BAT // payload the bytes were marshalled from
 	raw    []byte
 	pooled bool         // raw came from wirebuf and may be recycled
+	slab   *slab        // raw is a view of this receive slab (nil: not)
 	refs   atomic.Int32 // cache reference + in-flight sends
 }
 
-func newWireEntry(src *bat.BAT, raw []byte, pooled bool) *wireEntry {
-	e := &wireEntry{src: src, raw: raw, pooled: pooled}
+// newWireEntry wraps raw, marshalled from src; the entry holds slab s,
+// which raw is a view of (nil: it is not), until its last reference
+// goes.
+func newWireEntry(src *bat.BAT, raw []byte, pooled bool, s *slab) *wireEntry {
+	e := &wireEntry{src: src, raw: raw, pooled: pooled, slab: s}
 	e.refs.Store(1)
+	s.retain()
 	return e
 }
 
 func (e *wireEntry) acquire() { e.refs.Add(1) }
 
 func (e *wireEntry) release() {
-	if e.refs.Add(-1) == 0 && e.pooled {
+	if e.refs.Add(-1) != 0 {
+		return
+	}
+	if e.pooled {
 		wirebuf.Put(e.raw)
 	}
+	e.slab.release()
 }
 
 // setWireEntry installs a cache entry, releasing any entry it replaces.
@@ -347,7 +360,15 @@ func (n *Node) dropWireEntry(id core.BATID) {
 type cachedBAT struct {
 	b    *bat.BAT
 	ver  int
+	slab *slab // b is a view of this receive slab (nil: GC memory)
 	refs int
+}
+
+// arrival is one BAT flowing through a node (Node.transit).
+type arrival struct {
+	b    *bat.BAT
+	ver  int
+	slab *slab
 }
 
 // delivered is what a waiter channel carries: the payload and the
@@ -365,6 +386,7 @@ func (n *Node) unrefCached(id core.BATID) {
 		c.refs--
 		if c.refs <= 0 {
 			delete(n.cached, id)
+			c.slab.release()
 		}
 	}
 }
@@ -529,20 +551,19 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 func (r *Ring) newNode(id, nodes, pred int, schema minisql.Schema) *Node {
 	cfg := r.cfg
 	node := &Node{
-		ring:       r,
-		id:         core.NodeID(id),
-		cfg:        cfg,
-		store:      map[core.BATID]*bat.BAT{},
-		transit:    map[core.BATID]*bat.BAT{},
-		transitVer: map[core.BATID]int{},
-		cached:     map[core.BATID]*cachedBAT{},
-		waiters:    map[waitKey]chan delivered{},
-		errs:       map[core.QueryID]chan error{},
-		wireCache:  map[core.BATID]*wireEntry{},
-		versions:   map[core.BATID]int{},
-		schema:     schema,
-		start:      time.Now(),
-		closed:     make(chan struct{}),
+		ring:      r,
+		id:        core.NodeID(id),
+		cfg:       cfg,
+		store:     map[core.BATID]*bat.BAT{},
+		transit:   map[core.BATID]arrival{},
+		cached:    map[core.BATID]*cachedBAT{},
+		waiters:   map[waitKey]chan delivered{},
+		errs:      map[core.QueryID]chan error{},
+		wireCache: map[core.BATID]*wireEntry{},
+		versions:  map[core.BATID]int{},
+		schema:    schema,
+		start:     time.Now(),
+		closed:    make(chan struct{}),
 	}
 	if cfg.CacheBytes > 0 {
 		node.hot = newHotCache(cfg.CacheBytes, cfg.CacheMode)
@@ -650,7 +671,8 @@ func (n *Node) dataLoop(wg *sync.WaitGroup) {
 			return
 		}
 		if isBeatMsg(data) {
-			n.onBeat(data)
+			n.onBeat(data) // decodes into memory of its own
+			in.Recycle(data)
 			continue
 		}
 		if n.memb != nil {
@@ -659,31 +681,30 @@ func (n *Node) dataLoop(wg *sync.WaitGroup) {
 			// even when its explicit beats are queued behind that data.
 			n.memb.Pulse()
 		}
+		// The loop holds the message's slab while it handles it; the
+		// payloads decoded from it take holds of their own.
+		s := n.receive(in, data)
 		if isBatchMsg(data) {
 			// A batch envelope is several v2 messages that shared one
 			// hop: handle each entry exactly as if it had arrived alone.
 			// Entry payloads are zero-copy views over the message
-			// buffer, same aliasing rules as a single.
-			entries, err := decodeBatchMsg(data)
-			if err != nil {
-				continue
+			// slab, same aliasing rules as a single.
+			if entries, err := decodeBatchMsg(data); err == nil {
+				for _, e := range entries {
+					n.handleData(e.m, e.ver, e.payload, s)
+				}
 			}
-			for _, e := range entries {
-				n.handleData(e.m, e.ver, e.payload)
-			}
-			continue
+		} else if hdr, ver, rawPayload, err := decodeDataMsg(data); err == nil {
+			n.handleData(hdr, ver, rawPayload, s)
 		}
-		hdr, ver, rawPayload, err := decodeDataMsg(data)
-		if err != nil {
-			continue
-		}
-		n.handleData(hdr, ver, rawPayload)
+		s.release()
 	}
 }
 
-// handleData processes one arrived data message (or one batch entry):
-// decode, hot-cache population, runtime delivery.
-func (n *Node) handleData(hdr core.BATMsg, ver int, rawPayload []byte) {
+// handleData processes one arrived data message (or one batch entry)
+// whose payload bytes are a view of slab s: decode, hot-cache
+// population, runtime delivery.
+func (n *Node) handleData(hdr core.BATMsg, ver int, rawPayload []byte, s *slab) {
 	if n.memb != nil && hdr.Owner != n.id && n.ring.isDead(hdr.Owner) {
 		// An envelope orphaned by its owner's death. If failover has
 		// promoted this node to owner, adopt the envelope as our own
@@ -712,10 +733,10 @@ func (n *Node) handleData(hdr core.BATMsg, ver int, rawPayload []byte) {
 	var payload *bat.BAT
 	if len(rawPayload) > 0 {
 		// Zero-copy decode: the BAT's fixed-width columns alias
-		// rawPayload, and thus the buffer the transport received the
-		// message into. That buffer is the receiver's alone (the
-		// transport never touches it again) and nothing here writes
-		// it, so the views stay valid for as long as they are held.
+		// rawPayload, and thus the slab the transport received the
+		// message into. Nothing here writes it, and everything that
+		// keeps the payload holds the slab (slab.go), so the views stay
+		// valid for as long as they are held.
 		var err error
 		payload, err = bat.UnmarshalView(rawPayload)
 		if err != nil {
@@ -728,7 +749,7 @@ func (n *Node) handleData(hdr core.BATMsg, ver int, rawPayload []byte) {
 		// fragments are skipped: the owner's pins are served from
 		// the store already. Inserted before OnBAT so a pin
 		// coalesced behind this delivery finds the entry resident.
-		n.hot.put(hdr.BAT, ver, payload)
+		n.hot.put(hdr.BAT, ver, payload, s)
 	}
 	n.mu.Lock()
 	if hdr.Owner == n.id {
@@ -757,22 +778,21 @@ func (n *Node) handleData(hdr core.BATMsg, ver int, rawPayload []byte) {
 		rp.loi = hdr.LOI
 	}
 	if payload != nil {
-		n.transit[hdr.BAT] = payload
-		n.transitVer[hdr.BAT] = ver
+		n.transit[hdr.BAT] = arrival{payload, ver, s}
 		// Seed the wire cache with the bytes just received: if OnBAT
 		// forwards this fragment, SendData reuses them verbatim
 		// instead of re-marshalling the payload it just decoded.
-		// Not pooled: the decoded BAT aliases these bytes. The owner
-		// forwards its *store* payload instead of the circulating
+		// Not pooled: the decoded BAT aliases these bytes, and the
+		// entry holds their slab until its last send completes. The
+		// owner forwards its *store* payload instead of the circulating
 		// copy, so seeding its own fragment would evict the store-keyed
 		// entry and force a re-marshal every pass — keep that entry.
 		if hdr.Owner != n.id {
-			n.setWireEntry(hdr.BAT, newWireEntry(payload, rawPayload, false))
+			n.setWireEntry(hdr.BAT, newWireEntry(payload, rawPayload, false, s))
 		}
 	}
 	n.rt.OnBAT(hdr)
 	delete(n.transit, hdr.BAT)
-	delete(n.transitVer, hdr.BAT)
 	if payload != nil {
 		// The seed has served its purpose (the forward, if any,
 		// happened inside OnBAT). On a non-owner, keeping it would
@@ -806,6 +826,7 @@ func (n *Node) reqLoop(wg *sync.WaitGroup) {
 			return
 		}
 		req, err := decodeReqMsg(data)
+		in.Recycle(data) // a request decodes into fields: nothing views it
 		if err != nil {
 			continue
 		}
@@ -859,8 +880,8 @@ func (e *liveEnv) SendData(m core.BATMsg) {
 		}
 	}
 	if payload == nil {
-		if b, ok := n.transit[m.BAT]; ok {
-			payload, ver = b, n.transitVer[m.BAT]
+		if a, ok := n.transit[m.BAT]; ok {
+			payload, ver = a.b, a.ver
 		} else if b, ok := n.store[m.BAT]; ok {
 			payload, ver = b, n.versions[m.BAT]
 		} else if c, ok := n.cached[m.BAT]; ok {
@@ -880,7 +901,7 @@ func (e *liveEnv) SendData(m core.BATMsg) {
 	if ok && ent.src == payload {
 		atomic.AddInt64(&n.wireHits, 1)
 	} else {
-		ent = newWireEntry(payload, bat.AppendMarshal(wirebuf.Get(), payload), true)
+		ent = newWireEntry(payload, bat.AppendMarshal(wirebuf.Get(), payload), true, nil)
 		n.setWireEntry(m.BAT, ent)
 		atomic.AddInt64(&n.wireMisses, 1)
 	}
@@ -969,17 +990,20 @@ func (e *liveEnv) Deliver(q core.QueryID, b core.BATID) {
 		// keeps owner pins on the cache contract: never older than the
 		// catalog read before the pin.
 		payload, ver = p, n.versions[b]
-	} else if p, ok := n.transit[b]; ok {
-		payload, ver = p, n.transitVer[b]
-		// The query will hold the BAT pinned: keep the payload cached.
+	} else if a, ok := n.transit[b]; ok {
+		payload, ver = a.b, a.ver
+		a.slab.lend()
+		// The query will hold the BAT pinned: keep the payload cached,
+		// and with it the slab it is a view of.
 		c := n.cached[b]
 		if c == nil {
-			c = &cachedBAT{b: p, ver: ver}
+			c = &cachedBAT{b: a.b, ver: ver, slab: a.slab}
+			a.slab.retain()
 			n.cached[b] = c
 		}
 		c.refs++
 	} else if c, ok := n.cached[b]; ok {
-		payload, ver = c.b, c.ver
+		payload, ver = c.b, c.ver // lent when the entry was made
 		c.refs++
 	}
 	ch <- delivered{payload, ver} // buffered
@@ -1200,6 +1224,7 @@ func (n *Node) ExecSQL(src string) (*mal.ResultSet, error) {
 func (n *Node) ExecPlan(plan *mal.Plan) (*mal.ResultSet, error) {
 	atomic.AddInt64(&n.activeQueries, 1)
 	defer atomic.AddInt64(&n.activeQueries, -1)
+	defer n.exitQuery(n.enterQuery())
 	q := core.QueryID(atomic.AddInt64(&n.nextQ, 1))<<16 | core.QueryID(n.id)
 	cancel := make(chan struct{})
 	var cancelOnce sync.Once
@@ -1247,6 +1272,11 @@ func (n *Node) ExecPlan(plan *mal.Plan) (*mal.ResultSet, error) {
 	rs, ok := res.(*mal.ResultSet)
 	if !ok {
 		return nil, fmt.Errorf("live: plan produced %T, want result set", res)
+	}
+	// The result outlives the query's grace period: no column of it may
+	// be a view of a slab.
+	for i, c := range rs.Cols {
+		rs.Cols[i] = n.ownResult(c)
 	}
 	return rs, nil
 }

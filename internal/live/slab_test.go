@@ -1,0 +1,346 @@
+package live
+
+import (
+	"slices"
+	"sync/atomic"
+	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/bat"
+	"repro/internal/core"
+	"repro/internal/mal"
+	"repro/internal/minisql"
+)
+
+// slabRows is the fragment size of the lifetime test's columns: every
+// fragment of every column marshals to the same size, so the slabs one
+// column's traffic frees are the ones the next arrival is received into.
+const slabRows = 512
+
+// slabValues are the lifetime test's columns: p.val (4 fragments) is
+// the data under test, q.val (4 fragments) the traffic that forces
+// recycling, s.val (one fragment) the single-fragment result. No value
+// repeats across them, and none looks like the poison pattern a test
+// binary overwrites recycled slabs with.
+func slabValues() map[string][]int64 {
+	p, q, s := make([]int64, 4*slabRows), make([]int64, 4*slabRows), make([]int64, slabRows)
+	for i := range p {
+		p[i], q[i] = int64(3*i+1), -int64(3*i+1)
+	}
+	for i := range s {
+		s[i] = int64(3*i + 2)
+	}
+	return map[string][]int64{"p.val": p, "q.val": q, "s.val": s}
+}
+
+func slabRing(t *testing.T, cfg Config) *Ring {
+	t.Helper()
+	cols := map[string]*bat.BAT{}
+	for name, vals := range slabValues() {
+		cols[name] = bat.MakeInts(name, vals)
+	}
+	cfg.FragmentRows = slabRows
+	r, err := NewRing(3, cols, minisql.MapSchema{"p": {"val"}, "q": {"val"}, "s": {"val"}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	return r
+}
+
+// fragValues is what fragment id of column name holds.
+func fragValues(t *testing.T, r *Ring, name string, id core.BATID) []int64 {
+	t.Helper()
+	ids, _ := r.Fragments(name)
+	k := slices.Index(ids, id)
+	if k < 0 {
+		t.Fatalf("fragment %d is not one of %s's", id, name)
+	}
+	return slabValues()[name][k*slabRows : (k+1)*slabRows]
+}
+
+func tailInts(b *bat.BAT) []int64 {
+	out := make([]int64, b.Len())
+	for i := range out {
+		out[i] = b.Tail().Int(i)
+	}
+	return out
+}
+
+// remoteFrag is a fragment of column name that reader does not own.
+func remoteFrag(r *Ring, reader *Node, name string) core.BATID {
+	ids, _ := r.Fragments(name)
+	for _, id := range ids {
+		if r.ownerOf(id) != reader {
+			return id
+		}
+	}
+	panic("every fragment of " + name + " is the reader's")
+}
+
+// bareDC is a query handle on n that never registered for the grace
+// period: a pin through it is held by nothing but its delivery.
+func bareDC(n *Node) *queryDC {
+	return &queryDC{n: n, q: core.QueryID(atomic.AddInt64(&n.nextQ, 1))<<16 | core.QueryID(n.id)}
+}
+
+// recycled reports whether s went back to its endpoint's free list.
+func recycled(s *slab) bool {
+	set := &s.node.slabs
+	set.mu.Lock()
+	defer set.mu.Unlock()
+	return set.out[unsafe.SliceData(s.buf)] != s
+}
+
+// churn makes every node but reader pull q.val around the ring again
+// (their cache entries for it are dropped first), so reader receives and
+// recycles slabs the size of the ones under test, and checks the sums.
+// It runs no query on reader itself: a query there would hold every
+// retired slab for its grace period and hide a missing hold.
+func churn(t *testing.T, r *Ring, reader *Node) {
+	t.Helper()
+	ids, _ := r.Fragments("q.val")
+	var want int64
+	for _, v := range slabValues()["q.val"] {
+		want += v
+	}
+	for _, n := range r.nodeList() {
+		if n == reader {
+			continue
+		}
+		if n.hot != nil {
+			for _, id := range ids {
+				n.hot.drop(id)
+			}
+		}
+		if got := execWithin(t, n, "select sum(val) from q").Row(0)[0].(int64); got != want {
+			t.Fatalf("node %d: traffic query summed to %d, want %d", n.id, got, want)
+		}
+	}
+}
+
+// execWithin runs sql on n and fails the test if no answer comes
+// within 10 s: a fragment that arrives unreadable is dropped, and a pin
+// waiting for it never returns.
+func execWithin(t *testing.T, n *Node, sql string) *mal.ResultSet {
+	t.Helper()
+	type answer struct {
+		rs  *mal.ResultSet
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		rs, err := n.ExecSQL(sql)
+		done <- answer{rs, err}
+	}()
+	select {
+	case a := <-done:
+		if a.err != nil {
+			t.Fatalf("node %d: %v", n.id, a.err)
+		}
+		return a.rs
+	case <-time.After(10 * time.Second):
+		t.Fatalf("node %d: no answer to %q in 10 s: a fragment arrived unreadable", n.id, sql)
+		return nil
+	}
+}
+
+// settle churns until s has at most held holders — a hold that is
+// missing shows as fewer — and then once more, so recycling runs with s
+// at its final count.
+func settle(t *testing.T, r *Ring, reader *Node, s *slab, held int32) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.refs.Load() > held {
+		if time.Now().After(deadline) {
+			t.Fatalf("slab still has %d holders, want %d", s.refs.Load(), held)
+		}
+		churn(t, r, reader)
+	}
+	churn(t, r, reader)
+}
+
+// TestSlabLifetime: a received slab is recycled — and, in a test
+// binary, overwritten with the poison pattern — only when nothing can
+// read it any more. Each holder alone keeps its slab off the free list
+// while traffic recycles the slabs around it, and what leaves a query
+// survives the reuse of the slab it was read from.
+func TestSlabLifetime(t *testing.T) {
+	t.Run("cache entry", func(t *testing.T) {
+		r := slabRing(t, DefaultConfig())
+		reader := r.Node(1)
+		if _, err := reader.Fetch("p.val"); err != nil {
+			t.Fatal(err)
+		}
+		entries := map[core.BATID]*hotEntry{}
+		reader.hot.mu.Lock()
+		ids, _ := r.Fragments("p.val")
+		for _, id := range ids {
+			if e := reader.hot.entries[id]; e != nil {
+				entries[id] = e
+			}
+		}
+		reader.hot.mu.Unlock()
+		if len(entries) == 0 {
+			t.Fatal("the fetch cached no remote fragment")
+		}
+		for _, e := range entries {
+			var held int32
+			for _, other := range entries {
+				if other.slab == e.slab {
+					held++
+				}
+			}
+			settle(t, r, reader, e.slab, held)
+		}
+		for id, e := range entries {
+			if recycled(e.slab) {
+				t.Fatalf("fragment %d: slab recycled under its cache entry", id)
+			}
+			if got, want := tailInts(e.b), fragValues(t, r, "p.val", id); !slices.Equal(got, want) {
+				t.Fatalf("fragment %d: cache entry reads %v…, want %v…", id, got[:3], want[:3])
+			}
+		}
+	})
+
+	t.Run("pinned delivery", func(t *testing.T) {
+		r := slabRing(t, DefaultConfig())
+		reader := r.Node(1)
+		ids, _ := r.Fragments("p.val")
+		id := remoteFrag(r, reader, "p.val")
+		dc := bareDC(reader)
+		b, _, err := dc.ringPin(id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, other := range ids {
+			reader.hot.drop(other)
+		}
+		reader.mu.Lock()
+		s := reader.cached[id].slab
+		reader.mu.Unlock()
+		settle(t, r, reader, s, 1)
+		if recycled(s) {
+			t.Fatal("slab recycled under a pinned delivery")
+		}
+		if got, want := tailInts(b), fragValues(t, r, "p.val", id); !slices.Equal(got, want) {
+			t.Fatalf("pinned delivery reads %v…, want %v…", got[:3], want[:3])
+		}
+		dc.releaseRing(id)
+		if !recycled(s) {
+			t.Fatal("slab not recycled once its last holder let go")
+		}
+	})
+
+	t.Run("in-flight forward", func(t *testing.T) {
+		// No cache, and a linger that keeps every forward queued for a
+		// while after the receive loop let go of its message: a
+		// fragment passing node 1 on its way from node 0 to node 2 is
+		// held by the forward's wire entry alone. Node 1 runs no query.
+		cfg := DefaultConfig()
+		cfg.CacheBytes = 0
+		cfg.HopBatchLinger = 5 * time.Millisecond
+		r := slabRing(t, cfg)
+		var want int64
+		for _, v := range slabValues()["p.val"] {
+			want += v
+		}
+		for i := 0; i < 5; i++ {
+			if got := execWithin(t, r.Node(2), "select sum(val) from p").Row(0)[0].(int64); got != want {
+				t.Fatalf("query %d summed to %d, want %d", i, got, want)
+			}
+		}
+		if n := ringResends(r); n != 0 {
+			t.Fatalf("%d resends: a forwarded fragment arrived unreadable", n)
+		}
+	})
+
+	// A running query holds views without holds — a cache hit, or a
+	// delivery after its unpin (pinMerged) — while everything that held
+	// their slab lets go.
+	views := map[string]func(t *testing.T, r *Ring, reader *Node, id core.BATID) (*bat.BAT, *slab){
+		"cache hit": func(t *testing.T, r *Ring, reader *Node, id core.BATID) (*bat.BAT, *slab) {
+			// Another node's fetch: the fragment reaches reader's cache
+			// in passing, and the hit is the first view of its slab.
+			if _, err := r.Node(2).Fetch("p.val"); err != nil {
+				t.Fatal(err)
+			}
+			b := reader.hot.get(id, 0)
+			if b == nil {
+				t.Fatal("the passing fragment was not cached")
+			}
+			reader.hot.mu.Lock()
+			defer reader.hot.mu.Unlock()
+			return b, reader.hot.entries[id].slab
+		},
+		"delivery": func(t *testing.T, r *Ring, reader *Node, id core.BATID) (*bat.BAT, *slab) {
+			dc := bareDC(reader)
+			b, _, err := dc.ringPin(id, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reader.mu.Lock()
+			s := reader.cached[id].slab
+			reader.mu.Unlock()
+			dc.releaseRing(id)
+			return b, s
+		},
+	}
+	for via, view := range views {
+		t.Run("running query, "+via, func(t *testing.T) {
+			r := slabRing(t, DefaultConfig())
+			reader := r.Node(1)
+			id := remoteFrag(r, reader, "p.val")
+			e := reader.enterQuery()
+			b, s := view(t, r, reader, id)
+			ids, _ := r.Fragments("p.val")
+			for _, other := range ids {
+				reader.hot.drop(other)
+			}
+			settle(t, r, reader, s, 0)
+			if recycled(s) {
+				t.Fatal("slab recycled under a running query's view")
+			}
+			if got, want := tailInts(b), fragValues(t, r, "p.val", id); !slices.Equal(got, want) {
+				t.Fatalf("running query's view reads %v…, want %v…", got[:3], want[:3])
+			}
+			reader.exitQuery(e)
+			if !recycled(s) {
+				t.Fatal("slab not recycled once the query returned")
+			}
+		})
+	}
+
+	t.Run("results", func(t *testing.T) {
+		r := slabRing(t, DefaultConfig())
+		ids, _ := r.Fragments("s.val")
+		id := ids[0]
+		reader := r.node((int(r.ownerOf(id).id) + 1) % r.Size())
+		fetched, err := reader.Fetch("s.val")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := reader.ExecSQL("select val from s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reader.hot.mu.Lock()
+		s := reader.hot.entries[id].slab
+		reader.hot.mu.Unlock()
+		reader.hot.drop(id)
+		settle(t, r, reader, s, 0)
+		if !recycled(s) {
+			t.Fatal("the results' slab was never recycled; the test proves nothing")
+		}
+		want := slabValues()["s.val"]
+		if got := tailInts(fetched); !slices.Equal(got, want) {
+			t.Fatalf("fetched column reads %v…, want %v…", got[:3], want[:3])
+		}
+		got := tailInts(rs.Cols[0])
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("query result reads %v…, want %v…", got[:3], want[:3])
+		}
+	})
+}

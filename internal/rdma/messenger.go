@@ -427,8 +427,9 @@ func (m *Messenger) SendVectoredAsync(parts [][]byte, done func(error)) error {
 	return m.post(func() error { return m.qp.PostSendVec(bufs) }, nil, done)
 }
 
-// Recv blocks for the next message and returns it in the buffer the
-// transport received it into, without a copy: the caller owns it.
+// Recv blocks for the next message and returns it in the slab the
+// transport received it into, without a copy: the caller owns it, and
+// may hand it back with Recycle once nothing reads it any more.
 func (m *Messenger) Recv() ([]byte, error) {
 	c, ok := <-m.qp.RecvCompletions()
 	if !ok {
@@ -443,6 +444,12 @@ func (m *Messenger) Recv() ([]byte, error) {
 	}
 	return c.Data, nil
 }
+
+// Recycle returns a message Recv handed out, whole, to the receiving
+// endpoint's free list, so a later message of the same size lands in it
+// instead of in fresh memory (QueuePair.Recycle). The caller gives up
+// every view of it.
+func (m *Messenger) Recycle(data []byte) { m.qp.Recycle(data) }
 
 // Close tears down the underlying queue pair.
 func (m *Messenger) Close() error {

@@ -344,14 +344,44 @@ func TestMessengerSendPoolTCP(t *testing.T) {
 
 // TestTCPHopCopiesOnce pins the copy count of a TCP hop: a 512 KB
 // message, sent either vectored from the caller's buffers or encoded
-// into a send region, costs the process one allocation of its size —
-// the buffer the receiver is handed. A user-space copy on either side (a
-// send copy of the region, a receive copy out of a posted buffer) would
-// be a second message-sized allocation.
+// into a send region, costs the process at most one allocation of its
+// size — the slab the receiver is handed — and nothing at all once the
+// receiver recycles its slabs. A user-space copy on either side (a send
+// copy of the region, a receive copy out of a posted buffer) would be a
+// second message-sized allocation.
 func TestTCPHopCopiesOnce(t *testing.T) {
 	const size = 64 + 512<<10
-	const rounds = 8
 	a, b := tcpMessengerPair(t, size)
+	checkHopAllocs(t, a, b, size)
+}
+
+// TestInprocHopCopiesOnce: the in-process provider's one copy lands in
+// a slab of the receiving endpoint, so a recycling receiver allocates
+// nothing per hop there either.
+func TestInprocHopCopiesOnce(t *testing.T) {
+	const size = 64 + 512<<10
+	qa, qb := NewPair(MessengerDepth)
+	a, err := NewMessenger(qa, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewMessenger(qb, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	defer b.Close()
+	checkHopAllocs(t, a, b, size)
+}
+
+// checkHopAllocs measures the bytes allocated per steady-state hop of a
+// size-byte message from a to b, for each send path and for a receiver
+// that keeps its buffers (≤ 1.1× the message: the fresh slab each
+// receive needs — what bench/'s probe does) and one that recycles them
+// (≤ 0.05×: nothing message-sized).
+func checkHopAllocs(t *testing.T, a, b *Messenger, size int) {
+	t.Helper()
+	const rounds = 8
 	msg := bytes.Repeat([]byte{0x5a}, size)
 	for _, send := range []struct {
 		name string
@@ -362,33 +392,84 @@ func TestTCPHopCopiesOnce(t *testing.T) {
 			return a.SendEncoded(size, func(dst []byte) int { return copy(dst, msg) })
 		}},
 	} {
-		hop := func() {
-			sent := make(chan error, 1)
-			go func() { sent <- send.fn() }()
-			got, err := b.Recv()
-			if err != nil {
-				t.Fatalf("%s: recv: %v", send.name, err)
+		for _, recv := range []struct {
+			name    string
+			recycle bool
+			limit   float64
+		}{
+			{"keeping", false, 1.1},
+			{"recycling", true, 0.05},
+		} {
+			hop := func() {
+				sent := make(chan error, 1)
+				go func() { sent <- send.fn() }()
+				got, err := b.Recv()
+				if err != nil {
+					t.Fatalf("%s: recv: %v", send.name, err)
+				}
+				if err := <-sent; err != nil {
+					t.Fatalf("%s: send: %v", send.name, err)
+				}
+				if !bytes.Equal(got, msg) {
+					t.Fatalf("%s: payload corrupted", send.name)
+				}
+				if recv.recycle {
+					b.Recycle(got)
+				}
 			}
-			if err := <-sent; err != nil {
-				t.Fatalf("%s: send: %v", send.name, err)
+			hop() // warm: goroutines, pooled scratch, the first slab
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < rounds; i++ {
+				hop()
 			}
-			if !bytes.Equal(got, msg) {
-				t.Fatalf("%s: payload corrupted", send.name)
+			runtime.ReadMemStats(&after)
+			per := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+			t.Logf("%s, %s receiver: %.3f× the message allocated per hop", send.name, recv.name, per/float64(size))
+			if per > recv.limit*float64(size) {
+				t.Errorf("%s, %s receiver: %.0f bytes allocated per %d-byte hop (%.3f×), want ≤ %.2f×",
+					send.name, recv.name, per, size, per/float64(size), recv.limit)
 			}
 		}
-		hop() // warm: goroutines, pooled scratch
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < rounds; i++ {
-			hop()
-		}
-		runtime.ReadMemStats(&after)
-		per := float64(after.TotalAlloc-before.TotalAlloc) / rounds
-		t.Logf("%s: %.2f× the message allocated per hop", send.name, per/size)
-		if per > 1.1*size {
-			t.Errorf("%s: %.0f bytes allocated per %d-byte hop (%.2f×), want ≤ 1.1×",
-				send.name, per, size, per/size)
-		}
+	}
+}
+
+// TestRecycledSlabIsPoisoned: in a test binary a recycled slab is
+// overwritten before it goes back on the free list, so a view kept past
+// Recycle reads the poison pattern; the next slab of that size is the
+// same memory, and a slab of another size is not.
+func TestRecycledSlabIsPoisoned(t *testing.T) {
+	p := slabPool{armed: true} // no collection trims it behind the test's back
+	kept := p.get(13)
+	copy(kept, "first message")
+	p.put(kept)
+	if !bytes.Equal(kept, bytes.Repeat([]byte{slabPoison}, len(kept))) {
+		t.Fatalf("recycled slab reads %q, want the poison pattern", kept)
+	}
+	if other := p.get(14); &other[0] == &kept[0] {
+		t.Fatal("a 14-byte slab came from the 13-byte free list")
+	}
+	if next := p.get(13); &next[0] != &kept[0] {
+		t.Fatal("a same-size slab was allocated while one was free")
+	}
+}
+
+// TestSlabPoolTrimsIdleSlabs: a collection drops the free slabs no
+// message needed since the previous one — the bottom of each stack
+// below its low-water mark — and keeps the rest.
+func TestSlabPoolTrimsIdleSlabs(t *testing.T) {
+	p := slabPool{armed: true} // trimmed by hand: no collection trims it too
+	idle, busy := p.get(64), p.get(64)
+	p.put(idle)
+	p.put(busy)
+	p.put(p.get(8)) // a size of its own, never asked for again
+	p.trim()        // starts the first watched cycle
+	p.put(p.get(64))
+	if !p.trim() || len(p.free[64]) != 1 || &p.free[64][0][0] != &busy[0] || len(p.free[8]) != 0 {
+		t.Fatalf("after an idle cycle: %d free 64-byte slabs, %d free 8-byte slabs; want the busy 64-byte one only", len(p.free[64]), len(p.free[8]))
+	}
+	if p.trim() || len(p.free) != 0 {
+		t.Fatalf("a cycle nobody received in left %d sizes free, or the pool still watched", len(p.free))
 	}
 }
 
@@ -432,32 +513,41 @@ func TestTCPOversizeFrameAllocatesNothing(t *testing.T) {
 
 // BenchmarkMessengerHop512K streams ring-hop-shaped messages — a 64-byte
 // header and a 512 KB payload, sent vectored and pipelined through the
-// send window — over a loopback TCP Messenger pair.
+// send window — over a loopback TCP Messenger pair whose receiver
+// recycles each slab, as the live ring does: B/op ≈ 0.
 func BenchmarkMessengerHop512K(b *testing.B) {
 	const payload = 512 << 10
 	a, r := tcpMessengerPair(b, 64+payload)
 	parts := [][]byte{make([]byte, 64), make([]byte, payload)}
-	b.SetBytes(64 + payload)
-	b.ReportAllocs()
-	b.ResetTimer()
-	recvd := make(chan error, 1)
-	go func() {
-		for i := 0; i < b.N; i++ {
-			if _, err := r.Recv(); err != nil {
-				recvd <- err
-				return
+	stream := func(n int) {
+		recvd := make(chan error, 1)
+		go func() {
+			for i := 0; i < n; i++ {
+				data, err := r.Recv()
+				if err != nil {
+					recvd <- err
+					return
+				}
+				r.Recycle(data)
+			}
+			recvd <- nil
+		}()
+		for i := 0; i < n; i++ {
+			if err := a.SendVectoredAsync(parts, nil); err != nil {
+				b.Fatal(err)
 			}
 		}
-		recvd <- nil
-	}()
-	for i := 0; i < b.N; i++ {
-		if err := a.SendVectoredAsync(parts, nil); err != nil {
+		if err := <-recvd; err != nil {
 			b.Fatal(err)
 		}
 	}
-	if err := <-recvd; err != nil {
-		b.Fatal(err)
-	}
+	// Warm: the slabs a full pipeline holds at once (the receive
+	// credits' worth) are allocated here, not in the timed stream.
+	stream(8 * MessengerDepth)
+	b.SetBytes(64 + payload)
+	b.ReportAllocs()
+	b.ResetTimer()
+	stream(b.N)
 }
 
 // TestMessengerPoolBounded checks the registered-byte cap: a messenger

@@ -16,7 +16,6 @@
 package rdma
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -37,7 +36,8 @@ var (
 // MemoryRegion is a registered send buffer. Registration pins the
 // memory with the (emulated) NIC and yields a steering key, mirroring
 // §2.1. Receives need no region: a receive completion hands over a
-// buffer the receiver owns (Completion.Data).
+// slab of the endpoint's receive memory (Completion.Data), which the
+// receiver returns with Recycle when it is done with it.
 type MemoryRegion struct {
 	buf        []byte
 	key        uint32
@@ -74,9 +74,10 @@ func (d *Device) Deregister(mr *MemoryRegion) { mr.registered = false }
 type Completion struct {
 	// Bytes transferred.
 	Bytes int
-	// Data is a receive completion's message, in a buffer that now
-	// belongs to the receiver: the transport never reads or writes it
-	// again. Nil on send completions and on failed receives.
+	// Data is a receive completion's message, in a slab that now
+	// belongs to the receiver: the transport neither reads nor writes it
+	// until the receiver hands it back with Recycle (or never, if the
+	// receiver keeps it). Nil on send completions and on failed receives.
 	Data []byte
 	// Err is non-nil when the work request failed.
 	Err error
@@ -105,6 +106,11 @@ type QueuePair interface {
 	// before anything is allocated for it. Like real verbs the receive
 	// queue has finite depth: ErrQueueFull when exceeded.
 	PostRecv(limit int) error
+	// Recycle returns a receive completion's Data, whole, to the
+	// endpoint's free list: a later message of the same size is received
+	// into it instead of into fresh memory. The caller gives up every
+	// view of it. Data that is never recycled is left to the GC.
+	Recycle(data []byte)
 	// SendCompletions returns the send completion queue.
 	SendCompletions() <-chan Completion
 	// RecvCompletions returns the receive completion queue. The channel
@@ -129,6 +135,9 @@ type inprocQP struct {
 	out chan<- inprocMsg
 	in  <-chan inprocMsg
 
+	slabs    slabPool  // this endpoint's receive memory
+	peerRecv *slabPool // the other endpoint's, which sends copy into
+
 	mu       sync.Mutex
 	closed   bool
 	sendCQ   chan Completion
@@ -148,6 +157,7 @@ func NewPair(depth int) (QueuePair, QueuePair) {
 	ba := make(chan inprocMsg, depth)
 	a := newInprocQP(ab, ba, depth)
 	b := newInprocQP(ba, ab, depth)
+	a.peerRecv, b.peerRecv = &b.slabs, &a.slabs
 	return a, b
 }
 
@@ -178,6 +188,7 @@ func (qp *inprocQP) receiveLoop() {
 			select {
 			case limit := <-qp.recvPend:
 				if len(msg.data) > limit {
+					qp.slabs.put(msg.data)
 					qp.recvCQ <- Completion{Err: ErrTooLarge}
 				} else {
 					qp.recvCQ <- Completion{Bytes: len(msg.data), Data: msg.data}
@@ -189,9 +200,9 @@ func (qp *inprocQP) receiveLoop() {
 	}
 }
 
-// PostSend copies the region once, into the buffer the receiver will
-// own: the emulation's stand-in for a NIC placing the bytes in the
-// peer's memory. Nothing is copied again on the way.
+// PostSend copies the region once, into a slab of the receiving
+// endpoint: the emulation's stand-in for a NIC placing the bytes in the
+// peer's registered memory. Nothing is copied again on the way.
 func (qp *inprocQP) PostSend(mr *MemoryRegion, n int) error {
 	if !mr.registered {
 		return ErrNotRegistered
@@ -199,13 +210,21 @@ func (qp *inprocQP) PostSend(mr *MemoryRegion, n int) error {
 	if n > len(mr.buf) {
 		return ErrTooLarge
 	}
-	return qp.post(append([]byte(nil), mr.buf[:n]...))
+	return qp.PostSendVec(net.Buffers{mr.buf[:n]})
 }
 
-// PostSendVec gathers the parts into the one buffer the receiver will
-// own — the provider's single copy, as for PostSend.
+// PostSendVec gathers the parts into one slab of the receiving endpoint
+// — the provider's single copy, as for PostSend.
 func (qp *inprocQP) PostSendVec(bufs net.Buffers) error {
-	return qp.post(bytes.Join(bufs, nil))
+	total := 0
+	for _, p := range bufs {
+		total += len(p)
+	}
+	data := qp.peerRecv.get(total)[:0]
+	for _, p := range bufs {
+		data = append(data, p...)
+	}
+	return qp.post(data)
 }
 
 // post hands data to the peer asynchronously; the send completion
@@ -246,6 +265,8 @@ func (qp *inprocQP) PostRecv(limit int) error {
 	}
 }
 
+func (qp *inprocQP) Recycle(data []byte) { qp.slabs.put(data) }
+
 func (qp *inprocQP) SendCompletions() <-chan Completion { return qp.sendCQ }
 func (qp *inprocQP) RecvCompletions() <-chan Completion { return qp.recvCQ }
 func (qp *inprocQP) Done() <-chan struct{}              { return qp.done }
@@ -274,9 +295,11 @@ func (qp *inprocQP) Close() error {
 // vectored write (net.Buffers → writev), so a message is one syscall
 // whether it was posted from a region or from a batch of buffers.
 // Neither direction copies in user space: the kernel reads a send from
-// the caller's buffers and writes a receive into the receiver's.
+// the caller's buffers and writes a receive into one of the endpoint's
+// recycled slabs.
 type tcpQP struct {
-	conn net.Conn
+	conn  net.Conn
+	slabs slabPool
 
 	mu     sync.Mutex
 	closed bool
@@ -380,9 +403,10 @@ func (qp *tcpQP) recvLoop() {
 			io.CopyN(io.Discard, cr, int64(n))
 			continue
 		}
-		// The body is read straight into the buffer the receiver will
-		// own: the kernel's copy out of the socket is the only one.
-		data := make([]byte, n)
+		// The body is read straight into a slab the receiver will own
+		// until it recycles it: the kernel's copy out of the socket is
+		// the only one, and a recycled slab is not even zeroed first.
+		data := qp.slabs.get(n)
 		if _, err := io.ReadFull(cr, data); err != nil {
 			qp.recvCQ <- Completion{Err: err}
 			return
@@ -454,6 +478,8 @@ func (qp *tcpQP) PostRecv(limit int) error {
 		return ErrQueueFull
 	}
 }
+
+func (qp *tcpQP) Recycle(data []byte) { qp.slabs.put(data) }
 
 func (qp *tcpQP) SendCompletions() <-chan Completion { return qp.sendCQ }
 func (qp *tcpQP) RecvCompletions() <-chan Completion { return qp.recvCQ }

@@ -4,7 +4,9 @@
 // syscalls, membership, latency quantiles); this file renders those
 // snapshots in the text format any Prometheus-compatible collector can
 // ingest, on a separate listener so scrapes never compete with query
-// traffic for protocol framing or admission slots.
+// traffic for protocol framing or admission slots. The same listener
+// serves net/http/pprof under /debug/pprof/, so a running node can be
+// profiled in place.
 
 package server
 
@@ -13,6 +15,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 )
 
 // metricsServer is the optional /metrics HTTP listener.
@@ -27,10 +30,10 @@ func (m *metricsServer) close() {
 	m.srv.Close()
 }
 
-// startMetrics binds the /metrics endpoint when Config.MetricsAddr is
-// set. Called once from Serve before the server is handed
-// to the caller; the handler snapshots node state per scrape, so nodes
-// added later by ServeNode appear automatically.
+// startMetrics binds the /metrics and /debug/pprof/ endpoints when
+// Config.MetricsAddr is set. Called once from Serve before the server is
+// handed to the caller; the metrics handler snapshots node state per
+// scrape, so nodes added later by ServeNode appear automatically.
 func (s *Server) startMetrics() error {
 	if s.cfg.MetricsAddr == "" {
 		return nil
@@ -41,6 +44,11 @@ func (s *Server) startMetrics() error {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.metrics = &metricsServer{ln: ln, srv: &http.Server{Handler: mux}}
 	s.wg.Add(1)
 	go func() {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dcclient"
 	"repro/internal/live"
@@ -80,5 +81,37 @@ func TestMetricsDisabledByDefault(t *testing.T) {
 	_, s := servedRing(t, 2, live.DefaultConfig(), server.DefaultConfig())
 	if addr := s.MetricsAddr(); addr != "" {
 		t.Fatalf("MetricsAddr = %q on a server without metrics", addr)
+	}
+}
+
+// The metrics listener serves pprof: a running node can be profiled in
+// place. A server without the listener serves nothing of the kind.
+func TestPprofOnMetricsListener(t *testing.T) {
+	get := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	srvCfg := server.DefaultConfig()
+	srvCfg.MetricsAddr = "127.0.0.1:0"
+	_, s := servedRing(t, 2, live.DefaultConfig(), srvCfg)
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap?debug=1", "/debug/pprof/goroutine?debug=1"} {
+		if code := get("http://" + s.MetricsAddr() + path); code != http.StatusOK {
+			t.Fatalf("GET %s = %d, want 200", path, code)
+		}
+	}
+	// The disabled server binds no listener, and its client socket
+	// speaks the query protocol, never HTTP.
+	_, off := servedRing(t, 2, live.DefaultConfig(), server.DefaultConfig())
+	if off.MetricsAddr() != "" {
+		t.Fatal("a server without MetricsAddr bound a metrics listener")
+	}
+	client := http.Client{Timeout: 5 * time.Second}
+	if _, err := client.Get("http://" + off.Addr(0) + "/debug/pprof/"); err == nil {
+		t.Fatal("a server without MetricsAddr answered /debug/pprof/ over HTTP")
 	}
 }
