@@ -84,9 +84,6 @@ type (
 	Schema = minisql.Schema
 	// MapSchema is the trivial in-memory Schema.
 	MapSchema = minisql.MapSchema
-	// CacheMode selects the hot-set fragment cache eviction policy
-	// (LiveConfig.CacheMode).
-	CacheMode = live.CacheMode
 	// LiveCacheStats snapshots hot-set cache and ring-wait counters of
 	// a live node (LiveNode.CacheStats) or a whole ring
 	// (LiveRing.CacheStats).
@@ -107,17 +104,6 @@ type (
 	// the admitted node, its splice-in neighbours, and how much of its
 	// fragment share the rebalancing transfer actually moved.
 	JoinReport = live.JoinReport
-)
-
-// Hot-set cache eviction policies (LiveConfig.CacheMode). The cache
-// itself is budgeted by LiveConfig.CacheBytes; 0 disables it and every
-// pin waits for ring circulation.
-const (
-	// CacheLOI evicts by level of interest: hits raise an entry's
-	// score, eviction scans decay all scores, lowest goes first.
-	CacheLOI = live.CacheLOI
-	// CacheLRU evicts by pure recency (comparison baseline).
-	CacheLRU = live.CacheLRU
 )
 
 // Re-exported types: the network query service.

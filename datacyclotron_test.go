@@ -51,9 +51,6 @@ func TestFacadeLiveRingSQL(t *testing.T) {
 	if cs.Hits == 0 {
 		t.Fatal("repeated query never hit the hot-set cache")
 	}
-	if mode := CacheMode(CacheLOI); mode.String() != "loi" || CacheMode(CacheLRU).String() != "lru" {
-		t.Fatal("cache mode names wrong")
-	}
 }
 
 func TestFacadeCompileAndRewrite(t *testing.T) {

@@ -33,9 +33,9 @@ package bat
 //
 // Zero-copy aliasing contract: the BAT returned by UnmarshalView shares
 // its fixed-width payloads with the input buffer. This is safe because
-// fragments are immutable per version (updates install a fresh *BAT and
-// the wire cache keys on the payload pointer); callers must treat the
-// buffer as frozen once decoded. Appending to a decoded column is still
+// fragments are immutable per version (an update installs a fresh *BAT
+// with bytes of its own); callers must treat the buffer as frozen once
+// decoded. Appending to a decoded column is still
 // safe: views are handed out at full capacity, so append reallocates.
 //
 // The gob-based Marshal/Unmarshal live in serial_test.go as the

@@ -33,7 +33,6 @@ import (
 // CacheRun is one CacheBytes setting of the sweep.
 type CacheRun struct {
 	CacheBytes     int     `json:"cache_bytes"` // 0 = cache off
-	Mode           string  `json:"mode"`
 	PinP50Micros   int64   `json:"pin_p50_us"`
 	PinP99Micros   int64   `json:"pin_p99_us"`
 	QueryP50Micros int64   `json:"query_p50_us"`
@@ -81,8 +80,8 @@ func (o CacheOpts) Short() CacheOpts {
 
 // CacheSweep runs the repeat-query sweep: a TPC-H database with the
 // given lineitem row count partitioned over a live ring of nodes, the
-// repeat workload fired at each CacheBytes setting under the default
-// (LOI) eviction, one ring per setting so every run starts cold.
+// repeat workload fired at each CacheBytes setting, one ring per
+// setting so every run starts cold.
 func CacheSweep(o CacheOpts, seed int64) (*CacheResult, error) {
 	db := tpch.GenDB(tpch.SFForLineitemRows(o.Rows), seed)
 	res := &CacheResult{
@@ -164,13 +163,8 @@ func cacheRun(db *tpch.DB, nodes, repeats int, think time.Duration, budget int) 
 	hopsAfter := settleHopBytes(ring)
 
 	cs := ring.CacheStats()
-	modeName := "off"
-	if budget > 0 {
-		modeName = cfg.CacheMode.String()
-	}
 	return CacheRun{
 		CacheBytes:     budget,
-		Mode:           modeName,
 		PinP50Micros:   quantile(pinLat, 0.50).Microseconds(),
 		PinP99Micros:   quantile(pinLat, 0.99).Microseconds(),
 		QueryP50Micros: quantile(queryLat, 0.50).Microseconds(),
@@ -230,12 +224,12 @@ func (r *CacheResult) Gate() Gates {
 func (r *CacheResult) String() string {
 	var rows [][]any
 	for _, run := range r.Runs {
-		rows = append(rows, []any{offOr(run.CacheBytes), run.Mode, run.PinP50Micros, run.PinP99Micros,
+		rows = append(rows, []any{offOr(run.CacheBytes), run.PinP50Micros, run.PinP99Micros,
 			run.QueryP50Micros, run.QueryP99Micros, fmt.Sprintf("%.1f%%", 100*run.HitRate),
 			run.Coalesced, run.RingWaitMicros, run.RepeatHopBytes, run.Resends})
 	}
 	return table(fmt.Sprintf("Hot-set cache repeat sweep — lineitem %d rows over %d nodes, %d repeats, %dµs think",
 		r.LineitemRows, r.Nodes, r.Repeats, r.ThinkMicros),
-		[]string{"cache_bytes", "mode", "pin_p50us", "pin_p99us", "query_p50us", "query_p99us",
+		[]string{"cache_bytes", "pin_p50us", "pin_p99us", "query_p50us", "query_p99us",
 			"hit_rate", "coalesced", "ringwait_us", "repeat_hop_B", "resends"}, rows)
 }

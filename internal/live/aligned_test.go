@@ -45,11 +45,11 @@ func fragLens(t *testing.T, r *Ring, name string) []int {
 	}
 	lens := make([]int, len(ids))
 	for i, id := range ids {
-		b, _, ok := ownerStoreRead(r, id)
-		if !ok {
+		f := ownerStoreRead(r, id)
+		if f == nil {
 			t.Fatalf("%s fragment %d has no stored copy", name, i)
 		}
-		lens[i] = b.Len()
+		lens[i] = f.b.Len()
 	}
 	return lens
 }

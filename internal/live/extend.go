@@ -61,7 +61,7 @@ func (n *Node) Publish(name string, b *bat.BAT) (core.BATID, error) {
 	// survives its owner's death too.
 	chain := replicaChain(r, n.id)
 	unlock := lockNodes(append(chain, n)...)
-	installOwner(n, id, b, 0, 0, chain)
+	installOwner(n, id, newFragment(b, 0, nil, nil), 0, chain)
 	unlock()
 	r.setPlacement(id, n, chain)
 	return id, nil
@@ -136,7 +136,7 @@ func (r *Ring) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error
 			return 0, fmt.Errorf("live: no owner for fragment %d of %q", i, name)
 		}
 		owner.mu.Lock()
-		frags[i] = owner.store[id]
+		frags[i] = owner.store[id].b
 		owner.mu.Unlock()
 		owners[i] = owner
 	}
@@ -187,8 +187,8 @@ func (r *Ring) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error
 	defer unlock()
 	version := 0
 	for i, id := range ids {
-		ver := owners[i].versions[id] + 1
-		installOwner(owners[i], id, frags[i], ver, heldLOI(id, reps[i]), reps[i])
+		ver := owners[i].store[id].ver + 1
+		installOwner(owners[i], id, newFragment(frags[i], ver, nil, nil), heldLOI(id, reps[i]), reps[i])
 		// Advance the catalog while the owner's store is still locked:
 		// a pin that reads the catalog from here on can no longer
 		// validate an entry labelled with an older version (the catalog

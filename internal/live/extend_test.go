@@ -140,7 +140,7 @@ func TestConcurrentUpdatesSerialize(t *testing.T) {
 	ringID, _ := r.BATID("t.id")
 	owner := r.ownerOf(ringID)
 	owner.mu.Lock()
-	latest := owner.store[ringID]
+	latest := owner.store[ringID].b
 	owner.mu.Unlock()
 	if latest.Tail().Int(0) != 1+k {
 		t.Fatalf("owner value = %d, want %d", latest.Tail().Int(0), 1+k)

@@ -169,7 +169,7 @@ const maxSnapshotRetries = 64
 // a view of a receive slab stays readable until the query returns (the
 // grace period, slab.go).
 // abort (nil for single pins) abandons the wait with errPinAborted.
-func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (b *bat.BAT, ver int, viaRing bool, err error) {
+func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (f *fragment, viaRing bool, err error) {
 	n := d.n
 	if n.hot == nil {
 		return d.fetchCurrent(id, n.ring.fragVersion(id), abort)
@@ -181,14 +181,14 @@ func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (b *bat.BAT,
 	// owner's version is the catalog's (move.go invariant 1), read here
 	// without a second lock.
 	n.mu.Lock()
-	owned, cur := n.rt.Owns(id), n.versions[id]
+	owned, cur := n.rt.Owns(id), n.storeVer(id)
 	n.mu.Unlock()
 	if owned {
 		return d.fetchCurrent(id, cur, abort)
 	}
 	for {
 		cur := n.ring.fragVersion(id)
-		if b := n.hot.get(id, cur); b != nil {
+		if f := n.hot.get(id, cur); f != nil {
 			n.mu.Lock()
 			// Withdraw any ring interest this query still has in id: the
 			// pin is served locally, so nothing will ever mark the
@@ -196,34 +196,34 @@ func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (b *bat.BAT,
 			// re-request a fragment nobody is waiting for.
 			n.rt.CancelQuery(d.q, []core.BATID{id})
 			n.mu.Unlock()
-			return b, cur, false, nil
+			return f, false, nil
 		}
 		fl, leader := n.hot.joinFlight(id, cur)
 		if leader {
-			b, ver, viaRing, err = d.fetchCurrent(id, cur, abort)
-			n.hot.finishFlight(id, cur, fl, b, ver)
+			f, viaRing, err = d.fetchCurrent(id, cur, abort)
+			n.hot.finishFlight(id, cur, fl, f)
 			if err == nil && !viaRing {
 				// Read from the owner's store, off the ring: seed the
 				// cache so repeat pins stay node-local until the version
 				// moves.
-				n.hot.put(id, ver, b, nil) // the owner's store: GC memory
+				n.hot.put(id, f)
 			}
-			return b, ver, viaRing, err
+			return f, viaRing, err
 		}
 		select {
 		case <-fl.done:
 		case <-d.cancel: // nil for uncancellable callers
-			return nil, 0, false, mal.ErrCancelled
+			return nil, false, mal.ErrCancelled
 		case <-n.closed:
-			return nil, 0, false, errors.New("live: ring closed")
+			return nil, false, errors.New("live: ring closed")
 		case <-abort: // nil outside multi-fragment pins
-			return nil, 0, false, errPinAborted
+			return nil, false, errPinAborted
 		}
-		if fl.b != nil {
+		if fl.f != nil {
 			n.mu.Lock()
 			n.rt.CancelQuery(d.q, []core.BATID{id})
 			n.mu.Unlock()
-			return fl.b, fl.ver, false, nil
+			return fl.f, false, nil
 		}
 		// The leader failed at the protocol layer; retry — the next
 		// round either hits the cache, joins a newer flight, or makes
@@ -238,78 +238,73 @@ func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (b *bat.BAT,
 // its owner — so a stale delivery is dropped and the bytes taken from
 // the owner's store instead, which is catalog-current by construction
 // (move.go invariant 1).
-func (d *queryDC) fetchCurrent(id core.BATID, cur int, abort <-chan struct{}) (b *bat.BAT, ver int, viaRing bool, err error) {
+func (d *queryDC) fetchCurrent(id core.BATID, cur int, abort <-chan struct{}) (f *fragment, viaRing bool, err error) {
 	for {
-		b, ver, err = d.ringPin(id, abort)
+		f, err = d.ringPin(id, abort)
 		if err != nil {
-			return nil, 0, false, err
+			return nil, false, err
 		}
-		if ver >= cur {
-			return b, ver, true, nil
+		if f.ver >= cur {
+			return f, true, nil
 		}
 		d.releaseRing(id)
-		if ob, over, ok := ownerStoreRead(d.n.ring, id); ok && over >= cur {
-			return ob, over, false, nil
+		if of := ownerStoreRead(d.n.ring, id); of != nil && of.ver >= cur {
+			return of, false, nil
 		}
 	}
 }
 
 // ownerStoreRead reads a fragment straight from its owner's store —
-// fetchCurrent's stale-orbit fallback. The returned BAT is immutable
-// and in GC memory (stores never hold slab views); the caller holds no
-// runtime refs on it.
-func ownerStoreRead(r *Ring, id core.BATID) (*bat.BAT, int, bool) {
+// fetchCurrent's stale-orbit fallback (nil when no owner holds it). The
+// fragment is in GC memory (stores never hold slab views); the caller
+// holds no runtime refs on it.
+func ownerStoreRead(r *Ring, id core.BATID) *fragment {
 	owner := r.ownerOf(id)
 	if owner == nil {
-		return nil, 0, false
+		return nil
 	}
 	owner.mu.Lock()
-	b := owner.store[id]
-	ver := owner.versions[id]
-	owner.mu.Unlock()
-	if b == nil {
-		return nil, 0, false
-	}
-	return b, ver, true
+	defer owner.mu.Unlock()
+	return owner.store[id]
 }
 
 // ringPin is the circulation path: register a waiter, announce the pin,
 // and block until delivery. Only time actually spent blocked counts as
 // ring wait — a synchronous delivery (owner store, or a payload another
 // local pin already holds) involves no circulation and no wait.
-func (d *queryDC) ringPin(id core.BATID, abort <-chan struct{}) (*bat.BAT, int, error) {
+func (d *queryDC) ringPin(id core.BATID, abort <-chan struct{}) (*fragment, error) {
 	n := d.n
-	ch := make(chan delivered, 1)
+	ch := make(chan *fragment, 1)
 	n.mu.Lock()
 	n.waiters[waitKey{d.q, id}] = ch
 	n.rt.Pin(d.q, id)
 	n.mu.Unlock()
 	select {
-	case dv := <-ch: // delivered synchronously: not a ring wait
-		if dv.b == nil {
-			return nil, 0, fmt.Errorf("live: BAT %d does not exist", id)
+	case f := <-ch: // delivered synchronously: not a ring wait
+		if f == nil {
+			return nil, fmt.Errorf("live: BAT %d does not exist", id)
 		}
-		return dv.b, dv.ver, nil
+		return f, nil
 	default:
 	}
 	start := time.Now()
 	select {
-	case dv := <-ch:
+	case f := <-ch:
 		atomic.AddInt64(&n.ringWaits, 1)
 		atomic.AddInt64(&n.ringWaitNanos, time.Since(start).Nanoseconds())
-		if dv.b == nil {
-			return nil, 0, fmt.Errorf("live: BAT %d does not exist", id)
+		if f == nil {
+			return nil, fmt.Errorf("live: BAT %d does not exist", id)
 		}
-		return dv.b, dv.ver, nil
+		return f, nil
 	case <-d.cancel: // nil for uncancellable callers: blocks forever
 		d.abandonPin(id, ch)
-		return nil, 0, mal.ErrCancelled
+		return nil, mal.ErrCancelled
 	case <-n.closed:
 		d.abandonPin(id, ch)
-		return nil, 0, errors.New("live: ring closed")
+		return nil, errors.New("live: ring closed")
 	case <-abort: // nil outside multi-fragment pins
 		d.abandonPin(id, ch)
-		return nil, 0, errPinAborted
+		return nil, errPinAborted
 	}
 }
 
@@ -384,13 +379,12 @@ func staleParts(vers [][]int) []int {
 }
 
 // fragAcq is one fragment acquisition of an aligned map. Its goroutine
-// fills b, ver, viaRing and err, then closes done; out belongs to the
-// part alone.
+// fills f, viaRing and err, then closes done; out belongs to the part
+// alone.
 type fragAcq struct {
 	id      core.BATID
 	done    chan struct{}
-	b       *bat.BAT
-	ver     int
+	f       *fragment
 	err     error
 	viaRing bool // the acquisition holds runtime refs until released
 	out     bool // handed to the part by Pin, not unpinned yet
@@ -429,19 +423,19 @@ func (p *partDC) Pin(handle mal.Value) (mal.Value, error) {
 	if a.err != nil {
 		return nil, a.err
 	}
-	h := a.b.Head()
+	h := a.f.b.Head()
 	if f := p.head; f == nil {
 		p.head = h
 	} else if !(h.Dense() && f.Dense() && h.Base() == f.Base() && h.Len() == f.Len()) {
 		return nil, mal.ErrUnaligned
 	}
 	a.out = true
-	return a.b, nil
+	return a.f.b, nil
 }
 
 func (p *partDC) Unpin(v mal.Value) error {
 	for j := range p.acqs {
-		if a := &p.acqs[j]; a.out && a.b == v {
+		if a := &p.acqs[j]; a.out && a.f.b == v {
 			a.out = false
 			if a.viaRing {
 				a.viaRing = false
@@ -506,7 +500,7 @@ func (d *queryDC) mapParts(cols [][]core.BATID, idx []int, part func(mal.DCRunti
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				a.b, a.ver, a.viaRing, a.err = d.acquireFrag(a.id, abort)
+				a.f, a.viaRing, a.err = d.acquireFrag(a.id, abort)
 				close(a.done)
 			}()
 		}
@@ -525,7 +519,7 @@ func (d *queryDC) mapParts(cols [][]core.BATID, idx []int, part func(mal.DCRunti
 			results[i] = v
 			vers[i] = make([]int, len(p.acqs))
 			for j := range p.acqs {
-				vers[i][j] = p.acqs[j].ver
+				vers[i][j] = p.acqs[j].f.ver
 			}
 		}(i)
 	}

@@ -84,14 +84,13 @@ func fillBucket(frags int) int {
 	return 7
 }
 
-// hopEntry is one queued outbound fragment: the ring header, the
-// catalog version it travels under, and a reference on its cached wire
-// bytes (held until the send completes, which is what makes handing the
-// raw bytes to a vectored write safe).
+// hopEntry is one queued outbound fragment version and its ring header.
+// The entry holds the fragment's slab from the enqueue until the send
+// completes, which is what makes handing its wire bytes to a vectored
+// write safe.
 type hopEntry struct {
-	m   core.BATMsg
-	ver int
-	ent *wireEntry
+	m core.BATMsg
+	f *fragment
 }
 
 // hopScheduler owns one node's outbound data queue and flush policy.
@@ -137,10 +136,10 @@ func (hs *hopScheduler) take() []hopEntry {
 	if len(hs.queue) == 0 {
 		return nil
 	}
-	wire := batchHdrSize + batchEntryWire(len(hs.queue[0].ent.raw))
+	wire := batchHdrSize + batchEntryWire(len(hs.queue[0].f.wire()))
 	n := 1
 	for n < len(hs.queue) && n < maxHopBatchFrags {
-		next := batchEntryWire(len(hs.queue[n].ent.raw))
+		next := batchEntryWire(len(hs.queue[n].f.wire()))
 		if wire+next > hs.budget {
 			break
 		}
@@ -161,7 +160,7 @@ func (hs *hopScheduler) take() []hopEntry {
 // hopLoop is the node's flush goroutine: it sleeps until fragments are
 // queued, lingers briefly so co-resident fragments coalesce, and sends
 // the queue as batch envelopes. On shutdown it drains the queue,
-// releasing the wire-byte references the enqueues took.
+// releasing the slab holds the enqueues took.
 func (n *Node) hopLoop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	hs := n.hop
@@ -201,7 +200,7 @@ func (n *Node) drainHopQueue() {
 	hs.mu.Unlock()
 	for _, e := range queue {
 		atomic.AddInt64(&n.outBytes, -int64(e.m.Size))
-		e.ent.release()
+		e.f.slab.release()
 	}
 }
 
@@ -213,19 +212,20 @@ func (n *Node) drainHopQueue() {
 // byte-identical to the pre-batching ring.
 //
 // Either way the message is a vectored send of freshly encoded headers
-// and the cached wire bytes themselves: no user-space copy, the kernel
-// reads the payload where the wire cache holds it. The sends are
-// asynchronous: the flush loop keeps posting while earlier envelopes
-// are still on the wire, so a revolution's worth of traffic pipelines
-// through the messenger's bounded send window instead of waiting out a
-// post-complete round trip per envelope. The release of the wire-cache
-// references moves into the completion callback — the payload slices
-// stay pinned until the transport reports them written.
+// and each fragment's own wire bytes: no user-space copy, the kernel
+// reads the payload where the version keeps it — the slab it arrived
+// in, or the owner's marshalled bytes. The sends are asynchronous: the
+// flush loop keeps posting while earlier envelopes are still on the
+// wire, so a revolution's worth of traffic pipelines through the
+// messenger's bounded send window instead of waiting out a
+// post-complete round trip per envelope. The entries' slab holds are
+// released in the completion callback — the payload slices stay valid
+// until the transport reports them written.
 func (n *Node) flushHopBatch(batch []hopEntry) {
 	release := func(error) {
 		for _, e := range batch {
 			atomic.AddInt64(&n.outBytes, -int64(e.m.Size))
-			e.ent.release()
+			e.f.slab.release()
 		}
 	}
 	select {
@@ -240,9 +240,10 @@ func (n *Node) flushHopBatch(batch []hopEntry) {
 	var parts [][]byte
 	if len(batch) == 1 {
 		e := batch[0]
+		raw := e.f.wire()
 		hdr := make([]byte, dataHdrSize)
-		encodeDataHdr(hdr, e.m, e.ver, len(e.ent.raw))
-		parts = [][]byte{hdr, e.ent.raw}
+		encodeDataHdr(hdr, e.m, e.f.ver, len(raw))
+		parts = [][]byte{hdr, raw}
 	} else {
 		hdr := make([]byte, batchHdrSize+len(batch)*dataHdrSize)
 		hdr[0], hdr[1], hdr[2], hdr[3] = envMagic0, envMagic1, envVersionBatch, envKindBatch
@@ -251,9 +252,10 @@ func (n *Node) flushHopBatch(batch []hopEntry) {
 		parts = make([][]byte, 0, 1+2*len(batch))
 		parts = append(parts, hdr)
 		for i, e := range batch {
-			encodeDataHdr(hdr[batchHdrSize+i*dataHdrSize:], e.m, e.ver, len(e.ent.raw))
-			parts = append(parts, e.ent.raw)
-			if pad := pad8(len(e.ent.raw)) - len(e.ent.raw); pad > 0 {
+			raw := e.f.wire()
+			encodeDataHdr(hdr[batchHdrSize+i*dataHdrSize:], e.m, e.f.ver, len(raw))
+			parts = append(parts, raw)
+			if pad := pad8(len(raw)) - len(raw); pad > 0 {
 				parts = append(parts, zeros[:pad])
 			}
 		}

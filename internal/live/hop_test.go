@@ -411,15 +411,12 @@ func ringResends(r *Ring) uint64 {
 // TestHopSchedulerTake exercises the flush policy directly: budget
 // bounds, the always-take-first rule, and the entry cap.
 func TestHopSchedulerTake(t *testing.T) {
-	ent := func(raw int) *wireEntry {
-		e := newWireEntry(nil, make([]byte, raw), false, nil)
-		return e
-	}
+	frag := func(raw int) *fragment { return &fragment{raw: make([]byte, raw)} }
 	// Budget fits the batch header plus two 100-byte entries, not three.
 	budget := batchHdrSize + 2*batchEntryWire(100)
 	hs := newHopScheduler(budget, 0)
 	for i := 0; i < 5; i++ {
-		hs.enqueue(hopEntry{m: core.BATMsg{BAT: core.BATID(i)}, ent: ent(100)})
+		hs.enqueue(hopEntry{m: core.BATMsg{BAT: core.BATID(i)}, f: frag(100)})
 	}
 	if got := len(hs.take()); got != 2 {
 		t.Fatalf("first take = %d entries, want 2 (budget-bounded)", got)
@@ -434,15 +431,15 @@ func TestHopSchedulerTake(t *testing.T) {
 		t.Fatal("take on an empty queue should return nil")
 	}
 	// An oversized first entry still travels (as a single).
-	hs.enqueue(hopEntry{m: core.BATMsg{BAT: 99}, ent: ent(10 * budget)})
-	hs.enqueue(hopEntry{m: core.BATMsg{BAT: 100}, ent: ent(100)})
+	hs.enqueue(hopEntry{m: core.BATMsg{BAT: 99}, f: frag(10 * budget)})
+	hs.enqueue(hopEntry{m: core.BATMsg{BAT: 100}, f: frag(100)})
 	if got := len(hs.take()); got != 1 {
 		t.Fatalf("oversized first entry: take = %d, want 1", got)
 	}
 	// The entry-count cap holds even under a huge budget.
 	big := newHopScheduler(1<<30, 0)
 	for i := 0; i < maxHopBatchFrags+10; i++ {
-		big.enqueue(hopEntry{m: core.BATMsg{BAT: core.BATID(i)}, ent: ent(8)})
+		big.enqueue(hopEntry{m: core.BATMsg{BAT: core.BATID(i)}, f: frag(8)})
 	}
 	if got := len(big.take()); got != maxHopBatchFrags {
 		t.Fatalf("take = %d entries, want the %d cap", got, maxHopBatchFrags)

@@ -32,38 +32,19 @@ package live
 // update), not staleness. Eviction and explicit invalidation are
 // memory hygiene, not correctness requirements.
 //
-// Eviction is LOI-weighted (CacheLOI): every hit raises an entry's
-// interest score, every eviction scan decays all scores by half, and
-// the lowest-interest entry goes first — the cache's local rendition
-// of the ring's level-of-interest economy, so a fragment the node's
-// queries keep meeting stays resident while one-pass traffic ages out.
-// CacheLRU falls back to pure recency for comparison runs.
+// Eviction is LOI-weighted: every hit raises an entry's interest score,
+// every eviction scan decays all scores by half, and the lowest-interest
+// entry goes first (the least recently touched among equals) — the
+// cache's local rendition of the ring's level-of-interest economy, so a
+// fragment the node's queries keep meeting stays resident while
+// one-pass traffic ages out.
 
 import (
 	"sync"
 
-	"repro/internal/bat"
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
-
-// CacheMode selects the hot-set cache eviction policy.
-type CacheMode int
-
-const (
-	// CacheLOI evicts by level of interest: hits raise an entry's
-	// score, eviction scans decay all scores, lowest goes first.
-	CacheLOI CacheMode = iota
-	// CacheLRU evicts by pure recency (comparison baseline).
-	CacheLRU
-)
-
-func (m CacheMode) String() string {
-	if m == CacheLRU {
-		return "lru"
-	}
-	return "loi"
-}
 
 // CacheStats snapshots one node's hot-set cache counters. RingWaits /
 // RingWaitNanos count pins that blocked on ring circulation (and for
@@ -96,23 +77,20 @@ func (s CacheStats) HitRate() float64 {
 
 // hotEntry is one resident fragment version.
 type hotEntry struct {
-	b     *bat.BAT
-	slab  *slab // b is a view of this receive slab (nil: GC memory)
-	ver   int
+	f     *fragment
 	bytes int64
-	loi   float64 // interest score (CacheLOI); hits raise, scans decay
-	seq   int64   // recency stamp (CacheLRU and tie-break)
+	loi   float64 // interest score; hits raise, scans decay
+	seq   int64   // recency stamp (tie-break)
 }
 
 // flight is one in-flight ring wait for an (id, version) pair, shared
 // by every concurrent pin of that fragment: the first miss becomes the
 // leader and runs the real waiter/request machinery; followers block
-// on done and read b/ver. A failed leader leaves b nil and followers
-// retry (one of them becomes the next leader).
+// on done and read f. A failed leader leaves f nil and followers retry
+// (one of them becomes the next leader).
 type flight struct {
 	done chan struct{}
-	b    *bat.BAT
-	ver  int
+	f    *fragment
 }
 
 type flightKey struct {
@@ -123,7 +101,6 @@ type flightKey struct {
 // hotCache is one node's hot-set fragment cache.
 type hotCache struct {
 	mu      sync.Mutex
-	mode    CacheMode
 	budget  int64
 	bytes   int64
 	seq     int64
@@ -139,22 +116,21 @@ type hotCache struct {
 }
 
 // cacheDecay is the divisor applied to every resident entry's interest
-// score on each eviction scan (CacheLOI mode): halve per scan.
+// score on each eviction scan: halve per scan.
 const cacheDecay = 2
 
-func newHotCache(budget int, mode CacheMode) *hotCache {
+func newHotCache(budget int) *hotCache {
 	return &hotCache{
-		mode:    mode,
 		budget:  int64(budget),
 		entries: map[core.BATID]*hotEntry{},
 		flights: map[flightKey]*flight{},
 	}
 }
 
-// get returns the cached payload for id if it is resident at exactly
+// get returns the cached fragment id if it is resident at exactly
 // version wantVer, bumping its interest. An entry at any other version
 // is dead by the validation contract and is dropped on sight.
-func (h *hotCache) get(id core.BATID, wantVer int) *bat.BAT {
+func (h *hotCache) get(id core.BATID, wantVer int) *fragment {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	e, ok := h.entries[id]
@@ -162,7 +138,7 @@ func (h *hotCache) get(id core.BATID, wantVer int) *bat.BAT {
 		h.misses.Inc()
 		return nil
 	}
-	if e.ver != wantVer {
+	if e.f.ver != wantVer {
 		h.dropLocked(id, e)
 		h.stale.Inc()
 		h.misses.Inc()
@@ -172,8 +148,8 @@ func (h *hotCache) get(id core.BATID, wantVer int) *bat.BAT {
 	h.seq++
 	e.seq = h.seq
 	h.hits.Inc()
-	e.slab.lend()
-	return e.b
+	e.f.slab.lend()
+	return e.f
 }
 
 // peek reports whether id is resident at wantVer without counting a
@@ -183,25 +159,22 @@ func (h *hotCache) peek(id core.BATID, wantVer int) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	e, ok := h.entries[id]
-	return ok && e.ver == wantVer
+	return ok && e.f.ver == wantVer
 }
 
-// put admits a delivered payload at the given version; an admitted
-// entry holds s, the slab b is a view of (nil for GC memory), until it
-// is evicted, dropped or replaced. The payload is capped to its own
-// length so a later Append by some caller can never grow into it, and
-// the budget is enforced by LOI-weighted eviction. A payload bigger
-// than the whole budget is not admitted.
-func (h *hotCache) put(id core.BATID, ver int, b *bat.BAT, s *slab) {
-	size := int64(b.Bytes())
+// put admits a delivered fragment version; an admitted entry holds its
+// slab until it is evicted, dropped or replaced. The budget is enforced
+// by LOI-weighted eviction; a fragment bigger than the whole budget is
+// not admitted.
+func (h *hotCache) put(id core.BATID, f *fragment) {
+	size := int64(f.b.Bytes())
 	if size > h.budget {
 		return
 	}
-	view := b.Slice(0, b.Len())
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if old, ok := h.entries[id]; ok {
-		if old.ver >= ver {
+		if old.f.ver >= f.ver {
 			// Same version: the resident entry already holds these bytes
 			// and its accumulated interest — re-inserting would reset the
 			// LOI score a circulating fragment keeps earning. Newer
@@ -211,8 +184,8 @@ func (h *hotCache) put(id core.BATID, ver int, b *bat.BAT, s *slab) {
 		h.dropLocked(id, old)
 	}
 	h.seq++
-	s.retain()
-	h.entries[id] = &hotEntry{b: view, slab: s, ver: ver, bytes: size, loi: 1, seq: h.seq}
+	f.slab.retain()
+	h.entries[id] = &hotEntry{f: f, bytes: size, loi: 1, seq: h.seq}
 	h.bytes += size
 	h.inserts.Inc()
 	for h.bytes > h.budget {
@@ -221,8 +194,8 @@ func (h *hotCache) put(id core.BATID, ver int, b *bat.BAT, s *slab) {
 }
 
 // evictLocked removes the least interesting entry other than keep, and
-// (in CacheLOI mode) decays every score so interest is recency-biased:
-// a once-hot fragment the queries stopped meeting ages out.
+// decays every score so interest is recency-biased: a once-hot fragment
+// the queries stopped meeting ages out.
 func (h *hotCache) evictLocked(keep core.BATID) {
 	var victimID core.BATID
 	var victim *hotEntry
@@ -239,17 +212,15 @@ func (h *hotCache) evictLocked(keep core.BATID) {
 	}
 	h.dropLocked(victimID, victim)
 	h.evictions.Inc()
-	if h.mode == CacheLOI {
-		for _, e := range h.entries {
-			e.loi /= cacheDecay
-		}
+	for _, e := range h.entries {
+		e.loi /= cacheDecay
 	}
 }
 
 // lessLocked orders eviction candidates: true means a is evicted
 // before b.
 func (h *hotCache) lessLocked(a, b *hotEntry) bool {
-	if h.mode == CacheLRU || a.loi == b.loi {
+	if a.loi == b.loi {
 		return a.seq < b.seq
 	}
 	return a.loi < b.loi
@@ -258,7 +229,7 @@ func (h *hotCache) lessLocked(a, b *hotEntry) bool {
 func (h *hotCache) dropLocked(id core.BATID, e *hotEntry) {
 	delete(h.entries, id)
 	h.bytes -= e.bytes
-	e.slab.release()
+	e.f.slab.release()
 }
 
 // drop removes id outright (owner unload: the fragment left the ring's
@@ -280,7 +251,7 @@ func (h *hotCache) drop(id core.BATID) {
 func (h *hotCache) invalidateBelow(id core.BATID, ver int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if e, ok := h.entries[id]; ok && e.ver < ver {
+	if e, ok := h.entries[id]; ok && e.f.ver < ver {
 		h.dropLocked(id, e)
 		h.stale.Inc()
 	}
@@ -303,15 +274,15 @@ func (h *hotCache) joinFlight(id core.BATID, ver int) (*flight, bool) {
 	return fl, true
 }
 
-// finishFlight publishes the leader's outcome (b nil on failure) and
+// finishFlight publishes the leader's outcome (f nil on failure) and
 // wakes every follower. The flight is removed first, so a pin that
 // misses after this point starts a fresh wait instead of reading a
 // settled one.
-func (h *hotCache) finishFlight(id core.BATID, ver int, fl *flight, b *bat.BAT, gotVer int) {
+func (h *hotCache) finishFlight(id core.BATID, ver int, fl *flight, f *fragment) {
 	h.mu.Lock()
 	delete(h.flights, flightKey{id, ver})
 	h.mu.Unlock()
-	fl.b, fl.ver = b, gotVer
+	fl.f = f
 	close(fl.done)
 }
 

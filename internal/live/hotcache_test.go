@@ -343,7 +343,7 @@ func TestCoalescedConcurrentPins(t *testing.T) {
 }
 
 // TestHopAndCacheCountersUnderRace hammers the instrumentation readers
-// (HopBytes, MaxHopBytes, CacheStats, WireCacheStats) while queries
+// (HopBytes, MaxHopBytes, CacheStats) while queries
 // drive concurrent sends — the race detector verifies every counter is
 // read and written atomically.
 func TestHopAndCacheCountersUnderRace(t *testing.T) {
@@ -366,10 +366,6 @@ func TestHopAndCacheCountersUnderRace(t *testing.T) {
 			sink += r.HopBytes() + r.MaxHopBytes()
 			cs := r.CacheStats()
 			sink += cs.Hits + cs.RingWaitNanos
-			for i := 0; i < r.Size(); i++ {
-				h, m := r.Node(i).WireCacheStats()
-				sink += h + m
-			}
 		}
 	}()
 
@@ -396,20 +392,23 @@ func TestHopAndCacheCountersUnderRace(t *testing.T) {
 
 func intsOfBytes(n int) *bat.BAT { return bat.MakeInts("x", make([]int64, n/8)) }
 
+// intsFrag is an n-byte fragment at version ver, in GC memory.
+func intsFrag(n, ver int) *fragment { return newFragment(intsOfBytes(n), ver, nil, nil) }
+
 // TestHotCacheLOIEviction: under byte pressure the lowest-interest
 // entry goes first, and interest decays so a once-hot fragment ages
 // out.
 func TestHotCacheLOIEviction(t *testing.T) {
 	one := intsOfBytes(1024).Bytes()
-	h := newHotCache(2*one+one/2, CacheLOI)
-	h.put(1, 0, intsOfBytes(1024), nil)
-	h.put(2, 0, intsOfBytes(1024), nil)
+	h := newHotCache(2*one + one/2)
+	h.put(1, intsFrag(1024, 0))
+	h.put(2, intsFrag(1024, 0))
 	for i := 0; i < 8; i++ {
 		if h.get(1, 0) == nil {
 			t.Fatal("resident entry missed")
 		}
 	}
-	h.put(3, 0, intsOfBytes(1024), nil) // over budget: entry 2 (loi 1) must go, not entry 1 (loi 9)
+	h.put(3, intsFrag(1024, 0)) // over budget: entry 2 (loi 1) must go, not entry 1 (loi 9)
 	if h.get(1, 0) == nil {
 		t.Fatal("high-interest entry was evicted")
 	}
@@ -422,40 +421,20 @@ func TestHotCacheLOIEviction(t *testing.T) {
 	}
 }
 
-// TestHotCacheLRUEviction: CacheLRU ignores interest and evicts the
-// least recently touched entry.
-func TestHotCacheLRUEviction(t *testing.T) {
-	one := intsOfBytes(1024).Bytes()
-	h := newHotCache(2*one+one/2, CacheLRU)
-	h.put(1, 0, intsOfBytes(1024), nil)
-	h.put(2, 0, intsOfBytes(1024), nil)
-	for i := 0; i < 8; i++ {
-		h.get(1, 0) // interest, but older recency after the next touch
-	}
-	h.get(2, 0)
-	h.put(3, 0, intsOfBytes(1024), nil)
-	if h.get(2, 0) == nil {
-		t.Fatal("most recently used entry was evicted")
-	}
-	if h.get(1, 0) != nil {
-		t.Fatal("least recently used entry survived")
-	}
-}
-
 // TestHotCacheVersioning: stale versions are dropped on sight, newer
 // deliveries replace older ones, and an older delivery never replaces
 // a newer resident version (late ring arrivals after an update).
 func TestHotCacheVersioning(t *testing.T) {
-	h := newHotCache(1<<20, CacheLOI)
-	h.put(1, 0, intsOfBytes(256), nil)
+	h := newHotCache(1 << 20)
+	h.put(1, intsFrag(256, 0))
 	if h.get(1, 1) != nil {
 		t.Fatal("served a version that was never stored")
 	}
 	if st := h.stats(); st.Stale != 1 {
 		t.Fatalf("stale = %d, want 1", st.Stale)
 	}
-	h.put(1, 2, intsOfBytes(256), nil)
-	h.put(1, 1, intsOfBytes(256), nil) // late old delivery must not downgrade
+	h.put(1, intsFrag(256, 2))
+	h.put(1, intsFrag(256, 1)) // late old delivery must not downgrade
 	if h.get(1, 2) == nil {
 		t.Fatal("newer version displaced by an older delivery")
 	}
@@ -468,9 +447,9 @@ func TestHotCacheVersioning(t *testing.T) {
 // TestHotCacheBudgetGate: a payload larger than the whole budget is
 // not admitted, and cannot evict the entire cache to make room.
 func TestHotCacheBudgetGate(t *testing.T) {
-	h := newHotCache(1024, CacheLOI)
-	h.put(1, 0, intsOfBytes(512), nil)
-	h.put(2, 0, intsOfBytes(64<<10), nil)
+	h := newHotCache(1024)
+	h.put(1, intsFrag(512, 0))
+	h.put(2, intsFrag(64<<10, 0))
 	if h.get(2, 0) != nil {
 		t.Fatal("over-budget payload admitted")
 	}
@@ -483,7 +462,7 @@ func TestHotCacheBudgetGate(t *testing.T) {
 // and finishing wakes the followers with the leader's outcome; a new
 // join after the finish starts a fresh flight.
 func TestFlightLifecycle(t *testing.T) {
-	h := newHotCache(1<<20, CacheLOI)
+	h := newHotCache(1 << 20)
 	fl, leader := h.joinFlight(9, 0)
 	if !leader {
 		t.Fatal("first joiner did not lead")
@@ -495,14 +474,14 @@ func TestFlightLifecycle(t *testing.T) {
 	if _, leaderOther := h.joinFlight(9, 1); !leaderOther {
 		t.Fatal("a different version joined the wrong flight")
 	}
-	payload := intsOfBytes(64)
-	h.finishFlight(9, 0, fl, payload, 0)
+	payload := intsFrag(64, 0)
+	h.finishFlight(9, 0, fl, payload)
 	select {
 	case <-fl.done:
 	default:
 		t.Fatal("finish did not wake followers")
 	}
-	if fl.b != payload {
+	if fl.f != payload {
 		t.Fatal("follower read the wrong payload")
 	}
 	if _, leader3 := h.joinFlight(9, 0); !leader3 {

@@ -166,10 +166,10 @@ func (r *Ring) admit() (*Node, JoinReport, error) {
 	node.dataOut = dataOut.a
 	node.reqIn = reqIn.b
 	node.reqOut = reqOut.a
-	predNode.swapDataOut(dataIn.a).Close()
-	succNode.swapDataIn(dataOut.b).Close()
-	succNode.swapReqOut(reqIn.a).Close()
-	predNode.swapReqIn(reqOut.b).Close()
+	predNode.relink(&predNode.dataOut, dataIn.a)
+	succNode.relink(&succNode.dataIn, dataOut.b)
+	succNode.relink(&succNode.reqOut, reqIn.a)
+	predNode.relink(&predNode.reqIn, reqOut.b)
 	// The successor now times out the newcomer; the newcomer was built
 	// monitoring pred from the start.
 	succNode.memb.SetPredecessor(newID)
@@ -322,19 +322,19 @@ func (r *Ring) migrateFrag(j *Node, donorID core.NodeID, id core.BATID) bool {
 		return false
 	}
 	donor.mu.Lock()
-	b, ver := donor.store[id], donor.versions[id]
+	f := donor.store[id]
 	donor.mu.Unlock()
-	if b == nil {
+	if f == nil {
 		return false
 	}
-	nb, ok := transfer(b, r.cfg.JoinFaults, r.maxMsgBytes)
+	nf, ok := transfer(f, r.cfg.JoinFaults, r.maxMsgBytes)
 	if !ok {
 		return false
 	}
 	// The donor may legitimately be one of the joiner's successors.
 	oldReps, chain := r.replicaNodes(id), replicaChain(r, j.id)
 	unlock := lockNodes(append(append([]*Node{donor, j}, oldReps...), chain...)...)
-	if r.isDead(donor.id) || r.isDead(j.id) || !donor.rt.Owns(id) || donor.versions[id] != ver {
+	if r.isDead(donor.id) || r.isDead(j.id) || !donor.rt.Owns(id) || donor.store[id] != f {
 		// A kill landed in the transfer window, or the fragment moved or
 		// re-versioned since the unlocked read (only possible through a
 		// path that held this column's lock before us).
@@ -343,7 +343,7 @@ func (r *Ring) migrateFrag(j *Node, donorID core.NodeID, id core.BATID) bool {
 	}
 	// Interest travels with the fragment: the joiner re-admits it at the
 	// heat the donor's replica holders recorded, not stone cold.
-	installOwner(j, id, nb, ver, heldLOI(id, oldReps), chain)
+	installOwner(j, id, nf, heldLOI(id, oldReps), chain)
 	releaseOwner(donor, id, without(oldReps, chain))
 	unlock()
 	// From here on requests are absorbed by the joiner, and a failover

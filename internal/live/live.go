@@ -21,7 +21,6 @@ import (
 	"repro/internal/minisql"
 	"repro/internal/netsim"
 	"repro/internal/rdma"
-	"repro/internal/wirebuf"
 )
 
 // Transport selects how ring neighbours are connected.
@@ -61,8 +60,6 @@ type Config struct {
 	// wait (see hotcache.go). 0 disables the cache entirely, restoring
 	// the pure-circulation behavior (every pin waits for the ring).
 	CacheBytes int
-	// CacheMode selects the cache eviction policy (default CacheLOI).
-	CacheMode CacheMode
 	// HopBatchBytes budgets the batched hop transport: co-resident
 	// outbound fragments coalesce into one multi-payload batch envelope
 	// of at most this many wire bytes (see hop.go). 0 disables batching
@@ -190,13 +187,12 @@ type Node struct {
 	mu sync.Mutex // guards rt and all runtime-adjacent state
 	rt *core.Runtime
 
-	// store holds the payloads of owned BATs ("local disk").
-	store map[core.BATID]*bat.BAT
-	// transit holds the BATs currently flowing through, each with the
-	// fragment version it arrived labelled with and the slab it was
-	// decoded from.
-	transit map[core.BATID]arrival
-	// cached holds payloads pinned by local queries (refcounted).
+	// store holds the owned fragment versions ("local disk"), always in
+	// GC memory.
+	store map[core.BATID]*fragment
+	// transit holds the fragment versions currently flowing through.
+	transit map[core.BATID]*fragment
+	// cached holds versions pinned by local queries (refcounted).
 	cached map[core.BATID]*cachedBAT
 	// slabs tracks the receive slabs this node's payloads are views of
 	// (slab.go).
@@ -207,7 +203,8 @@ type Node struct {
 	// disabled cache leaves the pure-circulation behavior untouched).
 	hot *hotCache
 
-	waiters map[waitKey]chan delivered
+	// waiters carries each blocked pin its delivery; nil fails the pin.
+	waiters map[waitKey]chan *fragment
 	errs    map[core.QueryID]chan error
 
 	// The four neighbour links. linkMu guards the pointers themselves:
@@ -228,8 +225,6 @@ type Node struct {
 	nextQ  int64
 	closed chan struct{}
 
-	// §6 extension state.
-	versions      map[core.BATID]int
 	activeQueries int64
 
 	// Ring-hop accounting (atomic): total data bytes sent and the
@@ -263,16 +258,6 @@ type Node struct {
 	lastSelfSeen map[core.BATID]int64
 	revNanos     int64
 
-	// wireCache holds the marshalled bytes of each fragment version so
-	// forwarding an unchanged fragment does not pay bat.Marshal again.
-	// Fragments are immutable per version, so the payload pointer is the
-	// version identity: an entry is valid exactly while its src pointer
-	// still names the payload being sent. Guarded by mu; entries are
-	// dropped on unload and on update.
-	wireCache  map[core.BATID]*wireEntry
-	wireHits   int64 // atomic
-	wireMisses int64 // atomic
-
 	// interpRunning counts live interpreter goroutines (leak detector
 	// and drain hook).
 	interpRunning int64
@@ -300,83 +285,15 @@ type Node struct {
 	// crash), failover (authoritative death), and Ring.Close may each
 	// try to stop the same node.
 	killOnce sync.Once
+	// linksClosed is set, under linkMu, once kill has closed the links:
+	// relink then closes a spliced-in link instead of installing it.
+	linksClosed bool
 }
 
-// wireEntry caches one fragment's serialized form. Entries are
-// refcounted: the cache map holds one reference and every in-flight
-// send holds another, so a pooled encode buffer is recycled — and the
-// receive slab of an entry seeded from arrived bytes released — exactly
-// when the last user lets go: an update can invalidate an entry while
-// the kernel is still reading its bytes for a send (sends post them as
-// they are) without the buffer being reused underneath the send.
-type wireEntry struct {
-	src    *bat.BAT // payload the bytes were marshalled from
-	raw    []byte
-	pooled bool         // raw came from wirebuf and may be recycled
-	slab   *slab        // raw is a view of this receive slab (nil: not)
-	refs   atomic.Int32 // cache reference + in-flight sends
-}
-
-// newWireEntry wraps raw, marshalled from src; the entry holds slab s,
-// which raw is a view of (nil: it is not), until its last reference
-// goes.
-func newWireEntry(src *bat.BAT, raw []byte, pooled bool, s *slab) *wireEntry {
-	e := &wireEntry{src: src, raw: raw, pooled: pooled, slab: s}
-	e.refs.Store(1)
-	s.retain()
-	return e
-}
-
-func (e *wireEntry) acquire() { e.refs.Add(1) }
-
-func (e *wireEntry) release() {
-	if e.refs.Add(-1) != 0 {
-		return
-	}
-	if e.pooled {
-		wirebuf.Put(e.raw)
-	}
-	e.slab.release()
-}
-
-// setWireEntry installs a cache entry, releasing any entry it replaces.
-// Called with n.mu held.
-func (n *Node) setWireEntry(id core.BATID, e *wireEntry) {
-	if old, ok := n.wireCache[id]; ok {
-		old.release()
-	}
-	n.wireCache[id] = e
-}
-
-// dropWireEntry removes and releases a cache entry. Called with n.mu
-// held.
-func (n *Node) dropWireEntry(id core.BATID) {
-	if old, ok := n.wireCache[id]; ok {
-		delete(n.wireCache, id)
-		old.release()
-	}
-}
-
+// cachedBAT is a fragment version pinned by local queries.
 type cachedBAT struct {
-	b    *bat.BAT
-	ver  int
-	slab *slab // b is a view of this receive slab (nil: GC memory)
+	f    *fragment
 	refs int
-}
-
-// arrival is one BAT flowing through a node (Node.transit).
-type arrival struct {
-	b    *bat.BAT
-	ver  int
-	slab *slab
-}
-
-// delivered is what a waiter channel carries: the payload and the
-// fragment version it arrived labelled with (what the hot-set cache
-// and the snapshot merge validate against). A nil b fails the pin.
-type delivered struct {
-	b   *bat.BAT
-	ver int
 }
 
 // unrefCached drops one reference on a cached payload, evicting the
@@ -386,7 +303,7 @@ func (n *Node) unrefCached(id core.BATID) {
 		c.refs--
 		if c.refs <= 0 {
 			delete(n.cached, id)
-			c.slab.release()
+			c.f.slab.release()
 		}
 	}
 }
@@ -533,7 +450,7 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 	for i, fe := range frags {
 		owner := nodes[place(i, n)%n]
 		chain := replicaChain(r, owner.id)
-		installOwner(owner, fe.id, fe.b, 0, 0, chain) // loops not started: no locks needed
+		installOwner(owner, fe.id, newFragment(fe.b, 0, nil, nil), 0, chain) // loops not started: no locks needed
 		r.setPlacement(fe.id, owner, chain)
 	}
 
@@ -551,22 +468,20 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 func (r *Ring) newNode(id, nodes, pred int, schema minisql.Schema) *Node {
 	cfg := r.cfg
 	node := &Node{
-		ring:      r,
-		id:        core.NodeID(id),
-		cfg:       cfg,
-		store:     map[core.BATID]*bat.BAT{},
-		transit:   map[core.BATID]arrival{},
-		cached:    map[core.BATID]*cachedBAT{},
-		waiters:   map[waitKey]chan delivered{},
-		errs:      map[core.QueryID]chan error{},
-		wireCache: map[core.BATID]*wireEntry{},
-		versions:  map[core.BATID]int{},
-		schema:    schema,
-		start:     time.Now(),
-		closed:    make(chan struct{}),
+		ring:    r,
+		id:      core.NodeID(id),
+		cfg:     cfg,
+		store:   map[core.BATID]*fragment{},
+		transit: map[core.BATID]*fragment{},
+		cached:  map[core.BATID]*cachedBAT{},
+		waiters: map[waitKey]chan *fragment{},
+		errs:    map[core.QueryID]chan error{},
+		schema:  schema,
+		start:   time.Now(),
+		closed:  make(chan struct{}),
 	}
 	if cfg.CacheBytes > 0 {
-		node.hot = newHotCache(cfg.CacheBytes, cfg.CacheMode)
+		node.hot = newHotCache(cfg.CacheBytes)
 	}
 	if cfg.HopBatchBytes > 0 {
 		node.hop = newHopScheduler(cfg.HopBatchBytes, cfg.HopBatchLinger)
@@ -713,8 +628,7 @@ func (n *Node) handleData(hdr core.BATMsg, ver int, rawPayload []byte, s *slab) 
 		// it cannot orbit forever — re-owned fragments re-enter the
 		// ring from the heir's store with the catalog version.
 		n.mu.Lock()
-		owns := n.rt.Owns(hdr.BAT)
-		myVer := n.versions[hdr.BAT]
+		owns, myVer := n.rt.Owns(hdr.BAT), n.storeVer(hdr.BAT)
 		n.mu.Unlock()
 		if owns {
 			if ver < myVer {
@@ -730,26 +644,27 @@ func (n *Node) handleData(hdr core.BATMsg, ver int, rawPayload []byte, s *slab) 
 			return
 		}
 	}
-	var payload *bat.BAT
+	var f *fragment
 	if len(rawPayload) > 0 {
 		// Zero-copy decode: the BAT's fixed-width columns alias
 		// rawPayload, and thus the slab the transport received the
 		// message into. Nothing here writes it, and everything that
-		// keeps the payload holds the slab (slab.go), so the views stay
-		// valid for as long as they are held.
-		var err error
-		payload, err = bat.UnmarshalView(rawPayload)
+		// keeps the fragment holds the slab (slab.go), so the views stay
+		// valid for as long as they are held. The received bytes are the
+		// version's wire bytes: a forward sends them as they are.
+		b, err := bat.UnmarshalView(rawPayload)
 		if err != nil {
 			return
 		}
+		f = newFragment(b, ver, rawPayload, s)
 	}
-	if payload != nil && n.hot != nil && hdr.Owner != n.id {
+	if f != nil && n.hot != nil && hdr.Owner != n.id {
 		// Populate the hot-set cache from the passing traffic,
 		// labelled with the version the owner sent it under. Own
 		// fragments are skipped: the owner's pins are served from
 		// the store already. Inserted before OnBAT so a pin
 		// coalesced behind this delivery finds the entry resident.
-		n.hot.put(hdr.BAT, ver, payload, s)
+		n.hot.put(hdr.BAT, f)
 	}
 	n.mu.Lock()
 	if hdr.Owner == n.id {
@@ -777,35 +692,11 @@ func (n *Node) handleData(hdr core.BATMsg, ver int, rawPayload []byte, s *slab) 
 		// owner's death re-admits it at its earned heat (§6.3).
 		rp.loi = hdr.LOI
 	}
-	if payload != nil {
-		n.transit[hdr.BAT] = arrival{payload, ver, s}
-		// Seed the wire cache with the bytes just received: if OnBAT
-		// forwards this fragment, SendData reuses them verbatim
-		// instead of re-marshalling the payload it just decoded.
-		// Not pooled: the decoded BAT aliases these bytes, and the
-		// entry holds their slab until its last send completes. The
-		// owner forwards its *store* payload instead of the circulating
-		// copy, so seeding its own fragment would evict the store-keyed
-		// entry and force a re-marshal every pass — keep that entry.
-		if hdr.Owner != n.id {
-			n.setWireEntry(hdr.BAT, newWireEntry(payload, rawPayload, false, s))
-		}
+	if f != nil {
+		n.transit[hdr.BAT] = f
 	}
 	n.rt.OnBAT(hdr)
 	delete(n.transit, hdr.BAT)
-	if payload != nil {
-		// The seed has served its purpose (the forward, if any,
-		// happened inside OnBAT). On a non-owner, keeping it would
-		// pin the raw bytes and the decoded payload of every
-		// fragment that ever flowed past — the next arrival reseeds
-		// anyway. Persistent entries are kept only for fragments in
-		// the local store, where repeat sends amortize the marshal.
-		if _, owned := n.store[hdr.BAT]; !owned {
-			if ent, ok := n.wireCache[hdr.BAT]; ok && ent.src == payload {
-				n.dropWireEntry(hdr.BAT)
-			}
-		}
-	}
 	n.mu.Unlock()
 }
 
@@ -866,50 +757,35 @@ func (e *liveEnv) Now() time.Duration { return time.Since(e.start) }
 // runtime never blocks on the wire.
 func (e *liveEnv) SendData(m core.BATMsg) {
 	n := e.node()
-	var payload *bat.BAT
-	var ver int
+	var f *fragment
 	if m.Owner == n.id {
 		// Forwarding our own fragment: send the store's current version
 		// rather than the circulating copy, so an UpdateColumn reaches
 		// the ring within one owner pass and the superseded bytes die
 		// here instead of rotating until the LOI decays — what bounds a
 		// pin's stale-version retry (acquireFrag) to one revolution.
-		if b, ok := n.store[m.BAT]; ok {
-			payload, ver = b, n.versions[m.BAT]
-			m.Size = b.Bytes()
+		if f = n.store[m.BAT]; f != nil {
+			m.Size = f.b.Bytes()
 		}
 	}
-	if payload == nil {
-		if a, ok := n.transit[m.BAT]; ok {
-			payload, ver = a.b, a.ver
-		} else if b, ok := n.store[m.BAT]; ok {
-			payload, ver = b, n.versions[m.BAT]
+	if f == nil {
+		if t, ok := n.transit[m.BAT]; ok {
+			f = t
+		} else if st, ok := n.store[m.BAT]; ok {
+			f = st
 		} else if c, ok := n.cached[m.BAT]; ok {
-			payload, ver = c.b, c.ver
+			f = c.f
 		}
 	}
-	if payload == nil {
+	if f == nil {
 		return // nothing to forward; drop (should not happen)
 	}
-	// Fragments are immutable per version: reuse the marshalled bytes as
-	// long as the cached entry still points at this exact payload. An
-	// update installs a new *bat.BAT, so the pointer comparison doubles
-	// as version validation. Fresh marshals encode into pooled buffers;
-	// the refcount returns them to the pool once the entry is
-	// invalidated and no send is in flight.
-	ent, ok := n.wireCache[m.BAT]
-	if ok && ent.src == payload {
-		atomic.AddInt64(&n.wireHits, 1)
-	} else {
-		ent = newWireEntry(payload, bat.AppendMarshal(wirebuf.Get(), payload), true, nil)
-		n.setWireEntry(m.BAT, ent)
-		atomic.AddInt64(&n.wireMisses, 1)
-	}
-	ent.acquire()
+	f.wire() // a version installed from a BAT marshals on its first send
+	// The hold keeps the fragment's slab, and so its wire bytes, stable
+	// until the vectored send that carries them completes.
+	f.slab.retain()
 	atomic.AddInt64(&n.outBytes, int64(m.Size))
-	// The entry reference keeps the cached bytes stable until the
-	// vectored send that carries them completes.
-	he := hopEntry{m: m, ver: ver, ent: ent}
+	he := hopEntry{m: m, f: f}
 	if n.hop != nil {
 		// Batched transport: queue the fragment for the hop scheduler,
 		// which coalesces co-resident outbound fragments into one batch
@@ -978,9 +854,8 @@ func (e *liveEnv) Deliver(q core.QueryID, b core.BATID) {
 		return
 	}
 	delete(n.waiters, key)
-	var payload *bat.BAT
-	var ver int
-	if p, ok := n.store[b]; ok {
+	var f *fragment
+	if st, ok := n.store[b]; ok {
 		// Owner: always serve the store, never a circulating copy. The
 		// store is the authoritative latest version (UpdateColumn bumps
 		// it under the column lock before the catalog advances), while a
@@ -989,24 +864,24 @@ func (e *liveEnv) Deliver(q core.QueryID, b core.BATID) {
 		// pressure that can be arbitrarily far behind. Serving the store
 		// keeps owner pins on the cache contract: never older than the
 		// catalog read before the pin.
-		payload, ver = p, n.versions[b]
-	} else if a, ok := n.transit[b]; ok {
-		payload, ver = a.b, a.ver
-		a.slab.lend()
-		// The query will hold the BAT pinned: keep the payload cached,
+		f = st
+	} else if t, ok := n.transit[b]; ok {
+		f = t
+		f.slab.lend()
+		// The query will hold the BAT pinned: keep the fragment cached,
 		// and with it the slab it is a view of.
 		c := n.cached[b]
 		if c == nil {
-			c = &cachedBAT{b: a.b, ver: ver, slab: a.slab}
-			a.slab.retain()
+			c = &cachedBAT{f: f}
+			f.slab.retain()
 			n.cached[b] = c
 		}
 		c.refs++
 	} else if c, ok := n.cached[b]; ok {
-		payload, ver = c.b, c.ver // lent when the entry was made
+		f = c.f // lent when the entry was made
 		c.refs++
 	}
-	ch <- delivered{payload, ver} // buffered
+	ch <- f // buffered
 }
 
 func (e *liveEnv) QueryError(q core.QueryID, b core.BATID, reason string) {
@@ -1015,7 +890,7 @@ func (e *liveEnv) QueryError(q core.QueryID, b core.BATID, reason string) {
 	for key, ch := range n.waiters {
 		if key.q == q {
 			delete(n.waiters, key)
-			ch <- delivered{}
+			ch <- nil
 		}
 	}
 	if ec, ok := n.errs[q]; ok {
@@ -1028,14 +903,11 @@ func (e *liveEnv) QueryError(q core.QueryID, b core.BATID, reason string) {
 
 func (e *liveEnv) OnLoad(b core.BATID, size int) {}
 
-// OnUnload drops the fragment's cached wire bytes: once the BAT leaves
-// the hot set there is no forward to amortize them over. Called with
-// n.mu held. The hot-set cache entry goes too — the owner serves its
-// own pins from the store, so resident bytes are better spent.
+// OnUnload drops the fragment's hot-set cache entry once the BAT
+// leaves the ring's hot set: the owner serves its own pins from the
+// store, so resident bytes are better spent. Called with n.mu held.
 func (e *liveEnv) OnUnload(b core.BATID, size int) {
-	n := e.node()
-	n.dropWireEntry(b)
-	if n.hot != nil {
+	if n := e.node(); n.hot != nil {
 		n.hot.drop(b)
 	}
 }
@@ -1120,10 +992,11 @@ func (d *queryDC) Pin(handle mal.Value) (mal.Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("live: bad pin handle %T", handle)
 	}
-	b, _, viaRing, err := d.acquireFrag(id, nil)
+	f, viaRing, err := d.acquireFrag(id, nil)
 	if err != nil {
 		return nil, err
 	}
+	b := f.b
 	d.mu.Lock()
 	if d.pinned == nil {
 		d.pinned = map[*bat.BAT]core.BATID{}
@@ -1147,13 +1020,13 @@ func (d *queryDC) Pin(handle mal.Value) (mal.Value, error) {
 // lifetime. Otherwise the waiter entry is still registered; removing it
 // turns any later Deliver for this pin into a no-op (Deliver only
 // counts references when it finds a waiter to hand the payload to).
-func (d *queryDC) abandonPin(id core.BATID, ch chan delivered) {
+func (d *queryDC) abandonPin(id core.BATID, ch chan *fragment) {
 	n := d.n
 	n.mu.Lock()
 	delete(n.waiters, waitKey{d.q, id})
 	select {
-	case dv := <-ch:
-		if dv.b != nil {
+	case f := <-ch:
+		if f != nil {
 			// The delivery won the race: drop the refs it counted, at
 			// both the live layer and the runtime (what the query's own
 			// unpin would have released).
@@ -1293,8 +1166,8 @@ func (n *Node) releaseQuery(q core.QueryID, dc *queryDC) {
 		}
 		delete(n.waiters, key)
 		select {
-		case dv := <-ch:
-			if dv.b != nil {
+		case f := <-ch:
+			if f != nil {
 				// The delivery counted refs at both layers; release both,
 				// as the query's own unpin would have.
 				n.rt.Unpin(q, key.b)
@@ -1339,13 +1212,6 @@ func (n *Node) ActiveQueries() int64 { return atomic.LoadInt64(&n.activeQueries)
 // InterpRunning reports live interpreter goroutines on this node; it
 // returns to zero when the node is idle (leak detector).
 func (n *Node) InterpRunning() int64 { return atomic.LoadInt64(&n.interpRunning) }
-
-// WireCacheStats reports how many data forwards reused cached codec
-// bytes versus paid a fresh bat.AppendMarshal. Buffer-pool reuse
-// counters live alongside in wirebuf.Stats.
-func (n *Node) WireCacheStats() (hits, misses int64) {
-	return atomic.LoadInt64(&n.wireHits), atomic.LoadInt64(&n.wireMisses)
-}
 
 // CacheStats snapshots the node's hot-set cache counters plus the
 // ring-wait accounting (the latter is recorded whether or not the

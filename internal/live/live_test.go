@@ -6,8 +6,10 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bat"
+	"repro/internal/core"
 	"repro/internal/mal"
 	"repro/internal/minisql"
 	"repro/internal/tpch"
@@ -225,5 +227,52 @@ func TestRingTooSmall(t *testing.T) {
 	cols, schema := testColumns()
 	if _, err := NewRing(1, cols, schema, DefaultConfig()); err == nil {
 		t.Fatal("expected error for 1-node ring")
+	}
+}
+
+// TestExecPlanErrorDoesNotLeakInterpreter drives the errCh failure path
+// of ExecPlan: a plan pins both a real column and a phantom fragment no
+// node owns, so the phantom request returns to origin and fails the
+// query while the other pin may still be blocked. The interpreter
+// goroutine must exit (via cancellation), not strand forever against a
+// cancelled query.
+func TestExecPlanErrorDoesNotLeakInterpreter(t *testing.T) {
+	r := newTestRing(t, 3)
+	defer r.Close()
+	n := r.Node(0)
+
+	r.idsMu.Lock()
+	r.cols["ghost.col"] = &colFrags{ids: []core.BATID{777}}
+	r.idsMu.Unlock()
+
+	for i := 0; i < 5; i++ {
+		b := mal.NewBuilder("leaky")
+		g := b.Emit("datacyclotron", "request", mal.L("sys"), mal.L("ghost"), mal.L("col"))
+		h := b.Emit("datacyclotron", "request", mal.L("sys"), mal.L("t"), mal.L("id"))
+		pg := b.Emit("datacyclotron", "pin", mal.V(g))
+		ph := b.Emit("datacyclotron", "pin", mal.V(h))
+		_ = pg
+		b.SetResult(ph)
+		if _, err := n.ExecPlan(b.MustBuild()); err == nil {
+			t.Fatal("query over phantom fragment succeeded")
+		}
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if n.InterpRunning() == 0 {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := n.InterpRunning(); got != 0 {
+		t.Fatalf("%d interpreter goroutines still running after failed queries", got)
+	}
+	// The aborted pins must not leave refcounted payloads behind.
+	n.mu.Lock()
+	leftover := len(n.cached)
+	n.mu.Unlock()
+	if leftover != 0 {
+		t.Fatalf("%d cached payloads leaked by aborted queries", leftover)
 	}
 }

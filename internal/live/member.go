@@ -18,17 +18,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bat"
 	"repro/internal/core"
 	"repro/internal/rdma"
 )
 
 // replicaFrag is one replica copy held at a successor of the owner:
-// the payload at its catalog version, plus the last level of interest
+// the fragment at its catalog version, plus the last level of interest
 // seen on the circulating original (what a promotion re-admits with).
 type replicaFrag struct {
-	b   *bat.BAT
-	ver int
+	f   *fragment
 	loi float64
 }
 
@@ -60,36 +58,18 @@ func (n *Node) linkReqIn() *rdma.Messenger {
 	return n.reqIn
 }
 
-func (n *Node) swapDataOut(m *rdma.Messenger) *rdma.Messenger {
+// relink installs m as the node's link *at (one of its four link
+// fields) and closes the link it replaces. On a node kill has already
+// stopped it closes m instead: nothing would ever close a link installed
+// there.
+func (n *Node) relink(at **rdma.Messenger, m *rdma.Messenger) {
 	n.linkMu.Lock()
-	defer n.linkMu.Unlock()
-	old := n.dataOut
-	n.dataOut = m
-	return old
-}
-
-func (n *Node) swapDataIn(m *rdma.Messenger) *rdma.Messenger {
-	n.linkMu.Lock()
-	defer n.linkMu.Unlock()
-	old := n.dataIn
-	n.dataIn = m
-	return old
-}
-
-func (n *Node) swapReqOut(m *rdma.Messenger) *rdma.Messenger {
-	n.linkMu.Lock()
-	defer n.linkMu.Unlock()
-	old := n.reqOut
-	n.reqOut = m
-	return old
-}
-
-func (n *Node) swapReqIn(m *rdma.Messenger) *rdma.Messenger {
-	n.linkMu.Lock()
-	defer n.linkMu.Unlock()
-	old := n.reqIn
-	n.reqIn = m
-	return old
+	loser := m
+	if !n.linksClosed {
+		loser, *at = *at, m
+	}
+	n.linkMu.Unlock()
+	loser.Close()
 }
 
 // ---------------------------------------------------------------------
@@ -166,10 +146,12 @@ func (n *Node) kill() {
 		n.rt.Stop()
 		n.mu.Unlock()
 		close(n.closed)
-		n.linkDataOut().Close()
-		n.linkReqOut().Close()
-		n.linkDataIn().Close()
-		n.linkReqIn().Close()
+		n.linkMu.Lock()
+		defer n.linkMu.Unlock()
+		n.linksClosed = true
+		for _, m := range []*rdma.Messenger{n.dataOut, n.reqOut, n.dataIn, n.reqIn} {
+			m.Close()
+		}
 	})
 }
 
@@ -320,10 +302,10 @@ func (r *Ring) splice(dead core.NodeID) {
 
 	if links, err := r.newLinks(1, 1); err == nil {
 		data, req := links[0], links[1]
-		p.swapDataOut(data.a).Close()
-		s.swapDataIn(data.b).Close()
-		s.swapReqOut(req.a).Close()
-		p.swapReqIn(req.b).Close()
+		p.relink(&p.dataOut, data.a)
+		s.relink(&s.dataIn, data.b)
+		s.relink(&s.reqOut, req.a)
+		p.relink(&p.reqIn, req.b)
 	}
 	if s.memb != nil {
 		// The successor now times out its new predecessor, with a full
@@ -380,14 +362,14 @@ func (r *Ring) promoteFrag(dead core.NodeID, id core.BATID) {
 	heir := reps[0]
 	heir.mu.Lock()
 	rp := heir.replicas[id]
-	if rp == nil || rp.ver != r.fragVersion(id) {
+	if rp == nil || rp.f.ver != r.fragVersion(id) {
 		// Can't happen while the column lock is honored (invariant 2);
 		// refuse to serve a stale payload regardless.
 		heir.mu.Unlock()
 		atomic.AddInt64(&r.lostFrags, 1)
 		return
 	}
-	installOwner(heir, id, rp.b, rp.ver, rp.loi, nil)
+	installOwner(heir, id, rp.f, rp.loi, nil)
 	heir.mu.Unlock()
 	// Counted before the flip, so whoever sees the fragment owned again
 	// (UnownedFragments) also sees its promotion.
@@ -431,7 +413,7 @@ func (n *Node) MembershipStats() MembershipStats {
 	vers := make([]int, 0, len(n.replicas))
 	for id, rp := range n.replicas {
 		ids = append(ids, id)
-		vers = append(vers, rp.ver)
+		vers = append(vers, rp.f.ver)
 	}
 	n.mu.Unlock()
 	s.Replicas = int64(len(ids))

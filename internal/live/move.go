@@ -6,9 +6,9 @@ package live
 // (UpdateColumn, failover promotion, join rebalancing, Publish, ring
 // construction) is a sequence of the steps in this file:
 //
-//	transfer      codec round trip of the payload (join moves)
+//	transfer      codec round trip of the fragment (join moves)
 //	lockNodes     ordered critical section over every node touched
-//	installOwner  bytes, version and replica copies at the new owner;
+//	installOwner  fragment version and replica copies at the new owner;
 //	              pins already blocked there are delivered from them
 //	(flip)        the caller's catalog write: version or placement
 //	releaseOwner  the previous owner and its replica holders forget
@@ -98,13 +98,48 @@ func replicaChain(r *Ring, owner core.NodeID) []*Node {
 	return chain
 }
 
-// transfer streams a payload through the wire codec — the bytes a hop
+// fragment is one version of one fragment, the value every holder on a
+// node keeps: the store, replicas, transit, pinned deliveries, the hot
+// cache and the hop queue. b is its view, capped to its length so no
+// Append grows into another holder's rows; raw is the wire bytes it
+// travels as, and slab the receive slab raw is a view of (nil: GC
+// memory). A version is never rewritten — an update installs a new
+// fragment — so its bytes never need invalidating.
+type fragment struct {
+	b    *bat.BAT
+	ver  int
+	raw  []byte
+	slab *slab
+	once sync.Once // guards raw's lazy marshal
+}
+
+// newFragment wraps b at version ver. raw is its wire bytes, a view of
+// slab s, for a received or transferred version; nil for one installed
+// from a BAT, which wire marshals on its first send.
+func newFragment(b *bat.BAT, ver int, raw []byte, s *slab) *fragment {
+	return &fragment{b: b.Slice(0, b.Len()), ver: ver, raw: raw, slab: s}
+}
+
+// wire returns the version's wire bytes, marshalling them into GC
+// memory the first time a version installed from a BAT is sent. Safe
+// from any node.
+func (f *fragment) wire() []byte {
+	f.once.Do(func() {
+		if f.raw == nil {
+			f.raw = bat.AppendMarshal(nil, f.b)
+		}
+	})
+	return f.raw
+}
+
+// transfer streams a fragment through the wire codec — the bytes a hop
 // would carry — and consults the fault injector with their size: a drop
 // (or a payload over limit) abandons the move, a delay stretches the
-// window in which kills land. The caller re-checks both ends under
-// lockNodes before installing the copy.
-func transfer(b *bat.BAT, faults *netsim.Faults, limit int) (*bat.BAT, bool) {
-	raw := bat.AppendMarshal(nil, b)
+// window in which kills land. The copy keeps the marshalled bytes as its
+// own, so the joiner never marshals it again. The caller re-checks both
+// ends under lockNodes before installing the copy.
+func transfer(f *fragment, faults *netsim.Faults, limit int) (*fragment, bool) {
+	raw := bat.AppendMarshal(nil, f.b)
 	if dataHdrSize+len(raw) > limit {
 		return nil, false
 	}
@@ -118,28 +153,38 @@ func transfer(b *bat.BAT, faults *netsim.Faults, limit int) (*bat.BAT, bool) {
 		}
 	}
 	nb, err := bat.UnmarshalView(raw)
-	return nb, err == nil
+	if err != nil {
+		return nil, false
+	}
+	return newFragment(nb, f.ver, raw, nil), true
 }
 
-// installOwner makes n the holder of fragment id at version ver and
-// writes the same bytes to the replica holders in chain. Superseded
-// serialized and cached forms are dropped so every serve path agrees
-// with the store; pins already blocked at n are delivered from it here,
-// before the caller flips any catalog. A fragment new to n enters its
-// hot set cold at interest loi; one n already owns keeps its place in
-// it. Called with n and chain locked (lockNodes).
-func installOwner(n *Node, id core.BATID, b *bat.BAT, ver int, loi float64, chain []*Node) {
-	n.store[id] = b
-	n.versions[id] = ver
-	n.dropWireEntry(id)
+// installOwner makes n the holder of fragment version f and writes the
+// same version to the replica holders in chain. A superseded cached copy
+// is dropped so every serve path agrees with the store; pins already
+// blocked at n are delivered from it here, before the caller flips any
+// catalog. A fragment new to n enters its hot set cold at interest loi;
+// one n already owns keeps its place in it. Called with n and chain
+// locked (lockNodes).
+func installOwner(n *Node, id core.BATID, f *fragment, loi float64, chain []*Node) {
+	n.store[id] = f
 	if n.hot != nil {
 		n.hot.drop(id) // the owner serves its store, never a cached copy
 	}
 	delete(n.replicas, id)
-	n.rt.PromoteOwned(id, b.Bytes(), loi)
+	n.rt.PromoteOwned(id, f.b.Bytes(), loi)
 	for _, rep := range chain {
-		rep.replicas[id] = &replicaFrag{b: b, ver: ver, loi: loi}
+		rep.replicas[id] = &replicaFrag{f: f, loi: loi}
 	}
+}
+
+// storeVer is the version of fragment id in n's store (0 when n holds
+// none). Called with n.mu held.
+func (n *Node) storeVer(id core.BATID) int {
+	if f := n.store[id]; f != nil {
+		return f.ver
+	}
+	return 0
 }
 
 // releaseOwner makes owner and the replica holders in reps forget
@@ -148,8 +193,6 @@ func installOwner(n *Node, id core.BATID, b *bat.BAT, ver int, loi float64, chai
 func releaseOwner(owner *Node, id core.BATID, reps []*Node) {
 	owner.rt.RemoveOwned(id)
 	delete(owner.store, id)
-	delete(owner.versions, id)
-	owner.dropWireEntry(id)
 	for _, rep := range reps {
 		delete(rep.replicas, id)
 	}

@@ -139,7 +139,7 @@ func checkMoveInvariants(r *Ring, final bool) error {
 				continue
 			}
 			n.mu.Lock()
-			owns, ver, stored := n.rt.Owns(id), n.versions[id], n.store[id] != nil
+			owns, ver, stored := n.rt.Owns(id), n.storeVer(id), n.store[id] != nil
 			n.mu.Unlock()
 			if !owns {
 				continue
@@ -169,7 +169,7 @@ func checkMoveInvariants(r *Ring, final bool) error {
 			rep.mu.Lock()
 			rp := rep.replicas[id]
 			rep.mu.Unlock()
-			if rp == nil || rp.ver != cat {
+			if rp == nil || rp.f.ver != cat {
 				return fmt.Errorf("fragment %d: replica at node %d is %+v, catalog at version %d", id, rep.id, rp, cat)
 			}
 		}

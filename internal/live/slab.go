@@ -7,9 +7,10 @@ package live
 // size overwrites it — only once nothing can read it any more:
 //
 //  1. Holders count. A slab is retained by the receive loop while it
-//     handles the message, by every hot-cache entry and every n.cached
-//     delivery decoded from it, and by the wireEntry seeded from it
-//     until the forward's send completes.
+//     handles the message, and by every holder of a fragment decoded
+//     from it: each hot-cache entry, each n.cached delivery, and each
+//     hop entry forwarding it — the forward sends the slab's own bytes,
+//     so that hold lasts from the enqueue until the send completes.
 //  2. Views wait. Query code holds views without counting: the parts of
 //     an aligned map, pinMerged's fragments after their unpin, a flight
 //     follower's payload. Such a view only ever comes from a cache hit

@@ -188,17 +188,17 @@ func TestSlabLifetime(t *testing.T) {
 		for _, e := range entries {
 			var held int32
 			for _, other := range entries {
-				if other.slab == e.slab {
+				if other.f.slab == e.f.slab {
 					held++
 				}
 			}
-			settle(t, r, reader, e.slab, held)
+			settle(t, r, reader, e.f.slab, held)
 		}
 		for id, e := range entries {
-			if recycled(e.slab) {
+			if recycled(e.f.slab) {
 				t.Fatalf("fragment %d: slab recycled under its cache entry", id)
 			}
-			if got, want := tailInts(e.b), fragValues(t, r, "p.val", id); !slices.Equal(got, want) {
+			if got, want := tailInts(e.f.b), fragValues(t, r, "p.val", id); !slices.Equal(got, want) {
 				t.Fatalf("fragment %d: cache entry reads %v…, want %v…", id, got[:3], want[:3])
 			}
 		}
@@ -210,7 +210,7 @@ func TestSlabLifetime(t *testing.T) {
 		ids, _ := r.Fragments("p.val")
 		id := remoteFrag(r, reader, "p.val")
 		dc := bareDC(reader)
-		b, _, err := dc.ringPin(id, nil)
+		f, err := dc.ringPin(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,13 +218,13 @@ func TestSlabLifetime(t *testing.T) {
 			reader.hot.drop(other)
 		}
 		reader.mu.Lock()
-		s := reader.cached[id].slab
+		s := reader.cached[id].f.slab
 		reader.mu.Unlock()
 		settle(t, r, reader, s, 1)
 		if recycled(s) {
 			t.Fatal("slab recycled under a pinned delivery")
 		}
-		if got, want := tailInts(b), fragValues(t, r, "p.val", id); !slices.Equal(got, want) {
+		if got, want := tailInts(f.b), fragValues(t, r, "p.val", id); !slices.Equal(got, want) {
 			t.Fatalf("pinned delivery reads %v…, want %v…", got[:3], want[:3])
 		}
 		dc.releaseRing(id)
@@ -237,7 +237,8 @@ func TestSlabLifetime(t *testing.T) {
 		// No cache, and a linger that keeps every forward queued for a
 		// while after the receive loop let go of its message: a
 		// fragment passing node 1 on its way from node 0 to node 2 is
-		// held by the forward's wire entry alone. Node 1 runs no query.
+		// held by its hop entry alone — the slab hold SendData takes at
+		// the enqueue. Node 1 runs no query.
 		cfg := DefaultConfig()
 		cfg.CacheBytes = 0
 		cfg.HopBatchLinger = 5 * time.Millisecond
@@ -259,32 +260,27 @@ func TestSlabLifetime(t *testing.T) {
 	// A running query holds views without holds — a cache hit, or a
 	// delivery after its unpin (pinMerged) — while everything that held
 	// their slab lets go.
-	views := map[string]func(t *testing.T, r *Ring, reader *Node, id core.BATID) (*bat.BAT, *slab){
-		"cache hit": func(t *testing.T, r *Ring, reader *Node, id core.BATID) (*bat.BAT, *slab) {
+	views := map[string]func(t *testing.T, r *Ring, reader *Node, id core.BATID) *fragment{
+		"cache hit": func(t *testing.T, r *Ring, reader *Node, id core.BATID) *fragment {
 			// Another node's fetch: the fragment reaches reader's cache
 			// in passing, and the hit is the first view of its slab.
 			if _, err := r.Node(2).Fetch("p.val"); err != nil {
 				t.Fatal(err)
 			}
-			b := reader.hot.get(id, 0)
-			if b == nil {
+			f := reader.hot.get(id, 0)
+			if f == nil {
 				t.Fatal("the passing fragment was not cached")
 			}
-			reader.hot.mu.Lock()
-			defer reader.hot.mu.Unlock()
-			return b, reader.hot.entries[id].slab
+			return f
 		},
-		"delivery": func(t *testing.T, r *Ring, reader *Node, id core.BATID) (*bat.BAT, *slab) {
+		"delivery": func(t *testing.T, r *Ring, reader *Node, id core.BATID) *fragment {
 			dc := bareDC(reader)
-			b, _, err := dc.ringPin(id, nil)
+			f, err := dc.ringPin(id, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			reader.mu.Lock()
-			s := reader.cached[id].slab
-			reader.mu.Unlock()
 			dc.releaseRing(id)
-			return b, s
+			return f
 		},
 	}
 	for via, view := range views {
@@ -293,7 +289,8 @@ func TestSlabLifetime(t *testing.T) {
 			reader := r.Node(1)
 			id := remoteFrag(r, reader, "p.val")
 			e := reader.enterQuery()
-			b, s := view(t, r, reader, id)
+			f := view(t, r, reader, id)
+			s := f.slab
 			ids, _ := r.Fragments("p.val")
 			for _, other := range ids {
 				reader.hot.drop(other)
@@ -302,7 +299,7 @@ func TestSlabLifetime(t *testing.T) {
 			if recycled(s) {
 				t.Fatal("slab recycled under a running query's view")
 			}
-			if got, want := tailInts(b), fragValues(t, r, "p.val", id); !slices.Equal(got, want) {
+			if got, want := tailInts(f.b), fragValues(t, r, "p.val", id); !slices.Equal(got, want) {
 				t.Fatalf("running query's view reads %v…, want %v…", got[:3], want[:3])
 			}
 			reader.exitQuery(e)
@@ -326,7 +323,7 @@ func TestSlabLifetime(t *testing.T) {
 			t.Fatal(err)
 		}
 		reader.hot.mu.Lock()
-		s := reader.hot.entries[id].slab
+		s := reader.hot.entries[id].f.slab
 		reader.hot.mu.Unlock()
 		reader.hot.drop(id)
 		settle(t, r, reader, s, 0)

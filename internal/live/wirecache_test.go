@@ -1,66 +1,103 @@
 package live
 
 import (
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/bat"
 	"repro/internal/core"
-	"repro/internal/mal"
 )
 
-// TestWireCacheReusesMarshalledBytes runs the same query twice and
-// checks that at least some data forwards reused the cached serialized
-// form instead of paying bat.Marshal again.
-func TestWireCacheReusesMarshalledBytes(t *testing.T) {
-	r := newTestRing(t, 3)
-	defer r.Close()
-	q := "select c.t_id from t, c where c.t_id = t.id"
-	for i := 0; i < 2; i++ {
-		if _, err := r.Node(1).ExecSQL(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var hits, misses int64
-	for i := 0; i < r.Size(); i++ {
-		h, m := r.Node(i).WireCacheStats()
-		hits += h
-		misses += m
-	}
-	if misses == 0 {
-		t.Fatal("no data sends recorded")
-	}
-	if hits == 0 {
-		t.Fatal("every forward re-marshalled its fragment; cache never hit")
-	}
-}
-
-// TestWireCacheInvalidatedOnUpdate installs a new column version and
-// checks readers eventually see it: stale cached bytes must not keep
-// being served for the updated fragment.
-func TestWireCacheInvalidatedOnUpdate(t *testing.T) {
+// wireCacheRing builds a three-node ring with no hot cache and aggressive
+// eviction: every pin waits for circulation, and fragments leave the hot
+// set between queries and reload from their owners' stores.
+func wireCacheRing(t *testing.T) *Ring {
+	t.Helper()
 	cols, schema := testColumns()
 	cfg := DefaultConfig()
-	// Aggressive eviction so re-fetches reload from the owner's store.
+	cfg.CacheBytes = 0
 	cfg.Core.LOITLevels = []float64{10}
 	cfg.Core.AdaptiveLOIT = false
 	r, err := NewRing(3, cols, schema, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
+	return r
+}
 
-	sum := func() int64 {
-		rs, err := r.Node(1).ExecSQL("select sum(val) from c")
+// sumOnReader returns a closure that runs "select sum(val) from c" on the
+// node after the owner of c.val, so every answer crosses the ring.
+func sumOnReader(t *testing.T, r *Ring, owner *Node) func() int64 {
+	reader := r.node((int(owner.id) + 1) % r.Size())
+	return func() int64 {
+		rs, err := reader.ExecSQL("select sum(val) from c")
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rs.Row(0)[0].(int64)
 	}
+}
+
+// storedFragment returns the fragment the owner's store holds for id.
+func storedFragment(owner *Node, id core.BATID) *fragment {
+	owner.mu.Lock()
+	defer owner.mu.Unlock()
+	return owner.store[id]
+}
+
+// TestWireCacheReusesMarshalledBytes: a fragment version installed from a
+// BAT is marshalled on its first send and never again — its wire bytes
+// keep one backing array however often it circulates, unloads and
+// reloads.
+func TestWireCacheReusesMarshalledBytes(t *testing.T) {
+	r := wireCacheRing(t)
+	defer r.Close()
+	id, _ := r.BATID("c.val")
+	owner := r.ownerOf(id)
+	sum := sumOnReader(t, r, owner)
+
+	f := storedFragment(owner, id)
+	var first *byte
+	for i := 0; i < 3; i++ {
+		if got := sum(); got != 1000 {
+			t.Fatalf("query %d: sum = %d, want 1000", i, got)
+		}
+		if storedFragment(owner, id) != f {
+			t.Fatalf("query %d: the owner holds another fragment for an unchanged version", i)
+		}
+		owner.mu.Lock()
+		sent := f.raw != nil // sends marshal under the owner's lock
+		owner.mu.Unlock()
+		if !sent {
+			t.Fatalf("query %d: the owner never sent the fragment", i)
+		}
+		at := unsafe.SliceData(f.wire())
+		if first == nil {
+			first = at
+		} else if at != first {
+			t.Fatalf("query %d: the version was marshalled again", i)
+		}
+	}
+}
+
+// TestWireCacheInvalidatedOnUpdate: an update installs a new version with
+// wire bytes of its own, and readers eventually see it — the old
+// version's marshalled bytes are not served for the updated fragment.
+func TestWireCacheInvalidatedOnUpdate(t *testing.T) {
+	r := wireCacheRing(t)
+	defer r.Close()
+	id, _ := r.BATID("c.val")
+	owner := r.ownerOf(id)
+	sum := sumOnReader(t, r, owner)
+
 	if got := sum(); got != 1000 {
 		t.Fatalf("base sum = %d, want 1000", got)
 	}
-	if _, err := r.UpdateColumn("c.val", func(old *bat.BAT) *bat.BAT {
+	old := unsafe.SliceData(storedFragment(owner, id).wire())
+
+	if _, err := r.UpdateColumn("c.val", func(*bat.BAT) *bat.BAT {
 		return bat.MakeInts("c.val", []int64{1, 1, 1, 1})
 	}); err != nil {
 		t.Fatal(err)
@@ -68,58 +105,20 @@ func TestWireCacheInvalidatedOnUpdate(t *testing.T) {
 	// Each round blocks on a query, which is the clock; the deadline
 	// only bounds a broken ring.
 	deadline := time.Now().Add(5 * time.Second)
-	var got int64
-	for time.Now().Before(deadline) {
-		if got = sum(); got == 4 {
-			return
+	for got := sum(); got != 4; got = sum() {
+		if time.Now().After(deadline) {
+			t.Fatalf("new version never served (sum = %d): stale wire bytes still circulating", got)
 		}
 	}
-	t.Fatalf("new version never visible (sum = %d): stale wire bytes still circulating", got)
-}
-
-// TestExecPlanErrorDoesNotLeakInterpreter drives the errCh failure path
-// of ExecPlan: a plan pins both a real column and a phantom fragment no
-// node owns, so the phantom request returns to origin and fails the
-// query while the other pin may still be blocked. The interpreter
-// goroutine must exit (via cancellation), not strand forever against a
-// cancelled query.
-func TestExecPlanErrorDoesNotLeakInterpreter(t *testing.T) {
-	r := newTestRing(t, 3)
-	defer r.Close()
-	n := r.Node(0)
-
-	r.idsMu.Lock()
-	r.cols["ghost.col"] = &colFrags{ids: []core.BATID{777}}
-	r.idsMu.Unlock()
-
-	for i := 0; i < 5; i++ {
-		b := mal.NewBuilder("leaky")
-		g := b.Emit("datacyclotron", "request", mal.L("sys"), mal.L("ghost"), mal.L("col"))
-		h := b.Emit("datacyclotron", "request", mal.L("sys"), mal.L("t"), mal.L("id"))
-		pg := b.Emit("datacyclotron", "pin", mal.V(g))
-		ph := b.Emit("datacyclotron", "pin", mal.V(h))
-		_ = pg
-		b.SetResult(ph)
-		if _, err := n.ExecPlan(b.MustBuild()); err == nil {
-			t.Fatal("query over phantom fragment succeeded")
-		}
+	nf := storedFragment(owner, id)
+	if nf.ver != 1 || unsafe.SliceData(nf.wire()) == old {
+		t.Fatalf("updated fragment at version %d shares the old version's bytes", nf.ver)
 	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if n.InterpRunning() == 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	b, err := bat.UnmarshalView(nf.wire())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := n.InterpRunning(); got != 0 {
-		t.Fatalf("%d interpreter goroutines still running after failed queries", got)
-	}
-	// The aborted pins must not leave refcounted payloads behind.
-	n.mu.Lock()
-	leftover := len(n.cached)
-	n.mu.Unlock()
-	if leftover != 0 {
-		t.Fatalf("%d cached payloads leaked by aborted queries", leftover)
+	if got := tailInts(b); !slices.Equal(got, []int64{1, 1, 1, 1}) {
+		t.Fatalf("new version's wire bytes decode to %v", got)
 	}
 }

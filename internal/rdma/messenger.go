@@ -389,9 +389,9 @@ func (m *Messenger) TrySendEncoded(size int, encode func(dst []byte) int) error 
 // SendVectored transmits one message gathered from several byte slices
 // — the ring-hop path. The parts go to the transport as they are (one
 // gather write on the socket providers, no assembly copy), so they must
-// stay valid and unmodified until SendVectored returns (the live ring's
-// refcounted wire cache provides exactly that, playing the role of
-// pre-registered buffers). The receiver sees a single contiguous message
+// stay valid and unmodified until SendVectored returns (the live ring
+// sends a fragment version's own immutable wire bytes, holding the slab
+// they sit in until the send completes — its pre-registered buffers). The receiver sees a single contiguous message
 // equal to the concatenation of the parts.
 func (m *Messenger) SendVectored(parts [][]byte) error {
 	ch := make(chan error, 1)

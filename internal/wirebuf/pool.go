@@ -1,16 +1,10 @@
-// Package wirebuf is the shared pool of wire-encode buffers. The live
-// ring's SendData and the query service's result frames both produce
-// short-lived serialized byte slices at high rate; recycling them
-// through one sync.Pool keeps the encode paths allocation-free in
-// steady state. Reuse is observable through Stats, the wire-level
-// sibling of live's WireCacheStats.
+// Package wirebuf is a pool of wire-encode buffers. The query service
+// encodes a result frame per query, often megabytes of it; recycling the
+// buffers through one sync.Pool keeps that encode path allocation-free
+// in steady state.
 package wirebuf
 
-import (
-	"sync"
-
-	"repro/internal/metrics"
-)
+import "sync"
 
 // maxPooled bounds the capacity of a buffer the pool will retain;
 // larger one-off buffers (giant result sets) are left to the GC so a
@@ -27,12 +21,6 @@ var (
 	boxes = sync.Pool{New: func() any { return new([]byte) }}
 )
 
-var (
-	hits   metrics.Counter // Get served by a recycled buffer
-	misses metrics.Counter // Get had to start from a fresh allocation
-	puts   metrics.Counter // buffers returned for reuse
-)
-
 // Get returns a zero-length buffer to append an encoding into. The
 // returned slice may carry capacity from a previous encode.
 func Get() []byte {
@@ -40,11 +28,6 @@ func Get() []byte {
 	b := *p
 	*p = nil
 	boxes.Put(p)
-	if cap(b) > 0 {
-		hits.Inc()
-	} else {
-		misses.Inc()
-	}
 	return b[:0]
 }
 
@@ -55,20 +38,7 @@ func Put(b []byte) {
 	if cap(b) == 0 || cap(b) > maxPooled {
 		return
 	}
-	puts.Inc()
 	p := boxes.Get().(*[]byte)
 	*p = b[:0]
 	pool.Put(p)
-}
-
-// PoolStats snapshots the pool's reuse counters.
-type PoolStats struct {
-	Hits   int64 // Gets served from the pool
-	Misses int64 // Gets that allocated fresh
-	Puts   int64 // buffers recycled
-}
-
-// Stats reports cumulative reuse counters for the process.
-func Stats() PoolStats {
-	return PoolStats{Hits: hits.Get(), Misses: misses.Get(), Puts: puts.Get()}
 }

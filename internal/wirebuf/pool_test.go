@@ -3,7 +3,6 @@ package wirebuf
 import "testing"
 
 func TestGetPutReuse(t *testing.T) {
-	before := Stats()
 	b := Get()
 	if len(b) != 0 {
 		t.Fatalf("Get returned %d-length buffer", len(b))
@@ -17,6 +16,9 @@ func TestGetPutReuse(t *testing.T) {
 	for attempt := 0; attempt < 8 && !reused; attempt++ {
 		Put(b)
 		got := Get()
+		if len(got) != 0 {
+			t.Fatalf("Get returned %d-length buffer", len(got))
+		}
 		reused = cap(got) >= 4096
 		b = got[:0]
 		if !reused {
@@ -26,21 +28,16 @@ func TestGetPutReuse(t *testing.T) {
 	if !reused {
 		t.Fatal("recycled buffer never handed back by Get")
 	}
-	after := Stats()
-	if after.Puts <= before.Puts {
-		t.Fatal("Put not counted")
-	}
-	if after.Hits <= before.Hits {
-		t.Fatal("reuse not counted as a hit")
-	}
 }
 
 func TestPutDropsEmptyAndGiant(t *testing.T) {
-	before := Stats()
 	Put(nil)
 	Put(make([]byte, 0))
 	Put(make([]byte, maxPooled+1))
-	if got := Stats(); got.Puts != before.Puts {
-		t.Fatalf("unpoolable buffers were counted: %+v vs %+v", got, before)
+	// Whatever the pool hands out now, the giant buffer is not among it.
+	for i := 0; i < 8; i++ {
+		if got := Get(); cap(got) > maxPooled {
+			t.Fatalf("Get returned a %d-byte buffer; Put kept a giant one", cap(got))
+		}
 	}
 }
