@@ -15,6 +15,9 @@ import (
 func (b *BAT) Sum() any {
 	switch b.t.kind {
 	case KInt:
+		if b.t.narrow != nil {
+			return b.t.narrow.sum()
+		}
 		var s int64
 		for _, v := range b.t.ints {
 			s += v
@@ -87,6 +90,9 @@ func (b *BAT) extreme(sign int) any {
 	case KOid:
 		return extremeOf(t.oids, wantMax)
 	case KInt:
+		if t.narrow != nil {
+			return t.narrow.extreme(wantMax)
+		}
 		return extremeOf(t.ints, wantMax)
 	case KFloat:
 		return extremeOf(t.floats, wantMax)
@@ -170,9 +176,9 @@ func (b *BAT) groupTail() (ids []Oid, repIdx []int32) {
 		return groupKeys(t.oids)
 	case KInt:
 		if sorted {
-			return groupSortedKeys(t.ints)
+			return groupSortedKeys(t.int64s())
 		}
-		return groupKeys(t.ints)
+		return groupKeys(t.int64s())
 	case KFloat:
 		if sorted {
 			return groupSortedKeys(t.floats)
@@ -253,7 +259,7 @@ func GroupDerive(groups, keys *BAT) (refined, reps *BAT) {
 	case KOid:
 		ids, repIdx = deriveKeys(gids, keys.t.oidValues())
 	case KInt:
-		ids, repIdx = deriveKeys(gids, keys.t.ints)
+		ids, repIdx = deriveKeys(gids, keys.t.int64s())
 	case KFloat:
 		ids, repIdx = deriveKeys(gids, keys.t.floats)
 	case KStr:
@@ -280,7 +286,7 @@ func GroupedSum(groups, vals *BAT) *BAT {
 	switch vals.t.kind {
 	case KInt:
 		sums := make([]int64, ngroups)
-		vv := vals.t.ints
+		vv := vals.t.int64s()
 		for i, g := range gids {
 			sums[g] += vv[i]
 		}
@@ -369,7 +375,7 @@ func groupedExtreme(groups, vals *BAT, sign int) *BAT {
 	case KOid:
 		out = OidColumn(extremeByGroup(gids, vals.t.oidValues(), ngroups, wantMax))
 	case KInt:
-		out = IntColumn(extremeByGroup(gids, vals.t.ints, ngroups, wantMax))
+		out = IntColumn(extremeByGroup(gids, vals.t.int64s(), ngroups, wantMax))
 	case KFloat:
 		out = FloatColumn(extremeByGroup(gids, vals.t.floats, ngroups, wantMax))
 	case KStr:
@@ -418,8 +424,8 @@ func tailFloats(b *BAT) []float64 {
 	case KFloat:
 		return t.floats
 	case KInt:
-		out := make([]float64, len(t.ints))
-		for i, v := range t.ints {
+		out := make([]float64, t.Len())
+		for i, v := range t.int64s() {
 			out[i] = float64(v)
 		}
 		return out

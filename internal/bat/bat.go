@@ -50,22 +50,10 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Width reports the in-memory width of a fixed-size kind in bytes.
-// Strings report 0; their size is data-dependent.
-func (k Kind) Width() int {
-	switch k {
-	case KStr:
-		return 0
-	case KBool:
-		return 1
-	default:
-		return 8
-	}
-}
-
 // Column is one typed column of a BAT. A column is either materialized
-// (one of the slices is used, per kind) or dense (an arithmetic sequence
-// of OIDs starting at Base — MonetDB's virtual OID column).
+// (one of the slices is used, per kind; a narrow int column uses narrow
+// instead of ints, see narrow.go) or dense (an arithmetic sequence of
+// OIDs starting at Base — MonetDB's virtual OID column).
 type Column struct {
 	kind   Kind
 	dense  bool
@@ -73,6 +61,7 @@ type Column struct {
 	n      int // length when dense
 	oids   []Oid
 	ints   []int64
+	narrow codes // a narrow int column's values; nil: ints holds them
 	floats []float64
 	strs   []string
 	bools  []bool
@@ -126,6 +115,9 @@ func (c *Column) Len() int {
 	case KOid:
 		return len(c.oids)
 	case KInt:
+		if c.narrow != nil {
+			return c.narrow.len()
+		}
 		return len(c.ints)
 	case KFloat:
 		return len(c.floats)
@@ -147,7 +139,7 @@ func (c *Column) Value(i int) any {
 	case KOid:
 		return c.oids[i]
 	case KInt:
-		return c.ints[i]
+		return c.Int(i)
 	case KFloat:
 		return c.floats[i]
 	case KStr:
@@ -167,7 +159,12 @@ func (c *Column) Oid(i int) Oid {
 }
 
 // Int returns element i of an int column.
-func (c *Column) Int(i int) int64 { return c.ints[i] }
+func (c *Column) Int(i int) int64 {
+	if c.narrow != nil {
+		return c.narrow.at(i)
+	}
+	return c.ints[i]
+}
 
 // Float returns element i of a float column.
 func (c *Column) Float(i int) float64 { return c.floats[i] }
@@ -179,7 +176,7 @@ func (c *Column) Str(i int) string { return c.strs[i] }
 func (c *Column) Bool(i int) bool { return c.bools[i] }
 
 // Append adds v, which must match the column kind. Dense columns cannot
-// be appended to.
+// be appended to; a narrow int column turns wide first.
 func (c *Column) Append(v any) {
 	if c.dense {
 		panic("bat: append to dense column")
@@ -188,7 +185,7 @@ func (c *Column) Append(v any) {
 	case KOid:
 		c.oids = append(c.oids, v.(Oid))
 	case KInt:
-		c.ints = append(c.ints, v.(int64))
+		c.ints, c.narrow = append(c.int64s(), v.(int64)), nil
 	case KFloat:
 		c.floats = append(c.floats, v.(float64))
 	case KStr:
@@ -226,6 +223,10 @@ func takeIdx[I int | int32](c *Column, idx []I) *Column {
 			}
 		}
 	case KInt:
+		if c.narrow != nil {
+			out.narrow = c.narrow.take(int32s(idx))
+			break
+		}
 		out.ints = make([]int64, len(idx))
 		for k, i := range idx {
 			out.ints[k] = c.ints[i]
@@ -249,6 +250,19 @@ func takeIdx[I int | int32](c *Column, idx []I) *Column {
 	return out
 }
 
+// int32s returns row positions as int32s: idx itself, or a converted
+// copy of an []int list.
+func int32s[I int | int32](idx []I) []int32 {
+	if v, ok := any(idx).([]int32); ok {
+		return v
+	}
+	out := make([]int32, len(idx))
+	for k, i := range idx {
+		out[k] = int32(i)
+	}
+	return out
+}
+
 // view returns an O(1) zero-copy view of rows [from, to). Dense columns
 // stay dense (the base shifts); materialized columns share the payload.
 // The shared subslices are capped (three-index slicing) so a later
@@ -262,6 +276,10 @@ func (c *Column) view(from, to int) *Column {
 	case KOid:
 		out.oids = c.oids[from:to:to]
 	case KInt:
+		if c.narrow != nil {
+			out.narrow = c.narrow.view(from, to)
+			break
+		}
 		out.ints = c.ints[from:to:to]
 	case KFloat:
 		out.floats = c.floats[from:to:to]
@@ -284,6 +302,10 @@ func (c *Column) clone() *Column {
 	case KOid:
 		out.oids = append([]Oid(nil), c.oids...)
 	case KInt:
+		if c.narrow != nil {
+			out.narrow = c.narrow.clone()
+			break
+		}
 		out.ints = append([]int64(nil), c.ints...)
 	case KFloat:
 		out.floats = append([]float64(nil), c.floats...)
@@ -311,25 +333,29 @@ func (c *Column) oidValues() []Oid {
 }
 
 // Span reports the address range [lo, hi) of a materialized fixed-width
-// column's values (oid, int, float) and 0, 0 for any other column: how a
-// caller that lends out memory tells whether a column is a view of it.
+// column's values (oid, int — wide or narrow —, float) and 0, 0 for any
+// other column: how a caller that lends out memory tells whether a
+// column is a view of it.
 func (c *Column) Span() (lo, hi uintptr) {
 	var p unsafe.Pointer
 	var n int
 	switch {
 	case c.dense:
 		return 0, 0
+	case c.narrow != nil:
+		raw := c.narrow.raw()
+		p, n = unsafe.Pointer(unsafe.SliceData(raw)), len(raw)
 	case c.kind == KOid:
-		p, n = unsafe.Pointer(unsafe.SliceData(c.oids)), len(c.oids)
+		p, n = unsafe.Pointer(unsafe.SliceData(c.oids)), 8*len(c.oids)
 	case c.kind == KInt:
-		p, n = unsafe.Pointer(unsafe.SliceData(c.ints)), len(c.ints)
+		p, n = unsafe.Pointer(unsafe.SliceData(c.ints)), 8*len(c.ints)
 	case c.kind == KFloat:
-		p, n = unsafe.Pointer(unsafe.SliceData(c.floats)), len(c.floats)
+		p, n = unsafe.Pointer(unsafe.SliceData(c.floats)), 8*len(c.floats)
 	}
 	if n == 0 {
 		return 0, 0
 	}
-	return uintptr(p), uintptr(p) + uintptr(8*n)
+	return uintptr(p), uintptr(p) + uintptr(n)
 }
 
 // Bytes reports the memory footprint of the column payload.
@@ -337,18 +363,14 @@ func (c *Column) Bytes() int {
 	if c.dense {
 		return 16 // base + count
 	}
-	switch c.kind {
-	case KStr:
-		total := 0
-		for _, s := range c.strs {
-			total += len(s) + 8 // payload + offset
-		}
-		return total
-	case KBool:
-		return c.Len()
-	default:
-		return c.Len() * 8
+	if c.kind != KStr {
+		return c.Len() * c.Width()
 	}
+	total := 0
+	for _, s := range c.strs {
+		total += len(s) + 8 // payload + offset
+	}
+	return total
 }
 
 // equalAt reports whether c[i] == d[j]; kinds must match.
@@ -357,7 +379,7 @@ func (c *Column) equalAt(i int, d *Column, j int) bool {
 	case KOid:
 		return c.Oid(i) == d.Oid(j)
 	case KInt:
-		return c.ints[i] == d.ints[j]
+		return c.Int(i) == d.Int(j)
 	case KFloat:
 		return c.floats[i] == d.floats[j]
 	case KStr:
@@ -490,7 +512,7 @@ func (b *BAT) sortIdxByTail(desc bool) []int {
 		v := t.oids
 		less = func(i, j int) bool { return v[idx[i]] < v[idx[j]] }
 	case t.kind == KInt:
-		v := t.ints
+		v := t.int64s()
 		less = func(i, j int) bool { return v[idx[i]] < v[idx[j]] }
 	case t.kind == KFloat:
 		v := t.floats

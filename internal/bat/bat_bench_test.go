@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -275,3 +276,65 @@ func BenchmarkBATQ6Intersect1M(b *testing.B) {
 		}
 	}
 }
+
+// widthColumn stores vals in the given physical width (8: wide), which
+// must hold their range.
+func widthColumn(vals []int64, width int) *Column {
+	ref := vals[0]
+	for _, v := range vals {
+		ref = min(ref, v)
+	}
+	switch width {
+	case 1:
+		return &Column{kind: KInt, narrow: encode[uint8](vals, ref)}
+	case 2:
+		return &Column{kind: KInt, narrow: encode[uint16](vals, ref)}
+	case 4:
+		return &Column{kind: KInt, narrow: encode[uint32](vals, ref)}
+	}
+	return IntColumn(vals)
+}
+
+// BenchmarkBATRangeScanWidth is the served Q6's date scan — a half-open
+// range keeping ~14 % of the rows, as l_shipdate's [1994-01-01,
+// 1995-01-01) does — over 1M rows in 64K-row fragments with dense
+// heads, the same values stored 8, 4, 2 and 1 bytes wide. Beside
+// BenchmarkBATStreamSum it answers whether the scan is bound by the
+// bytes it reads or by its own loop: compare ns/op across the widths,
+// and with the stream.
+func BenchmarkBATRangeScanWidth(b *testing.B) {
+	const frag = 64 << 10
+	rng := rand.New(rand.NewSource(13))
+	vals := make([]int64, benchRows)
+	for i := range vals {
+		vals[i] = 19920101 + int64(rng.Intn(256))
+	}
+	lo, hi := &Bound{Value: int64(19920101 + 73), Inclusive: true}, &Bound{Value: int64(19920101 + 110)}
+	for _, width := range []int{8, 4, 2, 1} {
+		var frags []*BAT
+		for at := 0; at < benchRows; at += frag {
+			frags = append(frags, New("d", DenseColumn(Oid(at), frag), widthColumn(vals[at:at+frag], width)))
+		}
+		b.Run(fmt.Sprint(width), func(b *testing.B) {
+			b.SetBytes(int64(benchRows * width))
+			for i := 0; i < b.N; i++ {
+				for _, f := range frags {
+					benchSink = f.USelect(lo, hi)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBATStreamSum sums 8 MB of int64s: one core's streaming read
+// rate, the floor a scan of the same bytes can approach.
+func BenchmarkBATStreamSum(b *testing.B) {
+	bb := benchIntBAT(benchRows, 1000)
+	b.SetBytes(8 * benchRows)
+	for i := 0; i < b.N; i++ {
+		benchSink = bb.Sum()
+	}
+}
+
+// benchSink keeps the compiler from dropping a benchmarked call.
+var benchSink any

@@ -454,9 +454,19 @@ func TestUSelectDenseHeadIsSortedCandidateList(t *testing.T) {
 // kind × column head × candidate form × bounds form × tail sortedness.
 const uselectCandShapes = 6 * 3 * 6 * 5 * 2
 
+// candWidths are the physical widths an int tail is drawn in; an int
+// case's width picks one, and its scale spreads the values so Narrow
+// lands on it.
+var candWidths = []struct {
+	width int
+	scale int64
+}{{8, 1 << 40}, {4, 50_000_000}, {2, 1000}, {1, 1}}
+
 // uselectCandCase derives one (column, candidates, bounds) triple from a
-// seed; shape picks one cell of the grid the kernel's paths split on.
-func uselectCandCase(seed int64, shape uint16) (b, cand *BAT, lo, hi *Bound) {
+// seed; shape picks one cell of the grid the kernel's paths split on,
+// and width the physical width of an int tail (an index into
+// candWidths; other tails ignore it).
+func uselectCandCase(seed int64, shape uint16, width uint8) (b, cand *BAT, lo, hi *Bound) {
 	rng := rand.New(rand.NewSource(seed))
 	s := int(shape) % uselectCandShapes
 	tailKind, s := s%6, s/6
@@ -473,19 +483,23 @@ func uselectCandCase(seed int64, shape uint16) (b, cand *BAT, lo, hi *Bound) {
 	var lit func() any // a literal of the tail's kind, inside and just outside the data
 	switch tailKind {
 	case 0:
+		scale := candWidths[int(width)%len(candWidths)].scale
 		v := make([]int64, n)
 		for i := range v {
-			v[i] = int64(rng.Intn(40))
+			v[i] = int64(rng.Intn(40)) * scale
 		}
 		if sortedTail {
 			sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
 		}
 		tail = IntColumn(v)
 		lit = func() any {
-			if rng.Intn(2) == 0 {
-				return int64(rng.Intn(50) - 5)
+			switch rng.Intn(8) {
+			case 0:
+				return []int64{math.MinInt64, math.MaxInt64}[rng.Intn(2)]
+			case 1, 2, 3:
+				return int64(rng.Intn(50)-5) * scale
 			}
-			return float64(rng.Intn(100)-10) / 2 // integral or fractional float over ints
+			return float64(rng.Intn(100)-10) / 2 * float64(scale) // integral or fractional float over ints
 		}
 	case 1:
 		v := make([]float64, n)
@@ -550,6 +564,9 @@ func uselectCandCase(seed int64, shape uint16) (b, cand *BAT, lo, hi *Bound) {
 		head = OidColumn(asc)
 	}
 	b = New("x", head, tail)
+	if tailKind == 0 {
+		b = Narrow(b) // every width but the widest narrows
+	}
 
 	// The candidates, drawn from a domain that overhangs the head range
 	// on both sides.
@@ -624,10 +641,10 @@ func uselectCandCase(seed int64, shape uint16) (b, cand *BAT, lo, hi *Bound) {
 // one shared column, the head's sorted property — and the definition to
 // a row-by-row reading of it when the bounds are ones selectGeneric
 // reads.
-func checkUSelectCand(t *testing.T, seed int64, shape uint16) {
+func checkUSelectCand(t *testing.T, seed int64, shape uint16, width uint8) {
 	t.Helper()
-	b, cand, lo, hi := uselectCandCase(seed, shape)
-	what := fmt.Sprintf("seed %d shape %d: %s, %s", seed, shape, b, cand)
+	b, cand, lo, hi := uselectCandCase(seed, shape, width)
+	what := fmt.Sprintf("seed %d shape %d width %d: %s, %s", seed, shape, b.Tail().Width(), b, cand)
 	want := b.Semijoin(cand).USelect(lo, hi)
 	got := b.USelectCand(cand, lo, hi)
 	sameBAT(t, what+": uselect(cand) vs semijoin.uselect", got, want)
@@ -654,7 +671,13 @@ func checkUSelectCand(t *testing.T, seed int64, shape uint16) {
 func TestUSelectCandMatchesSemijoinUSelect(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		for shape := uint16(0); shape < uselectCandShapes; shape++ {
-			checkUSelectCand(t, seed*7919+int64(shape), shape)
+			widths := 1
+			if shape%6 == 0 { // an int tail
+				widths = len(candWidths)
+			}
+			for w := 0; w < widths; w++ {
+				checkUSelectCand(t, seed*7919+int64(shape), shape, uint8(w))
+			}
 		}
 	}
 	// A served fragment: dense head off zero, candidates straddling both
@@ -673,9 +696,9 @@ func TestUSelectCandMatchesSemijoinUSelect(t *testing.T) {
 
 func FuzzUSelectCand(f *testing.F) {
 	for shape := uint16(0); shape < uselectCandShapes; shape += 97 {
-		f.Add(int64(shape), shape)
+		f.Add(int64(shape), shape, uint8(shape))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, shape uint16) {
-		checkUSelectCand(t, seed, shape)
+	f.Fuzz(func(t *testing.T, seed int64, shape uint16, width uint8) {
+		checkUSelectCand(t, seed, shape, width)
 	})
 }

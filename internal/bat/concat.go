@@ -85,7 +85,9 @@ func ConcatAll(lists [][]*BAT) []*BAT {
 }
 
 // concatCols is the n-ary generalization of concatCol: one exact-size
-// allocation, dense fusion, and boundary-checked sortedness.
+// allocation, dense fusion, and boundary-checked sortedness. Narrow int
+// fragments, each with its own reference and width, decode into the
+// wide output.
 func concatCols(cols []*Column) *Column {
 	if fused, ok := fuseDense(cols); ok {
 		return fused
@@ -109,7 +111,7 @@ func concatCols(cols []*Column) *Column {
 	case KInt:
 		v := make([]int64, 0, total)
 		for _, c := range cols {
-			v = append(v, c.ints...)
+			v = c.appendInts(v)
 		}
 		out.ints = v
 	case KFloat:

@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -122,8 +123,19 @@ func TestKindStringsAndWidths(t *testing.T) {
 	if KInt.String() != "int" || KStr.String() != "str" || KOid.String() != "oid" {
 		t.Fatal("kind strings wrong")
 	}
-	if KInt.Width() != 8 || KStr.Width() != 0 || KBool.Width() != 1 {
+	if IntColumn([]int64{1, 1 << 40}).Width() != 8 || StrColumn([]string{"a"}).Width() != 0 ||
+		BoolColumn([]bool{true}).Width() != 1 || DenseColumn(0, 3).Width() != 0 ||
+		FloatColumn([]float64{1}).Width() != 8 || OidColumn([]Oid{1}).Width() != 8 {
 		t.Fatal("widths wrong")
+	}
+	for _, c := range []struct {
+		vals  []int64
+		width int
+	}{{[]int64{-3, 252}, 1}, {[]int64{-3, 253}, 2}, {[]int64{0, 1<<16 - 1}, 2}, {[]int64{0, 1 << 16}, 4},
+		{[]int64{math.MinInt64, math.MinInt64 + 1<<32 - 1}, 4}, {[]int64{math.MinInt64, math.MaxInt64}, 8}} {
+		if got := Narrow(MakeInts("n", c.vals)).Tail().Width(); got != c.width {
+			t.Fatalf("Narrow(%v) has width %d, want %d", c.vals, got, c.width)
+		}
 	}
 	if Kind(99).String() == "" {
 		t.Fatal("unknown kind should still format")

@@ -10,7 +10,8 @@ import (
 
 // The operators in this file are devirtualized: each call dispatches on
 // the column kind ONCE, then runs a monomorphic loop over the typed
-// payload slice (the generic functions below instantiate per kind).
+// payload slice (the generic functions below instantiate per kind, and
+// per code width for narrow int columns — narrow.go).
 // Sorted tails take a binary-search span and return an O(1) zero-copy
 // view; unsorted scans count qualifying rows first and allocate the
 // index buffer at its exact size. The boxed row-at-a-time path lives in
@@ -488,7 +489,12 @@ func normStrBound(bd *Bound) (v string, has, ok bool) {
 func (b *BAT) selectRows(lo, hi *Bound) (h hits, ok bool) {
 	switch b.t.kind {
 	case KInt:
-		if r, ok := intBounds(lo, hi); ok {
+		r, ok := intBounds(lo, hi)
+		switch {
+		case !ok:
+		case b.t.narrow != nil:
+			return b.t.narrow.selectRows(b.t, r), true
+		default:
 			return selectTyped(b.t, b.t.ints, r), true
 		}
 	case KFloat:
@@ -619,7 +625,12 @@ func candList(name string, oids []Oid) *BAT {
 func (b *BAT) scanDense(c []Oid, restricted bool, lo, hi *Bound) (oids []Oid, ok bool) {
 	switch b.t.kind {
 	case KInt:
-		if r, ok := intBounds(lo, hi); ok {
+		r, ok := intBounds(lo, hi)
+		switch {
+		case !ok:
+		case b.t.narrow != nil:
+			return b.t.narrow.scanOids(b.h.base, c, restricted, r), true
+		default:
 			return scanOids(b.t.ints, b.h.base, c, restricted, r), true
 		}
 	case KFloat:
@@ -734,16 +745,16 @@ func (b *BAT) SelectNe(v any) *BAT {
 	case KInt:
 		switch x := v.(type) {
 		case int64:
-			return b.takeRows(eqScan(b.t.ints, x, false))
+			return b.takeRows(eqScan(b.t.int64s(), x, false))
 		case int:
-			return b.takeRows(eqScan(b.t.ints, int64(x), false))
+			return b.takeRows(eqScan(b.t.int64s(), int64(x), false))
 		case Oid:
-			return b.takeRows(eqScan(b.t.ints, int64(x), false))
+			return b.takeRows(eqScan(b.t.int64s(), int64(x), false))
 		case float64:
 			if x != math.Trunc(x) || x >= maxI64f || x < minI64f {
 				return b.viewAll() // no int equals a fractional/out-of-range float
 			}
-			return b.takeRows(eqScan(b.t.ints, int64(x), false))
+			return b.takeRows(eqScan(b.t.int64s(), int64(x), false))
 		}
 	case KFloat:
 		switch x := v.(type) {
@@ -828,7 +839,7 @@ func (b *BAT) EqRows(r *BAT) *BAT {
 	case KOid:
 		idx = eqIdx(b.t.oidValues(), r.t.oidValues())
 	case KInt:
-		idx = eqIdx(b.t.ints, r.t.ints)
+		idx = eqIdx(b.t.int64s(), r.t.int64s())
 	case KFloat:
 		idx = eqIdx(b.t.floats, r.t.floats)
 	case KStr:
@@ -938,7 +949,7 @@ func (b *BAT) Join(r *BAT) *BAT {
 	case KOid:
 		li, ri = hashJoinTyped(b.t.oidValues(), r.h.oidValues(), b.Len())
 	case KInt:
-		li, ri = hashJoinTyped(b.t.ints, r.h.ints, b.Len())
+		li, ri = hashJoinTyped(b.t.int64s(), r.h.int64s(), b.Len())
 	case KFloat:
 		li, ri = hashJoinTyped(b.t.floats, r.h.floats, b.Len())
 	case KStr:
@@ -1144,7 +1155,7 @@ func headFilterIdx(b, r *BAT, keep bool) (idx []int32, pooled *[]int32) {
 	case KOid:
 		return memberIdx(b.h.oidValues(), makeSet(r.h.oidValues()), keep), nil
 	case KInt:
-		return memberIdx(b.h.ints, makeSet(r.h.ints), keep), nil
+		return memberIdx(b.h.int64s(), makeSet(r.h.int64s()), keep), nil
 	case KFloat:
 		return memberIdx(b.h.floats, makeSet(r.h.floats), keep), nil
 	case KStr:
@@ -1233,7 +1244,7 @@ func boundaryOrdered(a, c *Column) bool {
 	case KOid:
 		return a.Oid(i) <= c.Oid(j)
 	case KInt:
-		return a.ints[i] <= c.ints[j]
+		return a.Int(i) <= c.Int(j)
 	case KFloat:
 		return a.floats[i] <= c.floats[j]
 	case KStr:
@@ -1297,9 +1308,9 @@ func (b *BAT) UniqueT() *BAT {
 		}
 	case KInt:
 		if sorted {
-			idx = uniqueSortedIdx(b.t.ints)
+			idx = uniqueSortedIdx(b.t.int64s())
 		} else {
-			idx = uniqueIdx(b.t.ints)
+			idx = uniqueIdx(b.t.int64s())
 		}
 	case KFloat:
 		if sorted {

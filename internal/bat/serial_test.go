@@ -39,7 +39,7 @@ type ColumnSnapshot struct {
 func snapCol(c *Column) ColumnSnapshot {
 	return ColumnSnapshot{
 		Kind: c.kind, Dense: c.dense, Base: c.base, N: c.n,
-		Oids: c.oids, Ints: c.ints, Floats: c.floats, Strs: c.strs, Bools: c.bools,
+		Oids: c.oids, Ints: c.int64s(), Floats: c.floats, Strs: c.strs, Bools: c.bools,
 		Sorted: c.sorted,
 	}
 }

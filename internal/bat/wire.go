@@ -21,11 +21,17 @@ package bat
 //
 //	message  := hdr name-bytes pad8 column(head) column(tail)
 //	hdr      := magic 'D' 'C' | version u8 | reserved u8 | nameLen u32
-//	column   := kind u8 | flags u8 | reserved[6] | base u64 | n u64 | payload
+//	column   := kind u8 | flags u8 | width u8 | reserved[5] | base u64 | n u64 | payload
 //	payload  := dense: (empty)
-//	          | oid/int/float: n * u64            (8-aligned, aliasable)
+//	          | oid/float, int of width 8: n * u64   (8-aligned, aliasable)
+//	          | int of width 1, 2, 4: n * u8|u16|u32 codes, pad8 (aliasable)
 //	          | bool: ceil(n/8) packed bits, pad8
 //	          | str: blobLen u64, n * u32 end-offsets, pad8, blob, pad8
+//
+// width is the bytes per value of a materialized int column (1, 2, 4 or
+// 8) and 0 for every other column. base is a dense column's first OID
+// and a narrow int column's reference: value i is base + code i (see
+// narrow.go); it is 0 for every other column.
 //
 // Versioning rule: the version byte is bumped on any layout change and
 // decoders reject versions they do not know — ring nodes and clients
@@ -54,11 +60,11 @@ const (
 	wireMagic0 = 'D'
 	wireMagic1 = 'C'
 	// WireVersion is the current layout version; UnmarshalView rejects
-	// anything else.
-	WireVersion = 1
+	// anything else. Version 2 added the int column's width.
+	WireVersion = 2
 
 	wireHdrSize = 8  // magic(2) + version(1) + reserved(1) + nameLen(4)
-	colHdrSize  = 24 // kind(1) + flags(1) + reserved(6) + base(8) + n(8)
+	colHdrSize  = 24 // kind(1) + flags(1) + width(1) + reserved(5) + base(8) + n(8)
 
 	colFlagDense  = 1 << 0
 	colFlagSorted = 1 << 1
@@ -83,14 +89,16 @@ func colWireSize(c *Column) int {
 		return colHdrSize
 	}
 	n := c.Len()
-	switch c.kind {
-	case KStr:
+	switch {
+	case c.narrow != nil:
+		return colHdrSize + pad8(n*c.narrow.width())
+	case c.kind == KStr:
 		blob := 0
 		for _, s := range c.strs {
 			blob += len(s)
 		}
 		return colHdrSize + pad8(8+4*n) + pad8(blob)
-	case KBool:
+	case c.kind == KBool:
 		return colHdrSize + pad8((n+7)/8)
 	default:
 		return colHdrSize + 8*n
@@ -139,7 +147,14 @@ func appendColumn(dst []byte, start int, c *Column) []byte {
 		hdr[1] |= colFlagSorted
 	}
 	n := c.Len()
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(c.base))
+	base := uint64(c.base)
+	if c.kind == KInt {
+		hdr[2] = byte(c.Width())
+		if c.narrow != nil {
+			base = uint64(c.narrow.ref())
+		}
+	}
+	binary.LittleEndian.PutUint64(hdr[8:], base)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(n))
 	dst = append(dst, hdr[:]...)
 	if c.dense {
@@ -149,6 +164,10 @@ func appendColumn(dst []byte, start int, c *Column) []byte {
 	case KOid:
 		dst = appendU64s(dst, oidsToU64(c.oids))
 	case KInt:
+		if c.narrow != nil {
+			dst = appendPad(c.narrow.appendWire(dst), start)
+			break
+		}
 		dst = appendU64s(dst, intsToU64(c.ints))
 	case KFloat:
 		dst = appendFloats(dst, c.floats)
@@ -319,11 +338,22 @@ func readColumn(r *wireReader) *Column {
 		r.fail("bad column kind %d", hdr[0])
 		return &Column{}
 	}
-	flags := hdr[1]
+	flags, width := hdr[1], hdr[2]
 	base := Oid(binary.LittleEndian.Uint64(hdr[8:]))
 	n64 := binary.LittleEndian.Uint64(hdr[16:])
 	c := &Column{kind: kind, sorted: flags&colFlagSorted != 0}
-	if flags&colFlagDense != 0 {
+	dense := flags&colFlagDense != 0
+	switch {
+	case kind == KInt && !dense:
+		if width != 1 && width != 2 && width != 4 && width != 8 {
+			r.fail("int column of width %d", width)
+			return c
+		}
+	case width != 0:
+		r.fail("width %d on a %s column", width, kind)
+		return c
+	}
+	if dense {
 		// Dense columns carry no payload, so n is unrelated to the
 		// message size — a 1M-row dense×dense BAT encodes to 64 bytes.
 		// Only guard against counts that would overflow int arithmetic.
@@ -350,7 +380,15 @@ func readColumn(r *wireReader) *Column {
 	case KOid:
 		c.oids = viewOids(r, n)
 	case KInt:
-		c.ints = viewInts(r, n)
+		if width == 8 {
+			c.ints = viewInts(r, n)
+			break
+		}
+		raw := r.take(n * int(width))
+		r.skipPad()
+		if r.err == nil && n > 0 {
+			c.narrow = wireCodes(raw, int(width), int64(base))
+		}
 	case KFloat:
 		c.floats = viewFloats(r, n)
 	case KBool:
@@ -400,6 +438,34 @@ func readColumn(r *wireReader) *Column {
 		}
 	}
 	return c
+}
+
+// wireCodes makes the codes of a narrow int column from its payload of
+// width-byte little-endian codes: a view of raw where the host and the
+// alignment allow, a decoded copy elsewhere.
+func wireCodes(raw []byte, width int, ref int64) codes {
+	switch width {
+	case 1:
+		return narrowInts[uint8]{viewCodes[uint8](raw), ref}
+	case 2:
+		return narrowInts[uint16]{viewCodes[uint16](raw), ref}
+	}
+	return narrowInts[uint32]{viewCodes[uint32](raw), ref}
+}
+
+func viewCodes[U code](raw []byte) []U {
+	w := int(unsafe.Sizeof(U(0)))
+	p := unsafe.Pointer(unsafe.SliceData(raw))
+	if hostLittle && uintptr(p)%uintptr(w) == 0 {
+		return unsafe.Slice((*U)(p), len(raw)/w)
+	}
+	out := make([]U, len(raw)/w)
+	var b8 [8]byte
+	for i := range out {
+		copy(b8[:w], raw[i*w:])
+		out[i] = U(binary.LittleEndian.Uint64(b8[:]))
+	}
+	return out
 }
 
 // viewU64Payload returns the n*8-byte payload for a fixed-width vector

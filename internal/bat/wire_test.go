@@ -2,6 +2,7 @@ package bat
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -37,6 +38,24 @@ func wireCases() []*BAT {
 	}
 }
 
+// narrowWireCases are int columns in each narrow width: references at
+// both ends of the int64 range, a sorted one, a view, an odd length
+// whose payload needs padding, and a shuffled OID head.
+func narrowWireCases() []*BAT {
+	sorted := MakeInts("sorted16", []int64{-40000, -3, 7, 20000})
+	sorted.Tail().SetSorted(true)
+	w2 := Narrow(MakeInts("w2", []int64{1000, 1 << 15, 5, 999, 65535}))
+	return []*BAT{
+		Narrow(MakeInts("w1", []int64{19940101, 19940102, 19940356, 19940101, 19940200})),
+		w2,
+		w2.Slice(1, 4),
+		Narrow(MakeInts("w4", []int64{math.MinInt64, math.MinInt64 + 1<<32 - 1, math.MinInt64 + 7})),
+		Narrow(MakeInts("w1max", []int64{math.MaxInt64, math.MaxInt64 - 255, math.MaxInt64 - 3})),
+		Narrow(sorted),
+		Narrow(New("oidhead", OidColumn([]Oid{9, 2, 5}), IntColumn([]int64{3, 1, 2}))),
+	}
+}
+
 func colsEquivalent(t *testing.T, name string, want, got *Column) {
 	t.Helper()
 	if got.Kind() != want.Kind() || got.Len() != want.Len() {
@@ -58,7 +77,7 @@ func colsEquivalent(t *testing.T, name string, want, got *Column) {
 // TestWireRoundtrip checks AppendMarshal/UnmarshalView round-trips
 // every kind/property combination.
 func TestWireRoundtrip(t *testing.T) {
-	for _, b := range wireCases() {
+	for _, b := range append(wireCases(), narrowWireCases()...) {
 		data := AppendMarshal(nil, b)
 		got, err := UnmarshalView(data)
 		if err != nil {
@@ -66,6 +85,9 @@ func TestWireRoundtrip(t *testing.T) {
 		}
 		if got.Name != b.Name {
 			t.Fatalf("name: got %q want %q", got.Name, b.Name)
+		}
+		if got.Tail().Width() != b.Tail().Width() {
+			t.Fatalf("%s: decoded width %d, encoded %d", b.Name, got.Tail().Width(), b.Tail().Width())
 		}
 		colsEquivalent(t, b.Name+".head", b.Head(), got.Head())
 		colsEquivalent(t, b.Name+".tail", b.Tail(), got.Tail())
@@ -100,7 +122,7 @@ func TestWireGobEquivalence(t *testing.T) {
 // TestMarshalSizeExact checks the size computation is byte-exact for
 // every case — ring envelopes and RDMA regions are sized from it.
 func TestMarshalSizeExact(t *testing.T) {
-	for _, b := range wireCases() {
+	for _, b := range append(wireCases(), narrowWireCases()...) {
 		if got, want := len(AppendMarshal(nil, b)), MarshalSize(b); got != want {
 			t.Fatalf("%s: encoded %d bytes, MarshalSize says %d", b.Name, got, want)
 		}
@@ -164,7 +186,7 @@ func TestWireVersionRejected(t *testing.T) {
 // truncation length of a valid message, bad magic, and byte flips in
 // the header region must error (or succeed) without panicking.
 func TestWireCorruptInputs(t *testing.T) {
-	for _, b := range wireCases() {
+	for _, b := range append(wireCases(), narrowWireCases()...) {
 		data := AppendMarshal(nil, b)
 		for n := 0; n < len(data); n++ {
 			UnmarshalView(data[:n]) // must not panic; error expected but not required at n==len
@@ -180,6 +202,47 @@ func TestWireCorruptInputs(t *testing.T) {
 	}
 	if _, err := UnmarshalView(nil); err == nil {
 		t.Fatal("nil input accepted")
+	}
+}
+
+// TestWireRejectsBadWidths: an int column's width byte must be 1, 2, 4
+// or 8; every other column's must be 0 — dense ones included — and a
+// narrow payload must be there in full.
+func TestWireRejectsBadWidths(t *testing.T) {
+	b := Narrow(New("w", DenseColumn(0, 5), IntColumn([]int64{3, 9, 4, 300, 7})))
+	data := AppendMarshal(nil, b)
+	head := wireHdrSize + pad8(len(b.Name)) // the dense head's column header
+	tail := head + colHdrSize
+	if _, err := UnmarshalView(data); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what     string
+		at       int
+		width    byte
+		kind     Kind
+		withKind bool
+	}{
+		{"int of width 0", tail, 0, 0, false},
+		{"int of width 3", tail, 3, 0, false},
+		{"int of width 16", tail, 16, 0, false},
+		{"width on a float column", tail, 2, KFloat, true},
+		{"width on an oid column", tail, 8, KOid, true},
+		{"width on a dense column", head, 8, 0, false},
+	} {
+		cp := append([]byte(nil), data...)
+		cp[c.at+2] = c.width
+		if c.withKind {
+			cp[c.at] = byte(c.kind)
+		}
+		if _, err := UnmarshalView(cp); err == nil {
+			t.Errorf("%s accepted", c.what)
+		}
+	}
+	for n := 0; n < len(data); n++ {
+		if _, err := UnmarshalView(data[:n]); err == nil {
+			t.Fatalf("a narrow message cut to %d of its %d bytes accepted", n, len(data))
+		}
 	}
 }
 
@@ -205,7 +268,10 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Add(AppendMarshal(nil, b))
 	}
 	f.Add([]byte{})
-	f.Add([]byte("DC\x01\x00garbage"))
+	f.Add([]byte("DC\x02\x00garbage"))
+	for _, b := range narrowWireCases() {
+		f.Add(AppendMarshal(nil, b))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := UnmarshalView(data)
 		if err != nil {

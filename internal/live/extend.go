@@ -69,12 +69,13 @@ func (n *Node) Publish(name string, b *bat.BAT) (core.BATID, error) {
 
 // Fetch retrieves a column by name through the normal Data Cyclotron
 // path: request every fragment, wait for them to flow past (any
-// order), pin, merge, and unpin. A multi-fragment column returns the
-// bat.Concat merge. A single-fragment column shares the pinned payload
-// zero-copy when it is in GC memory (fragments are immutable: updates
-// install a fresh version, see UpdateColumn) and is copied when it is
-// a view of a receive slab, which the ring recycles once the fetch
-// returns.
+// order), pin, merge, and unpin. The column comes back wide, whatever
+// width the ring holds it in. A multi-fragment column returns the
+// bat.Concat merge. A single-fragment wide column shares the pinned
+// payload zero-copy when it is in GC memory (fragments are immutable:
+// updates install a fresh version, see UpdateColumn) and is copied when
+// it is a view of a receive slab, which the ring recycles once the
+// fetch returns.
 func (n *Node) Fetch(name string) (*bat.BAT, error) {
 	ids, ok := n.ring.Fragments(name)
 	if !ok {

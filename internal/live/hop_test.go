@@ -13,13 +13,14 @@ import (
 
 // batchCases builds batch entries over every column kind and property
 // combination the codec carries (mirroring the bat wire tests): ints,
-// floats, strings (odd lengths, so padding varies), oids, bools, dense
-// heads, sorted columns, slices, and empty payloads.
+// wide and narrow, floats, strings (odd lengths, so padding varies),
+// oids, bools, dense heads, sorted columns, slices, and empty payloads.
 func batchCases() []batchEntry {
 	strs := []string{"a", "", "hello world", "\x00bin\xff", "odd"}
 	sorted := bat.MakeInts("sorted", []int64{5, 3, 1, 4}).SortT(false)
 	payloads := []*bat.BAT{
 		bat.MakeInts("ints", []int64{1, -2, 3, 1 << 62}),
+		bat.Narrow(bat.MakeInts("narrow", []int64{19940101, 19940356, 19940200})),
 		bat.MakeFloats("floats", []float64{1.5, -2.25, 0, -0.0}),
 		bat.MakeStrs("strs", strs),
 		bat.MakeOids("oids", []bat.Oid{0, 5, bat.NilOid}),

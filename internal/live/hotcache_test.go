@@ -390,7 +390,15 @@ func TestHopAndCacheCountersUnderRace(t *testing.T) {
 // hotCache unit tests
 // ---------------------------------------------------------------------
 
-func intsOfBytes(n int) *bat.BAT { return bat.MakeInts("x", make([]int64, n/8)) }
+// intsOfBytes is an n-byte int BAT whose values span more than 32 bits,
+// so it stays 8 bytes wide when a fragment is made of it.
+func intsOfBytes(n int) *bat.BAT {
+	v := make([]int64, n/8)
+	for i := range v {
+		v[i] = int64(i) << 40
+	}
+	return bat.MakeInts("x", v)
+}
 
 // intsFrag is an n-byte fragment at version ver, in GC memory.
 func intsFrag(n, ver int) *fragment { return newFragment(intsOfBytes(n), ver, nil, nil) }

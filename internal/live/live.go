@@ -368,7 +368,9 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 	// for updated versions — plus the fixed envelope header. No
 	// serialization slack needed: MarshalSize is byte-exact, and the
 	// regions shrink with the fragment bound instead of tracking the
-	// largest column.
+	// largest column. The size is the wide fragment's, taken before
+	// newFragment narrows it, so an update whose values no longer fit
+	// the narrow width still fits the regions.
 	type fragEntry struct {
 		id core.BATID
 		b  *bat.BAT
@@ -1146,8 +1148,8 @@ func (n *Node) ExecPlan(plan *mal.Plan) (*mal.ResultSet, error) {
 	if !ok {
 		return nil, fmt.Errorf("live: plan produced %T, want result set", res)
 	}
-	// The result outlives the query's grace period: no column of it may
-	// be a view of a slab.
+	// The result outlives the query's grace period and is encoded for
+	// clients: every column leaves wide and owning its memory.
 	for i, c := range rs.Cols {
 		rs.Cols[i] = n.ownResult(c)
 	}

@@ -114,9 +114,15 @@ type fragment struct {
 }
 
 // newFragment wraps b at version ver. raw is its wire bytes, a view of
-// slab s, for a received or transferred version; nil for one installed
-// from a BAT, which wire marshals on its first send.
+// slab s, for a received or transferred version, which arrives in the
+// width its sender chose; nil for one installed from a BAT, which is
+// stored in the narrowest width its own values allow (bat.Narrow) and
+// marshalled on its first send. Every version is narrowed from its own
+// data, so an update that outgrows a width installs a wider version.
 func newFragment(b *bat.BAT, ver int, raw []byte, s *slab) *fragment {
+	if raw == nil {
+		b = bat.Narrow(b)
+	}
 	return &fragment{b: b.Slice(0, b.Len()), ver: ver, raw: raw, slab: s}
 }
 

@@ -159,11 +159,15 @@ func (n *Node) exitQuery(e uint64) {
 	}
 }
 
-// ownResult returns b, or a copy of it when a fixed-width column of b
-// aliases one of this node's slabs — for what leaves a query and so
-// outlives its grace period. Called while the query is still
-// registered, so every slab it could alias is still off the free list.
+// ownResult returns b as it leaves a query, and so outlives its grace
+// period: wide, and owning its memory. A narrow column is widened — the
+// frame a client is sent is the one the wide columns would give, and a
+// widened column is memory of its own — and b is copied when a column
+// still aliases one of this node's slabs. Called while the query is
+// still registered, so every slab it could alias is still off the free
+// list.
 func (n *Node) ownResult(b *bat.BAT) *bat.BAT {
+	b = bat.Widen(b)
 	if n.slabs.aliased(b.Head()) || n.slabs.aliased(b.Tail()) {
 		return b.Copy()
 	}

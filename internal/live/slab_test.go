@@ -20,18 +20,21 @@ const slabRows = 512
 
 // slabValues are the lifetime test's columns: p.val (4 fragments) is
 // the data under test, q.val (4 fragments) the traffic that forces
-// recycling, s.val (one fragment) the single-fragment result. No value
-// repeats across them, and none looks like the poison pattern a test
-// binary overwrites recycled slabs with.
+// recycling, s.val (one fragment) the single-fragment result. Their
+// values span more than 32 bits, so they travel 8 bytes wide; t.val
+// (one fragment) spans less than 16 bits and travels 2 bytes wide. No
+// value repeats across them, and none looks like the poison pattern a
+// test binary overwrites recycled slabs with.
 func slabValues() map[string][]int64 {
-	p, q, s := make([]int64, 4*slabRows), make([]int64, 4*slabRows), make([]int64, slabRows)
+	p, q := make([]int64, 4*slabRows), make([]int64, 4*slabRows)
+	s, narrow := make([]int64, slabRows), make([]int64, slabRows)
 	for i := range p {
-		p[i], q[i] = int64(3*i+1), -int64(3*i+1)
+		p[i], q[i] = int64(3*i+1)<<33, -int64(3*i+1)<<33
 	}
 	for i := range s {
-		s[i] = int64(3*i + 2)
+		s[i], narrow[i] = int64(3*i+2)<<33, int64(3*i+2)
 	}
-	return map[string][]int64{"p.val": p, "q.val": q, "s.val": s}
+	return map[string][]int64{"p.val": p, "q.val": q, "s.val": s, "t.val": narrow}
 }
 
 func slabRing(t *testing.T, cfg Config) *Ring {
@@ -41,7 +44,7 @@ func slabRing(t *testing.T, cfg Config) *Ring {
 		cols[name] = bat.MakeInts(name, vals)
 	}
 	cfg.FragmentRows = slabRows
-	r, err := NewRing(3, cols, minisql.MapSchema{"p": {"val"}, "q": {"val"}, "s": {"val"}}, cfg)
+	r, err := NewRing(3, cols, minisql.MapSchema{"p": {"val"}, "q": {"val"}, "s": {"val"}, "t": {"val"}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,6 +341,45 @@ func TestSlabLifetime(t *testing.T) {
 		slices.Sort(got)
 		if !slices.Equal(got, want) {
 			t.Fatalf("query result reads %v…, want %v…", got[:3], want[:3])
+		}
+	})
+
+	// A narrow fragment: its cache entry alone keeps its slab off the free
+	// list — the codes it reads are a view of that slab — and the column
+	// Fetch returns, widened out of those codes, outlives the slab.
+	t.Run("narrow tail", func(t *testing.T) {
+		r := slabRing(t, DefaultConfig())
+		ids, _ := r.Fragments("t.val")
+		id := ids[0]
+		reader := r.node((int(r.ownerOf(id).id) + 1) % r.Size())
+		fetched, err := reader.Fetch("t.val")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reader.hot.mu.Lock()
+		f := reader.hot.entries[id].f
+		reader.hot.mu.Unlock()
+		if w := f.b.Tail().Width(); w != 2 {
+			t.Fatalf("the cached fragment is %d bytes wide, want 2", w)
+		}
+		if w := fetched.Tail().Width(); w != 8 {
+			t.Fatalf("the fetched column is %d bytes wide, want 8", w)
+		}
+		want := slabValues()["t.val"]
+		settle(t, r, reader, f.slab, 1)
+		if recycled(f.slab) {
+			t.Fatal("slab recycled under its narrow cache entry")
+		}
+		if got := tailInts(f.b); !slices.Equal(got, want) {
+			t.Fatalf("narrow cache entry reads %v…, want %v…", got[:3], want[:3])
+		}
+		reader.hot.drop(id)
+		settle(t, r, reader, f.slab, 0)
+		if !recycled(f.slab) {
+			t.Fatal("the narrow fragment's slab was never recycled; the test proves nothing")
+		}
+		if got := tailInts(fetched); !slices.Equal(got, want) {
+			t.Fatalf("fetched narrow column reads %v…, want %v…", got[:3], want[:3])
 		}
 	})
 }

@@ -437,7 +437,7 @@ func checkHopAllocs(t *testing.T, a, b *Messenger, size int) {
 // TestRecycledSlabIsPoisoned: in a test binary a recycled slab is
 // overwritten before it goes back on the free list, so a view kept past
 // Recycle reads the poison pattern; the next slab of that size is the
-// same memory, and a slab of another size is not.
+// same memory, and a slab for a larger message is not.
 func TestRecycledSlabIsPoisoned(t *testing.T) {
 	p := slabPool{armed: true} // no collection trims it behind the test's back
 	kept := p.get(13)
@@ -470,6 +470,29 @@ func TestSlabPoolTrimsIdleSlabs(t *testing.T) {
 	}
 	if p.trim() || len(p.free) != 0 {
 		t.Fatalf("a cycle nobody received in left %d sizes free, or the pool still watched", len(p.free))
+	}
+}
+
+// TestSlabPoolFitsSmallerMessages: a message takes the smallest free
+// slab that holds it and is less than twice its size, and goes back
+// whole; one that no free slab fits gets a slab of its own size.
+func TestSlabPoolFitsSmallerMessages(t *testing.T) {
+	p := slabPool{armed: true}
+	big, small := p.get(100), p.get(70)
+	p.put(big)
+	p.put(small)
+	if got := p.get(60); len(got) != 60 || &got[0] != &small[0] {
+		t.Fatal("a 60-byte message did not take the free 70-byte slab")
+	}
+	if got := p.get(51); len(got) != 51 || &got[0] != &big[0] {
+		t.Fatal("a 51-byte message did not take the free 100-byte slab")
+	}
+	p.put(big[:51])
+	if got := p.get(50); cap(got) != 50 {
+		t.Fatalf("a 50-byte message took a %d-byte slab, twice its size", cap(got))
+	}
+	if len(p.free[100]) != 1 {
+		t.Fatal("a recycled slab went back under its message size, not its own")
 	}
 }
 

@@ -7,14 +7,16 @@ import (
 )
 
 // slabPool is one receiving endpoint's free list of receive buffers
-// (slabs), keyed by exact message size: the emulation's registered
-// receive memory, reused instead of allocated per message (§2.3 —
-// registration is the costly step, so real verbs register once and
-// recycle). Fragments of one column share a size, so a ring in steady
-// state finds a slab of the right size on its list and allocates
-// nothing. A slab is allocated only when its size's list is empty, so
-// the number of slabs never exceeds the peak held at once and the list
-// needs no bound of its own.
+// (slabs), keyed by slab size: the emulation's registered receive
+// memory, reused instead of allocated per message (§2.3 — registration
+// is the costly step, so real verbs register once and recycle). A
+// message takes the smallest free slab that holds it and is less than
+// twice its size, so a ring in steady state allocates nothing even when
+// its messages differ in size — fragments of differently narrowed
+// columns, and the batches they pair into — and a held message pins at
+// most twice its bytes. A slab is allocated, at the message's exact
+// size, only when no free one fits, so the number of slabs never
+// exceeds the peak held at once and the list needs no bound of its own.
 //
 // What the list does not keep is a slab no message needed for a whole
 // garbage-collection cycle: a burst of traffic — a ring warming up —
@@ -39,26 +41,33 @@ type slabPool struct {
 // fail answer checks instead of passing by luck.
 const slabPoison = 0xdb
 
-// get returns an n-byte slab: a recycled one of exactly that size, or
-// a fresh allocation when none is free.
+// get returns an n-byte slab: the first n bytes of the smallest free
+// slab of size [n, 2n), or a fresh allocation when none is free. The
+// sizes are few (one per message shape), so they are searched linearly.
 func (p *slabPool) get(n int) []byte {
 	p.mu.Lock()
-	if list := p.free[n]; len(list) > 0 {
+	fit := 0
+	for size, list := range p.free {
+		if len(list) > 0 && size >= n && size < 2*n && (fit == 0 || size < fit) {
+			fit = size
+		}
+	}
+	if list := p.free[fit]; fit > 0 {
 		b := list[len(list)-1]
 		list[len(list)-1] = nil
-		p.free[n] = list[:len(list)-1]
-		p.unused[n] = min(p.unused[n], len(list)-1)
+		p.free[fit] = list[:len(list)-1]
+		p.unused[fit] = min(p.unused[fit], len(list)-1)
 		p.mu.Unlock()
-		return b
+		return b[:n]
 	}
 	p.mu.Unlock()
 	return make([]byte, n)
 }
 
-// put returns a slab that get handed out, whole; nothing may read or
-// write it afterwards.
+// put returns a slab that get handed out, whole (to its capacity);
+// nothing may read or write it afterwards.
 func (p *slabPool) put(b []byte) {
-	if len(b) == 0 {
+	if b = b[:cap(b)]; len(b) == 0 {
 		return
 	}
 	if testing.Testing() {
