@@ -11,7 +11,7 @@ import (
 // with no hash table at all.
 
 // Sum reduces the tail column to a scalar sum. Int columns sum to int64,
-// float columns to float64.
+// float columns to float64, added in row order.
 func (b *BAT) Sum() any {
 	switch b.t.kind {
 	case KInt:
@@ -24,6 +24,9 @@ func (b *BAT) Sum() any {
 		}
 		return s
 	case KFloat:
+		if b.t.narrow != nil {
+			return b.t.narrow.sumDecimal(b.t.scale())
+		}
 		var s float64
 		for _, v := range b.t.floats {
 			s += v
@@ -95,6 +98,9 @@ func (b *BAT) extreme(sign int) any {
 		}
 		return extremeOf(t.ints, wantMax)
 	case KFloat:
+		if t.narrow != nil {
+			return decode(t.narrow.extreme(wantMax), t.scale())
+		}
 		return extremeOf(t.floats, wantMax)
 	case KStr:
 		return extremeOf(t.strs, wantMax)
@@ -181,9 +187,9 @@ func (b *BAT) groupTail() (ids []Oid, repIdx []int32) {
 		return groupKeys(t.int64s())
 	case KFloat:
 		if sorted {
-			return groupSortedKeys(t.floats)
+			return groupSortedKeys(t.float64s())
 		}
-		return groupKeys(t.floats)
+		return groupKeys(t.float64s())
 	case KStr:
 		if sorted {
 			return groupSortedKeys(t.strs)
@@ -261,7 +267,7 @@ func GroupDerive(groups, keys *BAT) (refined, reps *BAT) {
 	case KInt:
 		ids, repIdx = deriveKeys(gids, keys.t.int64s())
 	case KFloat:
-		ids, repIdx = deriveKeys(gids, keys.t.floats)
+		ids, repIdx = deriveKeys(gids, keys.t.float64s())
 	case KStr:
 		ids, repIdx = deriveKeys(gids, keys.t.strs)
 	case KBool:
@@ -293,7 +299,7 @@ func GroupedSum(groups, vals *BAT) *BAT {
 		return New(vals.Name, DenseColumn(0, ngroups), IntColumn(sums))
 	case KFloat:
 		sums := make([]float64, ngroups)
-		vv := vals.t.floats
+		vv := vals.t.float64s()
 		for i, g := range gids {
 			sums[g] += vv[i]
 		}
@@ -377,7 +383,7 @@ func groupedExtreme(groups, vals *BAT, sign int) *BAT {
 	case KInt:
 		out = IntColumn(extremeByGroup(gids, vals.t.int64s(), ngroups, wantMax))
 	case KFloat:
-		out = FloatColumn(extremeByGroup(gids, vals.t.floats, ngroups, wantMax))
+		out = FloatColumn(extremeByGroup(gids, vals.t.float64s(), ngroups, wantMax))
 	case KStr:
 		out = StrColumn(extremeByGroup(gids, vals.t.strs, ngroups, wantMax))
 	case KBool:
@@ -416,13 +422,13 @@ func maxGroup(groups *BAT) int {
 	return max
 }
 
-// tailFloats returns the tail as a []float64: zero-copy for float
-// columns, one typed widening pass for int and OID tails.
+// tailFloats returns the tail as a []float64: zero-copy for wide float
+// columns, one typed widening pass for decimal, int and OID tails.
 func tailFloats(b *BAT) []float64 {
 	t := b.t
 	switch t.kind {
 	case KFloat:
-		return t.floats
+		return t.float64s()
 	case KInt:
 		out := make([]float64, t.Len())
 		for i, v := range t.int64s() {

@@ -51,9 +51,10 @@ func (k Kind) String() string {
 }
 
 // Column is one typed column of a BAT. A column is either materialized
-// (one of the slices is used, per kind; a narrow int column uses narrow
-// instead of ints, see narrow.go) or dense (an arithmetic sequence of
-// OIDs starting at Base — MonetDB's virtual OID column).
+// (one of the slices is used, per kind; a narrow int or decimal float
+// column uses narrow instead of ints or floats, see narrow.go) or dense
+// (an arithmetic sequence of OIDs starting at Base — MonetDB's virtual
+// OID column).
 type Column struct {
 	kind   Kind
 	dense  bool
@@ -61,7 +62,8 @@ type Column struct {
 	n      int // length when dense
 	oids   []Oid
 	ints   []int64
-	narrow codes // a narrow int column's values; nil: ints holds them
+	narrow codes // a narrow column's codes; nil: ints or floats holds the values
+	exp    uint8 // a narrow float column's exponent: value i is narrow.at(i) / 10^exp
 	floats []float64
 	strs   []string
 	bools  []bool
@@ -108,16 +110,16 @@ func (c *Column) SetSorted(v bool) { c.sorted = v }
 
 // Len reports the number of values.
 func (c *Column) Len() int {
-	if c.dense {
+	switch {
+	case c.dense:
 		return c.n
+	case c.narrow != nil:
+		return c.narrow.len()
 	}
 	switch c.kind {
 	case KOid:
 		return len(c.oids)
 	case KInt:
-		if c.narrow != nil {
-			return c.narrow.len()
-		}
 		return len(c.ints)
 	case KFloat:
 		return len(c.floats)
@@ -141,7 +143,7 @@ func (c *Column) Value(i int) any {
 	case KInt:
 		return c.Int(i)
 	case KFloat:
-		return c.floats[i]
+		return c.Float(i)
 	case KStr:
 		return c.strs[i]
 	case KBool:
@@ -167,7 +169,12 @@ func (c *Column) Int(i int) int64 {
 }
 
 // Float returns element i of a float column.
-func (c *Column) Float(i int) float64 { return c.floats[i] }
+func (c *Column) Float(i int) float64 {
+	if c.narrow != nil {
+		return decode(c.narrow.at(i), c.scale())
+	}
+	return c.floats[i]
+}
 
 // Str returns element i of a string column.
 func (c *Column) Str(i int) string { return c.strs[i] }
@@ -176,7 +183,7 @@ func (c *Column) Str(i int) string { return c.strs[i] }
 func (c *Column) Bool(i int) bool { return c.bools[i] }
 
 // Append adds v, which must match the column kind. Dense columns cannot
-// be appended to; a narrow int column turns wide first.
+// be appended to; a narrow column turns wide first.
 func (c *Column) Append(v any) {
 	if c.dense {
 		panic("bat: append to dense column")
@@ -187,7 +194,7 @@ func (c *Column) Append(v any) {
 	case KInt:
 		c.ints, c.narrow = append(c.int64s(), v.(int64)), nil
 	case KFloat:
-		c.floats = append(c.floats, v.(float64))
+		c.floats, c.narrow = append(c.float64s(), v.(float64)), nil
 	case KStr:
 		c.strs = append(c.strs, v.(string))
 	case KBool:
@@ -210,6 +217,10 @@ func (c *Column) take32(idx []int32) *Column { return takeIdx(c, idx) }
 // 64-bit) without a conversion pass.
 func takeIdx[I int | int32](c *Column, idx []I) *Column {
 	out := &Column{kind: c.kind}
+	if c.narrow != nil {
+		out.narrow, out.exp = c.narrow.take(int32s(idx)), c.exp
+		return out
+	}
 	switch c.kind {
 	case KOid:
 		out.oids = make([]Oid, len(idx))
@@ -223,10 +234,6 @@ func takeIdx[I int | int32](c *Column, idx []I) *Column {
 			}
 		}
 	case KInt:
-		if c.narrow != nil {
-			out.narrow = c.narrow.take(int32s(idx))
-			break
-		}
 		out.ints = make([]int64, len(idx))
 		for k, i := range idx {
 			out.ints[k] = c.ints[i]
@@ -272,14 +279,14 @@ func (c *Column) view(from, to int) *Column {
 		return &Column{kind: c.kind, dense: true, base: c.base + Oid(from), n: to - from, sorted: true}
 	}
 	out := &Column{kind: c.kind, sorted: c.sorted}
+	if c.narrow != nil {
+		out.narrow, out.exp = c.narrow.view(from, to), c.exp
+		return out
+	}
 	switch c.kind {
 	case KOid:
 		out.oids = c.oids[from:to:to]
 	case KInt:
-		if c.narrow != nil {
-			out.narrow = c.narrow.view(from, to)
-			break
-		}
 		out.ints = c.ints[from:to:to]
 	case KFloat:
 		out.floats = c.floats[from:to:to]
@@ -298,14 +305,14 @@ func (c *Column) clone() *Column {
 		return &Column{kind: c.kind, dense: true, base: c.base, n: c.n, sorted: true}
 	}
 	out := &Column{kind: c.kind, sorted: c.sorted}
+	if c.narrow != nil {
+		out.narrow, out.exp = c.narrow.clone(), c.exp
+		return out
+	}
 	switch c.kind {
 	case KOid:
 		out.oids = append([]Oid(nil), c.oids...)
 	case KInt:
-		if c.narrow != nil {
-			out.narrow = c.narrow.clone()
-			break
-		}
 		out.ints = append([]int64(nil), c.ints...)
 	case KFloat:
 		out.floats = append([]float64(nil), c.floats...)
@@ -333,7 +340,7 @@ func (c *Column) oidValues() []Oid {
 }
 
 // Span reports the address range [lo, hi) of a materialized fixed-width
-// column's values (oid, int — wide or narrow —, float) and 0, 0 for any
+// column's values (oid, int or float — wide or narrow) and 0, 0 for any
 // other column: how a caller that lends out memory tells whether a
 // column is a view of it.
 func (c *Column) Span() (lo, hi uintptr) {
@@ -381,7 +388,7 @@ func (c *Column) equalAt(i int, d *Column, j int) bool {
 	case KInt:
 		return c.Int(i) == d.Int(j)
 	case KFloat:
-		return c.floats[i] == d.floats[j]
+		return c.Float(i) == d.Float(j)
 	case KStr:
 		return c.strs[i] == d.strs[j]
 	case KBool:
@@ -515,7 +522,7 @@ func (b *BAT) sortIdxByTail(desc bool) []int {
 		v := t.int64s()
 		less = func(i, j int) bool { return v[idx[i]] < v[idx[j]] }
 	case t.kind == KFloat:
-		v := t.floats
+		v := t.float64s()
 		less = func(i, j int) bool { return v[idx[i]] < v[idx[j]] }
 	case t.kind == KStr:
 		v := t.strs

@@ -222,8 +222,9 @@ func BenchmarkBATSemijoinSkewed(b *testing.B) {
 	}
 }
 
-// q6Columns are Q6ish's four columns at 1M rows: shipdate keeps ~14 %
-// of them, discount ~27 %, quantity ~46 %, all three ~1.8 %.
+// q6Columns are Q6ish's four columns at 1M rows, drawn as the TPC-H
+// generator draws them: shipdate keeps ~14 % of them, discount ~27 %,
+// quantity ~46 %, all three ~1.8 %.
 func q6Columns() (shipdate, discount, quantity, extprice *BAT) {
 	rng := rand.New(rand.NewSource(6))
 	date, disc, qty, price := make([]int64, benchRows), make([]float64, benchRows), make([]int64, benchRows), make([]float64, benchRows)
@@ -231,7 +232,7 @@ func q6Columns() (shipdate, discount, quantity, extprice *BAT) {
 		date[i] = 19920101 + int64(rng.Intn(7))*10000
 		disc[i] = float64(rng.Intn(11)) / 100
 		qty[i] = 1 + int64(rng.Intn(50))
-		price[i] = float64(rng.Intn(100000)) / 100
+		price[i] = float64(90000+rng.Intn(10000)) / 100
 	}
 	return MakeInts("d", date), MakeFloats("f", disc), MakeInts("q", qty), MakeFloats("p", price)
 }
@@ -277,6 +278,60 @@ func BenchmarkBATQ6Intersect1M(b *testing.B) {
 	}
 }
 
+// BenchmarkBATDecimalQ6 is the served Q6's float work over 1M rows in
+// 64K-row fragments with dense heads, on the generator's wide float
+// columns and on their decimal codes (l_discount 1 byte, l_extendedprice
+// 2, both at 10^-2): the discount candidate test behind the date select,
+// the extendedprice gather at Q6's candidates, and the sum of what it
+// gathered.
+func BenchmarkBATDecimalQ6(b *testing.B) {
+	const frag = 64 << 10
+	shipdate, discount, quantity, extprice := q6Columns()
+	type part struct{ dateCand, disc, cand, price, fetched *BAT }
+	var sums []any
+	for _, form := range []string{"wide", "coded"} {
+		var parts []part
+		for at := 0; at < benchRows; at += frag {
+			p := part{disc: discount.Slice(at, at+frag), price: extprice.Slice(at, at+frag)}
+			if form == "coded" {
+				p.disc, p.price = Narrow(p.disc), Narrow(p.price)
+				if p.disc.Tail().Width() != 1 || p.price.Tail().Width() != 2 {
+					b.Fatalf("coded widths %d and %d, want 1 and 2", p.disc.Tail().Width(), p.price.Tail().Width())
+				}
+			}
+			p.dateCand = shipdate.Slice(at, at+frag).USelect(q6DateLo, q6DateHi)
+			p.cand = quantity.Slice(at, at+frag).USelectCand(p.disc.USelectCand(p.dateCand, q6DiscLo, q6DiscHi), nil, q6QtyHi)
+			p.fetched = p.cand.Join(p.price)
+			parts = append(parts, p)
+		}
+		sums = append(sums, parts[0].fetched.Sum())
+		b.Run("candidates/"+form, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, p := range parts {
+					benchSink = p.disc.USelectCand(p.dateCand, q6DiscLo, q6DiscHi)
+				}
+			}
+		})
+		b.Run("gather/"+form, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, p := range parts {
+					benchSink = p.cand.Join(p.price)
+				}
+			}
+		})
+		b.Run("sum/"+form, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, p := range parts {
+					benchSink = p.fetched.Sum()
+				}
+			}
+		})
+	}
+	if !sameValue(sums[0], sums[1]) {
+		b.Fatalf("a fragment sums to %v wide and %v coded", sums[0], sums[1])
+	}
+}
+
 // widthColumn stores vals in the given physical width (8: wide), which
 // must hold their range.
 func widthColumn(vals []int64, width int) *Column {
@@ -284,15 +339,16 @@ func widthColumn(vals []int64, width int) *Column {
 	for _, v := range vals {
 		ref = min(ref, v)
 	}
+	c := IntColumn(vals)
 	switch width {
 	case 1:
-		return &Column{kind: KInt, narrow: encode[uint8](vals, ref)}
+		return &Column{kind: KInt, narrow: encode[uint8](c, ref, 1)}
 	case 2:
-		return &Column{kind: KInt, narrow: encode[uint16](vals, ref)}
+		return &Column{kind: KInt, narrow: encode[uint16](c, ref, 1)}
 	case 4:
-		return &Column{kind: KInt, narrow: encode[uint32](vals, ref)}
+		return &Column{kind: KInt, narrow: encode[uint32](c, ref, 1)}
 	}
-	return IntColumn(vals)
+	return c
 }
 
 // BenchmarkBATRangeScanWidth is the served Q6's date scan — a half-open

@@ -462,10 +462,20 @@ var candWidths = []struct {
 	scale int64
 }{{8, 1 << 40}, {4, 50_000_000}, {2, 1000}, {1, 1}}
 
+// candDecimals are the float tails' forms: wide quarters, and decimal
+// columns of exponent 2 (quarters, and cents of either sign) and 0
+// (whole numbers of either sign).
+var candDecimals = []struct {
+	div    float64 // value = k / div
+	offset int     // k runs from -offset
+	narrow bool
+}{{4, 0, false}, {4, 0, true}, {100, 20, true}, {1, 20, true}}
+
 // uselectCandCase derives one (column, candidates, bounds) triple from a
 // seed; shape picks one cell of the grid the kernel's paths split on,
-// and width the physical width of an int tail (an index into
-// candWidths; other tails ignore it).
+// and width the physical form of a numeric tail: an int's width (an
+// index into candWidths), a float's wide or decimal form (an index into
+// candDecimals); other tails ignore it.
 func uselectCandCase(seed int64, shape uint16, width uint8) (b, cand *BAT, lo, hi *Bound) {
 	rng := rand.New(rand.NewSource(seed))
 	s := int(shape) % uselectCandShapes
@@ -502,19 +512,26 @@ func uselectCandCase(seed int64, shape uint16, width uint8) (b, cand *BAT, lo, h
 			return float64(rng.Intn(100)-10) / 2 * float64(scale) // integral or fractional float over ints
 		}
 	case 1:
+		form := candDecimals[int(width)%len(candDecimals)]
 		v := make([]float64, n)
 		for i := range v {
-			v[i] = float64(rng.Intn(40)) / 4
+			v[i] = float64(rng.Intn(40)-form.offset) / form.div
 		}
 		if sortedTail {
 			sort.Float64s(v)
 		}
 		tail = FloatColumn(v)
 		lit = func() any {
-			if rng.Intn(2) == 0 {
-				return float64(rng.Intn(24)) / 2
+			switch rng.Intn(6) {
+			case 0:
+				return int64(rng.Intn(12) - form.offset/4)
+			case 1:
+				return []float64{math.Inf(-1), math.Inf(1)}[rng.Intn(2)]
+			case 2, 3: // a value the column can hold, or one ulp beside it
+				x := float64(rng.Intn(48)-form.offset) / form.div
+				return []float64{x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1))}[rng.Intn(3)]
 			}
-			return int64(rng.Intn(12))
+			return float64(rng.Intn(24)-form.offset/2) / 2
 		}
 	case 2:
 		v := genOids(rng, n, 0, 40, sortedTail)
@@ -564,8 +581,8 @@ func uselectCandCase(seed int64, shape uint16, width uint8) (b, cand *BAT, lo, h
 		head = OidColumn(asc)
 	}
 	b = New("x", head, tail)
-	if tailKind == 0 {
-		b = Narrow(b) // every width but the widest narrows
+	if tailKind == 0 || (tailKind == 1 && candDecimals[int(width)%len(candDecimals)].narrow) {
+		b = Narrow(b) // every int width but the widest narrows, as does every decimal form
 	}
 
 	// The candidates, drawn from a domain that overhangs the head range
@@ -672,8 +689,11 @@ func TestUSelectCandMatchesSemijoinUSelect(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		for shape := uint16(0); shape < uselectCandShapes; shape++ {
 			widths := 1
-			if shape%6 == 0 { // an int tail
+			switch shape % 6 {
+			case 0: // an int tail
 				widths = len(candWidths)
+			case 1: // a float tail
+				widths = len(candDecimals)
 			}
 			for w := 0; w < widths; w++ {
 				checkUSelectCand(t, seed*7919+int64(shape), shape, uint8(w))

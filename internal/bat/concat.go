@@ -85,9 +85,9 @@ func ConcatAll(lists [][]*BAT) []*BAT {
 }
 
 // concatCols is the n-ary generalization of concatCol: one exact-size
-// allocation, dense fusion, and boundary-checked sortedness. Narrow int
-// fragments, each with its own reference and width, decode into the
-// wide output.
+// allocation, dense fusion, and boundary-checked sortedness. Narrow
+// fragments, each with its own reference, width and exponent, decode
+// into the wide output.
 func concatCols(cols []*Column) *Column {
 	if fused, ok := fuseDense(cols); ok {
 		return fused
@@ -117,7 +117,7 @@ func concatCols(cols []*Column) *Column {
 	case KFloat:
 		v := make([]float64, 0, total)
 		for _, c := range cols {
-			v = append(v, c.floats...)
+			v = c.appendFloat64s(v)
 		}
 		out.floats = v
 	case KStr:

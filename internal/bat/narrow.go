@@ -1,34 +1,41 @@
 package bat
 
-// Narrow integer tails. MonetDB stores a column in the tightest of
+// Narrow tails. MonetDB stores a column in the tightest of
 // bte/sht/int/lng its values fit; here a materialized int column may
 // hold each value as its offset from the column's own minimum (ref) in
-// the narrowest unsigned type that fits the column's range. The width
-// is a property of the column, like sorted and dense, and the data
-// decides it: Narrow makes one pass for min/max and picks it. Kind stays
-// KInt, and every operator answers exactly what it answers over the
-// wide column.
+// the narrowest unsigned type that fits the column's range. A float
+// column whose values are all exact decimals — TPC-H's DECIMAL(15,2)
+// prices and discounts — holds them the same way, as scaled integers:
+// value i is (ref + code i) / 10^exp, MonetDB's decimal. The width and
+// the exponent are properties of the column, like sorted and dense, and
+// the data decides them: Narrow makes one pass for min/max (for floats,
+// one per exponent it tries) and picks them. Kind stays KInt or KFloat,
+// and every operator answers exactly — to the bit, for floats — what it
+// answers over the wide column.
 //
 // The kernels that move the bulk of a served query's bytes — range and
 // candidate selects, the positional fetch, sum/min/max and the concat
 // that widens at a region's exit — run on the codes: the width is
 // dispatched once per call (the codes interface), the literals are
-// shifted by ref once per call, and a literal range that misses
-// [ref, ref+maxcode] is answered without a pass. Every other
-// reader widens through int64s into a fresh slice that is never cached
-// on the column, so correctness never depends on where a narrow column
-// travels.
+// mapped to the codes once per call (shifted by ref; a float range first
+// becomes the range of scaled integers it holds), and a literal range
+// that misses [ref, ref+maxcode] is answered without a pass. Every other
+// reader widens through int64s or float64s into a fresh slice that is
+// never cached on the column, so correctness never depends on where a
+// narrow column travels.
 
 import (
 	"encoding/binary"
+	"math"
 	"unsafe"
 )
 
-// code is the unsigned type a narrow int column stores its offsets in.
+// code is the unsigned type a narrow column stores its offsets in.
 type code interface{ uint8 | uint16 | uint32 }
 
-// codes is a narrow int column's payload, one instantiation per width:
-// value i is ref + v[i].
+// codes is a narrow column's payload, one instantiation per width: the
+// integer i is ref + v[i] — an int column's value, or a decimal float
+// column's value scaled by 10^exp.
 type codes interface {
 	width() int
 	ref() int64
@@ -39,8 +46,10 @@ type codes interface {
 	clone() codes
 	take(idx []int32) codes
 	appendWide(dst []int64) []int64
+	appendDecimal(dst []float64, scale float64) []float64
 	appendWire(dst []byte) []byte
 	sum() int64
+	sumDecimal(scale float64) float64
 	extreme(wantMax bool) int64
 	selectRows(t *Column, r bounds[int64]) hits
 	scanOids(base Oid, cand []Oid, restricted bool, r bounds[int64]) []Oid
@@ -88,6 +97,15 @@ func (c narrowInts[U]) appendWide(dst []int64) []int64 {
 	return dst
 }
 
+// appendDecimal appends the values of a decimal column of the given
+// scale.
+func (c narrowInts[U]) appendDecimal(dst []float64, scale float64) []float64 {
+	for _, x := range c.v {
+		dst = append(dst, decode(c.base+int64(x), scale))
+	}
+	return dst
+}
+
 // appendWire appends the codes little-endian: one memmove on
 // little-endian hosts.
 func (c narrowInts[U]) appendWire(dst []byte) []byte {
@@ -109,6 +127,17 @@ func (c narrowInts[U]) sum() int64 {
 		s += uint64(x)
 	}
 	return int64(uint64(len(c.v))*uint64(c.base) + s)
+}
+
+// sumDecimal decodes each value of a decimal column and adds them in row
+// order: bit for bit the wide column's sum. Summing the integers and
+// dividing once would round differently.
+func (c narrowInts[U]) sumDecimal(scale float64) float64 {
+	var s float64
+	for _, x := range c.v {
+		s += decode(c.base+int64(x), scale)
+	}
+	return s
 }
 
 func (c narrowInts[U]) extreme(wantMax bool) int64 {
@@ -168,47 +197,158 @@ func codeRange[U code](r bounds[int64], ref int64) (cr bounds[U], below, above b
 	return closedBounds(U(lo), U(hi)), false, false
 }
 
-// encode writes vals - ref as codes of type U.
-func encode[U code](vals []int64, ref int64) codes {
-	v := make([]U, len(vals))
-	for i, x := range vals {
-		v[i] = U(uint64(x) - uint64(ref))
+// pow10 are the scales a decimal column can have: the powers of ten a
+// float64 holds exactly. A column's exp indexes it.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// maxK bounds a decimal column's scaled integers, |k| < 2^53: float64's
+// mantissa, so every k converts exactly.
+const maxK = 1 << 53
+
+// decode is the value a decimal column of the given scale stores as k.
+func decode(k int64, scale float64) float64 { return float64(k) / scale }
+
+// scale is a decimal column's divisor, 10^exp.
+func (c *Column) scale() float64 { return pow10[c.exp] }
+
+// decimalExp finds the smallest exponent at which every value v of vals
+// is, bit for bit, decode(k) of k = RoundToEven(v·10^exp) with
+// |k| < 2^53, and reports the least and greatest k. A trial stops at its
+// first failing value. The search stops with no fit once some |v|·10^exp
+// reaches 2^53, where no larger exponent fits either, or when the k span
+// passes what a uint32 code holds. -0.0, NaN and ±Inf never fit.
+func decimalExp(vals []float64) (exp int, lo, hi int64, ok bool) {
+next:
+	for e, scale := range pow10 {
+		lo, hi = maxK, -maxK
+		for _, v := range vals {
+			x := v * scale
+			if !(math.Abs(x) < maxK) {
+				return 0, 0, 0, false
+			}
+			k := int64(math.RoundToEven(x))
+			if math.Float64bits(decode(k, scale)) != math.Float64bits(v) {
+				continue next
+			}
+			lo, hi = min(lo, k), max(hi, k)
+		}
+		return e, lo, hi, hi-lo <= math.MaxUint32
+	}
+	return 0, 0, 0, false
+}
+
+// encode writes column t's values as codes of type U, each k − ref: k is
+// an int's own value, a decimal float's scaled integer at scale.
+func encode[U code](t *Column, ref int64, scale float64) codes {
+	var v []U
+	if t.kind == KInt {
+		v = make([]U, len(t.ints))
+		for i, x := range t.ints {
+			v[i] = U(uint64(x) - uint64(ref))
+		}
+	} else {
+		v = make([]U, len(t.floats))
+		for i, x := range t.floats {
+			v[i] = U(uint64(int64(math.RoundToEven(x*scale))) - uint64(ref))
+		}
 	}
 	return narrowInts[U]{v, ref}
 }
 
 // Narrow returns b with its tail stored in the fewest bytes per value
-// its own min/max allow. Only a materialized, wide, non-empty int tail
-// narrows; b itself is returned when 8 bytes is already the best fit.
-// The sorted property is kept; the head is untouched.
+// its own min/max allow. A materialized, wide, non-empty int tail
+// narrows, and so does a float tail of exact decimals (decimalExp); b
+// itself is returned when 8 bytes is already the best fit. The sorted
+// property is kept; the head is untouched.
 func Narrow(b *BAT) *BAT {
 	t := b.t
-	if t.kind != KInt || t.dense || t.narrow != nil || len(t.ints) == 0 {
+	if t.dense || t.narrow != nil || t.Len() == 0 {
 		return b
 	}
-	lo, hi := t.ints[0], t.ints[len(t.ints)-1]
-	if !t.sorted {
-		for _, x := range t.ints {
-			lo, hi = min(lo, x), max(hi, x)
+	var lo, hi int64
+	exp := 0
+	switch t.kind {
+	case KInt:
+		lo, hi = t.ints[0], t.ints[len(t.ints)-1]
+		if !t.sorted {
+			for _, x := range t.ints {
+				lo, hi = min(lo, x), max(hi, x)
+			}
 		}
+	case KFloat:
+		var ok bool
+		if exp, lo, hi, ok = decimalExp(t.floats); !ok {
+			return b
+		}
+	default:
+		return b
 	}
 	var nc codes
 	switch span := uint64(hi) - uint64(lo); {
 	case span <= 1<<8-1:
-		nc = encode[uint8](t.ints, lo)
+		nc = encode[uint8](t, lo, pow10[exp])
 	case span <= 1<<16-1:
-		nc = encode[uint16](t.ints, lo)
+		nc = encode[uint16](t, lo, pow10[exp])
 	case span <= 1<<32-1:
-		nc = encode[uint32](t.ints, lo)
+		nc = encode[uint32](t, lo, pow10[exp])
 	default:
 		return b
 	}
-	return &BAT{Name: b.Name, h: b.h, t: &Column{kind: KInt, narrow: nc, sorted: t.sorted}}
+	return &BAT{Name: b.Name, h: b.h, t: &Column{kind: t.kind, narrow: nc, exp: uint8(exp), sorted: t.sorted}}
 }
 
-// Widen returns b with every narrow column decoded to int64 values, or
-// b itself when it has none: what leaves the kernel for a reader that
-// wants the wide form, such as an encoded result frame.
+// codeBounds maps the closed float range r onto a decimal column's
+// scaled integers: [kLo, kHi] holds exactly the k whose value lies in r.
+// decode is monotone in k — a correctly rounded division by a positive
+// constant is — so kLo is the least k decoding to at least r.lo and kHi
+// the greatest decoding to at most r.hi; decode is odd in k, so kHi is
+// kLo's mirror image, −ceilK(−r.hi). An infinite limit lands past every
+// code.
+func (c *Column) codeBounds(r bounds[float64]) bounds[int64] {
+	scale := c.scale()
+	return closedBounds(ceilK(r.lo, scale), -ceilK(-r.hi, scale))
+}
+
+// ceilK is the least k in [-2^53, 2^53] with decode(k) ≥ x, or 2^53 when
+// none is: ceil(x·scale), which the rounding of the product and of
+// decode can leave one off, moved until decode confirms it.
+func ceilK(x, scale float64) int64 {
+	k := int64(math.Max(-maxK, math.Min(math.Ceil(x*scale), maxK)))
+	for k < maxK && decode(k, scale) < x {
+		k++
+	}
+	for k > -maxK && decode(k-1, scale) >= x {
+		k--
+	}
+	return k
+}
+
+// selectDecimal is selectTyped for a decimal column: the float range
+// maps once to scaled integers, and the int kernels run on the codes.
+// The answer takes the form the wide kernel gives, including for a range
+// that holds floats but no value of the column's scale: the empty span
+// its binary search finds, or its scan's empty list.
+func (c *Column) selectDecimal(r bounds[float64]) hits {
+	if r.empty() {
+		return hits{}
+	}
+	kr := c.codeBounds(r)
+	switch {
+	case kr.empty() && c.Sorted():
+		h := c.narrow.selectRows(c, closedBounds(kr.lo, math.MaxInt64))
+		return hits{from: h.from, to: h.from}
+	case kr.empty():
+		return hits{scanned: true, constant: r.lo == r.hi}
+	}
+	h := c.narrow.selectRows(c, kr)
+	h.constant = h.scanned && r.lo == r.hi // as the wide scan reports it
+	return h
+}
+
+// Widen returns b with every narrow column decoded to int64 or float64
+// values, or b itself when it has none: what leaves the kernel for a
+// reader that wants the wide form, such as an encoded result frame.
 func Widen(b *BAT) *BAT {
 	if b.h.narrow == nil && b.t.narrow == nil {
 		return b
@@ -222,8 +362,11 @@ func Widen(b *BAT) *BAT {
 
 // widened is c as a wide column: c itself, or a fresh one for a narrow c.
 func (c *Column) widened() *Column {
-	if c.narrow == nil {
+	switch {
+	case c.narrow == nil:
 		return c
+	case c.kind == KFloat:
+		return &Column{kind: KFloat, floats: c.float64s(), sorted: c.sorted}
 	}
 	return &Column{kind: KInt, ints: c.int64s(), sorted: c.sorted}
 }
@@ -246,10 +389,28 @@ func (c *Column) appendInts(dst []int64) []int64 {
 	return c.narrow.appendWide(dst)
 }
 
+// float64s returns the values of a float column as float64s: the
+// payload itself for a wide column, a fresh decoded slice for a decimal
+// one — never cached on the column, like int64s.
+func (c *Column) float64s() []float64 {
+	if c.narrow == nil {
+		return c.floats
+	}
+	return c.narrow.appendDecimal(make([]float64, 0, c.narrow.len()), c.scale())
+}
+
+// appendFloat64s appends the values of a float column to dst.
+func (c *Column) appendFloat64s(dst []float64) []float64 {
+	if c.narrow == nil {
+		return append(dst, c.floats...)
+	}
+	return c.narrow.appendDecimal(dst, c.scale())
+}
+
 // Width reports the bytes one value of c occupies: 1, 2, 4 or 8 for a
-// materialized int column, 8 for oid and float columns, 1 for bool, and
-// 0 where it is not fixed — strings, and dense columns, which store no
-// values at all.
+// materialized int or float column (a narrow one's code width), 8 for
+// oid columns, 1 for bool, and 0 where it is not fixed — strings, and
+// dense columns, which store no values at all.
 func (c *Column) Width() int {
 	switch {
 	case c.dense, c.kind == KStr:

@@ -1,16 +1,19 @@
 package bat
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
 )
 
-// narrowCase is one int column and its narrowed twin: wide holds the
-// values as int64s, narrow the same values in the width Narrow chose.
+// narrowCase is one int or float column and its narrowed twin: wide
+// holds the values 8 bytes wide, narrow the same values in the width
+// Narrow chose.
 type narrowCase struct {
 	what         string
 	wide, narrow *BAT
@@ -84,20 +87,8 @@ func genNarrowCase(t *testing.T, rng *rand.Rand, w int) narrowCase {
 	}
 	tail := IntColumn(vals)
 	tail.SetSorted(sorted)
-	head := DenseColumn(Oid(rng.Intn(100)), n)
-	if form := rng.Intn(3); form > 0 {
-		oids := make([]Oid, n)
-		for i := range oids {
-			oids[i] = head.base + Oid(3*i)
-		}
-		if form == 2 {
-			rng.Shuffle(n, func(i, j int) { oids[i], oids[j] = oids[j], oids[i] })
-		}
-		head = OidColumn(oids)
-		head.SetSorted(form == 1)
-	}
-	wide := New("x", head, tail)
-	c := narrowCase{what: fmt.Sprintf("width %d, span %d from %d, %d rows, sorted %v, %s", w, span, ref, n, sorted, head.kind), wide: wide, narrow: Narrow(wide), ref: ref}
+	wide := New("x", narrowHead(rng, n), tail)
+	c := narrowCase{what: fmt.Sprintf("width %d, span %d from %d, %d rows, sorted %v, %s", w, span, ref, n, sorted, wide.Head().Kind()), wide: wide, narrow: Narrow(wide), ref: ref}
 	wantW := w
 	switch n {
 	case 0:
@@ -117,11 +108,132 @@ func genNarrowCase(t *testing.T, rng *rand.Rand, w int) narrowCase {
 	return c
 }
 
+// genDecimalCase builds an n-row float BAT of exact decimals k / 10^exp,
+// the k spanning what width w holds (8: more than 32 bits) from a
+// reference of either sign, and its Narrow twin. A width-1 column is
+// sometimes constant, exp is sometimes 0 (integral floats), and poison
+// puts one value no decimal column holds into a random row: the column
+// must then stay wide, as it must at width 8.
+func genDecimalCase(t *testing.T, rng *rand.Rand, w int, poison bool) narrowCase {
+	t.Helper()
+	n := rng.Intn(70)
+	exp := []int{0, 1, 2, 2, 3, 6}[rng.Intn(6)]
+	var span int64
+	switch w {
+	case 1:
+		span = int64(rng.Intn(256))
+		if rng.Intn(4) == 0 {
+			span = 0 // constant
+		}
+	case 2:
+		span = 256 + rng.Int63n(1<<16-256)
+	case 4:
+		span = 1<<16 + rng.Int63n(1<<32-1<<16)
+	default:
+		span = 1<<32 + rng.Int63n(1<<38)
+	}
+	ref := []int64{0, -span / 2, -span - 7, rng.Int63n(1 << 39), -rng.Int63n(1 << 39)}[rng.Intn(5)]
+	pool := make([]int64, 1+rng.Intn(12)) // few distinct values, so equality predicates hit
+	for i := range pool {
+		pool[i] = ref + rng.Int63n(span+1)
+	}
+	ks := make([]int64, n)
+	for i := range ks {
+		switch {
+		case i == 0:
+			ks[i] = ref
+		case i == 1:
+			ks[i] = ref + span
+		case rng.Intn(3) == 0:
+			ks[i] = ref + rng.Int63n(span+1)
+		default:
+			ks[i] = pool[rng.Intn(len(pool))]
+		}
+	}
+	// The exponent Narrow must find is the smallest at which every k is
+	// whole: |k| < 2^40, so no two decimals of that size share a float.
+	for e := exp; e > 0; e-- {
+		whole := true
+		for _, k := range ks {
+			whole = whole && k%10 == 0
+		}
+		if !whole {
+			break
+		}
+		for i := range ks {
+			ks[i] /= 10
+		}
+		exp, span = exp-1, span/10
+	}
+	vals := make([]float64, n)
+	for i, k := range ks {
+		vals[i] = float64(k) / pow10[exp]
+	}
+	what := fmt.Sprintf("decimal width %d, span %d from %d at 10^-%d, %d rows", w, span, ref, exp, n)
+	wantW := []int{8, 1, 2, 8, 4, 8, 8, 8, 8}[w]
+	switch {
+	case n == 0:
+		wantW = 8
+	case poison:
+		odd := []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -1e-310,
+			1<<53 + 1, tenth + 0.2, 1e300}[rng.Intn(9)]
+		vals[rng.Intn(n)] = odd
+		what += fmt.Sprintf(", poisoned with %v", odd)
+		wantW = 8
+	case n == 1:
+		wantW = 1
+	}
+	rng.Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+	sorted := rng.Intn(3) == 0
+	if sorted {
+		sort.Float64s(vals)
+	}
+	tail := FloatColumn(vals)
+	tail.SetSorted(sorted)
+	wide := New("x", narrowHead(rng, n), tail)
+	c := narrowCase{what: fmt.Sprintf("%s, sorted %v, %s", what, sorted, wide.Head().Kind()), wide: wide, narrow: Narrow(wide)}
+	if got := c.narrow.Tail().Width(); got != wantW {
+		t.Fatalf("%s: Narrow chose width %d, want %d", c.what, got, wantW)
+	}
+	if wantW == 8 && c.narrow != wide {
+		t.Fatalf("%s: Narrow of a column that stays wide did not return it", c.what)
+	}
+	if got := c.narrow.Tail().exp; wantW != 8 && int(got) != exp {
+		t.Fatalf("%s: Narrow chose exponent %d, want %d", c.what, got, exp)
+	}
+	return c
+}
+
+// tenth is 0.1 held in a variable: tenth+0.2 is the float64 sum
+// 0.30000000000000004, where the constant 0.1+0.2 would be 0.3.
+var tenth = 0.1
+
+// narrowHead is a head for n rows: dense, ascending with gaps, or the
+// same shuffled.
+func narrowHead(rng *rand.Rand, n int) *Column {
+	head := DenseColumn(Oid(rng.Intn(100)), n)
+	if form := rng.Intn(3); form > 0 {
+		oids := make([]Oid, n)
+		for i := range oids {
+			oids[i] = head.base + Oid(3*i)
+		}
+		if form == 2 {
+			rng.Shuffle(n, func(i, j int) { oids[i], oids[j] = oids[j], oids[i] })
+		}
+		head = OidColumn(oids)
+		head.SetSorted(form == 1)
+	}
+	return head
+}
+
 // literals are the bounds the property test draws from: the int64
 // extremes, the column's reference and its neighbours, both ends of the
 // width's code range, values of the column, and floats — integral,
-// fractional and NaN — over them.
+// fractional and NaN — over them. A float column draws decimalLiterals.
 func (c narrowCase) literals(rng *rand.Rand) []any {
+	if c.wide.Tail().Kind() == KFloat {
+		return c.decimalLiterals(rng)
+	}
 	ints := []int64{math.MinInt64, math.MaxInt64, c.ref - 1, c.ref, c.ref + 1,
 		int64(uint64(c.ref) + c.maxCode), int64(uint64(c.ref) + c.maxCode + 1), int64(uint64(c.ref) + c.maxCode - 1)}
 	for i := 0; i < 4 && c.wide.Len() > 0; i++ {
@@ -135,6 +247,24 @@ func (c narrowCase) literals(rng *rand.Rand) []any {
 	return lits
 }
 
+// decimalLiterals are a float column's: values of the column and the
+// floats one ulp either side of each, the point half-way to the next
+// code, the infinities and NaN, and ints — the whole number near a value,
+// and values past every code.
+func (c narrowCase) decimalLiterals(rng *rand.Rand) []any {
+	step := 1 / pow10[c.narrow.Tail().exp]
+	lits := []any{math.Inf(-1), math.Inf(1), math.NaN(), 0.0, int64(0), int(-1), int64(1 << 41), int64(-1 << 41)}
+	t := c.wide.Tail()
+	for i := 0; i < 4 && t.Len() > 0; i++ {
+		v := t.Float(rng.Intn(t.Len()))
+		lits = append(lits, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)), v+step/2)
+		if math.Abs(v) < 1<<62 {
+			lits = append(lits, int64(math.Round(v)), math.Floor(v))
+		}
+	}
+	return lits
+}
+
 func (c narrowCase) bound(rng *rand.Rand, lits []any) *Bound {
 	if rng.Intn(5) == 0 {
 		return nil
@@ -142,9 +272,19 @@ func (c narrowCase) bound(rng *rand.Rand, lits []any) *Bound {
 	return &Bound{Value: lits[rng.Intn(len(lits))], Inclusive: rng.Intn(2) == 0}
 }
 
+// sameValue is == for every kind but float64, which must agree to the
+// bit: -0.0 is not 0, and NaN is itself.
+func sameValue(a, b any) bool {
+	if x, ok := a.(float64); ok {
+		y, ok := b.(float64)
+		return ok && math.Float64bits(x) == math.Float64bits(y)
+	}
+	return a == b
+}
+
 // sameWide holds a result computed over a narrow column to the one its
-// wide twin gave: kinds, density, sorted flags and every value, after
-// widening.
+// wide twin gave: kinds, density, sorted flags and every value, to the
+// bit, after widening.
 func sameWide(t *testing.T, what string, want, got *BAT) {
 	t.Helper()
 	got = Widen(got)
@@ -155,12 +295,13 @@ func sameWide(t *testing.T, what string, want, got *BAT) {
 		name string
 		w, g *Column
 	}{{"head", want.Head(), got.Head()}, {"tail", want.Tail(), got.Tail()}} {
-		if side.w.Kind() != side.g.Kind() || side.w.Dense() != side.g.Dense() || side.w.Sorted() != side.g.Sorted() {
-			t.Fatalf("%s: %s is %s dense=%v sorted=%v, wide answers %s dense=%v sorted=%v", what, side.name,
-				side.g.Kind(), side.g.Dense(), side.g.Sorted(), side.w.Kind(), side.w.Dense(), side.w.Sorted())
+		if side.w.Kind() != side.g.Kind() || side.w.Dense() != side.g.Dense() || side.w.Sorted() != side.g.Sorted() ||
+			side.w.Width() != side.g.Width() {
+			t.Fatalf("%s: %s is %s dense=%v sorted=%v width=%d, wide answers %s dense=%v sorted=%v width=%d", what, side.name,
+				side.g.Kind(), side.g.Dense(), side.g.Sorted(), side.g.Width(), side.w.Kind(), side.w.Dense(), side.w.Sorted(), side.w.Width())
 		}
 		for i := 0; i < want.Len(); i++ {
-			if side.w.Value(i) != side.g.Value(i) {
+			if !sameValue(side.w.Value(i), side.g.Value(i)) {
 				t.Fatalf("%s: %s row %d is %v, wide answers %v", what, side.name, i, side.g.Value(i), side.w.Value(i))
 			}
 		}
@@ -168,15 +309,18 @@ func sameWide(t *testing.T, what string, want, got *BAT) {
 }
 
 // TestNarrowMatchesWide: every exported operator and aggregate answers
-// over a narrowed column exactly what it answers over the wide one —
-// on every width, at every edge literal, with the narrow column as tail
-// and (reversed) as head.
+// over a narrowed column exactly what it answers over the wide one — to
+// the bit for floats — on every width, at every edge literal, with the
+// narrow column as tail and (reversed) as head; for int columns and for
+// decimal float ones, some of them poisoned so they must stay wide.
 func TestNarrowMatchesWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for trial := 0; trial < 400; trial++ {
-		c := genNarrowCase(t, rng, []int{1, 2, 4, 8}[trial%4])
-		checkNarrowSelects(t, rng, c)
-		checkNarrowOperators(t, rng, c)
+		w := []int{1, 2, 4, 8}[trial%4]
+		for _, c := range []narrowCase{genNarrowCase(t, rng, w), genDecimalCase(t, rng, w, trial%5 == 0)} {
+			checkNarrowSelects(t, rng, c)
+			checkNarrowOperators(t, rng, c)
+		}
 	}
 }
 
@@ -215,7 +359,7 @@ func checkNarrowOperators(t *testing.T, rng *rand.Rand, c narrowCase) {
 	same := func(op string, want, got *BAT) { t.Helper(); sameWide(t, what+": "+op, want, got) }
 	scalar := func(op string, want, got any) {
 		t.Helper()
-		if want != got {
+		if !sameValue(want, got) {
 			t.Fatalf("%s: %s = %v, wide answers %v", what, op, got, want)
 		}
 	}
@@ -238,7 +382,13 @@ func checkNarrowOperators(t *testing.T, rng *rand.Rand, c narrowCase) {
 	same("SortT desc", w.SortT(true), nb.SortT(true))
 	same("TopN", w.TopN(3, true), nb.TopN(3, true))
 	same("UniqueT", w.UniqueT(), nb.UniqueT())
-	same("SelectFunc", w.SelectFunc(func(v any) bool { return v.(int64)%3 == 0 }), nb.SelectFunc(func(v any) bool { return v.(int64)%3 == 0 }))
+	pred := func(v any) bool {
+		if x, ok := v.(float64); ok {
+			return x > 0
+		}
+		return v.(int64)%3 == 0
+	}
+	same("SelectFunc", w.SelectFunc(pred), nb.SelectFunc(pred))
 	same("Reverse.Reverse", w, nb.Reverse().Reverse())
 	same("MarkT", w.MarkT(7), nb.MarkT(7))
 	same("Union", w.Union(w), nb.Union(nb))
@@ -247,12 +397,7 @@ func checkNarrowOperators(t *testing.T, rng *rand.Rand, c narrowCase) {
 
 	// Another column of the same values in another order, wide and
 	// narrow: the build side of joins, the probe side of semijoins.
-	perm := rng.Perm(n)
-	vals := make([]int64, n)
-	for i, p := range perm {
-		vals[i] = w.Tail().Int(p)
-	}
-	other := MakeInts("o", vals)
+	other := New("o", DenseColumn(0, n), w.Tail().take(rng.Perm(n)))
 	for _, o := range []*BAT{other, Narrow(other)} {
 		same("EqRows other", w.EqRows(other), nb.EqRows(o))
 		same("Join", w.Join(other.Reverse()), nb.Join(o.Reverse()))
@@ -318,8 +463,8 @@ func checkNarrowOperators(t *testing.T, rng *rand.Rand, c narrowCase) {
 		}
 	}
 
-	// The wire carries the width and the reference, and the decoded
-	// column is narrow still.
+	// The wire carries the width, the reference and the exponent, and the
+	// decoded column is narrow still.
 	data := AppendMarshal(nil, nb)
 	if len(data) != MarshalSize(nb) {
 		t.Fatalf("%s: encoded %d bytes, MarshalSize says %d", what, len(data), MarshalSize(nb))
@@ -355,4 +500,134 @@ func TestNarrowAppendTurnsWide(t *testing.T) {
 	if b.Tail().Width() != 8 || b.Tail().Len() != 4 || b.Tail().Int(0) != 10 || b.Tail().Int(3) != 1<<40 {
 		t.Fatalf("after append: width %d, %v", b.Tail().Width(), intsOf(New("a", DenseColumn(0, 4), b.Tail())))
 	}
+}
+
+// TestDecimalNarrowing: what Narrow makes of named float columns — the
+// TPC-H generator's, integral, constant and sorted ones — and the values
+// that keep a column wide, alone and among decimals.
+func TestDecimalNarrowing(t *testing.T) {
+	gen := func(n int, f func(k int) float64) []float64 {
+		v := make([]float64, n)
+		for k := range v {
+			v[k] = f(k)
+		}
+		return v
+	}
+	for _, c := range []struct {
+		what   string
+		vals   []float64
+		sorted bool
+		width  int
+		exp    uint8
+	}{
+		{"l_discount", gen(11, func(k int) float64 { return float64(k) / 100 }), true, 1, 2},
+		{"l_extendedprice", gen(10000, func(k int) float64 { return float64(90000+k) / 100 }), false, 2, 2},
+		{"c_acctbal", gen(1000, func(k int) float64 { return float64(k*997)/100 - 999 }), false, 8, 0},
+		{"integral", []float64{3, -7, 1e6}, false, 4, 0},
+		{"constant", []float64{2.5, 2.5, 2.5}, true, 1, 1},
+		{"negative sorted", []float64{-1.25, -0.5, 0, 0.75}, true, 1, 2},
+		{"span past uint32", []float64{0, 4294967.296}, false, 8, 0},
+		{"-0.0", []float64{math.Copysign(0, -1)}, false, 8, 0},
+		{"NaN", []float64{math.NaN()}, false, 8, 0},
+		{"+Inf", []float64{math.Inf(1)}, false, 8, 0},
+		{"-Inf", []float64{math.Inf(-1)}, false, 8, 0},
+		{"subnormal", []float64{5e-324}, false, 8, 0},
+		{"2^53+1", []float64{1<<53 + 1}, false, 8, 0},
+		{"0.1+0.2", []float64{tenth + 0.2}, false, 8, 0},
+		{"1e300", []float64{1e300}, false, 8, 0},
+		{"decimals and -0.0", []float64{0.25, math.Copysign(0, -1), 1.5}, false, 8, 0},
+		{"decimals and NaN", []float64{0.25, 1.5, math.NaN()}, false, 8, 0},
+		{"decimals and 0.1+0.2", []float64{0.1, tenth + 0.2}, false, 8, 0},
+	} {
+		wide := MakeFloats(c.what, c.vals)
+		wide.Tail().SetSorted(c.sorted)
+		nb := Narrow(wide)
+		if got := nb.Tail().Width(); got != c.width || nb.Tail().exp != c.exp {
+			t.Errorf("%s: width %d at 10^-%d, want %d at 10^-%d", c.what, got, nb.Tail().exp, c.width, c.exp)
+			continue
+		}
+		if c.width == 8 && nb != wide {
+			t.Errorf("%s: stays wide, but Narrow did not return b itself", c.what)
+		}
+		sameWide(t, c.what+": Widen(Narrow)", wide, nb)
+		if nb.Tail().Bytes() != len(c.vals)*c.width {
+			t.Errorf("%s: %d bytes, want %d", c.what, nb.Tail().Bytes(), len(c.vals)*c.width)
+		}
+	}
+}
+
+// FuzzDecimal: a float column from arbitrary bit patterns answers on
+// its Narrow twin what it answers wide. form bit 0 clear makes every
+// value a decimal k / 10^exp with k a sign-extended 32-bit word, and the
+// column must narrow; set, a value whose bit 32 is set is the raw float64
+// of its 8 bytes instead, and the column narrows only if every value is
+// a decimal. Widen(Narrow(b)) is b to the bit, and Sum, Min, Max and the
+// range selects — on the fuzzed bounds, and inclusive or exclusive at a
+// value of the column and one ulp either side — agree.
+func FuzzDecimal(f *testing.F) {
+	le := func(words ...uint64) []byte {
+		b := make([]byte, 0, 8*len(words))
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return b
+	}
+	raw := func(f float64) uint64 { return math.Float64bits(f) | 1<<32 } // a float near f, taken as it is
+	f.Add(le(5, 7, 0, 10, 6), uint8(2), 0.05, 0.07, uint8(0x0c))
+	f.Add(le(90000, 99999, 93456), uint8(2), 900.0, 950.5, uint8(0x06))
+	f.Add(le(raw(0.3), 4), uint8(1), math.Inf(-1), 0.3, uint8(0x05))
+	f.Add(le(raw(math.NaN()), 3), uint8(0), math.NaN(), 1.0, uint8(0x01))
+	f.Add(le(0xffffffff, 0x7fffffff, 0x80000000), uint8(22), -1e-13, 1e-13, uint8(0x02))
+	f.Fuzz(func(t *testing.T, data []byte, exp uint8, lo, hi float64, form uint8) {
+		scale := pow10[int(exp)%len(pow10)]
+		var vals []float64
+		for ; len(data) >= 8; data = data[8:] {
+			x := binary.LittleEndian.Uint64(data)
+			if form&1 == 0 || x&(1<<32) == 0 {
+				vals = append(vals, decode(int64(int32(x)), scale))
+			} else {
+				vals = append(vals, math.Float64frombits(x))
+			}
+		}
+		tail := FloatColumn(vals)
+		if form&2 != 0 && sort.SliceIsSorted(vals, func(i, j int) bool { return vals[i] < vals[j] }) &&
+			!slices.ContainsFunc(vals, math.IsNaN) {
+			tail.SetSorted(true)
+		}
+		wide := New("f", DenseColumn(7, len(vals)), tail)
+		nb := Narrow(wide)
+		if form&1 == 0 && len(vals) > 0 && nb.Tail().Width() == 8 {
+			t.Fatalf("%d decimals at 10^-%d stayed wide", len(vals), int(exp)%len(pow10))
+		}
+		sameWide(t, "Widen(Narrow)", wide, nb)
+		if len(vals) > 0 {
+			for _, op := range []struct {
+				name      string
+				want, got any
+			}{{"Sum", wide.Sum(), nb.Sum()}, {"Min", wide.Min(), nb.Min()}, {"Max", wide.Max(), nb.Max()}} {
+				if !sameValue(op.want, op.got) {
+					t.Fatalf("%s = %v, wide answers %v", op.name, op.got, op.want)
+				}
+			}
+		}
+		lits := []float64{lo, hi}
+		if len(vals) > 0 {
+			v := vals[int(form>>4)%len(vals)]
+			lits = append(lits, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
+		}
+		cand := wide.Slice(len(vals)/3, len(vals)).Mirror()
+		for i, l := range lits {
+			for _, h := range lits[i:] {
+				for _, incl := range [][2]bool{{true, true}, {false, true}, {true, false}, {form&4 != 0, form&8 != 0}} {
+					lb, hb := &Bound{Value: l, Inclusive: incl[0]}, &Bound{Value: h, Inclusive: incl[1]}
+					for _, b := range [][2]*Bound{{lb, hb}, {lb, nil}, {nil, hb}} {
+						what := fmt.Sprintf("bounds %v..%v", b[0], b[1])
+						sameWide(t, what+": Select", wide.Select(b[0], b[1]), nb.Select(b[0], b[1]))
+						sameWide(t, what+": USelect", wide.USelect(b[0], b[1]), nb.USelect(b[0], b[1]))
+						sameWide(t, what+": USelectCand", wide.USelectCand(cand, b[0], b[1]), nb.USelectCand(cand, b[0], b[1]))
+					}
+				}
+			}
+		}
+	})
 }

@@ -11,7 +11,7 @@ import (
 // The operators in this file are devirtualized: each call dispatches on
 // the column kind ONCE, then runs a monomorphic loop over the typed
 // payload slice (the generic functions below instantiate per kind, and
-// per code width for narrow int columns — narrow.go).
+// per code width for narrow int and decimal float columns — narrow.go).
 // Sorted tails take a binary-search span and return an O(1) zero-copy
 // view; unsorted scans count qualifying rows first and allocate the
 // index buffer at its exact size. The boxed row-at-a-time path lives in
@@ -498,7 +498,12 @@ func (b *BAT) selectRows(lo, hi *Bound) (h hits, ok bool) {
 			return selectTyped(b.t, b.t.ints, r), true
 		}
 	case KFloat:
-		if r, ok := floatBounds(lo, hi); ok {
+		r, ok := floatBounds(lo, hi)
+		switch {
+		case !ok:
+		case b.t.narrow != nil:
+			return b.t.selectDecimal(r), true
+		default:
 			return selectTyped(b.t, b.t.floats, r), true
 		}
 	case KOid:
@@ -634,7 +639,12 @@ func (b *BAT) scanDense(c []Oid, restricted bool, lo, hi *Bound) (oids []Oid, ok
 			return scanOids(b.t.ints, b.h.base, c, restricted, r), true
 		}
 	case KFloat:
-		if r, ok := floatBounds(lo, hi); ok {
+		r, ok := floatBounds(lo, hi)
+		switch {
+		case !ok:
+		case b.t.narrow != nil:
+			return b.t.narrow.scanOids(b.h.base, c, restricted, b.t.codeBounds(r)), true
+		default:
 			return scanOids(b.t.floats, b.h.base, c, restricted, r), true
 		}
 	case KOid:
@@ -759,11 +769,11 @@ func (b *BAT) SelectNe(v any) *BAT {
 	case KFloat:
 		switch x := v.(type) {
 		case float64:
-			return b.takeRows(eqScan(b.t.floats, x, false))
+			return b.takeRows(eqScan(b.t.float64s(), x, false))
 		case int64:
-			return b.takeRows(eqScan(b.t.floats, float64(x), false))
+			return b.takeRows(eqScan(b.t.float64s(), float64(x), false))
 		case int:
-			return b.takeRows(eqScan(b.t.floats, float64(x), false))
+			return b.takeRows(eqScan(b.t.float64s(), float64(x), false))
 		}
 	case KOid:
 		switch x := v.(type) {
@@ -841,7 +851,7 @@ func (b *BAT) EqRows(r *BAT) *BAT {
 	case KInt:
 		idx = eqIdx(b.t.int64s(), r.t.int64s())
 	case KFloat:
-		idx = eqIdx(b.t.floats, r.t.floats)
+		idx = eqIdx(b.t.float64s(), r.t.float64s())
 	case KStr:
 		idx = eqIdx(b.t.strs, r.t.strs)
 	case KBool:
@@ -951,7 +961,7 @@ func (b *BAT) Join(r *BAT) *BAT {
 	case KInt:
 		li, ri = hashJoinTyped(b.t.int64s(), r.h.int64s(), b.Len())
 	case KFloat:
-		li, ri = hashJoinTyped(b.t.floats, r.h.floats, b.Len())
+		li, ri = hashJoinTyped(b.t.float64s(), r.h.float64s(), b.Len())
 	case KStr:
 		li, ri = hashJoinTyped(b.t.strs, r.h.strs, b.Len())
 	case KBool:
@@ -1157,7 +1167,7 @@ func headFilterIdx(b, r *BAT, keep bool) (idx []int32, pooled *[]int32) {
 	case KInt:
 		return memberIdx(b.h.int64s(), makeSet(r.h.int64s()), keep), nil
 	case KFloat:
-		return memberIdx(b.h.floats, makeSet(r.h.floats), keep), nil
+		return memberIdx(b.h.float64s(), makeSet(r.h.float64s()), keep), nil
 	case KStr:
 		return memberIdx(b.h.strs, makeSet(r.h.strs), keep), nil
 	case KBool:
@@ -1246,7 +1256,7 @@ func boundaryOrdered(a, c *Column) bool {
 	case KInt:
 		return a.Int(i) <= c.Int(j)
 	case KFloat:
-		return a.floats[i] <= c.floats[j]
+		return a.Float(i) <= c.Float(j)
 	case KStr:
 		return a.strs[i] <= c.strs[j]
 	case KBool:
@@ -1314,9 +1324,9 @@ func (b *BAT) UniqueT() *BAT {
 		}
 	case KFloat:
 		if sorted {
-			idx = uniqueSortedIdx(b.t.floats)
+			idx = uniqueSortedIdx(b.t.float64s())
 		} else {
-			idx = uniqueIdx(b.t.floats)
+			idx = uniqueIdx(b.t.float64s())
 		}
 	case KStr:
 		if sorted {

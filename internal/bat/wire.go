@@ -21,17 +21,19 @@ package bat
 //
 //	message  := hdr name-bytes pad8 column(head) column(tail)
 //	hdr      := magic 'D' 'C' | version u8 | reserved u8 | nameLen u32
-//	column   := kind u8 | flags u8 | width u8 | reserved[5] | base u64 | n u64 | payload
+//	column   := kind u8 | flags u8 | width u8 | exp u8 | reserved[4] | base u64 | n u64 | payload
 //	payload  := dense: (empty)
-//	          | oid/float, int of width 8: n * u64   (8-aligned, aliasable)
-//	          | int of width 1, 2, 4: n * u8|u16|u32 codes, pad8 (aliasable)
+//	          | oid, int/float of width 8: n * u64   (8-aligned, aliasable)
+//	          | int/float of width 1, 2, 4: n * u8|u16|u32 codes, pad8 (aliasable)
 //	          | bool: ceil(n/8) packed bits, pad8
 //	          | str: blobLen u64, n * u32 end-offsets, pad8, blob, pad8
 //
-// width is the bytes per value of a materialized int column (1, 2, 4 or
-// 8) and 0 for every other column. base is a dense column's first OID
-// and a narrow int column's reference: value i is base + code i (see
-// narrow.go); it is 0 for every other column.
+// width is the bytes per value of a materialized int or float column (1,
+// 2, 4 or 8) and 0 for every other column. exp is a narrow float
+// column's exponent, 0 to 22, and 0 for every other column.
+// base is a dense column's first OID and a narrow column's reference:
+// value i is base + code i for an int, (base + code i) / 10^exp for a
+// float (see narrow.go); it is 0 for every other column.
 //
 // Versioning rule: the version byte is bumped on any layout change and
 // decoders reject versions they do not know — ring nodes and clients
@@ -60,11 +62,12 @@ const (
 	wireMagic0 = 'D'
 	wireMagic1 = 'C'
 	// WireVersion is the current layout version; UnmarshalView rejects
-	// anything else. Version 2 added the int column's width.
-	WireVersion = 2
+	// anything else. Version 2 added the int column's width, version 3
+	// the float column's width and exponent.
+	WireVersion = 3
 
 	wireHdrSize = 8  // magic(2) + version(1) + reserved(1) + nameLen(4)
-	colHdrSize  = 24 // kind(1) + flags(1) + width(1) + reserved(5) + base(8) + n(8)
+	colHdrSize  = 24 // kind(1) + flags(1) + width(1) + exp(1) + reserved(4) + base(8) + n(8)
 
 	colFlagDense  = 1 << 0
 	colFlagSorted = 1 << 1
@@ -148,11 +151,12 @@ func appendColumn(dst []byte, start int, c *Column) []byte {
 	}
 	n := c.Len()
 	base := uint64(c.base)
-	if c.kind == KInt {
+	if c.kind == KInt || c.kind == KFloat {
 		hdr[2] = byte(c.Width())
-		if c.narrow != nil {
-			base = uint64(c.narrow.ref())
-		}
+	}
+	if c.narrow != nil {
+		hdr[3] = c.exp
+		base = uint64(c.narrow.ref())
 	}
 	binary.LittleEndian.PutUint64(hdr[8:], base)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(n))
@@ -160,14 +164,13 @@ func appendColumn(dst []byte, start int, c *Column) []byte {
 	if c.dense {
 		return dst
 	}
+	if c.narrow != nil {
+		return appendPad(c.narrow.appendWire(dst), start)
+	}
 	switch c.kind {
 	case KOid:
 		dst = appendU64s(dst, oidsToU64(c.oids))
 	case KInt:
-		if c.narrow != nil {
-			dst = appendPad(c.narrow.appendWire(dst), start)
-			break
-		}
 		dst = appendU64s(dst, intsToU64(c.ints))
 	case KFloat:
 		dst = appendFloats(dst, c.floats)
@@ -338,19 +341,28 @@ func readColumn(r *wireReader) *Column {
 		r.fail("bad column kind %d", hdr[0])
 		return &Column{}
 	}
-	flags, width := hdr[1], hdr[2]
+	flags, width, exp := hdr[1], hdr[2], hdr[3]
 	base := Oid(binary.LittleEndian.Uint64(hdr[8:]))
 	n64 := binary.LittleEndian.Uint64(hdr[16:])
 	c := &Column{kind: kind, sorted: flags&colFlagSorted != 0}
 	dense := flags&colFlagDense != 0
 	switch {
-	case kind == KInt && !dense:
+	case (kind == KInt || kind == KFloat) && !dense:
 		if width != 1 && width != 2 && width != 4 && width != 8 {
-			r.fail("int column of width %d", width)
+			r.fail("%s column of width %d", kind, width)
 			return c
 		}
 	case width != 0:
 		r.fail("width %d on a %s column", width, kind)
+		return c
+	}
+	switch {
+	case exp == 0:
+	case kind != KFloat || width == 8:
+		r.fail("exponent %d on a %s column of width %d", exp, kind, width)
+		return c
+	case int(exp) >= len(pow10):
+		r.fail("exponent %d past 10^%d", exp, len(pow10)-1)
 		return c
 	}
 	if dense {
@@ -376,19 +388,19 @@ func readColumn(r *wireReader) *Column {
 		return &Column{}
 	}
 	n := int(n64)
+	if (kind == KInt || kind == KFloat) && width != 8 {
+		raw := r.take(n * int(width))
+		r.skipPad()
+		if r.err == nil && n > 0 {
+			c.narrow, c.exp = wireCodes(raw, int(width), int64(base)), exp
+		}
+		return c
+	}
 	switch kind {
 	case KOid:
 		c.oids = viewOids(r, n)
 	case KInt:
-		if width == 8 {
-			c.ints = viewInts(r, n)
-			break
-		}
-		raw := r.take(n * int(width))
-		r.skipPad()
-		if r.err == nil && n > 0 {
-			c.narrow = wireCodes(raw, int(width), int64(base))
-		}
+		c.ints = viewInts(r, n)
 	case KFloat:
 		c.floats = viewFloats(r, n)
 	case KBool:
@@ -440,7 +452,7 @@ func readColumn(r *wireReader) *Column {
 	return c
 }
 
-// wireCodes makes the codes of a narrow int column from its payload of
+// wireCodes makes the codes of a narrow column from its payload of
 // width-byte little-endian codes: a view of raw where the host and the
 // alignment allow, a decoded copy elsewhere.
 func wireCodes(raw []byte, width int, ref int64) codes {

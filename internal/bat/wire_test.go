@@ -38,14 +38,25 @@ func wireCases() []*BAT {
 	}
 }
 
-// narrowWireCases are int columns in each narrow width: references at
-// both ends of the int64 range, a sorted one, a view, an odd length
-// whose payload needs padding, and a shuffled OID head.
+// narrowWireCases are int and decimal float columns in each narrow
+// width: references at both ends of the int64 range and of either sign,
+// sorted ones, views, odd lengths whose payload needs padding, and a
+// shuffled OID head.
 func narrowWireCases() []*BAT {
 	sorted := MakeInts("sorted16", []int64{-40000, -3, 7, 20000})
 	sorted.Tail().SetSorted(true)
 	w2 := Narrow(MakeInts("w2", []int64{1000, 1 << 15, 5, 999, 65535}))
+	price := Narrow(MakeFloats("price", []float64{900, 999.99, 912.34, 950.5, 901.01}))
+	discount := MakeFloats("discount", []float64{0, 0.01, 0.05, 0.07, 0.1})
+	discount.Tail().SetSorted(true)
 	return []*BAT{
+		Narrow(discount),
+		price,
+		price.Slice(1, 4),
+		Narrow(MakeFloats("balance", []float64{-999.99, 9000.01, 0, -0.5})),
+		Narrow(MakeFloats("whole", []float64{-3, 1 << 20, 7})),
+		Narrow(MakeFloats("micro", []float64{1e-6, -2e-6, 3.5e-5})),
+		Narrow(New("floathead", OidColumn([]Oid{9, 2, 5}), FloatColumn([]float64{0.3, 0.1, 0.2}))),
 		Narrow(MakeInts("w1", []int64{19940101, 19940102, 19940356, 19940101, 19940200})),
 		w2,
 		w2.Slice(1, 4),
@@ -86,8 +97,9 @@ func TestWireRoundtrip(t *testing.T) {
 		if got.Name != b.Name {
 			t.Fatalf("name: got %q want %q", got.Name, b.Name)
 		}
-		if got.Tail().Width() != b.Tail().Width() {
-			t.Fatalf("%s: decoded width %d, encoded %d", b.Name, got.Tail().Width(), b.Tail().Width())
+		if got.Tail().Width() != b.Tail().Width() || got.Tail().exp != b.Tail().exp {
+			t.Fatalf("%s: decoded width %d at 10^-%d, encoded %d at 10^-%d", b.Name,
+				got.Tail().Width(), got.Tail().exp, b.Tail().Width(), b.Tail().exp)
 		}
 		colsEquivalent(t, b.Name+".head", b.Head(), got.Head())
 		colsEquivalent(t, b.Name+".tail", b.Tail(), got.Tail())
@@ -205,45 +217,65 @@ func TestWireCorruptInputs(t *testing.T) {
 	}
 }
 
-// TestWireRejectsBadWidths: an int column's width byte must be 1, 2, 4
-// or 8; every other column's must be 0 — dense ones included — and a
-// narrow payload must be there in full.
+// TestWireRejectsBadWidths: an int or float column's width byte must be
+// 1, 2, 4 or 8; every other column's must be 0 — dense ones included.
+// An exponent belongs on a narrow float column only, and must index the
+// 10^e table; a narrow payload must be there in full.
 func TestWireRejectsBadWidths(t *testing.T) {
-	b := Narrow(New("w", DenseColumn(0, 5), IntColumn([]int64{3, 9, 4, 300, 7})))
-	data := AppendMarshal(nil, b)
-	head := wireHdrSize + pad8(len(b.Name)) // the dense head's column header
-	tail := head + colHdrSize
-	if _, err := UnmarshalView(data); err != nil {
+	ints := Narrow(New("w", DenseColumn(0, 5), IntColumn([]int64{3, 9, 4, 300, 7})))
+	decimals := Narrow(New("d", DenseColumn(0, 5), FloatColumn([]float64{0.03, 0.09, 0.04, 3, 0.07})))
+	if w, e := decimals.Tail().Width(), decimals.Tail().exp; w != 2 || e != 2 {
+		t.Fatalf("the decimal column is %d bytes wide at 10^-%d, want 2 at 10^-2", w, e)
+	}
+	for _, b := range []*BAT{ints, decimals} {
+		data := AppendMarshal(nil, b)
+		head := wireHdrSize + pad8(len(b.Name)) // the dense head's column header
+		tail := head + colHdrSize
+		if _, err := UnmarshalView(data); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			what string
+			at   int // the column header's offset
+			set  map[int]byte
+		}{
+			{"width 0", tail, map[int]byte{2: 0}},
+			{"width 3", tail, map[int]byte{2: 3}},
+			{"width 16", tail, map[int]byte{2: 16}},
+			{"a float column of width 0", tail, map[int]byte{0: byte(KFloat), 2: 0}},
+			{"a float column of width 5", tail, map[int]byte{0: byte(KFloat), 2: 5}},
+			{"width on an oid column", tail, map[int]byte{0: byte(KOid), 2: 8}},
+			{"width on a dense column", head, map[int]byte{2: 8}},
+			{"an exponent on an int column", tail, map[int]byte{0: byte(KInt), 3: 2}},
+			{"an exponent on a wide float column", tail, map[int]byte{0: byte(KFloat), 2: 8, 3: 1}},
+			{"an exponent on a dense column", head, map[int]byte{3: 1}},
+			{"an exponent past the 10^e table", tail, map[int]byte{0: byte(KFloat), 3: byte(len(pow10))}},
+			{"an exponent of 255", tail, map[int]byte{0: byte(KFloat), 3: 255}},
+		} {
+			cp := append([]byte(nil), data...)
+			for off, v := range c.set {
+				cp[c.at+off] = v
+			}
+			if _, err := UnmarshalView(cp); err == nil {
+				t.Errorf("%s: %s accepted", b.Name, c.what)
+			}
+		}
+		for n := 0; n < len(data); n++ {
+			if _, err := UnmarshalView(data[:n]); err == nil {
+				t.Fatalf("%s: a narrow message cut to %d of its %d bytes accepted", b.Name, n, len(data))
+			}
+		}
+	}
+	// The largest exponent the table holds decodes.
+	b := Narrow(MakeFloats("e22", []float64{1e-22, 3e-22}))
+	if e := b.Tail().exp; int(e) != len(pow10)-1 {
+		t.Fatalf("1e-22 narrowed at 10^-%d, want 10^-%d", e, len(pow10)-1)
+	}
+	got, err := UnmarshalView(AppendMarshal(nil, b))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		what     string
-		at       int
-		width    byte
-		kind     Kind
-		withKind bool
-	}{
-		{"int of width 0", tail, 0, 0, false},
-		{"int of width 3", tail, 3, 0, false},
-		{"int of width 16", tail, 16, 0, false},
-		{"width on a float column", tail, 2, KFloat, true},
-		{"width on an oid column", tail, 8, KOid, true},
-		{"width on a dense column", head, 8, 0, false},
-	} {
-		cp := append([]byte(nil), data...)
-		cp[c.at+2] = c.width
-		if c.withKind {
-			cp[c.at] = byte(c.kind)
-		}
-		if _, err := UnmarshalView(cp); err == nil {
-			t.Errorf("%s accepted", c.what)
-		}
-	}
-	for n := 0; n < len(data); n++ {
-		if _, err := UnmarshalView(data[:n]); err == nil {
-			t.Fatalf("a narrow message cut to %d of its %d bytes accepted", n, len(data))
-		}
-	}
+	colsEquivalent(t, "e22.tail", b.Tail(), got.Tail())
 }
 
 // TestWireViewAppendSafe checks that appending to a decoded (zero-copy)
@@ -268,7 +300,7 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Add(AppendMarshal(nil, b))
 	}
 	f.Add([]byte{})
-	f.Add([]byte("DC\x02\x00garbage"))
+	f.Add(append([]byte{wireMagic0, wireMagic1, WireVersion, 0}, "garbage"...))
 	for _, b := range narrowWireCases() {
 		f.Add(AppendMarshal(nil, b))
 	}

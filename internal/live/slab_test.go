@@ -1,6 +1,7 @@
 package live
 
 import (
+	"math"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -18,8 +19,8 @@ import (
 // column's traffic frees are the ones the next arrival is received into.
 const slabRows = 512
 
-// slabValues are the lifetime test's columns: p.val (4 fragments) is
-// the data under test, q.val (4 fragments) the traffic that forces
+// slabValues are the lifetime test's int columns: p.val (4 fragments)
+// is the data under test, q.val (4 fragments) the traffic that forces
 // recycling, s.val (one fragment) the single-fragment result. Their
 // values span more than 32 bits, so they travel 8 bytes wide; t.val
 // (one fragment) spans less than 16 bits and travels 2 bytes wide. No
@@ -37,14 +38,26 @@ func slabValues() map[string][]int64 {
 	return map[string][]int64{"p.val": p, "q.val": q, "s.val": s, "t.val": narrow}
 }
 
+// slabDecimals is the lifetime test's float column u.val (one
+// fragment): cents whose scaled integers span less than 16 bits, so it
+// travels as 2-byte decimal codes, the size of t.val's message. Read as
+// codes, a poisoned slab decodes to 562.85, past every value.
+func slabDecimals() []float64 {
+	u := make([]float64, slabRows)
+	for i := range u {
+		u[i] = float64(3*i+2) / 100
+	}
+	return u
+}
+
 func slabRing(t *testing.T, cfg Config) *Ring {
 	t.Helper()
-	cols := map[string]*bat.BAT{}
+	cols := map[string]*bat.BAT{"u.val": bat.MakeFloats("u.val", slabDecimals())}
 	for name, vals := range slabValues() {
 		cols[name] = bat.MakeInts(name, vals)
 	}
 	cfg.FragmentRows = slabRows
-	r, err := NewRing(3, cols, minisql.MapSchema{"p": {"val"}, "q": {"val"}, "s": {"val"}, "t": {"val"}}, cfg)
+	r, err := NewRing(3, cols, minisql.MapSchema{"p": {"val"}, "q": {"val"}, "s": {"val"}, "t": {"val"}, "u": {"val"}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +80,16 @@ func tailInts(b *bat.BAT) []int64 {
 	out := make([]int64, b.Len())
 	for i := range out {
 		out[i] = b.Tail().Int(i)
+	}
+	return out
+}
+
+// tailBits is a float tail's values as their bit patterns: equal only
+// when every value is the same float64 to the bit.
+func tailBits(b *bat.BAT) []uint64 {
+	out := make([]uint64, b.Len())
+	for i := range out {
+		out[i] = math.Float64bits(b.Tail().Float(i))
 	}
 	return out
 }
@@ -382,4 +405,49 @@ func TestSlabLifetime(t *testing.T) {
 			t.Fatalf("fetched narrow column reads %v…, want %v…", got[:3], want[:3])
 		}
 	})
+
+	// A decimal float fragment, the same way: the cache entry's codes are
+	// a view of its slab, which Span reports, and Fetch decodes them into
+	// a wide float column of its own.
+	t.Run("decimal tail", func(t *testing.T) {
+		r := slabRing(t, DefaultConfig())
+		ids, _ := r.Fragments("u.val")
+		id := ids[0]
+		reader := r.node((int(r.ownerOf(id).id) + 1) % r.Size())
+		fetched, err := reader.Fetch("u.val")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reader.hot.mu.Lock()
+		f := reader.hot.entries[id].f
+		reader.hot.mu.Unlock()
+		if w := f.b.Tail().Width(); w != 2 {
+			t.Fatalf("the cached fragment is %d bytes wide, want 2", w)
+		}
+		if lo, hi := f.b.Tail().Span(); lo < slabStart(f.slab) || hi > slabStart(f.slab)+uintptr(len(f.slab.buf)) || hi-lo != 2*slabRows {
+			t.Fatalf("the cached codes span [%#x, %#x), want %d bytes of the slab at %#x", lo, hi, 2*slabRows, slabStart(f.slab))
+		}
+		if w := fetched.Tail().Width(); w != 8 || fetched.Tail().Kind() != bat.KFloat {
+			t.Fatalf("the fetched column is a %d-byte %s column, want an 8-byte float", w, fetched.Tail().Kind())
+		}
+		want := tailBits(bat.MakeFloats("u.val", slabDecimals()))
+		settle(t, r, reader, f.slab, 1)
+		if recycled(f.slab) {
+			t.Fatal("slab recycled under its decimal cache entry")
+		}
+		if got := tailBits(f.b); !slices.Equal(got, want) {
+			t.Fatalf("decimal cache entry reads %v…, want %v…", got[:3], want[:3])
+		}
+		reader.hot.drop(id)
+		settle(t, r, reader, f.slab, 0)
+		if !recycled(f.slab) {
+			t.Fatal("the decimal fragment's slab was never recycled; the test proves nothing")
+		}
+		if got := tailBits(fetched); !slices.Equal(got, want) {
+			t.Fatalf("fetched decimal column reads %v…, want %v…", got[:3], want[:3])
+		}
+	})
 }
+
+// slabStart is the address of s's first byte.
+func slabStart(s *slab) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(s.buf))) }

@@ -22,12 +22,18 @@ import (
 // fragments in. Same cuts, same merge order: float sums agree to the
 // bit, so any difference is the kernel's or the frame's. With one
 // fragment per column a projection's result is a fragment's own narrow
-// column, which must be widened before it is encoded.
+// column, which must be widened before it is encoded. q6ish sums the
+// decimal l_extendedprice, and wide projects it.
 func TestServedFramesMatchLocalReference(t *testing.T) {
 	db := tpch.GenDB(0.002, 1)
-	qty, _ := db.Column("lineitem", "l_quantity")
-	if w := bat.Narrow(qty).Tail().Width(); w != 1 {
-		t.Fatalf("l_quantity narrows to %d bytes, want 1: the ring would serve wide columns only", w)
+	for _, c := range []struct {
+		name  string
+		width int
+	}{{"l_quantity", 1}, {"l_discount", 1}, {"l_extendedprice", 2}} {
+		col, _ := db.Column("lineitem", c.name)
+		if w := bat.Narrow(col).Tail().Width(); w != c.width {
+			t.Fatalf("%s narrows to %d bytes, want %d: the ring would serve it wide", c.name, w, c.width)
+		}
 	}
 	for _, rows := range []int{2048, 1 << 20} {
 		cfg := live.DefaultConfig()
