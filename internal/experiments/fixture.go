@@ -103,15 +103,9 @@ type circulation struct {
 // every pin rides the ring and the sweep measures circulation, not the
 // cache (that trade-off is the cache suite's) — fires the Q6-style
 // selective aggregate queries times round-robin over the nodes, and
-// snapshots the hop transport once in-flight sends have settled. LOI
-// pacing is on whatever the batching budget, so every row of a
-// transport sweep runs the one protocol whose owner keeps a requested
-// BAT: un-paced, the unbatched rows measured the resend timer.
+// snapshots the hop transport once in-flight sends have settled.
 func circulate(db *tpch.DB, nodes, queries int, cfg live.Config) (circulation, error) {
 	cfg.CacheBytes = 0
-	if cfg.Core.ParkIdleCycles == 0 {
-		cfg.Core.ParkIdleCycles = 2 // what live picks when batching is on
-	}
 	ring, err := live.NewRing(nodes, db.ColumnMap(), db.Schema(), cfg)
 	if err != nil {
 		return circulation{}, err

@@ -93,10 +93,15 @@ type hopEntry struct {
 	f *fragment
 }
 
+// hopLinger is how long the flush loop waits for more co-resident
+// fragments before it flushes a partial batch. Only the first fragment
+// of a batch pays it, so it stays well under the query latencies it
+// protects.
+const hopLinger = 200 * time.Microsecond
+
 // hopScheduler owns one node's outbound data queue and flush policy.
 type hopScheduler struct {
-	budget int           // flush when a batch would exceed this many wire bytes
-	linger time.Duration // wait this long for co-resident fragments
+	budget int // flush when a batch would exceed this many wire bytes
 
 	mu    sync.Mutex
 	queue []hopEntry
@@ -105,10 +110,9 @@ type hopScheduler struct {
 	wake chan struct{}
 }
 
-func newHopScheduler(budget int, linger time.Duration) *hopScheduler {
+func newHopScheduler(budget int) *hopScheduler {
 	return &hopScheduler{
 		budget: budget,
-		linger: linger,
 		wake:   make(chan struct{}, 1),
 	}
 }
@@ -171,15 +175,13 @@ func (n *Node) hopLoop(wg *sync.WaitGroup) {
 			return
 		case <-hs.wake:
 		}
-		if hs.linger > 0 {
-			t := time.NewTimer(hs.linger)
-			select {
-			case <-n.closed:
-				t.Stop()
-				n.drainHopQueue()
-				return
-			case <-t.C:
-			}
+		t := time.NewTimer(hopLinger)
+		select {
+		case <-n.closed:
+			t.Stop()
+			n.drainHopQueue()
+			return
+		case <-t.C:
 		}
 		for {
 			batch := hs.take()

@@ -194,25 +194,70 @@ func TestBatchRejectsCorruption(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBatch drives the batch decoder with arbitrary bytes: it
-// must never panic, and whatever it accepts must re-encode to the
-// input exactly (decode is the inverse of encode on its whole range).
-func FuzzDecodeBatch(f *testing.F) {
-	cases := batchCases()
-	f.Add(encodeBatch(nil, cases[:1]))
-	f.Add(encodeBatch(nil, cases[:4]))
-	f.Add(encodeBatch(nil, cases))
-	f.Add(encodeSingle(cases[0]))
-	f.Add([]byte{'D', 'R', envVersionBatch, envKindBatch, 2, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := decodeBatchMsg(data)
-		if err != nil {
-			return
+// TestCorruptBatchIsDroppedWhole: a batch envelope that fails validation
+// reaches the receive loop, which delivers none of its entries — not
+// even the well-formed ones ahead of the damage — and recycles the slab
+// it arrived in.
+func TestCorruptBatchIsDroppedWhole(t *testing.T) {
+	r := newTestRing(t, 2)
+	defer r.Close()
+	sender, reader := r.Node(0), r.Node(1)
+	cols, _ := testColumns()
+	var entries []batchEntry
+	for _, name := range r.names {
+		id, _ := r.BATID(name)
+		if r.ownerOf(id) == sender {
+			entries = append(entries, batchEntry{
+				m:       core.BATMsg{Owner: sender.id, BAT: id, Size: cols[name].Bytes(), LOI: 1},
+				payload: bat.AppendMarshal(nil, cols[name]),
+			})
 		}
-		if !bytes.Equal(encodeBatch(nil, entries), data) {
-			t.Fatalf("accepted batch does not re-encode to itself")
+	}
+	if len(entries) < 2 {
+		t.Fatalf("node 0 owns %d fragments, want 2", len(entries))
+	}
+	batch := encodeBatch(nil, entries)
+	batch[batchHdrSize+dataHdrSize] = 'X' // the second entry's magic
+	// The link is FIFO and the ring is idle: once the receive loop has
+	// handled a v2 message sent after the batch — one of reader's own
+	// fragment ids that it does not own, which it only notes as a
+	// homecoming — it has handled the batch too.
+	const marker = core.BATID(1 << 40)
+	single := encodeSingle(batchEntry{m: core.BATMsg{Owner: reader.id, BAT: marker}})
+	before := reader.Stats().BATsForwarded
+	for _, msg := range [][]byte{batch, single} {
+		if err := sender.linkDataOut().Send(msg); err != nil {
+			t.Fatal(err)
 		}
-	})
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		reader.mu.Lock()
+		_, seen := reader.lastSelfSeen[marker]
+		reader.mu.Unlock()
+		if seen {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the message sent after the batch never arrived")
+		}
+	}
+	if cs := reader.CacheStats(); cs.Inserts != 0 {
+		t.Fatalf("%d entries of a corrupt batch reached the hot cache", cs.Inserts)
+	}
+	if got := reader.Stats().BATsForwarded; got != before {
+		t.Fatalf("%d entries of a corrupt batch were forwarded", got-before)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		reader.slabs.mu.Lock()
+		held := len(reader.slabs.out)
+		reader.slabs.mu.Unlock()
+		if held == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d received slabs never went back to the free list", held)
+		}
+	}
 }
 
 // fragTestRing builds a ring whose columns fragment into many pieces,
@@ -294,10 +339,14 @@ func TestHopBatchingEndToEnd(t *testing.T) {
 }
 
 // TestHopBatchingDisabled: HopBatchBytes=0 keeps the per-fragment v2
-// path — every message is a single, no batch envelope ever forms.
+// path — every message is a single, no batch envelope ever forms — and
+// keeps LOI pacing, which does not depend on batching.
 func TestHopBatchingDisabled(t *testing.T) {
 	r := fragTestRing(t, func(cfg *Config) { cfg.HopBatchBytes = 0 })
 	defer r.Close()
+	if got := r.cfg.Core.ParkIdleCycles; got != 2 {
+		t.Fatalf("an unbatched ring parks after %d idle revolutions, want 2", got)
+	}
 	if _, err := r.Node(1).ExecSQL("select sum(t.val) from t"); err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +362,8 @@ func TestHopBatchingDisabled(t *testing.T) {
 	}
 }
 
-// TestHopPacingParksIdleFragments: with LOI pacing on (the batching
-// default), fragments nobody pins stop circulating within a few
+// TestHopPacingParksIdleFragments: with LOI pacing on (every live
+// ring's default), fragments nobody pins stop circulating within a few
 // revolutions, and a later query's interest signal re-admits them.
 func TestHopPacingParksIdleFragments(t *testing.T) {
 	r := fragTestRing(t, func(cfg *Config) {
@@ -415,7 +464,7 @@ func TestHopSchedulerTake(t *testing.T) {
 	frag := func(raw int) *fragment { return &fragment{raw: make([]byte, raw)} }
 	// Budget fits the batch header plus two 100-byte entries, not three.
 	budget := batchHdrSize + 2*batchEntryWire(100)
-	hs := newHopScheduler(budget, 0)
+	hs := newHopScheduler(budget)
 	for i := 0; i < 5; i++ {
 		hs.enqueue(hopEntry{m: core.BATMsg{BAT: core.BATID(i)}, f: frag(100)})
 	}
@@ -438,7 +487,7 @@ func TestHopSchedulerTake(t *testing.T) {
 		t.Fatalf("oversized first entry: take = %d, want 1", got)
 	}
 	// The entry-count cap holds even under a huge budget.
-	big := newHopScheduler(1<<30, 0)
+	big := newHopScheduler(1 << 30)
 	for i := 0; i < maxHopBatchFrags+10; i++ {
 		big.enqueue(hopEntry{m: core.BATMsg{BAT: core.BATID(i)}, f: frag(8)})
 	}

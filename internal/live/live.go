@@ -66,11 +66,6 @@ type Config struct {
 	// entirely: every fragment travels as its own v2 message, exactly
 	// the pre-batching ring.
 	HopBatchBytes int
-	// HopBatchLinger is how long the hop scheduler waits for more
-	// co-resident fragments before flushing a partial batch. Only the
-	// first fragment of a batch pays it; keep it well under the query
-	// latencies being protected.
-	HopBatchLinger time.Duration
 	// Replicas installs each fragment on its owner plus this many ring
 	// successors and enables the elastic-membership subsystem:
 	// heartbeat failure detection multiplexed on the data links, a
@@ -95,16 +90,18 @@ type Config struct {
 	placeFragment func(frag, nodes int) int
 }
 
-// DefaultConfig suits in-process rings.
+// DefaultConfig is where every live ring here starts, on either
+// transport: 64K-row fragments, a 64 MB hot-set cache per node, 1 MiB
+// hop batches, and protocol timers short enough for a ring of a few
+// nodes.
 func DefaultConfig() Config {
 	cfg := Config{
-		Core:           core.DefaultConfig(),
-		QueueCap:       256 << 20,
-		Workers:        4,
-		FragmentRows:   64 << 10,
-		CacheBytes:     64 << 20,
-		HopBatchBytes:  1 << 20,
-		HopBatchLinger: 200 * time.Microsecond,
+		Core:          core.DefaultConfig(),
+		QueueCap:      256 << 20,
+		Workers:       4,
+		FragmentRows:  64 << 10,
+		CacheBytes:    64 << 20,
+		HopBatchBytes: 1 << 20,
 	}
 	// Live rings are small; short timers keep latencies low.
 	cfg.Core.LoadAllPeriod = 20 * time.Millisecond
@@ -330,12 +327,11 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 		// causes zero circulation.
 		cfg.Core.LocalPinsSkipLoad = true
 	}
-	if cfg.HopBatchBytes > 0 && cfg.Core.ParkIdleCycles == 0 {
-		// Batched transport turns on LOI-gated pacing by default: a
-		// fragment that served nobody for two straight revolutions parks
-		// at its owner until the next interest signal, instead of burning
-		// batch slots. A negative ParkIdleCycles opts out explicitly; 0
-		// in the core config still means "off" when batching is off.
+	if cfg.Core.ParkIdleCycles == 0 {
+		// A live ring paces by LOI: a fragment that served nobody for two
+		// straight revolutions parks at its owner until the next interest
+		// signal, instead of burning hops. A negative ParkIdleCycles opts
+		// out explicitly.
 		cfg.Core.ParkIdleCycles = 2
 	}
 	if cfg.Core.ParkIdleCycles < 0 {
@@ -486,7 +482,7 @@ func (r *Ring) newNode(id, nodes, pred int, schema minisql.Schema) *Node {
 		node.hot = newHotCache(cfg.CacheBytes)
 	}
 	if cfg.HopBatchBytes > 0 {
-		node.hop = newHopScheduler(cfg.HopBatchBytes, cfg.HopBatchLinger)
+		node.hop = newHopScheduler(cfg.HopBatchBytes)
 	}
 	if cfg.Replicas > 0 {
 		node.replicas = map[core.BATID]*replicaFrag{}

@@ -432,6 +432,9 @@ func TestBeatCodecRoundTrip(t *testing.T) {
 	if _, _, err := decodeBeatMsg(buf[:beatHdrSize+1]); err == nil {
 		t.Fatal("truncated beat accepted")
 	}
+	if _, _, err := decodeBeatMsg(append(append([]byte(nil), buf...), 0)); err == nil {
+		t.Fatal("beat with a trailing byte accepted")
+	}
 	buf[3] = envKindData
 	if isBeatMsg(buf) {
 		t.Fatal("kind mismatch accepted")

@@ -260,14 +260,13 @@ func TestSlabLifetime(t *testing.T) {
 	})
 
 	t.Run("in-flight forward", func(t *testing.T) {
-		// No cache, and a linger that keeps every forward queued for a
-		// while after the receive loop let go of its message: a
-		// fragment passing node 1 on its way from node 0 to node 2 is
-		// held by its hop entry alone — the slab hold SendData takes at
-		// the enqueue. Node 1 runs no query.
+		// No cache: a fragment passing node 1 on its way from node 0 to
+		// node 2 is held, once the receive loop has let go of its
+		// message, by its hop entry alone — the slab hold SendData takes
+		// at the enqueue, kept while the entry waits out the flush
+		// loop's linger. Node 1 runs no query.
 		cfg := DefaultConfig()
 		cfg.CacheBytes = 0
-		cfg.HopBatchLinger = 5 * time.Millisecond
 		r := slabRing(t, cfg)
 		var want int64
 		for _, v := range slabValues()["p.val"] {

@@ -326,8 +326,8 @@ func decodeBeatMsg(data []byte) (from int, view membership.View, err error) {
 	if count > maxBeatNodes {
 		return 0, membership.View{}, fmt.Errorf("%w: beat over %d nodes", errEnvelope, count)
 	}
-	if len(data) < beatHdrSize+count {
-		return 0, membership.View{}, fmt.Errorf("%w: beat truncated (%d of %d status bytes)",
+	if len(data) != beatHdrSize+count {
+		return 0, membership.View{}, fmt.Errorf("%w: beat carries %d status bytes, header says %d",
 			errEnvelope, len(data)-beatHdrSize, count)
 	}
 	view.Version = int64(le.Uint64(data[16:]))

@@ -1,10 +1,12 @@
 package live
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/bat"
 	"repro/internal/core"
+	"repro/internal/membership"
 )
 
 func TestEnvelopeDataRoundtrip(t *testing.T) {
@@ -47,12 +49,16 @@ func TestEnvelopeReqRoundtrip(t *testing.T) {
 	}
 }
 
-func TestEnvelopeRejectsCorruption(t *testing.T) {
-	m := core.BATMsg{BAT: 1, Size: 10}
+// corruptEnvelopes are messages the single-fragment data decoder must
+// refuse: a valid empty data envelope with one thing wrong, and a
+// well-formed v3 batch, which only the batch decoder reads.
+func corruptEnvelopes() []struct {
+	name string
+	data []byte
+} {
 	buf := make([]byte, dataHdrSize)
-	encodeDataHdr(buf, m, 0, 0)
-
-	for _, mut := range []struct {
+	encodeDataHdr(buf, core.BATMsg{BAT: 1, Size: 10}, 0, 0)
+	return []struct {
 		name string
 		data []byte
 	}{
@@ -62,14 +68,61 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 		{"bad version", append([]byte{'D', 'R', 99}, buf[3:]...)},
 		{"wrong kind", append([]byte{'D', 'R', envVersion, envKindReq}, buf[4:]...)},
 		{"length mismatch", append(append([]byte(nil), buf...), 0xFF)},
-	} {
+		{"v3 batch", encodeBatch(nil, batchCases()[:2])},
+	}
+}
+
+func TestEnvelopeRejectsCorruption(t *testing.T) {
+	for _, mut := range corruptEnvelopes() {
 		if _, _, _, err := decodeDataMsg(mut.data); err == nil {
 			t.Fatalf("%s: accepted", mut.name)
 		}
 	}
+	buf := make([]byte, dataHdrSize)
+	encodeDataHdr(buf, core.BATMsg{BAT: 1, Size: 10}, 0, 0)
 	if _, err := decodeReqMsg(buf); err == nil {
 		t.Fatal("request decoder accepted a data envelope")
 	}
+}
+
+// FuzzDataLinkMessage drives every decoder a ring link reaches with
+// arbitrary bytes. None may panic, and what the data link accepts must
+// re-encode to the input exactly: a data envelope (header plus
+// payload), a batch envelope and a beat. The request decoder reads
+// fixed fields only; it is held to not panicking.
+func FuzzDataLinkMessage(f *testing.F) {
+	for _, c := range corruptEnvelopes() {
+		f.Add(c.data)
+	}
+	f.Add([]byte{'D', 'R', envVersionBatch, envKindBatch, 2, 0, 0, 0})
+	f.Add(encodeBatch(nil, batchCases()))
+	f.Add(encodeSingle(batchCases()[1]))
+	beat := make([]byte, beatMsgSize(3))
+	encodeBeatMsg(beat, 2, membership.View{Version: 5, Status: []membership.Status{0, 1, 2}})
+	f.Add(beat)
+	var req [reqMsgSize]byte
+	encodeReqMsg(req[:], core.RequestMsg{Origin: 1, BAT: 9})
+	f.Add(req[:])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if m, ver, payload, err := decodeDataMsg(data); err == nil {
+			if !bytes.Equal(encodeSingle(batchEntry{m, ver, payload}), data) {
+				t.Fatal("accepted data envelope does not re-encode to itself")
+			}
+		}
+		if entries, err := decodeBatchMsg(data); err == nil {
+			if !bytes.Equal(encodeBatch(nil, entries), data) {
+				t.Fatal("accepted batch does not re-encode to itself")
+			}
+		}
+		if from, view, err := decodeBeatMsg(data); err == nil {
+			buf := make([]byte, beatMsgSize(len(view.Status)))
+			encodeBeatMsg(buf, from, view)
+			if !bytes.Equal(buf, data) {
+				t.Fatal("accepted beat does not re-encode to itself")
+			}
+		}
+		decodeReqMsg(data)
+	})
 }
 
 // TestExactMessageSizing drives the exact-sizing contract end to end: a
