@@ -320,29 +320,3 @@ func (n *Node) HopStats() HopStats {
 	}
 	return s
 }
-
-// HopStats sums the hop-transport counters over every node.
-func (r *Ring) HopStats() HopStats {
-	var total HopStats
-	for _, n := range r.nodeList() {
-		s := n.HopStats()
-		total.Msgs += s.Msgs
-		total.Singles += s.Singles
-		total.Batches += s.Batches
-		total.Frags += s.Frags
-		for i := range total.Fill {
-			total.Fill[i] += s.Fill[i]
-		}
-		total.Bytes += s.Bytes
-		if s.MaxMsg > total.MaxMsg {
-			total.MaxMsg = s.MaxMsg
-		}
-		total.Parked += s.Parked
-		total.ParkedTotal += s.ParkedTotal
-		total.Unparked += s.Unparked
-		total.PoolAcquires += s.PoolAcquires
-		total.PoolWaits += s.PoolWaits
-		total.WireSyscalls += s.WireSyscalls
-	}
-	return total
-}
