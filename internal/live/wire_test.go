@@ -56,8 +56,7 @@ func corruptEnvelopes() []struct {
 	name string
 	data []byte
 } {
-	buf := make([]byte, dataHdrSize)
-	encodeDataHdr(buf, core.BATMsg{BAT: 1, Size: 10}, 0, 0)
+	buf := emptyDataEnvelope()
 	return []struct {
 		name string
 		data []byte
@@ -78,11 +77,14 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 			t.Fatalf("%s: accepted", mut.name)
 		}
 	}
-	buf := make([]byte, dataHdrSize)
-	encodeDataHdr(buf, core.BATMsg{BAT: 1, Size: 10}, 0, 0)
-	if _, err := decodeReqMsg(buf); err == nil {
+	if _, err := decodeReqMsg(emptyDataEnvelope()); err == nil {
 		t.Fatal("request decoder accepted a data envelope")
 	}
+}
+
+// emptyDataEnvelope is a valid data envelope with no payload.
+func emptyDataEnvelope() []byte {
+	return encodeSingle(batchEntry{m: core.BATMsg{BAT: 1, Size: 10}})
 }
 
 // FuzzDataLinkMessage drives every decoder a ring link reaches with
