@@ -142,7 +142,7 @@ func TestJoinPropagatesHeadSortedness(t *testing.T) {
 func TestJoinDenseDenseIsView(t *testing.T) {
 	// [dense|dense] ⋈ [dense|vals] — the overlap is one contiguous run.
 	pos := New("pos", DenseColumn(0, 10), DenseColumn(5, 10)) // tail oids 5..14
-	vals := MakeInts("vals", []int64{0, 1, 2, 3, 4, 5, 6, 7})  // head oids 0..7
+	vals := MakeInts("vals", []int64{0, 1, 2, 3, 4, 5, 6, 7}) // head oids 0..7
 	j := pos.Join(vals)
 	if j.Len() != 3 { // overlap of [5,15) and [0,8) = [5,8)
 		t.Fatalf("dense-dense join = %d rows, want 3", j.Len())
@@ -219,7 +219,7 @@ func TestSemijoinDiffPropagation(t *testing.T) {
 
 func TestSemijoinDenseDenseView(t *testing.T) {
 	a := New("a", DenseColumn(3, 5), IntColumn([]int64{1, 2, 3, 4, 5})) // heads 3..7
-	b := New("b", DenseColumn(5, 10), IntColumn(make([]int64, 10)))    // heads 5..14
+	b := New("b", DenseColumn(5, 10), IntColumn(make([]int64, 10)))     // heads 5..14
 	got := a.Semijoin(b)
 	if want := []int64{3, 4, 5}; !reflect.DeepEqual(intsOf(got), want) { // heads 5,6,7
 		t.Fatalf("dense-dense semijoin = %v, want %v", intsOf(got), want)

@@ -1,7 +1,7 @@
 package live
 
 import (
-	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -138,64 +138,72 @@ func TestRegionAcquiresEveryFragmentUpFront(t *testing.T) {
 // TestCachelessRegionNeverResends serves Q6ish from two nodes of a
 // cache-less ring at once. Every fragment is waited for at most once
 // per query — the region registers each pin once, up front — and no
-// request ever sits out the resend timer.
+// request ever sits out the resend timer. With one fragment per column
+// every pin is a one-part map, and the map itself releases what it
+// pinned.
 func TestCachelessRegionNeverResends(t *testing.T) {
 	db := tpch.GenDB(0.001, 18)
-	cfg := DefaultConfig()
-	cfg.Transport = TCP
-	cfg.FragmentRows = 1024
-	cfg.CacheBytes = 0
-	r, err := NewRing(3, db.ColumnMap(), db.Schema(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
 	want := q6ishReference(t, db, db.ColumnMap()["lineitem.l_quantity"])
+	for _, rows := range []int{1024, 1 << 20} {
+		t.Run(fmt.Sprintf("FragmentRows=%d", rows), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Transport = TCP
+			cfg.FragmentRows = rows
+			cfg.CacheBytes = 0
+			r, err := NewRing(3, db.ColumnMap(), db.Schema(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
 
-	const queries = 8
-	var wg sync.WaitGroup
-	for node := 0; node < 2; node++ {
-		wg.Add(1)
-		go func(node int) {
-			defer wg.Done()
-			for i := 0; i < queries; i++ {
-				rs, err := r.Node(node).ExecSQL(tpch.Q6ishSQL)
-				if err != nil {
-					t.Errorf("node %d: %v", node, err)
-					return
-				}
-				if got := rs.Rows(); !maltest.SameRows(want, got) {
-					t.Errorf("node %d answered %v, want %v", node, got, want)
-					return
-				}
+			const queries = 8
+			var wg sync.WaitGroup
+			for node := 0; node < 2; node++ {
+				wg.Add(1)
+				go func(node int) {
+					defer wg.Done()
+					for i := 0; i < queries; i++ {
+						rs, err := r.Node(node).ExecSQL(tpch.Q6ishSQL)
+						if err != nil {
+							t.Errorf("node %d: %v", node, err)
+							return
+						}
+						if got := rs.Rows(); !maltest.SameRows(want, got) {
+							t.Errorf("node %d answered %v, want %v", node, got, want)
+							return
+						}
+					}
+				}(node)
 			}
-		}(node)
-	}
-	wg.Wait()
-	for node := 0; node < 2; node++ {
-		n := r.Node(node)
-		away := 0
-		for _, col := range []string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"} {
-			ids, _ := r.Fragments("lineitem." + col)
-			for _, id := range ids {
-				if r.ownerOf(id) != n {
-					away++
+			wg.Wait()
+			for node := 0; node < 2; node++ {
+				n := r.Node(node)
+				away := 0
+				for _, col := range []string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"} {
+					ids, _ := r.Fragments("lineitem." + col)
+					for _, id := range ids {
+						if r.ownerOf(id) != n {
+							away++
+						}
+					}
 				}
+				if waits := n.CacheStats().RingWaits; waits > int64(queries*away) {
+					t.Errorf("node %d: %d ring waits over %d queries, at most %d fragments away each", node, waits, queries, away)
+				}
+				if st := n.Stats(); st.Resends != 0 {
+					t.Errorf("node %d: %d resends on a lossless ring", node, st.Resends)
+				}
+				checkNothingHeld(t, n)
 			}
-		}
-		if waits := n.CacheStats().RingWaits; waits > int64(queries*away) {
-			t.Errorf("node %d: %d ring waits over %d queries, at most %d fragments away each", node, waits, queries, away)
-		}
-		if st := n.Stats(); st.Resends != 0 {
-			t.Errorf("node %d: %d resends on a lossless ring", node, st.Resends)
-		}
-		checkNothingHeld(t, n)
+		})
 	}
 }
 
-// TestUpdateKeepsFragmentBoundaries: a new version of unchanged length
-// is cut where the current one is, so the column stays aligned with the
-// rest of its table; only a new length re-divides.
+// TestUpdateKeepsFragmentBoundaries: a new version is cut where the
+// current one is, so the column stays aligned with the rest of its
+// table, and a version of another length is refused: its version and
+// boundaries stay as they were, and a query on the table answers what
+// mal.Run answers on the columns before the refused update.
 func TestUpdateKeepsFragmentBoundaries(t *testing.T) {
 	cols, schema := fragColumns(2000)
 	cfg := DefaultConfig()
@@ -206,93 +214,56 @@ func TestUpdateKeepsFragmentBoundaries(t *testing.T) {
 	}
 	defer r.Close()
 	base := fragLens(t, r, "big.k")
-	resize := func(rows int) {
-		t.Helper()
-		if _, err := r.UpdateColumn("big.v", func(*bat.BAT) *bat.BAT {
-			return bat.MakeInts("big.v", make([]int64, rows))
-		}); err != nil {
-			t.Fatal(err)
-		}
+	update := func(vals []int64) (int, error) {
+		return r.UpdateColumn("big.v", func(*bat.BAT) *bat.BAT { return bat.MakeInts("big.v", vals) })
 	}
-	resize(2000)
+
+	doubled := make([]int64, 2000)
+	for i := range doubled {
+		doubled[i] = cols["big.v"].Tail().Int(i) * 2
+	}
+	if v, err := update(doubled); err != nil || v != 1 {
+		t.Fatalf("same-length update: version %d, err %v", v, err)
+	}
 	if got := fragLens(t, r, "big.v"); !reflect.DeepEqual(got, base) {
 		t.Fatalf("same-length update moved the boundaries: %v, sibling column %v", got, base)
 	}
-	resize(2100)
-	even := fragLens(t, r, "big.v")
-	if reflect.DeepEqual(even[:7], base[:7]) {
-		t.Fatalf("a longer version kept the old boundaries: %v", even)
-	}
-	resize(2100)
-	if got := fragLens(t, r, "big.v"); !reflect.DeepEqual(got, even) {
-		t.Fatalf("same-length update moved the boundaries: %v, before %v", got, even)
-	}
-}
 
-// TestRegionFallsBackWhenColumnsUnalign: after one column of a table
-// changes length its fragments no longer cover the rows its siblings'
-// do. The map notices on the first part that pins both, refuses, leaves
-// nothing pinned — and the query runs the region once over whole
-// columns, answering what mal.Run answers on them.
-func TestRegionFallsBackWhenColumnsUnalign(t *testing.T) {
-	cols, schema := fragColumns(2000)
-	cfg := DefaultConfig()
-	cfg.FragmentRows = 256
-	r, err := NewRing(3, cols, schema, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
 	longer := make([]int64, 2100)
 	for i := range longer {
 		longer[i] = int64(i*37) % 10000
 	}
-	if _, err := r.UpdateColumn("big.v", func(*bat.BAT) *bat.BAT { return bat.MakeInts("big.v", longer) }); err != nil {
-		t.Fatal(err)
+	if v, err := update(longer); err == nil {
+		t.Fatalf("a 2,100-row version of a 2,000-row column was installed as version %d", v)
 	}
-
-	n := r.Node(1)
-	dc := &queryDC{n: n, q: 1<<16 | core.QueryID(n.id)}
-	hv, _ := dc.Request("sys", "big", "v")
-	hk, _ := dc.Request("sys", "big", "k")
-	_, err = dc.PinMap([]mal.Value{hv, hk}, func(p mal.DCRuntime) (mal.Value, error) {
-		for slot := 0; slot < 2; slot++ {
-			v, err := p.Pin(mal.Slot(slot))
-			if err != nil {
-				return nil, err
-			}
-			if err := p.Unpin(v); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-	})
-	if !errors.Is(err, mal.ErrUnaligned) {
-		t.Fatalf("PinMap over misaligned columns: err = %v, want ErrUnaligned", err)
+	if v, _ := r.Version("big.v"); v != 1 {
+		t.Fatalf("refused update left version %d, want 1", v)
 	}
-	n.mu.Lock()
-	n.rt.CancelQuery(dc.q, dc.bats)
-	n.mu.Unlock()
-	checkNothingHeld(t, n)
+	if got := fragLens(t, r, "big.v"); !reflect.DeepEqual(got, base) {
+		t.Fatalf("refused update moved the boundaries: %v, sibling column %v", got, base)
+	}
 
 	const q = "select sum(v), count(*) from big where v >= 100 and k < 5"
 	plan, err := minisql.Compile(q, schema, "sys")
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole := catalogOf{"big.v": bat.MakeInts("big.v", longer), "big.k": cols["big.k"]}
+	whole := catalogOf{"big.v": bat.MakeInts("big.v", doubled), "big.k": cols["big.k"]}
 	ref, err := mal.Run(&mal.Context{Registry: mal.Standard(), Catalog: whole}, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := n.ExecSQL(q)
-	if err != nil {
-		t.Fatal(err)
+	for node := 0; node < r.Size(); node++ {
+		n := r.Node(node)
+		rs, err := n.ExecSQL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, got := ref.(*mal.ResultSet).Rows(), rs.Rows(); !reflect.DeepEqual(want, got) {
+			t.Fatalf("node %d answered %v, whole columns say %v", node, got, want)
+		}
+		checkNothingHeld(t, n)
 	}
-	if want, got := ref.(*mal.ResultSet).Rows(), rs.Rows(); !reflect.DeepEqual(want, got) {
-		t.Fatalf("fallback answered %v, whole columns say %v", got, want)
-	}
-	checkNothingHeld(t, n)
 }
 
 // TestRegionFailureLeaksNothing fails a query in the middle of its

@@ -15,8 +15,8 @@ import (
 //     first-class fragments with their own LOI-governed life;
 //   - updates (§6.4): multi-version columns — a new version replaces
 //     the owner's copy while readers of the old version continue
-//     undisturbed (BAT immutability gives MVCC for free); fragmented
-//     columns re-divide the new version over the existing fragments,
+//     undisturbed (BAT immutability gives MVCC for free); a new version
+//     keeps its column's length and is cut at the existing fragments,
 //     each replaced at its own owner;
 //   - the nomadic phase (§6.1): Submit picks the cheapest node by
 //     bidding before settling a query.
@@ -70,12 +70,8 @@ func (n *Node) Publish(name string, b *bat.BAT) (core.BATID, error) {
 // Fetch retrieves a column by name through the normal Data Cyclotron
 // path: request every fragment, wait for them to flow past (any
 // order), pin, merge, and unpin. The column comes back wide, whatever
-// width the ring holds it in. A multi-fragment column returns the
-// bat.Concat merge. A single-fragment wide column shares the pinned
-// payload zero-copy when it is in GC memory (fragments are immutable:
-// updates install a fresh version, see UpdateColumn) and is copied when
-// it is a view of a receive slab, which the ring recycles once the
-// fetch returns.
+// width the ring holds it in, and copied out of any receive slab, which
+// the ring recycles once the fetch returns.
 func (n *Node) Fetch(name string) (*bat.BAT, error) {
 	ids, ok := n.ring.Fragments(name)
 	if !ok {
@@ -90,35 +86,22 @@ func (n *Node) Fetch(name string) (*bat.BAT, error) {
 		n.mu.Unlock()
 	}()
 	dc.announce(ids)
-	if len(ids) > 1 {
-		merged, err := dc.pinMerged(&fragHandle{name: name, ids: ids})
-		if err != nil {
-			return nil, err
-		}
-		return n.ownResult(merged), nil
-	}
-	v, err := dc.Pin(ids[0])
+	merged, err := dc.pinMerged(&fragHandle{name: name, ids: ids})
 	if err != nil {
 		return nil, err
 	}
-	b := v.(*bat.BAT)
-	if err := dc.Unpin(v); err != nil {
-		return nil, err
-	}
-	// Full-length view rather than the stored BAT itself: the capped
-	// slices keep a caller's Append from growing into the owner's copy.
-	return n.ownResult(b.Slice(0, b.Len())), nil
+	return n.ownResult(merged), nil
 }
 
 // UpdateColumn applies fn to the latest version of the named column,
 // atomically installing the result as the new version (§6.4).
 // Concurrent updates of the same column serialize; readers holding the
-// previous version continue on it. For a fragmented column the current
-// fragments are merged for fn, and the new version is divided over the
-// same fragment count — fragment identity is stable, so in-flight
-// requests keep their meaning — at the same rows when its length allows,
-// with each new fragment installed at its own owner. It returns the new
-// version number (base data is version 0).
+// previous version continue on it. fn sees the current fragments merged
+// and must keep the column's row count, since a table's columns share
+// one length: a version of another length is refused with an error, and
+// nothing is installed. The new version is cut at the current fragment
+// boundaries, each fragment installed at its own owner. It returns the
+// new version number (base data is version 0).
 func (r *Ring) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error) {
 	ids, ok := r.Fragments(name)
 	if !ok {
@@ -141,32 +124,23 @@ func (r *Ring) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error
 		owner.mu.Unlock()
 		owners[i] = owner
 	}
-	cur := frags[0]
-	if len(frags) > 1 {
-		cur = bat.Concat(frags)
-	}
-	next := fn(cur)
+	next := fn(bat.Concat(frags))
 	if next == nil {
 		return 0, fmt.Errorf("live: update produced nil version")
 	}
-	// Split: at the current boundaries when the length is unchanged, so
-	// the column stays aligned with its table's other columns and
-	// fragment-local regions keep running per fragment; a new length
-	// re-divides evenly. Each fragment must fit the ring's regions.
-	spans := make([][2]int, len(ids))
 	rows := 0
-	for i, f := range frags {
-		spans[i] = [2]int{rows, rows + f.Len()}
+	for _, f := range frags {
 		rows += f.Len()
 	}
 	if next.Len() != rows {
-		spans = splitEven(next.Len(), len(ids))
+		return 0, fmt.Errorf("live: new version of %q has %d rows, the column %d: a table's columns share one length",
+			name, next.Len(), rows)
 	}
-	for i, sp := range spans {
-		frags[i] = next
-		if len(ids) > 1 {
-			frags[i] = next.Slice(sp[0], sp[1])
-		}
+	// Cut at the current boundaries; each fragment must fit the ring's
+	// regions.
+	at := 0
+	for i, f := range frags {
+		frags[i], at = next.Slice(at, at+f.Len()), at+f.Len()
 		if wire := dataHdrSize + bat.MarshalSize(frags[i]); wire > r.MaxMessage() {
 			return 0, fmt.Errorf("live: new version of %q fragment %d (%d wire bytes) exceeds ring message limit %d",
 				name, i, wire, r.MaxMessage())

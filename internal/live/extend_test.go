@@ -137,7 +137,8 @@ func TestConcurrentUpdatesSerialize(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The fetched copy may be a stale flowing version; verify at owner.
-	ringID, _ := r.BATID("t.id")
+	ids, _ := r.Fragments("t.id")
+	ringID := ids[0]
 	owner := r.ownerOf(ringID)
 	owner.mu.Lock()
 	latest := owner.store[ringID].b
@@ -171,8 +172,8 @@ func TestNomadicSubmit(t *testing.T) {
 func TestDynamicIDsDoNotCollideWithCatalog(t *testing.T) {
 	r := newTestRing(t, 2)
 	defer r.Close()
-	if id, ok := r.BATID("t.id"); !ok || id >= firstDynamicID {
-		t.Fatalf("catalog id = %d", id)
+	if ids, ok := r.Fragments("t.id"); !ok || ids[0] >= firstDynamicID {
+		t.Fatalf("catalog ids = %v", ids)
 	}
 	pid, err := r.Node(0).Publish("x.y", bat.MakeInts("x", []int64{1}))
 	if err != nil {

@@ -36,8 +36,9 @@ type colFrags struct {
 	ids []core.BATID
 }
 
-// fragHandle is the request handle for a multi-fragment column: what
-// datacyclotron.request returns and pin / aligned consume.
+// fragHandle is the request handle for a column, a list of one or more
+// fragments: what datacyclotron.request returns and pin / aligned
+// consume.
 type fragHandle struct {
 	name string
 	ids  []core.BATID
@@ -56,17 +57,6 @@ func fragmentSpans(n, rows int) [][2]int {
 			to = n
 		}
 		spans = append(spans, [2]int{from, to})
-	}
-	return spans
-}
-
-// splitEven cuts n rows into exactly k contiguous spans of near-equal
-// size (fragment identity is stable across updates, so a new column
-// version re-divides over the existing fragment count).
-func splitEven(n, k int) [][2]int {
-	spans := make([][2]int, k)
-	for i := 0; i < k; i++ {
-		spans[i] = [2]int{i * n / k, (i + 1) * n / k}
 	}
 	return spans
 }
@@ -146,58 +136,77 @@ var errPinAborted = errors.New("live: pin aborted")
 // trips under pathological sustained update pressure.
 const maxSnapshotRetries = 64
 
-// acquireFrag resolves one fragment payload for pinning, in order of
+// A fragment acquisition resolves one payload for pinning, in order of
 // preference:
 //
-//  1. hot-set cache hit, version-validated against the ring catalog at
+//  1. this node's own store: the owner pins synchronously, so there is
+//     no cache entry for its fragments (dataLoop skips own fragments)
+//     and nothing to wait for.
+//  2. hot-set cache hit, version-validated against the ring catalog at
 //     this instant: a node-local read — no waiter, no ring wait, and
 //     no ring interest: a fragment every reader holds needs no ring
 //     slot, so it idles and parks at its owner until a miss or an
 //     invalidation requests it again. Any outstanding ring interest of
 //     this query is withdrawn.
-//  2. an in-flight wait for the same (id, version) by another local pin:
+//  3. an in-flight wait for the same (id, version) by another local pin:
 //     join it instead of registering a second waiter (singleflight).
-//  3. the ring's circulation (fetchCurrent; the only path when the
+//  4. the ring's circulation (fetchCurrent; the only path when the
 //     cache is disabled).
 //
-// One rule holds on every path, cached or not: a pin never returns a
-// version below the catalog's at acquisition.
+// Steps 1 and 2 cannot wait: acquireNow takes them on the caller's
+// goroutine, and acquireWait the rest. One rule holds on every path,
+// cached or not: a pin never returns a version below the catalog's at
+// acquisition.
 //
 // viaRing reports whether the acquisition holds runtime refs (a pin and
-// a refcounted payload) the caller must release after use; node-local
-// acquisitions hold none — the payloads are immutable, and one that is
-// a view of a receive slab stays readable until the query returns (the
-// grace period, slab.go).
-// abort (nil for single pins) abandons the wait with errPinAborted.
-func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (f *fragment, viaRing bool, err error) {
+// a refcounted payload) the caller must release after use, as the
+// owner's pin and a ring delivery do; cache hits and flight followers
+// hold none — the payloads are immutable, and one that is a view of a
+// receive slab stays readable until the query returns (the grace
+// period, slab.go).
+
+// acquireNow is the first step of an acquisition and never blocks. ok
+// reports whether it completed; when it did not, it holds nothing and
+// the fragment has to come through acquireWait.
+func (d *queryDC) acquireNow(id core.BATID) (f *fragment, viaRing, ok bool, err error) {
+	n := d.n
+	n.mu.Lock()
+	if n.rt.Owns(id) {
+		// Ownership is checked in the critical section that pins, so the
+		// delivery from the store (liveEnv.Deliver) is in ch on return;
+		// the store is the catalog's version (move.go invariant 1).
+		ch := d.pinLocked(id)
+		n.mu.Unlock()
+		f, err = delivered(id, <-ch)
+		return f, err == nil, true, err
+	}
+	n.mu.Unlock()
+	if n.hot == nil {
+		return nil, false, false, nil
+	}
+	if f = n.hot.get(id, n.ring.fragVersion(id)); f == nil {
+		return nil, false, false, nil
+	}
+	// Withdraw any ring interest this query still has in id: the pin is
+	// served locally, so nothing will ever mark the runtime's request
+	// delivered and its resend timer would re-request a fragment nobody
+	// is waiting for.
+	n.mu.Lock()
+	n.rt.CancelQuery(d.q, []core.BATID{id})
+	n.mu.Unlock()
+	return f, false, true, nil
+}
+
+// acquireWait completes an acquisition acquireNow could not: it joins
+// or leads a flight, or waits for the ring. abort abandons the wait
+// with errPinAborted.
+func (d *queryDC) acquireWait(id core.BATID, abort <-chan struct{}) (f *fragment, viaRing bool, err error) {
 	n := d.n
 	if n.hot == nil {
 		return d.fetchCurrent(id, n.ring.fragVersion(id), abort)
 	}
-	// Fragments this node owns are served synchronously from the store:
-	// no cache entry exists for them (dataLoop skips own fragments), so
-	// consulting the cache would only count a miss that never involved
-	// the ring, and a flight would dedupe waits that do not wait. The
-	// owner's version is the catalog's (move.go invariant 1), read here
-	// without a second lock.
-	n.mu.Lock()
-	owned, cur := n.rt.Owns(id), n.storeVer(id)
-	n.mu.Unlock()
-	if owned {
-		return d.fetchCurrent(id, cur, abort)
-	}
 	for {
 		cur := n.ring.fragVersion(id)
-		if f := n.hot.get(id, cur); f != nil {
-			n.mu.Lock()
-			// Withdraw any ring interest this query still has in id: the
-			// pin is served locally, so nothing will ever mark the
-			// runtime's request delivered and its resend timer would
-			// re-request a fragment nobody is waiting for.
-			n.rt.CancelQuery(d.q, []core.BATID{id})
-			n.mu.Unlock()
-			return f, false, nil
-		}
 		fl, leader := n.hot.joinFlight(id, cur)
 		if leader {
 			f, viaRing, err = d.fetchCurrent(id, cur, abort)
@@ -216,7 +225,7 @@ func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (f *fragment
 			return nil, false, mal.ErrCancelled
 		case <-n.closed:
 			return nil, false, errors.New("live: ring closed")
-		case <-abort: // nil outside multi-fragment pins
+		case <-abort:
 			return nil, false, errPinAborted
 		}
 		if fl.f != nil {
@@ -228,6 +237,9 @@ func (d *queryDC) acquireFrag(id core.BATID, abort <-chan struct{}) (f *fragment
 		// The leader failed at the protocol layer; retry — the next
 		// round either hits the cache, joins a newer flight, or makes
 		// this pin the leader so the failure surfaces here too.
+		if f, viaRing, ok, err := d.acquireNow(id); ok {
+			return f, viaRing, err
+		}
 	}
 }
 
@@ -274,17 +286,12 @@ func ownerStoreRead(r *Ring, id core.BATID) *fragment {
 // local pin already holds) involves no circulation and no wait.
 func (d *queryDC) ringPin(id core.BATID, abort <-chan struct{}) (*fragment, error) {
 	n := d.n
-	ch := make(chan *fragment, 1)
 	n.mu.Lock()
-	n.waiters[waitKey{d.q, id}] = ch
-	n.rt.Pin(d.q, id)
+	ch := d.pinLocked(id)
 	n.mu.Unlock()
 	select {
 	case f := <-ch: // delivered synchronously: not a ring wait
-		if f == nil {
-			return nil, fmt.Errorf("live: BAT %d does not exist", id)
-		}
-		return f, nil
+		return delivered(id, f)
 	default:
 	}
 	start := time.Now()
@@ -292,20 +299,36 @@ func (d *queryDC) ringPin(id core.BATID, abort <-chan struct{}) (*fragment, erro
 	case f := <-ch:
 		atomic.AddInt64(&n.ringWaits, 1)
 		atomic.AddInt64(&n.ringWaitNanos, time.Since(start).Nanoseconds())
-		if f == nil {
-			return nil, fmt.Errorf("live: BAT %d does not exist", id)
-		}
-		return f, nil
+		return delivered(id, f)
 	case <-d.cancel: // nil for uncancellable callers: blocks forever
 		d.abandonPin(id, ch)
 		return nil, mal.ErrCancelled
 	case <-n.closed:
 		d.abandonPin(id, ch)
 		return nil, errors.New("live: ring closed")
-	case <-abort: // nil outside multi-fragment pins
+	case <-abort:
 		d.abandonPin(id, ch)
 		return nil, errPinAborted
 	}
+}
+
+// pinLocked registers a waiter for id and pins it at the runtime, which
+// may deliver into the returned channel before it returns. Called with
+// n.mu held.
+func (d *queryDC) pinLocked(id core.BATID) chan *fragment {
+	ch := make(chan *fragment, 1)
+	d.n.waiters[waitKey{d.q, id}] = ch
+	d.n.rt.Pin(d.q, id)
+	return ch
+}
+
+// delivered turns a waiter's delivery into a pin result: nil is the
+// runtime's verdict that id does not exist.
+func delivered(id core.BATID, f *fragment) (*fragment, error) {
+	if f == nil {
+		return nil, fmt.Errorf("live: BAT %d does not exist", id)
+	}
+	return f, nil
 }
 
 // ---------------------------------------------------------------------
@@ -314,19 +337,23 @@ func (d *queryDC) ringPin(id core.BATID, abort <-chan struct{}) (*fragment, erro
 
 // PinMap implements mal.FragmentedDC over the fragments of k columns of
 // one table: part runs once per fragment index against that index's k
-// fragments. Single-fragment handles, and columns that do not have the
-// same number of fragments, are refused with mal.ErrUnaligned.
+// fragments. The columns of a table are cut at the same rows (NewRing
+// cuts them alike, and UpdateColumn keeps a column's length and
+// boundaries), so fragment i of each covers the same rows.
 func (d *queryDC) PinMap(handles []mal.Value, part func(mal.DCRuntime) (mal.Value, error)) ([]mal.Value, error) {
 	cols := make([][]core.BATID, len(handles))
 	for j, h := range handles {
 		fh, ok := h.(*fragHandle)
-		if !ok || len(fh.ids) != len(handles[0].(*fragHandle).ids) {
-			return nil, mal.ErrUnaligned
+		if !ok {
+			return nil, fmt.Errorf("live: bad pin handle %T", h)
+		}
+		if j > 0 && len(fh.ids) != len(cols[0]) {
+			return nil, fmt.Errorf("live: %s has %d fragments, the map's first column %d", fh.name, len(fh.ids), len(cols[0]))
 		}
 		cols[j] = fh.ids
 	}
 	if len(cols) == 0 {
-		return nil, mal.ErrUnaligned
+		return nil, errors.New("live: aligned map over no columns")
 	}
 	return d.pinAligned(cols, part)
 }
@@ -378,9 +405,9 @@ func staleParts(vers [][]int) []int {
 	return stale
 }
 
-// fragAcq is one fragment acquisition of an aligned map. Its goroutine
-// fills f, viaRing and err, then closes done; out belongs to the part
-// alone.
+// fragAcq is one fragment acquisition of an aligned map. acquireNow or
+// its goroutine fills f, viaRing and err, then closes done; out belongs
+// to the part alone.
 type fragAcq struct {
 	id      core.BATID
 	done    chan struct{}
@@ -390,16 +417,19 @@ type fragAcq struct {
 	out     bool // handed to the part by Pin, not unpinned yet
 }
 
+// acquired is the done channel of an acquisition that completed inline.
+var acquired = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // partDC is the DC runtime one part of an aligned map sees: Pin(slot)
 // hands out this index's fragment of that column once it is in.
 type partDC struct {
 	d    *queryDC
 	acqs []fragAcq     // one per column
 	sem  chan struct{} // the map's kernel tokens; the running part holds one
-	// head is the head of the first fragment pinned; every other one
-	// must cover the same rows, or a candidate of one column would name
-	// rows another column's fragment does not hold.
-	head *bat.Column
 }
 
 func (p *partDC) Request(schema, table, column string) (mal.Value, error) {
@@ -423,12 +453,6 @@ func (p *partDC) Pin(handle mal.Value) (mal.Value, error) {
 	if a.err != nil {
 		return nil, a.err
 	}
-	h := a.f.b.Head()
-	if f := p.head; f == nil {
-		p.head = h
-	} else if !(h.Dense() && f.Dense() && h.Base() == f.Base() && h.Len() == f.Len()) {
-		return nil, mal.ErrUnaligned
-	}
 	a.out = true
 	return a.f.b, nil
 }
@@ -448,7 +472,7 @@ func (p *partDC) Unpin(v mal.Value) error {
 }
 
 // releaseRing drops the runtime pin and the refcounted payload a ring
-// acquisition (acquireFrag's viaRing) holds.
+// acquisition (viaRing) holds.
 func (d *queryDC) releaseRing(id core.BATID) {
 	n := d.n
 	n.mu.Lock()
@@ -458,14 +482,17 @@ func (d *queryDC) releaseRing(id core.BATID) {
 }
 
 // mapParts runs part over the fragment indexes idx. Every acquisition —
-// each index of each column — starts at once on a lightweight goroutine
-// of its own (cache hit, coalesced wait or ring circulation; arrival
-// order is the ring's business): a fragment whose pin is registered only
-// after its envelope went by costs a whole extra revolution. Parts run
-// concurrently too, but only FragWorkers of them compute at a time: a
-// part holds a kernel token except while it waits in Pin. The first
-// failure aborts the remaining waits; whatever a part did not unpin
-// itself is released before mapParts returns.
+// each index of each column — starts before any part runs: one that
+// cannot wait (acquireNow) completes on the calling goroutine, and every
+// other one on a lightweight goroutine of its own (coalesced wait or ring
+// circulation; arrival order is the ring's business), so each pin is
+// registered before any part blocks: a fragment whose pin is registered
+// only after its envelope went by costs a whole extra revolution. Parts
+// run concurrently too, the last one on the calling goroutine, but only
+// FragWorkers of them compute at a time: a part holds a kernel token
+// except while it waits in Pin. The first failure aborts the remaining
+// waits; whatever a part did not unpin itself is released before mapParts
+// returns.
 func (d *queryDC) mapParts(cols [][]core.BATID, idx []int, part func(mal.DCRuntime) (mal.Value, error), results []mal.Value, vers [][]int) error {
 	n := d.n
 	workers := n.cfg.FragWorkers
@@ -496,33 +523,46 @@ func (d *queryDC) mapParts(cols [][]core.BATID, idx []int, part func(mal.DCRunti
 		*p = partDC{d: d, sem: sem, acqs: make([]fragAcq, len(cols))}
 		for j := range cols {
 			a := &p.acqs[j]
-			a.id, a.done = cols[j][i], make(chan struct{})
+			a.id, a.done = cols[j][i], acquired
+			var ok bool
+			if a.f, a.viaRing, ok, a.err = d.acquireNow(a.id); ok {
+				continue
+			}
+			a.done = make(chan struct{})
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				a.f, a.viaRing, a.err = d.acquireFrag(a.id, abort)
+				a.f, a.viaRing, a.err = d.acquireWait(a.id, abort)
 				close(a.done)
 			}()
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			v, err := part(p)
-			<-sem
-			if err != nil {
-				if !errors.Is(err, errPinAborted) {
-					fail(err)
-				}
-				return
-			}
-			results[i] = v
-			vers[i] = make([]int, len(p.acqs))
-			for j := range p.acqs {
-				vers[i][j] = p.acqs[j].f.ver
-			}
-		}(i)
 	}
+	run := func(pi int) {
+		p, i := &parts[pi], idx[pi]
+		sem <- struct{}{}
+		v, err := part(p)
+		<-sem
+		if err != nil {
+			if !errors.Is(err, errPinAborted) {
+				fail(err)
+			}
+			return
+		}
+		results[i] = v
+		vers[i] = make([]int, len(p.acqs))
+		for j := range p.acqs {
+			vers[i][j] = p.acqs[j].f.ver
+		}
+	}
+	last := len(parts) - 1
+	for pi := 0; pi < last; pi++ {
+		wg.Add(1)
+		go func(pi int) {
+			defer wg.Done()
+			run(pi)
+		}(pi)
+	}
+	run(last)
 	wg.Wait()
 	for pi := range parts {
 		for j := range parts[pi].acqs {
@@ -537,11 +577,12 @@ func (d *queryDC) mapParts(cols [][]core.BATID, idx []int, part func(mal.DCRunti
 // pinMerged pins every fragment of h (out of order) and concatenates
 // the payloads in fragment order — a single-version snapshot of the
 // column, for the readers that need it whole (Node.Fetch, a pin outside
-// any aligned region, a region whose fragments turned out unaligned).
-// The fragments are unpinned as they are collected: payloads are
-// immutable and the merge owns its memory, so no pin needs to outlive
-// it, and the caller's later unpin of the merged value is a no-op,
-// tracked through d.merged.
+// any aligned region). A one-fragment column is the k = 1, one-part map,
+// run on the calling goroutine. The fragments are unpinned as they are
+// collected: payloads are immutable, and a view of a receive slab stays
+// readable until the query returns, so no pin needs to outlive the
+// merge, and the caller's later unpin of the merged value only drops
+// its tracking in d.merged.
 func (d *queryDC) pinMerged(h *fragHandle) (*bat.BAT, error) {
 	parts, err := d.pinAligned([][]core.BATID{h.ids}, func(dc mal.DCRuntime) (mal.Value, error) {
 		v, err := dc.Pin(mal.Slot(0))

@@ -66,9 +66,6 @@ func TestFragmentSpansMath(t *testing.T) {
 	if got := fragmentSpans(0, 4); len(got) != 1 || got[0] != [2]int{0, 0} {
 		t.Fatalf("empty: %v", got)
 	}
-	if got := splitEven(10, 3); !reflect.DeepEqual(got, [][2]int{{0, 3}, {3, 6}, {6, 10}}) {
-		t.Fatalf("splitEven: %v", got)
-	}
 }
 
 // TestFragmentedColumnSplits checks the catalog: a long column becomes

@@ -205,8 +205,8 @@ func TestCorruptBatchIsDroppedWhole(t *testing.T) {
 	cols, _ := testColumns()
 	var entries []batchEntry
 	for _, name := range r.names {
-		id, _ := r.BATID(name)
-		if r.ownerOf(id) == sender {
+		ids, _ := r.Fragments(name)
+		if id := ids[0]; r.ownerOf(id) == sender {
 			entries = append(entries, batchEntry{
 				m:       core.BATMsg{Owner: sender.id, BAT: id, Size: cols[name].Bytes(), LOI: 1},
 				payload: bat.AppendMarshal(nil, cols[name]),

@@ -48,8 +48,8 @@ type Config struct {
 	// FragmentRows bounds the rows per circulated fragment: a longer
 	// column is split into independently circulating fragments, each
 	// with its own BATID and level of interest (the granularity axis of
-	// §5). 0 disables row-based splitting (one column = one fragment,
-	// the pre-fragmentation behavior).
+	// §5). 0 puts every column in one fragment, pinned through the same
+	// aligned map as any other fragment list.
 	FragmentRows int
 	// FragWorkers bounds how many fragments of one pin a query
 	// processes concurrently as they arrive (defaults to Workers).
@@ -379,10 +379,7 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 		spans := fragmentSpans(b.Len(), cfg.FragmentRows)
 		cf := &colFrags{}
 		for _, sp := range spans {
-			fb := b
-			if len(spans) > 1 {
-				fb = b.Slice(sp[0], sp[1])
-			}
+			fb := b.Slice(sp[0], sp[1])
 			if s := bat.MarshalSize(fb) * 2; s > maxPayload {
 				maxPayload = s
 			}
@@ -527,19 +524,6 @@ func (r *Ring) Close() {
 	r.wg.Wait()
 }
 
-// BATID resolves a column name ("table.column") to its first fragment
-// id (the only fragment for unfragmented columns). Use Fragments for
-// the full per-fragment id list.
-func (r *Ring) BATID(name string) (core.BATID, bool) {
-	r.idsMu.RLock()
-	defer r.idsMu.RUnlock()
-	cf, ok := r.cols[name]
-	if !ok {
-		return 0, false
-	}
-	return cf.ids[0], true
-}
-
 // ---------------------------------------------------------------------
 // query execution
 // ---------------------------------------------------------------------
@@ -554,23 +538,16 @@ type queryDC struct {
 	cancel <-chan struct{}
 	mu     sync.Mutex
 	bats   []core.BATID
-	// pinned maps delivered BAT values back to their fragment ids:
-	// the DcOptimizer emits unpin(X) on the pinned variable (Table 2),
-	// so unpin receives the *bat.BAT, not the request handle.
-	pinned map[*bat.BAT]core.BATID
-	// local marks pinned values served node-locally from the hot-set
-	// cache (or a coalesced flight): they hold no runtime pin and no
-	// refcounted payload, so their unpin only drops the tracking.
-	local map[*bat.BAT]bool
-	// merged tracks multi-fragment pin results: their fragments were
-	// unpinned at merge time, so the plan's unpin is a no-op on them.
+	// merged tracks pin results. The DcOptimizer emits unpin(X) on the
+	// pinned variable (Table 2), and the fragments behind X were
+	// unpinned when the merge collected them, so the plan's unpin only
+	// drops the tracking.
 	merged map[*bat.BAT]bool
 }
 
-// Request implements mal.DCRuntime. A fragmented column becomes a
-// multi-fragment request: interest in every fragment is registered up
-// front so all of them start flowing, and the returned handle names the
-// whole set.
+// Request implements mal.DCRuntime. A column is a fragment list: its
+// interest is registered up front for every fragment so all of them
+// start flowing, and the returned handle names the whole list.
 func (d *queryDC) Request(schema, table, column string) (mal.Value, error) {
 	name := table + "." + column
 	ids, ok := d.n.ring.Fragments(name)
@@ -581,9 +558,6 @@ func (d *queryDC) Request(schema, table, column string) (mal.Value, error) {
 	d.bats = append(d.bats, ids...)
 	d.mu.Unlock()
 	d.announce(ids)
-	if len(ids) == 1 {
-		return ids[0], nil
-	}
 	return &fragHandle{name: name, ids: ids}, nil
 }
 
@@ -607,37 +581,16 @@ func (d *queryDC) announce(ids []core.BATID) {
 	}
 }
 
-// Pin implements mal.DCRuntime: a hot-set cache hit (validated against
-// the catalog version at this instant) returns a node-local zero-copy
-// view immediately; otherwise it blocks until the BAT flows past. A
-// multi-fragment handle pins every fragment as it arrives (any order)
-// and returns the order-preserving merge.
+// Pin implements mal.DCRuntime: it pins every fragment of the column
+// as it arrives (any order; a hot-set cache hit, validated against the
+// catalog version at this instant, is a node-local zero-copy view) and
+// returns the order-preserving merge.
 func (d *queryDC) Pin(handle mal.Value) (mal.Value, error) {
-	if h, ok := handle.(*fragHandle); ok {
-		return d.pinMerged(h)
-	}
-	id, ok := handle.(core.BATID)
+	h, ok := handle.(*fragHandle)
 	if !ok {
 		return nil, fmt.Errorf("live: bad pin handle %T", handle)
 	}
-	f, viaRing, err := d.acquireFrag(id, nil)
-	if err != nil {
-		return nil, err
-	}
-	b := f.b
-	d.mu.Lock()
-	if d.pinned == nil {
-		d.pinned = map[*bat.BAT]core.BATID{}
-	}
-	d.pinned[b] = id
-	if !viaRing {
-		if d.local == nil {
-			d.local = map[*bat.BAT]bool{}
-		}
-		d.local[b] = true
-	}
-	d.mu.Unlock()
-	return b, nil
+	return d.pinMerged(h)
 }
 
 // abandonPin unwinds a pin the caller gave up on. A concurrent Deliver
@@ -666,44 +619,17 @@ func (d *queryDC) abandonPin(id core.BATID, ch chan *fragment) {
 	n.mu.Unlock()
 }
 
-// Unpin implements mal.DCRuntime. It accepts either the request handle
-// (a BATID) or the pinned BAT value (what the DcOptimizer emits).
+// Unpin implements mal.DCRuntime on the pinned value (what the
+// DcOptimizer emits). Its fragments were already unpinned when the
+// merge collected them.
 func (d *queryDC) Unpin(handle mal.Value) error {
-	var id core.BATID
-	switch h := handle.(type) {
-	case core.BATID:
-		id = h
-	case *bat.BAT:
-		d.mu.Lock()
-		if d.merged[h] {
-			// A merged multi-fragment value: its fragments were already
-			// unpinned when their work finished.
-			delete(d.merged, h)
-			d.mu.Unlock()
-			return nil
-		}
-		mapped, ok := d.pinned[h]
-		if ok {
-			delete(d.pinned, h)
-		}
-		local := d.local[h]
-		if local {
-			delete(d.local, h)
-		}
-		d.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("live: unpin of a BAT that was never pinned")
-		}
-		if local {
-			// Served from the hot-set cache: no runtime pin and no
-			// refcounted payload were ever taken.
-			return nil
-		}
-		id = mapped
-	default:
-		return fmt.Errorf("live: bad unpin handle %T", handle)
+	b, _ := handle.(*bat.BAT)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.merged[b] {
+		return fmt.Errorf("live: unpin of %T that was never pinned", handle)
 	}
-	d.releaseRing(id)
+	delete(d.merged, b)
 	return nil
 }
 
@@ -739,7 +665,7 @@ func (n *Node) ExecPlan(plan *mal.Plan) (*mal.ResultSet, error) {
 		abort()
 		n.mu.Lock()
 		delete(n.errs, q)
-		n.releaseQuery(q, dc)
+		n.releaseQuery(q)
 		n.rt.CancelQuery(q, dc.bats)
 		n.mu.Unlock()
 	}()
@@ -782,12 +708,11 @@ func (n *Node) ExecPlan(plan *mal.Plan) (*mal.ResultSet, error) {
 	return rs, nil
 }
 
-// releaseQuery drops whatever protocol state an aborted interpreter
-// left behind: unconsumed waiter channels (including payload refs a
-// Deliver already handed them) and pins that never saw their unpin
-// instruction. Called with n.mu held, after the interpreter goroutine
-// has stopped.
-func (n *Node) releaseQuery(q core.QueryID, dc *queryDC) {
+// releaseQuery drops the waiter channels an aborted interpreter left
+// unconsumed, and the payload refs a Deliver already handed them. Every
+// other pin was released by the map that took it. Called with n.mu
+// held, after the interpreter goroutine has stopped.
+func (n *Node) releaseQuery(q core.QueryID) {
 	for key, ch := range n.waiters {
 		if key.q != q {
 			continue
@@ -804,17 +729,6 @@ func (n *Node) releaseQuery(q core.QueryID, dc *queryDC) {
 		default:
 		}
 	}
-	dc.mu.Lock()
-	for b, id := range dc.pinned {
-		if dc.local[b] {
-			continue // node-local acquisition: no runtime refs were taken
-		}
-		n.rt.Unpin(q, id)
-		n.unrefCached(id)
-	}
-	dc.pinned = nil
-	dc.local = nil
-	dc.mu.Unlock()
 }
 
 // Runtime exposes the node's DC runtime for inspection (stats).

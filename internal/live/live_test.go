@@ -180,10 +180,10 @@ func TestUnknownColumnFails(t *testing.T) {
 func TestBATIDResolution(t *testing.T) {
 	r := newTestRing(t, 2)
 	defer r.Close()
-	if _, ok := r.BATID("t.id"); !ok {
-		t.Fatal("t.id not in catalog")
+	if ids, ok := r.Fragments("t.id"); !ok || len(ids) != 1 {
+		t.Fatalf("t.id resolves to %v, want one fragment", ids)
 	}
-	if _, ok := r.BATID("nope.nope"); ok {
+	if _, ok := r.Fragments("nope.nope"); ok {
 		t.Fatal("phantom column resolved")
 	}
 }

@@ -54,7 +54,8 @@ func storedFragment(owner *Node, id core.BATID) *fragment {
 func TestWireCacheReusesMarshalledBytes(t *testing.T) {
 	r := wireCacheRing(t)
 	defer r.Close()
-	id, _ := r.BATID("c.val")
+	ids, _ := r.Fragments("c.val")
+	id := ids[0]
 	owner := r.ownerOf(id)
 	sum := sumOnReader(t, r, owner)
 
@@ -88,7 +89,8 @@ func TestWireCacheReusesMarshalledBytes(t *testing.T) {
 func TestWireCacheInvalidatedOnUpdate(t *testing.T) {
 	r := wireCacheRing(t)
 	defer r.Close()
-	id, _ := r.BATID("c.val")
+	ids, _ := r.Fragments("c.val")
+	id := ids[0]
 	owner := r.ownerOf(id)
 	sum := sumOnReader(t, r, owner)
 

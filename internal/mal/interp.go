@@ -64,17 +64,13 @@ type DCRuntime interface {
 // fragment of every column is acquired from the start, in whatever
 // order the ring delivers them. Each part is driven from one goroutine,
 // several parts at a time, and the per-index results come back in
-// fragment order. ErrUnaligned means the handles cannot be mapped —
-// they are single fragments, or their fragments do not share row
-// ranges — and the caller pins whole columns instead.
+// fragment order. The columns of one table are cut at the same rows, so
+// index i of every handle covers the same rows; a one-fragment column
+// is a map of one part.
 type FragmentedDC interface {
 	DCRuntime
 	PinMap(handles []Value, part func(DCRuntime) (Value, error)) ([]Value, error)
 }
-
-// ErrUnaligned is PinMap's refusal: nothing is left pinned, and the
-// region runs once over whole columns.
-var ErrUnaligned = errors.New("mal: fragments are not aligned")
 
 // Context carries the execution environment for one plan run.
 type Context struct {

@@ -14,9 +14,8 @@ import (
 
 // FragDC is an in-memory mal.FragmentedDC over Cols (keyed
 // "table.column"; the key is also the request handle). PinMap cuts the
-// columns it is handed at Cuts and runs the parts in Order; columns of
-// different lengths are refused, as a ring whose fragments do not line
-// up would refuse them.
+// columns it is handed, which share one length as a table's columns do,
+// at Cuts and runs the parts in Order.
 type FragDC struct {
 	Cols map[string]*bat.BAT
 	// Cuts returns an n-row column's fragment boundaries, ascending from
@@ -31,11 +30,12 @@ type FragDC struct {
 	Requests, Pins, Unpins, PinMaps, Parts int
 }
 
-// EveryRows cuts a column every rows rows.
+// EveryRows cuts a column every rows rows; rows <= 0 leaves it whole,
+// one fragment, as a ring with FragmentRows 0 does.
 func EveryRows(rows int) func(n int) []int {
 	return func(n int) []int {
 		cuts := []int{0}
-		for at := rows; at < n; at += rows {
+		for at := rows; rows > 0 && at < n; at += rows {
 			cuts = append(cuts, at)
 		}
 		return append(cuts, n)
@@ -95,9 +95,6 @@ func (d *FragDC) PinMap(handles []mal.Value, part func(mal.DCRuntime) (mal.Value
 		b, err := d.column(h)
 		if err != nil {
 			return nil, err
-		}
-		if j > 0 && b.Len() != cols[0].Len() {
-			return nil, mal.ErrUnaligned
 		}
 		cols[j] = b
 	}

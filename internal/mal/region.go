@@ -1,7 +1,6 @@
 package mal
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -110,12 +109,10 @@ func aligned(ctx *Context, args []Value) ([]Value, error) {
 		// Parts are the parallel axis: each runs its instructions in
 		// plan order, and a pin that has to wait blocks only its part.
 		parts, err := fdc.PinMap(handles, func(dc DCRuntime) (Value, error) { return r.run(ctx, dc, 1) })
-		if err == nil {
-			return r.merge(parts)
-		}
-		if !errors.Is(err, ErrUnaligned) {
+		if err != nil {
 			return nil, err
 		}
+		return r.merge(parts)
 	}
 	// Whole columns, inline: the un-outlined plan's instructions under
 	// the same dataflow rules. One worker per column is all the width a

@@ -1,7 +1,6 @@
 package mal_test
 
 import (
-	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -111,6 +110,11 @@ func TestAlignedRegionMatchesWholeColumns(t *testing.T) {
 			}
 		}
 	}
+	// A PinMap error is the query's.
+	_, err = mal.RunAll(&mal.Context{Registry: mal.Standard(), DC: &maltest.FragDC{Cols: map[string]*bat.BAT{}}}, p)
+	if err == nil || !strings.Contains(err.Error(), "does not exist") {
+		t.Fatalf("missing column: err = %v, want the runtime's own error", err)
+	}
 }
 
 // plainDC hides a FragDC's PinMap, leaving a mal.DCRuntime.
@@ -133,40 +137,13 @@ func TestAlignedRegionSharesHeads(t *testing.T) {
 	}
 }
 
-// TestAlignedRegionUnalignedFallsBack: a runtime that cannot line the
-// columns' fragments up says ErrUnaligned, and the region pins whole
-// columns instead; any other PinMap error is the query's.
-func TestAlignedRegionUnalignedFallsBack(t *testing.T) {
-	p := q6Region()
-	cols := regionTable(500, 3)
-	want, err := mal.RunAll(&mal.Context{Registry: mal.Standard(), DC: plainDC{&maltest.FragDC{Cols: cols}}}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One column a row longer: FragDC refuses the pair. The extra row's
-	// key is outside the selection, so the answer does not change.
-	longer := map[string]*bat.BAT{"t.v": cols["t.v"]}
-	k := make([]int64, 501)
-	for i := 0; i < 500; i++ {
-		k[i] = cols["t.k"].Tail().Int(i)
-	}
-	k[500] = 7
-	longer["t.k"] = bat.MakeInts("t.k", k)
-	rt := &maltest.FragDC{Cols: longer, Cuts: maltest.EveryRows(64)}
-	got, err := mal.RunAll(&mal.Context{Registry: mal.Standard(), DC: rt}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.PinMaps != 1 || rt.Parts != 0 || rt.Pins != 2 || rt.Unpins != 2 {
-		t.Fatalf("%d PinMap calls, %d parts, %d pins, %d unpins; want a refusal and one whole-column run", rt.PinMaps, rt.Parts, rt.Pins, rt.Unpins)
-	}
-	if w, g := exitRows(t, want, p), exitRows(t, got, p); !reflect.DeepEqual(w, g) {
-		t.Fatalf("fallback differs from the whole-column run:\nwant %v\ngot  %v", w[0], g[0])
-	}
-
-	_, err = mal.RunAll(&mal.Context{Registry: mal.Standard(), DC: &maltest.FragDC{Cols: map[string]*bat.BAT{}}}, p)
-	if err == nil || errors.Is(err, mal.ErrUnaligned) || !strings.Contains(err.Error(), "does not exist") {
-		t.Fatalf("missing column: err = %v, want the runtime's own error", err)
+// TestEveryRowsZeroIsOneFragment: rows <= 0 cuts nothing, as a ring
+// with FragmentRows 0 keeps each column in one fragment.
+func TestEveryRowsZeroIsOneFragment(t *testing.T) {
+	for _, rows := range []int{0, -1} {
+		if got := maltest.EveryRows(rows)(1000); !reflect.DeepEqual(got, []int{0, 1000}) {
+			t.Fatalf("EveryRows(%d) cuts 1000 rows at %v", rows, got)
+		}
 	}
 }
 

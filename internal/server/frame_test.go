@@ -35,7 +35,7 @@ func TestServedFramesMatchLocalReference(t *testing.T) {
 			t.Fatalf("%s narrows to %d bytes, want %d: the ring would serve it wide", c.name, w, c.width)
 		}
 	}
-	for _, rows := range []int{2048, 1 << 20} {
+	for _, rows := range []int{0, 2048, 1 << 20} {
 		cfg := live.DefaultConfig()
 		cfg.FragmentRows = rows
 		checkServedFrames(t, db, cfg)
