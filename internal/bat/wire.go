@@ -11,7 +11,8 @@ package bat
 //  2. Encode without intermediate buffers: AppendMarshal appends into a
 //     caller-provided (typically pooled, or NIC-registered) buffer and
 //     MarshalSize is exact, so callers can size envelopes and memory
-//     regions without slack.
+//     regions without slack. MarshalVec goes one step further for a
+//     vectored write: the 8-byte vectors stay in the column's memory.
 //  3. Never trust the bytes: UnmarshalView validates every length and
 //     offset and returns an error instead of panicking on corrupt or
 //     truncated input (see FuzzUnmarshal).
@@ -122,15 +123,54 @@ func MarshalSize(b *BAT) int {
 // so a message decoded from an 8-aligned buffer aliases its vectors.
 func AppendMarshal(dst []byte, b *BAT) []byte {
 	start := len(dst)
+	dst = appendMsgHdr(dst, start, b)
+	dst = appendPayload(appendColumnHdr(dst, b.h), start, b.h)
+	return appendPayload(appendColumnHdr(dst, b.t), start, b.t)
+}
+
+// MarshalVec returns the wire form of b as slices whose concatenation
+// is AppendMarshal(nil, b). On a little-endian host each 8-byte value
+// vector (oid, int or float of width 8) is the column's own memory;
+// the headers, the name, the padding and every other payload are
+// encoded into one buffer of exactly their size, which the slices
+// between the vectors share. A vectored write (net.Buffers) then sends
+// b without copying its values. The slices alias b, which must not
+// change until they are written.
+func MarshalVec(b *BAT) [][]byte {
+	if !hostLittle {
+		return [][]byte{AppendMarshal(nil, b)}
+	}
+	cols := [2]*Column{b.h, b.t}
+	vecs := [2][]byte{vec8(b.h), vec8(b.t)}
+	buf := make([]byte, 0, MarshalSize(b)-len(vecs[0])-len(vecs[1]))
+	buf = appendMsgHdr(buf, 0, b)
+	out := make([][]byte, 0, 5)
+	mark := 0
+	for i, c := range cols {
+		buf = appendColumnHdr(buf, c)
+		if vecs[i] == nil {
+			buf = appendPayload(buf, 0, c)
+			continue
+		}
+		// A vector is 8n bytes, so leaving it out of buf leaves every
+		// later pad (computed from len(buf)) what the message needs.
+		out = append(out, buf[mark:], vecs[i])
+		mark = len(buf)
+	}
+	if mark < len(buf) {
+		out = append(out, buf[mark:])
+	}
+	return out
+}
+
+// appendMsgHdr appends the message header and the padded name.
+func appendMsgHdr(dst []byte, start int, b *BAT) []byte {
 	var hdr [wireHdrSize]byte
 	hdr[0], hdr[1], hdr[2] = wireMagic0, wireMagic1, WireVersion
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(b.Name)))
 	dst = append(dst, hdr[:]...)
 	dst = append(dst, b.Name...)
-	dst = appendPad(dst, start)
-	dst = appendColumn(dst, start, b.h)
-	dst = appendColumn(dst, start, b.t)
-	return dst
+	return appendPad(dst, start)
 }
 
 // appendPad pads dst with zeros to an 8-byte boundary relative to
@@ -140,7 +180,8 @@ func appendPad(dst []byte, start int) []byte {
 	return append(dst, zeros[:pad8(len(dst)-start)-(len(dst)-start)]...)
 }
 
-func appendColumn(dst []byte, start int, c *Column) []byte {
+// appendColumnHdr appends c's 24-byte column header.
+func appendColumnHdr(dst []byte, c *Column) []byte {
 	var hdr [colHdrSize]byte
 	hdr[0] = byte(c.kind)
 	if c.dense {
@@ -149,7 +190,6 @@ func appendColumn(dst []byte, start int, c *Column) []byte {
 	if c.sorted {
 		hdr[1] |= colFlagSorted
 	}
-	n := c.Len()
 	base := uint64(c.base)
 	if c.kind == KInt || c.kind == KFloat {
 		hdr[2] = byte(c.Width())
@@ -159,21 +199,22 @@ func appendColumn(dst []byte, start int, c *Column) []byte {
 		base = uint64(c.narrow.ref())
 	}
 	binary.LittleEndian.PutUint64(hdr[8:], base)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(n))
-	dst = append(dst, hdr[:]...)
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(c.Len()))
+	return append(dst, hdr[:]...)
+}
+
+// appendPayload appends the values that follow c's column header.
+func appendPayload(dst []byte, start int, c *Column) []byte {
 	if c.dense {
 		return dst
 	}
 	if c.narrow != nil {
 		return appendPad(c.narrow.appendWire(dst), start)
 	}
+	if v := vec8(c); v != nil {
+		return appendLE64(dst, v)
+	}
 	switch c.kind {
-	case KOid:
-		dst = appendU64s(dst, oidsToU64(c.oids))
-	case KInt:
-		dst = appendU64s(dst, intsToU64(c.ints))
-	case KFloat:
-		dst = appendFloats(dst, c.floats)
 	case KBool:
 		word := byte(0)
 		for i, v := range c.bools {
@@ -185,7 +226,7 @@ func appendColumn(dst []byte, start int, c *Column) []byte {
 				word = 0
 			}
 		}
-		if n&7 != 0 {
+		if len(c.bools)&7 != 0 {
 			dst = append(dst, word)
 		}
 		dst = appendPad(dst, start)
@@ -219,54 +260,39 @@ func appendColumn(dst []byte, start int, c *Column) []byte {
 	return dst
 }
 
-// appendU64s appends the raw little-endian bytes of v: a single memmove
-// on little-endian hosts, a conversion loop elsewhere.
-func appendU64s(dst []byte, v []uint64) []byte {
-	if len(v) == 0 {
-		return dst
-	}
-	if hostLittle {
-		raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
-		return append(dst, raw...)
-	}
-	var b8 [8]byte
-	for _, x := range v {
-		binary.LittleEndian.PutUint64(b8[:], x)
-		dst = append(dst, b8[:]...)
-	}
-	return dst
-}
-
-func appendFloats(dst []byte, v []float64) []byte {
-	if len(v) == 0 {
-		return dst
-	}
-	if hostLittle {
-		raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
-		return append(dst, raw...)
-	}
-	var b8 [8]byte
-	for _, x := range v {
-		binary.LittleEndian.PutUint64(b8[:], math.Float64bits(x))
-		dst = append(dst, b8[:]...)
-	}
-	return dst
-}
-
-// oidsToU64 and intsToU64 reinterpret element types of identical width;
-// both are O(1).
-func oidsToU64(v []Oid) []uint64 {
-	if len(v) == 0 {
+// vec8 returns the values of a materialized 8-byte column (oid, or int
+// or float of width 8) as their bytes in host order: a view of the
+// column's memory. It is nil for any other column and for an empty one.
+func vec8(c *Column) []byte {
+	if c.dense || c.narrow != nil {
 		return nil
 	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(v))), len(v))
-}
-
-func intsToU64(v []int64) []uint64 {
-	if len(v) == 0 {
+	var p unsafe.Pointer
+	var n int
+	switch c.kind {
+	case KOid:
+		p, n = unsafe.Pointer(unsafe.SliceData(c.oids)), len(c.oids)
+	case KInt:
+		p, n = unsafe.Pointer(unsafe.SliceData(c.ints)), len(c.ints)
+	case KFloat:
+		p, n = unsafe.Pointer(unsafe.SliceData(c.floats)), len(c.floats)
+	}
+	if n == 0 {
 		return nil
 	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(v))), len(v))
+	return unsafe.Slice((*byte)(p), 8*n)
+}
+
+// appendLE64 appends host-order 8-byte values little-endian: a single
+// memmove on little-endian hosts, a conversion loop elsewhere.
+func appendLE64(dst, v []byte) []byte {
+	if hostLittle {
+		return append(dst, v...)
+	}
+	for i := 0; i < len(v); i += 8 {
+		dst = binary.LittleEndian.AppendUint64(dst, binary.NativeEndian.Uint64(v[i:]))
+	}
+	return dst
 }
 
 // wireReader is a bounds-checked cursor over an untrusted message.

@@ -2,9 +2,12 @@ package bat
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // wireCases covers every column kind and property combination the codec
@@ -316,4 +319,117 @@ func FuzzUnmarshal(f *testing.F) {
 			_ = b.Tail().Value(i)
 		}
 	})
+}
+
+// TestMarshalVecConcatenation: the slices MarshalVec returns concatenate
+// to AppendMarshal's bytes, for every head and tail form a result or a
+// fragment can take — dense, oid, wide int and float, narrow int and
+// decimal float at each width, str, bool, empty — under names of every
+// length mod 8, and each 8-byte vector among them is the column's own
+// memory.
+func TestMarshalVecConcatenation(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	tails := map[string]func(n int) *Column{
+		"dense": func(n int) *Column { return DenseColumn(Oid(rng.Intn(1000)), n) },
+		"oid": func(n int) *Column {
+			v := make([]Oid, n)
+			for i := range v {
+				v[i] = Oid(rng.Int63())
+			}
+			return OidColumn(v)
+		},
+		"int": func(n int) *Column {
+			v := make([]int64, n)
+			for i := range v {
+				v[i] = rng.Int63() - rng.Int63()
+			}
+			return IntColumn(v)
+		},
+		"float": func(n int) *Column {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = rng.NormFloat64() * 1e300
+			}
+			return FloatColumn(v)
+		},
+		"str": func(n int) *Column {
+			v := make([]string, n)
+			for i := range v {
+				v[i] = strings.Repeat("s", rng.Intn(12))
+			}
+			return StrColumn(v)
+		},
+		"bool": func(n int) *Column {
+			v := make([]bool, n)
+			for i := range v {
+				v[i] = rng.Intn(2) == 0
+			}
+			return BoolColumn(v)
+		},
+	}
+	// narrowTail is a column that narrows to width bytes: its codes span
+	// exactly [0, 2^(8·width) − 1] above a random reference, as ints or
+	// as hundredths.
+	narrowTail := func(n, width int, decimal bool) *Column {
+		ref, top := rng.Int63n(1<<40)-1<<39, int64(1)<<(8*width)-1
+		k := make([]int64, max(n, 2))
+		k[0], k[1] = ref, ref+top
+		for i := 2; i < len(k); i++ {
+			k[i] = ref + rng.Int63n(top+1)
+		}
+		rng.Shuffle(len(k), func(i, j int) { k[i], k[j] = k[j], k[i] })
+		if !decimal {
+			return Narrow(New("", DenseColumn(0, len(k)), IntColumn(k))).Tail()
+		}
+		f := make([]float64, len(k))
+		for i, x := range k {
+			f[i] = float64(x) / 100
+		}
+		return Narrow(New("", DenseColumn(0, len(f)), FloatColumn(f))).Tail()
+	}
+	for round := 0; round < 400; round++ {
+		n := rng.Intn(40)
+		if round%10 == 0 {
+			n = 0
+		}
+		name := strings.Repeat("n", round%10)
+		var tail *Column
+		var form string
+		switch pick := rng.Intn(len(tails) + 6); {
+		case pick < len(tails):
+			forms := []string{"dense", "oid", "int", "float", "str", "bool"}
+			form = forms[pick]
+			tail = tails[form](n)
+		default:
+			width, decimal := []int{1, 2, 4}[(pick-len(tails))%3], pick-len(tails) >= 3
+			form = fmt.Sprintf("narrow(width %d, decimal %v)", width, decimal)
+			tail = narrowTail(n, width, decimal)
+			if tail.Width() != width || (decimal && tail.exp == 0) {
+				t.Fatalf("%s: narrowed to width %d at 10^-%d", form, tail.Width(), tail.exp)
+			}
+		}
+		head := tails["dense"](tail.Len())
+		if rng.Intn(2) == 0 {
+			head = tails["oid"](tail.Len())
+		}
+		b := New(name, head, tail)
+		vecs := MarshalVec(b)
+		if got, want := bytes.Join(vecs, nil), AppendMarshal(nil, b); !bytes.Equal(got, want) {
+			t.Fatalf("round %d, %s tail, %d rows, name %q: MarshalVec gives %d bytes, AppendMarshal %d (or other bytes)",
+				round, form, tail.Len(), name, len(got), len(want))
+		}
+		for _, c := range []*Column{head, tail} {
+			lo, _ := c.Span()
+			if c.Width() != 8 || lo == 0 {
+				continue
+			}
+			aliased := false
+			for _, v := range vecs {
+				aliased = aliased || uintptr(unsafe.Pointer(unsafe.SliceData(v))) == lo
+			}
+			if !aliased {
+				t.Fatalf("round %d, %s tail: an 8-byte %s vector was copied, not aliased", round, form, c.Kind())
+			}
+		}
+	}
 }

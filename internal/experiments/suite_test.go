@@ -116,6 +116,24 @@ func TestTimingChecksJudgedAtFullSize(t *testing.T) {
 	}
 }
 
+// TestCachePinRatioIsTiming: the cache suite's pin p99 reduction is a
+// timing ratio, so a short run records a missed one without failing.
+func TestCachePinRatioIsTiming(t *testing.T) {
+	run := CacheRun{PinP50Micros: 100, PinP99Micros: 400, QueryP50Micros: 500, QueryP99Micros: 900}
+	cached := run
+	cached.CacheBytes, cached.Hits, cached.HitRate = 64<<20, 10, 1
+	cached.PinP99Micros = 200 // 2× below cache-off, against the 5× the gate asks
+	off := run
+	off.RingWaitMicros = 1000
+	r := &CacheResult{Repeats: 10, Runs: []CacheRun{off, cached}}
+	if err := r.Gate().Err(true); err != nil {
+		t.Fatalf("short run judged the pin ratio: %v", err)
+	}
+	if err := r.Gate().Err(false); err == nil {
+		t.Fatal("full-size run passed a 2× pin p99 reduction")
+	}
+}
+
 func TestQuantile(t *testing.T) {
 	ms := time.Millisecond
 	for _, c := range []struct {

@@ -320,7 +320,10 @@ func registerStandard(r *Registry) {
 	})
 
 	// --- sql result construction ---
-	// sql.resultSet(name1, col1, name2, col2, ...)
+	// sql.resultSet(name1, col1, name2, col2, ...) heads every column
+	// dense [0, n): a result set's rows are positions, whatever head the
+	// plan's last operator left (a projection's is the candidate list),
+	// and a dense head costs the result frame no bytes.
 	r.Register("sql", "resultSet", func(ctx *Context, args []Value) ([]Value, error) {
 		if len(args)%2 != 0 {
 			return nil, fmt.Errorf("resultSet: want name/column pairs")
@@ -336,7 +339,7 @@ func registerStandard(r *Registry) {
 				return nil, err
 			}
 			rs.Names = append(rs.Names, name)
-			rs.Cols = append(rs.Cols, col)
+			rs.Cols = append(rs.Cols, col.MarkH(0))
 		}
 		for _, c := range rs.Cols {
 			if c.Len() != rs.Cols[0].Len() {

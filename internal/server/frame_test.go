@@ -2,9 +2,12 @@ package server_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/dcclient"
 	"repro/internal/dcopt"
 	"repro/internal/live"
 	"repro/internal/mal"
@@ -24,6 +27,10 @@ import (
 // fragment per column a projection's result is a fragment's own narrow
 // column, which must be widened before it is encoded. q6ish sums the
 // decimal l_extendedprice, and wide projects it.
+// wideSQL is wide_result's projection: about half of lineitem's rows,
+// three 8-byte columns.
+const wideSQL = "select l_orderkey, l_suppkey, l_extendedprice from lineitem where l_quantity < 25"
+
 func TestServedFramesMatchLocalReference(t *testing.T) {
 	db := tpch.GenDB(0.002, 1)
 	for _, c := range []struct {
@@ -86,5 +93,93 @@ func checkServedFrames(t *testing.T, db *tpch.DB, cfg live.Config) {
 					c.name, node, cfg.FragmentRows, len(got), len(want))
 			}
 		}
+	}
+}
+
+// servedTPCH serves a 3-node ring over TPC-H at scale factor 0.002
+// (12,000 lineitem rows).
+func servedTPCH(t *testing.T, cfg server.Config) (*live.Ring, *server.Server) {
+	t.Helper()
+	db := tpch.GenDB(0.002, 1)
+	r, err := live.NewRing(3, db.ColumnMap(), db.Schema(), live.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := server.Serve(r, cfg)
+	if err != nil {
+		r.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		s.Close()
+		r.Close()
+	})
+	return r, s
+}
+
+// TestServedWideFrameHasDenseHeads: the wide projection, served over a
+// real connection, decodes to the tails the node computes, each under
+// the dense head [0, n): the candidate list does not travel.
+func TestServedWideFrameHasDenseHeads(t *testing.T) {
+	r, s := servedTPCH(t, server.DefaultConfig())
+	want, err := r.Node(1).ExecSQL(wideSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := dcclient.Dial(s.Addr(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	got, err := cl.Query(context.Background(), wideSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Cols) != 3 || got.NumRows() != want.NumRows() || want.NumRows() < 1000 {
+		t.Fatalf("%d columns of %d rows, want 3 of the node's %d", len(got.Cols), got.NumRows(), want.NumRows())
+	}
+	for i, c := range got.Cols {
+		if h := c.Head(); !h.Dense() || h.Base() != 0 {
+			t.Fatalf("column %q arrived with a %s head (dense %v, base %d)", got.Names[i], h.Kind(), h.Dense(), h.Base())
+		}
+		for row := 0; row < c.Len(); row++ {
+			if g, w := c.Tail().Value(row), want.Cols[i].Tail().Value(row); g != w {
+				t.Fatalf("column %q row %d: %v, want %v", got.Names[i], row, g, w)
+			}
+		}
+	}
+}
+
+// TestOversizedResultIsRefused: a result frame past MaxFrame is answered
+// with CodeExec before a byte of it is written. Written, the client
+// under the same limit would drop it as a transport error, retry and
+// fail over, and every node would execute the query.
+func TestOversizedResultIsRefused(t *testing.T) {
+	const limit = 64 << 10
+	cfg := server.DefaultConfig()
+	cfg.MaxFrame = limit
+	r, s := servedTPCH(t, cfg)
+	clCfg := dcclient.DefaultConfig()
+	clCfg.MaxFrame = limit
+	cl, err := dcclient.DialConfig(s.Addr(0), clCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	_, err = cl.Query(context.Background(), wideSQL)
+	var re *server.RemoteError
+	if !errors.As(err, &re) || re.Code != server.CodeExec {
+		t.Fatalf("oversized result answered %v, want a CodeExec RemoteError", err)
+	}
+	accepted := int64(0)
+	for i := 0; i < r.Size(); i++ {
+		accepted += s.Stats(i).Accepted
+	}
+	if accepted != 1 {
+		t.Fatalf("the query was accepted %d times across the ring, want once", accepted)
+	}
+	// The refusal leaves the connection in step: a scalar answers.
+	if _, err := cl.Query(context.Background(), "select count(*) from lineitem"); err != nil {
+		t.Fatalf("connection unusable after the refusal: %v", err)
 	}
 }

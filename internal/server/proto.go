@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -17,8 +18,9 @@ import (
 // A session opens with Hello/HelloOK and then alternates Query ->
 // (Result | Error). Result payloads use the bat package's native codec
 // (wire.go): each column travels exactly as it would on the storage
-// ring, and clients decode numeric columns zero-copy out of the frame
-// buffer. No gob anywhere on this path.
+// ring, the server writes its values from the column's own memory (one
+// writev per result, see ResultVec), and clients decode numeric columns
+// zero-copy out of the frame buffer. No gob anywhere on this path.
 
 // Frame types.
 const (
@@ -103,9 +105,7 @@ func (e *RemoteError) Temporary() bool {
 // intermediate buffer. Callers pass a *bufio.Writer, which coalesces
 // small frames into one segment.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	hdr[4] = typ
+	hdr := frameHeader(typ, len(payload))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -114,6 +114,14 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	}
 	_, err := w.Write(payload)
 	return err
+}
+
+// frameHeader is the 5 bytes that open a frame of n payload bytes.
+func frameHeader(typ byte, n int) [5]byte {
+	var hdr [5]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(n))
+	hdr[4] = typ
+	return hdr
 }
 
 // ReadFrame reads one frame, rejecting payloads larger than max.
@@ -248,62 +256,59 @@ func DecodeHello(payload []byte) (Hello, error) {
 //	per column: u64 blobLen (8-aligned) | bat wire bytes | pad to 8
 //
 // Column blobs start 8-aligned relative to the payload, so a client
-// decoding the frame buffer gets zero-copy numeric columns.
+// decoding the frame buffer gets zero-copy numeric columns. A bat
+// message is a whole number of 8-byte words, so the pad after a blob is
+// empty. sql.resultSet heads every column dense, so a column's blob
+// carries its values and a 24-byte head.
 
 func pad8(n int) int { return (n + 7) &^ 7 }
 
-// resultSize reports the exact number of bytes AppendResult appends
-// for rs.
-func resultSize(rs *mal.ResultSet) int {
-	n := 4
-	for _, name := range rs.Names {
-		n += 4 + len(name)
-	}
-	n = pad8(n)
-	for _, c := range rs.Cols {
-		n += 8 + pad8(bat.MarshalSize(c))
-	}
-	return n
-}
-
-// AppendResult appends the wire form of rs to dst (typically a pooled
-// buffer, see wirebuf) and returns the extended slice. A dst too small
-// for the frame is replaced once, by a buffer of exactly the final
-// size: growing a multi-megabyte frame by append copies it several
-// times over.
-func AppendResult(dst []byte, rs *mal.ResultSet) ([]byte, error) {
+// ResultVec returns the FrameResult payload for rs as slices whose
+// concatenation is the payload, and the payload's length. The count,
+// the names, the length words and the bat headers are small slices; each
+// 8-byte value vector is the result column's own memory (bat.MarshalVec),
+// so a vectored write sends a result without copying it. The slices
+// alias rs, which must not change until they are written.
+func ResultVec(rs *mal.ResultSet) ([][]byte, int, error) {
 	if len(rs.Names) != len(rs.Cols) {
-		return nil, fmt.Errorf("server: result has %d names for %d columns", len(rs.Names), len(rs.Cols))
+		return nil, 0, fmt.Errorf("server: result has %d names for %d columns", len(rs.Names), len(rs.Cols))
 	}
-	start := len(dst)
-	if need := start + resultSize(rs); need > cap(dst) {
-		dst = append(make([]byte, 0, need), dst...)
-	}
-	var b4 [4]byte
-	binary.BigEndian.PutUint32(b4[:], uint32(len(rs.Cols)))
-	dst = append(dst, b4[:]...)
+	head := 4
 	for _, name := range rs.Names {
-		binary.BigEndian.PutUint32(b4[:], uint32(len(name)))
-		dst = append(dst, b4[:]...)
-		dst = append(dst, name...)
+		head += 4 + len(name)
 	}
-	var zeros [8]byte
-	dst = append(dst, zeros[:pad8(len(dst)-start)-(len(dst)-start)]...)
+	// One buffer holds the count, the names, their pad and every
+	// column's length word.
+	buf := make([]byte, 0, pad8(head)+8*len(rs.Cols))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rs.Cols)))
+	for _, name := range rs.Names {
+		buf = append(binary.BigEndian.AppendUint32(buf, uint32(len(name))), name...)
+	}
+	buf = append(buf, make([]byte, pad8(head)-head)...)
+	vecs := make([][]byte, 0, 1+6*len(rs.Cols))
+	vecs = append(vecs, buf)
+	total := len(buf)
 	for _, c := range rs.Cols {
-		// Reserve the length word and backfill it after the append: the
-		// encode itself yields the byte count.
-		lenOff := len(dst)
-		dst = append(dst, zeros[:8]...)
-		dst = bat.AppendMarshal(dst, c)
-		binary.LittleEndian.PutUint64(dst[lenOff:], uint64(len(dst)-lenOff-8))
-		dst = append(dst, zeros[:pad8(len(dst)-start)-(len(dst)-start)]...)
+		// A bat message is a whole number of 8-byte words, so every
+		// length word and blob starts 8-aligned with no pad between.
+		n := bat.MarshalSize(c)
+		word := len(buf)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+		vecs = append(vecs, buf[word:])
+		vecs = append(vecs, bat.MarshalVec(c)...)
+		total += 8 + n
 	}
-	return dst, nil
+	return vecs, total, nil
 }
 
-// EncodeResult serializes a result set for a FrameResult payload.
+// EncodeResult serializes a result set for a FrameResult payload: the
+// flat join of ResultVec's slices.
 func EncodeResult(rs *mal.ResultSet) ([]byte, error) {
-	return AppendResult(nil, rs)
+	vecs, _, err := ResultVec(rs)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Join(vecs, nil), nil
 }
 
 // DecodeResult parses a FrameResult payload back into a result set.

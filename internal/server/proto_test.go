@@ -160,28 +160,23 @@ func TestResultRoundtrip(t *testing.T) {
 	}
 }
 
-// TestAppendResultGrowsOnce: the frame size is computed, not grown
-// into — one allocation of exactly the final size for a wide result —
-// and the bytes are the documented layout, unchanged.
-func TestAppendResultGrowsOnce(t *testing.T) {
-	const rows = 500_000
+// wideResult is wide_result's shape: rows × (int, int, float), each
+// under a dense head as sql.resultSet leaves it.
+func wideResult(rows int) *mal.ResultSet {
 	ints, floats := make([]int64, rows), make([]float64, rows)
 	for i := range ints {
 		ints[i], floats[i] = int64(i), float64(i)/4
 	}
-	wide := &mal.ResultSet{
-		Names: []string{"l_orderkey", "l_quantity", "l_extendedprice"},
-		Cols:  []*bat.BAT{bat.MakeInts("k", ints), bat.MakeInts("q", ints), bat.MakeFloats("p", floats)},
+	return &mal.ResultSet{
+		Names: []string{"l_orderkey", "l_suppkey", "l_extendedprice"},
+		Cols:  []*bat.BAT{bat.MakeInts("k", ints), bat.MakeInts("s", ints), bat.MakeFloats("p", floats)},
 	}
-	mixed := &mal.ResultSet{
-		Names: []string{"id", "name", "flag"},
-		Cols: []*bat.BAT{
-			bat.MakeInts("id", []int64{1, 2, 3}),
-			bat.MakeStrs("name", []string{"a", "", "ccc"}),
-			bat.New("flag", bat.DenseColumn(0, 3), bat.BoolColumn([]bool{true, false, true})),
-		},
-	}
-	for _, rs := range []*mal.ResultSet{wide, mixed, {}} {
+}
+
+// TestResultVecLayout: the frame bytes are the documented layout, and
+// ResultVec's slices join to them.
+func TestResultVecLayout(t *testing.T) {
+	for _, rs := range []*mal.ResultSet{mixedResult(), wideResult(5), {}} {
 		// The layout, written out the slow way.
 		want := binary.BigEndian.AppendUint32(nil, uint32(len(rs.Cols)))
 		for _, name := range rs.Names {
@@ -200,23 +195,45 @@ func TestAppendResultGrowsOnce(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%v: frame bytes changed (%d bytes, want %d)", rs.Names, len(got), len(want))
 		}
-		if cap(got) != len(got) {
-			t.Fatalf("%v: cap %d != len %d: the size is an estimate, not exact", rs.Names, cap(got), len(got))
+		vecs, n, err := ResultVec(rs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Appending behind a prefix keeps the prefix and the alignment.
-		behind, err := AppendResult([]byte("12345678"), rs)
-		if err != nil || !bytes.Equal(behind[8:], want) || string(behind[:8]) != "12345678" {
-			t.Fatalf("%v: append behind a prefix: err %v", rs.Names, err)
+		if joined := bytes.Join(vecs, nil); n != len(want) || !bytes.Equal(joined, want) {
+			t.Fatalf("%v: ResultVec joins to %d bytes and reports %d, want the %d of EncodeResult", rs.Names, len(joined), n, len(want))
 		}
 	}
-	if frame, _ := EncodeResult(wide); !bytes.HasPrefix(frame, []byte("\x00\x00\x00\x03\x00\x00\x00\x0al_orderkey")) {
+	if frame, _ := EncodeResult(mixedResult()); !bytes.HasPrefix(frame, []byte("\x00\x00\x00\x04\x00\x00\x00\x02id")) {
 		t.Fatal("frame no longer starts with the big-endian column count and first name")
 	}
-	// AllocsPerRun counts the whole process: keep the collector, which
-	// 12 MB frames would start and which allocates on its own, out of it.
+	if _, _, err := ResultVec(&mal.ResultSet{Names: []string{"a", "b"}, Cols: []*bat.BAT{bat.MakeInts("a", nil)}}); err == nil {
+		t.Fatal("two names for one column accepted")
+	}
+}
+
+// TestResultVecCopiesNoValue: building a 500,000 × 3 result's slices
+// takes as many allocations as building a 5-row one's, and a few
+// kilobytes against the frame's 12 MB: the values are not copied.
+func TestResultVecCopiesNoValue(t *testing.T) {
+	big, small := wideResult(500_000), wideResult(5)
+	// Both counts are the whole process's: keep the collector, which
+	// allocates on its own, out of them.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if allocs := testing.AllocsPerRun(5, func() { EncodeResult(wide) }); allocs > 1 {
-		t.Fatalf("encoding a %d x 3 result took %.0f allocations, want 1", rows, allocs)
+	allocs := func(rs *mal.ResultSet) float64 {
+		return testing.AllocsPerRun(5, func() { ResultVec(rs) })
+	}
+	if a, b := allocs(big), allocs(small); a != b {
+		t.Fatalf("ResultVec took %.0f allocations for 500,000 rows and %.0f for 5", a, b)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, n, err := ResultVec(big)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("ResultVec allocated %d bytes for a %d-byte frame", got, n)
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"repro/internal/mal"
 	"repro/internal/metrics"
 	"repro/internal/minisql"
-	"repro/internal/wirebuf"
 )
 
 // Config tunes the query service.
@@ -527,7 +526,7 @@ func (ns *nodeServer) handle(conn net.Conn) {
 		}
 		switch typ {
 		case FrameQuery:
-			ns.serveQuery(bw, string(payload))
+			ns.serveQuery(conn, bw, string(payload))
 		case FrameStats:
 			ns.serveStats(bw)
 		default:
@@ -557,7 +556,7 @@ func (ns *nodeServer) buildHello() Hello {
 }
 
 // serveQuery admits, executes, and answers one query.
-func (ns *nodeServer) serveQuery(bw *bufio.Writer, sql string) {
+func (ns *nodeServer) serveQuery(conn net.Conn, bw *bufio.Writer, sql string) {
 	if !ns.srv.ring.Alive(ns.nodeID) {
 		// The ring declared this node dead (a failover it did not
 		// initiate): its fragments have been re-owned elsewhere and its
@@ -593,25 +592,37 @@ func (ns *nodeServer) serveQuery(bw *bufio.Writer, sql string) {
 	rs, err := ns.exec(sql)
 	ns.latency.Observe(time.Since(start).Seconds())
 
-	if err != nil {
-		ns.failed.Inc()
-		WriteFrame(bw, FrameError, EncodeError(CodeExec, err.Error()))
-		return
+	var frame net.Buffers
+	if err == nil {
+		frame, err = resultFrame(rs, ns.srv.cfg.MaxFrame)
 	}
-	// Encode into a pooled buffer: WriteFrame has fully consumed the
-	// bytes (copied into the bufio buffer or the socket) by the time it
-	// returns, so the buffer can be recycled immediately.
-	buf := wirebuf.Get()
-	payload, err := AppendResult(buf, rs)
 	if err != nil {
-		wirebuf.Put(buf)
 		ns.failed.Inc()
 		WriteFrame(bw, FrameError, EncodeError(CodeExec, err.Error()))
 		return
 	}
 	ns.ok.Inc()
-	WriteFrame(bw, FrameResult, payload)
-	wirebuf.Put(payload)
+	// bw is empty here (handle flushes after every answer), so the frame
+	// goes straight to the socket. A failed write leaves a broken
+	// connection, which handle's next read finds.
+	frame.WriteTo(conn)
+}
+
+// resultFrame is the FrameResult for rs as one vectored write (writev):
+// the frame header, then ResultVec's slices, the result columns' values
+// among them uncopied. A frame past maxFrame is an error, found before a
+// byte is written: a client reading under the same limit would drop it
+// as a transport error and fail the query over to every other node.
+func resultFrame(rs *mal.ResultSet, maxFrame int) (net.Buffers, error) {
+	vecs, n, err := ResultVec(rs)
+	if err != nil {
+		return nil, err
+	}
+	if n > maxFrame {
+		return nil, fmt.Errorf("result frame of %d bytes exceeds the %d-byte limit", n, maxFrame)
+	}
+	hdr := frameHeader(FrameResult, n)
+	return append(net.Buffers{hdr[:]}, vecs...), nil
 }
 
 // serveStats answers one FrameStats request with the node's current
