@@ -257,6 +257,44 @@ func takeIdx[I int | int32](c *Column, idx []I) *Column {
 	return out
 }
 
+// takeOids gathers the rows at positions o − base for each OID o of a
+// list the caller has checked lies in [base, base+Len()): the positional
+// fetch at a candidate list, without an index array.
+func (c *Column) takeOids(oids []Oid, base Oid) *Column {
+	out := &Column{kind: c.kind}
+	if c.narrow != nil {
+		out.narrow, out.exp = c.narrow.takeOids(oids, base), c.exp
+		return out
+	}
+	switch {
+	case c.dense:
+		out.oids = make([]Oid, len(oids))
+		for k, o := range oids {
+			out.oids[k] = c.base + (o - base)
+		}
+	case c.kind == KOid:
+		out.oids = gather(c.oids, oids, base)
+	case c.kind == KInt:
+		out.ints = gather(c.ints, oids, base)
+	case c.kind == KFloat:
+		out.floats = gather(c.floats, oids, base)
+	case c.kind == KStr:
+		out.strs = gather(c.strs, oids, base)
+	case c.kind == KBool:
+		out.bools = gather(c.bools, oids, base)
+	}
+	return out
+}
+
+// gather returns v[o − base] for each OID o of oids.
+func gather[T any](v []T, oids []Oid, base Oid) []T {
+	out := make([]T, len(oids))
+	for k, o := range oids {
+		out[k] = v[o-base]
+	}
+	return out
+}
+
 // int32s returns row positions as int32s: idx itself, or a converted
 // copy of an []int list.
 func int32s[I int | int32](idx []I) []int32 {

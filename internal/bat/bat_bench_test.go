@@ -332,6 +332,48 @@ func BenchmarkBATDecimalQ6(b *testing.B) {
 	}
 }
 
+// BenchmarkBATFetchCand is wide_result's per-fragment fetch: 16 × 64K
+// rows with dense heads, each fragment's sorted candidate list keeping
+// ~48 % of its rows (l_quantity < 25), gathered from value columns
+// stored 8, 4, 2 and 1 bytes wide and as 2-byte decimal codes.
+func BenchmarkBATFetchCand(b *testing.B) {
+	const frag = 64 << 10
+	rng := rand.New(rand.NewSource(41))
+	qty, vals, prices := make([]int64, benchRows), make([]int64, benchRows), make([]float64, benchRows)
+	for i := range qty {
+		qty[i] = 1 + int64(rng.Intn(50))
+		vals[i] = int64(rng.Intn(200))
+		prices[i] = float64(90000+rng.Intn(10000)) / 100
+	}
+	quantity := MakeInts("q", qty)
+	var cands []*BAT
+	for at := 0; at < benchRows; at += frag {
+		cands = append(cands, quantity.Slice(at, at+frag).USelect(nil, &Bound{Value: int64(25)}))
+	}
+	for _, form := range []string{"8", "4", "2", "1", "decimal"} {
+		var frags []*BAT
+		for at := 0; at < benchRows; at += frag {
+			var f *BAT
+			if form == "decimal" {
+				f = Narrow(MakeFloats("p", prices[at:at+frag]).MarkH(Oid(at)))
+			} else {
+				var width int
+				fmt.Sscan(form, &width)
+				f = New("v", DenseColumn(Oid(at), frag), widthColumn(vals[at:at+frag], width))
+			}
+			frags = append(frags, f)
+		}
+		b.Run(form, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for k, f := range frags {
+					benchSink = cands[k].Join(f)
+				}
+			}
+		})
+	}
+}
+
 // widthColumn stores vals in the given physical width (8: wide), which
 // must hold their range.
 func widthColumn(vals []int64, width int) *Column {

@@ -45,6 +45,7 @@ type codes interface {
 	view(from, to int) codes
 	clone() codes
 	take(idx []int32) codes
+	takeOids(oids []Oid, base Oid) codes
 	appendWide(dst []int64) []int64
 	appendDecimal(dst []float64, scale float64) []float64
 	appendWire(dst []byte) []byte
@@ -88,6 +89,10 @@ func (c narrowInts[U]) take(idx []int32) codes {
 		out[k] = c.v[i]
 	}
 	return narrowInts[U]{out, c.base}
+}
+
+func (c narrowInts[U]) takeOids(oids []Oid, base Oid) codes {
+	return narrowInts[U]{gather(c.v, oids, base), c.base}
 }
 
 func (c narrowInts[U]) appendWide(dst []int64) []int64 {

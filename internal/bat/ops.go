@@ -927,6 +927,14 @@ func (b *BAT) Join(r *BAT) *BAT {
 		}
 		// Typed positional fetch.
 		oids := b.t.oids
+		if b.t.Sorted() && (len(oids) == 0 || oids[0] >= rbase && oids[len(oids)-1] < rend) {
+			// A sorted list whose first and last OIDs lie in r's head
+			// lies in it whole: the head passes through and the values
+			// are gathered straight from the OIDs, with no count pass
+			// and no index array. Every candidate list a region fetches
+			// at is sorted.
+			return &BAT{Name: b.Name, h: b.h, t: r.t.takeOids(oids, rbase)}
+		}
 		cnt := 0
 		for _, o := range oids {
 			if o >= rbase && o < rend {

@@ -188,6 +188,9 @@ func (tc alignedCase) check(t *testing.T) {
 		Cols:  tc.cols,
 		Cuts:  func(int) []int { return tc.cuts },
 		Order: func(int) []int { return tc.order },
+		// Narrow codes, as the ring stores every fragment: the
+		// selections and fetches run on them.
+		Narrow: true,
 	}
 	parts, partsErr := mal.Run(&mal.Context{Registry: mal.Standard(), DC: rt}, dc)
 	if tc.fails {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/mal"
 	"repro/internal/mal/maltest"
 	"repro/internal/minisql"
+	"repro/internal/tpch"
 )
 
 func compile(t *testing.T, src string) *mal.Plan {
@@ -234,8 +235,8 @@ func TestRegionRewrite(t *testing.T) {
 	}) {
 		t.Fatalf("sub-plan = %v:\n%s", got, dc)
 	}
-	if ex := r.Exits(); len(ex) != 1 || ex[0].Merge != mal.MergeConcat {
-		t.Fatalf("exits = %+v, want the fetched column by concat", ex)
+	if ex := r.Exits(); len(ex) != 1 || ex[0].Merge != mal.MergeTail {
+		t.Fatalf("exits = %+v, want the fetched column by its tail", ex)
 	}
 	for _, in := range dc.Instrs {
 		if in.Name() == "datacyclotron.pin" || in.Name() == "datacyclotron.unpin" {
@@ -265,6 +266,91 @@ func TestRegionRewrite(t *testing.T) {
 	if len(first.Args) != 5 || len(second.Args) != 6 || second.Args[1].IsLit() || second.Args[1].Var != first.Ret[0] {
 		t.Fatalf("the second uselect does not take the first one's list as candidates:\n%s", dc)
 	}
+}
+
+// exitMerges maps each exit of p's regions to its merge kind.
+func exitMerges(p *mal.Plan) map[mal.VarID]mal.MergeKind {
+	out := map[mal.VarID]mal.MergeKind{}
+	for _, r := range regions(p) {
+		for _, e := range r.Exits() {
+			out[e.Var] = e.Merge
+		}
+	}
+	return out
+}
+
+// TestTailExits: an exit only sql.resultSet reads leaves by its tail,
+// since the result set re-heads it dense anyway; an exit any other
+// outer instruction reads, or that is the plan's result, keeps its head
+// and leaves by concat.
+func TestTailExits(t *testing.T) {
+	kinds := func(t *testing.T, p *mal.Plan) map[mal.MergeKind]int {
+		t.Helper()
+		dc, _, err := Rewrite(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := map[mal.MergeKind]int{}
+		for _, k := range exitMerges(dc) {
+			n[k]++
+		}
+		return n
+	}
+	db := tpch.GenDB(0.0002, 1)
+	for _, c := range []struct {
+		name string
+		plan *mal.Plan
+		want map[mal.MergeKind]int
+	}{
+		{"projection", compile(t, "select id, name from t where id >= 2"), map[mal.MergeKind]int{mal.MergeTail: 2}},
+		{"sorted projection", compile(t, "select id, name from t where id >= 2 order by name"), map[mal.MergeKind]int{mal.MergeConcat: 2}},
+		{"group-by inputs", compileWith(t, tpch.Q1SQL, db.Schema()), map[mal.MergeKind]int{mal.MergeConcat: 5}},
+		{"join inputs", compileWith(t, tpch.Q3ishSQL, db.Schema()), map[mal.MergeKind]int{mal.MergeConcat: 3}},
+		{"also reversed", alsoReversed(), map[mal.MergeKind]int{mal.MergeTail: 1, mal.MergeConcat: 1}},
+		{"plan result", fetchIsResult(), map[mal.MergeKind]int{mal.MergeConcat: 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := kinds(t, c.plan); !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("exit merges %v, want %v:\n%s", got, c.want, c.plan)
+			}
+		})
+	}
+}
+
+func compileWith(t *testing.T, src string, schema minisql.Schema) *mal.Plan {
+	t.Helper()
+	p, err := minisql.Compile(src, schema, "sys")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// fetchRegion emits a selection on t.id and the fetch of t.name and
+// t.id at it: two values a region exits.
+func fetchRegion(b *mal.Builder) (name, id mal.VarID) {
+	x := b.Emit("sql", "bind", mal.L("sys"), mal.L("t"), mal.L("id"))
+	y := b.Emit("sql", "bind", mal.L("sys"), mal.L("t"), mal.L("name"))
+	c := b.Emit("algebra", "uselect", mal.V(x), mal.L(int64(2)), mal.L(nil), mal.L(true), mal.L(false))
+	return b.Emit("algebra", "join", mal.V(c), mal.V(y)), b.Emit("algebra", "join", mal.V(c), mal.V(x))
+}
+
+// alsoReversed: both fetched columns go to the result set, and one of
+// them also feeds an outer bat.reverse, which reads its head.
+func alsoReversed() *mal.Plan {
+	b := mal.NewBuilder("q")
+	name, id := fetchRegion(b)
+	rev := b.Emit("bat", "reverse", mal.V(id))
+	b.SetResult(b.Emit("sql", "resultSet", mal.L("name"), mal.V(name), mal.L("id"), mal.V(id), mal.L("rev"), mal.V(rev)))
+	return b.MustBuild()
+}
+
+// fetchIsResult: the fetched column is the plan's result, head and all.
+func fetchIsResult() *mal.Plan {
+	b := mal.NewBuilder("q")
+	name, _ := fetchRegion(b)
+	b.SetResult(name)
+	return b.MustBuild()
 }
 
 // TestCandidateArgumentMustBeLocal: a uselect whose candidate list is

@@ -178,8 +178,19 @@ func outline(p *mal.Plan, bindAt []int) []*region {
 			}
 		}
 	}
+	// A value only sql.resultSet reads leaves by its tail: the result set
+	// heads every column dense [0, n) anyway. The plan's result is read
+	// whole.
+	headRead := make([]bool, p.NVars)
+	for i, in := range p.Instrs {
+		for _, a := range in.Args {
+			if !member[i] && !a.IsLit() && in.Name() != "sql.resultSet" {
+				headRead[a.Var] = true
+			}
+		}
+	}
 	if p.Result != mal.NoVar {
-		outside[p.Result] = true
+		outside[p.Result], headRead[p.Result] = true, true
 	}
 
 	regionOf := make([]*region, len(p.Instrs))
@@ -203,8 +214,10 @@ func outline(p *mal.Plan, bindAt []int) []*region {
 		}
 		if merge, ok := aggregates[in.Name()]; ok {
 			r.exits = append(r.exits, mal.Exit{Var: in.Ret[0], Merge: merge})
-		} else if outside[in.Ret[0]] {
-			r.exits = append(r.exits, mal.Exit{Var: in.Ret[0], Merge: mal.MergeConcat})
+		} else if v := in.Ret[0]; outside[v] && headRead[v] {
+			r.exits = append(r.exits, mal.Exit{Var: v, Merge: mal.MergeConcat})
+		} else if outside[v] {
+			r.exits = append(r.exits, mal.Exit{Var: v, Merge: mal.MergeTail})
 		}
 	}
 	return regionOf

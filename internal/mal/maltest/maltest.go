@@ -24,8 +24,12 @@ type FragDC struct {
 	// Order returns the sequence the part indexes run in — the arrival
 	// order. Nil runs them last to first.
 	Order func(parts int) []int
+	// Narrow stores each fragment as the ring does: through bat.Narrow,
+	// once per fragment, so a region runs over narrow codes.
+	Narrow bool
 
-	mu sync.Mutex
+	mu     sync.Mutex
+	narrow map[fragment]*bat.BAT
 	// Calls seen, for tests that assert how a plan reached the runtime.
 	Requests, Pins, Unpins, PinMaps, Parts int
 }
@@ -72,7 +76,30 @@ func (d *FragDC) Unpin(mal.Value) error {
 	return nil
 }
 
-// fragPart serves one fragment index: Pin(slot) slices that column.
+// fragment is rows [from, to) of one column.
+type fragment struct {
+	col      *bat.BAT
+	from, to int
+}
+
+// cut returns a fragment of col, narrowed once when d.Narrow is set.
+func (d *FragDC) cut(f fragment) *bat.BAT {
+	b := f.col.Slice(f.from, f.to)
+	if !d.Narrow {
+		return b
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.narrow[f] == nil {
+		if d.narrow == nil {
+			d.narrow = map[fragment]*bat.BAT{}
+		}
+		d.narrow[f] = bat.Narrow(b)
+	}
+	return d.narrow[f]
+}
+
+// fragPart serves one fragment index: Pin(slot) cuts that column.
 type fragPart struct {
 	*FragDC
 	cols     []*bat.BAT
@@ -85,7 +112,7 @@ func (p fragPart) Pin(h mal.Value) (mal.Value, error) {
 	if !ok || int(slot) >= len(p.cols) {
 		return nil, errors.New("bad slot")
 	}
-	return p.cols[slot].Slice(p.from, p.to), nil
+	return p.cut(fragment{p.cols[slot], p.from, p.to}), nil
 }
 
 func (d *FragDC) PinMap(handles []mal.Value, part func(mal.DCRuntime) (mal.Value, error)) ([]mal.Value, error) {

@@ -33,10 +33,11 @@ const (
 	MergeAdd                     // aggr.sum and aggr.count partials
 	MergeMin                     // aggr.min partials; nil is an empty part
 	MergeMax                     // aggr.max partials; nil is an empty part
+	MergeTail                    // BATs whose reader wants the tails only: dense head [0, n)
 )
 
 func (k MergeKind) String() string {
-	return [...]string{"concat", "add", "min", "max"}[k]
+	return [...]string{"concat", "add", "min", "max", "tail"}[k]
 }
 
 // Exit is a sub-plan variable the outer plan consumes.
@@ -146,15 +147,21 @@ func (r *Region) merge(parts []Value) ([]Value, error) {
 		rows[i] = p.([]Value)
 	}
 	out := make([]Value, len(r.exits))
-	var lists [][]*bat.BAT // the concat exits, gathered together so
-	var at []int           // that shared head columns are copied once
+	var lists [][]*bat.BAT // the concat and tail exits, gathered together
+	var at []int           // so that shared columns are copied once
 	for e, ex := range r.exits {
-		if ex.Merge == MergeConcat {
+		if ex.Merge == MergeConcat || ex.Merge == MergeTail {
 			frags := make([]*bat.BAT, len(rows))
+			var off bat.Oid
 			for i, row := range rows {
 				b, ok := row[e].(*bat.BAT)
 				if !ok {
 					return nil, fmt.Errorf("region exit X%d is %T, want *bat.BAT", ex.Var, row[e])
+				}
+				if ex.Merge == MergeTail {
+					// Dense heads at the running offset fuse into one
+					// dense [0, n): only the tails are gathered.
+					b, off = b.MarkH(off), off+bat.Oid(b.Len())
 				}
 				frags[i] = b
 			}

@@ -15,8 +15,9 @@ import (
 // selective aggregate over t(k, v): requests, then one
 // datacyclotron.aligned whose sub-plan selects on k, tests v at those
 // candidates, fetches v and reduces it four ways, plus the candidate
-// list itself as a concatenated exit.
-func q6Region() *mal.Plan {
+// list and the fetched column as concatenated exits — and, with tails,
+// both again as tail exits.
+func q6Region(tails bool) *mal.Plan {
 	sub := mal.NewBuilder("sys.t")
 	k := sub.Emit("datacyclotron", "pin", mal.L(mal.Slot(0)))
 	ck := sub.Emit("algebra", "uselect", mal.V(k), mal.L(int64(2)), mal.L(int64(6)), mal.L(true), mal.L(false))
@@ -32,6 +33,9 @@ func q6Region() *mal.Plan {
 		{Var: sub.Emit("aggr", "max", mal.V(vals)), Merge: mal.MergeMax},
 		{Var: cand, Merge: mal.MergeConcat},
 		{Var: vals, Merge: mal.MergeConcat},
+	}
+	if tails {
+		exits = append(exits, mal.Exit{Var: cand, Merge: mal.MergeTail}, mal.Exit{Var: vals, Merge: mal.MergeTail})
 	}
 	region := mal.NewRegion(sub.MustBuild(), exits)
 
@@ -59,7 +63,7 @@ func regionTable(rows int, seed int64) map[string]*bat.BAT {
 	return map[string]*bat.BAT{"t.k": bat.MakeInts("t.k", k), "t.v": bat.MakeFloats("t.v", v)}
 }
 
-// exitRows renders the six exits of q6Region comparably: the scalars
+// exitRows renders the six exits of q6Region(false) comparably: the scalars
 // as one row, each concatenated BAT as its (head, tail) rows.
 func exitRows(t *testing.T, vals []mal.Value, p *mal.Plan) [][]any {
 	t.Helper()
@@ -80,7 +84,7 @@ func exitRows(t *testing.T, vals []mal.Value, p *mal.Plan) [][]any {
 // with no rows and parts with no qualifying row, whose min and max
 // partials are nil.
 func TestAlignedRegionMatchesWholeColumns(t *testing.T) {
-	p := q6Region()
+	p := q6Region(false)
 	cols := regionTable(1000, 1)
 	whole := &maltest.FragDC{Cols: cols} // used as a plain DCRuntime below
 	want, err := mal.RunAll(&mal.Context{Registry: mal.Standard(), DC: plainDC{whole}, Workers: 4}, p)
@@ -97,7 +101,7 @@ func TestAlignedRegionMatchesWholeColumns(t *testing.T) {
 		{0, 1, 2, 3, 1000},                // parts too small to qualify a row
 	} {
 		for _, order := range []func(int) []int{nil, func(n int) []int { return rand.New(rand.NewSource(9)).Perm(n) }} {
-			rt := &maltest.FragDC{Cols: cols, Cuts: func(int) []int { return cuts }, Order: order}
+			rt := &maltest.FragDC{Cols: cols, Cuts: func(int) []int { return cuts }, Order: order, Narrow: true}
 			got, err := mal.RunAll(&mal.Context{Registry: mal.Standard(), DC: rt, Workers: 4}, p)
 			if err != nil {
 				t.Fatalf("cuts %v: %v", cuts, err)
@@ -124,8 +128,8 @@ type plainDC struct{ mal.DCRuntime }
 // through, so the concatenated candidate list and fetched column come
 // back over one head column, copied once.
 func TestAlignedRegionSharesHeads(t *testing.T) {
-	p := q6Region()
-	rt := &maltest.FragDC{Cols: regionTable(1000, 2), Cuts: maltest.EveryRows(128)}
+	p := q6Region(false)
+	rt := &maltest.FragDC{Cols: regionTable(1000, 2), Cuts: maltest.EveryRows(128), Narrow: true}
 	vals, err := mal.RunAll(&mal.Context{Registry: mal.Standard(), DC: rt}, p)
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +138,41 @@ func TestAlignedRegionSharesHeads(t *testing.T) {
 	cand, fetched := vals[rets[4]].(*bat.BAT), vals[rets[5]].(*bat.BAT)
 	if cand.Len() == 0 || cand.Head() != cand.Tail() || cand.Head() != fetched.Head() {
 		t.Fatalf("heads not shared: cand [%p|%p], fetched head %p (%d rows)", cand.Head(), cand.Tail(), fetched.Head(), cand.Len())
+	}
+}
+
+// TestTailMerge: a tail exit is its concat twin re-headed dense [0, n),
+// with the same tails, over cuts with empty parts anywhere and over no
+// rows at all.
+func TestTailMerge(t *testing.T) {
+	p := q6Region(true)
+	rets := p.Instrs[len(p.Instrs)-1].Ret
+	for _, c := range []struct {
+		rows int
+		cuts []int
+	}{
+		{1000, []int{0, 1000}},
+		{1000, []int{0, 0, 300, 300, 300, 1000, 1000}},
+		{1000, []int{0, 1, 2, 3, 1000}},
+		{0, []int{0, 0, 0}},
+	} {
+		rt := &maltest.FragDC{Cols: regionTable(c.rows, 3), Cuts: func(int) []int { return c.cuts }, Narrow: true}
+		vals, err := mal.RunAll(&mal.Context{Registry: mal.Standard(), DC: rt}, p)
+		if err != nil {
+			t.Fatalf("cuts %v: %v", c.cuts, err)
+		}
+		for i, concat := range rets[4:6] {
+			want, got := vals[concat].(*bat.BAT), vals[rets[6+i]].(*bat.BAT)
+			if h := got.Head(); !h.Dense() || h.Base() != 0 || got.Len() != want.Len() {
+				t.Fatalf("cuts %v, exit %d: head dense=%v base %d, %d rows; want dense [0, %d)",
+					c.cuts, 6+i, h.Dense(), h.Base(), got.Len(), want.Len())
+			}
+			for r := 0; r < want.Len(); r++ {
+				if w, g := want.Tail().Value(r), got.Tail().Value(r); w != g {
+					t.Fatalf("cuts %v, exit %d, row %d: tail %v, want %v", c.cuts, 6+i, r, g, w)
+				}
+			}
+		}
 	}
 }
 
@@ -164,13 +203,28 @@ func TestStandardRegistryIsShared(t *testing.T) {
 	mal.Standard().Register("x", "y", nil)
 }
 
-// BenchmarkAlignedRegion is the per-part path at hot_repeat's shape:
-// 1M rows in 64K-row fragments, the sub-plan run once per fragment and
-// the exits merged. CI runs it once so the path cannot panic unnoticed.
+// BenchmarkAlignedRegion is the per-part path over 1M rows in 64K-row
+// fragments, the sub-plan run once per fragment and the exits merged:
+// q6 at hot_repeat's shape, and wide, wide_result's projection of three
+// columns at a ~48 % candidate list, each leaving by its tail, over
+// fragments narrowed as the ring stores them. CI runs it once so the
+// path cannot panic unnoticed.
 func BenchmarkAlignedRegion(b *testing.B) {
-	p := q6Region()
-	rt := &maltest.FragDC{Cols: regionTable(1<<20, 4), Cuts: maltest.EveryRows(1 << 16)}
+	b.Run("q6", func(b *testing.B) {
+		rt := &maltest.FragDC{Cols: regionTable(1<<20, 4), Cuts: maltest.EveryRows(1 << 16)}
+		benchRegion(b, rt, q6Region(false))
+	})
+	b.Run("wide", func(b *testing.B) {
+		rt := &maltest.FragDC{Cols: wideTable(1<<20, 5), Cuts: maltest.EveryRows(1 << 16), Narrow: true}
+		benchRegion(b, rt, wideRegion())
+	})
+}
+
+func benchRegion(b *testing.B, rt *maltest.FragDC, p *mal.Plan) {
 	ctx := &mal.Context{Registry: mal.Standard(), DC: rt}
+	if _, err := mal.RunAll(ctx, p); err != nil { // narrows each fragment once
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -178,4 +232,55 @@ func BenchmarkAlignedRegion(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// wideTable is w(q, a, c, p) in lineitem's value ranges: a quantity of
+// 1..50, an order key, a supplier key and a two-decimal price.
+func wideTable(rows int, seed int64) map[string]*bat.BAT {
+	rng := rand.New(rand.NewSource(seed))
+	q, a, c := make([]int64, rows), make([]int64, rows), make([]int64, rows)
+	p := make([]float64, rows)
+	for i := range q {
+		q[i] = 1 + int64(rng.Intn(50))
+		a[i] = int64(i/4 + 1)
+		c[i] = 1 + int64(rng.Intn(10000))
+		p[i] = float64(90000+rng.Intn(10000000)) / 100
+	}
+	return map[string]*bat.BAT{"w.q": bat.MakeInts("w.q", q), "w.a": bat.MakeInts("w.a", a),
+		"w.c": bat.MakeInts("w.c", c), "w.p": bat.MakeFloats("w.p", p)}
+}
+
+// wideRegion is what dcopt makes of "select a, c, p from w where q <
+// 25": one selection, then three fetches at its candidates, each
+// leaving by its tail into sql.resultSet.
+func wideRegion() *mal.Plan {
+	sub := mal.NewBuilder("sys.w")
+	q := sub.Emit("datacyclotron", "pin", mal.L(mal.Slot(0)))
+	cand := sub.Emit("algebra", "uselect", mal.V(q), mal.L(nil), mal.L(int64(25)), mal.L(false), mal.L(false))
+	sub.Emit0("datacyclotron", "unpin", mal.V(q))
+	var exits []mal.Exit
+	for slot := 1; slot <= 3; slot++ {
+		col := sub.Emit("datacyclotron", "pin", mal.L(mal.Slot(slot)))
+		exits = append(exits, mal.Exit{Var: sub.Emit("algebra", "join", mal.V(cand), mal.V(col)), Merge: mal.MergeTail})
+		sub.Emit0("datacyclotron", "unpin", mal.V(col))
+	}
+	region := mal.NewRegion(sub.MustBuild(), exits)
+
+	b := mal.NewBuilder("wide")
+	args := []mal.Arg{mal.L(region)}
+	for _, c := range []string{"q", "a", "c", "p"} {
+		args = append(args, mal.V(b.Emit("datacyclotron", "request", mal.L("sys"), mal.L("w"), mal.L(c))))
+	}
+	p := b.MustBuild()
+	rets := make([]mal.VarID, len(exits)+1)
+	for i := range rets {
+		rets[i] = mal.VarID(p.NVars)
+		p.NVars++
+	}
+	p.Instrs = append(p.Instrs,
+		mal.Instr{Module: "datacyclotron", Op: "aligned", Ret: rets[:3], Args: args},
+		mal.Instr{Module: "sql", Op: "resultSet", Ret: rets[3:],
+			Args: []mal.Arg{mal.L("a"), mal.V(rets[0]), mal.L("c"), mal.V(rets[1]), mal.L("p"), mal.V(rets[2])}})
+	p.Result = rets[3]
+	return p
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"testing"
+	"time"
 
 	"repro/internal/bat"
 	"repro/internal/dcclient"
@@ -181,5 +183,36 @@ func TestOversizedResultIsRefused(t *testing.T) {
 	// The refusal leaves the connection in step: a scalar answers.
 	if _, err := cl.Query(context.Background(), "select count(*) from lineitem"); err != nil {
 		t.Fatalf("connection unusable after the refusal: %v", err)
+	}
+}
+
+// TestUndeliveredResultIsFailed: a client that sends the wide query and
+// hangs up with a reset never gets its result, so the node counts the
+// query failed, not ok.
+func TestUndeliveredResultIsFailed(t *testing.T) {
+	_, s := servedTPCH(t, server.DefaultConfig())
+	conn, err := net.Dial("tcp", s.Addr(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := server.WriteFrame(conn, server.FrameHello, []byte(server.Magic)); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := server.ReadFrame(conn, server.DefaultMaxFrame); err != nil || typ != server.FrameHelloOK {
+		t.Fatalf("handshake: frame %d, %v", typ, err)
+	}
+	if err := server.WriteFrame(conn, server.FrameQuery, []byte(wideSQL)); err != nil {
+		t.Fatal(err)
+	}
+	conn.(*net.TCPConn).SetLinger(0) // close sends a reset
+	conn.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	st := s.Stats(1)
+	for st.OK+st.Failed == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		st = s.Stats(1)
+	}
+	if st.Accepted != 1 || st.OK != 0 || st.Failed != 1 {
+		t.Fatalf("accepted %d, ok %d, failed %d; want the undelivered query failed", st.Accepted, st.OK, st.Failed)
 	}
 }

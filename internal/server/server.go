@@ -601,11 +601,14 @@ func (ns *nodeServer) serveQuery(conn net.Conn, bw *bufio.Writer, sql string) {
 		WriteFrame(bw, FrameError, EncodeError(CodeExec, err.Error()))
 		return
 	}
-	ns.ok.Inc()
 	// bw is empty here (handle flushes after every answer), so the frame
-	// goes straight to the socket. A failed write leaves a broken
-	// connection, which handle's next read finds.
-	frame.WriteTo(conn)
+	// goes straight to the socket. A result the client never got is a
+	// failed query; the broken connection is left to handle's next read.
+	if _, err := frame.WriteTo(conn); err != nil {
+		ns.failed.Inc()
+		return
+	}
+	ns.ok.Inc()
 }
 
 // resultFrame is the FrameResult for rs as one vectored write (writev):

@@ -85,7 +85,12 @@ func TestPlanCacheSkipsRecompilation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats(0)
+	// Over the same connection: the node counts a query once its answer
+	// is written, which the client may see first.
+	st, err := cl.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.PlanCacheMisses != 1 {
 		t.Fatalf("plan cache misses = %d, want 1", st.PlanCacheMisses)
 	}
@@ -113,8 +118,8 @@ func TestBadSQLKeepsConnectionUsable(t *testing.T) {
 	if _, err := cl.Query(context.Background(), "select sum(val) from c"); err != nil {
 		t.Fatalf("connection unusable after query error: %v", err)
 	}
-	if st := s.Stats(0); st.Failed != 1 || st.OK != 1 {
-		t.Fatalf("outcomes = %+v, want 1 failed + 1 ok", st)
+	if st, err := cl.Stats(context.Background()); err != nil || st.Failed != 1 || st.OK != 1 {
+		t.Fatalf("outcomes = %+v (%v), want 1 failed + 1 ok", st, err)
 	}
 }
 
@@ -318,8 +323,8 @@ func TestServeJoinedNode(t *testing.T) {
 	if len(alive) != 4 || !alive[rep.Node] {
 		t.Fatalf("refreshed routing cache: alive=%v", alive)
 	}
-	if st := s.Stats(rep.Node); st.OK == 0 {
-		t.Fatalf("joined node's served stats missed its query: %+v", st)
+	if st, err := jcl.Stats(ctx); err != nil || st.OK == 0 {
+		t.Fatalf("joined node's served stats missed its query: %+v (%v)", st, err)
 	}
 }
 
