@@ -205,92 +205,65 @@ func (c *Column) Append(v any) {
 }
 
 // take returns a new column with the rows at the given positions.
-func (c *Column) take(idx []int) *Column { return takeIdx(c, idx) }
+func (c *Column) take(idx []int) *Column { return takeIdx(c, idx, 0) }
 
 // take32 is take over the compact int32 row indexes the typed kernels
 // produce.
-func (c *Column) take32(idx []int32) *Column { return takeIdx(c, idx) }
-
-// takeIdx gathers the rows at the given positions into a fresh
-// materialized column. It is generic over the index width so the typed
-// kernels can carry int32 row ids (half the memory traffic of int on
-// 64-bit) without a conversion pass.
-func takeIdx[I int | int32](c *Column, idx []I) *Column {
-	out := &Column{kind: c.kind}
-	if c.narrow != nil {
-		out.narrow, out.exp = c.narrow.take(int32s(idx)), c.exp
-		return out
-	}
-	switch c.kind {
-	case KOid:
-		out.oids = make([]Oid, len(idx))
-		if c.dense {
-			for k, i := range idx {
-				out.oids[k] = c.base + Oid(i)
-			}
-		} else {
-			for k, i := range idx {
-				out.oids[k] = c.oids[i]
-			}
-		}
-	case KInt:
-		out.ints = make([]int64, len(idx))
-		for k, i := range idx {
-			out.ints[k] = c.ints[i]
-		}
-	case KFloat:
-		out.floats = make([]float64, len(idx))
-		for k, i := range idx {
-			out.floats[k] = c.floats[i]
-		}
-	case KStr:
-		out.strs = make([]string, len(idx))
-		for k, i := range idx {
-			out.strs[k] = c.strs[i]
-		}
-	case KBool:
-		out.bools = make([]bool, len(idx))
-		for k, i := range idx {
-			out.bools[k] = c.bools[i]
-		}
-	}
-	return out
-}
+func (c *Column) take32(idx []int32) *Column { return takeIdx(c, idx, 0) }
 
 // takeOids gathers the rows at positions o − base for each OID o of a
 // list the caller has checked lies in [base, base+Len()): the positional
 // fetch at a candidate list, without an index array.
-func (c *Column) takeOids(oids []Oid, base Oid) *Column {
+func (c *Column) takeOids(oids []Oid, base Oid) *Column { return takeIdx(c, oids, base) }
+
+// index is what a gather reads positions from: row ids, or OIDs over a
+// dense head's base.
+type index interface{ int | int32 | Oid }
+
+// takeIdx gathers the rows at positions i − base for each i of idx into
+// a fresh materialized column. It is generic over the index type so the
+// typed kernels can carry int32 row ids (half the memory traffic of int
+// on 64-bit) and a fetch can read its candidate OIDs, neither with a
+// conversion pass.
+func takeIdx[I index](c *Column, idx []I, base I) *Column {
 	out := &Column{kind: c.kind}
 	if c.narrow != nil {
-		out.narrow, out.exp = c.narrow.takeOids(oids, base), c.exp
+		switch v := any(idx).(type) {
+		case []Oid:
+			out.narrow = c.narrow.takeOids(v, Oid(base))
+		case []int32:
+			out.narrow = c.narrow.take(v)
+		case []int:
+			out.narrow = c.narrow.take(int32s(v))
+		}
+		out.exp = c.exp
 		return out
 	}
 	switch {
 	case c.dense:
-		out.oids = make([]Oid, len(oids))
-		for k, o := range oids {
-			out.oids[k] = c.base + (o - base)
+		out.oids = make([]Oid, len(idx))
+		for k, i := range idx {
+			out.oids[k] = c.base + Oid(i-base)
 		}
 	case c.kind == KOid:
-		out.oids = gather(c.oids, oids, base)
+		out.oids = gather(c.oids, idx, base)
 	case c.kind == KInt:
-		out.ints = gather(c.ints, oids, base)
+		out.ints = gather(c.ints, idx, base)
 	case c.kind == KFloat:
-		out.floats = gather(c.floats, oids, base)
+		out.floats = gather(c.floats, idx, base)
 	case c.kind == KStr:
-		out.strs = gather(c.strs, oids, base)
+		out.strs = gather(c.strs, idx, base)
 	case c.kind == KBool:
-		out.bools = gather(c.bools, oids, base)
+		out.bools = gather(c.bools, idx, base)
 	}
 	return out
 }
 
-// gather returns v[o − base] for each OID o of oids.
-func gather[T any](v []T, oids []Oid, base Oid) []T {
-	out := make([]T, len(oids))
-	for k, o := range oids {
-		out[k] = v[o-base]
+// gather returns v[i − base] for each i of idx.
+func gather[T any, I index](v []T, idx []I, base I) []T {
+	out := make([]T, len(idx))
+	for k, i := range idx {
+		out[k] = v[i-base]
 	}
 	return out
 }

@@ -60,12 +60,13 @@ func fetchRef(cand, r *BAT) (heads, tails []any) {
 }
 
 // TestFetchSortedCandidates holds the positional fetch to its row-by-row
-// definition for every tail form and candidate shape. A sorted list
-// inside the value column's head is gathered straight from its OIDs:
-// the candidate head passes through, and nothing is allocated but the
-// gathered column (no index array). A list that starts below the head,
-// ends at or past its end, or is not flagged sorted takes the general
-// path to the same answer.
+// definition for every tail form and candidate shape. A sorted list is
+// checked against the value column's head by its first and last OIDs
+// alone; a list that starts below the head, ends at or past its end, or
+// is not flagged sorted is counted, to the same answer. A list that
+// lands whole is gathered straight from its OIDs: the candidate head
+// passes through, and nothing is allocated but the gathered column (no
+// index array).
 func TestFetchSortedCandidates(t *testing.T) {
 	const n, base = 300, Oid(1000)
 	rng := rand.New(rand.NewSource(41))
@@ -105,7 +106,7 @@ func TestFetchSortedCandidates(t *testing.T) {
 	}
 	for form, tail := range fetchTails(rng, n) {
 		r := New("r", DenseColumn(base, n), tail)
-		check := func(what string, oids []Oid, flagged, fast bool) {
+		check := func(what string, oids []Oid, flagged bool) {
 			t.Helper()
 			cand := candBAT(oids, flagged)
 			got := cand.Join(r)
@@ -122,29 +123,27 @@ func TestFetchSortedCandidates(t *testing.T) {
 			if len(oids) == 0 || len(heads) != len(oids) {
 				return
 			}
-			// Every row lands: the fast path allocates the gathered column
-			// and the BAT, the general one an index array besides.
+			// Every row lands: the fetch allocates the gathered column and
+			// the BAT, and no index array.
 			gather := testing.AllocsPerRun(20, func() { benchSink = tail.takeOids(oids, base) })
 			allocs := testing.AllocsPerRun(20, func() { benchSink = cand.Join(r) })
 			switch {
-			case fast && got.Head() != cand.Head():
+			case got.Head() != cand.Head():
 				t.Fatalf("%s, %s: the candidate head was copied", form, what)
-			case fast && allocs != gather+1:
+			case allocs != gather+1:
 				t.Fatalf("%s, %s: %v allocations, want the gathered column's %v and the BAT", form, what, allocs, gather)
-			case !fast && allocs <= gather+1:
-				t.Fatalf("%s, %s: %v allocations; the general path's index array is missing", form, what, allocs)
 			}
 		}
 		if form == "decimal" && tail.Width() != 2 {
 			t.Fatalf("decimal tail is %d bytes wide, want 2", tail.Width())
 		}
 		for what, oids := range inside {
-			check(what, oids, true, true)
-			check(what+", unflagged", oids, false, false)
+			check(what, oids, true)
+			check(what+", unflagged", oids, false)
 		}
 		for what, oids := range outside {
-			check(what, oids, true, false)
+			check(what, oids, true)
 		}
-		check("unsorted", shuffled, false, false)
+		check("unsorted", shuffled, false)
 	}
 }

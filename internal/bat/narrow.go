@@ -84,11 +84,7 @@ func (c narrowInts[U]) clone() codes {
 }
 
 func (c narrowInts[U]) take(idx []int32) codes {
-	out := make([]U, len(idx))
-	for k, i := range idx {
-		out[k] = c.v[i]
-	}
-	return narrowInts[U]{out, c.base}
+	return narrowInts[U]{gather(c.v, idx, 0), c.base}
 }
 
 func (c narrowInts[U]) takeOids(oids []Oid, base Oid) codes {

@@ -926,28 +926,22 @@ func (b *BAT) Join(r *BAT) *BAT {
 			return &BAT{Name: b.Name, h: b.h.view(i0, i0+cnt), t: r.t.view(j0, j0+cnt)}
 		}
 		// Typed positional fetch.
-		oids := b.t.oids
-		if b.t.Sorted() && (len(oids) == 0 || oids[0] >= rbase && oids[len(oids)-1] < rend) {
-			// A sorted list whose first and last OIDs lie in r's head
-			// lies in it whole: the head passes through and the values
-			// are gathered straight from the OIDs, with no count pass
-			// and no index array. Every candidate list a region fetches
-			// at is sorted.
-			return &BAT{Name: b.Name, h: b.h, t: r.t.takeOids(oids, rbase)}
-		}
-		cnt := 0
-		for _, o := range oids {
-			if o >= rbase && o < rend {
-				cnt++
+		// A sorted list lies in r's head whole when its first and last
+		// OIDs do, so it needs no count pass; every candidate list a
+		// region fetches at is sorted.
+		oids, cnt := b.t.oids, len(b.t.oids)
+		if !b.t.Sorted() || cnt > 0 && (oids[0] < rbase || oids[cnt-1] >= rend) {
+			cnt = 0
+			for _, o := range oids {
+				if o >= rbase && o < rend {
+					cnt++
+				}
 			}
 		}
 		if cnt == len(oids) {
-			// Every position lands: the head passes through zero-copy.
-			ri := make([]int32, cnt)
-			for i, o := range oids {
-				ri[i] = int32(o - rbase)
-			}
-			return &BAT{Name: b.Name, h: b.h, t: r.t.take32(ri)}
+			// Every position lands: the head passes through zero-copy and
+			// the values are gathered straight from the OIDs.
+			return &BAT{Name: b.Name, h: b.h, t: r.t.takeOids(oids, rbase)}
 		}
 		li := make([]int32, 0, cnt)
 		ri := make([]int32, 0, cnt)

@@ -156,13 +156,18 @@ func outline(p *mal.Plan, bindAt []int) []*region {
 	// Drop members until every column a member pins is read by members
 	// only and every member's inputs are still produced by members.
 	outside := make([]bool, p.NVars) // read by the outer plan
+	// A value only sql.resultSet reads leaves by its tail: the result set
+	// heads every column dense [0, n) anyway.
+	headRead := make([]bool, p.NVars)
 	for changed := true; changed; {
 		changed = false
 		clear(outside)
+		clear(headRead)
 		for i, in := range p.Instrs {
 			for _, a := range in.Args {
 				if !member[i] && !a.IsLit() {
 					outside[a.Var] = true
+					headRead[a.Var] = headRead[a.Var] || in.Name() != "sql.resultSet"
 				}
 			}
 		}
@@ -178,17 +183,7 @@ func outline(p *mal.Plan, bindAt []int) []*region {
 			}
 		}
 	}
-	// A value only sql.resultSet reads leaves by its tail: the result set
-	// heads every column dense [0, n) anyway. The plan's result is read
-	// whole.
-	headRead := make([]bool, p.NVars)
-	for i, in := range p.Instrs {
-		for _, a := range in.Args {
-			if !member[i] && !a.IsLit() && in.Name() != "sql.resultSet" {
-				headRead[a.Var] = true
-			}
-		}
-	}
+	// The plan's result is read whole.
 	if p.Result != mal.NoVar {
 		outside[p.Result], headRead[p.Result] = true, true
 	}
