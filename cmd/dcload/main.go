@@ -26,7 +26,6 @@ import (
 	dc "repro"
 	"repro/internal/dcclient"
 	"repro/internal/experiments"
-	"repro/internal/live"
 	"repro/internal/tpch"
 )
 
@@ -37,7 +36,6 @@ func main() {
 		nodes     = flag.Int("nodes", 4, "ring size (selfserve)")
 		sf        = flag.Float64("sf", 0.0005, "TPC-H scale factor (selfserve)")
 		seed      = flag.Int64("seed", 1, "data generator seed (selfserve)")
-		transport = flag.String("transport", "inproc", "ring interconnect: inproc or tcp (selfserve)")
 		inflight  = flag.Int("inflight", 8, "max in-flight queries per node (selfserve)")
 		queue     = flag.Int("queue", 64, "max queued queries per node (selfserve)")
 		clients   = flag.Int("clients", 64, "concurrent client sessions")
@@ -61,7 +59,7 @@ func main() {
 	)
 	switch {
 	case *selfserve:
-		served, err := startRing(*nodes, *sf, *seed, *transport, *inflight, *queue, *replicas, *hb)
+		served, err := startRing(*nodes, *sf, *seed, *inflight, *queue, *replicas, *hb)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dcload:", err)
 			os.Exit(1)
@@ -294,16 +292,8 @@ func eachStats(targets []string, what string, fn func(dc.ServerNodeStats)) {
 	}
 }
 
-func startRing(nodes int, sf float64, seed int64, transport string, inflight, queue, replicas int, hb time.Duration) (*experiments.Served, error) {
+func startRing(nodes int, sf float64, seed int64, inflight, queue, replicas int, hb time.Duration) (*experiments.Served, error) {
 	ringCfg := dc.DefaultLiveConfig()
-	switch transport {
-	case "inproc":
-		ringCfg.Transport = live.InProc
-	case "tcp":
-		ringCfg.Transport = live.TCP
-	default:
-		return nil, fmt.Errorf("unknown transport %q", transport)
-	}
 	ringCfg.Replicas = replicas
 	if hb > 0 {
 		ringCfg.Heartbeat.HeartbeatInterval = hb

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dcserve -nodes 4 -sf 0.001
-//	dcserve -nodes 4 -inflight 8 -queue 64 -transport tcp
+//	dcserve -nodes 4 -inflight 8 -queue 64
 //
 // It prints one "node <i>: <addr>" line per listener, then serves until
 // SIGINT/SIGTERM, draining in-flight queries before exiting.
@@ -20,36 +20,23 @@ import (
 	"time"
 
 	dc "repro"
-	"repro/internal/live"
 	"repro/internal/tpch"
 )
 
 func main() {
 	var (
-		nodes     = flag.Int("nodes", 4, "ring size")
-		sf        = flag.Float64("sf", 0.001, "TPC-H scale factor for the generated data")
-		seed      = flag.Int64("seed", 1, "data generator seed")
-		addr      = flag.String("addr", "127.0.0.1:0", "base listen address (port 0 = ephemeral per node; concrete port P serves node i on P+i)")
-		inflight  = flag.Int("inflight", 8, "max concurrently executing queries per node")
-		queue     = flag.Int("queue", 64, "max queries waiting for a slot per node")
-		transport = flag.String("transport", "inproc", "ring interconnect: inproc or tcp")
+		nodes    = flag.Int("nodes", 4, "ring size")
+		sf       = flag.Float64("sf", 0.001, "TPC-H scale factor for the generated data")
+		seed     = flag.Int64("seed", 1, "data generator seed")
+		addr     = flag.String("addr", "127.0.0.1:0", "base listen address (port 0 = ephemeral per node; concrete port P serves node i on P+i)")
+		inflight = flag.Int("inflight", 8, "max concurrently executing queries per node")
+		queue    = flag.Int("queue", 64, "max queries waiting for a slot per node")
 	)
 	flag.Parse()
 
-	ringCfg := dc.DefaultLiveConfig()
-	switch *transport {
-	case "inproc":
-		ringCfg.Transport = live.InProc
-	case "tcp":
-		ringCfg.Transport = live.TCP
-	default:
-		fmt.Fprintf(os.Stderr, "dcserve: unknown transport %q\n", *transport)
-		os.Exit(1)
-	}
-
 	db := tpch.GenDB(*sf, *seed)
 	columns := db.ColumnMap()
-	ring, err := dc.NewLiveRing(*nodes, columns, db.Schema(), ringCfg)
+	ring, err := dc.NewLiveRing(*nodes, columns, db.Schema(), dc.DefaultLiveConfig())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dcserve:", err)
 		os.Exit(1)

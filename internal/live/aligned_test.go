@@ -147,7 +147,6 @@ func TestCachelessRegionNeverResends(t *testing.T) {
 	for _, rows := range []int{1024, 1 << 20} {
 		t.Run(fmt.Sprintf("FragmentRows=%d", rows), func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.Transport = TCP
 			cfg.FragmentRows = rows
 			cfg.CacheBytes = 0
 			r, err := NewRing(3, db.ColumnMap(), db.Schema(), cfg)

@@ -20,20 +20,18 @@ func (n *Node) dataLoop(wg *sync.WaitGroup) {
 		in := n.linkDataIn()
 		atomic.StoreInt32(&n.recvParked, 1)
 		data, err := in.Recv()
-		atomic.StoreInt32(&n.recvParked, 0)
 		if err != nil {
-			select {
-			case <-n.closed:
+			// Failover or join splices a new predecessor link in, and
+			// may already have: resume receiving from it. Until then the
+			// node listens to a silent link, and recvParked stays 1, so
+			// the detector counts the silence exactly as on a parked
+			// Recv.
+			if !n.awaitLink(&n.dataIn, in) {
 				return
-			default:
 			}
-			if n.linkDataIn() != in {
-				// Failover spliced a new predecessor link in and closed
-				// this one under us: resume receiving from the new link.
-				continue
-			}
-			return
+			continue
 		}
+		atomic.StoreInt32(&n.recvParked, 0)
 		if isBeatMsg(data) {
 			n.onBeat(data) // decodes into memory of its own
 			in.Recycle(data)
@@ -155,15 +153,10 @@ func (n *Node) reqLoop(wg *sync.WaitGroup) {
 		in := n.linkReqIn()
 		data, err := in.Recv()
 		if err != nil {
-			select {
-			case <-n.closed:
+			if !n.awaitLink(&n.reqIn, in) {
 				return
-			default:
 			}
-			if n.linkReqIn() != in {
-				continue // spliced: receive from the new link
-			}
-			return
+			continue // spliced: receive from the new link
 		}
 		req, err := decodeReqMsg(data)
 		in.Recycle(data) // a request decodes into fields: nothing views it

@@ -58,8 +58,7 @@ type HopStats struct {
 	PoolWaits    int64
 	// WireSyscalls counts the write/read calls on the node's data-link
 	// endpoints (out + in) — a lower bound, netpoller wakeups come on
-	// top; WireSyscalls/Msgs is the syscalls-per-hop figure. Zero on the
-	// in-process transport.
+	// top; WireSyscalls/Msgs is the syscalls-per-hop figure.
 	WireSyscalls int64
 }
 
@@ -314,9 +313,7 @@ func (n *Node) HopStats() HopStats {
 	// Each endpoint is counted at exactly one node (out at the sender,
 	// in at the receiver), so the ring-wide sum has no double counting.
 	for _, m := range []*rdma.Messenger{n.linkDataOut(), n.linkDataIn()} {
-		if wc, ok := m.WireCounters(); ok {
-			s.WireSyscalls += wc.Syscalls
-		}
+		s.WireSyscalls += m.WireCounters().Syscalls
 	}
 	return s
 }

@@ -510,7 +510,6 @@ func TestCachedRingGoesQuiet(t *testing.T) {
 	db := tpch.GenDB(0.001, 18)
 	cols := db.ColumnMap()
 	cfg := DefaultConfig()
-	cfg.Transport = TCP
 	cfg.FragmentRows = 1024 // ~6 fragments per column over 3 nodes
 	r, err := NewRing(3, cols, db.Schema(), cfg)
 	if err != nil {
@@ -640,7 +639,6 @@ func TestZipfFetchUnderEvictingCache(t *testing.T) {
 		columns[fmt.Sprintf("t.c%02d", k)] = bat.MakeInts("c", vals)
 	}
 	cfg := DefaultConfig()
-	cfg.Transport = TCP
 	cfg.CacheBytes = 256 << 10
 	r, err := NewRing(2, columns, nil, cfg)
 	if err != nil {

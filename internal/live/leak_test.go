@@ -60,17 +60,28 @@ func otherGoroutines() []string {
 	}
 }
 
-// queuePairLoops counts the in-process queue pair endpoints still open:
-// each runs the one goroutine its constructor starts, its receive loop,
-// until it is closed. (The creator names it even before it first runs.)
-func queuePairLoops() int {
-	loops := 0
-	for _, g := range otherGoroutines() {
-		if strings.Contains(g, "created by repro/internal/rdma.newInprocQP") {
-			loops++
+// openEndpoints counts the queue pair endpoints still open by their send
+// loops: NewTCP starts one per endpoint, and it runs until Close. (The
+// receive loop is no such mark: it also stops when the peer hangs up.)
+// A loop that has not run yet names only its creator, so the count
+// waits until every loop NewTCP started is running.
+func openEndpoints() int {
+	for {
+		open, starting := 0, false
+		for _, g := range otherGoroutines() {
+			switch {
+			case !strings.Contains(g, "created by repro/internal/rdma.NewTCP"):
+			case strings.Contains(g, "rdma.(*tcpQP).sendLoop"):
+				open++
+			case !strings.Contains(g, "rdma.(*tcpQP).recvLoop"):
+				starting = true
+			}
 		}
+		if !starting {
+			return open
+		}
+		runtime.Gosched()
 	}
-	return loops
 }
 
 // TestSpliceOntoKilledNodeClosesItsLinks: a splice around a dead node
@@ -88,7 +99,7 @@ func TestSpliceOntoKilledNodeClosesItsLinks(t *testing.T) {
 		defer s.linkMu.RUnlock()
 		return [4]*rdma.Messenger{s.dataOut, s.reqOut, s.dataIn, s.reqIn}
 	}
-	before, open := links(), queuePairLoops()
+	before, open := links(), openEndpoints()
 	// Two new links, four endpoints: the live predecessor installs two
 	// and closes the two it replaces; the killed successor must close
 	// the two it is handed.
@@ -96,7 +107,7 @@ func TestSpliceOntoKilledNodeClosesItsLinks(t *testing.T) {
 	if links() != before {
 		t.Fatal("the killed node took new links")
 	}
-	if got := queuePairLoops(); got != open {
+	if got := openEndpoints(); got != open {
 		t.Fatalf("%d queue pair endpoints open after the splice, want %d: the killed node's new links were never closed", got, open)
 	}
 }

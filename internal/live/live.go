@@ -23,18 +23,21 @@ import (
 	"repro/internal/rdma"
 )
 
-// Transport selects how ring neighbours are connected.
+// Transport names the neighbour interconnect. There is one: every ring
+// link is a loopback TCP connection under the rdma tcp provider.
+//
+// Deprecated: the type, Config.Transport and TCP are kept only for the
+// benchmark harness, which still sets Config.Transport = TCP. ROADMAP
+// item 1(e) deletes that line and then them.
 type Transport int
 
-// Transport kinds.
-const (
-	// InProc connects neighbours through in-process queue pairs.
-	InProc Transport = iota
-	// TCP connects neighbours through real loopback TCP sockets using
-	// the rdma TCP provider: full framing and serialization on the
-	// wire, the closest this environment gets to the RDMA fabric.
-	TCP
-)
+// TCP connects neighbours through real loopback TCP sockets using the
+// rdma tcp provider: full framing and serialization on the wire, the
+// closest this environment gets to the RDMA fabric. It is the zero
+// value.
+//
+// Deprecated: leave Config.Transport unset.
+const TCP Transport = 0
 
 // Config tunes the live ring.
 type Config struct {
@@ -43,7 +46,9 @@ type Config struct {
 	QueueCap int
 	// Workers is the MAL dataflow parallelism per query.
 	Workers int
-	// Transport picks the neighbour interconnect.
+	// Transport must be TCP, its zero value.
+	//
+	// Deprecated: leave it unset.
 	Transport Transport
 	// FragmentRows bounds the rows per circulated fragment: a longer
 	// column is split into independently circulating fragments, each
@@ -90,10 +95,9 @@ type Config struct {
 	placeFragment func(frag, nodes int) int
 }
 
-// DefaultConfig is where every live ring here starts, on either
-// transport: 64K-row fragments, a 64 MB hot-set cache per node, 1 MiB
-// hop batches, and protocol timers short enough for a ring of a few
-// nodes.
+// DefaultConfig is where every live ring here starts: 64K-row
+// fragments, a 64 MB hot-set cache per node, 1 MiB hop batches, and
+// protocol timers short enough for a ring of a few nodes.
 func DefaultConfig() Config {
 	cfg := Config{
 		Core:          core.DefaultConfig(),
@@ -214,6 +218,9 @@ type Node struct {
 	reqOut  *rdma.Messenger // to predecessor (anti-clockwise)
 	dataIn  *rdma.Messenger // from predecessor
 	reqIn   *rdma.Messenger // from successor
+	// relinked is closed, and replaced, by every relink: a receive loop
+	// whose link failed waits on it for the replacement (awaitLink).
+	relinked chan struct{}
 
 	outBytes int64 // outstanding outbound data bytes (queue load)
 
@@ -318,6 +325,9 @@ type waitKey struct {
 func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Config) (*Ring, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("live: ring needs at least 2 nodes")
+	}
+	if cfg.Transport != TCP {
+		return nil, fmt.Errorf("live: unknown transport %d", cfg.Transport)
 	}
 	if cfg.CacheBytes > 0 {
 		// With the hot-set cache on, a local pin at the owner is served
@@ -463,17 +473,18 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 func (r *Ring) newNode(id, nodes, pred int, schema minisql.Schema) *Node {
 	cfg := r.cfg
 	node := &Node{
-		ring:    r,
-		id:      core.NodeID(id),
-		cfg:     cfg,
-		store:   map[core.BATID]*fragment{},
-		transit: map[core.BATID]*fragment{},
-		cached:  map[core.BATID]*cachedBAT{},
-		waiters: map[waitKey]chan *fragment{},
-		errs:    map[core.QueryID]chan error{},
-		schema:  schema,
-		start:   time.Now(),
-		closed:  make(chan struct{}),
+		ring:     r,
+		id:       core.NodeID(id),
+		cfg:      cfg,
+		store:    map[core.BATID]*fragment{},
+		transit:  map[core.BATID]*fragment{},
+		cached:   map[core.BATID]*cachedBAT{},
+		waiters:  map[waitKey]chan *fragment{},
+		errs:     map[core.QueryID]chan error{},
+		schema:   schema,
+		start:    time.Now(),
+		closed:   make(chan struct{}),
+		relinked: make(chan struct{}),
 	}
 	if cfg.CacheBytes > 0 {
 		node.hot = newHotCache(cfg.CacheBytes)

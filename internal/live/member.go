@@ -59,17 +59,41 @@ func (n *Node) linkReqIn() *rdma.Messenger {
 }
 
 // relink installs m as the node's link *at (one of its four link
-// fields) and closes the link it replaces. On a node kill has already
-// stopped it closes m instead: nothing would ever close a link installed
-// there.
+// fields), wakes any receive loop waiting for a new link (awaitLink),
+// and closes the link it replaces. On a node kill has already stopped
+// it closes m instead: nothing would ever close a link installed there.
 func (n *Node) relink(at **rdma.Messenger, m *rdma.Messenger) {
 	n.linkMu.Lock()
 	loser := m
 	if !n.linksClosed {
 		loser, *at = *at, m
+		close(n.relinked)
+		n.relinked = make(chan struct{})
 	}
 	n.linkMu.Unlock()
 	loser.Close()
+}
+
+// awaitLink is where a receive loop goes when a Recv on in, its link
+// at *at, fails. A killed or replaced neighbour's hang-up reaches this
+// end as EOF before failover or join relinks around it, so a failed
+// link that is still installed is waited out, not given up: awaitLink
+// returns true once *at holds another link, false once the node is
+// closed.
+func (n *Node) awaitLink(at **rdma.Messenger, in *rdma.Messenger) bool {
+	for {
+		n.linkMu.RLock()
+		cur, relinked := *at, n.relinked
+		n.linkMu.RUnlock()
+		if cur != in {
+			return true
+		}
+		select {
+		case <-n.closed:
+			return false
+		case <-relinked:
+		}
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -138,8 +162,7 @@ func (n *Node) onBeat(data []byte) {
 
 // kill stops this node: runtime, goroutines, links. Idempotent.
 // Closing the node's own messengers is what unblocks its receive loops
-// (and, on the inproc transport, what makes the neighbours' pending
-// sends fail) — the same shape as the old Ring.Close body.
+// — the same shape as the old Ring.Close body.
 func (n *Node) kill() {
 	n.killOnce.Do(func() {
 		n.mu.Lock()

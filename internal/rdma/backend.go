@@ -23,9 +23,3 @@ func NewConnQP(conn net.Conn, _ Backend, _ int) (QueuePair, string, error) {
 type WireCounters struct {
 	Syscalls int64
 }
-
-// WireStatter is implemented by queue pairs that count their syscall
-// work (tcp; the in-process provider makes no syscalls).
-type WireStatter interface {
-	WireCounters() WireCounters
-}

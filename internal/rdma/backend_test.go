@@ -8,25 +8,15 @@ import (
 	"time"
 )
 
+// tcpConnPair returns both ends of a loopback connection (loopbackConns),
+// for tests that wrap or write the raw connection.
 func tcpConnPair(t testing.TB) (net.Conn, net.Conn) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	cli, srv, err := loopbackConns()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err == nil {
-			accepted <- conn
-		}
-	}()
-	cli, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cli, <-accepted
+	return cli, srv
 }
 
 // NewConnQP, bench/'s entry point, is a tcp queue pair.
@@ -142,14 +132,9 @@ func TestTCPPostSendWriteFailureClosesQP(t *testing.T) {
 }
 
 func TestTCPWireCounters(t *testing.T) {
-	cli, srv := tcpConnPair(t)
-	a := NewTCP(cli)
-	b := NewTCP(srv)
-	defer a.Close()
-	defer b.Close()
+	a, b := tcpPair(t)
 	pairExchange(t, a, b)
-	ca := a.(WireStatter).WireCounters()
-	cb := b.(WireStatter).WireCounters()
+	ca, cb := a.WireCounters(), b.WireCounters()
 	if ca.Syscalls < 1 {
 		t.Fatalf("sender counters = %+v", ca)
 	}

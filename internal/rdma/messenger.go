@@ -63,7 +63,7 @@ const MessengerSendWindow = 8
 
 // sendTicket is one in-flight posted send: the dispatcher runs cleanup
 // (send-region recycling) and then done when the send's wire completion
-// arrives. Every provider delivers send completions in post order, so a
+// arrives. The provider delivers send completions in post order, so a
 // FIFO of tickets pairs them correctly.
 type sendTicket struct {
 	cleanup func()
@@ -233,15 +233,8 @@ func (m *Messenger) PoolStats() (acquires, waits int64) {
 }
 
 // WireCounters reports the underlying queue pair's syscall-layer
-// counters when the provider keeps them (tcp does; the in-process
-// provider reports ok=false — it makes no syscalls).
-func (m *Messenger) WireCounters() (c WireCounters, ok bool) {
-	ws, ok := m.qp.(WireStatter)
-	if !ok {
-		return WireCounters{}, false
-	}
-	return ws.WireCounters(), true
-}
+// counters.
+func (m *Messenger) WireCounters() WireCounters { return m.qp.WireCounters() }
 
 // acquireRegion takes a free send region, counting contention.
 func (m *Messenger) acquireRegion() (*MemoryRegion, error) {
@@ -388,11 +381,12 @@ func (m *Messenger) TrySendEncoded(size int, encode func(dst []byte) int) error 
 
 // SendVectored transmits one message gathered from several byte slices
 // — the ring-hop path. The parts go to the transport as they are (one
-// gather write on the socket providers, no assembly copy), so they must
-// stay valid and unmodified until SendVectored returns (the live ring
-// sends a fragment version's own immutable wire bytes, holding the slab
-// they sit in until the send completes — its pre-registered buffers). The receiver sees a single contiguous message
-// equal to the concatenation of the parts.
+// gather write, no assembly copy), so they must stay valid and
+// unmodified until SendVectored returns (the live ring sends a fragment
+// version's own immutable wire bytes, holding the slab they sit in
+// until the send completes — its pre-registered buffers). The receiver
+// sees a single contiguous message equal to the concatenation of the
+// parts.
 func (m *Messenger) SendVectored(parts [][]byte) error {
 	ch := make(chan error, 1)
 	if err := m.SendVectoredAsync(parts, func(err error) { ch <- err }); err != nil {

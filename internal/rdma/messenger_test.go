@@ -12,18 +12,24 @@ import (
 	"time"
 )
 
+// tcpMessengerPair wraps both ends of a loopback queue pair (tcpPair) in
+// messengers of the given message bound.
+func tcpMessengerPair(t testing.TB, maxMsg int) (*Messenger, *Messenger) {
+	t.Helper()
+	qa, qb := tcpPair(t)
+	a, err := NewMessenger(qa, maxMsg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewMessenger(qb, maxMsg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
 func TestMessengerRoundtrip(t *testing.T) {
-	qa, qb := NewPair(MessengerDepth)
-	a, err := NewMessenger(qa, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewMessenger(qb, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	defer b.Close()
+	a, b := tcpMessengerPair(t, 1024)
 
 	done := make(chan []byte, 1)
 	go func() {
@@ -48,11 +54,7 @@ func TestMessengerRoundtrip(t *testing.T) {
 }
 
 func TestMessengerManyMessages(t *testing.T) {
-	qa, qb := NewPair(MessengerDepth)
-	a, _ := NewMessenger(qa, 256)
-	b, _ := NewMessenger(qb, 256)
-	defer a.Close()
-	defer b.Close()
+	a, b := tcpMessengerPair(t, 256)
 
 	const n = 200
 	var wg sync.WaitGroup
@@ -86,14 +88,7 @@ func TestMessengerManyMessages(t *testing.T) {
 }
 
 func TestMessengerTooLarge(t *testing.T) {
-	qa, qb := NewPair(MessengerDepth)
-	a, errA := NewMessenger(qa, 16)
-	b, errB := NewMessenger(qb, 16)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
-	defer a.Close()
-	defer b.Close()
+	a, _ := tcpMessengerPair(t, 16)
 	if err := a.Send(make([]byte, 17)); err != ErrTooLarge {
 		t.Fatalf("err = %v", err)
 	}
@@ -103,12 +98,7 @@ func TestMessengerTooLarge(t *testing.T) {
 }
 
 func TestMessengerCloseUnblocksRecv(t *testing.T) {
-	qa, qb := NewPair(MessengerDepth)
-	a, errA := NewMessenger(qa, 16)
-	b, errB := NewMessenger(qb, 16)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
+	a, b := tcpMessengerPair(t, 16)
 	done := make(chan error, 1)
 	go func() {
 		_, err := b.Recv()
@@ -128,9 +118,7 @@ func TestMessengerCloseUnblocksRecv(t *testing.T) {
 }
 
 func TestNewMessengerBadSize(t *testing.T) {
-	qa, qb := NewPair(MessengerDepth)
-	defer qa.Close()
-	defer qb.Close()
+	qa, _ := tcpPair(t)
 	if _, err := NewMessenger(qa, 0); err == nil {
 		t.Fatal("expected error")
 	}
@@ -140,17 +128,7 @@ func TestNewMessengerBadSize(t *testing.T) {
 // path: the encoder writes directly into the send buffer and the exact
 // written length travels.
 func TestMessengerSendEncoded(t *testing.T) {
-	qa, qb := NewPair(MessengerDepth)
-	a, err := NewMessenger(qa, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewMessenger(qb, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	defer b.Close()
+	a, b := tcpMessengerPair(t, 1024)
 
 	done := make(chan []byte, 1)
 	go func() {
@@ -158,7 +136,7 @@ func TestMessengerSendEncoded(t *testing.T) {
 		done <- data
 	}()
 	// Reserve a generous window, write less: the short length must win.
-	err = a.SendEncoded(100, func(dst []byte) int {
+	err := a.SendEncoded(100, func(dst []byte) int {
 		if len(dst) != 100 {
 			t.Errorf("window is %d bytes, want 100", len(dst))
 		}
@@ -182,23 +160,6 @@ func TestMessengerSendEncoded(t *testing.T) {
 	if err := a.SendEncoded(8, func(dst []byte) int { return 9 }); err == nil {
 		t.Fatal("encoder overrun not rejected")
 	}
-}
-
-// tcpMessengerPair dials a loopback connection and wraps both ends in
-// messengers, for tests that exercise the TCP provider.
-func tcpMessengerPair(t testing.TB, maxMsg int) (*Messenger, *Messenger) {
-	t.Helper()
-	cliConn, srvConn := tcpConnPair(t)
-	a, err := NewMessenger(NewTCP(cliConn), maxMsg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewMessenger(NewTCP(srvConn), maxMsg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close(); b.Close() })
-	return a, b
 }
 
 // checkSendVectored sends a vectored message from a to b: it must
@@ -242,17 +203,6 @@ func checkSendVectored(t *testing.T, a, b *Messenger) {
 // one gather write, straight from the caller's buffers.
 func TestMessengerSendVectoredTCP(t *testing.T) {
 	a, b := tcpMessengerPair(t, 1024)
-	checkSendVectored(t, a, b)
-}
-
-// TestMessengerSendVectoredInproc: the in-process provider gathers the
-// parts into the one buffer the receiver is handed.
-func TestMessengerSendVectoredInproc(t *testing.T) {
-	qa, qb := NewPair(MessengerDepth)
-	a, _ := NewMessenger(qa, 256)
-	b, _ := NewMessenger(qb, 256)
-	defer a.Close()
-	defer b.Close()
 	checkSendVectored(t, a, b)
 }
 
@@ -325,18 +275,14 @@ func checkSendPool(t *testing.T, a, b *Messenger, size int) {
 	}
 }
 
-// TestMessengerSendPool: concurrent senders over the in-process provider.
+// TestMessengerSendPool: concurrent senders of small messages.
 func TestMessengerSendPool(t *testing.T) {
-	qa, qb := NewPair(MessengerDepth)
-	a, _ := NewMessenger(qa, 256)
-	b, _ := NewMessenger(qb, 256)
-	defer a.Close()
-	defer b.Close()
+	a, b := tcpMessengerPair(t, 256)
 	checkSendPool(t, a, b, 200)
 }
 
-// TestMessengerSendPoolTCP: the same over TCP, where the kernel reads
-// each payload straight out of its pool region.
+// TestMessengerSendPoolTCP: the same with 32 KB messages, which the
+// kernel reads straight out of their pool regions.
 func TestMessengerSendPoolTCP(t *testing.T) {
 	a, b := tcpMessengerPair(t, 64<<10)
 	checkSendPool(t, a, b, 32<<10)
@@ -352,25 +298,6 @@ func TestMessengerSendPoolTCP(t *testing.T) {
 func TestTCPHopCopiesOnce(t *testing.T) {
 	const size = 64 + 512<<10
 	a, b := tcpMessengerPair(t, size)
-	checkHopAllocs(t, a, b, size)
-}
-
-// TestInprocHopCopiesOnce: the in-process provider's one copy lands in
-// a slab of the receiving endpoint, so a recycling receiver allocates
-// nothing per hop there either.
-func TestInprocHopCopiesOnce(t *testing.T) {
-	const size = 64 + 512<<10
-	qa, qb := NewPair(MessengerDepth)
-	a, err := NewMessenger(qa, size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewMessenger(qb, size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	defer b.Close()
 	checkHopAllocs(t, a, b, size)
 }
 
@@ -576,8 +503,7 @@ func BenchmarkMessengerHop512K(b *testing.B) {
 // TestMessengerPoolBounded checks the registered-byte cap: a messenger
 // with huge messages gets fewer regions, never zero.
 func TestMessengerPoolBounded(t *testing.T) {
-	qa, qb := NewPair(MessengerDepth)
-	defer qb.Close()
+	qa, _ := tcpPair(t)
 	m, err := NewMessenger(qa, maxSendPoolBytes) // one region fills the cap
 	if err != nil {
 		t.Fatal(err)
@@ -586,8 +512,7 @@ func TestMessengerPoolBounded(t *testing.T) {
 	if got := cap(m.sendFree); got != 1 {
 		t.Fatalf("pool size = %d regions, want 1 at the byte cap", got)
 	}
-	qc, qd := NewPair(MessengerDepth)
-	defer qd.Close()
+	qc, _ := tcpPair(t)
 	small, err := NewMessenger(qc, 1024)
 	if err != nil {
 		t.Fatal(err)

@@ -4,8 +4,7 @@
 //
 //   - an RDMA-shaped transport API — memory regions that must be
 //     registered before use, queue pairs with asynchronous post-send /
-//     post-receive and completion polling — implemented over in-process
-//     channels and TCP;
+//     post-receive and completion polling — implemented over TCP;
 //   - the analytical CPU-load model behind Figure 1, quantifying why
 //     only full RDMA (not mere NIC offload) removes the local I/O
 //     bottleneck.
@@ -86,19 +85,20 @@ type Completion struct {
 // QueuePair is a point-to-point asynchronous channel between two ring
 // neighbours: sends and receives are posted, completions are polled —
 // the RDMA execution model that lets computation overlap communication
-// (§2.3). Implementations: inproc (pipe) and TCP.
+// (§2.3). The one implementation is the tcp provider (NewTCP,
+// NewTCPPair).
 type QueuePair interface {
 	// PostSend queues the first n bytes of mr for transmission and
 	// returns immediately; the completion arrives on SendCompletions.
 	// The transport may read those bytes straight from mr at any point
 	// until then, so the caller leaves them untouched from post to
-	// completion (verbs semantics) — which is what lets the socket
-	// providers hand them to the kernel without a copy.
+	// completion (verbs semantics) — which is what lets the provider
+	// hand them to the kernel without a copy.
 	PostSend(mr *MemoryRegion, n int) error
 	// PostSendVec queues one message gathered from bufs — one vectored
-	// write on the socket providers — and returns immediately, under
-	// PostSend's rule: the buffers stay untouched until the completion.
-	// The receiver sees the concatenation of the buffers.
+	// write — and returns immediately, under PostSend's rule: the
+	// buffers stay untouched until the completion. The receiver sees the
+	// concatenation of the buffers.
 	PostSendVec(bufs net.Buffers) error
 	// PostRecv grants one receive credit: the next message of at most
 	// limit bytes completes on RecvCompletions with its bytes in
@@ -118,171 +118,10 @@ type QueuePair interface {
 	RecvCompletions() <-chan Completion
 	// Done is closed when the queue pair shuts down.
 	Done() <-chan struct{}
+	// WireCounters reports the endpoint's syscall-layer work.
+	WireCounters() WireCounters
 	// Close tears the pair down; posted requests complete with ErrClosed.
 	Close() error
-}
-
-// ---------------------------------------------------------------------
-// In-process provider
-// ---------------------------------------------------------------------
-
-type inprocMsg struct {
-	data []byte
-}
-
-// inprocQP is one endpoint of an in-process queue pair.
-type inprocQP struct {
-	out chan<- inprocMsg
-	in  <-chan inprocMsg
-
-	slabs    slabPool  // this endpoint's receive memory
-	peerRecv *slabPool // the other endpoint's, which sends copy into
-
-	mu       sync.Mutex
-	closed   bool
-	sendCQ   chan Completion
-	recvCQ   chan Completion
-	recvPend chan int // receive credits: the size limit of each
-	done     chan struct{}
-	loopDone chan struct{}
-}
-
-// NewPair creates two connected in-process queue pairs (one per ring
-// neighbour). depth bounds the number of in-flight messages.
-func NewPair(depth int) (QueuePair, QueuePair) {
-	if depth <= 0 {
-		depth = 16
-	}
-	ab := make(chan inprocMsg, depth)
-	ba := make(chan inprocMsg, depth)
-	a := newInprocQP(ab, ba, depth)
-	b := newInprocQP(ba, ab, depth)
-	a.peerRecv, b.peerRecv = &b.slabs, &a.slabs
-	return a, b
-}
-
-func newInprocQP(out chan<- inprocMsg, in <-chan inprocMsg, depth int) *inprocQP {
-	qp := &inprocQP{
-		out:      out,
-		in:       in,
-		sendCQ:   make(chan Completion, depth*2),
-		recvCQ:   make(chan Completion, depth*2),
-		recvPend: make(chan int, depth*2),
-		done:     make(chan struct{}),
-		loopDone: make(chan struct{}),
-	}
-	go qp.receiveLoop()
-	return qp
-}
-
-func (qp *inprocQP) receiveLoop() {
-	defer close(qp.loopDone)
-	for {
-		select {
-		case <-qp.done:
-			return
-		case msg, ok := <-qp.in:
-			if !ok {
-				return
-			}
-			select {
-			case limit := <-qp.recvPend:
-				if len(msg.data) > limit {
-					qp.slabs.put(msg.data)
-					qp.recvCQ <- Completion{Err: ErrTooLarge}
-				} else {
-					qp.recvCQ <- Completion{Bytes: len(msg.data), Data: msg.data}
-				}
-			case <-qp.done:
-				return
-			}
-		}
-	}
-}
-
-// PostSend copies the region once, into a slab of the receiving
-// endpoint: the emulation's stand-in for a NIC placing the bytes in the
-// peer's registered memory. Nothing is copied again on the way.
-func (qp *inprocQP) PostSend(mr *MemoryRegion, n int) error {
-	if !mr.registered {
-		return ErrNotRegistered
-	}
-	if n > len(mr.buf) {
-		return ErrTooLarge
-	}
-	return qp.PostSendVec(net.Buffers{mr.buf[:n]})
-}
-
-// PostSendVec gathers the parts into one slab of the receiving endpoint
-// — the provider's single copy, as for PostSend.
-func (qp *inprocQP) PostSendVec(bufs net.Buffers) error {
-	total := 0
-	for _, p := range bufs {
-		total += len(p)
-	}
-	data := qp.peerRecv.get(total)[:0]
-	for _, p := range bufs {
-		data = append(data, p...)
-	}
-	return qp.post(data)
-}
-
-// post hands data to the peer asynchronously; the send completion
-// follows delivery into the peer's inbound channel.
-func (qp *inprocQP) post(data []byte) error {
-	qp.mu.Lock()
-	if qp.closed {
-		qp.mu.Unlock()
-		return ErrClosed
-	}
-	qp.mu.Unlock()
-	go func() {
-		select {
-		case qp.out <- inprocMsg{data: data}:
-			qp.sendCQ <- Completion{Bytes: len(data)}
-		case <-qp.done:
-			select {
-			case qp.sendCQ <- Completion{Err: ErrClosed}:
-			default:
-			}
-		}
-	}()
-	return nil
-}
-
-func (qp *inprocQP) PostRecv(limit int) error {
-	qp.mu.Lock()
-	if qp.closed {
-		qp.mu.Unlock()
-		return ErrClosed
-	}
-	qp.mu.Unlock()
-	select {
-	case qp.recvPend <- limit:
-		return nil
-	default:
-		return ErrQueueFull
-	}
-}
-
-func (qp *inprocQP) Recycle(data []byte) { qp.slabs.put(data) }
-
-func (qp *inprocQP) SendCompletions() <-chan Completion { return qp.sendCQ }
-func (qp *inprocQP) RecvCompletions() <-chan Completion { return qp.recvCQ }
-func (qp *inprocQP) Done() <-chan struct{}              { return qp.done }
-
-func (qp *inprocQP) Close() error {
-	qp.mu.Lock()
-	if qp.closed {
-		qp.mu.Unlock()
-		return nil
-	}
-	qp.closed = true
-	qp.mu.Unlock()
-	close(qp.done)
-	<-qp.loopDone // receiveLoop is the only recvCQ writer
-	close(qp.recvCQ)
-	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -331,6 +170,64 @@ func NewTCP(conn net.Conn) QueuePair {
 	go qp.sendLoop()
 	go qp.recvLoop()
 	return qp
+}
+
+// NewTCPPair connects two queue pairs over a fresh loopback TCP
+// connection, so every message really crosses the kernel socket layer.
+// It is the one way a ring link is built.
+func NewTCPPair() (QueuePair, QueuePair, error) {
+	a, b, err := loopbackConns()
+	if err != nil {
+		return nil, nil, err
+	}
+	return NewTCP(a), NewTCP(b), nil
+}
+
+// loopbackConns dials a loopback listener of its own and returns both
+// ends of the connection, Nagle's algorithm off on each.
+func loopbackConns() (net.Conn, net.Conn, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, nil, fmt.Errorf("rdma: listen: %w", err)
+	}
+	defer ln.Close()
+
+	type accepted struct {
+		conn net.Conn
+		err  error
+	}
+	ch := make(chan accepted, 1)
+	go func() {
+		conn, err := ln.Accept()
+		ch <- accepted{conn, err}
+	}()
+	d := net.Dialer{Control: reuseAddr}
+	dial, err := d.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		return nil, nil, fmt.Errorf("rdma: dial: %w", err)
+	}
+	acc := <-ch
+	if acc.err != nil {
+		dial.Close()
+		return nil, nil, fmt.Errorf("rdma: accept: %w", acc.err)
+	}
+	setNoDelay(dial)
+	setNoDelay(acc.conn)
+	return dial, acc.conn, nil
+}
+
+// setNoDelay disables Nagle's algorithm explicitly on a ring data/req
+// connection. Ring hops and request messages are latency-critical and
+// already batched at the application layer (the hop scheduler coalesces
+// co-resident fragments into one envelope), so delaying small segments
+// to coalesce them again in the kernel only adds up to an RTT of queuing
+// per hop. Go enables TCP_NODELAY by default, but the ring's latency
+// gates depend on it — set it explicitly rather than inheriting a
+// platform default.
+func setNoDelay(conn net.Conn) {
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.SetNoDelay(true)
+	}
 }
 
 func (qp *tcpQP) sendLoop() {
@@ -485,10 +382,10 @@ func (qp *tcpQP) SendCompletions() <-chan Completion { return qp.sendCQ }
 func (qp *tcpQP) RecvCompletions() <-chan Completion { return qp.recvCQ }
 func (qp *tcpQP) Done() <-chan struct{}              { return qp.done }
 
-// WireCounters implements WireStatter. The numbers are the write/read
-// calls this layer issues, a lower bound on true kernel crossings: the
-// netpoller's epoll_pwait and futex wakeups under each blocking read
-// come on top and are not visible from here.
+// WireCounters reports the write/read calls this layer issues, a lower
+// bound on true kernel crossings: the netpoller's epoll_pwait and futex
+// wakeups under each blocking read come on top and are not visible from
+// here.
 func (qp *tcpQP) WireCounters() WireCounters {
 	return WireCounters{Syscalls: atomic.LoadInt64(&qp.syscalls)}
 }

@@ -55,17 +55,25 @@ func pairExchange(t *testing.T, a, b QueuePair) {
 	}
 }
 
-func TestInprocExchange(t *testing.T) {
-	a, b := NewPair(4)
-	defer a.Close()
-	defer b.Close()
+// tcpPair connects two queue pairs over loopback (NewTCPPair); both
+// close when the test ends.
+func tcpPair(t testing.TB) (QueuePair, QueuePair) {
+	t.Helper()
+	a, b, err := NewTCPPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close(); b.Close() })
+	return a, b
+}
+
+func TestTCPExchange(t *testing.T) {
+	a, b := tcpPair(t)
 	pairExchange(t, a, b)
 }
 
-func TestInprocOrdering(t *testing.T) {
-	a, b := NewPair(32)
-	defer a.Close()
-	defer b.Close()
+func TestTCPOrdering(t *testing.T) {
+	a, b := tcpPair(t)
 	var d Device
 	const n = 20
 	for i := 0; i < n; i++ {
@@ -73,16 +81,16 @@ func TestInprocOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sent := make([]*MemoryRegion, n)
+	// All n sends are posted back to back, each from a region of its own
+	// (a region stays untouched until its send completes).
 	for i := 0; i < n; i++ {
 		mr := d.RegisterMemory(8)
 		mr.Bytes()[0] = byte(i)
-		sent[i] = mr
 		if err := a.PostSend(mr, 1); err != nil {
 			t.Fatal(err)
 		}
-		// Wait for the send completion to preserve posting order (the
-		// emulation dispatches sends asynchronously).
+	}
+	for i := 0; i < n; i++ {
 		select {
 		case c := <-a.SendCompletions():
 			if c.Err != nil {
@@ -108,9 +116,7 @@ func TestInprocOrdering(t *testing.T) {
 }
 
 func TestUnregisteredRejected(t *testing.T) {
-	a, b := NewPair(1)
-	defer a.Close()
-	defer b.Close()
+	a, _ := tcpPair(t)
 	mr := &MemoryRegion{buf: make([]byte, 8)}
 	if err := a.PostSend(mr, 1); err != ErrNotRegistered {
 		t.Fatalf("PostSend err = %v", err)
@@ -118,9 +124,7 @@ func TestUnregisteredRejected(t *testing.T) {
 }
 
 func TestSendTooLarge(t *testing.T) {
-	a, b := NewPair(1)
-	defer a.Close()
-	defer b.Close()
+	a, _ := tcpPair(t)
 	var d Device
 	mr := d.RegisterMemory(4)
 	if err := a.PostSend(mr, 8); err != ErrTooLarge {
@@ -129,7 +133,7 @@ func TestSendTooLarge(t *testing.T) {
 }
 
 func TestClosedPair(t *testing.T) {
-	a, b := NewPair(1)
+	a, b := tcpPair(t)
 	b.Close()
 	a.Close()
 	var d Device
@@ -142,50 +146,26 @@ func TestClosedPair(t *testing.T) {
 	}
 }
 
-func TestTCPExchange(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// A link torn down dialing end first leaves that end's port in
+// TIME_WAIT; a listener must still be able to bind it, or every closed
+// ring would keep ports from servers for a minute.
+func TestClosedLinkFreesDialPort(t *testing.T) {
+	dial, acc, err := loopbackConns()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err == nil {
-			accepted <- conn
-		}
-	}()
-	cliConn, err := net.Dial("tcp", ln.Addr().String())
+	port := dial.LocalAddr().String()
+	dial.Close()
+	acc.Close()
+	ln, err := net.Listen("tcp", port)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("listen on the closed link's dialing port: %v", err)
 	}
-	srvConn := <-accepted
-	a := NewTCP(cliConn)
-	b := NewTCP(srvConn)
-	defer a.Close()
-	defer b.Close()
-	pairExchange(t, a, b)
+	ln.Close()
 }
 
 func TestTCPLargeTransfer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err == nil {
-			accepted <- conn
-		}
-	}()
-	cliConn, _ := net.Dial("tcp", ln.Addr().String())
-	srvConn := <-accepted
-	a, b := NewTCP(cliConn), NewTCP(srvConn)
-	defer a.Close()
-	defer b.Close()
-
+	a, b := tcpPair(t)
 	var d Device
 	const size = 4 << 20
 	send := d.RegisterMemory(size)

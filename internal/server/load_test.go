@@ -20,7 +20,6 @@ import (
 // configured cap.
 func TestConcurrentClientsOverTCPRing(t *testing.T) {
 	ringCfg := live.DefaultConfig()
-	ringCfg.Transport = live.TCP
 	srvCfg := server.DefaultConfig()
 	srvCfg.MaxInFlight = 4
 	srvCfg.MaxQueue = 8

@@ -18,7 +18,6 @@ import (
 // Prometheus text format, reflecting queries that actually ran.
 func TestMetricsScrape(t *testing.T) {
 	ringCfg := live.DefaultConfig()
-	ringCfg.Transport = live.TCP
 	srvCfg := server.DefaultConfig()
 	srvCfg.MetricsAddr = "127.0.0.1:0"
 	_, s := servedRing(t, 2, ringCfg, srvCfg)

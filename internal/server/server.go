@@ -401,22 +401,25 @@ func (s *Server) Stats(i int) NodeStats {
 	return st
 }
 
-// KillNode crashes the service of node i: the ring node dies (silently,
-// as a real crash — survivors must detect it through missed heartbeats)
-// and its listener and open connections are torn down, so clients see
-// connection failures, not graceful errors. The rest of the server keeps
-// serving.
+// KillNode crashes the service of node i: its listener and open
+// connections are torn down, so clients see connection failures, not
+// graceful errors, and then the ring node dies (silently, as a real
+// crash — survivors must detect it through missed heartbeats). The
+// connections go first: a query the dying node was running fails with
+// "ring closed", and that answer must not reach a client as an
+// execution error instead of the hang-up it fails over on. The rest of
+// the server keeps serving.
 func (s *Server) KillNode(i int) {
 	s.nodesMu.RLock()
 	ns := s.nodes[i]
 	s.nodesMu.RUnlock()
-	s.ring.KillNode(ns.nodeID)
 	ns.ln.Close()
 	ns.connMu.Lock()
 	for c := range ns.conns {
 		c.Close()
 	}
 	ns.connMu.Unlock()
+	s.ring.KillNode(ns.nodeID)
 }
 
 // Close drains and shuts the server down: new queries are refused with
@@ -604,11 +607,27 @@ func (ns *nodeServer) serveQuery(conn net.Conn, bw *bufio.Writer, sql string) {
 	// bw is empty here (handle flushes after every answer), so the frame
 	// goes straight to the socket. A result the client never got is a
 	// failed query; the broken connection is left to handle's next read.
-	if _, err := frame.WriteTo(conn); err != nil {
+	// The frame's last byte is held back until the query is counted ok:
+	// a client that has read its whole result must find it in the
+	// counters it scrapes next.
+	body, last := splitLastByte(frame)
+	if _, err := body.WriteTo(conn); err != nil {
 		ns.failed.Inc()
 		return
 	}
 	ns.ok.Inc()
+	conn.Write(last)
+}
+
+// splitLastByte splits frame into everything but its final byte, and
+// that byte.
+func splitLastByte(frame net.Buffers) (net.Buffers, []byte) {
+	for i := len(frame) - 1; i >= 0; i-- {
+		if b := frame[i]; len(b) > 0 {
+			return append(frame[:i:i], b[:len(b)-1]), b[len(b)-1:]
+		}
+	}
+	return frame, nil
 }
 
 // resultFrame is the FrameResult for rs as one vectored write (writev):

@@ -335,7 +335,6 @@ func TestServeJoinedNode(t *testing.T) {
 func TestServedUpdateOnHotColumnThenClose(t *testing.T) {
 	cols, schema := testColumns()
 	cfg := live.DefaultConfig()
-	cfg.Transport = live.TCP
 	cfg.FragmentRows = 1 // 4 fragments per column
 	r, err := live.NewRing(3, cols, schema, cfg)
 	if err != nil {
