@@ -374,21 +374,68 @@ func BenchmarkBATFetchCand(b *testing.B) {
 	}
 }
 
+// BenchmarkBATConcatTail is wide_result's tail exit: three columns of
+// 16 × 64K-row parts under dense heads at their running offsets, each
+// part narrowed on its own — ascending keys in 4-byte codes above a
+// reference of their own, ints of 2 bytes, and hundredths in 2-byte
+// decimal codes — merged in one ConcatAll. "codes" merges the parts as
+// they are; "widened" merges the same parts widened beforehand, the 8
+// bytes a value the merge wrote when it decoded.
+func BenchmarkBATConcatTail(b *testing.B) {
+	const frag = 64 << 10
+	rng := rand.New(rand.NewSource(44))
+	keys, supp, prices := make([]int64, benchRows), make([]int64, benchRows), make([]float64, benchRows)
+	key := int64(1)
+	for i := range keys {
+		key += 1 + int64(rng.Intn(7))
+		keys[i] = key
+		supp[i] = 1 + int64(rng.Intn(10000))
+		prices[i] = float64(90000+rng.Intn(10000)) / 100
+	}
+	lists := make([][]*BAT, 3)
+	for at := 0; at < benchRows; at += frag {
+		for c, t := range []*Column{IntColumn(keys[at : at+frag]), IntColumn(supp[at : at+frag]), FloatColumn(prices[at : at+frag])} {
+			lists[c] = append(lists[c], Narrow(New("v", DenseColumn(Oid(at), frag), t)))
+		}
+	}
+	widened := make([][]*BAT, len(lists))
+	for c, parts := range lists {
+		if w := parts[0].Tail().Width(); w != []int{4, 2, 2}[c] {
+			b.Fatalf("column %d narrows to %d bytes", c, w)
+		}
+		for _, p := range parts {
+			widened[c] = append(widened[c], Widen(p))
+		}
+	}
+	for _, form := range []struct {
+		name  string
+		lists [][]*BAT
+	}{{"codes", lists}, {"widened", widened}} {
+		b.Run(form.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = ConcatAll(form.lists)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchRows), "ns/row")
+		})
+	}
+}
+
 // widthColumn stores vals in the given physical width (8: wide), which
 // must hold their range.
 func widthColumn(vals []int64, width int) *Column {
-	ref := vals[0]
+	ref, hi := vals[0], vals[0]
 	for _, v := range vals {
-		ref = min(ref, v)
+		ref, hi = min(ref, v), max(hi, v)
 	}
-	c := IntColumn(vals)
+	c, top := IntColumn(vals), uint64(hi-ref)
 	switch width {
 	case 1:
-		return &Column{kind: KInt, narrow: encode[uint8](c, ref, 1)}
+		return &Column{kind: KInt, narrow: encode[uint8](c, ref, top, 1)}
 	case 2:
-		return &Column{kind: KInt, narrow: encode[uint16](c, ref, 1)}
+		return &Column{kind: KInt, narrow: encode[uint16](c, ref, top, 1)}
 	case 4:
-		return &Column{kind: KInt, narrow: encode[uint32](c, ref, 1)}
+		return &Column{kind: KInt, narrow: encode[uint32](c, ref, top, 1)}
 	}
 	return c
 }

@@ -26,7 +26,10 @@ package bat
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
+	"unsafe"
 )
 
 // Concat concatenates fragments in order into one BAT. All fragments
@@ -86,8 +89,9 @@ func ConcatAll(lists [][]*BAT) []*BAT {
 
 // concatCols is the n-ary generalization of concatCol: one exact-size
 // allocation, dense fusion, and boundary-checked sortedness. Narrow
-// fragments, each with its own reference, width and exponent, decode
-// into the wide output.
+// fragments, each with its own reference and width, keep their codes
+// when they share an exponent (mergeCodes); any other mix decodes into
+// the wide output.
 func concatCols(cols []*Column) *Column {
 	if fused, ok := fuseDense(cols); ok {
 		return fused
@@ -101,6 +105,11 @@ func concatCols(cols []*Column) *Column {
 		}
 	}
 	out := &Column{kind: cols[0].kind}
+	if nc, exp, ok := concatCodes(cols, total); ok {
+		out.narrow, out.exp = nc, exp
+		out.sorted = allSorted && boundariesOrdered(cols)
+		return out
+	}
 	switch out.kind {
 	case KOid:
 		v := make([]Oid, 0, total)
@@ -136,6 +145,108 @@ func concatCols(cols []*Column) *Column {
 	out.sorted = allSorted && boundariesOrdered(cols)
 	return out
 }
+
+// concatCodes merges the codes of narrow columns into the codes of one:
+// the least reference becomes the merged one, the width is the
+// narrowest that holds every part's bound rebased onto it (the bound
+// each column carries, so no pass reads the codes to size them), and
+// each part's codes are written once, shifted by the difference of the
+// references. It reports false — the caller decodes to wide — when a
+// non-empty column is wide, the exponents differ, every column is empty,
+// or the rebased codes span past what a uint32 holds.
+func concatCodes(cols []*Column, total int) (nc codes, exp uint8, ok bool) {
+	parts := make([]codes, 0, len(cols))
+	for _, c := range cols {
+		switch {
+		case c.Len() == 0:
+			continue
+		case c.narrow == nil, len(parts) > 0 && c.exp != exp:
+			return nil, 0, false
+		}
+		exp = c.exp
+		parts = append(parts, c.narrow)
+	}
+	if len(parts) == 0 {
+		return nil, 0, false
+	}
+	ref := parts[0].ref()
+	for _, p := range parts[1:] {
+		ref = min(ref, p.ref())
+	}
+	var span uint64
+	for _, p := range parts {
+		d := uint64(p.ref()) - uint64(ref)
+		if d > math.MaxUint32 {
+			return nil, 0, false
+		}
+		span = max(span, d+uint64(p.top()))
+	}
+	switch {
+	case span <= math.MaxUint8:
+		return mergeCodes[uint8](parts, total, ref, span), exp, true
+	case span <= math.MaxUint16:
+		return mergeCodes[uint16](parts, total, ref, span), exp, true
+	case span <= math.MaxUint32:
+		return mergeCodes[uint32](parts, total, ref, span), exp, true
+	}
+	return nil, 0, false
+}
+
+// mergeCodes writes the parts' codes, rebased onto ref, into one
+// exact-size vector of width V. The caller has checked that every
+// rebased code fits: none exceeds top.
+func mergeCodes[V code](parts []codes, total int, ref int64, top uint64) codes {
+	v := make([]V, total)
+	at := 0
+	for _, p := range parts {
+		d := V(uint64(p.ref()) - uint64(ref))
+		switch p := p.(type) {
+		case narrowInts[uint8]:
+			rebase(v[at:], p.v, d)
+		case narrowInts[uint16]:
+			rebase(v[at:], p.v, d)
+		case narrowInts[uint32]:
+			rebase(v[at:], p.v, d)
+		}
+		at += p.len()
+	}
+	return narrowInts[V]{v, ref, V(top)}
+}
+
+// rebase writes src's codes, each plus d, to the front of dst. Codes of
+// dst's own width are copied when d is 0, and otherwise added to eight
+// bytes at a time where the machine reads words at any address, d in
+// every lane: no lane carries into the next, because every code plus d
+// fits.
+func rebase[V, U code](dst []V, src []U, d V) {
+	dst = dst[:len(src)]
+	if same, ok := any(src).([]V); ok {
+		if d == 0 {
+			copy(dst, same)
+			return
+		}
+		if wordsAnyAlign {
+			n := len(same) &^ (8/int(unsafe.Sizeof(d)) - 1) // whole words
+			if words := n * int(unsafe.Sizeof(d)) / 8; words > 0 {
+				lanes := uint64(d) * (math.MaxUint64 / uint64(^V(0)))
+				s := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(same))), words)
+				t := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(dst))), words)
+				for i, x := range s {
+					t[i] = x + lanes
+				}
+			}
+			src, dst = src[n:], dst[n:]
+		}
+	}
+	for i, x := range src {
+		dst[i] = V(x) + d
+	}
+}
+
+// wordsAnyAlign reports whether this machine loads and stores a uint64
+// at any address, as rebase's word loop needs: the codes it reads and
+// writes start wherever a part's rows do.
+var wordsAnyAlign = slices.Contains([]string{"386", "amd64", "arm64", "ppc64le", "s390x"}, runtime.GOARCH)
 
 // fuseDense reports the single dense column equivalent to the
 // concatenation, when every fragment is dense and consecutive

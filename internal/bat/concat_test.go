@@ -2,7 +2,10 @@ package bat
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -330,6 +333,141 @@ func BenchmarkConcatPair(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if Concat(frags).Len() != 1<<20 {
 			b.Fatal("bad concat")
+		}
+	}
+}
+
+// TestConcatKeepsCodes: fragments narrowed one by one — each with its
+// own reference and width, some empty, their boundaries ordered or not —
+// concatenate to the values and sorted flag of the wide concat, to the
+// bit for decimals. The merge keeps codes exactly when every non-empty
+// fragment is narrow at one exponent and the rebased codes fit in 32
+// bits, and then in the width the whole column narrows to; a wide
+// fragment, mixed exponents or a wider span decode to wide.
+func TestConcatKeepsCodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	seen := map[string]int{}
+	for trial := 0; trial < 3000; trial++ {
+		decimal := trial%2 == 1
+		sorted := rng.Intn(2) == 0
+		var wparts, nparts []*BAT
+		var next int64 // a sorted column's running value
+		base := rng.Int63n(1<<40) - 1<<39
+		for p := 1 + rng.Intn(6); p > 0; p-- {
+			var vals []int64
+			if rng.Intn(5) > 0 {
+				vals = make([]int64, 1+rng.Intn(40))
+			}
+			// Each fragment lies at its own offset from base, in a span
+			// of 1, 2 or 4 bytes; one in eight is 33 bits away.
+			ref := base + rng.Int63n(1<<17)
+			if rng.Intn(8) == 0 {
+				ref += 1 << 33
+			}
+			span := []int64{1 << 8, 1 << 16, 1 << 20}[rng.Intn(3)]
+			for i := range vals {
+				vals[i] = ref + rng.Int63n(span)
+			}
+			if sorted {
+				slices.Sort(vals)
+				if rng.Intn(4) > 0 { // keep the boundary ordered
+					for i := range vals {
+						vals[i] = max(vals[i], next)
+					}
+				}
+				if len(vals) > 0 {
+					next = vals[len(vals)-1]
+				}
+			}
+			var w *BAT
+			if decimal {
+				exp := 2
+				switch rng.Intn(12) {
+				case 0:
+					exp = 1 // a mixed exponent
+				case 1:
+					exp = -1 // a value no decimal holds: the fragment stays wide
+				}
+				f := make([]float64, len(vals))
+				for i, k := range vals {
+					f[i] = float64(k) / pow10[max(exp, 0)]
+				}
+				if exp < 0 && len(f) > 0 {
+					f[rng.Intn(len(f))] = math.Pi
+				}
+				if sorted {
+					slices.Sort(f)
+				}
+				w = MakeFloats("c", f)
+			} else {
+				w = MakeInts("c", vals)
+			}
+			w.Tail().SetSorted(sorted)
+			wparts = append(wparts, w)
+			nparts = append(nparts, Narrow(w))
+		}
+		kept, widths := true, map[int]bool{}
+		var exp uint8
+		first := true
+		for _, np := range nparts {
+			c := np.Tail()
+			if c.Len() == 0 {
+				seen["empty fragment"]++
+				continue
+			}
+			switch {
+			case c.narrow == nil:
+				kept = false
+				seen["wide fragment"]++
+			case !first && c.exp != exp:
+				kept = false
+				seen["mixed exponents"]++
+			}
+			widths[c.Width()], exp, first = true, c.exp, false
+		}
+		want := Concat(wparts)
+		got := Concat(nparts)
+		what := fmt.Sprintf("trial %d (decimal %v, %d fragments)", trial, decimal, len(nparts))
+		colsEqual(t, what, want.Tail(), Widen(got).Tail())
+		if decimal {
+			for i := 0; i < want.Len(); i++ {
+				if math.Float64bits(want.Tail().Float(i)) != math.Float64bits(got.Tail().Float(i)) {
+					t.Fatalf("%s: row %d decodes to %v, want %v", what, i, got.Tail().Float(i), want.Tail().Float(i))
+				}
+			}
+		}
+		wantW := 8
+		if kept && !first {
+			wantW = Narrow(want).Tail().Width()
+		}
+		if gw := got.Tail().Width(); gw != wantW {
+			t.Fatalf("%s: merged %d bytes wide, want %d", what, gw, wantW)
+		}
+		if nc := got.Tail().narrow; nc != nil {
+			for i := 0; i < nc.len(); i++ {
+				if uint64(nc.at(i)-nc.ref()) > uint64(nc.top()) {
+					t.Fatalf("%s: row %d's code %d is past the merged bound %d", what, i, nc.at(i)-nc.ref(), nc.top())
+				}
+			}
+		}
+		switch {
+		case kept && !first && wantW == 8:
+			seen["span past 32 bits"]++
+		case wantW < 8 && len(widths) > 1:
+			seen["codes kept, mixed widths"]++
+		}
+		if wantW < 8 && sorted {
+			if want.Tail().Sorted() {
+				seen["codes kept, sorted"]++
+			} else {
+				seen["codes kept, boundary unordered"]++
+			}
+		}
+	}
+	for _, c := range []string{"empty fragment", "wide fragment", "mixed exponents", "span past 32 bits",
+		"codes kept, mixed widths", "codes kept, sorted", "codes kept, boundary unordered"} {
+		if seen[c] == 0 {
+			t.Errorf("no trial covered %q", c)
 		}
 	}
 }

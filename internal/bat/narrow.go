@@ -15,11 +15,12 @@ package bat
 //
 // The kernels that move the bulk of a served query's bytes — range and
 // candidate selects, the positional fetch, sum/min/max and the concat
-// that widens at a region's exit — run on the codes: the width is
-// dispatched once per call (the codes interface), the literals are
-// mapped to the codes once per call (shifted by ref; a float range first
-// becomes the range of scaled integers it holds), and a literal range
-// that misses [ref, ref+maxcode] is answered without a pass. Every other
+// at a region's exit, which keeps the parts' codes — run on the codes:
+// the width is dispatched once per call (the codes interface), the
+// literals are mapped to the codes once per call (shifted by ref; a
+// float range first becomes the range of scaled integers it holds), and
+// a literal range that misses [ref, ref+maxcode] is answered without a
+// pass. Every other
 // reader widens through int64s or float64s into a fresh slice that is
 // never cached on the column, so correctness never depends on where a
 // narrow column travels.
@@ -35,7 +36,7 @@ type code interface{ uint8 | uint16 | uint32 }
 
 // codes is a narrow column's payload, one instantiation per width: the
 // integer i is ref + v[i] — an int column's value, or a decimal float
-// column's value scaled by 10^exp.
+// column's value scaled by 10^exp — and no code exceeds top.
 type codes interface {
 	width() int
 	ref() int64
@@ -52,6 +53,7 @@ type codes interface {
 	sum() int64
 	sumDecimal(scale float64) float64
 	extreme(wantMax bool) int64
+	top() uint32
 	selectRows(t *Column, r bounds[int64]) hits
 	scanOids(base Oid, cand []Oid, restricted bool, r bounds[int64]) []Oid
 }
@@ -60,6 +62,10 @@ type codes interface {
 type narrowInts[U code] struct {
 	v    []U
 	base int64 // ref: the column's minimum when it was narrowed
+	// hi bounds the codes: the greatest one when the column was narrowed
+	// or merged. A view or a gather of the codes keeps it, so it may lie
+	// above what a subset holds; it never lies below a code.
+	hi U
 }
 
 func (c narrowInts[U]) width() int     { return int(unsafe.Sizeof(U(0))) }
@@ -76,19 +82,19 @@ func (c narrowInts[U]) raw() []byte {
 }
 
 func (c narrowInts[U]) view(from, to int) codes {
-	return narrowInts[U]{c.v[from:to:to], c.base}
+	return narrowInts[U]{c.v[from:to:to], c.base, c.hi}
 }
 
 func (c narrowInts[U]) clone() codes {
-	return narrowInts[U]{append([]U(nil), c.v...), c.base}
+	return narrowInts[U]{append([]U(nil), c.v...), c.base, c.hi}
 }
 
 func (c narrowInts[U]) take(idx []int32) codes {
-	return narrowInts[U]{gather(c.v, idx, 0), c.base}
+	return narrowInts[U]{gather(c.v, idx, 0), c.base, c.hi}
 }
 
 func (c narrowInts[U]) takeOids(oids []Oid, base Oid) codes {
-	return narrowInts[U]{gather(c.v, oids, base), c.base}
+	return narrowInts[U]{gather(c.v, oids, base), c.base, c.hi}
 }
 
 func (c narrowInts[U]) appendWide(dst []int64) []int64 {
@@ -144,6 +150,10 @@ func (c narrowInts[U]) sumDecimal(scale float64) float64 {
 func (c narrowInts[U]) extreme(wantMax bool) int64 {
 	return c.base + int64(extremeOf(c.v, wantMax))
 }
+
+// top is the bound on the codes, which is how a concat sizes its merged
+// codes without a pass over them.
+func (c narrowInts[U]) top() uint32 { return uint32(c.hi) }
 
 // selectRows is selectTyped over the codes. A range that misses every
 // code has no code range to express it and is answered without reading
@@ -240,8 +250,9 @@ next:
 }
 
 // encode writes column t's values as codes of type U, each k − ref: k is
-// an int's own value, a decimal float's scaled integer at scale.
-func encode[U code](t *Column, ref int64, scale float64) codes {
+// an int's own value, a decimal float's scaled integer at scale. top is
+// the greatest code, hi − ref.
+func encode[U code](t *Column, ref int64, top uint64, scale float64) codes {
 	var v []U
 	if t.kind == KInt {
 		v = make([]U, len(t.ints))
@@ -254,7 +265,7 @@ func encode[U code](t *Column, ref int64, scale float64) codes {
 			v[i] = U(uint64(int64(math.RoundToEven(x*scale))) - uint64(ref))
 		}
 	}
-	return narrowInts[U]{v, ref}
+	return narrowInts[U]{v, ref, U(top)}
 }
 
 // Narrow returns b with its tail stored in the fewest bytes per value
@@ -288,11 +299,11 @@ func Narrow(b *BAT) *BAT {
 	var nc codes
 	switch span := uint64(hi) - uint64(lo); {
 	case span <= 1<<8-1:
-		nc = encode[uint8](t, lo, pow10[exp])
+		nc = encode[uint8](t, lo, span, pow10[exp])
 	case span <= 1<<16-1:
-		nc = encode[uint16](t, lo, pow10[exp])
+		nc = encode[uint16](t, lo, span, pow10[exp])
 	case span <= 1<<32-1:
-		nc = encode[uint32](t, lo, pow10[exp])
+		nc = encode[uint32](t, lo, span, pow10[exp])
 	default:
 		return b
 	}

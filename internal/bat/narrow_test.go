@@ -102,6 +102,9 @@ func genNarrowCase(t *testing.T, rng *rand.Rand, w int) narrowCase {
 	if got := c.narrow.Tail().Width(); got != wantW {
 		t.Fatalf("%s: Narrow chose width %d, want %d", c.what, got, wantW)
 	}
+	if nc := c.narrow.Tail().narrow; nc != nil && n > 1 && uint64(nc.top()) != span {
+		t.Fatalf("%s: Narrow bounds the codes at %d, want the span %d", c.what, nc.top(), span)
+	}
 	if wantW == 8 && c.narrow != wide {
 		t.Fatalf("%s: Narrow of a column that needs 8 bytes did not return it", c.what)
 	}
@@ -446,25 +449,37 @@ func checkNarrowOperators(t *testing.T, rng *rand.Rand, c narrowCase) {
 	}
 
 	// Fragments narrowed one by one — each its own reference and width —
-	// concatenate to the wide column.
+	// concatenate to the wide column's values. When every fragment is
+	// narrow at one exponent the merge keeps codes, as narrow as the
+	// whole column narrows; a wide fragment (a poisoned one), mixed
+	// exponents, or a span past 32 bits (width 8) leave it wide.
 	var wparts, nparts []*BAT
+	codesKept := true
 	for at := 0; at < n; {
 		next := at + 1 + rng.Intn(n-at)
 		wparts = append(wparts, w.Slice(at, next))
-		nparts = append(nparts, Narrow(w.Slice(at, next)))
+		np := Narrow(w.Slice(at, next))
+		nparts = append(nparts, np)
+		codesKept = codesKept && np.Tail().narrow != nil && np.Tail().exp == nparts[0].Tail().exp
 		at = next
 	}
 	if len(wparts) > 0 {
-		same("Concat", Concat(wparts), Concat(nparts))
+		wcat := Concat(wparts)
+		same("Concat", wcat, Concat(nparts))
 		all := ConcatAll([][]*BAT{nparts, wparts})
-		same("ConcatAll", Concat(wparts), all[0])
-		if len(nparts) > 1 && all[0].Tail().Width() != 8 {
-			t.Fatalf("%s: a concat of %d narrow fragments is %d bytes wide, want wide", what, len(nparts), all[0].Tail().Width())
+		same("ConcatAll", wcat, all[0])
+		want := 8
+		if codesKept {
+			want = Narrow(wcat).Tail().Width()
+		}
+		if got := all[0].Tail().Width(); got != want {
+			t.Fatalf("%s: a concat of %d narrow fragments (codes kept %v) is %d bytes wide, want %d",
+				what, len(nparts), codesKept, got, want)
 		}
 	}
 
-	// The wire carries the width, the reference and the exponent, and the
-	// decoded column is narrow still.
+	// The wire carries the width, the reference, the exponent and the
+	// bound on the codes, and the decoded column is narrow still.
 	data := AppendMarshal(nil, nb)
 	if len(data) != MarshalSize(nb) {
 		t.Fatalf("%s: encoded %d bytes, MarshalSize says %d", what, len(data), MarshalSize(nb))
@@ -475,6 +490,9 @@ func checkNarrowOperators(t *testing.T, rng *rand.Rand, c narrowCase) {
 	}
 	if got.Tail().Width() != nb.Tail().Width() {
 		t.Fatalf("%s: decoded width %d, sent %d", what, got.Tail().Width(), nb.Tail().Width())
+	}
+	if nc := nb.Tail().narrow; nc != nil && n > 0 && got.Tail().narrow.top() != nc.top() {
+		t.Fatalf("%s: decoded code bound %d, sent %d", what, got.Tail().narrow.top(), nc.top())
 	}
 	same("wire", w, got)
 	// Span reports the decoded payload's bytes, which lie in data: how a

@@ -12,7 +12,8 @@ package bat
 //     caller-provided (typically pooled, or NIC-registered) buffer and
 //     MarshalSize is exact, so callers can size envelopes and memory
 //     regions without slack. MarshalVec goes one step further for a
-//     vectored write: the 8-byte vectors stay in the column's memory.
+//     vectored write: the fixed-width vectors stay in the column's
+//     memory.
 //  3. Never trust the bytes: UnmarshalView validates every length and
 //     offset and returns an error instead of panicking on corrupt or
 //     truncated input (see FuzzUnmarshal).
@@ -22,7 +23,7 @@ package bat
 //
 //	message  := hdr name-bytes pad8 column(head) column(tail)
 //	hdr      := magic 'D' 'C' | version u8 | reserved u8 | nameLen u32
-//	column   := kind u8 | flags u8 | width u8 | exp u8 | reserved[4] | base u64 | n u64 | payload
+//	column   := kind u8 | flags u8 | width u8 | exp u8 | top u32 | base u64 | n u64 | payload
 //	payload  := dense: (empty)
 //	          | oid, int/float of width 8: n * u64   (8-aligned, aliasable)
 //	          | int/float of width 1, 2, 4: n * u8|u16|u32 codes, pad8 (aliasable)
@@ -34,7 +35,11 @@ package bat
 // column's exponent, 0 to 22, and 0 for every other column.
 // base is a dense column's first OID and a narrow column's reference:
 // value i is base + code i for an int, (base + code i) / 10^exp for a
-// float (see narrow.go); it is 0 for every other column.
+// float (see narrow.go); it is 0 for every other column. top is a narrow
+// column's bound on its codes, at most the width's largest code: no
+// code exceeds it (a merge sizes its codes from it), and it is 0 for
+// every other column. A message whose codes pass its top decodes to its
+// codes still, as a message with damaged codes does.
 //
 // Versioning rule: the version byte is bumped on any layout change and
 // decoders reject versions they do not know — ring nodes and clients
@@ -64,11 +69,12 @@ const (
 	wireMagic1 = 'C'
 	// WireVersion is the current layout version; UnmarshalView rejects
 	// anything else. Version 2 added the int column's width, version 3
-	// the float column's width and exponent.
-	WireVersion = 3
+	// the float column's width and exponent, version 4 the narrow
+	// column's bound on its codes.
+	WireVersion = 4
 
 	wireHdrSize = 8  // magic(2) + version(1) + reserved(1) + nameLen(4)
-	colHdrSize  = 24 // kind(1) + flags(1) + width(1) + exp(1) + reserved(4) + base(8) + n(8)
+	colHdrSize  = 24 // kind(1) + flags(1) + width(1) + exp(1) + top(4) + base(8) + n(8)
 
 	colFlagDense  = 1 << 0
 	colFlagSorted = 1 << 1
@@ -129,33 +135,38 @@ func AppendMarshal(dst []byte, b *BAT) []byte {
 }
 
 // MarshalVec returns the wire form of b as slices whose concatenation
-// is AppendMarshal(nil, b). On a little-endian host each 8-byte value
-// vector (oid, int or float of width 8) is the column's own memory;
-// the headers, the name, the padding and every other payload are
-// encoded into one buffer of exactly their size, which the slices
-// between the vectors share. A vectored write (net.Buffers) then sends
-// b without copying its values. The slices alias b, which must not
-// change until they are written.
+// is AppendMarshal(nil, b). On a little-endian host each value vector
+// of fixed width — an oid, int or float column of width 8, or a narrow
+// column's codes of width 1, 2 or 4 — is the column's own memory; the
+// headers, the name, the padding and every other payload are encoded
+// into one buffer of exactly their size, which the slices between the
+// vectors share. A vectored write (net.Buffers) then sends b without
+// copying its values. The slices alias b, which must not change until
+// they are written.
 func MarshalVec(b *BAT) [][]byte {
 	if !hostLittle {
 		return [][]byte{AppendMarshal(nil, b)}
 	}
 	cols := [2]*Column{b.h, b.t}
-	vecs := [2][]byte{vec8(b.h), vec8(b.t)}
+	vecs := [2][]byte{valueVec(b.h), valueVec(b.t)}
 	buf := make([]byte, 0, MarshalSize(b)-len(vecs[0])-len(vecs[1]))
 	buf = appendMsgHdr(buf, 0, b)
 	out := make([][]byte, 0, 5)
 	mark := 0
 	for i, c := range cols {
 		buf = appendColumnHdr(buf, c)
-		if vecs[i] == nil {
+		v := vecs[i]
+		if v == nil {
 			buf = appendPayload(buf, 0, c)
 			continue
 		}
-		// A vector is 8n bytes, so leaving it out of buf leaves every
-		// later pad (computed from len(buf)) what the message needs.
-		out = append(out, buf[mark:], vecs[i])
+		out = append(out, buf[mark:], v)
 		mark = len(buf)
+		// The vector's pad goes into buf, so that buf stays as long,
+		// modulo 8, as the message: every later pad computed from
+		// len(buf) is the one the message needs.
+		var zeros [8]byte
+		buf = append(buf, zeros[:pad8(len(v))-len(v)]...)
 	}
 	if mark < len(buf) {
 		out = append(out, buf[mark:])
@@ -196,6 +207,7 @@ func appendColumnHdr(dst []byte, c *Column) []byte {
 	}
 	if c.narrow != nil {
 		hdr[3] = c.exp
+		binary.LittleEndian.PutUint32(hdr[4:], c.narrow.top())
 		base = uint64(c.narrow.ref())
 	}
 	binary.LittleEndian.PutUint64(hdr[8:], base)
@@ -258,6 +270,17 @@ func appendPayload(dst []byte, start int, c *Column) []byte {
 		dst = appendPad(dst, start)
 	}
 	return dst
+}
+
+// valueVec returns the fixed-width values of c as their wire bytes on a
+// little-endian host: a narrow column's codes or vec8's vector, a view
+// of the column's memory either way. It is nil for any other column and
+// for an empty one.
+func valueVec(c *Column) []byte {
+	if c.narrow != nil {
+		return c.narrow.raw()
+	}
+	return vec8(c)
 }
 
 // vec8 returns the values of a materialized 8-byte column (oid, or int
@@ -368,6 +391,7 @@ func readColumn(r *wireReader) *Column {
 		return &Column{}
 	}
 	flags, width, exp := hdr[1], hdr[2], hdr[3]
+	top := binary.LittleEndian.Uint32(hdr[4:])
 	base := Oid(binary.LittleEndian.Uint64(hdr[8:]))
 	n64 := binary.LittleEndian.Uint64(hdr[16:])
 	c := &Column{kind: kind, sorted: flags&colFlagSorted != 0}
@@ -415,10 +439,14 @@ func readColumn(r *wireReader) *Column {
 	}
 	n := int(n64)
 	if (kind == KInt || kind == KFloat) && width != 8 {
+		if uint64(top) >= 1<<(8*width) {
+			r.fail("code bound %d past a width of %d", top, width)
+			return c
+		}
 		raw := r.take(n * int(width))
 		r.skipPad()
 		if r.err == nil && n > 0 {
-			c.narrow, c.exp = wireCodes(raw, int(width), int64(base)), exp
+			c.narrow, c.exp = wireCodes(raw, int(width), int64(base), top), exp
 		}
 		return c
 	}
@@ -479,16 +507,16 @@ func readColumn(r *wireReader) *Column {
 }
 
 // wireCodes makes the codes of a narrow column from its payload of
-// width-byte little-endian codes: a view of raw where the host and the
-// alignment allow, a decoded copy elsewhere.
-func wireCodes(raw []byte, width int, ref int64) codes {
+// width-byte little-endian codes, under their bound top: a view of raw
+// where the host and the alignment allow, a decoded copy elsewhere.
+func wireCodes(raw []byte, width int, ref int64, top uint32) codes {
 	switch width {
 	case 1:
-		return narrowInts[uint8]{viewCodes[uint8](raw), ref}
+		return narrowInts[uint8]{viewCodes[uint8](raw), ref, uint8(top)}
 	case 2:
-		return narrowInts[uint16]{viewCodes[uint16](raw), ref}
+		return narrowInts[uint16]{viewCodes[uint16](raw), ref, uint16(top)}
 	}
-	return narrowInts[uint32]{viewCodes[uint32](raw), ref}
+	return narrowInts[uint32]{viewCodes[uint32](raw), ref, top}
 }
 
 func viewCodes[U code](raw []byte) []U {

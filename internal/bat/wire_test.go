@@ -223,7 +223,8 @@ func TestWireCorruptInputs(t *testing.T) {
 // TestWireRejectsBadWidths: an int or float column's width byte must be
 // 1, 2, 4 or 8; every other column's must be 0 — dense ones included.
 // An exponent belongs on a narrow float column only, and must index the
-// 10^e table; a narrow payload must be there in full.
+// 10^e table; a code bound must fit the width; a narrow payload must be
+// there in full.
 func TestWireRejectsBadWidths(t *testing.T) {
 	ints := Narrow(New("w", DenseColumn(0, 5), IntColumn([]int64{3, 9, 4, 300, 7})))
 	decimals := Narrow(New("d", DenseColumn(0, 5), FloatColumn([]float64{0.03, 0.09, 0.04, 3, 0.07})))
@@ -254,6 +255,7 @@ func TestWireRejectsBadWidths(t *testing.T) {
 			{"an exponent on a dense column", head, map[int]byte{3: 1}},
 			{"an exponent past the 10^e table", tail, map[int]byte{0: byte(KFloat), 3: byte(len(pow10))}},
 			{"an exponent of 255", tail, map[int]byte{0: byte(KFloat), 3: 255}},
+			{"a code bound past the width", tail, map[int]byte{6: 1}},
 		} {
 			cp := append([]byte(nil), data...)
 			for off, v := range c.set {
@@ -325,8 +327,8 @@ func FuzzUnmarshal(f *testing.F) {
 // to AppendMarshal's bytes, for every head and tail form a result or a
 // fragment can take — dense, oid, wide int and float, narrow int and
 // decimal float at each width, str, bool, empty — under names of every
-// length mod 8, and each 8-byte vector among them is the column's own
-// memory.
+// length mod 8, and each fixed-width vector among them — 8-byte values
+// or narrow codes — is the column's own memory.
 func TestMarshalVecConcatenation(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	tails := map[string]func(n int) *Column{
@@ -420,7 +422,7 @@ func TestMarshalVecConcatenation(t *testing.T) {
 		}
 		for _, c := range []*Column{head, tail} {
 			lo, _ := c.Span()
-			if c.Width() != 8 || lo == 0 {
+			if (c.Width() != 8 && c.narrow == nil) || lo == 0 {
 				continue
 			}
 			aliased := false
@@ -428,7 +430,7 @@ func TestMarshalVecConcatenation(t *testing.T) {
 				aliased = aliased || uintptr(unsafe.Pointer(unsafe.SliceData(v))) == lo
 			}
 			if !aliased {
-				t.Fatalf("round %d, %s tail: an 8-byte %s vector was copied, not aliased", round, form, c.Kind())
+				t.Fatalf("round %d, %s tail: a %d-byte %s vector was copied, not aliased", round, form, c.Width(), c.Kind())
 			}
 		}
 	}

@@ -69,9 +69,10 @@ func (n *Node) Publish(name string, b *bat.BAT) (core.BATID, error) {
 
 // Fetch retrieves a column by name through the normal Data Cyclotron
 // path: request every fragment, wait for them to flow past (any
-// order), pin, merge, and unpin. The column comes back wide, whatever
-// width the ring holds it in, and copied out of any receive slab, which
-// the ring recycles once the fetch returns.
+// order), pin, merge, and unpin. The column comes back in the form the
+// merge gives — narrow when every fragment is narrow at one exponent
+// (bat.Concat) — and copied out of any receive slab, which the ring
+// recycles once the fetch returns.
 func (n *Node) Fetch(name string) (*bat.BAT, error) {
 	ids, ok := n.ring.Fragments(name)
 	if !ok {

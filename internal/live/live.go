@@ -712,7 +712,8 @@ func (n *Node) ExecPlan(plan *mal.Plan) (*mal.ResultSet, error) {
 		return nil, fmt.Errorf("live: plan produced %T, want result set", res)
 	}
 	// The result outlives the query's grace period and is encoded for
-	// clients: every column leaves wide and owning its memory.
+	// clients: every column leaves owning its memory, narrow columns in
+	// their codes.
 	for i, c := range rs.Cols {
 		rs.Cols[i] = n.ownResult(c)
 	}

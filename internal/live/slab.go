@@ -21,9 +21,10 @@ package live
 //     (enterQuery / exitQuery). A slab no query ever saw — a pass-through
 //     envelope, a copy the cache already held — returns at once.
 //  3. Results are copied. ExecPlan's result set and Fetch's BAT outlive
-//     the query, so a fixed-width column of theirs that aliases a slab is
-//     copied before they are returned (ownResult). String columns never
-//     alias: UnmarshalView copies the string heap.
+//     the query, so a fixed-width column of theirs that aliases a slab —
+//     narrow codes included — is copied before they are returned
+//     (ownResult). String columns never alias: UnmarshalView copies the
+//     string heap.
 //
 // Every slab a view can reach is one this node received: fragments
 // cross nodes only as bytes on the wire, and owner stores, replicas and
@@ -160,14 +161,12 @@ func (n *Node) exitQuery(e uint64) {
 }
 
 // ownResult returns b as it leaves a query, and so outlives its grace
-// period: wide, and owning its memory. A narrow column is widened — the
-// frame a client is sent is the one the wide columns would give, and a
-// widened column is memory of its own — and b is copied when a column
-// still aliases one of this node's slabs. Called while the query is
-// still registered, so every slab it could alias is still off the free
-// list.
+// period: owning its memory, in the form the kernels computed it —
+// narrow columns keep their codes. b is copied, codes and all, when a
+// column still aliases one of this node's slabs. Called while the query
+// is still registered, so every slab it could alias is still off the
+// free list.
 func (n *Node) ownResult(b *bat.BAT) *bat.BAT {
-	b = bat.Widen(b)
 	if n.slabs.aliased(b.Head()) || n.slabs.aliased(b.Tail()) {
 		return b.Copy()
 	}

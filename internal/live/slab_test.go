@@ -368,7 +368,8 @@ func TestSlabLifetime(t *testing.T) {
 
 	// A narrow fragment: its cache entry alone keeps its slab off the free
 	// list — the codes it reads are a view of that slab — and the column
-	// Fetch returns, widened out of those codes, outlives the slab.
+	// Fetch returns, a copy of those codes in memory of its own, outlives
+	// the slab.
 	t.Run("narrow tail", func(t *testing.T) {
 		r := slabRing(t, DefaultConfig())
 		ids, _ := r.Fragments("t.val")
@@ -384,8 +385,11 @@ func TestSlabLifetime(t *testing.T) {
 		if w := f.b.Tail().Width(); w != 2 {
 			t.Fatalf("the cached fragment is %d bytes wide, want 2", w)
 		}
-		if w := fetched.Tail().Width(); w != 8 {
-			t.Fatalf("the fetched column is %d bytes wide, want 8", w)
+		if w := fetched.Tail().Width(); w != 2 {
+			t.Fatalf("the fetched column is %d bytes wide, want the fragment's 2", w)
+		}
+		if inSlab(fetched.Tail(), f.slab) {
+			t.Fatal("the fetched column's codes are a view of the slab, not a copy")
 		}
 		want := slabValues()["t.val"]
 		settle(t, r, reader, f.slab, 1)
@@ -406,8 +410,8 @@ func TestSlabLifetime(t *testing.T) {
 	})
 
 	// A decimal float fragment, the same way: the cache entry's codes are
-	// a view of its slab, which Span reports, and Fetch decodes them into
-	// a wide float column of its own.
+	// a view of its slab, which Span reports, and Fetch copies them into
+	// a decimal column of its own.
 	t.Run("decimal tail", func(t *testing.T) {
 		r := slabRing(t, DefaultConfig())
 		ids, _ := r.Fragments("u.val")
@@ -426,8 +430,11 @@ func TestSlabLifetime(t *testing.T) {
 		if lo, hi := f.b.Tail().Span(); lo < slabStart(f.slab) || hi > slabStart(f.slab)+uintptr(len(f.slab.buf)) || hi-lo != 2*slabRows {
 			t.Fatalf("the cached codes span [%#x, %#x), want %d bytes of the slab at %#x", lo, hi, 2*slabRows, slabStart(f.slab))
 		}
-		if w := fetched.Tail().Width(); w != 8 || fetched.Tail().Kind() != bat.KFloat {
-			t.Fatalf("the fetched column is a %d-byte %s column, want an 8-byte float", w, fetched.Tail().Kind())
+		if w := fetched.Tail().Width(); w != 2 || fetched.Tail().Kind() != bat.KFloat {
+			t.Fatalf("the fetched column is a %d-byte %s column, want a 2-byte float", w, fetched.Tail().Kind())
+		}
+		if inSlab(fetched.Tail(), f.slab) {
+			t.Fatal("the fetched column's codes are a view of the slab, not a copy")
 		}
 		want := tailBits(bat.MakeFloats("u.val", slabDecimals()))
 		settle(t, r, reader, f.slab, 1)
@@ -450,3 +457,9 @@ func TestSlabLifetime(t *testing.T) {
 
 // slabStart is the address of s's first byte.
 func slabStart(s *slab) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(s.buf))) }
+
+// inSlab reports whether any of c's values lie in s.
+func inSlab(c *bat.Column, s *slab) bool {
+	lo, hi := c.Span()
+	return lo < slabStart(s)+uintptr(len(s.buf)) && slabStart(s) < hi
+}

@@ -19,20 +19,21 @@ import (
 	"repro/internal/tpch"
 )
 
-// TestServedFramesMatchLocalReference: for each of the four queries
-// whose rewritten plans are golden (internal/tpch/testdata), the result
-// frame a node serves is byte for byte the frame of the same plan run
-// locally, fragment by fragment at the ring's cuts, over the
-// generator's wide columns — whatever widths the ring stores its
-// fragments in. Same cuts, same merge order: float sums agree to the
-// bit, so any difference is the kernel's or the frame's. With one
-// fragment per column a projection's result is a fragment's own narrow
-// column, which must be widened before it is encoded. q6ish sums the
-// decimal l_extendedprice, and wide projects it.
 // wideSQL is wide_result's projection: about half of lineitem's rows,
-// three 8-byte columns.
+// three columns the ring stores narrow.
 const wideSQL = "select l_orderkey, l_suppkey, l_extendedprice from lineitem where l_quantity < 25"
 
+// TestServedFramesMatchLocalReference: for each of the four queries
+// whose rewritten plans are golden (internal/tpch/testdata), the result
+// frame a node serves, decoded and with every column widened, encodes
+// byte for byte to the frame of the same plan run locally, fragment by
+// fragment at the ring's cuts, over the generator's wide columns —
+// whatever widths the ring stores its fragments in. Same cuts, same
+// merge order: float sums agree to the bit, so any difference is the
+// kernel's or the frame's. A projection's result keeps the codes of
+// the ring's narrow fragments, merged without widening: the wide
+// query's columns arrive narrow, in at most half the reference's
+// bytes. q6ish sums the decimal l_extendedprice, and wide projects it.
 func TestServedFramesMatchLocalReference(t *testing.T) {
 	db := tpch.GenDB(0.002, 1)
 	for _, c := range []struct {
@@ -90,9 +91,28 @@ func checkServedFrames(t *testing.T, db *tpch.DB, cfg live.Config) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s on node %d, %d-row fragments: served frame (%d bytes) differs from the local reference's (%d bytes)",
-					c.name, node, cfg.FragmentRows, len(got), len(want))
+			served, err := server.DecodeResult(got)
+			if err != nil {
+				t.Fatalf("%s on node %d: served frame does not decode: %v", c.name, node, err)
+			}
+			for i, col := range served.Cols {
+				if c.name == "wide" && col.Tail().Width() >= 8 {
+					t.Fatalf("wide on node %d, %d-row fragments: column %q arrived %d bytes wide, want its codes",
+						node, cfg.FragmentRows, served.Names[i], col.Tail().Width())
+				}
+				served.Cols[i] = bat.Widen(col)
+			}
+			widened, err := server.EncodeResult(served)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(widened, want) {
+				t.Fatalf("%s on node %d, %d-row fragments: served frame (%d bytes, %d widened) differs from the local reference's (%d bytes)",
+					c.name, node, cfg.FragmentRows, len(got), len(widened), len(want))
+			}
+			if c.name == "wide" && 2*len(got) > len(want) {
+				t.Fatalf("wide on node %d, %d-row fragments: served frame is %d bytes, want at most half the reference's %d",
+					node, cfg.FragmentRows, len(got), len(want))
 			}
 		}
 	}
@@ -157,7 +177,7 @@ func TestServedWideFrameHasDenseHeads(t *testing.T) {
 // under the same limit would drop it as a transport error, retry and
 // fail over, and every node would execute the query.
 func TestOversizedResultIsRefused(t *testing.T) {
-	const limit = 64 << 10
+	const limit = 8 << 10
 	cfg := server.DefaultConfig()
 	cfg.MaxFrame = limit
 	r, s := servedTPCH(t, cfg)
@@ -179,6 +199,14 @@ func TestOversizedResultIsRefused(t *testing.T) {
 	}
 	if accepted != 1 {
 		t.Fatalf("the query was accepted %d times across the ring, want once", accepted)
+	}
+	// The premise: the wide result's frame is past the limit.
+	rs, err := r.Node(0).ExecSQL(wideSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, n, err := server.ResultVec(rs); err != nil || n <= limit {
+		t.Fatalf("the wide result's frame is %d bytes (%v), want past the %d-byte limit", n, err, limit)
 	}
 	// The refusal leaves the connection in step: a scalar answers.
 	if _, err := cl.Query(context.Background(), "select count(*) from lineitem"); err != nil {

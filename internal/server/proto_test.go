@@ -61,6 +61,31 @@ func mixedResult() *mal.ResultSet {
 	}
 }
 
+// narrowResult is a projection's result as a node serves it: columns
+// in the codes of widths 1, 2 and 4 above a reference, and a decimal
+// one in hundredths, each under a dense head.
+func narrowResult(f *testing.F) *mal.ResultSet {
+	f.Helper()
+	rs := &mal.ResultSet{}
+	for _, c := range []struct {
+		name  string
+		width int
+		b     *bat.BAT
+	}{
+		{"w1", 1, bat.MakeInts("w1", []int64{-7, 200, 0, 5})},
+		{"w2", 2, bat.MakeInts("w2", []int64{1 << 40, 1<<40 + 60000, 1<<40 + 3})},
+		{"w4", 4, bat.MakeInts("w4", []int64{-1 << 20, 1 << 30, 17})},
+		{"price", 2, bat.MakeFloats("price", []float64{901.5, 1099.99, 950.01, 1000})},
+	} {
+		b := bat.Narrow(c.b)
+		if w := b.Tail().Width(); w != c.width {
+			f.Fatalf("%s narrows to %d bytes, want %d", c.name, w, c.width)
+		}
+		rs.Names, rs.Cols = append(rs.Names, c.name), append(rs.Cols, b)
+	}
+	return rs
+}
+
 func TestHelloRoundtrip(t *testing.T) {
 	h := membershipHello
 	payload, err := EncodeHello(h)
@@ -383,10 +408,12 @@ func FuzzDecodeHello(f *testing.F) {
 // FuzzDecodeResult: DecodeResult must reject or decode any payload
 // without panicking, every decoded column must be walkable, and a
 // decoded result re-encodes to a frame that decodes to the same names
-// and column bytes — the encoder's output is its canonical form.
+// and column bytes — the encoder's output is its canonical form. The
+// seeds include a projection's narrow columns, the form every large
+// result arrives in.
 func FuzzDecodeResult(f *testing.F) {
 	for _, rs := range []*mal.ResultSet{
-		mixedResult(), {},
+		mixedResult(), narrowResult(f), {},
 		{Names: []string{"none"}, Cols: []*bat.BAT{bat.MakeInts("none", nil)}},
 	} {
 		payload, err := EncodeResult(rs)

@@ -605,29 +605,16 @@ func (ns *nodeServer) serveQuery(conn net.Conn, bw *bufio.Writer, sql string) {
 		return
 	}
 	// bw is empty here (handle flushes after every answer), so the frame
-	// goes straight to the socket. A result the client never got is a
-	// failed query; the broken connection is left to handle's next read.
-	// The frame's last byte is held back until the query is counted ok:
-	// a client that has read its whole result must find it in the
-	// counters it scrapes next.
-	body, last := splitLastByte(frame)
-	if _, err := body.WriteTo(conn); err != nil {
-		ns.failed.Inc()
-		return
-	}
+	// goes straight to the socket, in one write. The query is counted ok
+	// before it: a client that has read its whole result must find it
+	// in the counters it scrapes next. A result the client never got is
+	// a failed query, so a failed write moves it from ok to failed; the
+	// broken connection is left to handle's next read.
 	ns.ok.Inc()
-	conn.Write(last)
-}
-
-// splitLastByte splits frame into everything but its final byte, and
-// that byte.
-func splitLastByte(frame net.Buffers) (net.Buffers, []byte) {
-	for i := len(frame) - 1; i >= 0; i-- {
-		if b := frame[i]; len(b) > 0 {
-			return append(frame[:i:i], b[:len(b)-1]), b[len(b)-1:]
-		}
+	if _, err := frame.WriteTo(conn); err != nil {
+		ns.ok.Add(-1)
+		ns.failed.Inc()
 	}
-	return frame, nil
 }
 
 // resultFrame is the FrameResult for rs as one vectored write (writev):
