@@ -76,5 +76,5 @@ func benchServerThroughput(b *testing.B, fragmentRows int) {
 		}
 	})
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-	b.ReportMetric(float64(ring.MaxHopBytes()), "maxhop-bytes")
+	b.ReportMetric(float64(ring.HopStats().MaxMsg), "maxhop-bytes")
 }

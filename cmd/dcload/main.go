@@ -55,7 +55,6 @@ func main() {
 	var (
 		targets []string
 		srv     *dc.QueryServer
-		ring    *dc.LiveRing
 	)
 	switch {
 	case *selfserve:
@@ -65,7 +64,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer served.Close()
-		ring, srv = served.Ring, served.Srv
+		srv = served.Srv
 		targets = srv.Addrs()
 		fmt.Printf("selfserve: %d-node ring over TPC-H sf=%g, inflight=%d queue=%d replicas=%d\n",
 			*nodes, *sf, *inflight, *queue, *replicas)
@@ -85,8 +84,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dcload: -kill needs -replicas > 0 (no failover without replica copies)")
 			os.Exit(1)
 		}
-		if *killnode < 0 || *killnode >= ring.Size() {
-			fmt.Fprintf(os.Stderr, "dcload: -killnode %d out of range for a %d-node ring\n", *killnode, ring.Size())
+		if *killnode < 0 || *killnode >= len(targets) {
+			fmt.Fprintf(os.Stderr, "dcload: -killnode %d out of range for a %d-node ring\n", *killnode, len(targets))
 			os.Exit(1)
 		}
 		s, victim := srv, *killnode
@@ -113,16 +112,17 @@ func main() {
 		*clients, *queries, len(targets), res.Wall.Seconds(), res)
 	if srv != nil {
 		fmt.Println("\nper-node server stats:")
-		for i := 0; i < ring.Size(); i++ {
+		for i := range targets {
 			fmt.Printf("node %d: %s\n", i, srv.Stats(i))
 		}
 	}
-	reportCache(targets, ring, res.OK)
+	stats := fetchStats(targets)
+	reportCache(stats, res.OK)
 	if *hopstats {
-		reportHop(targets, ring)
+		reportHop(stats)
 	}
 	if *memstats {
-		reportMemb(targets, ring)
+		reportMemb(stats)
 	}
 	for _, e := range res.Errors {
 		fmt.Fprintln(os.Stderr, "dcload:", e)
@@ -144,29 +144,11 @@ func main() {
 
 // reportMemb prints the membership outcome of the run: view version,
 // liveness counts, replica health, and how many failovers/promotions
-// the ring performed. A self-served ring is read directly; external
-// targets are asked over the wire.
-func reportMemb(targets []string, ring *dc.LiveRing) {
+// the ring performed.
+func reportMemb(stats []dc.ServerNodeStats) {
 	var ms dc.LiveMembershipStats
-	if ring != nil {
-		ms = ring.MembershipStats()
-	} else {
-		eachStats(targets, "membership", func(st dc.ServerNodeStats) {
-			ms.Enabled = ms.Enabled || st.MembEnabled
-			if st.MembViewVersion > ms.ViewVersion {
-				ms.ViewVersion = st.MembViewVersion
-				ms.Alive, ms.Suspect, ms.Dead = st.MembAlive, st.MembSuspect, st.MembDead
-			}
-			ms.Replicas += st.MembReplicas
-			ms.ReplicaLag += st.MembReplicaLag
-			if st.MembFailovers > ms.Failovers {
-				ms.Failovers = st.MembFailovers
-			}
-			ms.Promotions += st.MembPromotions
-			ms.LostFrags += st.MembLostFrags
-			ms.BeatsSent += st.MembBeatsSent
-			ms.BeatsRecv += st.MembBeatsRecv
-		})
+	for _, st := range stats {
+		ms.Merge(st.Memb)
 	}
 	if !ms.Enabled {
 		fmt.Println("\nmembership: disabled (replicas=0)")
@@ -182,70 +164,34 @@ func reportMemb(targets []string, ring *dc.LiveRing) {
 
 // reportCache prints the hot-set cache outcome of the run: how many
 // pins were node-local reads versus ring waits, and the time spent
-// blocked on circulation. A self-served ring is read directly;
-// external targets are asked over the wire (stats frame).
-func reportCache(targets []string, ring *dc.LiveRing, completed int64) {
-	var hits, misses, coalesced, ringWaits int64
-	var ringWait time.Duration
-	if ring != nil {
-		cs := ring.CacheStats()
-		hits, misses, coalesced = cs.Hits, cs.Misses, cs.Coalesced
-		ringWaits, ringWait = cs.RingWaits, time.Duration(cs.RingWaitNanos)
-	} else {
-		eachStats(targets, "cache", func(st dc.ServerNodeStats) {
-			hits += st.CacheHits
-			misses += st.CacheMisses
-			coalesced += st.CacheCoalesced
-			ringWaits += st.RingWaits
-			ringWait += st.RingWait
-		})
+// blocked on circulation.
+func reportCache(stats []dc.ServerNodeStats, completed int64) {
+	var cs dc.LiveCacheStats
+	for _, st := range stats {
+		cs.Merge(st.Cache)
 	}
-	total := hits + misses
-	if total == 0 && ringWaits == 0 {
+	if cs.Hits+cs.Misses == 0 && cs.RingWaits == 0 {
 		return
 	}
-	rate := 0.0
-	if total > 0 {
-		rate = 100 * float64(hits) / float64(total)
-	}
 	fmt.Printf("\nhot-set cache: hits=%d misses=%d (hit rate %.1f%%) coalesced=%d\n",
-		hits, misses, rate, coalesced)
+		cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Coalesced)
+	ringWait := time.Duration(cs.RingWaitNanos)
 	perQuery := time.Duration(0)
 	if completed > 0 {
 		perQuery = ringWait / time.Duration(completed)
 	}
 	fmt.Printf("ring wait: %d blocked pins, %s total (%s per completed query)\n",
-		ringWaits, ringWait, perQuery)
+		cs.RingWaits, ringWait, perQuery)
 }
 
 // reportHop prints the hop-transport outcome of the run: how many wire
 // messages the ring's forwards cost versus how many fragments they
 // carried (the batching win), the batch fill distribution, and how many
-// fragments LOI pacing is holding parked at their owners. A self-served
-// ring is read directly; external targets are asked over the wire.
-func reportHop(targets []string, ring *dc.LiveRing) {
+// fragments LOI pacing is holding parked at their owners.
+func reportHop(stats []dc.ServerNodeStats) {
 	var hs dc.LiveHopStats
-	if ring != nil {
-		hs = ring.HopStats()
-	} else {
-		eachStats(targets, "hop", func(st dc.ServerNodeStats) {
-			hs.Msgs += st.HopMsgs
-			hs.Singles += st.HopSingles
-			hs.Batches += st.HopBatches
-			hs.Frags += st.HopFrags
-			for i := range hs.Fill {
-				hs.Fill[i] += st.HopFill[i]
-			}
-			hs.Bytes += st.HopBytes
-			if st.HopMaxMsg > hs.MaxMsg {
-				hs.MaxMsg = st.HopMaxMsg
-			}
-			hs.Parked += int(st.HopParked)
-			hs.ParkedTotal += st.HopParkedTotal
-			hs.Unparked += st.HopUnparked
-			hs.PoolAcquires += st.PoolAcquires
-			hs.PoolWaits += st.PoolWaits
-		})
+	for _, st := range stats {
+		hs.Merge(st.Hop)
 	}
 	if hs.Msgs == 0 {
 		fmt.Println("\nhop transport: no data messages sent")
@@ -272,9 +218,11 @@ func reportHop(targets []string, ring *dc.LiveRing) {
 	}
 }
 
-// eachStats asks every target for its stats frame over the wire,
-// skipping (with a note) the ones that do not answer.
-func eachStats(targets []string, what string, fn func(dc.ServerNodeStats)) {
+// fetchStats asks every target for its stats frame over the wire,
+// skipping (with a note) the ones that do not answer, such as a node
+// the failover drill killed.
+func fetchStats(targets []string) []dc.ServerNodeStats {
+	var stats []dc.ServerNodeStats
 	for _, addr := range targets {
 		var st dc.ServerNodeStats
 		cl, err := dcclient.Dial(addr)
@@ -285,11 +233,12 @@ func eachStats(targets []string, what string, fn func(dc.ServerNodeStats)) {
 			cl.Close()
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcload: %s stats: skipping %s: %v\n", what, addr, err)
+			fmt.Fprintf(os.Stderr, "dcload: stats: skipping %s: %v\n", addr, err)
 			continue
 		}
-		fn(st)
+		stats = append(stats, st)
 	}
+	return stats
 }
 
 func startRing(nodes int, sf float64, seed int64, inflight, queue, replicas int, hb time.Duration) (*experiments.Served, error) {

@@ -251,37 +251,42 @@ func TestStatsFrame(t *testing.T) {
 	if st.OK != 3 || st.Accepted != 3 {
 		t.Fatalf("stats did not count the queries: %+v", st)
 	}
-	if st.CacheHits+st.CacheMisses == 0 {
+	if st.Cache.Hits+st.Cache.Misses == 0 {
 		t.Fatal("stats carried no pin accounting")
 	}
-	if st.CacheHits == 0 {
+	if st.Cache.Hits == 0 {
 		t.Fatal("repeated query never hit the hot-set cache")
 	}
-	if rate := st.CacheHitRate(); rate <= 0 || rate > 1 {
+	if rate := st.Cache.HitRate(); rate <= 0 || rate > 1 {
 		t.Fatalf("hit rate %v out of range", rate)
+	}
+	// The frame carries the node's cache snapshot whole, including
+	// counters a field-by-field copy once left behind.
+	if st.Cache.Inserts == 0 {
+		t.Fatalf("stats carried no cache inserts: %+v", st.Cache)
 	}
 	// Hop-transport counters crossed the wire too: answering the query
 	// made fragments hop. The serving node's own sends happen after the
 	// query answer (it forwards fragments onward asynchronously), so
 	// poll briefly for the counters to land.
-	for deadline := time.Now().Add(5 * time.Second); st.HopMsgs == 0; {
+	for deadline := time.Now().Add(5 * time.Second); st.Hop.Msgs == 0; {
 		if time.Now().After(deadline) {
-			t.Fatalf("stats carried no hop accounting: msgs=%d frags=%d", st.HopMsgs, st.HopFrags)
+			t.Fatalf("stats carried no hop accounting: %+v", st.Hop)
 		}
 		time.Sleep(5 * time.Millisecond)
 		if st, err = cl.Stats(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st.HopFrags < st.HopMsgs {
-		t.Fatalf("inconsistent hop accounting: msgs=%d frags=%d", st.HopMsgs, st.HopFrags)
+	if st.Hop.Frags < st.Hop.Msgs {
+		t.Fatalf("inconsistent hop accounting: msgs=%d frags=%d", st.Hop.Msgs, st.Hop.Frags)
 	}
 	var fill int64
-	for _, c := range st.HopFill {
+	for _, c := range st.Hop.Fill {
 		fill += c
 	}
-	if fill != st.HopMsgs {
-		t.Fatalf("fill histogram %v does not sum to msgs %d", st.HopFill, st.HopMsgs)
+	if fill != st.Hop.Msgs {
+		t.Fatalf("fill histogram %v does not sum to msgs %d", st.Hop.Fill, st.Hop.Msgs)
 	}
 	// The connection survives a stats exchange and keeps querying.
 	if _, err := cl.Query(ctx, "select val from t where id = 2"); err != nil {

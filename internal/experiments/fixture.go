@@ -42,10 +42,10 @@ func quantile(lat []time.Duration, p float64) time.Duration {
 // rotating, and the total only has to reflect what the queries caused.
 func settleHopBytes(r *live.Ring) int64 {
 	settle := time.Now().Add(300 * time.Millisecond)
-	last, still := r.HopBytes(), 0
+	last, still := r.HopStats().Bytes, 0
 	for still < 3 && time.Now().Before(settle) {
 		time.Sleep(10 * time.Millisecond)
-		if cur := r.HopBytes(); cur == last {
+		if cur := r.HopStats().Bytes; cur == last {
 			still++
 		} else {
 			last, still = cur, 0

@@ -101,27 +101,6 @@ func (r *Ring) fragKnown(id core.BATID) bool {
 // largest fragment rather than the largest column.
 func (r *Ring) MaxMessage() int { return r.maxMsgBytes }
 
-// MaxHopBytes reports the largest single data message any node has put
-// on the ring so far.
-func (r *Ring) MaxHopBytes() int64 {
-	var max int64
-	for _, n := range r.nodeList() {
-		if v := atomic.LoadInt64(&n.maxHopBytes); v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// HopBytes reports the total data bytes sent over all ring hops.
-func (r *Ring) HopBytes() int64 {
-	var total int64
-	for _, n := range r.nodeList() {
-		total += atomic.LoadInt64(&n.hopBytes)
-	}
-	return total
-}
-
 // ---------------------------------------------------------------------
 // fragment acquisition: cache hit, coalesced wait, or ring circulation
 // ---------------------------------------------------------------------

@@ -250,13 +250,14 @@ func TestFragmentedMaxHopBytes(t *testing.T) {
 		}
 		// Sends are asynchronous; wait for the hot set to start rotating.
 		deadline := time.Now().Add(5 * time.Second)
-		for r.MaxHopBytes() == 0 && time.Now().Before(deadline) {
+		for r.HopStats().MaxMsg == 0 && time.Now().Before(deadline) {
 			time.Sleep(2 * time.Millisecond)
 		}
-		if r.MaxHopBytes() == 0 {
+		maxMsg := r.HopStats().MaxMsg
+		if maxMsg == 0 {
 			t.Fatal("no data hops recorded")
 		}
-		return r.MaxHopBytes(), rs
+		return maxMsg, rs
 	}
 	bigHop, want := run(0)
 	smallHop, got := run(8192)

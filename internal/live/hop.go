@@ -62,6 +62,26 @@ type HopStats struct {
 	WireSyscalls int64
 }
 
+// Merge folds another node's snapshot into s. Every field sums except
+// MaxMsg, which takes the max.
+func (s *HopStats) Merge(o HopStats) {
+	s.Msgs += o.Msgs
+	s.Singles += o.Singles
+	s.Batches += o.Batches
+	s.Frags += o.Frags
+	for i := range s.Fill {
+		s.Fill[i] += o.Fill[i]
+	}
+	s.Bytes += o.Bytes
+	s.MaxMsg = max(s.MaxMsg, o.MaxMsg)
+	s.Parked += o.Parked
+	s.ParkedTotal += o.ParkedTotal
+	s.Unparked += o.Unparked
+	s.PoolAcquires += o.PoolAcquires
+	s.PoolWaits += o.PoolWaits
+	s.WireSyscalls += o.WireSyscalls
+}
+
 // fillBucket maps a batch entry count onto a Fill histogram index.
 func fillBucket(frags int) int {
 	switch {
@@ -313,7 +333,7 @@ func (n *Node) HopStats() HopStats {
 	// Each endpoint is counted at exactly one node (out at the sender,
 	// in at the receiver), so the ring-wide sum has no double counting.
 	for _, m := range []*rdma.Messenger{n.linkDataOut(), n.linkDataIn()} {
-		s.WireSyscalls += m.WireCounters().Syscalls
+		s.WireSyscalls += m.Syscalls()
 	}
 	return s
 }

@@ -75,6 +75,20 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
+// Merge folds another node's snapshot into s. Every field sums.
+func (s *CacheStats) Merge(o CacheStats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Stale += o.Stale
+	s.Inserts += o.Inserts
+	s.Evictions += o.Evictions
+	s.Coalesced += o.Coalesced
+	s.Bytes += o.Bytes
+	s.Entries += o.Entries
+	s.RingWaits += o.RingWaits
+	s.RingWaitNanos += o.RingWaitNanos
+}
+
 // hotEntry is one resident fragment version.
 type hotEntry struct {
 	f     *fragment

@@ -343,7 +343,7 @@ func TestCoalescedConcurrentPins(t *testing.T) {
 }
 
 // TestHopAndCacheCountersUnderRace hammers the instrumentation readers
-// (HopBytes, MaxHopBytes, CacheStats) while queries
+// (HopStats, CacheStats, MembershipStats) while queries
 // drive concurrent sends — the race detector verifies every counter is
 // read and written atomically.
 func TestHopAndCacheCountersUnderRace(t *testing.T) {
@@ -363,9 +363,11 @@ func TestHopAndCacheCountersUnderRace(t *testing.T) {
 				return
 			default:
 			}
-			sink += r.HopBytes() + r.MaxHopBytes()
+			hs := r.HopStats()
+			sink += hs.Bytes + hs.MaxMsg
 			cs := r.CacheStats()
 			sink += cs.Hits + cs.RingWaitNanos
+			sink += r.MembershipStats().BeatsSent
 		}
 	}()
 

@@ -406,19 +406,45 @@ func (r *Ring) promoteFrag(dead core.NodeID, id core.BATID) {
 
 // MembershipStats is the membership/failover snapshot, shaped like
 // HopStats/CacheStats: per node, or ring-wide via Ring.MembershipStats.
+// Merge folds node snapshots by one rule per field kind: the view
+// fields (ViewVersion, Alive, Suspect, Dead) come from the highest
+// ViewVersion; the per-node counters (Replicas, ReplicaLag, BeatsSent,
+// BeatsRecv) sum; the ring-wide counters every node reports alike
+// (Failovers, Promotions, LostFrags) take the max, so a fold over N
+// nodes does not count them N times.
 type MembershipStats struct {
 	Enabled     bool  // Replicas > 0
-	ViewVersion int64 // membership view version (max over live nodes)
+	ViewVersion int64 // membership view version
 	Alive       int   // nodes alive in that view
 	Suspect     int   // nodes under suspicion
 	Dead        int   // nodes declared dead
 	Replicas    int64 // replica copies held
 	ReplicaLag  int64 // replicas behind the catalog version
-	Failovers   int64 // deaths failed over
-	Promotions  int64 // fragments re-owned from replicas
-	LostFrags   int64 // fragments lost (all replicas dead)
+	Failovers   int64 // deaths failed over, ring-wide
+	Promotions  int64 // fragments re-owned from replicas, ring-wide
+	LostFrags   int64 // fragments lost (all replicas dead), ring-wide
 	BeatsSent   int64 // heartbeat pulses sent
 	BeatsRecv   int64 // heartbeat pulses received
+}
+
+// Merge folds another node's snapshot into s by the rules on the type.
+// A snapshot with membership off is skipped.
+func (s *MembershipStats) Merge(o MembershipStats) {
+	if !o.Enabled {
+		return
+	}
+	if !s.Enabled || o.ViewVersion > s.ViewVersion {
+		s.ViewVersion = o.ViewVersion
+		s.Alive, s.Suspect, s.Dead = o.Alive, o.Suspect, o.Dead
+	}
+	s.Enabled = true
+	s.Replicas += o.Replicas
+	s.ReplicaLag += o.ReplicaLag
+	s.BeatsSent += o.BeatsSent
+	s.BeatsRecv += o.BeatsRecv
+	s.Failovers = max(s.Failovers, o.Failovers)
+	s.Promotions = max(s.Promotions, o.Promotions)
+	s.LostFrags = max(s.LostFrags, o.LostFrags)
 }
 
 // MembershipStats snapshots this node's membership state.
@@ -453,33 +479,14 @@ func (n *Node) MembershipStats() MembershipStats {
 	return s
 }
 
-// MembershipStats aggregates over live nodes: view fields come from the
-// most advanced live view, counters sum.
+// MembershipStats merges the snapshots of the live nodes.
 func (r *Ring) MembershipStats() MembershipStats {
 	var total MembershipStats
-	first := true
 	for _, n := range r.nodeList() {
-		if r.isDead(n.id) {
-			continue
+		if !r.isDead(n.id) {
+			total.Merge(n.MembershipStats())
 		}
-		s := n.MembershipStats()
-		if !s.Enabled {
-			continue
-		}
-		total.Enabled = true
-		if first || s.ViewVersion > total.ViewVersion {
-			total.ViewVersion = s.ViewVersion
-			total.Alive, total.Suspect, total.Dead = s.Alive, s.Suspect, s.Dead
-			first = false
-		}
-		total.Replicas += s.Replicas
-		total.ReplicaLag += s.ReplicaLag
-		total.BeatsSent += s.BeatsSent
-		total.BeatsRecv += s.BeatsRecv
 	}
-	total.Failovers = atomic.LoadInt64(&r.failovers)
-	total.Promotions = atomic.LoadInt64(&r.promotions)
-	total.LostFrags = atomic.LoadInt64(&r.lostFrags)
 	return total
 }
 

@@ -37,21 +37,11 @@ func (n *Node) CacheStats() CacheStats {
 	return s
 }
 
-// CacheStats aggregates the hot-set cache counters over every node.
+// CacheStats merges the hot-set cache counters of every node.
 func (r *Ring) CacheStats() CacheStats {
 	var total CacheStats
 	for _, n := range r.nodeList() {
-		s := n.CacheStats()
-		total.Hits += s.Hits
-		total.Misses += s.Misses
-		total.Stale += s.Stale
-		total.Inserts += s.Inserts
-		total.Evictions += s.Evictions
-		total.Coalesced += s.Coalesced
-		total.Bytes += s.Bytes
-		total.Entries += s.Entries
-		total.RingWaits += s.RingWaits
-		total.RingWaitNanos += s.RingWaitNanos
+		total.Merge(n.CacheStats())
 	}
 	return total
 }
@@ -80,28 +70,11 @@ func (r *Ring) Quiesce(timeout time.Duration) bool {
 	}
 }
 
-// HopStats sums the hop-transport counters over every node.
+// HopStats merges the hop-transport counters of every node.
 func (r *Ring) HopStats() HopStats {
 	var total HopStats
 	for _, n := range r.nodeList() {
-		s := n.HopStats()
-		total.Msgs += s.Msgs
-		total.Singles += s.Singles
-		total.Batches += s.Batches
-		total.Frags += s.Frags
-		for i := range total.Fill {
-			total.Fill[i] += s.Fill[i]
-		}
-		total.Bytes += s.Bytes
-		if s.MaxMsg > total.MaxMsg {
-			total.MaxMsg = s.MaxMsg
-		}
-		total.Parked += s.Parked
-		total.ParkedTotal += s.ParkedTotal
-		total.Unparked += s.Unparked
-		total.PoolAcquires += s.PoolAcquires
-		total.PoolWaits += s.PoolWaits
-		total.WireSyscalls += s.WireSyscalls
+		total.Merge(n.HopStats())
 	}
 	return total
 }

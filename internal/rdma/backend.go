@@ -15,11 +15,3 @@ const BackendTCP Backend = 0
 func NewConnQP(conn net.Conn, _ Backend, _ int) (QueuePair, string, error) {
 	return NewTCP(conn), "", nil
 }
-
-// WireCounters reports transport work at the syscall layer of one queue
-// pair endpoint: Syscalls counts the write and read calls the tcp
-// provider issues (a lower bound on true kernel crossings: the Go
-// netpoller's epoll and futex traffic comes on top).
-type WireCounters struct {
-	Syscalls int64
-}

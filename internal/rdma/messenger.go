@@ -232,9 +232,9 @@ func (m *Messenger) PoolStats() (acquires, waits int64) {
 	return atomic.LoadInt64(&m.poolAcquires), atomic.LoadInt64(&m.poolWaits)
 }
 
-// WireCounters reports the underlying queue pair's syscall-layer
-// counters.
-func (m *Messenger) WireCounters() WireCounters { return m.qp.WireCounters() }
+// Syscalls reports the write and read calls the underlying queue pair
+// has issued.
+func (m *Messenger) Syscalls() int64 { return m.qp.Syscalls() }
 
 // acquireRegion takes a free send region, counting contention.
 func (m *Messenger) acquireRegion() (*MemoryRegion, error) {

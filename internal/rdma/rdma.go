@@ -118,8 +118,10 @@ type QueuePair interface {
 	RecvCompletions() <-chan Completion
 	// Done is closed when the queue pair shuts down.
 	Done() <-chan struct{}
-	// WireCounters reports the endpoint's syscall-layer work.
-	WireCounters() WireCounters
+	// Syscalls counts the write and read calls the endpoint has issued:
+	// a lower bound on kernel crossings, since the Go netpoller's epoll
+	// and futex traffic comes on top.
+	Syscalls() int64
 	// Close tears the pair down; posted requests complete with ErrClosed.
 	Close() error
 }
@@ -153,7 +155,7 @@ type tcpQP struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	syscalls int64 // atomic: write/read calls issued (lower bound, see WireCounters)
+	syscalls int64 // atomic: write/read calls issued (lower bound, see Syscalls)
 }
 
 // NewTCP wraps an established connection in a queue pair.
@@ -382,13 +384,11 @@ func (qp *tcpQP) SendCompletions() <-chan Completion { return qp.sendCQ }
 func (qp *tcpQP) RecvCompletions() <-chan Completion { return qp.recvCQ }
 func (qp *tcpQP) Done() <-chan struct{}              { return qp.done }
 
-// WireCounters reports the write/read calls this layer issues, a lower
+// Syscalls reports the write/read calls this layer issues, a lower
 // bound on true kernel crossings: the netpoller's epoll_pwait and futex
 // wakeups under each blocking read come on top and are not visible from
 // here.
-func (qp *tcpQP) WireCounters() WireCounters {
-	return WireCounters{Syscalls: atomic.LoadInt64(&qp.syscalls)}
-}
+func (qp *tcpQP) Syscalls() int64 { return atomic.LoadInt64(&qp.syscalls) }
 
 // abort tears the wire down without waiting for the loops, so the send
 // loop can invoke it on a write failure (waiting there would deadlock on

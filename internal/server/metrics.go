@@ -16,6 +16,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
 
 // metricsServer is the optional /metrics HTTP listener.
@@ -117,33 +118,33 @@ func (s *Server) renderMetrics(b *bytes.Buffer) {
 		for _, rc := range []struct {
 			name string
 			v    int64
-		}{{"hit", st.CacheHits}, {"miss", st.CacheMisses}, {"stale", st.CacheStale}, {"coalesced", st.CacheCoalesced}} {
+		}{{"hit", st.Cache.Hits}, {"miss", st.Cache.Misses}, {"stale", st.Cache.Stale}, {"coalesced", st.Cache.Coalesced}} {
 			line("dc_frag_cache_total", i, fmt.Sprintf(",result=%q", rc.name), rc.v)
 		}
 	}
 	head("dc_frag_cache_bytes", "gauge", "Bytes held by the fragment cache.")
 	for i, st := range stats {
-		line("dc_frag_cache_bytes", i, "", st.CacheBytes)
+		line("dc_frag_cache_bytes", i, "", st.Cache.Bytes)
 	}
 	head("dc_ring_wait_seconds_total", "counter", "Cumulative time pins blocked on ring circulation.")
 	for i, st := range stats {
-		line("dc_ring_wait_seconds_total", i, "", st.RingWait.Seconds())
+		line("dc_ring_wait_seconds_total", i, "", time.Duration(st.Cache.RingWaitNanos).Seconds())
 	}
 	head("dc_hop_messages_total", "counter", "Wire messages sent by the hop scheduler.")
 	for i, st := range stats {
-		line("dc_hop_messages_total", i, "", st.HopMsgs)
+		line("dc_hop_messages_total", i, "", st.Hop.Msgs)
 	}
 	head("dc_hop_fragments_total", "counter", "Fragments forwarded by the hop scheduler.")
 	for i, st := range stats {
-		line("dc_hop_fragments_total", i, "", st.HopFrags)
+		line("dc_hop_fragments_total", i, "", st.Hop.Frags)
 	}
 	head("dc_hop_bytes_total", "counter", "Payload bytes moved by the hop scheduler.")
 	for i, st := range stats {
-		line("dc_hop_bytes_total", i, "", st.HopBytes)
+		line("dc_hop_bytes_total", i, "", st.Hop.Bytes)
 	}
 	head("dc_wire_syscalls_total", "counter", "Reads and writes issued on the data links (a lower bound of syscalls).")
 	for i, st := range stats {
-		line("dc_wire_syscalls_total", i, "", st.WireSyscalls)
+		line("dc_wire_syscalls_total", i, "", st.Hop.WireSyscalls)
 	}
 	head("dc_query_latency_seconds", "gauge", "Completed-query latency quantiles.")
 	for i, st := range stats {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -52,22 +53,73 @@ func TestMetricsScrape(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		"# TYPE dc_queries_total counter",
 		`dc_queries_total{node="0",outcome="ok"} 1`,
 		`dc_queries_total{node="1",outcome="ok"} 0`,
-		"# TYPE dc_wire_syscalls_total counter",
-		"# TYPE dc_query_latency_seconds gauge",
 		`dc_query_latency_count{node="0"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("scrape missing %q in:\n%s", want, text)
 		}
 	}
+
+	// Every family keeps its name, type and label sets: one sample per
+	// node for each label suffix listed.
+	families := []struct {
+		name, typ string
+		labels    []string
+	}{
+		{"dc_queries_total", "counter", []string{`,outcome="ok"`, `,outcome="failed"`, `,outcome="rejected"`, `,outcome="drained"`}},
+		{"dc_inflight_queries", "gauge", []string{""}},
+		{"dc_queued_queries", "gauge", []string{""}},
+		{"dc_plan_cache_total", "counter", []string{`,result="hit"`, `,result="miss"`}},
+		{"dc_frag_cache_total", "counter", []string{`,result="hit"`, `,result="miss"`, `,result="stale"`, `,result="coalesced"`}},
+		{"dc_frag_cache_bytes", "gauge", []string{""}},
+		{"dc_ring_wait_seconds_total", "counter", []string{""}},
+		{"dc_hop_messages_total", "counter", []string{""}},
+		{"dc_hop_fragments_total", "counter", []string{""}},
+		{"dc_hop_bytes_total", "counter", []string{""}},
+		{"dc_wire_syscalls_total", "counter", []string{""}},
+		{"dc_query_latency_seconds", "gauge", []string{`,quantile="0.5"`, `,quantile="0.95"`, `,quantile="0.99"`}},
+		{"dc_query_latency_count", "counter", []string{""}},
+	}
+	want := map[string]bool{}
+	for _, f := range families {
+		want["# TYPE "+f.name+" "+f.typ] = true
+		for node := 0; node < 2; node++ {
+			for _, l := range f.labels {
+				want[fmt.Sprintf("%s{node=\"%d\"%s}", f.name, node, l)] = true
+			}
+		}
+	}
+	got := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		switch {
+		case strings.HasPrefix(line, "# TYPE "):
+			got[line] = true
+		case !strings.HasPrefix(line, "#"):
+			series, _, _ := strings.Cut(line, " ")
+			got[series] = true
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		for k := range want {
+			if !got[k] {
+				t.Errorf("scrape missing %s", k)
+			}
+		}
+		for k := range got {
+			if !want[k] {
+				t.Errorf("scrape has unexpected %s", k)
+			}
+		}
+		t.Fatalf("scrape:\n%s", text)
+	}
+
 	// Hops moved fragments for the join-free scan too; the wire counters
 	// must be plumbed through (nonzero on at least one node).
 	var sys int64
 	for i := 0; i < 2; i++ {
-		sys += s.Stats(i).WireSyscalls
+		sys += s.Stats(i).Hop.WireSyscalls
 	}
 	if sys == 0 {
 		t.Fatal("WireSyscalls zero across all nodes of a TCP ring")

@@ -77,78 +77,25 @@ type NodeStats struct {
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 
-	// Hot-set fragment cache and ring-wait counters of the served ring
-	// node (see live.CacheStats): how many pins were version-validated
-	// node-local reads versus waits on ring circulation, and how much
-	// time the latter spent blocked.
-	CacheHits      int64
-	CacheMisses    int64
-	CacheStale     int64
-	CacheCoalesced int64
-	CacheBytes     int64
-	CacheEntries   int64
-	RingWaits      int64
-	RingWait       time.Duration // cumulative time pins blocked on the ring
-
-	// Hop-transport counters of the served ring node (see
-	// live.HopStats): wire messages vs fragments forwarded (batching
-	// fill), the batch fill histogram, bytes moved, LOI-pacing park
-	// state, and send-region pool pressure.
-	HopMsgs        int64
-	HopSingles     int64
-	HopBatches     int64
-	HopFrags       int64
-	HopFill        [8]int64
-	HopBytes       int64
-	HopMaxMsg      int64
-	HopParked      int64
-	HopParkedTotal int64
-	HopUnparked    int64
-	PoolAcquires   int64
-	PoolWaits      int64
-
-	// Reads and writes on the served ring's data links (see
-	// live.HopStats); WireSyscalls/HopMsgs is the syscalls-per-hop
-	// figure.
-	WireSyscalls int64
-
-	// Membership/failover counters of the served ring node (see
-	// live.MembershipStats): the failure detector's view, replica
-	// placement and lag, and the failover outcome counters. All zero
-	// when the ring runs without replication.
-	MembEnabled     bool
-	MembViewVersion int64
-	MembAlive       int
-	MembSuspect     int
-	MembDead        int
-	MembReplicas    int64
-	MembReplicaLag  int64
-	MembFailovers   int64
-	MembPromotions  int64
-	MembLostFrags   int64
-	MembBeatsSent   int64
-	MembBeatsRecv   int64
+	// The served ring node's own snapshots, whole: hot-set cache and
+	// ring waits, hop transport and wire syscalls, membership and
+	// failover. The stats frame carries them as nested objects; fold
+	// several nodes' snapshots with their Merge methods.
+	Cache live.CacheStats
+	Hop   live.HopStats
+	Memb  live.MembershipStats
 
 	// Latency quantiles over completed queries (OK + Failed).
 	Count               int64
 	Mean, P50, P95, P99 time.Duration
 }
 
-// CacheHitRate reports the fraction of pins served node-locally.
-func (s NodeStats) CacheHitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(total)
-}
-
 func (s NodeStats) String() string {
 	return fmt.Sprintf("accepted=%d ok=%d failed=%d rejected=%d drained=%d inflight=%d/%d(max) plancache=%d/%d hotcache=%d/%d ringwait=%s hop=%d/%dmsg parked=%d p50=%s p95=%s p99=%s",
 		s.Accepted, s.OK, s.Failed, s.Rejected, s.Drained, s.InFlight, s.MaxInFlight,
 		s.PlanCacheHits, s.PlanCacheHits+s.PlanCacheMisses,
-		s.CacheHits, s.CacheHits+s.CacheMisses, s.RingWait,
-		s.HopFrags, s.HopMsgs, s.HopParked,
+		s.Cache.Hits, s.Cache.Hits+s.Cache.Misses, time.Duration(s.Cache.RingWaitNanos),
+		s.Hop.Frags, s.Hop.Msgs, s.Hop.Parked,
 		s.P50, s.P95, s.P99)
 }
 
@@ -355,44 +302,11 @@ func (s *Server) Stats(i int) NodeStats {
 		Queued:          ns.adm.queued(),
 		PlanCacheHits:   hits,
 		PlanCacheMisses: misses,
+		Cache:           ns.node.CacheStats(),
+		Hop:             ns.node.HopStats(),
+		Memb:            ns.node.MembershipStats(),
 		Count:           int64(ns.latency.Count()),
 	}
-	cs := ns.node.CacheStats()
-	st.CacheHits = cs.Hits
-	st.CacheMisses = cs.Misses
-	st.CacheStale = cs.Stale
-	st.CacheCoalesced = cs.Coalesced
-	st.CacheBytes = cs.Bytes
-	st.CacheEntries = cs.Entries
-	st.RingWaits = cs.RingWaits
-	st.RingWait = time.Duration(cs.RingWaitNanos)
-	hs := ns.node.HopStats()
-	st.HopMsgs = hs.Msgs
-	st.HopSingles = hs.Singles
-	st.HopBatches = hs.Batches
-	st.HopFrags = hs.Frags
-	st.HopFill = hs.Fill
-	st.HopBytes = hs.Bytes
-	st.HopMaxMsg = hs.MaxMsg
-	st.HopParked = int64(hs.Parked)
-	st.HopParkedTotal = hs.ParkedTotal
-	st.HopUnparked = hs.Unparked
-	st.PoolAcquires = hs.PoolAcquires
-	st.PoolWaits = hs.PoolWaits
-	st.WireSyscalls = hs.WireSyscalls
-	ms := ns.node.MembershipStats()
-	st.MembEnabled = ms.Enabled
-	st.MembViewVersion = ms.ViewVersion
-	st.MembAlive = ms.Alive
-	st.MembSuspect = ms.Suspect
-	st.MembDead = ms.Dead
-	st.MembReplicas = ms.Replicas
-	st.MembReplicaLag = ms.ReplicaLag
-	st.MembFailovers = ms.Failovers
-	st.MembPromotions = ms.Promotions
-	st.MembLostFrags = ms.LostFrags
-	st.MembBeatsSent = ms.BeatsSent
-	st.MembBeatsRecv = ms.BeatsRecv
 	sec := func(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }
 	st.Mean = sec(ns.latency.Mean())
 	st.P50 = sec(ns.latency.Quantile(0.50))

@@ -221,8 +221,24 @@ func TestClientFailsOverOnNodeDeath(t *testing.T) {
 		cl.Refresh(ctx) // re-handshake with the rehomed node
 		cancel()
 	}
-	if st := s.Stats(2); !st.MembEnabled || st.MembFailovers == 0 {
+	for r.UnownedFragments() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("failover never re-owned the dead node's fragments")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	st := s.Stats(2)
+	if !st.Memb.Enabled || st.Memb.Failovers == 0 {
 		t.Fatalf("served stats missed the failover: %+v", st)
+	}
+	// Folding the survivors' snapshots counts the ring-wide promotions
+	// once, as each survivor reports them.
+	var memb live.MembershipStats
+	for _, i := range []int{0, 2} {
+		memb.Merge(s.Stats(i).Memb)
+	}
+	if memb.Promotions != st.Memb.Promotions || memb.Failovers != st.Memb.Failovers {
+		t.Fatalf("merged survivors %+v, survivor 2 reports %+v", memb, st.Memb)
 	}
 }
 
