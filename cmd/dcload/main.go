@@ -214,7 +214,7 @@ func reportHop(stats []dc.ServerNodeStats) {
 	fmt.Printf("pacing: %d fragments parked now (%d parked / %d unparked total)\n",
 		hs.Parked, hs.ParkedTotal, hs.Unparked)
 	if hs.PoolWaits > 0 {
-		fmt.Printf("send pool: %d waits / %d acquires\n", hs.PoolWaits, hs.PoolAcquires)
+		fmt.Printf("send queue: %d waits / %d sends\n", hs.PoolWaits, hs.PoolAcquires)
 	}
 }
 

@@ -9,7 +9,7 @@ package bat
 //     straight out of the receive buffer. Only the string heap is
 //     copied (one blob allocation shared by all its strings).
 //  2. Encode without intermediate buffers: AppendMarshal appends into a
-//     caller-provided (typically pooled, or NIC-registered) buffer and
+//     caller-provided buffer (typically pooled, or a link's send region) and
 //     MarshalSize is exact, so callers can size envelopes and memory
 //     regions without slack. MarshalVec goes one step further for a
 //     vectored write: the fixed-width vectors stay in the column's

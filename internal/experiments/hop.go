@@ -35,7 +35,7 @@ type HopRun struct {
 	MaxMsg        int64    `json:"max_msg_bytes"`   // largest data message
 	ParkedTotal   int64    `json:"parked_total"`    // LOI-pacing park events
 	Unparked      int64    `json:"unparked"`        // re-admissions on interest
-	PoolWaits     int64    `json:"pool_waits"`      // send-region pool stalls
+	PoolWaits     int64    `json:"pool_waits"`      // sends that waited for a send-queue slot
 	Queries       int      `json:"queries"`
 	P50Micros     int64    `json:"p50_us"`
 	P99Micros     int64    `json:"p99_us"`

@@ -52,8 +52,10 @@ type HopStats struct {
 	Parked      int
 	ParkedTotal int64
 	Unparked    int64
-	// PoolAcquires/PoolWaits are the data messenger's send-region pool
-	// counters: waits > 0 means concurrent sends outran the pool.
+	// PoolAcquires/PoolWaits count the data messenger's send-queue
+	// slots: sends the queue accepted, and how many of them found its
+	// MessengerSendWindow slots full and waited — every hop send takes
+	// one, so waits > 0 means the node's sends outran its link.
 	PoolAcquires int64
 	PoolWaits    int64
 	// WireSyscalls counts the write/read calls on the node's data-link
@@ -225,7 +227,7 @@ func (n *Node) drainHopQueue() {
 	}
 }
 
-// flushHopBatch posts one batch to the wire and arranges for its
+// flushHopBatch hands one batch to the data link and arranges for its
 // entries to be released when the transport is done with them. A
 // one-entry batch goes out as the exact v2 single-fragment message —
 // the batched and unbatched configurations differ only when batching
@@ -236,12 +238,12 @@ func (n *Node) drainHopQueue() {
 // and each fragment's own wire bytes: no user-space copy, the kernel
 // reads the payload where the version keeps it — the slab it arrived
 // in, or the owner's marshalled bytes. The sends are asynchronous: the
-// flush loop keeps posting while earlier envelopes are still on the
+// flush loop keeps queueing while earlier envelopes are still on the
 // wire, so a revolution's worth of traffic pipelines through the
-// messenger's bounded send window instead of waiting out a
-// post-complete round trip per envelope. The entries' slab holds are
-// released in the completion callback — the payload slices stay valid
-// until the transport reports them written.
+// messenger's bounded send queue instead of waiting out a write per
+// envelope. The entries' slab holds are released in the send's
+// callback — the payload slices stay valid until the transport reports
+// them written.
 func (n *Node) flushHopBatch(batch []hopEntry) {
 	release := func(error) {
 		for _, e := range batch {
@@ -257,7 +259,7 @@ func (n *Node) flushHopBatch(batch []hopEntry) {
 	}
 	// The header block is per message (not a reused scratch buffer):
 	// with pipelined sends several envelopes are in flight at once, and
-	// each owns its headers until its completion callback runs.
+	// each owns its headers until its send's callback runs.
 	var parts [][]byte
 	if len(batch) == 1 {
 		e := batch[0]
@@ -329,7 +331,7 @@ func (n *Node) HopStats() HopStats {
 	n.mu.Unlock()
 	s.ParkedTotal = int64(st.BATsParked)
 	s.Unparked = int64(st.BATsUnparked)
-	s.PoolAcquires, s.PoolWaits = n.linkDataOut().PoolStats()
+	s.PoolAcquires, s.PoolWaits = n.linkDataOut().QueueStats()
 	// Each endpoint is counted at exactly one node (out at the sender,
 	// in at the receiver), so the ring-wide sum has no double counting.
 	for _, m := range []*rdma.Messenger{n.linkDataOut(), n.linkDataIn()} {

@@ -144,10 +144,9 @@ type Ring struct {
 	colLocks sync.Map
 	wg       sync.WaitGroup
 
-	// Exact ring message limit and data-link depth, kept so failover
-	// and join can build links identical to the originals (newLinks).
+	// Exact ring message limit, kept so failover and join can build
+	// links identical to the originals (newLinks).
 	maxMsgBytes int
-	dataDepth   int
 
 	// fragCol maps every fragment id back to its column name (guarded
 	// by idsMu, extended by Publish): failover groups a dead node's
@@ -402,19 +401,12 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 		r.cols[name] = cf
 	}
 	maxBytes := dataHdrSize + maxPayload
-	dataDepth := 0 // 0 = messenger default
-	if cfg.HopBatchBytes > 0 {
+	if cfg.HopBatchBytes > maxBytes {
 		// A batch tops out at the byte budget (take() only coalesces
 		// while the batch stays inside it); a single oversized fragment
-		// still travels alone, so the region must fit whichever is
-		// larger. Batch-aware receive credits: one credit now admits a
-		// whole batch of fragments, so the data links run a shallower
-		// receive queue at the same fragment-level concurrency — and the
-		// (larger) registered regions stay bounded.
-		if cfg.HopBatchBytes > maxBytes {
-			maxBytes = cfg.HopBatchBytes
-		}
-		dataDepth = 4
+		// still travels alone, so a message must fit whichever is
+		// larger.
+		maxBytes = cfg.HopBatchBytes
 	}
 	if cfg.Replicas > 0 {
 		// A beat gossips one status byte per ring member; make sure the
@@ -424,7 +416,6 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 		}
 	}
 	r.maxMsgBytes = maxBytes
-	r.dataDepth = dataDepth
 	// Nodes and transports. Built into a local slice and published
 	// before placement; Join later publishes grown copies the same way.
 	// Link i of each kind leaves node i: data clockwise, requests the

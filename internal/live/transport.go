@@ -5,7 +5,7 @@ import (
 )
 
 // link is one connected neighbour link: a messenger at each end of a
-// queue pair, a sending to b.
+// loopback tcp connection, a sending to b.
 type link struct{ a, b *rdma.Messenger }
 
 func (l link) close() {
@@ -16,17 +16,17 @@ func (l link) close() {
 // reqMsgBytes bounds a request-link message (reqMsgSize, with room).
 const reqMsgBytes = 1 << 12
 
-// newLinks builds data data links — sized to the ring message limit and
-// the data-link depth — followed by req request links. If any of them
-// fails, every link and queue pair it built is closed.
+// newLinks builds data data links, sized to the ring message limit,
+// followed by req request links. If any of them fails, every link it
+// built is closed.
 func (r *Ring) newLinks(data, req int) ([]link, error) {
 	links := make([]link, 0, data+req)
 	for i := 0; i < data+req; i++ {
-		size, depth := r.maxMsgBytes, r.dataDepth
+		size := r.maxMsgBytes
 		if i >= data {
-			size, depth = reqMsgBytes, 0
+			size = reqMsgBytes
 		}
-		l, err := newLink(size, depth)
+		l, err := newLink(size)
 		if err != nil {
 			for _, built := range links {
 				built.close()
@@ -38,23 +38,23 @@ func (r *Ring) newLinks(data, req int) ([]link, error) {
 	return links, nil
 }
 
-// newLink wraps a fresh loopback queue pair in two messengers (depth 0:
-// the messenger default), closing what it built on error.
-func newLink(size, depth int) (link, error) {
-	qa, qb, err := rdma.NewTCPPair()
+// newLink wraps both ends of a fresh loopback connection in messengers,
+// closing what it built on error.
+func newLink(size int) (link, error) {
+	ca, cb, err := rdma.NewTCPPair()
 	if err != nil {
 		return link{}, err
 	}
-	a, err := rdma.NewMessengerDepth(qa, size, depth)
+	a, err := rdma.NewMessenger(ca, size)
 	if err != nil {
-		qa.Close()
-		qb.Close()
+		ca.Close()
+		cb.Close()
 		return link{}, err
 	}
-	b, err := rdma.NewMessengerDepth(qb, size, depth)
+	b, err := rdma.NewMessenger(cb, size)
 	if err != nil {
 		a.Close()
-		qb.Close()
+		cb.Close()
 		return link{}, err
 	}
 	return link{a, b}, nil

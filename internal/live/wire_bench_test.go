@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkRingHop measures the end-to-end cost of one fragment hop:
-// envelope encode + registered-region copy + transport + envelope
+// envelope encode + transport (one gather write, no copy) + envelope
 // decode + zero-copy BAT decode, via Fetch from the non-owning node of
 // a two-node ring. This is the number the codec work is about — the
 // per-hop serialization tax on ring bandwidth.

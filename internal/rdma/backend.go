@@ -2,16 +2,20 @@ package rdma
 
 import "net"
 
-// Backend names the wire engine of a socket-backed queue pair. tcp is
-// the only one.
+// QueuePair is what a Messenger wraps: a connection.
+//
+// Deprecated: a link endpoint is a Messenger over a net.Conn; the name
+// remains only for bench/.
+type QueuePair = net.Conn
+
+// Backend names the wire engine of a link. tcp is the only one.
 type Backend int
 
-// BackendTCP is the netpoller-based provider (tcpQP).
+// BackendTCP is the netpoller-based tcp provider.
 const BackendTCP Backend = 0
 
-// NewConnQP wraps an established connection in a tcp queue pair. It
-// exists only for bench/, which calls it with BackendTCP; everything
-// else calls NewTCP.
+// NewConnQP returns conn itself, ready for NewMessenger. It exists only
+// for bench/, which calls it with BackendTCP.
 func NewConnQP(conn net.Conn, _ Backend, _ int) (QueuePair, string, error) {
-	return NewTCP(conn), "", nil
+	return conn, "", nil
 }

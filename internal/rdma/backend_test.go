@@ -4,40 +4,48 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"sync"
 	"testing"
-	"time"
 )
 
-// tcpConnPair returns both ends of a loopback connection (loopbackConns),
-// for tests that wrap or write the raw connection.
+// tcpConnPair returns both ends of a loopback connection (NewTCPPair),
+// for tests that wrap or write the raw connection; both close when the
+// test ends.
 func tcpConnPair(t testing.TB) (net.Conn, net.Conn) {
 	t.Helper()
-	cli, srv, err := loopbackConns()
+	cli, srv, err := NewTCPPair()
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { cli.Close(); srv.Close() })
 	return cli, srv
 }
 
-// NewConnQP, bench/'s entry point, is a tcp queue pair.
+// NewConnQP, bench/'s entry point, hands back the connection itself,
+// and a messenger over it works.
 func TestNewConnQPIsTCP(t *testing.T) {
 	cli, srv := tcpConnPair(t)
 	qp, reason, err := NewConnQP(cli, BackendTCP, 1<<16)
-	if err != nil || reason != "" {
-		t.Fatalf("NewConnQP: reason %q, err %v", reason, err)
+	if err != nil || reason != "" || qp != cli {
+		t.Fatalf("NewConnQP = %v, reason %q, err %v; want the connection itself", qp, reason, err)
 	}
-	defer qp.Close()
-	if _, ok := qp.(*tcpQP); !ok {
-		t.Fatalf("qp = %T, want *tcpQP", qp)
+	a, err := NewMessenger(qp, 1<<16)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b := NewTCP(srv)
+	defer a.Close()
+	b, err := NewMessenger(srv, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer b.Close()
-	pairExchange(t, qp, b)
+	if err := a.Send([]byte("hello ring")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := b.Recv(); err != nil || string(got) != "hello ring" {
+		t.Fatalf("recv = %q, %v", got, err)
+	}
 }
-
-// ---------------------------------------------------------------------
-// tcpQP PostSendVec failure semantics (regression)
-// ---------------------------------------------------------------------
 
 // limitedConn fails every write after the first limit bytes — the shape
 // of a connection that dies mid-gather-write.
@@ -64,80 +72,98 @@ func (c *limitedConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// A short/failed vectored write must fail the pending send completion
-// with the cause AND tear the queue pair down: the length-prefixed
+// TestMessengerWriteFailureClosesLink: a short or failed write fails
+// its send with the cause AND tears the link down — the length-prefixed
 // stream has no way to resynchronize a half-written frame, so keeping
-// the pair alive would corrupt every later message.
-func TestTCPPostSendVecWriteFailureClosesQP(t *testing.T) {
-	cli, srv := tcpConnPair(t)
-	defer srv.Close()
-	// Enough budget for the 4-byte header and a bit of payload, then die.
-	qp := NewTCP(&limitedConn{Conn: cli, limit: 10}).(*tcpQP)
-	payload := bytes.Repeat([]byte("x"), 64)
-	if err := qp.PostSendVec(net.Buffers{payload}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case c := <-qp.SendCompletions():
-		if c.Err == nil {
-			t.Fatal("send completion must carry the write error")
+// the link alive would corrupt every later message. Both send paths.
+func TestMessengerWriteFailureClosesLink(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		send func(m *Messenger, payload []byte) error
+	}{
+		{"encoded", func(m *Messenger, payload []byte) error { return m.Send(payload) }},
+		{"vectored", func(m *Messenger, payload []byte) error {
+			sent := make(chan error, 1)
+			if err := m.SendVectoredAsync([][]byte{payload[:8], payload[8:]}, func(err error) { sent <- err }); err != nil {
+				return err
+			}
+			return <-sent
+		}},
+	} {
+		cli, _ := tcpConnPair(t)
+		// Budget for the 4-byte prefix and a bit of payload, then die.
+		m, err := NewMessenger(&limitedConn{Conn: cli, limit: 10}, 64)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !errors.Is(c.Err, errConnDied) {
-			t.Fatalf("completion err = %v, want the connection error", c.Err)
+		payload := bytes.Repeat([]byte("x"), 64)
+		if err := tc.send(m, payload); !errors.Is(err, errConnDied) {
+			t.Fatalf("%s: send err = %v, want the connection error", tc.name, err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no send completion after write failure")
-	}
-	select {
-	case <-qp.Done():
-	case <-time.After(2 * time.Second):
-		t.Fatal("queue pair not torn down after write failure")
-	}
-	var d Device
-	mr := d.RegisterMemory(8)
-	if err := qp.PostSend(mr, 1); err != ErrClosed {
-		t.Fatalf("PostSend after wire failure = %v, want ErrClosed", err)
-	}
-	if err := qp.Close(); err == nil {
-		// Close surfaces the conn teardown result; either way it must
-		// not hang or double-close.
-		_ = err
+		if err := tc.send(m, payload); err != ErrClosed {
+			t.Fatalf("%s: send after the write failure = %v, want ErrClosed", tc.name, err)
+		}
+		if _, err := m.Recv(); err != ErrClosed {
+			t.Fatalf("%s: Recv after the write failure = %v, want ErrClosed", tc.name, err)
+		}
+		m.Close()
 	}
 }
 
-// Same teardown contract for the plain PostSend path.
-func TestTCPPostSendWriteFailureClosesQP(t *testing.T) {
-	cli, srv := tcpConnPair(t)
-	defer srv.Close()
-	qp := NewTCP(&limitedConn{Conn: cli, limit: 2}).(*tcpQP)
-	var d Device
-	mr := d.RegisterMemory(64)
-	if err := qp.PostSend(mr, 64); err != nil {
+// TestCloseRunsQueuedCallbacksOnce: Close with a full queue — its head
+// blocked in its write — fails every send, the queued ones with
+// ErrClosed, and runs each callback exactly once before it returns.
+// Meanwhile TrySendEncoded, on a busy link, returns at once.
+func TestCloseRunsQueuedCallbacksOnce(t *testing.T) {
+	near, far := net.Pipe() // nobody reads far: the first write blocks
+	defer far.Close()
+	m, err := NewMessenger(near, 64)
+	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case c := <-qp.SendCompletions():
-		if c.Err == nil {
-			t.Fatal("send completion must carry the write error")
+	const sends = MessengerSendWindow
+	var mu sync.Mutex
+	calls, errs := make([]int, sends), make([]error, sends)
+	for i := 0; i < sends; i++ {
+		i := i
+		if err := m.SendVectoredAsync([][]byte{{byte(i)}}, func(err error) {
+			mu.Lock()
+			calls[i]++
+			errs[i] = err
+			mu.Unlock()
+		}); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no send completion after write failure")
 	}
-	select {
-	case <-qp.Done():
-	case <-time.After(2 * time.Second):
-		t.Fatal("queue pair not torn down after write failure")
+	if err := m.TrySendEncoded(1, func([]byte) int { return 1 }); err != ErrQueueFull {
+		t.Fatalf("TrySendEncoded on a busy link = %v, want ErrQueueFull", err)
 	}
-	qp.Close()
+	m.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	for i := range calls {
+		if calls[i] != 1 {
+			t.Fatalf("send %d's callback ran %d times, want once", i, calls[i])
+		}
+		if errs[i] == nil || i > 0 && errs[i] != ErrClosed {
+			t.Fatalf("send %d completed with %v, want a failure (ErrClosed once queued)", i, errs[i])
+		}
+	}
 }
 
+// TestTCPWireCounters: a send costs its sender one gather write, and a
+// receive at least two reads (prefix, body).
 func TestTCPWireCounters(t *testing.T) {
-	a, b := tcpPair(t)
-	pairExchange(t, a, b)
-	if n := a.Syscalls(); n < 1 {
-		t.Fatalf("sender syscalls = %d", n)
+	a, b := tcpMessengerPair(t, 64)
+	if err := a.Send([]byte("hello ring")); err != nil {
+		t.Fatal(err)
 	}
-	// Receiver pays two reads per message (header + payload).
+	if _, err := b.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.Syscalls(); n != 1 {
+		t.Fatalf("sender syscalls = %d, want 1 gather write", n)
+	}
 	if n := b.Syscalls(); n < 2 {
 		t.Fatalf("receiver syscalls = %d", n)
 	}

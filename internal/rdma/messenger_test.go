@@ -12,20 +12,33 @@ import (
 	"time"
 )
 
-// tcpMessengerPair wraps both ends of a loopback queue pair (tcpPair) in
-// messengers of the given message bound.
+// tcpMessengerPair wraps both ends of a loopback connection
+// (NewTCPPair) in messengers of the given message bound; both close
+// when the test ends.
 func tcpMessengerPair(t testing.TB, maxMsg int) (*Messenger, *Messenger) {
 	t.Helper()
-	qa, qb := tcpPair(t)
-	a, err := NewMessenger(qa, maxMsg)
+	ca, cb := tcpConnPair(t)
+	a, err := NewMessenger(ca, maxMsg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewMessenger(qb, maxMsg)
+	t.Cleanup(func() { a.Close() })
+	b, err := NewMessenger(cb, maxMsg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { b.Close() })
 	return a, b
+}
+
+// sendVectored queues parts on m (SendVectoredAsync) and waits for the
+// send's callback.
+func sendVectored(m *Messenger, parts [][]byte) error {
+	sent := make(chan error, 1)
+	if err := m.SendVectoredAsync(parts, func(err error) { sent <- err }); err != nil {
+		return err
+	}
+	return <-sent
 }
 
 func TestMessengerRoundtrip(t *testing.T) {
@@ -104,13 +117,12 @@ func TestMessengerCloseUnblocksRecv(t *testing.T) {
 		_, err := b.Recv()
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
 	b.Close()
 	a.Close()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("Recv should fail after close")
+		if err != ErrClosed {
+			t.Fatalf("Recv err = %v after Close, want ErrClosed", err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Recv did not unblock on close")
@@ -118,14 +130,13 @@ func TestMessengerCloseUnblocksRecv(t *testing.T) {
 }
 
 func TestNewMessengerBadSize(t *testing.T) {
-	qa, _ := tcpPair(t)
-	if _, err := NewMessenger(qa, 0); err == nil {
+	ca, _ := tcpConnPair(t)
+	if _, err := NewMessenger(ca, 0); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
-// TestMessengerSendEncoded checks the encode-into-registered-region
-// path: the encoder writes directly into the send buffer and the exact
+// TestMessengerSendEncoded checks the encode-into-send-region path: the encoder writes directly into the send buffer and the exact
 // written length travels.
 func TestMessengerSendEncoded(t *testing.T) {
 	a, b := tcpMessengerPair(t, 1024)
@@ -181,7 +192,7 @@ func checkSendVectored(t *testing.T, a, b *Messenger) {
 		data, _ := b.Recv()
 		done <- data
 	}()
-	if err := a.SendVectored(parts); err != nil {
+	if err := sendVectored(a, parts); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -194,23 +205,23 @@ func checkSendVectored(t *testing.T, a, b *Messenger) {
 		t.Fatal("recv timeout")
 	}
 	big := a.MaxMessage() - 24
-	if err := a.SendVectored([][]byte{make([]byte, big), make([]byte, 25)}); err != ErrTooLarge {
+	if err := sendVectored(a, [][]byte{make([]byte, big), make([]byte, 25)}); err != ErrTooLarge {
 		t.Fatalf("oversize vectored send: err = %v, want ErrTooLarge", err)
 	}
 }
 
-// TestMessengerSendVectoredTCP: the TCP provider writes the parts with
-// one gather write, straight from the caller's buffers.
+// TestMessengerSendVectoredTCP: the parts go out in one gather write,
+// straight from the caller's buffers.
 func TestMessengerSendVectoredTCP(t *testing.T) {
 	a, b := tcpMessengerPair(t, 1024)
 	checkSendVectored(t, a, b)
 }
 
 // checkSendPool runs concurrent SendEncoded calls from a to b: they
-// share the region pool, and since a region goes to the transport
-// without a copy, one recycled before its send completed would garble a
+// share the region pool, and since a region goes to the kernel without
+// a copy, one recycled before its send was written would garble a
 // payload in flight. Every message must arrive intact and exactly once,
-// and pool pressure is visible in PoolStats.
+// and each takes a send-queue slot (QueueStats).
 func checkSendPool(t *testing.T, a, b *Messenger, size int) {
 	t.Helper()
 	const n = 64
@@ -266,12 +277,12 @@ func checkSendPool(t *testing.T, a, b *Messenger, size int) {
 	if len(seen) != n*senders {
 		t.Fatalf("received %d distinct messages, want %d", len(seen), n*senders)
 	}
-	acquires, waits := a.PoolStats()
-	if acquires != n*senders {
-		t.Fatalf("acquires = %d, want %d", acquires, n*senders)
+	takes, waits := a.QueueStats()
+	if takes != n*senders {
+		t.Fatalf("queue slots taken = %d, want %d", takes, n*senders)
 	}
-	if waits < 0 || waits > acquires {
-		t.Fatalf("waits = %d out of range [0, %d]", waits, acquires)
+	if waits < 0 || waits > takes {
+		t.Fatalf("waits = %d out of range [0, %d]", waits, takes)
 	}
 }
 
@@ -293,7 +304,7 @@ func TestMessengerSendPoolTCP(t *testing.T) {
 // into a send region, costs the process at most one allocation of its
 // size — the slab the receiver is handed — and nothing at all once the
 // receiver recycles its slabs. A user-space copy on either side (a send
-// copy of the region, a receive copy out of a posted buffer) would be a
+// copy of the region, a receive copy out of a read buffer) would be a
 // second message-sized allocation.
 func TestTCPHopCopiesOnce(t *testing.T) {
 	const size = 64 + 512<<10
@@ -314,7 +325,7 @@ func checkHopAllocs(t *testing.T, a, b *Messenger, size int) {
 		name string
 		fn   func() error
 	}{
-		{"vectored", func() error { return a.SendVectored([][]byte{msg[:64], msg[64:]}) }},
+		{"vectored", func() error { return sendVectored(a, [][]byte{msg[:64], msg[64:]}) }},
 		{"encoded", func() error {
 			return a.SendEncoded(size, func(dst []byte) int { return copy(dst, msg) })
 		}},
@@ -429,15 +440,27 @@ func TestSlabPoolFitsSmallerMessages(t *testing.T) {
 // the receiver allocate 2 GiB.
 func TestTCPOversizeFrameAllocatesNothing(t *testing.T) {
 	cli, srv := tcpConnPair(t)
-	defer cli.Close()
-	m, err := NewMessenger(NewTCP(srv), 64<<10)
+	m, err := NewMessenger(srv, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	// A refused message's body is discarded by the next Recv, which
+	// then returns the message after it.
+	var hdr [4]byte
+	frame := func(body []byte) []byte {
+		binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+		return append(hdr[:], body...)
+	}
+	go cli.Write(append(frame(make([]byte, 100<<10)), frame([]byte("next"))...))
+	if _, err := m.Recv(); err != ErrTooLarge {
+		t.Fatalf("Recv err = %v, want ErrTooLarge", err)
+	}
+	if got, err := m.Recv(); err != nil || string(got) != "next" {
+		t.Fatalf("Recv after a refused message = %q, %v; want \"next\"", got, err)
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], 1<<31)
 	if _, err := cli.Write(hdr[:]); err != nil {
 		t.Fatal(err)
@@ -463,7 +486,7 @@ func TestTCPOversizeFrameAllocatesNothing(t *testing.T) {
 
 // BenchmarkMessengerHop512K streams ring-hop-shaped messages — a 64-byte
 // header and a 512 KB payload, sent vectored and pipelined through the
-// send window — over a loopback TCP Messenger pair whose receiver
+// send queue — over a loopback TCP Messenger pair whose receiver
 // recycles each slab, as the live ring does: B/op ≈ 0.
 func BenchmarkMessengerHop512K(b *testing.B) {
 	const payload = 512 << 10
@@ -491,20 +514,20 @@ func BenchmarkMessengerHop512K(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// Warm: the slabs a full pipeline holds at once (the receive
-	// credits' worth) are allocated here, not in the timed stream.
-	stream(8 * MessengerDepth)
+	// Warm: the first slab and the send loop's scratch are allocated
+	// here, not in the timed stream.
+	stream(8 * MessengerSendWindow)
 	b.SetBytes(64 + payload)
 	b.ReportAllocs()
 	b.ResetTimer()
 	stream(b.N)
 }
 
-// TestMessengerPoolBounded checks the registered-byte cap: a messenger
+// TestMessengerPoolBounded checks the send-region byte cap: a messenger
 // with huge messages gets fewer regions, never zero.
 func TestMessengerPoolBounded(t *testing.T) {
-	qa, _ := tcpPair(t)
-	m, err := NewMessenger(qa, maxSendPoolBytes) // one region fills the cap
+	ca, _ := tcpConnPair(t)
+	m, err := NewMessenger(ca, maxSendPoolBytes) // one region fills the cap
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,8 +535,8 @@ func TestMessengerPoolBounded(t *testing.T) {
 	if got := cap(m.sendFree); got != 1 {
 		t.Fatalf("pool size = %d regions, want 1 at the byte cap", got)
 	}
-	qc, _ := tcpPair(t)
-	small, err := NewMessenger(qc, 1024)
+	cc, _ := tcpConnPair(t)
+	small, err := NewMessenger(cc, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,21 +547,20 @@ func TestMessengerPoolBounded(t *testing.T) {
 }
 
 // TestMessengerNoLostCompletion is the regression test for the lost send
-// completion: post used to enqueue a send's ticket after posting it, so
-// a wire that completed the send in between had its completion dropped
-// and the sender waited forever. Short sends over fresh pairs hit that
-// window within a few hundred rounds. The pairs are in-memory pipes
-// under the TCP provider's framing: the race is between the provider's
-// send loop and the messenger, and 2,000 real connections would litter
-// the ephemeral port range other packages' tests bind in.
+// completion: a send's completion once raced its bookkeeping and was
+// dropped, and the sender waited forever. Short sends over fresh pairs
+// hit that window within a few hundred rounds. The pairs are in-memory
+// pipes under the messenger's framing: the race is between the send
+// loop and the sender, and 2,000 real connections would litter the
+// ephemeral port range other packages' tests bind in.
 func TestMessengerNoLostCompletion(t *testing.T) {
 	for round := 1; round <= 2000; round++ {
 		near, far := net.Pipe()
-		a, err := NewMessenger(NewTCP(near), 64)
+		a, err := NewMessenger(near, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewMessenger(NewTCP(far), 64)
+		b, err := NewMessenger(far, 64)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,144 +2,99 @@ package rdma
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
 
-func TestRegisterMemory(t *testing.T) {
-	var d Device
-	mr := d.RegisterMemory(1024)
-	if !mr.Registered() || len(mr.Bytes()) != 1024 || mr.Key() == 0 {
-		t.Fatalf("registration wrong: %+v", mr)
-	}
-	mr2 := d.RegisterMemory(10)
-	if mr2.Key() == mr.Key() {
-		t.Fatal("keys must differ")
-	}
-	d.Deregister(mr)
-	if mr.Registered() {
-		t.Fatal("still registered after deregister")
-	}
-}
-
-func pairExchange(t *testing.T, a, b QueuePair) {
-	t.Helper()
-	var d Device
-	send := d.RegisterMemory(64)
-	copy(send.Bytes(), "hello ring")
-	if err := b.PostRecv(64); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.PostSend(send, 10); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case c := <-a.SendCompletions():
-		if c.Err != nil || c.Bytes != 10 {
-			t.Fatalf("send completion = %+v", c)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("send completion timeout")
-	}
-	select {
-	case c := <-b.RecvCompletions():
-		if c.Err != nil || c.Bytes != 10 {
-			t.Fatalf("recv completion = %+v", c)
-		}
-		if !bytes.Equal(c.Data, []byte("hello ring")) {
-			t.Fatalf("payload = %q", c.Data)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("recv completion timeout")
-	}
-}
-
-// tcpPair connects two queue pairs over loopback (NewTCPPair); both
-// close when the test ends.
-func tcpPair(t testing.TB) (QueuePair, QueuePair) {
-	t.Helper()
-	a, b, err := NewTCPPair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close(); b.Close() })
-	return a, b
-}
-
+// TestTCPExchange: a message each way over a NewTCPPair link arrives
+// whole, at its length.
 func TestTCPExchange(t *testing.T) {
-	a, b := tcpPair(t)
-	pairExchange(t, a, b)
+	a, b := tcpMessengerPair(t, 64)
+	for _, dir := range []struct {
+		from, to *Messenger
+		msg      string
+	}{{a, b, "hello ring"}, {b, a, "and back"}} {
+		if err := dir.from.Send([]byte(dir.msg)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := dir.to.Recv()
+		if err != nil || string(got) != dir.msg {
+			t.Fatalf("recv = %q, %v; want %q", got, err, dir.msg)
+		}
+	}
 }
 
+// TestTCPOrdering: sends queued back to back, each from a buffer of its
+// own, are written and their callbacks run in send order, and arrive in
+// that order.
 func TestTCPOrdering(t *testing.T) {
-	a, b := tcpPair(t)
-	var d Device
+	a, b := tcpMessengerPair(t, 8)
 	const n = 20
+	done := make(chan int, n)
 	for i := 0; i < n; i++ {
-		if err := b.PostRecv(8); err != nil {
+		i := i
+		if err := a.SendVectoredAsync([][]byte{{byte(i)}}, func(err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			done <- i
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// All n sends are posted back to back, each from a region of its own
-	// (a region stays untouched until its send completes).
 	for i := 0; i < n; i++ {
-		mr := d.RegisterMemory(8)
-		mr.Bytes()[0] = byte(i)
-		if err := a.PostSend(mr, 1); err != nil {
+		data, err := b.Recv()
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case c := <-a.SendCompletions():
-			if c.Err != nil {
-				t.Fatal(c.Err)
-			}
-		case <-time.After(time.Second):
-			t.Fatal("send timeout")
+		if len(data) != 1 || data[0] != byte(i) {
+			t.Fatalf("recv %d = %v (ordering)", i, data)
 		}
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case c := <-b.RecvCompletions():
-			if c.Err != nil {
-				t.Fatal(c.Err)
-			}
-			if len(c.Data) != 1 || c.Data[0] != byte(i) {
-				t.Fatalf("recv %d = %v (ordering)", i, c.Data)
-			}
-		case <-time.After(time.Second):
-			t.Fatalf("recv %d timeout", i)
+		if got := <-done; got != i {
+			t.Fatalf("callback %d ran in place of %d", got, i)
 		}
 	}
 }
 
-func TestUnregisteredRejected(t *testing.T) {
-	a, _ := tcpPair(t)
-	mr := &MemoryRegion{buf: make([]byte, 8)}
-	if err := a.PostSend(mr, 1); err != ErrNotRegistered {
-		t.Fatalf("PostSend err = %v", err)
-	}
-}
-
+// TestSendTooLarge: a message past the link's bound is refused before
+// it is accepted, on every send path, and its callback never runs.
 func TestSendTooLarge(t *testing.T) {
-	a, _ := tcpPair(t)
-	var d Device
-	mr := d.RegisterMemory(4)
-	if err := a.PostSend(mr, 8); err != ErrTooLarge {
-		t.Fatalf("err = %v", err)
+	a, _ := tcpMessengerPair(t, 4)
+	if err := a.SendVectoredAsync([][]byte{make([]byte, 3), make([]byte, 2)}, func(error) {
+		t.Error("a refused send's callback ran")
+	}); err != ErrTooLarge {
+		t.Fatalf("SendVectoredAsync err = %v", err)
+	}
+	encode := func(dst []byte) int { return 0 }
+	if err := a.SendEncoded(5, encode); err != ErrTooLarge {
+		t.Fatalf("SendEncoded err = %v", err)
+	}
+	if err := a.TrySendEncoded(5, encode); err != ErrTooLarge {
+		t.Fatalf("TrySendEncoded err = %v", err)
 	}
 }
 
+// TestClosedPair: once closed, a messenger refuses every send and
+// receive with ErrClosed, and a second Close is harmless.
 func TestClosedPair(t *testing.T) {
-	a, b := tcpPair(t)
+	a, b := tcpMessengerPair(t, 4)
 	b.Close()
 	a.Close()
-	var d Device
-	mr := d.RegisterMemory(4)
-	if err := a.PostSend(mr, 1); err != ErrClosed {
-		t.Fatalf("err = %v, want ErrClosed", err)
+	if err := a.Send([]byte{1}); err != ErrClosed {
+		t.Fatalf("Send err = %v, want ErrClosed", err)
+	}
+	if err := a.TrySendEncoded(1, func([]byte) int { return 1 }); err != ErrClosed {
+		t.Fatalf("TrySendEncoded err = %v, want ErrClosed", err)
+	}
+	if err := a.SendVectoredAsync([][]byte{{1}}, nil); err != ErrClosed {
+		t.Fatalf("SendVectoredAsync err = %v, want ErrClosed", err)
+	}
+	if _, err := a.Recv(); err != ErrClosed {
+		t.Fatalf("Recv err = %v, want ErrClosed", err)
 	}
 	if err := a.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
@@ -150,7 +105,7 @@ func TestClosedPair(t *testing.T) {
 // TIME_WAIT; a listener must still be able to bind it, or every closed
 // ring would keep ports from servers for a minute.
 func TestClosedLinkFreesDialPort(t *testing.T) {
-	dial, acc, err := loopbackConns()
+	dial, acc, err := NewTCPPair()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,30 +119,67 @@ func TestClosedLinkFreesDialPort(t *testing.T) {
 	ln.Close()
 }
 
+// TestTCPLargeTransfer: a 4 MB message, several socket buffers' worth,
+// arrives intact.
 func TestTCPLargeTransfer(t *testing.T) {
-	a, b := tcpPair(t)
-	var d Device
 	const size = 4 << 20
-	send := d.RegisterMemory(size)
-	for i := range send.Bytes() {
-		send.Bytes()[i] = byte(i * 31)
+	a, b := tcpMessengerPair(t, size)
+	send := make([]byte, size)
+	for i := range send {
+		send[i] = byte(i * 31)
 	}
-	if err := b.PostRecv(size); err != nil {
+	sent := make(chan error, 1)
+	go func() { sent <- a.Send(send) }()
+	got, err := b.Recv()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.PostSend(send, size); err != nil {
+	if err := <-sent; err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case c := <-b.RecvCompletions():
-		if c.Err != nil || c.Bytes != size {
-			t.Fatalf("recv = %+v", c.Err)
+	if !bytes.Equal(send, got) {
+		t.Fatal("payload corrupted")
+	}
+}
+
+// TestHangUpBehindReceiverReachesRecv: a peer that sends and hangs up
+// while the receiver is behind is heard in order — every message, then
+// the hang-up — however many messages were waiting.
+func TestHangUpBehindReceiverReachesRecv(t *testing.T) {
+	for _, sends := range []int{1, 8, 10} {
+		a, b := tcpMessengerPair(t, 16)
+		for i := 0; i < sends; i++ {
+			if err := a.Send([]byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !bytes.Equal(send.Bytes(), c.Data) {
-			t.Fatal("payload corrupted")
+		a.Close()
+		// An endpoint that reads ahead of Recv gets every chance to read
+		// the whole stream, hang-up included, before the receiver asks:
+		// the receiver yields until the endpoint has issued a read for
+		// each prefix, each body and the hang-up, or 100,000 times.
+		for i := 0; i < 100_000 && b.Syscalls() < int64(2*sends+1); i++ {
+			runtime.Gosched()
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("large recv timeout")
+		got := make(chan error, 1)
+		go func() {
+			for i := 0; i < sends; i++ {
+				if data, err := b.Recv(); err != nil || data[0] != byte(i) {
+					got <- fmt.Errorf("message %d: %v, %v", i, data, err)
+					return
+				}
+			}
+			_, err := b.Recv()
+			got <- err
+		}()
+		select {
+		case err := <-got:
+			if err != io.EOF {
+				t.Fatalf("%d sends: Recv after the hang-up = %v, want io.EOF", sends, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d sends: Recv still blocked 5 s after the peer hung up", sends)
+		}
 	}
 }
 
