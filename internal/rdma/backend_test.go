@@ -72,41 +72,47 @@ func (c *limitedConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestMessengerWriteFailureClosesLink: a short or failed write fails
-// its send with the cause AND tears the link down — the length-prefixed
-// stream has no way to resynchronize a half-written frame, so keeping
-// the link alive would corrupt every later message. Both send paths.
-func TestMessengerWriteFailureClosesLink(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		send func(m *Messenger, payload []byte) error
-	}{
-		{"encoded", func(m *Messenger, payload []byte) error { return m.Send(payload) }},
-		{"vectored", func(m *Messenger, payload []byte) error {
-			sent := make(chan error, 1)
-			if err := m.SendVectoredAsync([][]byte{payload[:8], payload[8:]}, func(err error) { sent <- err }); err != nil {
-				return err
-			}
-			return <-sent
-		}},
-	} {
-		cli, _ := tcpConnPair(t)
-		// Budget for the 4-byte prefix and a bit of payload, then die.
-		m, err := NewMessenger(&limitedConn{Conn: cli, limit: 10}, 64)
-		if err != nil {
-			t.Fatal(err)
+// A short or failed write fails its send with the cause AND tears the
+// link down: the length-prefixed stream has no way to resynchronize a
+// half-written frame, so keeping the link alive would corrupt every
+// later message. The two tests below check this on each send path; their
+// names are those of the queue-pair sends they replaced.
+
+// TestTCPPostSendWriteFailureClosesQP: the encoded path (Send).
+func TestTCPPostSendWriteFailureClosesQP(t *testing.T) {
+	checkWriteFailureClosesLink(t, func(m *Messenger, payload []byte) error { return m.Send(payload) })
+}
+
+// TestTCPPostSendVecWriteFailureClosesQP: the vectored path
+// (SendVectoredAsync), whose failure reaches the send's callback.
+func TestTCPPostSendVecWriteFailureClosesQP(t *testing.T) {
+	checkWriteFailureClosesLink(t, func(m *Messenger, payload []byte) error {
+		sent := make(chan error, 1)
+		if err := m.SendVectoredAsync([][]byte{payload[:8], payload[8:]}, func(err error) { sent <- err }); err != nil {
+			return err
 		}
-		payload := bytes.Repeat([]byte("x"), 64)
-		if err := tc.send(m, payload); !errors.Is(err, errConnDied) {
-			t.Fatalf("%s: send err = %v, want the connection error", tc.name, err)
-		}
-		if err := tc.send(m, payload); err != ErrClosed {
-			t.Fatalf("%s: send after the write failure = %v, want ErrClosed", tc.name, err)
-		}
-		if _, err := m.Recv(); err != ErrClosed {
-			t.Fatalf("%s: Recv after the write failure = %v, want ErrClosed", tc.name, err)
-		}
-		m.Close()
+		return <-sent
+	})
+}
+
+func checkWriteFailureClosesLink(t *testing.T, send func(m *Messenger, payload []byte) error) {
+	t.Helper()
+	cli, _ := tcpConnPair(t)
+	// Budget for the 4-byte prefix and a bit of payload, then die.
+	m, err := NewMessenger(&limitedConn{Conn: cli, limit: 10}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	payload := bytes.Repeat([]byte("x"), 64)
+	if err := send(m, payload); !errors.Is(err, errConnDied) {
+		t.Fatalf("send err = %v, want the connection error", err)
+	}
+	if err := send(m, payload); err != ErrClosed {
+		t.Fatalf("send after the write failure = %v, want ErrClosed", err)
+	}
+	if _, err := m.Recv(); err != ErrClosed {
+		t.Fatalf("Recv after the write failure = %v, want ErrClosed", err)
 	}
 }
 
