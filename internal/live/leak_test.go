@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/leakcheck"
 	"repro/internal/rdma"
@@ -16,20 +17,26 @@ func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // openEndpoints counts the link endpoints still open by their send
 // loops: NewMessenger starts one per endpoint, and Close waits for it
-// to finish. A loop Close has just released may still be on its way
-// out, so the count is read until two readings agree.
+// to close loopDone. A loop Close has released is past every wait, so
+// it only ever shows as running or runnable until it exits; the count
+// is taken once no send loop is in either state, or as it stands after
+// 5 s.
 func openEndpoints() int {
-	for prev := -1; ; runtime.Gosched() {
-		open := 0
+	deadline := time.Now().Add(5 * time.Second)
+	for ; ; runtime.Gosched() {
+		open, settled := 0, true
 		for _, g := range leakcheck.Goroutines() {
-			if strings.Contains(g, "created by repro/internal/rdma.NewMessenger") {
-				open++
+			if !strings.Contains(g, "created by repro/internal/rdma.NewMessenger") {
+				continue
+			}
+			open++
+			if strings.Contains(g, "[running") || strings.Contains(g, "[runnable") {
+				settled = false
 			}
 		}
-		if open == prev {
+		if settled || time.Now().After(deadline) {
 			return open
 		}
-		prev = open
 	}
 }
 

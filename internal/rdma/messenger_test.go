@@ -117,6 +117,11 @@ func TestMessengerCloseUnblocksRecv(t *testing.T) {
 		_, err := b.Recv()
 		done <- err
 	}()
+	// countingReader counts a read just before it enters conn.Read, so
+	// once the count moves Recv is in (or about to block in) its read.
+	for b.Syscalls() == 0 {
+		runtime.Gosched()
+	}
 	b.Close()
 	a.Close()
 	select {
