@@ -11,6 +11,9 @@
 //
 //	dcload -selfserve -nodes 4 -clients 64 -queries 500
 //
+// With -metrics ADDR the in-process server also serves /metrics and
+// /debug/pprof/ on ADDR, so the running ring can be profiled under load.
+//
 // It exits non-zero on any incorrect result or hard failure; admission
 // rejections are expected under pressure and reported separately.
 package main
@@ -38,6 +41,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "data generator seed (selfserve)")
 		inflight  = flag.Int("inflight", 8, "max in-flight queries per node (selfserve)")
 		queue     = flag.Int("queue", 64, "max queued queries per node (selfserve)")
+		metrics   = flag.String("metrics", "", "serve /metrics and /debug/pprof/ on this address (selfserve; port 0 = ephemeral)")
 		clients   = flag.Int("clients", 64, "concurrent client sessions")
 		queries   = flag.Int("queries", 2000, "total queries to fire")
 		sql       = flag.String("q", "", "single SQL query (default: TPC-H demo mix)")
@@ -58,7 +62,7 @@ func main() {
 	)
 	switch {
 	case *selfserve:
-		served, err := startRing(*nodes, *sf, *seed, *inflight, *queue, *replicas, *hb)
+		served, err := startRing(*nodes, *sf, *seed, *inflight, *queue, *replicas, *hb, *metrics)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dcload:", err)
 			os.Exit(1)
@@ -68,6 +72,9 @@ func main() {
 		targets = srv.Addrs()
 		fmt.Printf("selfserve: %d-node ring over TPC-H sf=%g, inflight=%d queue=%d replicas=%d\n",
 			*nodes, *sf, *inflight, *queue, *replicas)
+		if a := srv.MetricsAddr(); a != "" {
+			fmt.Printf("metrics: %s\n", a)
+		}
 	case *addrs != "":
 		targets = strings.Split(*addrs, ",")
 	default:
@@ -75,6 +82,10 @@ func main() {
 		os.Exit(1)
 	}
 
+	if *metrics != "" && srv == nil {
+		fmt.Fprintln(os.Stderr, "dcload: -metrics needs -selfserve (an external server has its own)")
+		os.Exit(1)
+	}
 	if *kill > 0 {
 		if srv == nil {
 			fmt.Fprintln(os.Stderr, "dcload: -kill needs -selfserve (an external server is not ours to kill)")
@@ -241,7 +252,7 @@ func fetchStats(targets []string) []dc.ServerNodeStats {
 	return stats
 }
 
-func startRing(nodes int, sf float64, seed int64, inflight, queue, replicas int, hb time.Duration) (*experiments.Served, error) {
+func startRing(nodes int, sf float64, seed int64, inflight, queue, replicas int, hb time.Duration, metrics string) (*experiments.Served, error) {
 	ringCfg := dc.DefaultLiveConfig()
 	ringCfg.Replicas = replicas
 	if hb > 0 {
@@ -250,5 +261,6 @@ func startRing(nodes int, sf float64, seed int64, inflight, queue, replicas int,
 	srvCfg := dc.DefaultServerConfig()
 	srvCfg.MaxInFlight = inflight
 	srvCfg.MaxQueue = queue
+	srvCfg.MetricsAddr = metrics
 	return experiments.ServeRing(nodes, tpch.GenDB(sf, seed), ringCfg, srvCfg)
 }

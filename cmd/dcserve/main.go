@@ -6,9 +6,12 @@
 //
 //	dcserve -nodes 4 -sf 0.001
 //	dcserve -nodes 4 -inflight 8 -queue 64
+//	dcserve -nodes 3 -metrics 127.0.0.1:0
 //
-// It prints one "node <i>: <addr>" line per listener, then serves until
-// SIGINT/SIGTERM, draining in-flight queries before exiting.
+// It prints one "node <i>: <addr>" line per listener (and, with
+// -metrics, one "metrics: <addr>" line for the /metrics and
+// /debug/pprof/ endpoints), then serves until SIGINT/SIGTERM, draining
+// in-flight queries before exiting.
 package main
 
 import (
@@ -31,6 +34,7 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:0", "base listen address (port 0 = ephemeral per node; concrete port P serves node i on P+i)")
 		inflight = flag.Int("inflight", 8, "max concurrently executing queries per node")
 		queue    = flag.Int("queue", 64, "max queries waiting for a slot per node")
+		metrics  = flag.String("metrics", "", "serve /metrics and /debug/pprof/ on this address (port 0 = ephemeral; empty = off)")
 	)
 	flag.Parse()
 
@@ -47,6 +51,7 @@ func main() {
 	srvCfg.Addr = *addr
 	srvCfg.MaxInFlight = *inflight
 	srvCfg.MaxQueue = *queue
+	srvCfg.MetricsAddr = *metrics
 	srv, err := dc.Serve(ring, srvCfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dcserve:", err)
@@ -57,6 +62,9 @@ func main() {
 		ring.Size(), *sf, db.Rows("lineitem"))
 	for i, a := range srv.Addrs() {
 		fmt.Printf("node %d: %s\n", i, a)
+	}
+	if a := srv.MetricsAddr(); a != "" {
+		fmt.Printf("metrics: %s\n", a)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -130,10 +130,11 @@ func (b *BAT) Avg() float64 {
 }
 
 // groupKeys assigns dense group ids by first appearance using a typed
-// hash table: one map instantiation per kind.
+// hash table: one map instantiation per kind. The table grows with the
+// groups; a grouping key usually has far fewer than it has rows.
 func groupKeys[T comparable](vals []T) (ids []Oid, repIdx []int32) {
 	ids = make([]Oid, len(vals))
-	idOf := make(map[T]Oid, len(vals))
+	idOf := make(map[T]Oid)
 	for i, v := range vals {
 		id, seen := idOf[v]
 		if !seen {
@@ -174,6 +175,9 @@ func (b *BAT) groupTail() (ids []Oid, repIdx []int32) {
 		return ids, repIdx
 	}
 	sorted := t.Sorted()
+	if t.narrow != nil {
+		return t.narrow.group(sorted)
+	}
 	switch t.kind {
 	case KOid:
 		if sorted {
@@ -182,14 +186,14 @@ func (b *BAT) groupTail() (ids []Oid, repIdx []int32) {
 		return groupKeys(t.oids)
 	case KInt:
 		if sorted {
-			return groupSortedKeys(t.int64s())
+			return groupSortedKeys(t.ints)
 		}
-		return groupKeys(t.int64s())
+		return groupKeys(t.ints)
 	case KFloat:
 		if sorted {
-			return groupSortedKeys(t.float64s())
+			return groupSortedKeys(t.floats)
 		}
-		return groupKeys(t.float64s())
+		return groupKeys(t.floats)
 	case KStr:
 		if sorted {
 			return groupSortedKeys(t.strs)
@@ -227,21 +231,32 @@ func (b *BAT) GroupIDsPos() (groups, reps *BAT) {
 	return groups, reps
 }
 
-// gpair is the typed composite key of GroupDerive.
-type gpair[T comparable] struct {
-	g Oid
-	v T
-}
-
-func deriveKeys[T comparable](gids []Oid, vals []T) (ids []Oid, repIdx []int32) {
-	ids = make([]Oid, len(vals))
-	idOf := make(map[gpair[T]]Oid, len(vals))
-	for i, v := range vals {
-		k := gpair[T]{gids[i], v}
-		id, seen := idOf[k]
+// deriveIDs refines the group ids gids by the key ids kids (nk distinct):
+// a row's refined group is its pair (g, k), numbered by first appearance
+// like groupKeys numbers values. The pair g·nk + k indexes a dense array
+// while the ng·nk combinations fit in denseFill slots a row, a map
+// beyond.
+func deriveIDs(gids, kids []Oid, ng, nk int) (ids []Oid, repIdx []int32) {
+	ids = make([]Oid, len(gids))
+	if uint64(ng)*uint64(nk) <= denseFill*uint64(len(gids)) {
+		slot := make([]int32, ng*nk) // 1 + the refined id; 0: not seen yet
+		for i, g := range gids {
+			c := int(g)*nk + int(kids[i])
+			if slot[c] == 0 {
+				repIdx = append(repIdx, int32(i))
+				slot[c] = int32(len(repIdx))
+			}
+			ids[i] = Oid(slot[c] - 1)
+		}
+		return ids, repIdx
+	}
+	idOf := make(map[uint64]Oid)
+	for i, g := range gids {
+		c := uint64(g)*uint64(nk) + uint64(kids[i])
+		id, seen := idOf[c]
 		if !seen {
 			id = Oid(len(repIdx))
-			idOf[k] = id
+			idOf[c] = id
 			repIdx = append(repIdx, int32(i))
 		}
 		ids[i] = id
@@ -253,28 +268,15 @@ func deriveKeys[T comparable](gids []Oid, vals []T) (ids []Oid, repIdx []int32) 
 // (MAL's group.derive): rows belong to the same refined group iff they
 // share both the old group id and the key value. Returns the refined
 // [head | group oid] plus a representative row BAT [group oid | row pos]
-// usable to fetch representative key values.
+// usable to fetch representative key values. The key column is grouped
+// alone, by the kernel its properties pick, and the two ids combine
+// through deriveIDs.
 func GroupDerive(groups, keys *BAT) (refined, reps *BAT) {
 	if groups.Len() != keys.Len() {
 		panic("bat: GroupDerive length mismatch")
 	}
-	gids := groups.t.oidValues()
-	var ids []Oid
-	var repIdx []int32
-	switch keys.t.kind {
-	case KOid:
-		ids, repIdx = deriveKeys(gids, keys.t.oidValues())
-	case KInt:
-		ids, repIdx = deriveKeys(gids, keys.t.int64s())
-	case KFloat:
-		ids, repIdx = deriveKeys(gids, keys.t.float64s())
-	case KStr:
-		ids, repIdx = deriveKeys(gids, keys.t.strs)
-	case KBool:
-		ids, repIdx = deriveKeys(gids, keys.t.bools)
-	default:
-		panic("bat: bad kind")
-	}
+	kids, krep := keys.groupTail()
+	ids, repIdx := deriveIDs(groups.t.oidValues(), kids, maxGroup(groups)+1, len(krep))
 	refined = &BAT{Name: groups.Name, h: groups.h, t: OidColumn(ids)}
 	reps = New(groups.Name, DenseColumn(0, len(repIdx)), groups.h.take32(repIdx))
 	return refined, reps
@@ -282,7 +284,7 @@ func GroupDerive(groups, keys *BAT) (refined, reps *BAT) {
 
 // GroupedSum computes per-group sums: groups maps row position to group
 // id (tail), vals holds the values (tail, aligned by row position).
-// The result is [group oid | sum].
+// The result is [group oid | sum]. A narrow column is read in its codes.
 func GroupedSum(groups, vals *BAT) *BAT {
 	if groups.Len() != vals.Len() {
 		panic("bat: GroupedSum length mismatch")
@@ -292,16 +294,22 @@ func GroupedSum(groups, vals *BAT) *BAT {
 	switch vals.t.kind {
 	case KInt:
 		sums := make([]int64, ngroups)
-		vv := vals.t.int64s()
-		for i, g := range gids {
-			sums[g] += vv[i]
+		if vals.t.narrow != nil {
+			vals.t.narrow.groupedSum(gids, sums)
+		} else {
+			for i, g := range gids {
+				sums[g] += vals.t.ints[i]
+			}
 		}
 		return New(vals.Name, DenseColumn(0, ngroups), IntColumn(sums))
 	case KFloat:
 		sums := make([]float64, ngroups)
-		vv := vals.t.float64s()
-		for i, g := range gids {
-			sums[g] += vv[i]
+		if vals.t.narrow != nil {
+			vals.t.narrow.groupedSumDecimal(gids, sums, vals.t.scale())
+		} else {
+			for i, g := range gids {
+				sums[g] += vals.t.floats[i]
+			}
 		}
 		return New(vals.Name, DenseColumn(0, ngroups), FloatColumn(sums))
 	}

@@ -483,3 +483,61 @@ func BenchmarkBATStreamSum(b *testing.B) {
 
 // benchSink keeps the compiler from dropping a benchmarked call.
 var benchSink any
+
+// BenchmarkBATJoinRepFetch is Q1's representative fetch (X13 :=
+// algebra.join(X12, X7) at point_storm's size): 6 group representatives'
+// OIDs probing a sorted 3,000-OID candidate head.
+func BenchmarkBATJoinRepFetch(b *testing.B) {
+	rng := rand.New(rand.NewSource(46))
+	cand := make([]Oid, 3000)
+	flags := make([]string, len(cand))
+	for i := range cand {
+		cand[i] = Oid(2*i + rng.Intn(2))
+		flags[i] = []string{"A", "N", "R"}[rng.Intn(3)]
+	}
+	r := New("x7", OidColumn(cand), StrColumn(flags))
+	r.Head().SetSorted(true)
+	reps := MakeOids("x12", []Oid{cand[0], cand[1], cand[2], cand[4], cand[9], cand[23]})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink = reps.Join(r)
+	}
+}
+
+// BenchmarkBATJoinSmallProbe is Q3ish's X22: 41 order keys, stored
+// narrow as the ring stores o_orderkey, probing 3,000 unsorted 2-byte
+// l_orderkey codes.
+func BenchmarkBATJoinSmallProbe(b *testing.B) {
+	rng := rand.New(rand.NewSource(47))
+	keys := make([]int64, 3000)
+	for i := range keys {
+		keys[i] = 1 + int64(rng.Intn(6000))
+	}
+	build := Narrow(MakeInts("l_orderkey", keys)).Reverse()
+	probe := make([]int64, 41)
+	for i := range probe {
+		probe[i] = keys[rng.Intn(len(keys))]
+	}
+	p := Narrow(MakeInts("o_orderkey", probe))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink = p.Join(build)
+	}
+}
+
+// BenchmarkBATGroupDeriveFlags is Q1's group.derive: 2,850 rows grouped
+// by 3 return flags, refined by 2 line statuses.
+func BenchmarkBATGroupDeriveFlags(b *testing.B) {
+	rng := rand.New(rand.NewSource(48))
+	rf, ls := make([]string, 2850), make([]string, 2850)
+	for i := range rf {
+		rf[i] = []string{"A", "N", "R"}[rng.Intn(3)]
+		ls[i] = []string{"F", "O"}[rng.Intn(2)]
+	}
+	groups, _ := MakeStrs("rf", rf).GroupIDsPos()
+	status := MakeStrs("ls", ls)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink, _ = GroupDerive(groups, status)
+	}
+}

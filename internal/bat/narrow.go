@@ -15,7 +15,8 @@ package bat
 //
 // The kernels that move the bulk of a served query's bytes — range and
 // candidate selects, the positional fetch, sum/min/max and the concat
-// at a region's exit, which keeps the parts' codes — run on the codes:
+// at a region's exit, which keeps the parts' codes — and the outer
+// plan's joins, grouping and grouped sums run on the codes:
 // the width is dispatched once per call (the codes interface), the
 // literals are mapped to the codes once per call (shifted by ref; a
 // float range first becomes the range of scaled integers it holds), and
@@ -52,6 +53,9 @@ type codes interface {
 	appendWire(dst []byte) []byte
 	sum() int64
 	sumDecimal(scale float64) float64
+	group(sorted bool) (ids []Oid, repIdx []int32)
+	groupedSum(gids []Oid, sums []int64)
+	groupedSumDecimal(gids []Oid, sums []float64, scale float64)
 	extreme(wantMax bool) int64
 	top() uint32
 	selectRows(t *Column, r bounds[int64]) hits
@@ -145,6 +149,31 @@ func (c narrowInts[U]) sumDecimal(scale float64) float64 {
 		s += decode(c.base+int64(x), scale)
 	}
 	return s
+}
+
+// group is groupTail over the codes: equal codes are equal values, for a
+// decimal column too, which holds neither -0.0 nor NaN.
+func (c narrowInts[U]) group(sorted bool) (ids []Oid, repIdx []int32) {
+	if sorted {
+		return groupSortedKeys(c.v)
+	}
+	return groupKeys(c.v)
+}
+
+// groupedSum adds each value into its group's sum: per group Σcode +
+// cnt·ref, which is the wide sum modulo 2^64.
+func (c narrowInts[U]) groupedSum(gids []Oid, sums []int64) {
+	for i, x := range c.v {
+		sums[gids[i]] += c.base + int64(x)
+	}
+}
+
+// groupedSumDecimal decodes each value and adds it into its group's sum
+// in row order: bit for bit the wide loop's sums, like sumDecimal.
+func (c narrowInts[U]) groupedSumDecimal(gids []Oid, sums []float64, scale float64) {
+	for i, x := range c.v {
+		sums[gids[i]] += decode(c.base+int64(x), scale)
+	}
 }
 
 func (c narrowInts[U]) extreme(wantMax bool) int64 {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -864,28 +865,45 @@ func (b *BAT) EqRows(r *BAT) *BAT {
 	return nb
 }
 
-// hashJoinTyped builds a typed hash table on the right payload and
-// probes it with the left: one map instantiation per column kind, no
-// boxing. Duplicate build keys chain through one flat next array
-// (head[v] = first row, next[j] = following row with the same value),
-// so the build side does exactly two allocations regardless of key
-// skew. capHint sizes the output buffers; MAL plans mostly run
-// foreign-key joins that match ~1:1, so the probe-side length is the
-// estimate.
-func hashJoinTyped[T comparable](lvals, rvals []T, capHint int) (li, ri []int32) {
-	head := make(map[T]int32, len(rvals))
-	next := make([]int32, len(rvals))
-	// Build backwards so chains run in ascending row order.
-	for j := len(rvals) - 1; j >= 0; j-- {
-		if first, dup := head[rvals[j]]; dup {
-			next[j] = first
+// The join kernels below pick their algorithm from the operands' sizes
+// and properties, MonetDB-style, and keep no state between calls. Each
+// returns the matching row pairs (li[k], ri[k]) in one order: probe row
+// ascending, and the build rows of one probe row ascending — the order
+// of the boxed joinGeneric, which group first-appearance order, and
+// through it every served result, depends on.
+
+// denseFill bounds the dense arrays that stand in for hash tables over
+// a small key domain: an array is used while it has at most this many
+// slots per row the kernel reads.
+const denseFill = 4
+
+// chainTable indexes vals by value: head[v] is the first row holding v
+// and next[i] the row after i with the same value (-1 ends a chain).
+// Built backwards, so a chain runs in ascending row order; two
+// allocations regardless of key skew. It is built on the smaller side
+// of a join, whose keys are mostly distinct, so it is sized to it.
+func chainTable[K comparable](vals []K) (head map[K]int32, next []int32) {
+	head = make(map[K]int32, len(vals))
+	next = make([]int32, len(vals))
+	for i := len(vals) - 1; i >= 0; i-- {
+		if first, dup := head[vals[i]]; dup {
+			next[i] = first
 		} else {
-			next[j] = -1
+			next[i] = -1
 		}
-		head[rvals[j]] = int32(j)
+		head[vals[i]] = int32(i)
 	}
-	li = make([]int32, 0, capHint)
-	ri = make([]int32, 0, capHint)
+	return head, next
+}
+
+// hashJoinTyped hashes the build payload rvals and probes it with lvals:
+// one map instantiation per column kind, no boxing. MAL plans mostly run
+// foreign-key joins that match ~1:1, so the probe length sizes the
+// output.
+func hashJoinTyped[T comparable](lvals, rvals []T) (li, ri []int32) {
+	head, next := chainTable(rvals)
+	li = make([]int32, 0, len(lvals))
+	ri = make([]int32, 0, len(lvals))
 	for i, v := range lvals {
 		if j, ok := head[v]; ok {
 			for ; j >= 0; j = next[j] {
@@ -897,11 +915,230 @@ func hashJoinTyped[T comparable](lvals, rvals []T, capHint int) (li, ri []int32)
 	return li, ri
 }
 
+// hashSmaller joins two comparable payloads by hashing the smaller one.
+// A table on the probe side is scanned with the build side's rows, in
+// ascending order, and the matches are put back in join order.
+func hashSmaller[T comparable](lvals, rvals []T) (li, ri []int32) {
+	if len(lvals) >= len(rvals) {
+		return hashJoinTyped(lvals, rvals)
+	}
+	head, next := chainTable(lvals)
+	var pi, pj []int32
+	for j, v := range rvals {
+		if i, ok := head[v]; ok {
+			for ; i >= 0; i = next[i] {
+				pi = append(pi, i)
+				pj = append(pj, int32(j))
+			}
+		}
+	}
+	return byProbeRow(pi, pj, len(lvals))
+}
+
+// byProbeRow puts matches found in build-row order into join order with
+// a counting sort by probe row, which is stable, so each probe row's
+// build rows stay ascending.
+func byProbeRow(pi, pj []int32, nprobe int) (li, ri []int32) {
+	start := make([]int32, nprobe+1)
+	for _, i := range pi {
+		start[i+1]++
+	}
+	for i := 1; i < nprobe; i++ {
+		start[i] += start[i-1]
+	}
+	li = make([]int32, len(pi))
+	ri = make([]int32, len(pi))
+	for k, i := range pi {
+		at := start[i]
+		start[i]++
+		li[at], ri[at] = i, pj[k]
+	}
+	return li, ri
+}
+
+// key is a payload a join searches or hashes in place: OIDs, wide ints,
+// or a narrow int column's codes.
+type key interface{ code | int64 | Oid }
+
+// side is one operand of joinKeys, read in its own payload.
+type side[T key] struct {
+	v      []T
+	sorted bool
+	span   uint64 // every code lies in [0, span); 0: unknown, for wide values
+}
+
+// heads is a chain table's first-row lookup on build codes: a dense
+// array indexed by code when their span is small next to the rows the
+// join reads, a map otherwise.
+type heads[U key] struct {
+	dense []int32 // 1 + the first row, by code; 0: none
+	m     map[U]int32
+}
+
+func newHeads[U key](span uint64, rows, read int) heads[U] {
+	if span > 0 && span <= denseFill*uint64(read) {
+		return heads[U]{dense: make([]int32, span)}
+	}
+	return heads[U]{m: make(map[U]int32, rows)}
+}
+
+func (h heads[U]) get(u U) (int32, bool) {
+	if h.dense != nil {
+		i := h.dense[u] - 1
+		return i, i >= 0
+	}
+	i, ok := h.m[u]
+	return i, ok
+}
+
+// push makes row i the first of u's chain and returns the row that was,
+// -1 if none.
+func (h heads[U]) push(u U, i int32) int32 {
+	if h.dense != nil {
+		prev := h.dense[u] - 1
+		h.dense[u] = i + 1
+		return prev
+	}
+	prev, ok := h.m[u]
+	if !ok {
+		prev = -1
+	}
+	h.m[u] = i
+	return prev
+}
+
+// joinKeys joins two OID or int payloads in place. A probe value p
+// matches the build code U(p + off) when lo <= p <= hi, the window of
+// probe values the build side can hold at all; off maps the probe's
+// code space onto the build's, both sides being value = ref + code (ref
+// 0 for wide ints and OIDs).
+//
+//   - build sorted, and the probe sorted or not longer: each probe value
+//     finds its run of build rows by binary search, a sorted probe by
+//     galloping on from the previous one. No table at all.
+//   - otherwise a chain table goes on the smaller side: a dense array
+//     over the build's codes when their span allows (heads), a map
+//     else.
+func joinKeys[P, U key](p side[P], lo, hi P, off uint64, b side[U]) (li, ri []int32) {
+	probe, build := p.v, b.v
+	read := len(probe) + len(build)
+	switch {
+	case b.sorted && (p.sorted || len(probe) <= len(build)):
+		li = make([]int32, 0, len(probe))
+		ri = make([]int32, 0, len(probe))
+		j := 0
+		for i, x := range probe {
+			if x < lo || x > hi {
+				continue
+			}
+			u := U(uint64(x) + off)
+			if p.sorted {
+				j = gallopTo(build, j, u)
+			} else {
+				j, _ = slices.BinarySearch(build, u)
+			}
+			for k := j; k < len(build) && build[k] == u; k++ {
+				li = append(li, int32(i))
+				ri = append(ri, int32(k))
+			}
+		}
+		return li, ri
+	case len(probe) < len(build):
+		head := newHeads[U](b.span, len(probe), read)
+		next := make([]int32, len(probe))
+		for i := len(probe) - 1; i >= 0; i-- {
+			if x := probe[i]; x >= lo && x <= hi {
+				next[i] = head.push(U(uint64(x)+off), int32(i))
+			}
+		}
+		var pi, pj []int32
+		for j, u := range build {
+			if i, ok := head.get(u); ok {
+				for ; i >= 0; i = next[i] {
+					pi = append(pi, i)
+					pj = append(pj, int32(j))
+				}
+			}
+		}
+		return byProbeRow(pi, pj, len(probe))
+	}
+	head := newHeads[U](b.span, len(build), read)
+	next := make([]int32, len(build))
+	for j := len(build) - 1; j >= 0; j-- {
+		next[j] = head.push(build[j], int32(j))
+	}
+	li = make([]int32, 0, len(probe))
+	ri = make([]int32, 0, len(probe))
+	for i, x := range probe {
+		if x < lo || x > hi {
+			continue
+		}
+		if j, ok := head.get(U(uint64(x) + off)); ok {
+			for ; j >= 0; j = next[j] {
+				li = append(li, int32(i))
+				ri = append(ri, j)
+			}
+		}
+	}
+	return li, ri
+}
+
+// joinInts is joinKeys for two int columns, each read in its own
+// payload: a narrow build side is searched or hashed in its codes, and
+// the probe values are mapped into them, as codeRange maps a select's
+// literals. Nothing is widened.
+func joinInts(p, c *Column) (li, ri []int32) {
+	switch v := c.narrow.(type) {
+	case nil:
+		return joinIntProbe(p, side[int64]{v: c.ints, sorted: c.Sorted()}, 0, math.MinInt64, math.MaxInt64)
+	case narrowInts[uint8]:
+		return joinIntProbe(p, v.side(c.Sorted()), v.base, v.base, v.base+int64(v.hi))
+	case narrowInts[uint16]:
+		return joinIntProbe(p, v.side(c.Sorted()), v.base, v.base, v.base+int64(v.hi))
+	case narrowInts[uint32]:
+		return joinIntProbe(p, v.side(c.Sorted()), v.base, v.base, v.base+int64(v.hi))
+	}
+	panic("bat: bad narrow width")
+}
+
+// side is the codes as a join operand.
+func (c narrowInts[U]) side(sorted bool) side[U] {
+	return side[U]{v: c.v, sorted: sorted, span: uint64(c.hi) + 1}
+}
+
+// joinIntProbe dispatches on the probe column's payload. The build side
+// b holds the values ref + code, every one of them in [lo, hi].
+func joinIntProbe[U key](p *Column, b side[U], ref, lo, hi int64) (li, ri []int32) {
+	switch v := p.narrow.(type) {
+	case nil:
+		return joinKeys(side[int64]{v: p.ints, sorted: p.Sorted()}, lo, hi, -uint64(ref), b)
+	case narrowInts[uint8]:
+		return joinCodes(v.side(p.Sorted()), v.base, b, ref, lo, hi)
+	case narrowInts[uint16]:
+		return joinCodes(v.side(p.Sorted()), v.base, b, ref, lo, hi)
+	case narrowInts[uint32]:
+		return joinCodes(v.side(p.Sorted()), v.base, b, ref, lo, hi)
+	}
+	panic("bat: bad narrow width")
+}
+
+// joinCodes is joinKeys for a narrow probe with reference pref: the
+// build's value window [lo, hi] becomes a window of the probe's codes,
+// or nothing matches.
+func joinCodes[P code, U key](p side[P], pref int64, b side[U], ref, lo, hi int64) (li, ri []int32) {
+	cr, below, above := codeRange[P](closedBounds(lo, hi), pref)
+	if below || above {
+		return nil, nil
+	}
+	return joinKeys(p, cr.lo, cr.hi, uint64(pref)-uint64(ref), b)
+}
+
 // Join computes the natural join of b and r on b.tail == r.head,
 // returning [b.head | r.tail], MAL's algebra.join. When r's head is a
 // dense OID column the join degenerates to positional fetch
 // (leftfetchjoin); when BOTH sides are dense the overlap is contiguous
-// and the join is an O(1) pair of views.
+// and the join is an O(1) pair of views. Otherwise OID and int keys go
+// to joinKeys; float, string and bool keys hash the smaller side.
 func (b *BAT) Join(r *BAT) *BAT {
 	if b.t.kind != r.h.kind {
 		panic(fmt.Sprintf("bat: join type mismatch %s != %s", b.t.kind, r.h.kind))
@@ -955,19 +1192,18 @@ func (b *BAT) Join(r *BAT) *BAT {
 		nb.h.sorted = b.h.Sorted()
 		return nb
 	}
-	// Typed hash join, one instantiation per kind.
 	var li, ri []int32
 	switch b.t.kind {
 	case KOid:
-		li, ri = hashJoinTyped(b.t.oidValues(), r.h.oidValues(), b.Len())
+		li, ri = joinKeys(side[Oid]{v: b.t.oidValues(), sorted: b.t.Sorted()}, 0, ^Oid(0), 0, side[Oid]{v: r.h.oids, sorted: r.h.Sorted()})
 	case KInt:
-		li, ri = hashJoinTyped(b.t.int64s(), r.h.int64s(), b.Len())
+		li, ri = joinInts(b.t, r.h)
 	case KFloat:
-		li, ri = hashJoinTyped(b.t.float64s(), r.h.float64s(), b.Len())
+		li, ri = hashSmaller(b.t.float64s(), r.h.float64s())
 	case KStr:
-		li, ri = hashJoinTyped(b.t.strs, r.h.strs, b.Len())
+		li, ri = hashSmaller(b.t.strs, r.h.strs)
 	case KBool:
-		li, ri = hashJoinTyped(b.t.bools, r.h.bools, b.Len())
+		li, ri = hashSmaller(b.t.bools, r.h.bools)
 	default:
 		return b.joinGeneric(r)
 	}
@@ -986,9 +1222,10 @@ func (b *BAT) Project(r *BAT) *BAT {
 	return b.Join(r)
 }
 
-// makeSet builds a typed membership set over one payload.
+// makeSet builds a typed membership set over one payload. It grows with
+// the distinct values rather than being sized to every row.
 func makeSet[T comparable](vals []T) map[T]struct{} {
-	set := make(map[T]struct{}, len(vals))
+	set := make(map[T]struct{})
 	for _, v := range vals {
 		set[v] = struct{}{}
 	}
@@ -1067,7 +1304,7 @@ func mergeMemberIdx(a, r []Oid, keep bool) *[]int32 {
 // gallopTo returns the first position at or after j whose value is >= v
 // in the non-decreasing list r, probing at doubling distances before
 // binary-searching the bracketed stretch: O(log distance).
-func gallopTo(r []Oid, j int, v Oid) int {
+func gallopTo[T cmp.Ordered](r []T, j int, v T) int {
 	if j >= len(r) || r[j] >= v {
 		return j
 	}
@@ -1079,7 +1316,8 @@ func gallopTo(r []Oid, j int, v Oid) int {
 	if hi > len(r) {
 		hi = len(r)
 	}
-	return lo + sort.Search(hi-lo, func(k int) bool { return r[lo+k] >= v })
+	k, _ := slices.BinarySearch(r[lo:hi], v)
+	return lo + k
 }
 
 // gallopProbeIdx is mergeMemberIdx for a short a against a long r: each
