@@ -103,6 +103,9 @@ func (b *BAT) extreme(sign int) any {
 		}
 		return extremeOf(t.floats, wantMax)
 	case KStr:
+		if t.narrow != nil {
+			return t.dict[t.narrow.extreme(wantMax)] // code order is string order
+		}
 		return extremeOf(t.strs, wantMax)
 	case KBool:
 		for _, v := range t.bools {
@@ -393,7 +396,7 @@ func groupedExtreme(groups, vals *BAT, sign int) *BAT {
 	case KFloat:
 		out = FloatColumn(extremeByGroup(gids, vals.t.float64s(), ngroups, wantMax))
 	case KStr:
-		out = StrColumn(extremeByGroup(gids, vals.t.strs, ngroups, wantMax))
+		out = StrColumn(extremeByGroup(gids, vals.t.strings(), ngroups, wantMax))
 	case KBool:
 		// bool is not cmp.Ordered; widen to bytes (false < true).
 		bytes := make([]uint8, len(vals.t.bools))

@@ -52,7 +52,8 @@ func (k Kind) String() string {
 
 // Column is one typed column of a BAT. A column is either materialized
 // (one of the slices is used, per kind; a narrow int or decimal float
-// column uses narrow instead of ints or floats, see narrow.go) or dense
+// column uses narrow instead of ints or floats, and a dictionary string
+// column narrow and dict instead of strs, see narrow.go) or dense
 // (an arithmetic sequence of OIDs starting at Base — MonetDB's virtual
 // OID column).
 type Column struct {
@@ -66,6 +67,7 @@ type Column struct {
 	exp    uint8 // a narrow float column's exponent: value i is narrow.at(i) / 10^exp
 	floats []float64
 	strs   []string
+	dict   []string // a dictionary string column's sorted, distinct values: value i is dict[narrow.at(i)]
 	bools  []bool
 	sorted bool // non-decreasing tail order (trivially true when dense)
 }
@@ -145,7 +147,7 @@ func (c *Column) Value(i int) any {
 	case KFloat:
 		return c.Float(i)
 	case KStr:
-		return c.strs[i]
+		return c.Str(i)
 	case KBool:
 		return c.bools[i]
 	}
@@ -177,7 +179,12 @@ func (c *Column) Float(i int) float64 {
 }
 
 // Str returns element i of a string column.
-func (c *Column) Str(i int) string { return c.strs[i] }
+func (c *Column) Str(i int) string {
+	if c.narrow != nil {
+		return c.dict[c.narrow.at(i)]
+	}
+	return c.strs[i]
+}
 
 // Bool returns element i of a bool column.
 func (c *Column) Bool(i int) bool { return c.bools[i] }
@@ -196,7 +203,7 @@ func (c *Column) Append(v any) {
 	case KFloat:
 		c.floats, c.narrow = append(c.float64s(), v.(float64)), nil
 	case KStr:
-		c.strs = append(c.strs, v.(string))
+		c.strs, c.narrow, c.dict = append(c.strings(), v.(string)), nil, nil
 	case KBool:
 		c.bools = append(c.bools, v.(bool))
 	default:
@@ -236,7 +243,7 @@ func takeIdx[I index](c *Column, idx []I, base I) *Column {
 		case []int:
 			out.narrow = c.narrow.take(int32s(v))
 		}
-		out.exp = c.exp
+		out.exp, out.dict = c.exp, c.dict
 		return out
 	}
 	switch {
@@ -291,7 +298,7 @@ func (c *Column) view(from, to int) *Column {
 	}
 	out := &Column{kind: c.kind, sorted: c.sorted}
 	if c.narrow != nil {
-		out.narrow, out.exp = c.narrow.view(from, to), c.exp
+		out.narrow, out.exp, out.dict = c.narrow.view(from, to), c.exp, c.dict
 		return out
 	}
 	switch c.kind {
@@ -317,7 +324,7 @@ func (c *Column) clone() *Column {
 	}
 	out := &Column{kind: c.kind, sorted: c.sorted}
 	if c.narrow != nil {
-		out.narrow, out.exp = c.narrow.clone(), c.exp
+		out.narrow, out.exp, out.dict = c.narrow.clone(), c.exp, c.dict
 		return out
 	}
 	switch c.kind {
@@ -351,9 +358,9 @@ func (c *Column) oidValues() []Oid {
 }
 
 // Span reports the address range [lo, hi) of a materialized fixed-width
-// column's values (oid, int or float — wide or narrow) and 0, 0 for any
-// other column: how a caller that lends out memory tells whether a
-// column is a view of it.
+// column's values (oid, int or float — wide or narrow — or a dictionary
+// string column's codes) and 0, 0 for any other column: how a caller
+// that lends out memory tells whether a column is a view of it.
 func (c *Column) Span() (lo, hi uintptr) {
 	var p unsafe.Pointer
 	var n int
@@ -384,8 +391,11 @@ func (c *Column) Bytes() int {
 	if c.kind != KStr {
 		return c.Len() * c.Width()
 	}
-	total := 0
-	for _, s := range c.strs {
+	total, heap := c.Len()*c.Width(), c.strs
+	if c.narrow != nil {
+		heap = c.dict
+	}
+	for _, s := range heap {
 		total += len(s) + 8 // payload + offset
 	}
 	return total
@@ -401,7 +411,7 @@ func (c *Column) equalAt(i int, d *Column, j int) bool {
 	case KFloat:
 		return c.Float(i) == d.Float(j)
 	case KStr:
-		return c.strs[i] == d.strs[j]
+		return c.Str(i) == d.Str(j)
 	case KBool:
 		return c.bools[i] == d.bools[j]
 	}
@@ -534,6 +544,9 @@ func (b *BAT) sortIdxByTail(desc bool) []int {
 		less = func(i, j int) bool { return v[idx[i]] < v[idx[j]] }
 	case t.kind == KFloat:
 		v := t.float64s()
+		less = func(i, j int) bool { return v[idx[i]] < v[idx[j]] }
+	case t.kind == KStr && t.narrow != nil:
+		v := t.narrow.appendWide(make([]int64, 0, t.Len())) // code order is string order
 		less = func(i, j int) bool { return v[idx[i]] < v[idx[j]] }
 	case t.kind == KStr:
 		v := t.strs

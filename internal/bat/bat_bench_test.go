@@ -541,3 +541,66 @@ func BenchmarkBATGroupDeriveFlags(b *testing.B) {
 		benchSink, _ = GroupDerive(groups, status)
 	}
 }
+
+// flagColumns are Q1's two group keys at point_storm's size: 2,850 rows
+// of 3 return flags and 2 line statuses, stored as the ring stores them.
+func flagColumns() (rf, ls *BAT) {
+	rng := rand.New(rand.NewSource(49))
+	f, s := make([]string, 2850), make([]string, 2850)
+	for i := range f {
+		f[i] = []string{"A", "N", "R"}[rng.Intn(3)]
+		s[i] = []string{"F", "O"}[rng.Intn(2)]
+	}
+	return Narrow(MakeStrs("rf", f)), Narrow(MakeStrs("ls", s))
+}
+
+// BenchmarkBATGroupFlagsDict is Q1's grouping whole: group.newpos over
+// the return flags, then group.derive by the line statuses.
+func BenchmarkBATGroupFlagsDict(b *testing.B) {
+	rf, ls := flagColumns()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		groups, _ := rf.GroupIDsPos()
+		benchSink, _ = GroupDerive(groups, ls)
+	}
+}
+
+// BenchmarkBATNarrowStrs is the install pass over a 64K-row fragment of
+// a string column: what each installed version costs the ring's set-up.
+// flags3 is a 3-value flag column, coded at 1 byte. The others price
+// the pass at many distinct values, every one of which collides in the
+// first-byte table and goes to its map: below, 57,343 values, the most
+// that still code (at 2 bytes, n·2 + 16·d < 16·n); past, 57,345 values,
+// and distinct, 65,536, both abandoned when d reaches 57,344 and left
+// plain.
+func BenchmarkBATNarrowStrs(b *testing.B) {
+	const n = 1 << 16
+	rng := rand.New(rand.NewSource(50))
+	column := func(d int) *BAT {
+		v := make([]string, n)
+		for i, k := range rng.Perm(n) {
+			v[i] = fmt.Sprintf("customer comment %06d", k%d)
+		}
+		return MakeStrs("s", v)
+	}
+	flags := make([]string, n)
+	for i := range flags {
+		flags[i] = []string{"A", "N", "R"}[rng.Intn(3)]
+	}
+	for _, c := range []struct {
+		name string
+		frag *BAT
+	}{
+		{"flags3", MakeStrs("l_returnflag", flags)},
+		{"below", column(n*14/16 - 1)},
+		{"past", column(n*14/16 + 1)},
+		{"distinct", column(n)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = Narrow(c.frag)
+			}
+		})
+	}
+}

@@ -90,8 +90,9 @@ func ConcatAll(lists [][]*BAT) []*BAT {
 // concatCols is the n-ary generalization of concatCol: one exact-size
 // allocation, dense fusion, and boundary-checked sortedness. Narrow
 // fragments, each with its own reference and width, keep their codes
-// when they share an exponent (mergeCodes); any other mix decodes into
-// the wide output.
+// when they share an exponent (mergeCodes), and dictionary fragments
+// keep theirs when they share a dictionary (concatDicts); any other mix
+// decodes into the wide output.
 func concatCols(cols []*Column) *Column {
 	if fused, ok := fuseDense(cols); ok {
 		return fused
@@ -105,8 +106,12 @@ func concatCols(cols []*Column) *Column {
 		}
 	}
 	out := &Column{kind: cols[0].kind}
-	if nc, exp, ok := concatCodes(cols, total); ok {
-		out.narrow, out.exp = nc, exp
+	if out.kind == KStr {
+		out.narrow, out.dict = concatDicts(cols, total)
+	} else {
+		out.narrow, out.exp, _ = concatCodes(cols, total)
+	}
+	if out.narrow != nil {
 		out.sorted = allSorted && boundariesOrdered(cols)
 		return out
 	}
@@ -132,7 +137,7 @@ func concatCols(cols []*Column) *Column {
 	case KStr:
 		v := make([]string, 0, total)
 		for _, c := range cols {
-			v = append(v, c.strs...)
+			v = c.appendStrings(v)
 		}
 		out.strs = v
 	case KBool:
@@ -211,6 +216,31 @@ func mergeCodes[V code](parts []codes, total int, ref int64, top uint64) codes {
 		at += p.len()
 	}
 	return narrowInts[V]{v, ref, V(top)}
+}
+
+// concatDicts merges dictionary columns that share one dictionary into
+// its codes, copied as they are (concatCodes: the references are all
+// 0). It gives nil when a non-empty column is plain, when two
+// dictionaries differ, or when every column is empty; those merges
+// decode (appendStrings). The parts of a region exit are takes and
+// views of fragment columns, so they share their fragment's dictionary.
+func concatDicts(cols []*Column, total int) (codes, []string) {
+	var dict []string
+	seen := false
+	for _, c := range cols {
+		switch {
+		case c.Len() == 0:
+			continue
+		case c.narrow == nil, seen && !slices.Equal(c.dict, dict):
+			return nil, nil
+		}
+		dict, seen = c.dict, true
+	}
+	if !seen {
+		return nil, nil
+	}
+	nc, _, _ := concatCodes(cols, total)
+	return nc, dict
 }
 
 // rebase writes src's codes, each plus d, to the front of dst. Codes of

@@ -280,6 +280,8 @@ func TestGroupIDsMatchOracle(t *testing.T) {
 		sort.Slice(sortedInts, func(i, j int) bool { return sortedInts[i] < sortedInts[j] })
 		sortedOids := append([]Oid(nil), oids...)
 		sort.Slice(sortedOids, func(i, j int) bool { return sortedOids[i] < sortedOids[j] })
+		sortedStrs := append([]string(nil), strs...)
+		sort.Strings(sortedStrs)
 		sortedFloats := append([]float64(nil), floats...)
 		sort.Float64s(sortedFloats) // NaNs first, then −0.0 and 0.0 in either order
 		cols := map[string]*Column{
@@ -294,9 +296,11 @@ func TestGroupIDsMatchOracle(t *testing.T) {
 			"sorted float":  FloatColumn(sortedFloats),
 			"decimal":       Narrow(MakeFloats("k", decimals)).Tail(),
 			"str":           StrColumn(strs),
+			"dict str":      Narrow(MakeStrs("k", strs)).Tail(),
+			"sorted dict":   Narrow(MakeStrs("k", sortedStrs)).Tail(),
 			"bool":          BoolColumn(bools),
 		}
-		for _, k := range []string{"sorted oid", "sorted int", "sorted narrow", "sorted float"} {
+		for _, k := range []string{"sorted oid", "sorted int", "sorted narrow", "sorted float", "sorted dict"} {
 			cols[k].SetSorted(true)
 		}
 		for what, c := range cols {
@@ -308,7 +312,9 @@ func TestGroupIDsMatchOracle(t *testing.T) {
 
 // TestGroupDeriveMapFallback: one old group per row and distinct keys
 // make ng·nk = n², past the combination array's fill, so the ids come
-// from the map; they are the oracle's all the same.
+// from the map; they are the oracle's all the same. So are the ids of
+// narrow keys decoded from an int message whose codes pass its bound,
+// which the slot array cannot index: they come from the map too.
 func TestGroupDeriveMapFallback(t *testing.T) {
 	const n = 50
 	keys := make([]int64, n)
@@ -328,4 +334,16 @@ func TestGroupDeriveMapFallback(t *testing.T) {
 		g[i] = Oid(i % (n / 2))
 	}
 	checkGroups(t, "map fallback, repeats", g, IntColumn(keys))
+
+	b := Narrow(MakeInts("k", []int64{40, 47, 41, 47, 40, 45, 41}))
+	data := AppendMarshal(nil, b)
+	data[wireHdrSize+pad8(len(b.Name))+colHdrSize+4] = 2 // the tail's top: codes 5 and 7 pass it
+	past, err := UnmarshalView(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if top := past.Tail().narrow.top(); top != 2 || uint64(top) >= denseFill*uint64(past.Len()) {
+		t.Fatalf("decoded bound %d; the case does not reach the slot array", top)
+	}
+	checkGroups(t, "codes past the bound", oldGroups(nil, past.Len(), true), past.Tail())
 }

@@ -13,6 +13,15 @@ package bat
 // and every operator answers exactly — to the bit, for floats — what it
 // answers over the wide column.
 //
+// A string column may hold codes too, MonetDB's offsets into a heap of
+// distinct strings: code i indexes the column's dictionary, its distinct
+// values in ascending order, so code order is string order and a sorted
+// column stays sorted. Narrow keeps them when n·w + 16·d < 16·n — n
+// rows, d distinct values, w the code width that holds d, 16 a string
+// header — and abandons its distinct pass as soon as that cannot hold.
+// Kind stays KStr, and the codes are the codes interface with ref 0 and
+// top d − 1.
+//
 // The kernels that move the bulk of a served query's bytes — range and
 // candidate selects, the positional fetch, sum/min/max and the concat
 // at a region's exit, which keeps the parts' codes — and the outer
@@ -21,14 +30,18 @@ package bat
 // literals are mapped to the codes once per call (shifted by ref; a
 // float range first becomes the range of scaled integers it holds), and
 // a literal range that misses [ref, ref+maxcode] is answered without a
-// pass. Every other
-// reader widens through int64s or float64s into a fresh slice that is
-// never cached on the column, so correctness never depends on where a
-// narrow column travels.
+// pass. Over a dictionary column, grouping and the fetches read the
+// codes, a range or equality literal becomes a code range by binary
+// search on the dictionary, and the concat at an exit keeps codes. Every
+// other reader widens through int64s, float64s or strings into a fresh
+// slice that is never cached on the column, so correctness never depends
+// on where a narrow column travels.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -50,6 +63,7 @@ type codes interface {
 	takeOids(oids []Oid, base Oid) codes
 	appendWide(dst []int64) []int64
 	appendDecimal(dst []float64, scale float64) []float64
+	appendDict(dst, dict []string) []string
 	appendWire(dst []byte) []byte
 	sum() int64
 	sumDecimal(scale float64) float64
@@ -117,6 +131,14 @@ func (c narrowInts[U]) appendDecimal(dst []float64, scale float64) []float64 {
 	return dst
 }
 
+// appendDict appends the values of a dictionary column.
+func (c narrowInts[U]) appendDict(dst, dict []string) []string {
+	for _, x := range c.v {
+		dst = append(dst, dict[x])
+	}
+	return dst
+}
+
 // appendWire appends the codes little-endian: one memmove on
 // little-endian hosts.
 func (c narrowInts[U]) appendWire(dst []byte) []byte {
@@ -152,12 +174,38 @@ func (c narrowInts[U]) sumDecimal(scale float64) float64 {
 }
 
 // group is groupTail over the codes: equal codes are equal values, for a
-// decimal column too, which holds neither -0.0 nor NaN.
+// decimal column too, which holds neither -0.0 nor NaN. Unsorted codes
+// whose bound allows it are numbered through an array (groupCodes).
 func (c narrowInts[U]) group(sorted bool) (ids []Oid, repIdx []int32) {
 	if sorted {
 		return groupSortedKeys(c.v)
 	}
+	if uint64(c.hi) < denseFill*uint64(len(c.v)) {
+		if ids, repIdx, ok := groupCodes(c.v, c.hi); ok {
+			return ids, repIdx
+		}
+	}
 	return groupKeys(c.v)
+}
+
+// groupCodes is groupKeys over codes bounded by top: a slot array of
+// top+1 entries stands in for the map, and ids and representatives come
+// out in the same first-appearance order. ok is false at a code past top,
+// which a damaged int message can carry.
+func groupCodes[U code](v []U, top U) (ids []Oid, repIdx []int32, ok bool) {
+	slot := make([]int32, int(top)+1) // 1 + the group id; 0: not seen yet
+	ids = make([]Oid, len(v))
+	for i, x := range v {
+		if x > top {
+			return nil, nil, false
+		}
+		if slot[x] == 0 {
+			repIdx = append(repIdx, int32(i))
+			slot[x] = int32(len(repIdx))
+		}
+		ids[i] = Oid(slot[x] - 1)
+	}
+	return ids, repIdx, true
 }
 
 // groupedSum adds each value into its group's sum: per group Σcode +
@@ -300,8 +348,10 @@ func encode[U code](t *Column, ref int64, top uint64, scale float64) codes {
 // Narrow returns b with its tail stored in the fewest bytes per value
 // its own min/max allow. A materialized, wide, non-empty int tail
 // narrows, and so does a float tail of exact decimals (decimalExp); b
-// itself is returned when 8 bytes is already the best fit. The sorted
-// property is kept; the head is untouched.
+// itself is returned when 8 bytes is already the best fit. A string tail
+// becomes dictionary codes when they take fewer bytes than the strings'
+// headers (narrowStrs). The sorted property is kept; the head is
+// untouched.
 func Narrow(b *BAT) *BAT {
 	t := b.t
 	if t.dense || t.narrow != nil || t.Len() == 0 {
@@ -322,6 +372,8 @@ func Narrow(b *BAT) *BAT {
 		if exp, lo, hi, ok = decimalExp(t.floats); !ok {
 			return b
 		}
+	case KStr:
+		return narrowStrs(b)
 	default:
 		return b
 	}
@@ -337,6 +389,145 @@ func Narrow(b *BAT) *BAT {
 		return b
 	}
 	return &BAT{Name: b.Name, h: b.h, t: &Column{kind: t.kind, narrow: nc, exp: uint8(exp), sorted: t.sorted}}
+}
+
+// strHeader is the bytes a string takes in a plain column: its header.
+const strHeader = int(unsafe.Sizeof(""))
+
+// dictWidth is the code width, in bytes, that holds d distinct values.
+func dictWidth(d int) int {
+	switch {
+	case d <= 1<<8:
+		return 1
+	case d <= 1<<16:
+		return 2
+	}
+	return 4
+}
+
+// strIndex numbers distinct strings by first appearance. A string is
+// found through a table keyed by its first byte, which holds the first
+// string seen with that byte; only the strings that collide there go to
+// a map. A low-cardinality column rarely has two values that share a
+// first byte, so a row costs one table read and one string compare.
+type strIndex struct {
+	first [257]struct { // by first byte (256: "")
+		s  string // the first string seen with it
+		id int32  // 1 + its id; 0: none
+	}
+	more map[string]int32
+	vals []string // by id
+}
+
+// slot is s's entry in the first-byte table.
+func slot(s string) int {
+	if s == "" {
+		return 256
+	}
+	return int(s[0])
+}
+
+// id returns s's id, giving s the next one if it has none yet.
+func (x *strIndex) id(s string) (id int32, added bool) {
+	f := slot(s)
+	if e := &x.first[f]; e.id > 0 && sameString(e.s, s) {
+		return e.id - 1, false
+	}
+	return x.miss(s, f)
+}
+
+// miss is id for a string the table does not hold at its slot f: it is
+// in the map, or new.
+func (x *strIndex) miss(s string, f int) (id int32, added bool) {
+	if e := &x.first[f]; e.id == 0 {
+		e.s, e.id = s, int32(len(x.vals))+1
+	} else if id, ok := x.more[s]; ok {
+		return id, false
+	} else {
+		if x.more == nil {
+			x.more = make(map[string]int32)
+		}
+		x.more[s] = int32(len(x.vals))
+	}
+	x.vals = append(x.vals, s)
+	return int32(len(x.vals)) - 1, true
+}
+
+// sameString is a == b, decided without a call when the two share their
+// bytes, as the copies of one value in a generated column do.
+func sameString(a, b string) bool {
+	return len(a) == len(b) && (unsafe.StringData(a) == unsafe.StringData(b) || a == b)
+}
+
+// narrowStrs is Narrow for a string tail. One pass numbers the distinct
+// values, stopping as soon as n·w + 16·d reaches 16·n, since d only
+// grows, and writes each row's id while ids fit a byte; the values are
+// sorted into the dictionary, and the ids become codes: in place when
+// the codes are a byte wide, by a second lookup pass at their width
+// otherwise.
+func narrowStrs(b *BAT) *BAT {
+	vals := b.t.strs
+	n := len(vals)
+	var x strIndex
+	ids := make([]uint8, n)
+	for i, s := range vals {
+		// id's table hit, written out: the call was a fifth of the
+		// pass.
+		if e := &x.first[slot(s)]; e.id > 0 && sameString(e.s, s) {
+			ids[i] = uint8(e.id - 1)
+			continue
+		}
+		id, added := x.miss(s, slot(s))
+		if d := len(x.vals); added && n*dictWidth(d)+strHeader*d >= strHeader*n {
+			return b
+		}
+		ids[i] = uint8(id)
+	}
+	order := make([]int32, len(x.vals)) // ids in value order
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(i, j int32) int { return cmp.Compare(x.vals[i], x.vals[j]) })
+	dict := make([]string, len(order))
+	code := make([]uint32, len(order)) // by id
+	for c, id := range order {
+		dict[c], code[id] = x.vals[id], uint32(c)
+	}
+	var nc codes
+	switch dictWidth(len(dict)) {
+	case 1:
+		var m [256]uint8
+		for id, c := range code {
+			m[id] = uint8(c)
+		}
+		for i, id := range ids {
+			ids[i] = m[id]
+		}
+		nc = narrowInts[uint8]{ids, 0, uint8(len(dict) - 1)}
+	case 2:
+		nc = dictCodes[uint16](vals, &x, code)
+	default:
+		nc = dictCodes[uint32](vals, &x, code)
+	}
+	return &BAT{Name: b.Name, h: b.h, t: &Column{kind: KStr, narrow: nc, dict: dict, sorted: b.t.sorted}}
+}
+
+// dictCodes writes each value's code, code[id], as a U.
+func dictCodes[U code](vals []string, x *strIndex, code []uint32) codes {
+	v := make([]U, len(vals))
+	for i, s := range vals {
+		id, _ := x.id(s)
+		v[i] = U(code[id])
+	}
+	return narrowInts[U]{v, 0, U(len(code) - 1)}
+}
+
+// dictBounds maps the string range r onto a dictionary column's codes:
+// the codes whose value lies in r, an empty range when none does. The
+// dictionary is sorted, so they are one run of it.
+func (c *Column) dictBounds(r bounds[string]) bounds[int64] {
+	from, to := rangeSpan(c.dict, r)
+	return closedBounds(int64(from), int64(to)-1)
 }
 
 // codeBounds maps the closed float range r onto a decimal column's
@@ -366,29 +557,45 @@ func ceilK(x, scale float64) int64 {
 }
 
 // selectDecimal is selectTyped for a decimal column: the float range
-// maps once to scaled integers, and the int kernels run on the codes.
-// The answer takes the form the wide kernel gives, including for a range
-// that holds floats but no value of the column's scale: the empty span
-// its binary search finds, or its scan's empty list.
+// maps once to scaled integers.
 func (c *Column) selectDecimal(r bounds[float64]) hits {
 	if r.empty() {
 		return hits{}
 	}
-	kr := c.codeBounds(r)
+	return c.selectCoded(c.codeBounds(r), r.lo == r.hi)
+}
+
+// selectDict is selectTyped for a dictionary column: the string range
+// maps once to a range of codes.
+func (c *Column) selectDict(r bounds[string]) hits {
+	if r.empty() {
+		return hits{}
+	}
+	return c.selectCoded(c.dictBounds(r), r.closed() && r.lo == r.hi)
+}
+
+// selectCoded is selectTyped for a decimal or dictionary column, once
+// the literal range has been mapped to kr, the range of the integers the
+// codes hold; the int kernels run on the codes. The answer takes the
+// form the wide kernel gives, including for a range that holds no value
+// of the column: the empty span its binary search finds, or its scan's
+// empty list. constant is what the wide scan reports: the literal range
+// is a single value.
+func (c *Column) selectCoded(kr bounds[int64], constant bool) hits {
 	switch {
 	case kr.empty() && c.Sorted():
 		h := c.narrow.selectRows(c, closedBounds(kr.lo, math.MaxInt64))
 		return hits{from: h.from, to: h.from}
 	case kr.empty():
-		return hits{scanned: true, constant: r.lo == r.hi}
+		return hits{scanned: true, constant: constant}
 	}
 	h := c.narrow.selectRows(c, kr)
-	h.constant = h.scanned && r.lo == r.hi // as the wide scan reports it
+	h.constant = h.scanned && constant
 	return h
 }
 
-// Widen returns b with every narrow column decoded to int64 or float64
-// values, or b itself when it has none: what leaves the kernel for a
+// Widen returns b with every narrow column decoded to int64, float64 or
+// string values, or b itself when it has none: what leaves the kernel for a
 // reader that wants the wide form, such as an encoded result frame.
 func Widen(b *BAT) *BAT {
 	if b.h.narrow == nil && b.t.narrow == nil {
@@ -408,6 +615,8 @@ func (c *Column) widened() *Column {
 		return c
 	case c.kind == KFloat:
 		return &Column{kind: KFloat, floats: c.float64s(), sorted: c.sorted}
+	case c.kind == KStr:
+		return &Column{kind: KStr, strs: c.strings(), sorted: c.sorted}
 	}
 	return &Column{kind: KInt, ints: c.int64s(), sorted: c.sorted}
 }
@@ -448,16 +657,37 @@ func (c *Column) appendFloat64s(dst []float64) []float64 {
 	return c.narrow.appendDecimal(dst, c.scale())
 }
 
+// strings returns the values of a string column: the payload itself for
+// a plain column, a fresh decoded slice for a dictionary one — never
+// cached on the column, like int64s.
+func (c *Column) strings() []string {
+	if c.narrow == nil {
+		return c.strs
+	}
+	return c.narrow.appendDict(make([]string, 0, c.narrow.len()), c.dict)
+}
+
+// appendStrings appends the values of a string column to dst.
+func (c *Column) appendStrings(dst []string) []string {
+	if c.narrow == nil {
+		return append(dst, c.strs...)
+	}
+	return c.narrow.appendDict(dst, c.dict)
+}
+
 // Width reports the bytes one value of c occupies: 1, 2, 4 or 8 for a
-// materialized int or float column (a narrow one's code width), 8 for
-// oid columns, 1 for bool, and 0 where it is not fixed — strings, and
-// dense columns, which store no values at all.
+// materialized int or float column (a narrow one's code width) and for
+// a dictionary string column's codes, 8 for oid columns, 1 for bool, and
+// 0 where it is not fixed — plain strings, and dense columns, which
+// store no values at all.
 func (c *Column) Width() int {
 	switch {
-	case c.dense, c.kind == KStr:
+	case c.dense:
 		return 0
 	case c.narrow != nil:
 		return c.narrow.width()
+	case c.kind == KStr:
+		return 0
 	case c.kind == KBool:
 		return 1
 	}

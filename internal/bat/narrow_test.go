@@ -56,6 +56,9 @@ func genNarrowCase(t *testing.T, rng *rand.Rand, w int) narrowCase {
 	default:
 		ref = rng.Int63() - 1<<62
 	}
+	if span == math.MaxUint64 {
+		ref = math.MinInt64 // offsets from any other reference wrap: 0 and span would be adjacent values
+	}
 	offset := func() uint64 {
 		if span == math.MaxUint64 {
 			return rng.Uint64()
@@ -207,6 +210,77 @@ func genDecimalCase(t *testing.T, rng *rand.Rand, w int, poison bool) narrowCase
 	return c
 }
 
+// genStrCase builds an n-row string BAT and its Narrow twin. Form 0 is
+// one value, form 1 every row distinct (n·1 + 16·n is never below 16·n,
+// so it stays plain), any other form a few values from a pool that may
+// hold the empty string; a third of the columns are sorted. Narrow must
+// code exactly the columns whose codes and dictionary take fewer bytes
+// than the strings' headers, into a sorted dictionary of their values.
+func genStrCase(t *testing.T, rng *rand.Rand, form int) narrowCase {
+	t.Helper()
+	n := rng.Intn(70)
+	words := []string{"", "A", "AIR", "B", "BUILDING", "F", "N", "O", "R", "RAIL", "REG AIR", "a", "\x00", "\xff"}
+	vals := make([]string, n)
+	switch form {
+	case 0:
+		v := words[rng.Intn(len(words))]
+		for i := range vals {
+			vals[i] = v
+		}
+	case 1:
+		for i, p := range rng.Perm(n) {
+			vals[i] = fmt.Sprintf("%c%d", 'A'+p%26, p)
+		}
+	default:
+		pool := make([]string, 1+rng.Intn(8))
+		for i := range pool {
+			pool[i] = words[rng.Intn(len(words))]
+		}
+		for i := range vals {
+			vals[i] = pool[rng.Intn(len(pool))]
+		}
+	}
+	sorted := rng.Intn(3) == 0
+	if sorted {
+		sort.Strings(vals)
+	}
+	tail := StrColumn(vals)
+	tail.SetSorted(sorted)
+	wide := New("s", narrowHead(rng, n), tail)
+	c := narrowCase{what: fmt.Sprintf("strings form %d, %d rows, sorted %v, %s", form, n, sorted, wide.Head().Kind()), wide: wide, narrow: Narrow(wide)}
+	distinct := map[string]bool{}
+	for _, v := range vals {
+		distinct[v] = true
+	}
+	d := len(distinct)
+	got := c.narrow.Tail()
+	switch wantDict := n > 0 && n*dictWidth(d)+strHeader*d < strHeader*n; {
+	case got.narrow != nil != wantDict:
+		t.Fatalf("%s: %d distinct values coded %v, want %v", c.what, d, got.narrow != nil, wantDict)
+	case !wantDict && c.narrow != wide:
+		t.Fatalf("%s: Narrow of a column that stays plain did not return it", c.what)
+	case wantDict && (len(got.dict) != d || !sort.StringsAreSorted(got.dict) || got.narrow.top() != uint32(d-1) || got.Width() != dictWidth(d)):
+		t.Fatalf("%s: dictionary %q (bound %d, width %d) for %d distinct values", c.what, got.dict, got.narrow.top(), got.Width(), d)
+	}
+	return c
+}
+
+// strLiterals are a string column's bounds: values of the column and the
+// strings just below and just above each, the empty string, and strings
+// below or above every value.
+func (c narrowCase) strLiterals(rng *rand.Rand) []any {
+	lits := []any{"", "\x00", "0", "BUILDING", "Q", "ZZZ", "\xff\xff"}
+	t := c.wide.Tail()
+	for i := 0; i < 4 && t.Len() > 0; i++ {
+		v := t.Str(rng.Intn(t.Len()))
+		lits = append(lits, v, v+"\x00")
+		if v != "" {
+			lits = append(lits, v[:len(v)-1])
+		}
+	}
+	return lits
+}
+
 // tenth is 0.1 held in a variable: tenth+0.2 is the float64 sum
 // 0.30000000000000004, where the constant 0.1+0.2 would be 0.3.
 var tenth = 0.1
@@ -234,8 +308,11 @@ func narrowHead(rng *rand.Rand, n int) *Column {
 // width's code range, values of the column, and floats — integral,
 // fractional and NaN — over them. A float column draws decimalLiterals.
 func (c narrowCase) literals(rng *rand.Rand) []any {
-	if c.wide.Tail().Kind() == KFloat {
+	switch c.wide.Tail().Kind() {
+	case KFloat:
 		return c.decimalLiterals(rng)
+	case KStr:
+		return c.strLiterals(rng)
 	}
 	ints := []int64{math.MinInt64, math.MaxInt64, c.ref - 1, c.ref, c.ref + 1,
 		int64(uint64(c.ref) + c.maxCode), int64(uint64(c.ref) + c.maxCode + 1), int64(uint64(c.ref) + c.maxCode - 1)}
@@ -314,13 +391,14 @@ func sameWide(t *testing.T, what string, want, got *BAT) {
 // TestNarrowMatchesWide: every exported operator and aggregate answers
 // over a narrowed column exactly what it answers over the wide one — to
 // the bit for floats — on every width, at every edge literal, with the
-// narrow column as tail and (reversed) as head; for int columns and for
-// decimal float ones, some of them poisoned so they must stay wide.
+// narrow column as tail and (reversed) as head; for int columns, for
+// decimal float ones, some of them poisoned so they must stay wide, and
+// for string columns and their dictionary twins.
 func TestNarrowMatchesWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for trial := 0; trial < 400; trial++ {
 		w := []int{1, 2, 4, 8}[trial%4]
-		for _, c := range []narrowCase{genNarrowCase(t, rng, w), genDecimalCase(t, rng, w, trial%5 == 0)} {
+		for _, c := range []narrowCase{genNarrowCase(t, rng, w), genDecimalCase(t, rng, w, trial%5 == 0), genStrCase(t, rng, trial%5)} {
 			checkNarrowSelects(t, rng, c)
 			checkNarrowOperators(t, rng, c)
 		}
@@ -358,6 +436,7 @@ func checkNarrowSelects(t *testing.T, rng *rand.Rand, c narrowCase) {
 func checkNarrowOperators(t *testing.T, rng *rand.Rand, c narrowCase) {
 	t.Helper()
 	w, nb, n := c.wide, c.narrow, c.wide.Len()
+	num := w.Tail().Kind() != KStr
 	what := c.what
 	same := func(op string, want, got *BAT) { t.Helper(); sameWide(t, what+": "+op, want, got) }
 	scalar := func(op string, want, got any) {
@@ -368,12 +447,16 @@ func checkNarrowOperators(t *testing.T, rng *rand.Rand, c narrowCase) {
 	}
 
 	scalar("Count", w.Count(), nb.Count())
-	scalar("Bytes", w.Bytes()-w.Tail().Bytes()+n*nb.Tail().Width(), nb.Bytes())
+	if num {
+		scalar("Bytes", w.Bytes()-w.Tail().Bytes()+n*nb.Tail().Width(), nb.Bytes())
+	}
 	scalar("Dump", w.Dump(8), nb.Dump(8))
 	if n > 0 {
-		scalar("Sum", w.Sum(), nb.Sum())
 		scalar("Min", w.Min(), nb.Min())
 		scalar("Max", w.Max(), nb.Max())
+	}
+	if n > 0 && num {
+		scalar("Sum", w.Sum(), nb.Sum())
 		scalar("Avg", w.Avg(), nb.Avg())
 	}
 	same("Widen", w, nb)
@@ -386,8 +469,11 @@ func checkNarrowOperators(t *testing.T, rng *rand.Rand, c narrowCase) {
 	same("TopN", w.TopN(3, true), nb.TopN(3, true))
 	same("UniqueT", w.UniqueT(), nb.UniqueT())
 	pred := func(v any) bool {
-		if x, ok := v.(float64); ok {
+		switch x := v.(type) {
+		case float64:
 			return x > 0
+		case string:
+			return len(x)%2 == 0
 		}
 		return v.(int64)%3 == 0
 	}
@@ -408,16 +494,18 @@ func checkNarrowOperators(t *testing.T, rng *rand.Rand, c narrowCase) {
 		same("reversed Semijoin", w.Reverse().Semijoin(other.Reverse()), nb.Reverse().Semijoin(o.Reverse()))
 		same("reversed Diff", w.Reverse().Diff(other.Reverse()), nb.Reverse().Diff(o.Reverse()))
 		groups, _ := o.GroupIDs()
-		same("GroupedSum", GroupedSum(groups, w), GroupedSum(groups, nb))
-		same("GroupedAvg", GroupedAvg(groups, w), GroupedAvg(groups, nb))
 		same("GroupedMin", GroupedMin(groups, w), GroupedMin(groups, nb))
 		same("GroupedMax", GroupedMax(groups, w), GroupedMax(groups, nb))
 		wr, wreps := GroupDerive(groups, w)
 		nr, nreps := GroupDerive(groups, nb)
 		same("GroupDerive", wr, nr)
 		same("GroupDerive reps", wreps, nreps)
-		same("MulIF", MulIF(w, other), MulIF(nb, o))
-		same("AddF", AddF(w, other), AddF(nb, o))
+		if num {
+			same("GroupedSum", GroupedSum(groups, w), GroupedSum(groups, nb))
+			same("GroupedAvg", GroupedAvg(groups, w), GroupedAvg(groups, nb))
+			same("MulIF", MulIF(w, other), MulIF(nb, o))
+			same("AddF", AddF(w, other), AddF(nb, o))
+		}
 	}
 	wg, wreps := w.GroupIDs()
 	ng, nreps := nb.GroupIDs()
@@ -427,8 +515,10 @@ func checkNarrowOperators(t *testing.T, rng *rand.Rand, c narrowCase) {
 	ng, nreps = nb.GroupIDsPos()
 	same("GroupIDsPos", wg, ng)
 	same("GroupIDsPos reps", wreps, nreps)
-	same("ConstMinusF", ConstMinusF(1.5, w), ConstMinusF(1.5, nb))
-	same("ConstPlusF", ConstPlusF(1.5, w), ConstPlusF(1.5, nb))
+	if num {
+		same("ConstMinusF", ConstMinusF(1.5, w), ConstMinusF(1.5, nb))
+		same("ConstPlusF", ConstPlusF(1.5, w), ConstPlusF(1.5, nb))
+	}
 
 	// The positional fetch: OIDs into the narrow column's dense head,
 	// some past either end, in any order; and the candidate list the
@@ -448,19 +538,24 @@ func checkNarrowOperators(t *testing.T, rng *rand.Rand, c narrowCase) {
 			New("d", DenseColumn(0, to-from), DenseColumn(Oid(base+from), to-from)).Join(nb))
 	}
 
-	// Fragments narrowed one by one — each its own reference and width —
-	// concatenate to the wide column's values. When every fragment is
-	// narrow at one exponent the merge keeps codes, as narrow as the
-	// whole column narrows; a wide fragment (a poisoned one), mixed
-	// exponents, or a span past 32 bits (width 8) leave it wide.
-	var wparts, nparts []*BAT
+	// Fragments narrowed one by one — each its own reference and width,
+	// or its own dictionary — concatenate to the wide column's values.
+	// When every fragment is narrow at one exponent the merge keeps
+	// codes, as narrow as the whole column narrows, and so do dictionary
+	// fragments that share one dictionary; a wide fragment (a poisoned
+	// one, a plain string one), mixed exponents, unequal dictionaries, or
+	// a span past 32 bits (width 8) leave it wide. Views of one narrow
+	// column share its reference or dictionary and keep its codes.
+	var wparts, nparts, views []*BAT
 	codesKept := true
 	for at := 0; at < n; {
 		next := at + 1 + rng.Intn(n-at)
 		wparts = append(wparts, w.Slice(at, next))
 		np := Narrow(w.Slice(at, next))
 		nparts = append(nparts, np)
-		codesKept = codesKept && np.Tail().narrow != nil && np.Tail().exp == nparts[0].Tail().exp
+		views = append(views, nb.Slice(at, next))
+		codesKept = codesKept && np.Tail().narrow != nil && np.Tail().exp == nparts[0].Tail().exp &&
+			slices.Equal(np.Tail().dict, nparts[0].Tail().dict)
 		at = next
 	}
 	if len(wparts) > 0 {
@@ -468,7 +563,12 @@ func checkNarrowOperators(t *testing.T, rng *rand.Rand, c narrowCase) {
 		same("Concat", wcat, Concat(nparts))
 		all := ConcatAll([][]*BAT{nparts, wparts})
 		same("ConcatAll", wcat, all[0])
-		want := 8
+		vcat := Concat(views)
+		same("Concat views", wcat, vcat)
+		if vcat.Tail().Width() != nb.Tail().Width() {
+			t.Fatalf("%s: a concat of %d views of a %d-byte column is %d bytes wide", what, len(views), nb.Tail().Width(), vcat.Tail().Width())
+		}
+		want := w.Tail().Width()
 		if codesKept {
 			want = Narrow(wcat).Tail().Width()
 		}
@@ -497,7 +597,8 @@ func checkNarrowOperators(t *testing.T, rng *rand.Rand, c narrowCase) {
 	same("wire", w, got)
 	// Span reports the decoded payload's bytes, which lie in data: how a
 	// caller that lends data out tells that the column is a view of it.
-	if n > 0 {
+	// A plain string column's values are copied out of data.
+	if n > 0 && got.Tail().Width() > 0 {
 		lo, hi := got.Tail().Span()
 		dlo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
 		if lo < dlo || hi > dlo+uintptr(len(data)) || hi-lo != uintptr(n*got.Tail().Width()) {

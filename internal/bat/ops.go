@@ -517,7 +517,12 @@ func (b *BAT) selectRows(lo, hi *Bound) (h hits, ok bool) {
 			return selectTyped(b.t, b.t.oids, r), true
 		}
 	case KStr:
-		if r, ok := strBounds(lo, hi); ok {
+		r, ok := strBounds(lo, hi)
+		switch {
+		case !ok:
+		case b.t.narrow != nil:
+			return b.t.selectDict(r), true
+		default:
 			return selectTyped(b.t, b.t.strs, r), true
 		}
 	case KBool:
@@ -653,7 +658,12 @@ func (b *BAT) scanDense(c []Oid, restricted bool, lo, hi *Bound) (oids []Oid, ok
 			return scanOids(b.t.oids, b.h.base, c, restricted, r), true
 		}
 	case KStr:
-		if r, ok := strBounds(lo, hi); ok {
+		r, ok := strBounds(lo, hi)
+		switch {
+		case !ok:
+		case b.t.narrow != nil:
+			return b.t.narrow.scanOids(b.h.base, c, restricted, b.t.dictBounds(r)), true
+		default:
 			return scanOids(b.t.strs, b.h.base, c, restricted, r), true
 		}
 	}
@@ -793,7 +803,7 @@ func (b *BAT) SelectNe(v any) *BAT {
 		}
 	case KStr:
 		if x, isStr := v.(string); isStr {
-			return b.takeRows(eqScan(b.t.strs, x, false))
+			return b.takeRows(eqScan(b.t.strings(), x, false))
 		}
 	case KBool:
 		if x, isBool := v.(bool); isBool {
@@ -854,7 +864,7 @@ func (b *BAT) EqRows(r *BAT) *BAT {
 	case KFloat:
 		idx = eqIdx(b.t.float64s(), r.t.float64s())
 	case KStr:
-		idx = eqIdx(b.t.strs, r.t.strs)
+		idx = eqIdx(b.t.strings(), r.t.strings())
 	case KBool:
 		idx = eqIdx(b.t.bools, r.t.bools)
 	default:
@@ -1201,7 +1211,7 @@ func (b *BAT) Join(r *BAT) *BAT {
 	case KFloat:
 		li, ri = hashSmaller(b.t.float64s(), r.h.float64s())
 	case KStr:
-		li, ri = hashSmaller(b.t.strs, r.h.strs)
+		li, ri = hashSmaller(b.t.strings(), r.h.strings())
 	case KBool:
 		li, ri = hashSmaller(b.t.bools, r.h.bools)
 	default:
@@ -1409,7 +1419,7 @@ func headFilterIdx(b, r *BAT, keep bool) (idx []int32, pooled *[]int32) {
 	case KFloat:
 		return memberIdx(b.h.float64s(), makeSet(r.h.float64s()), keep), nil
 	case KStr:
-		return memberIdx(b.h.strs, makeSet(r.h.strs), keep), nil
+		return memberIdx(b.h.strings(), makeSet(r.h.strings()), keep), nil
 	case KBool:
 		return memberIdx(b.h.bools, makeSet(r.h.bools), keep), nil
 	}
@@ -1498,7 +1508,7 @@ func boundaryOrdered(a, c *Column) bool {
 	case KFloat:
 		return a.Float(i) <= c.Float(j)
 	case KStr:
-		return a.strs[i] <= c.strs[j]
+		return a.Str(i) <= c.Str(j)
 	case KBool:
 		return !a.bools[i] || c.bools[j]
 	}
@@ -1570,9 +1580,9 @@ func (b *BAT) UniqueT() *BAT {
 		}
 	case KStr:
 		if sorted {
-			idx = uniqueSortedIdx(b.t.strs)
+			idx = uniqueSortedIdx(b.t.strings())
 		} else {
-			idx = uniqueIdx(b.t.strs)
+			idx = uniqueIdx(b.t.strings())
 		}
 	case KBool:
 		idx = uniqueIdx(b.t.bools)

@@ -28,18 +28,26 @@ package bat
 //	          | oid, int/float of width 8: n * u64   (8-aligned, aliasable)
 //	          | int/float of width 1, 2, 4: n * u8|u16|u32 codes, pad8 (aliasable)
 //	          | bool: ceil(n/8) packed bits, pad8
-//	          | str: blobLen u64, n * u32 end-offsets, pad8, blob, pad8
+//	          | str of width 0: strings(n)
+//	          | str of width 1, 2, 4: n * u8|u16|u32 codes, pad8 (aliasable), strings(top+1)
+//	strings(k) := blobLen u64, k * u32 end-offsets, pad8, blob, pad8
 //
 // width is the bytes per value of a materialized int or float column (1,
-// 2, 4 or 8) and 0 for every other column. exp is a narrow float
-// column's exponent, 0 to 22, and 0 for every other column.
+// 2, 4 or 8), the code width of a dictionary string column (1, 2 or 4),
+// and 0 for every other column. exp is a narrow float column's exponent,
+// 0 to 22, and 0 for every other column.
 // base is a dense column's first OID and a narrow column's reference:
 // value i is base + code i for an int, (base + code i) / 10^exp for a
-// float (see narrow.go); it is 0 for every other column. top is a narrow
-// column's bound on its codes, at most the width's largest code: no
-// code exceeds it (a merge sizes its codes from it), and it is 0 for
-// every other column. A message whose codes pass its top decodes to its
-// codes still, as a message with damaged codes does.
+// float (see narrow.go); it is 0 for every other column, dictionary
+// ones included. top is a narrow column's bound on its codes, at most
+// the width's largest code: no code exceeds it (a merge sizes its codes
+// from it), and it is 0 for every other column. A message whose int or
+// float codes pass its top decodes to its codes still, as a message
+// with damaged codes does. A dictionary column's top is its dictionary's
+// last index: value i is entry code i of the top+1 strings that follow
+// the codes, which ascend strictly. Since a dictionary code indexes
+// memory, the decoder refuses a code past top, along with a dictionary
+// out of order, a base other than 0 and a width other than 1, 2 or 4.
 //
 // Versioning rule: the version byte is bumped on any layout change and
 // decoders reject versions they do not know — ring nodes and clients
@@ -70,8 +78,9 @@ const (
 	// WireVersion is the current layout version; UnmarshalView rejects
 	// anything else. Version 2 added the int column's width, version 3
 	// the float column's width and exponent, version 4 the narrow
-	// column's bound on its codes.
-	WireVersion = 4
+	// column's bound on its codes, version 5 the dictionary string
+	// column.
+	WireVersion = 5
 
 	wireHdrSize = 8  // magic(2) + version(1) + reserved(1) + nameLen(4)
 	colHdrSize  = 24 // kind(1) + flags(1) + width(1) + exp(1) + top(4) + base(8) + n(8)
@@ -100,19 +109,26 @@ func colWireSize(c *Column) int {
 	}
 	n := c.Len()
 	switch {
+	case c.narrow != nil && c.kind == KStr:
+		return colHdrSize + pad8(n*c.narrow.width()) + strsWireSize(c.dict)
 	case c.narrow != nil:
 		return colHdrSize + pad8(n*c.narrow.width())
 	case c.kind == KStr:
-		blob := 0
-		for _, s := range c.strs {
-			blob += len(s)
-		}
-		return colHdrSize + pad8(8+4*n) + pad8(blob)
+		return colHdrSize + strsWireSize(c.strs)
 	case c.kind == KBool:
 		return colHdrSize + pad8((n+7)/8)
 	default:
 		return colHdrSize + 8*n
 	}
+}
+
+// strsWireSize reports the encoded size of a string section.
+func strsWireSize(strs []string) int {
+	blob := 0
+	for _, s := range strs {
+		blob += len(s)
+	}
+	return pad8(8+4*len(strs)) + pad8(blob)
 }
 
 // MarshalSize reports the exact number of bytes AppendMarshal will
@@ -153,20 +169,21 @@ func MarshalVec(b *BAT) [][]byte {
 	buf = appendMsgHdr(buf, 0, b)
 	out := make([][]byte, 0, 5)
 	mark := 0
+	// sent is the vector bytes that are not in buf: the message offset
+	// of buf's end is len(buf) + sent, so the message starts at -sent
+	// for every pad computed from len(buf).
+	sent := 0
 	for i, c := range cols {
 		buf = appendColumnHdr(buf, c)
 		v := vecs[i]
 		if v == nil {
-			buf = appendPayload(buf, 0, c)
+			buf = appendPayload(buf, -sent, c)
 			continue
 		}
 		out = append(out, buf[mark:], v)
 		mark = len(buf)
-		// The vector's pad goes into buf, so that buf stays as long,
-		// modulo 8, as the message: every later pad computed from
-		// len(buf) is the one the message needs.
-		var zeros [8]byte
-		buf = append(buf, zeros[:pad8(len(v))-len(v)]...)
+		sent += len(v)
+		buf = appendAfterCodes(buf, -sent, c)
 	}
 	if mark < len(buf) {
 		out = append(out, buf[mark:])
@@ -202,7 +219,7 @@ func appendColumnHdr(dst []byte, c *Column) []byte {
 		hdr[1] |= colFlagSorted
 	}
 	base := uint64(c.base)
-	if c.kind == KInt || c.kind == KFloat {
+	if c.kind == KInt || c.kind == KFloat || c.narrow != nil {
 		hdr[2] = byte(c.Width())
 	}
 	if c.narrow != nil {
@@ -221,7 +238,7 @@ func appendPayload(dst []byte, start int, c *Column) []byte {
 		return dst
 	}
 	if c.narrow != nil {
-		return appendPad(c.narrow.appendWire(dst), start)
+		return appendAfterCodes(c.narrow.appendWire(dst), start, c)
 	}
 	if v := vec8(c); v != nil {
 		return appendLE64(dst, v)
@@ -243,33 +260,45 @@ func appendPayload(dst []byte, start int, c *Column) []byte {
 		}
 		dst = appendPad(dst, start)
 	case KStr:
-		blob := 0
-		for _, s := range c.strs {
-			blob += len(s)
-		}
-		// The offset vector is u32; a heap at or past 4 GiB would wrap
-		// silently and be dropped as corrupt by every receiver. Fail
-		// loudly at the sender instead — no sane fragment gets here.
-		if uint64(blob) > math.MaxUint32 {
-			panic(fmt.Sprintf("bat: string heap of %d bytes exceeds the 4 GiB wire format limit", blob))
-		}
-		var b8 [8]byte
-		binary.LittleEndian.PutUint64(b8[:], uint64(blob))
-		dst = append(dst, b8[:]...)
-		end := uint32(0)
-		var b4 [4]byte
-		for _, s := range c.strs {
-			end += uint32(len(s))
-			binary.LittleEndian.PutUint32(b4[:], end)
-			dst = append(dst, b4[:]...)
-		}
-		dst = appendPad(dst, start)
-		for _, s := range c.strs {
-			dst = append(dst, s...)
-		}
-		dst = appendPad(dst, start)
+		dst = appendStrs(dst, start, c.strs)
 	}
 	return dst
+}
+
+// appendAfterCodes appends what follows a narrow column's codes: their
+// pad, and a dictionary column's dictionary.
+func appendAfterCodes(dst []byte, start int, c *Column) []byte {
+	dst = appendPad(dst, start)
+	if c.kind == KStr {
+		dst = appendStrs(dst, start, c.dict)
+	}
+	return dst
+}
+
+// appendStrs appends a string section: the heap's length, the strings'
+// end offsets into it, and the heap.
+func appendStrs(dst []byte, start int, strs []string) []byte {
+	blob := 0
+	for _, s := range strs {
+		blob += len(s)
+	}
+	// The offset vector is u32; a heap at or past 4 GiB would wrap
+	// silently and be dropped as corrupt by every receiver. Fail
+	// loudly at the sender instead — no sane fragment gets here.
+	if uint64(blob) > math.MaxUint32 {
+		panic(fmt.Sprintf("bat: string heap of %d bytes exceeds the 4 GiB wire format limit", blob))
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(blob))
+	end := uint32(0)
+	for _, s := range strs {
+		end += uint32(len(s))
+		dst = binary.LittleEndian.AppendUint32(dst, end)
+	}
+	dst = appendPad(dst, start)
+	for _, s := range strs {
+		dst = append(dst, s...)
+	}
+	return appendPad(dst, start)
 }
 
 // valueVec returns the fixed-width values of c as their wire bytes on a
@@ -402,6 +431,15 @@ func readColumn(r *wireReader) *Column {
 			r.fail("%s column of width %d", kind, width)
 			return c
 		}
+	case kind == KStr && width != 0:
+		if width != 1 && width != 2 && width != 4 {
+			r.fail("%s column of width %d", kind, width)
+			return c
+		}
+		if base != 0 {
+			r.fail("base %d on a dictionary column", base)
+			return c
+		}
 	case width != 0:
 		r.fail("width %d on a %s column", width, kind)
 		return c
@@ -438,13 +476,16 @@ func readColumn(r *wireReader) *Column {
 		return &Column{}
 	}
 	n := int(n64)
-	if (kind == KInt || kind == KFloat) && width != 8 {
+	if width != 0 && width != 8 {
 		if uint64(top) >= 1<<(8*width) {
 			r.fail("code bound %d past a width of %d", top, width)
 			return c
 		}
 		raw := r.take(n * int(width))
 		r.skipPad()
+		if kind == KStr {
+			return readDict(r, c, wireCodes(raw, int(width), 0, top), top)
+		}
 		if r.err == nil && n > 0 {
 			c.narrow, c.exp = wireCodes(raw, int(width), int64(base), top), exp
 		}
@@ -470,39 +511,65 @@ func readColumn(r *wireReader) *Column {
 			}
 		}
 	case KStr:
-		lenBytes := r.take(8)
-		if r.err != nil {
-			return c
+		c.strs = readStrs(r, n)
+	}
+	return c
+}
+
+// readStrs reads a string section of n strings, nil for none.
+func readStrs(r *wireReader, n int) []string {
+	lenBytes := r.take(8)
+	if r.err != nil {
+		return nil
+	}
+	blobLen64 := binary.LittleEndian.Uint64(lenBytes)
+	if blobLen64 > uint64(len(r.data)) {
+		r.fail("implausible string heap size %d", blobLen64)
+		return nil
+	}
+	blobLen := int(blobLen64)
+	offBytes := r.take(4 * n)
+	r.skipPad()
+	blob := r.take(blobLen)
+	r.skipPad()
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	// One copy for the whole heap; the strings share its backing.
+	heap := string(blob)
+	strs := make([]string, n)
+	prev := uint32(0)
+	for i := range strs {
+		end := binary.LittleEndian.Uint32(offBytes[4*i:])
+		if end < prev || end > uint32(blobLen) {
+			r.fail("string offset %d out of order (prev %d, heap %d)", end, prev, blobLen)
+			return nil
 		}
-		blobLen64 := binary.LittleEndian.Uint64(lenBytes)
-		if blobLen64 > uint64(len(r.data)) {
-			r.fail("implausible string heap size %d", blobLen64)
+		strs[i] = heap[prev:end]
+		prev = end
+	}
+	return strs
+}
+
+// readDict reads the dictionary that follows a dictionary column's codes
+// nc, top+1 strings, and makes c that column. It refuses a dictionary
+// that does not ascend strictly and a code past top.
+func readDict(r *wireReader, c *Column, nc codes, top uint32) *Column {
+	dict := readStrs(r, int(top)+1)
+	if r.err != nil {
+		return c
+	}
+	for i := 1; i < len(dict); i++ {
+		if dict[i-1] >= dict[i] {
+			r.fail("dictionary entry %d out of order", i)
 			return c
-		}
-		blobLen := int(blobLen64)
-		offBytes := r.take(4 * n)
-		r.skipPad()
-		blob := r.take(blobLen)
-		r.skipPad()
-		if r.err != nil {
-			return c
-		}
-		// One copy for the whole heap; the strings share its backing.
-		heap := string(blob)
-		if n > 0 {
-			c.strs = make([]string, n)
-			prev := uint32(0)
-			for i := range c.strs {
-				end := binary.LittleEndian.Uint32(offBytes[4*i:])
-				if end < prev || end > uint32(blobLen) {
-					r.fail("string offset %d out of order (prev %d, heap %d)", end, prev, blobLen)
-					return c
-				}
-				c.strs[i] = heap[prev:end]
-				prev = end
-			}
 		}
 	}
+	if nc.len() > 0 && nc.extreme(true) > int64(top) {
+		r.fail("dictionary code %d past its bound %d", nc.extreme(true), top)
+		return c
+	}
+	c.narrow, c.dict = nc, dict
 	return c
 }
 

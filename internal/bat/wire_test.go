@@ -44,8 +44,16 @@ func wireCases() []*BAT {
 // narrowWireCases are int and decimal float columns in each narrow
 // width: references at both ends of the int64 range and of either sign,
 // sorted ones, views, odd lengths whose payload needs padding, and a
-// shuffled OID head.
+// shuffled OID head; and dictionary string columns of one- and two-byte
+// codes, sorted, holding the empty string, as a view, and as a head.
 func narrowWireCases() []*BAT {
+	flags := Narrow(MakeStrs("flags", []string{"R", "A", "N", "A", "", "R", "N", "N", "A", "R", "A"}))
+	segments := MakeStrs("segments", []string{"AUTOMOBILE", "AUTOMOBILE", "BUILDING", "BUILDING", "BUILDING", "HOUSEHOLD", "MACHINERY"})
+	segments.Tail().SetSorted(true)
+	many := make([]string, 4000)
+	for i := range many {
+		many[i] = fmt.Sprintf("k%03d", i%300)
+	}
 	sorted := MakeInts("sorted16", []int64{-40000, -3, 7, 20000})
 	sorted.Tail().SetSorted(true)
 	w2 := Narrow(MakeInts("w2", []int64{1000, 1 << 15, 5, 999, 65535}))
@@ -67,6 +75,11 @@ func narrowWireCases() []*BAT {
 		Narrow(MakeInts("w1max", []int64{math.MaxInt64, math.MaxInt64 - 255, math.MaxInt64 - 3})),
 		Narrow(sorted),
 		Narrow(New("oidhead", OidColumn([]Oid{9, 2, 5}), IntColumn([]int64{3, 1, 2}))),
+		flags,
+		flags.Slice(2, 7),
+		flags.Reverse(),
+		Narrow(segments),
+		Narrow(MakeStrs("dict2", many)),
 	}
 }
 
@@ -100,9 +113,11 @@ func TestWireRoundtrip(t *testing.T) {
 		if got.Name != b.Name {
 			t.Fatalf("name: got %q want %q", got.Name, b.Name)
 		}
-		if got.Tail().Width() != b.Tail().Width() || got.Tail().exp != b.Tail().exp {
-			t.Fatalf("%s: decoded width %d at 10^-%d, encoded %d at 10^-%d", b.Name,
-				got.Tail().Width(), got.Tail().exp, b.Tail().Width(), b.Tail().exp)
+		for _, c := range [][2]*Column{{b.Head(), got.Head()}, {b.Tail(), got.Tail()}} {
+			if c[1].Width() != c[0].Width() || c[1].exp != c[0].exp || len(c[1].dict) != len(c[0].dict) {
+				t.Fatalf("%s: decoded width %d at 10^-%d with %d dictionary entries, encoded %d at 10^-%d with %d", b.Name,
+					c[1].Width(), c[1].exp, len(c[1].dict), c[0].Width(), c[0].exp, len(c[0].dict))
+			}
 		}
 		colsEquivalent(t, b.Name+".head", b.Head(), got.Head())
 		colsEquivalent(t, b.Name+".tail", b.Tail(), got.Tail())
@@ -283,6 +298,71 @@ func TestWireRejectsBadWidths(t *testing.T) {
 	colsEquivalent(t, "e22.tail", b.Tail(), got.Tail())
 }
 
+// badDict is a dictionary column's message damaged in one way the
+// decoder must refuse.
+type badDict struct {
+	what string
+	data []byte
+}
+
+// badDictMessages damages a message whose tail is a dictionary column of
+// one-byte codes under the dictionary "A", "N", "R" in each way the
+// decoder refuses: a width other than 1, 2 or 4, a base, a bound past
+// what the width holds, a dictionary that does not ascend strictly, and
+// a code past the bound.
+func badDictMessages(tb testing.TB) []badDict {
+	b := Narrow(MakeStrs("d", []string{"N", "A", "R", "A", "N", "A"}))
+	data := AppendMarshal(nil, b)
+	tail := wireHdrSize + pad8(len(b.Name)) + colHdrSize // the dense head carries no payload
+	codes := tail + colHdrSize
+	dict := codes + pad8(b.Len())
+	blob := dict + pad8(8+4*3)
+	if w, top := b.Tail().Width(), b.Tail().narrow.top(); w != 1 || top != 2 || string(data[blob:blob+3]) != "ANR" {
+		tb.Fatalf("the dictionary column is %d bytes wide under bound %d, heap %q", w, top, data[blob:blob+3])
+	}
+	if _, err := UnmarshalView(data); err != nil {
+		tb.Fatal(err)
+	}
+	var out []badDict
+	for _, c := range []struct {
+		what string
+		set  map[int]byte
+	}{
+		{"width 3", map[int]byte{tail + 2: 3}},
+		{"width 8", map[int]byte{tail + 2: 8}},
+		{"a base of 1", map[int]byte{tail + 8: 1}},
+		{"a base of 2^56", map[int]byte{tail + 15: 1}},
+		{"a bound past the width", map[int]byte{tail + 5: 1}},
+		{"a repeated entry", map[int]byte{blob + 1: 'A'}},
+		{"entries out of order", map[int]byte{blob: 'N', blob + 1: 'A'}},
+		{"a code past the bound", map[int]byte{codes + 4: 3}},
+		{"a code of 255", map[int]byte{codes: 255}},
+	} {
+		cp := append([]byte(nil), data...)
+		for off, v := range c.set {
+			cp[off] = v
+		}
+		out = append(out, badDict{c.what, cp})
+	}
+	return out
+}
+
+// TestWireRejectsBadDicts: the decoder refuses every damaged dictionary
+// column of badDictMessages, and a dictionary message cut short.
+func TestWireRejectsBadDicts(t *testing.T) {
+	for _, c := range badDictMessages(t) {
+		if _, err := UnmarshalView(c.data); err == nil {
+			t.Errorf("%s accepted", c.what)
+		}
+	}
+	data := AppendMarshal(nil, Narrow(MakeStrs("d", []string{"N", "A", "R", "A", "N", "A"})))
+	for n := 0; n < len(data); n++ {
+		if _, err := UnmarshalView(data[:n]); err == nil {
+			t.Fatalf("a dictionary message cut to %d of its %d bytes accepted", n, len(data))
+		}
+	}
+}
+
 // TestWireViewAppendSafe checks that appending to a decoded (zero-copy)
 // column reallocates instead of growing into the wire buffer.
 func TestWireViewAppendSafe(t *testing.T) {
@@ -309,6 +389,9 @@ func FuzzUnmarshal(f *testing.F) {
 	for _, b := range narrowWireCases() {
 		f.Add(AppendMarshal(nil, b))
 	}
+	for _, c := range badDictMessages(f) {
+		f.Add(c.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := UnmarshalView(data)
 		if err != nil {
@@ -324,11 +407,12 @@ func FuzzUnmarshal(f *testing.F) {
 }
 
 // TestMarshalVecConcatenation: the slices MarshalVec returns concatenate
-// to AppendMarshal's bytes, for every head and tail form a result or a
-// fragment can take — dense, oid, wide int and float, narrow int and
-// decimal float at each width, str, bool, empty — under names of every
+// to AppendMarshal's bytes, for every head and tail form a column can
+// take — dense, oid, wide int and float, narrow int and decimal float at
+// each width, str, dictionary str, bool, empty — under names of every
 // length mod 8, and each fixed-width vector among them — 8-byte values
-// or narrow codes — is the column's own memory.
+// or codes — is the column's own memory. A head of codes whose length is
+// no multiple of 8, followed by a padded payload, is among them.
 func TestMarshalVecConcatenation(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	tails := map[string]func(n int) *Column{
@@ -389,36 +473,57 @@ func TestMarshalVecConcatenation(t *testing.T) {
 		}
 		return Narrow(New("", DenseColumn(0, len(f)), FloatColumn(f))).Tail()
 	}
-	for round := 0; round < 400; round++ {
+	// dictTail is a dictionary column of 1 to 3 values, or of 300 and
+	// two-byte codes; at least 8 rows, so that it is coded.
+	dictTail := func(n int) *Column {
+		d := []int{1 + rng.Intn(3), 300}[rng.Intn(2)]
+		n = max(n, 8, 2*d)
+		v := make([]string, n)
+		for i := range v {
+			v[i] = fmt.Sprintf("d%d", rng.Intn(d))
+		}
+		return Narrow(MakeStrs("", v)).Tail()
+	}
+	forms := []string{"dense", "oid", "int", "float", "str", "bool"}
+	// draw is a column of some form of n rows, or — a narrow form — of
+	// at least 2.
+	draw := func(n int) (string, *Column) {
+		switch pick := rng.Intn(len(tails) + 7); {
+		case pick < len(tails):
+			return forms[pick], tails[forms[pick]](n)
+		case pick == len(tails)+6:
+			c := dictTail(n)
+			if c.narrow == nil {
+				t.Fatalf("%d strings stayed plain", c.Len())
+			}
+			return fmt.Sprintf("dict(width %d)", c.Width()), c
+		default:
+			width, decimal := []int{1, 2, 4}[(pick-len(tails))%3], pick-len(tails) >= 3
+			form := fmt.Sprintf("narrow(width %d, decimal %v)", width, decimal)
+			c := narrowTail(n, width, decimal)
+			if c.Width() != width || (decimal && c.exp == 0) {
+				t.Fatalf("%s: narrowed to width %d at 10^-%d", form, c.Width(), c.exp)
+			}
+			return form, c
+		}
+	}
+	for round := 0; round < 600; round++ {
 		n := rng.Intn(40)
 		if round%10 == 0 {
 			n = 0
 		}
 		name := strings.Repeat("n", round%10)
-		var tail *Column
-		var form string
-		switch pick := rng.Intn(len(tails) + 6); {
-		case pick < len(tails):
-			forms := []string{"dense", "oid", "int", "float", "str", "bool"}
-			form = forms[pick]
-			tail = tails[form](n)
-		default:
-			width, decimal := []int{1, 2, 4}[(pick-len(tails))%3], pick-len(tails) >= 3
-			form = fmt.Sprintf("narrow(width %d, decimal %v)", width, decimal)
-			tail = narrowTail(n, width, decimal)
-			if tail.Width() != width || (decimal && tail.exp == 0) {
-				t.Fatalf("%s: narrowed to width %d at 10^-%d", form, tail.Width(), tail.exp)
-			}
-		}
-		head := tails["dense"](tail.Len())
-		if rng.Intn(2) == 0 {
-			head = tails["oid"](tail.Len())
+		form, tail := draw(n)
+		var head *Column
+		var hform string
+		for head == nil || head.Len() != tail.Len() { // a narrow form may have drawn more rows
+			hform, head = draw(tail.Len())
 		}
 		b := New(name, head, tail)
 		vecs := MarshalVec(b)
 		if got, want := bytes.Join(vecs, nil), AppendMarshal(nil, b); !bytes.Equal(got, want) {
-			t.Fatalf("round %d, %s tail, %d rows, name %q: MarshalVec gives %d bytes, AppendMarshal %d (or other bytes)",
-				round, form, tail.Len(), name, len(got), len(want))
+			t.Fatalf("round %d, %s head, %s tail, %d rows, name %q: MarshalVec gives %d bytes, AppendMarshal %d (or other bytes)",
+				round, hform, form, tail.Len(), name, len(got), len(want))
 		}
 		for _, c := range []*Column{head, tail} {
 			lo, _ := c.Span()

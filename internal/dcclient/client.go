@@ -161,8 +161,9 @@ func (cl *Client) Peers() (addrs []string, alive []bool) {
 // Query executes sql on the connected node, honouring ctx's deadline
 // and cancellation for the whole round trip (including dialing a fresh
 // connection when the pool is empty). The result's columns are what
-// server.DecodeResult gives: a numeric one may be narrow, so read it
-// through Int, Float and Value, or widen it with bat.Widen.
+// server.DecodeResult gives: a numeric one may be narrow and a string
+// one dictionary codes, so read them through Int, Float, Str and Value,
+// or widen them with bat.Widen.
 //
 // A pooled connection whose server restarted since it was last used
 // fails on its first use; when that failure happens before a single

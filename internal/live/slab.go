@@ -23,8 +23,9 @@ package live
 //  3. Results are copied. ExecPlan's result set and Fetch's BAT outlive
 //     the query, so a fixed-width column of theirs that aliases a slab —
 //     narrow codes included — is copied before they are returned
-//     (ownResult). String columns never alias: UnmarshalView copies the
-//     string heap.
+//     (ownResult). A dictionary string column's codes are such a column;
+//     its strings, like a plain column's, never alias: UnmarshalView
+//     copies every string heap.
 //
 // Every slab a view can reach is one this node received: fragments
 // cross nodes only as bytes on the wire, and owner stores, replicas and

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -50,14 +51,25 @@ func slabDecimals() []float64 {
 	return u
 }
 
+// slabStrings is the lifetime test's string column v.val (one
+// fragment): 300 distinct values, so it travels as 2-byte dictionary
+// codes followed by its dictionary.
+func slabStrings() []string {
+	v := make([]string, slabRows)
+	for i := range v {
+		v[i] = fmt.Sprintf("v%03d", 7*i%300)
+	}
+	return v
+}
+
 func slabRing(t *testing.T, cfg Config) *Ring {
 	t.Helper()
-	cols := map[string]*bat.BAT{"u.val": bat.MakeFloats("u.val", slabDecimals())}
+	cols := map[string]*bat.BAT{"u.val": bat.MakeFloats("u.val", slabDecimals()), "v.val": bat.MakeStrs("v.val", slabStrings())}
 	for name, vals := range slabValues() {
 		cols[name] = bat.MakeInts(name, vals)
 	}
 	cfg.FragmentRows = slabRows
-	r, err := NewRing(3, cols, minisql.MapSchema{"p": {"val"}, "q": {"val"}, "s": {"val"}, "t": {"val"}, "u": {"val"}}, cfg)
+	r, err := NewRing(3, cols, minisql.MapSchema{"p": {"val"}, "q": {"val"}, "s": {"val"}, "t": {"val"}, "u": {"val"}, "v": {"val"}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,6 +465,57 @@ func TestSlabLifetime(t *testing.T) {
 			t.Fatalf("fetched decimal column reads %v…, want %v…", got[:3], want[:3])
 		}
 	})
+
+	// A dictionary string fragment, the same way: the cache entry's codes
+	// are a view of its slab, its dictionary is not, and Fetch copies the
+	// codes into a dictionary column of its own.
+	t.Run("dictionary tail", func(t *testing.T) {
+		r := slabRing(t, DefaultConfig())
+		ids, _ := r.Fragments("v.val")
+		id := ids[0]
+		reader := r.node((int(r.ownerOf(id).id) + 1) % r.Size())
+		fetched, err := reader.Fetch("v.val")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reader.hot.mu.Lock()
+		f := reader.hot.entries[id].f
+		reader.hot.mu.Unlock()
+		if lo, hi := f.b.Tail().Span(); lo < slabStart(f.slab) || hi > slabStart(f.slab)+uintptr(len(f.slab.buf)) || hi-lo != 2*slabRows {
+			t.Fatalf("the cached codes span [%#x, %#x), want %d bytes of the slab at %#x", lo, hi, 2*slabRows, slabStart(f.slab))
+		}
+		if w := fetched.Tail().Width(); w != 2 || fetched.Tail().Kind() != bat.KStr {
+			t.Fatalf("the fetched column is a %d-byte %s column, want 2-byte string codes", w, fetched.Tail().Kind())
+		}
+		if inSlab(fetched.Tail(), f.slab) {
+			t.Fatal("the fetched column's codes are a view of the slab, not a copy")
+		}
+		want := slabStrings()
+		settle(t, r, reader, f.slab, 1)
+		if recycled(f.slab) {
+			t.Fatal("slab recycled under its dictionary cache entry")
+		}
+		if got := tailStrs(f.b); !slices.Equal(got, want) {
+			t.Fatalf("dictionary cache entry reads %q…, want %q…", got[:3], want[:3])
+		}
+		reader.hot.drop(id)
+		settle(t, r, reader, f.slab, 0)
+		if !recycled(f.slab) {
+			t.Fatal("the dictionary fragment's slab was never recycled; the test proves nothing")
+		}
+		if got := tailStrs(fetched); !slices.Equal(got, want) {
+			t.Fatalf("fetched dictionary column reads %q…, want %q…", got[:3], want[:3])
+		}
+	})
+}
+
+// tailStrs is a string tail's values.
+func tailStrs(b *bat.BAT) []string {
+	out := make([]string, b.Len())
+	for i := range out {
+		out[i] = b.Tail().Str(i)
+	}
+	return out
 }
 
 // slabStart is the address of s's first byte.

@@ -312,12 +312,14 @@ func EncodeResult(rs *mal.ResultSet) ([]byte, error) {
 }
 
 // DecodeResult parses a FrameResult payload back into a result set.
-// Numeric result columns are zero-copy views over payload, which must
-// not be modified afterwards (each frame read allocates a fresh buffer,
-// so this holds by construction in the client). A numeric column may
-// arrive narrow — 1, 2 or 4-byte codes, the form a projection's values
-// leave the ring in: read it through Int, Float and Value, or decode it
-// to 8-byte values with bat.Widen.
+// Numeric result columns, and a string column's dictionary codes, are
+// zero-copy views over payload, which must not be modified afterwards
+// (each frame read allocates a fresh buffer, so this holds by
+// construction in the client). A numeric column may arrive narrow — 1,
+// 2 or 4-byte codes, the form a projection's values leave the ring in —
+// and a string column as codes into its dictionary: read them through
+// Int, Float, Str and Value, or decode them to 8-byte values and plain
+// strings with bat.Widen.
 func DecodeResult(payload []byte) (*mal.ResultSet, error) {
 	bad := func(what string) (*mal.ResultSet, error) {
 		return nil, fmt.Errorf("server: corrupt result frame: %s", what)

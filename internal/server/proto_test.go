@@ -62,8 +62,9 @@ func mixedResult() *mal.ResultSet {
 }
 
 // narrowResult is a projection's result as a node serves it: columns
-// in the codes of widths 1, 2 and 4 above a reference, and a decimal
-// one in hundredths, each under a dense head.
+// in the codes of widths 1, 2 and 4 above a reference, a decimal one in
+// hundredths and a string one in dictionary codes, each under a dense
+// head.
 func narrowResult(f *testing.F) *mal.ResultSet {
 	f.Helper()
 	rs := &mal.ResultSet{}
@@ -76,6 +77,7 @@ func narrowResult(f *testing.F) *mal.ResultSet {
 		{"w2", 2, bat.MakeInts("w2", []int64{1 << 40, 1<<40 + 60000, 1<<40 + 3})},
 		{"w4", 4, bat.MakeInts("w4", []int64{-1 << 20, 1 << 30, 17})},
 		{"price", 2, bat.MakeFloats("price", []float64{901.5, 1099.99, 950.01, 1000})},
+		{"flags", 1, bat.MakeStrs("flags", []string{"R", "A", "N", "A", "R", "R"})},
 	} {
 		b := bat.Narrow(c.b)
 		if w := b.Tail().Width(); w != c.width {
