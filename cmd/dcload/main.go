@@ -225,7 +225,7 @@ func reportHop(stats []dc.ServerNodeStats) {
 	fmt.Printf("pacing: %d fragments parked now (%d parked / %d unparked total)\n",
 		hs.Parked, hs.ParkedTotal, hs.Unparked)
 	if hs.PoolWaits > 0 {
-		fmt.Printf("send queue: %d waits / %d sends\n", hs.PoolWaits, hs.PoolAcquires)
+		fmt.Printf("link writes: %d waited for the write mutex / %d writes\n", hs.PoolWaits, hs.PoolAcquires)
 	}
 }
 

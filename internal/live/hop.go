@@ -52,10 +52,10 @@ type HopStats struct {
 	Parked      int
 	ParkedTotal int64
 	Unparked    int64
-	// PoolAcquires/PoolWaits count the data messenger's send-queue
-	// slots: sends the queue accepted, and how many of them found its
-	// MessengerSendWindow slots full and waited — every hop send takes
-	// one, so waits > 0 means the node's sends outran its link.
+	// PoolAcquires/PoolWaits count the data messenger's writes, and the
+	// sends that found its write mutex held and waited for it — every
+	// hop send is one write, so waits > 0 means the node's senders
+	// contended for its link (rdma.Messenger.WriteStats).
 	PoolAcquires int64
 	PoolWaits    int64
 	// WireSyscalls counts the write/read calls on the node's data-link
@@ -106,8 +106,8 @@ func fillBucket(frags int) int {
 }
 
 // hopEntry is one queued outbound fragment version and its ring header.
-// The entry holds the fragment's slab from the enqueue until the send
-// completes, which is what makes handing its wire bytes to a vectored
+// The entry holds the fragment's slab from the enqueue until its write
+// returns, which is what makes handing its wire bytes to a vectored
 // write safe.
 type hopEntry struct {
 	m core.BATMsg
@@ -227,39 +227,33 @@ func (n *Node) drainHopQueue() {
 	}
 }
 
-// flushHopBatch hands one batch to the data link and arranges for its
-// entries to be released when the transport is done with them. A
-// one-entry batch goes out as the exact v2 single-fragment message —
-// the batched and unbatched configurations differ only when batching
-// actually coalesced something, which is what makes HopBatchBytes=0
-// byte-identical to the pre-batching ring.
+// flushHopBatch writes one batch to the data link and then releases its
+// entries' slab holds, whatever the outcome. A one-entry batch goes out
+// as the exact v2 single-fragment message — the batched and unbatched
+// configurations differ only when batching actually coalesced
+// something, which is what makes HopBatchBytes=0 byte-identical to the
+// pre-batching ring.
 //
 // Either way the message is a vectored send of freshly encoded headers
 // and each fragment's own wire bytes: no user-space copy, the kernel
 // reads the payload where the version keeps it — the slab it arrived
-// in, or the owner's marshalled bytes. The sends are asynchronous: the
-// flush loop keeps queueing while earlier envelopes are still on the
-// wire, so a revolution's worth of traffic pipelines through the
-// messenger's bounded send queue instead of waiting out a write per
-// envelope. The entries' slab holds are released in the send's
-// callback — the payload slices stay valid until the transport reports
-// them written.
+// in, or the owner's marshalled bytes. The send returns once the
+// message is written, so the holds keep the payload slices valid for
+// exactly as long as the write reads them. Its caller never holds n.mu:
+// a write that blocks on a slow link cannot close a lock cycle around
+// the ring.
 func (n *Node) flushHopBatch(batch []hopEntry) {
-	release := func(error) {
+	defer func() {
 		for _, e := range batch {
 			atomic.AddInt64(&n.outBytes, -int64(e.m.Size))
 			e.f.slab.release()
 		}
-	}
+	}()
 	select {
 	case <-n.closed:
-		release(nil)
 		return
 	default:
 	}
-	// The header block is per message (not a reused scratch buffer):
-	// with pipelined sends several envelopes are in flight at once, and
-	// each owns its headers until its send's callback runs.
 	var parts [][]byte
 	if len(batch) == 1 {
 		e := batch[0]
@@ -288,9 +282,7 @@ func (n *Node) flushHopBatch(batch []hopEntry) {
 		wire += int64(len(p))
 	}
 	n.countHopMsg(wire, len(batch))
-	if err := n.linkDataOut().SendVectoredAsync(parts, release); err != nil {
-		release(err)
-	}
+	n.linkDataOut().SendVectored(parts)
 }
 
 // countHopMsg records one outbound data message of the given wire size
@@ -331,7 +323,7 @@ func (n *Node) HopStats() HopStats {
 	n.mu.Unlock()
 	s.ParkedTotal = int64(st.BATsParked)
 	s.Unparked = int64(st.BATsUnparked)
-	s.PoolAcquires, s.PoolWaits = n.linkDataOut().QueueStats()
+	s.PoolAcquires, s.PoolWaits = n.linkDataOut().WriteStats()
 	// Each endpoint is counted at exactly one node (out at the sender,
 	// in at the receiver), so the ring-wide sum has no double counting.
 	for _, m := range []*rdma.Messenger{n.linkDataOut(), n.linkDataIn()} {

@@ -1,42 +1,45 @@
 package live
 
 import (
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/leakcheck"
 	"repro/internal/rdma"
 )
 
 // TestMain fails the package when the tests leave any of this module's
-// goroutines running: receive, hop and beat loops, messenger send
-// loops (leakcheck).
+// goroutines running — receive, hop and beat loops — or a link's socket
+// open (leakcheck).
 func TestMain(m *testing.M) { leakcheck.Main(m) }
 
-// openEndpoints counts the link endpoints still open by their send
-// loops: NewMessenger starts one per endpoint, and Close waits for it
-// to close loopDone. A loop Close has released is past every wait, so
-// it only ever shows as running or runnable until it exits; the count
-// is taken once no send loop is in either state, or as it stands after
-// 5 s.
-func openEndpoints() int {
-	deadline := time.Now().Add(5 * time.Second)
-	for ; ; runtime.Gosched() {
-		open, settled := 0, true
-		for _, g := range leakcheck.Goroutines() {
-			if !strings.Contains(g, "created by repro/internal/rdma.NewMessenger") {
-				continue
-			}
-			open++
-			if strings.Contains(g, "[running") || strings.Contains(g, "[runnable") {
-				settled = false
-			}
+// openEndpoints counts the process's open sockets: every link endpoint
+// is one, and Messenger.Close has closed it by the time it returns.
+func openEndpoints(t *testing.T) int {
+	n, ok := leakcheck.Sockets()
+	if !ok {
+		t.Skip("no /proc/self/fd to count sockets in")
+	}
+	return n
+}
+
+// TestRingRunsNoTransportGoroutine: the transport starts no goroutine —
+// a send writes on its caller, a receive reads on its caller — so a
+// running 3-node ring has none that internal/rdma created.
+func TestRingRunsNoTransportGoroutine(t *testing.T) {
+	r := newTestRing(t, 3)
+	defer r.Close()
+	if _, err := r.Node(1).ExecSQL("select c.t_id from t, c where c.t_id = t.id"); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, g := range leakcheck.Goroutines() {
+		if strings.Contains(g, "created by repro/internal/rdma.") {
+			n++
 		}
-		if settled || time.Now().After(deadline) {
-			return open
-		}
+	}
+	if n != 0 {
+		t.Fatalf("%d goroutines created by internal/rdma on a 3-node ring, want 0", n)
 	}
 }
 
@@ -55,7 +58,7 @@ func TestSpliceOntoKilledNodeClosesItsLinks(t *testing.T) {
 		defer s.linkMu.RUnlock()
 		return [4]*rdma.Messenger{s.dataOut, s.reqOut, s.dataIn, s.reqIn}
 	}
-	before, open := links(), openEndpoints()
+	before, open := links(), openEndpoints(t)
 	// Two new links, four endpoints: the live predecessor installs two
 	// and closes the two it replaces; the killed successor must close
 	// the two it is handed.
@@ -63,7 +66,7 @@ func TestSpliceOntoKilledNodeClosesItsLinks(t *testing.T) {
 	if links() != before {
 		t.Fatal("the killed node took new links")
 	}
-	if got := openEndpoints(); got != open {
+	if got := openEndpoints(t); got != open {
 		t.Fatalf("%d link endpoints open after the splice, want %d: the killed node's new links were never closed", got, open)
 	}
 }

@@ -3,8 +3,9 @@ package rdma
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
-	"sync"
+	"runtime"
 	"testing"
 )
 
@@ -84,14 +85,10 @@ func TestTCPPostSendWriteFailureClosesQP(t *testing.T) {
 }
 
 // TestTCPPostSendVecWriteFailureClosesQP: the vectored path
-// (SendVectoredAsync), whose failure reaches the send's callback.
+// (SendVectored).
 func TestTCPPostSendVecWriteFailureClosesQP(t *testing.T) {
 	checkWriteFailureClosesLink(t, func(m *Messenger, payload []byte) error {
-		sent := make(chan error, 1)
-		if err := m.SendVectoredAsync([][]byte{payload[:8], payload[8:]}, func(err error) { sent <- err }); err != nil {
-			return err
-		}
-		return <-sent
+		return m.SendVectored([][]byte{payload[:8], payload[8:]})
 	})
 }
 
@@ -116,44 +113,65 @@ func checkWriteFailureClosesLink(t *testing.T, send func(m *Messenger, payload [
 	}
 }
 
-// TestCloseRunsQueuedCallbacksOnce: Close with a full queue — its head
-// blocked in its write — fails every send, the queued ones with
-// ErrClosed, and runs each callback exactly once before it returns.
-// Meanwhile TrySendEncoded, on a busy link, returns at once.
-func TestCloseRunsQueuedCallbacksOnce(t *testing.T) {
+// TestCloseFailsBlockedWriteAndWaiters: over a pipe nobody reads, one
+// send blocks in its write while the others wait, for the write mutex
+// or for a send region, and TrySendEncoded gives up at once on either.
+// Close fails the blocked write with the write's own error and every
+// waiter with ErrClosed, and every send region comes back.
+func TestCloseFailsBlockedWriteAndWaiters(t *testing.T) {
 	near, far := net.Pipe() // nobody reads far: the first write blocks
 	defer far.Close()
 	m, err := NewMessenger(near, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const sends = MessengerSendWindow
-	var mu sync.Mutex
-	calls, errs := make([]int, sends), make([]error, sends)
-	for i := 0; i < sends; i++ {
-		i := i
-		if err := m.SendVectoredAsync([][]byte{{byte(i)}}, func(err error) {
-			mu.Lock()
-			calls[i]++
-			errs[i] = err
-			mu.Unlock()
-		}); err != nil {
-			t.Fatal(err)
+	regions := cap(m.sendFree)
+	// await yields until the messenger has issued writes writes and
+	// counted waits waits for its write mutex.
+	await := func(writes, waits int64) {
+		for w, q := m.WriteStats(); w < writes || q < waits; w, q = m.WriteStats() {
+			runtime.Gosched()
 		}
 	}
-	if err := m.TrySendEncoded(1, func([]byte) int { return 1 }); err != ErrQueueFull {
-		t.Fatalf("TrySendEncoded on a busy link = %v, want ErrQueueFull", err)
+	try := func(why string) {
+		t.Helper()
+		if err := m.TrySendEncoded(1, func([]byte) int { return 1 }); err != ErrQueueFull {
+			t.Fatalf("TrySendEncoded with %s = %v, want ErrQueueFull", why, err)
+		}
 	}
+
+	blocked := make(chan error, 1)
+	go func() { blocked <- m.SendVectored([][]byte{{0}}) }()
+	await(1, 0)
+	try("a write in progress")
+	// Every encoded sender past the pool's regions waits for a region;
+	// the rest, and the vectored ones, wait for the write mutex.
+	const vectored = 2
+	encoded := regions + 2
+	waiters := make(chan error, vectored+encoded)
+	for i := 0; i < vectored; i++ {
+		go func() { waiters <- m.SendVectored([][]byte{{1}}) }()
+	}
+	for i := 0; i < encoded; i++ {
+		go func() { waiters <- m.Send([]byte{2}) }()
+	}
+	await(1, int64(vectored+regions))
+	try("no free region")
+	if w, q := m.WriteStats(); w != 1 || q != int64(vectored+regions) {
+		t.Fatalf("WriteStats = %d writes, %d waits; want 1, %d (a TrySendEncoded that gives up counts as neither)", w, q, vectored+regions)
+	}
+
 	m.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	for i := range calls {
-		if calls[i] != 1 {
-			t.Fatalf("send %d's callback ran %d times, want once", i, calls[i])
+	if err := <-blocked; !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("the blocked write failed with %v, want the pipe's io.ErrClosedPipe", err)
+	}
+	for i := 0; i < vectored+encoded; i++ {
+		if err := <-waiters; err != ErrClosed {
+			t.Fatalf("a waiting send failed with %v, want ErrClosed", err)
 		}
-		if errs[i] == nil || i > 0 && errs[i] != ErrClosed {
-			t.Fatalf("send %d completed with %v, want a failure (ErrClosed once queued)", i, errs[i])
-		}
+	}
+	if len(m.sendFree) != regions {
+		t.Fatalf("%d of %d send regions back after Close", len(m.sendFree), regions)
 	}
 }
 

@@ -11,31 +11,30 @@ import (
 
 // Messenger is one end of a ring link: a reliable, ordered stream of
 // whole messages over a connection, each framed by a 4-byte big-endian
-// length prefix. It runs one goroutine, the send loop, which drains a
-// bounded queue of accepted sends: each message — prefix and every
-// part — goes to the kernel as one gather write (net.Buffers → writev)
-// straight from the sender's memory, and then its callback runs, in
-// send order. Recv reads on the caller's goroutine, straight into a
-// slab of the endpoint's receive memory, so neither direction copies
-// in user space. One goroutine at a time may call Recv; the socket
-// buffer is the receive window.
+// length prefix. It runs no goroutine. A send writes its message —
+// prefix and every part — to the kernel as one gather write
+// (net.Buffers → writev) on the sender's own goroutine, straight from
+// the sender's memory, under the write mutex, and returns once the
+// message is written. Recv reads on the caller's goroutine, straight
+// into a slab of the endpoint's receive memory, so neither direction
+// copies in user space. One goroutine at a time may call Recv; the
+// socket buffer is the receive window.
 type Messenger struct {
 	conn   net.Conn
 	maxMsg int
 
-	// sendFree is the pool of send regions SendEncoded encodes into;
-	// the send loop returns a region once its message is written.
+	// sendFree is the pool of send regions SendEncoded encodes into; a
+	// region comes back as soon as its message's write returns.
 	sendFree chan []byte
 
-	mu   sync.Mutex
-	cond sync.Cond // broadcast when queue or closed change
-	// queue holds the accepted sends, oldest first, at most
-	// MessengerSendWindow; the send loop leaves the one it is writing
-	// at its head until the write returns.
-	queue  []sendReq
-	closed bool
-	// loopDone is closed when the send loop has run its last callback.
-	loopDone chan struct{}
+	// wmu serializes writes, so messages never interleave on the wire.
+	// prefix and bufs, the length prefix and the gather array of the
+	// message being written, are only touched under it.
+	wmu    sync.Mutex
+	prefix [4]byte
+	bufs   net.Buffers
+
+	closed atomic.Bool
 
 	slabs slabPool
 	// hdr and skip are Recv's: the length prefix being read, and the
@@ -43,18 +42,9 @@ type Messenger struct {
 	hdr  [4]byte
 	skip int64
 
-	slotTakes atomic.Int64 // sends accepted onto the queue
-	slotWaits atomic.Int64 // of those, the ones that found it full
-	syscalls  atomic.Int64 // write/read calls issued (lower bound, see Syscalls)
-}
-
-// sendReq is one accepted send: the parts of its message, the send
-// region to return to the pool once written (nil for a vectored send),
-// and the callback to run with the outcome.
-type sendReq struct {
-	parts  [][]byte
-	region []byte
-	done   func(error)
+	writes   atomic.Int64 // writes issued under wmu
+	waits    atomic.Int64 // sends that found wmu held and waited for it
+	syscalls atomic.Int64 // write/read calls issued (lower bound, see Syscalls)
 }
 
 // MessengerSendRegions bounds the send-region pool size; the pool is
@@ -62,20 +52,14 @@ type sendReq struct {
 // (maxSendPoolBytes) when messages are large.
 const MessengerSendRegions = 4
 
-// MessengerSendWindow is how many accepted sends may be in flight,
-// queued or being written. Deeper than one so back-to-back hop
-// envelopes pipeline; bounded so a slow link applies backpressure
-// before unbounded memory queues behind it.
-const MessengerSendWindow = 8
-
 // maxSendPoolBytes caps the total send-region bytes per messenger, so
 // large-message links get fewer regions rather than more memory.
 const maxSendPoolBytes = 8 << 20
 
 // NewMessenger makes conn a link endpoint whose messages are at most
-// maxMsg bytes, and starts its send loop. The messenger owns conn from
-// here on: Close closes it. The send regions are allocated here, once,
-// and reused by every SendEncoded (the amortization §2.3 advises).
+// maxMsg bytes. The messenger owns conn from here on: Close closes it.
+// The send regions are allocated here, once, and reused by every
+// SendEncoded (the amortization §2.3 advises).
 func NewMessenger(conn net.Conn, maxMsg int) (*Messenger, error) {
 	if maxMsg <= 0 {
 		return nil, fmt.Errorf("rdma: non-positive max message size")
@@ -85,128 +69,55 @@ func NewMessenger(conn net.Conn, maxMsg int) (*Messenger, error) {
 		conn:     conn,
 		maxMsg:   maxMsg,
 		sendFree: make(chan []byte, regions),
-		queue:    make([]sendReq, 0, MessengerSendWindow),
-		loopDone: make(chan struct{}),
 	}
 	for i := 0; i < regions; i++ {
 		m.sendFree <- make([]byte, maxMsg)
 	}
-	m.cond.L = &m.mu
-	go m.sendLoop()
 	return m, nil
 }
 
-// sendLoop writes the queued sends in order until the messenger
-// closes, then fails whatever is still queued with ErrClosed: every
-// accepted send's callback runs exactly once.
-func (m *Messenger) sendLoop() {
-	defer close(m.loopDone)
-	var hdr [4]byte
-	var scratch net.Buffers
-	m.mu.Lock()
-	for {
-		for len(m.queue) == 0 && !m.closed {
-			m.cond.Wait()
+// write sends one message of total bytes gathered from parts, under
+// wmu. With try it returns ErrQueueFull rather than wait for a held
+// wmu. A closed messenger refuses with ErrClosed.
+func (m *Messenger) write(parts [][]byte, total int, try bool) error {
+	if !m.wmu.TryLock() {
+		if try {
+			return ErrQueueFull
 		}
-		if m.closed {
-			break
-		}
-		req := m.queue[0]
-		m.mu.Unlock()
-
-		total := 0
-		for _, p := range req.parts {
-			total += len(p)
-		}
-		binary.BigEndian.PutUint32(hdr[:], uint32(total))
-		// WriteTo consumes bufs and loops on short writes; scratch keeps
-		// the array for the next message.
-		bufs := append(append(scratch[:0], hdr[:]), req.parts...)
-		scratch = bufs[:0]
-		m.syscalls.Add(1)
-		_, err := bufs.WriteTo(m.conn)
-		clear(scratch[:len(req.parts)+1])
-
-		m.mu.Lock()
-		n := copy(m.queue, m.queue[1:])
-		m.queue[n] = sendReq{}
-		m.queue = m.queue[:n]
-		m.cond.Broadcast() // a slot is free
-		if err != nil {
-			// A short or failed write leaves the peer mid-frame with no
-			// way to resynchronize the length-prefixed stream: tear the
-			// link down, before the sender hears of it, rather than
-			// carry on corrupting it.
-			m.abortLocked()
-		}
-		m.mu.Unlock()
-		m.complete(req, err)
-		m.mu.Lock()
+		m.waits.Add(1)
+		m.wmu.Lock()
 	}
-	queued := m.queue
-	m.queue = nil
-	m.mu.Unlock()
-	for _, req := range queued {
-		m.complete(req, ErrClosed)
-	}
-}
-
-// complete returns a send's region to the pool and runs its callback.
-func (m *Messenger) complete(req sendReq, err error) {
-	if req.region != nil {
-		m.sendFree <- req.region
-	}
-	if req.done != nil {
-		req.done(err)
-	}
-}
-
-// enqueue accepts a send for the send loop, which from then on owns
-// its parts and region and runs its callback. A full queue makes it
-// wait for a slot; with try it only accepts onto an idle link (nothing
-// queued, nothing being written) and otherwise returns ErrQueueFull.
-// On error nothing was accepted and the caller keeps ownership.
-func (m *Messenger) enqueue(req sendReq, try bool) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.closed && try && len(m.queue) > 0 {
-		return ErrQueueFull
-	}
-	if !m.closed && len(m.queue) == MessengerSendWindow {
-		m.slotWaits.Add(1)
-		for !m.closed && len(m.queue) == MessengerSendWindow {
-			m.cond.Wait()
-		}
-	}
-	if m.closed {
+	defer m.wmu.Unlock()
+	if m.closed.Load() {
 		return ErrClosed
 	}
-	m.slotTakes.Add(1)
-	m.queue = append(m.queue, req)
-	m.cond.Broadcast()
-	return nil
-}
-
-// abortLocked marks the messenger closed, wakes the send loop and every
-// waiting sender, and closes the connection, which unblocks a write in
-// progress and a Recv. It reports the connection's Close error the
-// first time and nil after.
-func (m *Messenger) abortLocked() error {
-	if m.closed {
-		return nil
+	m.writes.Add(1)
+	m.syscalls.Add(1)
+	binary.BigEndian.PutUint32(m.prefix[:], uint32(total))
+	// WriteTo consumes bufs and loops on short writes; m.bufs keeps the
+	// array for the next message.
+	bufs := append(append(m.bufs[:0], m.prefix[:]), parts...)
+	m.bufs = bufs[:0]
+	_, err := bufs.WriteTo(m.conn)
+	clear(m.bufs[:len(parts)+1])
+	if err != nil {
+		// A short or failed write leaves the peer mid-frame with no way
+		// to resynchronize the length-prefixed stream: tear the link
+		// down, before the sender hears of it, rather than carry on
+		// corrupting it.
+		m.Close()
 	}
-	m.closed = true
-	m.cond.Broadcast()
-	return m.conn.Close()
+	return err
 }
 
 // MaxMessage reports the configured message size bound.
 func (m *Messenger) MaxMessage() int { return m.maxMsg }
 
-// QueueStats reports send-queue pressure: how many sends the queue
-// accepted, and how many of those found it full and had to wait.
-func (m *Messenger) QueueStats() (takes, waits int64) {
-	return m.slotTakes.Load(), m.slotWaits.Load()
+// WriteStats reports write pressure: how many writes the endpoint
+// issued, and how many sends found the write mutex held and waited for
+// it. A TrySendEncoded that gives up counts as neither.
+func (m *Messenger) WriteStats() (writes, waits int64) {
+	return m.writes.Load(), m.waits.Load()
 }
 
 // Syscalls reports the write and read calls the endpoint has issued:
@@ -232,17 +143,16 @@ func (m *Messenger) SendEncoded(size int, encode func(dst []byte) int) error {
 	return m.sendEncoded(size, encode, false)
 }
 
-// TrySendEncoded is SendEncoded without any blocking wait to start: if
-// no send region is free right now, or any send is queued or being
-// written, it returns ErrQueueFull immediately. Control traffic that
-// must never stall behind bulk data — the membership heartbeat
-// multiplexed onto the data link — uses this; a pulse that cannot get
-// through is simply dropped (the next interval sends another, and the
-// failure detector tolerates missed beats by design). The idle-link
-// check matters as much as the region check: a heartbeat queued behind
-// megabytes of hop envelopes would inherit their latency — long enough,
-// on a loaded single-core box, for the silent sender to be declared
-// dead.
+// TrySendEncoded is SendEncoded without any blocking wait: if no send
+// region is free right now, or another send holds the write mutex, it
+// returns ErrQueueFull immediately. Control traffic that must never
+// stall behind bulk data — the membership heartbeat multiplexed onto
+// the data link — uses this; a pulse that cannot get through is simply
+// dropped (the next interval sends another, and the failure detector
+// tolerates missed beats by design). The mutex check matters as much as
+// the region check: a heartbeat written behind megabytes of hop
+// envelopes would inherit their latency — long enough, on a loaded
+// single-core box, for the silent sender to be declared dead.
 func (m *Messenger) TrySendEncoded(size int, encode func(dst []byte) int) error {
 	return m.sendEncoded(size, encode, true)
 }
@@ -261,35 +171,25 @@ func (m *Messenger) sendEncoded(size int, encode func(dst []byte) int, try bool)
 		if try {
 			return ErrQueueFull
 		}
-		select {
-		case region = <-m.sendFree:
-		case <-m.loopDone:
-			return ErrClosed
-		}
+		// Every region comes back once its write returns, and Close
+		// makes a write in progress return, so this wait ends.
+		region = <-m.sendFree
 	}
+	defer func() { m.sendFree <- region }()
 	n := encode(region[:size])
 	if n < 0 || n > size {
-		m.sendFree <- region
 		return fmt.Errorf("rdma: encoder wrote %d bytes into a %d-byte window", n, size)
 	}
-	sent := make(chan error, 1)
-	req := sendReq{parts: [][]byte{region[:n]}, region: region, done: func(err error) { sent <- err }}
-	if err := m.enqueue(req, try); err != nil {
-		m.sendFree <- region
-		return err
-	}
-	return <-sent
+	return m.write([][]byte{region[:n]}, n, try)
 }
 
-// SendVectoredAsync transmits one message gathered from parts — the
-// ring-hop path — and returns once the send is accepted. The parts go
-// to the kernel as they are (one gather write, no assembly copy), so
-// they must stay valid and unmodified until done(err) runs, from the
-// send loop, in send order; done may be nil. The receiver sees the
-// concatenation of the parts. When MessengerSendWindow sends are
-// already in flight the call waits for a slot (backpressure). On error
-// the send was not accepted and done does not run.
-func (m *Messenger) SendVectoredAsync(parts [][]byte, done func(error)) error {
+// SendVectored transmits one message gathered from parts — the
+// ring-hop path — and returns once it is written: the parts go to the
+// kernel as they are (one gather write, no assembly copy), and are the
+// caller's again when it returns. The receiver sees the concatenation
+// of the parts. A send waits for the write mutex while another send
+// is being written (backpressure).
+func (m *Messenger) SendVectored(parts [][]byte) error {
 	total := 0
 	for _, p := range parts {
 		total += len(p)
@@ -297,7 +197,7 @@ func (m *Messenger) SendVectoredAsync(parts [][]byte, done func(error)) error {
 	if total > m.maxMsg {
 		return ErrTooLarge
 	}
-	return m.enqueue(sendReq{parts: parts, done: done}, false)
+	return m.write(parts, total, false)
 }
 
 // countingReader counts every Read call on the connection — each one
@@ -348,9 +248,7 @@ func (m *Messenger) Recv() ([]byte, error) {
 // closed, and as the connection's own error (io.EOF on a hang-up)
 // before that.
 func (m *Messenger) recvErr(err error) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
+	if m.closed.Load() {
 		return ErrClosed
 	}
 	return err
@@ -362,14 +260,14 @@ func (m *Messenger) recvErr(err error) error {
 // that is never recycled is left to the GC.
 func (m *Messenger) Recycle(data []byte) { m.slabs.put(data) }
 
-// Close closes the connection, which unblocks a Recv in progress, and
-// waits for the send loop to exit: a send being written fails with the
-// write's error, every queued one with ErrClosed, each callback run
-// exactly once. Close must not be called from a send callback.
+// Close closes the connection and returns: a Recv in progress fails
+// with ErrClosed, a write in progress with the write's error, and every
+// send still waiting for the write mutex or a send region with
+// ErrClosed. It reports the connection's Close error the first time
+// and nil after.
 func (m *Messenger) Close() error {
-	m.mu.Lock()
-	err := m.abortLocked()
-	m.mu.Unlock()
-	<-m.loopDone
-	return err
+	if m.closed.Swap(true) {
+		return nil
+	}
+	return m.conn.Close()
 }

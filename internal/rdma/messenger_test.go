@@ -31,16 +31,6 @@ func tcpMessengerPair(t testing.TB, maxMsg int) (*Messenger, *Messenger) {
 	return a, b
 }
 
-// sendVectored queues parts on m (SendVectoredAsync) and waits for the
-// send's callback.
-func sendVectored(m *Messenger, parts [][]byte) error {
-	sent := make(chan error, 1)
-	if err := m.SendVectoredAsync(parts, func(err error) { sent <- err }); err != nil {
-		return err
-	}
-	return <-sent
-}
-
 func TestMessengerRoundtrip(t *testing.T) {
 	a, b := tcpMessengerPair(t, 1024)
 
@@ -197,12 +187,12 @@ func checkSendVectored(t *testing.T, a, b *Messenger) {
 		data, _ := b.Recv()
 		done <- data
 	}()
-	if err := sendVectored(a, parts); err != nil {
+	if err := a.SendVectored(parts); err != nil {
 		t.Fatal(err)
 	}
+	copy(parts[2], "XXXXXXXXX") // written: the parts are the sender's again
 	select {
 	case data := <-done:
-		copy(parts[2], "XXXXXXXXX") // completed: the parts are the sender's again
 		if !bytes.Equal(data, want) {
 			t.Fatalf("recv = %q, want %q", data, want)
 		}
@@ -210,7 +200,7 @@ func checkSendVectored(t *testing.T, a, b *Messenger) {
 		t.Fatal("recv timeout")
 	}
 	big := a.MaxMessage() - 24
-	if err := sendVectored(a, [][]byte{make([]byte, big), make([]byte, 25)}); err != ErrTooLarge {
+	if err := a.SendVectored([][]byte{make([]byte, big), make([]byte, 25)}); err != ErrTooLarge {
 		t.Fatalf("oversize vectored send: err = %v, want ErrTooLarge", err)
 	}
 }
@@ -222,11 +212,13 @@ func TestMessengerSendVectoredTCP(t *testing.T) {
 	checkSendVectored(t, a, b)
 }
 
-// checkSendPool runs concurrent SendEncoded calls from a to b: they
-// share the region pool, and since a region goes to the kernel without
-// a copy, one recycled before its send was written would garble a
-// payload in flight. Every message must arrive intact and exactly once,
-// and each takes a send-queue slot (QueueStats).
+// checkSendPool runs concurrent senders from a to b, half of them
+// encoding into the shared region pool (SendEncoded), half sending
+// their own buffers in two parts (SendVectored). A region goes to the
+// kernel without a copy, so one recycled before its write returned
+// would garble a payload in flight, and two writes not serialized on
+// the link would interleave their frames. Every message must arrive
+// intact and exactly once, and each is one write (WriteStats).
 func checkSendPool(t *testing.T, a, b *Messenger, size int) {
 	t.Helper()
 	const n = 64
@@ -253,9 +245,13 @@ func checkSendPool(t *testing.T, a, b *Messenger, size int) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
 				msg := payload(s, i)
-				if err := a.SendEncoded(len(msg), func(dst []byte) int {
-					return copy(dst, msg)
-				}); err != nil {
+				var err error
+				if s%2 == 0 {
+					err = a.SendEncoded(len(msg), func(dst []byte) int { return copy(dst, msg) })
+				} else {
+					err = a.SendVectored([][]byte{msg[:len(msg)/2], msg[len(msg)/2:]})
+				}
+				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -272,22 +268,22 @@ func checkSendPool(t *testing.T, a, b *Messenger, size int) {
 	seen := make(map[string]bool, n*senders)
 	for msg := range got {
 		if !want[msg] {
-			t.Fatalf("garbled message of %d bytes (pool region reused before completion)", len(msg))
+			t.Fatalf("garbled message of %d bytes (a region reused or a frame interleaved mid-write)", len(msg))
 		}
 		if seen[msg] {
-			t.Fatalf("duplicate message of %d bytes (pool region reused before completion)", len(msg))
+			t.Fatalf("duplicate message of %d bytes (a region reused mid-write)", len(msg))
 		}
 		seen[msg] = true
 	}
 	if len(seen) != n*senders {
 		t.Fatalf("received %d distinct messages, want %d", len(seen), n*senders)
 	}
-	takes, waits := a.QueueStats()
-	if takes != n*senders {
-		t.Fatalf("queue slots taken = %d, want %d", takes, n*senders)
+	writes, waits := a.WriteStats()
+	if writes != n*senders {
+		t.Fatalf("writes = %d, want %d", writes, n*senders)
 	}
-	if waits < 0 || waits > takes {
-		t.Fatalf("waits = %d out of range [0, %d]", waits, takes)
+	if waits < 0 || waits > writes {
+		t.Fatalf("waits = %d out of range [0, %d]", waits, writes)
 	}
 }
 
@@ -330,7 +326,7 @@ func checkHopAllocs(t *testing.T, a, b *Messenger, size int) {
 		name string
 		fn   func() error
 	}{
-		{"vectored", func() error { return sendVectored(a, [][]byte{msg[:64], msg[64:]}) }},
+		{"vectored", func() error { return a.SendVectored([][]byte{msg[:64], msg[64:]}) }},
 		{"encoded", func() error {
 			return a.SendEncoded(size, func(dst []byte) int { return copy(dst, msg) })
 		}},
@@ -490,8 +486,8 @@ func TestTCPOversizeFrameAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkMessengerHop512K streams ring-hop-shaped messages — a 64-byte
-// header and a 512 KB payload, sent vectored and pipelined through the
-// send queue — over a loopback TCP Messenger pair whose receiver
+// header and a 512 KB payload, each one vectored write on the sending
+// goroutine — over a loopback TCP Messenger pair whose receiver
 // recycles each slab, as the live ring does: B/op ≈ 0.
 func BenchmarkMessengerHop512K(b *testing.B) {
 	const payload = 512 << 10
@@ -511,7 +507,7 @@ func BenchmarkMessengerHop512K(b *testing.B) {
 			recvd <- nil
 		}()
 		for i := 0; i < n; i++ {
-			if err := a.SendVectoredAsync(parts, nil); err != nil {
+			if err := a.SendVectored(parts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -519,9 +515,9 @@ func BenchmarkMessengerHop512K(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// Warm: the first slab and the send loop's scratch are allocated
-	// here, not in the timed stream.
-	stream(8 * MessengerSendWindow)
+	// Warm: the first slab and the gather array are allocated here, not
+	// in the timed stream.
+	stream(8)
 	b.SetBytes(64 + payload)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -555,9 +551,9 @@ func TestMessengerPoolBounded(t *testing.T) {
 // completion: a send's completion once raced its bookkeeping and was
 // dropped, and the sender waited forever. Short sends over fresh pairs
 // hit that window within a few hundred rounds. The pairs are in-memory
-// pipes under the messenger's framing: the race is between the send
-// loop and the sender, and 2,000 real connections would litter the
-// ephemeral port range other packages' tests bind in.
+// pipes under the messenger's framing: the race was inside the
+// messenger, and 2,000 real connections would litter the ephemeral
+// port range other packages' tests bind in.
 func TestMessengerNoLostCompletion(t *testing.T) {
 	for round := 1; round <= 2000; round++ {
 		near, far := net.Pipe()

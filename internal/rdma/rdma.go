@@ -2,10 +2,12 @@
 // behind Figure 1. Real RDMA hardware is not available in this
 // environment, so the package provides:
 //
-//   - Messenger, the one link endpoint: an asynchronous, ordered,
-//     point-to-point message stream between ring neighbours over a
-//     loopback tcp connection (NewTCPPair), which is all the Data
-//     Cyclotron protocols rely on. It keeps what §2.3 asks of RDMA
+//   - Messenger, the one link endpoint: an ordered, point-to-point
+//     message stream between ring neighbours over a loopback tcp
+//     connection (NewTCPPair), which is all the Data Cyclotron
+//     protocols rely on. It runs no goroutine: a send is one gather
+//     write on the sender's goroutine, a receive one read on the
+//     receiver's. It keeps what §2.3 asks of RDMA
 //     where tcp allows: send memory is allocated once and reused, a
 //     message goes to the kernel straight from the sender's memory and
 //     comes back straight into recycled receive memory, with no copy
@@ -25,7 +27,7 @@ import (
 var (
 	ErrClosed    = errors.New("rdma: link closed")
 	ErrTooLarge  = errors.New("rdma: message exceeds the link's size bound")
-	ErrQueueFull = errors.New("rdma: send queue busy")
+	ErrQueueFull = errors.New("rdma: link busy")
 )
 
 // NewTCPPair returns both ends of a fresh loopback tcp connection, so

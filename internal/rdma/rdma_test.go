@@ -28,24 +28,24 @@ func TestTCPExchange(t *testing.T) {
 	}
 }
 
-// TestTCPOrdering: sends queued back to back, each from a buffer of its
-// own, are written and their callbacks run in send order, and arrive in
-// that order.
+// TestTCPOrdering: sends on one goroutine return in send order, each
+// once its message is written — the one buffer every send reuses is the
+// sender's again as soon as the send returns — and the messages arrive
+// in that order.
 func TestTCPOrdering(t *testing.T) {
 	a, b := tcpMessengerPair(t, 8)
 	const n = 20
-	done := make(chan int, n)
-	for i := 0; i < n; i++ {
-		i := i
-		if err := a.SendVectoredAsync([][]byte{{byte(i)}}, func(err error) {
-			if err != nil {
+	returned := make(chan int, n)
+	go func() {
+		buf := make([]byte, 1)
+		for i := 0; i < n; i++ {
+			buf[0] = byte(i)
+			if err := a.SendVectored([][]byte{buf}); err != nil {
 				t.Error(err)
 			}
-			done <- i
-		}); err != nil {
-			t.Fatal(err)
+			returned <- i
 		}
-	}
+	}()
 	for i := 0; i < n; i++ {
 		data, err := b.Recv()
 		if err != nil {
@@ -54,20 +54,18 @@ func TestTCPOrdering(t *testing.T) {
 		if len(data) != 1 || data[0] != byte(i) {
 			t.Fatalf("recv %d = %v (ordering)", i, data)
 		}
-		if got := <-done; got != i {
-			t.Fatalf("callback %d ran in place of %d", got, i)
+		if got := <-returned; got != i {
+			t.Fatalf("send %d returned in place of %d", got, i)
 		}
 	}
 }
 
 // TestSendTooLarge: a message past the link's bound is refused before
-// it is accepted, on every send path, and its callback never runs.
+// anything is written, on every send path.
 func TestSendTooLarge(t *testing.T) {
 	a, _ := tcpMessengerPair(t, 4)
-	if err := a.SendVectoredAsync([][]byte{make([]byte, 3), make([]byte, 2)}, func(error) {
-		t.Error("a refused send's callback ran")
-	}); err != ErrTooLarge {
-		t.Fatalf("SendVectoredAsync err = %v", err)
+	if err := a.SendVectored([][]byte{make([]byte, 3), make([]byte, 2)}); err != ErrTooLarge {
+		t.Fatalf("SendVectored err = %v", err)
 	}
 	encode := func(dst []byte) int { return 0 }
 	if err := a.SendEncoded(5, encode); err != ErrTooLarge {
@@ -75,6 +73,9 @@ func TestSendTooLarge(t *testing.T) {
 	}
 	if err := a.TrySendEncoded(5, encode); err != ErrTooLarge {
 		t.Fatalf("TrySendEncoded err = %v", err)
+	}
+	if w, _ := a.WriteStats(); w != 0 {
+		t.Fatalf("%d writes for refused sends, want 0", w)
 	}
 }
 
@@ -90,8 +91,8 @@ func TestClosedPair(t *testing.T) {
 	if err := a.TrySendEncoded(1, func([]byte) int { return 1 }); err != ErrClosed {
 		t.Fatalf("TrySendEncoded err = %v, want ErrClosed", err)
 	}
-	if err := a.SendVectoredAsync([][]byte{{1}}, nil); err != ErrClosed {
-		t.Fatalf("SendVectoredAsync err = %v, want ErrClosed", err)
+	if err := a.SendVectored([][]byte{{1}}); err != ErrClosed {
+		t.Fatalf("SendVectored err = %v, want ErrClosed", err)
 	}
 	if _, err := a.Recv(); err != ErrClosed {
 		t.Fatalf("Recv err = %v, want ErrClosed", err)
