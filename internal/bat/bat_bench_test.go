@@ -243,39 +243,72 @@ var (
 	q6QtyHi            = &Bound{Value: int64(24)}
 )
 
-// BenchmarkBATQ6Candidates1M is Q6ish's kernel work on whole 1M-row
-// columns as minisql compiles it: one full range select, two
-// candidate-restricted ones chained behind it, one positional fetch and
-// the sum.
+// q6Parts are q6Columns cut into 64K-row fragments with dense heads and
+// narrowed as the ring stores them: shipdate 2 bytes, discount 1,
+// quantity 1, extendedprice 2.
+func q6Parts() (shipdate, discount, quantity, extprice []*BAT) {
+	const frag = 64 << 10
+	d, f, q, p := q6Columns()
+	for at := 0; at < benchRows; at += frag {
+		shipdate = append(shipdate, Narrow(d.Slice(at, at+frag)))
+		discount = append(discount, Narrow(f.Slice(at, at+frag)))
+		quantity = append(quantity, Narrow(q.Slice(at, at+frag)))
+		extprice = append(extprice, Narrow(p.Slice(at, at+frag)))
+	}
+	return shipdate, discount, quantity, extprice
+}
+
+// BenchmarkBATQ6Candidates1M is Q6ish's kernel work over 1M rows as
+// minisql compiles it: one full range select, two candidate-restricted
+// ones chained behind it, one positional fetch and the sum. /wide runs
+// it on whole wide columns; /coded per fragment on q6Parts, which is
+// what a served Q6 reads.
 func BenchmarkBATQ6Candidates1M(b *testing.B) {
-	shipdate, discount, quantity, extprice := q6Columns()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	q6 := func(shipdate, discount, quantity, extprice *BAT) any {
 		c := shipdate.USelect(q6DateLo, q6DateHi)
 		c = discount.USelectCand(c, q6DiscLo, q6DiscHi)
 		c = quantity.USelectCand(c, nil, q6QtyHi)
-		if c.Join(extprice).Sum() == nil {
-			b.Fatal("no sum")
-		}
+		return c.Join(extprice).Sum()
 	}
+	benchQ6Forms(b, q6)
 }
 
 // BenchmarkBATQ6Intersect1M is the same query the way it ran before the
 // chain: three full range selects, two merge intersections. Kept beside
 // BenchmarkBATQ6Candidates1M so one command compares the two shapes.
 func BenchmarkBATQ6Intersect1M(b *testing.B) {
-	shipdate, discount, quantity, extprice := q6Columns()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	q6 := func(shipdate, discount, quantity, extprice *BAT) any {
 		c := shipdate.USelect(q6DateLo, q6DateHi)
 		c = c.Semijoin(discount.USelect(q6DiscLo, q6DiscHi))
 		c = c.Semijoin(quantity.USelect(nil, q6QtyHi))
-		if c.Join(extprice).Sum() == nil {
-			b.Fatal("no sum")
-		}
+		return c.Join(extprice).Sum()
 	}
+	benchQ6Forms(b, q6)
+}
+
+// benchQ6Forms times q6 over q6Columns (/wide) and over every fragment
+// of q6Parts (/coded).
+func benchQ6Forms(b *testing.B, q6 func(shipdate, discount, quantity, extprice *BAT) any) {
+	shipdate, discount, quantity, extprice := q6Columns()
+	b.Run("wide", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if q6(shipdate, discount, quantity, extprice) == nil {
+				b.Fatal("no sum")
+			}
+		}
+	})
+	ds, fs, qs, ps := q6Parts()
+	b.Run("coded", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := range ds {
+				if q6(ds[j], fs[j], qs[j], ps[j]) == nil {
+					b.Fatal("no sum")
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkBATDecimalQ6 is the served Q6's float work over 1M rows in
@@ -446,28 +479,41 @@ func widthColumn(vals []int64, width int) *Column {
 // heads, the same values stored 8, 4, 2 and 1 bytes wide. Beside
 // BenchmarkBATStreamSum it answers whether the scan is bound by the
 // bytes it reads or by its own loop: compare ns/op across the widths,
-// and with the stream.
+// and with the stream. The plain cases draw 256 consecutive dates, so no
+// code reaches its lane's top bit; the tpch ones draw yyyymmdd dates over
+// 1992–1998 as tpch.GenDB does, whose 2-byte codes reach 61,130, and
+// select [19940101, 19950101).
 func BenchmarkBATRangeScanWidth(b *testing.B) {
 	const frag = 64 << 10
 	rng := rand.New(rand.NewSource(13))
-	vals := make([]int64, benchRows)
+	vals, dates := make([]int64, benchRows), make([]int64, benchRows)
 	for i := range vals {
 		vals[i] = 19920101 + int64(rng.Intn(256))
+		dates[i] = int64((1992+rng.Intn(7))*10000 + (1+rng.Intn(12))*100 + 1 + rng.Intn(28))
 	}
-	lo, hi := &Bound{Value: int64(19920101 + 73), Inclusive: true}, &Bound{Value: int64(19920101 + 110)}
-	for _, width := range []int{8, 4, 2, 1} {
-		var frags []*BAT
-		for at := 0; at < benchRows; at += frag {
-			frags = append(frags, New("d", DenseColumn(Oid(at), frag), widthColumn(vals[at:at+frag], width)))
-		}
-		b.Run(fmt.Sprint(width), func(b *testing.B) {
-			b.SetBytes(int64(benchRows * width))
-			for i := 0; i < b.N; i++ {
-				for _, f := range frags {
-					benchSink = f.USelect(lo, hi)
-				}
+	for _, c := range []struct {
+		name   string
+		vals   []int64
+		widths []int
+		lo, hi *Bound
+	}{
+		{"", vals, []int{8, 4, 2, 1}, &Bound{Value: int64(19920101 + 73), Inclusive: true}, &Bound{Value: int64(19920101 + 110)}},
+		{"tpch/", dates, []int{8, 4, 2}, q6DateLo, q6DateHi},
+	} {
+		for _, width := range c.widths {
+			var frags []*BAT
+			for at := 0; at < benchRows; at += frag {
+				frags = append(frags, New("d", DenseColumn(Oid(at), frag), widthColumn(c.vals[at:at+frag], width)))
 			}
-		})
+			b.Run(c.name+fmt.Sprint(width), func(b *testing.B) {
+				b.SetBytes(int64(benchRows * width))
+				for i := 0; i < b.N; i++ {
+					for _, f := range frags {
+						benchSink = f.USelect(c.lo, c.hi)
+					}
+				}
+			})
+		}
 	}
 }
 

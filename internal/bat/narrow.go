@@ -247,23 +247,159 @@ func (c narrowInts[U]) selectRows(t *Column, r bounds[int64]) hits {
 		return hits{from: n, to: n}
 	case below || above:
 		return hits{scanned: true, constant: r.lo == r.hi}
+	case t.Sorted():
+		from, to := rangeSpan(c.v, cr)
+		return hits{from: from, to: to}
 	}
-	h := selectTyped(t, c.v, cr)
-	h.constant = h.scanned && r.lo == r.hi // as the wide scan reports it
-	return h
+	p := idxPool.get(len(c.v))
+	*p = (*p)[:scanCodes(c.v, *p, 0, cr.lo, cr.hi)]
+	return hits{idx: *p, pooled: p, scanned: true, constant: r.lo == r.hi}
 }
 
-// scanOids is the package-level scanOids over the codes; a range that
-// misses every code answers empty without a pass.
+// scanOids is the package-level scanOids over the codes: scanCodes over
+// every row, candCodes over a candidate list. A range that misses every
+// code answers empty without a pass.
 func (c narrowInts[U]) scanOids(base Oid, cand []Oid, restricted bool, r bounds[int64]) []Oid {
 	if r.empty() {
 		return nil
 	}
 	cr, below, above := codeRange[U](r, c.base)
-	if below || above {
+	switch {
+	case below || above:
+		return nil
+	case restricted:
+		return candCodes(c.v, base, cand, cr.lo, cr.hi)
+	}
+	p := oidPool.get(len(c.v))
+	return exactOids(p, scanCodes(c.v, *p, base, cr.lo, cr.hi))
+}
+
+// scanCodes is rangeIdx and rangeOids over codes: it writes first + i,
+// ascending, to out for every row i whose code lies in [lo, hi] and
+// returns how many it wrote; out holds len(v) entries. One-byte and
+// two-byte codes are tested a word at a time (scanWords) when hi − lo <
+// 2^(w−1) on a little-endian host; a wider span, the rows past the last
+// whole group of 8 and big-endian hosts take the scalar loop, one
+// compare a row: code − lo ≤ hi − lo, which wraps below lo. So do
+// four-byte codes: at two lanes a word, the word's test costs more than
+// it saves, and the word loop measured slower than the scalar one.
+// Neither loop has a branch on the data.
+func scanCodes[U code, O int32 | Oid](v []U, out []O, first O, lo, hi U) int {
+	n, i := 0, 0
+	span := hi - lo
+	if w := unsafe.Sizeof(lo); hostLittle && w <= 2 && uint64(span) < 1<<(8*w-1) {
+		n, i = scanWords(v, out, first, lo, span)
+	}
+	return n + scanRows(v[i:], out[n:], first+O(i), lo, span)
+}
+
+// scanRows is scanCodes' scalar loop: every row number is stored and the
+// cursor advances by the row's outcome.
+func scanRows[U code, O int32 | Oid](v []U, out []O, first O, lo, span U) int {
+	n := 0
+	out = out[:len(v)]
+	for i, x := range v {
+		out[n] = first + O(i)
+		n += b2i(x-lo <= span)
+	}
+	return n
+}
+
+// scanWords is scanCodes' word loop over 1- or 2-byte codes, for a span
+// below 2^(w−1) on a little-endian host: it tests every whole group of 8
+// rows of v and returns how many rows it wrote and the first row it left.
+//
+// One 8-byte load x holds 8 or 4 codes, one per w-bit lane, and a lane
+// qualifies when d = code − lo, taken in its lane, is at most the span.
+// With H the lanes' top bits and L lo in every lane,
+//
+//	d = ((x | H) − (L &^ H)) ^ ((x ^ ^L) & H)
+//
+// borrows across no lane boundary, and d ≤ span is the top bit clear in
+// both d and (d &^ H) + A, with A = 2^(w−1) − 1 − span in every lane:
+// that sum stays inside its lane, so the test is exact for every code.
+// The loop computes r = (x | H) − (L &^ H), which is d below the top
+// bits, and reads d's top bits as those of r ^ x ^ L, inverted: a lane
+// is kept where (r ^ x ^ L) &^ ((r &^ H) + A) has its top bit set.
+// A multiply gathers the 8 rows' outcomes into one byte m, and
+// laneOrder[m] names the rows kept: the group stores 8 rows, the kept
+// ones first, and the cursor advances by their count, so nothing
+// branches on the data.
+func scanWords[U code, O int32 | Oid](v []U, out []O, first O, lo, span U) (n, i int) {
+	w := int(unsafe.Sizeof(lo))
+	lanes, bits := 8/w, uint(8*w)
+	ones := ^uint64(0) / uint64(^U(0)) // 1 in every lane
+	high := ones << (bits - 1)
+	l := ones * uint64(lo)
+	lLow := l &^ high
+	a := ones * (1<<(bits-1) - 1 - uint64(span))
+	var gather uint64 // moves lane j's outcome from bit j·w + w − 1 to bit 64 − lanes + j
+	for j := 0; j < lanes; j++ {
+		gather |= 1 << (64 - uint(lanes) + uint(j) - uint(j)*bits - (bits - 1))
+	}
+	// test is the outcomes of the word that starts at row, lane j's in bit j.
+	src := unsafe.Pointer(unsafe.SliceData(v))
+	test := func(row int) uint64 {
+		x := binary.LittleEndian.Uint64((*[8]byte)(unsafe.Add(src, row*w))[:])
+		r := (x | high) - lLow
+		kept := (r ^ x ^ l) &^ ((r &^ high) + a) & high
+		return kept * gather >> (64 - uint(lanes))
+	}
+	// n ≤ i, so each group's stores, out[n : n+8], lie inside
+	// out[:len(v)], and its loads inside v.
+	out = out[:len(v)]
+	dst := unsafe.Pointer(unsafe.SliceData(out))
+	put := func(n int, o O) { *(*O)(unsafe.Add(dst, uintptr(n)*unsafe.Sizeof(o))) = o }
+	for ; i+8 <= len(v); i += 8 {
+		m := test(i)
+		if lanes == 4 {
+			m |= test(i+4) << 4
+		}
+		kept := &laneOrder[m]
+		o := first + O(i)
+		put(n, o+O(kept[0]))
+		put(n+1, o+O(kept[1]))
+		put(n+2, o+O(kept[2]))
+		put(n+3, o+O(kept[3]))
+		put(n+4, o+O(kept[4]))
+		put(n+5, o+O(kept[5]))
+		put(n+6, o+O(kept[6]))
+		put(n+7, o+O(kept[7]))
+		n += int(kept[8])
+	}
+	return n, i
+}
+
+// laneOrder[m] lists the set bits of m in ascending order, then, in
+// byte 8, how many there are.
+var laneOrder = func() (t [256][9]uint8) {
+	for m := range t {
+		for j := 0; j < 8; j++ {
+			if m>>j&1 == 1 {
+				t[m][t[m][8]] = uint8(j)
+				t[m][8]++
+			}
+		}
+	}
+	return t
+}()
+
+// candCodes is candOids over codes, with scanCodes' one-compare test.
+func candCodes[U code](v []U, base Oid, c []Oid, lo, hi U) []Oid {
+	if len(c) == 0 {
 		return nil
 	}
-	return scanOids(c.v, base, cand, restricted, cr)
+	p := oidPool.get(len(c))
+	out := *p
+	n := 0
+	span := hi - lo
+	prev := ^c[0] // differs from the first candidate
+	for _, o := range c {
+		out[n] = o
+		n += b2i(v[o-base]-lo <= span) & b2i(o != prev)
+		prev = o
+	}
+	return exactOids(p, n)
 }
 
 // codeRange maps the closed, non-empty int64 range r onto the codes of

@@ -110,8 +110,8 @@ func (sp *slicePool[T]) put(p *[]T) {
 }
 
 var (
-	idxPool slicePool[int32] // row positions: rangeIdx, mergeMemberIdx, gallopProbeIdx
-	oidPool slicePool[Oid]   // candidate OIDs: rangeOids, candOids
+	idxPool slicePool[int32] // row positions: rangeIdx, scanCodes, mergeMemberIdx, gallopProbeIdx
+	oidPool slicePool[Oid]   // candidate OIDs: rangeOids, candOids, scanCodes, candCodes
 )
 
 // rangeIdx scans an unsorted payload once and returns the qualifying

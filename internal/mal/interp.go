@@ -16,12 +16,16 @@ var ErrCancelled = errors.New("mal: run cancelled")
 // declares results.
 type OpFunc func(ctx *Context, args []Value) ([]Value, error)
 
-// Registry maps "module.op" to implementations. The zero value is empty;
+// Registry maps module.op to implementations. The zero value is empty;
 // NewRegistry returns one preloaded with the standard operator set.
 type Registry struct {
-	ops    map[string]OpFunc
+	ops    map[opKey]OpFunc
 	shared bool // Standard(): concurrent readers, so no writer
 }
+
+// opKey names an operation by its two parts, so resolving an
+// instruction builds no "module.op" string.
+type opKey struct{ module, op string }
 
 // Register installs fn for module.op, replacing any previous binding.
 func (r *Registry) Register(module, op string, fn OpFunc) {
@@ -29,14 +33,14 @@ func (r *Registry) Register(module, op string, fn OpFunc) {
 		panic("mal: Register on the shared standard registry; extend a NewRegistry instead")
 	}
 	if r.ops == nil {
-		r.ops = make(map[string]OpFunc)
+		r.ops = make(map[opKey]OpFunc)
 	}
-	r.ops[module+"."+op] = fn
+	r.ops[opKey{module, op}] = fn
 }
 
 // Lookup returns the implementation for module.op.
-func (r *Registry) Lookup(name string) (OpFunc, bool) {
-	fn, ok := r.ops[name]
+func (r *Registry) Lookup(module, op string) (OpFunc, bool) {
+	fn, ok := r.ops[opKey{module, op}]
 	return fn, ok
 }
 
@@ -135,7 +139,7 @@ func runPlan(ctx *Context, p *Plan, g *dataflow) ([]Value, error) {
 }
 
 func execInstr(ctx *Context, in Instr, vals []Value) (err error) {
-	fn, ok := ctx.Registry.Lookup(in.Name())
+	fn, ok := ctx.Registry.Lookup(in.Module, in.Op)
 	if !ok {
 		return fmt.Errorf("mal: unknown operation %s", in.Name())
 	}

@@ -263,7 +263,7 @@ func TestDataflowOverlapsBlockedPin(t *testing.T) {
 
 	reg := NewRegistry()
 	reverseStarted := make(chan struct{}, 1)
-	orig, _ := reg.Lookup("bat.reverse")
+	orig, _ := reg.Lookup("bat", "reverse")
 	reg.Register("bat", "reverse", func(ctx *Context, args []Value) ([]Value, error) {
 		select {
 		case reverseStarted <- struct{}{}:
@@ -368,6 +368,30 @@ func TestCalcOps(t *testing.T) {
 	got := v.(*ResultSet).Row(0)[0].(float64)
 	if got != 95 { // 100*0.5 + 50*0.9
 		t.Fatalf("revenue = %v, want 95", got)
+	}
+}
+
+// TestExecBuildsNoName: an instruction's operation is resolved from its
+// module and op as they stand, so running a built plan allocates no
+// "module.op" name, not even for names too long for the stack buffer a
+// short concatenation gets.
+func TestExecBuildsNoName(t *testing.T) {
+	module, op := strings.Repeat("m", 24), strings.Repeat("o", 24)
+	reg := &Registry{}
+	reg.Register(module, op, func(*Context, []Value) ([]Value, error) { return nil, nil })
+	pb := NewBuilder("names")
+	for i := 0; i < 16; i++ {
+		pb.Emit0(module, op)
+	}
+	plan := pb.MustBuild()
+	ctx := &Context{Registry: reg}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := RunAll(ctx, plan); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("running 16 instructions allocates %v times, want 0", allocs)
 	}
 }
 

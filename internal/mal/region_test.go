@@ -192,7 +192,7 @@ func TestStandardRegistryIsShared(t *testing.T) {
 	if mal.Standard() != mal.Standard() {
 		t.Fatal("Standard builds a registry per call")
 	}
-	if _, ok := mal.Standard().Lookup("datacyclotron.aligned"); !ok {
+	if _, ok := mal.Standard().Lookup("datacyclotron", "aligned"); !ok {
 		t.Fatal("standard registry lacks datacyclotron.aligned")
 	}
 	defer func() {
