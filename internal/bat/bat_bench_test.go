@@ -258,11 +258,12 @@ func q6Parts() (shipdate, discount, quantity, extprice []*BAT) {
 	return shipdate, discount, quantity, extprice
 }
 
-// BenchmarkBATQ6Candidates1M is Q6ish's kernel work over 1M rows as
-// minisql compiles it: one full range select, two candidate-restricted
-// ones chained behind it, one positional fetch and the sum. /wide runs
-// it on whole wide columns; /coded per fragment on q6Parts, which is
-// what a served Q6 reads.
+// BenchmarkBATQ6Candidates1M is Q6ish's kernel work over 1M rows: one
+// full range select, two candidate-restricted ones chained behind it,
+// one positional fetch and the sum. /wide runs it on whole wide
+// columns; /coded per fragment on q6Parts. /conj is what minisql
+// compiles and a served Q6 reads: the three ranges as one SelectAll per
+// fragment of q6Parts, then the same fetch and sum.
 func BenchmarkBATQ6Candidates1M(b *testing.B) {
 	q6 := func(shipdate, discount, quantity, extprice *BAT) any {
 		c := shipdate.USelect(q6DateLo, q6DateHi)
@@ -271,6 +272,18 @@ func BenchmarkBATQ6Candidates1M(b *testing.B) {
 		return c.Join(extprice).Sum()
 	}
 	benchQ6Forms(b, q6)
+	ds, fs, qs, ps := q6Parts()
+	b.Run("conj", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := range ds {
+				c := SelectAll([]Term{{ds[j], q6DateLo, q6DateHi}, {fs[j], q6DiscLo, q6DiscHi}, {qs[j], nil, q6QtyHi}})
+				if c.Join(ps[j]).Sum() == nil {
+					b.Fatal("no sum")
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkBATQ6Intersect1M is the same query the way it ran before the

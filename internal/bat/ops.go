@@ -110,8 +110,9 @@ func (sp *slicePool[T]) put(p *[]T) {
 }
 
 var (
-	idxPool slicePool[int32] // row positions: rangeIdx, scanCodes, mergeMemberIdx, gallopProbeIdx
-	oidPool slicePool[Oid]   // candidate OIDs: rangeOids, candOids, scanCodes, candCodes
+	idxPool slicePool[int32]  // row positions: rangeIdx, scanCodes, mergeMemberIdx, gallopProbeIdx
+	oidPool slicePool[Oid]    // candidate OIDs: rangeOids, candOids, scanCodes, candCodes
+	bitPool slicePool[uint64] // row bitmaps: selectCodes
 )
 
 // rangeIdx scans an unsorted payload once and returns the qualifying
@@ -634,23 +635,19 @@ func candList(name string, oids []Oid) *BAT {
 // or literals that do not normalize to the column kind; the caller takes
 // the general path.
 func (b *BAT) scanDense(c []Oid, restricted bool, lo, hi *Bound) (oids []Oid, ok bool) {
+	if b.t.narrow != nil {
+		if r, ok := b.t.narrowBounds(lo, hi); ok {
+			return b.t.narrow.scanOids(b.h.base, c, restricted, r), true
+		}
+		return nil, false
+	}
 	switch b.t.kind {
 	case KInt:
-		r, ok := intBounds(lo, hi)
-		switch {
-		case !ok:
-		case b.t.narrow != nil:
-			return b.t.narrow.scanOids(b.h.base, c, restricted, r), true
-		default:
+		if r, ok := intBounds(lo, hi); ok {
 			return scanOids(b.t.ints, b.h.base, c, restricted, r), true
 		}
 	case KFloat:
-		r, ok := floatBounds(lo, hi)
-		switch {
-		case !ok:
-		case b.t.narrow != nil:
-			return b.t.narrow.scanOids(b.h.base, c, restricted, b.t.codeBounds(r)), true
-		default:
+		if r, ok := floatBounds(lo, hi); ok {
 			return scanOids(b.t.floats, b.h.base, c, restricted, r), true
 		}
 	case KOid:
@@ -658,16 +655,30 @@ func (b *BAT) scanDense(c []Oid, restricted bool, lo, hi *Bound) (oids []Oid, ok
 			return scanOids(b.t.oids, b.h.base, c, restricted, r), true
 		}
 	case KStr:
-		r, ok := strBounds(lo, hi)
-		switch {
-		case !ok:
-		case b.t.narrow != nil:
-			return b.t.narrow.scanOids(b.h.base, c, restricted, b.t.dictBounds(r)), true
-		default:
+		if r, ok := strBounds(lo, hi); ok {
 			return scanOids(b.t.strs, b.h.base, c, restricted, r), true
 		}
 	}
 	return nil, false
+}
+
+// narrowBounds normalizes a literal range over a narrow column to the
+// integers its codes stand for, ref + code: an int column's values, a
+// decimal column's scaled integers (codeBounds), a dictionary column's
+// codes (dictBounds). ok=false: the literals do not normalize to the
+// column's kind.
+func (c *Column) narrowBounds(lo, hi *Bound) (r bounds[int64], ok bool) {
+	switch c.kind {
+	case KInt:
+		return intBounds(lo, hi)
+	case KFloat:
+		fr, ok := floatBounds(lo, hi)
+		return c.codeBounds(fr), ok
+	case KStr:
+		sr, ok := strBounds(lo, hi)
+		return c.dictBounds(sr), ok
+	}
+	return r, false
 }
 
 func scanOids[T cmp.Ordered](vals []T, base Oid, c []Oid, restricted bool, r bounds[T]) []Oid {

@@ -1,0 +1,159 @@
+package bat
+
+import (
+	"math/bits"
+	"unsafe"
+)
+
+// Term is one range predicate of a conjunction: the rows of B whose tail
+// lies within the bounds, with Select's conventions (nil: open side).
+type Term struct {
+	B      *BAT
+	Lo, Hi *Bound
+}
+
+// SelectAll is MAL's algebra.uselectall: the candidate list of the rows
+// that satisfy every term. It is defined as the chain it replaces,
+//
+//	c := terms[0].B.USelect(terms[0].Lo, terms[0].Hi)
+//	c = terms[i].B.USelectCand(c, terms[i].Lo, terms[i].Hi) // i = 1, 2, …
+//
+// and answers that chain's OIDs. When every term is a dense-headed
+// column over the same rows with an unsorted tail of 1- or 2-byte codes
+// — a served table's fragments, narrowed at install — and the CPU runs
+// AVX2, the terms are tested in one pass each into one bitmap of the
+// rows (selectCodes); otherwise the chain runs.
+func SelectAll(terms []Term) *BAT {
+	if len(terms) == 0 {
+		panic("bat: SelectAll of no terms")
+	}
+	if oids, ok := selectCodes(terms); ok {
+		return candList(terms[len(terms)-1].B.Name, oids)
+	}
+	c := terms[0].B.USelect(terms[0].Lo, terms[0].Hi)
+	for _, t := range terms[1:] {
+		c = t.B.USelectCand(c, t.Lo, t.Hi)
+	}
+	return c
+}
+
+// selectCodes is SelectAll's bitmap kernel. It takes terms when every
+// one has a dense head with the first term's base and length, an
+// unsorted tail of 1- or 2-byte codes and literals its kind normalizes
+// (takesCodes), on amd64 with AVX2; ok is false otherwise. The bitmap
+// holds one bit per row, set when some term rejects the row: each term
+// maps its range onto codes once and ORs its rejections in
+// (rejectRange), a range that misses every code ends the select with
+// an empty answer, and the kept rows are the clear bits, counted first
+// so the OID list is allocated at its size. The bitmap is bitPool
+// scratch, cleared over the words the rows need: on the stack, 8 KB for
+// a 64K-row fragment would make every goroutine a region part starts
+// grow its stack.
+func selectCodes(terms []Term) (oids []Oid, ok bool) {
+	if !haveAVX2 {
+		return nil, false
+	}
+	h := terms[0].B.h
+	for _, t := range terms {
+		if !takesCodes(t, h) {
+			return nil, false
+		}
+	}
+	words := (h.n + 63) / 64
+	p := bitPool.get(words)
+	defer bitPool.put(p)
+	rej := *p
+	clear(rej)
+	if part := h.n % 64; part != 0 {
+		rej[words-1] = ^uint64(0) << part // past the last row
+	}
+	for _, t := range terms {
+		r, _ := t.B.t.narrowBounds(t.Lo, t.Hi)
+		var miss bool
+		switch c := t.B.t.narrow.(type) {
+		case narrowInts[uint8]:
+			miss = rejectRange(rej, c, r)
+		case narrowInts[uint16]:
+			miss = rejectRange(rej, c, r)
+		}
+		if miss {
+			return nil, true
+		}
+	}
+	return keptOids(rej, h.base), true
+}
+
+// takesCodes reports whether the bitmap kernel takes t over the rows of
+// the dense head h.
+func takesCodes(t Term, h *Column) bool {
+	th, col := t.B.h, t.B.t
+	if !th.dense || th.base != h.base || th.n != h.n || col.narrow == nil || col.narrow.width() > 2 || col.Sorted() {
+		return false
+	}
+	_, ok := col.narrowBounds(t.Lo, t.Hi)
+	return ok
+}
+
+// rejectRange ORs into rej the rows of c whose value lies outside r, or
+// reports miss — nothing written — when no code lies inside it. A row is
+// kept when its code x has x − lo ≤ hi − lo, wrapping at the code width,
+// scanCodes' one compare: whole 32-row blocks in the vector kernel,
+// which writes each block's bits as a 32-bit half of a word (rows 0–31
+// are the low half on a little-endian host), and the rest here.
+func rejectRange[U uint8 | uint16](rej []uint64, c narrowInts[U], r bounds[int64]) (miss bool) {
+	if r.empty() {
+		return true
+	}
+	cr, below, above := codeRange[U](r, c.base)
+	if below || above {
+		return true
+	}
+	lo, span := cr.lo, cr.hi-cr.lo
+	blocks := len(c.v) / 32
+	if blocks > 0 {
+		v, r32 := unsafe.Pointer(unsafe.SliceData(c.v)), (*uint32)(unsafe.Pointer(&rej[0]))
+		if unsafe.Sizeof(lo) == 1 {
+			rejectBlocks8(r32, (*uint8)(v), blocks, uint8(lo), uint8(span))
+		} else {
+			rejectBlocks16(r32, (*uint16)(v), blocks, uint16(lo), uint16(span))
+		}
+	}
+	for i := blocks * 32; i < len(c.v); i++ {
+		rej[i/64] |= uint64(b2i(c.v[i]-lo > span)) << (i % 64)
+	}
+	return false
+}
+
+// keptOids lists, ascending, base + i for every clear bit i of rej. A
+// word's first two kept rows are stored whether it has them or not —
+// the list has two spare slots for stores past its end — and the cursor
+// advances by how many it has; only a word that keeps more runs the
+// loop. At Q6's ~2 % of rows kept most words keep 0–2, so the branch
+// that a loop over every word's bits would mispredict about once a word
+// is rarely taken.
+func keptOids(rej []uint64, base Oid) []Oid {
+	n := 0
+	for _, w := range rej {
+		n += bits.OnesCount64(^w)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Oid, n+2)
+	k := 0
+	for i, w := range rej {
+		kept := ^w
+		o := base + Oid(i)*64
+		c := bits.OnesCount64(kept)
+		out[k] = o + Oid(bits.TrailingZeros64(kept))
+		kept &= kept - 1
+		out[k+1] = o + Oid(bits.TrailingZeros64(kept))
+		kept &= kept - 1
+		k += min(c, 2)
+		for ; kept != 0; kept &= kept - 1 {
+			out[k] = o + Oid(bits.TrailingZeros64(kept))
+			k++
+		}
+	}
+	return out[:n:n]
+}

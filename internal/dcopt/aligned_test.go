@@ -25,7 +25,7 @@ type alignedCase struct {
 	order []int
 }
 
-var alignedSchema = minisql.MapSchema{"f": {"a", "b", "c", "d", "e"}}
+var alignedSchema = minisql.MapSchema{"f": {"a", "b", "c", "d", "e", "g", "h"}}
 
 // drawAligned derives a case from seed. rows and frag steer the sizes
 // so a fuzzer can reach the edges — no rows, one fragment, a last
@@ -34,16 +34,21 @@ func drawAligned(seed int64, rows, frag int) alignedCase {
 	rng := rand.New(rand.NewSource(seed))
 	a, b, c := make([]int64, rows), make([]float64, rows), make([]int64, rows)
 	d, e := make([]int64, rows), make([]float64, rows)
+	g, h := make([]float64, rows), make([]string, rows)
+	modes := []string{"AIR", "MAIL", "RAIL", "SHIP", "TRUCK"}
 	for i := range a {
 		a[i] = int64(rng.Intn(100))
 		b[i] = float64(rng.Intn(10000)) / 7
 		c[i] = int64(rng.Intn(4))
 		d[i] = int64(rng.Intn(1000))
 		e[i] = float64(rng.Intn(64)) / 64
+		g[i] = float64(rng.Intn(200)) / 100
+		h[i] = modes[rng.Intn(len(modes))]
 	}
 	tc := alignedCase{cols: map[string]*bat.BAT{
 		"f.a": bat.MakeInts("f.a", a), "f.b": bat.MakeFloats("f.b", b), "f.c": bat.MakeInts("f.c", c),
 		"f.d": bat.MakeInts("f.d", d), "f.e": bat.MakeFloats("f.e", e),
+		"f.g": bat.MakeFloats("f.g", g), "f.h": bat.MakeStrs("f.h", h),
 	}}
 
 	// Each predicate is drawn as SQL text and as the Go test the oracle
@@ -93,8 +98,23 @@ func drawAligned(seed int64, rows, frag int) alignedCase {
 		k := float64(rng.Intn(6)) / 4
 		where = append(where, pred{fmt.Sprintf("e < %.2f", k), func(i int) bool { return e[i] < k }})
 	}
+	// Cents and a handful of strings: on fragments, like a, c and d,
+	// they are 1- or 2-byte codes (b and e are wide and 4-byte), so a
+	// conjunction of ranges over a, d, g and h is the bitmap kernel's.
+	if rng.Intn(2) == 0 {
+		lo := float64(rng.Intn(220)) / 100
+		hi := lo + float64(rng.Intn(120))/100
+		where = append(where, pred{fmt.Sprintf("g >= %.2f and g < %.2f", lo, hi),
+			func(i int) bool { return g[i] >= lo && g[i] < hi }})
+	}
+	if rng.Intn(3) == 0 {
+		lo, hi := modes[rng.Intn(len(modes))], modes[rng.Intn(len(modes))]+"Z"
+		where = append(where, pred{fmt.Sprintf("h >= '%s' and h < '%s'", lo, hi),
+			func(i int) bool { return h[i] >= lo && h[i] < hi }})
+	}
 	// SQL order is chain order: any column may come first, an equality
-	// may sit before, between or behind the ranges.
+	// may sit before, between or behind the ranges; two or more leading
+	// ranges are one uselectall.
 	rng.Shuffle(len(where), func(i, j int) { where[i], where[j] = where[j], where[i] })
 
 	var kept []int
@@ -169,8 +189,9 @@ func drawAligned(seed int64, rows, frag int) alignedCase {
 // check runs the case's query as compiled on whole columns and as
 // rewritten on the fragmented runtime, and holds both to the oracle:
 // the two runs share every kernel, so agreeing with each other proves
-// nothing about an inclusive bound.
-func (tc alignedCase) check(t *testing.T) {
+// nothing about an inclusive bound. It reports whether the plan tests
+// its ranges in one algebra.uselectall.
+func (tc alignedCase) check(t *testing.T) (conj bool) {
 	t.Helper()
 	plan, err := minisql.Compile(tc.sql, alignedSchema, "sys")
 	if err != nil {
@@ -193,11 +214,12 @@ func (tc alignedCase) check(t *testing.T) {
 		Narrow: true,
 	}
 	parts, partsErr := mal.Run(&mal.Context{Registry: mal.Standard(), DC: rt}, dc)
+	conj = strings.Contains(plan.String(), "algebra.uselectall(")
 	if tc.fails {
 		if wholeErr == nil || partsErr == nil {
 			t.Fatalf("%s: min/max over no rows must fail; whole columns: %v, fragments: %v", tc.sql, wholeErr, partsErr)
 		}
-		return
+		return conj
 	}
 	if wholeErr != nil {
 		t.Fatalf("%s on whole columns: %v\n%s", tc.sql, wholeErr, plan)
@@ -214,18 +236,26 @@ func (tc alignedCase) check(t *testing.T) {
 	if rt.Parts != len(tc.order) || rt.Pins != rt.Unpins {
 		t.Fatalf("%s: %d parts for %d fragments, %d pins, %d unpins", tc.sql, rt.Parts, len(tc.order), rt.Pins, rt.Unpins)
 	}
+	return conj
 }
 
 // TestAlignedRegionProperty: 600 seeded cases, sizes from no rows at
-// all to a few hundred, fragments from one row to the whole table.
+// all to a few hundred, fragments from one row to the whole table; a
+// good share of them test their ranges in one uselectall.
 func TestAlignedRegionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
+	conj := 0
 	for seed := int64(0); seed < 600; seed++ {
 		rows := rng.Intn(300)
 		if seed%25 == 0 {
 			rows = 0
 		}
-		drawAligned(seed, rows, 1+rng.Intn(rows+8)).check(t)
+		if drawAligned(seed, rows, 1+rng.Intn(rows+8)).check(t) {
+			conj++
+		}
+	}
+	if conj < 150 {
+		t.Errorf("%d of 600 cases ran a uselectall, want ≥ 150", conj)
 	}
 }
 

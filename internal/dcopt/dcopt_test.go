@@ -244,27 +244,27 @@ func TestRegionRewrite(t *testing.T) {
 		}
 	}
 
-	// A chained conjunction: the second uselect reads the first one's
-	// candidate list, and both are fragment-local.
+	// A conjunction: both ranges are terms of one uselectall over the
+	// two pinned columns, fragment-local like a lone uselect.
 	p = compile(t, "select t_id from c where t_id >= 2 and val > 150")
 	dc, st, err = Rewrite(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (Stats{Requests: 2, Regions: 1, Local: 3}); st != want {
-		t.Fatalf("chained: stats = %+v, want %+v:\n%s", st, want, dc)
+	if want := (Stats{Requests: 2, Regions: 1, Local: 2}); st != want {
+		t.Fatalf("conjunction: stats = %+v, want %+v:\n%s", st, want, dc)
 	}
 	sub := regions(dc)[0].Plan()
 	if got := opNames(sub); !reflect.DeepEqual(got, []string{
-		"datacyclotron.pin", "algebra.uselect",
-		"datacyclotron.pin", "algebra.uselect", "datacyclotron.unpin",
+		"datacyclotron.pin", "datacyclotron.pin", "algebra.uselectall", "datacyclotron.unpin",
 		"algebra.join", "datacyclotron.unpin",
 	}) {
-		t.Fatalf("chained sub-plan = %v:\n%s", got, dc)
+		t.Fatalf("conjunction sub-plan = %v:\n%s", got, dc)
 	}
-	first, second := sub.Instrs[1], sub.Instrs[3]
-	if len(first.Args) != 5 || len(second.Args) != 6 || second.Args[1].IsLit() || second.Args[1].Var != first.Ret[0] {
-		t.Fatalf("the second uselect does not take the first one's list as candidates:\n%s", dc)
+	all := sub.Instrs[2]
+	if len(all.Args) != 10 || all.Args[0].IsLit() || all.Args[5].IsLit() ||
+		all.Args[0].Var != sub.Instrs[0].Ret[0] || all.Args[5].Var != sub.Instrs[1].Ret[0] {
+		t.Fatalf("the uselectall does not test both pinned columns:\n%s", dc)
 	}
 }
 

@@ -65,6 +65,18 @@ func local(in mal.Instr, of func(mal.Arg) class) class {
 			return cand
 		}
 		return vals
+	case "algebra.uselectall":
+		// A conjunction of scans, five arguments per column: every
+		// column is bound, every limit a constant.
+		if len(in.Args)%5 != 0 {
+			return none
+		}
+		for i, a := range in.Args {
+			if (i%5 == 0 && of(a) != column) || (i%5 != 0 && !a.IsLit()) {
+				return none
+			}
+		}
+		return cand
 	case "bat.mirror":
 		if len(in.Args) == 1 && a0 != none {
 			return cand

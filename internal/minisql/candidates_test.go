@@ -29,16 +29,26 @@ func qtys(t *testing.T, where string) (plan string, got []int64) {
 	return p.String(), got
 }
 
+// uselectAllArgs returns the arguments of plan's algebra.uselectall, or
+// nil when it has none.
+func uselectAllArgs(plan string) []string {
+	m := regexp.MustCompile(`algebra\.uselectall\(([^;]*)\);`).FindStringSubmatch(plan)
+	if m == nil {
+		return nil
+	}
+	return strings.Split(m[1], ", ")
+}
+
 // TestCoalescedRanges: every range predicate on one column folds into a
-// single algebra.uselect with the tightest limits, whatever the order
-// and mix of operators; distinct columns chain — every uselect after the
-// first takes its predecessor's list as candidates — and nothing is
-// intersected.
+// single range with the tightest limits, whatever the order and mix of
+// operators; the ranges of distinct columns become the terms of one
+// algebra.uselectall, one column per five arguments, and a lone column
+// stays an algebra.uselect. Nothing chains and nothing is intersected.
 func TestCoalescedRanges(t *testing.T) {
 	for _, c := range []struct {
 		where   string
-		limits  string // the uselect's (lo, hi, loIncl, hiIncl) arguments
-		selects int
+		limits  string // one column's (lo, hi, loIncl, hiIncl) arguments
+		columns int    // columns with a range
 		want    []int64
 	}{
 		// One-sided.
@@ -66,8 +76,8 @@ func TestCoalescedRanges(t *testing.T) {
 		{"qty > 7.5 and qty >= 7 and qty < 10", "7.5, 10, false, false", 1, []int64{8, 9}},
 		// A point range.
 		{"qty >= 8 and qty <= 8", "8, 8, true, true", 1, []int64{8}},
-		// Other columns are other selects, chained in SQL order; a list
-		// that is already empty still chains.
+		// Other columns are other terms of one select, in SQL order; a
+		// term no row satisfies empties the list.
 		{"qty >= 7 and disc < 0.1 and qty < 20 and disc >= 0", "7, 20, true, false", 2, []int64{7, 8, 9}},
 		{"disc >= 0.05 and qty < 10 and price > 60", "60, <nil>, false, false", 3, []int64{8}},
 		{"qty > 100 and disc < 0.1 and price > 60", "60, <nil>, false, false", 3, []int64{}},
@@ -76,16 +86,22 @@ func TestCoalescedRanges(t *testing.T) {
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: rows %v, want %v", c.where, got, c.want)
 		}
-		if n := strings.Count(plan, "algebra.uselect"); n != c.selects {
-			t.Errorf("%s: %d uselects, want %d\n%s", c.where, n, c.selects, plan)
+		if n := strings.Count(plan, "algebra.uselect"); n != 1 {
+			t.Errorf("%s: %d range selects, want 1\n%s", c.where, n, plan)
 		}
-		if n := len(chained.FindAllString(plan, -1)); n != c.selects-1 {
-			t.Errorf("%s: %d candidate-form uselects, want %d\n%s", c.where, n, c.selects-1, plan)
+		if c.columns > 1 && len(uselectAllArgs(plan)) != 5*c.columns {
+			t.Errorf("%s: no uselectall over %d columns\n%s", c.where, c.columns, plan)
+		}
+		if c.columns == 1 && !strings.Contains(plan, "algebra.uselect(") {
+			t.Errorf("%s: one column's range is not a uselect\n%s", c.where, plan)
+		}
+		if chained.MatchString(plan) {
+			t.Errorf("%s: a range chains from another\n%s", c.where, plan)
 		}
 		if strings.Contains(plan, "algebra.semijoin") {
 			t.Errorf("%s: range predicates intersected by semijoin\n%s", c.where, plan)
 		}
-		if !strings.Contains(plan, ", "+c.limits+");") {
+		if !strings.Contains(plan, ", "+c.limits+");") && !strings.Contains(plan, ", "+c.limits+", ") {
 			t.Errorf("%s: limits not coalesced to (%s)\n%s", c.where, c.limits, plan)
 		}
 		if strings.Contains(plan, "bat.mirror") || strings.Contains(plan, "algebra.select(") {
@@ -130,8 +146,18 @@ func TestCoalescingLeavesEqualityAndMixedLiteralsAlone(t *testing.T) {
 	if want := []int64{10, 20}; !reflect.DeepEqual(got, want) {
 		t.Errorf("rows %v, want %v", got, want)
 	}
-	if !strings.Contains(plan, `, "A", "B", true, false);`) {
-		t.Errorf("string limits not coalesced\n%s", plan)
+	if args := uselectAllArgs(plan); len(args) != 10 || strings.Join(args[1:5], ", ") != `"A", "B", true, false` {
+		t.Errorf("string limits not coalesced into the first of two terms\n%s", plan)
+	}
+
+	// Only leading ranges make one select: after an equality, each
+	// range chains from the list so far.
+	plan, got = qtys(t, "flag = 'N' and qty >= 7 and disc < 0.1")
+	if want := []int64{7, 9}; !reflect.DeepEqual(got, want) {
+		t.Errorf("rows %v, want %v", got, want)
+	}
+	if strings.Contains(plan, "uselectall") || len(chained.FindAllString(plan, -1)) != 2 {
+		t.Errorf("the ranges after an equality do not chain\n%s", plan)
 	}
 
 	for _, c := range []struct {

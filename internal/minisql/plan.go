@@ -279,13 +279,15 @@ type selection struct {
 
 // candidates builds the per-table candidate [oid|oid] BAT by applying
 // all single-table predicates (selection push-down, §3.2). The range
-// predicates on one column coalesce into a single algebra.uselect —
-// `a >= x and a < y` scans a once, for [x, y) — and the ranges chain in
-// SQL order: the second and later ones take the list so far as their
-// candidate argument and test only those rows. An = or <> keeps its own
-// scan, intersected with the list by algebra.semijoin. Contradictory
-// limits need no special case: the kernel answers an empty range with
-// an empty list.
+// predicates on one column coalesce into a single range — `a >= x and
+// a < y` scans a once, for [x, y). Two or more ranges that lead the
+// table's selections in SQL order become one algebra.uselectall, the
+// conjunction tested in one select; a lone leading range is an
+// algebra.uselect. Any later range chains: it takes the list so far as
+// its candidate argument and tests only those rows. An = or <> keeps
+// its own scan, intersected with the list by algebra.semijoin.
+// Contradictory limits need no special case: the kernel answers an
+// empty range with an empty list.
 func (p *planner) candidates(alias string) mal.VarID {
 	var sels []*selection
 	for i := range p.q.Where {
@@ -311,6 +313,19 @@ func (p *planner) candidates(alias string) mal.VarID {
 		}
 	}
 	var cand mal.VarID = mal.NoVar
+	lead := 0
+	for lead < len(sels) && sels[lead].eq == nil {
+		lead++
+	}
+	if lead >= 2 {
+		var args []mal.Arg
+		for _, s := range sels[:lead] {
+			args = append(args, mal.V(p.bind(s.col)),
+				mal.L(s.rng.lo), mal.L(s.rng.hi), mal.L(s.rng.loIncl), mal.L(s.rng.hiIncl))
+		}
+		cand = p.b.Emit("algebra", "uselectall", args...)
+		sels = sels[lead:]
+	}
 	for _, s := range sels {
 		col := p.bind(s.col)
 		if s.eq == nil {
