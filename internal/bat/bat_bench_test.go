@@ -467,6 +467,67 @@ func BenchmarkBATConcatTail(b *testing.B) {
 	}
 }
 
+// BenchmarkBATFetchExit1M is wide_result's region in the kernel: over
+// 16 × 64K-row fragments a range on a 1-byte quantity keeps 48 % of the
+// rows, and three columns — ascending keys in 4-byte codes, ints and
+// hundredths in 2-byte codes — are fetched at it and merged by their
+// tails. /list is the path before fetch exits were deferred: per
+// fragment a USelect and three Joins, then one ConcatAll. /mask is a
+// SelectMask per fragment and one FetchAll.
+func BenchmarkBATFetchExit1M(b *testing.B) {
+	const frag = 64 << 10
+	rng := rand.New(rand.NewSource(51))
+	qty, keys, supp, prices := make([]int64, benchRows), make([]int64, benchRows), make([]int64, benchRows), make([]float64, benchRows)
+	key := int64(1)
+	for i := range keys {
+		qty[i] = 1 + int64(rng.Intn(50))
+		key += 1 + int64(rng.Intn(7))
+		keys[i] = key
+		supp[i] = 1 + int64(rng.Intn(10000))
+		prices[i] = float64(90000+rng.Intn(10000)) / 100
+	}
+	var sel []*BAT
+	cols := make([][]*BAT, 3)
+	for at := 0; at < benchRows; at += frag {
+		h := DenseColumn(Oid(at), frag)
+		sel = append(sel, Narrow(New("q", h, IntColumn(qty[at:at+frag]))))
+		for c, t := range []*Column{IntColumn(keys[at : at+frag]), IntColumn(supp[at : at+frag]), FloatColumn(prices[at : at+frag])} {
+			cols[c] = append(cols[c], Narrow(New("v", h, t)))
+		}
+	}
+	hi := &Bound{Value: int64(25)}
+	tails := []bool{true, true, true}
+	b.Run("list", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lists := make([][]*BAT, len(cols))
+			off := make([]Oid, len(cols))
+			for k, s := range sel {
+				c := s.USelect(nil, hi)
+				for l := range cols {
+					f := c.Join(cols[l][k])
+					lists[l] = append(lists[l], f.MarkH(off[l]))
+					off[l] += Oid(f.Len())
+				}
+			}
+			benchSink = ConcatAll(lists)
+		}
+	})
+	b.Run("mask", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lists := make([][]Fetch, len(cols))
+			for k, s := range sel {
+				m := SelectMask([]Term{{B: s, Hi: hi}})
+				for l := range cols {
+					lists[l] = append(lists[l], Fetch{Cand: m, Col: cols[l][k]})
+				}
+			}
+			benchSink = FetchAll(lists, tails)
+		}
+	})
+}
+
 // widthColumn stores vals in the given physical width (8: wide), which
 // must hold their range.
 func widthColumn(vals []int64, width int) *Column {

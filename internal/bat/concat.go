@@ -27,6 +27,7 @@ package bat
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"unsafe"
@@ -87,12 +88,107 @@ func ConcatAll(lists [][]*BAT) []*BAT {
 	return out
 }
 
+// Fetch is one part of a positional fetch a region defers to its
+// merge: the rows of Col, one fragment of a column, at Cand.
+type Fetch struct {
+	Cand *Mask
+	Col  *BAT
+}
+
+// FetchAll merges lists of deferred fetches, parts in fragment order:
+// list l is defined as the concatenation of Cand.List().Join(Col) over
+// its parts — with tails[l], of their tails only, under one dense head
+// [0, n). When every part's candidates are a bitmap over its column's
+// rows and the columns' codes merge (concatCodes), the result is sized
+// once, allocated once, and each part's kept codes are gathered
+// straight into it; a concat list's head is the kept OIDs, written once
+// for all the lists over the same masks. Any other list runs the
+// definition. A part's column is read after its part unpinned it: on
+// the live ring a fragment stays readable until the query returns.
+func FetchAll(lists [][]Fetch, tails []bool) []*BAT {
+	type head struct {
+		masks []*Mask
+		col   *Column
+	}
+	var heads []head
+	var slow [][]*BAT // the lists the definition runs
+	var at []int
+	out := make([]*BAT, len(lists))
+	for l, parts := range lists {
+		masks := make([]*Mask, len(parts))
+		for i, f := range parts {
+			masks[i] = f.Cand
+		}
+		if t := fetchCodes(parts, masks); t != nil {
+			h := DenseColumn(0, t.Len())
+			if !tails[l] {
+				h = nil
+				for _, g := range heads {
+					if slices.Equal(g.masks, masks) {
+						h = g.col
+					}
+				}
+				if h == nil {
+					h = keptHead(masks, t.Len())
+					heads = append(heads, head{masks, h})
+				}
+			}
+			out[l] = &BAT{Name: masks[0].name, h: h, t: t}
+			continue
+		}
+		frags := make([]*BAT, len(parts))
+		var off Oid
+		for i, f := range parts {
+			b := f.Cand.List().Join(f.Col)
+			if tails[l] {
+				b, off = b.MarkH(off), off+Oid(b.Len())
+			}
+			frags[i] = b
+		}
+		slow, at = append(slow, frags), append(at, l)
+	}
+	for i, b := range ConcatAll(slow) {
+		out[at[i]] = b
+	}
+	return out
+}
+
+// fetchCodes is FetchAll's one pass: the kept rows of every part's
+// codes in one column, or nil when a mask is a list or covers other
+// rows than its column's, or the codes do not merge.
+func fetchCodes(parts []Fetch, masks []*Mask) *Column {
+	cols := make([]*Column, len(parts))
+	total := 0
+	for i, f := range parts {
+		m, h := masks[i], f.Col.h
+		if m.rej == nil || !h.dense || h.base != m.base || h.n != m.n {
+			return nil
+		}
+		cols[i], total = f.Col.t, total+m.kept
+	}
+	return concatCodes(cols, masks, total)
+}
+
+// keptHead is the masks' kept OIDs in one column of total rows, sorted
+// when each part's first OID is at least the previous part's last.
+func keptHead(masks []*Mask, total int) *Column {
+	oids := make([]Oid, total+2) // putKept's spare slots
+	at, sorted := 0, true
+	for _, m := range masks {
+		if m.kept > 0 {
+			n := putKept(oids[at:], m.rej, m.base)
+			sorted = sorted && (at == 0 || oids[at-1] <= oids[at])
+			at += n
+		}
+	}
+	return &Column{kind: KOid, oids: oids[:total:total], sorted: sorted}
+}
+
 // concatCols is the n-ary generalization of concatCol: one exact-size
 // allocation, dense fusion, and boundary-checked sortedness. Narrow
 // fragments, each with its own reference and width, keep their codes
-// when they share an exponent (mergeCodes), and dictionary fragments
-// keep theirs when they share a dictionary (concatDicts); any other mix
-// decodes into the wide output.
+// when they share an exponent or a dictionary (concatCodes); any other
+// mix decodes into the wide output.
 func concatCols(cols []*Column) *Column {
 	if fused, ok := fuseDense(cols); ok {
 		return fused
@@ -105,16 +201,11 @@ func concatCols(cols []*Column) *Column {
 			allSorted = false
 		}
 	}
-	out := &Column{kind: cols[0].kind}
-	if out.kind == KStr {
-		out.narrow, out.dict = concatDicts(cols, total)
-	} else {
-		out.narrow, out.exp, _ = concatCodes(cols, total)
-	}
-	if out.narrow != nil {
+	if out := concatCodes(cols, nil, total); out != nil {
 		out.sorted = allSorted && boundariesOrdered(cols)
 		return out
 	}
+	out := &Column{kind: cols[0].kind}
 	switch out.kind {
 	case KOid:
 		v := make([]Oid, 0, total)
@@ -151,28 +242,38 @@ func concatCols(cols []*Column) *Column {
 	return out
 }
 
-// concatCodes merges the codes of narrow columns into the codes of one:
-// the least reference becomes the merged one, the width is the
+// concatCodes merges the codes of narrow columns into one narrow
+// column: the least reference becomes the merged one, the width is the
 // narrowest that holds every part's bound rebased onto it (the bound
 // each column carries, so no pass reads the codes to size them), and
 // each part's codes are written once, shifted by the difference of the
-// references. It reports false — the caller decodes to wide — when a
-// non-empty column is wide, the exponents differ, every column is empty,
-// or the rebased codes span past what a uint32 holds.
-func concatCodes(cols []*Column, total int) (nc codes, exp uint8, ok bool) {
+// references. Dictionary parts keep their codes when they share one
+// dictionary (their references are all 0); the parts of a region exit
+// are takes and views of fragment columns, so they share their
+// fragment's. With keep, a column contributes only the rows its mask
+// keeps (FetchAll). It gives nil — the caller decodes — when a
+// non-empty part is wide or plain, the exponents or dictionaries
+// differ, every part is empty, or the rebased codes span past what a
+// uint32 holds.
+func concatCodes(cols []*Column, keep []*Mask, total int) *Column {
+	out := &Column{kind: cols[0].kind}
 	parts := make([]codes, 0, len(cols))
-	for _, c := range cols {
+	var masks []*Mask
+	for i, c := range cols {
 		switch {
-		case c.Len() == 0:
+		case keep == nil && c.Len() == 0, keep != nil && keep[i].kept == 0:
 			continue
-		case c.narrow == nil, len(parts) > 0 && c.exp != exp:
-			return nil, 0, false
+		case c.narrow == nil, len(parts) > 0 && (c.exp != out.exp || !slices.Equal(c.dict, out.dict)):
+			return nil
 		}
-		exp = c.exp
+		out.exp, out.dict = c.exp, c.dict
 		parts = append(parts, c.narrow)
+		if keep != nil {
+			masks = append(masks, keep[i])
+		}
 	}
 	if len(parts) == 0 {
-		return nil, 0, false
+		return nil
 	}
 	ref := parts[0].ref()
 	for _, p := range parts[1:] {
@@ -182,65 +283,72 @@ func concatCodes(cols []*Column, total int) (nc codes, exp uint8, ok bool) {
 	for _, p := range parts {
 		d := uint64(p.ref()) - uint64(ref)
 		if d > math.MaxUint32 {
-			return nil, 0, false
+			return nil
 		}
 		span = max(span, d+uint64(p.top()))
 	}
 	switch {
 	case span <= math.MaxUint8:
-		return mergeCodes[uint8](parts, total, ref, span), exp, true
+		out.narrow = mergeCodes[uint8](parts, masks, total, ref, span)
 	case span <= math.MaxUint16:
-		return mergeCodes[uint16](parts, total, ref, span), exp, true
+		out.narrow = mergeCodes[uint16](parts, masks, total, ref, span)
 	case span <= math.MaxUint32:
-		return mergeCodes[uint32](parts, total, ref, span), exp, true
+		out.narrow = mergeCodes[uint32](parts, masks, total, ref, span)
+	default:
+		return nil
 	}
-	return nil, 0, false
+	return out
 }
 
 // mergeCodes writes the parts' codes, rebased onto ref, into one
-// exact-size vector of width V. The caller has checked that every
-// rebased code fits: none exceeds top.
-func mergeCodes[V code](parts []codes, total int, ref int64, top uint64) codes {
+// exact-size vector of width V: every code, or with masks the ones
+// each part's mask keeps. The caller has checked that every rebased
+// code fits: none exceeds top.
+func mergeCodes[V code](parts []codes, masks []*Mask, total int, ref int64, top uint64) codes {
 	v := make([]V, total)
 	at := 0
-	for _, p := range parts {
+	for i, p := range parts {
+		var m *Mask
+		if masks != nil {
+			m = masks[i]
+		}
 		d := V(uint64(p.ref()) - uint64(ref))
 		switch p := p.(type) {
 		case narrowInts[uint8]:
-			rebase(v[at:], p.v, d)
+			at += place(v[at:], p.v, d, m)
 		case narrowInts[uint16]:
-			rebase(v[at:], p.v, d)
+			at += place(v[at:], p.v, d, m)
 		case narrowInts[uint32]:
-			rebase(v[at:], p.v, d)
+			at += place(v[at:], p.v, d, m)
 		}
-		at += p.len()
 	}
 	return narrowInts[V]{v, ref, V(top)}
 }
 
-// concatDicts merges dictionary columns that share one dictionary into
-// its codes, copied as they are (concatCodes: the references are all
-// 0). It gives nil when a non-empty column is plain, when two
-// dictionaries differ, or when every column is empty; those merges
-// decode (appendStrings). The parts of a region exit are takes and
-// views of fragment columns, so they share their fragment's dictionary.
-func concatDicts(cols []*Column, total int) (codes, []string) {
-	var dict []string
-	seen := false
-	for _, c := range cols {
-		switch {
-		case c.Len() == 0:
-			continue
-		case c.narrow == nil, seen && !slices.Equal(c.dict, dict):
-			return nil, nil
+// place writes src's codes plus d to the front of dst — all of them, or
+// the rows m keeps — and returns how many it wrote.
+func place[V, U code](dst []V, src []U, d V, m *Mask) int {
+	if m == nil {
+		rebase(dst, src, d)
+		return len(src)
+	}
+	return gatherKept(dst, src, m.rej, d)
+}
+
+// gatherKept writes src's codes at the clear bits of rej, each plus d,
+// to the front of dst and returns how many: a loop over each word's
+// set bits, which measured faster than a byte-table or a branch-free
+// variant.
+func gatherKept[V, U code](dst []V, src []U, rej []uint64, d V) int {
+	k := 0
+	for i, w := range rej {
+		row := src[i*64:]
+		for kept := ^w; kept != 0; kept &= kept - 1 {
+			dst[k] = V(row[bits.TrailingZeros64(kept)]) + d
+			k++
 		}
-		dict, seen = c.dict, true
 	}
-	if !seen {
-		return nil, nil
-	}
-	nc, _, _ := concatCodes(cols, total)
-	return nc, dict
+	return k
 }
 
 // rebase writes src's codes, each plus d, to the front of dst. Codes of

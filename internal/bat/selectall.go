@@ -40,36 +40,48 @@ func SelectAll(terms []Term) *BAT {
 // selectCodes is SelectAll's bitmap kernel. It takes terms when every
 // one has a dense head with the first term's base and length, an
 // unsorted tail of 1- or 2-byte codes and literals its kind normalizes
-// (takesCodes), on amd64 with AVX2; ok is false otherwise. The bitmap
-// holds one bit per row, set when some term rejects the row: each term
-// maps its range onto codes once and ORs its rejections in
-// (rejectRange), a range that misses every code ends the select with
-// an empty answer, and the kept rows are the clear bits, counted first
-// so the OID list is allocated at its size. The bitmap is bitPool
-// scratch, cleared over the words the rows need: on the stack, 8 KB for
-// a 64K-row fragment would make every goroutine a region part starts
-// grow its stack.
+// (takesCodes), on amd64 with AVX2; ok is false otherwise. The rejected
+// rows are ORed into one bitmap (rejectCodes) and the kept rows are its
+// clear bits, counted first so the OID list is allocated at its size.
+// The bitmap is bitPool scratch: on the stack, 8 KB for a 64K-row
+// fragment would make every goroutine a region part starts grow its
+// stack.
 func selectCodes(terms []Term) (oids []Oid, ok bool) {
-	if !haveAVX2 {
+	if !haveAVX2 || !takesAllCodes(terms) {
 		return nil, false
 	}
 	h := terms[0].B.h
+	p := bitPool.get((h.n + 63) / 64)
+	defer bitPool.put(p)
+	if rejectCodes(terms, *p) {
+		return nil, true
+	}
+	return keptOids(*p, h.base), true
+}
+
+// takesAllCodes reports whether every term takes the bitmap kernel over
+// the first term's rows.
+func takesAllCodes(terms []Term) bool {
+	h := terms[0].B.h
 	for _, t := range terms {
 		if !takesCodes(t, h) {
-			return nil, false
+			return false
 		}
 	}
-	words := (h.n + 63) / 64
-	p := bitPool.get(words)
-	defer bitPool.put(p)
-	rej := *p
+	return true
+}
+
+// rejectCodes sets the bit of every row some term rejects, and the
+// bits past the last row; each term ORs its rejections in
+// (rejectRange). miss: a range missed every code, so no row is kept and
+// rej is partly written.
+func rejectCodes(terms []Term, rej []uint64) (miss bool) {
 	clear(rej)
-	if part := h.n % 64; part != 0 {
-		rej[words-1] = ^uint64(0) << part // past the last row
+	if part := terms[0].B.h.n % 64; part != 0 {
+		rej[len(rej)-1] = ^uint64(0) << part // past the last row
 	}
 	for _, t := range terms {
 		r, _ := t.B.t.narrowBounds(t.Lo, t.Hi)
-		var miss bool
 		switch c := t.B.t.narrow.(type) {
 		case narrowInts[uint8]:
 			miss = rejectRange(rej, c, r)
@@ -77,10 +89,55 @@ func selectCodes(terms []Term) (oids []Oid, ok bool) {
 			miss = rejectRange(rej, c, r)
 		}
 		if miss {
-			return nil, true
+			return true
 		}
 	}
-	return keptOids(rej, h.base), true
+	return false
+}
+
+// Mask is a candidate list kept as a bitmap, algebra.uselectmask's
+// value: the rows of [base, base+n) no term rejected are the clear bits
+// of rej. A select the bitmap kernel does not take keeps its list (rej
+// nil). Only a fetch deferred to a region's merge reads it (FetchAll).
+type Mask struct {
+	name string
+	base Oid
+	n    int
+	rej  []uint64
+	kept int
+	list *BAT // the candidates as a list: the select's own, or List's
+}
+
+// SelectMask is SelectAll answering a Mask. Over the shapes the bitmap
+// kernel takes (selectCodes) it fills the mask with the vector blocks
+// on a CPU with AVX2 and with rejectRange's scalar loop on any other,
+// and counts the kept rows; otherwise it holds SelectAll's list.
+func SelectMask(terms []Term) *Mask {
+	if len(terms) == 0 || !takesAllCodes(terms) {
+		l := SelectAll(terms)
+		return &Mask{name: l.Name, list: l}
+	}
+	h := terms[0].B.h
+	m := &Mask{name: terms[len(terms)-1].B.Name, base: h.base, n: h.n, rej: make([]uint64, (h.n+63)/64)}
+	if !rejectCodes(terms, m.rej) {
+		for _, w := range m.rej {
+			m.kept += bits.OnesCount64(^w)
+		}
+	}
+	return m
+}
+
+// List is the mask as a candidate list, what the select's SelectAll
+// form returns; a bitmap's is made once.
+func (m *Mask) List() *BAT {
+	if m.list == nil {
+		var oids []Oid
+		if m.kept > 0 {
+			oids = keptOids(m.rej, m.base)
+		}
+		m.list = candList(m.name, oids)
+	}
+	return m.list
 }
 
 // takesCodes reports whether the bitmap kernel takes t over the rows of
@@ -99,7 +156,8 @@ func takesCodes(t Term, h *Column) bool {
 // kept when its code x has x − lo ≤ hi − lo, wrapping at the code width,
 // scanCodes' one compare: whole 32-row blocks in the vector kernel,
 // which writes each block's bits as a 32-bit half of a word (rows 0–31
-// are the low half on a little-endian host), and the rest here.
+// are the low half on a little-endian host), and the rest here — every
+// row on a CPU without AVX2.
 func rejectRange[U uint8 | uint16](rej []uint64, c narrowInts[U], r bounds[int64]) (miss bool) {
 	if r.empty() {
 		return true
@@ -109,7 +167,7 @@ func rejectRange[U uint8 | uint16](rej []uint64, c narrowInts[U], r bounds[int64
 		return true
 	}
 	lo, span := cr.lo, cr.hi-cr.lo
-	blocks := len(c.v) / 32
+	blocks := len(c.v) / 32 * b2i(haveAVX2)
 	if blocks > 0 {
 		v, r32 := unsafe.Pointer(unsafe.SliceData(c.v)), (*uint32)(unsafe.Pointer(&rej[0]))
 		if unsafe.Sizeof(lo) == 1 {
@@ -124,13 +182,7 @@ func rejectRange[U uint8 | uint16](rej []uint64, c narrowInts[U], r bounds[int64
 	return false
 }
 
-// keptOids lists, ascending, base + i for every clear bit i of rej. A
-// word's first two kept rows are stored whether it has them or not —
-// the list has two spare slots for stores past its end — and the cursor
-// advances by how many it has; only a word that keeps more runs the
-// loop. At Q6's ~2 % of rows kept most words keep 0–2, so the branch
-// that a loop over every word's bits would mispredict about once a word
-// is rarely taken.
+// keptOids lists, ascending, base + i for every clear bit i of rej.
 func keptOids(rej []uint64, base Oid) []Oid {
 	n := 0
 	for _, w := range rej {
@@ -140,6 +192,18 @@ func keptOids(rej []uint64, base Oid) []Oid {
 		return nil
 	}
 	out := make([]Oid, n+2)
+	putKept(out, rej, base)
+	return out[:n:n]
+}
+
+// putKept writes keptOids' list to the front of out and returns its
+// length. A word's first two kept rows are stored whether it has them
+// or not — out needs two spare slots past the list — and the cursor
+// advances by how many it has; only a word that keeps more runs the
+// loop. At Q6's ~2 % of rows kept most words keep 0–2, so the branch
+// that a loop over every word's bits would mispredict about once a word
+// is rarely taken.
+func putKept(out []Oid, rej []uint64, base Oid) int {
 	k := 0
 	for i, w := range rej {
 		kept := ^w
@@ -155,5 +219,5 @@ func keptOids(rej []uint64, base Oid) []Oid {
 			k++
 		}
 	}
-	return out[:n:n]
+	return k
 }

@@ -102,8 +102,9 @@ func drawAligned(seed int64, rows, frag int) alignedCase {
 	// they are 1- or 2-byte codes (b and e are wide and 4-byte), so a
 	// conjunction of ranges over a, d, g and h is the bitmap kernel's.
 	if rng.Intn(2) == 0 {
-		lo := float64(rng.Intn(220)) / 100
-		hi := lo + float64(rng.Intn(120))/100
+		// Limits in whole cents, so the printed literal is the limit.
+		loC := rng.Intn(220)
+		lo, hi := float64(loC)/100, float64(loC+rng.Intn(120))/100
 		where = append(where, pred{fmt.Sprintf("g >= %.2f and g < %.2f", lo, hi),
 			func(i int) bool { return g[i] >= lo && g[i] < hi }})
 	}
@@ -127,8 +128,8 @@ func drawAligned(seed int64, rows, frag int) alignedCase {
 			kept = append(kept, i)
 		}
 	}
-	var sel string
-	switch rng.Intn(5) {
+	var sel, group string
+	switch rng.Intn(7) {
 	case 0:
 		sel = "sum(b), count(*)"
 		sum := 0.0
@@ -156,6 +157,25 @@ func drawAligned(seed int64, rows, frag int) alignedCase {
 		for _, i := range kept {
 			tc.want = append(tc.want, []any{c[i]})
 		}
+	case 4:
+		// Decimal and dictionary codes fetched and merged by their tails.
+		sel = "g, h"
+		for _, i := range kept {
+			tc.want = append(tc.want, []any{g[i], h[i]})
+		}
+	case 5:
+		// Grouping reads the fetched columns' heads: they merge by concat.
+		sel, group = "h, sum(g), count(*)", " group by h order by h"
+		sums, counts := map[string]float64{}, map[string]int64{}
+		for _, i := range kept {
+			sums[h[i]] += g[i]
+			counts[h[i]]++
+		}
+		for _, m := range modes {
+			if counts[m] > 0 {
+				tc.want = append(tc.want, []any{m, sums[m], counts[m]})
+			}
+		}
 	default:
 		sel = "d, e"
 		for _, i := range kept {
@@ -170,6 +190,7 @@ func drawAligned(seed int64, rows, frag int) alignedCase {
 		}
 		tc.sql += " where " + strings.Join(texts, " and ")
 	}
+	tc.sql += group
 
 	// Cuts: every frag rows, then some boundaries pulled onto their
 	// neighbour (an empty fragment), possibly at either end.
@@ -190,8 +211,8 @@ func drawAligned(seed int64, rows, frag int) alignedCase {
 // rewritten on the fragmented runtime, and holds both to the oracle:
 // the two runs share every kernel, so agreeing with each other proves
 // nothing about an inclusive bound. It reports whether the plan tests
-// its ranges in one algebra.uselectall.
-func (tc alignedCase) check(t *testing.T) (conj bool) {
+// its ranges in one algebra.uselectall, and the rewritten plan.
+func (tc alignedCase) check(t *testing.T) (conj bool, rewritten string) {
 	t.Helper()
 	plan, err := minisql.Compile(tc.sql, alignedSchema, "sys")
 	if err != nil {
@@ -214,12 +235,12 @@ func (tc alignedCase) check(t *testing.T) (conj bool) {
 		Narrow: true,
 	}
 	parts, partsErr := mal.Run(&mal.Context{Registry: mal.Standard(), DC: rt}, dc)
-	conj = strings.Contains(plan.String(), "algebra.uselectall(")
+	conj, rewritten = strings.Contains(plan.String(), "algebra.uselectall("), dc.String()
 	if tc.fails {
 		if wholeErr == nil || partsErr == nil {
 			t.Fatalf("%s: min/max over no rows must fail; whole columns: %v, fragments: %v", tc.sql, wholeErr, partsErr)
 		}
-		return conj
+		return conj, rewritten
 	}
 	if wholeErr != nil {
 		t.Fatalf("%s on whole columns: %v\n%s", tc.sql, wholeErr, plan)
@@ -236,26 +257,34 @@ func (tc alignedCase) check(t *testing.T) (conj bool) {
 	if rt.Parts != len(tc.order) || rt.Pins != rt.Unpins {
 		t.Fatalf("%s: %d parts for %d fragments, %d pins, %d unpins", tc.sql, rt.Parts, len(tc.order), rt.Pins, rt.Unpins)
 	}
-	return conj
+	return conj, rewritten
 }
 
 // TestAlignedRegionProperty: 600 seeded cases, sizes from no rows at
 // all to a few hundred, fragments from one row to the whole table; a
-// good share of them test their ranges in one uselectall.
+// good share of them test their ranges in one uselectall, select into
+// a bitmap, and merge fetch exits by their heads.
 func TestAlignedRegionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
-	conj := 0
+	conj, masks, heads := 0, 0, 0
 	for seed := int64(0); seed < 600; seed++ {
 		rows := rng.Intn(300)
 		if seed%25 == 0 {
 			rows = 0
 		}
-		if drawAligned(seed, rows, 1+rng.Intn(rows+8)).check(t) {
+		c, dc := drawAligned(seed, rows, 1+rng.Intn(rows+8)).check(t)
+		if c {
 			conj++
 		}
+		if strings.Contains(dc, "algebra.uselectmask(") {
+			masks++
+		}
+		if strings.Contains(dc, ":concat=join(") {
+			heads++
+		}
 	}
-	if conj < 150 {
-		t.Errorf("%d of 600 cases ran a uselectall, want ≥ 150", conj)
+	if conj < 150 || masks < 100 || heads < 50 {
+		t.Errorf("of 600 cases %d ran a uselectall (want ≥ 150), %d a uselectmask (≥ 100), %d a concat fetch exit (≥ 50)", conj, masks, heads)
 	}
 }
 

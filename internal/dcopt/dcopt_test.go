@@ -228,15 +228,19 @@ func TestRegionRewrite(t *testing.T) {
 	if want := (Stats{Requests: 2, Regions: 1, Local: 2}); st != want {
 		t.Fatalf("stats = %+v, want %+v:\n%s", st, want, dc)
 	}
+	// The fetch is the only exit and the select's only reader: it leaves
+	// the sub-plan for the merge, and the select answers a bitmap.
 	r := regions(dc)[0]
-	if got := opNames(r.Plan()); !reflect.DeepEqual(got, []string{
-		"datacyclotron.pin", "algebra.uselect", "datacyclotron.unpin",
-		"datacyclotron.pin", "algebra.join", "datacyclotron.unpin",
+	sub := r.Plan()
+	if got := opNames(sub); !reflect.DeepEqual(got, []string{
+		"datacyclotron.pin", "algebra.uselectmask", "datacyclotron.unpin",
+		"datacyclotron.pin", "datacyclotron.unpin",
 	}) {
 		t.Fatalf("sub-plan = %v:\n%s", got, dc)
 	}
-	if ex := r.Exits(); len(ex) != 1 || ex[0].Merge != mal.MergeTail {
-		t.Fatalf("exits = %+v, want the fetched column by its tail", ex)
+	want := mal.Fetch{Cand: sub.Instrs[1].Ret[0], Col: sub.Instrs[3].Ret[0]}
+	if ex := r.Exits(); len(ex) != 1 || ex[0].Merge != mal.MergeTail || ex[0].Fetch == nil || *ex[0].Fetch != want {
+		t.Fatalf("exits = %+v, want the fetch %+v deferred, by its tail", ex, want)
 	}
 	for _, in := range dc.Instrs {
 		if in.Name() == "datacyclotron.pin" || in.Name() == "datacyclotron.unpin" {
@@ -254,10 +258,10 @@ func TestRegionRewrite(t *testing.T) {
 	if want := (Stats{Requests: 2, Regions: 1, Local: 2}); st != want {
 		t.Fatalf("conjunction: stats = %+v, want %+v:\n%s", st, want, dc)
 	}
-	sub := regions(dc)[0].Plan()
+	sub = regions(dc)[0].Plan()
 	if got := opNames(sub); !reflect.DeepEqual(got, []string{
-		"datacyclotron.pin", "datacyclotron.pin", "algebra.uselectall", "datacyclotron.unpin",
-		"algebra.join", "datacyclotron.unpin",
+		"datacyclotron.pin", "datacyclotron.pin", "algebra.uselectmask", "datacyclotron.unpin",
+		"datacyclotron.unpin",
 	}) {
 		t.Fatalf("conjunction sub-plan = %v:\n%s", got, dc)
 	}

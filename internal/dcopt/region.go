@@ -111,6 +111,8 @@ type region struct {
 	members []int       // instruction indexes, in plan order
 	slots   []mal.VarID // the bound columns it pins, in first-use order
 	exits   []mal.Exit  // results the outer plan consumes
+	fetches []int       // members left to the exits they assign (mal.Exit.Fetch)
+	masks   []int       // selects that answer a bitmap (algebra.uselectmask)
 }
 
 // outline finds the maximal fragment-local region of every table in p
@@ -200,6 +202,16 @@ func outline(p *mal.Plan, bindAt []int) []*region {
 		outside[p.Result], headRead[p.Result] = true, true
 	}
 
+	reads := make([]int, p.NVars)   // by members
+	fetched := make([]int, p.NVars) // by deferred fetches, as their candidates
+	for i, in := range p.Instrs {
+		for _, a := range in.Args {
+			if member[i] && !a.IsLit() {
+				reads[a.Var]++
+			}
+		}
+	}
+
 	regionOf := make([]*region, len(p.Instrs))
 	byTable := map[string]*region{}
 	for i, in := range p.Instrs {
@@ -219,12 +231,33 @@ func outline(p *mal.Plan, bindAt []int) []*region {
 				r.slots = append(r.slots, a.Var)
 			}
 		}
-		if merge, ok := aggregates[in.Name()]; ok {
-			r.exits = append(r.exits, mal.Exit{Var: in.Ret[0], Merge: merge})
-		} else if v := in.Ret[0]; outside[v] && headRead[v] {
-			r.exits = append(r.exits, mal.Exit{Var: v, Merge: mal.MergeConcat})
-		} else if outside[v] {
-			r.exits = append(r.exits, mal.Exit{Var: v, Merge: mal.MergeTail})
+		v := in.Ret[0]
+		merge, ok := aggregates[in.Name()]
+		switch {
+		case ok:
+		case outside[v] && headRead[v]:
+			merge = mal.MergeConcat
+		case outside[v]:
+			merge = mal.MergeTail
+		default:
+			continue
+		}
+		ex := mal.Exit{Var: v, Merge: merge}
+		// A positional fetch no member reads is left to the merge.
+		if in.Name() == "algebra.join" && reads[v] == 0 {
+			ex.Fetch = &mal.Fetch{Cand: in.Args[0].Var, Col: in.Args[1].Var}
+			r.fetches = append(r.fetches, i)
+			fetched[ex.Fetch.Cand]++
+		}
+		r.exits = append(r.exits, ex)
+	}
+	// A lone range select or a conjunction only deferred fetches read
+	// answers a bitmap: no OID list is ever written for it.
+	for i, in := range p.Instrs {
+		c := in.Ret
+		if regionOf[i] != nil && (in.Name() == "algebra.uselectall" || in.Name() == "algebra.uselect" && len(in.Args) == 5) &&
+			fetched[c[0]] > 0 && fetched[c[0]] == reads[c[0]] && !outside[c[0]] {
+			regionOf[i].masks = append(regionOf[i].masks, i)
 		}
 	}
 	return regionOf
@@ -241,7 +274,9 @@ func (r *region) exitVars() []mal.VarID {
 // build emits the region's sub-plan: its members in plan order under
 // their own variable numbers, each column pinned by slot right before
 // its first use and unpinned right after its last (Table 2's shape,
-// per fragment).
+// per fragment). A deferred fetch's column is pinned and unpinned where
+// the fetch stood, but the fetch runs at the exit: on the live ring the
+// fragment stays readable until the query returns.
 func (r *region) build(p *mal.Plan) *mal.Region {
 	sub := &mal.Plan{Name: r.table, NVars: p.NVars, Result: mal.NoVar,
 		Instrs: make([]mal.Instr, 0, len(r.members)+2*len(r.slots))}
@@ -272,7 +307,12 @@ func (r *region) build(p *mal.Plan) *mal.Region {
 				pinned[slot] = true
 			}
 		}
-		sub.Instrs = append(sub.Instrs, in)
+		if slices.Contains(r.masks, i) {
+			in.Op = "uselectmask"
+		}
+		if !slices.Contains(r.fetches, i) {
+			sub.Instrs = append(sub.Instrs, in)
+		}
 		for _, a := range in.Args {
 			if slot := slotOf(a); slot >= 0 && lastUse[slot] == i {
 				sub.Instrs = append(sub.Instrs, mal.Instr{

@@ -203,22 +203,30 @@ func registerStandard(r *Registry) {
 	// algebra.uselectall(b1, lo1, hi1, loIncl1, hiIncl1, b2, …) is a
 	// conjunction of ranges, five arguments per column: what
 	// uselect(b1, …) chained through uselect(b2, that, …), … returns,
-	// computed as one select (bat.SelectAll).
-	r.Register("algebra", "uselectall", func(ctx *Context, args []Value) ([]Value, error) {
-		if len(args) == 0 || len(args)%5 != 0 {
-			return nil, fmt.Errorf("uselectall: want 5 arguments per column, got %d", len(args))
-		}
-		terms := make([]bat.Term, len(args)/5)
-		for i := range terms {
-			b, err := argBAT(args, 5*i)
-			if err != nil {
-				return nil, err
+	// computed as one select (bat.SelectAll). algebra.uselectmask takes
+	// the same arguments and returns the candidates as a *bat.Mask, which
+	// only a region's deferred fetches read (Exit.Fetch).
+	for op, sel := range map[string]func([]bat.Term) Value{
+		"uselectall":  func(t []bat.Term) Value { return bat.SelectAll(t) },
+		"uselectmask": func(t []bat.Term) Value { return bat.SelectMask(t) },
+	} {
+		sel := sel
+		r.Register("algebra", op, func(ctx *Context, args []Value) ([]Value, error) {
+			if len(args) == 0 || len(args)%5 != 0 {
+				return nil, fmt.Errorf("want 5 arguments per column, got %d", len(args))
 			}
-			lo, hi := rangeArgs(args[5*i+1:])
-			terms[i] = bat.Term{B: b, Lo: lo, Hi: hi}
-		}
-		return one(bat.SelectAll(terms)), nil
-	})
+			terms := make([]bat.Term, len(args)/5)
+			for i := range terms {
+				b, err := argBAT(args, 5*i)
+				if err != nil {
+					return nil, err
+				}
+				lo, hi := rangeArgs(args[5*i+1:])
+				terms[i] = bat.Term{B: b, Lo: lo, Hi: hi}
+			}
+			return one(sel(terms)), nil
+		})
+	}
 	r.Register("algebra", "selectEq", func(ctx *Context, args []Value) ([]Value, error) {
 		b, err := argBAT(args, 0)
 		if err != nil {

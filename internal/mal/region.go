@@ -44,7 +44,14 @@ func (k MergeKind) String() string {
 type Exit struct {
 	Var   VarID
 	Merge MergeKind
+	// Fetch, when set, is the positional fetch algebra.join(Cand, Col)
+	// assigning Var, left out of the sub-plan: a part runs it at a list,
+	// and hands a *bat.Mask and the column to the merge (bat.FetchAll).
+	Fetch *Fetch
 }
+
+// Fetch names a deferred fetch's candidates and column.
+type Fetch struct{ Cand, Col VarID }
 
 // Region is an outlined sub-plan with its exits. It is shared by every
 // run of the cached outer plan and never written after NewRegion.
@@ -77,6 +84,9 @@ func (r *Region) GoString() string {
 	b.WriteString("    } exits")
 	for _, e := range r.exits {
 		fmt.Fprintf(&b, " X%d:%s", e.Var, e.Merge)
+		if f := e.Fetch; f != nil {
+			fmt.Fprintf(&b, "=join(X%d,X%d)", f.Cand, f.Col)
+		}
 	}
 	return b.String()
 }
@@ -116,25 +126,51 @@ func aligned(ctx *Context, args []Value) ([]Value, error) {
 		return r.merge(parts)
 	}
 	// Whole columns, inline: the un-outlined plan's instructions under
-	// the same dataflow rules. One worker per column is all the width a
-	// region has — each pin may block, and every scan hangs off a pin —
-	// and each worker spared is a goroutine (and its stack growth) less
-	// per query, which is what a 0.2 ms point query notices.
-	return r.run(ctx, slotDC{ctx.DC, handles}, min(ctx.Workers, len(handles)))
+	// the same dataflow rules, as one part. One worker per column is all
+	// the width a region has — each pin may block, and every scan hangs
+	// off a pin — and each worker spared is a goroutine (and its stack
+	// growth) less per query, which is what a 0.2 ms point query notices.
+	part, err := r.run(ctx, slotDC{ctx.DC, handles}, min(ctx.Workers, len(handles)))
+	if err != nil {
+		return nil, err
+	}
+	return r.merge([]Value{part})
 }
 
 // run executes the sub-plan once against dc and returns its exit values
-// in exit order (as a Value, so it can travel through PinMap).
-func (r *Region) run(ctx *Context, dc DCRuntime, workers int) ([]Value, error) {
+// in exit order (as a Value, so it can travel through PinMap): a
+// deferred fetch's is its Join, or a bat.Fetch for the merge.
+func (r *Region) run(ctx *Context, dc DCRuntime, workers int) (_ Value, err error) {
 	part := *ctx
 	part.DC, part.Workers = dc, workers
 	vals, err := runPlan(&part, r.plan, r.flow)
 	if err != nil {
 		return nil, err
 	}
+	defer func() { // a Join's shape panic, as execInstr reports one
+		if p := recover(); p != nil {
+			err = fmt.Errorf("mal: region exit: %v", p)
+		}
+	}()
 	out := make([]Value, len(r.exits))
 	for i, e := range r.exits {
-		out[i] = vals[e.Var]
+		f := e.Fetch
+		if f == nil {
+			out[i] = vals[e.Var]
+			continue
+		}
+		col, ok := vals[f.Col].(*bat.BAT)
+		switch c := vals[f.Cand].(type) {
+		case *bat.Mask:
+			out[i] = bat.Fetch{Cand: c, Col: col}
+		case *bat.BAT:
+			if ok {
+				out[i] = c.Join(col)
+			}
+		}
+		if !ok || out[i] == nil {
+			return nil, fmt.Errorf("region exit X%d: cannot fetch from %T at %T", e.Var, vals[f.Col], vals[f.Cand])
+		}
 	}
 	return out, nil
 }
@@ -149,7 +185,18 @@ func (r *Region) merge(parts []Value) ([]Value, error) {
 	out := make([]Value, len(r.exits))
 	var lists [][]*bat.BAT // the concat and tail exits, gathered together
 	var at []int           // so that shared columns are copied once
+	var fetches [][]bat.Fetch
+	var tails []bool
+	var fetchAt []int
 	for e, ex := range r.exits {
+		if _, ok := rows[0][e].(bat.Fetch); ok {
+			parts := make([]bat.Fetch, len(rows))
+			for i, row := range rows {
+				parts[i] = row[e].(bat.Fetch) // one op makes every part's candidates
+			}
+			fetches, tails, fetchAt = append(fetches, parts), append(tails, ex.Merge == MergeTail), append(fetchAt, e)
+			continue
+		}
 		if ex.Merge == MergeConcat || ex.Merge == MergeTail {
 			frags := make([]*bat.BAT, len(rows))
 			var off bat.Oid
@@ -179,6 +226,9 @@ func (r *Region) merge(parts []Value) ([]Value, error) {
 	}
 	for i, b := range bat.ConcatAll(lists) {
 		out[at[i]] = b
+	}
+	for i, b := range bat.FetchAll(fetches, tails) {
+		out[fetchAt[i]] = b
 	}
 	return out, nil
 }

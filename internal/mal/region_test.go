@@ -176,6 +176,40 @@ func TestTailMerge(t *testing.T) {
 	}
 }
 
+// TestDeferredFetchExits: the wide projection's fetches, deferred to
+// the merge at a bitmap or at a list, answer what they answer run in
+// the sub-plan, over narrowed fragments cut anywhere, empty ones
+// included; a deferred fetch from something other than a BAT is an
+// error, not a panic.
+func TestDeferredFetchExits(t *testing.T) {
+	for _, cuts := range [][]int{{0, 1000}, {0, 0, 300, 300, 999, 1000}, {0, 64, 65, 1000}} {
+		rt := func() *maltest.FragDC {
+			return &maltest.FragDC{Cols: wideTable(1000, 6), Cuts: func(int) []int { return cuts }, Narrow: true}
+		}
+		want, err := mal.Run(&mal.Context{Registry: mal.Standard(), DC: rt()}, wideRegion("uselect", false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sel := range []string{"uselectmask", "uselect"} {
+			got, err := mal.Run(&mal.Context{Registry: mal.Standard(), DC: rt()}, wideRegion(sel, true))
+			if err != nil {
+				t.Fatalf("%s, cuts %v: %v", sel, cuts, err)
+			}
+			if w, g := want.(*mal.ResultSet).Rows(), got.(*mal.ResultSet).Rows(); !reflect.DeepEqual(w, g) || len(w) < 400 {
+				t.Fatalf("%s, cuts %v: %d rows differ from the %d the sub-plan's fetches give", sel, cuts, len(g), len(w))
+			}
+		}
+	}
+	p := wideRegion("uselectmask", true)
+	r := p.Instrs[len(p.Instrs)-2].Args[0].Lit.(*mal.Region)
+	bad := mal.NewRegion(r.Plan(), append([]mal.Exit{{Var: 0, Merge: mal.MergeTail, Fetch: &mal.Fetch{Cand: r.Exits()[0].Fetch.Cand, Col: r.Exits()[0].Fetch.Cand}}}, r.Exits()[1:]...))
+	p.Instrs[len(p.Instrs)-2].Args[0] = mal.L(bad)
+	rt := &maltest.FragDC{Cols: wideTable(1000, 6), Cuts: maltest.EveryRows(300), Narrow: true}
+	if _, err := mal.Run(&mal.Context{Registry: mal.Standard(), DC: rt}, p); err == nil || !strings.Contains(err.Error(), "cannot fetch") {
+		t.Fatalf("a fetch from a mask ran: %v", err)
+	}
+}
+
 // TestEveryRowsZeroIsOneFragment: rows <= 0 cuts nothing, as a ring
 // with FragmentRows 0 keeps each column in one fragment.
 func TestEveryRowsZeroIsOneFragment(t *testing.T) {
@@ -206,8 +240,8 @@ func TestStandardRegistryIsShared(t *testing.T) {
 // BenchmarkAlignedRegion is the per-part path over 1M rows in 64K-row
 // fragments, the sub-plan run once per fragment and the exits merged:
 // q6 at hot_repeat's shape, and wide, wide_result's projection of three
-// columns at a ~48 % candidate list, each leaving by its tail, over
-// fragments narrowed as the ring stores them. CI runs it once so the
+// columns at a ~48 % selection, each a fetch deferred to the merge and
+// leaving by its tail, over fragments narrowed as the ring stores them. CI runs it once so the
 // path cannot panic unnoticed.
 func BenchmarkAlignedRegion(b *testing.B) {
 	b.Run("q6", func(b *testing.B) {
@@ -216,7 +250,7 @@ func BenchmarkAlignedRegion(b *testing.B) {
 	})
 	b.Run("wide", func(b *testing.B) {
 		rt := &maltest.FragDC{Cols: wideTable(1<<20, 5), Cuts: maltest.EveryRows(1 << 16), Narrow: true}
-		benchRegion(b, rt, wideRegion())
+		benchRegion(b, rt, wideRegion("uselectmask", true))
 	})
 }
 
@@ -250,18 +284,26 @@ func wideTable(rows int, seed int64) map[string]*bat.BAT {
 		"w.c": bat.MakeInts("w.c", c), "w.p": bat.MakeFloats("w.p", p)}
 }
 
-// wideRegion is what dcopt makes of "select a, c, p from w where q <
-// 25": one selection, then three fetches at its candidates, each
-// leaving by its tail into sql.resultSet.
-func wideRegion() *mal.Plan {
+// wideRegion is "select a, c, p from w where q < 25" outlined: one
+// selection, then three fetches at its candidates, each leaving by its
+// tail into sql.resultSet. With deferred, the fetches leave the
+// sub-plan for the merge (Exit.Fetch), as dcopt emits them, and the
+// selection is the op given — algebra.uselectmask, as dcopt emits it, or
+// algebra.uselect, a list each part fetches at; without, they run in
+// the sub-plan.
+func wideRegion(sel string, deferred bool) *mal.Plan {
 	sub := mal.NewBuilder("sys.w")
 	q := sub.Emit("datacyclotron", "pin", mal.L(mal.Slot(0)))
-	cand := sub.Emit("algebra", "uselect", mal.V(q), mal.L(nil), mal.L(int64(25)), mal.L(false), mal.L(false))
+	cand := sub.Emit("algebra", sel, mal.V(q), mal.L(nil), mal.L(int64(25)), mal.L(false), mal.L(false))
 	sub.Emit0("datacyclotron", "unpin", mal.V(q))
 	var exits []mal.Exit
 	for slot := 1; slot <= 3; slot++ {
 		col := sub.Emit("datacyclotron", "pin", mal.L(mal.Slot(slot)))
-		exits = append(exits, mal.Exit{Var: sub.Emit("algebra", "join", mal.V(cand), mal.V(col)), Merge: mal.MergeTail})
+		if deferred {
+			exits = append(exits, mal.Exit{Var: sub.NewVar(), Merge: mal.MergeTail, Fetch: &mal.Fetch{Cand: cand, Col: col}})
+		} else {
+			exits = append(exits, mal.Exit{Var: sub.Emit("algebra", "join", mal.V(cand), mal.V(col)), Merge: mal.MergeTail})
+		}
 		sub.Emit0("datacyclotron", "unpin", mal.V(col))
 	}
 	region := mal.NewRegion(sub.MustBuild(), exits)

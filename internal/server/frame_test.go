@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,6 +35,8 @@ const wideSQL = "select l_orderkey, l_suppkey, l_extendedprice from lineitem whe
 // the ring's narrow fragments, merged without widening: the wide
 // query's columns arrive narrow, in at most half the reference's
 // bytes. q6ish sums the decimal l_extendedprice, and wide projects it.
+// At 1000-row fragments a fetch exit's bitmaps end in padding bits and
+// a scalar tail past the last whole vector block.
 func TestServedFramesMatchLocalReference(t *testing.T) {
 	db := tpch.GenDB(0.002, 1)
 	for _, c := range []struct {
@@ -45,7 +48,7 @@ func TestServedFramesMatchLocalReference(t *testing.T) {
 			t.Fatalf("%s narrows to %d bytes, want %d: the ring would serve it wide", c.name, w, c.width)
 		}
 	}
-	for _, rows := range []int{0, 2048, 1 << 20} {
+	for _, rows := range []int{0, 1000, 2048, 1 << 20} {
 		cfg := live.DefaultConfig()
 		cfg.FragmentRows = rows
 		checkServedFrames(t, db, cfg)
@@ -169,6 +172,83 @@ func TestServedWideFrameHasDenseHeads(t *testing.T) {
 				t.Fatalf("column %q row %d: %v, want %v", got.Names[i], row, g, w)
 			}
 		}
+	}
+}
+
+// TestFetchExitsOutliveUnpin: a fetch exit's merge reads every
+// fragment after its part unpinned it (bat.FetchAll). On a ring whose
+// cache is far below the working set, fragments arrive by circulation
+// and are released at unpin, and a test binary poisons every slab it
+// recycles: a merge that read one past the query's grace period would
+// serve poison. Two sessions run the wide projection at once, and every
+// answer matches the local reference cell for cell.
+func TestFetchExitsOutliveUnpin(t *testing.T) {
+	db := tpch.GenDB(0.002, 1)
+	cfg := live.DefaultConfig()
+	cfg.FragmentRows, cfg.CacheBytes = 1000, 8<<10
+	r, err := live.NewRing(3, db.ColumnMap(), db.Schema(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	s, err := server.Serve(r, server.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	plan, err := minisql.Compile(wideSQL, db.Schema(), "sys")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, _, err := dcopt.Rewrite(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := &maltest.FragDC{Cols: db.ColumnMap(), Cuts: maltest.EveryRows(cfg.FragmentRows)}
+	ref, err := mal.Run(&mal.Context{Registry: mal.Standard(), DC: local}, dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.(*mal.ResultSet)
+	var wg sync.WaitGroup
+	for session := 0; session < 2; session++ {
+		wg.Add(1)
+		go func(session int) {
+			defer wg.Done()
+			cl, err := dcclient.Dial(s.Addr(session))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer cl.Close()
+			for q := 0; q < 6; q++ {
+				got, err := cl.Query(context.Background(), wideSQL)
+				if err != nil {
+					t.Errorf("session %d, query %d: %v", session, q, err)
+					return
+				}
+				if len(got.Cols) != len(want.Cols) || got.NumRows() != want.NumRows() {
+					t.Errorf("session %d, query %d: %d columns of %d rows, want %d of %d", session, q, len(got.Cols), got.NumRows(), len(want.Cols), want.NumRows())
+					return
+				}
+				for i, c := range got.Cols {
+					for row := 0; row < c.Len(); row++ {
+						if g, w := c.Tail().Value(row), want.Cols[i].Tail().Value(row); g != w {
+							t.Errorf("session %d, query %d: column %q row %d: %v, want %v", session, q, got.Names[i], row, g, w)
+							return
+						}
+					}
+				}
+			}
+		}(session)
+	}
+	wg.Wait()
+	var cs live.CacheStats
+	for i := 0; i < r.Size(); i++ {
+		cs.Merge(r.Node(i).CacheStats())
+	}
+	if cs.RingWaits == 0 || cs.Evictions == 0 {
+		t.Fatalf("no fragment circulated past a full cache (%d ring waits, %d evictions)", cs.RingWaits, cs.Evictions)
 	}
 }
 
