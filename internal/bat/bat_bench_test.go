@@ -473,7 +473,8 @@ func BenchmarkBATConcatTail(b *testing.B) {
 // hundredths in 2-byte codes — are fetched at it and merged by their
 // tails. /list is the path before fetch exits were deferred: per
 // fragment a USelect and three Joins, then one ConcatAll. /mask is a
-// SelectMask per fragment and one FetchAll.
+// SelectMask per fragment and one FetchAll; /mask-go is /mask with the
+// compress kernels off, gatherKept's loop gathering every word.
 func BenchmarkBATFetchExit1M(b *testing.B) {
 	const frag = 64 << 10
 	rng := rand.New(rand.NewSource(51))
@@ -513,7 +514,7 @@ func BenchmarkBATFetchExit1M(b *testing.B) {
 			benchSink = ConcatAll(lists)
 		}
 	})
-	b.Run("mask", func(b *testing.B) {
+	mask := func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			lists := make([][]Fetch, len(cols))
@@ -525,7 +526,12 @@ func BenchmarkBATFetchExit1M(b *testing.B) {
 			}
 			benchSink = FetchAll(lists, tails)
 		}
-	})
+	}
+	b.Run("mask", mask)
+	vbmi2 := haveVBMI2
+	defer func() { haveVBMI2 = vbmi2 }()
+	haveVBMI2 = false
+	b.Run("mask-go", mask)
 }
 
 // widthColumn stores vals in the given physical width (8: wide), which

@@ -336,11 +336,18 @@ func place[V, U code](dst []V, src []U, d V, m *Mask) int {
 }
 
 // gatherKept writes src's codes at the clear bits of rej, each plus d,
-// to the front of dst and returns how many: a loop over each word's
-// set bits, which measured faster than a byte-table or a branch-free
+// to the front of dst and returns how many. On a CPU with AVX-512 VBMI2
+// the whole 64-row words go through a compress kernel (compressKept);
+// the rest, and every word elsewhere, run a loop over each word's set
+// bits, which measured faster than a byte-table or a branch-free
 // variant.
 func gatherKept[V, U code](dst []V, src []U, rej []uint64, d V) int {
 	k := 0
+	if haveVBMI2 {
+		var words int
+		k, words = compressKept(dst, src, rej, d)
+		src, rej = src[words*64:], rej[words:]
+	}
 	for i, w := range rej {
 		row := src[i*64:]
 		for kept := ^w; kept != 0; kept &= kept - 1 {
@@ -349,6 +356,43 @@ func gatherKept[V, U code](dst []V, src []U, rej []uint64, d V) int {
 		}
 	}
 	return k
+}
+
+// compressKept is gatherKept over src's whole 64-row words on the
+// compress kernel for V and U's widths: it returns the codes written
+// and the words read, none when no kernel takes the widths (codes
+// narrowed into a smaller width). It counts the kept rows first, so a
+// dst too short panics here rather than being written past.
+func compressKept[V, U code](dst []V, src []U, rej []uint64, d V) (k, words int) {
+	words = min(len(src)/64, len(rej))
+	if words == 0 {
+		return 0, 0
+	}
+	kept := 0
+	for _, w := range rej[:words] {
+		kept += bits.OnesCount64(^w)
+	}
+	if kept > len(dst) {
+		panic(fmt.Sprintf("bat: %d kept codes gathered into %d", kept, len(dst)))
+	}
+	t, s, r := unsafe.Pointer(unsafe.SliceData(dst)), unsafe.Pointer(unsafe.SliceData(src)), &rej[0]
+	switch unsafe.Sizeof(src[0])<<4 | unsafe.Sizeof(d) {
+	case 1<<4 | 1:
+		k = compress8to8((*uint8)(t), (*uint8)(s), r, words, uint8(d))
+	case 1<<4 | 2:
+		k = compress8to16((*uint16)(t), (*uint8)(s), r, words, uint16(d))
+	case 1<<4 | 4:
+		k = compress8to32((*uint32)(t), (*uint8)(s), r, words, uint32(d))
+	case 2<<4 | 2:
+		k = compress16to16((*uint16)(t), (*uint16)(s), r, words, uint16(d))
+	case 2<<4 | 4:
+		k = compress16to32((*uint32)(t), (*uint16)(s), r, words, uint32(d))
+	case 4<<4 | 4:
+		k = compress32to32((*uint32)(t), (*uint32)(s), r, words, uint32(d))
+	default:
+		return 0, 0
+	}
+	return k, words
 }
 
 // rebase writes src's codes, each plus d, to the front of dst. Codes of

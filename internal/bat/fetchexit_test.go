@@ -194,15 +194,18 @@ func drawFetchExit(rng *rand.Rand, lens []int) (sels [][]Term, cols [2][]*BAT, t
 // lengths in fetchSizes and random small ones, in every column form,
 // and holds FetchAll to per-part Join and ConcatAll — with the CPU's
 // vector kernel filling the bitmaps, and with it switched off, where
-// rejectRange's scalar loop fills them.
+// rejectRange's scalar loop fills them; every other trial with the
+// compress kernels gathering the kept codes, the rest with
+// gatherKept's loop.
 func TestFetchExitMatchesJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	avx2 := haveAVX2
-	defer func() { haveAVX2 = avx2 }()
+	avx2, vbmi2 := haveAVX2, haveVBMI2
+	defer func() { haveAVX2, haveVBMI2 = avx2, vbmi2 }()
 	var st fetchStats
 	for _, kernel := range []bool{true, false} {
 		haveAVX2 = avx2 && kernel
 		for trial := 0; trial < 400; trial++ {
+			haveVBMI2 = vbmi2 && trial%2 == 0
 			lens := make([]int, 1+rng.Intn(4))
 			for i := range lens {
 				lens[i] = fetchSizes[rng.Intn(len(fetchSizes)-1)] // the long one below
@@ -214,7 +217,7 @@ func TestFetchExitMatchesJoin(t *testing.T) {
 				lens[rng.Intn(len(lens))] = fetchSizes[len(fetchSizes)-1]
 			}
 			sels, cols, tails := drawFetchExit(rng, lens)
-			checkFetchExit(t, fmt.Sprintf("kernel %v, trial %d, lengths %v", haveAVX2, trial, lens), sels, cols, tails, &st)
+			checkFetchExit(t, fmt.Sprintf("kernels %v/%v, trial %d, lengths %v", haveAVX2, haveVBMI2, trial, lens), sels, cols, tails, &st)
 		}
 	}
 	t.Logf("%+v", st)
@@ -224,17 +227,19 @@ func TestFetchExitMatchesJoin(t *testing.T) {
 }
 
 // FuzzFetchExit: the fuzzer picks the seed the inputs are drawn from,
-// the fragment lengths (one byte each, 255 standing for 64K+5) and
-// whether the vector kernel fills the bitmaps.
+// the fragment lengths (one byte each, 255 standing for 64K+5), whether
+// the vector kernel fills the bitmaps and whether the compress kernels
+// gather the kept codes.
 func FuzzFetchExit(f *testing.F) {
-	f.Add(int64(1), []byte{0, 1, 63, 64, 65}, true)
-	f.Add(int64(2), []byte{255}, false)
-	f.Add(int64(3), []byte{7}, true)
-	f.Add(int64(4), []byte{}, true)
-	f.Fuzz(func(t *testing.T, seed int64, sizes []byte, kernel bool) {
-		avx2 := haveAVX2
-		defer func() { haveAVX2 = avx2 }()
-		haveAVX2 = avx2 && kernel
+	f.Add(int64(1), []byte{0, 1, 63, 64, 65}, true, true)
+	f.Add(int64(2), []byte{255}, false, true)
+	f.Add(int64(3), []byte{7}, true, false)
+	f.Add(int64(4), []byte{}, true, true)
+	f.Add(int64(5), []byte{255, 130, 64}, true, false)
+	f.Fuzz(func(t *testing.T, seed int64, sizes []byte, kernel, compress bool) {
+		avx2, vbmi2 := haveAVX2, haveVBMI2
+		defer func() { haveAVX2, haveVBMI2 = avx2, vbmi2 }()
+		haveAVX2, haveVBMI2 = avx2 && kernel, vbmi2 && compress
 		lens := []int{1}
 		if len(sizes) > 0 {
 			lens = lens[:0]
@@ -249,4 +254,88 @@ func FuzzFetchExit(f *testing.F) {
 		sels, cols, tails := drawFetchExit(rand.New(rand.NewSource(seed)), lens)
 		checkFetchExit(t, fmt.Sprintf("seed %d, lengths %v", seed, lens), sels, cols, tails, &fetchStats{})
 	})
+}
+
+// TestCompressKeptMatchesLoop holds gatherKept, with the compress
+// kernels and with its loop, to the rows a bitmap keeps, for each of
+// the six (source, destination) widths the kernels take: lengths from
+// none to a fragment and a tail, words that keep every row, none,
+// every other one and a random set, and rebases of 0 and of the most
+// that fits. Past the kept codes dst holds canaries that must survive.
+func TestCompressKeptMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	vbmi2 := haveVBMI2
+	defer func() { haveVBMI2 = vbmi2 }()
+	checkCompressKept[uint8, uint8](t, rng, vbmi2)
+	checkCompressKept[uint16, uint8](t, rng, vbmi2)
+	checkCompressKept[uint32, uint8](t, rng, vbmi2)
+	checkCompressKept[uint16, uint16](t, rng, vbmi2)
+	checkCompressKept[uint32, uint16](t, rng, vbmi2)
+	checkCompressKept[uint32, uint32](t, rng, vbmi2)
+}
+
+func checkCompressKept[V, U code](t *testing.T, rng *rand.Rand, vbmi2 bool) {
+	t.Helper()
+	const canaries = 70
+	pattern := uint64(0x5A5A5A5A)
+	canary := V(pattern)
+	top := min(uint64(^U(0)), uint64(^V(0))>>1) // the largest code drawn
+	for _, n := range fetchSizes {
+		src := make([]U, n)
+		for i := range src {
+			src[i] = U(rng.Uint64() % (top + 1))
+		}
+		if n > 0 {
+			src[rng.Intn(n)] = U(top)
+		}
+		for _, words := range []string{"all kept", "all rejected", "alternating", "random"} {
+			rej := make([]uint64, (n+63)/64)
+			for i := range rej {
+				switch words {
+				case "all rejected":
+					rej[i] = ^uint64(0)
+				case "alternating":
+					rej[i] = 0x5555555555555555
+				case "random":
+					rej[i] = rng.Uint64()
+				}
+			}
+			if part := n % 64; part != 0 {
+				rej[len(rej)-1] |= ^uint64(0) << part // past the last row
+			}
+			for _, d := range []V{0, V(uint64(^V(0)) - top)} {
+				var want []V
+				for i, x := range src {
+					if rej[i/64]>>(i%64)&1 == 0 {
+						want = append(want, V(x)+d)
+					}
+				}
+				for _, kernel := range []bool{true, false} {
+					haveVBMI2 = vbmi2 && kernel
+					what := fmt.Sprintf("%T to %T, %d rows %s, d=%d, kernel %v", U(0), V(0), n, words, d, haveVBMI2)
+					dst := make([]V, len(want)+canaries)
+					for i := range dst {
+						dst[i] = canary
+					}
+					if k := gatherKept(dst[:len(want)], src, rej, d); k != len(want) {
+						t.Fatalf("%s: wrote %d codes, want %d", what, k, len(want))
+					}
+					if !slices.Equal(dst[:len(want)], want) {
+						t.Fatalf("%s: wrote %v, want %v", what, dst[:min(len(want), 80)], want[:min(len(want), 80)])
+					}
+					for i, c := range dst[len(want):] {
+						if c != canary {
+							t.Fatalf("%s: wrote %d at %d, past the %d kept codes", what, c, len(want)+i, len(want))
+						}
+					}
+					if !haveVBMI2 {
+						continue
+					}
+					if _, words := compressKept(dst, src, rej, d); words != n/64 {
+						t.Fatalf("%s: the kernel read %d words, want %d", what, words, n/64)
+					}
+				}
+			}
+		}
+	}
 }

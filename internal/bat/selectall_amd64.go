@@ -22,6 +22,29 @@ func cpuHasAVX2() bool {
 	return ebx&(1<<5) != 0
 }
 
+// haveVBMI2 reports whether this CPU runs the compress kernels and the
+// OS saves their registers: AVX2's checks, then CPUID leaf 1 for
+// POPCNT, leaf 7 for AVX512F, AVX512BW, BMI2 and VBMI2, and XCR0's
+// opmask and ZMM state bits besides SSE and AVX. FetchAll's gather
+// needs it for whole bitmap words; without it gatherKept's loop runs.
+var haveVBMI2 = cpuHasVBMI2()
+
+func cpuHasVBMI2() bool {
+	if !cpuHasAVX2() {
+		return false
+	}
+	const popcnt = 1 << 23
+	if _, _, ecx, _ := cpuid(1, 0); ecx&popcnt == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&0xE6 != 0xE6 {
+		return false
+	}
+	const avx512f, bmi2, avx512bw, vbmi2 = 1 << 16, 1 << 8, 1 << 30, 1 << 6
+	_, ebx, ecx, _ := cpuid(7, 0)
+	return ebx&(avx512f|bmi2|avx512bw) == avx512f|bmi2|avx512bw && ecx&vbmi2 != 0
+}
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
@@ -37,3 +60,35 @@ func rejectBlocks8(rej *uint32, v *uint8, blocks int, lo, span uint8)
 //
 //go:noescape
 func rejectBlocks16(rej *uint32, v *uint16, blocks int, lo, span uint16)
+
+// compress8to8 writes the codes of words whole 64-row words of src at
+// the clear bits of rej, each plus d, to the front of dst, and returns
+// how many (concat_amd64.s). dst must hold them all.
+//
+//go:noescape
+func compress8to8(dst *uint8, src *uint8, rej *uint64, words int, d uint8) int
+
+// compress8to16 is compress8to8 from 1-byte to 2-byte codes.
+//
+//go:noescape
+func compress8to16(dst *uint16, src *uint8, rej *uint64, words int, d uint16) int
+
+// compress8to32 is compress8to8 from 1-byte to 4-byte codes.
+//
+//go:noescape
+func compress8to32(dst *uint32, src *uint8, rej *uint64, words int, d uint32) int
+
+// compress16to16 is compress8to8 over 2-byte codes.
+//
+//go:noescape
+func compress16to16(dst *uint16, src *uint16, rej *uint64, words int, d uint16) int
+
+// compress16to32 is compress8to8 from 2-byte to 4-byte codes.
+//
+//go:noescape
+func compress16to32(dst *uint32, src *uint16, rej *uint64, words int, d uint32) int
+
+// compress32to32 is compress8to8 over 4-byte codes.
+//
+//go:noescape
+func compress32to32(dst *uint32, src *uint32, rej *uint64, words int, d uint32) int

@@ -6,10 +6,13 @@ package experiments
 // ServeRing and StartLoad.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,8 +20,10 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"repro/internal/bat"
 	"repro/internal/dcclient"
 	"repro/internal/live"
+	"repro/internal/mal"
 	"repro/internal/membership"
 	"repro/internal/server"
 	"repro/internal/tpch"
@@ -211,6 +216,75 @@ func fingerprintRows(rows [][]any) string {
 	return strings.Join(keys, "\n")
 }
 
+// reference is what every answer to one statement must reproduce: the
+// fingerprint of its rows and, for a statement that adopted its first
+// answer, that answer, whose cells a later one is compared with first.
+type reference struct {
+	rs *mal.ResultSet // nil for a fingerprint from LoadSpec.Refs
+	fp func() string
+}
+
+// answerRef adopts rs as the reference; its fingerprint is taken only
+// if an answer's cells differ from it.
+func answerRef(rs *mal.ResultSet) *reference {
+	return &reference{rs: rs, fp: sync.OnceValue(func() string { return fingerprintRows(rs.Rows()) })}
+}
+
+// matches reports whether rs answers what the reference does: the same
+// cells in the same order or, since row order is not part of the
+// result contract, the same fingerprint. The in-order comparison
+// accepts only answers the fingerprint accepts too.
+func (r *reference) matches(rs *mal.ResultSet) bool {
+	return r.rs != nil && sameCells(r.rs, rs) || fingerprintRows(rs.Rows()) == r.fp()
+}
+
+// sameCells reports whether two results hold the same columns of the
+// same kinds with equal values row by row (floats to the bit). A column
+// whose wire form is the other's, byte for byte, decodes to the same
+// values, so only a column that differs there is read value by value.
+func sameCells(a, b *mal.ResultSet) bool {
+	if len(a.Cols) != len(b.Cols) {
+		return false
+	}
+	for c := range a.Cols {
+		if slices.EqualFunc(bat.MarshalVec(a.Cols[c]), bat.MarshalVec(b.Cols[c]), bytes.Equal) {
+			continue
+		}
+		x, y := a.Cols[c].Tail(), b.Cols[c].Tail()
+		n := x.Len()
+		if x.Kind() != y.Kind() || y.Len() != n {
+			return false
+		}
+		switch x.Kind() {
+		case bat.KInt:
+			for i := 0; i < n; i++ {
+				if x.Int(i) != y.Int(i) {
+					return false
+				}
+			}
+		case bat.KFloat:
+			for i := 0; i < n; i++ {
+				if math.Float64bits(x.Float(i)) != math.Float64bits(y.Float(i)) {
+					return false
+				}
+			}
+		case bat.KStr:
+			for i := 0; i < n; i++ {
+				if x.Str(i) != y.Str(i) {
+					return false
+				}
+			}
+		default:
+			for i := 0; i < n; i++ {
+				if x.Value(i) != y.Value(i) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
 // LoadSpec describes one closed-loop client fan-out.
 type LoadSpec struct {
 	Targets []string // node addresses; session w dials Targets[w%len]
@@ -221,7 +295,9 @@ type LoadSpec struct {
 	Seed    int64
 	Timeout time.Duration // per query
 	// Refs holds the fingerprint every answer to a statement must
-	// reproduce; a statement without one adopts its first answer.
+	// reproduce; a statement without one adopts its first answer, and
+	// a later answer is fingerprinted only when its cells differ from
+	// that one's.
 	Refs map[string]string
 }
 
@@ -261,14 +337,14 @@ func (l *Load) Wait() *LoadResult {
 
 // StartLoad dials spec.Clients sessions and has them drain the query
 // budget, each firing its next query as soon as the previous one
-// answers. Every answer is fingerprinted against the statement's
-// reference; admission rejections (IsTemporary) are counted apart from
-// hard failures.
+// answers. Every answer is checked against the statement's reference
+// (reference.matches); admission rejections (IsTemporary) are counted
+// apart from hard failures.
 func StartLoad(spec LoadSpec) *Load {
 	l := &Load{third: make(chan struct{}), done: make(chan struct{})}
-	refs := make(map[string]string, len(spec.Refs))
+	refs := make(map[string]*reference, len(spec.Refs))
 	for sql, fp := range spec.Refs {
-		refs[sql] = fp
+		refs[sql] = &reference{fp: func() string { return fp }}
 	}
 	var (
 		mu        sync.Mutex // guards refs, completed and l.res
@@ -319,20 +395,25 @@ func StartLoad(spec LoadSpec) *Load {
 				rs, err := cl.Query(ctx, sql)
 				lat := time.Since(start)
 				cancel()
-				fp := ""
+				var ref *reference
+				correct := true
 				if err == nil {
-					fp = fingerprintRows(rs.Rows())
+					mu.Lock()
+					if ref = refs[sql]; ref == nil {
+						refs[sql] = answerRef(rs)
+					}
+					mu.Unlock()
+					correct = ref == nil || ref.matches(rs)
 				}
 				mu.Lock()
 				if completed++; completed >= spec.Queries/3 {
 					closeThird()
 				}
-				switch ref, seen := refs[sql]; {
-				case err == nil && seen && fp != ref:
+				switch {
+				case err == nil && !correct:
 					res.Incorrect++
 					note(w, fmt.Errorf("result mismatch for %.40q", sql))
 				case err == nil:
-					refs[sql] = fp
 					res.OK++
 					res.Samples = append(res.Samples, Sample{start, lat})
 				case dcclient.IsTemporary(err):
