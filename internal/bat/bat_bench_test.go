@@ -460,7 +460,7 @@ func BenchmarkBATConcatTail(b *testing.B) {
 		b.Run(form.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSink = ConcatAll(form.lists)
+				benchSink = ConcatAll(form.lists, nil)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchRows), "ns/row")
 		})
@@ -473,8 +473,11 @@ func BenchmarkBATConcatTail(b *testing.B) {
 // hundredths in 2-byte codes — are fetched at it and merged by their
 // tails. /list is the path before fetch exits were deferred: per
 // fragment a USelect and three Joins, then one ConcatAll. /mask is a
-// SelectMask per fragment and one FetchAll; /mask-go is /mask with the
-// compress kernels off, gatherKept's loop gathering every word.
+// SelectMask per fragment and one FetchAll; /mask-arena draws the
+// merged columns from an arena it releases every iteration, as a
+// server does once the result frame is written (unpoisoned, as outside
+// a test binary); /mask-go is /mask with the compress kernels off,
+// gatherKept's loop gathering every word.
 func BenchmarkBATFetchExit1M(b *testing.B) {
 	const frag = 64 << 10
 	rng := rand.New(rand.NewSource(51))
@@ -511,27 +514,32 @@ func BenchmarkBATFetchExit1M(b *testing.B) {
 					off[l] += Oid(f.Len())
 				}
 			}
-			benchSink = ConcatAll(lists)
+			benchSink = ConcatAll(lists, nil)
 		}
 	})
-	mask := func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			lists := make([][]Fetch, len(cols))
-			for k, s := range sel {
-				m := SelectMask([]Term{{B: s, Hi: hi}})
-				for l := range cols {
-					lists[l] = append(lists[l], Fetch{Cand: m, Col: cols[l][k]})
+	mask := func(a *Arena) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lists := make([][]Fetch, len(cols))
+				for k, s := range sel {
+					m := SelectMask([]Term{{B: s, Hi: hi}})
+					for l := range cols {
+						lists[l] = append(lists[l], Fetch{Cand: m, Col: cols[l][k]})
+					}
 				}
+				benchSink = FetchAll(lists, tails, a)
+				a.Release()
 			}
-			benchSink = FetchAll(lists, tails)
 		}
 	}
-	b.Run("mask", mask)
-	vbmi2 := haveVBMI2
-	defer func() { haveVBMI2 = vbmi2 }()
+	b.Run("mask", mask(nil))
+	poisoned, vbmi2 := poisonReleased, haveVBMI2
+	defer func() { poisonReleased, haveVBMI2 = poisoned, vbmi2 }()
+	poisonReleased = false
+	b.Run("mask-arena", mask(new(Arena)))
 	haveVBMI2 = false
-	b.Run("mask-go", mask)
+	b.Run("mask-go", mask(nil))
 }
 
 // widthColumn stores vals in the given physical width (8: wide), which

@@ -41,14 +41,14 @@ func Concat(frags []*BAT) *BAT {
 	if len(frags) == 1 {
 		return frags[0].viewAll() // the one view struct, nothing else
 	}
-	return ConcatAll([][]*BAT{frags})[0]
+	return ConcatAll([][]*BAT{frags}, nil)[0]
 }
 
 // ConcatAll is Concat over several fragment lists cut at the same
 // boundaries — the outputs of one per-fragment pipeline. Lists whose
 // fragments hold the same column, pointer for pointer, share its
-// concatenation.
-func ConcatAll(lists [][]*BAT) []*BAT {
+// concatenation. Merged codes are drawn from a (nil: made).
+func ConcatAll(lists [][]*BAT, a *Arena) []*BAT {
 	type gathered struct {
 		from []*Column
 		out  *Column
@@ -60,7 +60,7 @@ func ConcatAll(lists [][]*BAT) []*BAT {
 				return g.out
 			}
 		}
-		out := concatCols(cols)
+		out := concatCols(cols, a)
 		memo = append(memo, gathered{cols, out})
 		return out
 	}
@@ -100,12 +100,13 @@ type Fetch struct {
 // its parts — with tails[l], of their tails only, under one dense head
 // [0, n). When every part's candidates are a bitmap over its column's
 // rows and the columns' codes merge (concatCodes), the result is sized
-// once, allocated once, and each part's kept codes are gathered
-// straight into it; a concat list's head is the kept OIDs, written once
-// for all the lists over the same masks. Any other list runs the
-// definition. A part's column is read after its part unpinned it: on
-// the live ring a fragment stays readable until the query returns.
-func FetchAll(lists [][]Fetch, tails []bool) []*BAT {
+// once, drawn from the query's arena a (nil: made), and each part's
+// kept codes are gathered straight into it; a concat list's head is the
+// kept OIDs, written once for all the lists over the same masks. Any
+// other list runs the definition. A part's column is read after its
+// part unpinned it: on the live ring a fragment stays readable until
+// the query returns.
+func FetchAll(lists [][]Fetch, tails []bool, a *Arena) []*BAT {
 	type head struct {
 		masks []*Mask
 		col   *Column
@@ -119,7 +120,7 @@ func FetchAll(lists [][]Fetch, tails []bool) []*BAT {
 		for i, f := range parts {
 			masks[i] = f.Cand
 		}
-		if t := fetchCodes(parts, masks); t != nil {
+		if t := fetchCodes(parts, masks, a); t != nil {
 			h := DenseColumn(0, t.Len())
 			if !tails[l] {
 				h = nil
@@ -129,7 +130,7 @@ func FetchAll(lists [][]Fetch, tails []bool) []*BAT {
 					}
 				}
 				if h == nil {
-					h = keptHead(masks, t.Len())
+					h = keptHead(masks, t.Len(), a)
 					heads = append(heads, head{masks, h})
 				}
 			}
@@ -147,7 +148,7 @@ func FetchAll(lists [][]Fetch, tails []bool) []*BAT {
 		}
 		slow, at = append(slow, frags), append(at, l)
 	}
-	for i, b := range ConcatAll(slow) {
+	for i, b := range ConcatAll(slow, a) {
 		out[at[i]] = b
 	}
 	return out
@@ -156,7 +157,7 @@ func FetchAll(lists [][]Fetch, tails []bool) []*BAT {
 // fetchCodes is FetchAll's one pass: the kept rows of every part's
 // codes in one column, or nil when a mask is a list or covers other
 // rows than its column's, or the codes do not merge.
-func fetchCodes(parts []Fetch, masks []*Mask) *Column {
+func fetchCodes(parts []Fetch, masks []*Mask, a *Arena) *Column {
 	cols := make([]*Column, len(parts))
 	total := 0
 	for i, f := range parts {
@@ -166,13 +167,13 @@ func fetchCodes(parts []Fetch, masks []*Mask) *Column {
 		}
 		cols[i], total = f.Col.t, total+m.kept
 	}
-	return concatCodes(cols, masks, total)
+	return concatCodes(cols, masks, total, a)
 }
 
 // keptHead is the masks' kept OIDs in one column of total rows, sorted
 // when each part's first OID is at least the previous part's last.
-func keptHead(masks []*Mask, total int) *Column {
-	oids := make([]Oid, total+2) // putKept's spare slots
+func keptHead(masks []*Mask, total int, a *Arena) *Column {
+	oids := draw[Oid](a, total+2) // putKept's spare slots
 	at, sorted := 0, true
 	for _, m := range masks {
 		if m.kept > 0 {
@@ -189,7 +190,7 @@ func keptHead(masks []*Mask, total int) *Column {
 // fragments, each with its own reference and width, keep their codes
 // when they share an exponent or a dictionary (concatCodes); any other
 // mix decodes into the wide output.
-func concatCols(cols []*Column) *Column {
+func concatCols(cols []*Column, a *Arena) *Column {
 	if fused, ok := fuseDense(cols); ok {
 		return fused
 	}
@@ -201,7 +202,7 @@ func concatCols(cols []*Column) *Column {
 			allSorted = false
 		}
 	}
-	if out := concatCodes(cols, nil, total); out != nil {
+	if out := concatCodes(cols, nil, total, a); out != nil {
 		out.sorted = allSorted && boundariesOrdered(cols)
 		return out
 	}
@@ -251,11 +252,11 @@ func concatCols(cols []*Column) *Column {
 // dictionary (their references are all 0); the parts of a region exit
 // are takes and views of fragment columns, so they share their
 // fragment's. With keep, a column contributes only the rows its mask
-// keeps (FetchAll). It gives nil — the caller decodes — when a
-// non-empty part is wide or plain, the exponents or dictionaries
-// differ, every part is empty, or the rebased codes span past what a
-// uint32 holds.
-func concatCodes(cols []*Column, keep []*Mask, total int) *Column {
+// keeps (FetchAll). The merged codes are drawn from a. It gives nil —
+// the caller decodes — when a non-empty part is wide or plain, the
+// exponents or dictionaries differ, every part is empty, or the rebased
+// codes span past what a uint32 holds.
+func concatCodes(cols []*Column, keep []*Mask, total int, a *Arena) *Column {
 	out := &Column{kind: cols[0].kind}
 	parts := make([]codes, 0, len(cols))
 	var masks []*Mask
@@ -289,23 +290,22 @@ func concatCodes(cols []*Column, keep []*Mask, total int) *Column {
 	}
 	switch {
 	case span <= math.MaxUint8:
-		out.narrow = mergeCodes[uint8](parts, masks, total, ref, span)
+		out.narrow = mergeCodes(draw[uint8](a, total), parts, masks, ref, span)
 	case span <= math.MaxUint16:
-		out.narrow = mergeCodes[uint16](parts, masks, total, ref, span)
+		out.narrow = mergeCodes(draw[uint16](a, total), parts, masks, ref, span)
 	case span <= math.MaxUint32:
-		out.narrow = mergeCodes[uint32](parts, masks, total, ref, span)
+		out.narrow = mergeCodes(draw[uint32](a, total), parts, masks, ref, span)
 	default:
 		return nil
 	}
 	return out
 }
 
-// mergeCodes writes the parts' codes, rebased onto ref, into one
-// exact-size vector of width V: every code, or with masks the ones
-// each part's mask keeps. The caller has checked that every rebased
-// code fits: none exceeds top.
-func mergeCodes[V code](parts []codes, masks []*Mask, total int, ref int64, top uint64) codes {
-	v := make([]V, total)
+// mergeCodes writes the parts' codes, rebased onto ref, into v, which
+// is exactly their number: every code, or with masks the ones each
+// part's mask keeps. The caller has checked that every rebased code
+// fits: none exceeds top.
+func mergeCodes[V code](v []V, parts []codes, masks []*Mask, ref int64, top uint64) codes {
 	at := 0
 	for i, p := range parts {
 		var m *Mask

@@ -97,7 +97,9 @@ type fetchStats struct{ fast, bitmaps, emptied int }
 // to the bit), the same name, and no sortedness the definition lacks;
 // each mask holds a bitmap exactly when the kernel takes its terms, and
 // its candidates are the chain's. Two concat lists that take the one
-// pass share their head.
+// pass share their head. The merge draws from an arena, released after
+// the check: a later check draws the poisoned buffers back, and a code
+// the merge left unwritten reads as poison.
 func checkFetchExit(t *testing.T, what string, sels [][]Term, cols [2][]*BAT, tails [2]bool, st *fetchStats) {
 	t.Helper()
 	masks := make([]*Mask, len(sels))
@@ -116,11 +118,13 @@ func checkFetchExit(t *testing.T, what string, sels [][]Term, cols [2][]*BAT, ta
 			parts[l] = append(parts[l], b)
 		}
 	}
-	want := ConcatAll(parts[:])
-	got := FetchAll(lists, tails[:])
+	want := ConcatAll(parts[:], nil)
+	var a Arena
+	defer a.Release()
+	got := FetchAll(lists, tails[:], &a)
 	fast := [2]bool{}
 	for l := range lists {
-		fast[l] = fetchCodes(lists[l], masks) != nil
+		fast[l] = fetchCodes(lists[l], masks, nil) != nil
 		if fast[l] {
 			st.fast++
 		}

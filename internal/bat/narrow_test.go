@@ -561,7 +561,7 @@ func checkNarrowOperators(t *testing.T, rng *rand.Rand, c narrowCase) {
 	if len(wparts) > 0 {
 		wcat := Concat(wparts)
 		same("Concat", wcat, Concat(nparts))
-		all := ConcatAll([][]*BAT{nparts, wparts})
+		all := ConcatAll([][]*BAT{nparts, wparts}, nil)
 		same("ConcatAll", wcat, all[0])
 		vcat := Concat(views)
 		same("Concat views", wcat, vcat)

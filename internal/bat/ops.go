@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"testing"
 )
 
 // The operators in this file are devirtualized: each call dispatches on
@@ -111,9 +112,94 @@ func (sp *slicePool[T]) put(p *[]T) {
 
 var (
 	idxPool slicePool[int32]  // row positions: rangeIdx, scanCodes, mergeMemberIdx, gallopProbeIdx
-	oidPool slicePool[Oid]    // candidate OIDs: rangeOids, candOids, scanCodes, candCodes
+	oidPool slicePool[Oid]    // candidate OIDs: rangeOids, candOids, scanCodes, candCodes; an Arena's keptHead
 	bitPool slicePool[uint64] // row bitmaps: selectCodes
+	u8Pool  slicePool[uint8]  // an Arena's merged codes, one pool per width: mergeCodes
+	u16Pool slicePool[uint16]
+	u32Pool slicePool[uint32]
 )
+
+// Arena holds the pooled buffers one query's merges drew (FetchAll,
+// ConcatAll): the merged result columns, which live as long as the
+// query's result. Whoever is done with the result hands them back with
+// Release; a nil Arena draws with make, and an Arena never released
+// leaves its buffers to the collector. The lists are typed, so an
+// Arena that draws nothing allocates nothing. Draws and Release may
+// run on different goroutines.
+type Arena struct {
+	mu   sync.Mutex
+	u8   drawn[uint8]
+	u16  drawn[uint16]
+	u32  drawn[uint32]
+	oids drawn[Oid]
+}
+
+// Release hands every buffer the arena drew back to its pool. Nothing
+// may read a column merged into it afterwards; a second Release, with
+// no draw between, puts nothing back. In a test binary each buffer is
+// poisoned first, so a column read after its Release fails an answer
+// check instead of passing by luck.
+func (a *Arena) Release() {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.u8.release(&u8Pool)
+	a.u16.release(&u16Pool)
+	a.u32.release(&u32Pool)
+	a.oids.release(&oidPool)
+}
+
+// draw is n elements of T, from the arena's pool for T (uninitialized),
+// or made when a is nil.
+func draw[T code | Oid](a *Arena, n int) []T {
+	if a == nil {
+		return make([]T, n)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var v []T
+	switch p := any(&v).(type) {
+	case *[]uint8:
+		*p = a.u8.draw(&u8Pool, n)
+	case *[]uint16:
+		*p = a.u16.draw(&u16Pool, n)
+	case *[]uint32:
+		*p = a.u32.draw(&u32Pool, n)
+	case *[]Oid:
+		*p = a.oids.draw(&oidPool, n)
+	}
+	return v
+}
+
+// poison is what Release overwrites a buffer with when poisonReleased
+// holds: in a test binary.
+const poison = 0xdb
+
+var poisonReleased = testing.Testing()
+
+// drawn is an Arena's list of one element type's buffers.
+type drawn[T code | Oid] []*[]T
+
+func (d *drawn[T]) draw(pool *slicePool[T], n int) []T {
+	p := pool.get(n)
+	*d = append(*d, p)
+	return (*p)[:n:n] // an append past n must not write the pool's spare room
+}
+
+func (d *drawn[T]) release(pool *slicePool[T]) {
+	for _, p := range *d {
+		if poisonReleased {
+			b := (*p)[:cap(*p)]
+			for i := range b {
+				b[i] = ^T(0) / 0xff * poison // the byte in every byte
+			}
+		}
+		pool.put(p)
+	}
+	*d = nil
+}
 
 // rangeIdx scans an unsorted payload once and returns the qualifying
 // row positions in ascending order. Every position is stored and the
@@ -1505,7 +1591,7 @@ func (b *BAT) Diff(r *BAT) *BAT {
 // of concatCols (concat.go), which owns the dense-fusion and
 // sorted-boundary property rules.
 func concatCol(a, c *Column) *Column {
-	return concatCols([]*Column{a, c})
+	return concatCols([]*Column{a, c}, nil)
 }
 
 // boundaryOrdered reports last(a) <= first(c); kinds match.

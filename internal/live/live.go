@@ -545,6 +545,9 @@ type queryDC struct {
 	// unpinned when the merge collected them, so the plan's unpin only
 	// drops the tracking.
 	merged map[*bat.BAT]bool
+	// arena is the query's mal.Context.Arena, here so that a query
+	// whose merges draw nothing allocates nothing for it.
+	arena bat.Arena
 }
 
 // Request implements mal.DCRuntime. A column is a fragment list: its
@@ -672,7 +675,7 @@ func (n *Node) ExecPlan(plan *mal.Plan) (*mal.ResultSet, error) {
 		n.mu.Unlock()
 	}()
 
-	ctx := &mal.Context{Registry: mal.Standard(), DC: dc, Workers: n.cfg.Workers, Cancel: cancel}
+	ctx := &mal.Context{Registry: mal.Standard(), DC: dc, Workers: n.cfg.Workers, Cancel: cancel, Arena: &dc.arena}
 	done := make(chan struct{})
 	var (
 		res    mal.Value
@@ -704,10 +707,12 @@ func (n *Node) ExecPlan(plan *mal.Plan) (*mal.ResultSet, error) {
 	}
 	// The result outlives the query's grace period and is encoded for
 	// clients: every column leaves owning its memory, narrow columns in
-	// their codes.
+	// their codes, and its merged columns' buffers with the arena that
+	// a caller done with it releases. A failed query releases nothing.
 	for i, c := range rs.Cols {
 		rs.Cols[i] = n.ownResult(c)
 	}
+	rs.Arena = ctx.Arena
 	return rs, nil
 }
 

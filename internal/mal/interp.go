@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+
+	"repro/internal/bat"
 )
 
 // ErrCancelled is returned by Run when the Context's Cancel channel
@@ -89,6 +91,10 @@ type Context struct {
 	// channel so an abandoned query cannot strand an interpreter
 	// goroutine on a pin that will never be delivered.
 	Cancel <-chan struct{}
+	// Arena, when non-nil, is where the run's region merges draw the
+	// columns they merge (bat.FetchAll, bat.ConcatAll); nil, they make
+	// them. Whoever set it hands it on with the result (ResultSet.Arena).
+	Arena *bat.Arena
 }
 
 // cancelled reports whether the run's cancel channel has closed.

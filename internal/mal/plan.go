@@ -185,7 +185,16 @@ func (b *Builder) MustBuild() *Plan {
 type ResultSet struct {
 	Names []string
 	Cols  []*bat.BAT
+	// Arena is the run's Context.Arena: the pooled buffers of the
+	// columns its merges drew, when there was one.
+	Arena *bat.Arena
 }
+
+// Release hands the result's pooled column buffers back (Arena.Release).
+// Only a caller that will never read this result again, nor any column
+// or view taken from it, may call it: a server once the result frame
+// is written. A second call does nothing.
+func (r *ResultSet) Release() { r.Arena.Release() }
 
 // NumRows reports the row count.
 func (r *ResultSet) NumRows() int {

@@ -123,7 +123,7 @@ func aligned(ctx *Context, args []Value) ([]Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		return r.merge(parts)
+		return r.merge(ctx, parts)
 	}
 	// Whole columns, inline: the un-outlined plan's instructions under
 	// the same dataflow rules, as one part. One worker per column is all
@@ -134,7 +134,7 @@ func aligned(ctx *Context, args []Value) ([]Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.merge([]Value{part})
+	return r.merge(ctx, []Value{part})
 }
 
 // run executes the sub-plan once against dc and returns its exit values
@@ -177,7 +177,8 @@ func (r *Region) run(ctx *Context, dc DCRuntime, workers int) (_ Value, err erro
 
 // merge combines the per-part exit values, parts in fragment order, so
 // the outcome does not depend on the order the fragments arrived in.
-func (r *Region) merge(parts []Value) ([]Value, error) {
+// The merged columns are drawn from the query's arena (ctx.Arena).
+func (r *Region) merge(ctx *Context, parts []Value) ([]Value, error) {
 	rows := make([][]Value, len(parts)) // per part, its exits
 	for i, p := range parts {
 		rows[i] = p.([]Value)
@@ -224,10 +225,10 @@ func (r *Region) merge(parts []Value) ([]Value, error) {
 		}
 		out[e] = acc
 	}
-	for i, b := range bat.ConcatAll(lists) {
+	for i, b := range bat.ConcatAll(lists, ctx.Arena) {
 		out[at[i]] = b
 	}
-	for i, b := range bat.FetchAll(fetches, tails) {
+	for i, b := range bat.FetchAll(fetches, tails, ctx.Arena) {
 		out[fetchAt[i]] = b
 	}
 	return out, nil

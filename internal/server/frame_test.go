@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -227,17 +228,9 @@ func TestFetchExitsOutliveUnpin(t *testing.T) {
 					t.Errorf("session %d, query %d: %v", session, q, err)
 					return
 				}
-				if len(got.Cols) != len(want.Cols) || got.NumRows() != want.NumRows() {
-					t.Errorf("session %d, query %d: %d columns of %d rows, want %d of %d", session, q, len(got.Cols), got.NumRows(), len(want.Cols), want.NumRows())
+				if err := sameCells(got, want); err != nil {
+					t.Errorf("session %d, query %d: %v", session, q, err)
 					return
-				}
-				for i, c := range got.Cols {
-					for row := 0; row < c.Len(); row++ {
-						if g, w := c.Tail().Value(row), want.Cols[i].Tail().Value(row); g != w {
-							t.Errorf("session %d, query %d: column %q row %d: %v, want %v", session, q, got.Names[i], row, g, w)
-							return
-						}
-					}
 				}
 			}
 		}(session)
@@ -250,6 +243,92 @@ func TestFetchExitsOutliveUnpin(t *testing.T) {
 	if cs.RingWaits == 0 || cs.Evictions == 0 {
 		t.Fatalf("no fragment circulated past a full cache (%d ring waits, %d evictions)", cs.RingWaits, cs.Evictions)
 	}
+}
+
+// TestServedResultsSurviveRecycling: a served result's merged columns
+// go back to their pools once its frame is written, and a test binary
+// poisons each buffer it takes back. Two sessions alternate wide
+// projections that keep about half, a twelfth and nearly all of lineitem's
+// rows, so buffers of several lengths cycle between queries of both;
+// a buffer released before its frame was written, or released twice
+// and drawn by two queries at once, would serve poison or the other
+// query's rows. Every answer matches the local reference cell for cell.
+func TestServedResultsSurviveRecycling(t *testing.T) {
+	const rounds = 50
+	db := tpch.GenDB(0.002, 1)
+	cfg := live.DefaultConfig()
+	cfg.FragmentRows = 1000
+	r, err := live.NewRing(3, db.ColumnMap(), db.Schema(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	s, err := server.Serve(r, server.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sqls := []string{wideSQL,
+		"select l_orderkey, l_suppkey, l_extendedprice from lineitem where l_quantity < 5",
+		"select l_orderkey, l_suppkey, l_extendedprice from lineitem where l_quantity < 50"}
+	wants := make([]*mal.ResultSet, len(sqls))
+	for i, sql := range sqls {
+		plan, err := minisql.Compile(sql, db.Schema(), "sys")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dc, _, err := dcopt.Rewrite(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := &maltest.FragDC{Cols: db.ColumnMap(), Cuts: maltest.EveryRows(cfg.FragmentRows)}
+		ref, err := mal.Run(&mal.Context{Registry: mal.Standard(), DC: local}, dc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants[i] = ref.(*mal.ResultSet)
+	}
+	var wg sync.WaitGroup
+	for session := 0; session < 2; session++ {
+		wg.Add(1)
+		go func(session int) {
+			defer wg.Done()
+			cl, err := dcclient.Dial(s.Addr(session))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer cl.Close()
+			for q := 0; q < rounds; q++ {
+				i := (q + session) % len(sqls)
+				got, err := cl.Query(context.Background(), sqls[i])
+				if err != nil {
+					t.Errorf("session %d, round %d: %v", session, q, err)
+					return
+				}
+				if err := sameCells(got, wants[i]); err != nil {
+					t.Errorf("session %d, round %d (%s): %v", session, q, sqls[i], err)
+					return
+				}
+			}
+		}(session)
+	}
+	wg.Wait()
+}
+
+// sameCells reports the first cell where got differs from want.
+func sameCells(got, want *mal.ResultSet) error {
+	if len(got.Cols) != len(want.Cols) || got.NumRows() != want.NumRows() {
+		return fmt.Errorf("%d columns of %d rows, want %d of %d", len(got.Cols), got.NumRows(), len(want.Cols), want.NumRows())
+	}
+	for i, c := range got.Cols {
+		for row := 0; row < c.Len(); row++ {
+			if g, w := c.Tail().Value(row), want.Cols[i].Tail().Value(row); g != w {
+				return fmt.Errorf("column %q row %d: %v, want %v", got.Names[i], row, g, w)
+			}
+		}
+	}
+	return nil
 }
 
 // TestOversizedResultIsRefused: a result frame past MaxFrame is answered

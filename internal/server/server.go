@@ -511,6 +511,10 @@ func (ns *nodeServer) serveQuery(conn net.Conn, bw *bufio.Writer, sql string) {
 
 	var frame net.Buffers
 	if err == nil {
+		// The frame carries the result columns' own memory: their pooled
+		// buffers go back once it is written (TCP has copied every byte
+		// by then, or never will), or once it is refused.
+		defer rs.Release()
 		frame, err = resultFrame(rs, ns.srv.cfg.MaxFrame)
 	}
 	if err != nil {
