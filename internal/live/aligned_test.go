@@ -2,15 +2,18 @@ package live
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bat"
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/mal"
 	"repro/internal/mal/maltest"
 	"repro/internal/minisql"
@@ -58,9 +61,9 @@ func fragLens(t *testing.T, r *Ring, name string) []int {
 // map before its first pin and waits for all k × n fragments to be
 // delivered anyway: acquisitions belong to the map, not to the parts.
 // A map that acquired a part's fragments only when that part ran would
-// never get past the parts the FragWorkers tokens admit — and on a
+// never get past the parts its FragWorkers workers hold — and on a
 // starved ring would pay an extra revolution per index for envelopes
-// that went by unregistered (ISSUE 28: ring_thrash p50 +38 %).
+// that went by unregistered (ring_thrash p50 +38 % when it was tried).
 func TestRegionAcquiresEveryFragmentUpFront(t *testing.T) {
 	cols, schema := fragColumns(2000)
 	cfg := DefaultConfig()
@@ -88,7 +91,7 @@ func TestRegionAcquiresEveryFragmentUpFront(t *testing.T) {
 		}
 	}
 	if parts := len(handles[0].(*fragHandle).ids); parts <= cfg.Workers || away < parts {
-		t.Fatalf("%d parts, %d fragments away: too few to outnumber the %d kernel tokens", parts, away, cfg.Workers)
+		t.Fatalf("%d parts, %d fragments away: too few to outnumber the %d workers", parts, away, cfg.Workers)
 	}
 
 	release := make(chan struct{})
@@ -299,8 +302,241 @@ func TestRegionFailureLeaksNothing(t *testing.T) {
 		}
 		checkNothingHeld(t, n)
 	}
-	// ExecPlan returns once the interpreter goroutine is past its last
-	// instruction; its exit, and the parts' before it, follow at once.
+	// ExecPlan runs the interpreter on its caller, and a map waits for
+	// its workers and acquisitions before it returns; what is left is
+	// the ring's own goroutines settling.
 	waitFor(t, "the failed queries' goroutines to exit", 10*time.Second,
 		func() bool { return n.InterpRunning() == 0 && runtime.NumGoroutine() <= before })
+}
+
+// raise lifts the high-water mark hw to v.
+func raise(hw *atomic.Int32, v int32) {
+	for old := hw.Load(); v > old && !hw.CompareAndSwap(old, v); old = hw.Load() {
+	}
+}
+
+// TestPartsRunOnceWithinFragWorkers maps a part over 63 fragment
+// indexes of two columns whose fragments sit at random ring positions
+// of a cache-less ring, so they arrive out of order and a part's two
+// fragments apart. Every index must run exactly once, the results come
+// back in fragment order, and no more than FragWorkers parts are ever
+// inside part at once. Over a hot map — every fragment owned — the map
+// may start no goroutine beyond its FragWorkers − 1 workers: a part
+// whose fragments are in is a queue entry, not a goroutine.
+func TestPartsRunOnceWithinFragWorkers(t *testing.T) {
+	const rows, fragRows, workers = 2000, 32, 3
+	const parts = (rows + fragRows - 1) / fragRows
+	cols, schema := fragColumns(rows)
+	// index pins every slot of a part and reads its fragment index off
+	// the dense head base, which carries the global row offset.
+	index := func(p mal.DCRuntime, slots int) (int, error) {
+		i := -1
+		for slot := 0; slot < slots; slot++ {
+			v, err := p.Pin(mal.Slot(slot))
+			if err != nil {
+				return 0, err
+			}
+			if b := v.(*bat.BAT); i < 0 {
+				i = int(b.Head().Base()) / fragRows
+			}
+			if err := p.Unpin(v); err != nil {
+				return 0, err
+			}
+		}
+		return i, nil
+	}
+	done := func(n *Node, dc *queryDC) {
+		n.mu.Lock()
+		n.rt.CancelQuery(dc.q, dc.bats)
+		n.mu.Unlock()
+	}
+
+	t.Run("adverse", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		cfg := DefaultConfig()
+		cfg.FragmentRows = fragRows
+		cfg.CacheBytes = 0
+		cfg.FragWorkers = workers
+		cfg.placeFragment = func(frag, nodes int) int { return rng.Intn(nodes) }
+		r, err := NewRing(4, cols, schema, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		n := r.Node(0)
+		for round := 1; round <= 3; round++ {
+			dc := &queryDC{n: n, q: core.QueryID(round)<<16 | core.QueryID(n.id)}
+			var handles []mal.Value
+			for _, col := range []string{"v", "k"} {
+				h, err := dc.Request("sys", "big", col)
+				if err != nil {
+					t.Fatal(err)
+				}
+				handles = append(handles, h)
+			}
+			var inside, peak atomic.Int32
+			var runs [parts]atomic.Int32
+			out, err := dc.PinMap(handles, func(p mal.DCRuntime) (mal.Value, error) {
+				raise(&peak, inside.Add(1))
+				defer inside.Add(-1)
+				i, err := index(p, len(handles))
+				if err != nil {
+					return nil, err
+				}
+				runs[i].Add(1)
+				time.Sleep(100 * time.Microsecond) // let the workers overlap
+				return i, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done(n, dc)
+			if len(out) != parts {
+				t.Fatalf("round %d: %d results, want %d", round, len(out), parts)
+			}
+			for i := range out {
+				if got := runs[i].Load(); got != 1 {
+					t.Fatalf("round %d: index %d ran %d times, want once", round, i, got)
+				}
+				if out[i] != i {
+					t.Fatalf("round %d: result %d came from index %v: not in fragment order", round, i, out[i])
+				}
+			}
+			if got := peak.Load(); got > workers {
+				t.Fatalf("round %d: %d parts inside part at once, FragWorkers is %d", round, got, workers)
+			}
+			checkNothingHeld(t, n)
+		}
+	})
+
+	t.Run("hot", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.FragmentRows = fragRows
+		cfg.FragWorkers = workers
+		cfg.placeFragment = func(frag, nodes int) int { return 0 } // the querying node owns every fragment
+		r, err := NewRing(2, cols, schema, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		n := r.Node(0)
+		for round := 1; round <= 3; round++ {
+			// No Request: a map over owned fragments sends nothing.
+			dc := &queryDC{n: n, q: core.QueryID(round)<<16 | core.QueryID(n.id)}
+			var handles []mal.Value
+			for _, col := range []string{"big.v", "big.k"} {
+				ids, _ := r.Fragments(col)
+				handles = append(handles, &fragHandle{name: col, ids: ids})
+			}
+			before := int32(moduleGoroutines())
+			var peak atomic.Int32
+			if _, err := dc.PinMap(handles, func(p mal.DCRuntime) (mal.Value, error) {
+				raise(&peak, int32(moduleGoroutines()))
+				time.Sleep(100 * time.Microsecond) // let the workers overlap
+				return index(p, len(handles))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			done(n, dc)
+			if extra := peak.Load() - before; extra > workers-1 {
+				t.Fatalf("round %d: a hot map of %d parts started %d goroutines, want at most FragWorkers − 1 = %d", round, parts, extra, workers-1)
+			}
+			checkNothingHeld(t, n)
+		}
+	})
+}
+
+// moduleGoroutines counts the goroutines this module's code started,
+// the caller's included: a ring's loops and whatever a map starts, but
+// not the runtime's timer goroutines, which come and go on their own.
+func moduleGoroutines() int {
+	buf := make([]byte, 64<<10)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "\ncreated by repro/internal/")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// partInUnpin reports whether a goroutine is inside an aligned region's
+// part, in a datacyclotron.unpin that releases a fragment: past the
+// part's kernels, not in a pin.
+func partInUnpin() bool {
+	for _, g := range leakcheck.Goroutines() {
+		if strings.Contains(g, ".(*queryDC).releaseRing(") && strings.Contains(g, ".(*partDC).Unpin(") &&
+			strings.Contains(g, "mal.(*Region).run(") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestQueryErrorStopsComputingInterpreter fails a query at the protocol
+// layer while one of its parts is computing rather than waiting in a
+// pin, where failing the pin's waiter would stop it anyway. The test
+// holds n.mu until a part blocks on it in an unpin, then fires
+// QueryError. ExecPlan must return the protocol error, and the
+// interpreter must stop at its next instruction instead of finishing
+// the plan: the pins that follow the region (dim's columns) never
+// reach the runtime, and InterpRunning is back to 0.
+func TestQueryErrorStopsComputingInterpreter(t *testing.T) {
+	cols, schema := fragColumns(2000)
+	cfg := DefaultConfig()
+	cfg.FragmentRows = 64
+	cfg.Workers, cfg.FragWorkers = 1, 1 // plan order, one part at a time
+	// Node 0 owns every fragment, so every part's unpin releases a
+	// runtime pin under n.mu.
+	cfg.placeFragment = func(frag, nodes int) int { return 0 }
+	r, err := NewRing(2, cols, schema, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	n := r.Node(0)
+	// big's region (v, k) runs first; dim.name and dim.id are pinned
+	// after it.
+	const sql = "select dim.name from big, dim where big.k = dim.id and big.v < 100"
+	const reason = "failed by the test"
+	for attempt := 0; attempt < 20; attempt++ {
+		res := make(chan error, 1)
+		go func() {
+			_, err := n.ExecSQL(sql)
+			res <- err
+		}()
+		var deliveries uint64
+		caught := false
+		for !caught && len(res) == 0 {
+			n.mu.Lock()
+			if caught = partInUnpin(); caught {
+				for q := range n.errs {
+					(*liveEnv)(n).QueryError(q, 0, reason)
+				}
+				deliveries = n.rt.Stats().Deliveries
+			}
+			n.mu.Unlock()
+		}
+		if !caught { // the query finished before a part was caught
+			if err := <-res; err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		err := <-res
+		if err == nil || !strings.Contains(err.Error(), reason) {
+			t.Fatalf("ExecPlan returned %v, want the protocol error", err)
+		}
+		if got := n.InterpRunning(); got != 0 {
+			t.Fatalf("InterpRunning = %d after ExecPlan returned", got)
+		}
+		n.mu.Lock()
+		after := n.rt.Stats().Deliveries
+		n.mu.Unlock()
+		if after != deliveries {
+			t.Fatalf("%d pins reached the runtime after QueryError: the interpreter ran on to the end of the plan", after-deliveries)
+		}
+		checkNothingHeld(t, n)
+		return
+	}
+	t.Fatal("no attempt caught a part in an unpin")
 }

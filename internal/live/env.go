@@ -335,11 +335,14 @@ func (e *liveEnv) QueryError(q core.QueryID, b core.BATID, reason string) {
 			ch <- nil
 		}
 	}
-	if ec, ok := n.errs[q]; ok {
+	if qe, ok := n.errs[q]; ok {
 		select {
-		case ec <- fmt.Errorf("live: query %d: %s (BAT %d)", q, reason, b):
+		case qe.ch <- fmt.Errorf("live: query %d: %s (BAT %d)", q, reason, b):
 		default:
 		}
+		// Stop an interpreter that is computing, not pinning, at its
+		// next instruction.
+		qe.abort()
 	}
 }
 

@@ -385,30 +385,23 @@ func staleParts(vers [][]int) []int {
 }
 
 // fragAcq is one fragment acquisition of an aligned map. acquireNow or
-// its goroutine fills f, viaRing and err, then closes done; out belongs
-// to the part alone.
+// its goroutine fills f, viaRing and err before the acquisition counts
+// itself in (partDC.missing); out belongs to the part alone.
 type fragAcq struct {
 	id      core.BATID
-	done    chan struct{}
 	f       *fragment
 	err     error
 	viaRing bool // the acquisition holds runtime refs until released
 	out     bool // handed to the part by Pin, not unpinned yet
 }
 
-// acquired is the done channel of an acquisition that completed inline.
-var acquired = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
-
 // partDC is the DC runtime one part of an aligned map sees: Pin(slot)
-// hands out this index's fragment of that column once it is in.
+// hands out this index's fragment of that column. A part runs only
+// once every one of its acquisitions is in, so Pin never waits.
 type partDC struct {
-	d    *queryDC
-	acqs []fragAcq     // one per column
-	sem  chan struct{} // the map's kernel tokens; the running part holds one
+	d       *queryDC
+	acqs    []fragAcq    // one per column
+	missing atomic.Int32 // acquisitions not in yet
 }
 
 func (p *partDC) Request(schema, table, column string) (mal.Value, error) {
@@ -421,14 +414,6 @@ func (p *partDC) Pin(handle mal.Value) (mal.Value, error) {
 		return nil, fmt.Errorf("live: bad part pin handle %#v", handle)
 	}
 	a := &p.acqs[slot]
-	select {
-	case <-a.done:
-	default:
-		// Not in yet: another part may compute while this one waits.
-		<-p.sem
-		<-a.done
-		p.sem <- struct{}{}
-	}
 	if a.err != nil {
 		return nil, a.err
 	}
@@ -466,22 +451,21 @@ func (d *queryDC) releaseRing(id core.BATID) {
 // other one on a lightweight goroutine of its own (coalesced wait or ring
 // circulation; arrival order is the ring's business), so each pin is
 // registered before any part blocks: a fragment whose pin is registered
-// only after its envelope went by costs a whole extra revolution. Parts
-// run concurrently too, the last one on the calling goroutine, but only
-// FragWorkers of them compute at a time: a part holds a kernel token
-// except while it waits in Pin. The first failure aborts the remaining
-// waits; whatever a part did not unpin itself is released before mapParts
-// returns.
+// only after its envelope went by costs a whole extra revolution. A part
+// is ready once its last acquisition is in, and ready parts queue in the
+// order they became ready; FragWorkers workers — the calling goroutine
+// and FragWorkers − 1 others — take them from the queue, so at most that
+// many parts compute at a time and none waits inside one. The first
+// failure aborts the remaining waits; their parts still become ready,
+// and their pins fail. Whatever a part did not unpin itself is released
+// before mapParts returns.
 func (d *queryDC) mapParts(cols [][]core.BATID, idx []int, part func(mal.DCRuntime) (mal.Value, error), results []mal.Value, vers [][]int) error {
 	n := d.n
 	workers := n.cfg.FragWorkers
 	if workers <= 0 {
 		workers = n.cfg.Workers
 	}
-	if workers <= 0 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
+	workers = max(1, min(workers, len(idx)))
 	abort := make(chan struct{})
 	var abortOnce sync.Once
 	var errMu sync.Mutex
@@ -496,35 +480,38 @@ func (d *queryDC) mapParts(cols [][]core.BATID, idx []int, part func(mal.DCRunti
 	}
 
 	parts := make([]partDC, len(idx))
+	ready := make(chan int, len(parts))
+	in := func(pi int) {
+		if parts[pi].missing.Add(-1) == 0 {
+			ready <- pi
+		}
+	}
 	var wg sync.WaitGroup
 	for pi, i := range idx {
 		p := &parts[pi]
-		*p = partDC{d: d, sem: sem, acqs: make([]fragAcq, len(cols))}
+		p.d, p.acqs = d, make([]fragAcq, len(cols))
+		p.missing.Store(int32(len(cols)))
 		for j := range cols {
 			a := &p.acqs[j]
-			a.id, a.done = cols[j][i], acquired
+			a.id = cols[j][i]
 			var ok bool
 			if a.f, a.viaRing, ok, a.err = d.acquireNow(a.id); ok {
+				in(pi)
 				continue
 			}
-			a.done = make(chan struct{})
 			wg.Add(1)
-			go func() {
+			go func(pi int) {
 				defer wg.Done()
 				a.f, a.viaRing, a.err = d.acquireWait(a.id, abort)
-				close(a.done)
-			}()
+				in(pi)
+			}(pi)
 		}
 	}
 	run := func(pi int) {
 		p, i := &parts[pi], idx[pi]
-		sem <- struct{}{}
 		v, err := part(p)
-		<-sem
 		if err != nil {
-			if !errors.Is(err, errPinAborted) {
-				fail(err)
-			}
+			fail(err)
 			return
 		}
 		results[i] = v
@@ -533,15 +520,20 @@ func (d *queryDC) mapParts(cols [][]core.BATID, idx []int, part func(mal.DCRunti
 			vers[i][j] = p.acqs[j].f.ver
 		}
 	}
-	last := len(parts) - 1
-	for pi := 0; pi < last; pi++ {
-		wg.Add(1)
-		go func(pi int) {
-			defer wg.Done()
-			run(pi)
-		}(pi)
+	var taken atomic.Int32
+	work := func() {
+		for int(taken.Add(1)) <= len(parts) {
+			run(<-ready)
+		}
 	}
-	run(last)
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	for pi := range parts {
 		for j := range parts[pi].acqs {

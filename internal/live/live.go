@@ -205,7 +205,7 @@ type Node struct {
 
 	// waiters carries each blocked pin its delivery; nil fails the pin.
 	waiters map[waitKey]chan *fragment
-	errs    map[core.QueryID]chan error
+	errs    map[core.QueryID]queryErr
 
 	// The four neighbour links. linkMu guards the pointers themselves:
 	// failover splices fresh messengers around a dead neighbour at
@@ -261,7 +261,7 @@ type Node struct {
 	lastSelfSeen map[core.BATID]int64
 	revNanos     int64
 
-	// interpRunning counts live interpreter goroutines (leak detector
+	// interpRunning counts the queries inside mal.Run (leak detector
 	// and drain hook).
 	interpRunning int64
 
@@ -309,6 +309,13 @@ func (n *Node) unrefCached(id core.BATID) {
 			c.f.slab.release()
 		}
 	}
+}
+
+// queryErr is how the runtime fails a running query (QueryError): the
+// error ExecPlan returns, and the abort that cancels its interpreter.
+type queryErr struct {
+	ch    chan error
+	abort func()
 }
 
 type waitKey struct {
@@ -471,7 +478,7 @@ func (r *Ring) newNode(id, nodes, pred int, schema minisql.Schema) *Node {
 		transit:  map[core.BATID]*fragment{},
 		cached:   map[core.BATID]*cachedBAT{},
 		waiters:  map[waitKey]chan *fragment{},
-		errs:     map[core.QueryID]chan error{},
+		errs:     map[core.QueryID]queryErr{},
 		schema:   schema,
 		start:    time.Now(),
 		closed:   make(chan struct{}),
@@ -535,8 +542,8 @@ type queryDC struct {
 	n *Node
 	q core.QueryID
 	// cancel, when non-nil, aborts blocked pins: ExecPlan closes it when
-	// the query fails so the interpreter goroutine can exit instead of
-	// waiting for a delivery that will never come.
+	// the query fails so the interpreter can return instead of waiting
+	// for a delivery that will never come.
 	cancel <-chan struct{}
 	mu     sync.Mutex
 	bats   []core.BATID
@@ -664,7 +671,7 @@ func (n *Node) ExecPlan(plan *mal.Plan) (*mal.ResultSet, error) {
 	dc := &queryDC{n: n, q: q, cancel: cancel}
 	errCh := make(chan error, 1)
 	n.mu.Lock()
-	n.errs[q] = errCh
+	n.errs[q] = queryErr{errCh, abort}
 	n.mu.Unlock()
 	defer func() {
 		abort()
@@ -676,27 +683,15 @@ func (n *Node) ExecPlan(plan *mal.Plan) (*mal.ResultSet, error) {
 	}()
 
 	ctx := &mal.Context{Registry: mal.Standard(), DC: dc, Workers: n.cfg.Workers, Cancel: cancel, Arena: &dc.arena}
-	done := make(chan struct{})
-	var (
-		res    mal.Value
-		runErr error
-	)
 	atomic.AddInt64(&n.interpRunning, 1)
-	go func() {
-		defer atomic.AddInt64(&n.interpRunning, -1)
-		res, runErr = mal.Run(ctx, plan)
-		close(done)
-	}()
+	res, runErr := mal.Run(ctx, plan)
+	atomic.AddInt64(&n.interpRunning, -1)
 	select {
-	case <-done:
 	case err := <-errCh:
-		// The query failed at the protocol layer. Cancel the interpreter
-		// and wait for it: pins observe the cancel channel, so the
-		// goroutine exits promptly instead of leaking against a query
-		// the runtime has already given up on.
-		abort()
-		<-done
+		// The query failed at the protocol layer: QueryError cancelled
+		// the interpreter, whatever it returned.
 		return nil, err
+	default:
 	}
 	if runErr != nil {
 		return nil, runErr
@@ -719,7 +714,7 @@ func (n *Node) ExecPlan(plan *mal.Plan) (*mal.ResultSet, error) {
 // releaseQuery drops the waiter channels an aborted interpreter left
 // unconsumed, and the payload refs a Deliver already handed them. Every
 // other pin was released by the map that took it. Called with n.mu
-// held, after the interpreter goroutine has stopped.
+// held, after the interpreter has returned.
 func (n *Node) releaseQuery(q core.QueryID) {
 	for key, ch := range n.waiters {
 		if key.q != q {
@@ -759,6 +754,6 @@ func (n *Node) Schema() minisql.Schema { return n.schema }
 // right now (a load signal for admission and the nomadic phase).
 func (n *Node) ActiveQueries() int64 { return atomic.LoadInt64(&n.activeQueries) }
 
-// InterpRunning reports live interpreter goroutines on this node; it
-// returns to zero when the node is idle (leak detector).
+// InterpRunning reports how many queries are inside the interpreter on
+// this node; it returns to zero when the node is idle (leak detector).
 func (n *Node) InterpRunning() int64 { return atomic.LoadInt64(&n.interpRunning) }

@@ -124,21 +124,52 @@ func frameHeader(typ byte, n int) [5]byte {
 	return hdr
 }
 
-// ReadFrame reads one frame, rejecting payloads larger than max.
+// ReadFrame reads one frame, rejecting payloads larger than max. It
+// allocates the payload at the size the header claims before reading
+// it: one exact-size buffer for the trusted side of a connection (a
+// client reading its result).
 func ReadFrame(r io.Reader, max int) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	typ, n, err := readHeader(r, max)
+	if err != nil {
 		return 0, nil, err
-	}
-	n := int(binary.BigEndian.Uint32(hdr[:4]))
-	if n > max {
-		return 0, nil, fmt.Errorf("server: frame of %d bytes exceeds limit %d", n, max)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
-	return hdr[4], payload, nil
+	return typ, payload, nil
+}
+
+// readRequest is ReadFrame for frames a client sends: its buffer grows
+// as the payload's bytes arrive, so a header that claims max bytes and
+// is not followed by them costs what was received, not max.
+func readRequest(r io.Reader, max int) (byte, []byte, error) {
+	typ, n, err := readHeader(r, max)
+	if err != nil {
+		return 0, nil, err
+	}
+	var payload bytes.Buffer
+	if _, err := io.CopyN(&payload, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, nil, err
+	}
+	return typ, payload.Bytes(), nil
+}
+
+// readHeader reads a frame's 5-byte header: its type and payload
+// length, refused past max.
+func readHeader(r io.Reader, max int) (byte, int, error) {
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, err
+	}
+	n := int(binary.BigEndian.Uint32(hdr[:4]))
+	if n > max {
+		return 0, 0, fmt.Errorf("server: frame of %d bytes exceeds limit %d", n, max)
+	}
+	return hdr[4], n, nil
 }
 
 // EncodeError builds a FrameError payload.

@@ -298,9 +298,39 @@ func TestDecodeResultCorrupt(t *testing.T) {
 	}
 }
 
+// TestOversizedHeaderAllocatesLittle: a request whose header claims the
+// whole frame limit and whose payload never comes costs the server what
+// it received, not the limit. Read into one buffer of the claimed size,
+// four connections that each sent only such a header held 256 MB.
+func TestOversizedHeaderAllocatesLittle(t *testing.T) {
+	hdr := frameHeader(FrameQuery, DefaultMaxFrame)
+	for _, sent := range []int{0, 100 << 10} {
+		data := append(hdr[:], make([]byte, sent)...)
+		// An overrun is measured a second time, so another goroutine's
+		// allocation cannot pass for readRequest's.
+		for try := 0; ; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err := readRequest(bytes.NewReader(data), DefaultMaxFrame)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%d of %d payload bytes read without an error", sent, DefaultMaxFrame)
+			}
+			got := after.TotalAlloc - before.TotalAlloc
+			if got < 1<<20 {
+				break
+			}
+			if try == 1 {
+				t.Fatalf("a header claiming %d bytes, followed by %d and EOF, allocated %d bytes", DefaultMaxFrame, sent, got)
+			}
+		}
+	}
+}
+
 // FuzzReadFrame feeds arbitrary bytes to ReadFrame under a limit: it
-// must not panic, must never allocate for a payload past the limit, and
-// a frame it accepts must re-encode to the bytes it was read from.
+// must not panic, must never allocate for a payload past the limit, a
+// frame it accepts must re-encode to the bytes it was read from, and
+// readRequest must read the same frame or fail where it fails.
 func FuzzReadFrame(f *testing.F) {
 	hello, _ := EncodeHello(membershipHello)
 	result, _ := EncodeResult(mixedResult())
@@ -341,6 +371,11 @@ func FuzzReadFrame(f *testing.F) {
 			if try == 1 {
 				t.Fatalf("ReadFrame allocated %d bytes under a %d-byte limit", got, limit)
 			}
+		}
+		// The server's reader of client frames reads what ReadFrame does.
+		rtyp, rpayload, rerr := readRequest(bytes.NewReader(data), limit)
+		if (rerr == nil) != (err == nil) || rtyp != typ || !bytes.Equal(rpayload, payload) {
+			t.Fatalf("readRequest read %d %x (%v), ReadFrame %d %x (%v)", rtyp, rpayload, rerr, typ, payload, err)
 		}
 		if err != nil {
 			return

@@ -419,7 +419,7 @@ func (ns *nodeServer) handle(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 
-	typ, payload, err := ReadFrame(br, ns.srv.cfg.MaxFrame)
+	typ, payload, err := ReadFrame(br, len(Magic)) // the only valid hello
 	if err != nil || typ != FrameHello || string(payload) != Magic {
 		WriteFrame(bw, FrameError, EncodeError(CodeBadRequest, "bad handshake"))
 		bw.Flush()
@@ -437,7 +437,7 @@ func (ns *nodeServer) handle(conn net.Conn) {
 	}
 
 	for {
-		typ, payload, err := ReadFrame(br, ns.srv.cfg.MaxFrame)
+		typ, payload, err := readRequest(br, ns.srv.cfg.MaxFrame)
 		if err != nil {
 			return // client hung up (or drain force-closed us)
 		}
