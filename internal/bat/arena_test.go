@@ -6,10 +6,12 @@ import (
 )
 
 // arenaFetch merges a concat fetch exit over two 100-row fragments of
-// 1-byte codes into a: the rows below 25, head and tail drawn from it.
-func arenaFetch(t *testing.T, a *Arena) *BAT {
+// 1-byte codes into a: the rows below 25, the masks' bitmaps, head and
+// tail drawn from it.
+func arenaFetch(t *testing.T, a *Arena) (*BAT, []*Mask) {
 	t.Helper()
 	var parts []Fetch
+	var masks []*Mask
 	for f := 0; f < 2; f++ {
 		base := Oid(100 * f)
 		vals := make([]int64, 100)
@@ -17,8 +19,9 @@ func arenaFetch(t *testing.T, a *Arena) *BAT {
 			vals[i] = int64(1 + (i*7+f)%50)
 		}
 		col := Narrow(New("v", DenseColumn(base, 100), IntColumn(vals)))
-		m := SelectMask([]Term{{B: col, Hi: &Bound{Value: int64(25)}}})
+		m := SelectMask([]Term{{B: col, Hi: &Bound{Value: int64(25)}}}, a)
 		parts = append(parts, Fetch{Cand: m, Col: col})
+		masks = append(masks, m)
 	}
 	b := FetchAll([][]Fetch{parts}, []bool{false}, a)[0]
 	if b.t.narrow == nil || b.h.oids == nil || b.Len() == 0 {
@@ -29,14 +32,15 @@ func arenaFetch(t *testing.T, a *Arena) *BAT {
 			t.Fatalf("row %d is [%d|%d], want an OID below 200 and a value below 25", i, b.h.Oid(i), v)
 		}
 	}
-	return b
+	return b, masks
 }
 
 // TestArenaReleasePoisons: a column read after its arena's Release
-// reads the poison, in its codes and in its head's OIDs.
+// reads the poison, in its codes and in its head's OIDs, and so does a
+// mask's bitmap.
 func TestArenaReleasePoisons(t *testing.T) {
 	var a Arena
-	b := arenaFetch(t, &a)
+	b, masks := arenaFetch(t, &a)
 	a.Release()
 	codes := b.t.narrow.(narrowInts[uint8]).v
 	for i, c := range codes {
@@ -49,6 +53,16 @@ func TestArenaReleasePoisons(t *testing.T) {
 			t.Fatalf("OID %d reads %#x after Release, want the poison", i, o)
 		}
 	}
+	for k, m := range masks {
+		if m.rej == nil {
+			t.Fatalf("mask %d holds a list, want a bitmap", k)
+		}
+		for i, w := range m.rej {
+			if w != ^uint64(0)/0xff*poison {
+				t.Fatalf("mask %d: bitmap word %d reads %#x after Release, want the poison", k, i, w)
+			}
+		}
+	}
 }
 
 // TestArenaReleaseTwiceIsNoOp: a second Release puts nothing back, so
@@ -56,7 +70,7 @@ func TestArenaReleasePoisons(t *testing.T) {
 // out twice.
 func TestArenaReleaseTwiceIsNoOp(t *testing.T) {
 	var a Arena
-	b := arenaFetch(t, &a)
+	b, _ := arenaFetch(t, &a)
 	a.Release()
 	a.Release()
 	var next Arena

@@ -262,8 +262,13 @@ func q6Parts() (shipdate, discount, quantity, extprice []*BAT) {
 // full range select, two candidate-restricted ones chained behind it,
 // one positional fetch and the sum. /wide runs it on whole wide
 // columns; /coded per fragment on q6Parts. /conj is what minisql
-// compiles and a served Q6 reads: the three ranges as one SelectAll per
-// fragment of q6Parts, then the same fetch and sum.
+// compiles: the three ranges as one SelectAll per fragment of q6Parts,
+// then the same fetch and sum. /mask is what a served Q6's region runs:
+// per fragment a SelectMask into an arena, SumKept at it and the mask's
+// count, the arena released every iteration as a server does once the
+// result frame is written (unpoisoned, as outside a test binary);
+// /mask-go is /mask with the AVX-512 kernels off, the AVX2 blocks
+// rejecting and gatherKept's loop gathering.
 func BenchmarkBATQ6Candidates1M(b *testing.B) {
 	q6 := func(shipdate, discount, quantity, extprice *BAT) any {
 		c := shipdate.USelect(q6DateLo, q6DateHi)
@@ -284,6 +289,25 @@ func BenchmarkBATQ6Candidates1M(b *testing.B) {
 			}
 		}
 	})
+	mask := func(b *testing.B) {
+		b.ReportAllocs()
+		var a Arena
+		for i := 0; i < b.N; i++ {
+			for j := range ds {
+				m := SelectMask([]Term{{ds[j], q6DateLo, q6DateHi}, {fs[j], q6DiscLo, q6DiscHi}, {qs[j], nil, q6QtyHi}}, &a)
+				if SumKept(ps[j], m) == nil || m.Count() < 0 {
+					b.Fatal("no sum")
+				}
+			}
+			a.Release()
+		}
+	}
+	poisoned, vbmi2 := poisonReleased, haveVBMI2
+	defer func() { poisonReleased, haveVBMI2 = poisoned, vbmi2 }()
+	poisonReleased = false
+	b.Run("mask", mask)
+	haveVBMI2 = false
+	b.Run("mask-go", mask)
 }
 
 // BenchmarkBATQ6Intersect1M is the same query the way it ran before the
@@ -523,7 +547,7 @@ func BenchmarkBATFetchExit1M(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				lists := make([][]Fetch, len(cols))
 				for k, s := range sel {
-					m := SelectMask([]Term{{B: s, Hi: hi}})
+					m := SelectMask([]Term{{B: s, Hi: hi}}, a)
 					for l := range cols {
 						lists[l] = append(lists[l], Fetch{Cand: m, Col: cols[l][k]})
 					}

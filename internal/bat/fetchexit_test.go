@@ -97,17 +97,19 @@ type fetchStats struct{ fast, bitmaps, emptied int }
 // to the bit), the same name, and no sortedness the definition lacks;
 // each mask holds a bitmap exactly when the kernel takes its terms, and
 // its candidates are the chain's. Two concat lists that take the one
-// pass share their head. The merge draws from an arena, released after
-// the check: a later check draws the poisoned buffers back, and a code
-// the merge left unwritten reads as poison.
+// pass share their head. The masks and the merge draw from an arena,
+// released after the check: a later check draws the poisoned buffers
+// back, and a code the merge left unwritten reads as poison.
 func checkFetchExit(t *testing.T, what string, sels [][]Term, cols [2][]*BAT, tails [2]bool, st *fetchStats) {
 	t.Helper()
 	masks := make([]*Mask, len(sels))
 	lists := make([][]Fetch, 2)
 	var parts [2][]*BAT
 	var off [2]Oid
+	var a Arena
+	defer a.Release()
 	for i, terms := range sels {
-		masks[i] = SelectMask(terms)
+		masks[i] = SelectMask(terms, &a)
 		cand := conjChain(terms)
 		for l := range lists {
 			lists[l] = append(lists[l], Fetch{Cand: masks[i], Col: cols[l][i]})
@@ -119,8 +121,6 @@ func checkFetchExit(t *testing.T, what string, sels [][]Term, cols [2][]*BAT, ta
 		}
 	}
 	want := ConcatAll(parts[:], nil)
-	var a Arena
-	defer a.Release()
 	got := FetchAll(lists, tails[:], &a)
 	fast := [2]bool{}
 	for l := range lists {

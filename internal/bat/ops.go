@@ -113,15 +113,16 @@ func (sp *slicePool[T]) put(p *[]T) {
 var (
 	idxPool slicePool[int32]  // row positions: rangeIdx, scanCodes, mergeMemberIdx, gallopProbeIdx
 	oidPool slicePool[Oid]    // candidate OIDs: rangeOids, candOids, scanCodes, candCodes; an Arena's keptHead
-	bitPool slicePool[uint64] // row bitmaps: selectCodes
-	u8Pool  slicePool[uint8]  // an Arena's merged codes, one pool per width: mergeCodes
+	bitPool slicePool[uint64] // row bitmaps: selectCodes; an Arena's masks
+	u8Pool  slicePool[uint8]  // an Arena's merged codes, one pool per width: mergeCodes; SumKept's kept codes
 	u16Pool slicePool[uint16]
 	u32Pool slicePool[uint32]
 )
 
-// Arena holds the pooled buffers one query's merges drew (FetchAll,
-// ConcatAll): the merged result columns, which live as long as the
-// query's result. Whoever is done with the result hands them back with
+// Arena holds the pooled buffers one query drew: the bitmaps of its
+// masks (SelectMask), which its parts and its merge read, and the
+// merged result columns (FetchAll, ConcatAll), which live as long as
+// the query's result. Whoever is done with the result hands them back with
 // Release; a nil Arena draws with make, and an Arena never released
 // leaves its buffers to the collector. The lists are typed, so an
 // Arena that draws nothing allocates nothing. Draws and Release may
@@ -132,6 +133,7 @@ type Arena struct {
 	u16  drawn[uint16]
 	u32  drawn[uint32]
 	oids drawn[Oid]
+	bits drawn[uint64]
 }
 
 // Release hands every buffer the arena drew back to its pool. Nothing
@@ -149,11 +151,12 @@ func (a *Arena) Release() {
 	a.u16.release(&u16Pool)
 	a.u32.release(&u32Pool)
 	a.oids.release(&oidPool)
+	a.bits.release(&bitPool)
 }
 
 // draw is n elements of T, from the arena's pool for T (uninitialized),
 // or made when a is nil.
-func draw[T code | Oid](a *Arena, n int) []T {
+func draw[T code | Oid | uint64](a *Arena, n int) []T {
 	if a == nil {
 		return make([]T, n)
 	}
@@ -169,6 +172,8 @@ func draw[T code | Oid](a *Arena, n int) []T {
 		*p = a.u32.draw(&u32Pool, n)
 	case *[]Oid:
 		*p = a.oids.draw(&oidPool, n)
+	case *[]uint64:
+		*p = a.bits.draw(&bitPool, n)
 	}
 	return v
 }
@@ -180,7 +185,7 @@ const poison = 0xdb
 var poisonReleased = testing.Testing()
 
 // drawn is an Arena's list of one element type's buffers.
-type drawn[T code | Oid] []*[]T
+type drawn[T code | Oid | uint64] []*[]T
 
 func (d *drawn[T]) draw(pool *slicePool[T], n int) []T {
 	p := pool.get(n)

@@ -43,9 +43,7 @@ func SelectAll(terms []Term) *BAT {
 // (takesCodes), on amd64 with AVX2; ok is false otherwise. The rejected
 // rows are ORed into one bitmap (rejectCodes) and the kept rows are its
 // clear bits, counted first so the OID list is allocated at its size.
-// The bitmap is bitPool scratch: on the stack, 8 KB for a 64K-row
-// fragment would make every goroutine a region part starts grow its
-// stack.
+// The bitmap is bitPool scratch, dead once the list is written.
 func selectCodes(terms []Term) (oids []Oid, ok bool) {
 	if !haveAVX2 || !takesAllCodes(terms) {
 		return nil, false
@@ -98,7 +96,8 @@ func rejectCodes(terms []Term, rej []uint64) (miss bool) {
 // Mask is a candidate list kept as a bitmap, algebra.uselectmask's
 // value: the rows of [base, base+n) no term rejected are the clear bits
 // of rej. A select the bitmap kernel does not take keeps its list (rej
-// nil). Only a fetch deferred to a region's merge reads it (FetchAll).
+// nil). A region's fetches deferred to its merge (FetchAll), its sums
+// at the candidates (SumKept) and its counts (Count) read it.
 type Mask struct {
 	name string
 	base Oid
@@ -109,16 +108,20 @@ type Mask struct {
 }
 
 // SelectMask is SelectAll answering a Mask. Over the shapes the bitmap
-// kernel takes (selectCodes) it fills the mask with the vector blocks
-// on a CPU with AVX2 and with rejectRange's scalar loop on any other,
-// and counts the kept rows; otherwise it holds SelectAll's list.
-func SelectMask(terms []Term) *Mask {
+// kernel takes (selectCodes) it fills the mask's bitmap, drawn from the
+// query's arena a (nil: made), with rejectRange's kernels, and counts
+// the kept rows; otherwise it holds SelectAll's list.
+func SelectMask(terms []Term, a *Arena) *Mask {
 	if len(terms) == 0 || !takesAllCodes(terms) {
 		l := SelectAll(terms)
 		return &Mask{name: l.Name, list: l}
 	}
 	h := terms[0].B.h
-	m := &Mask{name: terms[len(terms)-1].B.Name, base: h.base, n: h.n, rej: make([]uint64, (h.n+63)/64)}
+	rej := draw[uint64](a, (h.n+63)/64)
+	if rej == nil {
+		rej = []uint64{} // no rows: a bitmap still, not a list
+	}
+	m := &Mask{name: terms[len(terms)-1].B.Name, base: h.base, n: h.n, rej: rej}
 	if !rejectCodes(terms, m.rej) {
 		for _, w := range m.rej {
 			m.kept += bits.OnesCount64(^w)
@@ -131,13 +134,70 @@ func SelectMask(terms []Term) *Mask {
 // form returns; a bitmap's is made once.
 func (m *Mask) List() *BAT {
 	if m.list == nil {
-		var oids []Oid
-		if m.kept > 0 {
-			oids = keptOids(m.rej, m.base)
-		}
-		m.list = candList(m.name, oids)
+		m.list = m.asList()
 	}
 	return m.list
+}
+
+// asList is List without keeping what it made, for a reader that may
+// run beside another one (SumKept).
+func (m *Mask) asList() *BAT {
+	if m.list != nil {
+		return m.list
+	}
+	var oids []Oid
+	if m.kept > 0 {
+		oids = keptOids(m.rej, m.base)
+	}
+	return candList(m.name, oids)
+}
+
+// Count is the number of rows the mask keeps: aggr.count of its list.
+func (m *Mask) Count() int64 {
+	if m.rej == nil {
+		return m.list.Count()
+	}
+	return int64(m.kept)
+}
+
+// SumKept is aggr.sum(col, m): the sum of col's tail at the mask's
+// rows, defined as m.List().Join(col).Sum(). When m is a bitmap over
+// col's rows and col's tail is int or decimal codes, the kept codes are
+// gathered into pooled scratch (gatherKept) and added in row order by
+// the codes' own sum, bit for bit the definition's; no list is written.
+// Every other shape runs the definition.
+func SumKept(col *BAT, m *Mask) any {
+	h, t := col.h, col.t
+	if m.rej == nil || !h.dense || h.base != m.base || h.n != m.n || t.narrow == nil || (t.kind != KInt && t.kind != KFloat) {
+		return m.asList().Join(col).Sum()
+	}
+	if m.kept == 0 { // a missed range leaves rej partly written
+		if t.kind == KInt {
+			return int64(0)
+		}
+		return float64(0)
+	}
+	switch c := t.narrow.(type) {
+	case narrowInts[uint8]:
+		return sumKept(c, &u8Pool, m, t)
+	case narrowInts[uint16]:
+		return sumKept(c, &u16Pool, m, t)
+	case narrowInts[uint32]:
+		return sumKept(c, &u32Pool, m, t)
+	}
+	return m.asList().Join(col).Sum()
+}
+
+// sumKept gathers the codes c keeps under m into scratch from pool,
+// sums them as t's kind sums its codes, and hands the scratch back.
+func sumKept[U code](c narrowInts[U], pool *slicePool[U], m *Mask, t *Column) any {
+	p := pool.get(m.kept)
+	defer pool.put(p)
+	kept := narrowInts[U]{(*p)[:gatherKept(*p, c.v, m.rej, 0)], c.base, c.hi}
+	if t.kind == KInt {
+		return kept.sum()
+	}
+	return kept.sumDecimal(t.scale())
 }
 
 // takesCodes reports whether the bitmap kernel takes t over the rows of
@@ -154,10 +214,12 @@ func takesCodes(t Term, h *Column) bool {
 // rejectRange ORs into rej the rows of c whose value lies outside r, or
 // reports miss — nothing written — when no code lies inside it. A row is
 // kept when its code x has x − lo ≤ hi − lo, wrapping at the code width,
-// scanCodes' one compare: whole 32-row blocks in the vector kernel,
-// which writes each block's bits as a 32-bit half of a word (rows 0–31
-// are the low half on a little-endian host), and the rest here — every
-// row on a CPU without AVX2.
+// scanCodes' one compare. Whole 64-row words run the AVX-512 word kernel
+// on a CPU with VBMI2 (haveVBMI2 checks AVX512F and AVX512BW with it),
+// whole 32-row blocks the AVX2 block kernel, which writes each block's
+// bits as a 32-bit half of a word (rows 0–31 are the low half on a
+// little-endian host), and the rest run here — every row on a CPU
+// without AVX2.
 func rejectRange[U uint8 | uint16](rej []uint64, c narrowInts[U], r bounds[int64]) (miss bool) {
 	if r.empty() {
 		return true
@@ -167,16 +229,25 @@ func rejectRange[U uint8 | uint16](rej []uint64, c narrowInts[U], r bounds[int64
 		return true
 	}
 	lo, span := cr.lo, cr.hi-cr.lo
-	blocks := len(c.v) / 32 * b2i(haveAVX2)
-	if blocks > 0 {
-		v, r32 := unsafe.Pointer(unsafe.SliceData(c.v)), (*uint32)(unsafe.Pointer(&rej[0]))
+	done := 0
+	v := unsafe.Pointer(unsafe.SliceData(c.v))
+	if words := len(c.v) / 64; haveVBMI2 && words > 0 {
+		if unsafe.Sizeof(lo) == 1 {
+			rejectWords8(&rej[0], (*uint8)(v), words, uint8(lo), uint8(span))
+		} else {
+			rejectWords16(&rej[0], (*uint16)(v), words, uint16(lo), uint16(span))
+		}
+		done = words * 64
+	} else if blocks := len(c.v) / 32; haveAVX2 && blocks > 0 {
+		r32 := (*uint32)(unsafe.Pointer(&rej[0]))
 		if unsafe.Sizeof(lo) == 1 {
 			rejectBlocks8(r32, (*uint8)(v), blocks, uint8(lo), uint8(span))
 		} else {
 			rejectBlocks16(r32, (*uint16)(v), blocks, uint16(lo), uint16(span))
 		}
+		done = blocks * 32
 	}
-	for i := blocks * 32; i < len(c.v); i++ {
+	for i := done; i < len(c.v); i++ {
 		rej[i/64] |= uint64(b2i(c.v[i]-lo > span)) << (i % 64)
 	}
 	return false

@@ -25,8 +25,10 @@ func cpuHasAVX2() bool {
 // haveVBMI2 reports whether this CPU runs the compress kernels and the
 // OS saves their registers: AVX2's checks, then CPUID leaf 1 for
 // POPCNT, leaf 7 for AVX512F, AVX512BW, BMI2 and VBMI2, and XCR0's
-// opmask and ZMM state bits besides SSE and AVX. FetchAll's gather
-// needs it for whole bitmap words; without it gatherKept's loop runs.
+// opmask and ZMM state bits besides SSE and AVX. FetchAll's and
+// SumKept's gathers need it for whole bitmap words, and rejectRange for
+// its word kernel; without it gatherKept's loop and the AVX2 blocks
+// run.
 var haveVBMI2 = cpuHasVBMI2()
 
 func cpuHasVBMI2() bool {
@@ -60,6 +62,19 @@ func rejectBlocks8(rej *uint32, v *uint8, blocks int, lo, span uint8)
 //
 //go:noescape
 func rejectBlocks16(rej *uint32, v *uint16, blocks int, lo, span uint16)
+
+// rejectWords8 ORs into rej[k], for each of the words 64-row words of
+// v, bit j set for each row j of the word whose code c has c − lo >
+// span, wrapping at 8 bits: rejectBlocks8 64 rows an instruction,
+// through an AVX-512 opmask. It needs AVX512F and AVX512BW.
+//
+//go:noescape
+func rejectWords8(rej *uint64, v *uint8, words int, lo, span uint8)
+
+// rejectWords16 is rejectWords8 over 2-byte codes.
+//
+//go:noescape
+func rejectWords16(rej *uint64, v *uint16, words int, lo, span uint16)
 
 // compress8to8 writes the codes of words whole 64-row words of src at
 // the clear bits of rej, each plus d, to the front of dst, and returns

@@ -6,8 +6,9 @@ package bat
 // the kernels below are never reached.
 var haveAVX2 = false
 
-// haveVBMI2 is false off amd64: FetchAll's gather runs gatherKept's
-// loop, and the compress kernels below are never reached.
+// haveVBMI2 is false off amd64: FetchAll's and SumKept's gathers run
+// gatherKept's loop, and the compress and word kernels below are never
+// reached.
 var haveVBMI2 = false
 
 func rejectBlocks8(rej *uint32, v *uint8, blocks int, lo, span uint8) {
@@ -15,6 +16,14 @@ func rejectBlocks8(rej *uint32, v *uint8, blocks int, lo, span uint8) {
 }
 
 func rejectBlocks16(rej *uint32, v *uint16, blocks int, lo, span uint16) {
+	panic("bat: no vector kernel on this architecture")
+}
+
+func rejectWords8(rej *uint64, v *uint8, words int, lo, span uint8) {
+	panic("bat: no vector kernel on this architecture")
+}
+
+func rejectWords16(rej *uint64, v *uint16, words int, lo, span uint16) {
 	panic("bat: no vector kernel on this architecture")
 }
 

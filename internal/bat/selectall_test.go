@@ -215,7 +215,29 @@ func checkConj(t *testing.T, what string, terms []Term) (coded bool) {
 	if coded != (haveAVX2 && conjTakesCodes(terms)) {
 		t.Fatalf("%s: bitmap kernel answered %v, want %v (AVX2 %v)\n%s", what, coded, !coded, haveAVX2, describeConj(terms))
 	}
+	// SelectMask fills its bitmap whatever the CPU runs: with the scalar
+	// loop too.
+	m := SelectMask(terms, nil)
+	if !slices.Equal(headOids(m.List()), want) || m.Count() != int64(len(want)) {
+		t.Fatalf("%s: SelectMask keeps %v (count %d)\nchain %v\n%s", what, headOids(m.List()), m.Count(), want, describeConj(terms))
+	}
 	return coded
+}
+
+// rejectKernels are the settings that pick each of rejectRange's
+// kernels where the CPU runs it: the AVX-512 words, the AVX2 blocks and
+// the scalar loop.
+var rejectKernels = []struct{ avx2, vbmi2 bool }{{true, true}, {true, false}, {false, false}}
+
+// withRejectKernels runs f under each of rejectKernels, the CPU's own
+// flags restored afterwards.
+func withRejectKernels(f func()) {
+	avx2, vbmi2 := haveAVX2, haveVBMI2
+	defer func() { haveAVX2, haveVBMI2 = avx2, vbmi2 }()
+	for _, k := range rejectKernels {
+		haveAVX2, haveVBMI2 = avx2 && k.avx2, vbmi2 && k.vbmi2
+		f()
+	}
 }
 
 func describeConj(terms []Term) string {
@@ -234,23 +256,22 @@ func describeConj(terms []Term) string {
 }
 
 // TestSelectAllMatchesChain draws conjunctions in every shape at 0, 1,
-// 31, 32, 33 rows (no whole block, one, one and a row), a spread of
-// small sizes and 64K+5 rows (a fragment and a tail), over every
-// physical form, with limits inside, at the edges of and outside each
-// column's codes, contradictory ones and open sides, and holds
-// SelectAll to the chain — with the CPU's kernel, and with it switched
-// off, where SelectAll must be the chain.
+// 31, 32, 33 rows (no whole block, one, one and a row), 63, 64, 65 and
+// 129 (around whole words), a spread of small sizes and 64K+5 rows (a
+// fragment and a tail), over every physical form, with limits inside,
+// at the edges of and outside each column's codes, contradictory ones
+// and open sides, and holds SelectAll and SelectMask to the chain —
+// under each of rejectRange's kernels the CPU runs; with AVX2 off
+// SelectAll must be the chain.
 func TestSelectAllMatchesChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
-	sizes := []int{0, 1, 31, 32, 33, 64<<10 + 5}
+	sizes := []int{0, 1, 31, 32, 33, 63, 64, 65, 129, 64<<10 + 5}
 	for i := 0; i < 12; i++ {
 		sizes = append(sizes, rng.Intn(300))
 	}
 	avx2 := haveAVX2
-	defer func() { haveAVX2 = avx2 }()
 	coded := 0
-	for _, kernel := range []bool{true, false} {
-		haveAVX2 = avx2 && kernel
+	withRejectKernels(func() {
 		for _, n := range sizes {
 			reps := 12
 			if n > 1<<16 {
@@ -258,14 +279,14 @@ func TestSelectAllMatchesChain(t *testing.T) {
 			}
 			for shape := 0; shape < conjShapes; shape++ {
 				for r := 0; r < reps; r++ {
-					what := fmt.Sprintf("kernel %v, n=%d, shape %d, rep %d", haveAVX2, n, shape, r)
+					what := fmt.Sprintf("AVX2 %v, VBMI2 %v, n=%d, shape %d, rep %d", haveAVX2, haveVBMI2, n, shape, r)
 					if checkConj(t, what, drawConj(rng, n, shape)) {
 						coded++
 					}
 				}
 			}
 		}
-	}
+	})
 	if avx2 && coded < 100 {
 		t.Errorf("the bitmap kernel answered %d conjunctions, want ≥ 100", coded)
 	}
@@ -273,7 +294,8 @@ func TestSelectAllMatchesChain(t *testing.T) {
 
 // FuzzSelectAll: the fuzzer picks the shape, the size and the seed the
 // terms are drawn from, and the codes of a first 1- or 2-byte term
-// outright, read little-endian from data, with limits at any two codes.
+// outright, read little-endian from data, with limits at any two codes;
+// each of rejectRange's kernels is held to the chain.
 func FuzzSelectAll(f *testing.F) {
 	f.Add([]byte{0x00, 0x7f, 0x80, 0xff, 0x10, 0x90}, int64(1), uint8(0), uint16(33), uint16(0x10), uint16(0x8f))
 	f.Add([]byte{0xff, 0xff, 0x00, 0x00, 0x01, 0x80}, int64(2), uint8(1), uint16(64), uint16(0), uint16(0xffff))
@@ -299,7 +321,9 @@ func FuzzSelectAll(f *testing.F) {
 		lo := &Bound{Value: int64(codeScanRef + uint64(clo)&top), Inclusive: sel&64 == 0}
 		hi := &Bound{Value: int64(codeScanRef + uint64(chi)&top), Inclusive: sel&128 == 0}
 		terms = append([]Term{{B: first, Lo: lo, Hi: hi}}, terms...)
-		checkConj(t, fmt.Sprintf("seed %d, sel %d, n=%d", seed, sel, n), terms)
+		withRejectKernels(func() {
+			checkConj(t, fmt.Sprintf("seed %d, sel %d, n=%d, AVX2 %v, VBMI2 %v", seed, sel, n, haveAVX2, haveVBMI2), terms)
+		})
 	})
 }
 

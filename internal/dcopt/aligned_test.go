@@ -3,6 +3,7 @@ package dcopt
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -263,10 +264,11 @@ func (tc alignedCase) check(t *testing.T) (conj bool, rewritten string) {
 // TestAlignedRegionProperty: 600 seeded cases, sizes from no rows at
 // all to a few hundred, fragments from one row to the whole table; a
 // good share of them test their ranges in one uselectall, select into
-// a bitmap, and merge fetch exits by their heads.
+// a bitmap, merge fetch exits by their heads, and sum at a bitmap.
 func TestAlignedRegionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
-	conj, masks, heads := 0, 0, 0
+	foldedSum := regexp.MustCompile(`aggr\.sum\(X\d+, X\d+\)`)
+	conj, masks, heads, folds := 0, 0, 0, 0
 	for seed := int64(0); seed < 600; seed++ {
 		rows := rng.Intn(300)
 		if seed%25 == 0 {
@@ -282,9 +284,12 @@ func TestAlignedRegionProperty(t *testing.T) {
 		if strings.Contains(dc, ":concat=join(") {
 			heads++
 		}
+		if foldedSum.MatchString(dc) {
+			folds++
+		}
 	}
-	if conj < 150 || masks < 100 || heads < 50 {
-		t.Errorf("of 600 cases %d ran a uselectall (want ≥ 150), %d a uselectmask (≥ 100), %d a concat fetch exit (≥ 50)", conj, masks, heads)
+	if conj < 150 || masks < 100 || heads < 50 || folds < 30 {
+		t.Errorf("of 600 cases %d ran a uselectall (want ≥ 150), %d a uselectmask (≥ 100), %d a concat fetch exit (≥ 50), %d a folded sum (≥ 30)", conj, masks, heads, folds)
 	}
 }
 

@@ -113,6 +113,7 @@ type region struct {
 	exits   []mal.Exit  // results the outer plan consumes
 	fetches []int       // members left to the exits they assign (mal.Exit.Fetch)
 	masks   []int       // selects that answer a bitmap (algebra.uselectmask)
+	folds   map[int]int // sums that read a mask themselves: the sum → the fetch it reads
 }
 
 // outline finds the maximal fragment-local region of every table in p
@@ -251,13 +252,48 @@ func outline(p *mal.Plan, bindAt []int) []*region {
 		}
 		r.exits = append(r.exits, ex)
 	}
-	// A lone range select or a conjunction only deferred fetches read
-	// answers a bitmap: no OID list is ever written for it.
+	// A sum whose only input is a fetch at a select's candidates, which
+	// nothing else reads, may fold into aggr.sum(col, cand), MonetDB's
+	// candidate form: sumOf[j] is the sum that reads fetch j, folded[c]
+	// how many such fetches read the candidates c, counted[c] how many
+	// aggr.count(c).
+	sumOf := map[int]int{}
+	folded := make([]int, p.NVars)
+	counted := make([]int, p.NVars)
+	for i, in := range p.Instrs {
+		if !member[i] || len(in.Args) != 1 || in.Args[0].IsLit() {
+			continue
+		}
+		v := in.Args[0].Var
+		switch in.Name() {
+		case "aggr.count":
+			counted[v]++
+		case "aggr.sum":
+			j := vars[v].by
+			if j >= 0 && p.Instrs[j].Name() == "algebra.join" && reads[v] == 1 && !outside[v] {
+				sumOf[j] = i
+				folded[p.Instrs[j].Args[0].Var]++
+			}
+		}
+	}
+	// A lone range select or a conjunction that only deferred fetches,
+	// such sums and counts read answers a bitmap: no OID list is ever
+	// written for it. Its sums fold, and only then, so a list that
+	// anything else reads keeps its fetches.
 	for i, in := range p.Instrs {
 		c := in.Ret
 		if regionOf[i] != nil && (in.Name() == "algebra.uselectall" || in.Name() == "algebra.uselect" && len(in.Args) == 5) &&
-			fetched[c[0]] > 0 && fetched[c[0]] == reads[c[0]] && !outside[c[0]] {
+			reads[c[0]] > 0 && fetched[c[0]]+folded[c[0]]+counted[c[0]] == reads[c[0]] && !outside[c[0]] {
 			regionOf[i].masks = append(regionOf[i].masks, i)
+		}
+	}
+	for j, i := range sumOf {
+		r := regionOf[j]
+		if slices.Contains(r.masks, vars[p.Instrs[j].Args[0].Var].by) {
+			if r.folds == nil {
+				r.folds = map[int]int{}
+			}
+			r.folds[i] = j
 		}
 	}
 	return regionOf
@@ -274,12 +310,36 @@ func (r *region) exitVars() []mal.VarID {
 // build emits the region's sub-plan: its members in plan order under
 // their own variable numbers, each column pinned by slot right before
 // its first use and unpinned right after its last (Table 2's shape,
-// per fragment). A deferred fetch's column is pinned and unpinned where
-// the fetch stood, but the fetch runs at the exit: on the live ring the
+// per fragment), uses counted on the rewritten instructions. A folded
+// sum reads its fetch's column and candidates itself, and the fetch
+// goes. A deferred fetch's column is pinned and unpinned where the
+// fetch stood, but the fetch runs at the exit: on the live ring the
 // fragment stays readable until the query returns.
 func (r *region) build(p *mal.Plan) *mal.Region {
+	type step struct {
+		in   mal.Instr
+		emit bool // false: a deferred fetch
+	}
+	steps := make([]step, 0, len(r.members))
+	for _, i := range r.members {
+		in := p.Instrs[i]
+		if slices.Contains(r.masks, i) {
+			in.Op = "uselectmask"
+		}
+		if j, ok := r.folds[i]; ok {
+			fetch := p.Instrs[j].Args
+			in.Args = []mal.Arg{fetch[1], fetch[0]}
+		}
+		folded := false
+		for _, j := range r.folds {
+			folded = folded || j == i
+		}
+		if !folded {
+			steps = append(steps, step{in, !slices.Contains(r.fetches, i)})
+		}
+	}
 	sub := &mal.Plan{Name: r.table, NVars: p.NVars, Result: mal.NoVar,
-		Instrs: make([]mal.Instr, 0, len(r.members)+2*len(r.slots))}
+		Instrs: make([]mal.Instr, 0, len(steps)+2*len(r.slots))}
 	slotOf := func(a mal.Arg) int { // -1: not one of the region's columns
 		if a.IsLit() {
 			return -1
@@ -287,17 +347,16 @@ func (r *region) build(p *mal.Plan) *mal.Region {
 		return slices.Index(r.slots, a.Var)
 	}
 	lastUse := make([]int, len(r.slots))
-	for _, i := range r.members {
-		for _, a := range p.Instrs[i].Args {
+	for k, s := range steps {
+		for _, a := range s.in.Args {
 			if slot := slotOf(a); slot >= 0 {
-				lastUse[slot] = i
+				lastUse[slot] = k
 			}
 		}
 	}
 	pinned := make([]bool, len(r.slots))
-	for _, i := range r.members {
-		in := p.Instrs[i]
-		for _, a := range in.Args {
+	for k, s := range steps {
+		for _, a := range s.in.Args {
 			if slot := slotOf(a); slot >= 0 && !pinned[slot] {
 				sub.Instrs = append(sub.Instrs, mal.Instr{
 					Module: "datacyclotron", Op: "pin",
@@ -307,14 +366,11 @@ func (r *region) build(p *mal.Plan) *mal.Region {
 				pinned[slot] = true
 			}
 		}
-		if slices.Contains(r.masks, i) {
-			in.Op = "uselectmask"
+		if s.emit {
+			sub.Instrs = append(sub.Instrs, s.in)
 		}
-		if !slices.Contains(r.fetches, i) {
-			sub.Instrs = append(sub.Instrs, in)
-		}
-		for _, a := range in.Args {
-			if slot := slotOf(a); slot >= 0 && lastUse[slot] == i {
+		for _, a := range s.in.Args {
+			if slot := slotOf(a); slot >= 0 && lastUse[slot] == k {
 				sub.Instrs = append(sub.Instrs, mal.Instr{
 					Module: "datacyclotron", Op: "unpin",
 					Args: []mal.Arg{mal.V(a.Var)},

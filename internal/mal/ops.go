@@ -204,11 +204,13 @@ func registerStandard(r *Registry) {
 	// conjunction of ranges, five arguments per column: what
 	// uselect(b1, …) chained through uselect(b2, that, …), … returns,
 	// computed as one select (bat.SelectAll). algebra.uselectmask takes
-	// the same arguments and returns the candidates as a *bat.Mask, which
-	// only a region's deferred fetches read (Exit.Fetch).
-	for op, sel := range map[string]func([]bat.Term) Value{
-		"uselectall":  func(t []bat.Term) Value { return bat.SelectAll(t) },
-		"uselectmask": func(t []bat.Term) Value { return bat.SelectMask(t) },
+	// the same arguments and returns the candidates as a *bat.Mask, its
+	// bitmap drawn from the run's arena, which a region's deferred
+	// fetches (Exit.Fetch), its aggr.sum(col, cand) and its aggr.count
+	// read.
+	for op, sel := range map[string]func(*Context, []bat.Term) Value{
+		"uselectall":  func(_ *Context, t []bat.Term) Value { return bat.SelectAll(t) },
+		"uselectmask": func(ctx *Context, t []bat.Term) Value { return bat.SelectMask(t, ctx.Arena) },
 	} {
 		sel := sel
 		r.Register("algebra", op, func(ctx *Context, args []Value) ([]Value, error) {
@@ -224,7 +226,7 @@ func registerStandard(r *Registry) {
 				lo, hi := rangeArgs(args[5*i+1:])
 				terms[i] = bat.Term{B: b, Lo: lo, Hi: hi}
 			}
-			return one(sel(terms)), nil
+			return one(sel(ctx, terms)), nil
 		})
 	}
 	r.Register("algebra", "selectEq", func(ctx *Context, args []Value) ([]Value, error) {
@@ -306,8 +308,36 @@ func registerStandard(r *Registry) {
 	})
 
 	// --- aggr ---
-	r.Register("aggr", "sum", unary(func(b *bat.BAT) Value { return b.Sum() }))
-	r.Register("aggr", "count", unary(func(b *bat.BAT) Value { return b.Count() }))
+	// aggr.sum(col, cand) is MonetDB's candidate form, the sum of col at
+	// a select's mask (bat.SumKept): aggr.sum(algebra.join(cand, col))
+	// without the join. aggr.count of a mask is the rows it keeps.
+	r.Register("aggr", "sum", func(ctx *Context, args []Value) ([]Value, error) {
+		b, err := argBAT(args, 0)
+		if err != nil {
+			return nil, err
+		}
+		switch len(args) {
+		case 1:
+			return one(b.Sum()), nil
+		case 2:
+			m, ok := args[1].(*bat.Mask)
+			if !ok {
+				return nil, fmt.Errorf("arg 1: want *bat.Mask, got %T", args[1])
+			}
+			return one(bat.SumKept(b, m)), nil
+		}
+		return nil, fmt.Errorf("sum: want 1 or 2 arguments, got %d", len(args))
+	})
+	r.Register("aggr", "count", func(ctx *Context, args []Value) ([]Value, error) {
+		if m, ok := args[0].(*bat.Mask); ok {
+			return one(m.Count()), nil
+		}
+		b, err := argBAT(args, 0)
+		if err != nil {
+			return nil, err
+		}
+		return one(b.Count()), nil
+	})
 	r.Register("aggr", "min", unary(func(b *bat.BAT) Value { return b.Min() }))
 	r.Register("aggr", "max", unary(func(b *bat.BAT) Value { return b.Max() }))
 	r.Register("aggr", "avg", unary(func(b *bat.BAT) Value { return b.Avg() }))

@@ -246,13 +246,15 @@ func TestFetchExitsOutliveUnpin(t *testing.T) {
 }
 
 // TestServedResultsSurviveRecycling: a served result's merged columns
-// go back to their pools once its frame is written, and a test binary
-// poisons each buffer it takes back. Two sessions alternate wide
-// projections that keep about half, a twelfth and nearly all of lineitem's
-// rows, so buffers of several lengths cycle between queries of both;
-// a buffer released before its frame was written, or released twice
-// and drawn by two queries at once, would serve poison or the other
-// query's rows. Every answer matches the local reference cell for cell.
+// and its masks' bitmaps go back to their pools once its frame is
+// written, and a test binary poisons each buffer it takes back. Two
+// sessions alternate wide projections that keep about half, a twelfth
+// and nearly all of lineitem's rows, and Q6ish, whose sum and count read
+// its bitmaps, so buffers of several lengths cycle between queries of
+// both; a buffer released before its frame was written, or released
+// twice and drawn by two queries at once, or a bitmap recycled while a
+// part still reads it, would serve poison or the other query's rows.
+// Every answer matches the local reference cell for cell.
 func TestServedResultsSurviveRecycling(t *testing.T) {
 	const rounds = 50
 	db := tpch.GenDB(0.002, 1)
@@ -270,7 +272,8 @@ func TestServedResultsSurviveRecycling(t *testing.T) {
 	defer s.Close()
 	sqls := []string{wideSQL,
 		"select l_orderkey, l_suppkey, l_extendedprice from lineitem where l_quantity < 5",
-		"select l_orderkey, l_suppkey, l_extendedprice from lineitem where l_quantity < 50"}
+		"select l_orderkey, l_suppkey, l_extendedprice from lineitem where l_quantity < 50",
+		tpch.Q6ishSQL}
 	wants := make([]*mal.ResultSet, len(sqls))
 	for i, sql := range sqls {
 		plan, err := minisql.Compile(sql, db.Schema(), "sys")

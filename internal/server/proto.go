@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -140,16 +141,31 @@ func ReadFrame(r io.Reader, max int) (byte, []byte, error) {
 	return typ, payload, nil
 }
 
-// readRequest is ReadFrame for frames a client sends: its buffer grows
-// as the payload's bytes arrive, so a header that claims max bytes and
-// is not followed by them costs what was received, not max.
-func readRequest(r io.Reader, max int) (byte, []byte, error) {
-	typ, n, err := readHeader(r, max)
+// readRequest is ReadFrame for frames a client sends, read from the
+// handler's bufio.Reader. A payload the reader already holds whole — a
+// query's SQL — is read into one allocation of its size; any other
+// grows as its bytes arrive, so a header that claims max bytes and is
+// not followed by them costs what was received, not max.
+func readRequest(br *bufio.Reader, max int) (byte, []byte, error) {
+	hdr, err := br.Peek(5)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF // as io.ReadFull reports a short header
+		}
+		return 0, nil, err
+	}
+	typ, n, err := parseHeader(hdr, max)
 	if err != nil {
 		return 0, nil, err
 	}
+	_, _ = br.Discard(5) // cannot fail: Peek holds the 5 bytes
+	if n <= br.Buffered() {
+		payload := make([]byte, n)
+		_, _ = br.Read(payload) // cannot fail: n buffered bytes are copied whole, nothing is read
+		return typ, payload, nil
+	}
 	var payload bytes.Buffer
-	if _, err := io.CopyN(&payload, r, int64(n)); err != nil {
+	if _, err := io.CopyN(&payload, br, int64(n)); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
@@ -165,6 +181,11 @@ func readHeader(r io.Reader, max int) (byte, int, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, err
 	}
+	return parseHeader(hdr[:], max)
+}
+
+// parseHeader decodes a 5-byte header.
+func parseHeader(hdr []byte, max int) (byte, int, error) {
 	n := int(binary.BigEndian.Uint32(hdr[:4]))
 	if n > max {
 		return 0, 0, fmt.Errorf("server: frame of %d bytes exceeds limit %d", n, max)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"reflect"
@@ -311,7 +312,7 @@ func TestOversizedHeaderAllocatesLittle(t *testing.T) {
 		for try := 0; ; try++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, _, err := readRequest(bytes.NewReader(data), DefaultMaxFrame)
+			_, _, err := readRequest(bufio.NewReader(bytes.NewReader(data)), DefaultMaxFrame)
 			runtime.ReadMemStats(&after)
 			if err == nil {
 				t.Fatalf("%d of %d payload bytes read without an error", sent, DefaultMaxFrame)
@@ -324,6 +325,35 @@ func TestOversizedHeaderAllocatesLittle(t *testing.T) {
 				t.Fatalf("a header claiming %d bytes, followed by %d and EOF, allocated %d bytes", DefaultMaxFrame, sent, got)
 			}
 		}
+	}
+}
+
+// TestBufferedQueryAllocatesOnce: a 200-byte query frame the handler's
+// bufio.Reader holds whole is read with one allocation, the payload's
+// own, and arrives intact; two frames back to back are both read.
+func TestBufferedQueryAllocatesOnce(t *testing.T) {
+	sql := bytes.Repeat([]byte("select 1;"), 23)[:200]
+	var frames bytes.Buffer
+	for k := 0; k < 2; k++ {
+		if err := WriteFrame(&frames, FrameQuery, sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := frames.Bytes()
+	src := bytes.NewReader(data)
+	br := bufio.NewReader(src)
+	allocs := testing.AllocsPerRun(100, func() {
+		src.Reset(data)
+		br.Reset(src)
+		for k := 0; k < 2; k++ {
+			typ, payload, err := readRequest(br, DefaultMaxFrame)
+			if err != nil || typ != FrameQuery || !bytes.Equal(payload, sql) {
+				t.Fatalf("frame %d read as type %d, %d bytes, err %v", k, typ, len(payload), err)
+			}
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("two buffered 200-byte query frames took %v allocations, want 1 each", allocs)
 	}
 }
 
@@ -347,6 +377,15 @@ func FuzzReadFrame(f *testing.F) {
 		f.Add(b.Bytes(), uint16(len(fr.payload)/2))
 	}
 	f.Add([]byte("\xff\xff\xff\xff\x04"), uint16(1024))
+	// Payloads of 10–12 bytes followed by more: a 16-byte buffer holds
+	// 11 payload bytes past the header, so these sit on either side of
+	// readRequest's buffered-whole test.
+	for n := 10; n <= 12; n++ {
+		var b bytes.Buffer
+		WriteFrame(&b, FrameQuery, bytes.Repeat([]byte("q"), n))
+		WriteFrame(&b, FrameStats, nil)
+		f.Add(b.Bytes(), uint16(64))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, max uint16) {
 		limit := int(max)
 		var (
@@ -372,10 +411,14 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("ReadFrame allocated %d bytes under a %d-byte limit", got, limit)
 			}
 		}
-		// The server's reader of client frames reads what ReadFrame does.
-		rtyp, rpayload, rerr := readRequest(bytes.NewReader(data), limit)
-		if (rerr == nil) != (err == nil) || rtyp != typ || !bytes.Equal(rpayload, payload) {
-			t.Fatalf("readRequest read %d %x (%v), ReadFrame %d %x (%v)", rtyp, rpayload, rerr, typ, payload, err)
+		// The server's reader of client frames reads what ReadFrame does,
+		// from a buffer that holds a payload whole and from one that
+		// holds at most 11 payload bytes.
+		for _, size := range []int{4096, 16} {
+			rtyp, rpayload, rerr := readRequest(bufio.NewReaderSize(bytes.NewReader(data), size), limit)
+			if (rerr == nil) != (err == nil) || rtyp != typ || !bytes.Equal(rpayload, payload) {
+				t.Fatalf("readRequest (%d-byte buffer) read %d %x (%v), ReadFrame %d %x (%v)", size, rtyp, rpayload, rerr, typ, payload, err)
+			}
 		}
 		if err != nil {
 			return
