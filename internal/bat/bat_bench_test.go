@@ -267,8 +267,11 @@ func q6Parts() (shipdate, discount, quantity, extprice []*BAT) {
 // per fragment a SelectMask into an arena, SumKept at it and the mask's
 // count, the arena released every iteration as a server does once the
 // result frame is written (unpoisoned, as outside a test binary);
-// /mask-go is /mask with the AVX-512 kernels off, the AVX2 blocks
-// rejecting and gatherKept's loop gathering.
+// /fused is what it runs since the select, the sum and the count fuse:
+// one SelectSum per fragment, which on a VBMI2 CPU tests the terms and
+// compresses the kept codes in one pass with no bitmap; /mask-go is
+// /mask with the AVX-512 kernels off, the AVX2 blocks rejecting and
+// gatherKept's loop gathering.
 func BenchmarkBATQ6Candidates1M(b *testing.B) {
 	q6 := func(shipdate, discount, quantity, extprice *BAT) any {
 		c := shipdate.USelect(q6DateLo, q6DateHi)
@@ -306,6 +309,18 @@ func BenchmarkBATQ6Candidates1M(b *testing.B) {
 	defer func() { poisonReleased, haveVBMI2 = poisoned, vbmi2 }()
 	poisonReleased = false
 	b.Run("mask", mask)
+	b.Run("fused", func(b *testing.B) {
+		b.ReportAllocs()
+		var a Arena
+		for i := 0; i < b.N; i++ {
+			for j := range ds {
+				if sum, count := SelectSum(ps[j], []Term{{ds[j], q6DateLo, q6DateHi}, {fs[j], q6DiscLo, q6DiscHi}, {qs[j], nil, q6QtyHi}}, &a); sum == nil || count < 0 {
+					b.Fatal("no sum")
+				}
+			}
+			a.Release()
+		}
+	})
 	haveVBMI2 = false
 	b.Run("mask-go", mask)
 }

@@ -332,20 +332,20 @@ func place[V, U code](dst []V, src []U, d V, m *Mask) int {
 		rebase(dst, src, d)
 		return len(src)
 	}
-	return gatherKept(dst, src, m.rej, d)
+	return gatherKept(dst, src, m.rej, m.kept, d)
 }
 
-// gatherKept writes src's codes at the clear bits of rej, each plus d,
-// to the front of dst and returns how many. On a CPU with AVX-512 VBMI2
-// the whole 64-row words go through a compress kernel (compressKept);
-// the rest, and every word elsewhere, run a loop over each word's set
-// bits, which measured faster than a byte-table or a branch-free
-// variant.
-func gatherKept[V, U code](dst []V, src []U, rej []uint64, d V) int {
+// gatherKept writes src's codes at the clear bits of rej, of which
+// there are kept, each plus d, to the front of dst and returns how
+// many. On a CPU with AVX-512 VBMI2 the whole 64-row words go through a
+// compress kernel (compressKept); the rest, and every word elsewhere,
+// run a loop over each word's set bits, which measured faster than a
+// byte-table or a branch-free variant.
+func gatherKept[V, U code](dst []V, src []U, rej []uint64, kept int, d V) int {
 	k := 0
 	if haveVBMI2 {
 		var words int
-		k, words = compressKept(dst, src, rej, d)
+		k, words = compressKept(dst, src, rej, kept, d)
 		src, rej = src[words*64:], rej[words:]
 	}
 	for i, w := range rej {
@@ -361,16 +361,13 @@ func gatherKept[V, U code](dst []V, src []U, rej []uint64, d V) int {
 // compressKept is gatherKept over src's whole 64-row words on the
 // compress kernel for V and U's widths: it returns the codes written
 // and the words read, none when no kernel takes the widths (codes
-// narrowed into a smaller width). It counts the kept rows first, so a
-// dst too short panics here rather than being written past.
-func compressKept[V, U code](dst []V, src []U, rej []uint64, d V) (k, words int) {
+// narrowed into a smaller width). kept, the bitmap's count (the
+// mask's), bounds what the words keep, so a dst shorter than it panics
+// here rather than being written past.
+func compressKept[V, U code](dst []V, src []U, rej []uint64, kept int, d V) (k, words int) {
 	words = min(len(src)/64, len(rej))
 	if words == 0 {
 		return 0, 0
-	}
-	kept := 0
-	for _, w := range rej[:words] {
-		kept += bits.OnesCount64(^w)
 	}
 	if kept > len(dst) {
 		panic(fmt.Sprintf("bat: %d kept codes gathered into %d", kept, len(dst)))

@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "keep_amd64.h"
 
 // The compress kernels write the codes of words whole 64-row words of
 // src, at the clear bits of each word's rejection bitmap, plus d, to
@@ -32,41 +33,6 @@
 	MOVQ DI, ret+40(FP);  \
 	VZEROUPPER;           \
 	RET
-
-// KEEPB stores the lanes of reg's 64 bytes that BX keeps.
-#define KEEPB(reg) \
-	KMOVQ         BX, K1;        \
-	VPCOMPRESSB.Z reg, K1, reg;  \
-	POPCNTQ       BX, R8;        \
-	BZHIQ         R8, R10, R9;   \
-	KMOVQ         R9, K2;        \
-	VMOVDQU8      reg, K2, (DI); \
-	ADDQ          R8, DI
-
-// KEEPW stores the lanes of reg's 32 words that BX's low 32 bits keep,
-// then shifts them out of BX.
-#define KEEPW(reg) \
-	KMOVD         BX, K1;         \
-	VPCOMPRESSW.Z reg, K1, reg;   \
-	POPCNTL       BX, R8;         \
-	BZHIL         R8, R10, R9;    \
-	KMOVD         R9, K2;         \
-	VMOVDQU16     reg, K2, (DI);  \
-	LEAQ          (DI)(R8*2), DI; \
-	SHRQ          $32, BX
-
-// KEEPD stores the lanes of reg's 16 doublewords that BX's low 16 bits
-// keep, then shifts them out of BX.
-#define KEEPD(reg) \
-	KMOVW         BX, K1;         \
-	VPCOMPRESSD.Z reg, K1, reg;   \
-	MOVWLZX       BX, R8;         \
-	POPCNTL       R8, R8;         \
-	BZHIL         R8, R10, R9;    \
-	KMOVW         R9, K2;         \
-	VMOVDQU32     reg, K2, (DI);  \
-	LEAQ          (DI)(R8*4), DI; \
-	SHRQ          $16, BX
 
 TEXT ·compress8to8(SB), NOSPLIT, $0-48
 	PROLOGUE

@@ -321,7 +321,7 @@ func checkCompressKept[V, U code](t *testing.T, rng *rand.Rand, vbmi2 bool) {
 					for i := range dst {
 						dst[i] = canary
 					}
-					if k := gatherKept(dst[:len(want)], src, rej, d); k != len(want) {
+					if k := gatherKept(dst[:len(want)], src, rej, len(want), d); k != len(want) {
 						t.Fatalf("%s: wrote %d codes, want %d", what, k, len(want))
 					}
 					if !slices.Equal(dst[:len(want)], want) {
@@ -335,11 +335,37 @@ func checkCompressKept[V, U code](t *testing.T, rng *rand.Rand, vbmi2 bool) {
 					if !haveVBMI2 {
 						continue
 					}
-					if _, words := compressKept(dst, src, rej, d); words != n/64 {
+					if _, words := compressKept(dst, src, rej, len(want), d); words != n/64 {
 						t.Fatalf("%s: the kernel read %d words, want %d", what, words, n/64)
+					}
+					if len(want) > 0 && n >= 64 {
+						checkShortDstPanics(t, what, len(want)-1, src, rej, len(want), d, canary)
 					}
 				}
 			}
 		}
 	}
+}
+
+// checkShortDstPanics holds compressKept to its bound: a dst of short
+// codes, fewer than the kept count, panics before the kernel writes
+// anything, so every code of dst, and of the array past it, still holds
+// the canary.
+func checkShortDstPanics[V, U code](t *testing.T, what string, short int, src []U, rej []uint64, kept int, d V, canary V) {
+	t.Helper()
+	buf := make([]V, kept+64)
+	for i := range buf {
+		buf[i] = canary
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: %d kept codes gathered into %d without a panic", what, kept, short)
+		}
+		for i, c := range buf {
+			if c != canary {
+				t.Fatalf("%s: a dst of %d codes for %d kept ones was written at %d before the panic", what, short, kept, i)
+			}
+		}
+	}()
+	compressKept(buf[:short], src, rej, kept, d)
 }

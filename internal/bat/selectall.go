@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"math"
 	"math/bits"
 	"unsafe"
 )
@@ -21,8 +22,8 @@ type Term struct {
 // and answers that chain's OIDs. When every term is a dense-headed
 // column over the same rows with an unsorted tail of 1- or 2-byte codes
 // — a served table's fragments, narrowed at install — and the CPU runs
-// AVX2, the terms are tested in one pass each into one bitmap of the
-// rows (selectCodes); otherwise the chain runs.
+// AVX2, the terms are tested into one bitmap of the rows
+// (selectCodes); otherwise the chain runs.
 func SelectAll(terms []Term) *BAT {
 	if len(terms) == 0 {
 		panic("bat: SelectAll of no terms")
@@ -41,9 +42,9 @@ func SelectAll(terms []Term) *BAT {
 // one has a dense head with the first term's base and length, an
 // unsorted tail of 1- or 2-byte codes and literals its kind normalizes
 // (takesCodes), on amd64 with AVX2; ok is false otherwise. The rejected
-// rows are ORed into one bitmap (rejectCodes) and the kept rows are its
-// clear bits, counted first so the OID list is allocated at its size.
-// The bitmap is bitPool scratch, dead once the list is written.
+// rows go into one bitmap (rejectCodes) and the kept rows are its clear
+// bits, which rejectCodes counts, so the OID list is allocated at its
+// size. The bitmap is bitPool scratch, dead once the list is written.
 func selectCodes(terms []Term) (oids []Oid, ok bool) {
 	if !haveAVX2 || !takesAllCodes(terms) {
 		return nil, false
@@ -51,10 +52,10 @@ func selectCodes(terms []Term) (oids []Oid, ok bool) {
 	h := terms[0].B.h
 	p := bitPool.get((h.n + 63) / 64)
 	defer bitPool.put(p)
-	if rejectCodes(terms, *p) {
-		return nil, true
+	if kept, miss := rejectCodes(terms, *p); !miss && kept > 0 {
+		return keptOids(*p, h.base, kept), true
 	}
-	return keptOids(*p, h.base), true
+	return nil, true
 }
 
 // takesAllCodes reports whether every term takes the bitmap kernel over
@@ -69,11 +70,21 @@ func takesAllCodes(terms []Term) bool {
 	return true
 }
 
-// rejectCodes sets the bit of every row some term rejects, and the
-// bits past the last row; each term ORs its rejections in
-// (rejectRange). miss: a range missed every code, so no row is kept and
-// rej is partly written.
-func rejectCodes(terms []Term, rej []uint64) (miss bool) {
+// rejectCodes writes rej: the bit of every row some term rejects, and
+// the bits past the last row; it returns how many rows are kept. miss:
+// a range missed every code, so no row is kept and rej is partly
+// written. Up to maxWordTerms terms on a CPU with VBMI2 run the
+// term-table kernel's bitmap exit, which writes each word once and
+// counts it as it goes (wordTerms.reject); otherwise each term ORs its
+// rejections in (rejectRange) and the clear bits are counted after.
+func rejectCodes(terms []Term, rej []uint64) (kept int, miss bool) {
+	if haveVBMI2 && len(terms) <= maxWordTerms {
+		var tab wordTerms
+		if !tab.fill(terms) {
+			return 0, true
+		}
+		return tab.reject(rej, terms[0].B.h.n), false
+	}
 	clear(rej)
 	if part := terms[0].B.h.n % 64; part != 0 {
 		rej[len(rej)-1] = ^uint64(0) << part // past the last row
@@ -87,10 +98,139 @@ func rejectCodes(terms []Term, rej []uint64) (miss bool) {
 			miss = rejectRange(rej, c, r)
 		}
 		if miss {
-			return true
+			return 0, true
 		}
 	}
-	return false
+	for _, w := range rej {
+		kept += bits.OnesCount64(^w)
+	}
+	return kept, false
+}
+
+// maxWordTerms is how many terms the term-table kernel's table holds;
+// a longer conjunction runs rejectRange term by term.
+const maxWordTerms = 4
+
+// blockRows is the rows of the term-table kernel's block, four 64-row
+// words: each term's loop runs once a block.
+const blockRows = 256
+
+// wordTerm is one entry of the term-table kernel's table (selectWords),
+// laid out as the kernel reads it: a term's codes and the code range it
+// keeps, x − lo ≤ span wrapping at the codes' width, with −lo and span
+// repeated in every lane of a uint32 so the kernel broadcasts them from
+// memory.
+type wordTerm struct {
+	v         unsafe.Pointer // the codes of the term's rows, row 0 first
+	neg, span uint32
+}
+
+// wordTerms is a conjunction's table: n entries, the first wide of
+// them over 2-byte codes and the rest over 1-byte codes.
+type wordTerms struct {
+	t       [maxWordTerms]wordTerm
+	wide, n int
+}
+
+// fill makes tab the table of terms, which takesAllCodes takes, and
+// reports false — a miss — when a term's range holds no code, so no row
+// is kept.
+func (tab *wordTerms) fill(terms []Term) bool {
+	*tab = wordTerms{}
+	for _, width := range []int{2, 1} { // the 2-byte terms first
+		for _, t := range terms {
+			if t.B.t.narrow.width() != width {
+				continue
+			}
+			r, _ := t.B.t.narrowBounds(t.Lo, t.Hi)
+			ok := false
+			switch c := t.B.t.narrow.(type) {
+			case narrowInts[uint8]:
+				tab.t[tab.n], ok = wordTermOf(c, r)
+			case narrowInts[uint16]:
+				tab.t[tab.n], ok = wordTermOf(c, r)
+			}
+			if !ok {
+				return false
+			}
+			tab.n++
+		}
+		if width == 2 {
+			tab.wide = tab.n
+		}
+	}
+	return true
+}
+
+// wordTermOf is the table entry of c's rows within r; ok is false when
+// no code lies inside r.
+func wordTermOf[U uint8 | uint16](c narrowInts[U], r bounds[int64]) (e wordTerm, ok bool) {
+	if r.empty() {
+		return e, false
+	}
+	cr, below, above := codeRange[U](r, c.base)
+	if below || above {
+		return e, false
+	}
+	lanes := math.MaxUint32 / uint32(^U(0)) // 1 in every lane
+	return wordTerm{
+		v:    unsafe.Pointer(unsafe.SliceData(c.v)),
+		neg:  uint32(-cr.lo) * lanes,
+		span: uint32(cr.hi-cr.lo) * lanes,
+	}, true
+}
+
+// reject is the bitmap exit: it writes the rejection words of the n
+// rows the table's terms cover to rej, the bits past the last row set,
+// and returns how many rows are kept. Whole blocks run the kernel, the
+// rest wordRej.
+func (tab *wordTerms) reject(rej []uint64, n int) (kept int) {
+	blocks := n / blockRows
+	if blocks > 0 {
+		kept = selectWords(unsafe.Pointer(&rej[0]), nil, &tab.t[0], tab.wide, tab.n-tab.wide, blocks, 0)
+	}
+	for from := blocks * blockRows; from < n; from += 64 {
+		rej[from/64] = tab.wordRej(from, min(from+64, n))
+		kept += bits.OnesCount64(^rej[from/64])
+	}
+	return kept
+}
+
+// keepCodes is the compress exit: it writes the codes of src, a column
+// over the rows the table's terms cover, at the rows they keep to the
+// front of dst, which holds a code per row, and returns how many. Whole
+// blocks run the kernel, the rest wordRej.
+func keepCodes[U code](tab *wordTerms, dst, src []U) int {
+	blocks, k := len(src)/blockRows, 0
+	if blocks > 0 {
+		k = selectWords(unsafe.Pointer(&dst[0]), unsafe.Pointer(&src[0]), &tab.t[0], tab.wide, tab.n-tab.wide, blocks, int(unsafe.Sizeof(src[0])))
+	}
+	for from := blocks * blockRows; from < len(src); from += 64 {
+		for kept := ^tab.wordRej(from, min(from+64, len(src))); kept != 0; kept &= kept - 1 {
+			dst[k] = src[from+bits.TrailingZeros64(kept)]
+			k++
+		}
+	}
+	return k
+}
+
+// wordRej is the rejection word of rows [from, to), at most 64, as the
+// kernel writes a whole word's: bit i for row from+i, and the bits past
+// to set.
+func (tab *wordTerms) wordRej(from, to int) uint64 {
+	rej := ^uint64(0) << (to - from) // 0 for a whole word: Go shifts by ≥ 64 to 0
+	for j, e := range tab.t[:tab.n] {
+		for i := from; i < to; i++ {
+			var out bool
+			if j < tab.wide {
+				out = *(*uint16)(unsafe.Add(e.v, 2*i))+uint16(e.neg) > uint16(e.span)
+			} else {
+				out = *(*uint8)(unsafe.Add(e.v, i))+uint8(e.neg) > uint8(e.span)
+			}
+			rej |= uint64(b2i(out)) << (i - from)
+		}
+	}
+	return rej
 }
 
 // Mask is a candidate list kept as a bitmap, algebra.uselectmask's
@@ -109,8 +249,8 @@ type Mask struct {
 
 // SelectMask is SelectAll answering a Mask. Over the shapes the bitmap
 // kernel takes (selectCodes) it fills the mask's bitmap, drawn from the
-// query's arena a (nil: made), with rejectRange's kernels, and counts
-// the kept rows; otherwise it holds SelectAll's list.
+// query's arena a (nil: made), and counts the kept rows (rejectCodes);
+// otherwise it holds SelectAll's list.
 func SelectMask(terms []Term, a *Arena) *Mask {
 	if len(terms) == 0 || !takesAllCodes(terms) {
 		l := SelectAll(terms)
@@ -122,11 +262,7 @@ func SelectMask(terms []Term, a *Arena) *Mask {
 		rej = []uint64{} // no rows: a bitmap still, not a list
 	}
 	m := &Mask{name: terms[len(terms)-1].B.Name, base: h.base, n: h.n, rej: rej}
-	if !rejectCodes(terms, m.rej) {
-		for _, w := range m.rej {
-			m.kept += bits.OnesCount64(^w)
-		}
-	}
+	m.kept, _ = rejectCodes(terms, m.rej) // a miss keeps none
 	return m
 }
 
@@ -147,7 +283,7 @@ func (m *Mask) asList() *BAT {
 	}
 	var oids []Oid
 	if m.kept > 0 {
-		oids = keptOids(m.rej, m.base)
+		oids = keptOids(m.rej, m.base, m.kept)
 	}
 	return candList(m.name, oids)
 }
@@ -172,10 +308,7 @@ func SumKept(col *BAT, m *Mask) any {
 		return m.asList().Join(col).Sum()
 	}
 	if m.kept == 0 { // a missed range leaves rej partly written
-		if t.kind == KInt {
-			return int64(0)
-		}
-		return float64(0)
+		return zeroSum(t)
 	}
 	switch c := t.narrow.(type) {
 	case narrowInts[uint8]:
@@ -193,11 +326,80 @@ func SumKept(col *BAT, m *Mask) any {
 func sumKept[U code](c narrowInts[U], pool *slicePool[U], m *Mask, t *Column) any {
 	p := pool.get(m.kept)
 	defer pool.put(p)
-	kept := narrowInts[U]{(*p)[:gatherKept(*p, c.v, m.rej, 0)], c.base, c.hi}
+	return sumCodes(narrowInts[U]{(*p)[:gatherKept(*p, c.v, m.rej, m.kept, 0)], c.base, c.hi}, t)
+}
+
+// zeroSum is the sum of no row of t's tail, of int or decimal codes.
+func zeroSum(t *Column) any {
+	if t.kind == KInt {
+		return int64(0)
+	}
+	return float64(0)
+}
+
+// sumCodes is the sum of the kept codes of t's tail, in row order, as
+// t's kind sums its codes: bit for bit the sum of the rows they are.
+func sumCodes[U code](kept narrowInts[U], t *Column) any {
 	if t.kind == KInt {
 		return kept.sum()
 	}
 	return kept.sumDecimal(t.scale())
+}
+
+// SelectSum is aggr.selectsum(col, terms…): the sum of col's tail at
+// the rows every term keeps, and how many those are. It is defined as
+//
+//	m := SelectMask(terms, a)
+//	return SumKept(col, m), m.Count()
+//
+// and answers that bit for bit. On a CPU with VBMI2, when the bitmap
+// kernel takes the terms (at most maxWordTerms of them) and SumKept
+// would gather col's codes, the term-table kernel's compress exit
+// writes the kept codes of each whole 64-row word straight into pooled
+// scratch as it tests the word, with no bitmap and no count first: the
+// scratch holds every row. The last part-word is gathered here
+// (tailRej), and the codes' own sum adds them in row order. Every other
+// shape runs the definition.
+func SelectSum(col *BAT, terms []Term, a *Arena) (sum any, count int64) {
+	if sum, count, ok := selectSumWords(col, terms); ok {
+		return sum, count
+	}
+	m := SelectMask(terms, a)
+	return SumKept(col, m), m.Count()
+}
+
+// selectSumWords is SelectSum's term-table path; ok is false when it
+// does not take the shape.
+func selectSumWords(col *BAT, terms []Term) (sum any, count int64, ok bool) {
+	if !haveVBMI2 || len(terms) == 0 || len(terms) > maxWordTerms || !takesAllCodes(terms) {
+		return nil, 0, false
+	}
+	h, t, th := col.h, col.t, terms[0].B.h
+	if !h.dense || h.base != th.base || h.n != th.n || t.narrow == nil || (t.kind != KInt && t.kind != KFloat) {
+		return nil, 0, false
+	}
+	var tab wordTerms
+	if !tab.fill(terms) {
+		return zeroSum(t), 0, true
+	}
+	switch c := t.narrow.(type) {
+	case narrowInts[uint8]:
+		sum, count = selectSumCodes(c, &u8Pool, &tab, t)
+	case narrowInts[uint16]:
+		sum, count = selectSumCodes(c, &u16Pool, &tab, t)
+	case narrowInts[uint32]:
+		sum, count = selectSumCodes(c, &u32Pool, &tab, t)
+	}
+	return sum, count, true
+}
+
+// selectSumCodes writes the codes of c that tab keeps into scratch from
+// pool, sums them (sumCodes) and hands the scratch back.
+func selectSumCodes[U code](c narrowInts[U], pool *slicePool[U], tab *wordTerms, t *Column) (any, int64) {
+	p := pool.get(len(c.v))
+	defer pool.put(p)
+	k := keepCodes(tab, *p, c.v)
+	return sumCodes(narrowInts[U]{(*p)[:k], c.base, c.hi}, t), int64(k)
 }
 
 // takesCodes reports whether the bitmap kernel takes t over the rows of
@@ -214,12 +416,10 @@ func takesCodes(t Term, h *Column) bool {
 // rejectRange ORs into rej the rows of c whose value lies outside r, or
 // reports miss — nothing written — when no code lies inside it. A row is
 // kept when its code x has x − lo ≤ hi − lo, wrapping at the code width,
-// scanCodes' one compare. Whole 64-row words run the AVX-512 word kernel
-// on a CPU with VBMI2 (haveVBMI2 checks AVX512F and AVX512BW with it),
-// whole 32-row blocks the AVX2 block kernel, which writes each block's
-// bits as a 32-bit half of a word (rows 0–31 are the low half on a
-// little-endian host), and the rest run here — every row on a CPU
-// without AVX2.
+// scanCodes' one compare. Whole 32-row blocks run the AVX2 block kernel
+// on a CPU with AVX2, which writes each block's bits as a 32-bit half of
+// a word (rows 0–31 are the low half on a little-endian host), and the
+// rest run here — every row on a CPU without AVX2.
 func rejectRange[U uint8 | uint16](rej []uint64, c narrowInts[U], r bounds[int64]) (miss bool) {
 	if r.empty() {
 		return true
@@ -230,15 +430,8 @@ func rejectRange[U uint8 | uint16](rej []uint64, c narrowInts[U], r bounds[int64
 	}
 	lo, span := cr.lo, cr.hi-cr.lo
 	done := 0
-	v := unsafe.Pointer(unsafe.SliceData(c.v))
-	if words := len(c.v) / 64; haveVBMI2 && words > 0 {
-		if unsafe.Sizeof(lo) == 1 {
-			rejectWords8(&rej[0], (*uint8)(v), words, uint8(lo), uint8(span))
-		} else {
-			rejectWords16(&rej[0], (*uint16)(v), words, uint16(lo), uint16(span))
-		}
-		done = words * 64
-	} else if blocks := len(c.v) / 32; haveAVX2 && blocks > 0 {
+	if blocks := len(c.v) / 32; haveAVX2 && blocks > 0 {
+		v := unsafe.Pointer(unsafe.SliceData(c.v))
 		r32 := (*uint32)(unsafe.Pointer(&rej[0]))
 		if unsafe.Sizeof(lo) == 1 {
 			rejectBlocks8(r32, (*uint8)(v), blocks, uint8(lo), uint8(span))
@@ -253,15 +446,9 @@ func rejectRange[U uint8 | uint16](rej []uint64, c narrowInts[U], r bounds[int64
 	return false
 }
 
-// keptOids lists, ascending, base + i for every clear bit i of rej.
-func keptOids(rej []uint64, base Oid) []Oid {
-	n := 0
-	for _, w := range rej {
-		n += bits.OnesCount64(^w)
-	}
-	if n == 0 {
-		return nil
-	}
+// keptOids lists, ascending, base + i for every clear bit i of rej, of
+// which there are n > 0.
+func keptOids(rej []uint64, base Oid, n int) []Oid {
 	out := make([]Oid, n+2)
 	putKept(out, rej, base)
 	return out[:n:n]

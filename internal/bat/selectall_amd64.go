@@ -1,5 +1,7 @@
 package bat
 
+import "unsafe"
+
 // haveAVX2 reports whether this CPU runs AVX2 and the OS saves the YMM
 // registers: CPUID leaf 7 for AVX2, leaf 1 for AVX and OSXSAVE, and
 // XCR0's SSE and AVX state bits. SelectAll's bitmap kernel needs it;
@@ -26,9 +28,9 @@ func cpuHasAVX2() bool {
 // OS saves their registers: AVX2's checks, then CPUID leaf 1 for
 // POPCNT, leaf 7 for AVX512F, AVX512BW, BMI2 and VBMI2, and XCR0's
 // opmask and ZMM state bits besides SSE and AVX. FetchAll's and
-// SumKept's gathers need it for whole bitmap words, and rejectRange for
-// its word kernel; without it gatherKept's loop and the AVX2 blocks
-// run.
+// SumKept's gathers need it for whole bitmap words, and rejectCodes and
+// SelectSum for the term-table kernel; without it gatherKept's loop and
+// the AVX2 blocks run.
 var haveVBMI2 = cpuHasVBMI2()
 
 func cpuHasVBMI2() bool {
@@ -63,18 +65,17 @@ func rejectBlocks8(rej *uint32, v *uint8, blocks int, lo, span uint8)
 //go:noescape
 func rejectBlocks16(rej *uint32, v *uint16, blocks int, lo, span uint16)
 
-// rejectWords8 ORs into rej[k], for each of the words 64-row words of
-// v, bit j set for each row j of the word whose code c has c − lo >
-// span, wrapping at 8 bits: rejectBlocks8 64 rows an instruction,
-// through an AVX-512 opmask. It needs AVX512F and AVX512BW.
+// selectWords is the term-table kernel (selectall_amd64.s): it tests
+// the rows of blocks whole blocks of blockRows rows against the wide
+// entries of tab over 2-byte codes and the narrow entries after them
+// over 1-byte codes, and by exit stores each 64-row word's rejection
+// bitmap to out (exit 0) or the kept codes of src, of exit bytes each,
+// to out's front; it returns the rows kept. out must hold a bitmap word
+// per word, or every row's code. It needs AVX512F, AVX512BW, BMI2 and
+// VBMI2.
 //
 //go:noescape
-func rejectWords8(rej *uint64, v *uint8, words int, lo, span uint8)
-
-// rejectWords16 is rejectWords8 over 2-byte codes.
-//
-//go:noescape
-func rejectWords16(rej *uint64, v *uint16, words int, lo, span uint16)
+func selectWords(out, src unsafe.Pointer, tab *wordTerm, wide, narrow, blocks, exit int) int
 
 // compress8to8 writes the codes of words whole 64-row words of src at
 // the clear bits of rej, each plus d, to the front of dst, and returns

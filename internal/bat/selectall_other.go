@@ -2,13 +2,15 @@
 
 package bat
 
+import "unsafe"
+
 // haveAVX2 is false off amd64: every conjunction runs the chain, and
 // the kernels below are never reached.
 var haveAVX2 = false
 
 // haveVBMI2 is false off amd64: FetchAll's and SumKept's gathers run
-// gatherKept's loop, and the compress and word kernels below are never
-// reached.
+// gatherKept's loop, SelectMask and SelectSum their definitions, and the
+// compress and term-table kernels below are never reached.
 var haveVBMI2 = false
 
 func rejectBlocks8(rej *uint32, v *uint8, blocks int, lo, span uint8) {
@@ -19,11 +21,7 @@ func rejectBlocks16(rej *uint32, v *uint16, blocks int, lo, span uint16) {
 	panic("bat: no vector kernel on this architecture")
 }
 
-func rejectWords8(rej *uint64, v *uint8, words int, lo, span uint8) {
-	panic("bat: no vector kernel on this architecture")
-}
-
-func rejectWords16(rej *uint64, v *uint16, words int, lo, span uint16) {
+func selectWords(out, src unsafe.Pointer, tab *wordTerm, wide, narrow, blocks, exit int) int {
 	panic("bat: no vector kernel on this architecture")
 }
 

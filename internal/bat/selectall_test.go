@@ -224,9 +224,9 @@ func checkConj(t *testing.T, what string, terms []Term) (coded bool) {
 	return coded
 }
 
-// rejectKernels are the settings that pick each of rejectRange's
-// kernels where the CPU runs it: the AVX-512 words, the AVX2 blocks and
-// the scalar loop.
+// rejectKernels are the settings that pick each rejection kernel
+// where the CPU runs it: the term-table kernel (AVX-512), the AVX2
+// blocks and the scalar loop.
 var rejectKernels = []struct{ avx2, vbmi2 bool }{{true, true}, {true, false}, {false, false}}
 
 // withRejectKernels runs f under each of rejectKernels, the CPU's own
@@ -256,16 +256,18 @@ func describeConj(terms []Term) string {
 }
 
 // TestSelectAllMatchesChain draws conjunctions in every shape at 0, 1,
-// 31, 32, 33 rows (no whole block, one, one and a row), 63, 64, 65 and
-// 129 (around whole words), a spread of small sizes and 64K+5 rows (a
+// 31, 32, 33 rows (no whole AVX2 block, one, one and a row), 63, 64, 65
+// and 129 (around whole words), 255, 256, 257 and 458 (around the
+// term-table kernel's 256-row block, and a block with three words and
+// a part-word after it), a spread of small sizes and 64K+5 rows (a
 // fragment and a tail), over every physical form, with limits inside,
 // at the edges of and outside each column's codes, contradictory ones
 // and open sides, and holds SelectAll and SelectMask to the chain —
-// under each of rejectRange's kernels the CPU runs; with AVX2 off
-// SelectAll must be the chain.
+// under each of rejectKernels the CPU runs; with AVX2 off SelectAll
+// must be the chain.
 func TestSelectAllMatchesChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
-	sizes := []int{0, 1, 31, 32, 33, 63, 64, 65, 129, 64<<10 + 5}
+	sizes := []int{0, 1, 31, 32, 33, 63, 64, 65, 129, 255, 256, 257, 458, 64<<10 + 5}
 	for i := 0; i < 12; i++ {
 		sizes = append(sizes, rng.Intn(300))
 	}
@@ -295,7 +297,9 @@ func TestSelectAllMatchesChain(t *testing.T) {
 // FuzzSelectAll: the fuzzer picks the shape, the size and the seed the
 // terms are drawn from, and the codes of a first 1- or 2-byte term
 // outright, read little-endian from data, with limits at any two codes;
-// each of rejectRange's kernels is held to the chain.
+// under each of rejectKernels SelectAll and SelectMask (the term-table
+// kernel's bitmap exit on a VBMI2 CPU) are held to the chain, and so is
+// SelectSum of the first term's column (its compress exit).
 func FuzzSelectAll(f *testing.F) {
 	f.Add([]byte{0x00, 0x7f, 0x80, 0xff, 0x10, 0x90}, int64(1), uint8(0), uint16(33), uint16(0x10), uint16(0x8f))
 	f.Add([]byte{0xff, 0xff, 0x00, 0x00, 0x01, 0x80}, int64(2), uint8(1), uint16(64), uint16(0), uint16(0xffff))
@@ -322,7 +326,9 @@ func FuzzSelectAll(f *testing.F) {
 		hi := &Bound{Value: int64(codeScanRef + uint64(chi)&top), Inclusive: sel&128 == 0}
 		terms = append([]Term{{B: first, Lo: lo, Hi: hi}}, terms...)
 		withRejectKernels(func() {
-			checkConj(t, fmt.Sprintf("seed %d, sel %d, n=%d, AVX2 %v, VBMI2 %v", seed, sel, n, haveAVX2, haveVBMI2), terms)
+			what := fmt.Sprintf("seed %d, sel %d, n=%d, AVX2 %v, VBMI2 %v", seed, sel, n, haveAVX2, haveVBMI2)
+			checkConj(t, what, terms)
+			checkSelectSum(t, what, terms, first)
 		})
 	})
 }

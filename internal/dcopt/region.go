@@ -114,7 +114,12 @@ type region struct {
 	fetches []int       // members left to the exits they assign (mal.Exit.Fetch)
 	masks   []int       // selects that answer a bitmap (algebra.uselectmask)
 	folds   map[int]int // sums that read a mask themselves: the sum → the fetch it reads
+	fused   map[int]fusion
 }
+
+// fusion is what a mask fuses with into aggr.selectsum: the one folded
+// sum that reads it and its count, -1 when it has none.
+type fusion struct{ sum, count int }
 
 // outline finds the maximal fragment-local region of every table in p
 // and returns, per instruction, the region that takes it (nil: the
@@ -260,6 +265,7 @@ func outline(p *mal.Plan, bindAt []int) []*region {
 	sumOf := map[int]int{}
 	folded := make([]int, p.NVars)
 	counted := make([]int, p.NVars)
+	countOf := map[mal.VarID]int{} // an aggr.count of the candidates
 	for i, in := range p.Instrs {
 		if !member[i] || len(in.Args) != 1 || in.Args[0].IsLit() {
 			continue
@@ -268,6 +274,7 @@ func outline(p *mal.Plan, bindAt []int) []*region {
 		switch in.Name() {
 		case "aggr.count":
 			counted[v]++
+			countOf[v] = i
 		case "aggr.sum":
 			j := vars[v].by
 			if j >= 0 && p.Instrs[j].Name() == "algebra.join" && reads[v] == 1 && !outside[v] {
@@ -287,13 +294,28 @@ func outline(p *mal.Plan, bindAt []int) []*region {
 			regionOf[i].masks = append(regionOf[i].masks, i)
 		}
 	}
+	// A mask that its one folded sum and at most one count read, and
+	// nothing else, fuses with them into aggr.selectsum(col, terms…),
+	// which assigns the sum and the count: no bitmap is written for it.
 	for j, i := range sumOf {
-		r := regionOf[j]
-		if slices.Contains(r.masks, vars[p.Instrs[j].Args[0].Var].by) {
-			if r.folds == nil {
-				r.folds = map[int]int{}
+		r, c := regionOf[j], p.Instrs[j].Args[0].Var
+		mask := vars[c].by
+		if !slices.Contains(r.masks, mask) {
+			continue
+		}
+		if r.folds == nil {
+			r.folds = map[int]int{}
+		}
+		r.folds[i] = j
+		if folded[c] == 1 && fetched[c] == 0 && counted[c] <= 1 {
+			f := fusion{sum: i, count: -1}
+			if counted[c] == 1 {
+				f.count = countOf[c]
 			}
-			r.folds[i] = j
+			if r.fused == nil {
+				r.fused = map[int]fusion{}
+			}
+			r.fused[mask] = f
 		}
 	}
 	return regionOf
@@ -312,15 +334,25 @@ func (r *region) exitVars() []mal.VarID {
 // its first use and unpinned right after its last (Table 2's shape,
 // per fragment), uses counted on the rewritten instructions. A folded
 // sum reads its fetch's column and candidates itself, and the fetch
-// goes. A deferred fetch's column is pinned and unpinned where the
-// fetch stood, but the fetch runs at the exit: on the live ring the
-// fragment stays readable until the query returns.
+// goes. A fused mask becomes aggr.selectsum(col, terms…) where it
+// stood, assigning its sum and its count (a variable of its own when
+// it has none), and they go. A deferred fetch's column is pinned and
+// unpinned where the fetch stood, but the fetch runs at the exit: on
+// the live ring the fragment stays readable until the query returns.
 func (r *region) build(p *mal.Plan) *mal.Region {
 	type step struct {
 		in   mal.Instr
 		emit bool // false: a deferred fetch
 	}
 	steps := make([]step, 0, len(r.members))
+	nvars := p.NVars
+	gone := map[int]bool{} // folded fetches, fused sums and counts
+	for _, j := range r.folds {
+		gone[j] = true
+	}
+	for _, f := range r.fused {
+		gone[f.sum], gone[f.count] = true, f.count >= 0
+	}
 	for _, i := range r.members {
 		in := p.Instrs[i]
 		if slices.Contains(r.masks, i) {
@@ -330,15 +362,23 @@ func (r *region) build(p *mal.Plan) *mal.Region {
 			fetch := p.Instrs[j].Args
 			in.Args = []mal.Arg{fetch[1], fetch[0]}
 		}
-		folded := false
-		for _, j := range r.folds {
-			folded = folded || j == i
+		if f, ok := r.fused[i]; ok {
+			count := mal.VarID(nvars)
+			if f.count >= 0 {
+				count = p.Instrs[f.count].Ret[0]
+			} else {
+				nvars++
+			}
+			col := p.Instrs[r.folds[f.sum]].Args[1]
+			in = mal.Instr{Module: "aggr", Op: "selectsum",
+				Ret:  []mal.VarID{p.Instrs[f.sum].Ret[0], count},
+				Args: append([]mal.Arg{col}, in.Args...)}
 		}
-		if !folded {
+		if !gone[i] {
 			steps = append(steps, step{in, !slices.Contains(r.fetches, i)})
 		}
 	}
-	sub := &mal.Plan{Name: r.table, NVars: p.NVars, Result: mal.NoVar,
+	sub := &mal.Plan{Name: r.table, NVars: nvars, Result: mal.NoVar,
 		Instrs: make([]mal.Instr, 0, len(steps)+2*len(r.slots))}
 	slotOf := func(a mal.Arg) int { // -1: not one of the region's columns
 		if a.IsLit() {

@@ -217,14 +217,9 @@ func registerStandard(r *Registry) {
 			if len(args) == 0 || len(args)%5 != 0 {
 				return nil, fmt.Errorf("want 5 arguments per column, got %d", len(args))
 			}
-			terms := make([]bat.Term, len(args)/5)
-			for i := range terms {
-				b, err := argBAT(args, 5*i)
-				if err != nil {
-					return nil, err
-				}
-				lo, hi := rangeArgs(args[5*i+1:])
-				terms[i] = bat.Term{B: b, Lo: lo, Hi: hi}
+			terms, err := termArgs(args, 0)
+			if err != nil {
+				return nil, err
 			}
 			return one(sel(ctx, terms)), nil
 		})
@@ -327,6 +322,26 @@ func registerStandard(r *Registry) {
 			return one(bat.SumKept(b, m)), nil
 		}
 		return nil, fmt.Errorf("sum: want 1 or 2 arguments, got %d", len(args))
+	})
+	// aggr.selectsum(col, b1, lo1, hi1, loIncl1, hiIncl1, b2, …) is a
+	// select, a sum at it and its count in one: the sum of col at the
+	// rows every range keeps and how many those are, what
+	// aggr.sum(col, m) and aggr.count(m) return for
+	// m := algebra.uselectmask(b1, …) (bat.SelectSum).
+	r.Register("aggr", "selectsum", func(ctx *Context, args []Value) ([]Value, error) {
+		if len(args) < 6 || len(args)%5 != 1 {
+			return nil, fmt.Errorf("selectsum: want a column and 5 arguments per range, got %d", len(args))
+		}
+		col, err := argBAT(args, 0)
+		if err != nil {
+			return nil, err
+		}
+		terms, err := termArgs(args, 1)
+		if err != nil {
+			return nil, err
+		}
+		sum, count := bat.SelectSum(col, terms, ctx.Arena)
+		return []Value{sum, count}, nil
 	})
 	r.Register("aggr", "count", func(ctx *Context, args []Value) ([]Value, error) {
 		if m, ok := args[0].(*bat.Mask); ok {
@@ -462,4 +477,20 @@ func binary(f func(a, b *bat.BAT) Value) OpFunc {
 		}
 		return one(f(a, b)), nil
 	}
+}
+
+// termArgs reads a conjunction's ranges from args[from:], five
+// arguments each: column, low, high, low inclusive, high inclusive.
+func termArgs(args []Value, from int) ([]bat.Term, error) {
+	terms := make([]bat.Term, (len(args)-from)/5)
+	for i := range terms {
+		at := from + 5*i
+		b, err := argBAT(args, at)
+		if err != nil {
+			return nil, err
+		}
+		lo, hi := rangeArgs(args[at+1:])
+		terms[i] = bat.Term{B: b, Lo: lo, Hi: hi}
+	}
+	return terms, nil
 }

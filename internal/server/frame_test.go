@@ -249,11 +249,13 @@ func TestFetchExitsOutliveUnpin(t *testing.T) {
 // and its masks' bitmaps go back to their pools once its frame is
 // written, and a test binary poisons each buffer it takes back. Two
 // sessions alternate wide projections that keep about half, a twelfth
-// and nearly all of lineitem's rows, and Q6ish, whose sum and count read
-// its bitmaps, so buffers of several lengths cycle between queries of
-// both; a buffer released before its frame was written, or released
-// twice and drawn by two queries at once, or a bitmap recycled while a
-// part still reads it, would serve poison or the other query's rows.
+// and nearly all of lineitem's rows, and Q6ish, whose fused select and
+// sum gathers kept codes into scratch from the same pools (and, on a
+// host without VBMI2, sums and counts at bitmaps from the arena), so
+// buffers of several lengths cycle between queries of both; a buffer
+// released before its frame was written, or released twice and drawn
+// by two queries at once, or a bitmap recycled while a part still reads
+// it, would serve poison or the other query's rows.
 // Every answer matches the local reference cell for cell.
 func TestServedResultsSurviveRecycling(t *testing.T) {
 	const rounds = 50
