@@ -454,6 +454,51 @@ func MakeOids(name string, vals []Oid) *BAT {
 	return New(name, DenseColumn(0, len(vals)), OidColumn(vals))
 }
 
+// Scalar lifts v — an int64, float64, string or Oid — into a one-row
+// [dense OID | kind] BAT, and nil into an empty int BAT: the BAT
+// MakeInts, MakeFloats, MakeStrs or MakeOids builds from it, with the
+// BAT, its two columns and its value in one allocation. ok is false for
+// any other type.
+func Scalar(name string, v any) (b *BAT, ok bool) {
+	switch v := v.(type) {
+	case int64:
+		s := &scalar[int64]{v: [1]int64{v}}
+		s.t.ints = s.v[:]
+		return s.init(name, KInt, 1), true
+	case float64:
+		s := &scalar[float64]{v: [1]float64{v}}
+		s.t.floats = s.v[:]
+		return s.init(name, KFloat, 1), true
+	case string:
+		s := &scalar[string]{v: [1]string{v}}
+		s.t.strs = s.v[:]
+		return s.init(name, KStr, 1), true
+	case Oid:
+		s := &scalar[Oid]{v: [1]Oid{v}}
+		s.t.oids = s.v[:]
+		return s.init(name, KOid, 1), true
+	case nil:
+		return new(scalar[int64]).init(name, KInt, 0), true
+	}
+	return nil, false
+}
+
+// scalar is Scalar's BAT with the memory it points into.
+type scalar[T any] struct {
+	b    BAT
+	h, t Column
+	v    [1]T
+}
+
+// init heads the rows of s's tail, which holds kind's values, dense
+// from 0 and names the BAT.
+func (s *scalar[T]) init(name string, kind Kind, rows int) *BAT {
+	s.h = Column{kind: KOid, dense: true, n: rows, sorted: true}
+	s.t.kind = kind
+	s.b = BAT{Name: name, h: &s.h, t: &s.t}
+	return &s.b
+}
+
 // Head returns the head column.
 func (b *BAT) Head() *Column { return b.h }
 

@@ -548,3 +548,32 @@ func BenchmarkSelect(b *testing.B) {
 		bb.Select(lo, hi)
 	}
 }
+
+// TestScalarMatchesMake: Scalar builds the BAT the Make helpers build
+// from a one-value slice (an empty int BAT for nil), in one allocation.
+func TestScalarMatchesMake(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want *BAT
+	}{
+		{int64(-7), MakeInts("x", []int64{-7})},
+		{94.5, MakeFloats("x", []float64{94.5})},
+		{"R", MakeStrs("x", []string{"R"})},
+		{Oid(12), MakeOids("x", []Oid{12})},
+		{nil, MakeInts("x", nil)},
+	} {
+		got, ok := Scalar("x", c.v)
+		if !ok {
+			t.Fatalf("Scalar(%#v) refused", c.v)
+		}
+		if !reflect.DeepEqual(*got.Head(), *c.want.Head()) || !reflect.DeepEqual(*got.Tail(), *c.want.Tail()) || got.Name != c.want.Name {
+			t.Fatalf("Scalar(%#v) = %v %+v, want %v %+v", c.v, got, *got.Tail(), c.want, *c.want.Tail())
+		}
+		if allocs := testing.AllocsPerRun(10, func() { Scalar("x", c.v) }); allocs > 1 {
+			t.Fatalf("Scalar(%#v) allocates %v times, want 1", c.v, allocs)
+		}
+	}
+	if _, ok := Scalar("x", true); ok {
+		t.Fatal("Scalar took a bool")
+	}
+}

@@ -350,3 +350,18 @@ func TestSelectAllAllocs(t *testing.T) {
 		t.Errorf("SelectAll allocates %v times, want ≤ 3", allocs)
 	}
 }
+
+// TestSelectSumAllocs: the served Q6's per-fragment SelectSum over one
+// 64K-row fragment in codes sets up its term table, tests and sums with
+// no allocation of its own: the kept codes are pooled scratch, and the
+// one allocation is the sum it returns, boxed.
+func TestSelectSumAllocs(t *testing.T) {
+	if !haveVBMI2 {
+		t.Skip("no VBMI2: SelectSum runs its definition")
+	}
+	ds, fs, qs, ps := q6Parts()
+	terms := []Term{{ds[0], q6DateLo, q6DateHi}, {fs[0], q6DiscLo, q6DiscHi}, {qs[0], nil, q6QtyHi}}
+	if allocs := testing.AllocsPerRun(100, func() { benchSink, _ = SelectSum(ps[0], terms, nil) }); allocs > 1 {
+		t.Errorf("SelectSum allocates %v times, want ≤ 1", allocs)
+	}
+}

@@ -485,9 +485,12 @@ func TestQueryErrorStopsComputingInterpreter(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FragmentRows = 64
 	cfg.Workers, cfg.FragWorkers = 1, 1 // plan order, one part at a time
-	// Node 0 owns every fragment, so every part's unpin releases a
-	// runtime pin under n.mu.
+	// Node 0 owns every fragment, and without the hot-set cache an
+	// owner pins its fragments at the runtime (a cached ring reads them
+	// from the store), so every part's unpin releases a runtime pin
+	// under n.mu.
 	cfg.placeFragment = func(frag, nodes int) int { return 0 }
+	cfg.CacheBytes = 0
 	r, err := NewRing(2, cols, schema, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -118,9 +118,15 @@ const maxSnapshotRetries = 64
 // A fragment acquisition resolves one payload for pinning, in order of
 // preference:
 //
-//  1. this node's own store: the owner pins synchronously, so there is
-//     no cache entry for its fragments (dataLoop skips own fragments)
-//     and nothing to wait for.
+//  1. this node's own store: the owner holds the catalog's version
+//     (move.go invariant 1), so there is no cache entry for its
+//     fragments (dataLoop skips own fragments) and nothing to wait for.
+//     With the hot-set cache on (Core.LocalPinsSkipLoad, which NewRing
+//     sets with it), the runtime's pin of an owned fragment would only
+//     hand over the store's copy, so the fragment is read from the
+//     store, off the runtime; without it, the owner pins at the runtime,
+//     whose Request loads the fragment into the ring, and the delivery
+//     holds runtime refs.
 //  2. hot-set cache hit, version-validated against the ring catalog at
 //     this instant: a node-local read — no waiter, no ring wait, and
 //     no ring interest: a fragment every reader holds needs no ring
@@ -139,41 +145,75 @@ const maxSnapshotRetries = 64
 //
 // viaRing reports whether the acquisition holds runtime refs (a pin and
 // a refcounted payload) the caller must release after use, as the
-// owner's pin and a ring delivery do; cache hits and flight followers
-// hold none — the payloads are immutable, and one that is a view of a
-// receive slab stays readable until the query returns (the grace
-// period, slab.go).
+// owner's runtime pin and a ring delivery do; store reads, cache hits
+// and flight followers hold none — the payloads are immutable, a store
+// is GC memory, and a payload that is a view of a receive slab stays
+// readable until the query returns (the grace period, slab.go).
 
-// acquireNow is the first step of an acquisition and never blocks. ok
-// reports whether it completed; when it did not, it holds nothing and
-// the fragment has to come through acquireWait.
-func (d *queryDC) acquireNow(id core.BATID) (f *fragment, viaRing, ok bool, err error) {
+// acquireNow takes the first step of every acquisition in acqs, which
+// never blocks, under one hold of n.mu and one read of the catalog's
+// versions (Ring.catalogVersions). It completes the ones that cannot
+// wait — setting in, f, viaRing and err — and leaves the others
+// holding nothing: they have to come through acquireWait.
+func (d *queryDC) acquireNow(acqs []fragAcq) {
 	n := d.n
+	storeReads := n.cfg.Core.LocalPinsSkipLoad
 	n.mu.Lock()
-	if n.rt.Owns(id) {
-		// Ownership is checked in the critical section that pins, so the
-		// delivery from the store (liveEnv.Deliver) is in ch on return;
-		// the store is the catalog's version (move.go invariant 1).
-		ch := d.pinLocked(id)
-		n.mu.Unlock()
-		f, err = delivered(id, <-ch)
-		return f, err == nil, true, err
+	defer n.mu.Unlock()
+	n.ring.catalogVersions(acqs)
+	for i := range acqs {
+		a := &acqs[i]
+		if n.rt.Owns(a.id) {
+			// Ownership is checked in the critical section that reads the
+			// store or pins, so the store's version is the catalog's, and
+			// a runtime pin's delivery (liveEnv.Deliver) is in ch on
+			// return.
+			if st := n.store[a.id]; storeReads && st != nil {
+				d.withdrawLocked(a.id) // asked for before this node owned it
+				a.f, a.in = st, true
+				continue
+			}
+			a.f, a.err = delivered(a.id, <-d.pinLocked(a.id))
+			a.viaRing, a.in = a.err == nil, true
+			continue
+		}
+		if n.hot == nil {
+			continue
+		}
+		if a.f = n.hot.get(a.id, a.cur); a.f != nil {
+			// The pin is served locally, so nothing will ever mark a
+			// runtime request of this query delivered, and its resend
+			// timer would re-request a fragment nobody is waiting for.
+			d.withdrawLocked(a.id)
+			a.in = true
+		}
 	}
-	n.mu.Unlock()
-	if n.hot == nil {
-		return nil, false, false, nil
+}
+
+// withdrawLocked drops this query's ring interest in id, when it
+// registered any (announce, pinLocked): the fragment was served off
+// the ring. Called with n.mu held.
+func (d *queryDC) withdrawLocked(id core.BATID) {
+	if !d.interest[id] {
+		return
 	}
-	if f = n.hot.get(id, n.ring.fragVersion(id)); f == nil {
-		return nil, false, false, nil
+	delete(d.interest, id)
+	ids := [1]core.BATID{id}
+	d.n.rt.CancelQuery(d.q, ids[:])
+}
+
+// catalogVersions reads the catalog's current version of every
+// acquisition's fragment into its cur (0 for base data and for ids the
+// catalog does not know), under one hold of idsMu.
+func (r *Ring) catalogVersions(acqs []fragAcq) {
+	r.idsMu.RLock()
+	defer r.idsMu.RUnlock()
+	for i := range acqs {
+		acqs[i].cur = 0
+		if p := r.fragVer[acqs[i].id]; p != nil {
+			acqs[i].cur = int(p.Load())
+		}
 	}
-	// Withdraw any ring interest this query still has in id: the pin is
-	// served locally, so nothing will ever mark the runtime's request
-	// delivered and its resend timer would re-request a fragment nobody
-	// is waiting for.
-	n.mu.Lock()
-	n.rt.CancelQuery(d.q, []core.BATID{id})
-	n.mu.Unlock()
-	return f, false, true, nil
 }
 
 // acquireWait completes an acquisition acquireNow could not: it joins
@@ -209,15 +249,16 @@ func (d *queryDC) acquireWait(id core.BATID, abort <-chan struct{}) (f *fragment
 		}
 		if fl.f != nil {
 			n.mu.Lock()
-			n.rt.CancelQuery(d.q, []core.BATID{id})
+			d.withdrawLocked(id)
 			n.mu.Unlock()
 			return fl.f, false, nil
 		}
 		// The leader failed at the protocol layer; retry — the next
 		// round either hits the cache, joins a newer flight, or makes
 		// this pin the leader so the failure surfaces here too.
-		if f, viaRing, ok, err := d.acquireNow(id); ok {
-			return f, viaRing, err
+		now := [1]fragAcq{{id: id}}
+		if d.acquireNow(now[:]); now[0].in {
+			return now[0].f, now[0].viaRing, now[0].err
 		}
 	}
 }
@@ -297,8 +338,18 @@ func (d *queryDC) ringPin(id core.BATID, abort <-chan struct{}) (*fragment, erro
 func (d *queryDC) pinLocked(id core.BATID) chan *fragment {
 	ch := make(chan *fragment, 1)
 	d.n.waiters[waitKey{d.q, id}] = ch
+	d.markInterestLocked(id)
 	d.n.rt.Pin(d.q, id)
 	return ch
+}
+
+// markInterestLocked notes that this query registers ring interest in
+// id at the runtime (withdrawLocked). Called with n.mu held.
+func (d *queryDC) markInterestLocked(id core.BATID) {
+	if d.interest == nil {
+		d.interest = map[core.BATID]bool{}
+	}
+	d.interest[id] = true
 }
 
 // delivered turns a waiter's delivery into a pin result: nil is the
@@ -389,8 +440,10 @@ func staleParts(vers [][]int) []int {
 // itself in (partDC.missing); out belongs to the part alone.
 type fragAcq struct {
 	id      core.BATID
+	cur     int // the catalog's version when acquireNow ran
 	f       *fragment
 	err     error
+	in      bool // acquireNow completed it
 	viaRing bool // the acquisition holds runtime refs until released
 	out     bool // handed to the part by Pin, not unpinned yet
 }
@@ -446,9 +499,10 @@ func (d *queryDC) releaseRing(id core.BATID) {
 }
 
 // mapParts runs part over the fragment indexes idx. Every acquisition —
-// each index of each column — starts before any part runs: one that
-// cannot wait (acquireNow) completes on the calling goroutine, and every
-// other one on a lightweight goroutine of its own (coalesced wait or ring
+// each index of each column — starts before any part runs: the ones
+// that cannot wait complete on the calling goroutine, all in one pass
+// under the node's lock (acquireNow), and every other one on a
+// lightweight goroutine of its own (coalesced wait or ring
 // circulation; arrival order is the ring's business), so each pin is
 // registered before any part blocks: a fragment whose pin is registered
 // only after its envelope went by costs a whole extra revolution. A part
@@ -479,7 +533,20 @@ func (d *queryDC) mapParts(cols [][]core.BATID, idx []int, part func(mal.DCRunti
 		abortOnce.Do(func() { close(abort) })
 	}
 
+	// The parts, their acquisitions and their versions are one
+	// allocation each, whatever the number of parts.
+	k := len(cols)
 	parts := make([]partDC, len(idx))
+	acqs := make([]fragAcq, len(idx)*k)
+	partVers := make([]int, len(idx)*k)
+	for pi, i := range idx {
+		p := &parts[pi]
+		p.d, p.acqs = d, acqs[pi*k:(pi+1)*k:(pi+1)*k]
+		for j := range cols {
+			p.acqs[j].id = cols[j][i]
+		}
+	}
+	d.acquireNow(acqs)
 	ready := make(chan int, len(parts))
 	in := func(pi int) {
 		if parts[pi].missing.Add(-1) == 0 {
@@ -487,24 +554,28 @@ func (d *queryDC) mapParts(cols [][]core.BATID, idx []int, part func(mal.DCRunti
 		}
 	}
 	var wg sync.WaitGroup
-	for pi, i := range idx {
+	for pi := range parts {
 		p := &parts[pi]
-		p.d, p.acqs = d, make([]fragAcq, len(cols))
-		p.missing.Store(int32(len(cols)))
-		for j := range cols {
-			a := &p.acqs[j]
-			a.id = cols[j][i]
-			var ok bool
-			if a.f, a.viaRing, ok, a.err = d.acquireNow(a.id); ok {
-				in(pi)
-				continue
+		missing := 0
+		for j := range p.acqs {
+			if !p.acqs[j].in {
+				missing++
 			}
-			wg.Add(1)
-			go func(pi int) {
-				defer wg.Done()
-				a.f, a.viaRing, a.err = d.acquireWait(a.id, abort)
-				in(pi)
-			}(pi)
+		}
+		if missing == 0 {
+			ready <- pi
+			continue
+		}
+		p.missing.Store(int32(missing))
+		for j := range p.acqs {
+			if a := &p.acqs[j]; !a.in {
+				wg.Add(1)
+				go func(pi int) {
+					defer wg.Done()
+					a.f, a.viaRing, a.err = d.acquireWait(a.id, abort)
+					in(pi)
+				}(pi)
+			}
 		}
 	}
 	run := func(pi int) {
@@ -515,7 +586,7 @@ func (d *queryDC) mapParts(cols [][]core.BATID, idx []int, part func(mal.DCRunti
 			return
 		}
 		results[i] = v
-		vers[i] = make([]int, len(p.acqs))
+		vers[i] = partVers[pi*k : (pi+1)*k : (pi+1)*k]
 		for j := range p.acqs {
 			vers[i][j] = p.acqs[j].f.ver
 		}

@@ -545,8 +545,13 @@ type queryDC struct {
 	// the query fails so the interpreter can return instead of waiting
 	// for a delivery that will never come.
 	cancel <-chan struct{}
-	mu     sync.Mutex
-	bats   []core.BATID
+	// interest marks the fragments this query registered ring interest
+	// in at the runtime (announce, pinLocked), so that a pin served off
+	// the ring withdraws only interest there is (withdrawLocked).
+	// Guarded by n.mu; nil until the query registers any.
+	interest map[core.BATID]bool
+	mu       sync.Mutex
+	bats     []core.BATID
 	// merged tracks pin results. The DcOptimizer emits unpin(X) on the
 	// pinned variable (Table 2), and the fragments behind X were
 	// unpinned when the merge collected them, so the plan's unpin only
@@ -580,15 +585,21 @@ func (d *queryDC) announce(ids []core.BATID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, id := range ids {
-		// A fragment resident in the hot-set cache at the catalog's
-		// current version will be served node-locally at pin time:
-		// skip the ring request entirely, so fully-hot repeat queries
-		// cause zero circulation. If the entry is evicted or updated
-		// before the pin, the pin's ring path re-announces interest
-		// (core.Runtime.Pin creates and sends the request itself).
+		// An owned fragment is read from the store when the owner's
+		// pins skip the load (acquireNow), and a fragment resident in
+		// the hot-set cache at the catalog's current version will be
+		// served node-locally at pin time: skip the ring request
+		// entirely, so fully-hot repeat queries cause zero circulation.
+		// If the entry is evicted or updated before the pin, the pin's
+		// ring path re-announces interest (core.Runtime.Pin creates and
+		// sends the request itself).
+		if n.cfg.Core.LocalPinsSkipLoad && n.rt.Owns(id) {
+			continue
+		}
 		if n.hot != nil && n.hot.peek(id, n.ring.fragVersion(id)) {
 			continue
 		}
+		d.markInterestLocked(id)
 		n.rt.Request(d.q, id)
 	}
 }

@@ -70,9 +70,9 @@ func TestCancelBetweenInstructions(t *testing.T) {
 	close(cancel)
 	ran := false
 	reg := NewRegistry()
-	reg.Register("test", "touch", func(ctx *Context, args []Value) ([]Value, error) {
+	reg.Register("test", "touch", func(ctx *Context, c *Call) error {
 		ran = true
-		return []Value{int64(1)}, nil
+		return c.Return(int64(1))
 	})
 	b := NewBuilder("precancelled")
 	v := b.Emit("test", "touch")

@@ -13,15 +13,40 @@ import (
 // closes before the plan completes.
 var ErrCancelled = errors.New("mal: run cancelled")
 
-// OpFunc implements one MAL operation. It receives the evaluated
-// arguments and must return exactly as many values as the instruction
-// declares results.
-type OpFunc func(ctx *Context, args []Value) ([]Value, error)
+// OpFunc implements one MAL operation. It reads the evaluated arguments
+// from c.Args and hands back exactly as many values as the instruction
+// declares results, through c.Return.
+type OpFunc func(ctx *Context, c *Call) error
+
+// Call is one execution of an instruction, as its OpFunc sees it. It
+// belongs to the run's frame and serves the next instruction once the op
+// returns, so an op keeps no reference to it, to Args, or to the terms
+// it placed (Call.terms).
+type Call struct {
+	// Args are the evaluated operands, literals included.
+	Args []Value
+	res  []Value // the results, appended by Return
+	// lits are the instruction's literal ranges, decoded when its plan
+	// was bound (literalRanges); nil when it has none.
+	lits []bat.Term
+	// scratch is where a call places its columns into lits.
+	scratch []bat.Term
+}
+
+// Return appends the call's results, in the order of the instruction's
+// result variables. It returns nil, so an op can end with it.
+func (c *Call) Return(vs ...Value) error {
+	c.res = append(c.res, vs...)
+	return nil
+}
 
 // Registry maps module.op to implementations. The zero value is empty;
 // NewRegistry returns one preloaded with the standard operator set.
 type Registry struct {
-	ops    map[opKey]OpFunc
+	ops map[opKey]OpFunc
+	// gen counts Register calls: a plan bound under an older count binds
+	// again.
+	gen    uint64
 	shared bool // Standard(): concurrent readers, so no writer
 }
 
@@ -38,6 +63,7 @@ func (r *Registry) Register(module, op string, fn OpFunc) {
 		r.ops = make(map[opKey]OpFunc)
 	}
 	r.ops[opKey{module, op}] = fn
+	r.gen++
 }
 
 // Lookup returns the implementation for module.op.
@@ -113,50 +139,148 @@ func (ctx *Context) cancelled() bool {
 // Run executes the plan and returns the value of its Result variable
 // (nil if the plan declares none).
 func Run(ctx *Context, p *Plan) (Value, error) {
-	vals, err := RunAll(ctx, p)
+	b, err := p.bind(ctx.Registry)
 	if err != nil {
+		return nil, err
+	}
+	f := b.frame()
+	defer b.release(f)
+	if err := b.exec(ctx, p, f); err != nil {
 		return nil, err
 	}
 	if p.Result == NoVar {
 		return nil, nil
 	}
-	return vals[p.Result], nil
+	return f.vals[p.Result], nil
 }
 
 // RunAll executes the plan and returns the full variable table. With
 // ctx.Workers > 1 instructions execute concurrently following dataflow
 // dependencies, mirroring MonetDB's interpreter threads; pin() calls may
 // block without stalling independent instruction threads.
-func RunAll(ctx *Context, p *Plan) ([]Value, error) { return runPlan(ctx, p, nil) }
-
-// runPlan is RunAll for a caller that may already hold the plan's
-// dataflow graph; nil computes it when the run needs one.
-func runPlan(ctx *Context, p *Plan, g *dataflow) ([]Value, error) {
-	if ctx.Registry == nil {
-		return nil, fmt.Errorf("mal: nil registry")
+func RunAll(ctx *Context, p *Plan) ([]Value, error) {
+	b, err := p.bind(ctx.Registry)
+	if err != nil {
+		return nil, err
 	}
-	if ctx.Workers <= 1 {
-		return runSequential(ctx, p)
+	f := b.frame()
+	defer b.release(f)
+	if err := b.exec(ctx, p, f); err != nil {
+		return nil, err
 	}
-	if g == nil {
-		g = newDataflow(p)
-	}
-	return runParallel(ctx, p, g)
+	return slices.Clone(f.vals), nil
 }
 
-func execInstr(ctx *Context, in Instr, vals []Value) (err error) {
-	fn, ok := ctx.Registry.Lookup(in.Module, in.Op)
-	if !ok {
-		return fmt.Errorf("mal: unknown operation %s", in.Name())
+// binding is a plan resolved against one registry: each instruction's
+// op and its literal ranges, the plan's dataflow graph, and the frames
+// its runs have released. A plan keeps the binding of the registry it
+// last ran under (Plan.bound), so a cached plan — a served query's, or
+// a region's sub-plan that runs once per fragment — looks nothing up
+// and allocates no frame when it runs.
+type binding struct {
+	reg  *Registry
+	gen  uint64
+	fns  []OpFunc
+	lits [][]bat.Term // per instruction, literalRanges
+	flow *dataflow
+	// The frame's widths: variables, the widest instruction's arguments
+	// and results, and the most ranges one instruction decodes.
+	nvars, args, rets, terms int
+	// free holds the released frames: as many as the plan's runs ever
+	// had at once.
+	mu   sync.Mutex
+	free []*frame
+}
+
+// bind returns p's binding to reg, resolving every instruction's op
+// when p has none for reg as it stands. An unknown op fails the run
+// before any instruction executes.
+func (p *Plan) bind(reg *Registry) (*binding, error) {
+	if reg == nil {
+		return nil, fmt.Errorf("mal: nil registry")
 	}
-	args := make([]Value, len(in.Args))
-	for i, a := range in.Args {
+	if b := p.bound.Load(); b != nil && b.reg == reg && b.gen == reg.gen {
+		return b, nil
+	}
+	b := &binding{reg: reg, gen: reg.gen, nvars: p.NVars, fns: make([]OpFunc, len(p.Instrs)), lits: make([][]bat.Term, len(p.Instrs))}
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		fn, ok := reg.Lookup(in.Module, in.Op)
+		if !ok {
+			return nil, fmt.Errorf("mal: unknown operation %s", in.Name())
+		}
+		b.fns[i], b.lits[i] = fn, literalRanges(in)
+		b.args, b.rets, b.terms = max(b.args, len(in.Args)), max(b.rets, len(in.Ret)), max(b.terms, len(b.lits[i]))
+	}
+	b.flow = newDataflow(p)
+	p.bound.Store(b)
+	return b, nil
+}
+
+// frame is one run's working memory: the variable table, the call every
+// instruction of the run executes through, and, for a region's part, the
+// part's context (Region.run). It comes from its binding and goes back,
+// cleared, when the run is over.
+type frame struct {
+	vals []Value
+	call Call
+	ctx  Context
+}
+
+func (b *binding) frame() *frame {
+	b.mu.Lock()
+	if k := len(b.free); k > 0 {
+		f := b.free[k-1]
+		b.free = b.free[:k-1]
+		b.mu.Unlock()
+		return f
+	}
+	b.mu.Unlock()
+	buf := make([]Value, b.nvars+b.args+b.rets)
+	return &frame{
+		vals: buf[:b.nvars:b.nvars],
+		call: Call{Args: buf[b.nvars : b.nvars+b.args : b.nvars+b.args], res: buf[b.nvars+b.args : b.nvars+b.args], scratch: make([]bat.Term, b.terms)},
+	}
+}
+
+// release clears f, so that it holds no value of the run, and hands
+// it back.
+func (b *binding) release(f *frame) {
+	clear(f.vals)
+	f.call.reset()
+	f.ctx = Context{}
+	b.mu.Lock()
+	b.free = append(b.free, f)
+	b.mu.Unlock()
+}
+
+// reset empties the call's buffers for the next run.
+func (c *Call) reset() {
+	clear(c.Args[:cap(c.Args)])
+	clear(c.res[:cap(c.res)])
+	clear(c.scratch)
+	c.lits = nil
+}
+
+// exec runs p, bound as b, in frame f.
+func (b *binding) exec(ctx *Context, p *Plan, f *frame) error {
+	if ctx.Workers <= 1 {
+		return b.runSequential(ctx, p, f)
+	}
+	return b.runParallel(ctx, p, f)
+}
+
+// execInstr runs instruction i through c and stores its results in vals.
+func (b *binding) execInstr(ctx *Context, in *Instr, i int, c *Call, vals []Value) (err error) {
+	c.Args = c.Args[:len(in.Args)]
+	for j, a := range in.Args {
 		if a.lit {
-			args[i] = a.Lit
+			c.Args[j] = a.Lit
 		} else {
-			args[i] = vals[a.Var]
+			c.Args[j] = vals[a.Var]
 		}
 	}
+	c.res, c.lits = c.res[:0], b.lits[i]
 	// Kernel operators panic on type/shape errors; surface those as
 	// plan-level errors rather than crashing the engine.
 	defer func() {
@@ -164,36 +288,33 @@ func execInstr(ctx *Context, in Instr, vals []Value) (err error) {
 			err = fmt.Errorf("mal: %s: %v", in.Name(), r)
 		}
 	}()
-	out, err := fn(ctx, args)
-	if err != nil {
+	if err := b.fns[i](ctx, c); err != nil {
 		return fmt.Errorf("mal: %s: %w", in.Name(), err)
 	}
-	if len(out) != len(in.Ret) {
-		return fmt.Errorf("mal: %s returned %d values, want %d", in.Name(), len(out), len(in.Ret))
+	if len(c.res) != len(in.Ret) {
+		return fmt.Errorf("mal: %s returned %d values, want %d", in.Name(), len(c.res), len(in.Ret))
 	}
-	for i, r := range in.Ret {
-		vals[r] = out[i]
+	for j, r := range in.Ret {
+		vals[r] = c.res[j]
 	}
 	return nil
 }
 
-func runSequential(ctx *Context, p *Plan) ([]Value, error) {
-	vals := make([]Value, p.NVars)
-	for _, in := range p.Instrs {
+func (b *binding) runSequential(ctx *Context, p *Plan, f *frame) error {
+	for i := range p.Instrs {
 		if ctx.cancelled() {
-			return nil, ErrCancelled
+			return ErrCancelled
 		}
-		if err := execInstr(ctx, in, vals); err != nil {
-			return nil, err
+		if err := b.execInstr(ctx, &p.Instrs[i], i, &f.call, f.vals); err != nil {
+			return err
 		}
 	}
-	return vals, nil
+	return nil
 }
 
 // dataflow is a plan's dependency graph: an instruction becomes ready
 // when every producing instruction of its arguments has completed. It
-// depends on the plan alone, so a plan that runs many times (a region's
-// sub-plan) computes it once.
+// depends on the plan alone, so its binding computes it once.
 type dataflow struct {
 	pending    []int   // producers each instruction waits for
 	dependents [][]int // instructions waiting for each instruction
@@ -235,12 +356,10 @@ func newDataflow(p *Plan) *dataflow {
 // additionally order after the previous instruction that consumed the
 // same variable, which the SSA structure already guarantees via
 // argument dependencies.
-func runParallel(ctx *Context, p *Plan, g *dataflow) ([]Value, error) {
+func (b *binding) runParallel(ctx *Context, p *Plan, f *frame) error {
 	n := len(p.Instrs)
-	pending := slices.Clone(g.pending)
-	dependents := g.dependents
-
-	vals := make([]Value, p.NVars)
+	pending := slices.Clone(b.flow.pending)
+	dependents := b.flow.dependents
 	var (
 		mu       sync.Mutex
 		firstErr error
@@ -269,7 +388,7 @@ func runParallel(ctx *Context, p *Plan, g *dataflow) ([]Value, error) {
 	if n == 0 {
 		close(ready)
 	}
-	work := func() {
+	work := func(c *Call) {
 		for i := range ready {
 			mu.Lock()
 			failed := firstErr != nil
@@ -283,7 +402,7 @@ func runParallel(ctx *Context, p *Plan, g *dataflow) ([]Value, error) {
 				failed = true
 			}
 			if !failed {
-				if err := execInstr(ctx, p.Instrs[i], vals); err != nil {
+				if err := b.execInstr(ctx, &p.Instrs[i], i, c, f.vals); err != nil {
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -305,18 +424,18 @@ func runParallel(ctx *Context, p *Plan, g *dataflow) ([]Value, error) {
 	}
 	// The caller is the first worker: a plan costs workers-1 goroutines
 	// and no hand-off back, which matters when it is a region's sub-plan
-	// run from inside another plan's worker.
+	// run from inside another plan's worker. It runs through the run's
+	// frame, each other worker through a frame of its own.
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			wf := b.frame()
+			defer b.release(wf)
+			work(&wf.call)
 		}()
 	}
-	work()
+	work(&f.call)
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return vals, nil
+	return firstErr
 }

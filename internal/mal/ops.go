@@ -44,71 +44,69 @@ func argStr(args []Value, i int) (string, error) {
 	return s, nil
 }
 
-func one(v Value) []Value { return []Value{v} }
-
 func registerStandard(r *Registry) {
 	// --- catalog ---
-	r.Register("sql", "bind", func(ctx *Context, args []Value) ([]Value, error) {
+	r.Register("sql", "bind", func(ctx *Context, c *Call) error {
 		if ctx.Catalog == nil {
-			return nil, fmt.Errorf("no catalog")
+			return fmt.Errorf("no catalog")
 		}
-		schema, err := argStr(args, 0)
+		schema, err := argStr(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		table, err := argStr(args, 1)
+		table, err := argStr(c.Args, 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		column, err := argStr(args, 2)
+		column, err := argStr(c.Args, 2)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		v, err := ctx.Catalog.Bind(schema, table, column)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return one(v), nil
+		return c.Return(v)
 	})
 
 	// --- datacyclotron hooks (§4.1) ---
-	r.Register("datacyclotron", "request", func(ctx *Context, args []Value) ([]Value, error) {
+	r.Register("datacyclotron", "request", func(ctx *Context, c *Call) error {
 		if ctx.DC == nil {
-			return nil, fmt.Errorf("no DC runtime attached")
+			return fmt.Errorf("no DC runtime attached")
 		}
-		schema, err := argStr(args, 0)
+		schema, err := argStr(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		table, err := argStr(args, 1)
+		table, err := argStr(c.Args, 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		column, err := argStr(args, 2)
+		column, err := argStr(c.Args, 2)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		h, err := ctx.DC.Request(schema, table, column)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return one(h), nil
+		return c.Return(h)
 	})
-	r.Register("datacyclotron", "pin", func(ctx *Context, args []Value) ([]Value, error) {
+	r.Register("datacyclotron", "pin", func(ctx *Context, c *Call) error {
 		if ctx.DC == nil {
-			return nil, fmt.Errorf("no DC runtime attached")
+			return fmt.Errorf("no DC runtime attached")
 		}
-		v, err := ctx.DC.Pin(args[0])
+		v, err := ctx.DC.Pin(c.Args[0])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return one(v), nil
+		return c.Return(v)
 	})
-	r.Register("datacyclotron", "unpin", func(ctx *Context, args []Value) ([]Value, error) {
+	r.Register("datacyclotron", "unpin", func(ctx *Context, c *Call) error {
 		if ctx.DC == nil {
-			return nil, fmt.Errorf("no DC runtime attached")
+			return fmt.Errorf("no DC runtime attached")
 		}
-		return nil, ctx.DC.Unpin(args[0])
+		return ctx.DC.Unpin(c.Args[0])
 	})
 
 	// datacyclotron.aligned(region, handles...) runs an outlined
@@ -120,24 +118,15 @@ func registerStandard(r *Registry) {
 	r.Register("bat", "mirror", unary(func(b *bat.BAT) Value { return b.Mirror() }))
 	// bat.fromScalar(name, v) lifts a scalar into a 1-row BAT so scalar
 	// aggregates can participate in multi-column result sets.
-	r.Register("bat", "fromScalar", func(ctx *Context, args []Value) ([]Value, error) {
-		name, err := argStr(args, 0)
+	r.Register("bat", "fromScalar", func(ctx *Context, c *Call) error {
+		name, err := argStr(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		switch v := args[1].(type) {
-		case int64:
-			return one(bat.MakeInts(name, []int64{v})), nil
-		case float64:
-			return one(bat.MakeFloats(name, []float64{v})), nil
-		case string:
-			return one(bat.MakeStrs(name, []string{v})), nil
-		case bat.Oid:
-			return one(bat.MakeOids(name, []bat.Oid{v})), nil
-		case nil:
-			return one(bat.MakeInts(name, nil)), nil
+		if b, ok := bat.Scalar(name, c.Args[1]); ok {
+			return c.Return(b)
 		}
-		return nil, fmt.Errorf("fromScalar: unsupported %T", args[1])
+		return fmt.Errorf("fromScalar: unsupported %T", c.Args[1])
 	})
 
 	// --- algebra ---
@@ -146,59 +135,59 @@ func registerStandard(r *Registry) {
 	r.Register("algebra", "kdiff", binary(func(l, rg *bat.BAT) Value { return l.Diff(rg) }))
 	r.Register("algebra", "kunion", binary(func(l, rg *bat.BAT) Value { return l.Union(rg) }))
 	r.Register("algebra", "kunique", unary(func(b *bat.BAT) Value { return b.UniqueT() }))
-	r.Register("algebra", "markT", func(ctx *Context, args []Value) ([]Value, error) {
-		b, err := argBAT(args, 0)
+	r.Register("algebra", "markT", func(ctx *Context, c *Call) error {
+		b, err := argBAT(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		base, ok := args[1].(bat.Oid)
+		base, ok := c.Args[1].(bat.Oid)
 		if !ok {
-			return nil, fmt.Errorf("markT: want oid base, got %T", args[1])
+			return fmt.Errorf("markT: want oid base, got %T", c.Args[1])
 		}
-		return one(b.MarkT(base)), nil
+		return c.Return(b.MarkT(base))
 	})
-	r.Register("algebra", "markH", func(ctx *Context, args []Value) ([]Value, error) {
-		b, err := argBAT(args, 0)
+	r.Register("algebra", "markH", func(ctx *Context, c *Call) error {
+		b, err := argBAT(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		base, ok := args[1].(bat.Oid)
+		base, ok := c.Args[1].(bat.Oid)
 		if !ok {
-			return nil, fmt.Errorf("markH: want oid base, got %T", args[1])
+			return fmt.Errorf("markH: want oid base, got %T", c.Args[1])
 		}
-		return one(b.MarkH(base)), nil
+		return c.Return(b.MarkH(base))
 	})
 	// algebra.select(b, lo, hi, loIncl, hiIncl); nil bound = open side.
-	r.Register("algebra", "select", func(ctx *Context, args []Value) ([]Value, error) {
-		b, err := argBAT(args, 0)
+	r.Register("algebra", "select", func(ctx *Context, c *Call) error {
+		b, err := argBAT(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		lo, hi := rangeArgs(args[1:])
-		return one(b.Select(lo, hi)), nil
+		lo, hi := rangeArgs(c.Args[1:])
+		return c.Return(b.Select(lo, hi))
 	})
 	// algebra.uselect takes select's arguments and returns the
 	// candidate list [head|head] of the qualifying rows. With MonetDB's
 	// optional candidate argument — uselect(b, cand, lo, hi, loIncl,
 	// hiIncl) — only the rows of b whose head is in cand are tested.
-	r.Register("algebra", "uselect", func(ctx *Context, args []Value) ([]Value, error) {
-		b, err := argBAT(args, 0)
+	r.Register("algebra", "uselect", func(ctx *Context, c *Call) error {
+		b, err := argBAT(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		switch len(args) {
+		switch len(c.Args) {
 		case 5:
-			lo, hi := rangeArgs(args[1:])
-			return one(b.USelect(lo, hi)), nil
+			lo, hi := c.bounds(1)
+			return c.Return(b.USelect(lo, hi))
 		case 6:
-			cand, err := argBAT(args, 1)
+			cand, err := argBAT(c.Args, 1)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			lo, hi := rangeArgs(args[2:])
-			return one(b.USelectCand(cand, lo, hi)), nil
+			lo, hi := c.bounds(2)
+			return c.Return(b.USelectCand(cand, lo, hi))
 		}
-		return nil, fmt.Errorf("uselect: want 5 or 6 arguments, got %d", len(args))
+		return fmt.Errorf("uselect: want 5 or 6 arguments, got %d", len(c.Args))
 	})
 	// algebra.uselectall(b1, lo1, hi1, loIncl1, hiIncl1, b2, …) is a
 	// conjunction of ranges, five arguments per column: what
@@ -213,145 +202,145 @@ func registerStandard(r *Registry) {
 		"uselectmask": func(ctx *Context, t []bat.Term) Value { return bat.SelectMask(t, ctx.Arena) },
 	} {
 		sel := sel
-		r.Register("algebra", op, func(ctx *Context, args []Value) ([]Value, error) {
-			if len(args) == 0 || len(args)%5 != 0 {
-				return nil, fmt.Errorf("want 5 arguments per column, got %d", len(args))
+		r.Register("algebra", op, func(ctx *Context, c *Call) error {
+			if len(c.Args) == 0 || len(c.Args)%5 != 0 {
+				return fmt.Errorf("want 5 arguments per column, got %d", len(c.Args))
 			}
-			terms, err := termArgs(args, 0)
+			terms, err := c.terms(0)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			return one(sel(ctx, terms)), nil
+			return c.Return(sel(ctx, terms))
 		})
 	}
-	r.Register("algebra", "selectEq", func(ctx *Context, args []Value) ([]Value, error) {
-		b, err := argBAT(args, 0)
+	r.Register("algebra", "selectEq", func(ctx *Context, c *Call) error {
+		b, err := argBAT(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return one(b.SelectEq(args[1])), nil
+		return c.Return(b.SelectEq(c.Args[1]))
 	})
-	r.Register("algebra", "selectNe", func(ctx *Context, args []Value) ([]Value, error) {
-		b, err := argBAT(args, 0)
+	r.Register("algebra", "selectNe", func(ctx *Context, c *Call) error {
+		b, err := argBAT(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return one(b.SelectNe(args[1])), nil
+		return c.Return(b.SelectNe(c.Args[1]))
 	})
-	r.Register("algebra", "sort", func(ctx *Context, args []Value) ([]Value, error) {
-		b, err := argBAT(args, 0)
+	r.Register("algebra", "sort", func(ctx *Context, c *Call) error {
+		b, err := argBAT(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		desc, _ := args[1].(bool)
-		return one(b.SortT(desc)), nil
+		desc, _ := c.Args[1].(bool)
+		return c.Return(b.SortT(desc))
 	})
-	r.Register("algebra", "slice", func(ctx *Context, args []Value) ([]Value, error) {
-		b, err := argBAT(args, 0)
+	r.Register("algebra", "slice", func(ctx *Context, c *Call) error {
+		b, err := argBAT(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		from := int(args[1].(int64))
-		to := int(args[2].(int64))
+		from := int(c.Args[1].(int64))
+		to := int(c.Args[2].(int64))
 		if to > b.Len() {
 			to = b.Len()
 		}
 		if from > to {
 			from = to
 		}
-		return one(b.Slice(from, to)), nil
+		return c.Return(b.Slice(from, to))
 	})
-	r.Register("algebra", "topN", func(ctx *Context, args []Value) ([]Value, error) {
-		b, err := argBAT(args, 0)
+	r.Register("algebra", "topN", func(ctx *Context, c *Call) error {
+		b, err := argBAT(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		n := int(args[1].(int64))
-		desc, _ := args[2].(bool)
-		return one(b.TopN(n, desc)), nil
+		n := int(c.Args[1].(int64))
+		desc, _ := c.Args[2].(bool)
+		return c.Return(b.TopN(n, desc))
 	})
 
 	// --- group ---
-	r.Register("group", "new", func(ctx *Context, args []Value) ([]Value, error) {
-		b, err := argBAT(args, 0)
+	r.Register("group", "new", func(ctx *Context, c *Call) error {
+		b, err := argBAT(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		groups, reps := b.GroupIDs()
-		return []Value{groups, reps}, nil
+		return c.Return(groups, reps)
 	})
 
-	r.Register("group", "newpos", func(ctx *Context, args []Value) ([]Value, error) {
-		b, err := argBAT(args, 0)
+	r.Register("group", "newpos", func(ctx *Context, c *Call) error {
+		b, err := argBAT(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		groups, reps := b.GroupIDsPos()
-		return []Value{groups, reps}, nil
+		return c.Return(groups, reps)
 	})
-	r.Register("group", "derive", func(ctx *Context, args []Value) ([]Value, error) {
-		g, err := argBAT(args, 0)
+	r.Register("group", "derive", func(ctx *Context, c *Call) error {
+		g, err := argBAT(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		k, err := argBAT(args, 1)
+		k, err := argBAT(c.Args, 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		refined, reps := bat.GroupDerive(g, k)
-		return []Value{refined, reps}, nil
+		return c.Return(refined, reps)
 	})
 
 	// --- aggr ---
 	// aggr.sum(col, cand) is MonetDB's candidate form, the sum of col at
 	// a select's mask (bat.SumKept): aggr.sum(algebra.join(cand, col))
 	// without the join. aggr.count of a mask is the rows it keeps.
-	r.Register("aggr", "sum", func(ctx *Context, args []Value) ([]Value, error) {
-		b, err := argBAT(args, 0)
+	r.Register("aggr", "sum", func(ctx *Context, c *Call) error {
+		b, err := argBAT(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		switch len(args) {
+		switch len(c.Args) {
 		case 1:
-			return one(b.Sum()), nil
+			return c.Return(b.Sum())
 		case 2:
-			m, ok := args[1].(*bat.Mask)
+			m, ok := c.Args[1].(*bat.Mask)
 			if !ok {
-				return nil, fmt.Errorf("arg 1: want *bat.Mask, got %T", args[1])
+				return fmt.Errorf("arg 1: want *bat.Mask, got %T", c.Args[1])
 			}
-			return one(bat.SumKept(b, m)), nil
+			return c.Return(bat.SumKept(b, m))
 		}
-		return nil, fmt.Errorf("sum: want 1 or 2 arguments, got %d", len(args))
+		return fmt.Errorf("sum: want 1 or 2 arguments, got %d", len(c.Args))
 	})
 	// aggr.selectsum(col, b1, lo1, hi1, loIncl1, hiIncl1, b2, …) is a
 	// select, a sum at it and its count in one: the sum of col at the
 	// rows every range keeps and how many those are, what
 	// aggr.sum(col, m) and aggr.count(m) return for
 	// m := algebra.uselectmask(b1, …) (bat.SelectSum).
-	r.Register("aggr", "selectsum", func(ctx *Context, args []Value) ([]Value, error) {
-		if len(args) < 6 || len(args)%5 != 1 {
-			return nil, fmt.Errorf("selectsum: want a column and 5 arguments per range, got %d", len(args))
+	r.Register("aggr", "selectsum", func(ctx *Context, c *Call) error {
+		if len(c.Args) < 6 || len(c.Args)%5 != 1 {
+			return fmt.Errorf("selectsum: want a column and 5 arguments per range, got %d", len(c.Args))
 		}
-		col, err := argBAT(args, 0)
+		col, err := argBAT(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		terms, err := termArgs(args, 1)
+		terms, err := c.terms(1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		sum, count := bat.SelectSum(col, terms, ctx.Arena)
-		return []Value{sum, count}, nil
+		return c.Return(sum, count)
 	})
-	r.Register("aggr", "count", func(ctx *Context, args []Value) ([]Value, error) {
-		if m, ok := args[0].(*bat.Mask); ok {
-			return one(m.Count()), nil
+	r.Register("aggr", "count", func(ctx *Context, c *Call) error {
+		if m, ok := c.Args[0].(*bat.Mask); ok {
+			return c.Return(m.Count())
 		}
-		b, err := argBAT(args, 0)
+		b, err := argBAT(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return one(b.Count()), nil
+		return c.Return(b.Count())
 	})
 	r.Register("aggr", "min", unary(func(b *bat.BAT) Value { return b.Min() }))
 	r.Register("aggr", "max", unary(func(b *bat.BAT) Value { return b.Max() }))
@@ -368,27 +357,27 @@ func registerStandard(r *Registry) {
 	r.Register("calc", "eqselect", binary(func(a, b *bat.BAT) Value { return a.EqRows(b) }))
 	r.Register("calc", "mul", binary(func(a, b *bat.BAT) Value { return bat.MulIF(a, b) }))
 	r.Register("calc", "add", binary(func(a, b *bat.BAT) Value { return bat.AddF(a, b) }))
-	r.Register("calc", "constMinus", func(ctx *Context, args []Value) ([]Value, error) {
-		c, ok := args[0].(float64)
+	r.Register("calc", "constMinus", func(ctx *Context, c *Call) error {
+		k, ok := c.Args[0].(float64)
 		if !ok {
-			return nil, fmt.Errorf("constMinus: want float64, got %T", args[0])
+			return fmt.Errorf("constMinus: want float64, got %T", c.Args[0])
 		}
-		b, err := argBAT(args, 1)
+		b, err := argBAT(c.Args, 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return one(bat.ConstMinusF(c, b)), nil
+		return c.Return(bat.ConstMinusF(k, b))
 	})
-	r.Register("calc", "constPlus", func(ctx *Context, args []Value) ([]Value, error) {
-		c, ok := args[0].(float64)
+	r.Register("calc", "constPlus", func(ctx *Context, c *Call) error {
+		k, ok := c.Args[0].(float64)
 		if !ok {
-			return nil, fmt.Errorf("constPlus: want float64, got %T", args[0])
+			return fmt.Errorf("constPlus: want float64, got %T", c.Args[0])
 		}
-		b, err := argBAT(args, 1)
+		b, err := argBAT(c.Args, 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return one(bat.ConstPlusF(c, b)), nil
+		return c.Return(bat.ConstPlusF(k, b))
 	})
 
 	// --- sql result construction ---
@@ -396,50 +385,45 @@ func registerStandard(r *Registry) {
 	// dense [0, n): a result set's rows are positions, whatever head the
 	// plan's last operator left (a projection's is the candidate list),
 	// and a dense head costs the result frame no bytes.
-	r.Register("sql", "resultSet", func(ctx *Context, args []Value) ([]Value, error) {
-		if len(args)%2 != 0 {
-			return nil, fmt.Errorf("resultSet: want name/column pairs")
+	r.Register("sql", "resultSet", func(ctx *Context, c *Call) error {
+		if len(c.Args)%2 != 0 {
+			return fmt.Errorf("resultSet: want name/column pairs")
 		}
-		rs := &ResultSet{}
-		for i := 0; i < len(args); i += 2 {
-			name, err := argStr(args, i)
+		n := len(c.Args) / 2
+		rs := &ResultSet{Names: make([]string, n), Cols: make([]*bat.BAT, n)}
+		for i := 0; i < n; i++ {
+			name, err := argStr(c.Args, 2*i)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			col, err := argBAT(args, i+1)
+			col, err := argBAT(c.Args, 2*i+1)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			rs.Names = append(rs.Names, name)
-			rs.Cols = append(rs.Cols, col.MarkH(0))
+			if h := col.Head(); !h.Dense() || h.Base() != 0 {
+				col = col.MarkH(0) // a dense [0, n) head is kept as it is
+			}
+			rs.Names[i], rs.Cols[i] = name, col
 		}
-		for _, c := range rs.Cols {
-			if c.Len() != rs.Cols[0].Len() {
-				return nil, fmt.Errorf("resultSet: misaligned columns %d vs %d", c.Len(), rs.Cols[0].Len())
+		for _, col := range rs.Cols {
+			if col.Len() != rs.Cols[0].Len() {
+				return fmt.Errorf("resultSet: misaligned columns %d vs %d", col.Len(), rs.Cols[0].Len())
 			}
 		}
-		return one(rs), nil
+		return c.Return(rs)
 	})
 	// sql.scalarResult(name, value) wraps a scalar into a 1-row result.
-	r.Register("sql", "scalarResult", func(ctx *Context, args []Value) ([]Value, error) {
-		name, err := argStr(args, 0)
+	r.Register("sql", "scalarResult", func(ctx *Context, c *Call) error {
+		name, err := argStr(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		var col *bat.BAT
-		switch v := args[1].(type) {
-		case int64:
-			col = bat.MakeInts(name, []int64{v})
-		case float64:
-			col = bat.MakeFloats(name, []float64{v})
-		case string:
-			col = bat.MakeStrs(name, []string{v})
-		case nil:
-			col = bat.MakeInts(name, nil)
-		default:
-			return nil, fmt.Errorf("scalarResult: unsupported %T", args[1])
+		if _, oid := c.Args[1].(bat.Oid); !oid {
+			if col, ok := bat.Scalar(name, c.Args[1]); ok {
+				return c.Return(&ResultSet{Names: []string{name}, Cols: []*bat.BAT{col}})
+			}
 		}
-		return one(&ResultSet{Names: []string{name}, Cols: []*bat.BAT{col}}), nil
+		return fmt.Errorf("scalarResult: unsupported %T", c.Args[1])
 	})
 }
 
@@ -456,26 +440,26 @@ func rangeArgs(args []Value) (lo, hi *bat.Bound) {
 }
 
 func unary(f func(*bat.BAT) Value) OpFunc {
-	return func(ctx *Context, args []Value) ([]Value, error) {
-		b, err := argBAT(args, 0)
+	return func(ctx *Context, c *Call) error {
+		b, err := argBAT(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return one(f(b)), nil
+		return c.Return(f(b))
 	}
 }
 
 func binary(f func(a, b *bat.BAT) Value) OpFunc {
-	return func(ctx *Context, args []Value) ([]Value, error) {
-		a, err := argBAT(args, 0)
+	return func(ctx *Context, c *Call) error {
+		a, err := argBAT(c.Args, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		b, err := argBAT(args, 1)
+		b, err := argBAT(c.Args, 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return one(f(a, b)), nil
+		return c.Return(f(a, b))
 	}
 }
 
@@ -493,4 +477,76 @@ func termArgs(args []Value, from int) ([]bat.Term, error) {
 		terms[i] = bat.Term{B: b, Lo: lo, Hi: hi}
 	}
 	return terms, nil
+}
+
+// literalRanges decodes the ranges of a range select whose bounds are
+// all literals — aggr.selectsum, algebra.uselectall, algebra.uselectmask
+// and algebra.uselect — once, when its plan is bound: the terms a call
+// places its columns into (Call.terms, Call.bounds), every bound shared
+// by every run of the plan. It is nil for any other instruction, and for
+// a range with a bound that is a variable or a flag that is not a bool
+// literal, which a call decodes as it runs.
+func literalRanges(in *Instr) []bat.Term {
+	var at []int // where each range's four operands start
+	switch n := len(in.Args); {
+	case in.Module == "aggr" && in.Op == "selectsum" && n >= 6 && n%5 == 1:
+		for i := 2; i < n; i += 5 {
+			at = append(at, i)
+		}
+	case in.Module == "algebra" && (in.Op == "uselectall" || in.Op == "uselectmask") && n > 0 && n%5 == 0:
+		for i := 1; i < n; i += 5 {
+			at = append(at, i)
+		}
+	case in.Module == "algebra" && in.Op == "uselect" && (n == 5 || n == 6):
+		at = []int{n - 4}
+	default:
+		return nil
+	}
+	terms := make([]bat.Term, len(at))
+	for i, from := range at {
+		r := in.Args[from : from+4]
+		for _, a := range r {
+			if !a.lit {
+				return nil
+			}
+		}
+		if _, ok := r[2].Lit.(bool); !ok {
+			return nil
+		}
+		if _, ok := r[3].Lit.(bool); !ok {
+			return nil
+		}
+		terms[i].Lo, terms[i].Hi = rangeArgs([]Value{r[0].Lit, r[1].Lit, r[2].Lit, r[3].Lit})
+	}
+	return terms
+}
+
+// terms is the conjunction of ranges in c.Args[from:], five operands
+// each: column, low, high, low inclusive, high inclusive. With literal
+// ranges (literalRanges) it only places the columns, into the frame's
+// scratch terms; otherwise it decodes them (termArgs).
+func (c *Call) terms(from int) ([]bat.Term, error) {
+	if c.lits == nil {
+		return termArgs(c.Args, from)
+	}
+	terms := c.scratch[:len(c.lits)]
+	copy(terms, c.lits)
+	for i := range terms {
+		b, err := argBAT(c.Args, from+5*i)
+		if err != nil {
+			return nil, err
+		}
+		terms[i].B = b
+	}
+	return terms, nil
+}
+
+// bounds is the range of a one-range select whose (lo, hi, loIncl,
+// hiIncl) start at c.Args[at]: decoded when the plan was bound, when its
+// operands are literals, else now (rangeArgs).
+func (c *Call) bounds(at int) (lo, hi *bat.Bound) {
+	if c.lits != nil {
+		return c.lits[0].Lo, c.lits[0].Hi
+	}
+	return rangeArgs(c.Args[at:])
 }

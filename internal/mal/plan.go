@@ -7,11 +7,21 @@
 // Data Cyclotron optimizer (package dcopt) rewrites plans produced by
 // the SQL front-end, replacing sql.bind calls with datacyclotron.request
 // and injecting pin/unpin calls.
+//
+// A plan is bound to the registry it runs under once: every
+// instruction's OpFunc is resolved, and the literal ranges of its range
+// selects are decoded, when it first runs, not on every execution. A
+// run works in a frame — the variable table and one argument and result
+// buffer as wide as the plan's widest instruction — that the binding
+// reuses, so a plan that runs many times, a served query's or a
+// region's sub-plan run once per fragment, allocates only what its ops
+// make. A plan is not modified once it has run.
 package mal
 
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/bat"
 )
@@ -89,6 +99,9 @@ type Plan struct {
 	// Result names the variable holding the query result (usually a
 	// *ResultSet produced by sql.resultSet).
 	Result VarID
+	// bound is the plan resolved against the registry it last ran under
+	// (Plan.bind). A plan is not modified once it has run.
+	bound atomic.Pointer[binding]
 }
 
 func (p *Plan) String() string {
@@ -142,7 +155,7 @@ func (b *Builder) SetResult(v VarID) { b.plan.Result = v }
 
 // Build finalizes and validates the plan.
 func (b *Builder) Build() (*Plan, error) {
-	p := b.plan
+	p := &Plan{Name: b.plan.Name, Instrs: b.plan.Instrs, NVars: b.plan.NVars, Result: b.plan.Result}
 	assigned := make([]bool, p.NVars)
 	for i, in := range p.Instrs {
 		for _, a := range in.Args {
@@ -168,7 +181,7 @@ func (b *Builder) Build() (*Plan, error) {
 	if p.Result != NoVar && (p.Result < 0 || int(p.Result) >= p.NVars) {
 		return nil, fmt.Errorf("mal: result variable X%d out of range", p.Result)
 	}
-	return &p, nil
+	return p, nil
 }
 
 // MustBuild is Build that panics on error (for tests and static plans).

@@ -58,14 +58,13 @@ type Fetch struct{ Cand, Col VarID }
 type Region struct {
 	plan  *Plan
 	exits []Exit
-	flow  *dataflow
 }
 
 // NewRegion wraps sub, whose datacyclotron.pin instructions take Slot
 // literals, and the variables that leave it, in the order the
 // datacyclotron.aligned instruction returns them.
 func NewRegion(sub *Plan, exits []Exit) *Region {
-	return &Region{plan: sub, exits: exits, flow: newDataflow(sub)}
+	return &Region{plan: sub, exits: exits}
 }
 
 // Plan returns the sub-plan; callers must not modify it.
@@ -107,23 +106,23 @@ func (d slotDC) Pin(h Value) (Value, error) {
 }
 
 // aligned implements datacyclotron.aligned(region, handles...).
-func aligned(ctx *Context, args []Value) ([]Value, error) {
+func aligned(ctx *Context, c *Call) error {
 	if ctx.DC == nil {
-		return nil, fmt.Errorf("no DC runtime attached")
+		return fmt.Errorf("no DC runtime attached")
 	}
-	r, ok := args[0].(*Region)
+	r, ok := c.Args[0].(*Region)
 	if !ok {
-		return nil, fmt.Errorf("arg 0: want *mal.Region, got %T", args[0])
+		return fmt.Errorf("arg 0: want *mal.Region, got %T", c.Args[0])
 	}
-	handles := args[1:]
+	handles := c.Args[1:]
 	if fdc, ok := ctx.DC.(FragmentedDC); ok {
 		// Parts are the parallel axis: each runs its instructions in
 		// plan order, and a pin that has to wait blocks only its part.
 		parts, err := fdc.PinMap(handles, func(dc DCRuntime) (Value, error) { return r.run(ctx, dc, 1) })
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return r.merge(ctx, parts)
+		return r.merge(ctx, c, parts)
 	}
 	// Whole columns, inline: the un-outlined plan's instructions under
 	// the same dataflow rules, as one part. One worker per column is all
@@ -132,21 +131,29 @@ func aligned(ctx *Context, args []Value) ([]Value, error) {
 	// growth) less per query, which is what a 0.2 ms point query notices.
 	part, err := r.run(ctx, slotDC{ctx.DC, handles}, min(ctx.Workers, len(handles)))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return r.merge(ctx, []Value{part})
+	return r.merge(ctx, c, []Value{part})
 }
 
 // run executes the sub-plan once against dc and returns its exit values
 // in exit order (as a Value, so it can travel through PinMap): a
 // deferred fetch's is its Join, or a bat.Fetch for the merge.
+// It runs in a frame of the sub-plan's binding, which holds the part's
+// context too.
 func (r *Region) run(ctx *Context, dc DCRuntime, workers int) (_ Value, err error) {
-	part := *ctx
-	part.DC, part.Workers = dc, workers
-	vals, err := runPlan(&part, r.plan, r.flow)
+	b, err := r.plan.bind(ctx.Registry)
 	if err != nil {
 		return nil, err
 	}
+	f := b.frame()
+	defer b.release(f)
+	f.ctx = *ctx
+	f.ctx.DC, f.ctx.Workers = dc, workers
+	if err := b.exec(&f.ctx, r.plan, f); err != nil {
+		return nil, err
+	}
+	vals := f.vals
 	defer func() { // a Join's shape panic, as execInstr reports one
 		if p := recover(); p != nil {
 			err = fmt.Errorf("mal: region exit: %v", p)
@@ -178,7 +185,7 @@ func (r *Region) run(ctx *Context, dc DCRuntime, workers int) (_ Value, err erro
 // merge combines the per-part exit values, parts in fragment order, so
 // the outcome does not depend on the order the fragments arrived in.
 // The merged columns are drawn from the query's arena (ctx.Arena).
-func (r *Region) merge(ctx *Context, parts []Value) ([]Value, error) {
+func (r *Region) merge(ctx *Context, c *Call, parts []Value) error {
 	rows := make([][]Value, len(parts)) // per part, its exits
 	for i, p := range parts {
 		rows[i] = p.([]Value)
@@ -204,7 +211,7 @@ func (r *Region) merge(ctx *Context, parts []Value) ([]Value, error) {
 			for i, row := range rows {
 				b, ok := row[e].(*bat.BAT)
 				if !ok {
-					return nil, fmt.Errorf("region exit X%d is %T, want *bat.BAT", ex.Var, row[e])
+					return fmt.Errorf("region exit X%d is %T, want *bat.BAT", ex.Var, row[e])
 				}
 				if ex.Merge == MergeTail {
 					// Dense heads at the running offset fuse into one
@@ -216,12 +223,9 @@ func (r *Region) merge(ctx *Context, parts []Value) ([]Value, error) {
 			lists, at = append(lists, frags), append(at, e)
 			continue
 		}
-		acc := rows[0][e]
-		for _, row := range rows[1:] {
-			var err error
-			if acc, err = mergeScalar(ex.Merge, acc, row[e]); err != nil {
-				return nil, fmt.Errorf("region exit X%d: %w", ex.Var, err)
-			}
+		acc, err := mergeScalars(ex.Merge, rows, e)
+		if err != nil {
+			return fmt.Errorf("region exit X%d: %w", ex.Var, err)
 		}
 		out[e] = acc
 	}
@@ -231,7 +235,48 @@ func (r *Region) merge(ctx *Context, parts []Value) ([]Value, error) {
 	for i, b := range bat.FetchAll(fetches, tails, ctx.Arena) {
 		out[fetchAt[i]] = b
 	}
-	return out, nil
+	return c.Return(out...)
+}
+
+// mergeScalars folds exit e's partial aggregates, parts in fragment
+// order. Partials that are all int64 or all float64 (nil ones aside)
+// fold unboxed, the total boxed once; any other mix folds through
+// mergeScalar.
+func mergeScalars(kind MergeKind, rows [][]Value, e int) (Value, error) {
+	switch rows[0][e].(type) {
+	case int64:
+		if v, ok := foldNumbers[int64](kind, rows, e); ok {
+			return v, nil
+		}
+	case float64:
+		if v, ok := foldNumbers[float64](kind, rows, e); ok {
+			return v, nil
+		}
+	}
+	acc := rows[0][e]
+	for _, row := range rows[1:] {
+		var err error
+		if acc, err = mergeScalar(kind, acc, row[e]); err != nil {
+			return nil, err
+		}
+	}
+	return acc, nil
+}
+
+// foldNumbers is mergeScalar over exit e's partials, the first a T; ok
+// is false when a later one is neither a T nor nil.
+func foldNumbers[T int64 | float64](kind MergeKind, rows [][]Value, e int) (Value, bool) {
+	acc := rows[0][e].(T)
+	for _, row := range rows[1:] {
+		switch v := row[e].(type) {
+		case T:
+			acc = mergeOrdered(kind, acc, v)
+		case nil:
+		default:
+			return nil, false
+		}
+	}
+	return acc, true
 }
 
 // mergeScalar folds one more partial aggregate into acc. A nil partial

@@ -7,8 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/dcopt"
 	"repro/internal/mal"
 	"repro/internal/mal/maltest"
+	"repro/internal/minisql"
+	"repro/internal/tpch"
 )
 
 // q6Region hand-builds the plan dcopt makes of a two-predicate
@@ -238,15 +241,26 @@ func TestStandardRegistryIsShared(t *testing.T) {
 }
 
 // BenchmarkAlignedRegion is the per-part path over 1M rows in 64K-row
-// fragments, the sub-plan run once per fragment and the exits merged:
-// q6 at hot_repeat's shape, and wide, wide_result's projection of three
+// fragments narrowed as the ring stores them, the sub-plan run once per
+// fragment and the exits merged: q6, the Q6ish plan hot_repeat serves —
+// compiled by minisql and rewritten by the DcOptimizer, one
+// aggr.selectsum per part — and wide, wide_result's projection of three
 // columns at a ~48 % selection, each a fetch deferred to the merge and
-// leaving by its tail, over fragments narrowed as the ring stores them. CI runs it once so the
-// path cannot panic unnoticed.
+// leaving by its tail. CI runs it once so the path cannot panic
+// unnoticed.
 func BenchmarkAlignedRegion(b *testing.B) {
 	b.Run("q6", func(b *testing.B) {
-		rt := &maltest.FragDC{Cols: regionTable(1<<20, 4), Cuts: maltest.EveryRows(1 << 16)}
-		benchRegion(b, rt, q6Region(false))
+		db := tpch.GenDB(tpch.SFForLineitemRows(1<<20), 7)
+		plain, err := minisql.Compile(tpch.Q6ishSQL, db.Schema(), "sys")
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan, _, err := dcopt.Rewrite(plain)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt := &maltest.FragDC{Cols: db.ColumnMap(), Cuts: maltest.EveryRows(1 << 16), Narrow: true}
+		benchRegion(b, rt, plan)
 	})
 	b.Run("wide", func(b *testing.B) {
 		rt := &maltest.FragDC{Cols: wideTable(1<<20, 5), Cuts: maltest.EveryRows(1 << 16), Narrow: true}
