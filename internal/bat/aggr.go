@@ -208,10 +208,10 @@ func (b *BAT) groupTail() (ids []Oid, repIdx []int32) {
 	panic("bat: bad kind")
 }
 
-// GroupIDs assigns a dense group id to each row based on its tail value
-// (group.new): the result is [head | group oid], plus a representative
-// BAT [group oid | tail value] in first-appearance order. The result
-// shares b's head zero-copy.
+// GroupIDs assigns a dense group id to each row based on its tail value:
+// the result is [head | group oid], plus a representative BAT
+// [group oid | tail value] in first-appearance order. The result shares
+// b's head zero-copy.
 func (b *BAT) GroupIDs() (groups, reps *BAT) {
 	ids, repIdx := b.groupTail()
 	gt := OidColumn(ids)
@@ -431,82 +431,4 @@ func maxGroup(groups *BAT) int {
 		}
 	}
 	return max
-}
-
-// tailFloats returns the tail as a []float64: zero-copy for wide float
-// columns, one typed widening pass for decimal, int and OID tails.
-func tailFloats(b *BAT) []float64 {
-	t := b.t
-	switch t.kind {
-	case KFloat:
-		return t.float64s()
-	case KInt:
-		out := make([]float64, t.Len())
-		for i, v := range t.int64s() {
-			out[i] = float64(v)
-		}
-		return out
-	case KOid:
-		if t.dense {
-			out := make([]float64, t.n)
-			for i := range out {
-				out[i] = float64(t.base + Oid(i))
-			}
-			return out
-		}
-		out := make([]float64, len(t.oids))
-		for i, o := range t.oids {
-			out[i] = float64(o)
-		}
-		return out
-	}
-	panic(fmt.Sprintf("bat: non-numeric tail %s", t.kind))
-}
-
-// MulIF multiplies an int-tail BAT by a float-tail BAT positionally,
-// producing a float tail. Used by arithmetic in query plans
-// (e.g. extendedprice * (1 - discount)).
-func MulIF(a, b *BAT) *BAT {
-	if a.Len() != b.Len() {
-		panic("bat: MulIF length mismatch")
-	}
-	af, bf := tailFloats(a), tailFloats(b)
-	out := make([]float64, len(af))
-	for i := range out {
-		out[i] = af[i] * bf[i]
-	}
-	return New(a.Name, DenseColumn(0, len(out)), FloatColumn(out))
-}
-
-// AddF adds two numeric-tail BATs positionally into a float tail.
-func AddF(a, b *BAT) *BAT {
-	if a.Len() != b.Len() {
-		panic("bat: AddF length mismatch")
-	}
-	af, bf := tailFloats(a), tailFloats(b)
-	out := make([]float64, len(af))
-	for i := range out {
-		out[i] = af[i] + bf[i]
-	}
-	return New(a.Name, DenseColumn(0, len(out)), FloatColumn(out))
-}
-
-// ConstMinusF computes c - tail for each row.
-func ConstMinusF(c float64, b *BAT) *BAT {
-	bf := tailFloats(b)
-	out := make([]float64, len(bf))
-	for i := range out {
-		out[i] = c - bf[i]
-	}
-	return New(b.Name, DenseColumn(0, len(out)), FloatColumn(out))
-}
-
-// ConstPlusF computes c + tail for each row.
-func ConstPlusF(c float64, b *BAT) *BAT {
-	bf := tailFloats(b)
-	out := make([]float64, len(bf))
-	for i := range out {
-		out[i] = c + bf[i]
-	}
-	return New(b.Name, DenseColumn(0, len(out)), FloatColumn(out))
 }

@@ -72,9 +72,6 @@ type Column struct {
 	sorted bool // non-decreasing tail order (trivially true when dense)
 }
 
-// NewColumn returns an empty materialized column of the given kind.
-func NewColumn(kind Kind) *Column { return &Column{kind: kind} }
-
 // DenseColumn returns a dense OID column [base, base+n).
 func DenseColumn(base Oid, n int) *Column {
 	return &Column{kind: KOid, dense: true, base: base, n: n, sorted: true}
@@ -189,28 +186,6 @@ func (c *Column) Str(i int) string {
 // Bool returns element i of a bool column.
 func (c *Column) Bool(i int) bool { return c.bools[i] }
 
-// Append adds v, which must match the column kind. Dense columns cannot
-// be appended to; a narrow column turns wide first.
-func (c *Column) Append(v any) {
-	if c.dense {
-		panic("bat: append to dense column")
-	}
-	switch c.kind {
-	case KOid:
-		c.oids = append(c.oids, v.(Oid))
-	case KInt:
-		c.ints, c.narrow = append(c.int64s(), v.(int64)), nil
-	case KFloat:
-		c.floats, c.narrow = append(c.float64s(), v.(float64)), nil
-	case KStr:
-		c.strs, c.narrow, c.dict = append(c.strings(), v.(string)), nil, nil
-	case KBool:
-		c.bools = append(c.bools, v.(bool))
-	default:
-		panic("bat: bad kind")
-	}
-}
-
 // take returns a new column with the rows at the given positions.
 func (c *Column) take(idx []int) *Column { return takeIdx(c, idx, 0) }
 
@@ -290,8 +265,8 @@ func int32s[I int | int32](idx []I) []int32 {
 
 // view returns an O(1) zero-copy view of rows [from, to). Dense columns
 // stay dense (the base shifts); materialized columns share the payload.
-// The shared subslices are capped (three-index slicing) so a later
-// Append on the view reallocates instead of clobbering the parent.
+// The shared subslices are capped (three-index slicing), so an append
+// to one reallocates instead of clobbering the parent.
 func (c *Column) view(from, to int) *Column {
 	if c.dense {
 		return &Column{kind: c.kind, dense: true, base: c.base + Oid(from), n: to - from, sorted: true}

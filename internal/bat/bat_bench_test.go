@@ -145,16 +145,6 @@ func BenchmarkBATGroupedSum1M(b *testing.B) {
 	})
 }
 
-func BenchmarkBATUnion1M(b *testing.B) {
-	l := benchIntBAT(benchRows/2, 1000)
-	r := benchIntBAT(benchRows/2, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Union(r)
-	}
-}
-
 func BenchmarkBATSlice(b *testing.B) {
 	bb := benchIntBAT(benchRows, 1000)
 	b.ReportAllocs()

@@ -185,7 +185,7 @@ func keptHead(masks []*Mask, total int, a *Arena) *Column {
 	return &Column{kind: KOid, oids: oids[:total:total], sorted: sorted}
 }
 
-// concatCols is the n-ary generalization of concatCol: one exact-size
+// concatCols concatenates columns of one kind: one exact-size
 // allocation, dense fusion, and boundary-checked sortedness. Narrow
 // fragments, each with its own reference and width, keep their codes
 // when they share an exponent or a dictionary (concatCodes); any other
@@ -466,4 +466,22 @@ func boundariesOrdered(cols []*Column) bool {
 		prev = c
 	}
 	return true
+}
+
+// boundaryOrdered reports last(a) <= first(c); kinds match.
+func boundaryOrdered(a, c *Column) bool {
+	i, j := a.Len()-1, 0
+	switch a.kind {
+	case KOid:
+		return a.Oid(i) <= c.Oid(j)
+	case KInt:
+		return a.Int(i) <= c.Int(j)
+	case KFloat:
+		return a.Float(i) <= c.Float(j)
+	case KStr:
+		return a.Str(i) <= c.Str(j)
+	case KBool:
+		return !a.bools[i] || c.bools[j]
+	}
+	return false
 }

@@ -60,7 +60,7 @@ func TestDictionaryBytesRule(t *testing.T) {
 // answers on its Narrow twin what it answers plain. Widen(Narrow(b)) is
 // b; the range and equality selects at the fuzzed literals and at a
 // value of the column and its neighbours, Min, Max, grouping, the sort,
-// UniqueT, the joins, a concat of separately narrowed halves and of
+// the joins, a concat of separately narrowed halves and of
 // views, and the wire round trip all agree.
 func FuzzStrDict(f *testing.F) {
 	f.Add("A,N,R", []byte{0, 1, 2, 0, 0, 1, 2, 2, 1, 0}, "B", "N", uint8(0))
@@ -142,7 +142,6 @@ func FuzzStrDict(f *testing.F) {
 		same("GroupedMax", GroupedMax(groups, wide), GroupedMax(groups, nb))
 		same("SortT", wide.SortT(false), nb.SortT(false))
 		same("SortT desc", wide.SortT(true), nb.SortT(true))
-		same("UniqueT", wide.UniqueT(), nb.UniqueT())
 		same("Join", wide.Join(wide.Reverse()), nb.Join(nb.Reverse()))
 		same("Semijoin", wide.Reverse().Semijoin(wide.Reverse()), nb.Reverse().Semijoin(nb.Reverse()))
 

@@ -89,36 +89,6 @@ func TestColumnValueAllKinds(t *testing.T) {
 	}
 }
 
-func TestColumnAppendAllKinds(t *testing.T) {
-	for _, k := range []Kind{KOid, KInt, KFloat, KStr, KBool} {
-		c := NewColumn(k)
-		switch k {
-		case KOid:
-			c.Append(Oid(1))
-		case KInt:
-			c.Append(int64(1))
-		case KFloat:
-			c.Append(1.0)
-		case KStr:
-			c.Append("1")
-		case KBool:
-			c.Append(true)
-		}
-		if c.Len() != 1 {
-			t.Errorf("kind %v: Len = %d", k, c.Len())
-		}
-	}
-}
-
-func TestAppendToDensePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	DenseColumn(0, 1).Append(Oid(1))
-}
-
 func TestKindStringsAndWidths(t *testing.T) {
 	if KInt.String() != "int" || KStr.String() != "str" || KOid.String() != "oid" {
 		t.Fatal("kind strings wrong")

@@ -915,21 +915,6 @@ func (b *BAT) SelectNe(v any) *BAT {
 	return b.selectNeGeneric(v)
 }
 
-// SelectFunc filters rows by an arbitrary tail predicate (used for LIKE
-// and other non-range predicates). Inherently boxed: the predicate
-// itself takes an any.
-func (b *BAT) SelectFunc(pred func(v any) bool) *BAT {
-	var idx []int
-	for i := 0; i < b.Len(); i++ {
-		if pred(b.t.Value(i)) {
-			idx = append(idx, i)
-		}
-	}
-	nb := &BAT{Name: b.Name, h: b.h.take(idx), t: b.t.take(idx)}
-	nb.h.sorted = b.h.Sorted()
-	return nb
-}
-
 // eqIdx returns the positions where the two aligned payloads agree.
 func eqIdx[T comparable](a, b []T) []int32 {
 	n := 0
@@ -1324,16 +1309,6 @@ func (b *BAT) Join(r *BAT) *BAT {
 	return nb
 }
 
-// Project is leftfetchjoin with explicit naming: positions in b's tail
-// (OIDs) fetch values from r (whose head must cover them). Equivalent to
-// b.Join(r) but requires r's head to be dense.
-func (b *BAT) Project(r *BAT) *BAT {
-	if !r.h.dense {
-		panic("bat: Project requires dense head on the value BAT")
-	}
-	return b.Join(r)
-}
-
 // makeSet builds a typed membership set over one payload. It grows with
 // the distinct values rather than being sized to every row.
 func makeSet[T comparable](vals []T) map[T]struct{} {
@@ -1344,36 +1319,35 @@ func makeSet[T comparable](vals []T) map[T]struct{} {
 	return set
 }
 
-// memberIdx returns the positions whose value is (keep=true) or is not
-// (keep=false) in the set.
-func memberIdx[T comparable](vals []T, set map[T]struct{}, keep bool) []int32 {
+// memberIdx returns the positions whose value is in the set.
+func memberIdx[T comparable](vals []T, set map[T]struct{}) []int32 {
 	n := 0
 	for _, v := range vals {
-		if _, in := set[v]; in == keep {
+		if _, in := set[v]; in {
 			n++
 		}
 	}
 	idx := make([]int32, 0, n)
 	for i, v := range vals {
-		if _, in := set[v]; in == keep {
+		if _, in := set[v]; in {
 			idx = append(idx, int32(i))
 		}
 	}
 	return idx
 }
 
-// rangeMemberIdx filters positions by membership in the dense OID range
+// rangeMemberIdx returns the positions whose OID lies in the dense range
 // [base, end) — the set is implicit, no hash table at all.
-func rangeMemberIdx(vals []Oid, base, end Oid, keep bool) []int32 {
+func rangeMemberIdx(vals []Oid, base, end Oid) []int32 {
 	n := 0
 	for _, o := range vals {
-		if (o >= base && o < end) == keep {
+		if o >= base && o < end {
 			n++
 		}
 	}
 	idx := make([]int32, 0, n)
 	for i, o := range vals {
-		if (o >= base && o < end) == keep {
+		if o >= base && o < end {
 			idx = append(idx, int32(i))
 		}
 	}
@@ -1386,12 +1360,11 @@ const gallopRatio = 8
 
 // mergeMemberIdx is memberIdx for two non-decreasing lists: one linear
 // two-cursor walk, no hash table. Duplicates behave exactly as they do
-// against a set: every copy in a that has (keep) or lacks (!keep) a
-// match in r is reported, and copies in r change nothing, because the
-// r cursor only moves past values smaller than a's current one. The
-// cursors advance by comparison outcomes, so the loop carries no
-// data-dependent branch.
-func mergeMemberIdx(a, r []Oid, keep bool) *[]int32 {
+// against a set: every copy in a that has a match in r is reported, and
+// copies in r change nothing, because the r cursor only moves past
+// values smaller than a's current one. The cursors advance by
+// comparison outcomes, so the loop carries no data-dependent branch.
+func mergeMemberIdx(a, r []Oid) *[]int32 {
 	p := idxPool.get(len(a))
 	idx := *p
 	i, j, n := 0, 0, 0
@@ -1399,15 +1372,9 @@ func mergeMemberIdx(a, r []Oid, keep bool) *[]int32 {
 		x, y := a[i], r[j]
 		idx[n] = int32(i)
 		step := b2i(x <= y) // a's value is settled: matched, or passed over
-		n += step & b2i((x == y) == keep)
+		n += step & b2i(x == y)
 		i += step
 		j += 1 - step
-	}
-	if !keep {
-		for ; i < len(a); i++ { // r is exhausted: the rest of a has no match
-			idx[n] = int32(i)
-			n++
-		}
 	}
 	*p = idx[:n]
 	return p
@@ -1434,20 +1401,20 @@ func gallopTo[T cmp.Ordered](r []T, j int, v T) int {
 
 // gallopProbeIdx is mergeMemberIdx for a short a against a long r: each
 // value of a gallops r's cursor forward, O(len(a) · log(len(r)/len(a))).
-func gallopProbeIdx(a, r []Oid, keep bool) *[]int32 {
+func gallopProbeIdx(a, r []Oid) *[]int32 {
 	p := idxPool.get(len(a))
 	idx := *p
 	j, n := 0, 0
 	for i, v := range a {
 		j = gallopTo(r, j, v)
 		idx[n] = int32(i)
-		n += b2i((j < len(r) && r[j] == v) == keep)
+		n += b2i(j < len(r) && r[j] == v)
 	}
 	*p = idx[:n]
 	return p
 }
 
-// gallopRunsIdx is mergeMemberIdx(a, r, true) for a long a against a
+// gallopRunsIdx is mergeMemberIdx for a long a against a
 // short r: each distinct value of r gallops a's cursor to its run of
 // copies.
 func gallopRunsIdx(a, r []Oid) []int32 {
@@ -1464,19 +1431,18 @@ func gallopRunsIdx(a, r []Oid) []int32 {
 	return idx
 }
 
-// sortedMemberIdx filters the positions of the non-decreasing OID list
-// a by membership in the non-decreasing list r, picking the walk by the
-// length ratio. A long a is only worth galloping for keep: the
-// complement is about as long as a itself. pooled is idx's idxPool
-// buffer, nil when the walk sized its own.
-func sortedMemberIdx(a, r []Oid, keep bool) (idx []int32, pooled *[]int32) {
+// sortedMemberIdx returns the positions of the non-decreasing OID list
+// a whose value occurs in the non-decreasing list r, picking the walk by
+// the length ratio. pooled is idx's idxPool buffer, nil when the walk
+// sized its own.
+func sortedMemberIdx(a, r []Oid) (idx []int32, pooled *[]int32) {
 	switch {
 	case len(r) > gallopRatio*len(a):
-		pooled = gallopProbeIdx(a, r, keep)
-	case keep && len(a) > gallopRatio*len(r):
+		pooled = gallopProbeIdx(a, r)
+	case len(a) > gallopRatio*len(r):
 		return gallopRunsIdx(a, r), nil
 	default:
-		pooled = mergeMemberIdx(a, r, keep)
+		pooled = mergeMemberIdx(a, r)
 	}
 	return *pooled, pooled
 }
@@ -1497,33 +1463,33 @@ func denseMemberIdx(base Oid, n int, r []Oid) []int32 {
 }
 
 // headFilterIdx computes the row positions of b whose head value
-// does (keep) or does not (!keep) appear among r's head values. Heads
-// that are sorted OID lists — every candidate list a select over a
-// dense-headed column yields — are intersected by merge; a dense r is
-// plain range arithmetic; only unsorted or non-OID heads build a typed
-// hash set. pooled is idx's idxPool buffer, if it has one.
-func headFilterIdx(b, r *BAT, keep bool) (idx []int32, pooled *[]int32) {
+// appears among r's head values. Heads that are sorted OID lists —
+// every candidate list a select over a dense-headed column yields — are
+// intersected by merge; a dense r is plain range arithmetic; only
+// unsorted or non-OID heads build a typed hash set. pooled is idx's
+// idxPool buffer, if it has one.
+func headFilterIdx(b, r *BAT) (idx []int32, pooled *[]int32) {
 	if r.h.dense {
 		base, end := r.h.base, r.h.base+Oid(r.h.Len())
-		return rangeMemberIdx(b.h.oidValues(), base, end, keep), nil
+		return rangeMemberIdx(b.h.oidValues(), base, end), nil
 	}
 	if b.h.kind == KOid && b.h.Sorted() && r.h.Sorted() {
-		if b.h.dense && keep {
+		if b.h.dense {
 			return denseMemberIdx(b.h.base, b.h.n, r.h.oids), nil
 		}
-		return sortedMemberIdx(b.h.oidValues(), r.h.oids, keep)
+		return sortedMemberIdx(b.h.oidValues(), r.h.oids)
 	}
 	switch b.h.kind {
 	case KOid:
-		return memberIdx(b.h.oidValues(), makeSet(r.h.oidValues()), keep), nil
+		return memberIdx(b.h.oidValues(), makeSet(r.h.oidValues())), nil
 	case KInt:
-		return memberIdx(b.h.int64s(), makeSet(r.h.int64s()), keep), nil
+		return memberIdx(b.h.int64s(), makeSet(r.h.int64s())), nil
 	case KFloat:
-		return memberIdx(b.h.float64s(), makeSet(r.h.float64s()), keep), nil
+		return memberIdx(b.h.float64s(), makeSet(r.h.float64s())), nil
 	case KStr:
-		return memberIdx(b.h.strings(), makeSet(r.h.strings()), keep), nil
+		return memberIdx(b.h.strings(), makeSet(r.h.strings())), nil
 	case KBool:
-		return memberIdx(b.h.bools, makeSet(r.h.bools), keep), nil
+		return memberIdx(b.h.bools, makeSet(r.h.bools)), nil
 	}
 	return nil, nil
 }
@@ -1570,133 +1536,8 @@ func (b *BAT) Semijoin(r *BAT) *BAT {
 		i0 := int(lo - b.h.base)
 		return b.Slice(i0, i0+int(hi-lo))
 	}
-	return b.takeFiltered(r, true)
-}
-
-// takeFiltered gathers the rows headFilterIdx keeps and recycles the
-// position buffer.
-func (b *BAT) takeFiltered(r *BAT, keep bool) *BAT {
-	idx, pooled := headFilterIdx(b, r, keep)
+	idx, pooled := headFilterIdx(b, r)
 	nb := b.takeRows(idx)
 	idxPool.put(pooled)
 	return nb
-}
-
-// Diff returns the rows of b whose head value does NOT appear among r's
-// head values (MAL's kdiff).
-func (b *BAT) Diff(r *BAT) *BAT {
-	if b.h.kind != r.h.kind {
-		// Different key kinds can never match; kdiff keeps everything.
-		return b.viewAll()
-	}
-	return b.takeFiltered(r, false)
-}
-
-// concatCol concatenates two columns of the same kind: the binary case
-// of concatCols (concat.go), which owns the dense-fusion and
-// sorted-boundary property rules.
-func concatCol(a, c *Column) *Column {
-	return concatCols([]*Column{a, c}, nil)
-}
-
-// boundaryOrdered reports last(a) <= first(c); kinds match.
-func boundaryOrdered(a, c *Column) bool {
-	i, j := a.Len()-1, 0
-	switch a.kind {
-	case KOid:
-		return a.Oid(i) <= c.Oid(j)
-	case KInt:
-		return a.Int(i) <= c.Int(j)
-	case KFloat:
-		return a.Float(i) <= c.Float(j)
-	case KStr:
-		return a.Str(i) <= c.Str(j)
-	case KBool:
-		return !a.bools[i] || c.bools[j]
-	}
-	return false
-}
-
-// Union appends r's rows to b's (kunion without duplicate elimination):
-// one exact-size allocation per column, no index indirection.
-func (b *BAT) Union(r *BAT) *BAT {
-	if b.h.kind != r.h.kind || b.t.kind != r.t.kind {
-		panic("bat: union kind mismatch")
-	}
-	return &BAT{Name: b.Name, h: concatCol(b.h, r.h), t: concatCol(b.t, r.t)}
-}
-
-// uniqueIdx returns the first position of each distinct value, in
-// first-appearance order, via a typed seen-set.
-func uniqueIdx[T comparable](vals []T) []int32 {
-	seen := make(map[T]struct{}, len(vals))
-	var idx []int32
-	for i, v := range vals {
-		if _, dup := seen[v]; !dup {
-			seen[v] = struct{}{}
-			idx = append(idx, int32(i))
-		}
-	}
-	return idx
-}
-
-// uniqueSortedIdx dedups a sorted payload with adjacent comparison — no
-// hash table at all.
-func uniqueSortedIdx[T comparable](vals []T) []int32 {
-	var idx []int32
-	for i, v := range vals {
-		if i == 0 || v != vals[i-1] {
-			idx = append(idx, int32(i))
-		}
-	}
-	return idx
-}
-
-// UniqueT returns the first row for each distinct tail value, in first-
-// appearance order. Dense tails are trivially unique (zero-copy view);
-// sorted tails dedup by adjacent comparison.
-func (b *BAT) UniqueT() *BAT {
-	if b.t.dense {
-		return b.viewAll()
-	}
-	var idx []int32
-	sorted := b.t.Sorted()
-	switch b.t.kind {
-	case KOid:
-		if sorted {
-			idx = uniqueSortedIdx(b.t.oids)
-		} else {
-			idx = uniqueIdx(b.t.oids)
-		}
-	case KInt:
-		if sorted {
-			idx = uniqueSortedIdx(b.t.int64s())
-		} else {
-			idx = uniqueIdx(b.t.int64s())
-		}
-	case KFloat:
-		if sorted {
-			idx = uniqueSortedIdx(b.t.float64s())
-		} else {
-			idx = uniqueIdx(b.t.float64s())
-		}
-	case KStr:
-		if sorted {
-			idx = uniqueSortedIdx(b.t.strings())
-		} else {
-			idx = uniqueIdx(b.t.strings())
-		}
-	case KBool:
-		idx = uniqueIdx(b.t.bools)
-	}
-	return b.takeRows(idx)
-}
-
-// TopN returns the first n rows of b ordered by tail (desc if desc).
-func (b *BAT) TopN(n int, desc bool) *BAT {
-	s := b.SortT(desc)
-	if n > s.Len() {
-		n = s.Len()
-	}
-	return s.Slice(0, n)
 }

@@ -95,40 +95,6 @@ func TestSliceIsZeroCopyView(t *testing.T) {
 	}
 }
 
-func TestUnionPropertiesAndDenseFusion(t *testing.T) {
-	a := MakeInts("a", []int64{1, 2})
-	b := New("b", DenseColumn(2, 2), IntColumn([]int64{3, 4})) // head continues a's 0..1
-	a.Tail().SetSorted(true)
-	b.Tail().SetSorted(true)
-	u := a.Union(b)
-	if !u.Head().Dense() || u.Head().Base() != 0 || u.Head().Len() != 4 {
-		t.Error("union of adjacent dense heads should fuse into one dense head")
-	}
-	if !u.Tail().Sorted() {
-		t.Error("union with ordered boundary should stay sorted")
-	}
-	// Unordered boundary: sortedness must NOT survive.
-	c := MakeInts("c", []int64{0})
-	c.Tail().SetSorted(true)
-	u2 := a.Union(c)
-	if u2.Tail().Sorted() {
-		t.Error("union with descending boundary must clear sorted")
-	}
-	if want := []int64{1, 2, 0}; !reflect.DeepEqual(intsOf(u2), want) {
-		t.Errorf("union = %v, want %v", intsOf(u2), want)
-	}
-}
-
-func TestUnionDoesNotAliasInputs(t *testing.T) {
-	a := MakeInts("a", []int64{1, 2})
-	b := MakeInts("b", []int64{3})
-	u := a.Union(b)
-	u.Tail().Append(int64(99)) // must not clobber a or b
-	if a.Len() != 2 || b.Len() != 1 || a.Tail().Int(1) != 2 || b.Tail().Int(0) != 3 {
-		t.Fatal("Union result aliases its inputs")
-	}
-}
-
 func TestJoinPropagatesHeadSortedness(t *testing.T) {
 	// Hash join: probe order preserved, so a sorted probe head stays sorted.
 	l := MakeInts("l", []int64{1, 2, 2, 3})
@@ -189,19 +155,6 @@ func TestGroupIDsSharesHeadAndSortedFastPath(t *testing.T) {
 	}
 }
 
-func TestUniqueTSortedAndDense(t *testing.T) {
-	b := MakeInts("x", []int64{1, 1, 2, 3, 3})
-	b.Tail().SetSorted(true)
-	u := b.UniqueT()
-	if want := []int64{1, 2, 3}; !reflect.DeepEqual(intsOf(u), want) {
-		t.Fatalf("sorted unique = %v, want %v", intsOf(u), want)
-	}
-	d := New("d", DenseColumn(0, 4), DenseColumn(10, 4))
-	if du := d.UniqueT(); du.Len() != 4 {
-		t.Fatalf("dense unique = %d rows, want 4 (all distinct)", du.Len())
-	}
-}
-
 func TestSemijoinDiffPropagation(t *testing.T) {
 	a := New("a", OidColumn([]Oid{1, 2, 3, 4}), IntColumn([]int64{10, 20, 30, 40}))
 	a.Head().SetSorted(true)
@@ -210,10 +163,6 @@ func TestSemijoinDiffPropagation(t *testing.T) {
 	semi := a.Semijoin(b)
 	if !semi.Head().Sorted() || !semi.Tail().Sorted() {
 		t.Error("semijoin preserves row order, so sortedness must survive")
-	}
-	diff := a.Diff(b)
-	if !diff.Head().Sorted() || !diff.Tail().Sorted() {
-		t.Error("diff preserves row order, so sortedness must survive")
 	}
 }
 
@@ -226,15 +175,6 @@ func TestSemijoinDenseDenseView(t *testing.T) {
 	}
 	if !got.Head().Dense() || got.Head().Base() != 5 {
 		t.Error("dense-dense semijoin should return a dense view")
-	}
-}
-
-func TestDiffDenseRange(t *testing.T) {
-	a := New("a", OidColumn([]Oid{0, 5, 9, 12}), IntColumn([]int64{1, 2, 3, 4}))
-	b := New("b", DenseColumn(5, 5), IntColumn(make([]int64, 5))) // excludes 5..9
-	got := a.Diff(b)
-	if want := []int64{1, 4}; !reflect.DeepEqual(intsOf(got), want) {
-		t.Fatalf("diff vs dense range = %v, want %v", intsOf(got), want)
 	}
 }
 

@@ -57,8 +57,7 @@ package bat
 // its fixed-width payloads with the input buffer. This is safe because
 // fragments are immutable per version (an update installs a fresh *BAT
 // with bytes of its own); callers must treat the buffer as frozen once
-// decoded. Appending to a decoded column is still
-// safe: views are handed out at full capacity, so append reallocates.
+// decoded.
 //
 // The gob-based Marshal/Unmarshal live in serial_test.go as the
 // baseline the equivalence and speedup tests compare against.

@@ -363,21 +363,6 @@ func TestWireRejectsBadDicts(t *testing.T) {
 	}
 }
 
-// TestWireViewAppendSafe checks that appending to a decoded (zero-copy)
-// column reallocates instead of growing into the wire buffer.
-func TestWireViewAppendSafe(t *testing.T) {
-	data := AppendMarshal(nil, MakeInts("a", []int64{1, 2, 3}))
-	snapshot := append([]byte(nil), data...)
-	got, err := UnmarshalView(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got.Tail().Append(int64(99))
-	if !bytes.Equal(data, snapshot) {
-		t.Fatal("append to decoded column mutated the wire buffer")
-	}
-}
-
 // FuzzUnmarshal feeds arbitrary bytes to UnmarshalView: it must never
 // panic, only return errors or valid BATs.
 func FuzzUnmarshal(f *testing.F) {

@@ -130,36 +130,3 @@ func Rewrite(p *mal.Plan) (*mal.Plan, Stats, error) {
 	}
 	return &out, st, nil
 }
-
-// RequestedColumns lists the (schema, table, column) triples the
-// rewritten plan will request, in plan order. Drivers use this to know a
-// query's data needs up front.
-func RequestedColumns(p *mal.Plan) [][3]string {
-	var cols [][3]string
-	for _, in := range p.Instrs {
-		if in.Name() != "datacyclotron.request" && in.Name() != "sql.bind" {
-			continue
-		}
-		if len(in.Args) < 3 {
-			continue
-		}
-		var triple [3]string
-		ok := true
-		for i := 0; i < 3; i++ {
-			if !in.Args[i].IsLit() {
-				ok = false
-				break
-			}
-			s, isStr := in.Args[i].Lit.(string)
-			if !isStr {
-				ok = false
-				break
-			}
-			triple[i] = s
-		}
-		if ok {
-			cols = append(cols, triple)
-		}
-	}
-	return cols
-}

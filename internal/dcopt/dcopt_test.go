@@ -193,29 +193,6 @@ func (c bindCatalog) Bind(schema, table, column string) (mal.Value, error) {
 	return b, nil
 }
 
-func TestRequestedColumns(t *testing.T) {
-	p := compile(t, "select c.t_id from t, c where c.t_id = t.id")
-	dc, _, err := Rewrite(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := RequestedColumns(dc)
-	if len(cols) != 2 {
-		t.Fatalf("cols = %v", cols)
-	}
-	seen := map[string]bool{}
-	for _, c := range cols {
-		seen[c[1]+"."+c[2]] = true
-	}
-	if !seen["t.id"] || !seen["c.t_id"] {
-		t.Fatalf("missing columns: %v", cols)
-	}
-	// Works on unrewritten plans too (sql.bind form).
-	if got := RequestedColumns(p); len(got) != 2 {
-		t.Fatalf("bind-form cols = %v", got)
-	}
-}
-
 // TestRegionRewrite: a scan and the fetch it feeds collapse into one
 // datacyclotron.aligned instruction whose sub-plan holds the pins; no
 // whole-column pin is left in the outer plan.
@@ -483,7 +460,7 @@ func TestColumnReadWholeStaysOutside(t *testing.T) {
 
 func TestRewritePlanWithoutBinds(t *testing.T) {
 	b := mal.NewBuilder("nobind")
-	x := b.Emit("sql", "scalarResult", mal.L("v"), mal.L(int64(1)))
+	x := b.Emit("bat", "fromScalar", mal.L("v"), mal.L(int64(1)))
 	b.SetResult(x)
 	p := b.MustBuild()
 	dc, st, err := Rewrite(p)

@@ -42,7 +42,7 @@ func local(in mal.Instr, of func(mal.Arg) class) class {
 	}
 	a0 := of(in.Args[0])
 	switch in.Name() {
-	case "algebra.select", "algebra.selectEq", "algebra.selectNe", "algebra.uselect":
+	case "algebra.selectEq", "algebra.selectNe", "algebra.uselect":
 		// A scan of a column; the limits are constants. uselect's
 		// candidate form tests the column at a candidate list, whose
 		// OIDs are this fragment's own.
@@ -81,10 +81,10 @@ func local(in mal.Instr, of func(mal.Arg) class) class {
 		if len(in.Args) == 1 && a0 != none {
 			return cand
 		}
-	case "algebra.semijoin", "algebra.kdiff":
-		// Rows of the left whose head is (not) among the right's heads:
-		// both sides hold OIDs of this fragment only, so rows the other
-		// fragments contributed could neither match nor be matched.
+	case "algebra.semijoin":
+		// Rows of the left whose head is among the right's heads: both
+		// sides hold OIDs of this fragment only, so rows the other
+		// fragments contributed could not match.
 		if len(in.Args) == 2 && a0 != none && of(in.Args[1]) != none {
 			if a0 == cand {
 				return cand

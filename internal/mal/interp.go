@@ -26,8 +26,8 @@ type Call struct {
 	// Args are the evaluated operands, literals included.
 	Args []Value
 	res  []Value // the results, appended by Return
-	// lits are the instruction's literal ranges, decoded when its plan
-	// was bound (literalRanges); nil when it has none.
+	// lits are the instruction's ranges, decoded when its plan was bound
+	// (literalRanges); nil when it is no range select.
 	lits []bat.Term
 	// scratch is where a call places its columns into lits.
 	scratch []bat.Term
@@ -193,8 +193,9 @@ type binding struct {
 }
 
 // bind returns p's binding to reg, resolving every instruction's op
-// when p has none for reg as it stands. An unknown op fails the run
-// before any instruction executes.
+// and decoding its ranges when p has none for reg as it stands. An
+// unknown op, or a range select whose limits are not literals, fails
+// the run before any instruction executes.
 func (p *Plan) bind(reg *Registry) (*binding, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("mal: nil registry")
@@ -209,7 +210,11 @@ func (p *Plan) bind(reg *Registry) (*binding, error) {
 		if !ok {
 			return nil, fmt.Errorf("mal: unknown operation %s", in.Name())
 		}
-		b.fns[i], b.lits[i] = fn, literalRanges(in)
+		lits, err := literalRanges(in)
+		if err != nil {
+			return nil, fmt.Errorf("mal: instr %d (%s): %w", i, in.Name(), err)
+		}
+		b.fns[i], b.lits[i] = fn, lits
 		b.args, b.rets, b.terms = max(b.args, len(in.Args)), max(b.rets, len(in.Ret)), max(b.terms, len(b.lits[i]))
 	}
 	b.flow = newDataflow(p)

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bat"
@@ -135,9 +136,9 @@ func TestSelectAndAggrOps(t *testing.T) {
 	cat := memCatalog{"sys.l.qty": bat.MakeInts("qty", []int64{5, 10, 15, 20})}
 	b := NewBuilder("agg")
 	x := b.Emit("sql", "bind", L("sys"), L("l"), L("qty"))
-	sel := b.Emit("algebra", "select", V(x), L(int64(10)), L(int64(20)), L(true), L(false))
-	sum := b.Emit("aggr", "sum", V(sel))
-	res := b.Emit("sql", "scalarResult", L("sum_qty"), V(sum))
+	cand := b.Emit("algebra", "uselect", V(x), L(int64(10)), L(int64(20)), L(true), L(false))
+	sum := b.Emit("aggr", "sum", V(b.Emit("algebra", "join", V(cand), V(x))))
+	res := b.Emit("sql", "resultSet", L("sum_qty"), V(b.Emit("bat", "fromScalar", L("sum_qty"), V(sum))))
 	b.SetResult(res)
 	ctx := &Context{Registry: NewRegistry(), Catalog: cat}
 	v, err := Run(ctx, b.MustBuild())
@@ -158,9 +159,10 @@ func TestGroupOps(t *testing.T) {
 	b := NewBuilder("grp")
 	flag := b.Emit("sql", "bind", L("sys"), L("l"), L("flag"))
 	qty := b.Emit("sql", "bind", L("sys"), L("l"), L("qty"))
-	groups, reps := b.Emit2("group", "new", V(flag))
+	groups, reps := b.Emit2("group", "newpos", V(flag))
+	keys := b.Emit("algebra", "join", V(reps), V(flag))
 	sums := b.Emit("aggr", "groupedSum", V(groups), V(qty))
-	res := b.Emit("sql", "resultSet", L("flag"), V(reps), L("sum"), V(sums))
+	res := b.Emit("sql", "resultSet", L("flag"), V(keys), L("sum"), V(sums))
 	b.SetResult(res)
 	ctx := &Context{Registry: NewRegistry(), Catalog: cat}
 	v, err := Run(ctx, b.MustBuild())
@@ -330,8 +332,8 @@ func TestScalarResultKinds(t *testing.T) {
 	reg := NewRegistry()
 	for _, v := range []Value{int64(7), 3.14, "hi", nil} {
 		b := NewBuilder("s")
-		x := b.Emit("sql", "scalarResult", L("v"), L(v))
-		b.SetResult(x)
+		x := b.Emit("bat", "fromScalar", L("v"), L(v))
+		b.SetResult(b.Emit("sql", "resultSet", L("v"), V(x)))
 		ctx := &Context{Registry: reg}
 		out, err := Run(ctx, b.MustBuild())
 		if err != nil {
@@ -348,27 +350,48 @@ func TestScalarResultKinds(t *testing.T) {
 	}
 }
 
-func TestCalcOps(t *testing.T) {
-	cat := memCatalog{
-		"sys.l.price": bat.MakeFloats("price", []float64{100, 50}),
-		"sys.l.disc":  bat.MakeFloats("disc", []float64{0.5, 0.1}),
+// TestRangeLimitsMustBeLiterals: a range select whose limit or flag is
+// a variable fails its plan's bind, naming the instruction, before any
+// instruction runs.
+func TestRangeLimitsMustBeLiterals(t *testing.T) {
+	reg := NewRegistry()
+	var calls atomic.Int64
+	reg.Register("test", "tick", func(_ *Context, c *Call) error {
+		calls.Add(1)
+		return c.Return(bat.MakeInts("x", []int64{1, 2, 3}))
+	})
+	for _, c := range []struct {
+		op   string
+		emit func(b *Builder, col, v VarID)
+	}{
+		{"algebra.uselect", func(b *Builder, col, v VarID) {
+			b.Emit("algebra", "uselect", V(col), V(v), L(nil), L(true), L(false))
+		}},
+		{"algebra.uselect", func(b *Builder, col, v VarID) {
+			b.Emit("algebra", "uselect", V(col), V(col), L(int64(1)), L(nil), V(v), L(false))
+		}},
+		{"algebra.uselectall", func(b *Builder, col, v VarID) {
+			b.Emit("algebra", "uselectall", V(col), L(int64(1)), L(nil), L(true), L(false), V(col), L(nil), V(v), L(true), L(false))
+		}},
+		{"algebra.uselectmask", func(b *Builder, col, v VarID) {
+			b.Emit("algebra", "uselectmask", V(col), V(v), L(int64(3)), L(true), L(false))
+		}},
+		{"aggr.selectsum", func(b *Builder, col, v VarID) {
+			b.Emit2("aggr", "selectsum", V(col), V(col), L(int64(1)), V(v), L(true), L(false))
+		}},
+	} {
+		b := NewBuilder("vars")
+		col, v := b.Emit("test", "tick"), b.Emit("test", "tick")
+		c.emit(b, col, v)
+		for _, workers := range []int{1, 4} {
+			_, err := Run(&Context{Registry: reg, Workers: workers}, b.MustBuild())
+			if err == nil || !strings.Contains(err.Error(), "("+c.op+"): range") {
+				t.Errorf("%s with a variable limit, %d workers: err = %v, want the bind error", c.op, workers, err)
+			}
+		}
 	}
-	b := NewBuilder("calc")
-	p := b.Emit("sql", "bind", L("sys"), L("l"), L("price"))
-	d := b.Emit("sql", "bind", L("sys"), L("l"), L("disc"))
-	oneMinus := b.Emit("calc", "constMinus", L(1.0), V(d))
-	rev := b.Emit("calc", "mul", V(p), V(oneMinus))
-	sum := b.Emit("aggr", "sum", V(rev))
-	res := b.Emit("sql", "scalarResult", L("revenue"), V(sum))
-	b.SetResult(res)
-	ctx := &Context{Registry: NewRegistry(), Catalog: cat}
-	v, err := Run(ctx, b.MustBuild())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := v.(*ResultSet).Row(0)[0].(float64)
-	if got != 95 { // 100*0.5 + 50*0.9
-		t.Fatalf("revenue = %v, want 95", got)
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("%d instructions ran before the bind failed, want 0", n)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 
 // NewRegistry returns a registry preloaded with the standard operator
 // set: the binary relational algebra over BATs, grouping/aggregation,
-// scalar arithmetic, result construction, and the datacyclotron.*
-// instructions of §4.1. The caller owns it and may Register more.
+// result construction, and the datacyclotron.* instructions of §4.1.
+// The caller owns it and may Register more.
 func NewRegistry() *Registry {
 	r := &Registry{}
 	registerStandard(r)
@@ -132,9 +132,6 @@ func registerStandard(r *Registry) {
 	// --- algebra ---
 	r.Register("algebra", "join", binary(func(l, rg *bat.BAT) Value { return l.Join(rg) }))
 	r.Register("algebra", "semijoin", binary(func(l, rg *bat.BAT) Value { return l.Semijoin(rg) }))
-	r.Register("algebra", "kdiff", binary(func(l, rg *bat.BAT) Value { return l.Diff(rg) }))
-	r.Register("algebra", "kunion", binary(func(l, rg *bat.BAT) Value { return l.Union(rg) }))
-	r.Register("algebra", "kunique", unary(func(b *bat.BAT) Value { return b.UniqueT() }))
 	r.Register("algebra", "markT", func(ctx *Context, c *Call) error {
 		b, err := argBAT(c.Args, 0)
 		if err != nil {
@@ -157,37 +154,26 @@ func registerStandard(r *Registry) {
 		}
 		return c.Return(b.MarkH(base))
 	})
-	// algebra.select(b, lo, hi, loIncl, hiIncl); nil bound = open side.
-	r.Register("algebra", "select", func(ctx *Context, c *Call) error {
-		b, err := argBAT(c.Args, 0)
-		if err != nil {
-			return err
-		}
-		lo, hi := rangeArgs(c.Args[1:])
-		return c.Return(b.Select(lo, hi))
-	})
-	// algebra.uselect takes select's arguments and returns the
-	// candidate list [head|head] of the qualifying rows. With MonetDB's
-	// optional candidate argument — uselect(b, cand, lo, hi, loIncl,
-	// hiIncl) — only the rows of b whose head is in cand are tested.
+	// algebra.uselect(b, lo, hi, loIncl, hiIncl) returns the candidate
+	// list [head|head] of the rows of b whose tail lies in the range; a
+	// nil limit leaves that side open. With MonetDB's optional candidate
+	// argument — uselect(b, cand, lo, hi, loIncl, hiIncl) — only the
+	// rows of b whose head is in cand are tested. A range select's limits
+	// are literals, decoded when its plan is bound (literalRanges).
 	r.Register("algebra", "uselect", func(ctx *Context, c *Call) error {
 		b, err := argBAT(c.Args, 0)
 		if err != nil {
 			return err
 		}
-		switch len(c.Args) {
-		case 5:
-			lo, hi := c.bounds(1)
+		lo, hi := c.lits[0].Lo, c.lits[0].Hi
+		if len(c.Args) == 5 {
 			return c.Return(b.USelect(lo, hi))
-		case 6:
-			cand, err := argBAT(c.Args, 1)
-			if err != nil {
-				return err
-			}
-			lo, hi := c.bounds(2)
-			return c.Return(b.USelectCand(cand, lo, hi))
 		}
-		return fmt.Errorf("uselect: want 5 or 6 arguments, got %d", len(c.Args))
+		cand, err := argBAT(c.Args, 1)
+		if err != nil {
+			return err
+		}
+		return c.Return(b.USelectCand(cand, lo, hi))
 	})
 	// algebra.uselectall(b1, lo1, hi1, loIncl1, hiIncl1, b2, …) is a
 	// conjunction of ranges, five arguments per column: what
@@ -203,9 +189,6 @@ func registerStandard(r *Registry) {
 	} {
 		sel := sel
 		r.Register("algebra", op, func(ctx *Context, c *Call) error {
-			if len(c.Args) == 0 || len(c.Args)%5 != 0 {
-				return fmt.Errorf("want 5 arguments per column, got %d", len(c.Args))
-			}
 			terms, err := c.terms(0)
 			if err != nil {
 				return err
@@ -250,26 +233,8 @@ func registerStandard(r *Registry) {
 		}
 		return c.Return(b.Slice(from, to))
 	})
-	r.Register("algebra", "topN", func(ctx *Context, c *Call) error {
-		b, err := argBAT(c.Args, 0)
-		if err != nil {
-			return err
-		}
-		n := int(c.Args[1].(int64))
-		desc, _ := c.Args[2].(bool)
-		return c.Return(b.TopN(n, desc))
-	})
 
 	// --- group ---
-	r.Register("group", "new", func(ctx *Context, c *Call) error {
-		b, err := argBAT(c.Args, 0)
-		if err != nil {
-			return err
-		}
-		groups, reps := b.GroupIDs()
-		return c.Return(groups, reps)
-	})
-
 	r.Register("group", "newpos", func(ctx *Context, c *Call) error {
 		b, err := argBAT(c.Args, 0)
 		if err != nil {
@@ -318,9 +283,6 @@ func registerStandard(r *Registry) {
 	// aggr.sum(col, m) and aggr.count(m) return for
 	// m := algebra.uselectmask(b1, …) (bat.SelectSum).
 	r.Register("aggr", "selectsum", func(ctx *Context, c *Call) error {
-		if len(c.Args) < 6 || len(c.Args)%5 != 1 {
-			return fmt.Errorf("selectsum: want a column and 5 arguments per range, got %d", len(c.Args))
-		}
 		col, err := argBAT(c.Args, 0)
 		if err != nil {
 			return err
@@ -351,34 +313,10 @@ func registerStandard(r *Registry) {
 	r.Register("aggr", "groupedMin", binary(func(g, v *bat.BAT) Value { return bat.GroupedMin(g, v) }))
 	r.Register("aggr", "groupedMax", binary(func(g, v *bat.BAT) Value { return bat.GroupedMax(g, v) }))
 
-	// --- calc (positional arithmetic) ---
+	// --- calc ---
 	// calc.eqselect(a, b): rows of a whose tail equals b's tail at the
 	// same position; implements cyclic join predicates as filters.
 	r.Register("calc", "eqselect", binary(func(a, b *bat.BAT) Value { return a.EqRows(b) }))
-	r.Register("calc", "mul", binary(func(a, b *bat.BAT) Value { return bat.MulIF(a, b) }))
-	r.Register("calc", "add", binary(func(a, b *bat.BAT) Value { return bat.AddF(a, b) }))
-	r.Register("calc", "constMinus", func(ctx *Context, c *Call) error {
-		k, ok := c.Args[0].(float64)
-		if !ok {
-			return fmt.Errorf("constMinus: want float64, got %T", c.Args[0])
-		}
-		b, err := argBAT(c.Args, 1)
-		if err != nil {
-			return err
-		}
-		return c.Return(bat.ConstMinusF(k, b))
-	})
-	r.Register("calc", "constPlus", func(ctx *Context, c *Call) error {
-		k, ok := c.Args[0].(float64)
-		if !ok {
-			return fmt.Errorf("constPlus: want float64, got %T", c.Args[0])
-		}
-		b, err := argBAT(c.Args, 1)
-		if err != nil {
-			return err
-		}
-		return c.Return(bat.ConstPlusF(k, b))
-	})
 
 	// --- sql result construction ---
 	// sql.resultSet(name1, col1, name2, col2, ...) heads every column
@@ -412,31 +350,6 @@ func registerStandard(r *Registry) {
 		}
 		return c.Return(rs)
 	})
-	// sql.scalarResult(name, value) wraps a scalar into a 1-row result.
-	r.Register("sql", "scalarResult", func(ctx *Context, c *Call) error {
-		name, err := argStr(c.Args, 0)
-		if err != nil {
-			return err
-		}
-		if _, oid := c.Args[1].(bat.Oid); !oid {
-			if col, ok := bat.Scalar(name, c.Args[1]); ok {
-				return c.Return(&ResultSet{Names: []string{name}, Cols: []*bat.BAT{col}})
-			}
-		}
-		return fmt.Errorf("scalarResult: unsupported %T", c.Args[1])
-	})
-}
-
-// rangeArgs decodes the (lo, hi, loIncl, hiIncl) tail of a range
-// select's argument list; a nil limit leaves that side open.
-func rangeArgs(args []Value) (lo, hi *bat.Bound) {
-	if args[0] != nil {
-		lo = &bat.Bound{Value: args[0], Inclusive: args[2].(bool)}
-	}
-	if args[1] != nil {
-		hi = &bat.Bound{Value: args[1], Inclusive: args[3].(bool)}
-	}
-	return lo, hi
 }
 
 func unary(f func(*bat.BAT) Value) OpFunc {
@@ -463,72 +376,65 @@ func binary(f func(a, b *bat.BAT) Value) OpFunc {
 	}
 }
 
-// termArgs reads a conjunction's ranges from args[from:], five
-// arguments each: column, low, high, low inclusive, high inclusive.
-func termArgs(args []Value, from int) ([]bat.Term, error) {
-	terms := make([]bat.Term, (len(args)-from)/5)
-	for i := range terms {
-		at := from + 5*i
-		b, err := argBAT(args, at)
-		if err != nil {
-			return nil, err
-		}
-		lo, hi := rangeArgs(args[at+1:])
-		terms[i] = bat.Term{B: b, Lo: lo, Hi: hi}
-	}
-	return terms, nil
-}
-
-// literalRanges decodes the ranges of a range select whose bounds are
-// all literals — aggr.selectsum, algebra.uselectall, algebra.uselectmask
-// and algebra.uselect — once, when its plan is bound: the terms a call
-// places its columns into (Call.terms, Call.bounds), every bound shared
-// by every run of the plan. It is nil for any other instruction, and for
-// a range with a bound that is a variable or a flag that is not a bool
-// literal, which a call decodes as it runs.
-func literalRanges(in *Instr) []bat.Term {
+// literalRanges decodes the ranges of a range select — aggr.selectsum,
+// algebra.uselectall, algebra.uselectmask and algebra.uselect — once,
+// when its plan is bound: the terms a call places its columns into
+// (Call.terms), every bound shared by every run of the plan. It is nil
+// for any other instruction. Range limits are literals: the SQL
+// front-end writes them so, and the DcOptimizer outlines no other
+// select. A range select whose limits or flags are not literals, or
+// whose arguments do not come in ranges, fails the bind.
+func literalRanges(in *Instr) ([]bat.Term, error) {
 	var at []int // where each range's four operands start
 	switch n := len(in.Args); {
-	case in.Module == "aggr" && in.Op == "selectsum" && n >= 6 && n%5 == 1:
+	case in.Module == "aggr" && in.Op == "selectsum":
+		if n < 6 || n%5 != 1 {
+			return nil, fmt.Errorf("want a column and 5 arguments per range, got %d", n)
+		}
 		for i := 2; i < n; i += 5 {
 			at = append(at, i)
 		}
-	case in.Module == "algebra" && (in.Op == "uselectall" || in.Op == "uselectmask") && n > 0 && n%5 == 0:
+	case in.Module == "algebra" && (in.Op == "uselectall" || in.Op == "uselectmask"):
+		if n == 0 || n%5 != 0 {
+			return nil, fmt.Errorf("want 5 arguments per column, got %d", n)
+		}
 		for i := 1; i < n; i += 5 {
 			at = append(at, i)
 		}
-	case in.Module == "algebra" && in.Op == "uselect" && (n == 5 || n == 6):
+	case in.Module == "algebra" && in.Op == "uselect":
+		if n != 5 && n != 6 {
+			return nil, fmt.Errorf("want 5 or 6 arguments, got %d", n)
+		}
 		at = []int{n - 4}
 	default:
-		return nil
+		return nil, nil
 	}
 	terms := make([]bat.Term, len(at))
 	for i, from := range at {
 		r := in.Args[from : from+4]
 		for _, a := range r {
 			if !a.lit {
-				return nil
+				return nil, fmt.Errorf("range limit X%d is not a literal", a.Var)
 			}
 		}
-		if _, ok := r[2].Lit.(bool); !ok {
-			return nil
+		loIncl, ok := r[2].Lit.(bool)
+		hiIncl, ok2 := r[3].Lit.(bool)
+		if !ok || !ok2 {
+			return nil, fmt.Errorf("range flags %#v, %#v are not bools", r[2].Lit, r[3].Lit)
 		}
-		if _, ok := r[3].Lit.(bool); !ok {
-			return nil
+		if r[0].Lit != nil {
+			terms[i].Lo = &bat.Bound{Value: r[0].Lit, Inclusive: loIncl}
 		}
-		terms[i].Lo, terms[i].Hi = rangeArgs([]Value{r[0].Lit, r[1].Lit, r[2].Lit, r[3].Lit})
+		if r[1].Lit != nil {
+			terms[i].Hi = &bat.Bound{Value: r[1].Lit, Inclusive: hiIncl}
+		}
 	}
-	return terms
+	return terms, nil
 }
 
-// terms is the conjunction of ranges in c.Args[from:], five operands
-// each: column, low, high, low inclusive, high inclusive. With literal
-// ranges (literalRanges) it only places the columns, into the frame's
-// scratch terms; otherwise it decodes them (termArgs).
+// terms places the columns of a range select's conjunction — c.Args[from],
+// c.Args[from+5], … — into the frame's copy of its literal ranges.
 func (c *Call) terms(from int) ([]bat.Term, error) {
-	if c.lits == nil {
-		return termArgs(c.Args, from)
-	}
 	terms := c.scratch[:len(c.lits)]
 	copy(terms, c.lits)
 	for i := range terms {
@@ -539,14 +445,4 @@ func (c *Call) terms(from int) ([]bat.Term, error) {
 		terms[i].B = b
 	}
 	return terms, nil
-}
-
-// bounds is the range of a one-range select whose (lo, hi, loIncl,
-// hiIncl) start at c.Args[at]: decoded when the plan was bound, when its
-// operands are literals, else now (rangeArgs).
-func (c *Call) bounds(at int) (lo, hi *bat.Bound) {
-	if c.lits != nil {
-		return c.lits[0].Lo, c.lits[0].Hi
-	}
-	return rangeArgs(c.Args[at:])
 }
