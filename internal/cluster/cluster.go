@@ -231,7 +231,7 @@ func (c *Cluster) Submit(spec QuerySpec) {
 		if !c.ring.Active(int(spec.Node)) {
 			spec.Node = core.NodeID(c.nextActiveAfter(int(spec.Node)))
 		}
-		c.nodes[spec.Node].startQuery(spec)
+		c.nodes[spec.Node].startQuery(spec, nil)
 	})
 }
 
@@ -326,6 +326,7 @@ func (n *Node) HandleData(m netsim.Message) {
 		n.c.m.MaxCycles.SetMax(int(bm.BAT), bm.Cycles+1)
 	}
 	n.rt.OnBAT(bm)
+	n.drain()
 }
 
 // HandleRequest implements netsim.Handler for anti-clockwise requests.
@@ -337,30 +338,14 @@ func (n *Node) HandleRequest(m netsim.Message) {
 		return
 	}
 	n.rt.OnRequest(rm)
+	n.drain()
 }
 
 // nodeEnv adapts Node to core.Env. A separate type keeps the Env
 // methods out of Node's public API.
 type nodeEnv Node
 
-func (e *nodeEnv) node() *Node { return (*Node)(e) }
-
 func (e *nodeEnv) Now() time.Duration { return time.Duration(e.c.sim.Now()) }
-
-func (e *nodeEnv) SendData(m core.BATMsg) {
-	// Admitted hot-set data is never tail-dropped (§4.3).
-	e.c.ring.SendData(int(e.id), m, true)
-}
-
-func (e *nodeEnv) SendRequest(m core.RequestMsg) bool {
-	if m.Origin == e.id {
-		if _, ok := e.reqIssued[m.BAT]; !ok {
-			e.reqIssued[m.BAT] = e.c.sim.Now()
-		}
-		e.c.m.Requests.Inc(int(m.BAT), 1)
-	}
-	return e.c.ring.SendRequest(int(e.id), m)
-}
 
 func (e *nodeEnv) QueueLoad() (int, int) {
 	return e.c.ring.DataQueued(int(e.id)), e.c.ring.DataQueueCap(int(e.id))
@@ -371,46 +356,63 @@ type simTimer struct{ ev *sim.Event }
 func (t simTimer) Cancel() { t.ev.Cancel() }
 
 func (e *nodeEnv) After(d time.Duration, fn func()) core.TimerHandle {
-	return simTimer{ev: e.c.sim.Schedule(d, fn)}
+	n := (*Node)(e)
+	return simTimer{ev: e.c.sim.Schedule(d, func() {
+		fn()
+		n.drain()
+	})}
 }
 
-func (e *nodeEnv) Deliver(q core.QueryID, b core.BATID) {
-	n := e.node()
-	if at, ok := n.reqIssued[b]; ok {
-		lat := n.c.sim.Now().Sub(at).Seconds()
-		n.c.m.MaxReqLat.SetMax(int(b), lat)
-		delete(n.reqIssued, b)
-	}
-	n.c.m.Touches.Inc(int(b), 1)
-	// Decouple from the runtime call stack: queries advance as a fresh
-	// event so pin()-inside-deliver recursion cannot occur.
-	n.c.sim.Schedule(0, func() { n.onDeliver(q, b) })
-}
-
-func (e *nodeEnv) QueryError(q core.QueryID, b core.BATID, reason string) {
-	n := e.node()
-	if run := n.queries[q]; run != nil {
-		n.c.m.Errors++
-		n.finish(run, true)
+// drain applies the effects the runtime emitted, in emission order. It
+// runs right after every runtime call that can emit, so the simulated
+// links see each send at the virtual instant the runtime made it.
+func (n *Node) drain() {
+	var buf [8]core.Effect
+	for _, e := range n.rt.Effects(buf[:0]) {
+		n.apply(e)
 	}
 }
 
-func (e *nodeEnv) OnLoad(b core.BATID, size int) {
-	c := e.c
-	c.loadedBytes += size
-	c.loadedBATs++
-	c.m.Loads.Inc(int(b), 1)
-	if spec, ok := c.bats[b]; ok && spec.Tag != "" {
-		c.loadedByTag[spec.Tag] += size
-	}
-}
-
-func (e *nodeEnv) OnUnload(b core.BATID, size int) {
-	c := e.c
-	c.loadedBytes -= size
-	c.loadedBATs--
-	if spec, ok := c.bats[b]; ok && spec.Tag != "" {
-		c.loadedByTag[spec.Tag] -= size
+func (n *Node) apply(e core.Effect) {
+	c := n.c
+	switch e.Kind {
+	case core.SendData:
+		// Admitted hot-set data is never tail-dropped (§4.3).
+		c.ring.SendData(int(n.id), e.Data, true)
+	case core.SendRequest:
+		if e.Req.Origin == n.id {
+			if _, ok := n.reqIssued[e.Req.BAT]; !ok {
+				n.reqIssued[e.Req.BAT] = c.sim.Now()
+			}
+			c.m.Requests.Inc(int(e.Req.BAT), 1)
+		}
+		c.ring.SendRequest(int(n.id), e.Req)
+	case core.Deliver:
+		if at, ok := n.reqIssued[e.BAT]; ok {
+			c.m.MaxReqLat.SetMax(int(e.BAT), c.sim.Now().Sub(at).Seconds())
+			delete(n.reqIssued, e.BAT)
+		}
+		c.m.Touches.Inc(int(e.BAT), 1)
+		// Queries advance as a fresh event, so a pin() issued on delivery
+		// never runs inside another query's step.
+		c.sim.Schedule(0, func() { n.onDeliver(e.Query, e.BAT) })
+	case core.QueryError:
+		if run := n.queries[e.Query]; run != nil {
+			c.m.Errors++
+			n.finish(run, true)
+		}
+	case core.Loaded, core.Unloaded:
+		size, bats := e.Size, 1
+		if e.Kind == core.Unloaded {
+			size, bats = -size, -1
+		} else {
+			c.m.Loads.Inc(int(e.BAT), 1)
+		}
+		c.loadedBytes += size
+		c.loadedBATs += bats
+		if spec, ok := c.bats[e.BAT]; ok && spec.Tag != "" {
+			c.loadedByTag[spec.Tag] += size
+		}
 	}
 }
 
@@ -426,27 +428,21 @@ type queryRun struct {
 	parent  *parallelQuery
 }
 
-func (n *Node) startQuery(spec QuerySpec) {
-	run := &queryRun{spec: spec, start: n.c.sim.Now(), waiting: -1}
+// startQuery starts a query, or with a parent one part of a split
+// query (§6.1), whose completion is reported to the parent coordinator
+// instead of the global metrics.
+func (n *Node) startQuery(spec QuerySpec, parent *parallelQuery) {
+	run := &queryRun{spec: spec, start: n.c.sim.Now(), waiting: -1, parent: parent}
 	n.queries[spec.ID] = run
 	n.c.queriesActive++
-	n.c.m.Registered.Add(n.c.sim.Now().Seconds())
+	if parent == nil {
+		n.c.m.Registered.Add(n.c.sim.Now().Seconds())
+	}
 	// request() calls are injected at plan start and never block (§4.1).
 	for _, s := range spec.Steps {
 		n.rt.Request(spec.ID, s.BAT)
 	}
-	n.think(spec.InitialThink, func() { n.startStep(run) })
-}
-
-// startSubQuery starts one part of a split query (§6.1); completion is
-// reported to the parent coordinator instead of the global metrics.
-func (n *Node) startSubQuery(spec QuerySpec, parent *parallelQuery) {
-	run := &queryRun{spec: spec, start: n.c.sim.Now(), waiting: -1, parent: parent}
-	n.queries[spec.ID] = run
-	n.c.queriesActive++
-	for _, s := range spec.Steps {
-		n.rt.Request(spec.ID, s.BAT)
-	}
+	n.drain()
 	n.think(spec.InitialThink, func() { n.startStep(run) })
 }
 
@@ -489,6 +485,7 @@ func (n *Node) startStep(run *queryRun) {
 	s := run.spec.Steps[run.step]
 	run.waiting = s.BAT
 	n.rt.Pin(run.spec.ID, s.BAT)
+	n.drain()
 }
 
 func (n *Node) onDeliver(q core.QueryID, b core.BATID) {
@@ -514,12 +511,12 @@ func (n *Node) finish(run *queryRun, failed bool) {
 	}
 	delete(n.queries, run.spec.ID)
 	n.c.queriesActive--
+	var bats []core.BATID
+	for _, s := range run.spec.Steps {
+		bats = append(bats, s.BAT)
+	}
+	n.rt.CancelQuery(run.spec.ID, bats)
 	if run.parent != nil {
-		var bats []core.BATID
-		for _, s := range run.spec.Steps {
-			bats = append(bats, s.BAT)
-		}
-		n.rt.CancelQuery(run.spec.ID, bats)
 		run.parent.childDone(failed)
 		return
 	}
@@ -537,11 +534,6 @@ func (n *Node) finish(run *queryRun, failed bool) {
 			ev.Add(now.Seconds())
 		}
 	}
-	var bats []core.BATID
-	for _, s := range run.spec.Steps {
-		bats = append(bats, s.BAT)
-	}
-	n.rt.CancelQuery(run.spec.ID, bats)
 }
 
 // CPUUtilization reports the fraction of CPU capacity used across all

@@ -24,7 +24,7 @@ func (c *Cluster) SubmitNomadic(spec QuerySpec) {
 		if best := c.leastLoadedNodes(1); len(best) == 1 {
 			spec.Node = core.NodeID(best[0])
 		}
-		c.nodes[spec.Node].startQuery(spec)
+		c.nodes[spec.Node].startQuery(spec, nil)
 	})
 }
 
@@ -62,7 +62,7 @@ func (c *Cluster) SubmitParallel(spec QuerySpec, k int) {
 				Steps: steps,
 				Tag:   spec.Tag,
 			}
-			c.nodes[node].startSubQuery(sub, pq)
+			c.nodes[node].startQuery(sub, pq)
 		}
 	})
 }

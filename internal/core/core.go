@@ -1,11 +1,14 @@
 // Package core implements the Data Cyclotron runtime layer of §4: the
 // control center on every ring node. It is a pure event-driven state
-// machine — inputs are local DBMS calls (request/pin/unpin), messages
-// from the ring neighbours, and timers; outputs are actions on an Env
-// interface. This lets the exact same protocol code run on the
-// discrete-event simulator (package cluster) and on the live
-// goroutine-per-node ring (package live), mirroring how the paper
-// validates its protocols in NS-2 before targeting the RDMA cluster.
+// machine with no I/O of its own: inputs are local DBMS calls
+// (request/pin/unpin), messages from the ring neighbours, and timers;
+// outputs are Effect values — sends, deliveries, query errors, hot-set
+// notices — appended to one ordered outbox that the driver takes after
+// each input (Runtime.Effects) and carries out. Its Env only tells the
+// time, reports the local BAT queue and arms timers. The same protocol
+// code thus runs on the discrete-event simulator (package cluster) and
+// on the live ring (package live), mirroring how the paper validates
+// its protocols in NS-2 before targeting the RDMA cluster.
 //
 // The runtime maintains the three catalog structures of Figure 2:
 //
@@ -69,30 +72,51 @@ func (m BATMsg) WireSize() int { return m.Size + BATHeaderSize }
 // TimerHandle cancels a pending timer.
 type TimerHandle interface{ Cancel() }
 
-// Env is the driver surface the runtime acts through.
+// Env is what the runtime reads from its driver. It never writes
+// through it: everything the runtime does to the outside world is an
+// Effect.
 type Env interface {
 	// Now returns the current time (virtual or wall clock).
 	Now() time.Duration
-	// SendData forwards a BAT message clockwise to the successor.
-	SendData(BATMsg)
-	// SendRequest forwards a request anti-clockwise to the predecessor.
-	// It reports false when the message was dropped (DropTail), in
-	// which case the resend timeout will recover (§4.2.3).
-	SendRequest(RequestMsg) bool
 	// QueueLoad reports the local BAT queue occupancy and capacity in
-	// bytes; the LOIT adaptation is driven by this (§4.4).
+	// bytes, counting every SendData effect already applied; the LOIT
+	// adaptation is driven by this (§4.4).
 	QueueLoad() (used, capacity int)
-	// After schedules fn after d; the returned handle cancels it.
+	// After schedules fn after d; the returned handle cancels it. fn runs
+	// the runtime like an entry point does, so the driver applies the
+	// effects it emits when it returns.
 	After(d time.Duration, fn func()) TimerHandle
-	// Deliver hands BAT b to query q, unblocking its pin() call.
-	Deliver(q QueryID, b BATID)
-	// QueryError aborts query q: the requested BAT does not exist
-	// (first outcome of Request Propagation).
-	QueryError(q QueryID, b BATID, reason string)
-	// OnLoad and OnUnload observe hot-set membership changes of BATs
-	// owned by this node (for ring-load accounting and Figure 7/9).
-	OnLoad(b BATID, size int)
-	OnUnload(b BATID, size int)
+}
+
+// EffectKind names what an Effect asks the driver to do.
+type EffectKind uint8
+
+const (
+	// SendData forwards Effect.Data clockwise to the successor.
+	SendData EffectKind = iota + 1
+	// SendRequest forwards Effect.Req anti-clockwise to the predecessor.
+	// A message the link drops is recovered by the resend timeout
+	// (§4.2.3).
+	SendRequest
+	// Deliver hands Effect.BAT to Effect.Query, unblocking its pin().
+	Deliver
+	// QueryError aborts Effect.Query: Effect.BAT does not exist (first
+	// outcome of Request Propagation).
+	QueryError
+	// Loaded and Unloaded report an owned BAT of Effect.Size bytes
+	// entering or leaving the hot set (ring-load accounting, Figure 7/9).
+	Loaded
+	Unloaded
+)
+
+// Effect is one action of the runtime, for its driver to carry out.
+type Effect struct {
+	Kind  EffectKind
+	BAT   BATID      // Deliver, QueryError, Loaded, Unloaded
+	Query QueryID    // Deliver, QueryError
+	Size  int        // Loaded, Unloaded
+	Data  BATMsg     // SendData
+	Req   RequestMsg // SendRequest
 }
 
 // Config tunes the runtime.
@@ -203,11 +227,6 @@ func (r *request) allDelivered() bool {
 	return true
 }
 
-// cacheEntry tracks a locally cached BAT while local queries hold pins.
-type cacheEntry struct {
-	refs int
-}
-
 // Stats counts protocol events on one node.
 type Stats struct {
 	RequestsSent      uint64
@@ -237,11 +256,16 @@ type Runtime struct {
 	s2 map[BATID]*request
 	s3 map[BATID]map[QueryID]bool
 
-	cache       map[BATID]*cacheEntry
-	pendingFIFO []BATID // owned BATs awaiting ring admission, oldest first
+	cache       map[BATID]int // pins local queries hold on cached BATs
+	pendingFIFO []BATID       // owned BATs awaiting ring admission, oldest first
 
 	loitLevel int
-	loadTimer func() // cancels the loadAll ticker (set by Start)
+	loadTimer TimerHandle // the armed loadAll tick (Start)
+
+	// out is the outbox Effects drains; unsent is the wire size of its
+	// SendData effects, which the driver's queue does not count yet.
+	out    []Effect
+	unsent int
 
 	stats Stats
 }
@@ -262,13 +286,37 @@ func New(id NodeID, env Env, cfg Config) *Runtime {
 		s1:        make(map[BATID]*ownedBAT),
 		s2:        make(map[BATID]*request),
 		s3:        make(map[BATID]map[QueryID]bool),
-		cache:     make(map[BATID]*cacheEntry),
+		cache:     make(map[BATID]int),
 		loitLevel: cfg.StartLevel,
 	}
 }
 
 // ID reports the node id.
 func (rt *Runtime) ID() NodeID { return rt.id }
+
+// Effects appends the effects emitted since its last call to dst, in
+// emission order, and empties the outbox. A driver calls it after every
+// entry point and timer callback and applies what it returns in order.
+func (rt *Runtime) Effects(dst []Effect) []Effect {
+	dst = append(dst, rt.out...)
+	rt.out = rt.out[:0]
+	rt.unsent = 0
+	return dst
+}
+
+func (rt *Runtime) emit(e Effect) { rt.out = append(rt.out, e) }
+
+func (rt *Runtime) sendData(m BATMsg) {
+	rt.unsent += m.WireSize()
+	rt.emit(Effect{Kind: SendData, Data: m})
+}
+
+// queueLoad is Env.QueueLoad counting the data sends still in the
+// outbox as queued, as they are by the time any of them is applied.
+func (rt *Runtime) queueLoad() (used, capacity int) {
+	used, capacity = rt.env.QueueLoad()
+	return used + rt.unsent, capacity
+}
 
 // Stats returns a snapshot of the protocol counters.
 func (rt *Runtime) Stats() Stats { return rt.stats }
@@ -368,19 +416,16 @@ func (rt *Runtime) PromoteOwned(b BATID, size int, loi float64) {
 // serving pins until it returns here, where hot-set management drops
 // unloaded arrivals silently — at most one transient duplicate, never
 // a lost fragment. Parked BATs hold their envelope locally and keep it.
-func (rt *Runtime) SuspectOrbit() int {
-	n := 0
+func (rt *Runtime) SuspectOrbit() {
 	for _, o := range rt.s1 {
 		if o.loaded && !o.parked {
 			o.loaded = false
 			o.idleCycles = 0
-			n++
 			rt.stats.OrbitsSuspected++
-			rt.env.OnUnload(o.id, o.size)
+			rt.emit(Effect{Kind: Unloaded, BAT: o.id, Size: o.size})
 		}
 	}
 	rt.adaptLOIT()
-	return n
 }
 
 // RemoveOwned drops b from S1 (used by ownership handover in pulsating
@@ -407,27 +452,7 @@ func (rt *Runtime) OwnedBATs() []BATID {
 // Start arms the periodic loadAll function (§4.2.3).
 func (rt *Runtime) Start() {
 	if rt.cfg.LoadAllPeriod > 0 {
-		stop := rt.tick(rt.cfg.LoadAllPeriod)
-		rt.loadTimer = stop
-	}
-}
-
-// Stop cancels the loadAll ticker.
-func (rt *Runtime) Stop() {
-	if rt.loadTimer != nil {
-		rt.loadTimer()
-		rt.loadTimer = nil
-	}
-}
-
-func (rt *Runtime) tick(period time.Duration) (stop func()) {
-	stopped := false
-	var arm func()
-	arm = func() {
-		rt.env.After(period, func() {
-			if stopped {
-				return
-			}
+		rt.loadTimer = rt.env.After(rt.cfg.LoadAllPeriod, func() {
 			rt.LoadAll()
 			// Evaluate the watermark rule on every tick, not only on
 			// load/arrival events: an idle node whose queue load has
@@ -435,11 +460,17 @@ func (rt *Runtime) tick(period time.Duration) (stop func()) {
 			// (§5.2), otherwise it stays pinned at a high threshold until
 			// the next load happens to run the adaptation.
 			rt.adaptLOIT()
-			arm()
+			rt.Start()
 		})
 	}
-	arm()
-	return func() { stopped = true }
+}
+
+// Stop cancels the loadAll ticker.
+func (rt *Runtime) Stop() {
+	if rt.loadTimer != nil {
+		rt.loadTimer.Cancel()
+		rt.loadTimer = nil
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -456,7 +487,7 @@ func (rt *Runtime) Request(q QueryID, b BATID) {
 		}
 		// Local queries of the owner are served from local storage;
 		// track them so Pin can deliver immediately.
-		rq := rt.ensureRequest(b)
+		rq, _ := rt.ensureRequestNew(b)
 		rq.queries[q] = true
 		return
 	}
@@ -470,7 +501,7 @@ func (rt *Runtime) Request(q QueryID, b BATID) {
 // Pin blocks query q until BAT b is locally available; here it only
 // registers the blocked pin in S3 (or delivers immediately from the
 // local cache / owner storage). The driver implements the actual
-// blocking around Env.Deliver.
+// blocking around the Deliver effect.
 func (rt *Runtime) Pin(q QueryID, b BATID) {
 	if _, owned := rt.s1[b]; owned {
 		// Owner: retrieved from disk or local memory (§4.2.1).
@@ -478,10 +509,10 @@ func (rt *Runtime) Pin(q QueryID, b BATID) {
 		rt.finishRequestIfDone(b)
 		return
 	}
-	if e := rt.cache[b]; e != nil {
+	if rt.cache[b] > 0 {
 		// Local cache hit: a local query holds the BAT pinned (§4.2.1
 		// "the pin() request checks the local cache for availability").
-		e.refs++
+		rt.cache[b]++
 		rt.deliver(b, q)
 		rt.finishRequestIfDone(b)
 		return
@@ -507,11 +538,10 @@ func (rt *Runtime) Pin(q QueryID, b BATID) {
 	}
 }
 
-// Unpin releases query q's hold on BAT b.
+// Unpin releases query q's hold on BAT b. It emits no effect.
 func (rt *Runtime) Unpin(q QueryID, b BATID) {
-	if e := rt.cache[b]; e != nil {
-		e.refs--
-		if e.refs <= 0 {
+	if rt.cache[b] > 0 {
+		if rt.cache[b]--; rt.cache[b] == 0 {
 			delete(rt.cache, b)
 		}
 	}
@@ -524,7 +554,8 @@ func (rt *Runtime) Unpin(q QueryID, b BATID) {
 }
 
 // CancelQuery removes all of q's bookkeeping (used when a query is
-// aborted or migrates away during the nomadic phase).
+// aborted or migrates away during the nomadic phase). It emits no
+// effect.
 func (rt *Runtime) CancelQuery(q QueryID, bats []BATID) {
 	for _, b := range bats {
 		if rq := rt.s2[b]; rq != nil {
@@ -559,7 +590,7 @@ func (rt *Runtime) OnRequest(m RequestMsg) {
 		if rq := rt.s2[m.BAT]; rq != nil {
 			for q := range rq.queries {
 				if !rq.delivered[q] {
-					rt.env.QueryError(q, m.BAT, "BAT does not exist")
+					rt.emit(Effect{Kind: QueryError, BAT: m.BAT, Query: q})
 				}
 			}
 			rt.dropRequest(rq)
@@ -600,7 +631,7 @@ func (rt *Runtime) OnRequest(m RequestMsg) {
 	}
 	// Sixth outcome: forward.
 	rt.stats.RequestsForwarded++
-	rt.env.SendRequest(m)
+	rt.emit(Effect{Kind: SendRequest, Req: m})
 }
 
 // OnBAT handles a BAT arriving from the predecessor: Hot Data Set
@@ -626,7 +657,7 @@ func (rt *Runtime) batPropagation(m BATMsg) {
 		// the BAT, counting one copy (§4.2.3).
 		m.Copies++
 		for q := range pins {
-			rt.cacheRef(m.BAT)
+			rt.cache[m.BAT]++
 			rt.deliver(m.BAT, q)
 		}
 		delete(rt.s3, m.BAT)
@@ -640,7 +671,7 @@ func (rt *Runtime) batPropagation(m BATMsg) {
 	}
 	rt.finishRequestIfDone(m.BAT)
 	rt.stats.BATsForwarded++
-	rt.env.SendData(m)
+	rt.sendData(m)
 	rt.adaptLOIT()
 }
 
@@ -699,13 +730,13 @@ func (rt *Runtime) hotSetManagement(m BATMsg) {
 		o.loaded = false
 		o.idleCycles = 0
 		rt.stats.BATsUnloaded++
-		rt.env.OnUnload(m.BAT, o.size)
+		rt.emit(Effect{Kind: Unloaded, BAT: m.BAT, Size: o.size})
 		rt.adaptLOIT()
 		return
 	}
 	m.LOI = newLOI
 	rt.stats.BATsForwarded++
-	rt.env.SendData(m)
+	rt.sendData(m)
 	rt.adaptLOIT()
 }
 
@@ -716,7 +747,7 @@ func (rt *Runtime) unpark(o *ownedBAT) {
 	o.idleCycles = 0
 	rt.stats.BATsUnparked++
 	rt.stats.BATsForwarded++
-	rt.env.SendData(o.parkedMsg)
+	rt.sendData(o.parkedMsg)
 }
 
 // ParkedBATs reports how many owned BATs are currently parked by the
@@ -741,7 +772,7 @@ func (rt *Runtime) tryLoad(o *ownedBAT) {
 	if o.loaded {
 		return
 	}
-	used, capacity := rt.env.QueueLoad()
+	used, capacity := rt.queueLoad()
 	if capacity > 0 && used+o.size+BATHeaderSize > capacity {
 		if !o.pending {
 			o.pending = true
@@ -758,27 +789,21 @@ func (rt *Runtime) tryLoad(o *ownedBAT) {
 func (rt *Runtime) load(o *ownedBAT) {
 	o.loaded = true
 	rt.unpend(o.id)
-	rt.stats.BATsLoaded++
-	rt.env.OnLoad(o.id, o.size)
-	rt.env.SendData(BATMsg{
-		Owner: rt.id,
-		BAT:   o.id,
-		Size:  o.size,
-		LOI:   rt.admitLOI(o),
-	})
+	rt.admit(o)
 	rt.adaptLOIT()
 }
 
-// admitLOI is the level of interest a BAT enters the ring with:
-// normally Config.InitialLOI, but a promoted replica's first admission
-// consumes the interest it accumulated before its owner died.
-func (rt *Runtime) admitLOI(o *ownedBAT) float64 {
+// admit puts o's BAT into circulation. It enters with Config.InitialLOI,
+// but a promoted replica's first admission consumes the interest it
+// accumulated before its owner died.
+func (rt *Runtime) admit(o *ownedBAT) {
+	loi := rt.cfg.InitialLOI
 	if o.initLOI != 0 {
-		loi := o.initLOI
-		o.initLOI = 0
-		return loi
+		loi, o.initLOI = o.initLOI, 0
 	}
-	return rt.cfg.InitialLOI
+	rt.stats.BATsLoaded++
+	rt.emit(Effect{Kind: Loaded, BAT: o.id, Size: o.size})
+	rt.sendData(BATMsg{Owner: rt.id, BAT: o.id, Size: o.size, LOI: loi})
 }
 
 func (rt *Runtime) unpend(b BATID) {
@@ -800,7 +825,7 @@ func (rt *Runtime) LoadAll() {
 	if len(rt.pendingFIFO) == 0 {
 		return
 	}
-	used, capacity := rt.env.QueueLoad()
+	used, capacity := rt.queueLoad()
 	free := capacity - used
 	if capacity == 0 {
 		free = 1 << 62 // unbounded queue
@@ -816,9 +841,7 @@ func (rt *Runtime) LoadAll() {
 			free -= need
 			o.pending = false
 			o.loaded = true
-			rt.stats.BATsLoaded++
-			rt.env.OnLoad(o.id, o.size)
-			rt.env.SendData(BATMsg{Owner: rt.id, BAT: o.id, Size: o.size, LOI: rt.admitLOI(o)})
+			rt.admit(o)
 		} else {
 			remaining = append(remaining, id)
 		}
@@ -834,7 +857,7 @@ func (rt *Runtime) adaptLOIT() {
 	if !rt.cfg.AdaptiveLOIT {
 		return
 	}
-	used, capacity := rt.env.QueueLoad()
+	used, capacity := rt.queueLoad()
 	if capacity <= 0 {
 		return
 	}
@@ -853,11 +876,6 @@ func (rt *Runtime) adaptLOIT() {
 // request plumbing
 // ---------------------------------------------------------------------
 
-func (rt *Runtime) ensureRequest(b BATID) *request {
-	rq, _ := rt.ensureRequestNew(b)
-	return rq
-}
-
 func (rt *Runtime) ensureRequestNew(b BATID) (*request, bool) {
 	if rq := rt.s2[b]; rq != nil {
 		return rq, false
@@ -874,7 +892,7 @@ func (rt *Runtime) ensureRequestNew(b BATID) (*request, bool) {
 func (rt *Runtime) sendRequest(rq *request) {
 	rq.sent = true
 	rt.stats.RequestsSent++
-	rt.env.SendRequest(RequestMsg{Origin: rt.id, BAT: rq.bat})
+	rt.emit(Effect{Kind: SendRequest, Req: RequestMsg{Origin: rt.id, BAT: rq.bat}})
 	rt.armResend(rq)
 }
 
@@ -895,7 +913,7 @@ func (rt *Runtime) armResend(rq *request) {
 		}
 		rt.stats.Resends++
 		rt.stats.RequestsSent++
-		rt.env.SendRequest(RequestMsg{Origin: rt.id, BAT: b})
+		rt.emit(Effect{Kind: SendRequest, Req: RequestMsg{Origin: rt.id, BAT: b}})
 		rt.armResend(cur)
 	})
 }
@@ -913,7 +931,7 @@ func (rt *Runtime) deliver(b BATID, q QueryID) {
 		rq.delivered[q] = true
 	}
 	rt.stats.Deliveries++
-	rt.env.Deliver(q, b)
+	rt.emit(Effect{Kind: Deliver, BAT: b, Query: q})
 }
 
 // finishRequestIfDone unregisters the request once every associated
@@ -928,19 +946,9 @@ func (rt *Runtime) finishRequestIfDone(b BATID) {
 	}
 }
 
-// cacheRef notes a locally cached copy while pins are held.
-func (rt *Runtime) cacheRef(b BATID) {
-	e := rt.cache[b]
-	if e == nil {
-		e = &cacheEntry{}
-		rt.cache[b] = e
-	}
-	e.refs++
-}
-
 // String summarizes the node state for debugging.
 func (rt *Runtime) String() string {
-	used, capacity := rt.env.QueueLoad()
+	used, capacity := rt.queueLoad()
 	return fmt.Sprintf("node %d: owned=%d outstanding=%d pins=%d pending=%d loit=%.1f queue=%d/%d",
 		rt.id, len(rt.s1), len(rt.s2), len(rt.s3), len(rt.pendingFIFO), rt.LOIT(), used, capacity)
 }

@@ -1,29 +1,31 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
 
-// mockEnv is a scriptable Env recording all runtime actions.
+// mockEnv is a scriptable Env whose runtime's effects it records: the
+// outbox in order (effects), and per kind.
 type mockEnv struct {
 	now       time.Duration
-	sentData  []BATMsg
-	sentReqs  []RequestMsg
-	dropReqs  bool // simulate request loss
 	queueUsed int
 	queueCap  int
-	delivered []struct {
-		Q QueryID
-		B BATID
-	}
-	errors []struct {
-		Q QueryID
-		B BATID
-	}
-	loads   []BATID
-	unloads []BATID
-	timers  []*mockTimer
+	effects   []Effect
+	sentData  []BATMsg
+	sentReqs  []RequestMsg
+	delivered []delivery
+	errors    []delivery
+	loads     []BATID
+	unloads   []BATID
+	timers    []*mockTimer
+	drain     func() // applies the runtime's effects after a timer fires
+}
+
+type delivery struct {
+	Q QueryID
+	B BATID
 }
 
 type mockTimer struct {
@@ -34,35 +36,62 @@ type mockTimer struct {
 
 func (t *mockTimer) Cancel() { t.cancelled = true }
 
-func (e *mockEnv) Now() time.Duration { return e.now }
-func (e *mockEnv) SendData(m BATMsg)  { e.sentData = append(e.sentData, m) }
-func (e *mockEnv) SendRequest(m RequestMsg) bool {
-	if e.dropReqs {
-		return false
-	}
-	e.sentReqs = append(e.sentReqs, m)
-	return true
-}
+func (e *mockEnv) Now() time.Duration    { return e.now }
 func (e *mockEnv) QueueLoad() (int, int) { return e.queueUsed, e.queueCap }
 func (e *mockEnv) After(d time.Duration, fn func()) TimerHandle {
 	t := &mockTimer{at: e.now + d, fn: fn}
 	e.timers = append(e.timers, t)
 	return t
 }
-func (e *mockEnv) Deliver(q QueryID, b BATID) {
-	e.delivered = append(e.delivered, struct {
-		Q QueryID
-		B BATID
-	}{q, b})
+
+func (e *mockEnv) record(ef Effect) {
+	e.effects = append(e.effects, ef)
+	switch ef.Kind {
+	case SendData:
+		e.sentData = append(e.sentData, ef.Data)
+	case SendRequest:
+		e.sentReqs = append(e.sentReqs, ef.Req)
+	case Deliver:
+		e.delivered = append(e.delivered, delivery{ef.Query, ef.BAT})
+	case QueryError:
+		e.errors = append(e.errors, delivery{ef.Query, ef.BAT})
+	case Loaded:
+		e.loads = append(e.loads, ef.BAT)
+	case Unloaded:
+		e.unloads = append(e.unloads, ef.BAT)
+	}
 }
-func (e *mockEnv) QueryError(q QueryID, b BATID, reason string) {
-	e.errors = append(e.errors, struct {
-		Q QueryID
-		B BATID
-	}{q, b})
+
+// runtime builds node id's runtime with its effects recorded in e.
+func (e *mockEnv) runtime(id NodeID, cfg Config) *driven {
+	d := &driven{Runtime: New(id, e, cfg), apply: e.record}
+	e.drain = d.drain
+	return d
 }
-func (e *mockEnv) OnLoad(b BATID, size int)   { e.loads = append(e.loads, b) }
-func (e *mockEnv) OnUnload(b BATID, size int) { e.unloads = append(e.unloads, b) }
+
+// driven is a Runtime whose entry points apply their effects before
+// they return, in emission order, as the cluster driver does.
+type driven struct {
+	*Runtime
+	apply func(Effect)
+}
+
+func (d *driven) drain() {
+	for _, e := range d.Effects(nil) {
+		d.apply(e)
+	}
+}
+
+func (d *driven) Request(q QueryID, b BATID) { d.Runtime.Request(q, b); d.drain() }
+func (d *driven) Pin(q QueryID, b BATID)     { d.Runtime.Pin(q, b); d.drain() }
+func (d *driven) Unpin(q QueryID, b BATID)   { d.Runtime.Unpin(q, b); d.drain() }
+func (d *driven) OnRequest(m RequestMsg)     { d.Runtime.OnRequest(m); d.drain() }
+func (d *driven) OnBAT(m BATMsg)             { d.Runtime.OnBAT(m); d.drain() }
+func (d *driven) LoadAll()                   { d.Runtime.LoadAll(); d.drain() }
+func (d *driven) CancelQuery(q QueryID, bats []BATID) {
+	d.Runtime.CancelQuery(q, bats)
+	d.drain()
+}
 
 // fire runs all due timers up to t.
 func (e *mockEnv) fire(t time.Duration) {
@@ -74,6 +103,7 @@ func (e *mockEnv) fire(t time.Duration) {
 				fn := tm.fn
 				tm.fn = nil
 				fn()
+				e.drain()
 				fired = true
 			}
 		}
@@ -83,8 +113,8 @@ func (e *mockEnv) fire(t time.Duration) {
 	}
 }
 
-func newTestRT(env *mockEnv, cfg Config) *Runtime {
-	return New(3, env, cfg)
+func newTestRT(env *mockEnv, cfg Config) *driven {
+	return env.runtime(3, cfg)
 }
 
 func staticCfg(loit float64) Config {
@@ -546,7 +576,7 @@ func TestStatsAndString(t *testing.T) {
 
 func TestHasRequestAndParked(t *testing.T) {
 	env := &mockEnv{queueCap: 1000}
-	rt := New(0, env, DefaultConfig())
+	rt := env.runtime(0, DefaultConfig())
 	rt.AddOwned(1, 100)
 	if rt.HasRequest(2) {
 		t.Fatal("no request registered yet")
@@ -564,5 +594,141 @@ func TestHasRequestAndParked(t *testing.T) {
 	}
 	if rt.Parked(99) {
 		t.Fatal("unowned BAT is not parked")
+	}
+}
+
+// TestEffectSequences holds each path of Request Propagation (Fig. 3),
+// BAT Propagation (Fig. 4) and Hot Data Set Management (Fig. 5) to the
+// exact, ordered effects it emits.
+func TestEffectSequences(t *testing.T) {
+	data := func(m BATMsg) Effect { return Effect{Kind: SendData, Data: m} }
+	req := func(origin NodeID, b BATID) Effect {
+		return Effect{Kind: SendRequest, Req: RequestMsg{Origin: origin, BAT: b}}
+	}
+	load := Effect{Kind: Loaded, BAT: 7, Size: 100}
+	admitted := data(BATMsg{Owner: 3, BAT: 7, Size: 100})
+	for _, tc := range []struct {
+		name  string
+		park  int
+		queue int // bytes already queued, of 1000
+		setup func(rt *driven)
+		call  func(rt *driven)
+		want  []Effect
+	}{
+		{
+			name:  "fig3 returned to origin",
+			setup: func(rt *driven) { rt.Request(1, 42); rt.Pin(1, 42) },
+			call:  func(rt *driven) { rt.OnRequest(RequestMsg{Origin: 3, BAT: 42}) },
+			want:  []Effect{{Kind: QueryError, BAT: 42, Query: 1}},
+		},
+		{
+			name:  "fig3 owner, already loaded",
+			setup: func(rt *driven) { rt.AddOwned(7, 100); rt.OnRequest(RequestMsg{Origin: 9, BAT: 7}) },
+			call:  func(rt *driven) { rt.OnRequest(RequestMsg{Origin: 8, BAT: 7}) },
+			want:  nil,
+		},
+		{
+			name:  "fig3 owner loads",
+			setup: func(rt *driven) { rt.AddOwned(7, 100) },
+			call:  func(rt *driven) { rt.OnRequest(RequestMsg{Origin: 9, BAT: 7}) },
+			want:  []Effect{load, admitted},
+		},
+		{
+			name:  "fig3 owner postpones on a full queue",
+			queue: 900,
+			setup: func(rt *driven) { rt.AddOwned(7, 100) },
+			call:  func(rt *driven) { rt.OnRequest(RequestMsg{Origin: 9, BAT: 7}) },
+			want:  nil,
+		},
+		{
+			name:  "fig3 absorbed",
+			setup: func(rt *driven) { rt.Request(1, 42) },
+			call:  func(rt *driven) { rt.OnRequest(RequestMsg{Origin: 9, BAT: 42}) },
+			want:  nil,
+		},
+		{
+			name: "fig3 forwarded",
+			call: func(rt *driven) { rt.OnRequest(RequestMsg{Origin: 9, BAT: 42}) },
+			want: []Effect{req(9, 42)},
+		},
+		{
+			name:  "fig4 delivers then forwards",
+			setup: func(rt *driven) { rt.Request(1, 42); rt.Pin(1, 42) },
+			call:  func(rt *driven) { rt.OnBAT(BATMsg{Owner: 0, BAT: 42, Size: 10, Hops: 1}) },
+			want: []Effect{
+				{Kind: Deliver, BAT: 42, Query: 1},
+				data(BATMsg{Owner: 0, BAT: 42, Size: 10, Copies: 1, Hops: 2}),
+			},
+		},
+		{
+			name:  "fig5 forwards a used BAT",
+			setup: func(rt *driven) { rt.AddOwned(7, 100); rt.Request(1, 7) },
+			call:  func(rt *driven) { rt.OnBAT(BATMsg{Owner: 3, BAT: 7, Size: 100, Copies: 1, Hops: 2}) },
+			want:  []Effect{data(BATMsg{Owner: 3, BAT: 7, Size: 100, LOI: 0.5, Cycles: 1})},
+		},
+		{
+			name:  "fig5 parks an idle BAT",
+			park:  1,
+			setup: func(rt *driven) { rt.AddOwned(7, 100); rt.Request(1, 7) },
+			call:  func(rt *driven) { rt.OnBAT(BATMsg{Owner: 3, BAT: 7, Size: 100, Hops: 2}) },
+			want:  nil,
+		},
+		{
+			name:  "fig5 unloads below the threshold",
+			setup: func(rt *driven) { rt.AddOwned(7, 100); rt.Request(1, 7) },
+			call:  func(rt *driven) { rt.OnBAT(BATMsg{Owner: 3, BAT: 7, Size: 100, Hops: 2}) },
+			want:  []Effect{{Kind: Unloaded, BAT: 7, Size: 100}},
+		},
+		{
+			name: "fig5 unparks on interest",
+			park: 1,
+			setup: func(rt *driven) {
+				rt.AddOwned(7, 100)
+				rt.Request(1, 7)
+				rt.OnBAT(BATMsg{Owner: 3, BAT: 7, Size: 100, Hops: 2})
+			},
+			call: func(rt *driven) { rt.OnRequest(RequestMsg{Origin: 9, BAT: 7}) },
+			want: []Effect{data(BATMsg{Owner: 3, BAT: 7, Size: 100, Cycles: 1})},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := staticCfg(0.25)
+			cfg.ParkIdleCycles = tc.park
+			env := &mockEnv{queueUsed: tc.queue, queueCap: 1000}
+			rt := newTestRT(env, cfg)
+			if tc.setup != nil {
+				tc.setup(rt)
+			}
+			env.effects = nil
+			tc.call(rt)
+			if !reflect.DeepEqual(env.effects, tc.want) {
+				t.Fatalf("effects:\n got %+v\nwant %+v", env.effects, tc.want)
+			}
+		})
+	}
+}
+
+// TestUndrainedSendsCountAsQueued: the runtime reads the driver's queue
+// before the driver has applied the sends of the call in progress, so
+// it counts them itself. An owner with 700 of 1000 bytes queued that
+// admits a 200-byte BAT has 964 queued once that send is applied, past
+// the 0.8 high watermark: its LOIT steps up in that same call, exactly
+// as under a driver that queued each send the moment it was made.
+func TestUndrainedSendsCountAsQueued(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ResendTimeout, cfg.LoadAllPeriod = 0, 0
+	env := &mockEnv{queueUsed: 700, queueCap: 1000}
+	rt := newTestRT(env, cfg)
+	rt.AddOwned(7, 200)
+	rt.Runtime.Request(1, 7)
+	if rt.LOITLevel() != 1 {
+		t.Fatalf("LOIT level = %d after admitting at the high watermark, want 1", rt.LOITLevel())
+	}
+	if effs := rt.Effects(nil); len(effs) != 2 || effs[1].Kind != SendData {
+		t.Fatalf("effects = %+v, want Loaded then SendData", effs)
+	}
+	// Taken, the send is the driver's to count.
+	if used, _ := rt.queueLoad(); used != 700 {
+		t.Fatalf("queue load after Effects = %d, want the driver's 700", used)
 	}
 }

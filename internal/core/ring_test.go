@@ -12,7 +12,7 @@ import (
 // protocol state machines in isolation.
 type miniRing struct {
 	t     *testing.T
-	nodes []*Runtime
+	nodes []*driven
 	envs  []*miniEnv
 	queue []func() // pending message handoffs, FIFO
 }
@@ -27,21 +27,7 @@ type miniEnv struct {
 	queueUsed int
 }
 
-func (e *miniEnv) Now() time.Duration { return e.now }
-
-func (e *miniEnv) SendData(m BATMsg) {
-	r := e.ring
-	next := (e.idx + 1) % len(r.nodes)
-	r.queue = append(r.queue, func() { r.nodes[next].OnBAT(m) })
-}
-
-func (e *miniEnv) SendRequest(m RequestMsg) bool {
-	r := e.ring
-	prev := (e.idx - 1 + len(r.nodes)) % len(r.nodes)
-	r.queue = append(r.queue, func() { r.nodes[prev].OnRequest(m) })
-	return true
-}
-
+func (e *miniEnv) Now() time.Duration    { return e.now }
 func (e *miniEnv) QueueLoad() (int, int) { return e.queueUsed, e.queueCap }
 
 type noTimer struct{}
@@ -50,20 +36,29 @@ func (noTimer) Cancel() {}
 
 func (e *miniEnv) After(d time.Duration, fn func()) TimerHandle { return noTimer{} }
 
-func (e *miniEnv) Deliver(q QueryID, b BATID) {
-	e.delivered[q] = append(e.delivered[q], b)
+// apply queues a send as the neighbour's handoff and records the rest.
+func (e *miniEnv) apply(ef Effect) {
+	r := e.ring
+	switch ef.Kind {
+	case SendData:
+		next := r.nodes[(e.idx+1)%len(r.nodes)]
+		r.queue = append(r.queue, func() { next.OnBAT(ef.Data) })
+	case SendRequest:
+		prev := r.nodes[(e.idx-1+len(r.nodes))%len(r.nodes)]
+		r.queue = append(r.queue, func() { prev.OnRequest(ef.Req) })
+	case Deliver:
+		e.delivered[ef.Query] = append(e.delivered[ef.Query], ef.BAT)
+	case QueryError:
+		e.errors++
+	}
 }
-
-func (e *miniEnv) QueryError(q QueryID, b BATID, reason string) { e.errors++ }
-func (e *miniEnv) OnLoad(b BATID, size int)                     {}
-func (e *miniEnv) OnUnload(b BATID, size int)                   {}
 
 func newMiniRing(t *testing.T, n int, cfg Config) *miniRing {
 	r := &miniRing{t: t}
 	for i := 0; i < n; i++ {
 		env := &miniEnv{ring: r, idx: i, delivered: map[QueryID][]BATID{}, queueCap: 1 << 30}
 		r.envs = append(r.envs, env)
-		r.nodes = append(r.nodes, New(NodeID(i), env, cfg))
+		r.nodes = append(r.nodes, &driven{Runtime: New(NodeID(i), env, cfg), apply: env.apply})
 	}
 	return r
 }
@@ -203,7 +198,7 @@ func TestPropertyLOIAgeDecay(t *testing.T) {
 		L := float64(rawL%50) / 10.0 // 0..4.9
 		T := 0.1 + float64(rawT%20)/10.0
 		env := &mockEnv{queueCap: 1 << 30}
-		rt := New(1, env, staticCfg(T))
+		rt := env.runtime(1, staticCfg(T))
 		rt.AddOwned(7, 100)
 		rt.Request(99, 7) // load it
 		if len(env.sentData) != 1 {
@@ -289,7 +284,7 @@ func TestPropertyLoadUnloadConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 50; trial++ {
 		env := &mockEnv{queueCap: 1 << 20}
-		rt := New(1, env, staticCfg(0.5))
+		rt := env.runtime(1, staticCfg(0.5))
 		const nBats = 10
 		for b := 0; b < nBats; b++ {
 			rt.AddOwned(BATID(b), 1000+rng.Intn(5000))

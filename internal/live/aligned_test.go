@@ -513,7 +513,7 @@ func TestQueryErrorStopsComputingInterpreter(t *testing.T) {
 			n.mu.Lock()
 			if caught = partInUnpin(); caught {
 				for q := range n.errs {
-					(*liveEnv)(n).QueryError(q, 0, reason)
+					n.failQueryLocked(q, 0, reason)
 				}
 				deliveries = n.rt.Stats().Deliveries
 			}

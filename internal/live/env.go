@@ -17,7 +17,7 @@ import (
 func (n *Node) dataLoop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for {
-		in := n.linkDataIn()
+		in := n.link(&n.dataIn)
 		atomic.StoreInt32(&n.recvParked, 1)
 		data, err := in.Recv()
 		if err != nil {
@@ -143,6 +143,7 @@ func (n *Node) handleData(hdr core.BATMsg, ver int, rawPayload []byte, s *slab) 
 		n.transit[hdr.BAT] = f
 	}
 	n.rt.OnBAT(hdr)
+	n.applyLocked()
 	delete(n.transit, hdr.BAT)
 	n.mu.Unlock()
 }
@@ -150,7 +151,7 @@ func (n *Node) handleData(hdr core.BATMsg, ver int, rawPayload []byte, s *slab) 
 func (n *Node) reqLoop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for {
-		in := n.linkReqIn()
+		in := n.link(&n.reqIn)
 		data, err := in.Recv()
 		if err != nil {
 			if !n.awaitLink(&n.reqIn, in) {
@@ -180,25 +181,93 @@ func (n *Node) reqLoop(wg *sync.WaitGroup) {
 		}
 		n.mu.Lock()
 		n.rt.OnRequest(req)
+		n.applyLocked()
 		n.mu.Unlock()
 	}
 }
 
+// sendLoop is the node's request sender: it writes the requests the
+// runtime emits to the predecessor, in emission order, off n.mu.
+func (n *Node) sendLoop(wg *sync.WaitGroup) {
+	defer wg.Done()
+	for {
+		select {
+		case <-n.closed:
+			return
+		case <-n.reqs.wake:
+		}
+		for _, m := range n.reqs.take(nil) {
+			n.link(&n.reqOut).SendEncoded(reqMsgSize, func(dst []byte) int {
+				encodeReqMsg(dst, m)
+				return reqMsgSize
+			})
+		}
+	}
+}
+
 // ---------------------------------------------------------------------
-// core.Env implementation
+// core.Env implementation and effects
 // ---------------------------------------------------------------------
 
 type liveEnv Node
 
-func (e *liveEnv) node() *Node { return (*Node)(e) }
-
 func (e *liveEnv) Now() time.Duration { return time.Since(e.start) }
 
-// SendData forwards a BAT (with payload) to the successor. Called with
-// n.mu held; the actual network send happens asynchronously so the
-// runtime never blocks on the wire.
-func (e *liveEnv) SendData(m core.BATMsg) {
-	n := e.node()
+func (e *liveEnv) QueueLoad() (int, int) {
+	return int(atomic.LoadInt64(&e.outBytes)), e.cfg.QueueCap
+}
+
+type liveTimer struct{ t *time.Timer }
+
+func (t liveTimer) Cancel() { t.t.Stop() }
+
+func (e *liveEnv) After(d time.Duration, fn func()) core.TimerHandle {
+	n := (*Node)(e)
+	return liveTimer{t: time.AfterFunc(d, func() {
+		select {
+		case <-n.closed:
+			return
+		default:
+		}
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		fn()
+		n.applyLocked()
+	})}
+}
+
+// applyLocked carries out the effects the runtime emitted, in order.
+// Called with n.mu held, after every runtime call that can emit and
+// before the lock is released: a delivery reads n.transit, which holds
+// an arrival only during its OnBAT, and an owner's pin finds its
+// delivery in the waiter's channel on return (acquireNow). Nothing here
+// writes to a socket: sends queue for the hop scheduler and the request
+// sender. The one runtime call it makes, deliverLocked's Unpin, emits
+// nothing.
+func (n *Node) applyLocked() {
+	var buf [8]core.Effect
+	for _, e := range n.rt.Effects(buf[:0]) {
+		switch e.Kind {
+		case core.SendData:
+			n.forwardLocked(e.Data)
+		case core.SendRequest:
+			n.reqs.enqueue(e.Req)
+		case core.Deliver:
+			n.deliverLocked(e.Query, e.BAT)
+		case core.QueryError:
+			n.failQueryLocked(e.Query, e.BAT, "BAT does not exist")
+		case core.Unloaded:
+			// The BAT left the ring's hot set: the owner serves its own
+			// pins from the store, so resident bytes are better spent.
+			if n.hot != nil {
+				n.hot.drop(e.BAT)
+			}
+		}
+	}
+}
+
+// forwardLocked queues a BAT (with payload) for the successor.
+func (n *Node) forwardLocked(m core.BATMsg) {
 	var f *fragment
 	if m.Owner == n.id {
 		// Forwarding our own fragment: send the store's current version
@@ -227,61 +296,14 @@ func (e *liveEnv) SendData(m core.BATMsg) {
 	// until the vectored send that carries them completes.
 	f.slab.retain()
 	atomic.AddInt64(&n.outBytes, int64(m.Size))
-	he := hopEntry{m: m, f: f}
-	if n.hop != nil {
-		// Batched transport: queue the fragment for the hop scheduler,
-		// which coalesces co-resident outbound fragments into one batch
-		// envelope per neighbour hop.
-		n.hop.enqueue(he)
-		return
-	}
-	go n.flushHopBatch([]hopEntry{he})
+	n.hop.enqueue(hopEntry{m: m, f: f})
 }
 
-func (e *liveEnv) SendRequest(m core.RequestMsg) bool {
-	n := e.node()
-	go func() {
-		select {
-		case <-n.closed:
-			return
-		default:
-		}
-		n.linkReqOut().SendEncoded(reqMsgSize, func(dst []byte) int {
-			encodeReqMsg(dst, m)
-			return reqMsgSize
-		})
-	}()
-	return true
-}
-
-func (e *liveEnv) QueueLoad() (int, int) {
-	return int(atomic.LoadInt64(&e.node().outBytes)), e.cfg.QueueCap
-}
-
-type liveTimer struct{ t *time.Timer }
-
-func (t liveTimer) Cancel() { t.t.Stop() }
-
-func (e *liveEnv) After(d time.Duration, fn func()) core.TimerHandle {
-	n := e.node()
-	return liveTimer{t: time.AfterFunc(d, func() {
-		select {
-		case <-n.closed:
-			return
-		default:
-		}
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		fn()
-	})}
-}
-
-// Deliver resolves the payload and wakes the blocked pin. Called with
-// n.mu held. The waiter lookup gates the refcount: a delivery whose pin
-// was abandoned (query cancelled between abandonPin and CancelQuery)
-// must not count a cached-payload reference nobody will ever release.
-func (e *liveEnv) Deliver(q core.QueryID, b core.BATID) {
-	n := e.node()
+// deliverLocked resolves the payload and wakes the blocked pin. The
+// waiter lookup gates the refcount: a delivery whose pin was abandoned
+// (query cancelled between abandonPin and CancelQuery) must not count a
+// cached-payload reference nobody will ever release.
+func (n *Node) deliverLocked(q core.QueryID, b core.BATID) {
 	key := waitKey{q, b}
 	ch, ok := n.waiters[key]
 	if !ok {
@@ -326,9 +348,9 @@ func (e *liveEnv) Deliver(q core.QueryID, b core.BATID) {
 	ch <- f // buffered
 }
 
-func (e *liveEnv) QueryError(q core.QueryID, b core.BATID, reason string) {
-	n := e.node()
-	// Fail any blocked pin of this query.
+// failQueryLocked aborts query q: its blocked pins fail, ExecPlan
+// returns the error, and an interpreter that is computing stops.
+func (n *Node) failQueryLocked(q core.QueryID, b core.BATID, reason string) {
 	for key, ch := range n.waiters {
 		if key.q == q {
 			delete(n.waiters, key)
@@ -343,16 +365,5 @@ func (e *liveEnv) QueryError(q core.QueryID, b core.BATID, reason string) {
 		// Stop an interpreter that is computing, not pinning, at its
 		// next instruction.
 		qe.abort()
-	}
-}
-
-func (e *liveEnv) OnLoad(b core.BATID, size int) {}
-
-// OnUnload drops the fragment's hot-set cache entry once the BAT
-// leaves the ring's hot set: the owner serves its own pins from the
-// store, so resident bytes are better spent. Called with n.mu held.
-func (e *liveEnv) OnUnload(b core.BATID, size int) {
-	if n := e.node(); n.hot != nil {
-		n.hot.drop(b)
 	}
 }

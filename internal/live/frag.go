@@ -31,7 +31,8 @@ import (
 )
 
 // colFrags is one column's catalog entry: its fragment ids in fragment
-// order.
+// order. Nothing writes ids once the entry is published (NewRing,
+// Publish), so readers share the slice (Fragments).
 type colFrags struct {
 	ids []core.BATID
 }
@@ -61,7 +62,8 @@ func fragmentSpans(n, rows int) [][2]int {
 	return spans
 }
 
-// Fragments lists the fragment ids of a column, in fragment order.
+// Fragments lists the fragment ids of a column, in fragment order. The
+// slice is the catalog's own: the caller must not modify it.
 func (r *Ring) Fragments(name string) ([]core.BATID, bool) {
 	r.idsMu.RLock()
 	defer r.idsMu.RUnlock()
@@ -69,7 +71,7 @@ func (r *Ring) Fragments(name string) ([]core.BATID, bool) {
 	if !ok {
 		return nil, false
 	}
-	return append([]core.BATID(nil), cf.ids...), true
+	return cf.ids, true
 }
 
 // fragVersion reports the catalog's current version of one fragment
@@ -78,12 +80,16 @@ func (r *Ring) Fragments(name string) ([]core.BATID, bool) {
 // cache validation.
 func (r *Ring) fragVersion(id core.BATID) int {
 	r.idsMu.RLock()
-	p := r.fragVer[id]
-	r.idsMu.RUnlock()
-	if p == nil {
-		return 0
+	defer r.idsMu.RUnlock()
+	return r.versionLocked(id)
+}
+
+// versionLocked is fragVersion with idsMu held.
+func (r *Ring) versionLocked(id core.BATID) int {
+	if p := r.fragVer[id]; p != nil {
+		return int(p.Load())
 	}
-	return int(p.Load())
+	return 0
 }
 
 // fragKnown reports whether id is a published fragment in the ring
@@ -166,7 +172,7 @@ func (d *queryDC) acquireNow(acqs []fragAcq) {
 		if n.rt.Owns(a.id) {
 			// Ownership is checked in the critical section that reads the
 			// store or pins, so the store's version is the catalog's, and
-			// a runtime pin's delivery (liveEnv.Deliver) is in ch on
+			// a runtime pin's delivery (deliverLocked) is in ch on
 			// return.
 			if st := n.store[a.id]; storeReads && st != nil {
 				d.withdrawLocked(a.id) // asked for before this node owned it
@@ -209,10 +215,7 @@ func (r *Ring) catalogVersions(acqs []fragAcq) {
 	r.idsMu.RLock()
 	defer r.idsMu.RUnlock()
 	for i := range acqs {
-		acqs[i].cur = 0
-		if p := r.fragVer[acqs[i].id]; p != nil {
-			acqs[i].cur = int(p.Load())
-		}
+		acqs[i].cur = r.versionLocked(acqs[i].id)
 	}
 }
 
@@ -340,6 +343,7 @@ func (d *queryDC) pinLocked(id core.BATID) chan *fragment {
 	d.n.waiters[waitKey{d.q, id}] = ch
 	d.markInterestLocked(id)
 	d.n.rt.Pin(d.q, id)
+	d.n.applyLocked()
 	return ch
 }
 

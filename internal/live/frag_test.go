@@ -360,7 +360,7 @@ func TestDeliverWithoutWaiterCountsNoRef(t *testing.T) {
 	payload := bat.MakeInts("stray", []int64{1, 2, 3})
 	n.mu.Lock()
 	n.transit[999] = newFragment(payload, 0, nil, nil)
-	(*liveEnv)(n).Deliver(7, 999) // no waiter registered for (7, 999)
+	n.deliverLocked(7, 999) // no waiter registered for (7, 999)
 	delete(n.transit, 999)
 	leaked := len(n.cached)
 	n.mu.Unlock()

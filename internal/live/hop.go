@@ -10,12 +10,14 @@ package live
 // Cyclotron paper says the ring needs) while per-fragment latency pays
 // at most the linger.
 //
+// Every data hop goes through it: at HopBatchBytes 0 a batch is one
+// entry and the loop does not linger, so each fragment travels alone.
+//
 // The queue is an unbounded mutex-guarded slice, not a channel: the
-// runtime calls SendData with the node lock held, so an enqueue that
-// could block would deadlock against the flush loop. Backpressure
+// node applies the runtime's sends with its lock held, so an enqueue
+// that could block would deadlock against the flush loop. Backpressure
 // exists anyway — queued bytes count into outBytes, which feeds
-// QueueLoad and thus the runtime's LOIT adaptation, exactly as the
-// per-send goroutines did before.
+// QueueLoad and thus the runtime's LOIT adaptation.
 
 import (
 	"encoding/binary"
@@ -120,35 +122,55 @@ type hopEntry struct {
 // protects.
 const hopLinger = 200 * time.Microsecond
 
+// outQueue is an unbounded FIFO its producers never block on: they
+// enqueue with n.mu held, and a queue that could fill would deadlock
+// against the goroutine that drains it. wake (capacity 1) tells that
+// goroutine the queue went non-empty.
+type outQueue[T any] struct {
+	mu    sync.Mutex
+	items []T
+	wake  chan struct{}
+}
+
+func (q *outQueue[T]) enqueue(v T) {
+	q.mu.Lock()
+	q.items = append(q.items, v)
+	q.mu.Unlock()
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+}
+
+// take pops the first fit(items) items, or every item when fit is nil;
+// nil when the queue is empty.
+func (q *outQueue[T]) take(fit func([]T) int) []T {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.items) == 0 {
+		return nil
+	}
+	n := len(q.items)
+	if fit != nil {
+		n = fit(q.items)
+	}
+	out := make([]T, n)
+	copy(out, q.items[:n])
+	// Slide the remainder down; the backing array is reused.
+	rest := copy(q.items, q.items[n:])
+	clear(q.items[rest:])
+	q.items = q.items[:rest]
+	return out
+}
+
 // hopScheduler owns one node's outbound data queue and flush policy.
 type hopScheduler struct {
 	budget int // flush when a batch would exceed this many wire bytes
-
-	mu    sync.Mutex
-	queue []hopEntry
-
-	// wake (capacity 1) tells the flush loop the queue went non-empty.
-	wake chan struct{}
+	outQueue[hopEntry]
 }
 
 func newHopScheduler(budget int) *hopScheduler {
-	return &hopScheduler{
-		budget: budget,
-		wake:   make(chan struct{}, 1),
-	}
-}
-
-// enqueue adds one outbound fragment. Called with n.mu held (lock order
-// n.mu → hs.mu, the flush loop takes hs.mu only, so this cannot
-// deadlock); never blocks.
-func (hs *hopScheduler) enqueue(e hopEntry) {
-	hs.mu.Lock()
-	hs.queue = append(hs.queue, e)
-	hs.mu.Unlock()
-	select {
-	case hs.wake <- struct{}{}:
-	default:
-	}
+	return &hopScheduler{budget: budget, outQueue: outQueue[hopEntry]{wake: make(chan struct{}, 1)}}
 }
 
 // take pops the next batch off the queue: up to maxHopBatchFrags
@@ -156,72 +178,48 @@ func (hs *hopScheduler) enqueue(e hopEntry) {
 // entry is always taken — an oversized fragment still has to travel,
 // and it goes as a v2 single.
 func (hs *hopScheduler) take() []hopEntry {
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	if len(hs.queue) == 0 {
-		return nil
-	}
-	wire := batchHdrSize + batchEntryWire(len(hs.queue[0].f.wire()))
-	n := 1
-	for n < len(hs.queue) && n < maxHopBatchFrags {
-		next := batchEntryWire(len(hs.queue[n].f.wire()))
-		if wire+next > hs.budget {
-			break
+	return hs.outQueue.take(func(queue []hopEntry) int {
+		wire := batchHdrSize + batchEntryWire(len(queue[0].f.wire()))
+		n := 1
+		for n < len(queue) && n < maxHopBatchFrags {
+			next := batchEntryWire(len(queue[n].f.wire()))
+			if wire+next > hs.budget {
+				break
+			}
+			wire += next
+			n++
 		}
-		wire += next
-		n++
-	}
-	batch := make([]hopEntry, n)
-	copy(batch, hs.queue[:n])
-	// Slide the remainder down; the backing array is reused.
-	rest := copy(hs.queue, hs.queue[n:])
-	for i := rest; i < len(hs.queue); i++ {
-		hs.queue[i] = hopEntry{}
-	}
-	hs.queue = hs.queue[:rest]
-	return batch
+		return n
+	})
 }
 
 // hopLoop is the node's flush goroutine: it sleeps until fragments are
-// queued, lingers briefly so co-resident fragments coalesce, and sends
-// the queue as batch envelopes. On shutdown it drains the queue,
-// releasing the slab holds the enqueues took.
+// queued, lingers briefly so co-resident fragments coalesce (when it
+// batches), and sends the queue as batch envelopes. On shutdown it
+// drops the queue, releasing the slab holds the enqueues took.
 func (n *Node) hopLoop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	hs := n.hop
 	for {
 		select {
 		case <-n.closed:
-			n.drainHopQueue()
+			n.releaseHops(hs.outQueue.take(nil))
 			return
 		case <-hs.wake:
 		}
-		t := time.NewTimer(hopLinger)
-		select {
-		case <-n.closed:
-			t.Stop()
-			n.drainHopQueue()
-			return
-		case <-t.C:
+		if hs.budget > 0 {
+			time.Sleep(hopLinger)
 		}
-		for {
-			batch := hs.take()
-			if len(batch) == 0 {
-				break
-			}
+		for batch := hs.take(); len(batch) > 0; batch = hs.take() {
 			n.flushHopBatch(batch)
 		}
 	}
 }
 
-// drainHopQueue releases every queued entry without sending (shutdown).
-func (n *Node) drainHopQueue() {
-	hs := n.hop
-	hs.mu.Lock()
-	queue := hs.queue
-	hs.queue = nil
-	hs.mu.Unlock()
-	for _, e := range queue {
+// releaseHops drops the slab holds and queued bytes of entries that
+// were sent or will not be.
+func (n *Node) releaseHops(batch []hopEntry) {
+	for _, e := range batch {
 		atomic.AddInt64(&n.outBytes, -int64(e.m.Size))
 		e.f.slab.release()
 	}
@@ -231,24 +229,19 @@ func (n *Node) drainHopQueue() {
 // entries' slab holds, whatever the outcome. A one-entry batch goes out
 // as the exact v2 single-fragment message — the batched and unbatched
 // configurations differ only when batching actually coalesced
-// something, which is what makes HopBatchBytes=0 byte-identical to the
-// pre-batching ring.
+// something, so HopBatchBytes=0 sends exactly the pre-batching ring's
+// messages.
 //
 // Either way the message is a vectored send of freshly encoded headers
 // and each fragment's own wire bytes: no user-space copy, the kernel
 // reads the payload where the version keeps it — the slab it arrived
 // in, or the owner's marshalled bytes. The send returns once the
 // message is written, so the holds keep the payload slices valid for
-// exactly as long as the write reads them. Its caller never holds n.mu:
-// a write that blocks on a slow link cannot close a lock cycle around
-// the ring.
+// exactly as long as the write reads them. Its caller, the flush loop,
+// never holds n.mu: a write that blocks on a slow link cannot close a
+// lock cycle around the ring.
 func (n *Node) flushHopBatch(batch []hopEntry) {
-	defer func() {
-		for _, e := range batch {
-			atomic.AddInt64(&n.outBytes, -int64(e.m.Size))
-			e.f.slab.release()
-		}
-	}()
+	defer n.releaseHops(batch)
 	select {
 	case <-n.closed:
 		return
@@ -282,7 +275,7 @@ func (n *Node) flushHopBatch(batch []hopEntry) {
 		wire += int64(len(p))
 	}
 	n.countHopMsg(wire, len(batch))
-	n.linkDataOut().SendVectored(parts)
+	n.link(&n.dataOut).SendVectored(parts)
 }
 
 // countHopMsg records one outbound data message of the given wire size
@@ -323,10 +316,10 @@ func (n *Node) HopStats() HopStats {
 	n.mu.Unlock()
 	s.ParkedTotal = int64(st.BATsParked)
 	s.Unparked = int64(st.BATsUnparked)
-	s.PoolAcquires, s.PoolWaits = n.linkDataOut().WriteStats()
+	s.PoolAcquires, s.PoolWaits = n.link(&n.dataOut).WriteStats()
 	// Each endpoint is counted at exactly one node (out at the sender,
 	// in at the receiver), so the ring-wide sum has no double counting.
-	for _, m := range []*rdma.Messenger{n.linkDataOut(), n.linkDataIn()} {
+	for _, m := range []*rdma.Messenger{n.link(&n.dataOut), n.link(&n.dataIn)} {
 		s.WireSyscalls += m.Syscalls()
 	}
 	return s

@@ -3,11 +3,15 @@ package live
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bat"
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/minisql"
 )
 
@@ -226,7 +230,7 @@ func TestCorruptBatchIsDroppedWhole(t *testing.T) {
 	single := encodeSingle(batchEntry{m: core.BATMsg{Owner: reader.id, BAT: marker}})
 	before := reader.Stats().BATsForwarded
 	for _, msg := range [][]byte{batch, single} {
-		if err := sender.linkDataOut().Send(msg); err != nil {
+		if err := sender.link(&sender.dataOut).Send(msg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -359,6 +363,78 @@ func TestHopBatchingDisabled(t *testing.T) {
 	}
 	if s.Singles != s.Msgs || s.Frags != s.Msgs {
 		t.Fatalf("unbatched accounting broken: %+v", s)
+	}
+}
+
+// TestCirculationStartsNoGoroutine: a request or a hop costs no
+// goroutine. The runtime's effects are applied under the node lock and
+// queued for the node's long-lived senders, so while queries circulate
+// fragments on a cache-less 3-node ring, unbatched and batched, every
+// goroutine this module created must be one that is meant to exist: a
+// node's loops (receives, hop flush, request sender), an aligned map's
+// waits and workers, the interpreter's dataflow workers (ROADMAP item
+// 30 folds both into one worker set per node), a link's acceptor that
+// NewRing left exiting, or the test's own. Timer callbacks
+// (liveEnv.After) are the Go runtime's goroutines, not this module's.
+func TestCirculationStartsNoGoroutine(t *testing.T) {
+	allowed := []string{
+		"created by repro/internal/live.(*Node).startLoops",
+		"created by repro/internal/rdma.NewTCPPair",
+		"created by repro/internal/live.(*queryDC).mapParts",
+		"created by repro/internal/mal.(*binding).runParallel",
+		"created by repro/internal/live.TestCirculationStartsNoGoroutine",
+	}
+	for _, batch := range []int{0, DefaultConfig().HopBatchBytes} {
+		batch := batch
+		t.Run(fmt.Sprintf("HopBatchBytes=%d", batch), func(t *testing.T) {
+			r := fragTestRing(t, func(cfg *Config) { cfg.HopBatchBytes = batch })
+			defer r.Close()
+			var wg sync.WaitGroup
+			for node := 0; node < r.Size(); node++ {
+				wg.Add(1)
+				go func(node int) {
+					defer wg.Done()
+					for i := 0; i < 20; i++ {
+						if _, err := r.Node(node).ExecSQL("select sum(t.val) from t"); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(node)
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			samples, stray := 0, ""
+			for running := true; running && stray == ""; samples++ {
+				select {
+				case <-done:
+					running = false
+				default:
+				}
+				for _, g := range leakcheck.Goroutines() {
+					i := strings.Index(g, "\ncreated by repro/internal/")
+					if i < 0 {
+						continue
+					}
+					ok := false
+					for _, a := range allowed {
+						ok = ok || strings.HasPrefix(g[i+1:], a)
+					}
+					if !ok {
+						stray = g
+					}
+				}
+			}
+			<-done
+			if stray != "" {
+				t.Fatalf("a goroutine outside the ring's loops and the query's workers:\n%s", stray)
+			}
+			st, hs := r.node(0).Stats(), r.HopStats()
+			if st.RequestsSent == 0 || hs.Msgs == 0 {
+				t.Fatalf("nothing circulated: %d requests sent by node 0, %d hop messages", st.RequestsSent, hs.Msgs)
+			}
+			t.Logf("%d samples, %d hop messages (%d batches)", samples, hs.Msgs, hs.Batches)
+		})
 	}
 }
 

@@ -195,6 +195,7 @@ func (r *Ring) admit() (*Node, JoinReport, error) {
 		}
 		s.mu.Lock()
 		s.rt.SuspectOrbit()
+		s.applyLocked()
 		s.mu.Unlock()
 	}
 	return node, rep, nil

@@ -236,11 +236,12 @@ type Node struct {
 	hopBytes    int64
 	maxHopBytes int64
 
-	// hop is the outbound batch scheduler (nil when Config.HopBatchBytes
-	// is 0, leaving the per-fragment send path untouched). The counters
-	// below feed HopStats and are maintained by both paths, so batched
-	// and unbatched runs compare directly.
+	// hop is the outbound data scheduler every hop goes through (one
+	// fragment a message when Config.HopBatchBytes is 0), and reqs the
+	// request sender's queue (sendLoop). The counters below feed
+	// HopStats, so batched and unbatched runs compare directly.
 	hop            *hopScheduler
+	reqs           outQueue[core.RequestMsg]
 	hopMsgs        int64
 	hopSingles     int64
 	hopBatchesSent int64
@@ -266,7 +267,7 @@ type Node struct {
 	interpRunning int64
 
 	// memb is this node's membership failure detector (nil when
-	// Config.Replicas is 0 — the same nil-gating as hot and hop).
+	// Config.Replicas is 0 — the same nil-gating as hot).
 	memb *membership.Detector
 	// replicas holds this node's replica copies of fragments owned
 	// elsewhere (this node is within Replicas ring successors of the
@@ -487,9 +488,8 @@ func (r *Ring) newNode(id, nodes, pred int, schema minisql.Schema) *Node {
 	if cfg.CacheBytes > 0 {
 		node.hot = newHotCache(cfg.CacheBytes)
 	}
-	if cfg.HopBatchBytes > 0 {
-		node.hop = newHopScheduler(cfg.HopBatchBytes)
-	}
+	node.hop = newHopScheduler(cfg.HopBatchBytes)
+	node.reqs.wake = make(chan struct{}, 1)
 	if cfg.Replicas > 0 {
 		node.replicas = map[core.BATID]*replicaFrag{}
 		node.memb = membership.NewDetector(id, nodes, pred, cfg.Heartbeat)
@@ -498,19 +498,20 @@ func (r *Ring) newNode(id, nodes, pred int, schema minisql.Schema) *Node {
 	return node
 }
 
-// startLoops starts the node's runtime ticker, receive loops, and the
-// optional hop/beat goroutines — the boot sequence shared by NewRing
-// and the runtime join path. The node's links must be wired first.
+// startLoops starts the node's runtime ticker, receive loops, hop and
+// request senders, and the optional beat goroutine — the boot sequence
+// shared by NewRing and the runtime join path. The node's links must be
+// wired first.
 func (n *Node) startLoops() {
 	r := n.ring
-	n.rt.Start()
-	r.wg.Add(2)
+	n.mu.Lock()
+	n.rt.Start() // its tick may fire, under n.mu, before Start returns
+	n.mu.Unlock()
+	r.wg.Add(4)
 	go n.dataLoop(&r.wg)
 	go n.reqLoop(&r.wg)
-	if n.hop != nil {
-		r.wg.Add(1)
-		go n.hopLoop(&r.wg)
-	}
+	go n.hopLoop(&r.wg)
+	go n.sendLoop(&r.wg)
 	if n.memb != nil {
 		r.wg.Add(1)
 		go n.beatLoop(&r.wg)
@@ -579,11 +580,15 @@ func (d *queryDC) Request(schema, table, column string) (mal.Value, error) {
 }
 
 // announce registers this query's ring interest in the fragments it
-// will have to wait for.
+// will have to wait for, reading the catalog's versions in one hold of
+// idsMu (taken after n.mu, as acquireNow does).
 func (d *queryDC) announce(ids []core.BATID) {
 	n := d.n
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	defer n.applyLocked()
+	n.ring.idsMu.RLock()
+	defer n.ring.idsMu.RUnlock()
 	for _, id := range ids {
 		// An owned fragment is read from the store when the owner's
 		// pins skip the load (acquireNow), and a fragment resident in
@@ -596,7 +601,7 @@ func (d *queryDC) announce(ids []core.BATID) {
 		if n.cfg.Core.LocalPinsSkipLoad && n.rt.Owns(id) {
 			continue
 		}
-		if n.hot != nil && n.hot.peek(id, n.ring.fragVersion(id)) {
+		if n.hot != nil && n.hot.peek(id, n.ring.versionLocked(id)) {
 			continue
 		}
 		d.markInterestLocked(id)

@@ -8,8 +8,8 @@ package live
 // node is cut off, every survivor's view is updated, the ring links are
 // spliced around the hole, and the dead node's fragments are re-owned
 // from their replicas with the version catalog intact. All of it is
-// nil-gated on Config.Replicas, exactly like the hot cache and the hop
-// scheduler: Replicas=0 leaves the single-owner ring byte-identical.
+// nil-gated on Config.Replicas, exactly like the hot cache: Replicas=0
+// leaves the single-owner ring byte-identical.
 // Promotion is one caller of the install steps in move.go, where the
 // lock order and the staleness argument live.
 
@@ -34,28 +34,11 @@ type replicaFrag struct {
 // link accessors (the pointers are swapped by splice at runtime)
 // ---------------------------------------------------------------------
 
-func (n *Node) linkDataOut() *rdma.Messenger {
+// link reads the node's link *at (one of its four link fields).
+func (n *Node) link(at **rdma.Messenger) *rdma.Messenger {
 	n.linkMu.RLock()
 	defer n.linkMu.RUnlock()
-	return n.dataOut
-}
-
-func (n *Node) linkDataIn() *rdma.Messenger {
-	n.linkMu.RLock()
-	defer n.linkMu.RUnlock()
-	return n.dataIn
-}
-
-func (n *Node) linkReqOut() *rdma.Messenger {
-	n.linkMu.RLock()
-	defer n.linkMu.RUnlock()
-	return n.reqOut
-}
-
-func (n *Node) linkReqIn() *rdma.Messenger {
-	n.linkMu.RLock()
-	defer n.linkMu.RUnlock()
-	return n.reqIn
+	return *at
 }
 
 // relink installs m as the node's link *at (one of its four link
@@ -117,7 +100,7 @@ func (n *Node) beatLoop(wg *sync.WaitGroup) {
 		}
 		view := n.memb.View()
 		size := beatMsgSize(len(view.Status))
-		if err := n.linkDataOut().TrySendEncoded(size, func(dst []byte) int {
+		if err := n.link(&n.dataOut).TrySendEncoded(size, func(dst []byte) int {
 			return encodeBeatMsg(dst, int(n.id), view)
 		}); err == nil {
 			atomic.AddInt64(&n.beatsSent, 1)
@@ -310,6 +293,7 @@ func (r *Ring) failover(dead core.NodeID) {
 		}
 		s.mu.Lock()
 		s.rt.SuspectOrbit()
+		s.applyLocked()
 		s.mu.Unlock()
 	}
 }

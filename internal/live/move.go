@@ -179,6 +179,7 @@ func installOwner(n *Node, id core.BATID, f *fragment, loi float64, chain []*Nod
 	}
 	delete(n.replicas, id)
 	n.rt.PromoteOwned(id, f.b.Bytes(), loi)
+	n.applyLocked()
 	for _, rep := range chain {
 		rep.replicas[id] = &replicaFrag{f: f, loi: loi}
 	}
