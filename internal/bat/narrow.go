@@ -70,6 +70,9 @@ type codes interface {
 	group(sorted bool) (ids []Oid, repIdx []int32)
 	groupedSum(gids []Oid, sums []int64)
 	groupedSumDecimal(gids []Oid, sums []float64, scale float64)
+	slotsOf(slots []uint32, stride uint32, first bool) bool
+	sumInto(slots []uint32, sums []int64)
+	sumDecimalInto(slots []uint32, sums []float64, scale float64)
 	extreme(wantMax bool) int64
 	top() uint32
 	selectRows(t *Column, r bounds[int64]) hits
@@ -221,6 +224,43 @@ func (c narrowInts[U]) groupedSum(gids []Oid, sums []int64) {
 func (c narrowInts[U]) groupedSumDecimal(gids []Oid, sums []float64, scale float64) {
 	for i, x := range c.v {
 		sums[gids[i]] += decode(c.base+int64(x), scale)
+	}
+}
+
+// slotsOf is GroupBy's key pass over every row: the code of row i,
+// times stride, goes into (first) or is added onto slots[i]. It is
+// false at a code past the bound, which a damaged int message can carry.
+func (c narrowInts[U]) slotsOf(slots []uint32, stride uint32, first bool) bool {
+	var hi U
+	slots = slots[:len(c.v)]
+	if first {
+		for i, x := range c.v {
+			hi = max(hi, x)
+			slots[i] = uint32(x)
+		}
+	} else {
+		for i, x := range c.v {
+			hi = max(hi, x)
+			slots[i] += uint32(x) * stride
+		}
+	}
+	return hi <= c.hi
+}
+
+// sumInto adds each row's value into its slot's sum, like groupedSum.
+func (c narrowInts[U]) sumInto(slots []uint32, sums []int64) {
+	slots = slots[:len(c.v)]
+	for i, x := range c.v {
+		sums[slots[i]] += c.base + int64(x)
+	}
+}
+
+// sumDecimalInto decodes each row's value and adds it into its slot's
+// sum in row order, like groupedSumDecimal.
+func (c narrowInts[U]) sumDecimalInto(slots []uint32, sums []float64, scale float64) {
+	slots = slots[:len(c.v)]
+	for i, x := range c.v {
+		sums[slots[i]] += decode(c.base+int64(x), scale)
 	}
 }
 

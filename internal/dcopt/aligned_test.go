@@ -3,6 +3,8 @@ package dcopt
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -23,6 +25,9 @@ type alignedCase struct {
 	fails bool    // min/max over no rows: no scalar to put in a result row
 	cuts  []int
 	order []int
+	// A grouped case's keys, and the edges it reaches (groupEdges).
+	groupBy                       []func(i int) any
+	laterKey, rejectedPart, dicts bool
 }
 
 var alignedSchema = minisql.MapSchema{"f": {"a", "b", "c", "d", "e", "g", "h"}}
@@ -167,23 +172,23 @@ func drawAligned(seed int64, rows, frag int) alignedCase {
 			tc.want = append(tc.want, []any{g[i], h[i]})
 		}
 	case 5:
-		// Grouping reads the fetched columns' heads: they merge by concat.
-		sel, group = "h, sum(g), count(*)", " group by h order by h"
-		sums, counts := map[string]float64{}, map[string]int64{}
-		for _, i := range kept {
-			sums[h[i]] += g[i]
-			counts[h[i]]++
-		}
-		for _, m := range modes {
-			if counts[m] > 0 {
-				tc.want = append(tc.want, []any{m, sums[m], counts[m]})
-			}
-		}
+		sel, group = tc.drawGrouped(rng, kept, a, b, c, d, g, h)
 	default:
 		sel = "d, e"
 		for _, i := range kept {
 			tc.want = append(tc.want, []any{d[i], e[i]})
 		}
+	}
+	if !strings.Contains(sel, "(") && rng.Intn(3) == 0 {
+		// A sorted projection: the sort reads the first column's heads,
+		// so the fetches merge by concat.
+		desc := rng.Intn(2) == 0
+		first, _, _ := strings.Cut(sel, ",")
+		group = " order by " + first
+		if desc {
+			group += " desc"
+		}
+		sortRows(tc.want, 0, desc)
 	}
 	tc.sql = "select " + sel + " from f"
 	if len(where) > 0 {
@@ -207,7 +212,210 @@ func drawAligned(seed int64, rows, frag int) alignedCase {
 		tc.cuts[i] = max(tc.cuts[i], tc.cuts[i-1])
 	}
 	tc.order = rng.Perm(len(tc.cuts) - 1)
+	if tc.groupBy != nil {
+		tc.groupEdges(kept)
+	}
 	return tc
+}
+
+// drawGrouped draws a GROUP BY over the kept rows: one or two keys from
+// c, h and a, one to three of sum, count, avg, min and max over a, b, d
+// and g, the keys selected or not, and an ORDER BY on a selected key or
+// none. It sets the answer, with groups numbered by first appearance
+// among the kept rows as the engine numbers them, and returns the select
+// list and the clause after the WHERE.
+func (tc *alignedCase) drawGrouped(rng *rand.Rand, kept []int, a []int64, b []float64, c, d []int64, g []float64, h []string) (sel, clause string) {
+	type column struct {
+		name string
+		at   func(i int) any
+	}
+	keys := []column{{"c", func(i int) any { return c[i] }}, {"h", func(i int) any { return h[i] }}, {"a", func(i int) any { return a[i] }}}
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	keys = keys[:1+rng.Intn(2)]
+	tc.groupBy = make([]func(int) any, len(keys))
+	var groups [][]int // each group's kept rows, by first appearance
+	idOf := map[string]int{}
+	for _, i := range kept {
+		var k strings.Builder
+		for _, key := range keys {
+			fmt.Fprintf(&k, "%v|", key.at(i))
+		}
+		id, ok := idOf[k.String()]
+		if !ok {
+			id = len(groups)
+			idOf[k.String()] = id
+			groups = append(groups, nil)
+		}
+		groups[id] = append(groups[id], i)
+	}
+
+	// Each select item is SQL text and its value over a group's rows.
+	type item struct {
+		sql string
+		of  func(rows []int) any
+	}
+	var items []item
+	var selected []string // the keys in the select list
+	for k, key := range keys {
+		key := key
+		tc.groupBy[k] = key.at
+		if rng.Intn(5) > 0 {
+			selected = append(selected, key.name)
+			items = append(items, item{key.name, func(rows []int) any { return key.at(rows[0]) }})
+		}
+	}
+	sumOf := func(v func(int) any, rows []int) any {
+		switch v(rows[0]).(type) {
+		case int64:
+			var s int64
+			for _, i := range rows {
+				s += v(i).(int64)
+			}
+			return s
+		}
+		var s float64
+		for _, i := range rows {
+			s += v(i).(float64)
+		}
+		return s
+	}
+	values := []column{{"a", func(i int) any { return a[i] }}, {"b", func(i int) any { return b[i] }},
+		{"d", func(i int) any { return d[i] }}, {"g", func(i int) any { return g[i] }}}
+	for n := 1 + rng.Intn(3); n > 0; n-- {
+		v := values[rng.Intn(len(values))]
+		switch op := []string{"sum", "count", "avg", "min", "max"}[rng.Intn(5)]; op {
+		case "sum":
+			items = append(items, item{"sum(" + v.name + ")", func(rows []int) any { return sumOf(v.at, rows) }})
+		case "count":
+			items = append(items, item{"count(*)", func(rows []int) any { return int64(len(rows)) }})
+		case "avg":
+			items = append(items, item{"avg(" + v.name + ")", func(rows []int) any {
+				switch s := sumOf(v.at, rows).(type) {
+				case int64:
+					return float64(s) / float64(len(rows))
+				case float64:
+					return s / float64(len(rows))
+				}
+				panic("no sum")
+			}})
+		default:
+			items = append(items, item{op + "(" + v.name + ")", func(rows []int) any {
+				best := v.at(rows[0])
+				for _, i := range rows[1:] {
+					if x := v.at(i); op == "min" && less(x, best) || op == "max" && less(best, x) {
+						best = x
+					}
+				}
+				return best
+			}})
+		}
+	}
+	rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+	texts := make([]string, len(items))
+	for i, it := range items {
+		texts[i] = it.sql
+	}
+	for _, rows := range groups {
+		row := make([]any, len(items))
+		for i, it := range items {
+			row[i] = it.of(rows)
+		}
+		tc.want = append(tc.want, row)
+	}
+	names := make([]string, len(keys))
+	for k, key := range keys {
+		names[k] = key.name
+	}
+	clause = " group by " + strings.Join(names, ", ")
+	for i, it := range items {
+		if slices.Contains(selected, it.sql) && rng.Intn(2) == 0 {
+			desc := rng.Intn(3) == 0
+			clause += " order by " + it.sql
+			if desc {
+				clause += " desc"
+			}
+			sortRows(tc.want, i, desc)
+			break
+		}
+	}
+	return strings.Join(texts, ", "), clause
+}
+
+// groupEdges records which of the edges a grouped case reaches, with
+// the fragments cut: a group first kept in a later fragment than the
+// first kept row, a fragment with rows none of which is kept, and a key
+// column whose fragments hold different values, so that each is
+// narrowed to other codes.
+func (tc *alignedCase) groupEdges(kept []int) {
+	fragOf := func(i int) int {
+		f := 0
+		for tc.cuts[f+1] <= i {
+			f++
+		}
+		return f
+	}
+	keptIn := make([]int, len(tc.cuts)-1)
+	seen := map[string]bool{}
+	for _, i := range kept {
+		keptIn[fragOf(i)]++
+		var k strings.Builder
+		for _, at := range tc.groupBy {
+			fmt.Fprintf(&k, "%v|", at(i))
+		}
+		if !seen[k.String()] {
+			seen[k.String()] = true
+			tc.laterKey = tc.laterKey || fragOf(i) > fragOf(kept[0])
+		}
+	}
+	for f, n := range keptIn {
+		tc.rejectedPart = tc.rejectedPart || len(kept) > 0 && n == 0 && tc.cuts[f+1] > tc.cuts[f]
+	}
+	for _, at := range tc.groupBy {
+		var sets []string
+		for f := 0; f+1 < len(tc.cuts); f++ {
+			var vals []string
+			for i := tc.cuts[f]; i < tc.cuts[f+1]; i++ {
+				vals = append(vals, fmt.Sprint(at(i)))
+			}
+			if len(vals) > 0 {
+				slices.Sort(vals)
+				sets = append(sets, fmt.Sprint(slices.Compact(vals)))
+			}
+		}
+		for _, set := range sets {
+			tc.dicts = tc.dicts || set != sets[0]
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// less orders two values of one column's kind.
+func less(x, y any) bool {
+	switch x := x.(type) {
+	case int64:
+		return x < y.(int64)
+	case float64:
+		return x < y.(float64)
+	case string:
+		return x < y.(string)
+	}
+	panic(fmt.Sprintf("unordered %T", x))
+}
+
+// sortRows orders rows stably by column c, as algebra.sort does.
+func sortRows(rows [][]any, c int, desc bool) {
+	sort.SliceStable(rows, func(i, j int) bool {
+		if desc {
+			return less(rows[j][c], rows[i][c])
+		}
+		return less(rows[i][c], rows[j][c])
+	})
 }
 
 // check runs the case's query as compiled on whole columns and as
@@ -266,17 +474,27 @@ func (tc alignedCase) check(t *testing.T) (conj bool, rewritten string) {
 // TestAlignedRegionProperty: 600 seeded cases, sizes from no rows at
 // all to a few hundred, fragments from one row to the whole table; a
 // good share of them test their ranges in one uselectall, select into
-// a bitmap, merge fetch exits by their heads, and select and sum in one
-// aggr.selectsum.
+// a bitmap, merge fetch exits by their heads, select and sum in one
+// aggr.selectsum, and group in the region with group.aggregate — some
+// of those with a key first kept in a later fragment, a fragment whose
+// rows are all rejected, and key fragments narrowed to different codes.
 func TestAlignedRegionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	conj, masks, heads, fused := 0, 0, 0, 0
+	grouped, later, rejected, dicts := 0, 0, 0, 0
 	for seed := int64(0); seed < 600; seed++ {
 		rows := rng.Intn(300)
 		if seed%25 == 0 {
 			rows = 0
 		}
-		c, dc := drawAligned(seed, rows, 1+rng.Intn(rows+8)).check(t)
+		tc := drawAligned(seed, rows, 1+rng.Intn(rows+8))
+		c, dc := tc.check(t)
+		if strings.Contains(dc, "group.aggregate(") {
+			grouped++
+			later += b2i(tc.laterKey)
+			rejected += b2i(tc.rejectedPart)
+			dicts += b2i(tc.dicts)
+		}
 		if c {
 			conj++
 		}
@@ -292,6 +510,10 @@ func TestAlignedRegionProperty(t *testing.T) {
 	}
 	if conj < 150 || masks < 100 || heads < 50 || fused < 30 {
 		t.Errorf("of 600 cases %d ran a uselectall (want ≥ 150), %d a uselectmask (≥ 100), %d a concat fetch exit (≥ 50), %d a fused sum (≥ 30)", conj, masks, heads, fused)
+	}
+	t.Logf("%d cases grouped in the region: %d with a key first kept in a later fragment, %d with an all-rejected fragment, %d with key fragments coded apart", grouped, later, rejected, dicts)
+	if grouped < 60 || later < 6 || rejected < 4 || dicts < 20 {
+		t.Errorf("of 600 cases %d ran a group.aggregate (want ≥ 60): %d with a later first key (≥ 6), %d with an all-rejected part (≥ 4), %d with keys coded apart (≥ 20)", grouped, later, rejected, dicts)
 	}
 }
 

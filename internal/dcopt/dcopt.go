@@ -58,9 +58,17 @@ func Rewrite(p *mal.Plan) (*mal.Plan, Stats, error) {
 			}
 		}
 	}
-	regionOf := outline(p, bindAt)
+	regionOf, groupOf := outline(p, bindAt)
 
+	// Each grouping's exit takes a variable past p's, before the
+	// request handles.
 	out := mal.Plan{Name: p.Name + "_dc", NVars: p.NVars, Result: p.Result}
+	for i, g := range groupOf {
+		if g != nil && g.at == i {
+			out.NVars++
+		}
+	}
+	firstFree := out.NVars
 	// X := sql.bind(s,t,c)  =>  H := datacyclotron.request(s,t,c)
 	request := func(x mal.VarID) mal.VarID {
 		if handle[x] == mal.NoVar {
@@ -86,7 +94,7 @@ func Rewrite(p *mal.Plan) (*mal.Plan, Stats, error) {
 			// it needs nothing but request handles, and everything that
 			// consumes an exit came after the instruction that made it.
 			if i == r.members[0] {
-				args := []mal.Arg{mal.L(r.build(p))}
+				args := []mal.Arg{mal.L(r.build(p, firstFree))}
 				for _, x := range r.slots {
 					args = append(args, mal.V(request(x)))
 				}
@@ -96,6 +104,22 @@ func Rewrite(p *mal.Plan) (*mal.Plan, Stats, error) {
 				})
 				st.Regions++
 				st.Local += len(r.members)
+			}
+			continue
+		}
+		if g := groupOf[i]; g != nil {
+			// The merged groups are read out where group.newpos stood.
+			if i == g.at {
+				for k, v := range g.ret {
+					if v == mal.NoVar {
+						g.ret[k] = mal.VarID(out.NVars)
+						out.NVars++
+					}
+				}
+				out.Instrs = append(out.Instrs, mal.Instr{
+					Module: "group", Op: "columns",
+					Ret: g.ret, Args: []mal.Arg{mal.V(g.v)},
+				})
 			}
 			continue
 		}

@@ -285,7 +285,7 @@ func TestTailExits(t *testing.T) {
 	}{
 		{"projection", compile(t, "select id, name from t where id >= 2"), map[mal.MergeKind]int{mal.MergeTail: 2}},
 		{"sorted projection", compile(t, "select id, name from t where id >= 2 order by name"), map[mal.MergeKind]int{mal.MergeConcat: 2}},
-		{"group-by inputs", compileWith(t, tpch.Q1SQL, db.Schema()), map[mal.MergeKind]int{mal.MergeConcat: 5}},
+		{"group-by inputs", compileWith(t, tpch.Q1SQL, db.Schema()), map[mal.MergeKind]int{mal.MergeGroups: 1}},
 		{"join inputs", compileWith(t, tpch.Q3ishSQL, db.Schema()), map[mal.MergeKind]int{mal.MergeConcat: 3}},
 		{"also reversed", alsoReversed(), map[mal.MergeKind]int{mal.MergeTail: 1, mal.MergeConcat: 1}},
 		{"plan result", fetchIsResult(), map[mal.MergeKind]int{mal.MergeConcat: 1}},

@@ -115,19 +115,142 @@ type region struct {
 	masks   []int       // selects that answer a bitmap (algebra.uselectmask)
 	folds   map[int]int // sums that read a mask themselves: the sum → the fetch it reads
 	fused   map[int]fusion
+	groups  []*grouping // GROUP BYs moved in, each in place of its fetches
 }
 
 // fusion is what a mask fuses with into aggr.selectsum: the one folded
 // sum that reads it and its count, -1 when it has none.
 type fusion struct{ sum, count int }
 
+// grouping is a GROUP BY whose keys and aggregated columns are all
+// positional fetches at one region's candidates. It moves into the
+// region as group.aggregate, which stands where the last of those
+// fetches stood and replaces them all, and leaves it by MergeGroups;
+// group.columns reads the merged groups out where group.newpos stood,
+// in place of the grouping, the representative-key joins and the
+// aggr.grouped* calls (its outer instructions).
+type grouping struct {
+	args    []mal.Arg   // group.aggregate's: the candidates, the key columns, then each aggregate's name and column
+	fetches []int       // the fetches it replaces, by instruction
+	last    int         // the last of them
+	at      int         // group.newpos
+	outer   []int       // the outer instructions it replaces
+	ret     []mal.VarID // group.columns' results, keys first; NoVar: a key nothing reads
+	v       mal.VarID   // its exit: p.NVars on, one per grouping
+}
+
+// groupedOps are the aggregates group.aggregate computes, by the outer
+// op it replaces.
+var groupedOps = map[string]string{
+	"aggr.groupedCount": "count", "aggr.groupedSum": "sum", "aggr.groupedAvg": "avg",
+	"aggr.groupedMin": "min", "aggr.groupedMax": "max",
+}
+
+// groupingAt is the grouping whose group.newpos is instruction i, nil
+// when i is none or the grouping does not move: its group ids and
+// representatives must be read by its derives, grouped aggregates and
+// one representative-key join per key alone, and its keys and values
+// must be fetches at the same candidates (fetchOf) that nothing else
+// reads. readers lists each variable's reading instructions.
+func groupingAt(p *mal.Plan, i int, readers [][]int, fetchOf func(mal.Arg) int) *grouping {
+	in := p.Instrs[i]
+	if in.Name() != "group.newpos" || len(in.Args) != 1 || len(in.Ret) != 2 {
+		return nil
+	}
+	isVar := func(a mal.Arg, v mal.VarID) bool { return !a.IsLit() && a.Var == v }
+	g := &grouping{at: i, outer: []int{i}}
+	keys := []mal.Arg{in.Args[0]}
+	gids, reps := in.Ret[0], in.Ret[1]
+	for rs := readers[gids]; len(rs) == 1 && len(readers[reps]) == 0; rs = readers[gids] {
+		d := p.Instrs[rs[0]]
+		if d.Name() != "group.derive" || len(d.Args) != 2 || len(d.Ret) != 2 || !isVar(d.Args[0], gids) || isVar(d.Args[1], gids) {
+			break
+		}
+		keys, g.outer = append(keys, d.Args[1]), append(g.outer, rs[0])
+		gids, reps = d.Ret[0], d.Ret[1]
+	}
+	if p.Result == gids || p.Result == reps {
+		return nil
+	}
+	g.ret = make([]mal.VarID, len(keys))
+	for k := range g.ret {
+		g.ret[k] = mal.NoVar
+	}
+	for _, r := range readers[reps] {
+		j := p.Instrs[r]
+		if j.Name() != "algebra.join" || len(j.Args) != 2 || !isVar(j.Args[0], reps) || j.Args[1].IsLit() {
+			return nil
+		}
+		k := slices.IndexFunc(keys, func(a mal.Arg) bool { return isVar(a, j.Args[1].Var) })
+		if k < 0 || g.ret[k] != mal.NoVar {
+			return nil
+		}
+		g.ret[k], g.outer = j.Ret[0], append(g.outer, r)
+	}
+	values := slices.Clone(keys)
+	var aggs []mal.Arg
+	for _, r := range readers[gids] {
+		j := p.Instrs[r]
+		op, ok := groupedOps[j.Name()]
+		arity := 2
+		if op == "count" {
+			arity = 1
+		}
+		if !ok || len(j.Ret) != 1 || len(j.Args) != arity || !isVar(j.Args[0], gids) {
+			return nil
+		}
+		aggs = append(aggs, mal.L(op))
+		if op != "count" {
+			if isVar(j.Args[1], gids) {
+				return nil
+			}
+			aggs, values = append(aggs, j.Args[1]), append(values, j.Args[1])
+		}
+		g.ret, g.outer = append(g.ret, j.Ret[0]), append(g.outer, r)
+	}
+	// Every key and value is a fetch at the same candidates, read by
+	// the grouping alone.
+	col := func(a mal.Arg) mal.Arg { return p.Instrs[fetchOf(a)].Args[1] }
+	for _, a := range values {
+		f := fetchOf(a)
+		if f < 0 || p.Result == a.Var {
+			return nil
+		}
+		if cand := p.Instrs[f].Args[0]; len(g.args) == 0 {
+			g.args = []mal.Arg{cand}
+		} else if cand != g.args[0] {
+			return nil
+		}
+		for _, r := range readers[a.Var] {
+			if !slices.Contains(g.outer, r) {
+				return nil
+			}
+		}
+		if !slices.Contains(g.fetches, f) {
+			g.fetches = append(g.fetches, f)
+			g.last = max(g.last, f)
+		}
+	}
+	for _, a := range keys {
+		g.args = append(g.args, col(a))
+	}
+	for _, a := range aggs {
+		if !a.IsLit() {
+			a = col(a)
+		}
+		g.args = append(g.args, a)
+	}
+	return g
+}
+
 // outline finds the maximal fragment-local region of every table in p
 // and returns, per instruction, the region that takes it (nil: the
-// instruction stays in the outer plan). bindAt locates each bound
-// column's sql.bind. A bound column is pinned in one place only, so a
-// column some outer instruction reads whole keeps its readers out of
-// the region, and so, in turn, what depends on them.
-func outline(p *mal.Plan, bindAt []int) []*region {
+// instruction stays in the outer plan), and the grouping that replaces
+// it (nil: none does). bindAt locates each bound column's sql.bind. A
+// bound column is pinned in one place only, so a column some outer
+// instruction reads whole keeps its readers out of the region, and so,
+// in turn, what depends on them.
+func outline(p *mal.Plan, bindAt []int) (regionOf []*region, groupOf []*grouping) {
 	type value struct {
 		class class
 		table string // columns of different tables never share a region
@@ -179,18 +302,22 @@ func outline(p *mal.Plan, bindAt []int) []*region {
 	// A value only sql.resultSet reads leaves by its tail: the result set
 	// heads every column dense [0, n) anyway.
 	headRead := make([]bool, p.NVars)
-	for changed := true; changed; {
-		changed = false
+	groupOf = make([]*grouping, len(p.Instrs))
+	readOutside := func() {
 		clear(outside)
 		clear(headRead)
 		for i, in := range p.Instrs {
 			for _, a := range in.Args {
-				if !member[i] && !a.IsLit() {
+				if !member[i] && groupOf[i] == nil && !a.IsLit() {
 					outside[a.Var] = true
 					headRead[a.Var] = headRead[a.Var] || in.Name() != "sql.resultSet"
 				}
 			}
 		}
+	}
+	for changed := true; changed; {
+		changed = false
+		readOutside()
 		for i, in := range p.Instrs {
 			for _, a := range in.Args {
 				if !member[i] || a.IsLit() {
@@ -203,6 +330,36 @@ func outline(p *mal.Plan, bindAt []int) []*region {
 			}
 		}
 	}
+	// A GROUP BY over fetches at one region's candidates moves in: its
+	// fetches are no longer read outside.
+	readers := make([][]int, p.NVars)
+	for i, in := range p.Instrs {
+		for _, a := range in.Args {
+			if !a.IsLit() {
+				readers[a.Var] = append(readers[a.Var], i)
+			}
+		}
+	}
+	fetchOf := func(a mal.Arg) int { // the member fetch assigning a, -1: none
+		if a.IsLit() {
+			return -1
+		}
+		if v := vars[a.Var]; v.by >= 0 && member[v.by] && v.class == vals && p.Instrs[v.by].Name() == "algebra.join" {
+			return v.by
+		}
+		return -1
+	}
+	var groupings []*grouping
+	for i := range p.Instrs {
+		if g := groupingAt(p, i, readers, fetchOf); g != nil {
+			g.v = mal.VarID(p.NVars + len(groupings))
+			groupings = append(groupings, g)
+			for _, j := range g.outer {
+				groupOf[j] = g
+			}
+		}
+	}
+	readOutside()
 	// The plan's result is read whole.
 	if p.Result != mal.NoVar {
 		outside[p.Result], headRead[p.Result] = true, true
@@ -218,8 +375,14 @@ func outline(p *mal.Plan, bindAt []int) []*region {
 		}
 	}
 
-	regionOf := make([]*region, len(p.Instrs))
+	regionOf = make([]*region, len(p.Instrs))
 	byTable := map[string]*region{}
+	lastFetch := map[int]*grouping{}
+	grouped := make([]int, p.NVars) // by grouped fetches, as their candidates
+	for _, g := range groupings {
+		lastFetch[g.last] = g
+		grouped[g.args[0].Var] += len(g.fetches)
+	}
 	for i, in := range p.Instrs {
 		if !member[i] {
 			continue
@@ -232,6 +395,10 @@ func outline(p *mal.Plan, bindAt []int) []*region {
 		}
 		regionOf[i] = r
 		r.members = append(r.members, i)
+		if g := lastFetch[i]; g != nil {
+			r.groups = append(r.groups, g)
+			r.exits = append(r.exits, mal.Exit{Var: g.v, Merge: mal.MergeGroups})
+		}
 		for _, a := range in.Args {
 			if !a.IsLit() && vars[a.Var].class == column && !slices.Contains(r.slots, a.Var) {
 				r.slots = append(r.slots, a.Var)
@@ -283,14 +450,14 @@ func outline(p *mal.Plan, bindAt []int) []*region {
 			}
 		}
 	}
-	// A lone range select or a conjunction that only deferred fetches,
-	// such sums and counts read answers a bitmap: no OID list is ever
-	// written for it. Its sums fold, and only then, so a list that
-	// anything else reads keeps its fetches.
+	// A lone range select or a conjunction that only deferred or grouped
+	// fetches, such sums and counts read answers a bitmap: no OID list
+	// is ever written for it. Its sums fold, and only then, so a list
+	// that anything else reads keeps its fetches.
 	for i, in := range p.Instrs {
 		c := in.Ret
 		if regionOf[i] != nil && (in.Name() == "algebra.uselectall" || in.Name() == "algebra.uselect" && len(in.Args) == 5) &&
-			reads[c[0]] > 0 && fetched[c[0]]+folded[c[0]]+counted[c[0]] == reads[c[0]] && !outside[c[0]] {
+			reads[c[0]] > 0 && fetched[c[0]]+grouped[c[0]]+folded[c[0]]+counted[c[0]] == reads[c[0]] && !outside[c[0]] {
 			regionOf[i].masks = append(regionOf[i].masks, i)
 		}
 	}
@@ -307,7 +474,7 @@ func outline(p *mal.Plan, bindAt []int) []*region {
 			r.folds = map[int]int{}
 		}
 		r.folds[i] = j
-		if folded[c] == 1 && fetched[c] == 0 && counted[c] <= 1 {
+		if folded[c] == 1 && fetched[c]+grouped[c] == 0 && counted[c] <= 1 {
 			f := fusion{sum: i, count: -1}
 			if counted[c] == 1 {
 				f.count = countOf[c]
@@ -318,7 +485,7 @@ func outline(p *mal.Plan, bindAt []int) []*region {
 			r.fused[mask] = f
 		}
 	}
-	return regionOf
+	return regionOf, groupOf
 }
 
 func (r *region) exitVars() []mal.VarID {
@@ -339,16 +506,22 @@ func (r *region) exitVars() []mal.VarID {
 // it has none), and they go. A deferred fetch's column is pinned and
 // unpinned where the fetch stood, but the fetch runs at the exit: on
 // the live ring the fragment stays readable until the query returns.
-func (r *region) build(p *mal.Plan) *mal.Region {
+// A grouping's group.aggregate stands where its last fetch stood, and
+// its fetches go. nvars is the first variable free for the sub-plan.
+func (r *region) build(p *mal.Plan, nvars int) *mal.Region {
 	type step struct {
 		in   mal.Instr
 		emit bool // false: a deferred fetch
 	}
 	steps := make([]step, 0, len(r.members))
-	nvars := p.NVars
-	gone := map[int]bool{} // folded fetches, fused sums and counts
+	gone := map[int]bool{} // folded and grouped fetches, fused sums and counts
 	for _, j := range r.folds {
 		gone[j] = true
+	}
+	for _, g := range r.groups {
+		for _, j := range g.fetches {
+			gone[j] = true
+		}
 	}
 	for _, f := range r.fused {
 		gone[f.sum], gone[f.count] = true, f.count >= 0
@@ -376,6 +549,11 @@ func (r *region) build(p *mal.Plan) *mal.Region {
 		}
 		if !gone[i] {
 			steps = append(steps, step{in, !slices.Contains(r.fetches, i)})
+		}
+		for _, g := range r.groups {
+			if g.last == i {
+				steps = append(steps, step{mal.Instr{Module: "group", Op: "aggregate", Ret: []mal.VarID{g.v}, Args: g.args}, true})
+			}
 		}
 	}
 	sub := &mal.Plan{Name: r.table, NVars: nvars, Result: mal.NoVar,

@@ -256,6 +256,67 @@ func registerStandard(r *Registry) {
 		return c.Return(refined, reps)
 	})
 
+	// group.aggregate(cand, k1, …, kn, op1, c1, …) is a GROUP BY over
+	// one part of a region: the rows cand keeps (a *bat.Mask or a
+	// candidate list) grouped by the tails of the key columns k1 … kn,
+	// and per group each aggregate in op order — "count" takes no
+	// column, "sum", "avg", "min" and "max" the column after them
+	// (bat.GroupBy). Its *bat.Groups leaves the region by MergeGroups.
+	// group.columns(groups) reads it out: a column per key, then one
+	// per aggregate, what the representative-key joins and the
+	// aggr.grouped* ops compute over whole columns.
+	r.Register("group", "aggregate", func(ctx *Context, c *Call) error {
+		var cand *bat.Mask
+		switch v := c.Args[0].(type) {
+		case *bat.Mask:
+			cand = v
+		case *bat.BAT:
+			cand = bat.ListMask(v)
+		default:
+			return fmt.Errorf("arg 0: want candidates, got %T", c.Args[0])
+		}
+		i := 1
+		var keys []*bat.BAT
+		for ; i < len(c.Args); i++ {
+			b, ok := c.Args[i].(*bat.BAT)
+			if !ok {
+				break
+			}
+			keys = append(keys, b)
+		}
+		var outs []bat.GroupOut
+		for i < len(c.Args) {
+			name, _ := c.Args[i].(string)
+			op, ok := groupOps[name]
+			if !ok {
+				return fmt.Errorf("arg %d: want an aggregate, got %#v", i, c.Args[i])
+			}
+			o := bat.GroupOut{Op: op}
+			if i++; op != bat.GroupCount {
+				b, err := argBAT(c.Args, i)
+				if err != nil {
+					return err
+				}
+				o.Col, i = b, i+1
+			}
+			outs = append(outs, o)
+		}
+		if len(keys) == 0 {
+			return fmt.Errorf("no key column")
+		}
+		return c.Return(bat.GroupBy(cand, keys, outs))
+	})
+	r.Register("group", "columns", func(ctx *Context, c *Call) error {
+		g, ok := c.Args[0].(*bat.Groups)
+		if !ok {
+			return fmt.Errorf("arg 0: want *bat.Groups, got %T", c.Args[0])
+		}
+		for _, b := range g.Columns() {
+			c.Return(b)
+		}
+		return nil
+	})
+
 	// --- aggr ---
 	// aggr.sum(col, cand) is MonetDB's candidate form, the sum of col at
 	// a select's mask (bat.SumKept): aggr.sum(algebra.join(cand, col))
@@ -350,6 +411,12 @@ func registerStandard(r *Registry) {
 		}
 		return c.Return(rs)
 	})
+}
+
+// groupOps are group.aggregate's aggregate names.
+var groupOps = map[string]bat.GroupOp{
+	"count": bat.GroupCount, "sum": bat.GroupSum, "avg": bat.GroupAvg,
+	"min": bat.GroupMin, "max": bat.GroupMax,
 }
 
 func unary(f func(*bat.BAT) Value) OpFunc {

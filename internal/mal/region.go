@@ -34,10 +34,11 @@ const (
 	MergeMin                     // aggr.min partials; nil is an empty part
 	MergeMax                     // aggr.max partials; nil is an empty part
 	MergeTail                    // BATs whose reader wants the tails only: dense head [0, n)
+	MergeGroups                  // group.aggregate partials, merged by key value (bat.MergeGroups)
 )
 
 func (k MergeKind) String() string {
-	return [...]string{"concat", "add", "min", "max", "tail"}[k]
+	return [...]string{"concat", "add", "min", "max", "tail", "groups"}[k]
 }
 
 // Exit is a sub-plan variable the outer plan consumes.
@@ -221,6 +222,18 @@ func (r *Region) merge(ctx *Context, c *Call, parts []Value) error {
 				frags[i] = b
 			}
 			lists, at = append(lists, frags), append(at, e)
+			continue
+		}
+		if ex.Merge == MergeGroups {
+			groups := make([]*bat.Groups, len(rows))
+			for i, row := range rows {
+				g, ok := row[e].(*bat.Groups)
+				if !ok {
+					return fmt.Errorf("region exit X%d is %T, want *bat.Groups", ex.Var, row[e])
+				}
+				groups[i] = g
+			}
+			out[e] = bat.MergeGroups(groups)
 			continue
 		}
 		acc, err := mergeScalars(ex.Merge, rows, e)
