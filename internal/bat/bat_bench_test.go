@@ -599,8 +599,12 @@ func widthColumn(vals []int64, width int) *Column {
 // and with the stream. The plain cases draw 256 consecutive dates, so no
 // code reaches its lane's top bit; the tpch ones draw yyyymmdd dates over
 // 1992–1998 as tpch.GenDB does, whose 2-byte codes reach 61,130, and
-// select [19940101, 19950101).
+// select [19940101, 19950101). The go/ cases run the same with the
+// AVX2 and AVX-512 kernels off: 1- and 2-byte codes fill the bitmap by
+// the word test (rejectWords).
 func BenchmarkBATRangeScanWidth(b *testing.B) {
+	avx2, vbmi2 := haveAVX2, haveVBMI2
+	defer func() { haveAVX2, haveVBMI2 = avx2, vbmi2 }()
 	const frag = 64 << 10
 	rng := rand.New(rand.NewSource(13))
 	vals, dates := make([]int64, benchRows), make([]int64, benchRows)
@@ -622,14 +626,17 @@ func BenchmarkBATRangeScanWidth(b *testing.B) {
 			for at := 0; at < benchRows; at += frag {
 				frags = append(frags, New("d", DenseColumn(Oid(at), frag), widthColumn(c.vals[at:at+frag], width)))
 			}
-			b.Run(c.name+fmt.Sprint(width), func(b *testing.B) {
-				b.SetBytes(int64(benchRows * width))
-				for i := 0; i < b.N; i++ {
-					for _, f := range frags {
-						benchSink = f.USelect(c.lo, c.hi)
+			for _, kernels := range []string{"", "go/"} {
+				haveAVX2, haveVBMI2 = avx2 && kernels == "", vbmi2 && kernels == ""
+				b.Run(kernels+c.name+fmt.Sprint(width), func(b *testing.B) {
+					b.SetBytes(int64(benchRows * width))
+					for i := 0; i < b.N; i++ {
+						for _, f := range frags {
+							benchSink = f.USelect(c.lo, c.hi)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

@@ -36,11 +36,10 @@ func codesOf[U code](codes []uint64, top uint64) narrowInts[U] {
 
 // checkCodeScan selects the codes [clo, chi] from rows off.. of a
 // w-byte code column whose dense head starts at base, through USelect
-// (the OID scan), Select (the position scan) and USelectCand (the
-// candidate test, at every other row), and holds each to
-// selectGeneric's row-by-row answer. off shifts the view's first code
-// off·w bytes past the payload's start, so most word loads are
-// unaligned.
+// (the OID list), Select (the positions) and USelectCand (the candidate
+// test, at every other row), and holds each to selectGeneric's
+// row-by-row answer. off shifts the view's first code off·w bytes past
+// the payload's start, so most word loads are unaligned.
 func checkCodeScan(t *testing.T, w int, codes []uint64, off int, base Oid, clo, chi uint64) {
 	t.Helper()
 	b := New("c", DenseColumn(base, len(codes)), codeColumn(w, codes)).Slice(off, len(codes))
@@ -60,12 +59,13 @@ func checkCodeScan(t *testing.T, w int, codes []uint64, off int, base Oid, clo, 
 }
 
 // TestCodeScanMatchesRowByRow runs the code scans at widths 1, 2 and 4
-// over every length up to three words and seven rows, from views
-// starting at offsets 0–7, with codes at 0, 2^(w−1) − 1, 2^(w−1), the
-// width's maximum and either side of each bound. The spans include
-// 2^(w−1) − 1, the widest the word kernel takes, and 2^(w−1), which
-// takes the scalar loop, with ranges at lo == 0, at hi == the maximum,
-// and of one code.
+// over short lengths and those around a 32-row AVX2 block and one and
+// two 64-row bitmap words, from views starting at offsets 0–7, with
+// codes at 0, 2^(w−1) − 1, 2^(w−1), the width's maximum and either side
+// of each bound, under each of rejectKernels. The spans include
+// 2^(w−1) − 1, the widest the word test takes as it is, and 2^(w−1),
+// which it takes as its complement, with ranges at lo == 0, at hi ==
+// the maximum, of one code and of every code.
 func TestCodeScanMatchesRowByRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	for _, w := range []int{1, 2, 4} {
@@ -74,12 +74,12 @@ func TestCodeScanMatchesRowByRow(t *testing.T) {
 			{0, half - 1}, {0, half}, {top - half + 1, top}, {top - half, top},
 			{3, 3 + half - 1}, {3, 3 + half}, {half - 2, 2*half - 3},
 			{0, 0}, {half - 1, half - 1}, {half, half}, {top, top},
-			{5, 9}, {half + 7, top - 1},
+			{5, 9}, {half + 7, top - 1}, {0, top},
 		}
 		for _, r := range ranges {
 			clo, chi := r[0], r[1]
 			special := []uint64{0, half - 1, half, top, clo, chi, clo - 1, chi + 1}
-			for n := 0; n <= 3*8/w+7; n++ {
+			for _, n := range []int{0, 1, 2, 3, 5, 7, 8, 9, 31, 32, 33, 63, 64, 65, 127, 128, 135} {
 				for off := 0; off < 8; off++ {
 					codes := make([]uint64, off+n)
 					for i := range codes {
@@ -93,17 +93,17 @@ func TestCodeScanMatchesRowByRow(t *testing.T) {
 					if off%2 == 1 {
 						base = 1<<40 + 3
 					}
-					checkCodeScan(t, w, codes, off, base, clo, chi)
+					withRejectKernels(func() { checkCodeScan(t, w, codes, off, base, clo, chi) })
 				}
 			}
 		}
 	}
 }
 
-// FuzzCodeScan holds the code scans to selectGeneric on fuzzed codes:
-// the width is 1, 2 or 4 bytes by sel, the codes are data read
-// little-endian at that width, off (mod 8) rows of them sit before the
-// view and [clo, chi] is taken modulo the width.
+// FuzzCodeScan holds the code scans to selectGeneric on fuzzed codes,
+// under each of rejectKernels: the width is 1, 2 or 4 bytes by sel, the
+// codes are data read little-endian at that width, off (mod 8) rows of
+// them sit before the view and [clo, chi] is taken modulo the width.
 func FuzzCodeScan(f *testing.F) {
 	f.Add([]byte{0x00, 0x7f, 0x80, 0xff, 0x10, 0x90, 0x7e, 0x81, 0x01, 0xfe, 0x40}, uint8(0), uint8(3), uint64(0x10), uint64(0x8f))
 	f.Add([]byte{0x00, 0x7f, 0x80, 0xff, 0x10, 0x90, 0x7e, 0x81, 0x01, 0xfe, 0x40}, uint8(0), uint8(1), uint64(0x10), uint64(0x90))
@@ -124,7 +124,7 @@ func FuzzCodeScan(f *testing.F) {
 		if clo > chi {
 			clo, chi = chi, clo
 		}
-		checkCodeScan(t, w, codes, o, 1<<40+Oid(sel), clo, chi)
+		withRejectKernels(func() { checkCodeScan(t, w, codes, o, 1<<40+Oid(sel), clo, chi) })
 	})
 }
 

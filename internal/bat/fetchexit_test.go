@@ -198,7 +198,7 @@ func drawFetchExit(rng *rand.Rand, lens []int) (sels [][]Term, cols [2][]*BAT, t
 // lengths in fetchSizes and random small ones, in every column form,
 // and holds FetchAll to per-part Join and ConcatAll — with the CPU's
 // vector kernel filling the bitmaps, and with it switched off, where
-// rejectRange's scalar loop fills them; every other trial with the
+// rejectRange's word test fills them; every other trial with the
 // compress kernels gathering the kept codes, the rest with
 // gatherKept's loop.
 func TestFetchExitMatchesJoin(t *testing.T) {

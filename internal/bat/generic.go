@@ -1,6 +1,9 @@
 package bat
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file is the boxed, reflection-ish fallback path of the kernel.
 // The typed kernels in ops.go and aggr.go handle every same-kind and
@@ -99,12 +102,16 @@ func toFloat64(v any) float64 {
 }
 
 // selectGeneric is the boxed row-at-a-time Select: one Value() call and
-// up to two cmpValues dispatches per row.
+// up to two cmpValues dispatches per row. A NaN lies in no bounded
+// range, as in the typed kernels' compares.
 func (b *BAT) selectGeneric(lo, hi *Bound) *BAT {
 	var idx []int
 	n := b.Len()
 	for i := 0; i < n; i++ {
 		v := b.t.Value(i)
+		if f, ok := v.(float64); ok && math.IsNaN(f) && (lo != nil || hi != nil) {
+			continue
+		}
 		if lo != nil {
 			c := cmpValues(b.t.kind, v, lo.Value)
 			if c < 0 || (c == 0 && !lo.Inclusive) {

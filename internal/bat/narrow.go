@@ -42,6 +42,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"sort"
 	"unsafe"
 )
 
@@ -272,193 +273,56 @@ func (c narrowInts[U]) extreme(wantMax bool) int64 {
 // codes without a pass over them.
 func (c narrowInts[U]) top() uint32 { return uint32(c.hi) }
 
-// selectRows is selectTyped over the codes. A range that misses every
-// code has no code range to express it and is answered without reading
-// the codes, in the very form the wide kernel gives: the span its
-// binary search would find, or the empty position list of its scan.
+// selectRows is selectTyped over the codes for the range r of the
+// integers they stand for (selectCoded): a sorted column's span, found
+// by binary search on ref + code; over unsorted codes, the range mapped
+// onto them once (codeRange) and the rows the rejection bitmap keeps of
+// 1- or 2-byte codes (keptRows) or rangeIdx's positions over 4-byte
+// ones. A range that holds no code's value is answered without reading
+// the codes, in the very form the wide kernel gives: the empty span its
+// binary search finds, or the empty position list of its scan.
 func (c narrowInts[U]) selectRows(t *Column, r bounds[int64]) hits {
-	if r.empty() {
-		return hits{}
+	if t.Sorted() {
+		from := sort.Search(len(c.v), func(i int) bool { return c.at(i) >= r.lo })
+		to := sort.Search(len(c.v), func(i int) bool { return c.at(i) > r.hi })
+		return hits{from: from, to: max(from, to)}
 	}
-	cr, below, above := codeRange[U](r, c.base)
+	cr, ok := codeRange[U](r, c.base)
 	switch {
-	case (below || above) && t.Sorted():
-		n := len(c.v) * b2i(above)
-		return hits{from: n, to: n}
-	case below || above:
-		return hits{scanned: true, constant: r.lo == r.hi}
-	case t.Sorted():
-		from, to := rangeSpan(c.v, cr)
-		return hits{from: from, to: to}
+	case !ok:
+		return hits{scanned: true}
+	case c.width() <= 2:
+		return keptRows(t, r)
 	}
-	p := idxPool.get(len(c.v))
-	*p = (*p)[:scanCodes(c.v, *p, 0, cr.lo, cr.hi)]
-	return hits{idx: *p, pooled: p, scanned: true, constant: r.lo == r.hi}
+	p := rangeIdx(c.v, cr)
+	return hits{idx: *p, pooled: p, scanned: true}
 }
 
-// scanOids is the package-level scanOids over the codes: scanCodes over
-// every row, candCodes over a candidate list. A range that misses every
-// code answers empty without a pass.
+// scanOids is the package-level scanOids over the codes. A range that
+// holds no code's value answers empty without a pass.
 func (c narrowInts[U]) scanOids(base Oid, cand []Oid, restricted bool, r bounds[int64]) []Oid {
-	if r.empty() {
-		return nil
-	}
-	cr, below, above := codeRange[U](r, c.base)
-	switch {
-	case below || above:
-		return nil
-	case restricted:
-		return candCodes(c.v, base, cand, cr.lo, cr.hi)
-	}
-	p := oidPool.get(len(c.v))
-	return exactOids(p, scanCodes(c.v, *p, base, cr.lo, cr.hi))
+	cr, _ := codeRange[U](r, c.base)
+	return scanOids(c.v, base, cand, restricted, cr)
 }
 
-// scanCodes is rangeIdx and rangeOids over codes: it writes first + i,
-// ascending, to out for every row i whose code lies in [lo, hi] and
-// returns how many it wrote; out holds len(v) entries. One-byte and
-// two-byte codes are tested a word at a time (scanWords) when hi − lo <
-// 2^(w−1) on a little-endian host; a wider span, the rows past the last
-// whole group of 8 and big-endian hosts take the scalar loop, one
-// compare a row: code − lo ≤ hi − lo, which wraps below lo. So do
-// four-byte codes: at two lanes a word, the word's test costs more than
-// it saves, and the word loop measured slower than the scalar one.
-// Neither loop has a branch on the data.
-func scanCodes[U code, O int32 | Oid](v []U, out []O, first O, lo, hi U) int {
-	n, i := 0, 0
-	span := hi - lo
-	if w := unsafe.Sizeof(lo); hostLittle && w <= 2 && uint64(span) < 1<<(8*w-1) {
-		n, i = scanWords(v, out, first, lo, span)
-	}
-	return n + scanRows(v[i:], out[n:], first+O(i), lo, span)
-}
-
-// scanRows is scanCodes' scalar loop: every row number is stored and the
-// cursor advances by the row's outcome.
-func scanRows[U code, O int32 | Oid](v []U, out []O, first O, lo, span U) int {
-	n := 0
-	out = out[:len(v)]
-	for i, x := range v {
-		out[n] = first + O(i)
-		n += b2i(x-lo <= span)
-	}
-	return n
-}
-
-// scanWords is scanCodes' word loop over 1- or 2-byte codes, for a span
-// below 2^(w−1) on a little-endian host: it tests every whole group of 8
-// rows of v and returns how many rows it wrote and the first row it left.
-//
-// One 8-byte load x holds 8 or 4 codes, one per w-bit lane, and a lane
-// qualifies when d = code − lo, taken in its lane, is at most the span.
-// With H the lanes' top bits and L lo in every lane,
-//
-//	d = ((x | H) − (L &^ H)) ^ ((x ^ ^L) & H)
-//
-// borrows across no lane boundary, and d ≤ span is the top bit clear in
-// both d and (d &^ H) + A, with A = 2^(w−1) − 1 − span in every lane:
-// that sum stays inside its lane, so the test is exact for every code.
-// The loop computes r = (x | H) − (L &^ H), which is d below the top
-// bits, and reads d's top bits as those of r ^ x ^ L, inverted: a lane
-// is kept where (r ^ x ^ L) &^ ((r &^ H) + A) has its top bit set.
-// A multiply gathers the 8 rows' outcomes into one byte m, and
-// laneOrder[m] names the rows kept: the group stores 8 rows, the kept
-// ones first, and the cursor advances by their count, so nothing
-// branches on the data.
-func scanWords[U code, O int32 | Oid](v []U, out []O, first O, lo, span U) (n, i int) {
-	w := int(unsafe.Sizeof(lo))
-	lanes, bits := 8/w, uint(8*w)
-	ones := ^uint64(0) / uint64(^U(0)) // 1 in every lane
-	high := ones << (bits - 1)
-	l := ones * uint64(lo)
-	lLow := l &^ high
-	a := ones * (1<<(bits-1) - 1 - uint64(span))
-	var gather uint64 // moves lane j's outcome from bit j·w + w − 1 to bit 64 − lanes + j
-	for j := 0; j < lanes; j++ {
-		gather |= 1 << (64 - uint(lanes) + uint(j) - uint(j)*bits - (bits - 1))
-	}
-	// test is the outcomes of the word that starts at row, lane j's in bit j.
-	src := unsafe.Pointer(unsafe.SliceData(v))
-	test := func(row int) uint64 {
-		x := binary.LittleEndian.Uint64((*[8]byte)(unsafe.Add(src, row*w))[:])
-		r := (x | high) - lLow
-		kept := (r ^ x ^ l) &^ ((r &^ high) + a) & high
-		return kept * gather >> (64 - uint(lanes))
-	}
-	// n ≤ i, so each group's stores, out[n : n+8], lie inside
-	// out[:len(v)], and its loads inside v.
-	out = out[:len(v)]
-	dst := unsafe.Pointer(unsafe.SliceData(out))
-	put := func(n int, o O) { *(*O)(unsafe.Add(dst, uintptr(n)*unsafe.Sizeof(o))) = o }
-	for ; i+8 <= len(v); i += 8 {
-		m := test(i)
-		if lanes == 4 {
-			m |= test(i+4) << 4
-		}
-		kept := &laneOrder[m]
-		o := first + O(i)
-		put(n, o+O(kept[0]))
-		put(n+1, o+O(kept[1]))
-		put(n+2, o+O(kept[2]))
-		put(n+3, o+O(kept[3]))
-		put(n+4, o+O(kept[4]))
-		put(n+5, o+O(kept[5]))
-		put(n+6, o+O(kept[6]))
-		put(n+7, o+O(kept[7]))
-		n += int(kept[8])
-	}
-	return n, i
-}
-
-// laneOrder[m] lists the set bits of m in ascending order, then, in
-// byte 8, how many there are.
-var laneOrder = func() (t [256][9]uint8) {
-	for m := range t {
-		for j := 0; j < 8; j++ {
-			if m>>j&1 == 1 {
-				t[m][t[m][8]] = uint8(j)
-				t[m][8]++
-			}
-		}
-	}
-	return t
-}()
-
-// candCodes is candOids over codes, with scanCodes' one-compare test.
-func candCodes[U code](v []U, base Oid, c []Oid, lo, hi U) []Oid {
-	if len(c) == 0 {
-		return nil
-	}
-	p := oidPool.get(len(c))
-	out := *p
-	n := 0
-	span := hi - lo
-	prev := ^c[0] // differs from the first candidate
-	for _, o := range c {
-		out[n] = o
-		n += b2i(v[o-base]-lo <= span) & b2i(o != prev)
-		prev = o
-	}
-	return exactOids(p, n)
-}
-
-// codeRange maps the closed, non-empty int64 range r onto the codes of
-// a column whose values are ref + code: below when every value lies
-// above r, above when every value lies below it, cr otherwise.
-func codeRange[U code](r bounds[int64], ref int64) (cr bounds[U], below, above bool) {
+// codeRange maps the closed int64 range r onto the codes of a column
+// whose values are ref + code; ok is false, and cr empty, when r holds
+// no code's value.
+func codeRange[U code](r bounds[int64], ref int64) (cr bounds[U], ok bool) {
 	maxCode := uint64(^U(0))
-	if r.hi < ref {
-		return cr, true, false
+	none := closedBounds[U](1, 0)
+	if r.empty() || r.hi < ref {
+		return none, false
 	}
 	var lo uint64
 	if r.lo > ref {
 		lo = uint64(r.lo) - uint64(ref)
 	}
 	if lo > maxCode {
-		return cr, false, true
+		return none, false
 	}
 	hi := min(uint64(r.hi)-uint64(ref), maxCode)
-	return closedBounds(U(lo), U(hi)), false, false
+	return closedBounds(U(lo), U(hi)), true
 }
 
 // pow10 are the scales a decimal column can have: the powers of ten a
@@ -732,38 +596,14 @@ func ceilK(x, scale float64) int64 {
 	return k
 }
 
-// selectDecimal is selectTyped for a decimal column: the float range
-// maps once to scaled integers.
-func (c *Column) selectDecimal(r bounds[float64]) hits {
-	if r.empty() {
+// selectCoded is selectTyped for a narrow column, once the literal
+// range has been mapped to kr, the range of the integers the codes
+// stand for (narrowBounds). The answer takes the form the wide kernel
+// gives, which it reads off the literal range: none for an empty one,
+// and constant when it is a single value.
+func (c *Column) selectCoded(kr bounds[int64], empty, constant bool) hits {
+	if empty {
 		return hits{}
-	}
-	return c.selectCoded(c.codeBounds(r), r.lo == r.hi)
-}
-
-// selectDict is selectTyped for a dictionary column: the string range
-// maps once to a range of codes.
-func (c *Column) selectDict(r bounds[string]) hits {
-	if r.empty() {
-		return hits{}
-	}
-	return c.selectCoded(c.dictBounds(r), r.closed() && r.lo == r.hi)
-}
-
-// selectCoded is selectTyped for a decimal or dictionary column, once
-// the literal range has been mapped to kr, the range of the integers the
-// codes hold; the int kernels run on the codes. The answer takes the
-// form the wide kernel gives, including for a range that holds no value
-// of the column: the empty span its binary search finds, or its scan's
-// empty list. constant is what the wide scan reports: the literal range
-// is a single value.
-func (c *Column) selectCoded(kr bounds[int64], constant bool) hits {
-	switch {
-	case kr.empty() && c.Sorted():
-		h := c.narrow.selectRows(c, closedBounds(kr.lo, math.MaxInt64))
-		return hits{from: h.from, to: h.from}
-	case kr.empty():
-		return hits{scanned: true, constant: constant}
 	}
 	h := c.narrow.selectRows(c, kr)
 	h.constant = h.scanned && constant

@@ -111,9 +111,9 @@ func (sp *slicePool[T]) put(p *[]T) {
 }
 
 var (
-	idxPool slicePool[int32]  // row positions: rangeIdx, scanCodes, mergeMemberIdx, gallopProbeIdx
-	oidPool slicePool[Oid]    // candidate OIDs: rangeOids, candOids, scanCodes, candCodes; an Arena's keptHead
-	bitPool slicePool[uint64] // row bitmaps: selectCodes; an Arena's masks
+	idxPool slicePool[int32]  // row positions: rangeIdx, keptRows, mergeMemberIdx, gallopProbeIdx
+	oidPool slicePool[Oid]    // candidate OIDs: rangeOids, candOids; an Arena's keptHead
+	bitPool slicePool[uint64] // row bitmaps: keptList, keptRows; an Arena's masks
 	u8Pool  slicePool[uint8]  // an Arena's merged codes, one pool per width: mergeCodes; SumKept's kept codes
 	u16Pool slicePool[uint16]
 	u32Pool slicePool[uint32]
@@ -206,51 +206,43 @@ func (d *drawn[T]) release(pool *slicePool[T]) {
 	*d = nil
 }
 
-// rangeIdx scans an unsorted payload once and returns the qualifying
-// row positions in ascending order. Every position is stored and the
-// cursor advances by the predicate's outcome, so the loop body has no
-// data-dependent branch to mispredict. The buffer is sized for the
-// worst case and goes back to idxPool after the caller's gather.
-func rangeIdx[T cmp.Ordered](vals []T, r bounds[T]) *[]int32 {
-	p := idxPool.get(len(vals))
-	idx := *p
+// rangeRows writes first + i, ascending, to out for every row i of the
+// unsorted payload vals whose value lies within r, and returns how many:
+// one pass, every row number stored and the cursor advanced by the
+// predicate's outcome, so the loop body has no data-dependent branch to
+// mispredict. out holds len(vals) entries.
+func rangeRows[T cmp.Ordered, O int32 | Oid](vals []T, out []O, first O, r bounds[T]) int {
 	n := 0
+	out = out[:len(vals)]
 	if r.closed() {
 		lo, hi := r.lo, r.hi
 		for i, v := range vals {
-			idx[n] = int32(i)
-			n += b2i(!(v < lo)) & b2i(!(v > hi))
+			out[n] = first + O(i)
+			n += b2i(v >= lo) & b2i(v <= hi)
 		}
 	} else {
 		for i, v := range vals {
-			idx[n] = int32(i)
+			out[n] = first + O(i)
 			n += b2i(r.holds(v))
 		}
 	}
-	*p = idx[:n]
+	return n
+}
+
+// rangeIdx is rangeRows' positions, in idxPool scratch sized for the
+// worst case, which goes back after the caller's gather.
+func rangeIdx[T cmp.Ordered](vals []T, r bounds[T]) *[]int32 {
+	p := idxPool.get(len(vals))
+	*p = (*p)[:rangeRows(vals, *p, 0, r)]
 	return p
 }
 
-// rangeOids is rangeIdx for a dense head: the one pass writes the
+// rangeOids is rangeRows for a dense head: the pass writes the
 // qualifying rows' OIDs themselves, base + position, so a candidate
 // list needs no gather afterwards.
 func rangeOids[T cmp.Ordered](vals []T, base Oid, r bounds[T]) []Oid {
 	p := oidPool.get(len(vals))
-	out := *p
-	n := 0
-	if r.closed() {
-		lo, hi := r.lo, r.hi
-		for i, v := range vals {
-			out[n] = base + Oid(i)
-			n += b2i(!(v < lo)) & b2i(!(v > hi))
-		}
-	} else {
-		for i, v := range vals {
-			out[n] = base + Oid(i)
-			n += b2i(r.holds(v))
-		}
-	}
-	return exactOids(p, n)
+	return exactOids(p, rangeRows(vals, *p, base, r))
 }
 
 // candOids is rangeOids restricted to the rows the ascending OID list c
@@ -270,7 +262,7 @@ func candOids[T cmp.Ordered](vals []T, base Oid, c []Oid, r bounds[T]) []Oid {
 		for _, o := range c {
 			v := vals[o-base]
 			out[n] = o
-			n += b2i(!(v < lo)) & b2i(!(v > hi)) & b2i(o != prev)
+			n += b2i(v >= lo) & b2i(v <= hi) & b2i(o != prev)
 			prev = o
 		}
 	} else {
@@ -586,7 +578,7 @@ func (b *BAT) selectRows(lo, hi *Bound) (h hits, ok bool) {
 		switch {
 		case !ok:
 		case b.t.narrow != nil:
-			return b.t.narrow.selectRows(b.t, r), true
+			return b.t.selectCoded(r, r.empty(), r.lo == r.hi), true
 		default:
 			return selectTyped(b.t, b.t.ints, r), true
 		}
@@ -595,7 +587,7 @@ func (b *BAT) selectRows(lo, hi *Bound) (h hits, ok bool) {
 		switch {
 		case !ok:
 		case b.t.narrow != nil:
-			return b.t.selectDecimal(r), true
+			return b.t.selectCoded(b.t.codeBounds(r), r.empty(), r.lo == r.hi), true
 		default:
 			return selectTyped(b.t, b.t.floats, r), true
 		}
@@ -613,7 +605,7 @@ func (b *BAT) selectRows(lo, hi *Bound) (h hits, ok bool) {
 		switch {
 		case !ok:
 		case b.t.narrow != nil:
-			return b.t.selectDict(r), true
+			return b.t.selectCoded(b.t.dictBounds(r), r.empty(), r.closed() && r.lo == r.hi), true
 		default:
 			return selectTyped(b.t, b.t.strs, r), true
 		}
@@ -650,10 +642,13 @@ func (b *BAT) Select(lo, hi *Bound) *BAT {
 // bounds — Select(lo, hi).Mirror() without ever gathering the tail, and
 // with both sides sharing one column. Row order is preserved, so the
 // list is sorted whenever b's head is: over a dense-headed column it is
-// an ascending OID list, written by the scan itself.
+// an ascending OID list, written by the scan or the bitmap (keptList).
 func (b *BAT) USelect(lo, hi *Bound) *BAT {
 	if lo == nil && hi == nil {
 		return b.Mirror()
+	}
+	if l, ok := keptList([]Term{{B: b, Lo: lo, Hi: hi}}); ok {
+		return l
 	}
 	if b.h.dense && !b.t.Sorted() {
 		if oids, ok := b.scanDense(nil, false, lo, hi); ok {
@@ -692,10 +687,12 @@ func (b *BAT) USelect(lo, hi *Bound) *BAT {
 //     intersected with cand — the rows were never scanned.
 //   - cand dense: the composed form is already a sub-slice scan,
 //     Semijoin against a dense range being an O(1) view.
-//   - anything else (unsorted or non-OID heads, bool tails, literals the
-//     column kind cannot normalize): the composed form.
+//   - anything else (no bound at all, which keeps a NaN that every
+//     bounded range drops; unsorted or non-OID heads, bool tails,
+//     literals the column kind cannot normalize): the composed form.
 func (b *BAT) USelectCand(cand *BAT, lo, hi *Bound) *BAT {
 	switch {
+	case lo == nil && hi == nil:
 	case b.t.Sorted():
 		if h, ok := b.selectRows(lo, hi); ok && !h.scanned {
 			// Mirror before the semijoin so one column is gathered, and
@@ -1223,8 +1220,8 @@ func joinIntProbe[U key](p *Column, b side[U], ref, lo, hi int64) (li, ri []int3
 // build's value window [lo, hi] becomes a window of the probe's codes,
 // or nothing matches.
 func joinCodes[P code, U key](p side[P], pref int64, b side[U], ref, lo, hi int64) (li, ri []int32) {
-	cr, below, above := codeRange[P](closedBounds(lo, hi), pref)
-	if below || above {
+	cr, ok := codeRange[P](closedBounds(lo, hi), pref)
+	if !ok {
 		return nil, nil
 	}
 	return joinKeys(p, cr.lo, cr.hi, uint64(pref)-uint64(ref), b)

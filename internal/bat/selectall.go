@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"unsafe"
@@ -21,15 +22,15 @@ type Term struct {
 //
 // and answers that chain's OIDs. When every term is a dense-headed
 // column over the same rows with an unsorted tail of 1- or 2-byte codes
-// — a served table's fragments, narrowed at install — and the CPU runs
-// AVX2, the terms are tested into one bitmap of the rows
-// (selectCodes); otherwise the chain runs.
+// — a served table's fragments, narrowed at install — the terms are
+// tested into one bitmap of the rows (keptList); otherwise the chain
+// runs.
 func SelectAll(terms []Term) *BAT {
 	if len(terms) == 0 {
 		panic("bat: SelectAll of no terms")
 	}
-	if oids, ok := selectCodes(terms); ok {
-		return candList(terms[len(terms)-1].B.Name, oids)
+	if l, ok := keptList(terms); ok {
+		return l
 	}
 	c := terms[0].B.USelect(terms[0].Lo, terms[0].Hi)
 	for _, t := range terms[1:] {
@@ -38,64 +39,81 @@ func SelectAll(terms []Term) *BAT {
 	return c
 }
 
-// selectCodes is SelectAll's bitmap kernel. It takes terms when every
-// one has a dense head with the first term's base and length, an
-// unsorted tail of 1- or 2-byte codes and literals its kind normalizes
-// (takesCodes), on amd64 with AVX2; ok is false otherwise. The rejected
-// rows go into one bitmap (rejectCodes) and the kept rows are its clear
-// bits, which rejectCodes counts, so the OID list is allocated at its
-// size. The bitmap is bitPool scratch, dead once the list is written.
-func selectCodes(terms []Term) (oids []Oid, ok bool) {
-	if !haveAVX2 || !takesAllCodes(terms) {
+// keptList is SelectAll's bitmap path; ok is false when the bitmap does
+// not take terms (codeTerms). The rejected rows go into one bitmap
+// (rejectCodes) and the kept rows are its clear bits, which rejectCodes
+// counts, so the OID list is allocated at its size. The bitmap is
+// bitPool scratch, dead once the list is written.
+func keptList(terms []Term) (l *BAT, ok bool) {
+	var buf [maxWordTerms]codeTerm
+	cts, ok := codeTerms(buf[:0], terms)
+	if !ok {
 		return nil, false
 	}
 	h := terms[0].B.h
 	p := bitPool.get((h.n + 63) / 64)
 	defer bitPool.put(p)
-	if kept, miss := rejectCodes(terms, *p); !miss && kept > 0 {
-		return keptOids(*p, h.base, kept), true
+	var oids []Oid
+	if kept, _ := rejectCodes(cts, *p); kept > 0 {
+		oids = keptOids(*p, h.base, kept)
 	}
-	return nil, true
+	return candList(terms[len(terms)-1].B.Name, oids), true
 }
 
-// takesAllCodes reports whether every term takes the bitmap kernel over
-// the first term's rows.
-func takesAllCodes(terms []Term) bool {
-	h := terms[0].B.h
+// codeTerm is a range over a column as the rejection bitmap takes it:
+// an unsorted tail of 1- or 2-byte codes, and the integers r, ref +
+// code, its range keeps (narrowBounds).
+type codeTerm struct {
+	col *Column
+	r   bounds[int64]
+}
+
+// codeTerms appends terms to dst as the rejection bitmap takes them; ok
+// is false unless there are terms, and every one has a dense head with
+// the first one's base and length, an unsorted tail of 1- or 2-byte
+// codes and literals its kind normalizes.
+func codeTerms(dst []codeTerm, terms []Term) (cts []codeTerm, ok bool) {
 	for _, t := range terms {
-		if !takesCodes(t, h) {
-			return false
+		h, th, col := terms[0].B.h, t.B.h, t.B.t
+		if !th.dense || th.base != h.base || th.n != h.n || col.narrow == nil || col.narrow.width() > 2 || col.Sorted() {
+			return nil, false
 		}
+		r, ok := col.narrowBounds(t.Lo, t.Hi)
+		if !ok {
+			return nil, false
+		}
+		dst = append(dst, codeTerm{col, r})
 	}
-	return true
+	return dst, len(terms) > 0
 }
 
 // rejectCodes writes rej: the bit of every row some term rejects, and
-// the bits past the last row; it returns how many rows are kept. miss:
-// a range missed every code, so no row is kept and rej is partly
-// written. Up to maxWordTerms terms on a CPU with VBMI2 run the
-// term-table kernel's bitmap exit, which writes each word once and
-// counts it as it goes (wordTerms.reject); otherwise each term ORs its
-// rejections in (rejectRange) and the clear bits are counted after.
-func rejectCodes(terms []Term, rej []uint64) (kept int, miss bool) {
+// the bits past the last row; it returns how many rows are kept. The
+// terms' columns are of one length. miss: a range missed every code, so
+// no row is kept and rej is partly written. Up to maxWordTerms terms on
+// a CPU with VBMI2 run the term-table kernel's bitmap exit, which writes
+// each word once and counts it as it goes (wordTerms.reject); otherwise
+// each term ORs its rejections in (rejectRange) and the clear bits are
+// counted after.
+func rejectCodes(terms []codeTerm, rej []uint64) (kept int, miss bool) {
+	n := terms[0].col.Len()
 	if haveVBMI2 && len(terms) <= maxWordTerms {
 		var tab wordTerms
 		if !tab.fill(terms) {
 			return 0, true
 		}
-		return tab.reject(rej, terms[0].B.h.n), false
+		return tab.reject(rej, n), false
 	}
 	clear(rej)
-	if part := terms[0].B.h.n % 64; part != 0 {
+	if part := n % 64; part != 0 {
 		rej[len(rej)-1] = ^uint64(0) << part // past the last row
 	}
 	for _, t := range terms {
-		r, _ := t.B.t.narrowBounds(t.Lo, t.Hi)
-		switch c := t.B.t.narrow.(type) {
+		switch c := t.col.narrow.(type) {
 		case narrowInts[uint8]:
-			miss = rejectRange(rej, c, r)
+			miss = rejectRange(rej, c, t.r)
 		case narrowInts[uint16]:
-			miss = rejectRange(rej, c, r)
+			miss = rejectRange(rej, c, t.r)
 		}
 		if miss {
 			return 0, true
@@ -105,6 +123,21 @@ func rejectCodes(terms []Term, rej []uint64) (kept int, miss bool) {
 		kept += bits.OnesCount64(^w)
 	}
 	return kept, false
+}
+
+// keptRows is selectRows' scan over an unsorted tail t of 1- or 2-byte
+// codes, for a range r that holds some code: the rows the rejection
+// bitmap keeps (rejectCodes), bitPool scratch, as positions (putKept)
+// in idxPool scratch.
+func keptRows(t *Column, r bounds[int64]) hits {
+	h := hits{scanned: true}
+	p := bitPool.get((t.Len() + 63) / 64)
+	defer bitPool.put(p)
+	if kept, _ := rejectCodes([]codeTerm{{t, r}}, *p); kept > 0 {
+		h.pooled = idxPool.get(kept + 2) // putKept's spare slots
+		h.idx = (*h.pooled)[:putKept(*h.pooled, *p, 0)]
+	}
+	return h
 }
 
 // maxWordTerms is how many terms the term-table kernel's table holds;
@@ -132,23 +165,21 @@ type wordTerms struct {
 	wide, n int
 }
 
-// fill makes tab the table of terms, which takesAllCodes takes, and
-// reports false — a miss — when a term's range holds no code, so no row
-// is kept.
-func (tab *wordTerms) fill(terms []Term) bool {
+// fill makes tab the table of terms and reports false — a miss — when
+// a term's range holds no code, so no row is kept.
+func (tab *wordTerms) fill(terms []codeTerm) bool {
 	*tab = wordTerms{}
 	for _, width := range []int{2, 1} { // the 2-byte terms first
 		for _, t := range terms {
-			if t.B.t.narrow.width() != width {
+			if t.col.narrow.width() != width {
 				continue
 			}
-			r, _ := t.B.t.narrowBounds(t.Lo, t.Hi)
 			ok := false
-			switch c := t.B.t.narrow.(type) {
+			switch c := t.col.narrow.(type) {
 			case narrowInts[uint8]:
-				tab.t[tab.n], ok = wordTermOf(c, r)
+				tab.t[tab.n], ok = wordTermOf(c, t.r)
 			case narrowInts[uint16]:
-				tab.t[tab.n], ok = wordTermOf(c, r)
+				tab.t[tab.n], ok = wordTermOf(c, t.r)
 			}
 			if !ok {
 				return false
@@ -165,11 +196,8 @@ func (tab *wordTerms) fill(terms []Term) bool {
 // wordTermOf is the table entry of c's rows within r; ok is false when
 // no code lies inside r.
 func wordTermOf[U uint8 | uint16](c narrowInts[U], r bounds[int64]) (e wordTerm, ok bool) {
-	if r.empty() {
-		return e, false
-	}
-	cr, below, above := codeRange[U](r, c.base)
-	if below || above {
+	cr, ok := codeRange[U](r, c.base)
+	if !ok {
 		return e, false
 	}
 	lanes := math.MaxUint32 / uint32(^U(0)) // 1 in every lane
@@ -248,11 +276,13 @@ type Mask struct {
 }
 
 // SelectMask is SelectAll answering a Mask. Over the shapes the bitmap
-// kernel takes (selectCodes) it fills the mask's bitmap, drawn from the
-// query's arena a (nil: made), and counts the kept rows (rejectCodes);
+// takes (codeTerms) it fills the mask's bitmap, drawn from the query's
+// arena a (nil: made), and counts the kept rows (rejectCodes);
 // otherwise it holds SelectAll's list.
 func SelectMask(terms []Term, a *Arena) *Mask {
-	if len(terms) == 0 || !takesAllCodes(terms) {
+	var buf [maxWordTerms]codeTerm
+	cts, ok := codeTerms(buf[:0], terms)
+	if !ok {
 		l := SelectAll(terms)
 		return &Mask{name: l.Name, list: l}
 	}
@@ -262,7 +292,7 @@ func SelectMask(terms []Term, a *Arena) *Mask {
 		rej = []uint64{} // no rows: a bitmap still, not a list
 	}
 	m := &Mask{name: terms[len(terms)-1].B.Name, base: h.base, n: h.n, rej: rej}
-	m.kept, _ = rejectCodes(terms, m.rej) // a miss keeps none
+	m.kept, _ = rejectCodes(cts, m.rej) // a miss keeps none
 	return m
 }
 
@@ -371,7 +401,9 @@ func SelectSum(col *BAT, terms []Term, a *Arena) (sum any, count int64) {
 // selectSumWords is SelectSum's term-table path; ok is false when it
 // does not take the shape.
 func selectSumWords(col *BAT, terms []Term) (sum any, count int64, ok bool) {
-	if !haveVBMI2 || len(terms) == 0 || len(terms) > maxWordTerms || !takesAllCodes(terms) {
+	var buf [maxWordTerms]codeTerm
+	cts, ok := codeTerms(buf[:0], terms)
+	if !haveVBMI2 || !ok || len(terms) > maxWordTerms {
 		return nil, 0, false
 	}
 	h, t, th := col.h, col.t, terms[0].B.h
@@ -379,7 +411,7 @@ func selectSumWords(col *BAT, terms []Term) (sum any, count int64, ok bool) {
 		return nil, 0, false
 	}
 	var tab wordTerms
-	if !tab.fill(terms) {
+	if !tab.fill(cts) {
 		return zeroSum(t), 0, true
 	}
 	switch c := t.narrow.(type) {
@@ -402,35 +434,22 @@ func selectSumCodes[U code](c narrowInts[U], pool *slicePool[U], tab *wordTerms,
 	return sumCodes(narrowInts[U]{(*p)[:k], c.base, c.hi}, t), int64(k)
 }
 
-// takesCodes reports whether the bitmap kernel takes t over the rows of
-// the dense head h.
-func takesCodes(t Term, h *Column) bool {
-	th, col := t.B.h, t.B.t
-	if !th.dense || th.base != h.base || th.n != h.n || col.narrow == nil || col.narrow.width() > 2 || col.Sorted() {
-		return false
-	}
-	_, ok := col.narrowBounds(t.Lo, t.Hi)
-	return ok
-}
-
 // rejectRange ORs into rej the rows of c whose value lies outside r, or
 // reports miss — nothing written — when no code lies inside it. A row is
-// kept when its code x has x − lo ≤ hi − lo, wrapping at the code width,
-// scanCodes' one compare. Whole 32-row blocks run the AVX2 block kernel
-// on a CPU with AVX2, which writes each block's bits as a 32-bit half of
-// a word (rows 0–31 are the low half on a little-endian host), and the
-// rest run here — every row on a CPU without AVX2.
+// kept when its code x has x − lo ≤ hi − lo, wrapping at the code width.
+// On a CPU with AVX2 whole 32-row blocks run the AVX2 block kernel, which
+// writes each block's bits as a 32-bit half of a word (rows 0–31 are the
+// low half on a little-endian host); otherwise, on a little-endian host,
+// whole 64-row words run rejectWords. The rest run here, a compare a row.
 func rejectRange[U uint8 | uint16](rej []uint64, c narrowInts[U], r bounds[int64]) (miss bool) {
-	if r.empty() {
-		return true
-	}
-	cr, below, above := codeRange[U](r, c.base)
-	if below || above {
+	cr, ok := codeRange[U](r, c.base)
+	if !ok {
 		return true
 	}
 	lo, span := cr.lo, cr.hi-cr.lo
 	done := 0
-	if blocks := len(c.v) / 32; haveAVX2 && blocks > 0 {
+	switch blocks := len(c.v) / 32; {
+	case haveAVX2 && blocks > 0:
 		v := unsafe.Pointer(unsafe.SliceData(c.v))
 		r32 := (*uint32)(unsafe.Pointer(&rej[0]))
 		if unsafe.Sizeof(lo) == 1 {
@@ -439,11 +458,59 @@ func rejectRange[U uint8 | uint16](rej []uint64, c narrowInts[U], r bounds[int64
 			rejectBlocks16(r32, (*uint16)(v), blocks, uint16(lo), uint16(span))
 		}
 		done = blocks * 32
+	case !haveAVX2 && hostLittle:
+		done = rejectWords(rej, c.v, lo, span)
 	}
 	for i := done; i < len(c.v); i++ {
 		rej[i/64] |= uint64(b2i(c.v[i]-lo > span)) << (i % 64)
 	}
 	return false
+}
+
+// rejectWords is rejectRange's loop without AVX2 on a little-endian
+// host: it ORs into rej the rejections of every whole 64-row word of v
+// and returns the first row it left. One 8-byte load x holds 8 or 4
+// codes, one per w-bit lane; a lane is in the range when d = code − lo,
+// taken in its lane, is at most the span s. With H the lanes' top bits,
+// L lo and A = 2^(w−1) − 1 − s in every lane, r = (x | H) − (L &^ H) is
+// d below the top bits and borrows across no lane, r ^ x ^ L holds d's
+// top bits inverted, and for s < 2^(w−1) a lane is in the range exactly
+// where (r ^ x ^ L) &^ ((r &^ H) + A) has its top bit set: that sum
+// stays inside its lane. A multiply gathers the lanes' top bits into
+// adjacent bits of the word. A span of 2^(w−1) or more is tested as its
+// complement, the codes from hi + 1 on, which it rejects.
+func rejectWords[U uint8 | uint16](rej []uint64, v []U, lo, span U) int {
+	if span == ^U(0) {
+		return len(v) // every code is kept
+	}
+	w := int(unsafe.Sizeof(lo))
+	lanes, bits := 8/w, uint(8*w)
+	flip := ^uint64(0) // the test finds the kept rows
+	if uint64(span) >= 1<<(bits-1) {
+		lo, span, flip = lo+span+1, ^span-1, 0 // the rejected rows
+	}
+	ones := ^uint64(0) / uint64(^U(0)) // 1 in every lane
+	high := ones << (bits - 1)
+	l := ones * uint64(lo)
+	lLow := l &^ high
+	a := ones * (1<<(bits-1) - 1 - uint64(span))
+	var gather uint64 // moves lane j's top bit, j·w + w − 1, to 64 − lanes + j
+	for j := 0; j < lanes; j++ {
+		gather |= 1 << (64 - uint(lanes) + uint(j) - uint(j)*bits - (bits - 1))
+	}
+	src := unsafe.Pointer(unsafe.SliceData(v))
+	i := 0
+	for ; i+64 <= len(v); i += 64 {
+		var in uint64
+		for j := 0; j < 64; j += lanes {
+			x := binary.LittleEndian.Uint64((*[8]byte)(unsafe.Add(src, (i+j)*w))[:])
+			r := (x | high) - lLow
+			m := (r ^ x ^ l) &^ ((r &^ high) + a) & high
+			in |= m * gather >> (64 - uint(lanes)) << j
+		}
+		rej[i/64] |= in ^ flip
+	}
+	return i
 }
 
 // keptOids lists, ascending, base + i for every clear bit i of rej, of
@@ -454,26 +521,27 @@ func keptOids(rej []uint64, base Oid, n int) []Oid {
 	return out[:n:n]
 }
 
-// putKept writes keptOids' list to the front of out and returns its
-// length. A word's first two kept rows are stored whether it has them
+// putKept writes first + i for every clear bit i of rej, ascending, to
+// the front of out and returns how many: keptOids' list, or a select's
+// positions. A word's first two kept rows are stored whether it has them
 // or not — out needs two spare slots past the list — and the cursor
 // advances by how many it has; only a word that keeps more runs the
 // loop. At Q6's ~2 % of rows kept most words keep 0–2, so the branch
 // that a loop over every word's bits would mispredict about once a word
 // is rarely taken.
-func putKept(out []Oid, rej []uint64, base Oid) int {
+func putKept[O int32 | Oid](out []O, rej []uint64, first O) int {
 	k := 0
 	for i, w := range rej {
 		kept := ^w
-		o := base + Oid(i)*64
+		o := first + O(i)*64
 		c := bits.OnesCount64(kept)
-		out[k] = o + Oid(bits.TrailingZeros64(kept))
+		out[k] = o + O(bits.TrailingZeros64(kept))
 		kept &= kept - 1
-		out[k+1] = o + Oid(bits.TrailingZeros64(kept))
+		out[k+1] = o + O(bits.TrailingZeros64(kept))
 		kept &= kept - 1
 		k += min(c, 2)
 		for ; kept != 0; kept &= kept - 1 {
-			out[k] = o + Oid(bits.TrailingZeros64(kept))
+			out[k] = o + O(bits.TrailingZeros64(kept))
 			k++
 		}
 	}

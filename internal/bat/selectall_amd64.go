@@ -4,8 +4,8 @@ import "unsafe"
 
 // haveAVX2 reports whether this CPU runs AVX2 and the OS saves the YMM
 // registers: CPUID leaf 7 for AVX2, leaf 1 for AVX and OSXSAVE, and
-// XCR0's SSE and AVX state bits. SelectAll's bitmap kernel needs it;
-// without it every conjunction runs the chain.
+// XCR0's SSE and AVX state bits. rejectRange's block kernel needs it;
+// without it rejectRange tests the codes a word at a time.
 var haveAVX2 = cpuHasAVX2()
 
 func cpuHasAVX2() bool {
@@ -30,7 +30,7 @@ func cpuHasAVX2() bool {
 // opmask and ZMM state bits besides SSE and AVX. FetchAll's and
 // SumKept's gathers need it for whole bitmap words, and rejectCodes and
 // SelectSum for the term-table kernel; without it gatherKept's loop and
-// the AVX2 blocks run.
+// rejectRange run.
 var haveVBMI2 = cpuHasVBMI2()
 
 func cpuHasVBMI2() bool {

@@ -4,13 +4,14 @@ package bat
 
 import "unsafe"
 
-// haveAVX2 is false off amd64: every conjunction runs the chain, and
-// the kernels below are never reached.
+// haveAVX2 is false off amd64: rejectRange tests the codes a word at a
+// time, and the kernels below are never reached.
 var haveAVX2 = false
 
 // haveVBMI2 is false off amd64: FetchAll's and SumKept's gathers run
-// gatherKept's loop, SelectMask and SelectSum their definitions, and the
-// compress and term-table kernels below are never reached.
+// gatherKept's loop, rejectCodes rejectRange and SelectSum its
+// definition, and the compress and term-table kernels below are never
+// reached.
 var haveVBMI2 = false
 
 func rejectBlocks8(rej *uint32, v *uint8, blocks int, lo, span uint8) {

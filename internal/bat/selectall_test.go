@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -175,14 +176,21 @@ func drawConj(rng *rand.Rand, n, shape int) []Term {
 	return terms
 }
 
-// conjChain is SelectAll's definition: the first term's uselect, then
-// each later term's uselect at the list so far.
+// conjChain is SelectAll's definition worked row by row, the oracle the
+// select tests hold the kernels to: each term's rows in range
+// (selectGeneric, which shares no kernel with them), of which a later
+// term keeps the heads an earlier one kept. It answers the chain's
+// candidate list; every drawn head ascends.
 func conjChain(terms []Term) *BAT {
-	c := terms[0].B.USelect(terms[0].Lo, terms[0].Hi)
+	keep := headOids(terms[0].B.selectGeneric(terms[0].Lo, terms[0].Hi))
 	for _, t := range terms[1:] {
-		c = t.B.USelectCand(c, t.Lo, t.Hi)
+		in := headOids(t.B.selectGeneric(t.Lo, t.Hi))
+		keep = slices.DeleteFunc(keep, func(o Oid) bool {
+			_, found := slices.BinarySearch(in, o)
+			return !found
+		})
 	}
-	return c
+	return candList(terms[len(terms)-1].B.Name, keep)
 }
 
 // conjTakesCodes reports whether the bitmap kernel takes terms: every head
@@ -200,7 +208,8 @@ func conjTakesCodes(terms []Term) bool {
 }
 
 // checkConj holds SelectAll to the chain: the same OIDs, ascending, as
-// a candidate list. It reports whether the bitmap kernel answered.
+// a candidate list. It reports whether the bitmap answered, which it
+// must for every shape conjTakesCodes names, whatever the CPU runs.
 func checkConj(t *testing.T, what string, terms []Term) (coded bool) {
 	t.Helper()
 	want := headOids(conjChain(terms))
@@ -211,12 +220,9 @@ func checkConj(t *testing.T, what string, terms []Term) (coded bool) {
 	if !got.h.Sorted() {
 		t.Fatalf("%s: the list is not marked sorted", what)
 	}
-	_, coded = selectCodes(terms)
-	if coded != (haveAVX2 && conjTakesCodes(terms)) {
-		t.Fatalf("%s: bitmap kernel answered %v, want %v (AVX2 %v)\n%s", what, coded, !coded, haveAVX2, describeConj(terms))
+	if _, coded = codeTerms(nil, terms); coded != conjTakesCodes(terms) {
+		t.Fatalf("%s: the bitmap answered %v, want %v\n%s", what, coded, !coded, describeConj(terms))
 	}
-	// SelectMask fills its bitmap whatever the CPU runs: with the scalar
-	// loop too.
 	m := SelectMask(terms, nil)
 	if !slices.Equal(headOids(m.List()), want) || m.Count() != int64(len(want)) {
 		t.Fatalf("%s: SelectMask keeps %v (count %d)\nchain %v\n%s", what, headOids(m.List()), m.Count(), want, describeConj(terms))
@@ -226,7 +232,7 @@ func checkConj(t *testing.T, what string, terms []Term) (coded bool) {
 
 // rejectKernels are the settings that pick each rejection kernel
 // where the CPU runs it: the term-table kernel (AVX-512), the AVX2
-// blocks and the scalar loop.
+// blocks and the word test (rejectWords).
 var rejectKernels = []struct{ avx2, vbmi2 bool }{{true, true}, {true, false}, {false, false}}
 
 // withRejectKernels runs f under each of rejectKernels, the CPU's own
@@ -263,15 +269,13 @@ func describeConj(terms []Term) string {
 // fragment and a tail), over every physical form, with limits inside,
 // at the edges of and outside each column's codes, contradictory ones
 // and open sides, and holds SelectAll and SelectMask to the chain —
-// under each of rejectKernels the CPU runs; with AVX2 off SelectAll
-// must be the chain.
+// under each of rejectKernels the CPU runs.
 func TestSelectAllMatchesChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	sizes := []int{0, 1, 31, 32, 33, 63, 64, 65, 129, 255, 256, 257, 458, 64<<10 + 5}
 	for i := 0; i < 12; i++ {
 		sizes = append(sizes, rng.Intn(300))
 	}
-	avx2 := haveAVX2
 	coded := 0
 	withRejectKernels(func() {
 		for _, n := range sizes {
@@ -289,48 +293,82 @@ func TestSelectAllMatchesChain(t *testing.T) {
 			}
 		}
 	})
-	if avx2 && coded < 100 {
+	if coded < 100 {
 		t.Errorf("the bitmap kernel answered %d conjunctions, want ≥ 100", coded)
 	}
 }
 
 // FuzzSelectAll: the fuzzer picks the shape, the size and the seed the
-// terms are drawn from, and the codes of a first 1- or 2-byte term
+// terms are drawn from, and the codes of a first 1-, 2- or 4-byte term
 // outright, read little-endian from data, with limits at any two codes;
-// under each of rejectKernels SelectAll and SelectMask (the term-table
-// kernel's bitmap exit on a VBMI2 CPU) are held to the chain, and so is
-// SelectSum of the first term's column (its compress exit).
+// the first term's codes start off (mod 8) codes into their payload, so
+// most word loads are unaligned. Under each of rejectKernels SelectAll
+// and SelectMask (the term-table kernel's bitmap exit on a VBMI2 CPU)
+// are held to the chain, and so is SelectSum of the first term's
+// column (its compress exit).
 func FuzzSelectAll(f *testing.F) {
-	f.Add([]byte{0x00, 0x7f, 0x80, 0xff, 0x10, 0x90}, int64(1), uint8(0), uint16(33), uint16(0x10), uint16(0x8f))
-	f.Add([]byte{0xff, 0xff, 0x00, 0x00, 0x01, 0x80}, int64(2), uint8(1), uint16(64), uint16(0), uint16(0xffff))
-	f.Add([]byte{}, int64(3), uint8(2), uint16(0), uint16(5), uint16(4))
-	f.Add([]byte{0x05}, int64(4), uint8(3), uint16(1), uint16(5), uint16(5))
-	f.Fuzz(func(t *testing.T, data []byte, seed int64, sel uint8, rows, clo, chi uint16) {
+	f.Add([]byte{0x00, 0x7f, 0x80, 0xff, 0x10, 0x90}, int64(1), uint8(0), uint8(0), uint16(33), uint32(0x10), uint32(0x8f))
+	f.Add([]byte{0xff, 0xff, 0x00, 0x00, 0x01, 0x80}, int64(2), uint8(1), uint8(0), uint16(64), uint32(0), uint32(0xffff))
+	f.Add([]byte{}, int64(3), uint8(2), uint8(0), uint16(0), uint32(5), uint32(4))
+	f.Add([]byte{0x05}, int64(4), uint8(3), uint8(0), uint16(1), uint32(5), uint32(5))
+	codes8 := []byte{0x00, 0x7f, 0x80, 0xff, 0x10, 0x90, 0x7e, 0x81, 0x01, 0xfe, 0x40}
+	codes16 := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 0x7fff_8000_4e1f_ee2a), 0xffff_0000_8001_7ffe)
+	f.Add(codes8, int64(5), uint8(0), uint8(3), uint16(8), uint32(0x10), uint32(0x8f))
+	f.Add(codes8, int64(6), uint8(1), uint8(1), uint16(10), uint32(0x10), uint32(0x90))
+	f.Add(codes16, int64(7), uint8(6), uint8(5), uint16(3), uint32(20000), uint32(29999))
+	f.Add(codes16, int64(8), uint8(7), uint8(0), uint16(8), uint32(0), uint32(0x8000))
+	f.Add(binary.LittleEndian.AppendUint64(nil, 0x8000_0000_7fff_ffff), int64(9), uint8(12), uint8(7), uint16(2), uint32(1), uint32(0x8000_0000))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64, sel, off uint8, rows uint16, clo, chi uint32) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(rows) % 600
 		terms := drawConj(rng, n, int(sel)%conjShapes)
-		w := 1 + int(sel/conjShapes)%2
+		w := []int{1, 2, 4}[int(sel/conjShapes)%3]
+		o := int(off % 8)
 		h := terms[0].B.h
-		codes := make([]uint64, h.Len())
+		codes := make([]uint64, o+h.Len())
 		for i := range codes {
 			for j := 0; j < w && len(data) > 0; j++ {
 				codes[i] |= uint64(data[(i*w+j)%len(data)]) << (8 * j)
 			}
 		}
 		top := uint64(1)<<(8*w) - 1
-		first := New("fuzzed", DenseColumn(h.base, h.Len()), codeColumn(w, codes))
+		lo := &Bound{Value: int64(codeScanRef + uint64(clo)&top), Inclusive: sel&64 == 0}
+		hi := &Bound{Value: int64(codeScanRef + uint64(chi)&top), Inclusive: sel&128 == 0}
+		first := New("fuzzed", DenseColumn(h.base, h.Len()), codeColumn(w, codes).view(o, len(codes)))
 		if !h.dense {
 			first = New("fuzzed", h, first.t)
 		}
-		lo := &Bound{Value: int64(codeScanRef + uint64(clo)&top), Inclusive: sel&64 == 0}
-		hi := &Bound{Value: int64(codeScanRef + uint64(chi)&top), Inclusive: sel&128 == 0}
 		terms = append([]Term{{B: first, Lo: lo, Hi: hi}}, terms...)
 		withRejectKernels(func() {
-			what := fmt.Sprintf("seed %d, sel %d, n=%d, AVX2 %v, VBMI2 %v", seed, sel, n, haveAVX2, haveVBMI2)
+			what := fmt.Sprintf("seed %d, sel %d, off %d, n=%d, AVX2 %v, VBMI2 %v", seed, sel, off, n, haveAVX2, haveVBMI2)
 			checkConj(t, what, terms)
 			checkSelectSum(t, what, terms, first)
 		})
 	})
+}
+
+// TestKernelsReport logs which kernels this CPU runs and which one
+// fills the rejection bitmap for Q6's three terms — the term-table
+// kernel (AVX-512 VBMI2), the AVX2 blocks or the word test — so a run's
+// log says what its select tests exercised. The terms must take the
+// bitmap.
+func TestKernelsReport(t *testing.T) {
+	ds, fs, qs, _ := q6Parts()
+	terms := []Term{{ds[0], q6DateLo, q6DateHi}, {fs[0], q6DiscLo, q6DiscHi}, {qs[0], nil, q6QtyHi}}
+	cts, ok := codeTerms(nil, terms)
+	if !ok {
+		t.Fatal("the rejection bitmap does not take Q6's terms")
+	}
+	kernel := "the word test (rejectWords)"
+	switch {
+	case haveVBMI2 && len(cts) <= maxWordTerms:
+		kernel = "the term-table kernel (selectWords)"
+	case haveAVX2:
+		kernel = "the AVX2 blocks (rejectBlocks8/16)"
+	case !hostLittle:
+		kernel = "the one-compare loop"
+	}
+	t.Logf("haveAVX2=%v haveVBMI2=%v: Q6's %d terms take %s", haveAVX2, haveVBMI2, len(cts), kernel)
 }
 
 // TestSelectAllAllocs: a three-term conjunction over one 64K-row
@@ -338,12 +376,9 @@ func FuzzSelectAll(f *testing.F) {
 // descriptors, nothing else: the bitmap is pooled scratch, and no OID
 // scratch is written and copied out.
 func TestSelectAllAllocs(t *testing.T) {
-	if !haveAVX2 {
-		t.Skip("no AVX2: SelectAll runs the chain")
-	}
 	ds, fs, qs, _ := q6Parts()
 	terms := []Term{{ds[0], q6DateLo, q6DateHi}, {fs[0], q6DiscLo, q6DiscHi}, {qs[0], nil, q6QtyHi}}
-	if _, ok := selectCodes(terms); !ok {
+	if _, ok := codeTerms(nil, terms); !ok {
 		t.Fatal("the bitmap kernel does not take Q6's terms")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { benchSink = SelectAll(terms) }); allocs > 3 {

@@ -46,7 +46,7 @@ func checkSumKept(t *testing.T, what string, terms []Term, col *BAT, st *sumKept
 	}
 	if m.kept == 0 && m.n > 0 {
 		st.emptied++
-		if _, miss := rejectCodes(terms, make([]uint64, len(m.rej))); miss {
+		if _, miss := rejectCodes(mustCodeTerms(terms), make([]uint64, len(m.rej))); miss {
 			st.missed++
 		}
 	}
@@ -222,7 +222,7 @@ func TestSelectSumMatchesDefinition(t *testing.T) {
 						if count == 0 && n > 0 {
 							st.emptied++
 							if conjTakesCodes(terms) {
-								if _, miss := rejectCodes(terms, make([]uint64, (n+63)/64)); miss {
+								if _, miss := rejectCodes(mustCodeTerms(terms), make([]uint64, (n+63)/64)); miss {
 									st.missed++
 								}
 							}
@@ -239,4 +239,14 @@ func TestSelectSumMatchesDefinition(t *testing.T) {
 	if st.emptied < 100 || st.missed < 50 {
 		t.Errorf("reached %d sums over no row (want ≥ 100), %d of them missed ranges (≥ 50)", st.emptied, st.missed)
 	}
+}
+
+// mustCodeTerms is terms as the rejection bitmap takes them, which it
+// must.
+func mustCodeTerms(terms []Term) []codeTerm {
+	cts, ok := codeTerms(nil, terms)
+	if !ok {
+		panic("bat: the rejection bitmap does not take the terms")
+	}
+	return cts
 }

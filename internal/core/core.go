@@ -24,6 +24,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -416,14 +417,21 @@ func (rt *Runtime) PromoteOwned(b BATID, size int, loi float64) {
 // serving pins until it returns here, where hot-set management drops
 // unloaded arrivals silently — at most one transient duplicate, never
 // a lost fragment. Parked BATs hold their envelope locally and keep it.
+// The Unloaded effects go out in ascending BAT id.
 func (rt *Runtime) SuspectOrbit() {
-	for _, o := range rt.s1 {
+	var ids []BATID
+	for id, o := range rt.s1 {
 		if o.loaded && !o.parked {
-			o.loaded = false
-			o.idleCycles = 0
-			rt.stats.OrbitsSuspected++
-			rt.emit(Effect{Kind: Unloaded, BAT: o.id, Size: o.size})
+			ids = append(ids, id)
 		}
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		o := rt.s1[id]
+		o.loaded = false
+		o.idleCycles = 0
+		rt.stats.OrbitsSuspected++
+		rt.emit(Effect{Kind: Unloaded, BAT: o.id, Size: o.size})
 	}
 	rt.adaptLOIT()
 }
@@ -584,14 +592,20 @@ func (rt *Runtime) CancelQuery(q QueryID, bats []BATID) {
 // request message arriving from the successor.
 func (rt *Runtime) OnRequest(m RequestMsg) {
 	// First outcome: the request returned to its origin — the BAT does
-	// not exist (anymore) in the database.
+	// not exist (anymore) in the database. Its waiting queries fail in
+	// ascending query id.
 	if m.Origin == rt.id {
 		rt.stats.RequestsReturned++
 		if rq := rt.s2[m.BAT]; rq != nil {
+			var failed []QueryID
 			for q := range rq.queries {
 				if !rq.delivered[q] {
-					rt.emit(Effect{Kind: QueryError, BAT: m.BAT, Query: q})
+					failed = append(failed, q)
 				}
+			}
+			slices.Sort(failed)
+			for _, q := range failed {
+				rt.emit(Effect{Kind: QueryError, BAT: m.BAT, Query: q})
 			}
 			rt.dropRequest(rq)
 		}

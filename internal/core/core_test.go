@@ -708,6 +708,54 @@ func TestEffectSequences(t *testing.T) {
 	}
 }
 
+// TestEffectOrderFollowsInputs: where the runtime emits one effect per
+// entry of a set it keeps in a map, the effects go out in id order, so
+// two runtimes fed the same calls emit the same sequence. SuspectOrbit
+// unloads ten circulating BATs in ascending BAT id; a request that returns to its origin fails its ten waiting
+// queries in ascending query id (a delivered one is not failed).
+func TestEffectOrderFollowsInputs(t *testing.T) {
+	ids := []int{17, 3, 42, 8, 25, 11, 30, 1, 64, 5}
+	for trial := 0; trial < 20; trial++ {
+		env := &mockEnv{queueCap: 1 << 20}
+		rt := newTestRT(env, staticCfg(0.25))
+		for _, id := range ids {
+			rt.AddOwned(BATID(id), 10)
+			rt.OnRequest(RequestMsg{Origin: 9, BAT: BATID(id)})
+		}
+		env.effects = nil
+		rt.SuspectOrbit()
+		rt.drain()
+		var got []BATID
+		for _, e := range env.effects {
+			if e.Kind != Unloaded {
+				t.Fatalf("SuspectOrbit emitted %+v", e)
+			}
+			got = append(got, e.BAT)
+		}
+		want := []BATID{1, 3, 5, 8, 11, 17, 25, 30, 42, 64}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: SuspectOrbit unloads %v, want %v", trial, got, want)
+		}
+
+		env = &mockEnv{queueCap: 1 << 20}
+		rt = newTestRT(env, staticCfg(0.25))
+		for _, id := range ids {
+			rt.Request(QueryID(id), 42)
+		}
+		rt.Pin(8, 42)
+		rt.OnBAT(BATMsg{Owner: 0, BAT: 42, Size: 10, Hops: 1}) // delivers to query 8
+		env.effects, env.errors = nil, nil
+		rt.OnRequest(RequestMsg{Origin: 3, BAT: 42})
+		var failed []QueryID
+		for _, d := range env.errors {
+			failed = append(failed, d.Q)
+		}
+		if want := []QueryID{1, 3, 5, 11, 17, 25, 30, 42, 64}; !reflect.DeepEqual(failed, want) {
+			t.Fatalf("trial %d: the returned request fails queries %v, want %v", trial, failed, want)
+		}
+	}
+}
+
 // TestUndrainedSendsCountAsQueued: the runtime reads the driver's queue
 // before the driver has applied the sends of the call in progress, so
 // it counts them itself. An owner with 700 of 1000 bytes queued that

@@ -77,9 +77,25 @@ func TestRetryAfterServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
-	s1, err := server.Serve(r, server.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	// s1 serves on a concrete base port P, so it holds both nodes' ports,
+	// P and P+1, and the restart rebinds only ports s1 just released. A
+	// port the probe saw free may be taken before s1 binds it, or P+1 may
+	// be in use: then another P is tried.
+	var s1 *server.Server
+	for attempt := 0; ; attempt++ {
+		probe, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := server.DefaultConfig()
+		cfg.Addr = probe.Addr().String()
+		probe.Close()
+		if s1, err = server.Serve(r, cfg); err == nil {
+			break
+		}
+		if attempt == 20 {
+			t.Fatalf("serve on a concrete port: %v", err)
+		}
 	}
 	addr := s1.Addr(0)
 	cl, err := Dial(addr)

@@ -335,11 +335,13 @@ func (l *Load) Wait() *LoadResult {
 	return &l.res
 }
 
-// StartLoad dials spec.Clients sessions and has them drain the query
-// budget, each firing its next query as soon as the previous one
-// answers. Every answer is checked against the statement's reference
-// (reference.matches); admission rejections (IsTemporary) are counted
-// apart from hard failures.
+// StartLoad dials spec.Clients sessions and, once every dial has
+// returned, has them drain the query budget, each firing its next query
+// as soon as the previous one answers: no query completes, and so no
+// Third fires, while a session is still dialling. Every answer is
+// checked against the statement's reference (reference.matches);
+// admission rejections (IsTemporary) are counted apart from hard
+// failures.
 func StartLoad(spec LoadSpec) *Load {
 	l := &Load{third: make(chan struct{}), done: make(chan struct{})}
 	refs := make(map[string]*reference, len(spec.Refs))
@@ -352,6 +354,7 @@ func StartLoad(spec LoadSpec) *Load {
 		next      atomic.Int64
 		thirdOnce sync.Once
 		wg        sync.WaitGroup
+		dialed    sync.WaitGroup // every session's dial returned
 		started   = time.Now()
 		res       = &l.res
 	)
@@ -362,11 +365,13 @@ func StartLoad(spec LoadSpec) *Load {
 			res.Errors = append(res.Errors, fmt.Sprintf("client %d: %v", w, err))
 		}
 	}
+	dialed.Add(spec.Clients)
 	for w := 0; w < spec.Clients; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			cl, err := dcclient.Dial(spec.Targets[w%len(spec.Targets)])
+			dialed.Done()
 			if err != nil {
 				mu.Lock()
 				res.Failed++
@@ -375,6 +380,7 @@ func StartLoad(spec LoadSpec) *Load {
 				return
 			}
 			defer cl.Close()
+			dialed.Wait()
 			var pick func(*rand.Rand) int
 			var rng *rand.Rand
 			if spec.Zipf > 0 {

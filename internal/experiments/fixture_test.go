@@ -2,11 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"net"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/bat"
+	"repro/internal/live"
 	"repro/internal/mal"
+	"repro/internal/server"
+	"repro/internal/tpch"
 )
 
 // resultOf builds a three-column answer (int, decimal float, string)
@@ -90,5 +95,47 @@ func TestReferenceMatches(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLoadQueriesAfterEveryDial: no query runs, and so Third stays
+// open, while one session's dial is still waiting for its handshake;
+// once that dial fails, the other session drains the whole budget and
+// the failed dial counts as one hard failure. The failover and join
+// sweeps kill or add a node at Third, and a session still dialling then
+// fails against the killed node.
+func TestLoadQueriesAfterEveryDial(t *testing.T) {
+	s, err := ServeRing(2, tpch.GenDB(tpch.SFForLineitemRows(1<<12), 1), live.DefaultConfig(), server.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// A listener that accepts and never says hello: the dial to it
+	// waits until the test hangs up.
+	mute, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := mute.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	const queries = 30
+	load := StartLoad(LoadSpec{Targets: []string{s.Srv.Addrs()[0], mute.Addr().String()}, Clients: 2,
+		Queries: queries, Mix: []string{tpch.Q6ishSQL}, Timeout: 10 * time.Second})
+	conn := <-accepted
+	select {
+	case <-load.Third():
+		t.Fatal("a third of the budget completed while a session was still dialling")
+	case <-time.After(200 * time.Millisecond):
+	}
+	conn.Close()
+	res := load.Wait()
+	if res.OK != queries || res.Failed != 1 || res.Incorrect != 0 || res.Rejected != 0 {
+		t.Fatalf("ok=%d failed=%d incorrect=%d rejected=%d, want ok=%d failed=1 (the mute dial)\n%v",
+			res.OK, res.Failed, res.Incorrect, res.Rejected, queries, res.Errors)
 	}
 }
