@@ -184,8 +184,8 @@ func reportCache(stats []dc.ServerNodeStats, completed int64) {
 	if cs.Hits+cs.Misses == 0 && cs.RingWaits == 0 {
 		return
 	}
-	fmt.Printf("\nhot-set cache: hits=%d misses=%d (hit rate %.1f%%) coalesced=%d\n",
-		cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Coalesced)
+	fmt.Printf("\nhot-set cache: hits=%d misses=%d (hit rate %.1f%%)\n",
+		cs.Hits, cs.Misses, 100*cs.HitRate())
 	ringWait := time.Duration(cs.RingWaitNanos)
 	perQuery := time.Duration(0)
 	if completed > 0 {

@@ -295,6 +295,9 @@ func New(id NodeID, env Env, cfg Config) *Runtime {
 // ID reports the node id.
 func (rt *Runtime) ID() NodeID { return rt.id }
 
+// CachePins reports how many pins local queries hold on cached BAT b.
+func (rt *Runtime) CachePins(b BATID) int { return rt.cache[b] }
+
 // Effects appends the effects emitted since its last call to dst, in
 // emission order, and empties the outbox. A driver calls it after every
 // entry point and timer callback and applies what it returns in order.
@@ -397,11 +400,8 @@ func (rt *Runtime) PromoteOwned(b BATID, size int, loi float64) {
 	// still blocked in S3, waiting on a delivery that died with it. The
 	// promotion makes this node the owner, so those pins are served the
 	// same way Pin serves an owner's query: from local storage, now.
-	if pins := rt.s3[b]; len(pins) > 0 {
-		for q := range pins {
-			rt.deliver(b, q)
-		}
-		delete(rt.s3, b)
+	if len(rt.s3[b]) > 0 {
+		rt.deliverPins(b)
 		rt.finishRequestIfDone(b)
 	}
 }
@@ -419,19 +419,13 @@ func (rt *Runtime) PromoteOwned(b BATID, size int, loi float64) {
 // a lost fragment. Parked BATs hold their envelope locally and keep it.
 // The Unloaded effects go out in ascending BAT id.
 func (rt *Runtime) SuspectOrbit() {
-	var ids []BATID
-	for id, o := range rt.s1 {
-		if o.loaded && !o.parked {
-			ids = append(ids, id)
+	for _, id := range ascending(nil, rt.s1) {
+		if o := rt.s1[id]; o.loaded && !o.parked {
+			o.loaded = false
+			o.idleCycles = 0
+			rt.stats.OrbitsSuspected++
+			rt.emit(Effect{Kind: Unloaded, BAT: o.id, Size: o.size})
 		}
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		o := rt.s1[id]
-		o.loaded = false
-		o.idleCycles = 0
-		rt.stats.OrbitsSuspected++
-		rt.emit(Effect{Kind: Unloaded, BAT: o.id, Size: o.size})
 	}
 	rt.adaptLOIT()
 }
@@ -597,15 +591,10 @@ func (rt *Runtime) OnRequest(m RequestMsg) {
 	if m.Origin == rt.id {
 		rt.stats.RequestsReturned++
 		if rq := rt.s2[m.BAT]; rq != nil {
-			var failed []QueryID
-			for q := range rq.queries {
+			for _, q := range ascending(nil, rq.queries) {
 				if !rq.delivered[q] {
-					failed = append(failed, q)
+					rt.emit(Effect{Kind: QueryError, BAT: m.BAT, Query: q})
 				}
-			}
-			slices.Sort(failed)
-			for _, q := range failed {
-				rt.emit(Effect{Kind: QueryError, BAT: m.BAT, Query: q})
 			}
 			rt.dropRequest(rq)
 		}
@@ -670,11 +659,8 @@ func (rt *Runtime) batPropagation(m BATMsg) {
 		// At least one local query is blocked in pin(): the node uses
 		// the BAT, counting one copy (§4.2.3).
 		m.Copies++
-		for q := range pins {
-			rt.cache[m.BAT]++
-			rt.deliver(m.BAT, q)
-		}
-		delete(rt.s3, m.BAT)
+		rt.cache[m.BAT] += len(pins)
+		rt.deliverPins(m.BAT)
 	} else if rq != nil && rt.cfg.ParkIdleCycles > 0 {
 		// A local query asked for the BAT and has not blocked in pin()
 		// yet. Uncounted, this pass looks idle to an owner that parks or
@@ -946,6 +932,25 @@ func (rt *Runtime) deliver(b BATID, q QueryID) {
 	}
 	rt.stats.Deliveries++
 	rt.emit(Effect{Kind: Deliver, BAT: b, Query: q})
+}
+
+// deliverPins hands b to every query blocked on it in S3, in ascending
+// query id, and clears the entry.
+func (rt *Runtime) deliverPins(b BATID) {
+	var one [1]QueryID // a lone pin allocates nothing
+	for _, q := range ascending(one[:0], rt.s3[b]) {
+		rt.deliver(b, q)
+	}
+	delete(rt.s3, b)
+}
+
+// ascending appends m's keys to buf, sorted: no effect follows map order.
+func ascending[K BATID | QueryID, V any](buf []K, m map[K]V) []K {
+	for k := range m {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
 }
 
 // finishRequestIfDone unregisters the request once every associated

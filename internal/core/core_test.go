@@ -711,8 +711,12 @@ func TestEffectSequences(t *testing.T) {
 // TestEffectOrderFollowsInputs: where the runtime emits one effect per
 // entry of a set it keeps in a map, the effects go out in id order, so
 // two runtimes fed the same calls emit the same sequence. SuspectOrbit
-// unloads ten circulating BATs in ascending BAT id; a request that returns to its origin fails its ten waiting
-// queries in ascending query id (a delivered one is not failed).
+// unloads ten circulating BATs in ascending BAT id; a request that
+// returns to its origin fails its ten waiting queries in ascending
+// query id (a delivered one is not failed); ten queries blocked on one
+// BAT are delivered in ascending query id, by a passing BAT (OnBAT)
+// and by a promotion (PromoteOwned). One blocked pin is delivered
+// without an allocation.
 func TestEffectOrderFollowsInputs(t *testing.T) {
 	ids := []int{17, 3, 42, 8, 25, 11, 30, 1, 64, 5}
 	for trial := 0; trial < 20; trial++ {
@@ -753,6 +757,39 @@ func TestEffectOrderFollowsInputs(t *testing.T) {
 		if want := []QueryID{1, 3, 5, 11, 17, 25, 30, 42, 64}; !reflect.DeepEqual(failed, want) {
 			t.Fatalf("trial %d: the returned request fails queries %v, want %v", trial, failed, want)
 		}
+
+		for _, deliverer := range []struct {
+			name string
+			call func(rt *driven)
+		}{
+			{"OnBAT", func(rt *driven) { rt.OnBAT(BATMsg{Owner: 0, BAT: 42, Size: 10, Hops: 1}) }},
+			{"PromoteOwned", func(rt *driven) { rt.Runtime.PromoteOwned(42, 10, 0); rt.drain() }},
+		} {
+			env = &mockEnv{queueCap: 1 << 20}
+			rt = newTestRT(env, staticCfg(0.25))
+			for _, id := range ids {
+				rt.Pin(QueryID(id), 42)
+			}
+			env.delivered = nil
+			deliverer.call(rt)
+			var got []QueryID
+			for _, d := range env.delivered {
+				got = append(got, d.Q)
+			}
+			if want := []QueryID{1, 3, 5, 8, 11, 17, 25, 30, 42, 64}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: %s delivers to queries %v, want %v", trial, deliverer.name, got, want)
+			}
+		}
+	}
+
+	rt := New(3, &mockEnv{queueCap: 1 << 20}, staticCfg(0.25))
+	one := map[QueryID]bool{7: true}
+	if allocs := testing.AllocsPerRun(100, func() {
+		rt.s3[42] = one
+		rt.deliverPins(42)
+		rt.out = rt.out[:0]
+	}); allocs != 0 {
+		t.Fatalf("delivering one blocked pin allocates %.0f times, want 0", allocs)
 	}
 }
 

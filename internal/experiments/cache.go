@@ -13,9 +13,9 @@ package experiments
 //     node-local read, no merge cost mixed in;
 //   - query latency: the Q6-style selective aggregate repeated against
 //     the fragmented lineitem columns;
-//   - the cache's own accounting (hit rate, coalesced pins, ring-wait
-//     time) and the ring traffic the repeat phase caused — with the
-//     cache on and the set fully hot, circulation stops entirely.
+//   - the cache's own accounting (hit rate, ring-wait time) and the
+//     ring traffic the repeat phase caused — with the cache on and the
+//     set fully hot, circulation stops entirely.
 //
 // The repeats are spaced by a think time: intermittent re-reads are
 // exactly the access pattern where pure circulation keeps paying ring
@@ -39,7 +39,6 @@ type CacheRun struct {
 	QueryP99Micros int64   `json:"query_p99_us"`
 	Hits           int64   `json:"cache_hits"`
 	Misses         int64   `json:"cache_misses"`
-	Coalesced      int64   `json:"cache_coalesced"`
 	HitRate        float64 `json:"hit_rate"`
 	RingWaitMicros int64   `json:"ring_wait_us"`     // total time pins blocked on circulation
 	RepeatHopBytes int64   `json:"repeat_hop_bytes"` // ring data traffic during the repeat phases
@@ -171,7 +170,6 @@ func cacheRun(db *tpch.DB, nodes, repeats int, think time.Duration, budget int) 
 		QueryP99Micros: quantile(queryLat, 0.99).Microseconds(),
 		Hits:           cs.Hits,
 		Misses:         cs.Misses,
-		Coalesced:      cs.Coalesced,
 		HitRate:        cs.HitRate(),
 		RingWaitMicros: cs.RingWaitNanos / 1e3,
 		RepeatHopBytes: hopsAfter - hopsBefore,
@@ -227,10 +225,10 @@ func (r *CacheResult) String() string {
 	for _, run := range r.Runs {
 		rows = append(rows, []any{offOr(run.CacheBytes), run.PinP50Micros, run.PinP99Micros,
 			run.QueryP50Micros, run.QueryP99Micros, fmt.Sprintf("%.1f%%", 100*run.HitRate),
-			run.Coalesced, run.RingWaitMicros, run.RepeatHopBytes, run.Resends})
+			run.RingWaitMicros, run.RepeatHopBytes, run.Resends})
 	}
 	return table(fmt.Sprintf("Hot-set cache repeat sweep — lineitem %d rows over %d nodes, %d repeats, %dµs think",
 		r.LineitemRows, r.Nodes, r.Repeats, r.ThinkMicros),
 		[]string{"cache_bytes", "pin_p50us", "pin_p99us", "query_p50us", "query_p99us",
-			"hit_rate", "coalesced", "ringwait_us", "repeat_hop_B", "resends"}, rows)
+			"hit_rate", "ringwait_us", "repeat_hop_B", "resends"}, rows)
 }

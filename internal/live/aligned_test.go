@@ -61,7 +61,7 @@ func fragLens(t *testing.T, r *Ring, name string) []int {
 // map before its first pin and waits for all k × n fragments to be
 // delivered anyway: acquisitions belong to the map, not to the parts.
 // A map that acquired a part's fragments only when that part ran would
-// never get past the parts its FragWorkers workers hold — and on a
+// never get past the parts its Workers workers hold — and on a
 // starved ring would pay an extra revolution per index for envelopes
 // that went by unregistered (ring_thrash p50 +38 % when it was tried).
 func TestRegionAcquiresEveryFragmentUpFront(t *testing.T) {
@@ -315,15 +315,15 @@ func raise(hw *atomic.Int32, v int32) {
 	}
 }
 
-// TestPartsRunOnceWithinFragWorkers maps a part over 63 fragment
+// TestPartsRunOnceWithinWorkers maps a part over 63 fragment
 // indexes of two columns whose fragments sit at random ring positions
 // of a cache-less ring, so they arrive out of order and a part's two
 // fragments apart. Every index must run exactly once, the results come
-// back in fragment order, and no more than FragWorkers parts are ever
+// back in fragment order, and no more than Workers parts are ever
 // inside part at once. Over a hot map — every fragment owned — the map
-// may start no goroutine beyond its FragWorkers − 1 workers: a part
+// may start no goroutine beyond its Workers − 1 workers: a part
 // whose fragments are in is a queue entry, not a goroutine.
-func TestPartsRunOnceWithinFragWorkers(t *testing.T) {
+func TestPartsRunOnceWithinWorkers(t *testing.T) {
 	const rows, fragRows, workers = 2000, 32, 3
 	const parts = (rows + fragRows - 1) / fragRows
 	cols, schema := fragColumns(rows)
@@ -356,7 +356,7 @@ func TestPartsRunOnceWithinFragWorkers(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.FragmentRows = fragRows
 		cfg.CacheBytes = 0
-		cfg.FragWorkers = workers
+		cfg.Workers = workers
 		cfg.placeFragment = func(frag, nodes int) int { return rng.Intn(nodes) }
 		r, err := NewRing(4, cols, schema, cfg)
 		if err != nil {
@@ -403,7 +403,7 @@ func TestPartsRunOnceWithinFragWorkers(t *testing.T) {
 				}
 			}
 			if got := peak.Load(); got > workers {
-				t.Fatalf("round %d: %d parts inside part at once, FragWorkers is %d", round, got, workers)
+				t.Fatalf("round %d: %d parts inside part at once, Workers is %d", round, got, workers)
 			}
 			checkNothingHeld(t, n)
 		}
@@ -412,7 +412,7 @@ func TestPartsRunOnceWithinFragWorkers(t *testing.T) {
 	t.Run("hot", func(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.FragmentRows = fragRows
-		cfg.FragWorkers = workers
+		cfg.Workers = workers
 		cfg.placeFragment = func(frag, nodes int) int { return 0 } // the querying node owns every fragment
 		r, err := NewRing(2, cols, schema, cfg)
 		if err != nil {
@@ -439,7 +439,7 @@ func TestPartsRunOnceWithinFragWorkers(t *testing.T) {
 			}
 			done(n, dc)
 			if extra := peak.Load() - before; extra > workers-1 {
-				t.Fatalf("round %d: a hot map of %d parts started %d goroutines, want at most FragWorkers − 1 = %d", round, parts, extra, workers-1)
+				t.Fatalf("round %d: a hot map of %d parts started %d goroutines, want at most Workers − 1 = %d", round, parts, extra, workers-1)
 			}
 			checkNothingHeld(t, n)
 		}
@@ -484,7 +484,7 @@ func TestQueryErrorStopsComputingInterpreter(t *testing.T) {
 	cols, schema := fragColumns(2000)
 	cfg := DefaultConfig()
 	cfg.FragmentRows = 64
-	cfg.Workers, cfg.FragWorkers = 1, 1 // plan order, one part at a time
+	cfg.Workers = 1 // plan order, one part at a time
 	// Node 0 owns every fragment, and without the hot-set cache an
 	// owner pins its fragments at the runtime (a cached ring reads them
 	// from the store), so every part's unpin releases a runtime pin

@@ -109,8 +109,7 @@ func (n *Node) handleData(hdr core.BATMsg, ver int, rawPayload []byte, s *slab) 
 		// Populate the hot-set cache from the passing traffic,
 		// labelled with the version the owner sent it under. Own
 		// fragments are skipped: the owner's pins are served from
-		// the store already. Inserted before OnBAT so a pin
-		// coalesced behind this delivery finds the entry resident.
+		// the store already.
 		n.hot.put(hdr.BAT, f)
 	}
 	n.mu.Lock()
@@ -285,7 +284,7 @@ func (n *Node) forwardLocked(m core.BATMsg) {
 		} else if st, ok := n.store[m.BAT]; ok {
 			f = st
 		} else if c, ok := n.cached[m.BAT]; ok {
-			f = c.f
+			f = c
 		}
 	}
 	if f == nil {
@@ -299,22 +298,19 @@ func (n *Node) forwardLocked(m core.BATMsg) {
 	n.hop.enqueue(hopEntry{m: m, f: f})
 }
 
-// deliverLocked resolves the payload and wakes the blocked pin. The
-// waiter lookup gates the refcount: a delivery whose pin was abandoned
-// (query cancelled between abandonPin and CancelQuery) must not count a
-// cached-payload reference nobody will ever release.
+// deliverLocked resolves the payload and wakes the blocked pin.
 func (n *Node) deliverLocked(q core.QueryID, b core.BATID) {
 	key := waitKey{q, b}
 	ch, ok := n.waiters[key]
 	if !ok {
-		// Pin abandoned; no one left to hand the payload to. The only
-		// path that can reach a missing waiter is an asynchronous ring
-		// arrival (synchronous deliveries run in the same critical
-		// section that registers the waiter), and that path counted one
-		// runtime cache ref (batPropagation's cacheRef) just before
-		// delivering — release it, or the stale rt.cache entry would
-		// short-circuit every later pin of this BAT into a nil delivery.
+		// Pin abandoned (query cancelled between abandonPin and
+		// CancelQuery). Only an asynchronous ring arrival reaches a
+		// missing waiter (synchronous deliveries run in the critical
+		// section that registers it), and it counted a runtime pin:
+		// release it, or the stale count would short-circuit every later
+		// pin of this BAT into a nil delivery.
 		n.rt.Unpin(q, b)
+		n.unrefCached(b)
 		return
 	}
 	delete(n.waiters, key)
@@ -332,18 +328,14 @@ func (n *Node) deliverLocked(q core.QueryID, b core.BATID) {
 	} else if t, ok := n.transit[b]; ok {
 		f = t
 		f.slab.lend()
-		// The query will hold the BAT pinned: keep the fragment cached,
-		// and with it the slab it is a view of.
-		c := n.cached[b]
-		if c == nil {
-			c = &cachedBAT{f: f}
+		// The query holds the BAT pinned: keep the fragment cached, and
+		// with it the slab it is a view of, while the runtime counts a pin.
+		if n.cached[b] == nil {
 			f.slab.retain()
-			n.cached[b] = c
+			n.cached[b] = f
 		}
-		c.refs++
 	} else if c, ok := n.cached[b]; ok {
-		f = c.f // lent when the entry was made
-		c.refs++
+		f = c // lent when the entry was made
 	}
 	ch <- f // buffered
 }

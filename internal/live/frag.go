@@ -108,7 +108,7 @@ func (r *Ring) fragKnown(id core.BATID) bool {
 func (r *Ring) MaxMessage() int { return r.maxMsgBytes }
 
 // ---------------------------------------------------------------------
-// fragment acquisition: cache hit, coalesced wait, or ring circulation
+// fragment acquisition: store read, cache hit, or ring circulation
 // ---------------------------------------------------------------------
 
 // errPinAborted marks a pin abandoned because a sibling fragment of the
@@ -139,22 +139,20 @@ const maxSnapshotRetries = 64
 //     slot, so it idles and parks at its owner until a miss or an
 //     invalidation requests it again. Any outstanding ring interest of
 //     this query is withdrawn.
-//  3. an in-flight wait for the same (id, version) by another local pin:
-//     join it instead of registering a second waiter (singleflight).
-//  4. the ring's circulation (fetchCurrent; the only path when the
-//     cache is disabled).
+//  3. the ring's circulation (fetchCurrent): a runtime pin. Concurrent
+//     misses of one BAT at this node share it: one pass delivers to all.
 //
 // Steps 1 and 2 cannot wait: acquireNow takes them on the caller's
 // goroutine, and acquireWait the rest. One rule holds on every path,
 // cached or not: a pin never returns a version below the catalog's at
 // acquisition.
 //
-// viaRing reports whether the acquisition holds runtime refs (a pin and
-// a refcounted payload) the caller must release after use, as the
-// owner's runtime pin and a ring delivery do; store reads, cache hits
-// and flight followers hold none — the payloads are immutable, a store
-// is GC memory, and a payload that is a view of a receive slab stays
-// readable until the query returns (the grace period, slab.go).
+// viaRing reports whether the acquisition holds a runtime pin the
+// caller must release after use (releaseRing), as the owner's runtime
+// pin and a ring delivery do; store reads and cache hits hold none —
+// the payloads are immutable, a store is GC memory, and a payload that
+// is a view of a receive slab stays readable until the query returns
+// (the grace period, slab.go).
 
 // acquireNow takes the first step of every acquisition in acqs, which
 // never blocks, under one hold of n.mu and one read of the catalog's
@@ -219,51 +217,17 @@ func (r *Ring) catalogVersions(acqs []fragAcq) {
 	}
 }
 
-// acquireWait completes an acquisition acquireNow could not: it joins
-// or leads a flight, or waits for the ring. abort abandons the wait
-// with errPinAborted.
+// acquireWait completes an acquisition acquireNow could not, through
+// the ring. abort abandons the wait with errPinAborted.
 func (d *queryDC) acquireWait(id core.BATID, abort <-chan struct{}) (f *fragment, viaRing bool, err error) {
 	n := d.n
-	if n.hot == nil {
-		return d.fetchCurrent(id, n.ring.fragVersion(id), abort)
+	f, viaRing, err = d.fetchCurrent(id, n.ring.fragVersion(id), abort)
+	if err == nil && !viaRing && n.hot != nil {
+		// Read from the owner's store, off the ring: seed the cache so
+		// repeat pins stay node-local until the version moves.
+		n.hot.put(id, f)
 	}
-	for {
-		cur := n.ring.fragVersion(id)
-		fl, leader := n.hot.joinFlight(id, cur)
-		if leader {
-			f, viaRing, err = d.fetchCurrent(id, cur, abort)
-			n.hot.finishFlight(id, cur, fl, f)
-			if err == nil && !viaRing {
-				// Read from the owner's store, off the ring: seed the
-				// cache so repeat pins stay node-local until the version
-				// moves.
-				n.hot.put(id, f)
-			}
-			return f, viaRing, err
-		}
-		select {
-		case <-fl.done:
-		case <-d.cancel: // nil for uncancellable callers
-			return nil, false, mal.ErrCancelled
-		case <-n.closed:
-			return nil, false, errors.New("live: ring closed")
-		case <-abort:
-			return nil, false, errPinAborted
-		}
-		if fl.f != nil {
-			n.mu.Lock()
-			d.withdrawLocked(id)
-			n.mu.Unlock()
-			return fl.f, false, nil
-		}
-		// The leader failed at the protocol layer; retry — the next
-		// round either hits the cache, joins a newer flight, or makes
-		// this pin the leader so the failure surfaces here too.
-		now := [1]fragAcq{{id: id}}
-		if d.acquireNow(now[:]); now[0].in {
-			return now[0].f, now[0].viaRing, now[0].err
-		}
-	}
+	return f, viaRing, err
 }
 
 // fetchCurrent obtains fragment id at version cur or newer through the
@@ -492,8 +456,8 @@ func (p *partDC) Unpin(v mal.Value) error {
 	return fmt.Errorf("live: unpin of a BAT that was never pinned")
 }
 
-// releaseRing drops the runtime pin and the refcounted payload a ring
-// acquisition (viaRing) holds.
+// releaseRing drops the runtime pin a ring acquisition (viaRing)
+// holds, and with the node's last pin the payload n.cached keeps.
 func (d *queryDC) releaseRing(id core.BATID) {
 	n := d.n
 	n.mu.Lock()
@@ -506,24 +470,20 @@ func (d *queryDC) releaseRing(id core.BATID) {
 // each index of each column — starts before any part runs: the ones
 // that cannot wait complete on the calling goroutine, all in one pass
 // under the node's lock (acquireNow), and every other one on a
-// lightweight goroutine of its own (coalesced wait or ring
-// circulation; arrival order is the ring's business), so each pin is
-// registered before any part blocks: a fragment whose pin is registered
-// only after its envelope went by costs a whole extra revolution. A part
-// is ready once its last acquisition is in, and ready parts queue in the
-// order they became ready; FragWorkers workers — the calling goroutine
-// and FragWorkers − 1 others — take them from the queue, so at most that
-// many parts compute at a time and none waits inside one. The first
+// lightweight goroutine of its own (a ring wait; arrival order is the
+// ring's business), so each pin is registered before any part blocks: a
+// fragment whose pin is registered only after its envelope went by
+// costs a whole extra revolution. A part is ready once its last
+// acquisition is in, and ready parts queue in the order they became
+// ready; Workers workers — the calling goroutine and Workers − 1 others
+// — take them from the queue, so at most that many parts compute at a
+// time and none waits inside one. The first
 // failure aborts the remaining waits; their parts still become ready,
 // and their pins fail. Whatever a part did not unpin itself is released
 // before mapParts returns.
 func (d *queryDC) mapParts(cols [][]core.BATID, idx []int, part func(mal.DCRuntime) (mal.Value, error), results []mal.Value, vers [][]int) error {
 	n := d.n
-	workers := n.cfg.FragWorkers
-	if workers <= 0 {
-		workers = n.cfg.Workers
-	}
-	workers = max(1, min(workers, len(idx)))
+	workers := max(1, min(n.cfg.Workers, len(idx)))
 	abort := make(chan struct{})
 	var abortOnce sync.Once
 	var errMu sync.Mutex

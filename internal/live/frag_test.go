@@ -161,7 +161,7 @@ func TestOutOfOrderFragmentArrival(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := DefaultConfig()
 		cfg.FragmentRows = 128
-		cfg.FragWorkers = 3
+		cfg.Workers = 3
 		// Adverse placements: later fragments often land nearer the
 		// querying node than earlier ones, so arrival order inverts and
 		// interleaves across queries.

@@ -1,15 +1,12 @@
 package live
 
-// The hot-set fragment cache: the dual of the paper's hot-set model.
-// The ring keeps interesting data flowing so queries meet it "in
-// flight"; this cache keeps what already flowed past, so a node that
-// saw a fragment moments ago does not wait a full ring revolution to
-// see it again. Every ring delivery (and local publish) populates a
-// bounded, bytes-budgeted per-node map of BATID → (version, payload);
-// the pin path consults it first, validating the entry's version
-// against the ring catalog — a hit is a zero-copy immutable view with
-// no waiter and no ring wait, a miss (or a stale version) falls
-// through to circulation and refreshes the cache on delivery.
+// The hot-set fragment cache, the dual of the paper's hot-set model:
+// the ring keeps interesting data flowing, and this cache keeps what
+// already flowed past. Ring deliveries and store reads off the ring
+// fill a bytes-budgeted per-node map of BATID → (version, payload). A
+// pin consults it first (acquireNow): an entry at the catalog's current
+// version is a zero-copy hit with no ring wait. A miss pins at the
+// runtime, which serves every local pin of a BAT with one pass.
 //
 // Correctness contract (the staleness proof):
 //
@@ -57,7 +54,6 @@ type CacheStats struct {
 	Stale     int64 // superseded entries dropped (pin-time mismatch or update sweep)
 	Inserts   int64 // deliveries admitted into the cache
 	Evictions int64 // entries evicted by the bytes budget
-	Coalesced int64 // pins that joined another pin's in-flight wait
 
 	Bytes   int64 // resident payload bytes
 	Entries int64 // resident fragments
@@ -82,7 +78,6 @@ func (s *CacheStats) Merge(o CacheStats) {
 	s.Stale += o.Stale
 	s.Inserts += o.Inserts
 	s.Evictions += o.Evictions
-	s.Coalesced += o.Coalesced
 	s.Bytes += o.Bytes
 	s.Entries += o.Entries
 	s.RingWaits += o.RingWaits
@@ -97,21 +92,6 @@ type hotEntry struct {
 	seq   int64   // recency stamp (tie-break)
 }
 
-// flight is one in-flight ring wait for an (id, version) pair, shared
-// by every concurrent pin of that fragment: the first miss becomes the
-// leader and runs the real waiter/request machinery; followers block
-// on done and read f. A failed leader leaves f nil and followers retry
-// (one of them becomes the next leader).
-type flight struct {
-	done chan struct{}
-	f    *fragment
-}
-
-type flightKey struct {
-	id  core.BATID
-	ver int
-}
-
 // hotCache is one node's hot-set fragment cache.
 type hotCache struct {
 	mu      sync.Mutex
@@ -119,14 +99,12 @@ type hotCache struct {
 	bytes   int64
 	seq     int64
 	entries map[core.BATID]*hotEntry
-	flights map[flightKey]*flight
 
 	hits      metrics.Counter
 	misses    metrics.Counter
 	stale     metrics.Counter
 	inserts   metrics.Counter
 	evictions metrics.Counter
-	coalesced metrics.Counter
 }
 
 // cacheDecay is the divisor applied to every resident entry's interest
@@ -137,7 +115,6 @@ func newHotCache(budget int) *hotCache {
 	return &hotCache{
 		budget:  int64(budget),
 		entries: map[core.BATID]*hotEntry{},
-		flights: map[flightKey]*flight{},
 	}
 }
 
@@ -271,35 +248,6 @@ func (h *hotCache) invalidateBelow(id core.BATID, ver int) {
 	}
 }
 
-// joinFlight dedupes concurrent ring waits for (id, ver): the first
-// caller becomes the leader (second result true) and must settle the
-// flight with finishFlight; later callers get the existing flight to
-// block on.
-func (h *hotCache) joinFlight(id core.BATID, ver int) (*flight, bool) {
-	key := flightKey{id, ver}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if fl, ok := h.flights[key]; ok {
-		h.coalesced.Inc()
-		return fl, false
-	}
-	fl := &flight{done: make(chan struct{})}
-	h.flights[key] = fl
-	return fl, true
-}
-
-// finishFlight publishes the leader's outcome (f nil on failure) and
-// wakes every follower. The flight is removed first, so a pin that
-// misses after this point starts a fresh wait instead of reading a
-// settled one.
-func (h *hotCache) finishFlight(id core.BATID, ver int, fl *flight, f *fragment) {
-	h.mu.Lock()
-	delete(h.flights, flightKey{id, ver})
-	h.mu.Unlock()
-	fl.f = f
-	close(fl.done)
-}
-
 // stats snapshots the cache counters.
 func (h *hotCache) stats() CacheStats {
 	h.mu.Lock()
@@ -311,7 +259,6 @@ func (h *hotCache) stats() CacheStats {
 		Stale:     h.stale.Get(),
 		Inserts:   h.inserts.Get(),
 		Evictions: h.evictions.Get(),
-		Coalesced: h.coalesced.Get(),
 		Bytes:     bytes,
 		Entries:   entries,
 	}

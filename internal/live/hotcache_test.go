@@ -78,7 +78,7 @@ func TestCacheDisabledMatchesCirculation(t *testing.T) {
 		}
 	}
 	cs := rOff.CacheStats()
-	if cs.Hits != 0 || cs.Misses != 0 || cs.Inserts != 0 || cs.Coalesced != 0 {
+	if cs.Hits != 0 || cs.Misses != 0 || cs.Inserts != 0 {
 		t.Fatalf("disabled cache counted activity: %+v", cs)
 	}
 	if on := rOn.CacheStats(); on.Hits == 0 {
@@ -295,50 +295,68 @@ func fragSchema() minisql.Schema {
 	return minisql.MapSchema{"p": {"val"}}
 }
 
-// TestCoalescedConcurrentPins: concurrent cold pins of the same
-// fragment share one in-flight ring wait instead of each registering a
-// waiter (singleflight), and all of them get the right payload.
+// TestCoalescedConcurrentPins: concurrent cold pins of one fragment at
+// one node share the runtime's request, with the hot-set cache off and
+// on: one pass delivers to every pin blocked on it, so the node sends
+// fewer ring requests than there are pins, and none again. Every pin
+// reads the right payload, and no waiter and no cached entry outlives
+// the queries.
 func TestCoalescedConcurrentPins(t *testing.T) {
-	cols, schema := testColumns()
-	r, err := NewRing(3, cols, schema, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	reader := r.Node(1) // c.t_id is owned by node 0: the pin is cold and crosses the ring
-
-	const readers = 24
-	var wg sync.WaitGroup
-	errs := make(chan error, readers)
-	for i := 0; i < readers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b, err := reader.Fetch("c.t_id")
+	for _, tc := range []struct {
+		name  string
+		cache int
+	}{{"cache-off", 0}, {"cache-on", DefaultConfig().CacheBytes}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cols, schema := testColumns()
+			cfg := DefaultConfig()
+			cfg.CacheBytes = tc.cache
+			r, err := NewRing(3, cols, schema, cfg)
 			if err != nil {
-				errs <- err
-				return
+				t.Fatal(err)
 			}
-			if b.Len() != 4 || b.Tail().Int(0) != 2 {
-				errs <- fmt.Errorf("bad payload: %s", b.Dump(5))
+			defer r.Close()
+			reader := r.Node(1) // c.t_id is owned by node 0: the pin is cold and crosses the ring
+
+			const readers = 24
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			errs := make(chan error, readers)
+			for i := 0; i < readers; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					b, err := reader.Fetch("c.t_id")
+					if err != nil {
+						errs <- err
+						return
+					}
+					if b.Len() != 4 || b.Tail().Int(0) != 2 {
+						errs <- fmt.Errorf("bad payload: %s", b.Dump(5))
+					}
+				}()
 			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	cs := reader.CacheStats()
-	if cs.Coalesced == 0 && cs.Hits == 0 {
-		t.Fatal("24 concurrent cold pins neither coalesced nor hit the cache")
-	}
-	// No waiter bookkeeping may survive the queries.
-	reader.mu.Lock()
-	leftoverWaiters, leftoverCached := len(reader.waiters), len(reader.cached)
-	reader.mu.Unlock()
-	if leftoverWaiters != 0 || leftoverCached != 0 {
-		t.Fatalf("leftover waiters=%d cached=%d after coalesced pins", leftoverWaiters, leftoverCached)
+			close(start)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			st := reader.Stats()
+			t.Logf("%d pins, %d requests sent", readers, st.RequestsSent)
+			if st.RequestsSent == 0 || st.RequestsSent >= readers {
+				t.Fatalf("%d concurrent pins sent %d ring requests, want 1 to %d", readers, st.RequestsSent, readers-1)
+			}
+			if st.Resends != 0 {
+				t.Fatalf("%d resends, want 0", st.Resends)
+			}
+			reader.mu.Lock()
+			leftoverWaiters, leftoverCached := len(reader.waiters), len(reader.cached)
+			reader.mu.Unlock()
+			if leftoverWaiters != 0 || leftoverCached != 0 {
+				t.Fatalf("leftover waiters=%d cached=%d after concurrent pins", leftoverWaiters, leftoverCached)
+			}
+		})
 	}
 }
 
@@ -465,40 +483,6 @@ func TestHotCacheBudgetGate(t *testing.T) {
 	}
 	if h.get(1, 0) == nil {
 		t.Fatal("resident entry evicted by an inadmissible payload")
-	}
-}
-
-// TestFlightLifecycle: the first joiner leads, later joiners follow,
-// and finishing wakes the followers with the leader's outcome; a new
-// join after the finish starts a fresh flight.
-func TestFlightLifecycle(t *testing.T) {
-	h := newHotCache(1 << 20)
-	fl, leader := h.joinFlight(9, 0)
-	if !leader {
-		t.Fatal("first joiner did not lead")
-	}
-	fl2, leader2 := h.joinFlight(9, 0)
-	if leader2 || fl2 != fl {
-		t.Fatal("second joiner did not follow the first")
-	}
-	if _, leaderOther := h.joinFlight(9, 1); !leaderOther {
-		t.Fatal("a different version joined the wrong flight")
-	}
-	payload := intsFrag(64, 0)
-	h.finishFlight(9, 0, fl, payload)
-	select {
-	case <-fl.done:
-	default:
-		t.Fatal("finish did not wake followers")
-	}
-	if fl.f != payload {
-		t.Fatal("follower read the wrong payload")
-	}
-	if _, leader3 := h.joinFlight(9, 0); !leader3 {
-		t.Fatal("post-finish join did not start a fresh flight")
-	}
-	if st := h.stats(); st.Coalesced != 1 {
-		t.Fatalf("coalesced = %d, want 1", st.Coalesced)
 	}
 }
 

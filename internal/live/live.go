@@ -28,7 +28,7 @@ import (
 //
 // Deprecated: the type, Config.Transport and TCP are kept only for the
 // benchmark harness, which still sets Config.Transport = TCP. ROADMAP
-// item 1(e) deletes that line and then them.
+// item 1S deletes that line and then them.
 type Transport int
 
 // TCP connects neighbours through real loopback TCP sockets using the
@@ -44,7 +44,8 @@ type Config struct {
 	Core core.Config
 	// QueueCap is the per-node BAT queue capacity in bytes.
 	QueueCap int
-	// Workers is the MAL dataflow parallelism per query.
+	// Workers is the MAL dataflow parallelism per query, and how many
+	// fragments of one aligned map it processes at once.
 	Workers int
 	// Transport must be TCP, its zero value.
 	//
@@ -56,9 +57,6 @@ type Config struct {
 	// §5). 0 puts every column in one fragment, pinned through the same
 	// aligned map as any other fragment list.
 	FragmentRows int
-	// FragWorkers bounds how many fragments of one pin a query
-	// processes concurrently as they arrive (defaults to Workers).
-	FragWorkers int
 	// CacheBytes budgets the per-node hot-set fragment cache: ring
 	// deliveries are kept resident so a repeat pin of an unchanged
 	// fragment is a version-validated node-local read instead of a ring
@@ -192,8 +190,9 @@ type Node struct {
 	store map[core.BATID]*fragment
 	// transit holds the fragment versions currently flowing through.
 	transit map[core.BATID]*fragment
-	// cached holds versions pinned by local queries (refcounted).
-	cached map[core.BATID]*cachedBAT
+	// cached holds the ring deliveries local queries hold pinned, while
+	// the runtime counts a pin on them (unrefCached).
+	cached map[core.BATID]*fragment
 	// slabs tracks the receive slabs this node's payloads are views of
 	// (slab.go).
 	slabs slabSet
@@ -294,21 +293,13 @@ type Node struct {
 	linksClosed bool
 }
 
-// cachedBAT is a fragment version pinned by local queries.
-type cachedBAT struct {
-	f    *fragment
-	refs int
-}
-
-// unrefCached drops one reference on a cached payload, evicting the
-// entry when the last reference goes. Called with n.mu held.
+// unrefCached drops the cached payload of id, and its slab hold, once
+// the runtime counts no local pin on it. Called with n.mu held, after
+// every rt.Unpin.
 func (n *Node) unrefCached(id core.BATID) {
-	if c, ok := n.cached[id]; ok {
-		c.refs--
-		if c.refs <= 0 {
-			delete(n.cached, id)
-			c.f.slab.release()
-		}
+	if f, ok := n.cached[id]; ok && n.rt.CachePins(id) == 0 {
+		delete(n.cached, id)
+		f.slab.release()
 	}
 }
 
@@ -477,7 +468,7 @@ func (r *Ring) newNode(id, nodes, pred int, schema minisql.Schema) *Node {
 		cfg:      cfg,
 		store:    map[core.BATID]*fragment{},
 		transit:  map[core.BATID]*fragment{},
-		cached:   map[core.BATID]*cachedBAT{},
+		cached:   map[core.BATID]*fragment{},
 		waiters:  map[waitKey]chan *fragment{},
 		errs:     map[core.QueryID]queryErr{},
 		schema:   schema,
@@ -622,13 +613,11 @@ func (d *queryDC) Pin(handle mal.Value) (mal.Value, error) {
 }
 
 // abandonPin unwinds a pin the caller gave up on. A concurrent Deliver
-// (which runs under n.mu) may already have removed the waiter entry,
-// bumped the payload's refcounts, and sent into ch — in which case the
-// cancel branch of the select raced the delivery and must consume the
-// payload and drop those refs, or the cachedBAT leaks for the ring's
-// lifetime. Otherwise the waiter entry is still registered; removing it
-// turns any later Deliver for this pin into a no-op (Deliver only
-// counts references when it finds a waiter to hand the payload to).
+// (which runs under n.mu) may already have removed the waiter entry and
+// sent into ch: the cancel branch raced the delivery and must release
+// the pin, or the runtime counts it, and n.cached keeps its payload,
+// for the ring's lifetime. Otherwise removing the waiter entry turns a
+// later Deliver for this pin into its own release (deliverLocked).
 func (d *queryDC) abandonPin(id core.BATID, ch chan *fragment) {
 	n := d.n
 	n.mu.Lock()
@@ -636,10 +625,7 @@ func (d *queryDC) abandonPin(id core.BATID, ch chan *fragment) {
 	select {
 	case f := <-ch:
 		if f != nil {
-			// The delivery won the race: drop the refs it counted, at
-			// both the live layer and the runtime (what the query's own
-			// unpin would have released).
-			n.rt.Unpin(d.q, id)
+			n.rt.Unpin(d.q, id) // what the query's own unpin would have done
 			n.unrefCached(id)
 		}
 	default:
@@ -728,9 +714,9 @@ func (n *Node) ExecPlan(plan *mal.Plan) (*mal.ResultSet, error) {
 }
 
 // releaseQuery drops the waiter channels an aborted interpreter left
-// unconsumed, and the payload refs a Deliver already handed them. Every
-// other pin was released by the map that took it. Called with n.mu
-// held, after the interpreter has returned.
+// unconsumed, and the pins a Deliver already handed them. Every other
+// pin was released by the map that took it. Called with n.mu held,
+// after the interpreter has returned.
 func (n *Node) releaseQuery(q core.QueryID) {
 	for key, ch := range n.waiters {
 		if key.q != q {
@@ -740,9 +726,7 @@ func (n *Node) releaseQuery(q core.QueryID) {
 		select {
 		case f := <-ch:
 			if f != nil {
-				// The delivery counted refs at both layers; release both,
-				// as the query's own unpin would have.
-				n.rt.Unpin(q, key.b)
+				n.rt.Unpin(q, key.b) // as the query's own unpin would have
 				n.unrefCached(key.b)
 			}
 		default:

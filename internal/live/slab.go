@@ -12,12 +12,11 @@ package live
 //     hop entry forwarding it — the forward sends the slab's own bytes,
 //     so that hold lasts from the enqueue until the send completes.
 //  2. Views wait. Query code holds views without counting: the parts of
-//     an aligned map, pinMerged's fragments after their unpin, a flight
-//     follower's payload. Such a view only ever comes from a cache hit
-//     or a delivery, which mark the slab lent. A lent slab whose count
-//     reaches zero waits out a grace period: it returns to the free list
-//     only after every query that was running on the node at that
-//     moment has returned. ExecPlan and Fetch register for it
+//     an aligned map and pinMerged's fragments after their unpin. Such
+//     a view only ever comes from a cache hit or a delivery, which mark
+//     the slab lent. A lent slab whose count reaches zero waits out a
+//     grace period: it returns to the free list only after every query
+//     that was running on the node at that moment has returned. ExecPlan and Fetch register for it
 //     (enterQuery / exitQuery). A slab no query ever saw — a pass-through
 //     envelope, a copy the cache already held — returns at once.
 //  3. Results are copied. ExecPlan's result set and Fetch's BAT outlive

@@ -256,7 +256,7 @@ func TestSlabLifetime(t *testing.T) {
 			reader.hot.drop(other)
 		}
 		reader.mu.Lock()
-		s := reader.cached[id].f.slab
+		s := reader.cached[id].slab
 		reader.mu.Unlock()
 		settle(t, r, reader, s, 1)
 		if recycled(s) {

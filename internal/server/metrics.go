@@ -118,7 +118,7 @@ func (s *Server) renderMetrics(b *bytes.Buffer) {
 		for _, rc := range []struct {
 			name string
 			v    int64
-		}{{"hit", st.Cache.Hits}, {"miss", st.Cache.Misses}, {"stale", st.Cache.Stale}, {"coalesced", st.Cache.Coalesced}} {
+		}{{"hit", st.Cache.Hits}, {"miss", st.Cache.Misses}, {"stale", st.Cache.Stale}} {
 			line("dc_frag_cache_total", i, fmt.Sprintf(",result=%q", rc.name), rc.v)
 		}
 	}

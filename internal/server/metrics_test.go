@@ -72,7 +72,7 @@ func TestMetricsScrape(t *testing.T) {
 		{"dc_inflight_queries", "gauge", []string{""}},
 		{"dc_queued_queries", "gauge", []string{""}},
 		{"dc_plan_cache_total", "counter", []string{`,result="hit"`, `,result="miss"`}},
-		{"dc_frag_cache_total", "counter", []string{`,result="hit"`, `,result="miss"`, `,result="stale"`, `,result="coalesced"`}},
+		{"dc_frag_cache_total", "counter", []string{`,result="hit"`, `,result="miss"`, `,result="stale"`}},
 		{"dc_frag_cache_bytes", "gauge", []string{""}},
 		{"dc_ring_wait_seconds_total", "counter", []string{""}},
 		{"dc_hop_messages_total", "counter", []string{""}},
