@@ -11,8 +11,9 @@
 package bat
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"unsafe"
 )
 
@@ -543,46 +544,56 @@ func (b *BAT) Dump(max int) string {
 	return s + "}"
 }
 
-// sortIdxByTail returns row positions ordered by tail value. The kind
-// switch runs once per call; each kind gets its own monomorphic
-// comparator closure instead of re-dispatching per comparison.
+// sortIdxByTail returns row positions ordered by tail value, stably.
+// The kind switch runs once per call; each kind gets its own
+// monomorphic comparison, no reflection. Values neither less than the
+// other, NaNs included, keep their row order.
 func (b *BAT) sortIdxByTail(desc bool) []int {
 	idx := make([]int, b.Len())
 	for i := range idx {
 		idx[i] = i
 	}
 	t := b.t
-	var less func(i, j int) bool
 	switch {
 	case t.dense:
-		less = func(i, j int) bool { return idx[i] < idx[j] }
+		if desc {
+			slices.Reverse(idx)
+		}
 	case t.kind == KOid:
-		v := t.oids
-		less = func(i, j int) bool { return v[idx[i]] < v[idx[j]] }
+		sortIdx(idx, t.oids, desc)
 	case t.kind == KInt:
-		v := t.int64s()
-		less = func(i, j int) bool { return v[idx[i]] < v[idx[j]] }
+		sortIdx(idx, t.int64s(), desc)
 	case t.kind == KFloat:
-		v := t.float64s()
-		less = func(i, j int) bool { return v[idx[i]] < v[idx[j]] }
+		sortIdx(idx, t.float64s(), desc)
 	case t.kind == KStr && t.narrow != nil:
-		v := t.narrow.appendWide(make([]int64, 0, t.Len())) // code order is string order
-		less = func(i, j int) bool { return v[idx[i]] < v[idx[j]] }
+		sortIdx(idx, t.narrow.appendWide(make([]int64, 0, t.Len())), desc) // code order is string order
 	case t.kind == KStr:
-		v := t.strs
-		less = func(i, j int) bool { return v[idx[i]] < v[idx[j]] }
+		sortIdx(idx, t.strs, desc)
 	case t.kind == KBool:
-		v := t.bools
-		less = func(i, j int) bool { return !v[idx[i]] && v[idx[j]] }
-	default:
-		less = func(i, j int) bool { return false }
-	}
-	if desc {
-		sort.SliceStable(idx, func(i, j int) bool { return less(j, i) })
-	} else {
-		sort.SliceStable(idx, less)
+		v := make([]uint8, len(t.bools)) // false < true
+		for i, x := range t.bools {
+			v[i] = uint8(b2i(x))
+		}
+		sortIdx(idx, v, desc)
 	}
 	return idx
+}
+
+// sortIdx orders the positions idx by v's values, stably.
+func sortIdx[T cmp.Ordered](idx []int, v []T, desc bool) {
+	slices.SortStableFunc(idx, func(i, j int) int {
+		a, b := v[i], v[j]
+		if desc {
+			a, b = b, a
+		}
+		switch {
+		case a < b:
+			return -1
+		case b < a:
+			return 1
+		}
+		return 0
+	})
 }
 
 // SortT returns b ordered by tail value (stable). Already-sorted tails

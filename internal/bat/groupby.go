@@ -45,6 +45,9 @@ type Groups struct {
 	accs  []*Column // per group a sum (int64 or float64), a minimum or a maximum
 	ops   []GroupOp // what each of accs holds: GroupSum, GroupMin or GroupMax
 	outs  []outRef  // per aggregate column, its op and the accumulator it reads
+	// ix, when set, makes this a probed part's (KeyIndex.Probe): no keys,
+	// and per slot of ix a count and accumulators, matched or not.
+	ix *KeyIndex
 }
 
 type outRef struct {
@@ -250,29 +253,13 @@ func keyValues(t *Column, order []uint32, stride, span uint32) *Column {
 	return IntColumn(v)
 }
 
-// sumSlots adds t's value at each row into its slot's sum, in row
-// order, as GroupedSum adds them, and gathers the groups' sums.
+// sumSlots is slotSums gathered at order's slots: the groups' sums.
 func sumSlots(t *Column, slots, order []uint32, table int) *Column {
-	if t.kind == KInt {
-		sums := make([]int64, table)
-		if t.narrow != nil {
-			t.narrow.sumInto(slots, sums)
-		} else {
-			for i, v := range t.ints {
-				sums[slots[i]] += v
-			}
-		}
-		return IntColumn(gatherSlots(sums, order))
+	ints, floats := slotSums(t, slots, table)
+	if floats != nil {
+		return FloatColumn(gatherSlots(floats, order))
 	}
-	sums := make([]float64, table)
-	if t.narrow != nil {
-		t.narrow.sumDecimalInto(slots, sums, t.scale())
-	} else {
-		for i, v := range t.floats {
-			sums[slots[i]] += v
-		}
-	}
-	return FloatColumn(gatherSlots(sums, order))
+	return IntColumn(gatherSlots(ints, order))
 }
 
 // MergeGroups merges the parts' groupings, parts in fragment order, so
@@ -285,6 +272,9 @@ func sumSlots(t *Column, slots, order []uint32, table int) *Column {
 // scalar sums do (MergeAdd), and an extreme is replaced only by a
 // value strictly beyond it. One part is its own merge.
 func MergeGroups(parts []*Groups) *Groups {
+	if parts[0].ix != nil {
+		return mergeSlots(parts)
+	}
 	if len(parts) == 1 {
 		return parts[0]
 	}

@@ -17,7 +17,8 @@ import (
 // alignedCase is one randomly drawn instance of the claim the aligned
 // region rests on: a conjunctive query over a table cut into fragments
 // at arbitrary rows, its parts run in an arbitrary order, answers what
-// the WHERE clause says row by row.
+// the WHERE clause says row by row. A joined case also reads a second
+// table k, cut on its own, and answers what the join says pair by pair.
 type alignedCase struct {
 	cols  map[string]*bat.BAT
 	sql   string
@@ -28,9 +29,13 @@ type alignedCase struct {
 	// A grouped case's keys, and the edges it reaches (groupEdges).
 	groupBy                       []func(i int) any
 	laterKey, rejectedPart, dicts bool
+	// A joined case's k cuts and their order, and whether a key is held
+	// by several kept k rows.
+	kCuts, kOrder  []int
+	joined, dupKey bool
 }
 
-var alignedSchema = minisql.MapSchema{"f": {"a", "b", "c", "d", "e", "g", "h"}}
+var alignedSchema = minisql.MapSchema{"f": {"a", "b", "c", "d", "e", "g", "h"}, "k": {"x", "y"}}
 
 // drawAligned derives a case from seed. rows and frag steer the sizes
 // so a fuzzer can reach the edges — no rows, one fragment, a last
@@ -123,18 +128,22 @@ func drawAligned(seed int64, rows, frag int) alignedCase {
 	// ranges are one uselectall.
 	rng.Shuffle(len(where), func(i, j int) { where[i], where[j] = where[j], where[i] })
 
-	var kept []int
-	for i := 0; i < rows; i++ {
-		ok := true
-		for _, w := range where {
-			ok = ok && w.test(i)
+	keptRows := func() (kept []int) {
+		for i := 0; i < rows; i++ {
+			ok := true
+			for _, w := range where {
+				ok = ok && w.test(i)
+			}
+			if ok {
+				kept = append(kept, i)
+			}
 		}
-		if ok {
-			kept = append(kept, i)
-		}
+		return kept
 	}
+	kept := keptRows()
 	var sel, group string
-	switch rng.Intn(7) {
+	from := " from f"
+	switch rng.Intn(8) {
 	case 0:
 		sel = "sum(b), count(*)"
 		sum := 0.0
@@ -173,6 +182,17 @@ func drawAligned(seed int64, rows, frag int) alignedCase {
 		}
 	case 5:
 		sel, group = tc.drawGrouped(rng, kept, a, b, c, d, g, h)
+	case 7:
+		// Pairs are few under many predicates: f keeps one at most.
+		where = where[:min(len(where), 1)]
+		kept = keptRows()
+		var kWhere string
+		sel, kWhere, group = tc.drawJoined(rng, kept, a, b, d, g)
+		from = " from k, f"
+		where = append([]pred{{sql: "a = x"}}, where...)
+		if kWhere != "" {
+			where = append(where, pred{sql: kWhere})
+		}
 	default:
 		sel = "d, e"
 		for _, i := range kept {
@@ -190,7 +210,7 @@ func drawAligned(seed int64, rows, frag int) alignedCase {
 		}
 		sortRows(tc.want, 0, desc)
 	}
-	tc.sql = "select " + sel + " from f"
+	tc.sql = "select " + sel + from
 	if len(where) > 0 {
 		texts := make([]string, len(where))
 		for i, w := range where {
@@ -212,6 +232,18 @@ func drawAligned(seed int64, rows, frag int) alignedCase {
 		tc.cuts[i] = max(tc.cuts[i], tc.cuts[i-1])
 	}
 	tc.order = rng.Perm(len(tc.cuts) - 1)
+	if tc.joined {
+		k := tc.cols["k.x"].Len()
+		tc.kCuts = maltest.EveryRows(1 + rng.Intn(k+4))(k)
+		tc.kOrder = rng.Perm(len(tc.kCuts) - 1)
+		// The runtime tells the tables apart by their lengths alone.
+		if k == rows {
+			tc.kCuts = tc.cuts
+		}
+		if len(tc.kCuts) == len(tc.cuts) {
+			tc.kOrder = tc.order
+		}
+	}
 	if tc.groupBy != nil {
 		tc.groupEdges(kept)
 	}
@@ -225,11 +257,7 @@ func drawAligned(seed int64, rows, frag int) alignedCase {
 // among the kept rows as the engine numbers them, and returns the select
 // list and the clause after the WHERE.
 func (tc *alignedCase) drawGrouped(rng *rand.Rand, kept []int, a []int64, b []float64, c, d []int64, g []float64, h []string) (sel, clause string) {
-	type column struct {
-		name string
-		at   func(i int) any
-	}
-	keys := []column{{"c", func(i int) any { return c[i] }}, {"h", func(i int) any { return h[i] }}, {"a", func(i int) any { return a[i] }}}
+	keys := []valueCol{{"c", func(i int) any { return c[i] }}, {"h", func(i int) any { return h[i] }}, {"a", func(i int) any { return a[i] }}}
 	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 	keys = keys[:1+rng.Intn(2)]
 	tc.groupBy = make([]func(int) any, len(keys))
@@ -249,11 +277,6 @@ func (tc *alignedCase) drawGrouped(rng *rand.Rand, kept []int, a []int64, b []fl
 		groups[id] = append(groups[id], i)
 	}
 
-	// Each select item is SQL text and its value over a group's rows.
-	type item struct {
-		sql string
-		of  func(rows []int) any
-	}
 	var items []item
 	var selected []string // the keys in the select list
 	for k, key := range keys {
@@ -264,52 +287,9 @@ func (tc *alignedCase) drawGrouped(rng *rand.Rand, kept []int, a []int64, b []fl
 			items = append(items, item{key.name, func(rows []int) any { return key.at(rows[0]) }})
 		}
 	}
-	sumOf := func(v func(int) any, rows []int) any {
-		switch v(rows[0]).(type) {
-		case int64:
-			var s int64
-			for _, i := range rows {
-				s += v(i).(int64)
-			}
-			return s
-		}
-		var s float64
-		for _, i := range rows {
-			s += v(i).(float64)
-		}
-		return s
-	}
-	values := []column{{"a", func(i int) any { return a[i] }}, {"b", func(i int) any { return b[i] }},
+	values := []valueCol{{"a", func(i int) any { return a[i] }}, {"b", func(i int) any { return b[i] }},
 		{"d", func(i int) any { return d[i] }}, {"g", func(i int) any { return g[i] }}}
-	for n := 1 + rng.Intn(3); n > 0; n-- {
-		v := values[rng.Intn(len(values))]
-		switch op := []string{"sum", "count", "avg", "min", "max"}[rng.Intn(5)]; op {
-		case "sum":
-			items = append(items, item{"sum(" + v.name + ")", func(rows []int) any { return sumOf(v.at, rows) }})
-		case "count":
-			items = append(items, item{"count(*)", func(rows []int) any { return int64(len(rows)) }})
-		case "avg":
-			items = append(items, item{"avg(" + v.name + ")", func(rows []int) any {
-				switch s := sumOf(v.at, rows).(type) {
-				case int64:
-					return float64(s) / float64(len(rows))
-				case float64:
-					return s / float64(len(rows))
-				}
-				panic("no sum")
-			}})
-		default:
-			items = append(items, item{op + "(" + v.name + ")", func(rows []int) any {
-				best := v.at(rows[0])
-				for _, i := range rows[1:] {
-					if x := v.at(i); op == "min" && less(x, best) || op == "max" && less(best, x) {
-						best = x
-					}
-				}
-				return best
-			}})
-		}
-	}
+	items = append(items, drawAggregates(rng, []string{"sum", "count", "avg", "min", "max"}, values)...)
 	rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
 	texts := make([]string, len(items))
 	for i, it := range items {
@@ -339,6 +319,158 @@ func (tc *alignedCase) drawGrouped(rng *rand.Rand, kept []int, a []int64, b []fl
 		}
 	}
 	return strings.Join(texts, ", "), clause
+}
+
+// valueCol is a select item's column: its name and its value at row i.
+type valueCol struct {
+	name string
+	at   func(i int) any
+}
+
+// item is a select item: its SQL text and its value over a group's
+// rows.
+type item struct {
+	sql string
+	of  func(rows []int) any
+}
+
+// drawAggregates draws one to three of ops — sum, count, avg, min and
+// max — over values, each with its value over a group's rows, a row
+// listed as often as it is counted.
+func drawAggregates(rng *rand.Rand, ops []string, values []valueCol) []item {
+	sumOf := func(v func(int) any, rows []int) any {
+		switch v(rows[0]).(type) {
+		case int64:
+			var s int64
+			for _, i := range rows {
+				s += v(i).(int64)
+			}
+			return s
+		}
+		var s float64
+		for _, i := range rows {
+			s += v(i).(float64)
+		}
+		return s
+	}
+	var items []item
+	for n := 1 + rng.Intn(3); n > 0; n-- {
+		v := values[rng.Intn(len(values))]
+		switch op := ops[rng.Intn(len(ops))]; op {
+		case "sum":
+			items = append(items, item{"sum(" + v.name + ")", func(rows []int) any { return sumOf(v.at, rows) }})
+		case "count":
+			items = append(items, item{"count(*)", func(rows []int) any { return int64(len(rows)) }})
+		case "avg":
+			items = append(items, item{"avg(" + v.name + ")", func(rows []int) any {
+				switch s := sumOf(v.at, rows).(type) {
+				case int64:
+					return float64(s) / float64(len(rows))
+				case float64:
+					return s / float64(len(rows))
+				}
+				panic("no sum")
+			}})
+		default:
+			items = append(items, item{op + "(" + v.name + ")", func(rows []int) any {
+				best := v.at(rows[0])
+				for _, i := range rows[1:] {
+					if x := v.at(i); op == "min" && less(x, best) || op == "max" && less(best, x) {
+						best = x
+					}
+				}
+				return best
+			}})
+		}
+	}
+	return items
+}
+
+// drawJoined draws a join of a second table k, its key column x with
+// repeated keys and a filter on y or none, with f on f.a = k.x, grouped
+// by x, with sum, count and avg over f's columns: the
+// eager-aggregation probe's shape (bat.KeyIndex). It adds k's columns
+// and sets the answer in plain Go — the pairs, kept k rows in k's row
+// order and each one's kept f rows with a = x in f's, and the groups
+// numbered by their first pair — and returns the select list, k's
+// predicate ("" for none) and the clause after the WHERE.
+func (tc *alignedCase) drawJoined(rng *rand.Rand, kept []int, a []int64, b []float64, d []int64, g []float64) (sel, kWhere, clause string) {
+	// The keys come from a small pool, so they repeat; some are a kept f
+	// row's a, so they match.
+	pool := make([]int64, 1+rng.Intn(12))
+	for i := range pool {
+		pool[i] = int64(rng.Intn(110))
+		if len(kept) > 0 && rng.Intn(4) > 0 {
+			pool[i] = a[kept[rng.Intn(len(kept))]]
+		}
+	}
+	rows := rng.Intn(40)
+	x, y := make([]int64, rows), make([]int64, rows)
+	for i := range x {
+		x[i], y[i] = pool[rng.Intn(len(pool))], int64(rng.Intn(10))
+	}
+	tc.cols["k.x"], tc.cols["k.y"] = bat.MakeInts("k.x", x), bat.MakeInts("k.y", y)
+	tc.joined = true
+	keep := func(int) bool { return true }
+	switch lim := int64(rng.Intn(11)); rng.Intn(4) {
+	case 0:
+		kWhere, keep = fmt.Sprintf("y < %d", lim), func(i int) bool { return y[i] < lim }
+	case 1:
+		kWhere, keep = fmt.Sprintf("y >= %d", lim), func(i int) bool { return y[i] >= lim }
+	}
+	var keys []int64
+	groups := map[int64][]int{} // per key, its pairs' f rows
+	held := map[int64]int{}     // per key, the kept k rows holding it
+	for i := range x {
+		if !keep(i) {
+			continue
+		}
+		held[x[i]]++
+		for _, j := range kept {
+			if a[j] == x[i] {
+				if groups[x[i]] == nil {
+					keys = append(keys, x[i])
+				}
+				groups[x[i]] = append(groups[x[i]], j)
+			}
+		}
+	}
+	for _, k := range keys {
+		tc.dupKey = tc.dupKey || held[k] > 1
+	}
+	var items []item
+	if rng.Intn(5) > 0 {
+		items = append(items, item{"x", nil})
+	}
+	values := []valueCol{{"a", func(i int) any { return a[i] }}, {"b", func(i int) any { return b[i] }},
+		{"d", func(i int) any { return d[i] }}, {"g", func(i int) any { return g[i] }}}
+	items = append(items, drawAggregates(rng, []string{"sum", "count", "avg"}, values)...)
+	rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+	texts := make([]string, len(items))
+	for i, it := range items {
+		texts[i] = it.sql
+	}
+	for _, k := range keys {
+		row := make([]any, len(items))
+		for i, it := range items {
+			if it.of == nil {
+				row[i] = k
+			} else {
+				row[i] = it.of(groups[k])
+			}
+		}
+		tc.want = append(tc.want, row)
+	}
+	clause = " group by x"
+	if i := slices.IndexFunc(items, func(it item) bool { return it.of == nil }); i >= 0 && rng.Intn(2) == 0 {
+		desc := rng.Intn(3) == 0
+		clause += " order by x"
+		if desc {
+			clause += " desc"
+		}
+		sortRows(tc.want, i, desc)
+	}
+	return strings.Join(texts, ", "), kWhere, clause
 }
 
 // groupEdges records which of the edges a grouped case reaches, with
@@ -434,18 +566,39 @@ func (tc alignedCase) check(t *testing.T) (conj bool, rewritten string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Regions != 1 || st.Pins != 0 {
-		t.Fatalf("%s: stats %+v, want everything in one region:\n%s", tc.sql, st, dc)
+	regions, parts := 1, len(tc.order)
+	cuts, order := func(int) []int { return tc.cuts }, func(int) []int { return tc.order }
+	if tc.joined {
+		// Each table's region; f's probes k's key index.
+		regions, parts = 2, parts+len(tc.kOrder)
+		cuts = func(n int) []int {
+			if n == tc.cuts[len(tc.cuts)-1] {
+				return tc.cuts
+			}
+			return tc.kCuts
+		}
+		order = func(n int) []int {
+			if n == len(tc.order) {
+				return tc.order
+			}
+			return tc.kOrder
+		}
+		if !strings.Contains(dc.String(), "group.probe(") {
+			t.Fatalf("%s: no probe:\n%s", tc.sql, dc)
+		}
+	}
+	if st.Regions != regions || st.Pins != 0 {
+		t.Fatalf("%s: stats %+v, want everything in %d regions:\n%s", tc.sql, st, regions, dc)
 	}
 	rt := &maltest.FragDC{
 		Cols:  tc.cols,
-		Cuts:  func(int) []int { return tc.cuts },
-		Order: func(int) []int { return tc.order },
+		Cuts:  cuts,
+		Order: order,
 		// Narrow codes, as the ring stores every fragment: the
 		// selections and fetches run on them.
 		Narrow: true,
 	}
-	parts, partsErr := mal.Run(&mal.Context{Registry: mal.Standard(), DC: rt}, dc)
+	got, partsErr := mal.Run(&mal.Context{Registry: mal.Standard(), DC: rt}, dc)
 	conj, rewritten = strings.Contains(plan.String(), "algebra.uselectall("), dc.String()
 	if tc.fails {
 		if wholeErr == nil || partsErr == nil {
@@ -462,11 +615,11 @@ func (tc alignedCase) check(t *testing.T) (conj bool, rewritten string) {
 	if g := whole.(*mal.ResultSet).Rows(); !maltest.SameRows(tc.want, g) {
 		t.Fatalf("%s on whole columns:\nwant %v\ngot  %v\n%s", tc.sql, tc.want, g, plan)
 	}
-	if g := parts.(*mal.ResultSet).Rows(); !maltest.SameRows(tc.want, g) {
-		t.Fatalf("%s cut at %v in order %v:\nwant %v\ngot  %v", tc.sql, tc.cuts, tc.order, tc.want, g)
+	if g := got.(*mal.ResultSet).Rows(); !maltest.SameRows(tc.want, g) {
+		t.Fatalf("%s cut at %v in order %v (k at %v in %v):\nwant %v\ngot  %v", tc.sql, tc.cuts, tc.order, tc.kCuts, tc.kOrder, tc.want, g)
 	}
-	if rt.Parts != len(tc.order) || rt.Pins != rt.Unpins {
-		t.Fatalf("%s: %d parts for %d fragments, %d pins, %d unpins", tc.sql, rt.Parts, len(tc.order), rt.Pins, rt.Unpins)
+	if rt.Parts != parts || rt.Pins != rt.Unpins {
+		t.Fatalf("%s: %d parts for %d fragments, %d pins, %d unpins", tc.sql, rt.Parts, parts, rt.Pins, rt.Unpins)
 	}
 	return conj, rewritten
 }
@@ -477,11 +630,14 @@ func (tc alignedCase) check(t *testing.T) (conj bool, rewritten string) {
 // a bitmap, merge fetch exits by their heads, select and sum in one
 // aggr.selectsum, and group in the region with group.aggregate — some
 // of those with a key first kept in a later fragment, a fragment whose
-// rows are all rejected, and key fragments narrowed to different codes.
+// rows are all rejected, and key fragments narrowed to different codes
+// — and join a second table k, grouped by its key, in f's region with
+// group.probe, some of those with a key several kept k rows hold.
 func TestAlignedRegionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	conj, masks, heads, fused := 0, 0, 0, 0
 	grouped, later, rejected, dicts := 0, 0, 0, 0
+	probed, dups := 0, 0
 	for seed := int64(0); seed < 600; seed++ {
 		rows := rng.Intn(300)
 		if seed%25 == 0 {
@@ -494,6 +650,10 @@ func TestAlignedRegionProperty(t *testing.T) {
 			later += b2i(tc.laterKey)
 			rejected += b2i(tc.rejectedPart)
 			dicts += b2i(tc.dicts)
+		}
+		if strings.Contains(dc, "group.probe(") {
+			probed++
+			dups += b2i(tc.dupKey)
 		}
 		if c {
 			conj++
@@ -514,6 +674,10 @@ func TestAlignedRegionProperty(t *testing.T) {
 	t.Logf("%d cases grouped in the region: %d with a key first kept in a later fragment, %d with an all-rejected fragment, %d with key fragments coded apart", grouped, later, rejected, dicts)
 	if grouped < 60 || later < 6 || rejected < 4 || dicts < 20 {
 		t.Errorf("of 600 cases %d ran a group.aggregate (want ≥ 60): %d with a later first key (≥ 6), %d with an all-rejected part (≥ 4), %d with keys coded apart (≥ 20)", grouped, later, rejected, dicts)
+	}
+	t.Logf("%d cases probed a key index, %d with a repeated build key", probed, dups)
+	if probed < 50 || dups < 20 {
+		t.Errorf("of 600 cases %d ran a group.probe (want ≥ 50), %d with a repeated build key (≥ 20)", probed, dups)
 	}
 }
 

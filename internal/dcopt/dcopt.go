@@ -18,6 +18,7 @@ package dcopt
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mal"
 )
@@ -34,10 +35,12 @@ type Stats struct {
 // Rewrite returns the Data Cyclotron form of p, leaving p untouched.
 func Rewrite(p *mal.Plan) (*mal.Plan, Stats, error) {
 	var st Stats
+	p = withoutDead(p)
 
 	// Per variable of p: the sql.bind that assigns it (-1: not a bound
-	// column), the last instruction consuming it, its request handle in
-	// the rewritten plan, and whether the outer plan has pinned it.
+	// column), the last outer instruction consuming it, its request
+	// handle in the rewritten plan, and whether the outer plan has
+	// pinned it.
 	bindAt := make([]int, p.NVars)
 	lastUse := make([]int, p.NVars)
 	handle := make([]mal.VarID, p.NVars)
@@ -51,23 +54,24 @@ func Rewrite(p *mal.Plan) (*mal.Plan, Stats, error) {
 		}
 	}
 	isBind := func(a mal.Arg) bool { return !a.IsLit() && bindAt[a.Var] >= 0 }
+	regionOf, groupOf, nvars := outline(p, bindAt)
+	standing := make([]*region, len(p.Instrs))
 	for i, in := range p.Instrs {
+		if r := regionOf[i]; r != nil {
+			standing[r.at] = r
+			continue
+		}
+		if groupOf[i] != nil {
+			continue
+		}
 		for _, a := range in.Args {
 			if isBind(a) {
 				lastUse[a.Var] = i
 			}
 		}
 	}
-	regionOf, groupOf := outline(p, bindAt)
 
-	// Each grouping's exit takes a variable past p's, before the
-	// request handles.
-	out := mal.Plan{Name: p.Name + "_dc", NVars: p.NVars, Result: p.Result}
-	for i, g := range groupOf {
-		if g != nil && g.at == i {
-			out.NVars++
-		}
-	}
+	out := mal.Plan{Name: p.Name + "_dc", NVars: nvars, Result: p.Result}
 	firstFree := out.NVars
 	// X := sql.bind(s,t,c)  =>  H := datacyclotron.request(s,t,c)
 	request := func(x mal.VarID) mal.VarID {
@@ -89,25 +93,37 @@ func Rewrite(p *mal.Plan) (*mal.Plan, Stats, error) {
 			request(in.Ret[0])
 			continue
 		}
-		if r := regionOf[i]; r != nil {
-			// The whole region stands where its first instruction stood:
-			// it needs nothing but request handles, and everything that
-			// consumes an exit came after the instruction that made it.
-			if i == r.members[0] {
-				args := []mal.Arg{mal.L(r.build(p, firstFree))}
-				for _, x := range r.slots {
-					args = append(args, mal.V(request(x)))
-				}
-				out.Instrs = append(out.Instrs, mal.Instr{
-					Module: "datacyclotron", Op: "aligned",
-					Ret: r.exitVars(), Args: args,
-				})
-				st.Regions++
-				st.Local += len(r.members)
+		g := groupOf[i]
+		if g != nil && g.op == "probe" && i == g.indexAt {
+			// The probe's key index is made where the join stood.
+			out.Instrs = append(out.Instrs, mal.Instr{
+				Module: "group", Op: "index",
+				Ret: []mal.VarID{g.ix}, Args: []mal.Arg{g.build},
+			})
+		}
+		if r := standing[i]; r != nil {
+			// The whole region stands where its first instruction stood,
+			// or, when it reads inputs, where the last of them is built:
+			// it needs nothing else but request handles, and everything
+			// that consumes an exit came after it.
+			args := []mal.Arg{mal.L(r.build(p, firstFree))}
+			for _, x := range r.slots {
+				args = append(args, mal.V(request(x)))
 			}
+			for _, v := range r.inputs {
+				args = append(args, mal.V(v))
+			}
+			out.Instrs = append(out.Instrs, mal.Instr{
+				Module: "datacyclotron", Op: "aligned",
+				Ret: r.exitVars(), Args: args,
+			})
+			st.Regions++
+			st.Local += len(r.members)
+		}
+		if regionOf[i] != nil {
 			continue
 		}
-		if g := groupOf[i]; g != nil {
+		if g != nil {
 			// The merged groups are read out where group.newpos stood.
 			if i == g.at {
 				for k, v := range g.ret {
@@ -153,4 +169,48 @@ func Rewrite(p *mal.Plan) (*mal.Plan, Stats, error) {
 		}
 	}
 	return &out, st, nil
+}
+
+// withoutDead is p without the instructions whose results nothing
+// reads — a realignment of a table no later step projects — and, in
+// turn, what only they read. sql.* and datacyclotron.* instructions,
+// instructions without results and whatever assigns the plan's result
+// stay. p itself when nothing is dead.
+func withoutDead(p *mal.Plan) *mal.Plan {
+	reads := make([]int, p.NVars)
+	for _, in := range p.Instrs {
+		for _, a := range in.Args {
+			if !a.IsLit() {
+				reads[a.Var]++
+			}
+		}
+	}
+	dead := make([]bool, len(p.Instrs))
+	n := 0
+	// Backwards, every reader is judged before what it reads.
+	for i := len(p.Instrs) - 1; i >= 0; i-- {
+		in := p.Instrs[i]
+		if in.Module == "sql" || in.Module == "datacyclotron" || len(in.Ret) == 0 {
+			continue
+		}
+		if slices.ContainsFunc(in.Ret, func(v mal.VarID) bool { return reads[v] > 0 || v == p.Result }) {
+			continue
+		}
+		dead[i], n = true, n+1
+		for _, a := range in.Args {
+			if !a.IsLit() {
+				reads[a.Var]--
+			}
+		}
+	}
+	if n == 0 {
+		return p
+	}
+	out := &mal.Plan{Name: p.Name, NVars: p.NVars, Result: p.Result, Instrs: make([]mal.Instr, 0, len(p.Instrs)-n)}
+	for i, in := range p.Instrs {
+		if !dead[i] {
+			out.Instrs = append(out.Instrs, in)
+		}
+	}
+	return out
 }

@@ -2,7 +2,10 @@ package dcopt
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -286,7 +289,7 @@ func TestTailExits(t *testing.T) {
 		{"projection", compile(t, "select id, name from t where id >= 2"), map[mal.MergeKind]int{mal.MergeTail: 2}},
 		{"sorted projection", compile(t, "select id, name from t where id >= 2 order by name"), map[mal.MergeKind]int{mal.MergeConcat: 2}},
 		{"group-by inputs", compileWith(t, tpch.Q1SQL, db.Schema()), map[mal.MergeKind]int{mal.MergeGroups: 1}},
-		{"join inputs", compileWith(t, tpch.Q3ishSQL, db.Schema()), map[mal.MergeKind]int{mal.MergeConcat: 3}},
+		{"join inputs", compileWith(t, tpch.Q3ishSQL, db.Schema()), map[mal.MergeKind]int{mal.MergeConcat: 2, mal.MergeGroups: 1}},
 		{"also reversed", alsoReversed(), map[mal.MergeKind]int{mal.MergeTail: 1, mal.MergeConcat: 1}},
 		{"plan result", fetchIsResult(), map[mal.MergeKind]int{mal.MergeConcat: 1}},
 	} {
@@ -469,5 +472,140 @@ func TestRewritePlanWithoutBinds(t *testing.T) {
 	}
 	if st.Requests != 0 || len(dc.Instrs) != len(p.Instrs) {
 		t.Fatalf("no-op rewrite changed plan: %+v", st)
+	}
+}
+
+// TestDeadInstructionsDropped: Q3's realignment of the customer binding
+// after its join with lineitem, X25 := algebra.join(X24, X17), and the
+// chain only it reads (X15 markT, X16 reverse, X17 the realignment after
+// the first join), feed nothing, and Rewrite drops those four before
+// outlining, nothing else. A plan without dead instructions comes back
+// as it is, and a binding, a request or the plan's result is kept
+// though nothing reads it.
+func TestDeadInstructionsDropped(t *testing.T) {
+	db := tpch.GenDB(0.0002, 1)
+	p := compileWith(t, tpch.Q3ishSQL, db.Schema())
+	live := withoutDead(p)
+	var gone []string
+	for _, in := range p.Instrs {
+		if !slices.ContainsFunc(live.Instrs, func(j mal.Instr) bool { return j.String() == in.String() }) {
+			gone = append(gone, in.String())
+		}
+	}
+	want := []string{"X15 := algebra.markT(X14, 0x0)", "X16 := bat.reverse(X15)", "X17 := algebra.join(X16, X8)", "X25 := algebra.join(X24, X17)"}
+	if !slices.Equal(gone, want) {
+		t.Fatalf("dropped %q, want %q", gone, want)
+	}
+	dc, _, err := Rewrite(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range want {
+		ret, _, _ := strings.Cut(in, " :=")
+		if regexp.MustCompile(`\b` + ret + `\b`).MatchString(dc.String()) {
+			t.Errorf("rewritten plan still assigns or reads %s:\n%s", ret, dc)
+		}
+	}
+	for _, sql := range []string{tpch.Q1SQL, tpch.Q6ishSQL} {
+		if p := compileWith(t, sql, db.Schema()); withoutDead(p) != p {
+			t.Errorf("%s: a plan without dead instructions came back changed", sql)
+		}
+	}
+
+	b := mal.NewBuilder("q")
+	x := b.Emit("sql", "bind", mal.L("sys"), mal.L("t"), mal.L("id"))
+	b.Emit("sql", "bind", mal.L("sys"), mal.L("t"), mal.L("name")) // read by nothing
+	b.Emit("datacyclotron", "request", mal.L("sys"), mal.L("t"), mal.L("id"))
+	b.Emit("bat", "reverse", mal.V(b.Emit("bat", "mirror", mal.V(x)))) // dead, and what only it reads
+	b.SetResult(b.Emit("bat", "mirror", mal.V(x)))
+	q := b.MustBuild()
+	if got := opNames(withoutDead(q)); !slices.Equal(got, []string{"sql.bind", "sql.bind", "datacyclotron.request", "bat.mirror"}) {
+		t.Errorf("kept %v, want both binds, the request and the result's mirror", got)
+	}
+}
+
+// TestProbeOnlyCountsSumsAndAverages: a join grouped by its key probes
+// a key index in the probe table's region when its aggregates are
+// counts, sums and averages of that table's columns, and stays on whole
+// columns when one is a minimum or maximum, or reads the build table;
+// either way it answers what the plain plan answers.
+func TestProbeOnlyCountsSumsAndAverages(t *testing.T) {
+	x, y := []int64{3, 1, 3, 2}, []int64{0, 5, 1, 9}
+	a, b := []int64{1, 3, 3, 2, 7, 1}, []float64{0.5, 1.25, 2, 4, 8, 16}
+	cols := map[string]*bat.BAT{
+		"k.x": bat.MakeInts("k.x", x), "k.y": bat.MakeInts("k.y", y),
+		"f.a": bat.MakeInts("f.a", a), "f.b": bat.MakeFloats("f.b", b),
+	}
+	for _, c := range []struct {
+		sql    string
+		probes bool
+	}{
+		{"select x, sum(b), count(*), avg(a) from k, f where a = x group by x", true},
+		{"select x, min(b) from k, f where a = x group by x", false},
+		{"select x, max(a), sum(b) from k, f where a = x group by x", false},
+		{"select x, sum(y) from k, f where a = x group by x", false},
+	} {
+		plan := compileWith(t, c.sql, alignedSchema)
+		dc, _, err := Rewrite(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(dc.String(), "group.probe("); got != c.probes {
+			t.Errorf("%s: probes %v, want %v:\n%s", c.sql, got, c.probes, dc)
+		}
+		want, err := mal.Run(&mal.Context{Registry: mal.Standard(), Catalog: bindCatalog(cols)}, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := &maltest.FragDC{Cols: cols, Cuts: maltest.EveryRows(2), Narrow: true}
+		got, err := mal.Run(&mal.Context{Registry: mal.Standard(), DC: rt}, dc)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", c.sql, err, dc)
+		}
+		if w, g := want.(*mal.ResultSet).Rows(), got.(*mal.ResultSet).Rows(); !maltest.SameRows(w, g) {
+			t.Errorf("%s:\n got %v\nwant %v", c.sql, g, w)
+		}
+	}
+}
+
+// TestProbeUndoneWhenKeyReadWhole: when the outer plan also reads the
+// probe table's key column whole, the key fetch cannot stay in the
+// region, so the probe is given up and the join runs on whole columns,
+// answering as the plain plan does.
+func TestProbeUndoneWhenKeyReadWhole(t *testing.T) {
+	p := compileWith(t, "select x, sum(b) from k, f where a = x group by x", alignedSchema)
+	key := mal.NoVar
+	for _, in := range p.Instrs {
+		if in.Name() == "sql.bind" && in.Args[1].Lit == "f" && in.Args[2].Lit == "a" {
+			key = in.Ret[0]
+		}
+	}
+	// The plan's result becomes the key column reversed, read whole; the
+	// result set stays, read by nothing.
+	rev := mal.VarID(p.NVars)
+	p.Instrs = append(p.Instrs, mal.Instr{Module: "bat", Op: "reverse", Ret: []mal.VarID{rev}, Args: []mal.Arg{mal.V(key)}})
+	p.NVars, p.Result = p.NVars+1, rev
+	dc, _, err := Rewrite(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(dc.String(), "group.probe(") {
+		t.Fatalf("probes though the key column is read whole:\n%s", dc)
+	}
+	cols := map[string]*bat.BAT{
+		"k.x": bat.MakeInts("k.x", []int64{3, 1, 3}), "k.y": bat.MakeInts("k.y", []int64{0, 0, 0}),
+		"f.a": bat.MakeInts("f.a", []int64{1, 3, 2, 3}), "f.b": bat.MakeFloats("f.b", []float64{1, 2, 4, 8}),
+	}
+	want, err := mal.Run(&mal.Context{Registry: mal.Standard(), Catalog: bindCatalog(cols)}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := &maltest.FragDC{Cols: cols, Cuts: maltest.EveryRows(2), Narrow: true}
+	got, err := mal.Run(&mal.Context{Registry: mal.Standard(), DC: rt}, dc)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, dc)
+	}
+	if w, g := want.(*bat.BAT), got.(*bat.BAT); fmt.Sprint(bat.Widen(w).Dump(10)) != fmt.Sprint(bat.Widen(g).Dump(10)) {
+		t.Fatalf("got %s, want %s", g.Dump(10), w.Dump(10))
 	}
 }

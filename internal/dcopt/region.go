@@ -3,6 +3,7 @@ package dcopt
 import (
 	"slices"
 
+	"repro/internal/bat"
 	"repro/internal/mal"
 )
 
@@ -116,6 +117,8 @@ type region struct {
 	folds   map[int]int // sums that read a mask themselves: the sum → the fetch it reads
 	fused   map[int]fusion
 	groups  []*grouping // GROUP BYs moved in, each in place of its fetches
+	inputs  []mal.VarID // the key indexes its probes read (grouping.ix)
+	at      int         // where it stands: its first member, or after its inputs are built
 }
 
 // fusion is what a mask fuses with into aggr.selectsum: the one folded
@@ -129,14 +132,27 @@ type fusion struct{ sum, count int }
 // group.columns reads the merged groups out where group.newpos stood,
 // in place of the grouping, the representative-key joins and the
 // aggr.grouped* calls (its outer instructions).
+//
+// A probe (probeAt) is a grouping too: a key join grouped by its key
+// and aggregated over the probe table alone. Its outer instructions
+// are the join's, and group.probe stands in the probe table's region
+// where the fetch of its key stood; the outer plan makes the key index
+// it reads where the join stood.
 type grouping struct {
-	args    []mal.Arg   // group.aggregate's: the candidates, the key columns, then each aggregate's name and column
+	op      string      // group.aggregate or group.probe
+	cand    mal.Arg     // the candidates whose rows it groups
+	args    []mal.Arg   // the op's: a probe's index, the candidates, the key columns, then each aggregate's name and column
 	fetches []int       // the fetches it replaces, by instruction
 	last    int         // the last of them
 	at      int         // group.newpos
 	outer   []int       // the outer instructions it replaces
 	ret     []mal.VarID // group.columns' results, keys first; NoVar: a key nothing reads
-	v       mal.VarID   // its exit: p.NVars on, one per grouping
+	v       mal.VarID   // its exit
+	// A probe's key index: ix := group.index(build), where the join
+	// stood (indexAt).
+	build   mal.Arg
+	indexAt int
+	ix      mal.VarID
 }
 
 // groupedOps are the aggregates group.aggregate computes, by the outer
@@ -146,19 +162,67 @@ var groupedOps = map[string]string{
 	"aggr.groupedMin": "min", "aggr.groupedMax": "max",
 }
 
+func isVar(a mal.Arg, v mal.VarID) bool { return !a.IsLit() && a.Var == v }
+
+// readOut sets what reads out a grouping by keys, whose group ids and
+// representatives are gids and reps: at most one representative-key
+// join(reps, key) per key, whose result is that key's column, and the
+// aggr.grouped* calls over gids, each an aggregate's name and, but for
+// a count, the column it reads (aggs). It is false when anything else
+// reads either, or the plan's result is one of them.
+func (g *grouping) readOut(p *mal.Plan, gids, reps mal.VarID, keys []mal.Arg, readers [][]int) (aggs []mal.Arg, ok bool) {
+	if p.Result == gids || p.Result == reps {
+		return nil, false
+	}
+	g.ret = make([]mal.VarID, len(keys))
+	for k := range g.ret {
+		g.ret[k] = mal.NoVar
+	}
+	for _, r := range readers[reps] {
+		j := p.Instrs[r]
+		if j.Name() != "algebra.join" || len(j.Args) != 2 || !isVar(j.Args[0], reps) || j.Args[1].IsLit() {
+			return nil, false
+		}
+		k := slices.IndexFunc(keys, func(a mal.Arg) bool { return isVar(a, j.Args[1].Var) })
+		if k < 0 || g.ret[k] != mal.NoVar {
+			return nil, false
+		}
+		g.ret[k], g.outer = j.Ret[0], append(g.outer, r)
+	}
+	for _, r := range readers[gids] {
+		j := p.Instrs[r]
+		op, ok := groupedOps[j.Name()]
+		arity := 2
+		if op == "count" {
+			arity = 1
+		}
+		if !ok || len(j.Ret) != 1 || len(j.Args) != arity || !isVar(j.Args[0], gids) {
+			return nil, false
+		}
+		aggs = append(aggs, mal.L(op))
+		if op != "count" {
+			if isVar(j.Args[1], gids) {
+				return nil, false
+			}
+			aggs = append(aggs, j.Args[1])
+		}
+		g.ret, g.outer = append(g.ret, j.Ret[0]), append(g.outer, r)
+	}
+	return aggs, true
+}
+
 // groupingAt is the grouping whose group.newpos is instruction i, nil
 // when i is none or the grouping does not move: its group ids and
-// representatives must be read by its derives, grouped aggregates and
-// one representative-key join per key alone, and its keys and values
-// must be fetches at the same candidates (fetchOf) that nothing else
-// reads. readers lists each variable's reading instructions.
+// representatives must be read by its derives and readOut's readers
+// alone, and its keys and values must be fetches at the same
+// candidates (fetchOf) that nothing else reads. readers lists each
+// variable's reading instructions.
 func groupingAt(p *mal.Plan, i int, readers [][]int, fetchOf func(mal.Arg) int) *grouping {
 	in := p.Instrs[i]
 	if in.Name() != "group.newpos" || len(in.Args) != 1 || len(in.Ret) != 2 {
 		return nil
 	}
-	isVar := func(a mal.Arg, v mal.VarID) bool { return !a.IsLit() && a.Var == v }
-	g := &grouping{at: i, outer: []int{i}}
+	g := &grouping{op: "aggregate", at: i, outer: []int{i}}
 	keys := []mal.Arg{in.Args[0]}
 	gids, reps := in.Ret[0], in.Ret[1]
 	for rs := readers[gids]; len(rs) == 1 && len(readers[reps]) == 0; rs = readers[gids] {
@@ -169,44 +233,15 @@ func groupingAt(p *mal.Plan, i int, readers [][]int, fetchOf func(mal.Arg) int) 
 		keys, g.outer = append(keys, d.Args[1]), append(g.outer, rs[0])
 		gids, reps = d.Ret[0], d.Ret[1]
 	}
-	if p.Result == gids || p.Result == reps {
+	aggs, ok := g.readOut(p, gids, reps, keys, readers)
+	if !ok {
 		return nil
 	}
-	g.ret = make([]mal.VarID, len(keys))
-	for k := range g.ret {
-		g.ret[k] = mal.NoVar
-	}
-	for _, r := range readers[reps] {
-		j := p.Instrs[r]
-		if j.Name() != "algebra.join" || len(j.Args) != 2 || !isVar(j.Args[0], reps) || j.Args[1].IsLit() {
-			return nil
-		}
-		k := slices.IndexFunc(keys, func(a mal.Arg) bool { return isVar(a, j.Args[1].Var) })
-		if k < 0 || g.ret[k] != mal.NoVar {
-			return nil
-		}
-		g.ret[k], g.outer = j.Ret[0], append(g.outer, r)
-	}
 	values := slices.Clone(keys)
-	var aggs []mal.Arg
-	for _, r := range readers[gids] {
-		j := p.Instrs[r]
-		op, ok := groupedOps[j.Name()]
-		arity := 2
-		if op == "count" {
-			arity = 1
+	for _, a := range aggs {
+		if !a.IsLit() {
+			values = append(values, a)
 		}
-		if !ok || len(j.Ret) != 1 || len(j.Args) != arity || !isVar(j.Args[0], gids) {
-			return nil
-		}
-		aggs = append(aggs, mal.L(op))
-		if op != "count" {
-			if isVar(j.Args[1], gids) {
-				return nil
-			}
-			aggs, values = append(aggs, j.Args[1]), append(values, j.Args[1])
-		}
-		g.ret, g.outer = append(g.ret, j.Ret[0]), append(g.outer, r)
 	}
 	// Every key and value is a fetch at the same candidates, read by
 	// the grouping alone.
@@ -217,8 +252,8 @@ func groupingAt(p *mal.Plan, i int, readers [][]int, fetchOf func(mal.Arg) int) 
 			return nil
 		}
 		if cand := p.Instrs[f].Args[0]; len(g.args) == 0 {
-			g.args = []mal.Arg{cand}
-		} else if cand != g.args[0] {
+			g.cand, g.args = cand, []mal.Arg{cand}
+		} else if cand != g.cand {
 			return nil
 		}
 		for _, r := range readers[a.Var] {
@@ -243,14 +278,133 @@ func groupingAt(p *mal.Plan, i int, readers [][]int, fetchOf func(mal.Arg) int) 
 	return g
 }
 
+// probeAt is the probe whose group.newpos is instruction i: a grouping
+// by the key of a join, every aggregate a count, a sum or an average
+// over columns of the probe table T alone — the eager aggregation of
+// bat.KeyIndex. It matches the chain
+// minisql's applyJoin and a grouping by the join key leave, where BL is
+// the bound tables' binding, kc their key column and cand T's
+// candidates:
+//
+//	LV := join(BL, kc)                   the build: the key at each bound row
+//	RV := join(cand, T.k)                T's key at its candidates
+//	J := join(LV, reverse(RV))           the pairs, [pos | T's OID]
+//	KR := reverse(markT(J, 0))           realigns the bound tables …
+//	K := join(join(KR, BL), kc)          … so that K is the key at each pair
+//	G, R := group.newpos(K)
+//	aggr.grouped*(G, join(markH(J, 0), T.c)), join(R, K)
+//
+// Every step must be read by the next alone — a realignment of another
+// table must have been dropped as dead — and LV stays. nil when i is no
+// such grouping. by is the instruction assigning a variable (-1: none),
+// tableOf the table of a bound column ("": not one).
+func probeAt(p *mal.Plan, i int, readers [][]int, by func(mal.Arg) int, tableOf func(mal.Arg) string) *grouping {
+	in := p.Instrs[i]
+	if in.Name() != "group.newpos" || len(in.Args) != 1 || len(in.Ret) != 2 {
+		return nil
+	}
+	g := &grouping{op: "probe", at: i, outer: []int{i}}
+	// step is the arguments of the instruction assigning a, when it is
+	// op with n arguments and one result, and marks it replaced.
+	step := func(a mal.Arg, op string, n int) []mal.Arg {
+		j := by(a)
+		if j < 0 || p.Instrs[j].Name() != op || len(p.Instrs[j].Args) != n || len(p.Instrs[j].Ret) != 1 {
+			return nil
+		}
+		g.outer = append(g.outer, j)
+		return p.Instrs[j].Args
+	}
+	isZero := func(a mal.Arg) bool { return a.IsLit() && a.Lit == bat.Oid(0) }
+	k := step(in.Args[0], "algebra.join", 2)
+	if k == nil || tableOf(k[1]) == "" {
+		return nil
+	}
+	bl := step(k[0], "algebra.join", 2)
+	if bl == nil {
+		return nil
+	}
+	mt := step(bl[0], "bat.reverse", 1)
+	if mt == nil {
+		return nil
+	}
+	j := step(mt[0], "algebra.markT", 2)
+	if j == nil || !isZero(j[1]) {
+		return nil
+	}
+	g.indexAt = by(j[0])
+	lr := step(j[0], "algebra.join", 2)
+	if lr == nil || by(lr[0]) < 0 {
+		return nil
+	}
+	if lv := p.Instrs[by(lr[0])]; lv.Name() != "algebra.join" || !slices.Equal(lv.Args, []mal.Arg{bl[1], k[1]}) {
+		return nil
+	}
+	rv := step(lr[1], "bat.reverse", 1)
+	if rv == nil || by(rv[0]) < 0 {
+		return nil
+	}
+	g.last = by(rv[0])
+	fetch := p.Instrs[g.last]
+	table := tableOf(fetch.Args[1])
+	if fetch.Name() != "algebra.join" || len(fetch.Args) != 2 || table == "" || table == tableOf(k[1]) {
+		return nil
+	}
+	g.fetches, g.cand, g.build = []int{g.last}, fetch.Args[0], lr[0]
+	aggs, ok := g.readOut(p, in.Ret[0], in.Ret[1], in.Args[:1], readers)
+	if !ok {
+		return nil
+	}
+	// Each aggregate is a count, a sum or an average, over a fetch of
+	// one of T's columns at T's rows of the pairs. The index comes
+	// first: g.ix, once it has a variable.
+	g.args = []mal.Arg{{}, g.cand, fetch.Args[1]}
+	for _, a := range aggs {
+		if a.IsLit() && (a.Lit == "min" || a.Lit == "max") {
+			return nil
+		}
+		if !a.IsLit() {
+			c := step(a, "algebra.join", 2)
+			if c == nil || tableOf(c[1]) != table {
+				return nil
+			}
+			if bt := step(c[0], "algebra.markH", 2); bt == nil || bt[0] != j[0] || !isZero(bt[1]) {
+				return nil
+			}
+			a = c[1]
+		}
+		g.args = append(g.args, a)
+	}
+	slices.Sort(g.outer)
+	g.outer = slices.Compact(g.outer)
+	// Nothing but the chain reads what it replaces: only the grouping's
+	// outputs (g.ret) and the build leave it.
+	for _, j := range append(g.outer, g.last) {
+		for _, v := range p.Instrs[j].Ret {
+			if slices.Contains(g.ret, v) {
+				continue
+			}
+			if v == p.Result {
+				return nil
+			}
+			for _, r := range readers[v] {
+				if !slices.Contains(g.outer, r) {
+					return nil
+				}
+			}
+		}
+	}
+	return g
+}
+
 // outline finds the maximal fragment-local region of every table in p
 // and returns, per instruction, the region that takes it (nil: the
-// instruction stays in the outer plan), and the grouping that replaces
-// it (nil: none does). bindAt locates each bound column's sql.bind. A
+// instruction stays in the outer plan), the grouping that replaces it
+// (nil: none does), and the first variable past the groupings' exits
+// and the probes' indexes. bindAt locates each bound column's sql.bind. A
 // bound column is pinned in one place only, so a column some outer
 // instruction reads whole keeps its readers out of the region, and so,
 // in turn, what depends on them.
-func outline(p *mal.Plan, bindAt []int) (regionOf []*region, groupOf []*grouping) {
+func outline(p *mal.Plan, bindAt []int) (regionOf []*region, groupOf []*grouping, nvars int) {
 	type value struct {
 		class class
 		table string // columns of different tables never share a region
@@ -296,13 +450,50 @@ func outline(p *mal.Plan, bindAt []int) (regionOf []*region, groupOf []*grouping
 		}
 	}
 
+	readers := make([][]int, p.NVars)
+	by := make([]int, p.NVars) // the instruction assigning each variable
+	for i, in := range p.Instrs {
+		for _, a := range in.Args {
+			if !a.IsLit() {
+				readers[a.Var] = append(readers[a.Var], i)
+			}
+		}
+		for _, v := range in.Ret {
+			by[v] = i + 1 // 0: none
+		}
+	}
+	byOf := func(a mal.Arg) int {
+		if a.IsLit() {
+			return -1
+		}
+		return by[a.Var] - 1
+	}
+	tableOf := func(a mal.Arg) string {
+		if classOf(a) != column {
+			return ""
+		}
+		return vars[a.Var].table
+	}
+	// A grouping by a join's key over the probe side alone becomes a
+	// probe in the probe table's region: what the join's chain reads is
+	// not read outside.
+	groupOf = make([]*grouping, len(p.Instrs))
+	var groupings []*grouping
+	for i := range p.Instrs {
+		if g := probeAt(p, i, readers, byOf, tableOf); g != nil {
+			groupings = append(groupings, g)
+			for _, j := range g.outer {
+				groupOf[j] = g
+			}
+		}
+	}
+
 	// Drop members until every column a member pins is read by members
 	// only and every member's inputs are still produced by members.
 	outside := make([]bool, p.NVars) // read by the outer plan
 	// A value only sql.resultSet reads leaves by its tail: the result set
 	// heads every column dense [0, n) anyway.
 	headRead := make([]bool, p.NVars)
-	groupOf = make([]*grouping, len(p.Instrs))
 	readOutside := func() {
 		clear(outside)
 		clear(headRead)
@@ -314,32 +505,49 @@ func outline(p *mal.Plan, bindAt []int) (regionOf []*region, groupOf []*grouping
 				}
 			}
 		}
+		// A probe's index reads its build's tail where the join stood.
+		for _, g := range groupings {
+			if g.op == "probe" && groupOf[g.at] == g {
+				outside[g.build.Var] = true
+			}
+		}
 	}
-	for changed := true; changed; {
-		changed = false
-		readOutside()
-		for i, in := range p.Instrs {
-			for _, a := range in.Args {
-				if !member[i] || a.IsLit() {
-					continue
-				}
-				v := vars[a.Var]
-				if (v.class == column && outside[a.Var]) || (v.by >= 0 && !member[v.by]) {
-					member[i], changed = false, true
+	settle := func() {
+		for changed := true; changed; {
+			changed = false
+			readOutside()
+			for i, in := range p.Instrs {
+				for _, a := range in.Args {
+					if !member[i] || a.IsLit() {
+						continue
+					}
+					v := vars[a.Var]
+					if (v.class == column && outside[a.Var]) || (v.by >= 0 && !member[v.by]) {
+						member[i], changed = false, true
+					}
 				}
 			}
 		}
+	}
+	// A probe whose key fetch left its region is none: its chain is read
+	// outside after all, which may drop more members.
+	for n := -1; n != len(groupings); {
+		n = len(groupings)
+		settle()
+		kept := groupings[:0]
+		for _, g := range groupings {
+			if member[g.last] {
+				kept = append(kept, g)
+				continue
+			}
+			for _, j := range g.outer {
+				groupOf[j] = nil
+			}
+		}
+		groupings = kept
 	}
 	// A GROUP BY over fetches at one region's candidates moves in: its
 	// fetches are no longer read outside.
-	readers := make([][]int, p.NVars)
-	for i, in := range p.Instrs {
-		for _, a := range in.Args {
-			if !a.IsLit() {
-				readers[a.Var] = append(readers[a.Var], i)
-			}
-		}
-	}
 	fetchOf := func(a mal.Arg) int { // the member fetch assigning a, -1: none
 		if a.IsLit() {
 			return -1
@@ -349,14 +557,28 @@ func outline(p *mal.Plan, bindAt []int) (regionOf []*region, groupOf []*grouping
 		}
 		return -1
 	}
-	var groupings []*grouping
 	for i := range p.Instrs {
+		if groupOf[i] != nil {
+			continue
+		}
 		if g := groupingAt(p, i, readers, fetchOf); g != nil {
-			g.v = mal.VarID(p.NVars + len(groupings))
 			groupings = append(groupings, g)
 			for _, j := range g.outer {
 				groupOf[j] = g
 			}
+		}
+	}
+	// Each grouping's exit takes a variable past p's, in the order of
+	// their group.newpos, then each probe's index one.
+	slices.SortFunc(groupings, func(a, b *grouping) int { return a.at - b.at })
+	nvars = p.NVars
+	for _, g := range groupings {
+		g.v, nvars = mal.VarID(nvars), nvars+1
+	}
+	for _, g := range groupings {
+		if g.op == "probe" {
+			g.ix, nvars = mal.VarID(nvars), nvars+1
+			g.args[0] = mal.V(g.ix)
 		}
 	}
 	readOutside()
@@ -381,7 +603,7 @@ func outline(p *mal.Plan, bindAt []int) (regionOf []*region, groupOf []*grouping
 	grouped := make([]int, p.NVars) // by grouped fetches, as their candidates
 	for _, g := range groupings {
 		lastFetch[g.last] = g
-		grouped[g.args[0].Var] += len(g.fetches)
+		grouped[g.cand.Var] += len(g.fetches)
 	}
 	for i, in := range p.Instrs {
 		if !member[i] {
@@ -390,17 +612,24 @@ func outline(p *mal.Plan, bindAt []int) (regionOf []*region, groupOf []*grouping
 		table := vars[in.Ret[0]].table
 		r := byTable[table]
 		if r == nil {
-			r = &region{table: table}
+			r = &region{table: table, at: i}
 			byTable[table] = r
 		}
 		regionOf[i] = r
 		r.members = append(r.members, i)
+		args := in.Args
 		if g := lastFetch[i]; g != nil {
 			r.groups = append(r.groups, g)
 			r.exits = append(r.exits, mal.Exit{Var: g.v, Merge: mal.MergeGroups})
+			args = g.args
+			if g.op == "probe" {
+				// It stands after its index.
+				r.inputs, r.at = append(r.inputs, g.ix), max(r.at, g.indexAt)
+				args = args[1:]
+			}
 		}
-		for _, a := range in.Args {
-			if !a.IsLit() && vars[a.Var].class == column && !slices.Contains(r.slots, a.Var) {
+		for _, a := range args {
+			if classOf(a) == column && !slices.Contains(r.slots, a.Var) {
 				r.slots = append(r.slots, a.Var)
 			}
 		}
@@ -485,7 +714,7 @@ func outline(p *mal.Plan, bindAt []int) (regionOf []*region, groupOf []*grouping
 			r.fused[mask] = f
 		}
 	}
-	return regionOf, groupOf
+	return regionOf, groupOf, nvars
 }
 
 func (r *region) exitVars() []mal.VarID {
@@ -506,8 +735,9 @@ func (r *region) exitVars() []mal.VarID {
 // it has none), and they go. A deferred fetch's column is pinned and
 // unpinned where the fetch stood, but the fetch runs at the exit: on
 // the live ring the fragment stays readable until the query returns.
-// A grouping's group.aggregate stands where its last fetch stood, and
-// its fetches go. nvars is the first variable free for the sub-plan.
+// A grouping's group.aggregate, or a probe's group.probe, stands where
+// its last fetch stood, and its fetches go. nvars is the first variable
+// free for the sub-plan.
 func (r *region) build(p *mal.Plan, nvars int) *mal.Region {
 	type step struct {
 		in   mal.Instr
@@ -552,7 +782,7 @@ func (r *region) build(p *mal.Plan, nvars int) *mal.Region {
 		}
 		for _, g := range r.groups {
 			if g.last == i {
-				steps = append(steps, step{mal.Instr{Module: "group", Op: "aggregate", Ret: []mal.VarID{g.v}, Args: g.args}, true})
+				steps = append(steps, step{mal.Instr{Module: "group", Op: g.op, Ret: []mal.VarID{g.v}, Args: g.args}, true})
 			}
 		}
 	}
@@ -597,5 +827,5 @@ func (r *region) build(p *mal.Plan, nvars int) *mal.Region {
 			}
 		}
 	}
-	return mal.NewRegion(sub, r.exits)
+	return mal.NewRegion(sub, r.exits, r.inputs)
 }

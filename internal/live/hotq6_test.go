@@ -182,6 +182,30 @@ func BenchmarkHotQ6(b *testing.B) {
 	}
 }
 
+// BenchmarkHotQ3 is Q3ish as node 0 of a hot 3-node ring over 1M
+// lineitem rows in 64K-row fragments serves it: the outer plan builds
+// the qualifying orders' key index once, and each of the 16 lineitem
+// parts probes it and sums its revenue by build row, so no lineitem
+// column is pinned whole.
+func BenchmarkHotQ3(b *testing.B) {
+	db := tpch.GenDB(tpch.SFForLineitemRows(1<<20), 7)
+	r, plans := hotRing(b, db, 64<<10, tpch.Q3ishSQL)
+	defer r.Close()
+	if ids, _ := r.Fragments("lineitem.l_orderkey"); len(ids) != 16 {
+		b.Fatalf("lineitem is cut into %d fragments, want 16", len(ids))
+	}
+	n := r.Node(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, err := n.ExecPlan(plans[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		rs.Release()
+	}
+}
+
 // pinnedQ1 is Q1 over tpch.GenDB(0.001, 1) as the plain plan answers it
 // on whole columns, row order and every float bit included
 // (tpch.TestQueryResultsPinned).

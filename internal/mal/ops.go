@@ -266,14 +266,9 @@ func registerStandard(r *Registry) {
 	// per aggregate, what the representative-key joins and the
 	// aggr.grouped* ops compute over whole columns.
 	r.Register("group", "aggregate", func(ctx *Context, c *Call) error {
-		var cand *bat.Mask
-		switch v := c.Args[0].(type) {
-		case *bat.Mask:
-			cand = v
-		case *bat.BAT:
-			cand = bat.ListMask(v)
-		default:
-			return fmt.Errorf("arg 0: want candidates, got %T", c.Args[0])
+		cand, err := argCand(c.Args, 0)
+		if err != nil {
+			return err
 		}
 		i := 1
 		var keys []*bat.BAT
@@ -284,27 +279,45 @@ func registerStandard(r *Registry) {
 			}
 			keys = append(keys, b)
 		}
-		var outs []bat.GroupOut
-		for i < len(c.Args) {
-			name, _ := c.Args[i].(string)
-			op, ok := groupOps[name]
-			if !ok {
-				return fmt.Errorf("arg %d: want an aggregate, got %#v", i, c.Args[i])
-			}
-			o := bat.GroupOut{Op: op}
-			if i++; op != bat.GroupCount {
-				b, err := argBAT(c.Args, i)
-				if err != nil {
-					return err
-				}
-				o.Col, i = b, i+1
-			}
-			outs = append(outs, o)
+		outs, err := groupOuts(c.Args, i)
+		if err != nil {
+			return err
 		}
 		if len(keys) == 0 {
 			return fmt.Errorf("no key column")
 		}
 		return c.Return(bat.GroupBy(cand, keys, outs))
+	})
+	// group.index(build) is the build side of a key join whose pairs are
+	// grouped by the key and aggregated over the probe side alone: the
+	// distinct keys of build's tail, by first row, and their
+	// multiplicities (bat.NewKeyIndex), indexed once by its first probe.
+	// The outer plan makes it and hands it to a region as an input.
+	r.Register("group", "index", unary(func(b *bat.BAT) Value { return bat.NewKeyIndex(b) }))
+	// group.probe(index, cand, key, op1, c1, …) is that join and
+	// grouping over one part of the probe table: the rows cand keeps
+	// joined on key's tail with the index's build rows, per build key
+	// each aggregate as group.aggregate takes them (bat.KeyIndex.Probe).
+	// Its partial *bat.Groups leave the region by MergeGroups, which adds
+	// them slot by slot.
+	r.Register("group", "probe", func(ctx *Context, c *Call) error {
+		ix, ok := c.Args[0].(*bat.KeyIndex)
+		if !ok {
+			return fmt.Errorf("arg 0: want *bat.KeyIndex, got %T", c.Args[0])
+		}
+		cand, err := argCand(c.Args, 1)
+		if err != nil {
+			return err
+		}
+		key, err := argBAT(c.Args, 2)
+		if err != nil {
+			return err
+		}
+		outs, err := groupOuts(c.Args, 3)
+		if err != nil {
+			return err
+		}
+		return c.Return(ix.Probe(cand, key, outs))
 	})
 	r.Register("group", "columns", func(ctx *Context, c *Call) error {
 		g, ok := c.Args[0].(*bat.Groups)
@@ -413,7 +426,42 @@ func registerStandard(r *Registry) {
 	})
 }
 
-// groupOps are group.aggregate's aggregate names.
+// argCand is a region's candidates: a select's *bat.Mask or a
+// candidate list.
+func argCand(args []Value, i int) (*bat.Mask, error) {
+	switch v := args[i].(type) {
+	case *bat.Mask:
+		return v, nil
+	case *bat.BAT:
+		return bat.ListMask(v), nil
+	}
+	return nil, fmt.Errorf("arg %d: want candidates, got %T", i, args[i])
+}
+
+// groupOuts reads the aggregates from args[i] on: each a name, and
+// after any but "count" its column.
+func groupOuts(args []Value, i int) ([]bat.GroupOut, error) {
+	var outs []bat.GroupOut
+	for i < len(args) {
+		name, _ := args[i].(string)
+		op, ok := groupOps[name]
+		if !ok {
+			return nil, fmt.Errorf("arg %d: want an aggregate, got %#v", i, args[i])
+		}
+		o := bat.GroupOut{Op: op}
+		if i++; op != bat.GroupCount {
+			b, err := argBAT(args, i)
+			if err != nil {
+				return nil, err
+			}
+			o.Col, i = b, i+1
+		}
+		outs = append(outs, o)
+	}
+	return outs, nil
+}
+
+// groupOps are group.aggregate's and group.probe's aggregate names.
 var groupOps = map[string]bat.GroupOp{
 	"count": bat.GroupCount, "sum": bat.GroupSum, "avg": bat.GroupAvg,
 	"min": bat.GroupMin, "max": bat.GroupMax,

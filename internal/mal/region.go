@@ -57,15 +57,20 @@ type Fetch struct{ Cand, Col VarID }
 // Region is an outlined sub-plan with its exits. It is shared by every
 // run of the cached outer plan and never written after NewRegion.
 type Region struct {
-	plan  *Plan
-	exits []Exit
+	plan   *Plan
+	exits  []Exit
+	inputs []VarID
 }
 
 // NewRegion wraps sub, whose datacyclotron.pin instructions take Slot
-// literals, and the variables that leave it, in the order the
-// datacyclotron.aligned instruction returns them.
-func NewRegion(sub *Plan, exits []Exit) *Region {
-	return &Region{plan: sub, exits: exits}
+// literals, the variables that leave it, in the order the
+// datacyclotron.aligned instruction returns them, and the variables it
+// reads from the outer plan, set in every part from the instruction's
+// arguments after its column handles (a key index): the outer
+// plan computes each once, before the region runs, and no part writes
+// one.
+func NewRegion(sub *Plan, exits []Exit, inputs []VarID) *Region {
+	return &Region{plan: sub, exits: exits, inputs: inputs}
 }
 
 // Plan returns the sub-plan; callers must not modify it.
@@ -81,7 +86,14 @@ func (r *Region) GoString() string {
 	for _, in := range r.plan.Instrs {
 		fmt.Fprintf(&b, "        %s;\n", in)
 	}
-	b.WriteString("    } exits")
+	b.WriteString("    }")
+	if len(r.inputs) > 0 {
+		b.WriteString(" inputs")
+		for _, v := range r.inputs {
+			fmt.Fprintf(&b, " X%d", v)
+		}
+	}
+	b.WriteString(" exits")
 	for _, e := range r.exits {
 		fmt.Fprintf(&b, " X%d:%s", e.Var, e.Merge)
 		if f := e.Fetch; f != nil {
@@ -106,7 +118,8 @@ func (d slotDC) Pin(h Value) (Value, error) {
 	return d.DCRuntime.Pin(d.handles[s])
 }
 
-// aligned implements datacyclotron.aligned(region, handles...).
+// aligned implements datacyclotron.aligned(region, handles...,
+// inputs...).
 func aligned(ctx *Context, c *Call) error {
 	if ctx.DC == nil {
 		return fmt.Errorf("no DC runtime attached")
@@ -115,11 +128,15 @@ func aligned(ctx *Context, c *Call) error {
 	if !ok {
 		return fmt.Errorf("arg 0: want *mal.Region, got %T", c.Args[0])
 	}
-	handles := c.Args[1:]
+	nh := len(c.Args) - 1 - len(r.inputs)
+	if nh < 0 {
+		return fmt.Errorf("region with %d inputs given %d arguments", len(r.inputs), len(c.Args)-1)
+	}
+	handles, inputs := c.Args[1:1+nh], c.Args[1+nh:]
 	if fdc, ok := ctx.DC.(FragmentedDC); ok {
 		// Parts are the parallel axis: each runs its instructions in
 		// plan order, and a pin that has to wait blocks only its part.
-		parts, err := fdc.PinMap(handles, func(dc DCRuntime) (Value, error) { return r.run(ctx, dc, 1) })
+		parts, err := fdc.PinMap(handles, func(dc DCRuntime) (Value, error) { return r.run(ctx, dc, 1, inputs) })
 		if err != nil {
 			return err
 		}
@@ -130,19 +147,19 @@ func aligned(ctx *Context, c *Call) error {
 	// the width a region has — each pin may block, and every scan hangs
 	// off a pin — and each worker spared is a goroutine (and its stack
 	// growth) less per query, which is what a 0.2 ms point query notices.
-	part, err := r.run(ctx, slotDC{ctx.DC, handles}, min(ctx.Workers, len(handles)))
+	part, err := r.run(ctx, slotDC{ctx.DC, handles}, min(ctx.Workers, len(handles)), inputs)
 	if err != nil {
 		return err
 	}
 	return r.merge(ctx, c, []Value{part})
 }
 
-// run executes the sub-plan once against dc and returns its exit values
-// in exit order (as a Value, so it can travel through PinMap): a
-// deferred fetch's is its Join, or a bat.Fetch for the merge.
-// It runs in a frame of the sub-plan's binding, which holds the part's
-// context too.
-func (r *Region) run(ctx *Context, dc DCRuntime, workers int) (_ Value, err error) {
+// run executes the sub-plan once against dc, its inputs set to the
+// values given, and returns its exit values in exit order (as a Value,
+// so it can travel through PinMap): a deferred fetch's is its Join, or
+// a bat.Fetch for the merge. It runs in a frame of the sub-plan's
+// binding, which holds the part's context too.
+func (r *Region) run(ctx *Context, dc DCRuntime, workers int, inputs []Value) (_ Value, err error) {
 	b, err := r.plan.bind(ctx.Registry)
 	if err != nil {
 		return nil, err
@@ -151,6 +168,9 @@ func (r *Region) run(ctx *Context, dc DCRuntime, workers int) (_ Value, err erro
 	defer b.release(f)
 	f.ctx = *ctx
 	f.ctx.DC, f.ctx.Workers = dc, workers
+	for i, v := range r.inputs {
+		f.vals[v] = inputs[i]
+	}
 	if err := b.exec(&f.ctx, r.plan, f); err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ func q6Region(tails bool) *mal.Plan {
 	if tails {
 		exits = append(exits, mal.Exit{Var: cand, Merge: mal.MergeTail}, mal.Exit{Var: vals, Merge: mal.MergeTail})
 	}
-	region := mal.NewRegion(sub.MustBuild(), exits)
+	region := mal.NewRegion(sub.MustBuild(), exits, nil)
 
 	b := mal.NewBuilder("q")
 	hk := b.Emit("datacyclotron", "request", mal.L("sys"), mal.L("t"), mal.L("k"))
@@ -205,7 +205,7 @@ func TestDeferredFetchExits(t *testing.T) {
 	}
 	p := wideRegion("uselectmask", true)
 	r := p.Instrs[len(p.Instrs)-2].Args[0].Lit.(*mal.Region)
-	bad := mal.NewRegion(r.Plan(), append([]mal.Exit{{Var: 0, Merge: mal.MergeTail, Fetch: &mal.Fetch{Cand: r.Exits()[0].Fetch.Cand, Col: r.Exits()[0].Fetch.Cand}}}, r.Exits()[1:]...))
+	bad := mal.NewRegion(r.Plan(), append([]mal.Exit{{Var: 0, Merge: mal.MergeTail, Fetch: &mal.Fetch{Cand: r.Exits()[0].Fetch.Cand, Col: r.Exits()[0].Fetch.Cand}}}, r.Exits()[1:]...), nil)
 	p.Instrs[len(p.Instrs)-2].Args[0] = mal.L(bad)
 	rt := &maltest.FragDC{Cols: wideTable(1000, 6), Cuts: maltest.EveryRows(300), Narrow: true}
 	if _, err := mal.Run(&mal.Context{Registry: mal.Standard(), DC: rt}, p); err == nil || !strings.Contains(err.Error(), "cannot fetch") {
@@ -320,7 +320,7 @@ func wideRegion(sel string, deferred bool) *mal.Plan {
 		}
 		sub.Emit0("datacyclotron", "unpin", mal.V(col))
 	}
-	region := mal.NewRegion(sub.MustBuild(), exits)
+	region := mal.NewRegion(sub.MustBuild(), exits, nil)
 
 	b := mal.NewBuilder("wide")
 	args := []mal.Arg{mal.L(region)}
