@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -28,14 +29,15 @@ func heldPayloads(n *Node) int {
 }
 
 // checkNothingHeld asserts a finished (or failed) query left no
-// protocol state on n: no waiter, no payload reference, no runtime pin.
+// protocol state on n: no waiter, no payload reference, no runtime pin,
+// no pin shared by several acquisitions.
 func checkNothingHeld(t *testing.T, n *Node) {
 	t.Helper()
 	n.mu.Lock()
-	waiters, cached, rt := len(n.waiters), len(n.cached), n.rt.String()
+	waiters, cached, shared, rt := len(n.waiters), len(n.cached), len(n.sharedPins), n.rt.String()
 	n.mu.Unlock()
-	if waiters != 0 || cached != 0 || !strings.Contains(rt, " pins=0 ") {
-		t.Fatalf("left behind: %d waiters, %d cached payloads, runtime %q", waiters, cached, rt)
+	if waiters != 0 || cached != 0 || shared != 0 || !strings.Contains(rt, " pins=0 ") {
+		t.Fatalf("left behind: %d waiters, %d cached payloads, %d shared pins, runtime %q", waiters, cached, shared, rt)
 	}
 }
 
@@ -542,4 +544,269 @@ func TestQueryErrorStopsComputingInterpreter(t *testing.T) {
 		return
 	}
 	t.Fatal("no attempt caught a part in an unpin")
+}
+
+// pinRows is a part that pins and unpins each of its slots and returns
+// the rows it read.
+func pinRows(slots int) func(mal.DCRuntime) (mal.Value, error) {
+	return func(p mal.DCRuntime) (mal.Value, error) {
+		rows := 0
+		for slot := 0; slot < slots; slot++ {
+			v, err := p.Pin(mal.Slot(slot))
+			if err != nil {
+				return nil, err
+			}
+			rows += v.(*bat.BAT).Len()
+			if err := p.Unpin(v); err != nil {
+				return nil, err
+			}
+		}
+		return rows, nil
+	}
+}
+
+// sumRows adds up what pinRows parts returned.
+func sumRows(parts []mal.Value) int {
+	rows := 0
+	for _, p := range parts {
+		rows += p.(int)
+	}
+	return rows
+}
+
+// TestOneQueryWaitsTwiceOnAFragment: a query that waits on a fragment
+// twice at once — one map over the same column twice, or two maps over
+// one column side by side — is served by the one pass the runtime
+// delivers it, and the runtime pin that pass counted is released once,
+// after the last acquisition holding it lets go.
+func TestOneQueryWaitsTwiceOnAFragment(t *testing.T) {
+	cols, schema := fragColumns(2000)
+	cfg := DefaultConfig()
+	cfg.FragmentRows = 256
+	cfg.CacheBytes = 0 // every fragment another node owns comes off the ring
+	r, err := NewRing(3, cols, schema, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	n := r.Node(0)
+	shapes := []struct {
+		name string
+		pin  func(dc *queryDC, h mal.Value) (int, error)
+	}{
+		{"one map over the column twice", func(dc *queryDC, h mal.Value) (int, error) {
+			parts, err := dc.PinMap([]mal.Value{h, h}, pinRows(2))
+			if err != nil {
+				return 0, err
+			}
+			return sumRows(parts), nil
+		}},
+		{"two maps over the column at once", func(dc *queryDC, h mal.Value) (int, error) {
+			type result struct {
+				rows int
+				err  error
+			}
+			both := make(chan result, 2)
+			for i := 0; i < 2; i++ {
+				go func() {
+					parts, err := dc.PinMap([]mal.Value{h}, pinRows(1))
+					if err != nil {
+						both <- result{0, err}
+						return
+					}
+					both <- result{sumRows(parts), nil}
+				}()
+			}
+			rows := 0
+			for i := 0; i < 2; i++ {
+				res := <-both
+				if res.err != nil {
+					return 0, res.err
+				}
+				rows += res.rows
+			}
+			return rows, nil
+		}},
+	}
+	q := 0
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			for round := 0; round < 3; round++ {
+				q++
+				dc := &queryDC{n: n, q: core.QueryID(q)<<16 | core.QueryID(n.id)}
+				h, err := dc.Request("sys", "big", "v")
+				if err != nil {
+					t.Fatal(err)
+				}
+				type result struct {
+					rows int
+					err  error
+				}
+				done := make(chan result, 1)
+				go func() {
+					rows, err := shape.pin(dc, h)
+					done <- result{rows, err}
+				}()
+				select {
+				case res := <-done:
+					if res.err != nil {
+						t.Fatal(res.err)
+					}
+					if res.rows != 2*2000 {
+						t.Fatalf("round %d: parts read %d rows, want %d", round, res.rows, 2*2000)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("round %d: a wait was still pending after 10 s", round)
+				}
+				n.mu.Lock()
+				n.rt.CancelQuery(dc.q, dc.bats)
+				n.mu.Unlock()
+				checkNothingHeld(t, n)
+			}
+		})
+	}
+}
+
+// stuckFragments makes owner the runtime owner of count fragment ids no
+// store holds: a pin of one is a ring wait that no pass ever ends, as
+// the owner's loads find nothing to send.
+func stuckFragments(owner *Node, count int) []core.BATID {
+	ids := make([]core.BATID, count)
+	owner.mu.Lock()
+	defer owner.mu.Unlock()
+	for i := range ids {
+		ids[i] = core.BATID(800001 + i)
+		owner.rt.AddOwned(ids[i], 64)
+	}
+	return ids
+}
+
+// TestGivenUpRingWaitLeavesNothing gives a map's ring waits up while
+// they are pending: the query is cancelled, a sibling part fails, or the
+// ring closes. The map's second column is big.k's first fragment and
+// then fragments no pass ever brings, so part 0 runs while every other
+// part waits, holding whatever big.v fragment it was delivered. Once the
+// map has returned, the node holds nothing of the query: no waiter, no
+// runtime pin or cached payload on any fragment, no goroutine of the map.
+func TestGivenUpRingWaitLeavesNothing(t *testing.T) {
+	errPart := errors.New("a sibling part failed")
+	cases := []struct {
+		name   string
+		giveUp func(r *Ring, cancel chan struct{}) // nil: part 0 fails
+		want   string
+	}{
+		{"query cancelled", func(_ *Ring, cancel chan struct{}) { close(cancel) }, mal.ErrCancelled.Error()},
+		{"sibling part fails", nil, errPart.Error()},
+		{"ring closes", func(r *Ring, _ chan struct{}) { r.Close() }, "ring closed"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cols, schema := fragColumns(2000)
+			cfg := DefaultConfig()
+			cfg.FragmentRows = 256
+			cfg.CacheBytes = 0
+			r, err := NewRing(3, cols, schema, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			n := r.Node(0)
+			cancel := make(chan struct{})
+			dc := &queryDC{n: n, q: 1<<16 | core.QueryID(n.id), cancel: cancel}
+			v, err := dc.Request("sys", "big", "v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			vIDs := v.(*fragHandle).ids
+			kIDs, _ := r.Fragments("big.k")
+			second := append([]core.BATID{kIDs[0]}, stuckFragments(r.Node(1), len(vIDs)-1)...)
+			ran := make(chan struct{})
+			part := func(p mal.DCRuntime) (mal.Value, error) {
+				rows, err := pinRows(2)(p)
+				if err == nil && p.(*partDC).i == 0 {
+					if tc.giveUp == nil {
+						return nil, errPart
+					}
+					close(ran)
+				}
+				return rows, err
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := dc.PinMap([]mal.Value{v, &fragHandle{name: "big.second", ids: second}}, part)
+				done <- err
+			}()
+			if tc.giveUp != nil {
+				<-ran
+				tc.giveUp(r, cancel)
+			}
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the map did not return after its waits were given up")
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("PinMap returned %v, want %q", err, tc.want)
+			}
+			for _, g := range leakcheck.Goroutines() {
+				if strings.Contains(g, "created by repro/internal/live.(*queryDC).mapParts") {
+					t.Fatalf("a goroutine of the map outlived it:\n%s", g)
+				}
+			}
+			n.mu.Lock()
+			for key := range n.waiters {
+				if key.q == dc.q {
+					t.Errorf("fragment %d: the query still waits on it", key.b)
+				}
+			}
+			for _, id := range append(vIDs, second...) {
+				if pins := n.rt.CachePins(id); pins != 0 {
+					t.Errorf("fragment %d: %d runtime pins left", id, pins)
+				}
+			}
+			n.rt.CancelQuery(dc.q, dc.bats)
+			n.mu.Unlock()
+			checkNothingHeld(t, n)
+		})
+	}
+}
+
+// TestSettledMapAllocatesOnlyItsParts: a one-fragment map whose
+// acquisition completes at once — an owned fragment read from the
+// store, or a hot-set cache hit — allocates its parts, its acquisitions
+// and its versions, and nothing else: no ready queue and no worker.
+func TestSettledMapAllocatesOnlyItsParts(t *testing.T) {
+	cols, schema := fragColumns(200) // one fragment per column
+	r, err := NewRing(2, cols, schema, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ids, _ := r.Fragments("big.v")
+	owner := r.ownerOf(ids[0])
+	reader := r.node(1 - int(owner.id))
+	if _, err := reader.Fetch("big.v"); err != nil { // fills reader's cache
+		t.Fatal(err)
+	}
+	part := func(p mal.DCRuntime) (mal.Value, error) {
+		v, err := p.Pin(mal.Slot(0))
+		if err != nil {
+			return nil, err
+		}
+		return nil, p.Unpin(v)
+	}
+	for _, n := range []*Node{owner, reader} {
+		dc := bareDC(n)
+		cols, idx := [][]core.BATID{ids}, []int{0}
+		results, vers := make([]mal.Value, 1), make([][]int, 1)
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := dc.mapParts(cols, idx, part, results, vers); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 3 {
+			t.Errorf("node %d: a settled one-fragment map allocates %.0f objects, want 3 (parts, acquisitions, versions)", n.id, allocs)
+		}
+		checkNothingHeld(t, n)
+	}
 }

@@ -238,11 +238,10 @@ func (e *liveEnv) After(d time.Duration, fn func()) core.TimerHandle {
 // applyLocked carries out the effects the runtime emitted, in order.
 // Called with n.mu held, after every runtime call that can emit and
 // before the lock is released: a delivery reads n.transit, which holds
-// an arrival only during its OnBAT, and an owner's pin finds its
-// delivery in the waiter's channel on return (acquireNow). Nothing here
-// writes to a socket: sends queue for the hop scheduler and the request
-// sender. The one runtime call it makes, deliverLocked's Unpin, emits
-// nothing.
+// an arrival only during its OnBAT, and an owner's pin is delivered
+// before it returns (acquireLocked). Nothing here writes to a socket:
+// sends queue for the hop scheduler and the request sender. The one
+// runtime call it makes, deliverLocked's Unpin, emits nothing.
 func (n *Node) applyLocked() {
 	var buf [8]core.Effect
 	for _, e := range n.rt.Effects(buf[:0]) {
@@ -273,7 +272,7 @@ func (n *Node) forwardLocked(m core.BATMsg) {
 		// rather than the circulating copy, so an UpdateColumn reaches
 		// the ring within one owner pass and the superseded bytes die
 		// here instead of rotating until the LOI decays — what bounds a
-		// pin's stale-version retry (acquireFrag) to one revolution.
+		// pin's stale-version retry (fragMap.settle) to one revolution.
 		if f = n.store[m.BAT]; f != nil {
 			m.Size = f.b.Bytes()
 		}
@@ -298,15 +297,14 @@ func (n *Node) forwardLocked(m core.BATMsg) {
 	n.hop.enqueue(hopEntry{m: m, f: f})
 }
 
-// deliverLocked resolves the payload and wakes the blocked pin.
+// deliverLocked resolves the payload of b and ends every ring wait
+// query q has on it (endWaitsLocked).
 func (n *Node) deliverLocked(q core.QueryID, b core.BATID) {
 	key := waitKey{q, b}
-	ch, ok := n.waiters[key]
-	if !ok {
-		// Pin abandoned (query cancelled between abandonPin and
-		// CancelQuery). Only an asynchronous ring arrival reaches a
-		// missing waiter (synchronous deliveries run in the critical
-		// section that registers it), and it counted a runtime pin:
+	a := n.waiters[key]
+	if a == nil {
+		// Nobody waits: failQueryLocked ended the query's waits before
+		// this pass reached its pin. The delivery counted a runtime pin:
 		// release it, or the stale count would short-circuit every later
 		// pin of this BAT into a nil delivery.
 		n.rt.Unpin(q, b)
@@ -337,16 +335,44 @@ func (n *Node) deliverLocked(q core.QueryID, b core.BATID) {
 	} else if c, ok := n.cached[b]; ok {
 		f = c // lent when the entry was made
 	}
-	ch <- f // buffered
+	var err error
+	if f == nil {
+		err = errNoBAT(b)
+	}
+	if k := n.endWaitsLocked(a, f, err); k > 1 && f != nil {
+		n.sharedPins[key] += k - 1 // one runtime pin for k acquisitions
+	}
 }
 
-// failQueryLocked aborts query q: its blocked pins fail, ExecPlan
+// endWaitsLocked ends the ring wait of a and of every acquisition
+// chained after it, with f — a delivery each then holds (viaRing) — or
+// with err, counting each into its part. It reports how many it ended.
+func (n *Node) endWaitsLocked(a *fragAcq, f *fragment, err error) (k int) {
+	for next := a; next != nil; k++ {
+		a, next = next, next.next
+		a.next, a.waiting, a.err = nil, false, err
+		if f != nil {
+			a.f, a.viaRing = f, true
+			if !a.since.IsZero() {
+				atomic.AddInt64(&n.ringWaits, 1)
+				atomic.AddInt64(&n.ringWaitNanos, time.Since(a.since).Nanoseconds())
+			}
+		}
+		a.p.inLocked()
+	}
+	return k
+}
+
+// errNoBAT is the runtime's verdict that b does not exist.
+func errNoBAT(b core.BATID) error { return fmt.Errorf("live: BAT %d does not exist", b) }
+
+// failQueryLocked aborts query q: its ring waits fail, ExecPlan
 // returns the error, and an interpreter that is computing stops.
 func (n *Node) failQueryLocked(q core.QueryID, b core.BATID, reason string) {
-	for key, ch := range n.waiters {
+	for key, a := range n.waiters {
 		if key.q == q {
 			delete(n.waiters, key)
-			ch <- nil
+			n.endWaitsLocked(a, nil, errNoBAT(key.b))
 		}
 	}
 	if qe, ok := n.errs[q]; ok {

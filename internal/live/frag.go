@@ -108,12 +108,8 @@ func (r *Ring) fragKnown(id core.BATID) bool {
 func (r *Ring) MaxMessage() int { return r.maxMsgBytes }
 
 // ---------------------------------------------------------------------
-// fragment acquisition: store read, cache hit, or ring circulation
+// fragment acquisition: store read, cache hit, or ring wait
 // ---------------------------------------------------------------------
-
-// errPinAborted marks a pin abandoned because a sibling fragment of the
-// same multi-fragment pin already failed; it never surfaces to callers.
-var errPinAborted = errors.New("live: pin aborted")
 
 // maxSnapshotRetries bounds how often a multi-fragment pin re-acquires
 // fragments whose versions straddled a concurrent UpdateColumn. Each
@@ -124,79 +120,60 @@ const maxSnapshotRetries = 64
 // A fragment acquisition resolves one payload for pinning, in order of
 // preference:
 //
-//  1. this node's own store: the owner holds the catalog's version
-//     (move.go invariant 1), so there is no cache entry for its
-//     fragments (dataLoop skips own fragments) and nothing to wait for.
-//     With the hot-set cache on (Core.LocalPinsSkipLoad, which NewRing
-//     sets with it), the runtime's pin of an owned fragment would only
-//     hand over the store's copy, so the fragment is read from the
-//     store, off the runtime; without it, the owner pins at the runtime,
-//     whose Request loads the fragment into the ring, and the delivery
-//     holds runtime refs.
-//  2. hot-set cache hit, version-validated against the ring catalog at
-//     this instant: a node-local read — no waiter, no ring wait, and
-//     no ring interest: a fragment every reader holds needs no ring
-//     slot, so it idles and parks at its owner until a miss or an
-//     invalidation requests it again. Any outstanding ring interest of
-//     this query is withdrawn.
-//  3. the ring's circulation (fetchCurrent): a runtime pin. Concurrent
-//     misses of one BAT at this node share it: one pass delivers to all.
+//  1. this node's own store, which holds the catalog's version (move.go
+//     invariant 1). With the hot-set cache on (Core.LocalPinsSkipLoad),
+//     it is read off the runtime; without it, the owner pins at the
+//     runtime, which loads the fragment into the ring and delivers.
+//  2. a hot-set cache hit at the catalog's version: node-local, with no
+//     ring interest, so a fragment every reader holds parks at its owner.
+//  3. a ring wait (waitLocked): a runtime pin, and an entry in the
+//     node's waiters that the delivery ends (deliverLocked). The node's
+//     misses of one fragment share the runtime's pass.
 //
-// Steps 1 and 2 cannot wait: acquireNow takes them on the caller's
-// goroutine, and acquireWait the rest. One rule holds on every path,
-// cached or not: a pin never returns a version below the catalog's at
-// acquisition.
-//
-// viaRing reports whether the acquisition holds a runtime pin the
-// caller must release after use (releaseRing), as the owner's runtime
-// pin and a ring delivery do; store reads and cache hits hold none —
-// the payloads are immutable, a store is GC memory, and a payload that
-// is a view of a receive slab stays readable until the query returns
-// (the grace period, slab.go).
+// A pin never returns a version below the catalog's at acquisition: a
+// ring delivery can be older, and the worker that takes its part
+// replaces it before the part runs (fragMap.settle). viaRing marks the
+// acquisitions that hold a runtime pin (releaseRing); store reads and
+// cache hits hold none — payloads are immutable, and a view of a receive
+// slab stays readable until the query returns (slab.go).
 
-// acquireNow takes the first step of every acquisition in acqs, which
-// never blocks, under one hold of n.mu and one read of the catalog's
-// versions (Ring.catalogVersions). It completes the ones that cannot
-// wait — setting in, f, viaRing and err — and leaves the others
-// holding nothing: they have to come through acquireWait.
-func (d *queryDC) acquireNow(acqs []fragAcq) {
+// acquireLocked starts every acquisition in acqs under n.mu and one
+// read of the catalog's versions: store reads and cache hits complete,
+// every other one becomes a ring wait, which the runtime may end at
+// once. It reports how many are left waiting or delivered stale.
+func (d *queryDC) acquireLocked(acqs []fragAcq) (open int) {
 	n := d.n
-	storeReads := n.cfg.Core.LocalPinsSkipLoad
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.ring.catalogVersions(acqs)
 	for i := range acqs {
 		a := &acqs[i]
 		if n.rt.Owns(a.id) {
 			// Ownership is checked in the critical section that reads the
 			// store or pins, so the store's version is the catalog's, and
-			// a runtime pin's delivery (deliverLocked) is in ch on
-			// return.
-			if st := n.store[a.id]; storeReads && st != nil {
+			// a runtime pin is delivered (deliverLocked) before it returns.
+			if st := n.store[a.id]; n.cfg.Core.LocalPinsSkipLoad && st != nil {
 				d.withdrawLocked(a.id) // asked for before this node owned it
-				a.f, a.in = st, true
+				a.f = st
 				continue
 			}
-			a.f, a.err = delivered(a.id, <-d.pinLocked(a.id))
-			a.viaRing, a.in = a.err == nil, true
-			continue
+		} else if n.hot != nil {
+			if a.f = n.hot.get(a.id, a.cur); a.f != nil {
+				// The pin is served locally, so nothing will ever mark a
+				// runtime request of this query delivered, and its resend
+				// timer would re-request a fragment nobody is waiting for.
+				d.withdrawLocked(a.id)
+				continue
+			}
 		}
-		if n.hot == nil {
-			continue
-		}
-		if a.f = n.hot.get(a.id, a.cur); a.f != nil {
-			// The pin is served locally, so nothing will ever mark a
-			// runtime request of this query delivered, and its resend
-			// timer would re-request a fragment nobody is waiting for.
-			d.withdrawLocked(a.id)
-			a.in = true
+		d.waitLocked(a)
+		if a.waiting || a.stale() {
+			open++
 		}
 	}
+	return open
 }
 
 // withdrawLocked drops this query's ring interest in id, when it
-// registered any (announce, pinLocked): the fragment was served off
-// the ring. Called with n.mu held.
+// registered any (announce, waitLocked). Called with n.mu held.
 func (d *queryDC) withdrawLocked(id core.BATID) {
 	if !d.interest[id] {
 		return
@@ -217,98 +194,25 @@ func (r *Ring) catalogVersions(acqs []fragAcq) {
 	}
 }
 
-// acquireWait completes an acquisition acquireNow could not, through
-// the ring. abort abandons the wait with errPinAborted.
-func (d *queryDC) acquireWait(id core.BATID, abort <-chan struct{}) (f *fragment, viaRing bool, err error) {
+// waitLocked makes a a ring wait of this query and pins its fragment at
+// the runtime, which may deliver before it returns (an owner, or a
+// payload another local pin holds). A query already waiting on the
+// fragment is not pinned again: the runtime delivers a query a BAT
+// once, and that delivery ends all its waits. Called with n.mu held.
+func (d *queryDC) waitLocked(a *fragAcq) {
 	n := d.n
-	f, viaRing, err = d.fetchCurrent(id, n.ring.fragVersion(id), abort)
-	if err == nil && !viaRing && n.hot != nil {
-		// Read from the owner's store, off the ring: seed the cache so
-		// repeat pins stay node-local until the version moves.
-		n.hot.put(id, f)
+	key := waitKey{d.q, a.id}
+	a.next, a.waiting = n.waiters[key], true
+	n.waiters[key] = a
+	a.p.missing++
+	if a.next == nil {
+		d.markInterestLocked(a.id)
+		n.rt.Pin(d.q, a.id)
+		n.applyLocked()
 	}
-	return f, viaRing, err
-}
-
-// fetchCurrent obtains fragment id at version cur or newer through the
-// ring's circulation (ringPin). The ring can hand back a copy older
-// than cur — Deliver serves transit and query-pinned payloads as they
-// are, and an orbit copy refreshes only when a pass takes it through
-// its owner — so a stale delivery is dropped and the bytes taken from
-// the owner's store instead, which is catalog-current by construction
-// (move.go invariant 1).
-func (d *queryDC) fetchCurrent(id core.BATID, cur int, abort <-chan struct{}) (f *fragment, viaRing bool, err error) {
-	for {
-		f, err = d.ringPin(id, abort)
-		if err != nil {
-			return nil, false, err
-		}
-		if f.ver >= cur {
-			return f, true, nil
-		}
-		d.releaseRing(id)
-		if of := ownerStoreRead(d.n.ring, id); of != nil && of.ver >= cur {
-			return of, false, nil
-		}
+	if a.waiting {
+		a.since = time.Now() // a synchronous delivery is no ring wait
 	}
-}
-
-// ownerStoreRead reads a fragment straight from its owner's store —
-// fetchCurrent's stale-orbit fallback (nil when no owner holds it). The
-// fragment is in GC memory (stores never hold slab views); the caller
-// holds no runtime refs on it.
-func ownerStoreRead(r *Ring, id core.BATID) *fragment {
-	owner := r.ownerOf(id)
-	if owner == nil {
-		return nil
-	}
-	owner.mu.Lock()
-	defer owner.mu.Unlock()
-	return owner.store[id]
-}
-
-// ringPin is the circulation path: register a waiter, announce the pin,
-// and block until delivery. Only time actually spent blocked counts as
-// ring wait — a synchronous delivery (owner store, or a payload another
-// local pin already holds) involves no circulation and no wait.
-func (d *queryDC) ringPin(id core.BATID, abort <-chan struct{}) (*fragment, error) {
-	n := d.n
-	n.mu.Lock()
-	ch := d.pinLocked(id)
-	n.mu.Unlock()
-	select {
-	case f := <-ch: // delivered synchronously: not a ring wait
-		return delivered(id, f)
-	default:
-	}
-	start := time.Now()
-	select {
-	case f := <-ch:
-		atomic.AddInt64(&n.ringWaits, 1)
-		atomic.AddInt64(&n.ringWaitNanos, time.Since(start).Nanoseconds())
-		return delivered(id, f)
-	case <-d.cancel: // nil for uncancellable callers: blocks forever
-		d.abandonPin(id, ch)
-		return nil, mal.ErrCancelled
-	case <-n.closed:
-		d.abandonPin(id, ch)
-		return nil, errors.New("live: ring closed")
-	case <-abort:
-		d.abandonPin(id, ch)
-		return nil, errPinAborted
-	}
-}
-
-// pinLocked registers a waiter for id and pins it at the runtime, which
-// may deliver into the returned channel before it returns. Called with
-// n.mu held.
-func (d *queryDC) pinLocked(id core.BATID) chan *fragment {
-	ch := make(chan *fragment, 1)
-	d.n.waiters[waitKey{d.q, id}] = ch
-	d.markInterestLocked(id)
-	d.n.rt.Pin(d.q, id)
-	d.n.applyLocked()
-	return ch
 }
 
 // markInterestLocked notes that this query registers ring interest in
@@ -320,13 +224,17 @@ func (d *queryDC) markInterestLocked(id core.BATID) {
 	d.interest[id] = true
 }
 
-// delivered turns a waiter's delivery into a pin result: nil is the
-// runtime's verdict that id does not exist.
-func delivered(id core.BATID, f *fragment) (*fragment, error) {
-	if f == nil {
-		return nil, fmt.Errorf("live: BAT %d does not exist", id)
+// ownerStoreRead reads a fragment from its owner's store (nil when no
+// owner holds it), in GC memory and holding no runtime refs. It takes
+// the owner's lock, which may be n.mu: never call it with n.mu held.
+func ownerStoreRead(r *Ring, id core.BATID) *fragment {
+	owner := r.ownerOf(id)
+	if owner == nil {
+		return nil
 	}
-	return f, nil
+	owner.mu.Lock()
+	defer owner.mu.Unlock()
+	return owner.store[id]
 }
 
 // ---------------------------------------------------------------------
@@ -403,26 +311,46 @@ func staleParts(vers [][]int) []int {
 	return stale
 }
 
-// fragAcq is one fragment acquisition of an aligned map. acquireNow or
-// its goroutine fills f, viaRing and err before the acquisition counts
-// itself in (partDC.missing); out belongs to the part alone.
+// fragAcq is one fragment acquisition of an aligned map. acquireLocked
+// fills f, or makes it a ring wait that a delivery or a failure ends
+// under n.mu, filling f and viaRing or err and counting it into its
+// part p; out belongs to the part alone.
 type fragAcq struct {
 	id      core.BATID
-	cur     int // the catalog's version when acquireNow ran
+	cur     int // the catalog's version when acquireLocked ran
+	p       *partDC
 	f       *fragment
 	err     error
-	in      bool // acquireNow completed it
 	viaRing bool // the acquisition holds runtime refs until released
 	out     bool // handed to the part by Pin, not unpinned yet
+	// A ring wait is in n.waiters, chained to the query's other waits on
+	// the fragment, and blocked since the runtime's pin returned.
+	waiting bool
+	next    *fragAcq
+	since   time.Time
 }
+
+// stale reports whether a holds a ring delivery older than the
+// catalog's version when it was acquired.
+func (a *fragAcq) stale() bool { return a.viaRing && a.f.ver < a.cur }
 
 // partDC is the DC runtime one part of an aligned map sees: Pin(slot)
 // hands out this index's fragment of that column. A part runs only
 // once every one of its acquisitions is in, so Pin never waits.
 type partDC struct {
 	d       *queryDC
-	acqs    []fragAcq    // one per column
-	missing atomic.Int32 // acquisitions not in yet
+	m       *fragMap  // nil while its map has no ready queue
+	i       int       // the fragment index it runs
+	acqs    []fragAcq // one per column
+	vers    []int     // the versions it read, one per column
+	missing int       // ring waits not ended yet; guarded by n.mu
+}
+
+// inLocked counts one of p's ring waits in, under n.mu; the last queues p.
+func (p *partDC) inLocked() {
+	if p.missing--; p.missing == 0 && p.m != nil {
+		p.m.ready <- p // buffered to the number of parts
+	}
 }
 
 func (p *partDC) Request(schema, table, column string) (mal.Value, error) {
@@ -456,47 +384,50 @@ func (p *partDC) Unpin(v mal.Value) error {
 	return fmt.Errorf("live: unpin of a BAT that was never pinned")
 }
 
-// releaseRing drops the runtime pin a ring acquisition (viaRing)
-// holds, and with the node's last pin the payload n.cached keeps.
+// releaseRing drops the runtime pin a ring acquisition (viaRing) holds,
+// with the last holder when one delivery ended several waits
+// (n.sharedPins), and with the node's last pin n.cached's payload.
 func (d *queryDC) releaseRing(id core.BATID) {
 	n := d.n
+	key := waitKey{d.q, id}
 	n.mu.Lock()
-	n.rt.Unpin(d.q, id)
-	n.unrefCached(id)
+	if c := n.sharedPins[key]; c > 0 {
+		if n.sharedPins[key] = c - 1; c == 1 {
+			delete(n.sharedPins, key)
+		}
+	} else {
+		n.rt.Unpin(d.q, id)
+		n.unrefCached(id)
+	}
 	n.mu.Unlock()
 }
 
+// runPart runs part on p and records its result and the versions it
+// read at p's fragment index.
+func runPart(p *partDC, part func(mal.DCRuntime) (mal.Value, error), results []mal.Value, vers [][]int) error {
+	v, err := part(p)
+	if err != nil {
+		return err
+	}
+	results[p.i] = v
+	for j := range p.acqs {
+		p.vers[j] = p.acqs[j].f.ver
+	}
+	vers[p.i] = p.vers
+	return nil
+}
+
 // mapParts runs part over the fragment indexes idx. Every acquisition —
-// each index of each column — starts before any part runs: the ones
-// that cannot wait complete on the calling goroutine, all in one pass
-// under the node's lock (acquireNow), and every other one on a
-// lightweight goroutine of its own (a ring wait; arrival order is the
-// ring's business), so each pin is registered before any part blocks: a
-// fragment whose pin is registered only after its envelope went by
-// costs a whole extra revolution. A part is ready once its last
-// acquisition is in, and ready parts queue in the order they became
-// ready; Workers workers — the calling goroutine and Workers − 1 others
-// — take them from the queue, so at most that many parts compute at a
-// time and none waits inside one. The first
-// failure aborts the remaining waits; their parts still become ready,
-// and their pins fail. Whatever a part did not unpin itself is released
-// before mapParts returns.
+// each index of each column — starts before any part runs, in one pass
+// under the node's lock (acquireLocked): a pin registered after its
+// envelope went by costs a whole extra revolution. The delivery that
+// brings a part's last acquisition in queues the part, and Workers
+// workers — the caller and Workers − 1 others — run queued parts
+// (fragMap.work); with nothing open and one worker, the caller runs
+// them in order. What a part did not unpin is released before return.
 func (d *queryDC) mapParts(cols [][]core.BATID, idx []int, part func(mal.DCRuntime) (mal.Value, error), results []mal.Value, vers [][]int) error {
 	n := d.n
 	workers := max(1, min(n.cfg.Workers, len(idx)))
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		abortOnce.Do(func() { close(abort) })
-	}
-
 	// The parts, their acquisitions and their versions are one
 	// allocation each, whatever the number of parts.
 	k := len(cols)
@@ -505,71 +436,41 @@ func (d *queryDC) mapParts(cols [][]core.BATID, idx []int, part func(mal.DCRunti
 	partVers := make([]int, len(idx)*k)
 	for pi, i := range idx {
 		p := &parts[pi]
-		p.d, p.acqs = d, acqs[pi*k:(pi+1)*k:(pi+1)*k]
+		p.d, p.i = d, i
+		p.acqs = acqs[pi*k : (pi+1)*k : (pi+1)*k]
+		p.vers = partVers[pi*k : (pi+1)*k : (pi+1)*k]
 		for j := range cols {
-			p.acqs[j].id = cols[j][i]
+			p.acqs[j].id, p.acqs[j].p = cols[j][i], p
 		}
 	}
-	d.acquireNow(acqs)
-	ready := make(chan int, len(parts))
-	in := func(pi int) {
-		if parts[pi].missing.Add(-1) == 0 {
-			ready <- pi
-		}
-	}
-	var wg sync.WaitGroup
-	for pi := range parts {
-		p := &parts[pi]
-		missing := 0
-		for j := range p.acqs {
-			if !p.acqs[j].in {
-				missing++
-			}
-		}
-		if missing == 0 {
-			ready <- pi
-			continue
-		}
-		p.missing.Store(int32(missing))
-		for j := range p.acqs {
-			if a := &p.acqs[j]; !a.in {
-				wg.Add(1)
-				go func(pi int) {
-					defer wg.Done()
-					a.f, a.viaRing, a.err = d.acquireWait(a.id, abort)
-					in(pi)
-				}(pi)
+	var m *fragMap
+	n.mu.Lock()
+	if d.acquireLocked(acqs) > 0 || workers > 1 {
+		m = &fragMap{d: d, part: part, results: results, vers: vers, parts: parts, ready: make(chan *partDC, len(parts))}
+		for pi := range parts {
+			p := &parts[pi]
+			p.m = m
+			if p.missing == 0 {
+				m.ready <- p
 			}
 		}
 	}
-	run := func(pi int) {
-		p, i := &parts[pi], idx[pi]
-		v, err := part(p)
-		if err != nil {
-			fail(err)
-			return
+	n.mu.Unlock()
+	var err error
+	if m == nil {
+		for pi := 0; pi < len(parts) && err == nil; pi++ {
+			err = runPart(&parts[pi], part, results, vers)
 		}
-		results[i] = v
-		vers[i] = partVers[pi*k : (pi+1)*k : (pi+1)*k]
-		for j := range p.acqs {
-			vers[i][j] = p.acqs[j].f.ver
+	} else {
+		var helpers sync.WaitGroup
+		helpers.Add(workers - 1)
+		for w := 1; w < workers; w++ {
+			go func(m *fragMap) { defer helpers.Done(); m.work() }(m)
 		}
+		m.work()
+		helpers.Wait()
+		err = m.err
 	}
-	var taken atomic.Int32
-	work := func() {
-		for int(taken.Add(1)) <= len(parts) {
-			run(<-ready)
-		}
-	}
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 	for pi := range parts {
 		for j := range parts[pi].acqs {
 			if a := &parts[pi].acqs[j]; a.viaRing {
@@ -577,7 +478,117 @@ func (d *queryDC) mapParts(cols [][]core.BATID, idx []int, part func(mal.DCRunti
 			}
 		}
 	}
-	return firstErr
+	return err
+}
+
+// fragMap is an aligned map that waits on the ring or runs its parts on
+// more than one worker: its ready queue, and its first failure.
+type fragMap struct {
+	d       *queryDC
+	part    func(mal.DCRuntime) (mal.Value, error)
+	results []mal.Value
+	vers    [][]int
+	parts   []partDC
+	ready   chan *partDC // parts whose acquisitions are all in
+	claimed atomic.Int32 // parts the workers have taken on
+	err     error        // the first failure; written under n.mu (fail)
+}
+
+// work takes on parts until the workers have taken on every one, and
+// runs each as it comes off the ready queue (a stale one waits again,
+// settle). Cancel and close fail the map, which readies every part.
+func (m *fragMap) work() {
+	cancel, closed := m.d.cancel, m.d.n.closed // cancel is nil for uncancellable callers
+	for int(m.claimed.Add(1)) <= len(m.parts) {
+		for ran := false; !ran; {
+			select {
+			case p := <-m.ready:
+				if ran = m.settle(p); ran {
+					if err := runPart(p, m.part, m.results, m.vers); err != nil {
+						m.fail(err)
+					}
+				}
+			case <-cancel:
+				m.fail(mal.ErrCancelled)
+				cancel, closed = nil, nil
+			case <-closed:
+				m.fail(errors.New("live: ring closed"))
+				cancel, closed = nil, nil
+			}
+		}
+	}
+}
+
+// fail records the map's first failure and ends the map's pending ring
+// waits with it, withdrawing the query's interest in a fragment it no
+// longer waits on, so that the map's closing release loop is the one
+// place left that releases a delivered ring pin.
+func (m *fragMap) fail(err error) {
+	d, n := m.d, m.d.n
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if m.err != nil {
+		return
+	}
+	m.err = err
+	for pi := range m.parts {
+		for j := range m.parts[pi].acqs {
+			a := &m.parts[pi].acqs[j]
+			if !a.waiting {
+				continue
+			}
+			key := waitKey{d.q, a.id}
+			head := n.waiters[key]
+			if head == a {
+				head = a.next
+			}
+			for w := head; w != nil; w = w.next {
+				if w.next == a {
+					w.next = a.next
+				}
+			}
+			if n.waiters[key] = head; head == nil {
+				delete(n.waiters, key)
+				d.withdrawLocked(a.id)
+			}
+			a.next = nil
+			n.endWaitsLocked(a, nil, err)
+		}
+	}
+}
+
+// settle readies p to run and reports whether it can. A stale delivery
+// is released and replaced from the owner's store, catalog-current by
+// construction (move.go invariant 1), which seeds the hot-set cache so
+// repeat pins stay node-local; with no owner copy that new, p waits on
+// the ring for it again, and comes back here once it is delivered.
+func (m *fragMap) settle(p *partDC) bool {
+	d, n := m.d, m.d.n
+	for j := range p.acqs {
+		a := &p.acqs[j]
+		if !a.stale() {
+			continue
+		}
+		d.releaseRing(a.id)
+		a.f, a.viaRing = nil, false
+		if of := ownerStoreRead(n.ring, a.id); of != nil && of.ver >= a.cur {
+			a.f = of
+			if n.hot != nil {
+				n.hot.put(a.id, of)
+			}
+			continue
+		}
+		n.mu.Lock()
+		failed := m.err
+		if a.err = failed; failed == nil {
+			d.waitLocked(a) // a synchronous delivery queues p again
+		}
+		n.mu.Unlock()
+		if failed == nil {
+			return false // p is no longer this worker's to touch
+		}
+	}
+	return true
 }
 
 // pinMerged pins every fragment of h (out of order) and concatenates

@@ -344,11 +344,9 @@ func TestUpdateFragmentedColumn(t *testing.T) {
 }
 
 // TestDeliverWithoutWaiterCountsNoRef is the regression test for the
-// abandoned-pin leak: a delivery that finds no waiter (the pin was
-// abandoned between abandonPin and CancelQuery) must not count a
-// cached-payload reference nobody will release — an aligned map aborts every
-// remaining fragment on first failure, so this race is routine with
-// fragmentation on.
+// abandoned-pin leak: a delivery that finds no waiter (failQueryLocked
+// ended the query's waits before the pass reached its pin) must not
+// count a cached-payload reference nobody will release.
 func TestDeliverWithoutWaiterCountsNoRef(t *testing.T) {
 	cols, schema := fragColumns(100)
 	r, err := NewRing(2, cols, schema, DefaultConfig())

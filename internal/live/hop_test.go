@@ -366,16 +366,19 @@ func TestHopBatchingDisabled(t *testing.T) {
 	}
 }
 
-// TestCirculationStartsNoGoroutine: a request or a hop costs no
-// goroutine. The runtime's effects are applied under the node lock and
-// queued for the node's long-lived senders, so while queries circulate
-// fragments on a cache-less 3-node ring, unbatched and batched, every
-// goroutine this module created must be one that is meant to exist: a
-// node's loops (receives, hop flush, request sender), an aligned map's
-// waits and workers, the interpreter's dataflow workers (ROADMAP item
-// 30 folds both into one worker set per node), a link's acceptor that
-// NewRing left exiting, or the test's own. Timer callbacks
-// (liveEnv.After) are the Go runtime's goroutines, not this module's.
+// TestCirculationStartsNoGoroutine: a request, a hop or a ring wait
+// costs no goroutine. The runtime's effects are applied under the node
+// lock and queued for the node's long-lived senders, and a ring wait is
+// an entry in the node's waiters, so while queries circulate fragments
+// on a cache-less 3-node ring, unbatched and batched, every goroutine
+// this module created must be one that is meant to exist: a node's
+// loops (receives, hop flush, request sender), an aligned map's
+// workers — at most Workers − 1 a running query, however many of its
+// fragments are still on the ring — the interpreter's dataflow workers
+// (ROADMAP item 30 folds both into one worker set per node), a link's
+// acceptor that NewRing left exiting, or the test's own. Timer
+// callbacks (liveEnv.After) are the Go runtime's goroutines, not this
+// module's.
 func TestCirculationStartsNoGoroutine(t *testing.T) {
 	allowed := []string{
 		"created by repro/internal/live.(*Node).startLoops",
@@ -404,17 +407,27 @@ func TestCirculationStartsNoGoroutine(t *testing.T) {
 			}
 			done := make(chan struct{})
 			go func() { wg.Wait(); close(done) }()
-			samples, stray := 0, ""
-			for running := true; running && stray == ""; samples++ {
+			helpers := r.cfg.Workers - 1
+			samples, stray, over := 0, "", ""
+			for running := true; running && stray == "" && over == ""; samples++ {
 				select {
 				case <-done:
 					running = false
 				default:
 				}
+				// Queries and map workers are counted in one snapshot: a
+				// map's busy workers belong to a query inside ExecPlan.
+				queries, workers := 0, 0
 				for _, g := range leakcheck.Goroutines() {
+					if strings.Contains(g, "live.(*Node).ExecPlan(") {
+						queries++
+					}
 					i := strings.Index(g, "\ncreated by repro/internal/")
 					if i < 0 {
 						continue
+					}
+					if strings.HasPrefix(g[i+1:], "created by repro/internal/live.(*queryDC).mapParts") && busyMapGoroutine(g) {
+						workers++
 					}
 					ok := false
 					for _, a := range allowed {
@@ -424,10 +437,21 @@ func TestCirculationStartsNoGoroutine(t *testing.T) {
 						stray = g
 					}
 				}
+				if workers > queries*helpers {
+					for _, g := range leakcheck.Goroutines() {
+						if strings.Contains(g, "ExecPlan(") || strings.Contains(g, "created by repro/internal/live.(*queryDC).mapParts") {
+							t.Log(g)
+						}
+					}
+					over = fmt.Sprintf("%d goroutines started by aligned maps while %d queries ran, want at most Workers − 1 = %d a query", workers, queries, helpers)
+				}
 			}
 			<-done
 			if stray != "" {
 				t.Fatalf("a goroutine outside the ring's loops and the query's workers:\n%s", stray)
+			}
+			if over != "" {
+				t.Fatal(over)
 			}
 			st, hs := r.node(0).Stats(), r.HopStats()
 			if st.RequestsSent == 0 || hs.Msgs == 0 {
@@ -436,6 +460,16 @@ func TestCirculationStartsNoGoroutine(t *testing.T) {
 			t.Logf("%d samples, %d hop messages (%d batches)", samples, hs.Msgs, hs.Batches)
 		})
 	}
+}
+
+// busyMapGoroutine reports whether g, a goroutine an aligned map
+// started, still works for its map: it is past its entry frame, and not
+// in the WaitGroup.Done that lets the map return. One that is has done
+// its share, and may outlive its query by a scheduling delay.
+func busyMapGoroutine(g string) bool {
+	// A header line, two lines a frame, two for "created by".
+	frames := (strings.Count(g, "\n") + 1 - 3) / 2
+	return frames > 1 && !strings.Contains(g, "sync.(*WaitGroup).Done(")
 }
 
 // TestHopPacingParksIdleFragments: with LOI pacing on (every live

@@ -4,7 +4,7 @@ package live
 // the ring keeps interesting data flowing, and this cache keeps what
 // already flowed past. Ring deliveries and store reads off the ring
 // fill a bytes-budgeted per-node map of BATID → (version, payload). A
-// pin consults it first (acquireNow): an entry at the catalog's current
+// pin consults it first (acquireLocked): an entry at the catalog's current
 // version is a zero-copy hit with no ring wait. A miss pins at the
 // runtime, which serves every local pin of a BAT with one pass.
 //

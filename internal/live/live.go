@@ -202,9 +202,12 @@ type Node struct {
 	// disabled cache leaves the pure-circulation behavior untouched).
 	hot *hotCache
 
-	// waiters carries each blocked pin its delivery; nil fails the pin.
-	waiters map[waitKey]chan *fragment
-	errs    map[core.QueryID]queryErr
+	// waiters holds each query's ring waits on a fragment, chained
+	// through fragAcq.next, which one delivery ends; sharedPins counts
+	// the holders beyond one of that delivery's runtime pin (releaseRing).
+	waiters    map[waitKey]*fragAcq
+	sharedPins map[waitKey]int
+	errs       map[core.QueryID]queryErr
 
 	// The four neighbour links. linkMu guards the pointers themselves:
 	// failover splices fresh messengers around a dead neighbour at
@@ -463,18 +466,19 @@ func NewRing(n int, columns map[string]*bat.BAT, schema minisql.Schema, cfg Conf
 func (r *Ring) newNode(id, nodes, pred int, schema minisql.Schema) *Node {
 	cfg := r.cfg
 	node := &Node{
-		ring:     r,
-		id:       core.NodeID(id),
-		cfg:      cfg,
-		store:    map[core.BATID]*fragment{},
-		transit:  map[core.BATID]*fragment{},
-		cached:   map[core.BATID]*fragment{},
-		waiters:  map[waitKey]chan *fragment{},
-		errs:     map[core.QueryID]queryErr{},
-		schema:   schema,
-		start:    time.Now(),
-		closed:   make(chan struct{}),
-		relinked: make(chan struct{}),
+		ring:       r,
+		id:         core.NodeID(id),
+		cfg:        cfg,
+		store:      map[core.BATID]*fragment{},
+		transit:    map[core.BATID]*fragment{},
+		cached:     map[core.BATID]*fragment{},
+		waiters:    map[waitKey]*fragAcq{},
+		sharedPins: map[waitKey]int{},
+		errs:       map[core.QueryID]queryErr{},
+		schema:     schema,
+		start:      time.Now(),
+		closed:     make(chan struct{}),
+		relinked:   make(chan struct{}),
 	}
 	if cfg.CacheBytes > 0 {
 		node.hot = newHotCache(cfg.CacheBytes)
@@ -533,12 +537,12 @@ func (r *Ring) Close() {
 type queryDC struct {
 	n *Node
 	q core.QueryID
-	// cancel, when non-nil, aborts blocked pins: ExecPlan closes it when
-	// the query fails so the interpreter can return instead of waiting
-	// for a delivery that will never come.
+	// cancel, when non-nil, ends the query's ring waits: ExecPlan closes
+	// it when the query fails so the interpreter can return instead of
+	// waiting for a delivery that will never come.
 	cancel <-chan struct{}
 	// interest marks the fragments this query registered ring interest
-	// in at the runtime (announce, pinLocked), so that a pin served off
+	// in at the runtime (announce, waitLocked), so that a pin served off
 	// the ring withdraws only interest there is (withdrawLocked).
 	// Guarded by n.mu; nil until the query registers any.
 	interest map[core.BATID]bool
@@ -572,7 +576,7 @@ func (d *queryDC) Request(schema, table, column string) (mal.Value, error) {
 
 // announce registers this query's ring interest in the fragments it
 // will have to wait for, reading the catalog's versions in one hold of
-// idsMu (taken after n.mu, as acquireNow does).
+// idsMu (taken after n.mu, as acquireLocked does).
 func (d *queryDC) announce(ids []core.BATID) {
 	n := d.n
 	n.mu.Lock()
@@ -582,7 +586,7 @@ func (d *queryDC) announce(ids []core.BATID) {
 	defer n.ring.idsMu.RUnlock()
 	for _, id := range ids {
 		// An owned fragment is read from the store when the owner's
-		// pins skip the load (acquireNow), and a fragment resident in
+		// pins skip the load (acquireLocked), and a fragment resident in
 		// the hot-set cache at the catalog's current version will be
 		// served node-locally at pin time: skip the ring request
 		// entirely, so fully-hot repeat queries cause zero circulation.
@@ -610,27 +614,6 @@ func (d *queryDC) Pin(handle mal.Value) (mal.Value, error) {
 		return nil, fmt.Errorf("live: bad pin handle %T", handle)
 	}
 	return d.pinMerged(h)
-}
-
-// abandonPin unwinds a pin the caller gave up on. A concurrent Deliver
-// (which runs under n.mu) may already have removed the waiter entry and
-// sent into ch: the cancel branch raced the delivery and must release
-// the pin, or the runtime counts it, and n.cached keeps its payload,
-// for the ring's lifetime. Otherwise removing the waiter entry turns a
-// later Deliver for this pin into its own release (deliverLocked).
-func (d *queryDC) abandonPin(id core.BATID, ch chan *fragment) {
-	n := d.n
-	n.mu.Lock()
-	delete(n.waiters, waitKey{d.q, id})
-	select {
-	case f := <-ch:
-		if f != nil {
-			n.rt.Unpin(d.q, id) // what the query's own unpin would have done
-			n.unrefCached(id)
-		}
-	default:
-	}
-	n.mu.Unlock()
 }
 
 // Unpin implements mal.DCRuntime on the pinned value (what the
@@ -679,7 +662,6 @@ func (n *Node) ExecPlan(plan *mal.Plan) (*mal.ResultSet, error) {
 		abort()
 		n.mu.Lock()
 		delete(n.errs, q)
-		n.releaseQuery(q)
 		n.rt.CancelQuery(q, dc.bats)
 		n.mu.Unlock()
 	}()
@@ -711,27 +693,6 @@ func (n *Node) ExecPlan(plan *mal.Plan) (*mal.ResultSet, error) {
 	}
 	rs.Arena = ctx.Arena
 	return rs, nil
-}
-
-// releaseQuery drops the waiter channels an aborted interpreter left
-// unconsumed, and the pins a Deliver already handed them. Every other
-// pin was released by the map that took it. Called with n.mu held,
-// after the interpreter has returned.
-func (n *Node) releaseQuery(q core.QueryID) {
-	for key, ch := range n.waiters {
-		if key.q != q {
-			continue
-		}
-		delete(n.waiters, key)
-		select {
-		case f := <-ch:
-			if f != nil {
-				n.rt.Unpin(q, key.b) // as the query's own unpin would have
-				n.unrefCached(key.b)
-			}
-		default:
-		}
-	}
 }
 
 // Runtime exposes the node's DC runtime for inspection (stats).

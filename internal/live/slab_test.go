@@ -123,6 +123,31 @@ func bareDC(n *Node) *queryDC {
 	return &queryDC{n: n, q: core.QueryID(atomic.AddInt64(&n.nextQ, 1))<<16 | core.QueryID(n.id)}
 }
 
+// ringDelivered waits on the ring for fragment id as a one-part map does,
+// calls held with the delivery while the map holds its runtime pin, and
+// returns the delivery once the map has released it.
+func ringDelivered(t *testing.T, dc *queryDC, id core.BATID, held func(*fragment)) *fragment {
+	t.Helper()
+	if dc.n.hot != nil {
+		dc.n.hot.drop(id) // a cache hit would not be a ring delivery
+	}
+	var f *fragment
+	h := &fragHandle{name: "ringDelivered", ids: []core.BATID{id}}
+	_, err := dc.PinMap([]mal.Value{h}, func(p mal.DCRuntime) (mal.Value, error) {
+		a := &p.(*partDC).acqs[0]
+		if !a.viaRing {
+			return nil, fmt.Errorf("fragment %d did not come off the ring", id)
+		}
+		f = a.f
+		held(f)
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // recycled reports whether s went back to its endpoint's free list.
 func recycled(s *slab) bool {
 	set := &s.node.slabs
@@ -247,25 +272,22 @@ func TestSlabLifetime(t *testing.T) {
 		reader := r.Node(1)
 		ids, _ := r.Fragments("p.val")
 		id := remoteFrag(r, reader, "p.val")
-		dc := bareDC(reader)
-		f, err := dc.ringPin(id, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, other := range ids {
-			reader.hot.drop(other)
-		}
-		reader.mu.Lock()
-		s := reader.cached[id].slab
-		reader.mu.Unlock()
-		settle(t, r, reader, s, 1)
-		if recycled(s) {
-			t.Fatal("slab recycled under a pinned delivery")
-		}
-		if got, want := tailInts(f.b), fragValues(t, r, "p.val", id); !slices.Equal(got, want) {
-			t.Fatalf("pinned delivery reads %v…, want %v…", got[:3], want[:3])
-		}
-		dc.releaseRing(id)
+		var s *slab
+		ringDelivered(t, bareDC(reader), id, func(f *fragment) {
+			for _, other := range ids {
+				reader.hot.drop(other)
+			}
+			reader.mu.Lock()
+			s = reader.cached[id].slab
+			reader.mu.Unlock()
+			settle(t, r, reader, s, 1)
+			if recycled(s) {
+				t.Fatal("slab recycled under a pinned delivery")
+			}
+			if got, want := tailInts(f.b), fragValues(t, r, "p.val", id); !slices.Equal(got, want) {
+				t.Fatalf("pinned delivery reads %v…, want %v…", got[:3], want[:3])
+			}
+		})
 		if !recycled(s) {
 			t.Fatal("slab not recycled once its last holder let go")
 		}
@@ -311,13 +333,7 @@ func TestSlabLifetime(t *testing.T) {
 			return f
 		},
 		"delivery": func(t *testing.T, r *Ring, reader *Node, id core.BATID) *fragment {
-			dc := bareDC(reader)
-			f, err := dc.ringPin(id, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dc.releaseRing(id)
-			return f
+			return ringDelivered(t, bareDC(reader), id, func(*fragment) {})
 		},
 	}
 	for via, view := range views {

@@ -1,9 +1,13 @@
 package live
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/mal"
+	"repro/internal/minisql"
 )
 
 // TestStatsMergeMatchesRing folds per-node snapshots with each stats
@@ -73,4 +77,82 @@ func TestStatsMergeMatchesRing(t *testing.T) {
 	if !memb.Enabled || memb.Dead != 1 || memb.Alive != 2 {
 		t.Fatalf("merged view %+v, want 2 alive / 1 dead", memb)
 	}
+}
+
+// TestRevolutionTime: a fresh ring has measured no revolution, and a
+// cache-less ring whose queries circulate fragments has.
+func TestRevolutionTime(t *testing.T) {
+	cols, schema := fragColumns(2000)
+	cfg := DefaultConfig()
+	cfg.FragmentRows = 256
+	cfg.CacheBytes = 0
+	r, err := NewRing(3, cols, schema, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if rev := r.RevolutionTime(); rev != 0 {
+		t.Fatalf("a fresh ring measured a %v revolution", rev)
+	}
+	waitFor(t, "a fragment to come full circle twice", 10*time.Second, func() bool {
+		if _, err := r.Node(0).ExecSQL("select sum(v) from big"); err != nil {
+			t.Fatal(err)
+		}
+		return r.RevolutionTime() > 0
+	})
+}
+
+// TestQuiesce: an idle ring is quiet at once; a query held in a ring
+// wait keeps it busy past the timeout, until the query is cancelled.
+func TestQuiesce(t *testing.T) {
+	cols, _ := fragColumns(2000)
+	schema := minisql.MapSchema{"big": {"v", "k", "ghost"}, "dim": {"id", "name"}}
+	cfg := DefaultConfig()
+	cfg.FragmentRows = 256
+	cfg.CacheBytes = 0
+	r, err := NewRing(3, cols, schema, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if !r.Quiesce(time.Second) {
+		t.Fatal("an idle ring did not quiesce")
+	}
+	real, _ := r.Fragments("big.v")
+	stuck := stuckFragments(r.Node(1), len(real))
+	r.idsMu.Lock()
+	r.cols["big.ghost"] = &colFrags{ids: stuck}
+	r.idsMu.Unlock()
+
+	n := r.Node(0)
+	res := make(chan error, 1)
+	go func() {
+		_, err := n.ExecSQL("select count(*) from big where ghost < 5")
+		res <- err
+	}()
+	waitFor(t, "the query to wait on the ring", 10*time.Second, func() bool {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		for key := range n.waiters {
+			if key.b == stuck[0] {
+				return true
+			}
+		}
+		return false
+	})
+	if r.Quiesce(50 * time.Millisecond) {
+		t.Fatal("the ring quiesced while a query waited on it")
+	}
+	n.mu.Lock()
+	for _, qe := range n.errs {
+		qe.abort()
+	}
+	n.mu.Unlock()
+	if !r.Quiesce(10 * time.Second) {
+		t.Fatal("the ring did not quiesce once the waiting query was cancelled")
+	}
+	if err := <-res; !errors.Is(err, mal.ErrCancelled) {
+		t.Fatalf("the cancelled query returned %v, want %v", err, mal.ErrCancelled)
+	}
+	checkNothingHeld(t, n)
 }
