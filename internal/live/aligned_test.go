@@ -21,23 +21,69 @@ import (
 	"repro/internal/tpch"
 )
 
-// heldPayloads counts the refcounted ring payloads n's queries hold.
+// heldPayloads counts the ring deliveries n's queries hold pinned.
 func heldPayloads(n *Node) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.cached)
+	return pinnedEntries(n)
+}
+
+// pinnedEntries counts n's table entries in the pinned role. Called
+// with n.mu held.
+func pinnedEntries(n *Node) (k int) {
+	for _, e := range n.tab.m {
+		if e.pinned {
+			k++
+		}
+	}
+	return k
 }
 
 // checkNothingHeld asserts a finished (or failed) query left no
-// protocol state on n: no waiter, no payload reference, no runtime pin,
-// no pin shared by several acquisitions.
+// protocol state on n: no waiter, no pinned delivery, no runtime pin,
+// no pin shared by several acquisitions — and a fragment table that
+// keeps its invariants (checkTable).
 func checkNothingHeld(t *testing.T, n *Node) {
 	t.Helper()
 	n.mu.Lock()
-	waiters, cached, shared, rt := len(n.waiters), len(n.cached), len(n.sharedPins), n.rt.String()
+	waiters, cached, shared, rt := len(n.waiters), pinnedEntries(n), len(n.sharedPins), n.rt.String()
 	n.mu.Unlock()
 	if waiters != 0 || cached != 0 || shared != 0 || !strings.Contains(rt, " pins=0 ") {
 		t.Fatalf("left behind: %d waiters, %d cached payloads, %d shared pins, runtime %q", waiters, cached, shared, rt)
+	}
+	checkTable(t, n)
+}
+
+// checkTable asserts n's fragment table keeps its invariants: every
+// entry holds its fragment in some role; the hot bytes are the hot
+// entries' charges, within budget, and 0 with CacheBytes 0; no entry is
+// pinned while the runtime counts no pin on it; and every slab an entry
+// holds is still off the free list.
+func checkTable(t *testing.T, n *Node) {
+	t.Helper()
+	var faults []string
+	n.mu.Lock()
+	var hot int64
+	for id, e := range n.tab.m {
+		if !e.owned && !e.replica && !e.pinned && !e.hot {
+			faults = append(faults, fmt.Sprintf("fragment %d has no role", id))
+		}
+		if e.hot {
+			hot += e.bytes
+		}
+		if e.pinned && n.rt.CachePins(id) == 0 {
+			faults = append(faults, fmt.Sprintf("fragment %d is pinned with no runtime pin", id))
+		}
+		if s := e.f.slab; s != nil && recycled(s) {
+			faults = append(faults, fmt.Sprintf("fragment %d holds a recycled slab", id))
+		}
+	}
+	if b := n.tab.cs.Bytes; b != hot || b > n.tab.budget || n.cfg.CacheBytes == 0 && b != 0 {
+		faults = append(faults, fmt.Sprintf("%d hot bytes: entries charge %d, budget %d", b, hot, n.tab.budget))
+	}
+	n.mu.Unlock()
+	if len(faults) > 0 {
+		t.Fatalf("node %d fragment table: %s", n.id, strings.Join(faults, "; "))
 	}
 }
 

@@ -64,8 +64,8 @@ func (n *Node) dataLoop(wg *sync.WaitGroup) {
 }
 
 // handleData processes one arrived data message (or one batch entry)
-// whose payload bytes are a view of slab s: decode, hot-cache
-// population, runtime delivery.
+// whose payload bytes are a view of slab s: decode, the table's hot
+// role, runtime delivery.
 func (n *Node) handleData(hdr core.BATMsg, ver int, rawPayload []byte, s *slab) {
 	if n.memb != nil && hdr.Owner != n.id && n.ring.isDead(hdr.Owner) {
 		// An envelope orphaned by its owner's death. If failover has
@@ -73,17 +73,17 @@ func (n *Node) handleData(hdr core.BATMsg, ver int, rawPayload []byte, s *slab) 
 		// circulating copy (hot-set management then runs as usual); the
 		// dead node's first live successor retires any other orphan so
 		// it cannot orbit forever — re-owned fragments re-enter the
-		// ring from the heir's store with the catalog version.
+		// ring from the heir's owned entry with the catalog version.
 		n.mu.Lock()
-		owns, myVer := n.rt.Owns(hdr.BAT), n.storeVer(hdr.BAT)
+		owns, mine := n.rt.Owns(hdr.BAT), n.tab.owned(hdr.BAT)
 		n.mu.Unlock()
 		if owns {
-			if ver < myVer {
-				// A stale orbit copy outlived by the promotion: the heir's
-				// store already holds a newer version, so adopting this
-				// envelope would put superseded bytes back into
-				// circulation. Retire it; the store copy re-enters the
-				// ring through the next load.
+			if mine != nil && ver < mine.ver {
+				// A stale orbit copy outlived by the promotion: the heir
+				// already owns a newer version, so adopting this envelope
+				// would put superseded bytes back into circulation. Retire
+				// it; the owned version re-enters the ring through the
+				// next load.
 				return
 			}
 			hdr.Owner = n.id
@@ -105,45 +105,41 @@ func (n *Node) handleData(hdr core.BATMsg, ver int, rawPayload []byte, s *slab) 
 		}
 		f = newFragment(b, ver, rawPayload, s)
 	}
-	if f != nil && n.hot != nil && hdr.Owner != n.id {
-		// Populate the hot-set cache from the passing traffic,
-		// labelled with the version the owner sent it under. Own
-		// fragments are skipped: the owner's pins are served from
-		// the store already.
-		n.hot.put(hdr.BAT, f)
-	}
 	n.mu.Lock()
-	if hdr.Owner == n.id {
-		// One of our own fragments came full circle: the gap since its
-		// previous return is one measured ring revolution. EWMA with a
-		// 1/4 step — smooth enough to read, fresh enough to follow a
-		// linger change within a few revolutions.
-		now := time.Now().UnixNano()
-		if n.lastSelfSeen == nil {
-			n.lastSelfSeen = map[core.BATID]int64{}
-		}
-		if last, ok := n.lastSelfSeen[hdr.BAT]; ok && now > last {
-			d := now - last
-			if old := atomic.LoadInt64(&n.revNanos); old == 0 {
-				atomic.StoreInt64(&n.revNanos, d)
-			} else {
-				atomic.StoreInt64(&n.revNanos, old+(d-old)/4)
+	if f != nil && hdr.Owner != n.id {
+		// Keep the passing traffic hot, labelled with the version the
+		// owner sent it under. Own fragments are skipped: the owner's
+		// pins are served from its owned entry already.
+		n.tab.admit(hdr.BAT, f)
+	}
+	if e := n.tab.m[hdr.BAT]; e != nil {
+		if hdr.Owner == n.id && e.owned {
+			// One of our own fragments came full circle: the gap since its
+			// previous return is one measured ring revolution. EWMA with a
+			// 1/4 step — smooth enough to read, fresh enough to follow a
+			// linger change within a few revolutions.
+			now := time.Now().UnixNano()
+			if last := e.seen; last != 0 && now > last {
+				d := now - last
+				if old := atomic.LoadInt64(&n.revNanos); old == 0 {
+					atomic.StoreInt64(&n.revNanos, d)
+				} else {
+					atomic.StoreInt64(&n.revNanos, old+(d-old)/4)
+				}
 			}
+			e.seen = now
 		}
-		n.lastSelfSeen[hdr.BAT] = now
+		if e.replica {
+			// Replica-aware LOI accounting: remember the interest the
+			// fragment shows while circulating, so a promotion after the
+			// owner's death re-admits it at its earned heat (§6.3).
+			e.loi = hdr.LOI
+		}
 	}
-	if rp, ok := n.replicas[hdr.BAT]; ok {
-		// Replica-aware LOI accounting: remember the interest the
-		// fragment shows while circulating, so a promotion after the
-		// owner's death re-admits it at its earned heat (§6.3).
-		rp.loi = hdr.LOI
-	}
-	if f != nil {
-		n.transit[hdr.BAT] = f
-	}
+	n.arrivingID, n.arriving = hdr.BAT, f
 	n.rt.OnBAT(hdr)
 	n.applyLocked()
-	delete(n.transit, hdr.BAT)
+	n.arriving = nil
 	n.mu.Unlock()
 }
 
@@ -237,7 +233,7 @@ func (e *liveEnv) After(d time.Duration, fn func()) core.TimerHandle {
 
 // applyLocked carries out the effects the runtime emitted, in order.
 // Called with n.mu held, after every runtime call that can emit and
-// before the lock is released: a delivery reads n.transit, which holds
+// before the lock is released: a delivery reads n.arriving, which holds
 // an arrival only during its OnBAT, and an owner's pin is delivered
 // before it returns (acquireLocked). Nothing here writes to a socket:
 // sends queue for the hop scheduler and the request sender. The one
@@ -256,37 +252,30 @@ func (n *Node) applyLocked() {
 			n.failQueryLocked(e.Query, e.BAT, "BAT does not exist")
 		case core.Unloaded:
 			// The BAT left the ring's hot set: the owner serves its own
-			// pins from the store, so resident bytes are better spent.
-			if n.hot != nil {
-				n.hot.drop(e.BAT)
-			}
+			// pins from its owned entry, so resident bytes are better spent.
+			n.tab.cool(e.BAT)
 		}
 	}
 }
 
 // forwardLocked queues a BAT (with payload) for the successor.
 func (n *Node) forwardLocked(m core.BATMsg) {
+	e := n.tab.m[m.BAT]
 	var f *fragment
-	if m.Owner == n.id {
-		// Forwarding our own fragment: send the store's current version
-		// rather than the circulating copy, so an UpdateColumn reaches
-		// the ring within one owner pass and the superseded bytes die
-		// here instead of rotating until the LOI decays — what bounds a
-		// pin's stale-version retry (fragMap.settle) to one revolution.
-		if f = n.store[m.BAT]; f != nil {
-			m.Size = f.b.Bytes()
-		}
-	}
-	if f == nil {
-		if t, ok := n.transit[m.BAT]; ok {
-			f = t
-		} else if st, ok := n.store[m.BAT]; ok {
-			f = st
-		} else if c, ok := n.cached[m.BAT]; ok {
-			f = c
-		}
-	}
-	if f == nil {
+	switch {
+	case m.Owner == n.id && e != nil && e.owned:
+		// Forwarding our own fragment: send the owned version rather than
+		// the circulating copy, so an UpdateColumn reaches the ring within
+		// one owner pass and the superseded bytes die here instead of
+		// rotating until the LOI decays — what bounds a pin's
+		// stale-version retry (fragMap.settle) to one revolution.
+		f = e.f
+		m.Size = f.b.Bytes()
+	case n.arriving != nil && n.arrivingID == m.BAT:
+		f = n.arriving
+	case e != nil && (e.owned || e.pinned):
+		f = e.f
+	default:
 		return // nothing to forward; drop (should not happen)
 	}
 	f.wire() // a version installed from a BAT marshals on its first send
@@ -307,40 +296,51 @@ func (n *Node) deliverLocked(q core.QueryID, b core.BATID) {
 		// this pass reached its pin. The delivery counted a runtime pin:
 		// release it, or the stale count would short-circuit every later
 		// pin of this BAT into a nil delivery.
-		n.rt.Unpin(q, b)
-		n.unrefCached(b)
+		n.unpinLocked(q, b)
 		return
 	}
 	delete(n.waiters, key)
+	e := n.tab.m[b]
 	var f *fragment
-	if st, ok := n.store[b]; ok {
-		// Owner: always serve the store, never a circulating copy. The
-		// store is the authoritative latest version (UpdateColumn bumps
-		// it under the column lock before the catalog advances), while a
-		// transit copy returning from a full orbit carries whatever
-		// version the fragment had when it was last sent — under update
-		// pressure that can be arbitrarily far behind. Serving the store
-		// keeps owner pins on the cache contract: never older than the
-		// catalog read before the pin.
-		f = st
-	} else if t, ok := n.transit[b]; ok {
-		f = t
-		f.slab.lend()
-		// The query holds the BAT pinned: keep the fragment cached, and
-		// with it the slab it is a view of, while the runtime counts a pin.
-		if n.cached[b] == nil {
-			f.slab.retain()
-			n.cached[b] = f
-		}
-	} else if c, ok := n.cached[b]; ok {
-		f = c // lent when the entry was made
+	switch {
+	case e != nil && e.owned:
+		// Owner: always serve the owned version, never a circulating copy.
+		// It is the authoritative latest version (UpdateColumn installs it
+		// under the column lock before the catalog advances), while a copy
+		// returning from a full orbit carries whatever version the
+		// fragment had when it was last sent — under update pressure that
+		// can be arbitrarily far behind. Serving it keeps owner pins on
+		// the cache contract: never older than the catalog read before
+		// the pin.
+		f = e.f
+	case n.arriving != nil && n.arrivingID == b:
+		// The query holds the BAT pinned: the table keeps its newest
+		// version, and with it the slab it is a view of, while the runtime
+		// counts a pin (unpinLocked).
+		e = n.tab.hold(b, n.arriving)
+		e.pinned = true
+		f = e.f
+	case e != nil && e.pinned:
+		f = e.f
 	}
 	var err error
 	if f == nil {
 		err = errNoBAT(b)
+	} else {
+		f.slab.lend()
 	}
 	if k := n.endWaitsLocked(a, f, err); k > 1 && f != nil {
 		n.sharedPins[key] += k - 1 // one runtime pin for k acquisitions
+	}
+}
+
+// unpinLocked releases one runtime pin of query q on b, and with the
+// node's last pin the table's pinned role on it. Called with n.mu held.
+func (n *Node) unpinLocked(q core.QueryID, b core.BATID) {
+	n.rt.Unpin(q, b)
+	if e := n.tab.m[b]; e != nil && e.pinned && n.rt.CachePins(b) == 0 {
+		e.pinned = false
+		n.tab.tidy(b, e)
 	}
 }
 

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/bat"
@@ -121,7 +122,7 @@ func (r *Ring) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error
 			return 0, fmt.Errorf("live: no owner for fragment %d of %q", i, name)
 		}
 		owner.mu.Lock()
-		frags[i] = owner.store[id].b
+		frags[i] = owner.tab.owned(id).b
 		owner.mu.Unlock()
 		owners[i] = owner
 	}
@@ -160,30 +161,30 @@ func (r *Ring) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error
 		locked = append(locked, reps[i]...)
 	}
 	unlock := lockNodes(locked...)
-	defer unlock()
-	version := 0
+	vers := make([]int, len(ids))
 	for i, id := range ids {
-		ver := owners[i].store[id].ver + 1
-		installOwner(owners[i], id, newFragment(frags[i], ver, nil, nil), heldLOI(id, reps[i]), reps[i])
-		// Advance the catalog while the owner's store is still locked:
+		vers[i] = owners[i].tab.owned(id).ver + 1
+		installOwner(owners[i], id, newFragment(frags[i], vers[i], nil, nil), heldLOI(id, reps[i]), reps[i])
+		// Advance the catalog while the owner's entry is still locked:
 		// a pin that reads the catalog from here on can no longer
 		// validate an entry labelled with an older version (the catalog
 		// read is the pin's linearization point; a pin that read just
 		// before completes against the old version, ordinary MVCC).
-		// Dropping the superseded cache entries is then memory hygiene.
 		r.idsMu.RLock()
-		r.fragVer[id].Store(int64(ver))
+		r.fragVer[id].Store(int64(vers[i]))
 		r.idsMu.RUnlock()
-		for _, node := range r.nodeList() {
-			if node.hot != nil {
-				node.hot.invalidateBelow(id, ver)
-			}
-		}
-		if ver > version {
-			version = ver
-		}
 	}
-	return version, nil
+	unlock()
+	// Dropping the superseded hot entries is memory hygiene, one node's
+	// lock at a time.
+	for _, node := range r.nodeList() {
+		node.mu.Lock()
+		for i, id := range ids {
+			node.tab.invalidateBelow(id, vers[i])
+		}
+		node.mu.Unlock()
+	}
+	return slices.Max(vers), nil
 }
 
 // Version reports the current version of a column (the highest version

@@ -141,7 +141,7 @@ func TestConcurrentUpdatesSerialize(t *testing.T) {
 	ringID := ids[0]
 	owner := r.ownerOf(ringID)
 	owner.mu.Lock()
-	latest := owner.store[ringID].b
+	latest := owner.tab.owned(ringID).b
 	owner.mu.Unlock()
 	if latest.Tail().Int(0) != 1+k {
 		t.Fatalf("owner value = %d, want %d", latest.Tail().Int(0), 1+k)

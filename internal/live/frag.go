@@ -120,12 +120,13 @@ const maxSnapshotRetries = 64
 // A fragment acquisition resolves one payload for pinning, in order of
 // preference:
 //
-//  1. this node's own store, which holds the catalog's version (move.go
-//     invariant 1). With the hot-set cache on (Core.LocalPinsSkipLoad),
-//     it is read off the runtime; without it, the owner pins at the
-//     runtime, which loads the fragment into the ring and delivers.
-//  2. a hot-set cache hit at the catalog's version: node-local, with no
-//     ring interest, so a fragment every reader holds parks at its owner.
+//  1. this node's owned entry, which holds the catalog's version
+//     (move.go invariant 1). With the hot-set cache on
+//     (Core.LocalPinsSkipLoad), it is read off the runtime; without it,
+//     the owner pins at the runtime, which loads the fragment into the
+//     ring and delivers.
+//  2. a hot entry at the catalog's version: node-local, with no ring
+//     interest, so a fragment every reader holds parks at its owner.
 //  3. a ring wait (waitLocked): a runtime pin, and an entry in the
 //     node's waiters that the delivery ends (deliverLocked). The node's
 //     misses of one fragment share the runtime's pass.
@@ -133,7 +134,7 @@ const maxSnapshotRetries = 64
 // A pin never returns a version below the catalog's at acquisition: a
 // ring delivery can be older, and the worker that takes its part
 // replaces it before the part runs (fragMap.settle). viaRing marks the
-// acquisitions that hold a runtime pin (releaseRing); store reads and
+// acquisitions that hold a runtime pin (releaseRing); owned reads and
 // cache hits hold none — payloads are immutable, and a view of a receive
 // slab stays readable until the query returns (slab.go).
 
@@ -148,21 +149,19 @@ func (d *queryDC) acquireLocked(acqs []fragAcq) (open int) {
 		a := &acqs[i]
 		if n.rt.Owns(a.id) {
 			// Ownership is checked in the critical section that reads the
-			// store or pins, so the store's version is the catalog's, and
-			// a runtime pin is delivered (deliverLocked) before it returns.
-			if st := n.store[a.id]; n.cfg.Core.LocalPinsSkipLoad && st != nil {
+			// owned entry or pins, so its version is the catalog's, and a
+			// runtime pin is delivered (deliverLocked) before it returns.
+			if st := n.tab.owned(a.id); n.cfg.Core.LocalPinsSkipLoad && st != nil {
 				d.withdrawLocked(a.id) // asked for before this node owned it
 				a.f = st
 				continue
 			}
-		} else if n.hot != nil {
-			if a.f = n.hot.get(a.id, a.cur); a.f != nil {
-				// The pin is served locally, so nothing will ever mark a
-				// runtime request of this query delivered, and its resend
-				// timer would re-request a fragment nobody is waiting for.
-				d.withdrawLocked(a.id)
-				continue
-			}
+		} else if a.f = n.tab.hit(a.id, a.cur); a.f != nil {
+			// The pin is served locally, so nothing will ever mark a
+			// runtime request of this query delivered, and its resend
+			// timer would re-request a fragment nobody is waiting for.
+			d.withdrawLocked(a.id)
+			continue
 		}
 		d.waitLocked(a)
 		if a.waiting || a.stale() {
@@ -224,9 +223,10 @@ func (d *queryDC) markInterestLocked(id core.BATID) {
 	d.interest[id] = true
 }
 
-// ownerStoreRead reads a fragment from its owner's store (nil when no
-// owner holds it), in GC memory and holding no runtime refs. It takes
-// the owner's lock, which may be n.mu: never call it with n.mu held.
+// ownerStoreRead reads a fragment's owned version from its owner's
+// table (nil when no owner holds it), in GC memory and holding no
+// runtime refs. It takes the owner's lock, which may be n.mu: never
+// call it with n.mu held.
 func ownerStoreRead(r *Ring, id core.BATID) *fragment {
 	owner := r.ownerOf(id)
 	if owner == nil {
@@ -234,7 +234,7 @@ func ownerStoreRead(r *Ring, id core.BATID) *fragment {
 	}
 	owner.mu.Lock()
 	defer owner.mu.Unlock()
-	return owner.store[id]
+	return owner.tab.owned(id)
 }
 
 // ---------------------------------------------------------------------
@@ -386,7 +386,7 @@ func (p *partDC) Unpin(v mal.Value) error {
 
 // releaseRing drops the runtime pin a ring acquisition (viaRing) holds,
 // with the last holder when one delivery ended several waits
-// (n.sharedPins), and with the node's last pin n.cached's payload.
+// (n.sharedPins), and with the node's last pin the table's pinned role.
 func (d *queryDC) releaseRing(id core.BATID) {
 	n := d.n
 	key := waitKey{d.q, id}
@@ -396,8 +396,7 @@ func (d *queryDC) releaseRing(id core.BATID) {
 			delete(n.sharedPins, key)
 		}
 	} else {
-		n.rt.Unpin(d.q, id)
-		n.unrefCached(id)
+		n.unpinLocked(d.q, id)
 	}
 	n.mu.Unlock()
 }
@@ -558,9 +557,9 @@ func (m *fragMap) fail(err error) {
 }
 
 // settle readies p to run and reports whether it can. A stale delivery
-// is released and replaced from the owner's store, catalog-current by
-// construction (move.go invariant 1), which seeds the hot-set cache so
-// repeat pins stay node-local; with no owner copy that new, p waits on
+// is released and replaced from the owner's table, catalog-current by
+// construction (move.go invariant 1), which it makes hot here so repeat
+// pins stay node-local; with no owner copy that new, p waits on
 // the ring for it again, and comes back here once it is delivered.
 func (m *fragMap) settle(p *partDC) bool {
 	d, n := m.d, m.d.n
@@ -571,14 +570,14 @@ func (m *fragMap) settle(p *partDC) bool {
 		}
 		d.releaseRing(a.id)
 		a.f, a.viaRing = nil, false
-		if of := ownerStoreRead(n.ring, a.id); of != nil && of.ver >= a.cur {
+		of := ownerStoreRead(n.ring, a.id)
+		n.mu.Lock()
+		if of != nil && of.ver >= a.cur {
 			a.f = of
-			if n.hot != nil {
-				n.hot.put(a.id, of)
-			}
+			n.tab.admit(a.id, of)
+			n.mu.Unlock()
 			continue
 		}
-		n.mu.Lock()
 		failed := m.err
 		if a.err = failed; failed == nil {
 			d.waitLocked(a) // a synchronous delivery queues p again

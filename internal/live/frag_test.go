@@ -357,10 +357,10 @@ func TestDeliverWithoutWaiterCountsNoRef(t *testing.T) {
 	n := r.Node(0)
 	payload := bat.MakeInts("stray", []int64{1, 2, 3})
 	n.mu.Lock()
-	n.transit[999] = newFragment(payload, 0, nil, nil)
+	n.arrivingID, n.arriving = 999, newFragment(payload, 0, nil, nil)
 	n.deliverLocked(7, 999) // no waiter registered for (7, 999)
-	delete(n.transit, 999)
-	leaked := len(n.cached)
+	n.arriving = nil
+	leaked := pinnedEntries(n)
 	n.mu.Unlock()
 	if leaked != 0 {
 		t.Fatalf("waiterless delivery pinned %d payloads forever", leaked)

@@ -223,10 +223,19 @@ func TestCorruptBatchIsDroppedWhole(t *testing.T) {
 	batch := encodeBatch(nil, entries)
 	batch[batchHdrSize+dataHdrSize] = 'X' // the second entry's magic
 	// The link is FIFO and the ring is idle: once the receive loop has
-	// handled a v2 message sent after the batch — one of reader's own
-	// fragment ids that it does not own, which it only notes as a
-	// homecoming — it has handled the batch too.
-	const marker = core.BATID(1 << 40)
+	// handled a v2 message sent after the batch — a payloadless return
+	// of a fragment reader owns and has not loaded, which it only notes
+	// as a homecoming — it has handled the batch too.
+	var marker core.BATID = -1
+	for _, name := range r.names {
+		ids, _ := r.Fragments(name)
+		if r.ownerOf(ids[0]) == reader {
+			marker = ids[0]
+		}
+	}
+	if marker < 0 {
+		t.Fatal("node 1 owns no fragment")
+	}
 	single := encodeSingle(batchEntry{m: core.BATMsg{Owner: reader.id, BAT: marker}})
 	before := reader.Stats().BATsForwarded
 	for _, msg := range [][]byte{batch, single} {
@@ -236,9 +245,9 @@ func TestCorruptBatchIsDroppedWhole(t *testing.T) {
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		reader.mu.Lock()
-		_, seen := reader.lastSelfSeen[marker]
+		seen := reader.tab.m[marker].seen
 		reader.mu.Unlock()
-		if seen {
+		if seen != 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -463,13 +472,14 @@ func TestCirculationStartsNoGoroutine(t *testing.T) {
 }
 
 // busyMapGoroutine reports whether g, a goroutine an aligned map
-// started, still works for its map: it is past its entry frame, and not
-// in the WaitGroup.Done that lets the map return. One that is has done
-// its share, and may outlive its query by a scheduling delay.
+// started, still works for its map: it is past its entry frame, and
+// neither in the WaitGroup.Done that lets the map return nor exiting
+// after it (runtime.goexit1). One that is has done its share, and may
+// outlive its query by a scheduling delay.
 func busyMapGoroutine(g string) bool {
 	// A header line, two lines a frame, two for "created by".
 	frames := (strings.Count(g, "\n") + 1 - 3) / 2
-	return frames > 1 && !strings.Contains(g, "sync.(*WaitGroup).Done(")
+	return frames > 1 && !strings.Contains(g, "sync.(*WaitGroup).Done(") && !strings.Contains(g, "runtime.goexit1(")
 }
 
 // TestHopPacingParksIdleFragments: with LOI pacing on (every live

@@ -82,8 +82,10 @@ func TestHotRegionPartsAllocateLittle(t *testing.T) {
 		}
 		var owned []core.BATID
 		n.mu.Lock()
-		for id := range n.store {
-			owned = append(owned, id)
+		for id, e := range n.tab.m {
+			if e.owned {
+				owned = append(owned, id)
+			}
 		}
 		deliveries := n.rt.Stats().Deliveries
 		n.mu.Unlock()

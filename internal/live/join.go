@@ -323,7 +323,7 @@ func (r *Ring) migrateFrag(j *Node, donorID core.NodeID, id core.BATID) bool {
 		return false
 	}
 	donor.mu.Lock()
-	f := donor.store[id]
+	f := donor.tab.owned(id)
 	donor.mu.Unlock()
 	if f == nil {
 		return false
@@ -335,7 +335,7 @@ func (r *Ring) migrateFrag(j *Node, donorID core.NodeID, id core.BATID) bool {
 	// The donor may legitimately be one of the joiner's successors.
 	oldReps, chain := r.replicaNodes(id), replicaChain(r, j.id)
 	unlock := lockNodes(append(append([]*Node{donor, j}, oldReps...), chain...)...)
-	if r.isDead(donor.id) || r.isDead(j.id) || !donor.rt.Owns(id) || donor.store[id] != f {
+	if r.isDead(donor.id) || r.isDead(j.id) || !donor.rt.Owns(id) || donor.tab.owned(id) != f {
 		// A kill landed in the transfer window, or the fragment moved or
 		// re-versioned since the unlocked read (only possible through a
 		// path that held this column's lock before us).

@@ -57,11 +57,11 @@ type Config struct {
 	// §5). 0 puts every column in one fragment, pinned through the same
 	// aligned map as any other fragment list.
 	FragmentRows int
-	// CacheBytes budgets the per-node hot-set fragment cache: ring
+	// CacheBytes budgets the hot role of each node's fragment table: ring
 	// deliveries are kept resident so a repeat pin of an unchanged
 	// fragment is a version-validated node-local read instead of a ring
-	// wait (see hotcache.go). 0 disables the cache entirely, restoring
-	// the pure-circulation behavior (every pin waits for the ring).
+	// wait (see table.go). 0 is a zero hot budget: nothing is kept hot,
+	// and every pin of another node's fragment waits for the ring.
 	CacheBytes int
 	// HopBatchBytes budgets the batched hop transport: co-resident
 	// outbound fragments coalesce into one multi-payload batch envelope
@@ -185,22 +185,16 @@ type Node struct {
 	mu sync.Mutex // guards rt and all runtime-adjacent state
 	rt *core.Runtime
 
-	// store holds the owned fragment versions ("local disk"), always in
-	// GC memory.
-	store map[core.BATID]*fragment
-	// transit holds the fragment versions currently flowing through.
-	transit map[core.BATID]*fragment
-	// cached holds the ring deliveries local queries hold pinned, while
-	// the runtime counts a pin on them (unrefCached).
-	cached map[core.BATID]*fragment
+	// tab holds every fragment version the node keeps, by role (table.go).
+	tab table
+	// arriving is the version dataLoop is handing the runtime, set only
+	// during its OnBAT: forwardLocked and deliverLocked read it. One
+	// receive loop handles one arrival at a time, under mu.
+	arrivingID core.BATID
+	arriving   *fragment
 	// slabs tracks the receive slabs this node's payloads are views of
 	// (slab.go).
 	slabs slabSet
-
-	// hot is the node's hot-set fragment cache (nil when
-	// Config.CacheBytes is 0: every new code path gates on it, so a
-	// disabled cache leaves the pure-circulation behavior untouched).
-	hot *hotCache
 
 	// waiters holds each query's ring waits on a fragment, chained
 	// through fragAcq.next, which one delivery ends; sharedPins counts
@@ -258,23 +252,18 @@ type Node struct {
 	ringWaitNanos int64
 
 	// Revolution-time accounting: when one of this node's own fragments
-	// returns full circle, the gap since its previous return is folded
-	// into an EWMA (atomic revNanos) — the measured revolution time of
-	// the ring this node sits on. lastSelfSeen is guarded by mu.
-	lastSelfSeen map[core.BATID]int64
-	revNanos     int64
+	// returns full circle, the gap since its previous return (held.seen)
+	// is folded into an EWMA (atomic revNanos) — the measured revolution
+	// time of the ring this node sits on.
+	revNanos int64
 
 	// interpRunning counts the queries inside mal.Run (leak detector
 	// and drain hook).
 	interpRunning int64
 
 	// memb is this node's membership failure detector (nil when
-	// Config.Replicas is 0 — the same nil-gating as hot).
+	// Config.Replicas is 0).
 	memb *membership.Detector
-	// replicas holds this node's replica copies of fragments owned
-	// elsewhere (this node is within Replicas ring successors of the
-	// owner). Guarded by mu; nil when Replicas is 0.
-	replicas map[core.BATID]*replicaFrag
 
 	beatsSent int64 // atomic: heartbeat pulses sent
 	beatsRecv int64 // atomic: heartbeat pulses received
@@ -294,16 +283,6 @@ type Node struct {
 	// linksClosed is set, under linkMu, once kill has closed the links:
 	// relink then closes a spliced-in link instead of installing it.
 	linksClosed bool
-}
-
-// unrefCached drops the cached payload of id, and its slab hold, once
-// the runtime counts no local pin on it. Called with n.mu held, after
-// every rt.Unpin.
-func (n *Node) unrefCached(id core.BATID) {
-	if f, ok := n.cached[id]; ok && n.rt.CachePins(id) == 0 {
-		delete(n.cached, id)
-		f.slab.release()
-	}
 }
 
 // queryErr is how the runtime fails a running query (QueryError): the
@@ -469,9 +448,7 @@ func (r *Ring) newNode(id, nodes, pred int, schema minisql.Schema) *Node {
 		ring:       r,
 		id:         core.NodeID(id),
 		cfg:        cfg,
-		store:      map[core.BATID]*fragment{},
-		transit:    map[core.BATID]*fragment{},
-		cached:     map[core.BATID]*fragment{},
+		tab:        newTable(cfg.CacheBytes),
 		waiters:    map[waitKey]*fragAcq{},
 		sharedPins: map[waitKey]int{},
 		errs:       map[core.QueryID]queryErr{},
@@ -480,13 +457,9 @@ func (r *Ring) newNode(id, nodes, pred int, schema minisql.Schema) *Node {
 		closed:     make(chan struct{}),
 		relinked:   make(chan struct{}),
 	}
-	if cfg.CacheBytes > 0 {
-		node.hot = newHotCache(cfg.CacheBytes)
-	}
 	node.hop = newHopScheduler(cfg.HopBatchBytes)
 	node.reqs.wake = make(chan struct{}, 1)
 	if cfg.Replicas > 0 {
-		node.replicas = map[core.BATID]*replicaFrag{}
 		node.memb = membership.NewDetector(id, nodes, pred, cfg.Heartbeat)
 	}
 	node.rt = core.New(node.id, (*liveEnv)(node), cfg.Core)
@@ -596,7 +569,7 @@ func (d *queryDC) announce(ids []core.BATID) {
 		if n.cfg.Core.LocalPinsSkipLoad && n.rt.Owns(id) {
 			continue
 		}
-		if n.hot != nil && n.hot.peek(id, n.ring.versionLocked(id)) {
+		if n.tab.peek(id, n.ring.versionLocked(id)) {
 			continue
 		}
 		d.markInterestLocked(id)

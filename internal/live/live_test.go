@@ -270,9 +270,10 @@ func TestExecPlanErrorDoesNotLeakInterpreter(t *testing.T) {
 	}
 	// The aborted pins must not leave refcounted payloads behind.
 	n.mu.Lock()
-	leftover := len(n.cached)
+	leftover := pinnedEntries(n)
 	n.mu.Unlock()
 	if leftover != 0 {
 		t.Fatalf("%d cached payloads leaked by aborted queries", leftover)
 	}
+	checkTable(t, n)
 }

@@ -8,8 +8,9 @@ package live
 // node is cut off, every survivor's view is updated, the ring links are
 // spliced around the hole, and the dead node's fragments are re-owned
 // from their replicas with the version catalog intact. All of it is
-// nil-gated on Config.Replicas, exactly like the hot cache: Replicas=0
-// leaves the single-owner ring byte-identical.
+// nil-gated on Config.Replicas: Replicas=0 leaves the single-owner ring
+// byte-identical. A replica copy is a role of the holder's table entry
+// (table.go), with the last LOI seen on the circulating original.
 // Promotion is one caller of the install steps in move.go, where the
 // lock order and the staleness argument live.
 
@@ -21,14 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/rdma"
 )
-
-// replicaFrag is one replica copy held at a successor of the owner:
-// the fragment at its catalog version, plus the last level of interest
-// seen on the circulating original (what a promotion re-admits with).
-type replicaFrag struct {
-	f   *fragment
-	loi float64
-}
 
 // ---------------------------------------------------------------------
 // link accessors (the pointers are swapped by splice at runtime)
@@ -368,15 +361,15 @@ func (r *Ring) promoteFrag(dead core.NodeID, id core.BATID) {
 	}
 	heir := reps[0]
 	heir.mu.Lock()
-	rp := heir.replicas[id]
-	if rp == nil || rp.f.ver != r.fragVersion(id) {
+	e := heir.tab.m[id]
+	if e == nil || !e.replica || e.f.ver != r.fragVersion(id) {
 		// Can't happen while the column lock is honored (invariant 2);
 		// refuse to serve a stale payload regardless.
 		heir.mu.Unlock()
 		atomic.AddInt64(&r.lostFrags, 1)
 		return
 	}
-	installOwner(heir, id, rp.f, rp.loi, nil)
+	installOwner(heir, id, e.f, e.loi, nil)
 	heir.mu.Unlock()
 	// Counted before the flip, so whoever sees the fragment owned again
 	// (UnownedFragments) also sees its promotion.
@@ -441,12 +434,14 @@ func (n *Node) MembershipStats() MembershipStats {
 	v := n.memb.View()
 	s.ViewVersion = v.Version
 	s.Alive, s.Suspect, s.Dead = v.Counts()
+	var ids []core.BATID
+	var vers []int
 	n.mu.Lock()
-	ids := make([]core.BATID, 0, len(n.replicas))
-	vers := make([]int, 0, len(n.replicas))
-	for id, rp := range n.replicas {
-		ids = append(ids, id)
-		vers = append(vers, rp.f.ver)
+	for id, e := range n.tab.m {
+		if e.replica {
+			ids = append(ids, id)
+			vers = append(vers, e.f.ver)
+		}
 	}
 	n.mu.Unlock()
 	s.Replicas = int64(len(ids))

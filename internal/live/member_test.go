@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,12 +49,24 @@ func waitFor(t *testing.T, what string, deadline time.Duration, cond func() bool
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// replicaRoles counts n's table entries in the replica role.
+func replicaRoles(n *Node) (k int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, e := range n.tab.m {
+		if e.replica {
+			k++
+		}
+	}
+	return k
+}
+
 func TestReplicasZeroKeepsMembershipOff(t *testing.T) {
 	r := newTestRing(t, 3) // DefaultConfig: Replicas 0
 	defer r.Close()
 	for i := 0; i < r.Size(); i++ {
 		n := r.Node(i)
-		if n.memb != nil || n.replicas != nil {
+		if n.memb != nil || replicaRoles(n) != 0 {
 			t.Fatalf("node %d grew membership state with Replicas=0", i)
 		}
 		if s := n.MembershipStats(); s.Enabled {
@@ -97,9 +110,9 @@ func TestReplicaPlacementOnSuccessors(t *testing.T) {
 		}
 		rep := r.node(int(chain[0]))
 		rep.mu.Lock()
-		rp := rep.replicas[id]
+		e := rep.tab.m[id]
 		rep.mu.Unlock()
-		if rp == nil {
+		if e == nil || !e.replica {
 			t.Fatalf("fragment %d: successor %d holds no replica payload", id, chain[0])
 		}
 	}
@@ -486,4 +499,101 @@ func TestStalledReceiverDoesNotAccusePredecessor(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		checkAnswer(t, r.Node(i), "after stall")
 	}
+}
+
+// TestFragKnownSwallowsReturnedRequest: with membership on, a request
+// that comes back to its origin for a fragment the catalog still lists
+// is swallowed (Ring.fragKnown) — its owner may be mid-promotion — so
+// the query waiting on the fragment keeps waiting and is answered once
+// the owner answers. A returned request for an id the catalog does not
+// list still fails its query with "does not exist".
+func TestFragKnownSwallowsReturnedRequest(t *testing.T) {
+	cols, schema := testColumns()
+	cfg := DefaultConfig()
+	cfg.Replicas = 1
+	r, err := NewRing(3, cols, schema, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	n := r.Node(0)
+	var name string
+	var id core.BATID
+	for _, c := range r.names {
+		if ids, _ := r.Fragments(c); r.ownerOf(ids[0]) != n {
+			name, id = c, ids[0]
+			break
+		}
+	}
+	waiting := func(k int) func() bool {
+		return func() bool {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			return len(n.waiters) == k
+		}
+	}
+	// With the owner's lock held, no request reaches its runtime and
+	// nothing loads: the fetch waits, and so does the ghost query.
+	owner := r.ownerOf(id)
+	owner.mu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			owner.mu.Unlock()
+		}
+	}()
+	fetched := make(chan error, 1)
+	go func() {
+		_, err := n.Fetch(name)
+		fetched <- err
+	}()
+	waitFor(t, "the fetch to wait on the ring", 5*time.Second, waiting(1))
+	const ghost = core.BATID(1 << 40)
+	ghostErr := make(chan error, 1)
+	go func() {
+		dc := bareDC(n)
+		_, err := dc.pinMerged(&fragHandle{name: "ghost", ids: []core.BATID{ghost}})
+		n.mu.Lock()
+		n.rt.CancelQuery(dc.q, []core.BATID{ghost})
+		n.mu.Unlock()
+		ghostErr <- err
+	}()
+	waitFor(t, "the ghost query to wait on the ring", 5*time.Second, waiting(2))
+
+	// Both requests come back to their origin on its request link, the
+	// catalogued one first.
+	succ := r.Node(1)
+	for _, b := range []core.BATID{id, ghost} {
+		req := core.RequestMsg{Origin: n.id, BAT: b}
+		if err := succ.link(&succ.reqOut).SendEncoded(reqMsgSize, func(dst []byte) int {
+			encodeReqMsg(dst, req)
+			return reqMsgSize
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case err := <-ghostErr:
+		if err == nil || !strings.Contains(err.Error(), "does not exist") {
+			t.Fatalf("the ghost query ended with %v, want a BAT that does not exist", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the returned request for an uncatalogued id failed no query")
+	}
+	select {
+	case err := <-fetched:
+		t.Fatalf("the fetch ended before its owner answered: %v", err)
+	default:
+	}
+	owner.mu.Unlock()
+	locked = false
+	select {
+	case err := <-fetched:
+		if err != nil {
+			t.Fatalf("the fetch failed after a returned request for a catalogued fragment: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the fetch was never answered")
+	}
+	checkNothingHeld(t, n)
 }

@@ -13,9 +13,9 @@ package live
 //	(flip)        the caller's catalog write: version or placement
 //	releaseOwner  the previous owner and its replica holders forget
 //
-// Lock order: failMu > column lock > node mu in node order; memMu,
-// idsMu and a hot cache's mutex are leaves — they may be taken under a
-// node mu, and nothing is acquired while holding one.
+// Lock order: failMu > column lock > node mu in node order; memMu and
+// idsMu are leaves — they may be taken under a node mu, and nothing is
+// acquired while holding one.
 // Every caller holds the fragment's column lock from its first read of
 // the fragment to its last write, so no two of them interleave on one
 // column, and only lockNodes ever holds two node locks at once.
@@ -25,7 +25,7 @@ package live
 //  1. The node the placement catalog names as owner holds the bytes of
 //     the catalog's version: installOwner runs before the flip, and the
 //     version catalog advances inside the critical section that wrote
-//     the store. A pin therefore never sees a version below the
+//     owned entry. A pin therefore never sees a version below the
 //     catalog's at acquisition.
 //  2. Replica copies are written in the owner's critical section,
 //     before the catalog moves: a promotion always finds its replica at
@@ -98,13 +98,14 @@ func replicaChain(r *Ring, owner core.NodeID) []*Node {
 	return chain
 }
 
-// fragment is one version of one fragment, the value every holder on a
-// node keeps: the store, replicas, transit, pinned deliveries, the hot
-// cache and the hop queue. b is its view, capped to its length so no
-// Append grows into another holder's rows; raw is the wire bytes it
-// travels as, and slab the receive slab raw is a view of (nil: GC
-// memory). A version is never rewritten — an update installs a new
-// fragment — so its bytes never need invalidating.
+// fragment is one version of one fragment, the value a node holds it
+// as: in its table entry (table.go), as the arrival its receive loop
+// hands the runtime, in the hop queue and in query views. b is its
+// view, capped to its length so no Append grows into another holder's
+// rows; raw is the wire bytes it travels as, and slab the receive slab
+// raw is a view of (nil: GC memory). A version is never rewritten — an
+// update installs a new fragment — so its bytes never need
+// invalidating.
 type fragment struct {
 	b    *bat.BAT
 	ver  int
@@ -165,33 +166,23 @@ func transfer(f *fragment, faults *netsim.Faults, limit int) (*fragment, bool) {
 	return newFragment(nb, f.ver, raw, nil), true
 }
 
-// installOwner makes n the holder of fragment version f and writes the
-// same version to the replica holders in chain. A superseded cached copy
-// is dropped so every serve path agrees with the store; pins already
-// blocked at n are delivered from it here, before the caller flips any
-// catalog. A fragment new to n enters its hot set cold at interest loi;
-// one n already owns keeps its place in it. Called with n and chain
-// locked (lockNodes).
+// installOwner makes n the owner of fragment version f and writes the
+// same version to the replica holders in chain. The owned entry takes
+// f, and loses the hot and replica roles: every serve path at n agrees
+// with it, and pins already blocked at n are delivered from it here,
+// before the caller flips any catalog. A fragment new to n enters its
+// hot set cold at interest loi; one n already owns keeps its place in
+// it. Called with n and chain locked (lockNodes).
 func installOwner(n *Node, id core.BATID, f *fragment, loi float64, chain []*Node) {
-	n.store[id] = f
-	if n.hot != nil {
-		n.hot.drop(id) // the owner serves its store, never a cached copy
-	}
-	delete(n.replicas, id)
+	n.tab.cool(id)
+	e := n.tab.hold(id, f)
+	e.owned, e.replica = true, false
 	n.rt.PromoteOwned(id, f.b.Bytes(), loi)
 	n.applyLocked()
 	for _, rep := range chain {
-		rep.replicas[id] = &replicaFrag{f: f, loi: loi}
+		e := rep.tab.hold(id, f)
+		e.replica, e.loi = true, loi
 	}
-}
-
-// storeVer is the version of fragment id in n's store (0 when n holds
-// none). Called with n.mu held.
-func (n *Node) storeVer(id core.BATID) int {
-	if f := n.store[id]; f != nil {
-		return f.ver
-	}
-	return 0
 }
 
 // releaseOwner makes owner and the replica holders in reps forget
@@ -199,9 +190,15 @@ func (n *Node) storeVer(id core.BATID) int {
 // fragments are immutable per version. Called with all of them locked.
 func releaseOwner(owner *Node, id core.BATID, reps []*Node) {
 	owner.rt.RemoveOwned(id)
-	delete(owner.store, id)
+	if e := owner.tab.m[id]; e != nil {
+		e.owned = false
+		owner.tab.tidy(id, e)
+	}
 	for _, rep := range reps {
-		delete(rep.replicas, id)
+		if e := rep.tab.m[id]; e != nil {
+			e.replica = false
+			rep.tab.tidy(id, e)
+		}
 	}
 }
 
@@ -211,8 +208,8 @@ func releaseOwner(owner *Node, id core.BATID, reps []*Node) {
 func heldLOI(id core.BATID, reps []*Node) float64 {
 	loi := 0.0
 	for _, n := range reps {
-		if rp := n.replicas[id]; rp != nil && rp.loi > loi {
-			loi = rp.loi
+		if e := n.tab.m[id]; e != nil && e.replica && e.loi > loi {
+			loi = e.loi
 		}
 	}
 	return loi

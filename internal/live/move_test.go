@@ -134,8 +134,12 @@ func checkMoveInvariants(r *Ring, final bool) error {
 				continue
 			}
 			n.mu.Lock()
-			owns, ver, stored := n.rt.Owns(id), n.storeVer(id), n.store[id] != nil
+			owns, st := n.rt.Owns(id), n.tab.owned(id)
 			n.mu.Unlock()
+			stored, ver := st != nil, 0
+			if stored {
+				ver = st.ver
+			}
 			if !owns {
 				continue
 			}
@@ -162,10 +166,13 @@ func checkMoveInvariants(r *Ring, final bool) error {
 		}
 		for _, rep := range r.replicaNodes(id) {
 			rep.mu.Lock()
-			rp := rep.replicas[id]
+			ver := -1 // no replica
+			if e := rep.tab.m[id]; e != nil && e.replica {
+				ver = e.f.ver
+			}
 			rep.mu.Unlock()
-			if rp == nil || rp.f.ver != cat {
-				return fmt.Errorf("fragment %d: replica at node %d is %+v, catalog at version %d", id, rep.id, rp, cat)
+			if ver != cat {
+				return fmt.Errorf("fragment %d: replica at node %d at version %d (-1: none), catalog at version %d", id, rep.id, ver, cat)
 			}
 		}
 	}

@@ -7,10 +7,12 @@ package live
 // size overwrites it — only once nothing can read it any more:
 //
 //  1. Holders count. A slab is retained by the receive loop while it
-//     handles the message, and by every holder of a fragment decoded
-//     from it: each hot-cache entry, each n.cached delivery, and each
-//     hop entry forwarding it — the forward sends the slab's own bytes,
-//     so that hold lasts from the enqueue until the send completes.
+//     handles the message, once by each fragment-table entry whose
+//     version was decoded from it (table.take: taken when the entry takes
+//     the version, let go when the version is replaced or the entry loses
+//     its last role), and by each hop entry forwarding it — the forward
+//     sends the slab's own bytes, so that hold lasts from the enqueue
+//     until the send completes.
 //  2. Views wait. Query code holds views without counting: the parts of
 //     an aligned map and pinMerged's fragments after their unpin. Such
 //     a view only ever comes from a cache hit or a delivery, which mark
@@ -27,8 +29,8 @@ package live
 //     copies every string heap.
 //
 // Every slab a view can reach is one this node received: fragments
-// cross nodes only as bytes on the wire, and owner stores, replicas and
-// join transfers hold GC memory.
+// cross nodes only as bytes on the wire, and owned and replica entries
+// and join transfers hold GC memory.
 
 import (
 	"sync"

@@ -128,9 +128,7 @@ func bareDC(n *Node) *queryDC {
 // returns the delivery once the map has released it.
 func ringDelivered(t *testing.T, dc *queryDC, id core.BATID, held func(*fragment)) *fragment {
 	t.Helper()
-	if dc.n.hot != nil {
-		dc.n.hot.drop(id) // a cache hit would not be a ring delivery
-	}
+	cool(dc.n, id) // a cache hit would not be a ring delivery
 	var f *fragment
 	h := &fragHandle{name: "ringDelivered", ids: []core.BATID{id}}
 	_, err := dc.PinMap([]mal.Value{h}, func(p mal.DCRuntime) (mal.Value, error) {
@@ -172,11 +170,7 @@ func churn(t *testing.T, r *Ring, reader *Node) {
 		if n == reader {
 			continue
 		}
-		if n.hot != nil {
-			for _, id := range ids {
-				n.hot.drop(id)
-			}
-		}
+		cool(n, ids...)
 		if got := execWithin(t, n, "select sum(val) from q").Row(0)[0].(int64); got != want {
 			t.Fatalf("node %d: traffic query summed to %d, want %d", n.id, got, want)
 		}
@@ -236,32 +230,30 @@ func TestSlabLifetime(t *testing.T) {
 		if _, err := reader.Fetch("p.val"); err != nil {
 			t.Fatal(err)
 		}
-		entries := map[core.BATID]*hotEntry{}
-		reader.hot.mu.Lock()
+		entries := map[core.BATID]*fragment{}
 		ids, _ := r.Fragments("p.val")
 		for _, id := range ids {
-			if e := reader.hot.entries[id]; e != nil {
-				entries[id] = e
+			if f := hotFrag(reader, id); f != nil {
+				entries[id] = f
 			}
 		}
-		reader.hot.mu.Unlock()
 		if len(entries) == 0 {
 			t.Fatal("the fetch cached no remote fragment")
 		}
-		for _, e := range entries {
+		for _, f := range entries {
 			var held int32
 			for _, other := range entries {
-				if other.f.slab == e.f.slab {
+				if other.slab == f.slab {
 					held++
 				}
 			}
-			settle(t, r, reader, e.f.slab, held)
+			settle(t, r, reader, f.slab, held)
 		}
-		for id, e := range entries {
-			if recycled(e.f.slab) {
+		for id, f := range entries {
+			if recycled(f.slab) {
 				t.Fatalf("fragment %d: slab recycled under its cache entry", id)
 			}
-			if got, want := tailInts(e.f.b), fragValues(t, r, "p.val", id); !slices.Equal(got, want) {
+			if got, want := tailInts(f.b), fragValues(t, r, "p.val", id); !slices.Equal(got, want) {
 				t.Fatalf("fragment %d: cache entry reads %v…, want %v…", id, got[:3], want[:3])
 			}
 		}
@@ -274,12 +266,14 @@ func TestSlabLifetime(t *testing.T) {
 		id := remoteFrag(r, reader, "p.val")
 		var s *slab
 		ringDelivered(t, bareDC(reader), id, func(f *fragment) {
-			for _, other := range ids {
-				reader.hot.drop(other)
-			}
+			cool(reader, ids...)
 			reader.mu.Lock()
-			s = reader.cached[id].slab
+			e := reader.tab.m[id]
 			reader.mu.Unlock()
+			if e == nil || !e.pinned {
+				t.Fatal("the table does not hold the delivery pinned")
+			}
+			s = e.f.slab
 			settle(t, r, reader, s, 1)
 			if recycled(s) {
 				t.Fatal("slab recycled under a pinned delivery")
@@ -288,6 +282,10 @@ func TestSlabLifetime(t *testing.T) {
 				t.Fatalf("pinned delivery reads %v…, want %v…", got[:3], want[:3])
 			}
 		})
+		// The passes that settle's traffic brings by may have made the
+		// pinned entry hot again: one entry, one hold, which the hot role
+		// keeps after the unpin. Let that go too.
+		cool(reader, ids...)
 		if !recycled(s) {
 			t.Fatal("slab not recycled once its last holder let go")
 		}
@@ -326,7 +324,7 @@ func TestSlabLifetime(t *testing.T) {
 			if _, err := r.Node(2).Fetch("p.val"); err != nil {
 				t.Fatal(err)
 			}
-			f := reader.hot.get(id, 0)
+			f := hitAt(reader, id, 0)
 			if f == nil {
 				t.Fatal("the passing fragment was not cached")
 			}
@@ -345,9 +343,7 @@ func TestSlabLifetime(t *testing.T) {
 			f := view(t, r, reader, id)
 			s := f.slab
 			ids, _ := r.Fragments("p.val")
-			for _, other := range ids {
-				reader.hot.drop(other)
-			}
+			cool(reader, ids...)
 			settle(t, r, reader, s, 0)
 			if recycled(s) {
 				t.Fatal("slab recycled under a running query's view")
@@ -375,10 +371,8 @@ func TestSlabLifetime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reader.hot.mu.Lock()
-		s := reader.hot.entries[id].f.slab
-		reader.hot.mu.Unlock()
-		reader.hot.drop(id)
+		s := hotFrag(reader, id).slab
+		cool(reader, id)
 		settle(t, r, reader, s, 0)
 		if !recycled(s) {
 			t.Fatal("the results' slab was never recycled; the test proves nothing")
@@ -407,9 +401,7 @@ func TestSlabLifetime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reader.hot.mu.Lock()
-		f := reader.hot.entries[id].f
-		reader.hot.mu.Unlock()
+		f := hotFrag(reader, id)
 		if w := f.b.Tail().Width(); w != 2 {
 			t.Fatalf("the cached fragment is %d bytes wide, want 2", w)
 		}
@@ -427,7 +419,7 @@ func TestSlabLifetime(t *testing.T) {
 		if got := tailInts(f.b); !slices.Equal(got, want) {
 			t.Fatalf("narrow cache entry reads %v…, want %v…", got[:3], want[:3])
 		}
-		reader.hot.drop(id)
+		cool(reader, id)
 		settle(t, r, reader, f.slab, 0)
 		if !recycled(f.slab) {
 			t.Fatal("the narrow fragment's slab was never recycled; the test proves nothing")
@@ -449,9 +441,7 @@ func TestSlabLifetime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reader.hot.mu.Lock()
-		f := reader.hot.entries[id].f
-		reader.hot.mu.Unlock()
+		f := hotFrag(reader, id)
 		if w := f.b.Tail().Width(); w != 2 {
 			t.Fatalf("the cached fragment is %d bytes wide, want 2", w)
 		}
@@ -472,7 +462,7 @@ func TestSlabLifetime(t *testing.T) {
 		if got := tailBits(f.b); !slices.Equal(got, want) {
 			t.Fatalf("decimal cache entry reads %v…, want %v…", got[:3], want[:3])
 		}
-		reader.hot.drop(id)
+		cool(reader, id)
 		settle(t, r, reader, f.slab, 0)
 		if !recycled(f.slab) {
 			t.Fatal("the decimal fragment's slab was never recycled; the test proves nothing")
@@ -494,9 +484,7 @@ func TestSlabLifetime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reader.hot.mu.Lock()
-		f := reader.hot.entries[id].f
-		reader.hot.mu.Unlock()
+		f := hotFrag(reader, id)
 		if lo, hi := f.b.Tail().Span(); lo < slabStart(f.slab) || hi > slabStart(f.slab)+uintptr(len(f.slab.buf)) || hi-lo != 2*slabRows {
 			t.Fatalf("the cached codes span [%#x, %#x), want %d bytes of the slab at %#x", lo, hi, 2*slabRows, slabStart(f.slab))
 		}
@@ -514,7 +502,7 @@ func TestSlabLifetime(t *testing.T) {
 		if got := tailStrs(f.b); !slices.Equal(got, want) {
 			t.Fatalf("dictionary cache entry reads %q…, want %q…", got[:3], want[:3])
 		}
-		reader.hot.drop(id)
+		cool(reader, id)
 		settle(t, r, reader, f.slab, 0)
 		if !recycled(f.slab) {
 			t.Fatal("the dictionary fragment's slab was never recycled; the test proves nothing")

@@ -28,10 +28,9 @@ func (r *Ring) RevolutionTime() time.Duration {
 // ring-wait accounting (the latter is recorded whether or not the
 // cache is enabled, so disabled-vs-enabled runs compare directly).
 func (n *Node) CacheStats() CacheStats {
-	var s CacheStats
-	if n.hot != nil {
-		s = n.hot.stats()
-	}
+	n.mu.Lock()
+	s := n.tab.cs
+	n.mu.Unlock()
 	s.RingWaits = atomic.LoadInt64(&n.ringWaits)
 	s.RingWaitNanos = atomic.LoadInt64(&n.ringWaitNanos)
 	return s

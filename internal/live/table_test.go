@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/bat"
+	"repro/internal/core"
 	"repro/internal/mal/maltest"
 	"repro/internal/minisql"
 	"repro/internal/tpch"
@@ -104,7 +105,7 @@ func TestCacheStaleNeverServed(t *testing.T) {
 	if got := r.fragVersion(id); got != 0 {
 		t.Fatalf("base version = %d", got)
 	}
-	if reader.hot.get(id, 0) == nil {
+	if hitAt(reader, id, 0) == nil {
 		t.Fatal("warm fetch did not leave the fragment resident")
 	}
 
@@ -120,7 +121,7 @@ func TestCacheStaleNeverServed(t *testing.T) {
 	if cur != 1 {
 		t.Fatalf("catalog version = %d after update", cur)
 	}
-	if b := reader.hot.get(id, cur); b != nil {
+	if b := hitAt(reader, id, cur); b != nil {
 		t.Fatal("cache served an entry for a version it never stored")
 	}
 	// And the new version becomes pinnable (the owner re-sends its
@@ -351,11 +352,12 @@ func TestCoalescedConcurrentPins(t *testing.T) {
 				t.Fatalf("%d resends, want 0", st.Resends)
 			}
 			reader.mu.Lock()
-			leftoverWaiters, leftoverCached := len(reader.waiters), len(reader.cached)
+			leftoverWaiters, leftoverCached := len(reader.waiters), pinnedEntries(reader)
 			reader.mu.Unlock()
 			if leftoverWaiters != 0 || leftoverCached != 0 {
 				t.Fatalf("leftover waiters=%d cached=%d after concurrent pins", leftoverWaiters, leftoverCached)
 			}
+			checkTable(t, reader)
 		})
 	}
 }
@@ -407,8 +409,34 @@ func TestHopAndCacheCountersUnderRace(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// hotCache unit tests
+// fragment table policy
 // ---------------------------------------------------------------------
+
+// hitAt is a pin's hot hit on n for id at version ver (nil on a miss).
+func hitAt(n *Node, id core.BATID, ver int) *fragment {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.tab.hit(id, ver)
+}
+
+// hotFrag is the version n holds hot of id (nil when id is not hot).
+func hotFrag(n *Node, id core.BATID) *fragment {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if e := n.tab.m[id]; e != nil && e.hot {
+		return e.f
+	}
+	return nil
+}
+
+// cool takes the hot role of every id away from n.
+func cool(n *Node, ids ...core.BATID) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, id := range ids {
+		n.tab.cool(id)
+	}
+}
 
 // intsOfBytes is an n-byte int BAT whose values span more than 32 bits,
 // so it stays 8 bytes wide when a fragment is made of it.
@@ -423,66 +451,85 @@ func intsOfBytes(n int) *bat.BAT {
 // intsFrag is an n-byte fragment at version ver, in GC memory.
 func intsFrag(n, ver int) *fragment { return newFragment(intsOfBytes(n), ver, nil, nil) }
 
-// TestHotCacheLOIEviction: under byte pressure the lowest-interest
+// TestTableLOIEviction: under byte pressure the lowest-interest hot
 // entry goes first, and interest decays so a once-hot fragment ages
-// out.
-func TestHotCacheLOIEviction(t *testing.T) {
+// out. Eviction takes the hot role only: an entry that holds its
+// fragment in another role stays.
+func TestTableLOIEviction(t *testing.T) {
 	one := intsOfBytes(1024).Bytes()
-	h := newHotCache(2*one + one/2)
-	h.put(1, intsFrag(1024, 0))
-	h.put(2, intsFrag(1024, 0))
+	h := newTable(2*one + one/2)
+	h.admit(1, intsFrag(1024, 0))
+	h.admit(2, intsFrag(1024, 0))
 	for i := 0; i < 8; i++ {
-		if h.get(1, 0) == nil {
+		if h.hit(1, 0) == nil {
 			t.Fatal("resident entry missed")
 		}
 	}
-	h.put(3, intsFrag(1024, 0)) // over budget: entry 2 (loi 1) must go, not entry 1 (loi 9)
-	if h.get(1, 0) == nil {
+	h.hold(2, h.m[2].f).replica = true
+	h.admit(3, intsFrag(1024, 0)) // over budget: entry 2 (loi 1) must go, not entry 1 (loi 9)
+	if h.hit(1, 0) == nil {
 		t.Fatal("high-interest entry was evicted")
 	}
-	if h.get(2, 0) != nil {
+	if h.hit(2, 0) != nil {
 		t.Fatal("low-interest entry survived over budget")
 	}
-	st := h.stats()
+	st := h.cs
 	if st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("evictions=%d entries=%d, want 1/2", st.Evictions, st.Entries)
 	}
+	if e := h.m[2]; e == nil || !e.replica || e.hot {
+		t.Fatalf("evicting the hot role of a replica left %+v, want the replica entry", e)
+	}
 }
 
-// TestHotCacheVersioning: stale versions are dropped on sight, newer
-// deliveries replace older ones, and an older delivery never replaces
-// a newer resident version (late ring arrivals after an update).
-func TestHotCacheVersioning(t *testing.T) {
-	h := newHotCache(1 << 20)
-	h.put(1, intsFrag(256, 0))
-	if h.get(1, 1) != nil {
+// TestTableVersioning: stale versions lose their hot role on sight,
+// newer deliveries replace older ones, and an older delivery never
+// replaces a newer version (late ring arrivals after an update) —
+// whichever role holds it.
+func TestTableVersioning(t *testing.T) {
+	h := newTable(1 << 20)
+	h.admit(1, intsFrag(256, 0))
+	if h.hit(1, 1) != nil {
 		t.Fatal("served a version that was never stored")
 	}
-	if st := h.stats(); st.Stale != 1 {
+	if st := h.cs; st.Stale != 1 {
 		t.Fatalf("stale = %d, want 1", st.Stale)
 	}
-	h.put(1, intsFrag(256, 2))
-	h.put(1, intsFrag(256, 1)) // late old delivery must not downgrade
-	if h.get(1, 2) == nil {
+	if len(h.m) != 0 {
+		t.Fatalf("a stale hot entry with no other role stayed in the table: %d entries", len(h.m))
+	}
+	h.admit(1, intsFrag(256, 2))
+	h.admit(1, intsFrag(256, 1)) // late old delivery must not downgrade
+	if h.hit(1, 2) == nil {
 		t.Fatal("newer version displaced by an older delivery")
 	}
 	h.invalidateBelow(1, 3)
-	if h.get(1, 2) != nil {
+	if h.hit(1, 2) != nil {
 		t.Fatal("invalidated entry still served")
+	}
+	h.hold(4, intsFrag(256, 3)).owned = true
+	if e := h.hold(4, intsFrag(256, 2)); e.f.ver != 3 {
+		t.Fatalf("an older version replaced the owned version 3 with %d", e.f.ver)
 	}
 }
 
-// TestHotCacheBudgetGate: a payload larger than the whole budget is
-// not admitted, and cannot evict the entire cache to make room.
-func TestHotCacheBudgetGate(t *testing.T) {
-	h := newHotCache(1024)
-	h.put(1, intsFrag(512, 0))
-	h.put(2, intsFrag(64<<10, 0))
-	if h.get(2, 0) != nil {
+// TestTableBudgetGate: a payload larger than the whole budget is not
+// admitted, and cannot evict the entire cache to make room; a zero
+// budget holds nothing hot and counts nothing.
+func TestTableBudgetGate(t *testing.T) {
+	h := newTable(1024)
+	h.admit(1, intsFrag(512, 0))
+	h.admit(2, intsFrag(64<<10, 0))
+	if h.hit(2, 0) != nil {
 		t.Fatal("over-budget payload admitted")
 	}
-	if h.get(1, 0) == nil {
+	if h.hit(1, 0) == nil {
 		t.Fatal("resident entry evicted by an inadmissible payload")
+	}
+	off := newTable(0)
+	off.admit(1, intsFrag(0, 0))
+	if off.hit(1, 0) != nil || len(off.m) != 0 || off.cs != (CacheStats{}) {
+		t.Fatalf("a zero budget held %d entries, counted %+v", len(off.m), off.cs)
 	}
 }
 
@@ -593,10 +640,8 @@ func TestCachedRingGoesQuiet(t *testing.T) {
 	// A reader that loses its cache gets it back the same way.
 	for _, name := range []string{"lineitem.l_quantity", "lineitem.l_shipdate", "lineitem.l_discount", "lineitem.l_extendedprice"} {
 		ids, _ := r.Fragments(name)
-		for _, id := range ids {
-			r.Node(0).hot.drop(id)
-			r.Node(1).hot.drop(id)
-		}
+		cool(r.Node(0), ids...)
+		cool(r.Node(1), ids...)
 	}
 	quiet("after cache drop", refB)
 	if hs := r.HopStats(); hs.Unparked == afterUpdate.Unparked {

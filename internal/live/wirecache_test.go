@@ -40,11 +40,11 @@ func sumOnReader(t *testing.T, r *Ring, owner *Node) func() int64 {
 	}
 }
 
-// storedFragment returns the fragment the owner's store holds for id.
+// storedFragment returns the version the owner's table owns of id.
 func storedFragment(owner *Node, id core.BATID) *fragment {
 	owner.mu.Lock()
 	defer owner.mu.Unlock()
-	return owner.store[id]
+	return owner.tab.owned(id)
 }
 
 // TestWireCacheReusesMarshalledBytes: a fragment version installed from a
